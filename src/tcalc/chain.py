@@ -8,7 +8,11 @@ Conventions fixed once for the whole package:
   (df) = d_D f - (-1)^{|f|} f d_C;
 * dual(C)_k = Hom(C_{-k}, k) with (df)(x) = -(-1)^{|f|} f(dx);
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
-* shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d.
+* shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
+* basis labels are unique within a complex, across all its degrees, and are
+  set once at construction.  Maps between complexes that share labels are
+  built by label lookup: `label_map` for the map matching two bases, and
+  `transport` for carrying a map onto label-equal complexes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .sparse import Echelon, SparseMatrix, nullspace, solve
+from .sparse import Echelon, SparseMatrix, nullspace, solve, solve_matrix
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,7 @@ class ChainComplex:
             else:
                 lab = tuple(("e", k, i) for i in range(n))
             self.labels[k] = lab
+        self._label_index = {}
         if check:
             self.validate()
 
@@ -118,7 +123,20 @@ class ChainComplex:
         return self
 
     def label_index(self, k):
-        return {lab: i for i, lab in enumerate(self.labels.get(k, ()))}
+        """{label: position} of the degree-k basis, built once per degree."""
+        idx = self._label_index.get(k)
+        if idx is None:
+            idx = {lab: i for i, lab in enumerate(self.labels.get(k, ()))}
+            self._label_index[k] = idx
+        return idx
+
+    def locate(self, lab):
+        """(degree, position) of a basis label; KeyError if it is absent."""
+        for k in self.dims:
+            i = self.label_index(k).get(lab)
+            if i is not None:
+                return k, i
+        raise KeyError(lab)
 
     def relabel(self, fn) -> "ChainComplex":
         labels = {k: tuple(fn(k, lab) for lab in labs) for k, labs in self.labels.items()}
@@ -488,6 +506,92 @@ def summand_projection(summands, total, idx) -> ChainMap:
     return out
 
 
+def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
+              partial=False) -> ChainMap:
+    """The degree-0 map sending the basis vector of src labelled lab to the
+    one of tgt labelled key(lab) in the same degree, with coefficient 1.
+
+    key defaults to the identity.  A label whose image is missing from tgt
+    raises ValueError, or is sent to zero when partial."""
+    F = src.field
+    one = F.one()
+    comps = {}
+    for k in src.dims:
+        tidx = tgt.label_index(k)
+        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
+        for j, lab in enumerate(src.labels[k]):
+            i = tidx.get(lab if key is None else key(lab))
+            if i is not None:
+                m.entries[(i, j)] = one
+            elif not partial:
+                raise ValueError("label %r has no image in degree %d" % (lab, k))
+        comps[k] = m
+    return ChainMap(src, tgt, comps, check=False)
+
+
+def _keyed_index(c: ChainComplex, k, key):
+    if key is None:
+        return c.label_index(k)
+    idx = {key(lab): i for i, lab in enumerate(c.labels.get(k, ()))}
+    if len(idx) != c.dim(k):
+        raise ValueError("two labels share a key in degree %d" % k)
+    return idx
+
+
+def transport(f: ChainMap, source: ChainComplex | None = None,
+              target: ChainComplex | None = None, *, key=None,
+              partial=True) -> ChainMap:
+    """f carried onto label-equal complexes in one pass over its entries.
+
+    The basis vector of `source` labelled lab stands for the vector of
+    f.source in the same degree whose label has the same key, and each
+    vector of f.target goes to the vector of `target` whose label has the
+    same key; key defaults to the identity, and a missing complex is f's
+    own.  An entry without a counterpart is dropped when partial, else it
+    raises ValueError.  f itself is returned when both complexes are f's
+    own.  The result is not validated.  Entries are inserted column by
+    column of the new source when the source changes, else in f's order."""
+    src = f.source if source is None else source
+    tgt = f.target if target is None else target
+    src_changed, tgt_changed = src is not f.source, tgt is not f.target
+    if not (src_changed or tgt_changed):
+        return f
+    if src_changed and not partial and not set(f.components) <= set(src.dims):
+        raise ValueError("f has entries in a degree the new source lacks")
+    F, d = f.field, f.degree
+    comps = {}
+    for k in (src.dims if src_changed else f.components):
+        m = f.components.get(k)
+        if m is None:
+            continue
+        entries = m.entries.items()
+        if src_changed:
+            new_idx = _keyed_index(src, k, key)
+            col = {oj: new_idx[lab] for lab, oj in
+                   _keyed_index(f.source, k, key).items() if lab in new_idx}
+            if not partial and any(oj not in col for _, oj in m.entries):
+                raise ValueError("an entry in degree %d has no source "
+                                 "counterpart" % k)
+            entries = sorted((((i, col[oj]), v) for (i, oj), v in entries
+                              if oj in col), key=lambda e: e[0][1])
+        if tgt_changed:
+            tidx = _keyed_index(tgt, k + d, key)
+            labs = f.target.labels[k + d]
+        mm = SparseMatrix(tgt.dim(k + d), src.dim(k), F)
+        for (i, j), v in entries:
+            if tgt_changed:
+                lab = labs[i]
+                i = tidx.get(lab if key is None else key(lab))
+                if i is None:
+                    if not partial:
+                        raise ValueError("target label %r has no counterpart"
+                                         % (lab,))
+                    continue
+            mm.add_to(i, j, v)
+        comps[k] = mm
+    return ChainMap(src, tgt, comps, d, check=False)
+
+
 def shift(c: ChainComplex, d: int) -> ChainComplex:
     sgn = c.field.one() if d % 2 == 0 else c.field.neg(c.field.one())
     dims = {k + d: n for k, n in c.dims.items()}
@@ -552,48 +656,27 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
     F = f.field
-    src_idx = {lab: (k, i) for k in src.dims for i, lab in enumerate(src.labels[k])}
-    tgt_idx = {lab: (k, i) for k in tgt.dims for i, lab in enumerate(tgt.labels[k])}
     deg = f.degree + g.degree
     comps = {}
-    fs_pos = {}
-    for p in f.source.dims:
-        for i, lab in enumerate(f.source.labels[p]):
-            fs_pos[lab] = (p, i)
-    gs_pos = {}
-    for q in g.source.dims:
-        for j, lab in enumerate(g.source.labels[q]):
-            gs_pos[lab] = (q, j)
-    ft_pos = {}
-    for p in f.target.dims:
-        for i, lab in enumerate(f.target.labels[p]):
-            ft_pos[lab] = (p, i)
-    gt_pos = {}
-    for q in g.target.dims:
-        for j, lab in enumerate(g.target.labels[q]):
-            gt_pos[lab] = (q, j)
-    for lab, (k, col) in src_idx.items():
-        lf, lg = lab
-        p, i = fs_pos[lf]
-        q, j = gs_pos[lg]
-        fm = f.components.get(p)
-        gm = g.components.get(q)
-        sgn_g = F.one() if (g.degree * p) % 2 == 0 else F.neg(F.one())
-        for lf2, (p2, i2) in ft_pos.items():
-            if p2 != p + f.degree:
-                continue
-            a = fm[i2, i] if fm is not None else F.zero()
-            if F.is_zero(a):
-                continue
-            for lg2, (q2, j2) in gt_pos.items():
-                if q2 != q + g.degree:
+    for k in src.dims:
+        tidx = tgt.label_index(k + deg)
+        for col, (lf, lg) in enumerate(src.labels[k]):
+            p, i = f.source.locate(lf)
+            q, j = g.source.locate(lg)
+            fm = f.components.get(p)
+            gm = g.components.get(q)
+            sgn_g = F.one() if (g.degree * p) % 2 == 0 else F.neg(F.one())
+            for i2, lf2 in enumerate(f.target.labels.get(p + f.degree, ())):
+                a = fm[i2, i] if fm is not None else F.zero()
+                if F.is_zero(a):
                     continue
-                b = gm[j2, j] if gm is not None else F.zero()
-                if F.is_zero(b):
-                    continue
-                k2, row = tgt_idx[(lf2, lg2)]
-                comps.setdefault(k, SparseMatrix(tgt.dim(k + deg), src.dim(k), F))
-                comps[k].add_to(row, col, F.mul(sgn_g, F.mul(a, b)))
+                for j2, lg2 in enumerate(g.target.labels.get(q + g.degree, ())):
+                    b = gm[j2, j] if gm is not None else F.zero()
+                    if F.is_zero(b):
+                        continue
+                    row = tidx[(lf2, lg2)]
+                    comps.setdefault(k, SparseMatrix(tgt.dim(k + deg), src.dim(k), F))
+                    comps[k].add_to(row, col, F.mul(sgn_g, F.mul(a, b)))
     return ChainMap(src, tgt, comps, deg, check=False)
 
 
@@ -693,12 +776,10 @@ def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
     F = c.field
     comps = {}
     labs = h.labels.get(degree, ())
-    cpos = {lab: (k, i) for k in c.dims for i, lab in enumerate(c.labels[k])}
-    dpos = {lab: (k, j) for k in d.dims for j, lab in enumerate(d.labels[k])}
     for idx, v in vec.items():
         _, lc, ld = labs[idx]
-        p, i = cpos[lc]
-        q, j = dpos[ld]
+        p, i = c.locate(lc)
+        q, j = d.locate(ld)
         comps.setdefault(p, SparseMatrix(d.dim(p + degree), c.dim(p), F))
         comps[p].add_to(j, i, v)
     return ChainMap(c, d, comps, degree, check=False)
@@ -830,11 +911,7 @@ def chain_map_space(c: ChainComplex, d: ChainComplex, degree=0,
                     eqs.append(coeffs)
     if extra_conditions:
         eqs.extend(extra_conditions(var_index))
-    A = SparseMatrix(len(eqs), nvars, F)
-    for r, coeffs in enumerate(eqs):
-        for cc, v in coeffs.items():
-            A[r, cc] = v
-    basis = nullspace(A)
+    basis = nullspace(SparseMatrix.from_sparse_rows(eqs, nvars, F))
     maps = []
     for vec in basis:
         comps = {}
@@ -875,18 +952,12 @@ def count_maps_mod_homotopy(c: ChainComplex, d: ChainComplex) -> int:
                 vec = {a: b for a, b in vec.items() if not F.is_zero(b)}
                 if vec:
                     cols.append(vec)
-    null_rank = Echelon(_rows_matrix(cols, nvars, F)).rank if cols else 0
+    null_rank = Echelon(SparseMatrix.from_sparse_rows(cols, nvars, F)).rank \
+        if cols else 0
     all_rows = cols + [_map_to_vec(m, var_index, F) for m in maps]
-    total_rank = Echelon(_rows_matrix(all_rows, nvars, F)).rank if all_rows else 0
+    total_rank = Echelon(SparseMatrix.from_sparse_rows(all_rows, nvars, F)).rank \
+        if all_rows else 0
     return total_rank - null_rank
-
-
-def _rows_matrix(rows, nvars, F):
-    m = SparseMatrix(len(rows), nvars, F)
-    for r, vec in enumerate(rows):
-        for c, v in vec.items():
-            m[r, c] = v
-    return m
 
 
 def _map_to_vec(m: ChainMap, var_index, F):
@@ -909,18 +980,14 @@ def homology_coordinates(c: ChainComplex, k):
     img_ech = Echelon(c.d(k + 1).transpose())
     chosen = [dict(z) for z in reps]
     chosen.extend(dict(r) for r in img_ech.pivot_rows)
-    span = Echelon(_rows_matrix(chosen, n, F)) if chosen else None
+    span = Echelon(SparseMatrix.from_sparse_rows(chosen, n, F)) if chosen else None
     for j in range(n):
         probe = {j: F.one()}
         red = span.reduce_vector(probe) if span else probe
         if red:
             chosen.append(probe)
-            span = Echelon(_rows_matrix(chosen, n, F))
-    P = SparseMatrix(n, n, F)
-    for jj, vec in enumerate(chosen):
-        for i, v in vec.items():
-            P[i, jj] = v
-    from .sparse import solve_matrix
+            span = Echelon(SparseMatrix.from_sparse_rows(chosen, n, F))
+    P = SparseMatrix.from_columns(chosen, n, F)
     Pinv = solve_matrix(P, SparseMatrix.identity(n, F))
     if Pinv is None:
         raise ArithmeticError("adapted basis not invertible")
@@ -951,10 +1018,7 @@ def realize_homology_iso(c: ChainComplex, d: ChainComplex, h_iso=None) -> ChainM
             if len(reps_c) != hd:
                 raise ValueError("homology dims differ in degree %d" % k)
             iso = SparseMatrix.identity(hd, F)
-        inc = SparseMatrix(d.dim(k), hd, F)
-        for j, z in enumerate(reps_d):
-            for i, v in z.items():
-                inc[i, j] = v
+        inc = SparseMatrix.from_columns(reps_d, d.dim(k), F)
         m = inc * iso * pi
         if not m.is_zero():
             comps[k] = m

@@ -130,23 +130,19 @@ def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
 def _square_into_tate(z, a1, tgt, F):
     """The cycle z (x) z written in the Tate model: strictly invariant over
     F_2, placed in the degree-0 fixed-part slot of the cone."""
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
+    tidx = tgt.label_index(0)
     out = {}
     labs = a1.labels.get(0, ())
     for i1, v1 in z.items():
         for i2, v2 in z.items():
             lab = ("sidx", (0, 0), (labs[i1], labs[i2]))
-            hit = tpos.get(("cone-tgt", ("hGf", 0, 0, lab)))
-            if hit is not None:
-                cur = out.get(hit[1], F.zero())
-                cur = F.add(cur, F.mul(v1, v2))
+            row = tidx.get(("cone-tgt", ("hGf", 0, 0, lab)))
+            if row is not None:
+                cur = F.add(out.get(row, F.zero()), F.mul(v1, v2))
                 if F.is_zero(cur):
-                    out.pop(hit[1], None)
+                    out.pop(row, None)
                 else:
-                    out[hit[1]] = cur
+                    out[row] = cur
     return out
 
 
@@ -251,19 +247,15 @@ def _invariant_lift(m_prime: ChainMap, sa2: EquivariantComplex,
                     fixed_model: ChainComplex, F) -> ChainMap:
     """m' : A_1 -> Sigma A_2 with invariant image lifts to the homotopy fixed
     points as the degree-0 functional slot (carrier wrapped in sidx)."""
-    tpos = {}
-    for k in fixed_model.dims:
-        for i, lab in enumerate(fixed_model.labels[k]):
-            tpos[lab] = (k, i)
     comps = {}
     for k, mm in m_prime.components.items():
         out = SparseMatrix(fixed_model.dim(k), m_prime.source.dim(k), F)
+        tidx = fixed_model.label_index(k)
         for (i, j), v in mm.entries.items():
-            lab = ("hGf", 0, 0, ("sidx", (0, 0),
-                                 m_prime.target.labels[k][i]))
-            hit = tpos.get(lab)
-            if hit is not None:
-                out.add_to(hit[1], j, v)
+            row = tidx.get(("hGf", 0, 0, ("sidx", (0, 0),
+                                          m_prime.target.labels[k][i])))
+            if row is not None:
+                out.add_to(row, j, v)
         if not out.is_zero():
             comps[k] = out
     out_map = ChainMap(m_prime.source, fixed_model, comps, check=False)
@@ -325,13 +317,13 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
 
 def _tot_to_diagonal_slot(builder, tot, n):
     """The projection Tot -> level 0 -> arity-n diagonal summand."""
-    from .tower import conormalized_level, _builder_keys, _builder_parts
+    from .tower import conormalized_level
     from .chain import summand_projection
     F = tot.field
     cs = builder.cosimplicial
     sub0, inc0 = conormalized_level(cs, 0)
-    keys = _builder_keys(builder, 0)
-    parts = _builder_parts(builder, 0)
+    keys = builder.level_keys[0]
+    parts = builder.parts[0]
     idx = keys.index((n,))
     proj = summand_projection(parts, cs.levels[0], idx)
     # Tot -> level 0 (conormalized slot m = 0)
@@ -367,7 +359,7 @@ def _corner_maps(builder, pn1, n, c):
         ub = {(( 2,), (1, 2)): builder._u12_map()} if offkeys else {}
         tb = {((1,), (1, 2)): builder._theta12_map()} if offkeys else {}
         diag_parts = {k[0]: builder.diag[k[0]]["complex"]
-                      for k in builder.keys[0]}
+                      for k in builder.level_keys[0]}
     else:
         offkeys = sorted(k for k in builder.pieces[1]
                          if k[0] < k[1] and k[1] == n)
@@ -430,12 +422,7 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n, c, F):
     if cs.M < 1:
         return {}
     sub1, inc1 = conormalized_level(cs, 1)
-    if c.source == "top":
-        keys1 = builder.keys[1]
-        parts1 = builder.parts[1]
-    else:
-        keys1 = builder.level_keys[1]
-        parts1 = [builder.phi[1][k].complex for k in keys1]
+    keys1, parts1 = builder.level_keys[1], builder.parts[1]
     offkeys = [k for k in keys1 if k[0] < k[1]]
     out = {}
     for k in pn_tot.dims:
@@ -591,9 +578,9 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
     from .coalgebras import (FinitePointedSet, psi_from_theta,
                              representable_module, truncate_coalgebra)
     from .comonads import KPrimeComonad
-    from .tower import (CosimplicialComplex, fat_tot, equivariant_hom_complex,
-                        _identify_slotwise)
-    from .chain import summand_inclusion, summand_projection
+    from .chain import label_map, transport
+    from .tower import (CosimplicialComplex, _Levels, _RawPiece, _post_block,
+                        equivariant_hom_complex, fat_tot)
     F = c.field
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
     module, _ = representable_module(FinitePointedSet(site.size),
@@ -604,7 +591,7 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
     # pieces of K'^m A
     pieces = {0: {}, 1: {}, 2: {}}
     for m in cn.sequence.arities():
-        pieces[0][(m,)] = _RawPieceLocal(cn.sequence.term(m))
+        pieces[0][(m,)] = _RawPiece(cn.sequence.term(m))
     for (q, m), comp in KP.components.items():
         if comp.sursum is not None and not comp.value.complex.is_zero():
             pieces[1][(q, m)] = comp
@@ -624,31 +611,11 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
             hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
                              "piece": piece}
     level_keys = {lvl: sorted(hom[lvl]) for lvl in range(D + 1)}
-    levels = []
-    for lvl in range(D + 1):
-        parts = [hom[lvl][k]["inv"] for k in level_keys[lvl]]
-        levels.append(direct_sum(parts) if parts else ChainComplex(F, {}))
+    tower = _Levels(F, level_keys, {
+        lvl: [hom[lvl][k]["inv"] for k in ks]
+        for lvl, ks in level_keys.items()})
+    block = tower._block
 
-    def block(src_lvl, tgt_lvl, blocks):
-        src_keys, tgt_keys = level_keys[src_lvl], level_keys[tgt_lvl]
-        src_parts = [hom[src_lvl][k]["inv"] for k in src_keys]
-        tgt_parts = [hom[tgt_lvl][k]["inv"] for k in tgt_keys]
-        comps = {}
-        for (sk, tk), f in blocks.items():
-            if f is None or f.is_zero():
-                continue
-            si, ti = src_keys.index(sk), tgt_keys.index(tk)
-            inc = summand_inclusion(tgt_parts, levels[tgt_lvl], ti)
-            proj = summand_projection(src_parts, levels[src_lvl], si)
-            g = inc.compose(f).compose(proj)
-            for k, mm in g.components.items():
-                comps[k] = comps.get(k, SparseMatrix(
-                    levels[tgt_lvl].dim(k), levels[src_lvl].dim(k), F)) + mm
-        out = ChainMap(levels[src_lvl], levels[tgt_lvl], comps, check=False)
-        out.validate()
-        return out
-
-    from .tower import _post_block_standalone
     cofaces, codegens = {}, {}
     if D >= 1:
         # delta^0: M(X) has trivial psi, so only the diagonal identity blocks
@@ -656,27 +623,25 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
         for key in level_keys[0]:
             m = key[0]
             if (m, m) in hom[1]:
-                b0[(key, (m, m))] = _identify_slotwise(
-                    hom[0][key]["inv"], hom[1][(m, m)]["inv"], F)
+                b0[(key, (m, m))] = label_map(
+                    hom[0][key]["inv"], hom[1][(m, m)]["inv"], partial=True)
             for mm2 in range(m, cn.truncation + 1):
                 tk = (m, mm2)
                 if tk not in hom[1]:
                     continue
                 if mm2 == m:
-                    b1[(key, tk)] = _identify_slotwise(
-                        hom[0][key]["inv"], hom[1][tk]["inv"], F)
+                    b1[(key, tk)] = label_map(
+                        hom[0][key]["inv"], hom[1][tk]["inv"], partial=True)
                 else:
                     ps = psi.get((m, mm2))
                     if ps is None or ps.is_zero():
                         continue
-                    g = ps
-                    b1[(key, tk)] = _post_block_standalone(
-                        hom[0][key], hom[1][tk], g, F)
+                    b1[(key, tk)] = _post_block(hom[0][key], hom[1][tk], ps)
         for key in level_keys[1]:
             q, m = key
             if q == m and (m,) in hom[0]:
-                be[(key, (m,))] = _identify_slotwise(
-                    hom[1][key]["inv"], hom[0][(m,)]["inv"], F)
+                be[(key, (m,))] = label_map(
+                    hom[1][key]["inv"], hom[0][(m,)]["inv"], partial=True)
         cofaces[(0, 0)] = block(0, 1, b0)
         cofaces[(0, 1)] = block(0, 1, b1)
         codegens[(1, 0)] = block(1, 0, be)
@@ -686,8 +651,8 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
             q, m = key
             tk = (q, q, m)
             if tk in hom[2]:
-                bu[(key, tk)] = _identify_slotwise(
-                    hom[1][key]["inv"], hom[2][tk]["inv"], F)
+                bu[(key, tk)] = label_map(
+                    hom[1][key]["inv"], hom[2][tk]["inv"], partial=True)
             for s in range(q, m + 1):
                 tk2 = (q, s, m)
                 if tk2 not in hom[2]:
@@ -695,19 +660,18 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
                 d = KP.delta.get((q, s, m))
                 if d is None:
                     continue
-                from .tower import _retarget_map_to, _transport_source
-                g = _retarget_map_to(_transport_source(
-                    d, hom[1][key]["piece"].value.complex),
-                    hom[2][tk2]["piece"].value.complex)
-                bd[(key, tk2)] = _post_block_standalone(
-                    hom[1][key], hom[2][tk2], g, F)
+                g = transport(d, hom[1][key]["piece"].value.complex,
+                              hom[2][tk2]["piece"].value.complex)
+                if g is not d:
+                    g.validate()
+                bd[(key, tk2)] = _post_block(hom[1][key], hom[2][tk2], g)
             for mm2 in range(m, cn.truncation + 1):
                 tk3 = (q, m, mm2)
                 if tk3 not in hom[2]:
                     continue
                 if mm2 == m:
-                    bk2[(key, tk3)] = _identify_slotwise(
-                        hom[1][key]["inv"], hom[2][tk3]["inv"], F)
+                    bk2[(key, tk3)] = label_map(
+                        hom[1][key]["inv"], hom[2][tk3]["inv"], partial=True)
                 # psi components vanish for the free representables
         cofaces[(1, 0)] = block(1, 2, bu)
         cofaces[(1, 1)] = block(1, 2, bd)
@@ -718,15 +682,11 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
                 q, s, m = key
                 keep = (j == 0 and s == q) or (j == 1 and s == m)
                 if keep and (q, m) in hom[1]:
-                    bs[(key, (q, m))] = _identify_slotwise(
-                        hom[2][key]["inv"], hom[1][(q, m)]["inv"], F)
+                    bs[(key, (q, m))] = label_map(
+                        hom[2][key]["inv"], hom[1][(q, m)]["inv"], partial=True)
             codegens[(2, j)] = block(2, 1, bs)
-    cs = CosimplicialComplex(levels, cofaces, codegens, degenerate_above=D)
+    cs = CosimplicialComplex(tower.levels, cofaces, codegens,
+                             degenerate_above=D)
     t = fat_tot(cs)
     return {k: t.homology(k)[0] for k in win.degrees()}
 
-
-class _RawPieceLocal:
-    def __init__(self, value):
-        self.value = value
-        self.kind = "raw"

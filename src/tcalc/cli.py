@@ -94,7 +94,6 @@ def cmd_tate(args):
 
 
 def cmd_bar_com(args):
-    from .fields import field_from_name
     from .operads import bar_construction, commutative_operad
     field = field_from_name(args.field)
     com = commutative_operad(field, args.n)

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, homotopy_between, sphere,
+    ChainMap, DegreeWindow, cone, homotopy_between, label_map, sphere,
+    transport,
 )
 from .comonads import (
-    KPrimeComonad, SpComonad, TopComonad, TopComponentModel,
-    _identify_by_labels, nu_component, top_component_on_map, _unit_trees,
+    KPrimeComonad, SpComonad, TopComonad, TopComponentModel, nu_component,
+    top_component_on_map, _unit_trees,
 )
 from .equivariant import EquivariantComplex, is_free, permutation_module
 from .fields import FieldSpec
@@ -200,14 +201,17 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         return "vacuous"
     # Top case
     K = c.komonad
-    F = c.field
     if s == n or s == r:
         return "ok"  # collapsed sides make both routes literally agree
     delta = K.delta.get((r, s, n))
     comp_rn = K.component(r, n)
-    route1 = delta.compose(_transport(theta_rn, delta.source, F)) \
-        if theta_rn is not None else ChainMap.zero(
-            c.sequence.term_complex(r), delta.target)
+    if theta_rn is None:
+        route1 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
+    else:
+        th = transport(theta_rn, target=delta.source)
+        if th is not theta_rn:
+            th.validate()
+        route1 = delta.compose(th)
     # route 2: K_r(theta~_{s,n}) o theta_{r,s}
     inner = K.delta_inner[(r, s, n)]
     outer = K.delta_outer[(r, s, n)]
@@ -215,7 +219,7 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         route2 = ChainMap.zero(c.sequence.term_complex(r), outer.value.complex)
     else:
         comp_sn = K.component(s, n)
-        tau = _model_transport(comp_sn, inner, F)
+        tau = _model_transport(comp_sn, inner)
         theta_tilde = tau.compose(theta_sn)
         src_model = K.component(r, s)
         if src_model.kind != outer.kind:
@@ -223,7 +227,10 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
             src_model = _rebuild_like(K.coop, c.sequence.term(s), r,
                                       K.w, outer)
         kf = top_component_on_map(K.coop, src_model, outer, theta_tilde)
-        route2 = kf.compose(_transport(theta_rs, kf.source, F))
+        th = transport(theta_rs, target=kf.source)
+        if th is not theta_rs:
+            th.validate()
+        route2 = kf.compose(th)
     # compare on homology; exact witness check when provided
     wit = c.witnesses.get((r, s, n))
     diffm = route1 - ChainMap(route1.source, route1.target,
@@ -244,66 +251,15 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
     return "ok"
 
 
-def _transport(f: ChainMap, new_target: ChainComplex, F) -> ChainMap:
-    """Recast f to land in a model with the same labels (slot identity)."""
-    if f.target.dims == new_target.dims and all(
-            f.target.labels.get(k) == new_target.labels.get(k)
-            for k in f.target.dims):
-        return ChainMap(f.source, new_target, f.components, f.degree,
-                        check=False)
-    return _model_slot_map(f, new_target, F)
-
-
-def _model_slot_map(f: ChainMap, new_target: ChainComplex, F) -> ChainMap:
-    tpos = {}
-    for k in new_target.dims:
-        for i, lab in enumerate(new_target.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k, m in f.components.items():
-        mm = SparseMatrix(new_target.dim(k + f.degree), f.source.dim(k), F)
-        for (i, j), v in m.entries.items():
-            lab = f.target.labels[k + f.degree][i]
-            hit = tpos.get(lab)
-            if hit is None:
-                continue
-            mm.add_to(hit[1], j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    out = ChainMap(f.source, new_target, comps, f.degree, check=False)
-    out.validate()
-    return out
-
-
-def _model_transport(src_model, tgt_model, F) -> ChainMap:
+def _model_transport(src_model, tgt_model) -> ChainMap:
     """Slot-identity transport between two windowed models of the same
     surjection sum (target must extend the source)."""
     if src_model.kind == "collapsed" and tgt_model.kind == "collapsed":
         return ChainMap.identity(src_model.value.complex)
     if src_model.kind == "strict" and tgt_model.kind == "strict":
-        return _identify_by_labels(src_model.value.complex,
-                                   tgt_model.value.complex, F)
-    out = _identify_partial(src_model.value.complex,
-                            tgt_model.value.complex, F)
-    out.validate()
-    return out
-
-
-def _identify_partial(src: ChainComplex, tgt: ChainComplex, F) -> ChainMap:
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k in src.dims:
-        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        for j, lab in enumerate(src.labels[k]):
-            hit = tpos.get(lab)
-            if hit is not None:
-                m[hit[1], j] = F.one()
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(src, tgt, comps, check=False)
+        return label_map(src_model.value.complex, tgt_model.value.complex)
+    return label_map(src_model.value.complex, tgt_model.value.complex,
+                     partial=True).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +359,10 @@ def psi_from_theta(c: TruncatedCoalgebra):
                 continue
             top_comp = K.component(r, n)
             nu = nu_component(top_comp, kp_comp, c.window)
-            psi[(r, n)] = nu.compose(_transport(theta, nu.source, c.field))
+            th = transport(theta, target=nu.source)
+            if th is not theta:
+                th.validate()
+            psi[(r, n)] = nu.compose(th)
     return psi, KP
 
 
@@ -473,18 +432,6 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
     alpha0 = tuple(alpha0)
     W = kp_comp.sursum.total
     inc = kp_comp.inclusion
-    wlab_pos = {}
-    for k in W.dims:
-        for i, lab in enumerate(W.labels[k]):
-            wlab_pos[(k, i)] = lab
-    # degrees of dual labels
-    dual_degs = []
-    for d in duals:
-        dm = {}
-        for k in d.dims:
-            for lab in d.labels[k]:
-                dm[lab] = k
-        dual_degs.append(dm)
     comps = {}
     for k0 in a_r.dims:
         pm = ps.component(k0)
@@ -493,22 +440,17 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
             continue
         big = im * pm   # A_r degree-k0 -> W degree-k0
         for (wi, j), v in big.entries.items():
-            lab = wlab_pos[(k0, wi)]
+            lab = W.labels[k0][wi]
             _, alpha, inner = lab
             if alpha != alpha0:
                 continue
             tree_labs = inner[:-1]
             an_lab = inner[-1]
             # the source basis elements pairing with these trees
-            t_degs = []
-            ok = True
-            for t_lab, dm in zip(tree_labs, dual_degs):
-                dlab = ("dual", t_lab)
-                if dlab not in dm:
-                    ok = False
-                    break
-                t_degs.append(-dm[dlab])
-            if not ok:
+            try:
+                t_degs = [-d.locate(("dual", t_lab))[0]
+                          for t_lab, d in zip(tree_labs, duals)]
+            except KeyError:
                 continue
             # Koszul sign for the multi-evaluation of duals against trees
             sgn = 1
@@ -518,16 +460,11 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
                         sgn = -sgn
             src_lab = (a_r.labels[k0][j],) + \
                 tuple(("dual", t) for t in tree_labs)
-            hit = _find_label(src, src_lab)
-            if hit is None:
+            try:
+                sk, spos = src.locate(src_lab)
+            except KeyError:
                 continue
-            sk, spos = hit
-            an_k = None
-            for kk in a_n.dims:
-                if an_lab in a_n.label_index(kk):
-                    an_k = kk
-                    an_i = a_n.label_index(kk)[an_lab]
-                    break
+            an_i = a_n.locate(an_lab)[1]
             m = comps.get(sk)
             if m is None:
                 m = SparseMatrix(a_n.dim(sk), src.dim(sk), F)
@@ -536,14 +473,6 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
     out = ChainMap(src, a_n, comps, check=False)
     out.validate()
     return out
-
-
-def _find_label(c: ChainComplex, lab):
-    for k in c.dims:
-        idx = c.label_index(k)
-        if lab in idx:
-            return k, idx[lab]
-    return None
 
 
 def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, tensor_many,
 )
 from .fields import FieldSpec
 from .perms import (
     YoungGroup, compose, identity_perm, inverse, perm_sign, transposition,
 )
-from .sparse import Echelon, SparseMatrix, nullspace
+from .sparse import Echelon, SparseMatrix, nullspace, solve
 
 
 ARITY_BOUND_DEFAULT = 4
@@ -167,15 +167,6 @@ def tensor_power(x: ChainComplex, n: int,
     group = YoungGroup.full(n)
     t = tensor_many([x] * n)
     F = x.field
-    # index by (degs, idxs) for permutation action
-    pos = {}
-    for k in t.dims:
-        for i, lab in enumerate(t.labels[k]):
-            pos[lab] = (k, i)
-    deg_of = {}
-    for p in x.support():
-        for lab in x.labels[p]:
-            deg_of[lab] = p
     action = {}
     for gi in group.generator_positions():
         m_by_deg = {}
@@ -183,8 +174,8 @@ def tensor_power(x: ChainComplex, n: int,
             m = SparseMatrix(t.dim(k), t.dim(k), F)
             for col, lab in enumerate(t.labels[k]):
                 swapped = lab[:gi] + (lab[gi + 1], lab[gi]) + lab[gi + 2:]
-                _, row = pos[swapped]
-                d1, d2 = deg_of[lab[gi]], deg_of[lab[gi + 1]]
+                row = t.label_index(k)[swapped]
+                d1, d2 = x.locate(lab[gi])[0], x.locate(lab[gi + 1])[0]
                 s = F.one() if (d1 * d2) % 2 == 0 else F.neg(F.one())
                 m[row, col] = s
             m_by_deg[k] = m
@@ -359,11 +350,7 @@ def strict_fixed(a: EquivariantComplex):
             m = g.component(k) - SparseMatrix.identity(n, F)
             rows.append(m)
         if rows:
-            stacked = SparseMatrix(n * len(rows), n, F)
-            for t, m in enumerate(rows):
-                for (i, j), v in m.entries.items():
-                    stacked[t * n + i, j] = v
-            basis = nullspace(stacked)
+            basis = nullspace(SparseMatrix.vstack(rows))
         else:
             basis = [{i: F.one()} for i in range(n)]
         if basis:
@@ -376,12 +363,8 @@ def strict_fixed(a: EquivariantComplex):
             continue
         # d restricted to invariants, expressed in the invariant basis
         below = basis_by_deg[k - 1]
-        mat_below = SparseMatrix(c.dim(k - 1), len(below), F)
-        for j, z in enumerate(below):
-            for i, v in z.items():
-                mat_below[i, j] = v
+        mat_below = SparseMatrix.from_columns(below, c.dim(k - 1), F)
         m = SparseMatrix(len(below), dims[k], F)
-        from .sparse import solve
         for j, z in enumerate(basis_by_deg[k]):
             img = c.d(k).apply(z)
             x = solve(mat_below, img)
@@ -391,13 +374,8 @@ def strict_fixed(a: EquivariantComplex):
                 m[i, j] = v
         diff[k] = m
     out = ChainComplex(F, dims, diff, labels, check=False)
-    comps = {}
-    for k, basis in basis_by_deg.items():
-        m = SparseMatrix(c.dim(k), len(basis), F)
-        for j, z in enumerate(basis):
-            for i, v in z.items():
-                m[i, j] = v
-        comps[k] = m
+    comps = {k: SparseMatrix.from_columns(basis, c.dim(k), F)
+             for k, basis in basis_by_deg.items()}
     inclusion = ChainMap(out, c, comps, check=False)
     return out, inclusion
 
@@ -418,7 +396,7 @@ def strict_orbits(a: EquivariantComplex):
                 if col:
                     rows.append(col)
         # quotient by span(rows): echelon of rows; non-pivot coords give basis
-        ech = Echelon(_rows_to_matrix(rows, n, F))
+        ech = Echelon(SparseMatrix.from_sparse_rows(rows, n, F))
         piv = set(ech.pivot_cols)
         free = [j for j in range(n) if j not in piv]
         if free:
@@ -453,14 +431,6 @@ def strict_orbits(a: EquivariantComplex):
         comps[k] = projs[k][0]
     projection = ChainMap(c, out, comps, check=False)
     return out, projection
-
-
-def _rows_to_matrix(rows, ncols, F):
-    m = SparseMatrix(len(rows), ncols, F)
-    for r, vec in enumerate(rows):
-        for c, v in vec.items():
-            m[r, c] = v
-    return m
 
 
 def is_free(a: EquivariantComplex) -> bool:
@@ -659,6 +629,37 @@ def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow,
     return WindowedResult(out, w, tag)
 
 
+def slotwise_map(src_model: ChainComplex, tgt_model: ChainComplex,
+                 f: ChainMap, slot=3) -> ChainMap:
+    """f applied in one slot of tuple labels, between models built over the
+    same labels: the basis vector lab of src_model goes to the sum of
+    c * (lab with lab[slot] replaced by x) over the terms c * x of
+    f(lab[slot]); terms missing from tgt_model are dropped.  The default
+    slot is the w of the orbit and fixed models' ("hG"/"hGf", s, gen, w)
+    labels.  The result is not validated."""
+    F, d = f.field, f.degree
+    comps = {}
+    for k in src_model.dims:
+        tidx = tgt_model.label_index(k + d)
+        for col, lab in enumerate(src_model.labels[k]):
+            if len(lab) <= slot:
+                raise ValueError("label %r has no slot %d" % (lab, slot))
+            wk, wi = f.source.locate(lab[slot])
+            for (i2, jj), v in f.component(wk).entries.items():
+                if jj != wi:
+                    continue
+                new = lab[:slot] + (f.target.labels[wk + d][i2],) + lab[slot + 1:]
+                row = tidx.get(new)
+                if row is None:
+                    continue
+                m = comps.get(k)
+                if m is None:
+                    m = SparseMatrix(tgt_model.dim(k + d), src_model.dim(k), F)
+                    comps[k] = m
+                m.add_to(row, col, v)
+    return ChainMap(src_model, tgt_model, comps, d, check=False)
+
+
 def orbit_projection_to_strict(a: EquivariantComplex, ho: WindowedResult) -> ChainMap:
     """The chain map (A (x)_{kG} F)  ->  A_G induced by the augmentation."""
     F = a.field
@@ -671,7 +672,7 @@ def orbit_projection_to_strict(a: EquivariantComplex, ho: WindowedResult) -> Cha
             _, s, gen, alab = lab
             if s != 0:
                 continue
-            i = a.complex.labels[k].index(alab) if alab in a.complex.labels.get(k, ()) else None
+            i = a.complex.label_index(k).get(alab)
             if i is None:
                 continue
             pm = proj.component(k)
@@ -708,14 +709,6 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
         comps[k] = nm
     # assemble: src (s=0 part, identity-coset) --aug--> A --N--> A --coaug--> tgt
     out_comps = {}
-    src_pos = {}
-    for k in src.dims:
-        for i, lab in enumerate(src.labels[k]):
-            src_pos[(k, lab)] = i
-    tgt_pos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tgt_pos[(k, lab)] = i
     for k in src.dims:
         if k not in tgt.dims:
             continue
@@ -723,7 +716,8 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
         nm = comps.get(k)
         if nm is None:
             continue
-        a_idx = {lab: i for i, lab in enumerate(c.labels.get(k, ()))}
+        a_idx = c.label_index(k)
+        tidx = tgt.label_index(k)
         for col, lab in enumerate(src.labels[k]):
             _, s, gen, alab = lab
             if s != 0:
@@ -732,7 +726,7 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
             # N(e_i) expressed in A, then placed in the s=0 slot of the target
             for (i2, jj), v in nm.entries.items():
                 if jj == i:
-                    row = tgt_pos.get((k, ("hGf", 0, 0, c.labels[k][i2])))
+                    row = tidx.get(("hGf", 0, 0, c.labels[k][i2]))
                     if row is not None:
                         m.add_to(row, col, v)
         if not m.is_zero():
@@ -760,7 +754,6 @@ def induced_from_trivial_subgroup(pieces, group: YoungGroup) -> EquivariantCompl
 
     `pieces` is a single ChainComplex V; the result is free, used for tests.
     """
-    from .chain import direct_sum
     elements = group.elements()
     total = direct_sum([pieces] * len(elements))
     F = pieces.field

@@ -21,6 +21,7 @@ from itertools import product as _iterprod
 from . import trees
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, dual, sphere, tensor_many,
+    tensor_map, transport,
 )
 from .equivariant import EquivariantComplex, trivial_action
 from .fields import FieldSpec
@@ -641,10 +642,6 @@ def tree_cooperad(field, N) -> Cooperad:
             factors = [seq.term_complex(r)] + \
                 [seq.term_complex(len(b)) for b in blocks]
             tgt = tensor_many(factors)
-            tgt_pos = {}
-            for d in tgt.dims:
-                for i, lab in enumerate(tgt.labels[d]):
-                    tgt_pos[lab] = (d, i)
             comps = {}
             for t, (d, col) in pos_src.items():
                 dec = trees.decompose(t, blocks)
@@ -658,8 +655,7 @@ def tree_cooperad(field, N) -> Cooperad:
                     assert s2 == 1  # order-preserving relabels are sign-free
                     lowered.append(lt2)
                 lab = (("tree", upper),) + tuple(("tree", lt) for lt in lowered)
-                d2, row = tgt_pos[lab]
-                assert d2 == d
+                row = tgt.label_index(d)[lab]
                 m = comps.get(d)
                 if m is None:
                     m = SparseMatrix(tgt.dim(d), src.dim(d), field)
@@ -679,28 +675,16 @@ def tensor_reorder_map(factors, perm, field) -> ChainMap:
         inv[v] = i
     tgt_factors = [factors[inv[j]] for j in range(len(perm))]
     tgt = tensor_many(tgt_factors)
-    deg_of = []
-    for c in factors:
-        dm = {}
-        for k in c.dims:
-            for lab in c.labels[k]:
-                dm[lab] = k
-        deg_of.append(dm)
-    tgt_pos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tgt_pos[lab] = (k, i)
     comps = {}
     for k in src.dims:
         m = SparseMatrix(tgt.dim(k), src.dim(k), field)
         for col, lab in enumerate(src.labels[k]):
-            degs = [deg_of[i][l] for i, l in enumerate(lab)]
+            degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
             sgn = _koszul_reorder_sign(field, degs, perm)
             new_lab = [None] * len(lab)
             for i, l in enumerate(lab):
                 new_lab[perm[i]] = l
-            k2, row = tgt_pos[tuple(new_lab)]
-            m.add_to(row, col, sgn)
+            m.add_to(tgt.label_index(k)[tuple(new_lab)], col, sgn)
         comps[k] = m
     return ChainMap(src, tgt, comps, check=False)
 
@@ -777,82 +761,49 @@ def _fine_to_grouped_perm(coarse, fine):
     return perm
 
 
+def _flat_label(lab):
+    """A tensor label with its nesting removed, so that iterated binary
+    `tensor` and `tensor_many` label each basis vector alike."""
+    if isinstance(lab, tuple) and lab and not isinstance(lab[0], str):
+        return tuple(x for part in lab for x in _flat_label(part))
+    return (lab,)
+
+
 def _compose_via_flat(f: ChainMap, g: ChainMap) -> ChainMap:
     """f o g where f's source equals g's target up to label nesting."""
-    return f.compose(_retarget_map(g, f.source))
+    return f.compose(transport(g, target=f.source, key=_flat_label,
+                               partial=False))
 
 
 def _apply_to_factor(base: ChainMap, piece: ChainMap, slot, base_factors,
                      F) -> ChainMap:
     """Compose base with (id (x) ... (x) piece (x) ... (x) id) at `slot`
     of base's target tensor factors."""
-    from .chain import tensor_map, ChainMap as CM
     maps = []
     for i, c in enumerate(base_factors):
         if i == slot:
             maps.append(piece)
         else:
-            maps.append(CM.identity(c))
+            maps.append(ChainMap.identity(c))
     big = maps[0]
     for mp in maps[1:]:
         big = tensor_map(big, mp)
     # big's source is tensor(base_factors) rebuilt; identify with base.target
-    return big.compose(_retarget_map(base, big.source))
-
-
-def _retarget(f: ChainMap, new_source: ChainComplex) -> ChainMap:
-    """Identify f's source with an equal-basis complex via label matching.
-
-    Sources must have the same labels up to nesting of tuples produced by
-    iterated binary tensor vs tensor_many; we flatten to compare."""
-    def flat(lab):
-        if isinstance(lab, tuple) and lab and not isinstance(lab[0], str):
-            out = []
-            for x in lab:
-                out.extend(flat(x))
-            return tuple(out)
-        if isinstance(lab, tuple) and len(lab) == 2 and isinstance(lab[0], tuple):
-            return flat(lab[0]) + flat(lab[1])
-        return (lab,)
-
-    src = f.source
-    comps = {}
-    for k in new_source.dims:
-        n1, n2 = src.dim(k), new_source.dim(k)
-        if n1 != n2:
-            raise ValueError("retarget dimension mismatch in degree %d" % k)
-        flat_src = {flat(lab): i for i, lab in enumerate(src.labels[k])}
-        m = SparseMatrix(n1, n2, f.field)
-        for j, lab in enumerate(new_source.labels[k]):
-            i = flat_src[flat(lab)]
-            m[i, j] = f.field.one()
-        comps[k] = m
-    ident = ChainMap(new_source, src, comps, check=False)
-    return f.compose(ident)
-
-
-def _flatten_compose(f: ChainMap, g: ChainMap) -> ChainMap:
-    return f.compose(g)
+    return _compose_via_flat(big, base)
 
 
 def _same_map(f: ChainMap, g: ChainMap) -> bool:
     """Compare two chain maps with possibly differently-nested tensor labels."""
-    def flat(lab):
-        if isinstance(lab, tuple) and lab and not isinstance(lab[0], str):
-            out = []
-            for x in lab:
-                out.extend(flat(x))
-            return tuple(out)
-        return (lab,)
-
     for k in set(f.source.dims) | set(g.source.dims):
         if f.source.dim(k) != g.source.dim(k):
             return False
     for k in set(list(f.components) + list(g.components)):
         mf, mg = f.component(k), g.component(k)
         # align target bases by flattened labels
-        tf = {flat(lab): i for i, lab in enumerate(f.target.labels.get(k, ()))}
-        tg = {flat(lab): i for i, lab in enumerate(g.target.labels.get(k, ()))}
+        tf = {_flat_label(lab): i
+              for i, lab in enumerate(f.target.labels.get(k, ()))}
+        tg = {_flat_label(lab): i
+              for i, lab in enumerate(g.target.labels.get(k, ()))}
         if set(tf) != set(tg):
             return False
         reindex = {tf[lab]: tg[lab] for lab in tf}
@@ -1159,15 +1110,16 @@ def _check_module_assoc(mod: RightModule, r, comp, comp2_parts):
     q_factors = [op.term_complex(c) for c in comp2]
     if any(c.is_zero() for c in [m_r] + p_factors + q_factors):
         return None
-    from .chain import ChainMap as CM, tensor_map
     # route 1: (a1 (x) id_q...) then a2
     big = a1
     for qf in q_factors:
-        big = tensor_map(big, CM.identity(qf))
+        big = tensor_map(big, ChainMap.identity(qf))
     src_factors = [m_r] + p_factors + q_factors
-    big = _retarget(big, tensor_many(src_factors))
+    big = transport(big, tensor_many(src_factors), key=_flat_label,
+                    partial=False)
     mid = tensor_many([mod.sequence.term_complex(s)] + q_factors)
-    route1 = a2.compose(_retarget_map(big, mid))
+    route1 = a2.compose(transport(big, target=mid, key=_flat_label,
+                                  partial=False))
     # route 2: reorder q-factors to sit beside their p-factor, apply gamma on
     # each group, then a1' along the composed pattern
     perm = _group_q_after_p_perm(comp, comp2_parts)
@@ -1182,46 +1134,22 @@ def _check_module_assoc(mod: RightModule, r, comp, comp2_parts):
             return None
         gam_maps.append((slot, g, 1 + len(part)))
         slot += 1 + len(part)
-    maps = [CM.identity(m_r)]
+    maps = [ChainMap.identity(m_r)]
     for slotpos, g, width in gam_maps:
         maps.append(g)
     big2 = maps[0]
     for mp in maps[1:]:
         big2 = tensor_map(big2, mp)
-    big2 = _retarget(big2, cur.target)
+    big2 = transport(big2, cur.target, key=_flat_label, partial=False)
     composed = tuple(sum(part) for part in comp2_parts)
     a3 = mod.action_map(r, composed)
     if a3 is None:
         return None
     mid2 = tensor_many([m_r] + [op.term_complex(sum(part))
                                 for part in comp2_parts])
-    route2 = a3.compose(_retarget_map(big2.compose(cur), mid2))
+    route2 = a3.compose(transport(big2.compose(cur), target=mid2,
+                                  key=_flat_label, partial=False))
     return _same_map(route1, route2)
-
-
-def _retarget_map(f: ChainMap, new_target_model: ChainComplex) -> ChainMap:
-    """Identify f's target with an equal complex via flattened labels."""
-    def flat(lab):
-        if isinstance(lab, tuple) and lab and not isinstance(lab[0], str):
-            out = []
-            for x in lab:
-                out.extend(flat(x))
-            return tuple(out)
-        return (lab,)
-
-    tgt = f.target
-    F = f.field
-    comps = {}
-    for k in tgt.dims:
-        flat_new = {flat(lab): i for i, lab in
-                    enumerate(new_target_model.labels.get(k, ()))}
-        m = SparseMatrix(new_target_model.dim(k), tgt.dim(k), F)
-        for j, lab in enumerate(tgt.labels[k]):
-            i = flat_new[flat(lab)]
-            m[i, j] = F.one()
-        comps[k] = m
-    ident = ChainMap(tgt, new_target_model, comps, check=False)
-    return ident.compose(f)
 
 
 def _group_q_after_p_perm(comp, comp2_parts):
@@ -1268,7 +1196,6 @@ def _check_module_equivariance(mod: RightModule, r, comp):
     m_n = mod.sequence.term(n)
     if m_r is None or m_n is None:
         return None
-    from .chain import ChainMap as CM, tensor_map
     offs = []
     start = 0
     for c in comp:
@@ -1279,17 +1206,17 @@ def _check_module_equivariance(mod: RightModule, r, comp):
         if pterm is None or c < 2:
             continue
         for gi in YoungGroup.full(c).generator_positions():
-            maps = [CM.identity(mod.sequence.term_complex(r))]
+            maps = [ChainMap.identity(mod.sequence.term_complex(r))]
             for bj, c2 in enumerate(comp):
                 if bj == bi:
                     maps.append(pterm.action[gi])
                 else:
-                    maps.append(CM.identity(op.term_complex(c2)))
+                    maps.append(ChainMap.identity(op.term_complex(c2)))
             big = maps[0]
             for mp in maps[1:]:
                 big = tensor_map(big, mp)
-            big = _retarget(big, act.source)
-            lhs = act.compose(_retarget_map(big, act.source))
+            big = transport(big, act.source, key=_flat_label, partial=False)
+            lhs = _compose_via_flat(act, big)
             # global generator at position offs[bi] + gi
             glob = offs[bi] + gi
             rhs = m_n.action[glob].compose(act)

@@ -54,6 +54,38 @@ class SparseMatrix:
                 m[i, j] = v
         return m
 
+    @classmethod
+    def from_sparse_rows(cls, rows, cols, field):
+        """The matrix whose r-th row is the sparse vector rows[r] ({col: scalar})."""
+        m = cls(len(rows), cols, field)
+        for r, vec in enumerate(rows):
+            for j, v in vec.items():
+                m[r, j] = v
+        return m
+
+    @classmethod
+    def from_columns(cls, columns, rows, field):
+        """The matrix whose j-th column is the sparse vector columns[j]."""
+        m = cls(rows, len(columns), field)
+        for j, vec in enumerate(columns):
+            for i, v in vec.items():
+                m[i, j] = v
+        return m
+
+    @classmethod
+    def vstack(cls, mats):
+        """One or more matrices with equal column counts, stacked top to bottom."""
+        cols, field = mats[0].cols, mats[0].field
+        if any(m.cols != cols or m.field != field for m in mats):
+            raise ValueError("vstack needs equal column counts and fields")
+        out = cls(sum(m.rows for m in mats), cols, field)
+        off = 0
+        for m in mats:
+            for (i, j), v in m.entries.items():
+                out.entries[(off + i, j)] = v
+            off += m.rows
+        return out
+
     def copy(self):
         m = SparseMatrix(self.rows, self.cols, self.field)
         m.entries = dict(self.entries)

@@ -11,12 +11,27 @@ d_int + (-1)^{internal degree} sum_i (-1)^i delta^i.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .chain import (
-    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, cone, direct_sum,
-    homotopy_between, hom_complex, shift, sphere, summand_inclusion,
-    summand_projection, tensor, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, hom_complex,
+    hom_element_to_map, homotopy_between, is_quasi_iso, label_map,
+    map_to_hom_element, shift, summand_inclusion, summand_projection, tensor,
+    tensor_map, transport,
 )
-from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix
+from .coalgebras import (
+    FinitePointedSet, _model_transport, injections, truncate_coalgebra,
+)
+from .comonads import (
+    SpComponentModel, _model_stages, _rebuild_like, coaugment_invariants,
+    equivariant_tensor, top_component_on_map,
+)
+from .equivariant import (
+    EquivariantComplex, homotopy_fixed, homotopy_orbits, permutation_module,
+    slotwise_map, strict_fixed, trivial_action,
+)
+from .perms import YoungGroup, all_surjections, transposition
+from .sparse import Echelon, SparseMatrix, nullspace, solve, solve_matrix
 
 
 class CosimplicialComplex:
@@ -114,23 +129,13 @@ class CosimplicialComplex:
     def verify_degeneracy(self) -> bool:
         """Levels above the bound carry no conormalized content: the joint
         kernel of the codegeneracies vanishes."""
-        F = self.field
         for m in range(self.degenerate_above + 1, self.M + 1):
             level = self.levels[m]
             for k in level.dims:
-                rows = []
-                for j in range(m):
-                    cm = self.codegen(m, j).component(k)
-                    rows.append(cm)
-                if not rows:
+                if m == 0:
                     return level.dim(k) == 0
-                stacked = SparseMatrix(
-                    sum(r.rows for r in rows), level.dim(k), F)
-                off = 0
-                for rmat in rows:
-                    for (i, jj), v in rmat.entries.items():
-                        stacked[off + i, jj] = v
-                    off += rmat.rows
+                stacked = SparseMatrix.vstack(
+                    [self.codegen(m, j).component(k) for j in range(m)])
                 if nullspace(stacked):
                     return False
         return True
@@ -151,7 +156,6 @@ def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
 
 def conormalized_level(x: CosimplicialComplex, m):
     """(subcomplex N^m = joint kernel of the codegeneracies, inclusion)."""
-    from .sparse import nullspace
     F = x.field
     lv = x.levels[m]
     sigmas = [x.codegens[(m, j)] for j in range(m) if (m, j) in x.codegens]
@@ -159,32 +163,17 @@ def conormalized_level(x: CosimplicialComplex, m):
         return lv, ChainMap.identity(lv)
     dims, labels, basis_by_deg = {}, {}, {}
     for k in lv.support():
-        n = lv.dim(k)
-        rows = []
-        for f in sigmas:
-            fm = f.component(k)
-            rows.append(fm)
-        stacked = SparseMatrix(sum(r.rows for r in rows), n, F)
-        off = 0
-        for rmat in rows:
-            for (i, jj), v in rmat.entries.items():
-                stacked[off + i, jj] = v
-            off += rmat.rows
-        basis = nullspace(stacked)
+        basis = nullspace(SparseMatrix.vstack([f.component(k) for f in sigmas]))
         if basis:
             dims[k] = len(basis)
             labels[k] = tuple(("norm", m, k, i) for i in range(len(basis)))
             basis_by_deg[k] = basis
     diff = {}
-    from .sparse import solve
     for k in dims:
         if not dims.get(k - 1):
             continue
         below = basis_by_deg[k - 1]
-        mat_below = SparseMatrix(lv.dim(k - 1), len(below), F)
-        for j, z in enumerate(below):
-            for i, v in z.items():
-                mat_below[i, j] = v
+        mat_below = SparseMatrix.from_columns(below, lv.dim(k - 1), F)
         mm = SparseMatrix(len(below), dims[k], F)
         for j, z in enumerate(basis_by_deg[k]):
             img = lv.d(k).apply(z)
@@ -195,13 +184,8 @@ def conormalized_level(x: CosimplicialComplex, m):
                 mm[i, j] = v
         diff[k] = mm
     sub = ChainComplex(F, dims, diff, labels, check=False)
-    comps = {}
-    for k, basis in basis_by_deg.items():
-        mm = SparseMatrix(lv.dim(k), len(basis), F)
-        for j, z in enumerate(basis):
-            for i, v in z.items():
-                mm[i, j] = v
-        comps[k] = mm
+    comps = {k: SparseMatrix.from_columns(basis, lv.dim(k), F)
+             for k, basis in basis_by_deg.items()}
     return sub, ChainMap(sub, lv, comps, check=False)
 
 
@@ -216,7 +200,6 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
     D = min(x.degenerate_above, x.M)
     F = x.field
     normed = [conormalized_level(x, m) for m in range(D + 1)]
-    from .sparse import solve_matrix
     dims, labels, index = {}, {}, {}
     for m in range(D + 1):
         lv = normed[m][0]
@@ -293,7 +276,8 @@ class _Quotient:
         projs = {}
         for k in c.support():
             rows = [dict(v) for v in spans.get(k, [])]
-            ech = Echelon(_rows_mat(rows, c.dim(k), F)) if rows else None
+            ech = Echelon(SparseMatrix.from_sparse_rows(rows, c.dim(k), F)) \
+                if rows else None
             piv = set(ech.pivot_cols) if ech else set()
             free = [j for j in range(c.dim(k)) if j not in piv]
             if free:
@@ -329,14 +313,6 @@ class _Quotient:
         return ChainMap(self.source, self.complex, comps, check=False)
 
 
-def _rows_mat(rows, n, F):
-    m = SparseMatrix(len(rows), n, F)
-    for r, vec in enumerate(rows):
-        for c2, v in vec.items():
-            m[r, c2] = v
-    return m
-
-
 def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                 max_level=None) -> CosimplicialComplex:
     """The box product of cosimplicial objects, levelwise the coequalizer of
@@ -361,10 +337,10 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
         if m >= 1:
             prev = sums[m - 1]
             for (p, q, tc) in prev:
-                f1 = _tensor_pair_map(x.coface(p, p + 1),
-                                      ChainMap.identity(y.levels[q]), F)
-                f2 = _tensor_pair_map(ChainMap.identity(x.levels[p]),
-                                      y.coface(q, 0), F)
+                f1 = tensor_map(x.coface(p, p + 1),
+                                ChainMap.identity(y.levels[q]))
+                f2 = tensor_map(ChainMap.identity(x.levels[p]),
+                                y.coface(q, 0))
                 # summand indices in level m: (p+1, q) and (p, q+1)
                 inc1 = _summand_inc(sums[m], totals[m], p + 1, q, F)
                 inc2 = _summand_inc(sums[m], totals[m], p, q + 1, F)
@@ -395,27 +371,6 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
     return out
 
 
-def _tensor_pair_map(f: ChainMap, g: ChainMap, F) -> ChainMap:
-    from .chain import tensor_map
-    tm = tensor_map(f, g)
-    # rebuild against the binary-tensor complexes used in box_product
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    spos = {lab: (k, i) for k in src.dims
-            for i, lab in enumerate(src.labels[k])}
-    tpos = {lab: (k, i) for k in tgt.dims
-            for i, lab in enumerate(tgt.labels[k])}
-    comps = {}
-    for k, m in tm.components.items():
-        mm = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        for (i, j), v in m.entries.items():
-            li = tm.target.labels[k][i]
-            lj = tm.source.labels[k][j]
-            mm[tpos[li][1], spos[lj][1]] = v
-        comps[k] = mm
-    return ChainMap(src, tgt, comps, check=False)
-
-
 def _summand_inc(parts, total, p, q, F) -> ChainMap:
     idx = next(t for t, (pp, qq, _) in enumerate(parts)
                if pp == p and qq == q)
@@ -434,22 +389,22 @@ def _box_structure_map(x, y, sums, totals, quotients, m, i, F, kind):
     for (p, q, tc) in src_parts:
         if kind == "coface":
             if i <= p:
-                f = _tensor_pair_map(x.coface(p, i),
-                                     ChainMap.identity(y.levels[q]), F)
+                f = tensor_map(x.coface(p, i),
+                               ChainMap.identity(y.levels[q]))
                 inc = _summand_inc(tgt_parts, tgt_total, p + 1, q, F)
             else:
-                f = _tensor_pair_map(ChainMap.identity(x.levels[p]),
-                                     y.coface(q, i - p - 1), F)
+                f = tensor_map(ChainMap.identity(x.levels[p]),
+                               y.coface(q, i - p - 1))
                 inc = _summand_inc(tgt_parts, tgt_total, p, q + 1, F)
         else:
             j = i
             if j <= p - 1:
-                f = _tensor_pair_map(x.codegen(p, j),
-                                     ChainMap.identity(y.levels[q]), F)
+                f = tensor_map(x.codegen(p, j),
+                               ChainMap.identity(y.levels[q]))
                 inc = _summand_inc(tgt_parts, tgt_total, p - 1, q, F)
             else:
-                f = _tensor_pair_map(ChainMap.identity(x.levels[p]),
-                                     y.codegen(q, j - p), F)
+                f = tensor_map(ChainMap.identity(x.levels[p]),
+                               y.codegen(q, j - p))
                 inc = _summand_inc(tgt_parts, tgt_total, p, q - 1, F)
         maps.append(inc.compose(f))
     # assemble on the direct sum, then induce on quotients
@@ -493,7 +448,6 @@ def _box_structure_map(x, y, sums, totals, quotients, m, i, F, kind):
 
 def simplex_cosimplicial(field, levels: int) -> CosimplicialComplex:
     """m |-> normalized chains of the m-simplex (basis: nonempty subsets)."""
-    from itertools import combinations
     lvls = []
     subset_pos = []
     for m in range(levels + 1):
@@ -578,7 +532,6 @@ def lemma_ij_check(x: CosimplicialComplex, max_level=None):
         ok_ji = ji.components == ident_x.components
         ij = imap.compose(jmap)
         h = homotopy_between(ChainMap.identity(level), ij)
-        from .chain import is_quasi_iso
         w = DegreeWindow(min(level.support() or [0]) - 1,
                          max(level.support() or [0]) + 1)
         qi = is_quasi_iso(jmap, w)
@@ -706,9 +659,6 @@ def _collapse_section(delta, x, bx, m, F) -> ChainMap:
 
 def injections_module(field, r, m):
     """k[Inj({0..r-1}, {0..m-1})] as a free Sigma_r permutation module."""
-    from .coalgebras import injections
-    from .equivariant import permutation_module
-    from .perms import YoungGroup, transposition
     injs = injections(r, m)
     if not injs:
         return None
@@ -728,8 +678,6 @@ class PhiTerm:
     the Top case, a windowed homotopy-fixed model in the Sp case."""
 
     def __init__(self, source, piece_value, r, site, w, stages=None):
-        from .comonads import equivariant_tensor
-        from .equivariant import homotopy_fixed, strict_fixed
         F = piece_value.field
         self.source = source
         self.r = r
@@ -767,13 +715,12 @@ class PhiTerm:
 
     def apply(self, f: ChainMap, tgt: "PhiTerm") -> ChainMap:
         """Phi of an equivariant map between the wrapped pieces."""
-        F = f.field
         if self.kind == "zero" or tgt.kind == "zero":
             return ChainMap.zero(self.complex, tgt.complex, f.degree)
         if self.source == "top":
             # f (x) id on the tensored complexes, then induce on invariants
-            big = _tensor_with_injections(f, self.tensored, tgt.tensored, F)
-            from .sparse import solve_matrix
+            big = slotwise_map(self.tensored.complex, tgt.tensored.complex, f,
+                               slot=0)
             comps = {}
             for k in self.complex.dims:
                 img = big.component(k) * self.inclusion.component(k)
@@ -789,78 +736,8 @@ class PhiTerm:
         if self.kind == "identity" and tgt.kind == "identity":
             return f
         if self.kind == "fixed" and tgt.kind == "fixed":
-            return _fixed_slotwise(self.complex, tgt.complex, f, F)
+            return slotwise_map(self.complex, tgt.complex, f).validate()
         raise ValueError("mismatched Phi term kinds")
-
-
-def _tensor_with_injections(f: ChainMap, src_t, tgt_t, F) -> ChainMap:
-    """f (x) id_inj, written against the equivariant_tensor label layout."""
-    src, tgt = src_t.complex, tgt_t.complex
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
-    fd = {}
-    for k in f.source.dims:
-        for i, lab in enumerate(f.source.labels[k]):
-            fd[lab] = (k, i)
-    comps = {}
-    d = f.degree
-    for k in src.dims:
-        for col, lab in enumerate(src.labels[k]):
-            blab, ilab = lab
-            bk, bi = fd[blab]
-            fm = f.component(bk)
-            for (i2, jj), v in fm.entries.items():
-                if jj != bi:
-                    continue
-                new = (f.target.labels[bk + d][i2], ilab)
-                hit = tpos.get(new)
-                if hit is None:
-                    continue
-                k2, row = hit
-                m = comps.get(k)
-                if m is None:
-                    m = SparseMatrix(tgt.dim(k + d), src.dim(k), F)
-                    comps[k] = m
-                m.add_to(row, col, v)
-    return ChainMap(src, tgt, comps, d, check=False)
-
-
-def _fixed_slotwise(src_model: ChainComplex, tgt_model: ChainComplex,
-                    f: ChainMap, F) -> ChainMap:
-    """Slotwise map of homotopy-fixed models over the same resolution."""
-    spos = {}
-    for k in f.source.dims:
-        for i, lab in enumerate(f.source.labels[k]):
-            spos[lab] = (k, i)
-    tpos = {}
-    for k in tgt_model.dims:
-        for i, lab in enumerate(tgt_model.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    d = f.degree
-    for k in src_model.dims:
-        for col, lab in enumerate(src_model.labels[k]):
-            tag, s, gen, wlab = lab
-            wk, wi = spos[wlab]
-            fm = f.component(wk)
-            for (i2, jj), v in fm.entries.items():
-                if jj != wi:
-                    continue
-                new = (tag, s, gen, f.target.labels[wk + d][i2])
-                hit = tpos.get(new)
-                if hit is None:
-                    continue
-                k2, row = hit
-                m = comps.get(k)
-                if m is None:
-                    m = SparseMatrix(tgt_model.dim(k + d), src_model.dim(k), F)
-                    comps[k] = m
-                m.add_to(row, col, v)
-    out = ChainMap(src_model, tgt_model, comps, d, check=False)
-    out.validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -881,83 +758,19 @@ def _piece_nonzero(piece) -> bool:
     return piece is not None and not piece.value.complex.is_zero()
 
 
-def _retarget_map_to(f: ChainMap, new_target: ChainComplex) -> ChainMap:
-    """Recast f into an equal or extending model by label lookup."""
-    F = f.field
-    if f.target is new_target:
-        return f
-    tpos = {}
-    for k in new_target.dims:
-        for i, lab in enumerate(new_target.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k, m in f.components.items():
-        mm = SparseMatrix(new_target.dim(k + f.degree), f.source.dim(k), F)
-        for (i, j), v in m.entries.items():
-            lab = f.target.labels[k + f.degree][i]
-            hit = tpos.get(lab)
-            if hit is None:
-                continue
-            mm.add_to(hit[1], j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    out = ChainMap(f.source, new_target, comps, f.degree, check=False)
-    out.validate()
-    return out
-
-
-def _transport_source(f: ChainMap, new_source: ChainComplex, F=None) -> ChainMap:
-    """Recast f's source to an equal-labeled complex."""
-    if f.source is new_source:
-        return f
-    F = F or f.field
-    spos = {}
-    for k in f.source.dims:
-        for i, lab in enumerate(f.source.labels[k]):
-            spos[lab] = (k, i)
-    comps = {}
-    for k in new_source.dims:
-        out_rows = f.target.dim(k + f.degree)
-        mm = SparseMatrix(out_rows, new_source.dim(k), F)
-        fm = f.components.get(k)
-        for j, lab in enumerate(new_source.labels[k]):
-            hit = spos.get(lab)
-            if hit is None:
-                continue
-            _, old_j = hit
-            if fm is None:
-                continue
-            for (i, jj), v in fm.entries.items():
-                if jj == old_j:
-                    mm.add_to(i, j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    out = ChainMap(new_source, f.target, comps, f.degree, check=False)
-    out.validate()
-    return out
-
-
 def _sp_fixed_into_tate(src_phi: PhiTerm, a_n, piece, q, n, w, F,
                         src_stages) -> ChainMap:
     """Map the Sigma_n homotopy-fixed model of A_n into the cone-target part
     of the Tate piece, through the structural carrier map:
     identity for (1, 2)-type, the singular-set vertex for (1, 3), the
     surjection diagonal for (2, 3)."""
-    from .perms import all_surjections
     src = src_phi.complex
     tgt = piece.value.complex
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
-    a_pos = {}
-    for k in a_n.complex.dims:
-        for i, lab in enumerate(a_n.complex.labels[k]):
-            a_pos[lab] = (k, i)
     surjs = all_surjections(n, q)
     comps = {}
     for k in src.dims:
         m = SparseMatrix(tgt.dim(k), src.dim(k), F)
+        tidx = tgt.label_index(k)
         for col, lab in enumerate(src.labels[k]):
             tag, slot, gen, alab = lab
             for alpha in surjs:
@@ -965,11 +778,10 @@ def _sp_fixed_into_tate(src_phi: PhiTerm, a_n, piece, q, n, w, F,
                     carrier_lab = ("sidx", alpha, (("l3", "w"), alab))
                 else:
                     carrier_lab = ("sidx", alpha, alab)
-                new = ("cone-tgt", ("hGf", slot, gen, carrier_lab))
-                hit = tpos.get(new)
-                if hit is None:
+                row = tidx.get(("cone-tgt", ("hGf", slot, gen, carrier_lab)))
+                if row is None:
                     continue
-                m.add_to(hit[1], col, F.one())
+                m.add_to(row, col, F.one())
         if not m.is_zero():
             comps[k] = m
     out = ChainMap(src, tgt, comps, check=False)
@@ -982,7 +794,6 @@ def cobar(coalgebra, site, w: DegreeWindow | None = None) -> CosimplicialComplex
 
     Top source: site is a FinitePointedSet.  Sp source: site is the sphere
     dimension d (S^0 supported at truncation <= 3; other d raise)."""
-    from .coalgebras import FinitePointedSet
     c = coalgebra
     w = w or c.window
     if c.source == "top":
@@ -1006,8 +817,6 @@ def cobar(coalgebra, site, w: DegreeWindow | None = None) -> CosimplicialComplex
 
 def diagonal_phi_term(field, term, site_m):
     """(A_n (x) Inj_n)^{Sigma_n}: the exact diagonal summand of Phi(A)(X)."""
-    from .comonads import equivariant_tensor
-    from .equivariant import strict_fixed
     n = term.group.degree
     inj = injections_module(field, n, site_m)
     if inj is None or term.complex.is_zero():
@@ -1020,8 +829,6 @@ def diagonal_phi_term(field, term, site_m):
 def stratified_cone(field, m):
     """St(1,2)(X): cone(k[2-tuples] -> k[injective 2-tuples]) as a
     Sigma_2-complex; quasi-isomorphic to the suspended diagonal."""
-    from .equivariant import EquivariantComplex
-    from .perms import YoungGroup
     tuples = [(a, b) for a in range(m) for b in range(m)]
     injs = [(a, b) for a in range(m) for b in range(m) if a != b]
     tpos = {t: i for i, t in enumerate(tuples)}
@@ -1049,14 +856,41 @@ def stratified_cone(field, m):
         for t, j in ipos.items():
             m0[ipos[(t[1], t[0])], j] = field.one()
         comps[0] = m0
-    from .chain import ChainMap as CM
-    act = {0: CM(c, c, comps, check=False)}
+    act = {0: ChainMap(c, c, comps, check=False)}
     return EquivariantComplex(c, group, act)
 
 
+class _Levels:
+    """Levels of a cosimplicial object built as direct sums of keyed
+    summands: parts[lvl] lists the summand complexes in the order of the
+    keys level_keys[lvl], and levels[lvl] is their direct sum."""
+
+    def __init__(self, field, level_keys, parts):
+        self.level_keys = level_keys
+        self.parts = parts
+        self.levels = [direct_sum(parts[lvl]) if parts[lvl] else
+                       ChainComplex(field, {}) for lvl in range(len(parts))]
+
+    def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
+        """The map of levels whose block from summand sk to summand tk is
+        blocks[(sk, tk)]."""
+        src_total, tgt_total = self.levels[src_lvl], self.levels[tgt_lvl]
+        comps = {}
+        for (sk, tk), f in blocks.items():
+            if f is None or f.is_zero():
+                continue
+            inc = summand_inclusion(self.parts[tgt_lvl], tgt_total,
+                                    self.level_keys[tgt_lvl].index(tk))
+            proj = summand_projection(self.parts[src_lvl], src_total,
+                                      self.level_keys[src_lvl].index(sk))
+            g = inc.compose(f).compose(proj)
+            for k, mm in g.components.items():
+                cur = comps.get(k)
+                comps[k] = mm if cur is None else cur + mm
+        return ChainMap(src_total, tgt_total, comps, check=False).validate()
 
 
-class TopCobarBuilder:
+class TopCobarBuilder(_Levels):
     """Phi K^bullet A at a finite pointed set, truncation <= 2.
 
     The (1,2)-type slots use the stratified cone model
@@ -1067,8 +901,6 @@ class TopCobarBuilder:
     through the pullback route.)"""
 
     def __init__(self, coalgebra, site, w: DegreeWindow):
-        from .comonads import equivariant_tensor, _model_stages
-        from .equivariant import homotopy_orbits
         c = coalgebra
         if c.truncation > 2:
             raise ValueError(
@@ -1102,7 +934,6 @@ class TopCobarBuilder:
         self.cosimplicial = self._assemble()
 
     def _build_levels(self):
-        F = self.field
         keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
         keys1 = [(n, n) for n in sorted(self.diag)
                  if self.diag[n] is not None]
@@ -1117,68 +948,28 @@ class TopCobarBuilder:
                         continue
                     keys2.append((r, s2, n))
             keys2.sort()
-        self.keys = {0: keys0, 1: keys1, 2: keys2}
-        self.parts = {
-            0: [self.diag[k[0]]["complex"] for k in keys0],
-            1: [self._slot(k[0], k[1]) for k in keys1],
-            2: [self._slot(k[0], k[2]) for k in keys2],
-        }
-        self.levels = []
-        for lvl in range(self.D + 1):
-            parts = self.parts[lvl]
-            self.levels.append(direct_sum(parts) if parts else
-                               ChainComplex(F, {}))
+        keys = [keys0, keys1, keys2][:self.D + 1]
+        parts = [[self.diag[k[0]]["complex"] for k in keys0],
+                 [self._slot(k[0], k[1]) for k in keys1],
+                 [self._slot(k[0], k[2]) for k in keys2]][:self.D + 1]
+        super().__init__(self.field, dict(enumerate(keys)),
+                         dict(enumerate(parts)))
 
     def _slot(self, r, n):
         if r == n:
             return self.diag[n]["complex"]
         return self.slot12.complex
 
-    def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
-        F = self.field
-        src_keys, tgt_keys = self.keys[src_lvl], self.keys[tgt_lvl]
-        src_parts, tgt_parts = self.parts[src_lvl], self.parts[tgt_lvl]
-        src_total, tgt_total = self.levels[src_lvl], self.levels[tgt_lvl]
-        comps = {}
-        for (sk, tk), f in blocks.items():
-            if f is None or f.is_zero():
-                continue
-            si = src_keys.index(sk)
-            ti = tgt_keys.index(tk)
-            inc = summand_inclusion(tgt_parts, tgt_total, ti)
-            proj = summand_projection(src_parts, src_total, si)
-            g = inc.compose(f).compose(proj)
-            for k, mm in g.components.items():
-                cur = comps.get(k)
-                comps[k] = mm if cur is None else cur + mm
-        out = ChainMap(src_total, tgt_total, comps, check=False)
-        out.validate()
-        return out
-
     def _u12_map(self) -> ChainMap:
         """(A_2 (x) I^2)^{inv} -> slot12: invariants into the injective-tuple
         cone part, at the resolution-0 slot."""
-        from .comonads import _orbit_inclusion
-        F = self.field
         d2 = self.diag[2]
-        mid = d2["tensored"].complex
         carrier = self.carrier12.complex
-        cpos = {}
-        for k in carrier.dims:
-            for i, lab in enumerate(carrier.labels[k]):
-                cpos[lab] = (k, i)
-        comps = {}
-        for k in mid.dims:
-            mm = SparseMatrix(carrier.dim(k), mid.dim(k), F)
-            for j, lab in enumerate(mid.labels[k]):
-                alab, ilab = lab
-                hit = cpos.get((alab, ("itup", ilab[1])))
-                if hit is not None:
-                    mm[hit[1], j] = F.one()
-            if not mm.is_zero():
-                comps[k] = mm
-        to_carrier = ChainMap(mid, carrier, comps, check=False)
-        iota = _orbit_inclusion(carrier, self.slot12.complex, F)
+        to_carrier = label_map(d2["tensored"].complex, carrier,
+                               key=lambda lab: (lab[0], ("itup", lab[1][1])),
+                               partial=True)
+        iota = label_map(carrier, self.slot12.complex,
+                         key=lambda lab: ("hG", 0, 0, lab), partial=True)
         out = iota.compose(to_carrier).compose(d2["inclusion"])
         out.validate()
         return out
@@ -1186,9 +977,6 @@ class TopCobarBuilder:
     def _theta12_map(self):
         """A_1 (x) X -> slot12 through theta_{1,2} and the tree-to-cone
         translation t (x) a (x) x -> (-1)^{|a|} a (x) (x,x)."""
-        from .comonads import _orbit_slotwise, equivariant_tensor as eqt
-        from .equivariant import homotopy_orbits, trivial_action
-        from .perms import YoungGroup
         F = self.field
         th = self.c.theta_map(1, 2)
         if th is None or self.slot12 is None:
@@ -1201,38 +989,37 @@ class TopCobarBuilder:
         xmod = ChainComplex(F, {0: m},
                             labels={0: tuple(("pt", x) for x in range(m))})
         xtriv = trivial_action(xmod, YoungGroup.full(2))
-        wprime_eq = eqt(tsum_eq, xtriv)
+        wprime_eq = equivariant_tensor(tsum_eq, xtriv)
         wp = wprime_eq.complex
-        cpos = {}
-        for k in carrier.dims:
-            for i, lab in enumerate(carrier.labels[k]):
-                cpos[lab] = (k, i)
-        a_deg = {}
-        for k in a2.dims:
-            for lab in a2.labels[k]:
-                a_deg[lab] = k
         comps = {}
         for k in wp.dims:
             mm = SparseMatrix(carrier.dim(k), wp.dim(k), F)
+            cidx = carrier.label_index(k)
             for j, lab in enumerate(wp.labels[k]):
                 wlab, xlab = lab
                 _, alpha, inner = wlab
                 a_lab = inner[-1]
                 x = xlab[1]
-                sgn = F.one() if a_deg[a_lab] % 2 == 0 else F.neg(F.one())
-                hit = cpos.get((a_lab, ("tup", (x, x))))
-                if hit is not None:
-                    mm.add_to(hit[1], j, sgn)
+                sgn = F.one() if a2.locate(a_lab)[0] % 2 == 0 else F.neg(F.one())
+                row = cidx.get((a_lab, ("tup", (x, x))))
+                if row is not None:
+                    mm.add_to(row, j, sgn)
             if not mm.is_zero():
                 comps[k] = mm
         g = ChainMap(wp, carrier, comps, check=False)
         g.validate()
         orb_wp = homotopy_orbits(wprime_eq, self.w, tag="theta-aux",
                                  stages=self.stages12)
-        gfun = _orbit_slotwise(orb_wp.complex, self.slot12.complex, g, F)
+        gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
         src = self.diag[1]["complex"]
-        ident = _orbit_tensor_point_identify(comp12.value.complex, xmod,
-                                             orb_wp.complex, F)
+        def slot_outside(lab):
+            # orbit(W) (x) X -> orbit(W (x) X): the point module sits in
+            # degree zero with trivial action
+            (tag, s, gen, wlab), xlab = lab
+            return tag, s, gen, (wlab, xlab)
+
+        ident = label_map(tensor(comp12.value.complex, xmod), orb_wp.complex,
+                          key=slot_outside, partial=True).validate()
         th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex, F)
         out = gfun.compose(ident).compose(th_x)
         out.validate()
@@ -1242,16 +1029,13 @@ class TopCobarBuilder:
         """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
         a1 = self.c.sequence.term_complex(1)
         tens = tensor(model, xmod)
-        tpos = {}
-        for k in tens.dims:
-            for i, lab in enumerate(tens.labels[k]):
-                tpos[lab] = (k, i)
         d1 = self.diag[1]
         comps = {}
         for k in src.dims:
             mm = SparseMatrix(tens.dim(k), src.dim(k), F)
             inc = d1["inclusion"].component(k)
             mid = d1["tensored"].complex
+            tidx = tens.label_index(k)
             for (i, j), v in inc.entries.items():
                 a_lab, inj_lab = mid.labels[k][i]
                 x = inj_lab[1][0]
@@ -1260,11 +1044,10 @@ class TopCobarBuilder:
                 for (i2, jj), vv in thm.entries.items():
                     if jj != ai:
                         continue
-                    new = (th.target.labels[k][i2], ("pt", x))
-                    hit = tpos.get(new)
-                    if hit is None:
+                    row = tidx.get((th.target.labels[k][i2], ("pt", x)))
+                    if row is None:
                         continue
-                    mm.add_to(hit[1], j, F.mul(v, vv))
+                    mm.add_to(row, j, F.mul(v, vv))
             if not mm.is_zero():
                 comps[k] = mm
         out = ChainMap(src, tens, comps, check=False)
@@ -1277,43 +1060,43 @@ class TopCobarBuilder:
         th12 = self._theta12_map() if self.slot12 is not None else None
         if self.D >= 1:
             b = {}
-            for (n,) in self.keys[0]:
+            for (n,) in self.level_keys[0]:
                 b[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
             if u12 is not None:
                 b[((2,), (1, 2))] = u12
             cofaces[(0, 0)] = self._block(0, 1, b)
             b2 = {}
-            for (n,) in self.keys[0]:
+            for (n,) in self.level_keys[0]:
                 b2[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
             if th12 is not None:
                 b2[((1,), (1, 2))] = th12
             cofaces[(0, 1)] = self._block(0, 1, b2)
             be = {}
-            for (r, n) in self.keys[1]:
-                if r == n and (r,) in self.keys[0]:
+            for (r, n) in self.level_keys[1]:
+                if r == n and (r,) in self.level_keys[0]:
                     be[((r, n), (r,))] = ChainMap.identity(
                         self.diag[n]["complex"])
             codegens[(1, 0)] = self._block(1, 0, be)
         if self.D >= 2:
             bu = {}
-            for (r, n) in self.keys[1]:
-                if (r, r, n) in self.keys[2]:
+            for (r, n) in self.level_keys[1]:
+                if (r, r, n) in self.level_keys[2]:
                     bu[((r, n), (r, r, n))] = ChainMap.identity(
                         self._slot(r, n))
-            if (1, 2, 2) in self.keys[2] and u12 is not None:
+            if (1, 2, 2) in self.level_keys[2] and u12 is not None:
                 bu[((2, 2), (1, 2, 2))] = u12
             cofaces[(1, 0)] = self._block(1, 2, bu)
             bd = {}
-            for (r, n) in self.keys[1]:
+            for (r, n) in self.level_keys[1]:
                 for s2 in range(r, n + 1):
-                    if (r, s2, n) in self.keys[2]:
+                    if (r, s2, n) in self.level_keys[2]:
                         bd[((r, n), (r, s2, n))] = ChainMap.identity(
                             self._slot(r, n))
             cofaces[(1, 1)] = self._block(1, 2, bd)
             bk = {}
-            for (r, s) in self.keys[1]:
+            for (r, s) in self.level_keys[1]:
                 for n in range(s, self.c.truncation + 1):
-                    if (r, s, n) not in self.keys[2]:
+                    if (r, s, n) not in self.level_keys[2]:
                         continue
                     if s == n:
                         bk[((r, s), (r, s, n))] = ChainMap.identity(
@@ -1323,11 +1106,11 @@ class TopCobarBuilder:
             cofaces[(1, 2)] = self._block(1, 2, bk)
             for j in (0, 1):
                 bs = {}
-                for (r, s, n) in self.keys[2]:
-                    if j == 0 and s == r and (r, n) in self.keys[1]:
+                for (r, s, n) in self.level_keys[2]:
+                    if j == 0 and s == r and (r, n) in self.level_keys[1]:
                         bs[((r, s, n), (r, n))] = ChainMap.identity(
                             self._slot(r, n))
-                    if j == 1 and s == n and (r, n) in self.keys[1]:
+                    if j == 1 and s == n and (r, n) in self.level_keys[1]:
                         bs[((r, s, n), (r, n))] = ChainMap.identity(
                             self._slot(r, n))
                 codegens[(2, j)] = self._block(2, 1, bs)
@@ -1335,31 +1118,7 @@ class TopCobarBuilder:
                                    codegens, degenerate_above=self.D)
 
 
-def _orbit_tensor_point_identify(model, xmod, tgt_model, F) -> ChainMap:
-    """orbit(W) (x) X -> orbit(W (x) X): slot identity (the point module is
-    concentrated in degree zero with trivial action)."""
-    src = tensor(model, xmod)
-    tpos = {}
-    for k in tgt_model.dims:
-        for i, lab in enumerate(tgt_model.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k in src.dims:
-        mm = SparseMatrix(tgt_model.dim(k), src.dim(k), F)
-        for j, lab in enumerate(src.labels[k]):
-            mlab, xlab = lab
-            tag, s, gen, wlab = mlab
-            hit = tpos.get((tag, s, gen, (wlab, xlab)))
-            if hit is not None:
-                mm[hit[1], j] = F.one()
-        if not mm.is_zero():
-            comps[k] = mm
-    out = ChainMap(src, tgt_model, comps, check=False)
-    out.validate()
-    return out
-
-
-class SpCobarBuilder:
+class SpCobarBuilder(_Levels):
     """Phi K^bullet A at the zero sphere, truncation <= 3.
 
     Level pieces are keyed by index chains; the strictly nested keys
@@ -1370,7 +1129,6 @@ class SpCobarBuilder:
     matching internal resolutions so every structural map is slotwise."""
 
     def __init__(self, coalgebra, w: DegreeWindow):
-        from .comonads import SpComponentModel
         c = coalgebra
         if c.truncation > 3:
             raise ValueError("sp cobar bounded at truncation 3")
@@ -1409,14 +1167,10 @@ class SpCobarBuilder:
                 self.phi[lvl][key] = PhiTerm("sp", piece.value, r, 0,
                                              self.w_phi,
                                              stages=self._stages.get(r))
-        self.level_keys = {lvl: sorted(self.phi[lvl])
-                           for lvl in range(self.D + 1)}
-        self.levels = []
-        for lvl in range(self.D + 1):
-            keys = self.level_keys[lvl]
-            parts = [self.phi[lvl][k].complex for k in keys]
-            self.levels.append(direct_sum(parts) if parts else
-                               ChainComplex(F, {}))
+        keys = {lvl: sorted(self.phi[lvl]) for lvl in range(self.D + 1)}
+        super().__init__(F, keys, {
+            lvl: [self.phi[lvl][k].complex for k in ks]
+            for lvl, ks in keys.items()})
         self.cosimplicial = self._assemble()
 
     def _stage_table(self):
@@ -1437,7 +1191,6 @@ class SpCobarBuilder:
                                   top - self.w_phi.lo + 2)
 
     def _build_piece(self, r, n):
-        from .comonads import SpComponentModel
         term = self.c.sequence.term(n)
         if term is None:
             return None
@@ -1448,29 +1201,6 @@ class SpCobarBuilder:
         return SpComponentModel(term, r, self.w,
                                 fixed_stages=max(natural,
                                                  self._stages.get(n, 1)))
-
-    def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
-        F = self.field
-        src_keys = self.level_keys[src_lvl]
-        tgt_keys = self.level_keys[tgt_lvl]
-        src_parts = [self.phi[src_lvl][k].complex for k in src_keys]
-        tgt_parts = [self.phi[tgt_lvl][k].complex for k in tgt_keys]
-        src_total, tgt_total = self.levels[src_lvl], self.levels[tgt_lvl]
-        comps = {}
-        for (sk, tk), f in blocks.items():
-            if f is None or f.is_zero():
-                continue
-            si = src_keys.index(sk)
-            ti = tgt_keys.index(tk)
-            inc = summand_inclusion(tgt_parts, tgt_total, ti)
-            proj = summand_projection(src_parts, src_total, si)
-            g = inc.compose(f).compose(proj)
-            for k, mm in g.components.items():
-                cur = comps.get(k)
-                comps[k] = mm if cur is None else cur + mm
-        out = ChainMap(src_total, tgt_total, comps, check=False)
-        out.validate()
-        return out
 
     def _phi_map(self, src_lvl, sk, tgt_lvl, tk, f) -> ChainMap:
         return self.phi[src_lvl][sk].apply(f, self.phi[tgt_lvl][tk])
@@ -1496,9 +1226,6 @@ class SpCobarBuilder:
         return blocks
 
     def _sp_u(self, src_lvl, src_key, tgt_lvl, tgt_key) -> ChainMap:
-        from .comonads import coaugment_invariants
-        from .equivariant import strict_fixed
-        from .sparse import solve_matrix
         F = self.field
         q, n = tgt_key[0], tgt_key[-1]
         src_phi = self.phi[src_lvl][src_key]
@@ -1547,10 +1274,10 @@ class SpCobarBuilder:
                 elif src_lvl == 0 or r == s:
                     # K_s collapsed on an arity-s object: theta itself,
                     # transported into the rebuilt piece model
-                    tgt_piece = self.pieces[tgt_lvl][tk]
-                    f = _retarget_map_to(
-                        _transport_source(th, piece.value.complex),
-                        tgt_piece.value.complex)
+                    f = transport(th, piece.value.complex,
+                                  self.pieces[tgt_lvl][tk].value.complex)
+                    if f is not th:
+                        f.validate()
                     blocks[(key, tk)] = self._phi_map(src_lvl, key,
                                                       tgt_lvl, tk, f)
                 # r < s < n targets are dropped: components are zero
@@ -1647,7 +1374,6 @@ def p_n(coalgebra, site, n, w: DegreeWindow | None = None, route="tot"):
 
     Returns a dict with the stage complex, the certified window, the route,
     and (for the tot route) the builder for reuse."""
-    from .coalgebras import truncate_coalgebra
     c = coalgebra
     n = min(n, c.truncation)
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
@@ -1666,7 +1392,6 @@ def _p_n_pullback(c, site):
     (P_{j-1} (+) diagonal summand) -> off-diagonal comonad corners, built
     from theta and the canonical unit maps (the fiber form of the McCarthy
     squares, with the comonad's own Tate / stratified-cone corner models)."""
-    from .coalgebras import truncate_coalgebra
     F = c.field
     N = c.truncation
     # the cobar builder provides all slot models and structural maps
@@ -1678,9 +1403,7 @@ def _p_n_pullback(c, site):
                              "in this build")
     else:
         builder = SpCobarBuilder(c, c.window)
-    keys0 = builder.keys[0] if hasattr(builder, "keys") else \
-        builder.level_keys[0]
-    key_list0 = keys0
+    key_list0 = builder.level_keys[0]
     if c.source == "top":
         phi0 = {k: builder.diag[k[0]]["complex"] for k in key_list0}
     else:
@@ -1775,7 +1498,6 @@ def _p_n_pullback(c, site):
 
 def tower_map(c, site, n, route="tot"):
     """The stage map p_n -> p_{n-1} induced by truncation (tot route)."""
-    from .coalgebras import truncate_coalgebra
     if n <= 1:
         raise ValueError("tower map needs n >= 2")
     hi = p_n(c, site, n, route=route)
@@ -1798,10 +1520,8 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     # level maps: project the direct sums by matching piece keys
     level_maps = {}
     for m in range(min(cs_hi.M, cs_lo.M) + 1):
-        keys_hi = _builder_keys(bh, m)
-        keys_lo = _builder_keys(bl, m)
-        parts_hi = _builder_parts(bh, m)
-        parts_lo = _builder_parts(bl, m)
+        keys_hi, keys_lo = bh.level_keys.get(m, []), bl.level_keys.get(m, [])
+        parts_hi, parts_lo = bh.parts.get(m, []), bl.parts.get(m, [])
         src = cs_hi.levels[m]
         tgt = cs_lo.levels[m]
         comps = {}
@@ -1811,7 +1531,7 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
             i_hi = keys_hi.index(key)
             inc = summand_inclusion(parts_lo, tgt, i_lo)
             proj = summand_projection(parts_hi, src, i_hi)
-            ident = _identify_slotwise(parts_hi[i_hi], parts_lo[i_lo], F)
+            ident = label_map(parts_hi[i_hi], parts_lo[i_lo], partial=True)
             g = inc.compose(ident).compose(proj)
             for k, mm in g.components.items():
                 comps[k] = comps.get(k, SparseMatrix(
@@ -1821,15 +1541,6 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     normed_hi = [conormalized_level(cs_hi, m) for m in
                  range(min(cs_hi.degenerate_above, cs_hi.M) + 1)]
     normed_lo = [conormalized_level(cs_lo, m) for m in range(D_lo + 1)]
-    hpos = {}
-    for k in tot_hi.dims:
-        for i, lab in enumerate(tot_hi.labels[k]):
-            hpos[lab] = (k, i)
-    lpos = {}
-    for k in tot_lo.dims:
-        for i, lab in enumerate(tot_lo.labels[k]):
-            lpos[lab] = (k, i)
-    from .sparse import solve_matrix
     comps = {}
     for m, (sub_h, inc_h) in enumerate(normed_hi):
         if m >= len(normed_lo):
@@ -1843,11 +1554,10 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
             xsol = solve_matrix(inc_l.component(j_deg), img)
             if xsol is None:
                 raise ArithmeticError("truncation map leaves conormalization")
+            ks = j_deg - m
             for (i, j), v in xsol.entries.items():
-                src_lab = ("tot", m, sub_h.labels[j_deg][j])
-                tgt_lab = ("tot", m, sub_l.labels[j_deg][i])
-                (ks, cs2) = hpos[src_lab]
-                (kt, ct) = lpos[tgt_lab]
+                cs2 = tot_hi.label_index(ks)[("tot", m, sub_h.labels[j_deg][j])]
+                ct = tot_lo.label_index(ks)[("tot", m, sub_l.labels[j_deg][i])]
                 mm = comps.get(ks)
                 if mm is None:
                     mm = SparseMatrix(tot_lo.dim(ks), tot_hi.dim(ks), F)
@@ -1856,37 +1566,6 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     out = ChainMap(tot_hi, tot_lo, comps, check=False)
     out.validate()
     return out
-
-
-def _builder_keys(b, m):
-    if hasattr(b, "keys") and isinstance(b.keys, dict):
-        return b.keys.get(m, [])
-    return b.level_keys.get(m, [])
-
-
-def _builder_parts(b, m):
-    if hasattr(b, "parts"):
-        return b.parts.get(m, [])
-    return [b.phi[m][k].complex for k in b.level_keys.get(m, [])]
-
-
-def _identify_slotwise(src: ChainComplex, tgt: ChainComplex, F) -> ChainMap:
-    """Label-identity map between two models, dropping labels absent in the
-    target (used between equal slot models of truncated builders)."""
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k in src.dims:
-        mm = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        for j, lab in enumerate(src.labels[k]):
-            hit = tpos.get(lab)
-            if hit is not None:
-                mm[hit[1], j] = F.one()
-        if not mm.is_zero():
-            comps[k] = mm
-    return ChainMap(src, tgt, comps, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1898,15 +1577,10 @@ def equivariant_hom_complex(a, b):
     """(strict invariants of Hom(a, b) under conjugation, inclusion).
 
     a, b are EquivariantComplexes over the same Young group."""
-    from .equivariant import EquivariantComplex, strict_fixed
     if a.group != b.group:
         raise ValueError("group mismatch in equivariant hom")
     F = a.field
     h = hom_complex(a.complex, b.complex)
-    hpos = {}
-    for k in h.dims:
-        for i, lab in enumerate(h.labels[k]):
-            hpos[lab] = (k, i)
     action = {}
     for gi in a.group.generator_positions():
         ga = a.action[gi]
@@ -1918,10 +1592,8 @@ def equivariant_hom_complex(a, b):
                 _, la, lb = lab
                 # conj(E_{la -> lb}) = g_b o E o g_a^{-1}; generators are
                 # involutions so g_a^{-1} = g_a
-                ka = _label_deg(a.complex, la)
-                kb = _label_deg(b.complex, lb)
-                ia = a.complex.label_index(ka)[la]
-                ib = b.complex.label_index(kb)[lb]
+                ka, ia = a.complex.locate(la)
+                kb, ib = b.complex.locate(lb)
                 gam = ga.component(ka)
                 gbm = gb.component(kb)
                 for (ia2, jja), va in gam.entries.items():
@@ -1932,21 +1604,13 @@ def equivariant_hom_complex(a, b):
                             continue
                         new = ("hom", a.complex.labels[ka][ia2],
                                b.complex.labels[kb][ib2])
-                        k2, row = hpos[new]
-                        mm.add_to(row, j, F.mul(va, vb))
+                        mm.add_to(h.label_index(k)[new], j, F.mul(va, vb))
             comps[k] = mm
         action[gi] = ChainMap(h, h, comps, check=False)
     heq = EquivariantComplex(h, a.group, action, check=False,
                              arity_bound=max(4, a.group.degree))
     inv, incl = strict_fixed(heq)
     return h, inv, incl
-
-
-def _label_deg(c, lab):
-    for k in c.dims:
-        if lab in c.label_index(k):
-            return k
-    raise KeyError(lab)
 
 
 def sp_component_on_map(src_model, tgt_model, f: ChainMap) -> ChainMap:
@@ -1960,28 +1624,18 @@ def sp_component_on_map(src_model, tgt_model, f: ChainMap) -> ChainMap:
     src = src_model.value.complex
     tgt = tgt_model.value.complex
     d = f.degree
-    fd = {}
-    for k in f.source.dims:
-        for i, lab in enumerate(f.source.labels[k]):
-            fd[lab] = (k, i)
-    tpos = {}
-    for k in tgt.dims:
-        for i, lab in enumerate(tgt.labels[k]):
-            tpos[lab] = (k, i)
     comps = {}
     for k in src.dims:
+        tidx = tgt.label_index(k + d)
         for col, lab in enumerate(src.labels[k]):
             part, inner = lab[0], lab[1]
             # inner: ("hG"/"hGf", s, gen, carrier label); carrier label is
             # ("sidx", alpha, base) with base the A-label possibly tensored
             tag, s, gen, clab = inner
-            new_cands = _sp_push_label(clab, f, fd)
-            for (nlab, v) in new_cands:
-                new = (part, (tag, s, gen, nlab))
-                hit = tpos.get(new)
-                if hit is None:
+            for (nlab, v) in _sp_push_label(clab, f):
+                row = tidx.get((part, (tag, s, gen, nlab)))
+                if row is None:
                     continue
-                k2, row = hit
                 mm = comps.get(k)
                 if mm is None:
                     mm = SparseMatrix(tgt.dim(k + d), src.dim(k), F)
@@ -1992,42 +1646,31 @@ def sp_component_on_map(src_model, tgt_model, f: ChainMap) -> ChainMap:
     return out
 
 
-def _sp_push_label(clab, f, fd):
+def _sp_push_label(clab, f):
     """Push a carrier label through f on its A-part.
 
     Carrier labels: ("sidx", alpha, base); base is either an A-label or a
     pair (l3 label, A-label)."""
     F = f.field
-    tag, alpha, base = clab
+    _, alpha, base = clab
+    l3lab = None
     if isinstance(base, tuple) and len(base) == 2 and \
             isinstance(base[0], tuple) and base[0][0] == "l3":
-        l3lab, alab = base
-        hit = fd.get(alab)
-        if hit is None:
-            return []
-        ka, ia = hit
-        out = []
-        fm = f.component(ka)
-        sgn = F.one()  # l3 factor has degree <= 1; handled below
-        l3deg = 0 if l3lab[1] == "w" else 1
-        if (f.degree * l3deg) % 2:
-            sgn = F.neg(F.one())
-        for (i2, jj), v in fm.entries.items():
-            if jj == ia:
-                out.append((("sidx", alpha,
-                             (l3lab, f.target.labels[ka + f.degree][i2])),
-                            F.mul(sgn, v)))
-        return out
-    hit = fd.get(base)
-    if hit is None:
+        l3lab, base = base
+    try:
+        ka, ia = f.source.locate(base)
+    except KeyError:
         return []
-    ka, ia = hit
+    sgn = F.one()
+    # the l3 factor sits in degree 0 ("w") or 1
+    if l3lab is not None and l3lab[1] != "w" and f.degree % 2:
+        sgn = F.neg(sgn)
     out = []
-    fm = f.component(ka)
-    for (i2, jj), v in fm.entries.items():
+    for (i2, jj), v in f.component(ka).entries.items():
         if jj == ia:
-            out.append((("sidx", alpha,
-                         f.target.labels[ka + f.degree][i2]), v))
+            lab = f.target.labels[ka + f.degree][i2]
+            out.append((("sidx", alpha, lab if l3lab is None else (l3lab, lab)),
+                        F.mul(sgn, v)))
     return out
 
 
@@ -2036,7 +1679,7 @@ def _sp_push_label(clab, f, fd):
 # ---------------------------------------------------------------------------
 
 
-class DerivedHomBuilder:
+class DerivedHomBuilder(_Levels):
     """Levels m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r), truncation <= 3.
 
     Cofaces follow the mapping-space cosimplicial structure: delta^0 applies
@@ -2085,13 +1728,10 @@ class DerivedHomBuilder:
                 full, inv, incl = equivariant_hom_complex(a_r, piece.value)
                 self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
                                       "piece": piece}
-        self.level_keys = {lvl: sorted(self.hom[lvl])
-                           for lvl in range(self.D + 1)}
-        self.levels = []
-        for lvl in range(self.D + 1):
-            parts = [self.hom[lvl][k]["inv"] for k in self.level_keys[lvl]]
-            self.levels.append(direct_sum(parts) if parts else
-                               ChainComplex(F, {}))
+        keys = {lvl: sorted(self.hom[lvl]) for lvl in range(self.D + 1)}
+        super().__init__(F, keys, {
+            lvl: [self.hom[lvl][k]["inv"] for k in ks]
+            for lvl, ks in keys.items()})
         self.cosimplicial = self._assemble()
 
     def _level2_piece(self, q, s, n):
@@ -2106,64 +1746,10 @@ class DerivedHomBuilder:
 
     # -- piece-level maps -----------------------------------------------------
 
-    def _postcompose_block(self, lvl, sk, tk, g: ChainMap) -> ChainMap:
-        """Hom(A_r, P) -> Hom(A_r, Q) induced by g : P -> Q, on invariants."""
-        from .sparse import solve_matrix
-        F = self.field
-        src = self.hom[lvl][sk]
-        tgt = self.hom[lvl + 1][tk] if tk in self.hom.get(lvl + 1, {}) else \
-            self.hom[lvl - 1][tk]
-        return self._post_block(src, tgt, g)
-
-    def _post_block(self, src, tgt, g: ChainMap) -> ChainMap:
-        from .sparse import solve_matrix
-        F = self.field
-        full_s, full_t = src["full"], tgt["full"]
-        tpos = {}
-        for k in full_t.dims:
-            for i, lab in enumerate(full_t.labels[k]):
-                tpos[lab] = (k, i)
-        comps = {}
-        for k in full_s.dims:
-            mm = SparseMatrix(full_t.dim(k), full_s.dim(k), F)
-            for j, lab in enumerate(full_s.labels[k]):
-                _, la, lb = lab
-                kb = _label_deg(src["piece"].value.complex, lb)
-                ib = src["piece"].value.complex.label_index(kb)[lb]
-                gm = g.component(kb)
-                for (i2, jj), v in gm.entries.items():
-                    if jj != ib:
-                        continue
-                    new = ("hom", la,
-                           g.target.labels[kb + g.degree][i2])
-                    hit = tpos.get(new)
-                    if hit is None:
-                        continue
-                    mm.add_to(hit[1], j, v)
-            if not mm.is_zero():
-                comps[k] = mm
-        big = ChainMap(full_s, full_t, comps, g.degree, check=False)
-        out_comps = {}
-        for k in src["inv"].dims:
-            img = big.component(k) * src["incl"].component(k)
-            x = solve_matrix(tgt["incl"].component(k + g.degree), img)
-            if x is None:
-                raise ArithmeticError("postcompose leaves invariants")
-            if not x.is_zero():
-                out_comps[k] = x
-        out = ChainMap(src["inv"], tgt["inv"], out_comps, g.degree,
-                       check=False)
-        out.validate()
-        return out
-
     def _kq_theta_block(self, src, tgt, q, r) -> ChainMap:
         """Hom(A_r, P)^{inv} -> Hom(A_q, K_q P)^{inv}:
         h |-> K_q(h) o theta^A_{q,r}, implemented columnwise on the invariant
         basis."""
-        from .chain import hom_element_to_map, map_to_hom_element
-        from .comonads import top_component_on_map, _rebuild_like
-        from .coalgebras import _model_transport
-        from .sparse import solve_matrix
         F = self.field
         c = self.c
         theta = c.theta_map(q, r)
@@ -2191,20 +1777,18 @@ class DerivedHomBuilder:
                             c.komonad.w, kp_model)
                     kf = top_component_on_map(c.komonad.coop, src_model,
                                               kp_model, f)
-                    th = _transport_theta(theta, src_model, F)
                 else:
-                    src_model = ka_model
-                    kf = sp_component_on_map(src_model, kp_model, f)
-                    th = theta
-                composite = kf.compose(_retarget_map_to(th, kf.source))
+                    kf = sp_component_on_map(ka_model, kp_model, f)
+                # theta recast into the model K_q(h) starts from
+                th = transport(theta, target=kf.source)
+                if th is not theta:
+                    th.validate()
+                composite = kf.compose(th)
                 # composite: A_q -> K_q P (degree k); express in tgt basis
                 tvec = map_to_hom_element(tgt["full"], composite)
-                col_img = {}
-                for idx, v in tvec.items():
-                    col_img[idx] = v
                 x = solve_matrix(tgt["incl"].component(k),
-                                 _vec_to_matrix(col_img,
-                                                tgt["full"].dim(k), F))
+                                 SparseMatrix.from_columns(
+                                     [tvec], tgt["full"].dim(k), F))
                 if x is None:
                     raise ArithmeticError("delta^0 leaves invariants")
                 if mm is None:
@@ -2219,29 +1803,6 @@ class DerivedHomBuilder:
 
     # -- assembly ---------------------------------------------------------------
 
-    def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
-        F = self.field
-        src_keys = self.level_keys[src_lvl]
-        tgt_keys = self.level_keys[tgt_lvl]
-        src_parts = [self.hom[src_lvl][k]["inv"] for k in src_keys]
-        tgt_parts = [self.hom[tgt_lvl][k]["inv"] for k in tgt_keys]
-        src_total, tgt_total = self.levels[src_lvl], self.levels[tgt_lvl]
-        comps = {}
-        for (sk, tk), f in blocks.items():
-            if f is None or f.is_zero():
-                continue
-            si = src_keys.index(sk)
-            ti = tgt_keys.index(tk)
-            inc = summand_inclusion(tgt_parts, tgt_total, ti)
-            proj = summand_projection(src_parts, src_total, si)
-            g = inc.compose(f).compose(proj)
-            for k, mm in g.components.items():
-                cur = comps.get(k)
-                comps[k] = mm if cur is None else cur + mm
-        out = ChainMap(src_total, tgt_total, comps, check=False)
-        out.validate()
-        return out
-
     def _delta0(self, src_lvl):
         """h -> K(h) o theta (diagonal q = r gives the identity block)."""
         blocks = {}
@@ -2254,8 +1815,7 @@ class DerivedHomBuilder:
                     continue
                 tgt = self.hom[src_lvl + 1][tk]
                 if q == r:
-                    ident = _identify_slotwise(src["inv"], tgt["inv"],
-                                               self.field)
+                    ident = label_map(src["inv"], tgt["inv"], partial=True)
                     blocks[(key, tk)] = ident
                 else:
                     blocks[(key, tk)] = self._kq_theta_block(src, tgt, q, r)
@@ -2279,10 +1839,11 @@ class DerivedHomBuilder:
                     d = K.delta.get((q, s, n))
                     if d is None:
                         continue
-                    g = _retarget_map_to(_transport_source(
-                        d, src["piece"].value.complex),
-                        tgt["piece"].value.complex)
-                blocks[(key, tk)] = self._post_block(src, tgt, g)
+                    g = transport(d, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                    if g is not d:
+                        g.validate()
+                blocks[(key, tk)] = _post_block(src, tgt, g)
         return blocks
 
     def _delta_top(self, src_lvl):
@@ -2302,46 +1863,42 @@ class DerivedHomBuilder:
                 if th is None:
                     continue
                 if s == n:
-                    blocks[(key, tk)] = _identify_slotwise(
-                        src["inv"], tgt["inv"], self.field)
+                    blocks[(key, tk)] = label_map(src["inv"], tgt["inv"],
+                                                  partial=True)
                     continue
-                if src_lvl == 0:
-                    g = _retarget_map_to(_transport_source(
-                        th, src["piece"].value.complex),
-                        tgt["piece"].value.complex)
-                    blocks[(key, tk)] = self._post_block(src, tgt, g)
+                q = key[0]
+                if src_lvl == 0 or (cp.source == "sp" and q == key[-1]):
+                    # theta itself (for sp at level 1: the collapsed outer)
+                    g = transport(th, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                    if g is not th:
+                        g.validate()
+                    blocks[(key, tk)] = _post_block(src, tgt, g)
                 else:
-                    q = key[0]
                     if cp.source == "sp":
-                        if q == key[-1]:
-                            # collapsed outer: theta itself
-                            g = _retarget_map_to(_transport_source(
-                                th, src["piece"].value.complex),
-                                tgt["piece"].value.complex)
-                            blocks[(key, tk)] = self._post_block(src, tgt, g)
-                        # otherwise the target was dropped or identity-kept
+                        # the target was dropped or identity-kept
                         continue
                     # top: K_q(theta~)
-                    from .comonads import top_component_on_map, _rebuild_like
-                    from .coalgebras import _model_transport
                     inner = K.delta_inner.get((q, s, n))
                     outer = K.delta_outer.get((q, s, n))
                     if inner is None or outer is None:
                         continue
-                    comp_sn = K.component(s, n)
-                    tau = _model_transport(comp_sn, inner, self.field)
-                    theta_tilde = tau.compose(_transport_source(
-                        th, cp.sequence.term_complex(s)))
+                    tau = _model_transport(K.component(s, n), inner)
+                    th_s = transport(th, cp.sequence.term_complex(s))
+                    if th_s is not th:
+                        th_s.validate()
+                    theta_tilde = tau.compose(th_s)
                     src_model = src["piece"]
                     if src_model.kind != outer.kind:
                         src_model = _rebuild_like(
                             K.coop, cp.sequence.term(s), q, K.w, outer)
                     kf = top_component_on_map(K.coop, src_model, outer,
                                               theta_tilde)
-                    g = _retarget_map_to(_transport_source(
-                        kf, src["piece"].value.complex),
-                        tgt["piece"].value.complex)
-                    blocks[(key, tk)] = self._post_block(src, tgt, g)
+                    g = transport(kf, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                    if g is not kf:
+                        g.validate()
+                    blocks[(key, tk)] = _post_block(src, tgt, g)
         return blocks
 
     def _sigma(self, src_lvl, j):
@@ -2351,16 +1908,16 @@ class DerivedHomBuilder:
             if len(key) == 2:
                 q, n = key
                 if q == n and (n,) in self.hom[0]:
-                    blocks[(key, (n,))] = _identify_slotwise(
-                        src["inv"], self.hom[0][(n,)]["inv"], self.field)
+                    blocks[(key, (n,))] = label_map(
+                        src["inv"], self.hom[0][(n,)]["inv"], partial=True)
             else:
                 q, s, n = key
                 if j == 0 and s == q and (q, n) in self.hom[1]:
-                    blocks[(key, (q, n))] = _identify_slotwise(
-                        src["inv"], self.hom[1][(q, n)]["inv"], self.field)
+                    blocks[(key, (q, n))] = label_map(
+                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
                 if j == 1 and s == n and (q, n) in self.hom[1]:
-                    blocks[(key, (q, n))] = _identify_slotwise(
-                        src["inv"], self.hom[1][(q, n)]["inv"], self.field)
+                    blocks[(key, (q, n))] = label_map(
+                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
         return blocks
 
     def _assemble(self) -> CosimplicialComplex:
@@ -2377,18 +1934,6 @@ class DerivedHomBuilder:
             codegens[(2, 1)] = self._block(2, 1, self._sigma(2, 1))
         return CosimplicialComplex(self.levels, cofaces, codegens,
                                    degenerate_above=self.D)
-
-
-def _vec_to_matrix(vec, rows, F):
-    m = SparseMatrix(rows, 1, F)
-    for i, v in vec.items():
-        m[i, 0] = v
-    return m
-
-
-def _transport_theta(theta, model, F):
-    """Recast theta to land in a rebuilt model of the same component."""
-    return _retarget_map_to(theta, model.value.complex)
 
 
 def derived_hom(c, cprime, w: DegreeWindow | None = None):
@@ -2435,7 +1980,6 @@ class E1Page:
                 continue
             dout = self.d1.get((s, t))
             din = self.d1.get((s - 1, t))
-            from .sparse import Echelon
             rk_out = Echelon(dout).rank if dout is not None else 0
             rk_in = Echelon(din).rank if din is not None else 0
             val = dim - rk_out - rk_in
@@ -2531,7 +2075,6 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
     F = tot.field
     D = builder.D
     # ranks of im(H_k(F_p) -> H_k(Tot))
-    from .sparse import Echelon, SparseMatrix as SM
     out = {}
     im_rank = {}
     for p in range(D + 2):
@@ -2547,7 +2090,7 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
             if not dims.get(k - 1):
                 continue
             pos_t = {i: t for t, i in enumerate(keep[k - 1])}
-            m = SM(dims[k - 1], dims[k], F)
+            m = SparseMatrix(dims[k - 1], dims[k], F)
             dk = tot.d(k)
             for c2, i in enumerate(keep[k]):
                 for (r2, jj), v in dk.entries.items():
@@ -2564,11 +2107,7 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
             bnd = Echelon(tot.d(k + 1).transpose())
             rows = list(bnd.pivot_rows)
             base = len(rows)
-            mat_rows = rows + zc
-            mm = SM(len(mat_rows), tot.dim(k), F)
-            for r2, vec in enumerate(mat_rows):
-                for cc, v in vec.items():
-                    mm[r2, cc] = v
+            mm = SparseMatrix.from_sparse_rows(rows + zc, tot.dim(k), F)
             im_rank[(p, k)] = Echelon(mm).rank - base
     for k in w.degrees():
         for s in range(D + 1):
@@ -2580,7 +2119,6 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
 
 def _cycles(sub, k, keep):
     """Cycles of the subcomplex, written in the ambient coordinates."""
-    from .sparse import nullspace
     if sub.dim(k) == 0:
         return []
     zs = nullspace(sub.d(k))
@@ -2591,34 +2129,10 @@ def _cycles(sub, k, keep):
     return out
 
 
-def _post_block_standalone(src, tgt, g: ChainMap, F) -> ChainMap:
-    """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q (standalone
-    version of the DerivedHomBuilder block)."""
-    from .sparse import solve_matrix
-    full_s, full_t = src["full"], tgt["full"]
-    tpos = {}
-    for k in full_t.dims:
-        for i, lab in enumerate(full_t.labels[k]):
-            tpos[lab] = (k, i)
-    comps = {}
-    for k in full_s.dims:
-        mm = SparseMatrix(full_t.dim(k + g.degree), full_s.dim(k), F)
-        for j, lab in enumerate(full_s.labels[k]):
-            _, la, lb = lab
-            kb = _label_deg(src["piece"].value.complex, lb)
-            ib = src["piece"].value.complex.label_index(kb)[lb]
-            gm = g.component(kb)
-            for (i2, jj), v in gm.entries.items():
-                if jj != ib:
-                    continue
-                new = ("hom", la, g.target.labels[kb + g.degree][i2])
-                hit = tpos.get(new)
-                if hit is None:
-                    continue
-                mm.add_to(hit[1], j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    big = ChainMap(full_s, full_t, comps, g.degree, check=False)
+def _post_block(src, tgt, g: ChainMap) -> ChainMap:
+    """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, for hom
+    pieces {"full", "inv", "incl", "piece"} with source P and target Q."""
+    big = slotwise_map(src["full"], tgt["full"], g, slot=2)
     out_comps = {}
     for k in src["inv"].dims:
         img = big.component(k) * src["incl"].component(k)
@@ -2627,6 +2141,5 @@ def _post_block_standalone(src, tgt, g: ChainMap, F) -> ChainMap:
             raise ArithmeticError("postcompose leaves invariants")
         if not x.is_zero():
             out_comps[k] = x
-    out = ChainMap(src["inv"], tgt["inv"], out_comps, g.degree, check=False)
-    out.validate()
-    return out
+    return ChainMap(src["inv"], tgt["inv"], out_comps, g.degree,
+                    check=False).validate()

@@ -5,8 +5,8 @@ import pytest
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, count_maps_mod_homotopy,
     direct_sum, dual, hom_complex, homotopy_between, is_quasi_iso,
-    nullhomotopy, realize_homology_iso, shift, sphere, tensor, tensor_map,
-    zero_complex,
+    label_map, nullhomotopy, realize_homology_iso, shift, sphere, tensor,
+    tensor_map, transport, zero_complex,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, field_from_name
 from tcalc.sparse import Echelon, SparseMatrix, nullspace, rank, solve, solve_matrix
@@ -86,6 +86,18 @@ def test_solve_matrix_roundtrip():
     b = SparseMatrix.identity(2, F3)
     x = solve_matrix(m, b)
     assert x is not None and (m * x) == b
+
+
+def test_matrix_assembly_helpers():
+    a = SparseMatrix.from_rows([[1, 0, 2], [0, 1, 0]], F3)
+    b = SparseMatrix.from_rows([[0, 0, 1]], F3)
+    assert SparseMatrix.vstack([a, b]) == SparseMatrix.from_rows(
+        [[1, 0, 2], [0, 1, 0], [0, 0, 1]], F3)
+    with pytest.raises(ValueError):
+        SparseMatrix.vstack([a, SparseMatrix.identity(2, F3)])
+    rows = [{0: 1, 2: 2}, {1: 1}]
+    assert SparseMatrix.from_sparse_rows(rows, 3, F3) == a
+    assert SparseMatrix.from_columns(rows, 3, F3) == a.transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +298,59 @@ def test_deformation_retract_quasi_iso():
     from tcalc.chain import summand_inclusion
     ret = summand_inclusion([c, cn], big, 0)
     assert is_quasi_iso(ret, DegreeWindow(-2, 3))
+
+
+# ---------------------------------------------------------------------------
+# label transport
+# ---------------------------------------------------------------------------
+
+
+def _labelled(F, labels, diff=None):
+    return ChainComplex(F, {k: len(v) for k, v in labels.items()}, diff,
+                        labels)
+
+
+def test_label_map_strict_and_partial():
+    src = _labelled(F2, {0: ("a", "b"), 1: ("c",)})
+    tgt = _labelled(F2, {0: ("b", "x", "a"), 1: ("c",)})
+    with pytest.raises(ValueError):
+        label_map(src, _labelled(F2, {0: ("a",), 1: ("c",)}))
+    f = label_map(src, tgt)
+    assert f.component(0).entries == {(2, 0): 1, (0, 1): 1}
+    assert f.component(1).entries == {(0, 0): 1}
+    # the missing "b" is sent to zero; key maps labels into the target
+    g = label_map(src, _labelled(F2, {0: (("t", "a"),), 1: (("t", "c"),)}),
+                  key=lambda lab: ("t", lab), partial=True)
+    assert g.component(0).entries == {(0, 0): 1}
+    assert g.component(1).entries == {(0, 0): 1}
+
+
+def test_transport_target_drops_missing_labels():
+    c = _labelled(QQ, {0: ("a", "b", "c")})
+    f = ChainMap(c, c, {0: SparseMatrix.from_rows(
+        [[1, 0, 0], [2, 0, 1], [0, 3, 0]], QQ)})
+    tgt = _labelled(QQ, {0: ("c", "a")})
+    g = transport(f, target=tgt)
+    assert g.target is tgt and g.source is c
+    assert g.component(0) == SparseMatrix.from_rows(
+        [[0, 3, 0], [1, 0, 0]], QQ)
+    with pytest.raises(ValueError):
+        transport(f, target=tgt, partial=False)
+    assert transport(f, c, c) is f
+
+
+def test_transport_source_side():
+    d = SparseMatrix.from_rows([[1, -1]], QQ)
+    c = _labelled(QQ, {0: ("v",), 1: ("e", "e2")}, {1: d})
+    # the same complex with its degree-1 basis listed in the other order
+    c2 = _labelled(QQ, {0: ("v",), 1: ("e2", "e")},
+                   {1: SparseMatrix.from_rows([[-1, 1]], QQ)})
+    f = ChainMap(c, c, {0: SparseMatrix.identity(1, QQ),
+                        1: SparseMatrix.from_rows([[1, 1], [0, 2]], QQ)})
+    g = transport(f, source=c2).validate()
+    assert g.component(1) == SparseMatrix.from_rows([[1, 1], [2, 0]], QQ)
+    # both sides at once: the map read in c2 coordinates
+    h = transport(f, c2, c2).validate()
+    assert h.component(1) == SparseMatrix.from_rows([[2, 0], [1, 1]], QQ)
+    # the entries are inserted column by column of the new source
+    assert list(g.component(1).entries) == [(0, 0), (1, 0), (0, 1)]

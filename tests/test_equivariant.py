@@ -11,8 +11,8 @@ from tcalc.chain import ChainComplex, ChainMap, DegreeWindow, sphere
 from tcalc.equivariant import (
     EquivariantComplex, group_resolution, homotopy_fixed, homotopy_orbits,
     induced_from_trivial_subgroup, is_free, norm_map, permutation_module,
-    regular_module, sign_action, strict_fixed, strict_orbits, tate,
-    tensor_power, trivial_action,
+    regular_module, sign_action, slotwise_map, strict_fixed, strict_orbits,
+    tate, tensor_power, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
 from tcalc.perms import YoungGroup, all_surjections, set_partitions
@@ -292,3 +292,23 @@ def test_windowed_result_refuses_outside_window():
     o = homotopy_orbits(a, DegreeWindow(0, 3))
     with pytest.raises(ValueError):
         o.homology(10)
+
+
+def test_slotwise_map_on_orbit_labels():
+    w = ChainComplex(F3, {0: 2}, labels={0: ("w1", "w2")})
+    f = ChainMap(w, w, {0: SparseMatrix.from_rows([[0, 1], [1, 2]], F3)})
+    model = homotopy_orbits(trivial_action(w, S2), DegreeWindow(0, 2)).complex
+    g = slotwise_map(model, model, f).validate()
+    for k in model.dims:
+        idx = model.label_index(k)
+        for col, (tag, s, gen, lab) in enumerate(model.labels[k]):
+            img = {i: v for (i, j), v in g.component(k).entries.items()
+                   if j == col}
+            want = {"w1": {("hG", s, gen, "w2"): 1},
+                    "w2": {("hG", s, gen, "w1"): 1, ("hG", s, gen, "w2"): 2}}
+            assert img == {idx[t]: v for t, v in want[lab].items()}
+    # terms missing from the target model are dropped
+    low = model.truncate(0, 1)
+    h = slotwise_map(model, low, f)
+    assert set(h.components) == {0, 1}
+    assert h.component(1) == g.component(1)

@@ -90,9 +90,8 @@ def test_spectral_lie_homology():
 def test_spectral_lie_associativity_instance():
     # gamma(gamma(x; y) ; z) = gamma(x; gamma(y; z)) on a composable pattern:
     # arity pattern 2 -> (1, 2) -> ((1), (1, 1)) inside truncation 3
-    from tcalc.chain import ChainMap, tensor_map
-    from tcalc.operads import (_retarget, _retarget_map, _same_map,
-                               tensor_reorder_map)
+    from tcalc.chain import ChainMap, tensor_map, transport
+    from tcalc.operads import _flat_label, _same_map, tensor_reorder_map
     from tcalc.chain import tensor_many
     op = spectral_lie(F2, 3)
     F = F2
@@ -108,9 +107,10 @@ def test_spectral_lie_associativity_instance():
     for _ in range(3):
         big = tensor_map(big, idp)
     src = tensor_many([p2, p1, p2, p1, p1, p1])
-    big = _retarget(big, src)
+    big = transport(big, src, key=_flat_label, partial=False)
     mid = tensor_many([p3, p1, p1, p1])
-    route1 = g2.compose(_retarget_map(big, mid))
+    route1 = g2.compose(transport(big, target=mid, key=_flat_label,
+                                  partial=False))
     # route 2: gamma on inner factors first: P_1 . (1) and P_2 . (1,1)
     ga = op.composition(1, (1,))
     gb = op.composition(2, (1, 1))
@@ -121,10 +121,59 @@ def test_spectral_lie_associativity_instance():
     big2 = maps[0]
     big2 = tensor_map(big2, ga)
     big2 = tensor_map(big2, gb)
-    big2 = _retarget(big2, reorder.target)
+    big2 = transport(big2, reorder.target, key=_flat_label, partial=False)
     mid2 = tensor_many([p2, p1, p2])
-    route2 = g3.compose(_retarget_map(big2.compose(reorder), mid2))
+    route2 = g3.compose(transport(big2.compose(reorder), target=mid2,
+                                  key=_flat_label, partial=False))
     assert _same_map(route1, route2)
+
+
+def test_flat_label_transport_between_tensor_nestings():
+    """A map on tensor(tensor(A, B), C) carried onto tensor_many([A, B, C])
+    matches the basis vectors by flattened labels, in either direction."""
+    from tcalc.chain import (ChainComplex, ChainMap, tensor, tensor_many,
+                             tensor_map, transport)
+    from tcalc.operads import _flat_label
+    from tcalc.sparse import SparseMatrix
+    F = F3
+    a = ChainComplex(F, {0: 2, 1: 1}, {1: SparseMatrix.from_rows([[1], [1]], F)},
+                     labels={0: (("a", 0), ("a", 1)), 1: (("a", 2),)})
+    b = ChainComplex(F, {0: 1, 1: 1}, labels={0: (("b", 0),), 1: (("b", 1),)})
+    c = ChainComplex(F, {0: 2}, labels={0: (("c", 0), ("c", 1))})
+    swap = ChainMap(a, a, {0: SparseMatrix.from_rows([[0, 1], [1, 0]], F),
+                           1: SparseMatrix.identity(1, F)})
+    ida, idb, idc = (ChainMap.identity(x) for x in (a, b, c))
+    nested = tensor_map(tensor_map(swap, idb), idc)
+    flat = tensor_many([a, b, c])
+    g = transport(nested, flat, flat, key=_flat_label, partial=False)
+    g.validate()
+    for k in flat.dims:
+        for col, (la, lb, lc) in enumerate(flat.labels[k]):
+            img = [flat.labels[k][i] for (i, j) in g.component(k).entries
+                   if j == col]
+            new_a = {("a", 0): ("a", 1), ("a", 1): ("a", 0)}.get(la, la)
+            assert img == [(new_a, lb, lc)]
+    # and back: the identity of the nested complex, read on the flat one
+    ident = transport(ChainMap.identity(nested.source), flat, flat,
+                      key=_flat_label, partial=False)
+    assert ident.components == ChainMap.identity(flat).components
+    back = transport(g, nested.source, nested.target, key=_flat_label,
+                     partial=False)
+    assert back.components == nested.components
+
+
+def test_flat_label_collision_raises():
+    from tcalc.chain import ChainComplex, ChainMap, transport
+    from tcalc.operads import _flat_label
+    x, y, z = ("x",), ("y",), ("z",)
+    labels = {0: (((x, y), z), (x, (y, z)))}
+    k = ChainComplex(F2, {0: 2}, labels=labels)
+    copy = ChainComplex(F2, {0: 2}, labels=labels)
+    assert _flat_label(labels[0][0]) == _flat_label(labels[0][1])
+    with pytest.raises(ValueError):
+        transport(ChainMap.identity(k), target=copy, key=_flat_label)
+    with pytest.raises(ValueError):
+        transport(ChainMap.identity(k), source=copy, key=_flat_label)
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def test_derived_hom_into_cofree_collapses():
     """Mapping into the cofree coalgebra K(B) reduces to Hom(A, B)."""
     from tcalc.comonads import SpComonad
     from tcalc.chain import hom_complex
-    from tcalc.tower import _identify_slotwise
+    from tcalc.chain import label_map
     F = F2
     w = DegreeWindow(-2, 2)
     # B concentrated in arity 2
@@ -323,7 +323,7 @@ def test_derived_hom_into_cofree_collapses():
     comp = c0.komonad.component(1, 2)
     # theta_{1,2}: (KB)_1 -> K_1((KB)_2): the rebuilt model of the same Tate
     # complex; the cofree structure is the slot identity
-    theta = _identify_slotwise(t12.value.complex, comp.value.complex, F)
+    theta = label_map(t12.value.complex, comp.value.complex, partial=True)
     cofree = TruncatedCoalgebra("sp", seq, w, {(1, 2): theta},
                                 komonad=c0.komonad)
     # source: the trivial coalgebra on B itself
