@@ -592,6 +592,22 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
     return ChainMap(src, tgt, comps, d, check=False)
 
 
+def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
+    """The map x : g.source -> incl.source with incl o x = g, for an
+    injective degree-0 incl into g.target: one solve_matrix per degree where
+    g is nonzero.  Raises ArithmeticError when g leaves the image of incl.
+    The result is not validated."""
+    d = g.degree
+    comps = {}
+    for k, m in g.components.items():
+        x = solve_matrix(incl.component(k + d), m)
+        if x is None:
+            raise ArithmeticError("map leaves the subcomplex in degree %d"
+                                  % (k + d))
+        comps[k] = x
+    return ChainMap(g.source, incl.source, comps, d, check=False)
+
+
 def shift(c: ChainComplex, d: int) -> ChainComplex:
     sgn = c.field.one() if d % 2 == 0 else c.field.neg(c.field.one())
     dims = {k + d: n for k, n in c.dims.items()}

@@ -8,19 +8,29 @@ reported and witness solvability is decided by exact linear solve."""
 
 from __future__ import annotations
 
+from itertools import product
+
 from .chain import (
     ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, cone,
-    count_maps_mod_homotopy, direct_sum, hom_complex, homotopy_between,
-    nullhomotopy, shift, sphere, tensor,
+    count_maps_mod_homotopy, direct_sum, hom_complex, homology_coordinates,
+    homotopy_between, label_map, nullhomotopy, shift, shift_map, sphere,
+    summand_inclusion, summand_projection, tensor, transport,
+)
+from .coalgebras import (
+    FinitePointedSet, psi_from_theta, representable_module, truncate_coalgebra,
 )
 from .comonads import SpComponentModel, equivariant_tensor, l3_complex
 from .equivariant import (
-    EquivariantComplex, homotopy_orbits, is_free, strict_orbits, tate,
-    tensor_power, trivial_action,
+    EquivariantComplex, homotopy_orbits, is_free, permutation_module,
+    strict_orbits, tate, tensor_power, trivial_action,
 )
 from .fields import FieldSpec
-from .perms import YoungGroup
+from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix
+from .tower import (
+    CosimplicialComplex, _Levels, _RawPiece, _post_block, conormalized_level,
+    equivariant_hom_complex, fat_tot, p_n, sp_component_on_map, tower_map,
+)
 
 
 def _class_count(field: FieldSpec, dim: int):
@@ -63,7 +73,6 @@ def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
 
 
 def _shift_action(a: EquivariantComplex, gi) -> ChainMap:
-    from .chain import shift_map
     return shift_map(a.action[gi], 1)
 
 
@@ -111,7 +120,6 @@ def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
     tgt = t_model.value.complex
     if F.p != 2:
         return ChainMap.zero(a1, tgt)
-    from .chain import homology_coordinates
     pi, reps = homology_coordinates(a1, 0)
     if not reps:
         return ChainMap.zero(a1, tgt)
@@ -187,8 +195,6 @@ def _as_term(eq: EquivariantComplex) -> EquivariantComplex:
 
 def _tate_functor_map(src_model: SpComponentModel, tgt_model: SpComponentModel,
                       f: ChainMap, F) -> ChainMap:
-    from .tower import sp_component_on_map
-    from .chain import shift_map
     # f : (A_1)^{(x)2} -> Sigma A_2, equivariant; apply the Tate functor
     return sp_component_on_map(src_model, tgt_model, f)
 
@@ -218,7 +224,6 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     t_sa2 = SpComponentModel(sa2, 1, w)
     route2 = _tate_functor_map(sq_idx, t_sa2, m_map, F).compose(delta)
     # route 1: m' lifted through the fixed points, then into the cone
-    from .equivariant import homotopy_fixed
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
     # as a strictly invariant functional
@@ -277,8 +282,6 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     P_n and P_{n-1} come from the tot route; the commuting homotopy is found
     by exact linear solve (its absence is a hard failure).  `corrupt`
     optionally post-composes a mutation on one structure map for testing."""
-    from .tower import p_n, tower_map, _fib
-    from .coalgebras import truncate_coalgebra
     w = w or c.window
     tm = tower_map(c, site, n, route="tot")
     pn, pn1 = tm["source"], tm["target"]
@@ -317,12 +320,14 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
 
 def _tot_to_diagonal_slot(builder, tot, n):
     """The projection Tot -> level 0 -> arity-n diagonal summand."""
-    from .tower import conormalized_level
-    from .chain import summand_projection
     F = tot.field
+    keys = builder.level_keys[0]
+    if (n,) not in keys:
+        # the arity-n diagonal Phi term is zero, e.g. at a 1-point set
+        zero = ChainComplex(F, {})
+        return ChainMap.zero(tot, zero), zero
     cs = builder.cosimplicial
     sub0, inc0 = conormalized_level(cs, 0)
-    keys = builder.level_keys[0]
     parts = builder.parts[0]
     idx = keys.index((n,))
     proj = summand_projection(parts, cs.levels[0], idx)
@@ -351,7 +356,6 @@ def _tot_to_diagonal_slot(builder, tot, n):
 def _corner_maps(builder, pn1, n, c):
     """(bottom map P_{n-1} -> corner, corner complex, right map fixed ->
     corner): the corner is the off-diagonal comonad slot sum at arity < n."""
-    from .chain import summand_inclusion, summand_projection
     F = c.field
     if c.source == "top":
         offkeys = [(1, 2)] if builder.slot12 is not None and n == 2 else []
@@ -390,7 +394,7 @@ def _corner_maps(builder, pn1, n, c):
         proj_r, _ = _tot_to_diagonal_slot(bl, pn1_tot, r)
         bot = bot + inc.compose(f).compose(proj_r)
     # right: out of the fixed (diagonal arity-n) slot via the unit blocks
-    fixed_cx = diag_parts[n]
+    fixed_cx = diag_parts[n] if n in diag_parts else ChainComplex(F, {})
     right = ChainMap.zero(fixed_cx, corner)
     for t_i, key in enumerate(offkeys):
         inc = summand_inclusion(slot_parts, corner, t_i)
@@ -404,7 +408,6 @@ def _corner_maps(builder, pn1, n, c):
 def _pair_map(f1: ChainMap, f2: ChainMap, F) -> ChainMap:
     """(f1, f2) : X -> Y1 (+) Y2."""
     tgt = direct_sum([f1.target, f2.target])
-    from .chain import summand_inclusion
     i1 = summand_inclusion([f1.target, f2.target], tgt, 0)
     i2 = summand_inclusion([f1.target, f2.target], tgt, 1)
     return i1.compose(f1) + i2.compose(f2)
@@ -417,7 +420,6 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n, c, F):
     Stored as {cone degree k: matrix corner_k x P_n-tot_{k-1}}; the Tot
     differential identity d h + h d = (right o top) - (bottom o tower) is
     exactly the conormalized coface relation."""
-    from .tower import conormalized_level
     cs = builder.cosimplicial
     if cs.M < 1:
         return {}
@@ -489,7 +491,6 @@ def _assemble_gamma(cn: ChainComplex, bot: ChainMap, right: ChainMap,
 
 def _difference_on_pair(bot: ChainMap, right: ChainMap, F) -> ChainMap:
     src = direct_sum([bot.source, right.source])
-    from .chain import summand_projection
     p1 = summand_projection([bot.source, right.source], src, 0)
     p2 = summand_projection([bot.source, right.source], src, 1)
     return bot.compose(p1) - right.compose(p2)
@@ -498,8 +499,6 @@ def _difference_on_pair(bot: ChainMap, right: ChainMap, F) -> ChainMap:
 def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
     """With every A_n free: P_n homology equals the sum of the layers; for
     top sources it also equals the strict module derived hom through K'."""
-    from .tower import p_n
-    from .coalgebras import FinitePointedSet
     w = w or c.window
     n = n or c.truncation
     report = {"free": True, "layers_match": None, "module_match": None,
@@ -556,9 +555,6 @@ def _layer(c, site, j):
 
 def _tuple_module(field, j, m):
     """k[X-bar^{x j}] with the Sigma_j coordinate-permutation action."""
-    from itertools import product
-    from .equivariant import permutation_module
-    from .perms import transposition
     tuples = [t for t in product(range(m), repeat=j)]
     if not tuples:
         return None
@@ -575,12 +571,6 @@ def _tuple_module(field, j, m):
 
 def module_hom_tower(c, site, n, win: DegreeWindow):
     """Map_{dI}(M(X), A_{<= n}) through the strict K'-cobar; exact."""
-    from .coalgebras import (FinitePointedSet, psi_from_theta,
-                             representable_module, truncate_coalgebra)
-    from .comonads import KPrimeComonad
-    from .chain import label_map, transport
-    from .tower import (CosimplicialComplex, _Levels, _RawPiece, _post_block,
-                        equivariant_hom_complex, fat_tot)
     F = c.field
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
     module, _ = representable_module(FinitePointedSet(site.size),

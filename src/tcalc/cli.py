@@ -53,6 +53,15 @@ def _load_doc(path):
         raise UsageError("malformed JSON in %s: %s" % (path, e))
 
 
+def _decode(from_json, doc, key=None):
+    """from_json(doc), or from_json(doc[key]); a document of the wrong shape
+    (a list for an object, an entry out of range) is a usage error."""
+    try:
+        return from_json(doc if key is None else doc[key])
+    except (TypeError, AttributeError, IndexError) as e:
+        raise UsageError("malformed document: %s" % e)
+
+
 def _emit(args, payload):
     text = serialize.dumps(payload)
     if getattr(args, "out", None):
@@ -73,7 +82,7 @@ def _windowed_dims(complex_, w):
 
 
 def cmd_homology(args):
-    c = serialize.chain_from_json(_load_doc(args.input))
+    c = _decode(serialize.chain_from_json, _load_doc(args.input))
     _guard_dims(c)
     dims = {str(k): c.homology(k)[0] for k in c.support()}
     _emit(args, {"command": "homology", "dims": dims,
@@ -84,7 +93,7 @@ def cmd_homology(args):
 def cmd_tate(args):
     from .equivariant import tate
     w = _parse_window(args.window)
-    e = serialize.equivariant_from_json(_load_doc(args.input))
+    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
     t = tate(e, w)
     _emit(args, {"command": "tate", "group": list(e.group.blocks),
@@ -124,7 +133,7 @@ def cmd_partition_nerve(args):
 def cmd_k_top(args):
     from .comonads import k_top_component
     w = _parse_window(args.window)
-    e = serialize.equivariant_from_json(_load_doc(args.input))
+    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
     res = k_top_component(e, args.r, w)
     _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
@@ -137,7 +146,7 @@ def cmd_k_top(args):
 def cmd_k_sp(args):
     from .comonads import k_sp_component
     w = _parse_window(args.window)
-    e = serialize.equivariant_from_json(_load_doc(args.input))
+    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
     res = k_sp_component(e, args.r, w)
     _emit(args, {"command": "k-sp", "r": args.r, "n": e.group.degree,
@@ -159,7 +168,7 @@ def _parse_site(text, source):
 
 def cmd_cobar(args):
     from .tower import cobar
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
     cs = cobar(c, site, c.window)
     _emit(args, {"command": "cobar",
@@ -173,7 +182,7 @@ def cmd_cobar(args):
 
 def cmd_pn(args):
     from .tower import p_n
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
     routes = [args.route] if args.route != "both" else ["tot", "pullback"]
     reports = {}
@@ -193,8 +202,8 @@ def cmd_pn(args):
 
 def cmd_derived_hom(args):
     from .tower import derived_hom
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
-    c2 = serialize.coalgebra_from_json(_load_doc(args.second))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
+    c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
     r = derived_hom(c, c2)
     _emit(args, {"command": "derived-hom", "h0": r["h0"],
                  "dims": _windowed_dims(r["complex"], r["window"]),
@@ -204,8 +213,8 @@ def cmd_derived_hom(args):
 
 def cmd_bk_e1(args):
     from .tower import bk_e1, einf_dims
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
-    c2 = serialize.coalgebra_from_json(_load_doc(args.second))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
+    c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
     r = bk_e1(c, c2)
     page = r["e1"]
     einf = einf_dims(r)
@@ -223,14 +232,14 @@ def cmd_classify(args):
     from .classify import classify_2exc_sp, classify_2exc_top, classify_3exc_sp
     w = _parse_window(args.window)
     doc = _load_doc(args.input)
-    a1 = serialize.chain_from_json(doc["a1"])
-    a2 = serialize.equivariant_from_json(doc["a2"])
+    a1 = _decode(serialize.chain_from_json, doc, "a1")
+    a2 = _decode(serialize.equivariant_from_json, doc, "a2")
     if args.variant == "sp_sp_2":
         rep = classify_2exc_sp(a1, a2, w)
     elif args.variant == "top_sp_2":
         rep = classify_2exc_top(a1, a2, w)
     elif args.variant == "sp_sp_3":
-        a3 = serialize.equivariant_from_json(doc["a3"])
+        a3 = _decode(serialize.equivariant_from_json, doc, "a3")
         rep = classify_3exc_sp(a1, a2, a3, w)
     else:
         raise UsageError("unknown classify variant %r" % args.variant)
@@ -245,7 +254,7 @@ def cmd_classify(args):
 
 def cmd_mccarthy(args):
     from .classify import mccarthy_square_check
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
     rep = mccarthy_square_check(c, site, args.n)
     _emit(args, {"command": "mccarthy", "n": args.n,
@@ -258,7 +267,7 @@ def cmd_mccarthy(args):
 def cmd_check(args):
     """Full invariant suite on a coalgebra document."""
     from .coalgebras import validate_coalgebra
-    c = serialize.coalgebra_from_json(_load_doc(args.input))
+    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     rep = validate_coalgebra(c)
     payload = {"command": "check", "valid": rep["valid"],
                "failures": rep["failures"],

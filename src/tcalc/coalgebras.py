@@ -13,21 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .chain import (
-    ChainMap, DegreeWindow, cone, homotopy_between, label_map, sphere,
-    transport,
+    ChainHomotopy, ChainMap, DegreeWindow, cone, homotopy_between, label_map,
+    sphere, tensor_many, transport,
 )
 from .comonads import (
     KPrimeComonad, SpComonad, TopComonad, TopComponentModel, nu_component,
-    top_component_on_map, _unit_trees,
+    top_component_on_map, _rebuild_like, _unit_trees,
 )
 from .equivariant import EquivariantComplex, is_free, permutation_module
 from .fields import FieldSpec
 from .operads import (
-    Operad, RightModule, SymmetricSequence, spectral_lie, tree_cooperad,
-    validate_right_module,
+    Operad, RightModule, SymmetricSequence, compositions_of_bounded,
+    spectral_lie, tree_cooperad, validate_right_module,
 )
-from .perms import YoungGroup, all_surjections, surjection_fibers
-from .sparse import SparseMatrix
+from .perms import YoungGroup, all_surjections, surjection_fibers, transposition
+from .sparse import SparseMatrix, rank
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,6 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         theta_tilde = tau.compose(theta_sn)
         src_model = K.component(r, s)
         if src_model.kind != outer.kind:
-            from .comonads import _rebuild_like
             src_model = _rebuild_like(K.coop, c.sequence.term(s), r,
                                       K.w, outer)
         kf = top_component_on_map(K.coop, src_model, outer, theta_tilde)
@@ -237,7 +236,6 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
                               route2.components, check=False)
     if wit is not None:
         try:
-            from .chain import ChainHomotopy
             ChainHomotopy(route1,
                           ChainMap(route1.source, route1.target,
                                    route2.components, check=False), wit)
@@ -290,7 +288,6 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
         group = YoungGroup.full(n)
         table = {}
         for gi in group.generator_positions():
-            from .perms import transposition, inverse
             sperm = transposition(n, gi)
             pos = {inj: i for i, inj in enumerate(injs)}
             table[gi] = [pos[tuple(inj[sperm[i]] for i in range(n))]
@@ -299,7 +296,6 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
                                       [("minj", inj) for inj in injs], table)
     seq = SymmetricSequence(field, N, terms)
     # module action: unit components only
-    from .chain import tensor_many
     action = {}
     for r in seq.arities():
         comp = (1,) * r
@@ -327,8 +323,7 @@ def evaluation_pairing_check(x: FinitePointedSet, r: int, field: FieldSpec):
         return report
     # pairing matrix: dual basis against basis = identity permutation matrix
     pairing = SparseMatrix.identity(len(injs), field)
-    from .sparse import rank as _rank
-    report["rank"] = _rank(pairing)
+    report["rank"] = rank(pairing)
     if m == r:
         ident = tuple(range(r))
         report["identity_component_nonzero"] = ident in injs
@@ -369,8 +364,6 @@ def psi_from_theta(c: TruncatedCoalgebra):
 def module_from_psi(c: TruncatedCoalgebra, psi, KP: KPrimeComonad) -> RightModule:
     """Convert psi maps (into strict invariants of the surjection sums) to
     right-module action maps along consecutive-block surjections."""
-    from . import trees as trees_mod
-    from .chain import tensor_many
     F = c.field
     op = spectral_lie(F, c.truncation)
     action = {}
@@ -398,7 +391,6 @@ def module_from_psi(c: TruncatedCoalgebra, psi, KP: KPrimeComonad) -> RightModul
                 msrc[i, j] = F.one()
             src_map[k] = msrc
         action[(r, comp)] = ChainMap(src, a_r, src_map, check=False)
-    from .operads import compositions_of_bounded
     for r in seq.arities():
         for comp in compositions_of_bounded(r, c.truncation):
             n = sum(comp)
@@ -417,7 +409,6 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
     """A_r (x) dI_{n_1} (x) ... (x) dI_{n_r} -> A_n from
     psi : A_r -> [(+)_alpha ((x) T) (x) A_n]^{Sigma_n}, evaluated at the
     consecutive-blocks surjection."""
-    from .chain import tensor_many
     F = c.field
     r = len(comp)
     n = sum(comp)

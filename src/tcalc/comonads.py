@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from . import trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, label_map, shift,
-    sphere, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, factor_through,
+    label_map, shift, sphere, tensor, tensor_many, tensor_map,
 )
 from .equivariant import (
     EquivariantComplex, WindowedResult, homotopy_fixed, homotopy_orbits,
@@ -39,7 +40,7 @@ from .perms import (
     YoungGroup, all_surjections, compose, identity_perm, inverse,
     partition_of_surjection, perm_sign, surjection_fibers, transposition,
 )
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, solve_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,6 @@ class SurjectionSum:
     def _add_summand_map(self, comps, alpha, beta, relabels, a_map, tau):
         """Add the summand map alpha -> beta induced by tree relabelings and
         the map on A (no factor reordering)."""
-        from . import trees as trees_mod
         F = self.field
         fib_a = self.factors[alpha]
         for k in self.total.dims:
@@ -215,7 +215,7 @@ class SurjectionSum:
                 sgn = 1
                 new_trees = []
                 for tl, mapping in zip(tree_labs, relabels):
-                    s2, t2 = trees_mod.relabel_terms(tl[1], mapping)
+                    s2, t2 = trees.relabel_terms(tl[1], mapping)
                     sgn *= s2
                     new_trees.append(("tree", t2))
                 # apply a_map to the A factor
@@ -256,7 +256,6 @@ def equivariant_tensor(a: EquivariantComplex, b: EquivariantComplex) -> Equivari
     """Tensor of two complexes over the same group, diagonal action."""
     if a.group != b.group:
         raise ValueError("group mismatch")
-    from .chain import tensor, tensor_map
     t = tensor(a.complex, b.complex)
     action = {}
     for gi in a.group.generator_positions():
@@ -317,9 +316,8 @@ def l3_complex(field) -> EquivariantComplex:
     return out
 
 
-def surjection_index_module(field, n, r) -> "tuple":
-    """k[Surj(n, r)] as labels plus the Sigma_n (pre) and Sigma_r (post)
-    permutation tables."""
+def surjection_index_module(n, r) -> "tuple":
+    """The basis of k[Surj(n, r)]: the surjections and their positions."""
     surjs = all_surjections(n, r)
     pos = {a: i for i, a in enumerate(surjs)}
     return surjs, pos
@@ -331,7 +329,7 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
     ``sp_sigma_r_generator``."""
     n = a.group.degree
     F = a.field
-    surjs, pos = surjection_index_module(F, n, r)
+    surjs, pos = surjection_index_module(n, r)
     c = a.complex
     dims = {k: c.dim(k) * len(surjs) for k in c.dims}
     labels = {}
@@ -433,8 +431,7 @@ class TopComponentModel:
             action = {}
             for gi in YoungGroup.full(r).generator_positions():
                 sr = self.sursum.sigma_r_generator(gi)
-                # induced on the quotient: proj o sr o section
-                action[gi] = _quotient_induced(proj, sr, F)
+                action[gi] = _quotient_functor(proj, sr, proj)
             self.value = EquivariantComplex(q, YoungGroup.full(r), action,
                                             check=False,
                                             arity_bound=max(4, r))
@@ -486,31 +483,28 @@ class TopComponentModel:
         return ChainMap.identity(self.a.complex)
 
 
-def _quotient_induced(proj: ChainMap, f: ChainMap, F) -> ChainMap:
-    """Map induced on a strict-orbit quotient by an equivariant endomorphism."""
-    q = proj.target
+def _unit_section(proj: ChainMap) -> ChainMap:
+    """A section q -> W of a quotient projection proj : W -> q: each basis
+    vector of q goes to the first basis vector of W that proj sends to it
+    with coefficient 1.  It need not commute with the differentials and is
+    not validated; a basis vector of q without such a preimage raises
+    ArithmeticError."""
+    F = proj.field
+    q, W = proj.target, proj.source
+    one = F.one()
     comps = {}
     for k in q.dims:
-        # section: free coordinates are classes of original basis vectors
-        pm = proj.component(k)
-        fm = f.component(k)
-        # pick for each quotient basis vector a preimage basis vector
         sec = {}
-        for (i, j), v in pm.entries.items():
+        for (i, j), v in proj.component(k).entries.items():
             if i not in sec and F.is_one(v):
                 sec[i] = j
-        m = SparseMatrix(q.dim(k), q.dim(k), F)
-        pm2 = proj.component(k + f.degree)
-        for i in range(q.dim(k)):
-            j = sec.get(i)
-            if j is None:
-                raise ArithmeticError("no unit section for quotient basis")
-            img = fm.apply({j: F.one()})
-            red = pm2.apply(img)
-            for t, v in red.items():
-                m.add_to(t, i, v)
+        if len(sec) != q.dim(k):
+            raise ArithmeticError("no unit section for the quotient basis in "
+                                  "degree %d" % k)
+        m = SparseMatrix(W.dim(k), q.dim(k), F)
+        m.entries = {(j, i): one for i, j in sec.items()}
         comps[k] = m
-    return ChainMap(q, q, comps, f.degree, check=False)
+    return ChainMap(q, W, comps, check=False)
 
 
 def coaugment_invariants(sub_incl: ChainMap, fixed_model: ChainComplex,
@@ -597,30 +591,12 @@ class _PreTarget:
 
     def sigma_n_equivariant(self) -> EquivariantComplex:
         """Sigma_n acts through the inner W(A, s) factor only."""
-        F = self.field
         n = self.inner.n
         group = YoungGroup.full(n)
         inner_eq = self.inner.sigma_n_action()
-        action = {}
-        for gi in group.generator_positions():
-            f = inner_eq.action[gi]
-            comps = {k: SparseMatrix(self.total.dim(k), self.total.dim(k), F)
-                     for k in self.total.dims}
-            for k in self.total.dims:
-                idx = self.total.label_index(k)
-                for col, lab in enumerate(self.total.labels[k]):
-                    _, gamma, inner_lab = lab
-                    trees_part = inner_lab[:-1]
-                    wlab = inner_lab[-1]
-                    wk, wi = self.inner.total.locate(wlab)
-                    m = f.component(wk)
-                    for (i2, jj), v in m.entries.items():
-                        if jj != wi:
-                            continue
-                        new = ("surj", gamma,
-                               trees_part + (self.inner.total.labels[wk][i2],))
-                        comps[k].add_to(idx[new], col, v)
-            action[gi] = ChainMap(self.total, self.total, comps, check=False)
+        action = {gi: slotwise_map(self.total, self.total, inner_eq.action[gi],
+                                   slot=(2, -1))
+                  for gi in group.generator_positions()}
         return EquivariantComplex(self.total, group, action, check=False,
                                   arity_bound=max(4, n))
 
@@ -629,7 +605,6 @@ def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
                       pre: _PreTarget) -> ChainMap:
     """The tree-splitting map W(A, r) -> PreTarget, summed over all
     factorizations beta = gamma o alpha."""
-    from . import trees as trees_mod
     F = sur_r.field
     s = pre.s
     n = sur_r.n
@@ -662,7 +637,7 @@ def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
                     tree_labs = inner_lab[:-1]
                     a_lab = inner_lab[-1]
                     term = _split_trees(
-                        coop, F, trees_mod, tree_labs, beta_fibers,
+                        coop, F, tree_labs, beta_fibers,
                         alpha_fibers, gamma_fibers, local_blocks, a_lab,
                         sur_r.a.complex.locate(a_lab)[0], gamma, alpha, r, s)
                     if term is None:
@@ -680,7 +655,7 @@ def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
     return ChainMap(sur_r.total, pre.total, comps, check=True)
 
 
-def _split_trees(coop, F, trees_mod, tree_labs, beta_fibers, alpha_fibers,
+def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,
                  gamma_fibers, local_blocks, a_lab, a_degree, gamma, alpha,
                  r, s):
     """Split each tree along its local blocks; assemble the target label and
@@ -692,7 +667,7 @@ def _split_trees(coop, F, trees_mod, tree_labs, beta_fibers, alpha_fibers,
     for j in range(r):
         t = tree_labs[j][1]
         blocks = local_blocks[j]
-        dec = trees_mod.decompose(t, blocks)
+        dec = trees.decompose(t, blocks)
         if dec is None:
             return None
         sgn_j, upper, lows = dec
@@ -702,7 +677,7 @@ def _split_trees(coop, F, trees_mod, tree_labs, beta_fibers, alpha_fibers,
         std_lows = []
         for b, lt in zip(blocks, lows):
             mapping = {x: i for i, x in enumerate(sorted(b))}
-            s2, lt2 = trees_mod.relabel_terms(lt, mapping)
+            s2, lt2 = trees.relabel_terms(lt, mapping)
             std_lows.append(lt2)
         # which alpha fiber is block b? translate local positions to globals
         glob_blocks = [tuple(sorted(bf[x] for x in b)) for b in blocks]
@@ -731,13 +706,13 @@ def _split_trees(coop, F, trees_mod, tree_labs, beta_fibers, alpha_fibers,
     lower_names = {}
     for j, (sgn_j, upper, std_lows, fiber_index, blocks) in \
             enumerate(split_results):
-        udeg = trees_mod.degree(upper)
+        udeg = trees.degree(upper)
         uname = ("u", j)
         upper_names.append((uname, udeg))
         tokens.append((uname, udeg))
         for bi, lt in enumerate(std_lows):
             i = fiber_index[bi]
-            ldeg = trees_mod.degree(lt)
+            ldeg = trees.degree(lt)
             lname = ("l", i)
             lower_names[i] = (lname, ldeg, lt)
             tokens.append((lname, ldeg))
@@ -778,7 +753,6 @@ def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
     """strict(PreTarget) -> (+)_gamma (x T) (x) strict(W(A,s)): both are
     quotients of PreTarget by the same subspace; map via section + blockwise
     projection."""
-    src = pre_proj.target
     # target: rebuild PreTarget labels with the inner W replaced by its
     # strict orbit labels
     inner_q = inner_model_proj.target
@@ -798,36 +772,8 @@ def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
             labs.append(("surj", gammas[idx], inner_lab))
         labels[k] = tuple(labs)
     tgt = ChainComplex(F, tgt.dims, tgt.diff, labels, check=False)
-    comps = {}
-    for k in src.dims:
-        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        tidx = tgt.label_index(k)
-        pm = pre_proj.component(k)
-        sec = {}
-        for (i, j), v in pm.entries.items():
-            if i not in sec and F.is_one(v):
-                sec[i] = j
-        for i in range(src.dim(k)):
-            j = sec.get(i)
-            if j is None:
-                raise ArithmeticError("quotient section failed")
-            lab = pre.total.labels[k][j]
-            _, gamma, inner_lab = lab
-            trees_part = inner_lab[:-1]
-            wlab = inner_lab[-1]
-            # project the W(A, s) part
-            wk, wi = pre.inner.total.locate(wlab)
-            qm = inner_model_proj.component(wk)
-            for (t, jj), v in qm.entries.items():
-                if jj != wi:
-                    continue
-                row = tidx.get(("surj", gamma,
-                                trees_part + (inner_q.labels[wk][t],)))
-                if row is None:
-                    continue
-                m.add_to(row, i, v)
-        comps[k] = m
-    return ChainMap(src, tgt, comps, check=False), tgt
+    blockwise = slotwise_map(pre.total, tgt, inner_model_proj, slot=(2, -1))
+    return blockwise.compose(_unit_section(pre_proj)), tgt
 
 
 class TopComonad:
@@ -905,32 +851,10 @@ class TopComonad:
         self.delta_outer[(r, s, n)] = outer
 
 
-def _quotient_functor(src_proj: ChainMap, f: ChainMap, tgt_proj: ChainMap,
-                      F) -> ChainMap:
+def _quotient_functor(src_proj: ChainMap, f: ChainMap,
+                      tgt_proj: ChainMap) -> ChainMap:
     """Induced map on strict orbit quotients: q_tgt o f o section_src."""
-    src_q = src_proj.target
-    tgt_q = tgt_proj.target
-    comps = {}
-    for k in src_q.dims:
-        pm = src_proj.component(k)
-        sec = {}
-        for (i, j), v in pm.entries.items():
-            if i not in sec and F.is_one(v):
-                sec[i] = j
-        m = SparseMatrix(tgt_q.dim(k + f.degree), src_q.dim(k), F)
-        fm = f.component(k)
-        qm = tgt_proj.component(k + f.degree)
-        for i in range(src_q.dim(k)):
-            j = sec.get(i)
-            if j is None:
-                raise ArithmeticError("quotient section failed")
-            img = fm.apply({j: F.one()})
-            red = qm.apply(img)
-            for t, v in red.items():
-                m.add_to(t, i, v)
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(src_q, tgt_q, comps, f.degree, check=False)
+    return tgt_proj.compose(f.compose(_unit_section(src_proj)))
 
 
 def _slot_inside(lab):
@@ -966,7 +890,7 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
             outer = TopComponentModel(coop, inner.value, r, w)
         pre_eq = pre.sigma_n_equivariant()
         pre_q, pre_proj = strict_orbits(pre_eq)
-        src_map = _quotient_functor(comp.proj, dpre, pre_proj, F)
+        src_map = _quotient_functor(comp.proj, dpre, pre_proj)
         iso, tgt = _strict_quotient_iso(pre, inner.proj, pre_proj, F)
         glue = label_map(tgt, outer.sursum.total)
         total_map = outer.iota().compose(glue).compose(iso).compose(src_map)
@@ -998,12 +922,20 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
     return comp, total_map, outer
 
 
+def _sursum_map(src: SurjectionSum, tgt: SurjectionSum, f: ChainMap) -> ChainMap:
+    """trees (x) f on surjection sums, with the Koszul sign (-1)^{|f| |trees|}.
+    The result is not validated."""
+    def sign(lab):
+        _, alpha, inner = lab
+        treedeg = sum(src.label_degree(len(fb), tl)
+                      for fb, tl in zip(src.factors[alpha], inner[:-1]))
+        return -1 if f.degree * treedeg % 2 else 1
+    return slotwise_map(src.total, tgt.total, f, slot=(2, -1), sign=sign)
+
+
 def top_component_on_map(coop: Cooperad, src_model: TopComponentModel,
                          tgt_model: TopComponentModel, f: ChainMap) -> ChainMap:
     """K_r applied to an equivariant chain map f : B -> B' (any degree)."""
-    from . import trees as trees_mod
-    F = f.field
-    r = src_model.r
     if src_model.kind == "zero" or tgt_model.kind == "zero":
         return ChainMap.zero(src_model.value.complex, tgt_model.value.complex,
                              f.degree)
@@ -1011,38 +943,9 @@ def top_component_on_map(coop: Cooperad, src_model: TopComponentModel,
         if tgt_model.kind != "collapsed":
             raise ValueError("model kinds differ on the diagonal")
         return f
-    # lift f to the surjection sums: trees (x) f with Koszul sign
-    Wsrc, Wtgt = src_model.sursum, tgt_model.sursum
-    comps = {}
-    d = f.degree
-    for k in Wsrc.total.dims:
-        for col, lab in enumerate(Wsrc.total.labels[k]):
-            _, alpha, inner_lab = lab
-            tree_labs = inner_lab[:-1]
-            a_lab = inner_lab[-1]
-            fibers = Wsrc.factors[alpha]
-            treedeg = sum(Wsrc.label_degree(len(fb), tl)
-                          for fb, tl in zip(fibers, tree_labs))
-            sgn = F.one() if (d * treedeg) % 2 == 0 else F.neg(F.one())
-            ak, ai = f.source.locate(a_lab)
-            fm = f.component(ak)
-            for (i2, jj), v in fm.entries.items():
-                if jj != ai:
-                    continue
-                new = ("surj", alpha,
-                       tree_labs + (f.target.labels[ak + d][i2],))
-                row = Wtgt.total.label_index(k + d).get(new)
-                if row is None:
-                    continue
-                m = comps.get(k)
-                if m is None:
-                    m = SparseMatrix(Wtgt.total.dim(k + d),
-                                     Wsrc.total.dim(k), F)
-                    comps[k] = m
-                m.add_to(row, col, F.mul(sgn, v))
-    wmap = ChainMap(Wsrc.total, Wtgt.total, comps, d, check=False)
+    wmap = _sursum_map(src_model.sursum, tgt_model.sursum, f)
     if src_model.kind == "strict" and tgt_model.kind == "strict":
-        return _quotient_functor(src_model.proj, wmap, tgt_model.proj, F)
+        return _quotient_functor(src_model.proj, wmap, tgt_model.proj)
     if src_model.kind == "windowed" and tgt_model.kind == "windowed":
         return slotwise_map(src_model.value.complex, tgt_model.value.complex,
                             wmap)
@@ -1058,8 +961,7 @@ def top_coassociativity_check(coop: Cooperad, term: EquivariantComplex,
     w2 = w.expand(n + 1)
     comp_r = TopComponentModel(coop, term, r, w)
     # inner models
-    inner_t = TopComponentModel(coop, term, t, w2) if t < n else \
-        TopComponentModel(coop, term, t, w2)
+    inner_t = TopComponentModel(coop, term, t, w2)
     comp_r, d_rt, outer_rt = build_top_delta(coop, term, comp_r, inner_t,
                                              r, t, w)
     inner_s = TopComponentModel(coop, term, s, w2)
@@ -1232,26 +1134,9 @@ class KPrimeComponent:
         action = {}
         for gi in YoungGroup.full(r).generator_positions():
             sr = self.sursum.sigma_r_generator(gi)
-            action[gi] = _subcomplex_induced(incl, sr, F)
+            action[gi] = factor_through(sr.compose(incl), incl)
         self.value = EquivariantComplex(inv, YoungGroup.full(r), action,
                                         check=False, arity_bound=max(4, r))
-
-
-def _subcomplex_induced(incl: ChainMap, f: ChainMap, F) -> ChainMap:
-    """Map induced on a subcomplex by an endomorphism preserving it."""
-    from .sparse import solve_matrix
-    sub = incl.source
-    comps = {}
-    for k in sub.dims:
-        img = f.component(k + f.degree * 0) * incl.component(k) \
-            if f.degree == 0 else f.component(k) * incl.component(k)
-        tgt_inc = incl.component(k + f.degree)
-        x = solve_matrix(tgt_inc, img)
-        if x is None:
-            raise ArithmeticError("endomorphism does not preserve subcomplex")
-        if not x.is_zero():
-            comps[k] = x
-    return ChainMap(sub, sub, comps, f.degree, check=False)
 
 
 class KPrimeComonad:
@@ -1316,24 +1201,19 @@ class KPrimeComonad:
         W = comp.sursum.total
         eq = comp.sursum.sigma_n_action()
         group = comp.a.group
-        # a |-> sum_{sigma} sigma . (id, a): strictly invariant
-        from .sparse import solve_matrix
-        # include a at the identity-bijection summand, then average over the
-        # group to land in the invariants
+        # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
+        # the identity-bijection summand, then sum over the group to land in
+        # the invariants
         incl = label_map(a, W, key=lambda lab: (
             "surj", tuple(range(r)), _unit_trees(r) + (lab,)), partial=True)
-        comps = {}
+        norm = {}
         for k in a.dims:
-            incl_id = incl.component(k)
             total = SparseMatrix(W.dim(k), a.dim(k), F)
             for g in group.elements():
-                total = total + eq.action_of(g).component(k) * incl_id
-            x = solve_matrix(comp.inclusion.component(k), total)
-            if x is None:
-                raise ArithmeticError("norm image is not invariant")
-            if not x.is_zero():
-                comps[k] = x
-        return ChainMap(a, comp.value.complex, comps, check=False)
+                total = total + eq.action_of(g).component(k) * incl.component(k)
+            norm[k] = total
+        return factor_through(ChainMap(a, W, norm, check=False),
+                              comp.inclusion)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))
@@ -1353,28 +1233,15 @@ class KPrimeComonad:
         # restrict to invariants: D(inv(W_r)) lies in the gamma-sum of
         # tensors with inv(W_s), and is Sigma_s-invariant; express it in the
         # basis of the outer invariants model through its surjection sum.
-        from .sparse import solve_matrix
-        comps = {}
         conv = _pre_to_outer_invariants(pre, inner, outer, F)
-        for k in comp.value.complex.dims:
-            src_inc = comp.inclusion.component(k)
-            dp = dpre.component(k)
-            img = dp * src_inc  # values in pre.total
-            img2 = conv.component(k) * img
-            x = solve_matrix(outer.inclusion.component(k), img2)
-            if x is None:
-                raise ArithmeticError("K' comultiplication not invariant")
-            if not x.is_zero():
-                comps[k] = x
-        dmap = ChainMap(comp.value.complex, outer.value.complex, comps,
-                        check=True)
+        dmap = factor_through(conv.compose(dpre.compose(comp.inclusion)),
+                              outer.inclusion).validate()
         self.delta[(r, s, n)] = dmap
         self.delta_outer[(r, s, n)] = outer
 
 
 def _unit_trees(r):
-    from . import trees as trees_mod
-    return tuple(("tree", trees_mod.leaf(0)) for _ in range(r))
+    return tuple(("tree", trees.leaf(0)) for _ in range(r))
 
 
 def _pre_to_outer_invariants(pre: _PreTarget, inner: KPrimeComponent,
@@ -1384,7 +1251,6 @@ def _pre_to_outer_invariants(pre: _PreTarget, inner: KPrimeComponent,
 
     Only valid on elements whose W_s-part is strictly invariant; the
     conversion uses the left inverse of the invariants inclusion."""
-    from .sparse import Echelon, solve_matrix
     W_s = pre.inner.total
     inv = inner.value.complex
     inc = inner.inclusion
@@ -1397,30 +1263,8 @@ def _pre_to_outer_invariants(pre: _PreTarget, inner: KPrimeComponent,
         if x is None:
             raise ArithmeticError("invariants inclusion not split")
         left[k] = x.transpose()
-    OW = outer.sursum.total
-    comps = {}
-    for k in pre.total.dims:
-        m = SparseMatrix(OW.dim(k), pre.total.dim(k), F)
-        oidx = OW.label_index(k)
-        for col, lab in enumerate(pre.total.labels[k]):
-            _, gamma, inner_lab = lab
-            trees_part = inner_lab[:-1]
-            wlab = inner_lab[-1]
-            wk, wi = W_s.locate(wlab)
-            lv = left.get(wk)
-            if lv is None:
-                continue
-            for (t, jj), v in lv.entries.items():
-                if jj != wi:
-                    continue
-                row = oidx.get(("surj", gamma,
-                                trees_part + (inv.labels[wk][t],)))
-                if row is None:
-                    continue
-                m.add_to(row, col, v)
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(pre.total, OW, comps, check=False)
+    return slotwise_map(pre.total, outer.sursum.total,
+                        ChainMap(W_s, inv, left, check=False), slot=(2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -1432,7 +1276,6 @@ def nu_component(top_comp: TopComponentModel, kp_comp: KPrimeComponent,
                  w: DegreeWindow) -> ChainMap:
     """The comparison K_r A_n -> K'_r A_n: project the orbit model to strict
     orbits, apply the norm sum, and land in the strict invariants."""
-    from .sparse import solve_matrix
     F = top_comp.field
     if top_comp.kind == "zero":
         return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
@@ -1446,32 +1289,16 @@ def nu_component(top_comp: TopComponentModel, kp_comp: KPrimeComponent,
         for g in group.elements():
             n_mat = n_mat + W_eq.action_of(g).component(k)
         comps_norm[k] = n_mat
-    # factor through the quotient and into the invariants
-    inc = kp_comp.inclusion
+    # factor through the quotient by a unit section, and into the invariants
+    # by a left inverse of their inclusion
+    sec = _unit_section(proj)
     nbar = {}
     for k in q.dims:
-        pm = proj.component(k)
-        sec = {}
-        for (i, j), v in pm.entries.items():
-            if i not in sec and F.is_one(v):
-                sec[i] = j
-        m = SparseMatrix(kp_comp.value.complex.dim(k), q.dim(k), F)
-        nm = comps_norm.get(k)
-        inck = inc.component(k)
-        x = solve_matrix(inck.transpose(),
-                         SparseMatrix.identity(
-                             kp_comp.value.complex.dim(k), F)) \
-            if kp_comp.value.complex.dim(k) else None
-        left = x.transpose() if x is not None else None
-        for i in range(q.dim(k)):
-            j = sec.get(i)
-            img = nm.apply({j: F.one()}) if nm is not None else {}
-            if left is not None:
-                red = left.apply(img)
-                for t, v in red.items():
-                    m.add_to(t, i, v)
-        if not m.is_zero():
-            nbar[k] = m
+        dk = kp_comp.value.complex.dim(k)
+        x = solve_matrix(kp_comp.inclusion.component(k).transpose(),
+                         SparseMatrix.identity(dk, F)) if dk else None
+        if x is not None:
+            nbar[k] = x.transpose() * (comps_norm[k] * sec.component(k))
     nbar_map = ChainMap(q, kp_comp.value.complex, nbar, check=False)
     if top_comp.kind == "collapsed":
         # A_n = strict orbits of W via the collapse; invert the collapse first
@@ -1534,10 +1361,7 @@ def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):
     if comp is None:
         report["pass"] = not a.term(N)
         return report
-    eps = k_value.epsilon(N) if hasattr(k_value, "epsilon") else None
-    if eps is None:
-        eps = ChainMap.identity(comp.value.complex)
-    cn = cone(eps)
+    cn = cone(k_value.epsilon(N))
     dims = cn.homology_dims(w)
     report["cone_homology"] = dims
     report["pass"] = not dims
@@ -1626,49 +1450,9 @@ def kprime_on_map(coop: Cooperad, src_comp: KPrimeComponent,
                   tgt_comp: KPrimeComponent, f: ChainMap) -> ChainMap:
     """K'_r applied to an equivariant map f : B -> B' on the strict
     invariants models."""
-    from .sparse import solve_matrix
-    F = f.field
-    Wsrc, Wtgt = src_comp.sursum, tgt_comp.sursum
-    comps = {}
-    d = f.degree
-    for k in Wsrc.total.dims:
-        for col, lab in enumerate(Wsrc.total.labels[k]):
-            _, alpha, inner = lab
-            tree_labs = inner[:-1]
-            a_lab = inner[-1]
-            fibers = Wsrc.factors[alpha]
-            treedeg = sum(Wsrc.label_degree(len(fb), tl)
-                          for fb, tl in zip(fibers, tree_labs))
-            sgn = F.one() if (d * treedeg) % 2 == 0 else F.neg(F.one())
-            ak, ai = f.source.locate(a_lab)
-            fm = f.component(ak)
-            for (i2, jj), v in fm.entries.items():
-                if jj != ai:
-                    continue
-                new = ("surj", alpha,
-                       tree_labs + (f.target.labels[ak + d][i2],))
-                row = Wtgt.total.label_index(k + d).get(new)
-                if row is None:
-                    continue
-                m = comps.get(k)
-                if m is None:
-                    m = SparseMatrix(Wtgt.total.dim(k + d),
-                                     Wsrc.total.dim(k), F)
-                    comps[k] = m
-                m.add_to(row, col, F.mul(sgn, v))
-    big = ChainMap(Wsrc.total, Wtgt.total, comps, d, check=False)
-    out_comps = {}
-    for k in src_comp.value.complex.dims:
-        img = big.component(k) * src_comp.inclusion.component(k)
-        x = solve_matrix(tgt_comp.inclusion.component(k + d), img)
-        if x is None:
-            raise ArithmeticError("K' functor leaves invariants")
-        if not x.is_zero():
-            out_comps[k] = x
-    out = ChainMap(src_comp.value.complex, tgt_comp.value.complex,
-                   out_comps, d, check=False)
-    out.validate()
-    return out
+    big = _sursum_map(src_comp.sursum, tgt_comp.sursum, f)
+    return factor_through(big.compose(src_comp.inclusion),
+                          tgt_comp.inclusion).validate()
 
 
 def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,

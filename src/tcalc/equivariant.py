@@ -630,34 +630,55 @@ def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow,
 
 
 def slotwise_map(src_model: ChainComplex, tgt_model: ChainComplex,
-                 f: ChainMap, slot=3) -> ChainMap:
+                 f: ChainMap, slot=3, sign=None) -> ChainMap:
     """f applied in one slot of tuple labels, between models built over the
     same labels: the basis vector lab of src_model goes to the sum of
-    c * (lab with lab[slot] replaced by x) over the terms c * x of
-    f(lab[slot]); terms missing from tgt_model are dropped.  The default
-    slot is the w of the orbit and fixed models' ("hG"/"hGf", s, gen, w)
-    labels.  The result is not validated."""
+    sign(lab) * c * (lab with its slot replaced by x) over the terms c * x of
+    f(slot of lab); terms missing from tgt_model are dropped.
+
+    slot is an index, or a tuple path of indices into nested tuple labels;
+    negative indices count from the end.  sign(lab) is +1 or -1 (the Koszul
+    sign of moving f to the slot) and defaults to +1.  The default slot is
+    the w of the orbit and fixed models' ("hG"/"hGf", s, gen, w) labels.  A
+    label without the slot raises ValueError.  The result is not
+    validated."""
+    path = (slot,) if isinstance(slot, int) else tuple(slot)
     F, d = f.field, f.degree
     comps = {}
     for k in src_model.dims:
         tidx = tgt_model.label_index(k + d)
         for col, lab in enumerate(src_model.labels[k]):
-            if len(lab) <= slot:
-                raise ValueError("label %r has no slot %d" % (lab, slot))
-            wk, wi = f.source.locate(lab[slot])
+            wk, wi = f.source.locate(_slot_value(lab, path))
+            neg = sign is not None and sign(lab) < 0
             for (i2, jj), v in f.component(wk).entries.items():
                 if jj != wi:
                     continue
-                new = lab[:slot] + (f.target.labels[wk + d][i2],) + lab[slot + 1:]
-                row = tidx.get(new)
+                row = tidx.get(_with_slot(lab, path,
+                                          f.target.labels[wk + d][i2]))
                 if row is None:
                     continue
                 m = comps.get(k)
                 if m is None:
                     m = SparseMatrix(tgt_model.dim(k + d), src_model.dim(k), F)
                     comps[k] = m
-                m.add_to(row, col, v)
+                m.add_to(row, col, F.neg(v) if neg else v)
     return ChainMap(src_model, tgt_model, comps, d, check=False)
+
+
+def _slot_value(lab, path):
+    x = lab
+    for i in path:
+        if not isinstance(x, tuple) or not -len(x) <= i < len(x):
+            raise ValueError("label %r has no slot %r" % (lab, path))
+        x = x[i]
+    return x
+
+
+def _with_slot(lab, path, new):
+    if not path:
+        return new
+    i = path[0] % len(lab)
+    return lab[:i] + (_with_slot(lab[i], path[1:], new),) + lab[i + 1:]
 
 
 def orbit_projection_to_strict(a: EquivariantComplex, ho: WindowedResult) -> ChainMap:

@@ -20,14 +20,14 @@ from itertools import product as _iterprod
 
 from . import trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, dual, sphere, tensor_many,
-    tensor_map, transport,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, dual, sphere,
+    tensor_many, tensor_map, transport,
 )
 from .equivariant import EquivariantComplex, trivial_action
 from .fields import FieldSpec
 from .perms import (
-    YoungGroup, apply_perm_to_partition, refines, set_partitions,
-    transposition,
+    YoungGroup, apply_perm_to_partition, quotient_partition, refines,
+    restrict_partition, set_partitions, transposition,
 )
 from .sparse import SparseMatrix
 
@@ -124,7 +124,6 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
             summands.append((part, tensor_many(factors), factors))
         if not summands:
             continue
-        from .chain import direct_sum
         total = direct_sum([c for _, c, _ in summands])
         relabeled = {}
         offset_of = {}
@@ -696,7 +695,6 @@ def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
     induced partition of fine's blocks.  Route B: split along `coarse`, then
     split each lower factor along the restriction of `fine`; then reorder so
     both land in T(upper') (x) (x)_j T(mid_j) (x) (x)_c T(c)."""
-    from .perms import quotient_partition, restrict_partition
     F = coop.field
     if not refines(fine, coarse):
         raise ValueError("fine must refine coarse")

@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 
 from .chain import ChainComplex, ChainMap, DegreeWindow
+from .coalgebras import TruncatedCoalgebra
 from .equivariant import EquivariantComplex
 from .fields import FieldSpec, field_from_name
 from .operads import SymmetricSequence
 from .perms import YoungGroup
 from .sparse import SparseMatrix
+from .tower import CosimplicialComplex
 
 
 def _label_to_json(lab):
@@ -160,7 +162,6 @@ def coalgebra_to_json(c):
 
 
 def coalgebra_from_json(doc):
-    from .coalgebras import TruncatedCoalgebra
     seq = sequence_from_json(doc["sequence"])
     w = window_from_json(doc["window"])
     shell = TruncatedCoalgebra(doc["source"], seq, w, {})
@@ -186,7 +187,6 @@ def cosimplicial_to_json(x):
 
 
 def cosimplicial_from_json(doc):
-    from .tower import CosimplicialComplex
     levels = [chain_from_json(lv) for lv in doc["levels"]]
     cofaces, codegens = {}, {}
     for key, fdoc in doc.get("coface", {}).items():

@@ -4,9 +4,9 @@ import pytest
 
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, count_maps_mod_homotopy,
-    direct_sum, dual, hom_complex, homotopy_between, is_quasi_iso,
-    label_map, nullhomotopy, realize_homology_iso, shift, sphere, tensor,
-    tensor_map, transport, zero_complex,
+    direct_sum, dual, factor_through, hom_complex, homotopy_between,
+    is_quasi_iso, label_map, nullhomotopy, realize_homology_iso, shift,
+    sphere, tensor, tensor_map, transport, zero_complex,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, field_from_name
 from tcalc.sparse import Echelon, SparseMatrix, nullspace, rank, solve, solve_matrix
@@ -323,6 +323,33 @@ def test_label_map_strict_and_partial():
                   key=lambda lab: ("t", lab), partial=True)
     assert g.component(0).entries == {(0, 0): 1}
     assert g.component(1).entries == {(0, 0): 1}
+
+
+def test_factor_through_subcomplex():
+    # D: e -> v, plus a cycle e' and a vertex v'; S = span(e, v) inside D
+    d = _labelled(QQ, {0: ("v", "v2"), 1: ("e", "e2")},
+                  {1: SparseMatrix.from_rows([[1, 0], [0, 0]], QQ)})
+    s = _labelled(QQ, {0: ("v",), 1: ("e",)},
+                  {1: SparseMatrix.from_rows([[1]], QQ)})
+    incl = label_map(s, d).validate()
+    # 2 id_D restricted to S
+    twice = ChainMap.identity(d).scale(QQ.coerce(2))
+    x = factor_through(twice.compose(incl), incl).validate()
+    assert x.source is s and x.target is s
+    assert x.component(0) == x.component(1) == SparseMatrix.from_rows(
+        [[2]], QQ)
+    # e -> e2 leaves S
+    with pytest.raises(ArithmeticError):
+        factor_through(ChainMap(s, d, {1: SparseMatrix.from_rows(
+            [[0], [1]], QQ)}, check=False), incl)
+    # a degree -1 map x -> v from a sphere in degree 1
+    pt = sphere(QQ, 1, label="x")
+    g = ChainMap(pt, d, {1: SparseMatrix.from_rows([[1], [0]], QQ)},
+                 degree=-1)
+    y = factor_through(g, incl).validate()
+    assert y.degree == -1 and y.component(1) == SparseMatrix.from_rows(
+        [[1]], QQ)
+    assert incl.compose(y).components == g.components
 
 
 def test_transport_target_drops_missing_labels():

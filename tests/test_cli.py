@@ -114,6 +114,35 @@ def test_usage_errors(tmp_path, capsys):
     assert "usage" in err2
 
 
+def assert_usage_error(capsys, *argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_top_level_array_is_usage_error(tmp_path, capsys):
+    p = write(tmp_path, "arr.json", [1, 2])
+    assert_usage_error(capsys, "cobar", "--site", "S0", p)
+    assert_usage_error(capsys, "classify", "--variant", "sp_sp_2",
+                       "--window", "0:1", p)
+
+
+def test_dims_list_is_usage_error(tmp_path, capsys):
+    doc = serialize.equivariant_to_json(triv(F2, 2))
+    doc["dims"] = [1]
+    p = write(tmp_path, "dims.json", doc)
+    assert_usage_error(capsys, "tate", "--window", "-1:1", p)
+
+
+def test_out_of_range_entry_is_usage_error(tmp_path, capsys):
+    doc = serialize.chain_to_json(sphere(F2, 0))
+    doc["dims"]["1"] = 1
+    doc["diff"] = {"1": [[5, 0, "1"]]}
+    p = write(tmp_path, "oor.json", doc)
+    assert_usage_error(capsys, "homology", p)
+
+
 def test_classify_cli(tmp_path, capsys):
     doc = {"a1": serialize.chain_to_json(sphere(F2, 0)),
            "a2": serialize.equivariant_to_json(triv(F2, 2))}

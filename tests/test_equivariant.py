@@ -312,3 +312,13 @@ def test_slotwise_map_on_orbit_labels():
     h = slotwise_map(model, low, f)
     assert set(h.components) == {0, 1}
     assert h.component(1) == g.component(1)
+    # a nested slot given as a path, with a sign on the "odd" labels
+    nest = ChainComplex(F3, {0: 4}, labels={0: tuple(
+        ("x", (par, lab)) for par in ("even", "odd") for lab in ("w1", "w2"))})
+    s = slotwise_map(nest, nest, f, slot=(1, -1),
+                     sign=lambda lab: -1 if lab[1][0] == "odd" else 1)
+    assert s.component(0) == SparseMatrix.from_rows(
+        [[0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 2], [0, 0, 2, 1]], F3)
+    for bad in ((1, 2), (0, 0)):
+        with pytest.raises(ValueError):
+            slotwise_map(nest, nest, f, slot=bad)

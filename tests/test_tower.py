@@ -12,6 +12,7 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, representable_module,
     trivial_coalgebra,
 )
+from tcalc.comonads import SpComponentModel
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.operads import SymmetricSequence
@@ -20,7 +21,7 @@ from tcalc.sparse import SparseMatrix
 from tcalc.tower import (
     CosimplicialComplex, bk_e1, box_product, cobar, constant_cosimplicial,
     derived_hom, einf_dims, fat_tot, lemma_ij_check, p_n, simplex_cosimplicial,
-    tower_map,
+    sp_component_on_map, tower_map,
 )
 
 
@@ -234,6 +235,19 @@ def test_derived_hom_unit():
     c1 = trivial_coalgebra("sp", A1, w)
     r = derived_hom(c1, c1, w)
     assert r["h0"] == 1
+
+
+def test_sp_component_on_odd_map():
+    # K_r(f) on the Tate model cone(N): an odd f picks up the sign
+    # (-1)^{|f|} on the cone's shifted source part (and on an l3 edge)
+    c = direct_sum([sphere(QQ, 0, label="a0"), sphere(QQ, 1, label="a1")])
+    f = ChainMap(c, c, {1: SparseMatrix.from_rows([[1]], QQ)}, degree=-1)
+    for n in (2, 3):
+        a = trivial_action(c, YoungGroup.full(n))
+        for r in range(1, n):
+            model = SpComponentModel(a, r, DegreeWindow(0, 2))
+            kf = sp_component_on_map(model, model, f)  # validates
+            assert kf.degree == -1 and not kf.is_zero()
 
 
 def test_derived_hom_cofree_collapse():
