@@ -12,7 +12,14 @@ Conventions fixed once for the whole package:
 * basis labels are unique within a complex, across all its degrees, and are
   set once at construction.  Maps between complexes that share labels are
   built by label lookup: `label_map` for the map matching two bases, and
-  `transport` for carrying a map onto label-equal complexes.
+  `transport` for carrying a map onto label-equal complexes;
+* a subcomplex is the span of chosen independent vectors in each degree
+  (`subcomplex`, returned with its inclusion), and a quotient keeps the
+  coordinates that are not pivots of the echelon form of its relations
+  (`quotient`, returned with its projection).  A map into a subcomplex is
+  `factor_through(g, incl)`; a map out of a quotient is read off on the kept
+  coordinates, a `label_map` from the quotient back to the coordinates its
+  labels name, composed with the map.
 """
 
 from __future__ import annotations
@@ -606,6 +613,75 @@ def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
                                   % (k + d))
         comps[k] = x
     return ChainMap(g.source, incl.source, comps, d, check=False)
+
+
+def subcomplex(c: ChainComplex, basis, label):
+    """(sub, incl) for the span of the independent column vectors basis[k]
+    of c_k, the i-th of them labelled label(k, i).  The differential is
+    solved back into the span vector by vector; ArithmeticError when d
+    leaves it.  Nothing is validated."""
+    F = c.field
+    basis = {k: b for k, b in basis.items() if b}
+    incl = {k: SparseMatrix.from_columns(b, c.dim(k), F)
+            for k, b in basis.items()}
+    diff = {}
+    for k, b in basis.items():
+        below = incl.get(k - 1)
+        if below is None:
+            continue
+        m = SparseMatrix(below.cols, len(b), F)
+        dk = c.d(k)
+        for j, z in enumerate(b):
+            x = solve(below, dk.apply(z))
+            if x is None:
+                raise ArithmeticError("differential leaves the subcomplex in "
+                                      "degree %d" % k)
+            for i, v in x.items():
+                m[i, j] = v
+        diff[k] = m
+    sub = ChainComplex(F, {k: len(b) for k, b in basis.items()}, diff,
+                       {k: tuple(label(k, i) for i in range(len(b)))
+                        for k, b in basis.items()}, check=False)
+    return sub, ChainMap(sub, c, incl, check=False)
+
+
+def quotient(c: ChainComplex, relations, label):
+    """(q, proj) for c modulo the span of the sparse vectors relations[k] of
+    c_k.  q keeps the coordinates j that are not pivots of the relations'
+    echelon form, labelled label(k, j); proj and the differential of q
+    reduce against the relations.  Nothing is validated."""
+    F = c.field
+    one = F.one()
+    dims, labels, pmats, kept = {}, {}, {}, {}
+    for k in c.support():
+        n = c.dim(k)
+        ech = Echelon(SparseMatrix.from_sparse_rows(relations.get(k, []), n,
+                                                    F))
+        piv = set(ech.pivot_cols)
+        keep = [j for j in range(n) if j not in piv]
+        if keep:
+            dims[k] = len(keep)
+            labels[k] = tuple(label(k, j) for j in keep)
+        pmat = SparseMatrix(len(keep), n, F)
+        for j in range(n):
+            red = ech.reduce_vector({j: one})
+            for t, kj in enumerate(keep):
+                v = red.get(kj)
+                if v is not None:
+                    pmat[t, j] = v
+        pmats[k], kept[k] = pmat, keep
+    diff = {}
+    for k in dims:
+        if not dims.get(k - 1):
+            continue
+        m = SparseMatrix(dims[k - 1], dims[k], F)
+        dk = c.d(k)
+        for jj, j in enumerate(kept[k]):
+            for i, v in pmats[k - 1].apply(dk.apply({j: one})).items():
+                m[i, jj] = v
+        diff[k] = m
+    q = ChainComplex(F, dims, diff, labels, check=False)
+    return q, ChainMap(c, q, {k: pmats[k] for k in dims}, check=False)
 
 
 def shift(c: ChainComplex, d: int) -> ChainComplex:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from itertools import product
 
 from .chain import (
-    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, cone,
-    count_maps_mod_homotopy, direct_sum, hom_complex, homology_coordinates,
-    homotopy_between, label_map, nullhomotopy, shift, shift_map, sphere,
-    summand_inclusion, summand_projection, tensor, transport,
+    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, cone, direct_sum,
+    hom_complex, homology_coordinates, homotopy_between, label_map,
+    nullhomotopy, shift, shift_map, summand_inclusion, summand_projection,
+    transport,
 )
 from .coalgebras import (
     FinitePointedSet, psi_from_theta, representable_module, truncate_coalgebra,
@@ -22,7 +22,7 @@ from .coalgebras import (
 from .comonads import SpComponentModel, equivariant_tensor, l3_complex
 from .equivariant import (
     EquivariantComplex, homotopy_orbits, is_free, permutation_module,
-    strict_orbits, tate, tensor_power, trivial_action,
+    strict_orbits, tate, tensor_power,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, transposition

@@ -38,11 +38,6 @@ class UsageError(Exception):
     pass
 
 
-class ValidationFailure(Exception):
-    def __init__(self, payload):
-        self.payload = payload
-
-
 def _load_doc(path):
     try:
         with open(path) as f:

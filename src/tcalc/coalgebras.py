@@ -10,23 +10,22 @@ stored chain-homotopy witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .chain import (
-    ChainHomotopy, ChainMap, DegreeWindow, cone, homotopy_between, label_map,
-    sphere, tensor_many, transport,
+    ChainHomotopy, ChainMap, DegreeWindow, label_map, tensor_many, transport,
 )
 from .comonads import (
-    KPrimeComonad, SpComonad, TopComonad, TopComponentModel, nu_component,
-    top_component_on_map, _rebuild_like, _unit_trees,
+    KPrimeComonad, SpComonad, TopComonad, nu_component, top_component_on_map,
+    _rebuild_like,
 )
-from .equivariant import EquivariantComplex, is_free, permutation_module
+from .equivariant import permutation_module
 from .fields import FieldSpec
 from .operads import (
     Operad, RightModule, SymmetricSequence, compositions_of_bounded,
-    spectral_lie, tree_cooperad, validate_right_module,
+    spectral_lie, validate_right_module,
 )
-from .perms import YoungGroup, all_surjections, surjection_fibers, transposition
+from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix, rank
 
 

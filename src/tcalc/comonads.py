@@ -23,60 +23,21 @@ componentwise by the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from . import trees
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, factor_through,
-    label_map, shift, sphere, tensor, tensor_many, tensor_map,
+    label_map, tensor, tensor_many, tensor_map,
 )
 from .equivariant import (
-    EquivariantComplex, WindowedResult, homotopy_fixed, homotopy_orbits,
-    is_free, norm_map, slotwise_map, strict_fixed, strict_orbits, tate,
-    tensor_power, trivial_action,
+    EquivariantComplex, WindowedResult, homotopy_orbits, is_free, slotwise_map,
+    strict_fixed, strict_orbits, tate,
 )
 from .operads import Cooperad, SymmetricSequence, tree_cooperad
 from .perms import (
-    YoungGroup, all_surjections, compose, identity_perm, inverse,
-    partition_of_surjection, perm_sign, surjection_fibers, transposition,
+    YoungGroup, all_surjections, compose, inverse, surjection_fibers,
+    transposition,
 )
 from .sparse import SparseMatrix, solve_matrix
-
-
-# ---------------------------------------------------------------------------
-# Surjection bookkeeping
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SurjectionChain:
-    """A chain of surjections r_t ->> ... ->> r_0, stored with the
-    lexicographically least representative of its equivalence class.
-
-    maps[i] is the surjection r_{i+1} ->> r_i (as an image tuple)."""
-
-    arities: tuple
-    maps: tuple
-
-    @classmethod
-    def of_pair(cls, alpha, beta):
-        """The class of n ->> s ->> r with alpha: n ->> s, beta: s ->> r."""
-        n, s = len(alpha), len(beta)
-        r = max(beta) + 1
-        return cls((r, s, n), (surjection_orbit_rep(beta),
-                               surjection_orbit_rep(alpha)))
-
-
-def surjection_orbit_rep(alpha):
-    """Least representative under relabeling of the target by first
-    occurrence; classifies Sigma-orbits of surjections."""
-    seen = {}
-    out = []
-    for v in alpha:
-        if v not in seen:
-            seen[v] = len(seen)
-        out.append(seen[v])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +196,6 @@ class SurjectionSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ComponentValue:
-    """K_r A_n as an equivariant complex with a certified window."""
-
-    value: EquivariantComplex        # carries the Sigma_r action
-    window: DegreeWindow
-    exact: bool
-    tag: str
-
-    @property
-    def complex(self):
-        return self.value.complex
-
-    def windowed(self) -> WindowedResult:
-        return WindowedResult(self.complex, self.window, self.tag, self.exact)
-
-
 def equivariant_tensor(a: EquivariantComplex, b: EquivariantComplex) -> EquivariantComplex:
     """Tensor of two complexes over the same group, diagonal action."""
     if a.group != b.group:
@@ -263,28 +207,6 @@ def equivariant_tensor(a: EquivariantComplex, b: EquivariantComplex) -> Equivari
         action[gi] = ChainMap(t, t, f.components, check=False)
     return EquivariantComplex(t, a.group, action, check=False,
                               arity_bound=max(4, a.group.degree))
-
-
-def direct_sum_equivariant(parts, group: YoungGroup) -> EquivariantComplex:
-    """Direct sum of equivariant complexes over the same group."""
-    parts = list(parts)
-    total = direct_sum([p.complex for p in parts])
-    F = parts[0].field
-    action = {}
-    for gi in group.generator_positions():
-        comps = {}
-        for k in total.dims:
-            comps[k] = SparseMatrix(total.dim(k), total.dim(k), F)
-        for k in total.dims:
-            roff = 0
-            for p in parts:
-                m = p.action[gi].component(k)
-                for (i, j), v in m.entries.items():
-                    comps[k][roff + i, roff + j] = v
-                roff += p.complex.dim(k)
-        action[gi] = ChainMap(total, total, comps, check=False)
-    return EquivariantComplex(total, group, action, check=False,
-                              arity_bound=max(4, group.degree))
 
 
 def l3_complex(field) -> EquivariantComplex:
@@ -507,24 +429,14 @@ def _unit_section(proj: ChainMap) -> ChainMap:
     return ChainMap(q, W, comps, check=False)
 
 
-def coaugment_invariants(sub_incl: ChainMap, fixed_model: ChainComplex,
-                         F) -> ChainMap:
+def coaugment_invariants(sub_incl: ChainMap,
+                         fixed_model: ChainComplex) -> ChainMap:
     """Strict invariants -> homotopy fixed model, via the degree-0 slot.
 
     sub_incl : invariants -> W is the inclusion of the invariant subcomplex;
     an invariant element x maps to the functional f(gen_0, g) = g.x = x."""
-    W = sub_incl.target
-    comps = {}
-    for k in sub_incl.source.dims:
-        m = SparseMatrix(fixed_model.dim(k), sub_incl.source.dim(k), F)
-        tidx = fixed_model.label_index(k)
-        for (i, j), v in sub_incl.component(k).entries.items():
-            row = tidx.get(("hGf", 0, 0, W.labels[k][i]))
-            if row is not None:
-                m.add_to(row, j, v)
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(sub_incl.source, fixed_model, comps, check=False)
+    return label_map(sub_incl.target, fixed_model, partial=True,
+                     key=lambda lab: ("hGf", 0, 0, lab)).compose(sub_incl)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +795,7 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
     if s == n or s == r:
         # collapsed inner or outer: the comultiplication is the identity
         return comp, ChainMap.identity(comp.value.complex), comp
-    pre = _PreTarget(coop, SurjectionSum(coop, term, s), r)
+    pre = _PreTarget(coop, inner.sursum, r)
     dpre = top_delta_on_sums(coop, comp.sursum, pre)
     if comp.kind == "strict" and inner.kind == "strict":
         if outer is None:
@@ -1170,25 +1082,11 @@ class KPrimeComonad:
         comp = self.components.get((r, r))
         if comp is None:
             return None
-        F = self.field
-        a = comp.a.complex
-        W = comp.sursum.total
         idb = tuple(range(r))
-        comps = {}
-        for k in comp.value.complex.dims:
-            m = SparseMatrix(a.dim(k), comp.value.complex.dim(k), F)
-            inc = comp.inclusion.component(k)
-            for (i, j), v in inc.entries.items():
-                lab = W.labels[k][i]
-                _, beta, inner = lab
-                if beta != idb:
-                    continue
-                a_lab = inner[-1]
-                ai = a.label_index(k)[a_lab]
-                m.add_to(ai, j, v)
-            if not m.is_zero():
-                comps[k] = m
-        return ChainMap(comp.value.complex, a, comps, check=False)
+        at_id = label_map(
+            comp.sursum.total, comp.a.complex, partial=True,
+            key=lambda lab: lab[2][-1] if lab[1] == idb else None)
+        return at_id.compose(comp.inclusion)
 
     def epsilon_section(self, r) -> ChainMap | None:
         """The canonical section A_r -> K'_r A_r: a |-> sum over the orbit of
@@ -1204,8 +1102,7 @@ class KPrimeComonad:
         # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
         # the identity-bijection summand, then sum over the group to land in
         # the invariants
-        incl = label_map(a, W, key=lambda lab: (
-            "surj", tuple(range(r)), _unit_trees(r) + (lab,)), partial=True)
+        incl = label_map(a, W, key=_identity_slot(r), partial=True)
         norm = {}
         for k in a.dims:
             total = SparseMatrix(W.dim(k), a.dim(k), F)
@@ -1240,8 +1137,12 @@ class KPrimeComonad:
         self.delta_outer[(r, s, n)] = outer
 
 
-def _unit_trees(r):
-    return tuple(("tree", trees.leaf(0)) for _ in range(r))
+def _identity_slot(r):
+    """Key sending a label of A to its copy (id, units, a) in the
+    identity-bijection summand of W(A, r)."""
+    idb = tuple(range(r))
+    units = tuple(("tree", trees.leaf(0)) for _ in range(r))
+    return lambda lab: ("surj", idb, units + (lab,))
 
 
 def _pre_to_outer_invariants(pre: _PreTarget, inner: KPrimeComponent,
@@ -1300,53 +1201,19 @@ def nu_component(top_comp: TopComponentModel, kp_comp: KPrimeComponent,
         if x is not None:
             nbar[k] = x.transpose() * (comps_norm[k] * sec.component(k))
     nbar_map = ChainMap(q, kp_comp.value.complex, nbar, check=False)
+    W = W_eq.complex
     if top_comp.kind == "collapsed":
-        # A_n = strict orbits of W via the collapse; invert the collapse first
-        iota = top_comp.iota()        # W -> A_n (the collapse)
-        # section of the collapse: a |-> (id, units, a)
-        W = top_comp.sursum.total
-        a = top_comp.a.complex
-        r = top_comp.r
-        comps = {}
-        for k in a.dims:
-            m = SparseMatrix(q.dim(k), a.dim(k), F)
-            pm = proj.component(k)
-            widx = W.label_index(k)
-            for j, a_lab in enumerate(a.labels[k]):
-                i = widx.get(("surj", tuple(range(r)), _unit_trees(r) + (a_lab,)))
-                if i is None:
-                    continue
-                red = pm.apply({i: F.one()})
-                for t, v in red.items():
-                    m.add_to(t, j, v)
-            comps[k] = m
-        to_q = ChainMap(a, q, comps, check=False)
-        out = nbar_map.compose(to_q)
-        out.validate()
-        return out
-    if top_comp.kind == "strict":
-        out = nbar_map.compose(label_map(top_comp.value.complex, q))
-        out.validate()
-        return out
-    # windowed: orbit model -> strict orbits via the degree-0 slot
-    model = top_comp.value.complex
-    comps = {}
-    for k in model.dims:
-        if k not in q.dims:
-            continue
-        m = SparseMatrix(q.dim(k), model.dim(k), F)
-        pm = proj.component(k)
-        for col, lab in enumerate(model.labels[k]):
-            tag, sslot, gen, wlab = lab
-            if sslot != 0:
-                continue
-            wi = W_eq.complex.label_index(k)[wlab]
-            red = pm.apply({wi: F.one()})
-            for t, v in red.items():
-                m.add_to(t, col, v)
-        if not m.is_zero():
-            comps[k] = m
-    to_q = ChainMap(model, q, comps, check=False)
+        # A_n = strict orbits of W via the collapse; invert the collapse
+        # first, a |-> (id, units, a)
+        to_q = proj.compose(label_map(top_comp.a.complex, W, partial=True,
+                                      key=_identity_slot(top_comp.r)))
+    elif top_comp.kind == "strict":
+        to_q = label_map(top_comp.value.complex, q)
+    else:
+        # windowed: orbit model -> strict orbits via the degree-0 slot
+        to_q = proj.compose(label_map(
+            top_comp.value.complex, W, partial=True,
+            key=lambda lab: lab[3] if lab[1] == 0 else None))
     out = nbar_map.compose(to_q)
     out.validate()
     return out

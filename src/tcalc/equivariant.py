@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, quotient,
+    subcomplex, tensor_many,
 )
 from .fields import FieldSpec
-from .perms import (
-    YoungGroup, compose, identity_perm, inverse, perm_sign, transposition,
-)
-from .sparse import Echelon, SparseMatrix, nullspace, solve
+from .perms import YoungGroup, compose, identity_perm, inverse, transposition
+from .sparse import SparseMatrix, nullspace
 
 
 ARITY_BOUND_DEFAULT = 4
@@ -341,43 +340,16 @@ def strict_fixed(a: EquivariantComplex):
     F = a.field
     c = a.complex
     gens = _generator_maps(a)
-    dims, labels, incl = {}, {}, {}
-    basis_by_deg = {}
+    basis = {}
     for k in c.support():
         n = c.dim(k)
-        rows = []
-        for g in gens:
-            m = g.component(k) - SparseMatrix.identity(n, F)
-            rows.append(m)
-        if rows:
-            basis = nullspace(SparseMatrix.vstack(rows))
+        if gens:
+            ident = SparseMatrix.identity(n, F)
+            basis[k] = nullspace(SparseMatrix.vstack(
+                [g.component(k) - ident for g in gens]))
         else:
-            basis = [{i: F.one()} for i in range(n)]
-        if basis:
-            dims[k] = len(basis)
-            labels[k] = tuple(("fix", k, i) for i in range(len(basis)))
-            basis_by_deg[k] = basis
-    diff = {}
-    for k in dims:
-        if not dims.get(k - 1):
-            continue
-        # d restricted to invariants, expressed in the invariant basis
-        below = basis_by_deg[k - 1]
-        mat_below = SparseMatrix.from_columns(below, c.dim(k - 1), F)
-        m = SparseMatrix(len(below), dims[k], F)
-        for j, z in enumerate(basis_by_deg[k]):
-            img = c.d(k).apply(z)
-            x = solve(mat_below, img)
-            if x is None:
-                raise ArithmeticError("differential does not preserve invariants")
-            for i, v in x.items():
-                m[i, j] = v
-        diff[k] = m
-    out = ChainComplex(F, dims, diff, labels, check=False)
-    comps = {k: SparseMatrix.from_columns(basis, c.dim(k), F)
-             for k, basis in basis_by_deg.items()}
-    inclusion = ChainMap(out, c, comps, check=False)
-    return out, inclusion
+            basis[k] = [{i: F.one()} for i in range(n)]
+    return subcomplex(c, basis, lambda k, i: ("fix", k, i))
 
 
 def strict_orbits(a: EquivariantComplex):
@@ -385,52 +357,12 @@ def strict_orbits(a: EquivariantComplex):
     F = a.field
     c = a.complex
     gens = _generator_maps(a)
-    dims, labels, projs = {}, {}, {}
+    relations = {}
     for k in c.support():
-        n = c.dim(k)
-        rows = []
-        for g in gens:
-            m = g.component(k) - SparseMatrix.identity(n, F)
-            for j in range(n):
-                col = {i: v for (i, jj), v in m.entries.items() if jj == j}
-                if col:
-                    rows.append(col)
-        # quotient by span(rows): echelon of rows; non-pivot coords give basis
-        ech = Echelon(SparseMatrix.from_sparse_rows(rows, n, F))
-        piv = set(ech.pivot_cols)
-        free = [j for j in range(n) if j not in piv]
-        if free:
-            dims[k] = len(free)
-            labels[k] = tuple(("orb", k, c.labels[k][j]) for j in free)
-        # projection: e_j -> reduce e_j, then read off free coordinates
-        pmat = SparseMatrix(len(free), n, F)
-        for j in range(n):
-            red = ech.reduce_vector({j: F.one()})
-            for t, fj in enumerate(free):
-                v = red.get(fj)
-                if v is not None:
-                    pmat[t, j] = v
-        projs[k] = (pmat, free)
-    diff = {}
-    for k in dims:
-        if not dims.get(k - 1):
-            continue
-        pmat_below, free_below = projs[k - 1]
-        _, free_here = projs[k]
-        m = SparseMatrix(len(free_below), dims[k], F)
-        dmat = c.d(k)
-        for jj, j in enumerate(free_here):
-            img = dmat.apply({j: F.one()})
-            red = pmat_below.apply(img)
-            for i, v in red.items():
-                m[i, jj] = v
-        diff[k] = m
-    out = ChainComplex(F, dims, diff, labels, check=False)
-    comps = {}
-    for k in out.dims:
-        comps[k] = projs[k][0]
-    projection = ChainMap(c, out, comps, check=False)
-    return out, projection
+        ident = SparseMatrix.identity(c.dim(k), F)
+        relations[k] = [col for g in gens
+                        for col in (g.component(k) - ident).nonzero_columns()]
+    return quotient(c, relations, lambda k, j: ("orb", k, c.labels[k][j]))
 
 
 def is_free(a: EquivariantComplex) -> bool:
@@ -463,11 +395,6 @@ def is_free(a: EquivariantComplex) -> bool:
 # ---------------------------------------------------------------------------
 # Homotopy orbits / fixed points / norm / Tate
 # ---------------------------------------------------------------------------
-
-
-def _orbit_stage(a: EquivariantComplex, res: GroupResolution, s: int):
-    """A (x)_{kG} F_s  ~  A^{ranks[s]}; returns the action-translation data."""
-    return res.ranks[s]
 
 
 def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow,
@@ -679,30 +606,6 @@ def _with_slot(lab, path, new):
         return new
     i = path[0] % len(lab)
     return lab[:i] + (_with_slot(lab[i], path[1:], new),) + lab[i + 1:]
-
-
-def orbit_projection_to_strict(a: EquivariantComplex, ho: WindowedResult) -> ChainMap:
-    """The chain map (A (x)_{kG} F)  ->  A_G induced by the augmentation."""
-    F = a.field
-    strict, proj = strict_orbits(a)
-    comps = {}
-    src = ho.complex
-    for k in src.dims:
-        m = SparseMatrix(strict.dim(k), src.dim(k), F)
-        for col, lab in enumerate(src.labels[k]):
-            _, s, gen, alab = lab
-            if s != 0:
-                continue
-            i = a.complex.label_index(k).get(alab)
-            if i is None:
-                continue
-            pm = proj.component(k)
-            for (r, jj), v in pm.entries.items():
-                if jj == i:
-                    m.add_to(r, col, v)
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(src, strict, comps, check=False)
 
 
 def norm_map(a: EquivariantComplex, w: DegreeWindow,

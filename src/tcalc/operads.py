@@ -20,8 +20,8 @@ from itertools import product as _iterprod
 
 from . import trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, dual, sphere,
-    tensor_many, tensor_map, transport,
+    ChainComplex, ChainMap, direct_sum, dual, sphere, tensor_many, tensor_map,
+    transport,
 )
 from .equivariant import EquivariantComplex, trivial_action
 from .fields import FieldSpec

@@ -15,7 +15,7 @@ import json
 from .chain import ChainComplex, ChainMap, DegreeWindow
 from .coalgebras import TruncatedCoalgebra
 from .equivariant import EquivariantComplex
-from .fields import FieldSpec, field_from_name
+from .fields import field_from_name
 from .operads import SymmetricSequence
 from .perms import YoungGroup
 from .sparse import SparseMatrix

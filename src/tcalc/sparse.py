@@ -86,6 +86,13 @@ class SparseMatrix:
             off += m.rows
         return out
 
+    def nonzero_columns(self):
+        """The nonzero columns, left to right, as {row: scalar} vectors."""
+        cols = {}
+        for (i, j), v in self.entries.items():
+            cols.setdefault(j, {})[i] = v
+        return [cols[j] for j in sorted(cols)]
+
     def copy(self):
         m = SparseMatrix(self.rows, self.cols, self.field)
         m.entries = dict(self.entries)
@@ -486,11 +493,3 @@ def solve_matrix(m: SparseMatrix, b: SparseMatrix):
         return None
     return x
 
-
-def column_space_echelon(m: SparseMatrix) -> Echelon:
-    """Echelon of the transpose: row space of m^T = column space of m."""
-    return Echelon(m.transpose())
-
-
-def in_column_space(ech: Echelon, vec: dict) -> bool:
-    return not ech.reduce_vector(vec)

@@ -16,8 +16,8 @@ from itertools import combinations
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, factor_through,
     hom_complex, hom_element_to_map, homotopy_between, is_quasi_iso, label_map,
-    map_to_hom_element, shift, summand_inclusion, summand_projection, tensor,
-    tensor_map, transport,
+    map_to_hom_element, quotient, shift, subcomplex, summand_inclusion,
+    summand_projection, tensor, tensor_map, transport,
 )
 from .coalgebras import (
     FinitePointedSet, _model_transport, injections, truncate_coalgebra,
@@ -31,7 +31,7 @@ from .equivariant import (
     slotwise_map, strict_fixed, trivial_action,
 )
 from .perms import YoungGroup, all_surjections, transposition
-from .sparse import Echelon, SparseMatrix, nullspace, solve
+from .sparse import Echelon, SparseMatrix, nullspace
 
 
 class CosimplicialComplex:
@@ -156,37 +156,14 @@ def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
 
 def conormalized_level(x: CosimplicialComplex, m):
     """(subcomplex N^m = joint kernel of the codegeneracies, inclusion)."""
-    F = x.field
     lv = x.levels[m]
     sigmas = [x.codegens[(m, j)] for j in range(m) if (m, j) in x.codegens]
     if not sigmas:
         return lv, ChainMap.identity(lv)
-    dims, labels, basis_by_deg = {}, {}, {}
-    for k in lv.support():
-        basis = nullspace(SparseMatrix.vstack([f.component(k) for f in sigmas]))
-        if basis:
-            dims[k] = len(basis)
-            labels[k] = tuple(("norm", m, k, i) for i in range(len(basis)))
-            basis_by_deg[k] = basis
-    diff = {}
-    for k in dims:
-        if not dims.get(k - 1):
-            continue
-        below = basis_by_deg[k - 1]
-        mat_below = SparseMatrix.from_columns(below, lv.dim(k - 1), F)
-        mm = SparseMatrix(len(below), dims[k], F)
-        for j, z in enumerate(basis_by_deg[k]):
-            img = lv.d(k).apply(z)
-            xsol = solve(mat_below, img)
-            if xsol is None:
-                raise ArithmeticError("differential leaves the conormalization")
-            for i, v in xsol.items():
-                mm[i, j] = v
-        diff[k] = mm
-    sub = ChainComplex(F, dims, diff, labels, check=False)
-    comps = {k: SparseMatrix.from_columns(basis, lv.dim(k), F)
-             for k, basis in basis_by_deg.items()}
-    return sub, ChainMap(sub, lv, comps, check=False)
+    basis = {k: nullspace(SparseMatrix.vstack([f.component(k)
+                                               for f in sigmas]))
+             for k in lv.support()}
+    return subcomplex(lv, basis, lambda k, i: ("norm", m, k, i))
 
 
 def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
@@ -263,53 +240,6 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-class _Quotient:
-    """Quotient of a complex by the span of given vectors, with projection."""
-
-    def __init__(self, c: ChainComplex, spans):
-        F = c.field
-        self.source = c
-        dims, labels = {}, {}
-        projs = {}
-        for k in c.support():
-            rows = [dict(v) for v in spans.get(k, [])]
-            ech = Echelon(SparseMatrix.from_sparse_rows(rows, c.dim(k), F)) \
-                if rows else None
-            piv = set(ech.pivot_cols) if ech else set()
-            free = [j for j in range(c.dim(k)) if j not in piv]
-            if free:
-                dims[k] = len(free)
-                labels[k] = tuple(("q", k, i) for i in range(len(free)))
-            pmat = SparseMatrix(len(free), c.dim(k), F)
-            for j in range(c.dim(k)):
-                red = ech.reduce_vector({j: F.one()}) if ech else {j: F.one()}
-                for t, fj in enumerate(free):
-                    v = red.get(fj)
-                    if v is not None:
-                        pmat[t, j] = v
-            projs[k] = (pmat, free)
-        diff = {}
-        for k in dims:
-            if not dims.get(k - 1):
-                continue
-            pm_b, _ = projs[k - 1]
-            _, free_h = projs[k]
-            m = SparseMatrix(pm_b.rows, dims[k], F)
-            dmat = c.d(k)
-            for jj, j in enumerate(free_h):
-                img = dmat.apply({j: F.one()})
-                red = pm_b.apply(img)
-                for i, v in red.items():
-                    m[i, jj] = v
-            diff[k] = m
-        self.complex = ChainComplex(c.field, dims, diff, labels, check=False)
-        self.projs = projs
-
-    def projection(self) -> ChainMap:
-        comps = {k: self.projs[k][0] for k in self.complex.dims}
-        return ChainMap(self.source, self.complex, comps, check=False)
-
-
 def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                 max_level=None) -> CosimplicialComplex:
     """The box product of cosimplicial objects, levelwise the coequalizer of
@@ -343,14 +273,11 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                 inc2 = _summand_inc(sums[m], totals[m], p, q + 1, F)
                 g = inc1.compose(f1) - inc2.compose(f2)
                 for k in tc.dims:
-                    gm = g.component(k)
-                    for j in range(tc.dim(k)):
-                        vec = {i: v for (i, jj), v in gm.entries.items()
-                               if jj == j}
-                        if vec:
-                            spans.setdefault(k, []).append(vec)
-        quotients.append(_Quotient(totals[m], spans))
-    levels = [qt.complex for qt in quotients]
+                    spans.setdefault(k, []).extend(
+                        g.component(k).nonzero_columns())
+        quotients.append(quotient(total, spans,
+                                  lambda k, j: ("q", total.labels[k][j])))
+    levels = [q for q, _ in quotients]
     cofaces, codegens = {}, {}
     for m in range(M):
         for i in range(m + 2):
@@ -417,25 +344,16 @@ def _box_structure_map(x, y, sums, totals, quotients, m, i, F, kind):
             off += tc.dim(k)
         comps[k] = mm
     big = ChainMap(src_total, tgt_total, comps, check=False)
-    # induce on quotients: q_tgt o big o section_src
-    src_q = quotients[m]
-    tgt_q = quotients[tgt_level]
-    out_comps = {}
-    for k in src_q.complex.dims:
-        pmat, free = src_q.projs[k]
-        tgt_pm, _ = tgt_q.projs.get(k, (None, None))
-        if tgt_pm is None:
-            continue
-        mm = SparseMatrix(tgt_q.complex.dim(k), src_q.complex.dim(k), F)
-        bigm = big.component(k)
-        for t, j in enumerate(free):
-            img = bigm.apply({j: F.one()})
-            red = tgt_pm.apply(img)
-            for r, v in red.items():
-                mm.add_to(r, t, v)
-        if not mm.is_zero():
-            out_comps[k] = mm
-    return ChainMap(src_q.complex, tgt_q.complex, out_comps, check=False)
+    # q_tgt o big o (the kept coordinates of the source quotient)
+    src_q, _ = quotients[m]
+    _, tgt_proj = quotients[tgt_level]
+    return tgt_proj.compose(big.compose(_kept_coordinates(src_q, src_total)))
+
+
+def _kept_coordinates(q, total) -> ChainMap:
+    """The box level q -> its direct sum, each basis vector ("q", lab) to
+    the coordinate lab it keeps; a section of the projection."""
+    return label_map(q, total, key=lambda lab: lab[1])
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +436,8 @@ def lemma_ij_check(x: CosimplicialComplex, max_level=None):
     for m in range(M + 1):
         level = bx.levels[m]
         try:
-            jmap = _collapse_map(delta, x, bx, m, F)
-            imap = _collapse_section(delta, x, bx, m, F)
+            jmap = _collapse_map(delta, x, bx, m)
+            imap = _collapse_section(x, bx, m)
         except (ValueError, ArithmeticError) as e:
             report["levels"][m] = {"error": str(e)}
             report["pass"] = False
@@ -539,112 +457,37 @@ def lemma_ij_check(x: CosimplicialComplex, max_level=None):
     return report
 
 
-def _collapse_map(delta, x, bx, m, F) -> ChainMap:
+def _collapse_map(delta, x, bx, m) -> ChainMap:
     """(N Delta box X)^m -> X^m: augmentation, then push to level m by
     iterated 0-th cofaces."""
-    level = bx.levels[m]
     tgt = x.levels[m]
-    # on the (p, q)-summand of the presentation: aug (x) (delta^0)^p
-    parts = []
-    for p in range(m + 1):
-        q = m - p
-        tc = tensor(delta.levels[p], x.levels[q])
-        push = ChainMap.identity(x.levels[q])
-        for t in range(q, m):
+    q, proj = bx._quotients[m]
+    total = proj.source
+    # on the (p, m-p)-summand of the presentation: aug (x) (delta^0)^p, where
+    # aug keeps the vertices of the simplex
+    summands = [tensor(delta.levels[p], x.levels[m - p]) for p in range(m + 1)]
+    big = ChainMap.zero(total, tgt)
+    for p, tc in enumerate(summands):
+        push = ChainMap.identity(x.levels[m - p])
+        for t in range(m - p, m):
             push = x.coface(t, 0).compose(push)
-        comps = {}
-        for k in tc.dims:
-            mm = SparseMatrix(tgt.dim(k), tc.dim(k), F)
-            for col, lab in enumerate(tc.labels[k]):
-                dl, xl = lab
-                # dl must be a single vertex (degree 0) for aug != 0
-                if len(dl[1]) != 1:
-                    continue
-                # find xl position and degree
-                for kk in x.levels[q].dims:
-                    idx = x.levels[q].label_index(kk)
-                    if xl in idx:
-                        pm = push.component(kk)
-                        for (i2, j2), v in pm.entries.items():
-                            if j2 == idx[xl]:
-                                mm.add_to(i2, col, v)
-                        break
-            comps[k] = mm
-        parts.append(ChainMap(tc, tgt, comps, check=False))
-    # assemble on the direct sum, then descend to the quotient via sections
-    # (the map kills the coequalized subspace, so any section computes it)
-    sums = [(p, m - p, parts[p].source) for p in range(m + 1)]
-    total = direct_sum([c for _, _, c in sums])
-    comps = {}
-    for k in total.dims:
-        mm = SparseMatrix(tgt.dim(k), total.dim(k), F)
-        off = 0
-        for t, (_, _, tc) in enumerate(sums):
-            fm = parts[t].component(k)
-            for (i2, j2), v in fm.entries.items():
-                mm.add_to(i2, off + j2, v)
-            off += tc.dim(k)
-        comps[k] = mm
-    big = ChainMap(total, tgt, comps, check=False)
-    # induce on the quotient using sections of the projection
-    qt = _box_quotient(bx, m)
-    out = {}
-    for k in qt.complex.dims:
-        pmat, free = qt.projs[k]
-        mm = SparseMatrix(tgt.dim(k), qt.complex.dim(k), F)
-        for t, j in enumerate(free):
-            img = big.component(k).apply({j: F.one()})
-            for i, v in img.items():
-                mm.add_to(i, t, v)
-        if not mm.is_zero():
-            out[k] = mm
-    result = ChainMap(qt.complex, tgt, out, check=False)
+        aug = label_map(
+            tc, x.levels[m - p], partial=True,
+            key=lambda lab: lab[1] if len(lab[0][1]) == 1 else None)
+        big = big + push.compose(aug).compose(
+            summand_projection(summands, total, p))
+    # the map kills the coequalized subspace, so any section computes it
+    result = big.compose(_kept_coordinates(q, total))
     result.validate()
     return result
 
 
-_BOX_QUOTIENTS = {}
-
-
-def _box_quotient(bx, m):
-    # box_product levels are _Quotient complexes; recover the projection data
-    # stashed during construction
-    return bx._quotients[m]
-
-
-def _collapse_section(delta, x, bx, m, F) -> ChainMap:
+def _collapse_section(x, bx, m) -> ChainMap:
     """X^m -> (N Delta box X)^m via the (0, m) summand with the vertex 0."""
-    qt = _box_quotient(bx, m)
-    tc0 = tensor(delta.levels[0], x.levels[m])
-    # position of (vertex, xl) labels inside the total
-    sums = [(p, m - p) for p in range(m + 1)]
-    src = x.levels[m]
-    comps = {}
-    total_dim_prefix = {}
-    # offsets of summand (0, m) inside the direct sum at each degree
-    for k in qt.source.dims:
-        off = 0
-        for p, q in sums:
-            if p == 0 and q == m:
-                break
-            off += tensor(delta.levels[p], x.levels[q]).dim(k)
-        total_dim_prefix[k] = off
-    for k in src.dims:
-        pmat, free = qt.projs.get(k, (None, None))
-        if pmat is None:
-            continue
-        mm = SparseMatrix(qt.complex.dim(k), src.dim(k), F)
-        tc = tc0
-        idx = tc.label_index(k)
-        for j, xl in enumerate(src.labels[k]):
-            lab = (("simp", (0,)), xl)
-            t = idx[lab]
-            pos = total_dim_prefix[k] + t
-            red = pmat.apply({pos: F.one()})
-            for i, v in red.items():
-                mm.add_to(i, j, v)
-        comps[k] = mm
-    out = ChainMap(src, qt.complex, comps, check=False)
+    _, proj = bx._quotients[m]
+    vertex = label_map(x.levels[m], proj.source,
+                       key=lambda xl: (0, (("simp", (0,)), xl)))
+    out = proj.compose(vertex)
     out.validate()
     return out
 
@@ -1228,7 +1071,7 @@ class SpCobarBuilder(_Levels):
             return out
         _, incl = strict_fixed(piece.value)
         to_inv = factor_through(g, incl)
-        coaug = coaugment_invariants(incl, tgt_phi.complex, F)
+        coaug = coaugment_invariants(incl, tgt_phi.complex)
         out = coaug.compose(to_inv)
         out.validate()
         return out

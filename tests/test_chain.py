@@ -5,8 +5,8 @@ import pytest
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, count_maps_mod_homotopy,
     direct_sum, dual, factor_through, hom_complex, homotopy_between,
-    is_quasi_iso, label_map, nullhomotopy, realize_homology_iso, shift,
-    sphere, tensor, tensor_map, transport, zero_complex,
+    is_quasi_iso, label_map, nullhomotopy, quotient, realize_homology_iso,
+    shift, sphere, subcomplex, tensor, tensor_map, transport, zero_complex,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, field_from_name
 from tcalc.sparse import Echelon, SparseMatrix, nullspace, rank, solve, solve_matrix
@@ -98,6 +98,8 @@ def test_matrix_assembly_helpers():
     rows = [{0: 1, 2: 2}, {1: 1}]
     assert SparseMatrix.from_sparse_rows(rows, 3, F3) == a
     assert SparseMatrix.from_columns(rows, 3, F3) == a.transpose()
+    assert b.nonzero_columns() == [{0: 1}]
+    assert a.nonzero_columns() == [{0: 1}, {1: 1}, {0: 2}]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +352,53 @@ def test_factor_through_subcomplex():
     assert y.degree == -1 and y.component(1) == SparseMatrix.from_rows(
         [[1]], QQ)
     assert incl.compose(y).components == g.components
+
+
+def _edge_pair():
+    # f -> e1 - e2; e1, e2 -> v1 - v2
+    return _labelled(QQ, {0: ("v1", "v2"), 1: ("e1", "e2"), 2: ("f",)}, {
+        1: SparseMatrix.from_rows([[1, 1], [-1, -1]], QQ),
+        2: SparseMatrix.from_rows([[1], [-1]], QQ)})
+
+
+def test_subcomplex_solves_d_into_the_span():
+    d = _edge_pair()
+    # span(f) + span(e1 - e2, e1) + span(v1 - v2)
+    basis = {2: [{0: 1}], 1: [{0: 1, 1: -1}, {0: 1}],
+             0: [{0: 1, 1: -1}], -1: []}
+    sub, incl = subcomplex(d, basis, lambda k, i: ("s", k, i))
+    assert incl.source is sub and incl.target is d
+    incl.validate()
+    sub.validate()
+    assert sub.labels == {2: (("s", 2, 0),), 1: (("s", 1, 0), ("s", 1, 1)),
+                          0: (("s", 0, 0),)}
+    assert sub.d(2) == SparseMatrix.from_rows([[1], [0]], QQ)
+    assert sub.d(1) == SparseMatrix.from_rows([[0, 1]], QQ)
+    assert sub.homology_dims() == {}
+    # d(e1) = v1 - v2 leaves span(v1)
+    with pytest.raises(ArithmeticError):
+        subcomplex(d, {1: [{0: 1}], 0: [{0: 1}]}, lambda k, i: (k, i))
+
+
+def test_quotient_by_the_image_of_a_subcomplex():
+    d = _edge_pair()
+    # S = span(f) + span(e1 - e2), a subcomplex with zero homology
+    _, incl = subcomplex(d, {2: [{0: 1}], 1: [{0: 1, 1: -1}]},
+                         lambda k, i: ("s", k, i))
+    rels = {k: m.nonzero_columns() for k, m in incl.components.items()}
+    q, proj = quotient(d, rels, lambda k, j: ("q", d.labels[k][j]))
+    assert proj.source is d and proj.target is q
+    proj.validate()
+    q.validate()
+    # e1 is the pivot of e1 - e2, so e2 is kept
+    assert q.labels == {1: (("q", "e2"),), 0: (("q", "v1"), ("q", "v2"))}
+    assert proj.component(1) == SparseMatrix.from_rows([[1, 1]], QQ)
+    assert q.d(1) == SparseMatrix.from_rows([[1], [-1]], QQ)
+    assert proj.compose(incl).is_zero()
+    assert q.homology_dims() == d.homology_dims() == {0: 1}
+    # no relations: q is a relabelled copy of d
+    q0, proj0 = quotient(d, {}, lambda k, j: (k, j))
+    assert q0.dims == d.dims and proj0.is_iso()
 
 
 def test_transport_target_drops_missing_labels():
