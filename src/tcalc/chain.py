@@ -346,16 +346,12 @@ class ChainMap:
                 A[i, j] = v
         for (i, j), v in bmat.entries.items():
             A[i, td + j] = v
-        comp = self.component(k)
-        for j, z in enumerate(sreps):
-            img = comp.apply(z)
-            x = solve(A, img)
-            if x is None:
-                raise ArithmeticError("image of cycle is not a cycle mod boundaries")
-            for i in range(td):
-                v = x.get(i)
-                if v is not None:
-                    out[i, j] = v
+        imgs = self.component(k) * SparseMatrix.from_columns(
+            sreps, self.source.dim(k), F)
+        x = solve_matrix(A, imgs)
+        if x is None:
+            raise ArithmeticError("image of cycle is not a cycle mod boundaries")
+        out.entries = {(i, j): v for (i, j), v in x.entries.items() if i < td}
         return out
 
 
@@ -615,33 +611,45 @@ def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
     return ChainMap(g.source, incl.source, comps, d, check=False)
 
 
-def subcomplex(c: ChainComplex, basis, label):
-    """(sub, incl) for the span of the independent column vectors basis[k]
-    of c_k, the i-th of them labelled label(k, i).  The differential is
-    solved back into the span vector by vector; ArithmeticError when d
-    leaves it.  Nothing is validated."""
+def subcomplex(c: ChainComplex, constraints, label):
+    """(sub, incl) for the subcomplex of c whose degree-k part is the joint
+    kernel of the matrices constraints[k], each with c.dim(k) columns.  An
+    empty list constrains nothing; a degree absent from constraints is zero.
+    Each stacked constraint matrix is eliminated once and its nullspace_basis
+    spans sub_k, the i-th vector labelled label(k, i).  That basis is the
+    identity on the free columns, so the differential of sub is the free
+    rows of y = d(k) . incl_k, certified by incl_{k-1} . m == y (y == 0 when
+    sub_{k-1} is zero); ArithmeticError when d leaves the span.  Nothing is
+    validated."""
     F = c.field
-    basis = {k: b for k, b in basis.items() if b}
-    incl = {k: SparseMatrix.from_columns(b, c.dim(k), F)
-            for k, b in basis.items()}
+    incl, free = {}, {}
+    for k, mats in constraints.items():
+        n = c.dim(k)
+        ech = Echelon(SparseMatrix.vstack(mats) if mats
+                      else SparseMatrix(0, n, F))
+        basis = ech.nullspace_basis()
+        if basis:
+            incl[k] = SparseMatrix.from_columns(basis, n, F)
+            free[k] = {j: t for t, j in enumerate(ech.free_cols())}
     diff = {}
-    for k, b in basis.items():
+    for k, ik in incl.items():
+        y = c.d(k) * ik
         below = incl.get(k - 1)
         if below is None:
-            continue
-        m = SparseMatrix(below.cols, len(b), F)
-        dk = c.d(k)
-        for j, z in enumerate(b):
-            x = solve(below, dk.apply(z))
-            if x is None:
-                raise ArithmeticError("differential leaves the subcomplex in "
-                                      "degree %d" % k)
-            for i, v in x.items():
-                m[i, j] = v
-        diff[k] = m
-    sub = ChainComplex(F, {k: len(b) for k, b in basis.items()}, diff,
-                       {k: tuple(label(k, i) for i in range(len(b)))
-                        for k, b in basis.items()}, check=False)
+            ok = y.is_zero()
+        else:
+            row = free[k - 1]
+            m = SparseMatrix(below.cols, ik.cols, F)
+            m.entries = {(row[i], j): v for (i, j), v in y.entries.items()
+                         if i in row}
+            ok = below * m == y
+            diff[k] = m
+        if not ok:
+            raise ArithmeticError("differential leaves the subcomplex in "
+                                  "degree %d" % k)
+    sub = ChainComplex(F, {k: ik.cols for k, ik in incl.items()}, diff,
+                       {k: tuple(label(k, i) for i in range(ik.cols))
+                        for k, ik in incl.items()}, check=False)
     return sub, ChainMap(sub, c, incl, check=False)
 
 

@@ -16,7 +16,7 @@ import sys
 
 from . import serialize
 from .chain import DegreeWindow
-from .fields import field_from_name
+from .fields import UnsupportedField, field_from_name
 
 
 MAX_DIM_ENV = "TCALC_MAX_DIM"
@@ -384,7 +384,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, UnsupportedField) as e:
         sys.stderr.write(serialize.dumps({"error": "usage", "detail": str(e)})
                          + "\n")
         return 2

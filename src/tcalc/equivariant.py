@@ -337,19 +337,13 @@ def _generator_maps(a: EquivariantComplex):
 
 def strict_fixed(a: EquivariantComplex):
     """Subcomplex of invariants; returns (complex, inclusion ChainMap)."""
-    F = a.field
     c = a.complex
     gens = _generator_maps(a)
-    basis = {}
-    for k in c.support():
-        n = c.dim(k)
-        if gens:
-            ident = SparseMatrix.identity(n, F)
-            basis[k] = nullspace(SparseMatrix.vstack(
-                [g.component(k) - ident for g in gens]))
-        else:
-            basis[k] = [{i: F.one()} for i in range(n)]
-    return subcomplex(c, basis, lambda k, i: ("fix", k, i))
+    constraints = {
+        k: [g.component(k) - SparseMatrix.identity(c.dim(k), c.field)
+            for g in gens]
+        for k in c.support()}
+    return subcomplex(c, constraints, lambda k, i: ("fix", k, i))
 
 
 def strict_orbits(a: EquivariantComplex):

@@ -10,14 +10,38 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them; larger characteristics are refused.
+MAX_CHARACTERISTIC = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class UnsupportedField(ValueError):
+    """A field that is neither Q nor F_p with p a prime below
+    MAX_CHARACTERISTIC (the CLI reports it as a usage error)."""
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MAX_CHARACTERISTIC."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -33,8 +57,12 @@ class FieldSpec:
             if self.characteristic != 0:
                 raise ValueError("rationals have characteristic 0")
         elif self.kind == "prime-field":
-            if not _is_prime(self.characteristic):
-                raise ValueError("characteristic %r is not prime" % (self.characteristic,))
+            p = self.characteristic
+            if p >= MAX_CHARACTERISTIC:
+                raise UnsupportedField("characteristic %r is not below the "
+                                       "limit %d" % (p, MAX_CHARACTERISTIC))
+            if not _is_prime(p):
+                raise UnsupportedField("characteristic %r is not prime" % (p,))
         else:
             raise ValueError("unknown field kind %r" % (self.kind,))
 
@@ -110,9 +138,16 @@ def field_from_name(name: str) -> FieldSpec:
     name = name.strip()
     if name == "Q":
         return QQ
-    if name.startswith("F"):
-        return FieldSpec("prime-field", int(name[1:]))
-    raise ValueError("unrecognized field name %r" % (name,))
+    digits = name[1:]
+    if name.startswith("F") and digits.isdecimal():
+        # a longer numeral is above the limit; skip converting it
+        n = len(digits.lstrip("0"))
+        if n > len(str(MAX_CHARACTERISTIC)):
+            raise UnsupportedField("a characteristic of %d digits is not "
+                                   "below the limit %d"
+                                   % (n, MAX_CHARACTERISTIC))
+        return FieldSpec("prime-field", int(digits))
+    raise UnsupportedField("unrecognized field name %r" % (name,))
 
 
 QQ = FieldSpec("rationals", 0)

@@ -421,14 +421,18 @@ class Echelon:
                     v[j] = cur
         return v
 
-    def nullspace_basis(self):
-        """Basis of the kernel (column vectors as dicts)."""
-        F = self.field
+    def free_cols(self):
+        """The non-pivot columns, ascending."""
         pivset = set(self.pivot_cols)
-        free_cols = [j for j in range(self.cols) if j not in pivset]
+        return [j for j in range(self.cols) if j not in pivset]
+
+    def nullspace_basis(self):
+        """Basis of the kernel (column vectors as dicts).  The t-th vector is
+        1 on free_cols()[t] and 0 on the other free columns."""
+        F = self.field
         basis = []
         one = F.one()
-        for fj in free_cols:
+        for fj in self.free_cols():
             vec = {fj: one}
             for col, row in zip(self.pivot_cols, self.pivot_rows):
                 c = row.get(fj)

@@ -155,15 +155,18 @@ def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
 
 
 def conormalized_level(x: CosimplicialComplex, m):
-    """(subcomplex N^m = joint kernel of the codegeneracies, inclusion)."""
+    """(subcomplex N^m = joint kernel of the codegeneracies, inclusion).
+    chain.subcomplex eliminates the stacked codegeneracies once per degree
+    and reads the differential of N^m off the free coordinates of its
+    kernel basis, certifying it (ArithmeticError if a codegeneracy is not a
+    chain map)."""
     lv = x.levels[m]
     sigmas = [x.codegens[(m, j)] for j in range(m) if (m, j) in x.codegens]
     if not sigmas:
         return lv, ChainMap.identity(lv)
-    basis = {k: nullspace(SparseMatrix.vstack([f.component(k)
-                                               for f in sigmas]))
-             for k in lv.support()}
-    return subcomplex(lv, basis, lambda k, i: ("norm", m, k, i))
+    return subcomplex(lv, {k: [f.component(k) for f in sigmas]
+                           for k in lv.support()},
+                      lambda k, i: ("norm", m, k, i))
 
 
 def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:

@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from helpers import random_term
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, count_maps_mod_homotopy,
-    direct_sum, dual, factor_through, hom_complex, homotopy_between,
-    is_quasi_iso, label_map, nullhomotopy, quotient, realize_homology_iso,
-    shift, sphere, subcomplex, tensor, tensor_map, transport, zero_complex,
+    ChainComplex, ChainMap, DegreeWindow, chain_map_space, cone,
+    count_maps_mod_homotopy, direct_sum, dual, factor_through, hom_complex,
+    homotopy_between, is_quasi_iso, label_map, nullhomotopy, quotient,
+    realize_homology_iso, shift, sphere, subcomplex, tensor, tensor_map,
+    transport, zero_complex,
 )
-from tcalc.fields import F2, F3, QQ, FieldSpec, field_from_name
+from tcalc.equivariant import induced_from_trivial_subgroup
+from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
+from tcalc.perms import YoungGroup
 from tcalc.sparse import Echelon, SparseMatrix, nullspace, rank, solve, solve_matrix
 
 
@@ -24,6 +28,18 @@ def test_field_validation():
         FieldSpec("rationals", 5)
     assert field_from_name("F7").characteristic == 7
     assert field_from_name("Q") is QQ
+
+
+def test_is_prime_is_exact():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert all(_is_prime(n) == trial(n) for n in range(-5, 20000))
+    # strong pseudoprimes to the first 1, 4, 7, 9 and 11 prime bases
+    for n in (2047, 3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(10 ** 24 + 7)
+    assert not _is_prime((10 ** 12 + 39) * (10 ** 12 + 61))
 
 
 def test_field_arithmetic_exact():
@@ -182,11 +198,13 @@ def random_complex(rng, F, max_deg=2, max_dim=2):
     dims = dict(total.dims)
     change = {}
     for k, n in dims.items():
-        m = SparseMatrix.identity(n, F)
-        for _ in range(n):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if i != j:
-                m[i, j] = F.coerce(rng.randint(-1, 1))
+        m = None
+        while m is None or rank(m) < n:  # redraw a singular change
+            m = SparseMatrix.identity(n, F)
+            for _ in range(n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j:
+                    m[i, j] = F.coerce(rng.randint(-1, 1))
         change[k] = m
     from tcalc.sparse import solve_matrix as sm
     diff = {}
@@ -363,34 +381,107 @@ def _edge_pair():
 
 def test_subcomplex_solves_d_into_the_span():
     d = _edge_pair()
-    # span(f) + span(e1 - e2, e1) + span(v1 - v2)
-    basis = {2: [{0: 1}], 1: [{0: 1, 1: -1}, {0: 1}],
-             0: [{0: 1, 1: -1}], -1: []}
-    sub, incl = subcomplex(d, basis, lambda k, i: ("s", k, i))
+    # all of degrees 2 and 1, and span(v2 - v1), the kernel of [1 1], in 0
+    cons = {2: [], 1: [], 0: [SparseMatrix.from_rows([[1, 1]], QQ)], -1: []}
+    sub, incl = subcomplex(d, cons, lambda k, i: ("s", k, i))
     assert incl.source is sub and incl.target is d
     incl.validate()
     sub.validate()
     assert sub.labels == {2: (("s", 2, 0),), 1: (("s", 1, 0), ("s", 1, 1)),
                           0: (("s", 0, 0),)}
-    assert sub.d(2) == SparseMatrix.from_rows([[1], [0]], QQ)
-    assert sub.d(1) == SparseMatrix.from_rows([[0, 1]], QQ)
+    assert incl.component(0) == SparseMatrix.from_rows([[-1], [1]], QQ)
+    assert sub.d(2) == SparseMatrix.from_rows([[1], [-1]], QQ)
+    assert sub.d(1) == SparseMatrix.from_rows([[-1, -1]], QQ)
     assert sub.homology_dims() == {}
-    # d(e1) = v1 - v2 leaves span(v1)
+    # span(e1) and span(v1): d(e1) = v1 - v2 leaves span(v1)
+    kill_second = SparseMatrix.from_rows([[0, 1]], QQ)
     with pytest.raises(ArithmeticError):
-        subcomplex(d, {1: [{0: 1}], 0: [{0: 1}]}, lambda k, i: (k, i))
+        subcomplex(d, {1: [kill_second], 0: [kill_second]},
+                   lambda k, i: (k, i))
+
+
+def test_subcomplex_certifies_d_into_a_zero_span():
+    # c = (k -> k, d = 1): all of degree 1 over nothing in degree 0
+    c = ChainComplex(QQ, {0: 1, 1: 1}, {1: SparseMatrix.from_rows([[1]], QQ)})
+    with pytest.raises(ArithmeticError):
+        subcomplex(c, {1: []}, lambda k, i: (k, i))
+    with pytest.raises(ArithmeticError):
+        subcomplex(c, {1: [], 0: [SparseMatrix.identity(1, QQ)]},
+                   lambda k, i: (k, i))
+    # a cycle over a zero span is accepted
+    sub, incl = subcomplex(sphere(QQ, 1), {1: []}, lambda k, i: (k, i))
+    incl.validate()
+    assert sub.dims == {1: 1}
+
+
+def _check_subcomplex(c, constraints, sub, incl):
+    """sub, incl = subcomplex(c, constraints, ("s", k, i)) against the
+    nullspace certificate and a per-vector solve of the differential."""
+    F = c.field
+    incl.validate()
+    sub.validate()
+    for k, mats in constraints.items():
+        stacked = (SparseMatrix.vstack(mats) if mats
+                   else SparseMatrix(0, c.dim(k), F))
+        basis = incl.component(k)
+        assert (stacked * basis).is_zero()
+        assert basis.cols == stacked.cols - rank(stacked)
+    assert sub.labels == {k: tuple(("s", k, i) for i in range(n))
+                          for k, n in sub.dims.items()}
+    for k in sub.support():
+        ref = SparseMatrix(sub.dim(k - 1), sub.dim(k), F)
+        for j, z in enumerate(incl.component(k).nonzero_columns()):
+            x = solve(incl.component(k - 1), c.d(k).apply(z))
+            assert x is not None
+            for i, v in x.items():
+                ref[i, j] = v
+        assert sub.d(k) == ref
+
+
+def test_subcomplex_matches_per_vector_solve():
+    rng = random.Random(5)
+    label = lambda k, i: ("s", k, i)  # noqa: E731
+    nonzero_d = 0
+    for F in (F2, F3, QQ):
+        for _ in range(4):
+            # the kernel of a random chain endomorphism
+            c = direct_sum([random_complex(rng, F, max_deg=3)
+                            for _ in range(3)])
+            f = ChainMap.zero(c, c)
+            for g in chain_map_space(c, c)[0]:
+                if rng.random() < 0.5:
+                    f = f + g.scale(rng.choice([1, -1, 2]))
+            cons = {k: [f.component(k)] for k in c.support()}
+            sub, incl = subcomplex(c, cons, label)
+            _check_subcomplex(c, cons, sub, incl)
+            nonzero_d += any(not m.is_zero() for m in sub.diff.values())
+        for n in (2, 3):
+            # the invariants: kernels of g - 1 over the Coxeter generators
+            for a in (random_term(rng, F, n),
+                      induced_from_trivial_subgroup(random_complex(rng, F),
+                                                    YoungGroup.full(n))):
+                c = a.complex
+                cons = {k: [a.action[i].component(k)
+                            - SparseMatrix.identity(c.dim(k), F)
+                            for i in a.group.generator_positions()]
+                        for k in c.support()}
+                sub, incl = subcomplex(c, cons, label)
+                _check_subcomplex(c, cons, sub, incl)
+                nonzero_d += any(not m.is_zero() for m in sub.diff.values())
+    assert nonzero_d >= 6
 
 
 def test_quotient_by_the_image_of_a_subcomplex():
     d = _edge_pair()
-    # S = span(f) + span(e1 - e2), a subcomplex with zero homology
-    _, incl = subcomplex(d, {2: [{0: 1}], 1: [{0: 1, 1: -1}]},
+    # S = span(f) + span(e2 - e1), the kernel of [1 1]; zero homology
+    _, incl = subcomplex(d, {2: [], 1: [SparseMatrix.from_rows([[1, 1]], QQ)]},
                          lambda k, i: ("s", k, i))
     rels = {k: m.nonzero_columns() for k, m in incl.components.items()}
     q, proj = quotient(d, rels, lambda k, j: ("q", d.labels[k][j]))
     assert proj.source is d and proj.target is q
     proj.validate()
     q.validate()
-    # e1 is the pivot of e1 - e2, so e2 is kept
+    # e1 is the pivot of e2 - e1, so e2 is kept
     assert q.labels == {1: (("q", "e2"),), 0: (("q", "v1"), ("q", "v2"))}
     assert proj.component(1) == SparseMatrix.from_rows([[1, 1]], QQ)
     assert q.d(1) == SparseMatrix.from_rows([[1], [-1]], QQ)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -176,6 +177,32 @@ def test_max_dim_cap(tmp_path, capsys, monkeypatch):
     p = write(tmp_path, "t.json", doc)
     rc, out, err = run_cli(capsys, "tate", "--window", "-1:1", p)
     assert rc == 2
+
+
+def test_huge_prime_field_is_accepted_quickly(tmp_path, capsys):
+    # trial division up to sqrt(p) ~ 10^12 ran without bound here
+    p = write(tmp_path, "c.json", {"field": "F1000000000000000000000007",
+                                   "dims": {"0": 1}})
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "homology", p)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0 and err == ""
+    assert json.loads(out)["dims"] == {"0": 1}
+
+
+@pytest.mark.parametrize("field", [
+    "F1000000000078000000001521",      # (10^12 + 39)^2, composite
+    "F618970019642690137449562111",    # 2^89 - 1, a prime above the limit
+    "F" + "7" * 5000,                  # far above the limit
+])
+def test_unsupported_field_is_a_usage_error(tmp_path, capsys, field):
+    p = write(tmp_path, "c.json", {"field": field, "dims": {"0": 1}})
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "homology", p)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_comonad_value_roundtrip():
