@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .sparse import Echelon, SparseMatrix, nullspace, solve, solve_matrix
+from .sparse import Echelon, Span, SparseMatrix, nullspace, solve, solve_matrix
 
 
 @dataclass(frozen=True)
@@ -167,33 +167,12 @@ class ChainComplex:
             return 0, [], None
         cycles = nullspace(self.d(k))
         bnd = Echelon(self.d(k + 1).transpose())  # row space = image of d_{k+1}
-        reps = []
-        # echelon of boundaries + already-chosen reps, grown incrementally
-        span_rows = list(bnd.pivot_rows)
-        span_cols = list(bnd.pivot_cols)
-        F = self.field
-        for z in cycles:
-            v = dict(z)
-            for col, row in zip(span_cols, span_rows):
-                c = v.get(col)
-                if c is None:
-                    continue
-                for j, w in row.items():
-                    cur = F.sub(v.get(j, F.zero()), F.mul(c, w))
-                    if F.is_zero(cur):
-                        v.pop(j, None)
-                    else:
-                        v[j] = cur
-            if v:
-                lead = min(v)
-                inv = F.inv(v[lead])
-                v = {j: F.mul(inv, w) for j, w in v.items()}
-                reps.append(dict(z))
-                span_cols.append(lead)
-                span_rows.append(v)
-                order = sorted(range(len(span_cols)), key=lambda t: span_cols[t])
-                span_cols = [span_cols[t] for t in order]
-                span_rows = [span_rows[t] for t in order]
+        # a cycle is a new representative iff it is outside the span of the
+        # boundaries and the representatives chosen before it
+        span = Span(self.field)
+        for row in bnd.pivot_rows:
+            span.add(row)
+        reps = [z for z in cycles if span.add(z)]
         return len(reps), reps, bnd
 
     def homology(self, k):
@@ -919,17 +898,6 @@ def dual(c: ChainComplex) -> ChainComplex:
     return ChainComplex(field, dims, diff, labels, check=False)
 
 
-def dual_map(f: ChainMap) -> ChainMap:
-    """Dual of a degree-0 chain map (contravariant)."""
-    assert f.degree == 0
-    src = dual(f.target)
-    tgt = dual(f.source)
-    comps = {}
-    for k, m in f.components.items():
-        comps[-k] = m.transpose()
-    return ChainMap(src, tgt, comps, check=False)
-
-
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_k = C_{k-1} (+) D_k, d(c,x) = (-dc, dx - f c)."""
     assert f.degree == 0
@@ -1073,20 +1041,18 @@ def homology_coordinates(c: ChainComplex, k):
     pi(non-cycle complement) = 0.  Returns (pi, reps)."""
     F = c.field
     n = c.dim(k)
-    h, reps, _ = c.homology_data(k)
+    h, reps, bnd = c.homology_data(k)
     if n == 0:
         return SparseMatrix(h, 0, F), reps
     # basis adapted to c_k: [reps | boundaries | complement]
-    img_ech = Echelon(c.d(k + 1).transpose())
-    chosen = [dict(z) for z in reps]
-    chosen.extend(dict(r) for r in img_ech.pivot_rows)
-    span = Echelon(SparseMatrix.from_sparse_rows(chosen, n, F)) if chosen else None
+    chosen = reps + bnd.pivot_rows
+    span = Span(F)
+    for v in chosen:
+        span.add(v)
     for j in range(n):
         probe = {j: F.one()}
-        red = span.reduce_vector(probe) if span else probe
-        if red:
+        if span.add(probe):
             chosen.append(probe)
-            span = Echelon(SparseMatrix.from_sparse_rows(chosen, n, F))
     P = SparseMatrix.from_columns(chosen, n, F)
     Pinv = solve_matrix(P, SparseMatrix.identity(n, F))
     if Pinv is None:

@@ -20,7 +20,7 @@ from .chain import (
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
-from .sparse import SparseMatrix, nullspace
+from .sparse import Span, SparseMatrix, nullspace
 
 
 ARITY_BOUND_DEFAULT = 4
@@ -212,8 +212,15 @@ class GroupResolution:
     """A free resolution of k over k[G], built greedily and extended on demand.
 
     Stage s is free of rank ranks[s]; its k-basis is (gen, g) for g in the
-    fixed element order; h . (gen, g) = (gen, h o g).  diffs[s] maps stage s
-    to stage s-1 as a k-matrix; diffs[0] is the augmentation to k.
+    fixed element order, at position gen * order + pos[g];
+    h . (gen, g) = (gen, h o g).  diffs[s] maps stage s to stage s-1 as a
+    k-matrix; diffs[0] is the augmentation to k.  boundaries[s][gen] is
+    d(gen, e), the column of diffs[s] at (gen, e).
+
+    Stage s+1 is chosen greedily: the kernel vectors of diffs[s], sorted by
+    support, are visited in order, and one becomes the boundary of a new
+    generator iff it lies outside the k-span of the translates of the
+    boundaries chosen before it.
     """
 
     def __init__(self, field: FieldSpec, group: YoungGroup):
@@ -222,95 +229,46 @@ class GroupResolution:
         self.elements = group.elements()
         self.order = len(self.elements)
         self.pos = {g: i for i, g in enumerate(self.elements)}
+        # _mult[i][j] = position of elements[i] o elements[j]
+        self._mult = [[self.pos[compose(h, g)] for g in self.elements]
+                      for h in self.elements]
         self.ranks = [1]
         aug = SparseMatrix(1, self.order, field)
         one = field.one()
         for j in range(self.order):
             aug[0, j] = one
         self.diffs = [aug]
-        # left multiplication permutation matrices on k[G]
-        self._left_mult = {}
+        self.boundaries = [[{0: one}]]
 
     def stage_dim(self, s):
         return self.ranks[s] * self.order
 
-    def basis_pos(self, s, gen, g):
-        return gen * self.order + self.pos[g]
-
-    def left_action_matrix(self, s, h) -> SparseMatrix:
-        """Action of group element h on stage s."""
-        key = tuple(h)
-        base = self._left_mult.get(key)
-        if base is None:
-            base = SparseMatrix(self.order, self.order, self.field)
-            one = self.field.one()
-            for j, g in enumerate(self.elements):
-                base[self.pos[compose(h, g)], j] = one
-            self._left_mult[key] = base
-        n = self.stage_dim(s)
-        m = SparseMatrix(n, n, self.field)
-        for gen in range(self.ranks[s]):
-            off = gen * self.order
-            for (i, j), v in base.entries.items():
-                m[off + i, off + j] = v
-        return m
+    def _translates(self, v):
+        """h . v for every element h, in element order: a relabeling of the
+        coordinates (gen, g) -> (gen, h o g)."""
+        n = self.order
+        return [{i - i % n + row[i % n]: x for i, x in v.items()}
+                for row in self._mult]
 
     def extend_to(self, length):
         """Ensure stages 0..length exist."""
-        F = self.field
         while len(self.ranks) <= length:
             s = len(self.ranks) - 1
             ker = nullspace(self.diffs[s])
             # deterministic order: sort kernel vectors by support
             ker.sort(key=lambda v: sorted(v.items(), key=lambda t: (t[0], str(t[1]))))
-            gens = []
-            span_rows, span_cols = [], []
-
-            def reduce(vec):
-                v = dict(vec)
-                for colx, row in zip(span_cols, span_rows):
-                    cc = v.get(colx)
-                    if cc is None:
-                        continue
-                    for j, w in row.items():
-                        cur = F.sub(v.get(j, F.zero()), F.mul(cc, w))
-                        if F.is_zero(cur):
-                            v.pop(j, None)
-                        else:
-                            v[j] = cur
-                return v
-
-            def add_to_span(vec):
-                v = reduce(vec)
-                if not v:
-                    return False
-                lead = min(v)
-                inv = F.inv(v[lead])
-                v = {j: F.mul(inv, w) for j, w in v.items()}
-                span_cols.append(lead)
-                span_rows.append(v)
-                order = sorted(range(len(span_cols)), key=lambda t: span_cols[t])
-                span_cols[:] = [span_cols[t] for t in order]
-                span_rows[:] = [span_rows[t] for t in order]
-                return True
-
+            gens, cols = [], []
+            span = Span(self.field)
             for v in ker:
-                if reduce(v):
-                    gens.append(dict(v))
-                    for h in self.elements:
-                        act = self.left_action_matrix(s, h)
-                        add_to_span(act.apply(v))
-            rank = len(gens)
-            self.ranks.append(rank)
-            d = SparseMatrix(self.stage_dim(s), rank * self.order, F)
-            for gi, v in enumerate(gens):
-                for h in self.elements:
-                    act = self.left_action_matrix(s, h)
-                    img = act.apply(v)
-                    col = gi * self.order + self.pos[h]
-                    for i, val in img.items():
-                        d[i, col] = val
-            self.diffs.append(d)
+                if v not in span:
+                    gens.append(v)
+                    for t in self._translates(v):
+                        span.add(t)
+                        cols.append(t)
+            self.ranks.append(len(gens))
+            self.boundaries.append(gens)
+            self.diffs.append(
+                SparseMatrix.from_columns(cols, self.stage_dim(s), self.field))
         return self
 
 
@@ -395,155 +353,88 @@ def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow,
                     extra_stages: int = 0, tag="orbits",
                     stages: int | None = None) -> WindowedResult:
     """Total complex of A (x)_{kG} F_*, certified on w."""
-    F = a.field
-    c = a.complex
-    if c.is_zero():
-        return WindowedResult(c, w, tag, exact=True)
-    res = group_resolution(F, a.group)
-    if stages is None:
-        stages = max(w.hi - c.min_degree + 2, 1) + extra_stages
-    res.extend_to(stages)
-    # basis of total complex in degree k: (s, gen, basis elt of A in deg k-s)
-    # truncated above only: the model is naturally bounded below, so maps
-    # between models of the same complex at different windows stay exact
-    dims, labels, index = {}, {}, {}
-    hi = w.hi + 1
-    for s in range(stages + 1):
-        r = res.ranks[s]
-        if r == 0:
-            break
-        for k in c.support():
-            tot = k + s
-            if tot > hi:
-                continue
-            for gen in range(r):
-                base = dims.get(tot, 0)
-                for i in range(c.dim(k)):
-                    index[(s, gen, k, i)] = (tot, base + i)
-                dims[tot] = base + c.dim(k)
-                labels.setdefault(tot, []).extend(
-                    ("hG", s, gen, lab) for lab in c.labels[k])
-    diff = {}
-    inv_act = {}  # cache of action matrices for inverses
-
-    def act_inv(g, k):
-        key = (g, k)
-        m = inv_act.get(key)
-        if m is None:
-            m = a.action_of(inverse(g)).component(k)
-            inv_act[key] = m
-        return m
-
-    for (s, gen, k, i), (tot, col) in index.items():
-        if not dims.get(tot - 1):
-            continue
-        m = diff.get(tot)
-        if m is None:
-            m = SparseMatrix(dims[tot - 1], dims[tot], F)
-            diff[tot] = m
-        # internal differential: d_A (x) id
-        da = c.diff.get(k)
-        if da is not None:
-            for (i2, jj), v in da.entries.items():
-                if jj == i and (s, gen, k - 1, i2) in index:
-                    _, row = index[(s, gen, k - 1, i2)]
-                    m.add_to(row, col, v)
-        # resolution differential with Koszul sign (-1)^{|a|}, a in degree k
-        if s >= 1:
-            sgn = F.one() if k % 2 == 0 else F.neg(F.one())
-            dres = res.diffs[s]
-            src_col = gen * res.order + res.pos[identity_perm(a.group.degree)]
-            for (ri, jj), v in dres.entries.items():
-                if jj != src_col:
-                    continue
-                gen2, gpos = divmod(ri, res.order)
-                g = res.elements[gpos]
-                # a (x) (gen2, g) = (g^{-1} a) (x) (gen2, e)
-                mat = act_inv(g, k)
-                for (i2, ii), vv in mat.entries.items():
-                    if ii == i and (s - 1, gen2, k, i2) in index:
-                        _, row = index[(s - 1, gen2, k, i2)]
-                        m.add_to(row, col, F.mul(sgn, F.mul(v, vv)))
-    labels = {k: tuple(v) for k, v in labels.items()}
-    out = ChainComplex(F, dims, diff, labels, check=False)
-    out.validate()
-    return WindowedResult(out, w, tag)
+    return _total_complex(a, w, 1, extra_stages, tag, stages)
 
 
 def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow,
                    extra_stages: int = 0, tag="fixed",
                    stages: int | None = None) -> WindowedResult:
     """Total complex of Hom_{kG}(F_*, A), certified on w."""
+    return _total_complex(a, w, -1, extra_stages, tag, stages)
+
+
+def _total_complex(a, w, direction, extra_stages, tag, stages):
+    """The orbit model (direction 1) or the fixed model (direction -1).
+
+    Its basis in degree k + direction * s is ("hG"/"hGf", s, gen, x) for x
+    a basis vector of A_k and gen a generator of stage s of the resolution
+    F; "hG" stands for x (x) (gen, e) and "hGf" for the kG-map sending
+    (gen, e) to x.  The model is truncated on its unbounded side only (above
+    w.hi + 1 for orbits, below w.lo - 1 for fixed points), so maps between
+    models of one complex at different windows stay exact.
+
+    The differential is d_A (x) 1 on each (s, gen, k) block plus, for each
+    nonzero coefficient coef of (gen', g) in d(gen, e) of stage t, one
+    block: orbits get coef * (-1)^k * act(g^-1) from (t, gen, k) to
+    (t-1, gen', k), since a (x) (gen', g) = g^-1 a (x) (gen', e); fixed
+    points get coef * (-1)^(k+t) * act(g) from (t-1, gen', k) to
+    (t, gen, k), since Df = d_A f - (-1)^|f| f d_F.
+    """
     F = a.field
     c = a.complex
     if c.is_zero():
         return WindowedResult(c, w, tag, exact=True)
     res = group_resolution(F, a.group)
+    if direction > 0:
+        name, edge, reach = "hG", w.hi + 1, w.hi - c.min_degree
+    else:
+        name, edge, reach = "hGf", w.lo - 1, c.max_degree - w.lo
     if stages is None:
-        stages = max(c.max_degree - w.lo + 2, 1) + extra_stages
+        stages = max(reach + 2, 1) + extra_stages
     res.extend_to(stages)
-    # truncated below only: the model is naturally bounded above
-    dims, labels, index = {}, {}, {}
-    lo = w.lo - 1
+    dims, labels, blocks = {}, {}, {}
     for s in range(stages + 1):
         r = res.ranks[s]
         if r == 0:
             break
         for k in c.support():
-            tot = k - s
-            if tot < lo:
+            tot = k + direction * s
+            if direction * tot > direction * edge:
                 continue
             for gen in range(r):
-                base = dims.get(tot, 0)
-                for i in range(c.dim(k)):
-                    index[(s, gen, k, i)] = (tot, base + i)
-                dims[tot] = base + c.dim(k)
+                blocks[(s, gen, k)] = (tot, dims.get(tot, 0))
+                dims[tot] = dims.get(tot, 0) + c.dim(k)
                 labels.setdefault(tot, []).extend(
-                    ("hGf", s, gen, lab) for lab in c.labels[k])
-    diff = {}
-    act_cache = {}
+                    (name, s, gen, lab) for lab in c.labels[k])
+    diff = {t: SparseMatrix(dims[t - 1], dims[t], F)
+            for t in dims if dims.get(t - 1)}
 
-    def act(g, k):
-        key = (g, k)
-        m = act_cache.get(key)
-        if m is None:
-            m = a.action_of(g).component(k)
-            act_cache[key] = m
-        return m
+    def put(src, tgt, mat, coef):
+        tot, col = blocks[src]
+        row = blocks[tgt][1]
+        m = diff[tot]
+        for (i, j), v in mat.entries.items():
+            m.add_to(row + i, col + j, F.mul(coef, v))
 
-    for (s, gen, k, i), (tot, col) in index.items():
-        if not dims.get(tot - 1):
-            continue
-        m = diff.get(tot)
-        if m is None:
-            m = SparseMatrix(dims[tot - 1], dims[tot], F)
-            diff[tot] = m
-        # (Df) = d_A o f - (-1)^{tot} f o d_F
-        da = c.diff.get(k)
-        if da is not None:
-            for (i2, jj), v in da.entries.items():
-                if jj == i and (s, gen, k - 1, i2) in index:
-                    _, row = index[(s, gen, k - 1, i2)]
-                    m.add_to(row, col, v)
-        # f o d_{s+1}: value on (gen', e) = f(d(gen', e)) = sum c_t g_t . f(gen_t, e)
-        if s + 1 <= stages and res.ranks[s + 1] > 0:
-            sgn = F.one() if tot % 2 == 0 else F.neg(F.one())
-            sgn = F.neg(sgn)
-            dres = res.diffs[s + 1]
-            for gen2 in range(res.ranks[s + 1]):
-                src_col = gen2 * res.order + res.pos[identity_perm(a.group.degree)]
-                for (ri, jj), v in dres.entries.items():
-                    if jj != src_col:
-                        continue
-                    gent, gpos = divmod(ri, res.order)
-                    if gent != gen:
-                        continue
-                    g = res.elements[gpos]
-                    mat = act(g, k)
-                    for (i2, ii), vv in mat.entries.items():
-                        if ii == i and (s + 1, gen2, k, i2) in index:
-                            _, row = index[(s + 1, gen2, k, i2)]
-                            m.add_to(row, col, F.mul(sgn, F.mul(v, vv)))
+    one = F.one()
+    for (s, gen, k) in blocks:
+        if k in c.diff and (s, gen, k - 1) in blocks:
+            put((s, gen, k), (s, gen, k - 1), c.diff[k], one)
+    for t in range(1, stages + 1):
+        for gen, bd in enumerate(res.boundaries[t]):
+            for i, coef in bd.items():
+                gen2, gpos = divmod(i, res.order)
+                g = res.elements[gpos]
+                for k in c.support():
+                    if direction > 0:
+                        src, tgt, h = (t, gen, k), (t - 1, gen2, k), inverse(g)
+                        odd = k % 2
+                    else:
+                        src, tgt, h = (t - 1, gen2, k), (t, gen, k), g
+                        odd = (k + t) % 2
+                    if src in blocks and tgt in blocks:
+                        put(src, tgt, a.action_of(h).component(k),
+                            F.neg(coef) if odd else coef)
     labels = {k: tuple(v) for k, v in labels.items()}
     out = ChainComplex(F, dims, diff, labels, check=False)
     out.validate()

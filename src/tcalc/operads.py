@@ -16,6 +16,7 @@ Two models of the bar construction coexist deliberately:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as _iterprod
 
 from . import trees
@@ -381,25 +382,32 @@ def compositions_of_bounded(r, N):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _refinements(n):
+    """The partitions of {0..n-1} in set_partitions order, and for each
+    partition q the ordered list of those partitions that refine q."""
+    parts = set_partitions(list(range(n)))
+    return parts, {q: [p for p in parts if refines(p, q)] for q in parts}
+
+
 def _weak_chains(n, length):
     """Weakly decreasing chains (P_1 >= ... >= P_length) of partitions of
     {0..n-1}, as tuples (coarsest first)."""
-    parts = set_partitions(list(range(n)))
+    parts, finer = _refinements(n)
     if length == 0:
         return [()]
     out = []
 
-    def rec(acc):
+    def rec(acc, choices):
         if len(acc) == length:
             out.append(tuple(acc))
             return
-        for p in parts:
-            if not acc or refines(p, acc[-1]):
-                acc.append(p)
-                rec(acc)
-                acc.pop()
+        for p in choices:
+            acc.append(p)
+            rec(acc, finer[p])
+            acc.pop()
 
-    rec([])
+    rec([], parts)
     return out
 
 

@@ -176,10 +176,6 @@ class YoungGroup:
         return "S(%s)" % ",".join(str(b) for b in self.blocks)
 
 
-def young_subgroup_of_composition(composition):
-    return YoungGroup(tuple(composition))
-
-
 def all_surjections(n, r):
     """All surjections {0..n-1} ->> {0..r-1} as tuples, deterministic order."""
     if r > n:
@@ -243,11 +239,6 @@ def _normalize_partition(blocks):
     bs = [tuple(sorted(b)) for b in blocks if b]
     bs.sort(key=lambda b: b[0])
     return tuple(bs)
-
-
-def partition_of_surjection(alpha, r):
-    """The set partition of {0..n-1} given by the fibers of alpha."""
-    return _normalize_partition([list(f) for f in surjection_fibers(alpha, r)])
 
 
 def apply_perm_to_partition(p, part):

@@ -5,8 +5,8 @@ Chain complexes follow the interchange schema
  "diff": {"<degree>": [[r, c, "num/den"], ...]}, "labels": {...}};
 degrees are decimal strings (possibly negative) and scalars are strings to
 keep rational entries exact.  Equivariant complexes add {"group": [...],
-"action": {"s_<i>": {"<degree>": [[r, c, "v"], ...]}}}; symmetric sequences,
-coalgebras and cosimplicial complexes nest these documents."""
+"action": {"s_<i>": {"<degree>": [[r, c, "v"], ...]}}}; symmetric sequences
+and coalgebras nest these documents."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .fields import field_from_name
 from .operads import SymmetricSequence
 from .perms import YoungGroup
 from .sparse import SparseMatrix
-from .tower import CosimplicialComplex
 
 
 def _label_to_json(lab):
@@ -173,30 +172,6 @@ def coalgebra_from_json(doc):
                                       comp.value.complex)
     return TruncatedCoalgebra(doc["source"], seq, w, theta,
                               komonad=shell.komonad)
-
-
-def cosimplicial_to_json(x):
-    return {
-        "levels": [chain_to_json(lv) for lv in x.levels],
-        "coface": {"%d,%d" % key: map_to_json(f)
-                   for key, f in sorted(x.cofaces.items())},
-        "codeg": {"%d,%d" % key: map_to_json(f)
-                  for key, f in sorted(x.codegens.items())},
-        "degenerate_above": x.degenerate_above,
-    }
-
-
-def cosimplicial_from_json(doc):
-    levels = [chain_from_json(lv) for lv in doc["levels"]]
-    cofaces, codegens = {}, {}
-    for key, fdoc in doc.get("coface", {}).items():
-        m, i = (int(v) for v in key.split(","))
-        cofaces[(m, i)] = map_from_json(fdoc, levels[m], levels[m + 1])
-    for key, fdoc in doc.get("codeg", {}).items():
-        m, j = (int(v) for v in key.split(","))
-        codegens[(m, j)] = map_from_json(fdoc, levels[m], levels[m - 1])
-    return CosimplicialComplex(levels, cofaces, codegens,
-                               doc.get("degenerate_above"))
 
 
 def dumps(doc) -> str:

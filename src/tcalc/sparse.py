@@ -442,6 +442,67 @@ class Echelon:
         return basis
 
 
+class Span:
+    """A span of sparse vectors ({index: scalar}, no stored zeros) grown one
+    vector at a time.
+
+    Each stored row is keyed by its lowest index (its lead), with distinct
+    leads; a vector lies in the span iff reducing it lead by lead empties it.
+    Over F_2 rows are int bitsets, otherwise dicts with lead coefficient 1.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.rows = {}
+
+    def _residue(self, vec):
+        """vec reduced against the rows until its lead is no row's lead:
+        (residue, its lead), or (empty residue, None) when vec is in the span."""
+        rows = self.rows
+        if self.field.p == 2:
+            v = 0
+            for j in vec:
+                v |= 1 << j
+            while v:
+                lead = (v & -v).bit_length() - 1
+                row = rows.get(lead)
+                if row is None:
+                    return v, lead
+                v ^= row
+            return v, None
+        p = self.field.p
+        v = dict(vec)
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                return v, lead
+            c = v[lead]
+            for j, w in row.items():
+                x = v.get(j, 0) - c * w
+                if p:
+                    x %= p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+        return v, None
+
+    def __contains__(self, vec) -> bool:
+        return self._residue(vec)[1] is None
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True iff the span grew."""
+        v, lead = self._residue(vec)
+        if lead is None:
+            return False
+        if self.field.p != 2:
+            inv = self.field.inv(v[lead])
+            v = {j: self.field.mul(inv, x) for j, x in v.items()}
+        self.rows[lead] = v
+        return True
+
+
 def rank(m: SparseMatrix) -> int:
     return Echelon(m).rank
 

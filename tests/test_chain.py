@@ -13,7 +13,9 @@ from tcalc.chain import (
 from tcalc.equivariant import induced_from_trivial_subgroup
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.perms import YoungGroup
-from tcalc.sparse import Echelon, SparseMatrix, nullspace, rank, solve, solve_matrix
+from tcalc.sparse import (
+    Echelon, Span, SparseMatrix, nullspace, rank, solve, solve_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +118,30 @@ def test_matrix_assembly_helpers():
     assert SparseMatrix.from_columns(rows, 3, F3) == a.transpose()
     assert b.nonzero_columns() == [{0: 1}]
     assert a.nonzero_columns() == [{0: 1}, {1: 1}, {0: 2}]
+
+
+def test_span_grows_exactly_when_the_rank_rises():
+    # vectors drawn from random subspaces, so both outcomes occur often
+    rng = random.Random(11)
+    for F in (F2, F3, QQ):
+        for _ in range(12):
+            n = rng.randint(1, 9)
+            basis = [{j: F.coerce(rng.randint(-2, 2)) for j in range(n)
+                      if rng.random() < 0.5} for _ in range(rng.randint(1, n))]
+            span, rows, rk = Span(F), [], 0
+            for _ in range(28):
+                vec = {}
+                for b in basis:
+                    c = F.coerce(rng.randint(-2, 2))
+                    for j, x in b.items():
+                        vec[j] = F.add(vec.get(j, F.zero()), F.mul(c, x))
+                vec = {j: x for j, x in vec.items() if not F.is_zero(x)}
+                rows.append(vec)
+                new = Echelon(SparseMatrix.from_sparse_rows(rows, n, F)).rank
+                assert (vec in span) == (new == rk)
+                assert span.add(vec) == (new > rk)
+                assert vec in span
+                rk = new
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from tcalc.equivariant import (
     tate, tensor_power, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
-from tcalc.perms import YoungGroup, all_surjections, set_partitions
-from tcalc.sparse import SparseMatrix
+from tcalc.perms import YoungGroup, all_surjections, compose, set_partitions
+from tcalc.sparse import SparseMatrix, rank
 
 S2 = YoungGroup.of(2)
 S3 = YoungGroup.of(3)
@@ -106,6 +106,33 @@ def test_resolution_sigma2_minimal():
     res = group_resolution(F2, S2)
     res.extend_to(6)
     assert res.ranks[:7] == [1, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("F", [F2, F3], ids=["F2", "F3"])
+@pytest.mark.parametrize("blocks", [(2,), (3,), (2, 2), (3, 1), (4,)],
+                         ids=["S2", "S3", "S2xS2", "S3xS1", "S4"])
+def test_resolution_certificates(F, blocks):
+    """d o d = 0, exactness below the top stage, and kG-linearity: the
+    column at (gen, h) is h times the column at (gen, e)."""
+    res = group_resolution(F, YoungGroup(blocks))
+    top = 5
+    res.extend_to(top)
+    n = res.order
+    for s in range(top):
+        assert (res.diffs[s] * res.diffs[s + 1]).is_zero(), s
+        kernel = res.stage_dim(s) - rank(res.diffs[s])
+        assert rank(res.diffs[s + 1]) == kernel, s
+    for s in range(1, top + 1):
+        cols = {}
+        for (i, j), x in res.diffs[s].entries.items():
+            cols.setdefault(j, {})[i] = x
+        for gen, bd in enumerate(res.boundaries[s]):
+            for h in res.elements:
+                want = {i - i % n + res.pos[compose(h, res.elements[i % n])]: x
+                        for i, x in bd.items()}
+                assert cols[gen * n + res.pos[h]] == want, (s, gen, h)
+    if (F, blocks) == (F2, (4,)):
+        assert res.ranks[:top + 1] == [1, 3, 5, 7, 9, 14]
 
 
 def periodic_bs2_oracle(k):

@@ -1,6 +1,7 @@
 """Operad and cooperad layer: trees, bar construction, nerve oracle, plethysm."""
 
 import random
+from itertools import product
 from math import factorial
 
 import pytest
@@ -12,9 +13,9 @@ from tcalc.operads import (
     BarConstruction, Cooperad, Operad, RightModule, SymmetricSequence,
     bar_construction, check_coassociativity, commutative_operad,
     partition_poset_nerve, plethysm, spectral_lie, tree_cooperad,
-    tree_equivariant, unit_sequence, validate_right_module,
+    tree_equivariant, unit_sequence, validate_right_module, _weak_chains,
 )
-from tcalc.perms import YoungGroup, set_partitions
+from tcalc.perms import YoungGroup, refines, set_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +208,15 @@ def test_bar_leveled_dims_match_chain_count():
     # normalized arity 4: 1, 13, 18
     n4 = bc.normalized[4]
     assert {k: n4.dim(k) for k in n4.support()} == {1: 1, 2: 13, 3: 18}
+
+
+def test_weak_chains_match_the_brute_force_filter():
+    for n in range(1, 5):
+        parts = set_partitions(list(range(n)))
+        for length in range(4):
+            want = [ch for ch in product(parts, repeat=length)
+                    if all(refines(q, p) for p, q in zip(ch, ch[1:]))]
+            assert _weak_chains(n, length) == want, (n, length)
 
 
 def test_partition_nerve_oracle():
