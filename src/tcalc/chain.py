@@ -19,12 +19,16 @@ Conventions fixed once for the whole package:
   (`quotient`, returned with its projection).  A map into a subcomplex is
   `factor_through(g, incl)`; a map out of a quotient is read off on the kept
   coordinates, a `label_map` from the quotient back to the coordinates its
-  labels name, composed with the map.
+  labels name, composed with the map;
+* a direct sum's basis in each degree is its summands' bases in order, the
+  vector lab of summand idx labelled (idx, lab) (`direct_sum`).  Maps between
+  direct sums are `block_map`, one ChainMap per pair of summands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import FieldSpec
 from .sparse import Echelon, Span, SparseMatrix, nullspace, solve, solve_matrix
@@ -52,9 +56,6 @@ class DegreeWindow:
 
     def expand(self, n=1) -> "DegreeWindow":
         return DegreeWindow(self.lo - n, self.hi + n)
-
-    def intersect(self, other: "DegreeWindow") -> "DegreeWindow":
-        return DegreeWindow(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __str__(self):
         return "[%d,%d]" % (self.lo, self.hi)
@@ -440,52 +441,39 @@ def direct_sum(complexes) -> ChainComplex:
         if c.field != field:
             raise ValueError("field mismatch in direct sum")
     dims, labels = {}, {}
-    offs = []  # per complex: {degree: offset}
     for idx, c in enumerate(complexes):
-        off = {}
         for k, n in c.dims.items():
-            off[k] = dims.get(k, 0)
             dims[k] = dims.get(k, 0) + n
-            labels.setdefault(k, [])
-            labels[k].extend((idx, lab) for lab in c.labels[k])
-        offs.append(off)
-    diff = {}
-    for k in list(dims):
-        if dims.get(k) and dims.get(k - 1):
-            m = SparseMatrix(dims[k - 1], dims[k], field)
-            for idx, c in enumerate(complexes):
-                dk = c.diff.get(k)
-                if dk is None:
-                    continue
-                r0, c0 = offs[idx].get(k - 1, 0), offs[idx].get(k, 0)
-                for (i, j), v in dk.entries.items():
-                    m[r0 + i, c0 + j] = v
-            diff[k] = m
+            labels.setdefault(k, []).extend((idx, lab) for lab in c.labels[k])
+    diff = {k: SparseMatrix.block(
+        {(i, i): c.diff.get(k) for i, c in enumerate(complexes)},
+        _block_sizes(complexes, k - 1), _block_sizes(complexes, k), field)
+        for k in dims if k - 1 in dims}
     labels = {k: tuple(v) for k, v in labels.items()}
     return ChainComplex(field, dims, diff, labels, check=False)
 
 
-def summand_inclusion(summands, total, idx) -> ChainMap:
-    """Inclusion of summands[idx] into direct_sum(summands) rebuilt as `total`."""
-    c = summands[idx]
-    comps = {}
-    for k, n in c.dims.items():
-        off = 0
-        for prev in summands[:idx]:
-            off += prev.dim(k)
-        m = SparseMatrix(total.dim(k), n, c.field)
-        for j in range(n):
-            m[off + j, j] = c.field.one()
-        comps[k] = m
-    return ChainMap(c, total, comps, check=False)
+def _block_sizes(parts, k):
+    """The degree-k block sizes of the direct sum of parts: summand i's
+    coordinates start after those of the summands before it."""
+    return [c.dim(k) for c in parts]
 
 
-def summand_projection(summands, total, idx) -> ChainMap:
-    inc = summand_inclusion(summands, total, idx)
-    comps = {k: m.transpose() for k, m in inc.components.items()}
-    out = ChainMap(total, summands[idx], None, check=False)
-    out.components = {k: m for k, m in comps.items() if not m.is_zero()}
-    return out
+def block_map(source, target, src_parts, tgt_parts, blocks) -> ChainMap:
+    """The degree-0 map from source = direct_sum(src_parts) to target =
+    direct_sum(tgt_parts) whose block from summand j to summand i is the
+    ChainMap blocks[(j, i)] (None is zero).  Either side may be one complex,
+    the sum of a single part.  A block whose shape differs from its
+    summands' raises ValueError; nothing is validated."""
+    by_degree = {}
+    for (j, i), f in blocks.items():
+        if f is not None:
+            for k, m in f.components.items():
+                by_degree.setdefault(k, {})[(i, j)] = m
+    comps = {k: SparseMatrix.block(mats, _block_sizes(tgt_parts, k),
+                                   _block_sizes(src_parts, k), source.field)
+             for k, mats in by_degree.items()}
+    return ChainMap(source, target, comps, check=False)
 
 
 def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
@@ -687,47 +675,7 @@ def shift_map(f: ChainMap, d: int) -> ChainMap:
 
 
 def tensor(c: ChainComplex, dc: ChainComplex) -> ChainComplex:
-    if c.field != dc.field:
-        raise ValueError("field mismatch in tensor")
-    field = c.field
-    dims, labels, index = {}, {}, {}
-    for p in c.support():
-        for q in dc.support():
-            k = p + q
-            base = dims.get(k, 0)
-            for i in range(c.dim(p)):
-                for j in range(dc.dim(q)):
-                    index[(p, i, q, j)] = (k, base + i * dc.dim(q) + j)
-            dims[k] = base + c.dim(p) * dc.dim(q)
-            labels.setdefault(k, [])
-            labels[k].extend((c.labels[p][i], dc.labels[q][j])
-                             for i in range(c.dim(p)) for j in range(dc.dim(q)))
-    diff = {}
-    one = field.one()
-    for (p, i, q, j), (k, col) in index.items():
-        if k not in diff:
-            if dims.get(k) and dims.get(k - 1):
-                diff[k] = SparseMatrix(dims[k - 1], dims[k], field)
-    for (p, i, q, j), (k, col) in index.items():
-        m = diff.get(k)
-        if m is None:
-            continue
-        dp = c.diff.get(p)
-        if dp is not None:
-            for (i2, jj), v in dp.entries.items():
-                if jj == i:
-                    _, row = index[(p - 1, i2, q, j)]
-                    m.add_to(row, col, v)
-        dq = dc.diff.get(q)
-        if dq is not None:
-            sgn = one if p % 2 == 0 else field.neg(one)
-            for (j2, jj), v in dq.entries.items():
-                if jj == j:
-                    _, row = index[(p, i, q - 1, j2)]
-                    m.add_to(row, col, field.mul(sgn, v))
-    labels = {k: tuple(v) for k, v in labels.items()}
-    out = ChainComplex(field, dims, diff, labels, check=False)
-    return out
+    return tensor_many([c, dc])
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -765,38 +713,42 @@ def tensor_many(complexes) -> ChainComplex:
     if not complexes:
         raise ValueError("empty tensor product")
     field = complexes[0].field
-    from itertools import product as _prod
-    supports = [c.support() for c in complexes]
-    dims, labels, index = {}, {}, {}
-    for degs in _prod(*supports):
+    if any(c.field != field for c in complexes):
+        raise ValueError("field mismatch in tensor")
+    labels, index = {}, {}
+    for degs in product(*[c.support() for c in complexes]):
         k = sum(degs)
-        ranges = [range(c.dim(p)) for c, p in zip(complexes, degs)]
-        for idxs in _prod(*ranges):
-            base = dims.get(k, 0)
-            index[(degs, idxs)] = (k, base)
-            dims[k] = base + 1
-            labels.setdefault(k, []).append(
-                tuple(c.labels[p][i] for c, p, i in zip(complexes, degs, idxs)))
+        labs = labels.setdefault(k, [])
+        for idxs in product(*[range(c.dim(p))
+                              for c, p in zip(complexes, degs)]):
+            index[(degs, idxs)] = (k, len(labs))
+            labs.append(tuple(c.labels[p][i]
+                              for c, p, i in zip(complexes, degs, idxs)))
+    dims = {k: len(labs) for k, labs in labels.items()}
+    # each factor's differential by column: (p, i) -> [(row, scalar), ...]
+    dcols = []
+    for c in complexes:
+        cols = {}
+        for p, dp in c.diff.items():
+            for (i2, i), v in dp.entries.items():
+                cols.setdefault((p, i), []).append((i2, v))
+        dcols.append(cols)
     diff = {}
     one = field.one()
     for (degs, idxs), (k, col) in index.items():
-        if not dims.get(k - 1):
-            continue
         m = diff.get(k)
         if m is None:
-            m = SparseMatrix(dims[k - 1], dims[k], field)
-            diff[k] = m
+            if not dims.get(k - 1):
+                continue
+            m = diff[k] = SparseMatrix(dims[k - 1], dims[k], field)
+        # each (factor, row) of a column is a distinct row of the product
         sgn = one
-        for t, (c, p, i) in enumerate(zip(complexes, degs, idxs)):
-            dp = c.diff.get(p)
-            if dp is not None:
-                for (i2, jj), v in dp.entries.items():
-                    if jj == i:
-                        nd = degs[:t] + (p - 1,) + degs[t + 1:]
-                        ni = idxs[:t] + (i2,) + idxs[t + 1:]
-                        _, row = index[(nd, ni)]
-                        m.add_to(row, col, field.mul(sgn, v))
-            if p % 2 != 0:
+        for t, pi in enumerate(zip(degs, idxs)):
+            for i2, v in dcols[t].get(pi, ()):
+                _, row = index[(degs[:t] + (pi[0] - 1,) + degs[t + 1:],
+                                idxs[:t] + (i2,) + idxs[t + 1:])]
+                m.entries[(row, col)] = field.mul(sgn, v)
+            if pi[0] % 2 != 0:
                 sgn = field.neg(sgn)
     labels = {k: tuple(v) for k, v in labels.items()}
     return ChainComplex(field, dims, diff, labels, check=False)
@@ -912,23 +864,12 @@ def cone(f: ChainMap) -> ChainComplex:
                 tuple(("cone-tgt", lab) for lab in d.labels.get(k, ()))
     diff = {}
     for k in dims:
-        if not dims.get(k - 1):
-            continue
-        m = SparseMatrix(dims[k - 1], dims[k], field)
-        nc_prev = c.dim(k - 2)
-        dc = c.diff.get(k - 1)
-        if dc is not None:
-            for (i, j), v in dc.entries.items():
-                m[i, j] = field.neg(v)
-        dd = d.diff.get(k)
-        if dd is not None:
-            for (i, j), v in dd.entries.items():
-                m[nc_prev + i, c.dim(k - 1) + j] = v
-        fm = f.components.get(k - 1)
-        if fm is not None:
-            for (i, j), v in fm.entries.items():
-                m[nc_prev + i, j] = field.neg(v)
-        diff[k] = m
+        if k - 1 in dims:
+            dc, fm = c.diff.get(k - 1), f.components.get(k - 1)
+            diff[k] = SparseMatrix.block(
+                {(0, 0): None if dc is None else -dc, (1, 1): d.diff.get(k),
+                 (1, 0): None if fm is None else -fm},
+                [c.dim(k - 2), d.dim(k - 1)], [c.dim(k - 1), d.dim(k)], field)
     return ChainComplex(field, dims, diff, labels, check=False)
 
 

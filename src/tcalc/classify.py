@@ -11,10 +11,9 @@ from __future__ import annotations
 from itertools import product
 
 from .chain import (
-    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, cone, direct_sum,
-    hom_complex, homology_coordinates, homotopy_between, label_map,
-    nullhomotopy, shift, shift_map, summand_inclusion, summand_projection,
-    transport,
+    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
+    direct_sum, hom_complex, homology_coordinates, homotopy_between,
+    label_map, nullhomotopy, shift, shift_map, transport,
 )
 from .coalgebras import (
     FinitePointedSet, psi_from_theta, representable_module, truncate_coalgebra,
@@ -295,14 +294,14 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     # its level-1 off-diagonal slots; it is fixed under mutation, so
     # corruptions cannot be silently repaired
     homotopy_part = _canonical_square_homotopy(
-        builder, pn["complex"], corner_cx, n, c, F)
+        builder, pn["complex"], corner_cx, n, F)
     if corrupt is not None:
         f_tower, top_map, bot_map, right_map = corrupt(
             f_tower, top_map, bot_map, right_map)
     try:
         for f in (f_tower, top_map, bot_map, right_map):
             f.validate()
-        alpha = _pair_map(f_tower, top_map, F)
+        alpha = _pair_map(f_tower, top_map)
         cn = cone(alpha)
         gamma = _assemble_gamma(cn, bot_map, right_map, alpha,
                                 homotopy_part, F)
@@ -330,92 +329,66 @@ def _tot_to_diagonal_slot(builder, tot, n):
     sub0, inc0 = conormalized_level(cs, 0)
     parts = builder.parts[0]
     idx = keys.index((n,))
-    proj = summand_projection(parts, cs.levels[0], idx)
-    # Tot -> level 0 (conormalized slot m = 0)
-    comps = {}
     tgt = parts[idx]
-    for k in tot.dims:
-        mm = SparseMatrix(tgt.dim(k), tot.dim(k), F)
-        for j, lab in enumerate(tot.labels[k]):
-            _, m, inner = lab
-            if m != 0:
-                continue
-            # inner is a conormalized label of level 0; level 0 has no
-            # codegeneracies into it, so the conormalization is the identity
-            i = sub0.label_index(k)[inner]
-            img = (proj.component(k) * inc0.component(k)).apply({i: F.one()})
-            for r2, v in img.items():
-                mm.add_to(r2, j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    out = ChainMap(tot, tgt, comps, check=False)
+    # Tot -> level 0: a label ("tot", 0, inner) names the conormalized
+    # vector inner (level 0 has no codegeneracies, so N^0 is the level)
+    to_level0 = label_map(tot, sub0, partial=True,
+                          key=lambda lab: lab[2] if lab[1] == 0 else None)
+    proj = block_map(cs.levels[0], tgt, parts, [tgt],
+                     {(idx, 0): ChainMap.identity(tgt)})
+    out = proj.compose(inc0).compose(to_level0)
     out.validate()
     return out, tgt
+
+
+def _off_diagonal_keys(builder, n):
+    """The level-1 keys (r, n), r < n, of the square's corner, in order."""
+    return [k for k in builder.level_keys.get(1, ()) if k[0] < k[1] == n]
 
 
 def _corner_maps(builder, pn1, n, c):
     """(bottom map P_{n-1} -> corner, corner complex, right map fixed ->
     corner): the corner is the off-diagonal comonad slot sum at arity < n."""
     F = c.field
+    offkeys = _off_diagonal_keys(builder, n)
+    slot_parts = [builder.parts[1][builder.level_keys[1].index(k)]
+                  for k in offkeys]
     if c.source == "top":
-        offkeys = [(1, 2)] if builder.slot12 is not None and n == 2 else []
-        slot_parts = [builder.slot12.complex] if offkeys else []
-        ub = {(( 2,), (1, 2)): builder._u12_map()} if offkeys else {}
+        ub = {((2,), (1, 2)): builder._u12_map()} if offkeys else {}
         tb = {((1,), (1, 2)): builder._theta12_map()} if offkeys else {}
-        diag_parts = {k[0]: builder.diag[k[0]]["complex"]
-                      for k in builder.level_keys[0]}
     else:
-        offkeys = sorted(k for k in builder.pieces[1]
-                         if k[0] < k[1] and k[1] == n)
-        slot_parts = [builder.phi[1][k].complex for k in offkeys]
-        ub, tb = {}, {}
-        raw_u = builder._u_block(0, 1)
-        raw_t = builder._theta_block(0, 1, True)
-        for (sk, tk), f in raw_u.items():
-            if tk in offkeys:
-                ub[(sk, tk)] = f
-        for (sk, tk), f in raw_t.items():
-            if tk in offkeys:
-                tb[(sk, tk)] = f
-        diag_parts = {k[0]: builder.phi[0][k].complex
-                      for k in builder.level_keys[0]}
+        ub, tb = builder._u_block(0, 1), builder._theta_block(0, 1, True)
     corner = direct_sum(slot_parts) if slot_parts else ChainComplex(F, {})
     # bottom: out of P_{n-1}-Tot through its level-0 arity projections
-    bot_comps = {}
     pn1_tot = pn1["complex"]
     bl = pn1["cosimplicial"]._builder
-    bot = ChainMap.zero(pn1_tot, corner)
+    bot_blocks, right_blocks = {}, {}
     for t_i, key in enumerate(offkeys):
-        inc = summand_inclusion(slot_parts, corner, t_i)
         r = key[0]
         f = tb.get(((r,), key))
-        if f is None:
-            continue
-        proj_r, _ = _tot_to_diagonal_slot(bl, pn1_tot, r)
-        bot = bot + inc.compose(f).compose(proj_r)
-    # right: out of the fixed (diagonal arity-n) slot via the unit blocks
-    fixed_cx = diag_parts[n] if n in diag_parts else ChainComplex(F, {})
-    right = ChainMap.zero(fixed_cx, corner)
-    for t_i, key in enumerate(offkeys):
-        inc = summand_inclusion(slot_parts, corner, t_i)
-        f = ub.get(((n,), key))
-        if f is None:
-            continue
-        right = right + inc.compose(f)
+        if f is not None:
+            proj_r, _ = _tot_to_diagonal_slot(bl, pn1_tot, r)
+            bot_blocks[(0, t_i)] = f.compose(proj_r)
+        # right: out of the fixed (diagonal arity-n) slot via the unit blocks
+        right_blocks[(0, t_i)] = ub.get(((n,), key))
+    bot = block_map(pn1_tot, corner, [pn1_tot], slot_parts, bot_blocks)
+    keys0 = builder.level_keys[0]
+    fixed_cx = builder.parts[0][keys0.index((n,))] if (n,) in keys0 \
+        else ChainComplex(F, {})
+    right = block_map(fixed_cx, corner, [fixed_cx], slot_parts, right_blocks)
     return bot, corner, right
 
 
-def _pair_map(f1: ChainMap, f2: ChainMap, F) -> ChainMap:
+def _pair_map(f1: ChainMap, f2: ChainMap) -> ChainMap:
     """(f1, f2) : X -> Y1 (+) Y2."""
-    tgt = direct_sum([f1.target, f2.target])
-    i1 = summand_inclusion([f1.target, f2.target], tgt, 0)
-    i2 = summand_inclusion([f1.target, f2.target], tgt, 1)
-    return i1.compose(f1) + i2.compose(f2)
+    parts = [f1.target, f2.target]
+    return block_map(f1.source, direct_sum(parts), [f1.source], parts,
+                     {(0, 0): f1, (0, 1): f2})
 
 
-def _canonical_square_homotopy(builder, pn_tot, corner, n, c, F):
+def _canonical_square_homotopy(builder, pn_tot, corner, n, F):
     """The structural square homotopy: project a Tot element to its level-1
-    off-diagonal slot coordinates, viewed in the corner.
+    coordinates in the slots (r, n), r < n, which are the corner's summands.
 
     Stored as {cone degree k: matrix corner_k x P_n-tot_{k-1}}; the Tot
     differential identity d h + h d = (right o top) - (bottom o tower) is
@@ -425,75 +398,40 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n, c, F):
         return {}
     sub1, inc1 = conormalized_level(cs, 1)
     keys1, parts1 = builder.level_keys[1], builder.parts[1]
-    offkeys = [k for k in keys1 if k[0] < k[1]]
+    idx = [keys1.index(k) for k in _off_diagonal_keys(builder, n)]
+    to_corner = block_map(
+        cs.levels[1], corner, parts1, [parts1[i] for i in idx],
+        {(i, t): ChainMap.identity(parts1[i])
+         for t, i in enumerate(idx)}).compose(inc1)
     out = {}
     for k in pn_tot.dims:
         deg = k + 1
-        # per-degree sign (-1)^{k+1}: with the Tot coface signs (-1)^j the
-        # slot projection then satisfies d h + h d = right o top - bot o tower
-        sgn = F.one() if (k + 1) % 2 == 0 else F.neg(F.one())
-        mm = SparseMatrix(corner.dim(deg), pn_tot.dim(k), F)
-        wrote = False
-        off_level, off_corner = {}, {}
-        acc_l = acc_c = 0
-        for key, part in zip(keys1, parts1):
-            off_level[key] = acc_l
-            acc_l += part.dim(deg)
-            if key in offkeys:
-                off_corner[key] = acc_c
-                acc_c += part.dim(deg)
-        for j, lab in enumerate(pn_tot.labels[k]):
-            _, lvl, inner = lab
-            if lvl != 1:
-                continue
-            idx1 = sub1.label_index(deg)
-            if inner not in idx1:
-                continue
-            vec = inc1.component(deg).apply({idx1[inner]: F.one()})
-            for key, part in zip(keys1, parts1):
-                if key not in offkeys:
-                    continue
-                lo = off_level[key]
-                hi = lo + part.dim(deg)
-                for t, v in vec.items():
-                    if lo <= t < hi:
-                        mm.add_to(off_corner[key] + (t - lo), j,
-                                  F.mul(sgn, v))
-                        wrote = True
-        if wrote:
-            out[deg] = mm
+        # the Tot vector ("tot", 1, inner) in degree k is the conormalized
+        # vector inner in degree k + 1
+        idx1 = sub1.label_index(deg)
+        pick = SparseMatrix(sub1.dim(deg), pn_tot.dim(k), F)
+        for j, (_, lvl, inner) in enumerate(pn_tot.labels[k]):
+            if lvl == 1 and inner in idx1:
+                pick.entries[(idx1[inner], j)] = F.one()
+        mm = to_corner.component(deg) * pick
+        if not mm.is_zero():
+            # per-degree sign (-1)^{k+1}: with the Tot coface signs (-1)^j
+            # the slot projection then satisfies d h + h d = right o top -
+            # bot o tower
+            out[deg] = mm if deg % 2 == 0 else -mm
     return out
 
 
 def _assemble_gamma(cn: ChainComplex, bot: ChainMap, right: ChainMap,
                     alpha: ChainMap, homotopy_part, F) -> ChainMap:
-    """gamma with the (bottom - right) difference on the target block and the
-    prescribed homotopy on the shifted block."""
+    """gamma : cone(alpha) -> corner, with the prescribed homotopy on the
+    shifted source block C_{k-1} and bottom - right on the target block
+    P_{n-1} (+) fixed."""
     corner = bot.target
-    n_src = alpha.source
-    comps = {}
-    dm = _difference_on_pair(bot, right, F)
-    for k in cn.dims:
-        mm = SparseMatrix(corner.dim(k), cn.dim(k), F)
-        off = n_src.dim(k - 1)
-        sub = dm.component(k)
-        for (i, j), v in sub.entries.items():
-            mm.add_to(i, off + j, v)
-        hp = homotopy_part.get(k)
-        if hp is not None:
-            for (i, j), v in hp.entries.items():
-                if j < off and i < corner.dim(k):
-                    mm.add_to(i, j, v)
-        if not mm.is_zero():
-            comps[k] = mm
-    return ChainMap(cn, corner, comps, check=False)
-
-
-def _difference_on_pair(bot: ChainMap, right: ChainMap, F) -> ChainMap:
-    src = direct_sum([bot.source, right.source])
-    p1 = summand_projection([bot.source, right.source], src, 0)
-    p2 = summand_projection([bot.source, right.source], src, 1)
-    return bot.compose(p1) - right.compose(p2)
+    h = ChainMap(shift(alpha.source, 1), corner, homotopy_part, check=False)
+    return block_map(cn, corner, [h.source, bot.source, right.source],
+                     [corner], {(0, 0): h, (1, 0): bot,
+                                (2, 0): right.scale(F.neg(F.one()))})
 
 
 def splitting_check(c, site, n=None, w: DegreeWindow | None = None):

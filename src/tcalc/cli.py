@@ -101,7 +101,7 @@ def cmd_bar_com(args):
     from .operads import bar_construction, commutative_operad
     field = field_from_name(args.field)
     com = commutative_operad(field, args.n)
-    bc, normalized, coop = bar_construction(com)
+    bc, normalized = bar_construction(com)
     out = {"command": "bar-com", "arity": args.n,
            "normalized_dims": {str(k): normalized[args.n].dim(k)
                                for k in normalized[args.n].support()},
@@ -287,7 +287,6 @@ def build_parser():
             sp.add_argument("input", help="input JSON document")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", default="json", choices=["json"])
-        sp.add_argument("--arity-max", type=int, default=4)
 
     sp = sub.add_parser("homology")
     add_common(sp, window=False)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, quotient,
-    subcomplex, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
+    quotient, subcomplex, tensor_many,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
@@ -564,21 +564,14 @@ def induced_from_trivial_subgroup(pieces, group: YoungGroup) -> EquivariantCompl
     `pieces` is a single ChainComplex V; the result is free, used for tests.
     """
     elements = group.elements()
-    total = direct_sum([pieces] * len(elements))
-    F = pieces.field
+    parts = [pieces] * len(elements)
+    total = direct_sum(parts)
     pos = {g: i for i, g in enumerate(elements)}
-    n = group.degree
+    ident = ChainMap.identity(pieces)
     action = {}
     for gi in group.generator_positions():
-        s = transposition(n, gi)
-        comps = {}
-        for k in total.dims:
-            m = SparseMatrix(total.dim(k), total.dim(k), F)
-            nd = pieces.dim(k)
-            for t, g in enumerate(elements):
-                t2 = pos[compose(s, g)]
-                for i in range(nd):
-                    m[t2 * nd + i, t * nd + i] = F.one()
-            comps[k] = m
-        action[gi] = ChainMap(total, total, comps, check=False)
+        s = transposition(group.degree, gi)
+        action[gi] = block_map(total, total, parts, parts,
+                               {(t, pos[compose(s, g)]): ident
+                                for t, g in enumerate(elements)})
     return EquivariantComplex(total, group, action, check=False)

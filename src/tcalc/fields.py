@@ -108,9 +108,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverting zero")
         return pow(a, -1, self.p) if self.p else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
 

@@ -152,8 +152,8 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
                 a_r = a.term(len(part))
                 b_terms = [b.term(len(blk)) for blk in part]
                 # map on the tensor factors: A_r gets tau, block i gets inner perm
-                a_map = a_r.action_of(_extend_perm(tau))
-                b_maps = [bt.action_of(_extend_perm(ip))
+                a_map = a_r.action_of(tuple(tau))
+                b_maps = [bt.action_of(tuple(ip))
                           for bt, ip in zip(b_terms, inner_perms)]
                 for k in c.dims:
                     for col, lab in enumerate(c.labels[k]):
@@ -180,31 +180,16 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
     return SymmetricSequence(F, N, out_terms)
 
 
-def _extend_perm(p):
-    return tuple(p)
-
-
 def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
     """Image of a tensor basis element under (a_map (x) b_maps) followed by
     reordering the b-factors along tau, with Koszul signs.
 
     Returns {(target label, degree): coefficient}."""
-    # positions/degrees of each factor label
-    deg_of = []
-    idx_of = []
-    for c, l in zip(factors, lab):
-        found = None
-        for k in c.dims:
-            li = c.label_index(k)
-            if l in li:
-                found = (k, li[l])
-                break
-        deg_of.append(found[0])
-        idx_of.append(found[1])
     maps = [a_map] + b_maps
     # apply each map factorwise; collect (coefficient, target label, degree)
     per_factor = []
-    for (c, l), mp, k0, i0 in zip(zip(factors, lab), maps, deg_of, idx_of):
+    for c, l, mp in zip(factors, lab, maps):
+        k0, i0 = c.locate(l)
         comp = mp.component(k0)
         hits = []
         tgt = mp.target
@@ -569,10 +554,9 @@ def _is_strict(ch, n, s):
 
 
 def bar_construction(operad: Operad):
-    """Returns (BarConstruction, {n: normalized ChainComplex}, tree Cooperad)."""
+    """Returns (BarConstruction, {n: normalized ChainComplex})."""
     bc = BarConstruction(operad)
-    coop = tree_cooperad(operad.field, operad.truncation)
-    return bc, dict(bc.normalized), coop
+    return bc, dict(bc.normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +875,7 @@ def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target, field):
             # degrees of the x factors
             degs = []
             for fl, fc in zip(xlab, _undual(dual_factors)):
-                degs.append(_label_degree(fc, fl))
+                degs.append(fc[fl])
             sgn = 1
             for i in range(len(degs)):
                 for j in range(i + 1, len(degs)):
@@ -899,7 +883,7 @@ def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target, field):
                         sgn = -sgn
             # source basis position in tensor of duals
             dual_lab = tuple(("dual", l) for l in xlab)
-            sk, spos = _tensor_pos(src, dual_lab)
+            sk, spos = src.locate(dual_lab)
             tk, tpos = tgt_pos[tlab]
             mm = comps.get(sk)
             if mm is None:
@@ -920,18 +904,6 @@ def _undual(dual_factors):
                 dm[lab[1]] = -k
         out.append(dm)
     return out
-
-
-def _label_degree(degmap, lab):
-    return degmap[lab]
-
-
-def _tensor_pos(t: ChainComplex, lab):
-    for k in t.dims:
-        idx = t.label_index(k)
-        if lab in idx:
-            return k, idx[lab]
-    raise KeyError(lab)
 
 
 def _validate_operad_units(op: Operad):

@@ -136,13 +136,6 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d over %s, %d nonzero)" % (
             self.rows, self.cols, self.field.name(), len(self.entries))
 
-    def to_dense(self):
-        z = self.field.zero()
-        out = [[z] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
@@ -234,7 +227,8 @@ class SparseMatrix:
 
     @classmethod
     def block(cls, blocks, row_sizes, col_sizes, field):
-        """Assemble from {(bi, bj): SparseMatrix} with given block sizes."""
+        """Assemble from {(bi, bj): SparseMatrix or None} with given block
+        sizes; a block whose shape differs from its sizes raises ValueError."""
         roff = [0]
         for s in row_sizes:
             roff.append(roff[-1] + s)
@@ -242,6 +236,7 @@ class SparseMatrix:
         for s in col_sizes:
             coff.append(coff[-1] + s)
         out = cls(roff[-1], coff[-1], field)
+        entries = out.entries
         for (bi, bj), m in blocks.items():
             if m is None:
                 continue
@@ -249,7 +244,7 @@ class SparseMatrix:
                 raise ValueError("block (%d,%d) has wrong shape" % (bi, bj))
             r0, c0 = roff[bi], coff[bj]
             for (i, j), v in m.entries.items():
-                out.add_to(r0 + i, c0 + j, v)
+                entries[(r0 + i, c0 + j)] = v
         return out
 
 

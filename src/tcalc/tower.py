@@ -14,10 +14,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, factor_through,
-    hom_complex, hom_element_to_map, homotopy_between, is_quasi_iso, label_map,
-    map_to_hom_element, quotient, shift, subcomplex, summand_inclusion,
-    summand_projection, tensor, tensor_map, transport,
+    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
+    factor_through, hom_complex, hom_element_to_map, homotopy_between,
+    is_quasi_iso, label_map, map_to_hom_element, quotient, shift, subcomplex,
+    tensor, tensor_map, transport,
 )
 from .coalgebras import (
     FinitePointedSet, _model_transport, injections, truncate_coalgebra,
@@ -180,17 +180,14 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
     D = min(x.degenerate_above, x.M)
     F = x.field
     normed = [conormalized_level(x, m) for m in range(D + 1)]
-    dims, labels, index = {}, {}, {}
-    for m in range(D + 1):
-        lv = normed[m][0]
-        for j in lv.support():
-            k = j - m
-            base = dims.get(k, 0)
-            for t in range(lv.dim(j)):
-                index[(m, j, t)] = (k, base + t)
-            dims[k] = base + lv.dim(j)
-            labels.setdefault(k, []).extend(
-                ("tot", m, lab) for lab in lv.labels[j])
+    subs = [sub for sub, _ in normed]
+    # Tot_k is the sum over m of N^m_{k+m}, labelled ("tot", m, lab)
+    labels = {}
+    for m, sub in enumerate(subs):
+        for j in sub.support():
+            labels.setdefault(j - m, []).extend(
+                ("tot", m, lab) for lab in sub.labels[j])
+    labels = {k: tuple(v) for k, v in labels.items()}
     # coface sums on conormalized levels: delta-sum o incl, solved back into
     # the next conormalized basis
     dsum = {}
@@ -209,31 +206,23 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
         dsum[m] = factor_through(
             ChainMap(src_sub, x.levels[m + 1], comps, check=False),
             normed[m + 1][1]).components
+    # d_k: N^m's differential on the diagonal, (-1)^j times the coface sum
+    # out of N^m_j below it
     diff = {}
-    for (m, j, t), (k, col) in index.items():
-        if not dims.get(k - 1):
+    for k in labels:
+        if k - 1 not in labels:
             continue
-        mtx = diff.get(k)
-        if mtx is None:
-            mtx = SparseMatrix(dims[k - 1], dims[k], F)
-            diff[k] = mtx
-        lv = normed[m][0]
-        dint = lv.diff.get(j)
-        if dint is not None:
-            for (t2, tt), v in dint.entries.items():
-                if tt == t:
-                    _, row = index[(m, j - 1, t2)]
-                    mtx.add_to(row, col, v)
-        if m + 1 <= D:
-            sgn_j = one if j % 2 == 0 else F.neg(one)
-            cf = dsum[m].get(j)
+        blocks = {}
+        for m, sub in enumerate(subs):
+            blocks[(m, m)] = sub.diff.get(k + m)
+            cf = dsum[m].get(k + m) if m < D else None
             if cf is not None:
-                for (t2, tt), v in cf.entries.items():
-                    if tt == t and (m + 1, j, t2) in index:
-                        _, row = index[(m + 1, j, t2)]
-                        mtx.add_to(row, col, F.mul(sgn_j, v))
-    labels = {k: tuple(v) for k, v in labels.items()}
-    out = ChainComplex(F, dims, diff, labels, check=False)
+                blocks[(m + 1, m)] = cf if (k + m) % 2 == 0 else -cf
+        diff[k] = SparseMatrix.block(
+            blocks, [sub.dim(k - 1 + m) for m, sub in enumerate(subs)],
+            [sub.dim(k + m) for m, sub in enumerate(subs)], F)
+    out = ChainComplex(F, {k: len(v) for k, v in labels.items()}, diff,
+                       labels, check=False)
     out.validate()
     return out
 
@@ -271,10 +260,11 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                                 ChainMap.identity(y.levels[q]))
                 f2 = tensor_map(ChainMap.identity(x.levels[p]),
                                 y.coface(q, 0))
-                # summand indices in level m: (p+1, q) and (p, q+1)
-                inc1 = _summand_inc(sums[m], totals[m], p + 1, q, F)
-                inc2 = _summand_inc(sums[m], totals[m], p, q + 1, F)
-                g = inc1.compose(f1) - inc2.compose(f2)
+                # into the level-m summands (p+1, q) and (p, q+1), at
+                # indices p + 1 and p
+                g = block_map(tc, total, [tc], [c for _, _, c in parts],
+                              {(0, p + 1): f1,
+                               (0, p): f2.scale(F.neg(F.one()))})
                 for k in tc.dims:
                     spans.setdefault(k, []).extend(
                         g.component(k).nonzero_columns())
@@ -285,12 +275,12 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
     for m in range(M):
         for i in range(m + 2):
             comps_map = _box_structure_map(
-                x, y, sums, totals, quotients, m, i, F, kind="coface")
+                x, y, sums, totals, quotients, m, i, kind="coface")
             cofaces[(m, i)] = comps_map
     for m in range(1, M + 1):
         for j in range(m):
             codegens[(m, j)] = _box_structure_map(
-                x, y, sums, totals, quotients, m, j, F, kind="codegen")
+                x, y, sums, totals, quotients, m, j, kind="codegen")
     out = CosimplicialComplex(levels, cofaces, codegens,
                               degenerate_above=min(x.degenerate_above +
                                                    y.degenerate_above, M))
@@ -298,59 +288,32 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
     return out
 
 
-def _summand_inc(parts, total, p, q, F) -> ChainMap:
-    idx = next(t for t, (pp, qq, _) in enumerate(parts)
-               if pp == p and qq == q)
-    return summand_inclusion([c for _, _, c in parts], total, idx)
-
-
-def _box_structure_map(x, y, sums, totals, quotients, m, i, F, kind):
-    src_parts = sums[m]
-    if kind == "coface":
-        tgt_level = m + 1
-    else:
-        tgt_level = m - 1
-    tgt_parts = sums[tgt_level]
-    tgt_total = totals[tgt_level]
-    maps = []
-    for (p, q, tc) in src_parts:
-        if kind == "coface":
-            if i <= p:
-                f = tensor_map(x.coface(p, i),
-                               ChainMap.identity(y.levels[q]))
-                inc = _summand_inc(tgt_parts, tgt_total, p + 1, q, F)
-            else:
-                f = tensor_map(ChainMap.identity(x.levels[p]),
-                               y.coface(q, i - p - 1))
-                inc = _summand_inc(tgt_parts, tgt_total, p, q + 1, F)
+def _box_structure_map(x, y, sums, totals, quotients, m, i, kind):
+    """The coface or codegeneracy i out of box level m: on the direct sums,
+    the (p, q) summand goes to one summand of the target level, whose index
+    is its x-level; then induced on the quotients."""
+    tgt_level = m + 1 if kind == "coface" else m - 1
+    blocks = {}
+    for t, (p, q, _) in enumerate(sums[m]):
+        if kind == "coface" and i <= p:
+            blocks[(t, p + 1)] = tensor_map(x.coface(p, i),
+                                            ChainMap.identity(y.levels[q]))
+        elif kind == "coface":
+            blocks[(t, p)] = tensor_map(ChainMap.identity(x.levels[p]),
+                                        y.coface(q, i - p - 1))
+        elif i <= p - 1:
+            blocks[(t, p - 1)] = tensor_map(x.codegen(p, i),
+                                            ChainMap.identity(y.levels[q]))
         else:
-            j = i
-            if j <= p - 1:
-                f = tensor_map(x.codegen(p, j),
-                               ChainMap.identity(y.levels[q]))
-                inc = _summand_inc(tgt_parts, tgt_total, p - 1, q, F)
-            else:
-                f = tensor_map(ChainMap.identity(x.levels[p]),
-                               y.codegen(q, j - p))
-                inc = _summand_inc(tgt_parts, tgt_total, p, q - 1, F)
-        maps.append(inc.compose(f))
-    # assemble on the direct sum, then induce on quotients
-    src_total = totals[m]
-    comps = {}
-    for k in src_total.dims:
-        mm = SparseMatrix(tgt_total.dim(k), src_total.dim(k), F)
-        off = 0
-        for t, (p, q, tc) in enumerate(src_parts):
-            fm = maps[t].component(k)
-            for (i2, j2), v in fm.entries.items():
-                mm.add_to(i2, off + j2, v)
-            off += tc.dim(k)
-        comps[k] = mm
-    big = ChainMap(src_total, tgt_total, comps, check=False)
+            blocks[(t, p)] = tensor_map(ChainMap.identity(x.levels[p]),
+                                        y.codegen(q, i - p))
+    big = block_map(totals[m], totals[tgt_level],
+                    [c for _, _, c in sums[m]],
+                    [c for _, _, c in sums[tgt_level]], blocks)
     # q_tgt o big o (the kept coordinates of the source quotient)
     src_q, _ = quotients[m]
     _, tgt_proj = quotients[tgt_level]
-    return tgt_proj.compose(big.compose(_kept_coordinates(src_q, src_total)))
+    return tgt_proj.compose(big.compose(_kept_coordinates(src_q, totals[m])))
 
 
 def _kept_coordinates(q, total) -> ChainMap:
@@ -469,7 +432,7 @@ def _collapse_map(delta, x, bx, m) -> ChainMap:
     # on the (p, m-p)-summand of the presentation: aug (x) (delta^0)^p, where
     # aug keeps the vertices of the simplex
     summands = [tensor(delta.levels[p], x.levels[m - p]) for p in range(m + 1)]
-    big = ChainMap.zero(total, tgt)
+    blocks = {}
     for p, tc in enumerate(summands):
         push = ChainMap.identity(x.levels[m - p])
         for t in range(m - p, m):
@@ -477,8 +440,8 @@ def _collapse_map(delta, x, bx, m) -> ChainMap:
         aug = label_map(
             tc, x.levels[m - p], partial=True,
             key=lambda lab: lab[1] if len(lab[0][1]) == 1 else None)
-        big = big + push.compose(aug).compose(
-            summand_projection(summands, total, p))
+        blocks[(p, 0)] = push.compose(aug)
+    big = block_map(total, tgt, summands, [tgt], blocks)
     # the map kills the coequalized subspace, so any section computes it
     result = big.compose(_kept_coordinates(q, total))
     result.validate()
@@ -707,20 +670,13 @@ class _Levels:
     def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
         """The map of levels whose block from summand sk to summand tk is
         blocks[(sk, tk)]."""
-        src_total, tgt_total = self.levels[src_lvl], self.levels[tgt_lvl]
-        comps = {}
-        for (sk, tk), f in blocks.items():
-            if f is None or f.is_zero():
-                continue
-            inc = summand_inclusion(self.parts[tgt_lvl], tgt_total,
-                                    self.level_keys[tgt_lvl].index(tk))
-            proj = summand_projection(self.parts[src_lvl], src_total,
-                                      self.level_keys[src_lvl].index(sk))
-            g = inc.compose(f).compose(proj)
-            for k, mm in g.components.items():
-                cur = comps.get(k)
-                comps[k] = mm if cur is None else cur + mm
-        return ChainMap(src_total, tgt_total, comps, check=False).validate()
+        src_keys, tgt_keys = self.level_keys[src_lvl], self.level_keys[tgt_lvl]
+        return block_map(
+            self.levels[src_lvl], self.levels[tgt_lvl], self.parts[src_lvl],
+            self.parts[tgt_lvl],
+            {(src_keys.index(sk), tgt_keys.index(tk)): f
+             for (sk, tk), f in blocks.items()
+             if f is not None and not f.is_zero()}).validate()
 
 
 class TopCobarBuilder(_Levels):
@@ -1279,28 +1235,18 @@ def _p_n_pullback(c, site):
         src = direct_sum(parts_src)
         if offkeys:
             tgt_parts = [slot_of[k] for k in offkeys]
-            tgt = direct_sum(tgt_parts)
-            comps = {}
+            blocks = {}
             for t_i, key in enumerate(offkeys):
-                inc = summand_inclusion(tgt_parts, tgt, t_i)
                 # theta side out of P_{j-1} through its arity-r projection
                 r = key[0]
                 tb = tblocks.get(((r,), key))
                 if tb is not None and r in projections:
-                    g = inc.compose(tb).compose(projections[r]).compose(
-                        summand_projection(parts_src, src, 0))
-                    for k2, mm in g.components.items():
-                        comps[k2] = comps.get(k2, SparseMatrix(
-                            tgt.dim(k2), src.dim(k2), F)) + mm
+                    blocks[(0, t_i)] = tb.compose(projections[r])
                 ub = ublocks.get(((j,), key))
                 if ub is not None and diag is not None:
-                    g = inc.compose(ub).compose(
-                        summand_projection(parts_src, src, 1)).scale(
-                            F.neg(F.one()))
-                    for k2, mm in g.components.items():
-                        comps[k2] = comps.get(k2, SparseMatrix(
-                            tgt.dim(k2), src.dim(k2), F)) + mm
-            gmap = ChainMap(src, tgt, comps, check=False)
+                    blocks[(1, t_i)] = ub.scale(F.neg(F.one()))
+            gmap = block_map(src, direct_sum(tgt_parts), parts_src,
+                             tgt_parts, blocks)
             gmap.validate()
             fib = _fib(gmap)
             proj_to_src = _fib_proj(gmap, fib)
@@ -1311,11 +1257,13 @@ def _p_n_pullback(c, site):
         # update arity projections: P_j -> A_r slots
         new_projections = {}
         for r, pr in projections.items():
-            new_projections[r] = pr.compose(
-                summand_projection(parts_src, src, 0)).compose(proj_to_src)
+            new_projections[r] = block_map(
+                src, pr.target, parts_src, [pr.target],
+                {(0, 0): pr}).compose(proj_to_src)
         if diag is not None:
-            new_projections[j] = summand_projection(
-                parts_src, src, 1).compose(proj_to_src)
+            new_projections[j] = block_map(
+                src, diag, parts_src, [diag],
+                {(1, 0): ChainMap.identity(diag)}).compose(proj_to_src)
         projections = new_projections
     w = _tot_window(c, N)
     return {"complex": stages[N], "window": w, "route": "pullback",
@@ -1348,21 +1296,14 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     for m in range(min(cs_hi.M, cs_lo.M) + 1):
         keys_hi, keys_lo = bh.level_keys.get(m, []), bl.level_keys.get(m, [])
         parts_hi, parts_lo = bh.parts.get(m, []), bl.parts.get(m, [])
-        src = cs_hi.levels[m]
-        tgt = cs_lo.levels[m]
-        comps = {}
+        blocks = {}
         for i_lo, key in enumerate(keys_lo):
-            if key not in keys_hi:
-                continue
-            i_hi = keys_hi.index(key)
-            inc = summand_inclusion(parts_lo, tgt, i_lo)
-            proj = summand_projection(parts_hi, src, i_hi)
-            ident = label_map(parts_hi[i_hi], parts_lo[i_lo], partial=True)
-            g = inc.compose(ident).compose(proj)
-            for k, mm in g.components.items():
-                comps[k] = comps.get(k, SparseMatrix(
-                    tgt.dim(k), src.dim(k), F)) + mm
-        level_maps[m] = ChainMap(src, tgt, comps, check=False)
+            if key in keys_hi:
+                i_hi = keys_hi.index(key)
+                blocks[(i_hi, i_lo)] = label_map(parts_hi[i_hi],
+                                                 parts_lo[i_lo], partial=True)
+        level_maps[m] = block_map(cs_hi.levels[m], cs_lo.levels[m], parts_hi,
+                                  parts_lo, blocks)
     # induce on the conormalized total complexes
     normed_hi = [conormalized_level(cs_hi, m) for m in
                  range(min(cs_hi.degenerate_above, cs_hi.M) + 1)]
@@ -1794,37 +1735,26 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
             entries[(s, t)] = (total, [(key, hdata[(s, key, t)][0])
                                        for key in strict[s]])
     for s in range(D):
-        blocks_list = coface_blocks.get(s, [])
         for t in range(win.lo, win.hi + 1):
-            rows = sum(hdata[(s + 1, key, t)][0] for key in strict[s + 1])
-            cols = sum(hdata[(s, key, t)][0] for key in strict[s])
-            if rows == 0 or cols == 0:
-                if cols or rows:
-                    d1[(s, t)] = SparseMatrix(rows, cols, F)
+            rows = [hdata[(s + 1, key, t)][0] for key in strict[s + 1]]
+            cols = [hdata[(s, key, t)][0] for key in strict[s]]
+            if not (any(rows) and any(cols)):
+                if any(cols) or any(rows):
+                    d1[(s, t)] = SparseMatrix(sum(rows), sum(cols), F)
                 continue
-            m = SparseMatrix(rows, cols, F)
-            col_off = 0
-            for key in strict[s]:
-                dim_s, reps_s, inv_s = hdata[(s, key, t)]
-                if dim_s == 0:
-                    continue
-                row_off = {}
-                acc = 0
-                for key2 in strict[s + 1]:
-                    row_off[key2] = acc
-                    acc += hdata[(s + 1, key2, t)][0]
-                sgn = F.one()
-                for i, blocks in enumerate(blocks_list):
-                    sgn_i = F.one() if i % 2 == 0 else F.neg(F.one())
-                    for (sk, tk), blk in blocks.items():
-                        if sk != key or tk not in strict[s + 1]:
-                            continue
-                        ind = blk.induced_on_homology(t)
-                        for (a, b), v in ind.entries.items():
-                            m.add_to(row_off[tk] + a, col_off + b,
-                                     F.mul(sgn_i, v))
-                col_off += dim_s
-            d1[(s, t)] = m
+            # the alternating sum of the cofaces on homology, block by block
+            mats = {}
+            for i, blocks in enumerate(coface_blocks.get(s, [])):
+                for (sk, tk), blk in blocks.items():
+                    if sk not in strict[s] or tk not in strict[s + 1] or \
+                            not hdata[(s, sk, t)][0]:
+                        continue
+                    ind = blk.induced_on_homology(t)
+                    b = (strict[s + 1].index(tk), strict[s].index(sk))
+                    cur = mats.get(b)
+                    ind = ind if i % 2 == 0 else -ind
+                    mats[b] = ind if cur is None else cur + ind
+            d1[(s, t)] = SparseMatrix.block(mats, rows, cols, F)
     page = E1Page(entries, d1, F)
     tot = fat_tot(builder.cosimplicial)
     return {"e1": page, "tot": tot, "window": win, "builder": builder,

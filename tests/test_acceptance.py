@@ -52,7 +52,7 @@ def _report(num, name, ok):
 
 def test_criterion_01_partition_bar_agreement():
     com = commutative_operad(F2, 4)
-    bc, normalized, _ = bar_construction(com)
+    bc, normalized = bar_construction(com)
     ok = True
     for n in (2, 3, 4):
         c = normalized[n]

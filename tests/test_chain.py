@@ -4,7 +4,7 @@ import pytest
 
 from helpers import random_term
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, chain_map_space, cone,
+    ChainComplex, ChainMap, DegreeWindow, block_map, chain_map_space, cone,
     count_maps_mod_homotopy, direct_sum, dual, factor_through, hom_complex,
     homotopy_between, is_quasi_iso, label_map, nullhomotopy, quotient,
     realize_homology_iso, shift, sphere, subcomplex, tensor, tensor_map,
@@ -183,6 +183,64 @@ def test_direct_sum_with_shift():
     assert s.homology(3)[0] == 1
 
 
+def _random_part(rng, F):
+    kind = rng.choice(["empty", "complex", "complex", "term", "term"])
+    if kind == "empty":
+        return ChainComplex(F, {})
+    if kind == "complex":
+        return random_complex(rng, F, max_deg=1)
+    return random_term(rng, F, rng.choice([1, 2])).complex
+
+
+def test_block_map_matches_inclusions_and_projections():
+    rng = random.Random(17)
+    kinds = {"none": 0, "zero": 0, "nonzero": 0, "empty summand": 0}
+    for F in (F2, F3, QQ):
+        for _ in range(6):
+            src_parts = [_random_part(rng, F) for _ in range(rng.randint(1, 3))]
+            tgt_parts = [_random_part(rng, F) for _ in range(rng.randint(1, 3))]
+            source, target = direct_sum(src_parts), direct_sum(tgt_parts)
+            kinds["empty summand"] += sum(
+                p.is_zero() for p in src_parts + tgt_parts)
+            blocks = {}
+            for j, a in enumerate(src_parts):
+                for i, b in enumerate(tgt_parts):
+                    kind = rng.choice(["none", "zero", "map", "map"])
+                    f = None if kind == "none" else ChainMap.zero(a, b)
+                    if kind == "map":
+                        for g in chain_map_space(a, b)[0]:
+                            f = f + g.scale(rng.choice([1, -1]))
+                        kind = "zero" if f.is_zero() else "nonzero"
+                    blocks[(j, i)] = f
+                    kinds[kind] += 1
+            # reference: inclusion o f o projection on the (idx, lab) labels
+            ref = ChainMap.zero(source, target)
+            for (j, i), f in blocks.items():
+                if f is None:
+                    continue
+                proj = label_map(source, src_parts[j], partial=True,
+                                 key=lambda lab, j=j:
+                                 lab[1] if lab[0] == j else None)
+                inc = label_map(tgt_parts[i], target,
+                                key=lambda lab, i=i: (i, lab))
+                ref = ref + inc.compose(f).compose(proj)
+            got = block_map(source, target, src_parts, tgt_parts, blocks)
+            assert got.source is source and got.target is target
+            assert got.components == ref.components
+            got.validate()
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_block_map_rejects_a_misshapen_block():
+    a, b = sphere(QQ, 0, label="a"), direct_sum([sphere(QQ, 0), sphere(QQ, 1)])
+    f = ChainMap.identity(b)
+    with pytest.raises(ValueError):
+        block_map(direct_sum([a, b]), b, [a, b], [b], {(0, 0): f})
+    # the same block in its own slot is fine
+    g = block_map(direct_sum([a, b]), b, [a, b], [b], {(1, 0): f})
+    assert g.validate().component(1) == SparseMatrix.identity(1, QQ)
+
+
 def test_tensor_spheres_and_kunneth():
     a, b = 2, 3
     t = tensor(sphere(QQ, a), sphere(QQ, b))
@@ -341,8 +399,7 @@ def test_deformation_retract_quasi_iso():
     assert is_quasi_iso(inc, DegreeWindow(-2, 3))
     # and a genuine retract: include S^0 into S^0 (+) cone(id)
     big = direct_sum([c, cn])
-    from tcalc.chain import summand_inclusion
-    ret = summand_inclusion([c, cn], big, 0)
+    ret = block_map(c, big, [c], [c, cn], {(0, 0): ChainMap.identity(c)})
     assert is_quasi_iso(ret, DegreeWindow(-2, 3))
 
 

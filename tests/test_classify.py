@@ -186,6 +186,22 @@ def test_mccarthy_odd_characteristic():
     assert rept["acyclic"], rept
 
 
+def test_mccarthy_at_arity_three():
+    # at n = 3 the corner is the slot sum over (1, 3) and (2, 3) only; the
+    # canonical homotopy must project onto those slots, not onto (1, 2)
+    for F in (F2, QQ):
+        c = random_valid_coalgebra(random.Random(33), F, "sp", 3,
+                                   DegreeWindow(-1, 2))
+        rep = mccarthy_square_check(c, 0, 3)
+        assert rep["acyclic"] and rep["window"] == "[-1,0]", rep
+
+        def corrupt(f_tower, top_map, bot_map, right_map):
+            return f_tower, top_map, bot_map, ChainMap.zero(
+                right_map.source, right_map.target)
+
+        assert not mccarthy_square_check(c, 0, 3, corrupt=corrupt)["acyclic"]
+
+
 def test_module_hom_counts_stable_maps_between_sets():
     # Map through the strict module cobar: the stage-2 value of the stable
     # mapping functor out of Y at X counts the reduced stable maps Y -> X

@@ -184,7 +184,7 @@ def test_flat_label_collision_raises():
 
 def test_bar_normalized_homology():
     com = commutative_operad(F2, 4)
-    bc, normalized, coop = bar_construction(com)
+    bc, normalized = bar_construction(com)
     for n, rank in ((2, 1), (3, 2), (4, 6)):
         c = normalized[n]
         for k in c.support():
@@ -233,7 +233,7 @@ def test_partition_nerve_oracle():
 
 def test_bar_vs_nerve_cross_oracle():
     com = commutative_operad(F3, 4)
-    bc, normalized, _ = bar_construction(com)
+    bc, normalized = bar_construction(com)
     for n in (2, 3, 4):
         _, comparison = partition_poset_nerve(F3, n)
         a = {k: normalized[n].homology(k)[0] for k in range(0, 5)}
