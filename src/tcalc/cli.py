@@ -181,8 +181,11 @@ def cmd_pn(args):
     site = _parse_site(args.site, c.source)
     routes = [args.route] if args.route != "both" else ["tot", "pullback"]
     reports = {}
+    builder = None
     for route in routes:
-        st = p_n(c, site, args.n, route=route)
+        # both routes read one cobar builder
+        st = p_n(c, site, args.n, route=route, builder=builder)
+        builder = st["builder"]
         reports[route] = {
             "dims": _windowed_dims(st["complex"], st["window"]),
             "window": serialize.window_to_json(st["window"]),

@@ -1,7 +1,15 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python objects: ``Fraction`` over Q, ``int`` in
-``range(p)`` over F_p.  No floating point exists anywhere in this package.
+Scalars are plain Python objects: ``int`` in ``range(p)`` over F_p, and over
+Q an ``int`` when the value is integral and a ``Fraction`` otherwise.  Most
+rational entries (signs, structure constants, resolution coefficients) are
+integers, and int arithmetic is several times faster than ``Fraction``
+arithmetic, which is pure Python.  The two forms are interchangeable to every
+reader: an int carries ``numerator``/``denominator``, compares and hashes
+equal to the matching ``Fraction`` and prints the same, so matrices, labels
+and output do not depend on which form a value is in.  Every operation here
+returns the canonical form.  No floating point exists anywhere in this
+package: a document scalar is a string or an integer, never a float.
 """
 
 from __future__ import annotations
@@ -14,6 +22,11 @@ from fractions import Fraction
 # least strong pseudoprime to all of them; larger characteristics are refused.
 MAX_CHARACTERISTIC = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _rational(x):
+    """A rational in canonical form: its numerator when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class UnsupportedField(ValueError):
@@ -73,46 +86,63 @@ class FieldSpec:
         return self.characteristic
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1
 
     def coerce(self, x):
         """Bring an int/Fraction/str into canonical scalar form."""
         if isinstance(x, str):
             x = Fraction(x)
-        if self.p:
+        p = self.characteristic
+        if p:
             if isinstance(x, Fraction):
-                den = x.denominator % self.p
+                den = x.denominator % p
                 if den == 0:
-                    raise ZeroDivisionError("denominator divisible by %d" % self.p)
-                return (x.numerator * pow(den, -1, self.p)) % self.p
-            return int(x) % self.p
-        return Fraction(x)
+                    raise ZeroDivisionError("denominator divisible by %d" % p)
+                return (x.numerator * pow(den, -1, p)) % p
+            return int(x) % p
+        if x.__class__ is int:
+            return x
+        return _rational(Fraction(x))
 
     def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
+        p = self.characteristic
+        if p:
+            return (a + b) % p
+        s = a + b
+        return s if s.__class__ is int else _rational(s)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
+        p = self.characteristic
+        if p:
+            return (a - b) % p
+        s = a - b
+        return s if s.__class__ is int else _rational(s)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        p = self.characteristic
+        if p:
+            return (a * b) % p
+        s = a * b
+        return s if s.__class__ is int else _rational(s)
 
     def neg(self, a):
-        return (-a) % self.p if self.p else -a
+        return (-a) % self.characteristic if self.characteristic else -a
 
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverting zero")
-        return pow(a, -1, self.p) if self.p else 1 / a
+        if self.characteristic:
+            return pow(a, -1, self.characteristic)
+        return _rational(1 / Fraction(a))
 
     def is_zero(self, a) -> bool:
         return a == 0
 
     def is_one(self, a) -> bool:
-        return a == self.one()
+        return a == 1
 
     # -- names -------------------------------------------------------------
 
@@ -122,10 +152,15 @@ class FieldSpec:
     def format_scalar(self, a) -> str:
         if self.p:
             return str(a % self.p)
-        return str(Fraction(a))
+        return str(a)
 
-    def parse_scalar(self, s: str):
-        return self.coerce(Fraction(s))
+    def parse_scalar(self, s):
+        """A document scalar: a string such as "-2/3", or a JSON integer.
+        A float or a bool is a TypeError, whatever its value."""
+        if s.__class__ is bool or not isinstance(s, (str, int)):
+            raise TypeError("scalar %r is neither a string nor an integer"
+                            % (s,))
+        return self.coerce(s)
 
     def __repr__(self):
         return "FieldSpec(%s)" % self.name()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _iterperms
+from math import factorial
 
 
 def identity_perm(n):
@@ -76,7 +77,6 @@ class YoungGroup:
 
     @property
     def order(self) -> int:
-        from math import factorial
         out = 1
         for b in self.blocks:
             out *= factorial(b)

@@ -4,7 +4,8 @@ Chain complexes follow the interchange schema
 {"field": "Q"|"F2"|"F<p>", "dims": {"<degree>": n},
  "diff": {"<degree>": [[r, c, "num/den"], ...]}, "labels": {...}};
 degrees are decimal strings (possibly negative) and scalars are strings to
-keep rational entries exact.  Equivariant complexes add {"group": [...],
+keep rational entries exact (JSON integers are accepted too; floats and
+booleans are rejected).  Equivariant complexes add {"group": [...],
 "action": {"s_<i>": {"<degree>": [[r, c, "v"], ...]}}}; symmetric sequences
 and coalgebras nest these documents."""
 

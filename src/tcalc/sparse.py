@@ -1,17 +1,26 @@
 """Sparse exact matrices over a FieldSpec and the elimination kernel.
 
 Matrices map column vectors to column vectors: an (r x c) matrix is a map
-k^c -> k^r.  Entries live in ``entries[(i, j)]`` with no stored zeros.
+k^c -> k^r.  Entries live in ``entries[(i, j)]`` with no stored zeros, in
+the field's canonical scalar form.
 
-Elimination over F_2 runs on int bitsets; over other fields it is ordinary
-sparse Gaussian elimination (exact scalars, so no stability concerns).  Over
-Q, rows are rescaled to integer vectors after each pivot step, which keeps
-the arithmetic fraction-free in practice.
+Elimination over F_2 runs on int bitsets.  Over F_p and Q one lead-keyed
+kernel serves both ``Span`` and ``Echelon``: each incoming row is reduced
+against the rows kept so far, keyed by their lowest column (the lead), until
+its lead is new or it vanishes.  Over F_p the kept rows have lead 1 and all
+arithmetic is inline ``% p``.  Over Q the kept rows are primitive int
+vectors (denominators cleared, content divided out): one reduction step is
+the fraction-free combination a*v - c*row with a, c the two leads over their
+gcd, followed by division by the content, so no ``Fraction`` is formed while
+eliminating (compare Bareiss, Math. Comp. 22 (1968)).  ``Echelon`` then
+back-substitutes from the last pivot up and divides each row by its lead
+once, which yields the unique reduced row echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import FieldSpec
 
@@ -178,22 +187,26 @@ class SparseMatrix:
         if self.field != other.field:
             raise ValueError("field mismatch")
         F = self.field
+        p = F.p
         # group other's entries by row
         by_row = {}
         for (i, j), v in other.entries.items():
             by_row.setdefault(i, []).append((j, v))
-        out = SparseMatrix(self.rows, other.cols, F)
         acc = {}
         for (i, k), a in self.entries.items():
             hits = by_row.get(k)
-            if not hits:
+            if hits is None:
                 continue
             for j, b in hits:
                 ij = (i, j)
-                cur = acc.get(ij)
-                prod = F.mul(a, b)
-                acc[ij] = prod if cur is None else F.add(cur, prod)
-        out.entries = {ij: v for ij, v in acc.items() if not F.is_zero(v)}
+                acc[ij] = acc.get(ij, 0) + a * b
+        out = SparseMatrix(self.rows, other.cols, F)
+        # reduce each sum once: mod p, or to canonical form over Q
+        if p:
+            out.entries = {ij: r for ij, v in acc.items() if (r := v % p)}
+        else:
+            out.entries = {ij: v.numerator if v.denominator == 1 else v
+                           for ij, v in acc.items() if v}
         return out
 
     def transpose(self):
@@ -280,38 +293,22 @@ def _gf2_echelon(rows, ncols):
     return pivots
 
 
-def _scale_row_integral(field: FieldSpec, row: dict) -> dict:
-    """Over Q, clear denominators and divide by content to keep entries small."""
-    if field.p or not row:
-        return row
-    from math import gcd
-    denlcm = 1
-    for v in row.values():
-        denlcm = denlcm * v.denominator // gcd(denlcm, v.denominator)
-    nums = [abs(v.numerator * (denlcm // v.denominator)) for v in row.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    if g == 0:
-        return row
-    scale = Fraction(denlcm, g)
-    return {j: v * scale for j, v in row.items()}
-
-
 class Echelon:
-    """Row echelon data for a matrix, reusable for rank / solve / nullspace."""
+    """Reduced row echelon data for a matrix, reusable for rank / solve /
+    nullspace.
+
+    pivot_cols ascend, and pivot_rows[t] is the t-th row of the reduced row
+    echelon form of the row space ({col: scalar}): 1 at pivot_cols[t] and 0
+    at every other pivot column.  That form is unique, so it does not depend
+    on the elimination order."""
 
     def __init__(self, m: SparseMatrix):
         self.field = m.field
         self.cols = m.cols
-        self.rows_in = m.rows
         if m.field.p == 2:
             self._init_gf2(m)
         else:
-            self._init_generic(m)
-
-    # Each pivot is (col, row) with row a dict {col: scalar}, row[col] == 1,
-    # and all pivot rows fully reduced against each other.
+            self._init_lead_keyed(m)
 
     def _init_gf2(self, m):
         pivots = _gf2_echelon(_rows_as_bitsets(m), m.cols)
@@ -336,65 +333,26 @@ class Echelon:
                 j += 1
             self.pivot_rows.append(row)
 
-    def _init_generic(self, m):
-        F = self.field
+    def _init_lead_keyed(self, m):
+        # forward: grow the span of the rows, one kept row per pivot column
         by_row = {}
         for (i, j), v in m.entries.items():
             by_row.setdefault(i, {})[j] = v
-        work = [row for row in by_row.values() if row]
-        pivots = []  # (col, row-dict normalized)
-        while work:
-            # choose the row whose least column is smallest; break ties by sparsity
-            best = min(work, key=lambda r: (min(r), len(r)))
-            work.remove(best)
-            col = min(best)
-            lead = best[col]
-            inv = F.inv(lead)
-            best = {j: F.mul(inv, v) for j, v in best.items()}
-            pivots.append((col, best))
-            nxt = []
-            for r in work:
-                c = r.get(col)
-                if c is not None:
-                    r = dict(r)
-                    for j, v in best.items():
-                        cur = r.get(j, F.zero())
-                        cur = F.sub(cur, F.mul(c, v))
-                        if F.is_zero(cur):
-                            r.pop(j, None)
-                        else:
-                            r[j] = cur
-                    r = _scale_row_integral(F, r)
-                if r:
-                    nxt.append(r)
-            work = nxt
-        pivots.sort(key=lambda cr: cr[0])
-        # re-normalize (integral scaling may have unnormalized leads) and back-substitute
-        for idx in range(len(pivots)):
-            col, row = pivots[idx]
-            lead = row[col]
-            if not F.is_one(lead):
-                inv = F.inv(lead)
-                row = {j: F.mul(inv, v) for j, v in row.items()}
-                pivots[idx] = (col, row)
-        for idx in range(len(pivots) - 1, -1, -1):
-            col, row = pivots[idx]
-            for k in range(idx):
-                c2, r2 = pivots[k]
-                c = r2.get(col)
-                if c is None:
-                    continue
-                new = dict(r2)
-                for j, v in row.items():
-                    cur = new.get(j, F.zero())
-                    cur = F.sub(cur, F.mul(c, v))
-                    if F.is_zero(cur):
-                        new.pop(j, None)
-                    else:
-                        new[j] = cur
-                pivots[k] = (c2, new)
-        self.pivot_cols = [c for c, _ in pivots]
-        self.pivot_rows = [r for _, r in pivots]
+        span = Span(self.field)
+        for row in by_row.values():
+            span.add(row)
+        # back-substitute from the last pivot up: the rows below a pivot are
+        # already reduced, so clearing their leads in any order is enough
+        p = self.field.p
+        done = {}
+        for col in sorted(span.rows, reverse=True):
+            row = span.rows[col]
+            for lead in [j for j in row if j in done]:
+                row = _eliminate(row, done[lead], lead, p)
+            done[col] = row
+        self.pivot_cols = sorted(done)
+        self.pivot_rows = [done[c] if p else _divide_q(done[c], done[c][c])
+                           for c in self.pivot_cols]
 
     @property
     def rank(self) -> int:
@@ -437,13 +395,65 @@ class Echelon:
         return basis
 
 
+def _primitive(vec):
+    """A nonzero multiple of vec (Q scalars) with coprime int entries, as a
+    new dict: denominators cleared, content divided out."""
+    den = lcm(*[x.denominator for x in vec.values()])
+    if den == 1:
+        v = dict(vec)
+    else:
+        v = {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
+    g = gcd(*v.values())
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
+def _eliminate(v, row, lead, p):
+    """v with its entry at row's lead cleared by row, which owns that lead.
+    Over F_p (p > 0) row[lead] == 1 and v is updated in place.  Over Q (p ==
+    0) v and row are primitive int vectors, row[lead] > 0, and the result
+    is a primitive int multiple of v - (v[lead] / row[lead]) row."""
+    c = v[lead]
+    if p:
+        for j, w in row.items():
+            x = (v.get(j, 0) - c * w) % p
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+        return v
+    a = row[lead]
+    g = gcd(a, c)
+    if g != 1:
+        a //= g
+        c //= g
+    if a != 1:
+        v = {j: a * x for j, x in v.items()}
+    for j, w in row.items():
+        x = v.get(j, 0) - c * w
+        if x:
+            v[j] = x
+        else:
+            del v[j]
+    g = gcd(*v.values())
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
+def _divide_q(v, a):
+    """The int vector v divided by the int a, in canonical Q scalars."""
+    if a == 1:
+        return v
+    return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in v.items()}
+
+
 class Span:
     """A span of sparse vectors ({index: scalar}, no stored zeros) grown one
     vector at a time.
 
     Each stored row is keyed by its lowest index (its lead), with distinct
     leads; a vector lies in the span iff reducing it lead by lead empties it.
-    Over F_2 rows are int bitsets, otherwise dicts with lead coefficient 1.
+    Over F_2 rows are int bitsets, over F_p dicts with lead coefficient 1,
+    and over Q primitive int vectors with a positive lead, so that reducing
+    never leaves the integers.
     """
 
     def __init__(self, field: FieldSpec):
@@ -452,9 +462,11 @@ class Span:
 
     def _residue(self, vec):
         """vec reduced against the rows until its lead is no row's lead:
-        (residue, its lead), or (empty residue, None) when vec is in the span."""
+        (residue, its lead), or (empty residue, None) when vec is in the span.
+        Over Q the residue is a primitive int multiple."""
         rows = self.rows
-        if self.field.p == 2:
+        p = self.field.p
+        if p == 2:
             v = 0
             for j in vec:
                 v |= 1 << j
@@ -465,22 +477,15 @@ class Span:
                     return v, lead
                 v ^= row
             return v, None
-        p = self.field.p
-        v = dict(vec)
+        if not vec:
+            return {}, None
+        v = dict(vec) if p else _primitive(vec)
         while v:
             lead = min(v)
             row = rows.get(lead)
             if row is None:
                 return v, lead
-            c = v[lead]
-            for j, w in row.items():
-                x = v.get(j, 0) - c * w
-                if p:
-                    x %= p
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
+            v = _eliminate(v, row, lead, p)
         return v, None
 
     def __contains__(self, vec) -> bool:
@@ -491,9 +496,14 @@ class Span:
         v, lead = self._residue(vec)
         if lead is None:
             return False
-        if self.field.p != 2:
-            inv = self.field.inv(v[lead])
-            v = {j: self.field.mul(inv, x) for j, x in v.items()}
+        p = self.field.p
+        if p != 2:
+            c = v[lead]
+            if p and c != 1:
+                inv = pow(c, -1, p)
+                v = {j: x * inv % p for j, x in v.items()}
+            elif not p and c < 0:
+                v = {j: -x for j, x in v.items()}
         self.rows[lead] = v
         return True
 

@@ -1151,40 +1151,41 @@ def _tot_window(c, n) -> DegreeWindow:
         DegreeWindow(w.lo, w.lo)
 
 
-def p_n(coalgebra, site, n, w: DegreeWindow | None = None, route="tot"):
+def p_n(coalgebra, site, n, w: DegreeWindow | None = None, route="tot",
+        builder=None):
     """Stage n of the Taylor tower at a site.
 
     Returns a dict with the stage complex, the certified window, the route,
-    and (for the tot route) the builder for reuse."""
+    and the cobar builder of the stage (its slot models and structural
+    maps).  Either route builds that builder unless ``builder``, the
+    "builder" of an earlier result for the same coalgebra, site and n, is
+    passed in to be reused."""
     c = coalgebra
     n = min(n, c.truncation)
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
-    if route == "tot":
-        cs = cobar(cn, site, cn.window)
-        t = fat_tot(cs)
-        return {"complex": t, "window": _tot_window(cn, n), "route": "tot",
-                "cosimplicial": cs, "coalgebra": cn}
+    if route not in ("tot", "pullback"):
+        raise ValueError("route must be 'tot' or 'pullback'")
+    if route == "pullback" and cn.source == "top" and n > 2:
+        raise ValueError("top pullback route bounded at truncation 2 "
+                         "in this build")
+    if builder is None:
+        builder = cobar(cn, site, cn.window)._builder
     if route == "pullback":
-        return _p_n_pullback(cn, site)
-    raise ValueError("route must be 'tot' or 'pullback'")
+        return _p_n_pullback(cn, builder)
+    cs = builder.cosimplicial
+    return {"complex": fat_tot(cs), "window": _tot_window(cn, n),
+            "route": "tot", "cosimplicial": cs, "coalgebra": cn,
+            "builder": builder}
 
 
-def _p_n_pullback(c, site):
+def _p_n_pullback(c, builder):
     """Iterated homotopy pullback up the tower: P_j is the fiber of the map
     (P_{j-1} (+) diagonal summand) -> off-diagonal comonad corners, built
     from theta and the canonical unit maps (the fiber form of the McCarthy
-    squares, with the comonad's own Tate / stratified-cone corner models)."""
+    squares, with the comonad's own Tate / stratified-cone corner models).
+    The cobar builder of c provides all slot models and structural maps."""
     F = c.field
     N = c.truncation
-    # the cobar builder provides all slot models and structural maps
-    if c.source == "top":
-        builder = TopCobarBuilder(truncate_coalgebra(c, min(N, 2)), site,
-                                  c.window) if N <= 2 else None
-        if N > 2:
-            raise ValueError("top pullback route bounded at truncation 2 "
-                             "in this build")
-    else:
-        builder = SpCobarBuilder(c, c.window)
     key_list0 = builder.level_keys[0]
     if c.source == "top":
         phi0 = {k: builder.diag[k[0]]["complex"] for k in key_list0}
@@ -1267,7 +1268,7 @@ def _p_n_pullback(c, site):
         projections = new_projections
     w = _tot_window(c, N)
     return {"complex": stages[N], "window": w, "route": "pullback",
-            "stages": stages, "projections": projections}
+            "stages": stages, "projections": projections, "builder": builder}
 
 
 def tower_map(c, site, n, route="tot"):

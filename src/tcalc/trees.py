@@ -18,6 +18,7 @@ is automatic and the decompositions are exactly coassociative.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .perms import perm_sign, set_partitions
 
@@ -74,7 +75,6 @@ def all_trees(leaves):
         if len(part) < 2:
             continue
         choices = [all_trees(tuple(b)) for b in part]
-        from itertools import product
         for combo in product(*choices):
             out.append(node(combo))
     out = sorted(set(out), key=lambda t: (degree(t), repr(t)))

@@ -2,11 +2,12 @@
 
 import json
 import os
+import random
 import time
 
 import pytest
 
-from helpers import random_theta, triv
+from helpers import random_theta, random_valid_coalgebra, triv
 from tcalc import serialize
 from tcalc.chain import ChainMap, DegreeWindow, sphere
 from tcalc.cli import main
@@ -81,6 +82,19 @@ def test_pn_cli_routes_agree(tmp_path, capsys):
     assert payload["routes_agree"] is True
 
 
+def test_pn_pullback_route_refuses_a_nonzero_sphere(tmp_path, capsys):
+    # both routes read the S^0 cobar builder, so S^1 is refused, not
+    # answered with the S^0 stage
+    A2 = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
+    c = trivial_coalgebra("sp", A2, DegreeWindow(-2, 2))
+    p = write(tmp_path, "coalg.json", serialize.coalgebra_to_json(c))
+    for route in ("tot", "pullback"):
+        rc, out, err = run_cli(capsys, "pn", "--n", "2", "--site", "S1",
+                               "--route", route, p)
+        assert rc == 1 and out == ""
+        assert json.loads(err)["error"] == "validation"
+
+
 def test_check_cli_flags_invalid(tmp_path, capsys):
     # a deliberately inconsistent theta: wrong degree placement makes the
     # stored matrix fail the chain-map check
@@ -142,6 +156,23 @@ def test_out_of_range_entry_is_usage_error(tmp_path, capsys):
     doc["diff"] = {"1": [[5, 0, "1"]]}
     p = write(tmp_path, "oor.json", doc)
     assert_usage_error(capsys, "homology", p)
+
+
+@pytest.mark.parametrize("scalar", [0.1, True])
+def test_non_integer_json_scalar_is_usage_error(tmp_path, capsys, scalar):
+    # a float would enter as its binary value, a bool as 1
+    doc = {"field": "Q", "dims": {"0": 1, "1": 1},
+           "diff": {"1": [[0, 0, scalar]]}}
+    p = write(tmp_path, "float.json", doc)
+    assert_usage_error(capsys, "homology", p)
+
+
+def test_integer_json_scalar_is_accepted(tmp_path, capsys):
+    doc = {"field": "Q", "dims": {"0": 1, "1": 1}, "diff": {"1": [[0, 0, 2]]}}
+    p = write(tmp_path, "int.json", doc)
+    rc, out, err = run_cli(capsys, "homology", p)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["dims"] == {"0": 0, "1": 0}
 
 
 def test_classify_cli(tmp_path, capsys):
@@ -258,3 +289,34 @@ def test_rational_matrix_round_trip(tmp_path, capsys):
     assert serialize.dumps(serialize.chain_to_json(c2)) == \
         serialize.dumps(doc)
     assert c2.d(1)[0, 0] == QQ.coerce("2/3")
+
+
+@pytest.mark.parametrize("source, N, site", [("sp", 3, "S0"),
+                                             ("top", 2, "set:2")])
+def test_pn_both_routes_build_one_cobar_builder(tmp_path, capsys,
+                                                 monkeypatch, source, N,
+                                                 site):
+    from tcalc import tower
+    from tcalc.fields import QQ
+    rng = random.Random(8)
+    w = DegreeWindow(0, 2) if source == "sp" else DegreeWindow(0, 3)
+    c = random_valid_coalgebra(rng, QQ, source, N, w)
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    argv = ("pn", "--n", str(N), "--site", site)
+    alone = {}
+    for route in ("tot", "pullback"):
+        rc, out, _ = run_cli(capsys, *argv, "--route", route, p)
+        assert rc == 0
+        alone[route] = json.loads(out)["routes"][route]
+    built = []
+    for cls in (tower.SpCobarBuilder, tower.TopCobarBuilder):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    rc, out, _ = run_cli(capsys, *argv, "--route", "both", p)
+    assert rc == 0
+    assert len(built) == 1
+    payload = json.loads(out)
+    # reusing the builder changes nothing either route reports
+    assert payload["routes"] == alone and payload["routes_agree"] is True
