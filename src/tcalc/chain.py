@@ -22,7 +22,14 @@ Conventions fixed once for the whole package:
   labels name, composed with the map;
 * a direct sum's basis in each degree is its summands' bases in order, the
   vector lab of summand idx labelled (idx, lab) (`direct_sum`).  Maps between
-  direct sums are `block_map`, one ChainMap per pair of summands.
+  direct sums are `block_map`, one ChainMap per pair of summands;
+* constructors build, and `validate()` certifies.  A constructor rejects
+  only cheap structural errors (a field mismatch, a wrong label count, a
+  missing generator); `validate()` checks the identities (d o d = 0, chain
+  maps commute with d, the homotopy identity) and returns the object.
+  Decoded input and maps assembled from raw matrices are validated where
+  they are built, and a partial `transport`, which may drop entries,
+  certifies what it builds.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class ChainComplex:
     labels: {degree: tuple of hashable labels}.
     """
 
-    def __init__(self, field: FieldSpec, dims, diff=None, labels=None, check=True):
+    def __init__(self, field: FieldSpec, dims, diff=None, labels=None):
         self.field = field
         self.dims = {k: n for k, n in dims.items() if n}
         self.diff = {}
@@ -86,8 +93,6 @@ class ChainComplex:
                 lab = tuple(("e", k, i) for i in range(n))
             self.labels[k] = lab
         self._label_index = {}
-        if check:
-            self.validate()
 
     # -- basic structure -----------------------------------------------------
 
@@ -148,7 +153,7 @@ class ChainComplex:
 
     def relabel(self, fn) -> "ChainComplex":
         labels = {k: tuple(fn(k, lab) for lab in labs) for k, labs in self.labels.items()}
-        return ChainComplex(self.field, self.dims, self.diff, labels, check=False)
+        return ChainComplex(self.field, self.dims, self.diff, labels)
 
     def __repr__(self):
         if not self.dims:
@@ -203,14 +208,14 @@ class ChainComplex:
         dims = {k: n for k, n in self.dims.items() if lo <= k <= hi}
         diff = {k: m for k, m in self.diff.items() if lo + 1 <= k <= hi}
         labels = {k: self.labels[k] for k in dims}
-        return ChainComplex(self.field, dims, diff, labels, check=False)
+        return ChainComplex(self.field, dims, diff, labels)
 
 
 class ChainMap:
     """Degreewise map of chain complexes commuting with differentials."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex, components=None,
-                 degree: int = 0, check=True):
+                 degree: int = 0):
         if source.field != target.field:
             raise ValueError("field mismatch")
         self.source = source
@@ -221,8 +226,6 @@ class ChainMap:
             for k, m in components.items():
                 if m is not None and not m.is_zero():
                     self.components[k] = m
-        if check:
-            self.validate()
 
     @property
     def field(self):
@@ -251,17 +254,17 @@ class ChainMap:
 
     @classmethod
     def zero(cls, source, target, degree=0):
-        return cls(source, target, {}, degree, check=False)
+        return cls(source, target, {}, degree)
 
     @classmethod
     def identity(cls, c: ChainComplex):
         comps = {k: SparseMatrix.identity(n, c.field) for k, n in c.dims.items()}
-        return cls(c, c, comps, check=False)
+        return cls(c, c, comps)
 
     def __add__(self, other):
         assert self.degree == other.degree
         comps = dict(self.components)
-        out = ChainMap(self.source, self.target, None, self.degree, check=False)
+        out = ChainMap(self.source, self.target, None, self.degree)
         out.components = comps
         for k, m in other.components.items():
             cur = out.component(k) + m
@@ -275,7 +278,7 @@ class ChainMap:
         return self + other.scale(self.field.neg(self.field.one()))
 
     def scale(self, c):
-        out = ChainMap(self.source, self.target, None, self.degree, check=False)
+        out = ChainMap(self.source, self.target, None, self.degree)
         out.components = {k: m.scale(c) for k, m in self.components.items()}
         out.components = {k: m for k, m in out.components.items() if not m.is_zero()}
         return out
@@ -290,7 +293,7 @@ class ChainMap:
             m = self.component(k + other.degree) * other.component(k)
             if not m.is_zero():
                 comps[k] = m
-        return ChainMap(other.source, self.target, comps, deg, check=False)
+        return ChainMap(other.source, self.target, comps, deg)
 
     def is_zero(self):
         return not self.components
@@ -338,12 +341,10 @@ class ChainMap:
 class ChainHomotopy:
     """h with f - g = d h + h d (components h_k : C_k -> D_{k+1})."""
 
-    def __init__(self, f: ChainMap, g: ChainMap, components, check=True):
+    def __init__(self, f: ChainMap, g: ChainMap, components):
         self.f = f
         self.g = g
         self.components = {k: m for k, m in components.items() if not m.is_zero()}
-        if check:
-            self.validate()
 
     def component(self, k):
         m = self.components.get(k)
@@ -411,7 +412,7 @@ def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
         v = x.get(idx)
         if v is not None and not F.is_zero(v):
             comps.setdefault(k, SparseMatrix(D.dim(k + 1), C.dim(k), F))[i, j] = v
-    return ChainHomotopy(f, g, comps)
+    return ChainHomotopy(f, g, comps).validate()
 
 
 def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
@@ -450,7 +451,7 @@ def direct_sum(complexes) -> ChainComplex:
         _block_sizes(complexes, k - 1), _block_sizes(complexes, k), field)
         for k in dims if k - 1 in dims}
     labels = {k: tuple(v) for k, v in labels.items()}
-    return ChainComplex(field, dims, diff, labels, check=False)
+    return ChainComplex(field, dims, diff, labels)
 
 
 def _block_sizes(parts, k):
@@ -473,7 +474,7 @@ def block_map(source, target, src_parts, tgt_parts, blocks) -> ChainMap:
     comps = {k: SparseMatrix.block(mats, _block_sizes(tgt_parts, k),
                                    _block_sizes(src_parts, k), source.field)
              for k, mats in by_degree.items()}
-    return ChainMap(source, target, comps, check=False)
+    return ChainMap(source, target, comps)
 
 
 def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
@@ -496,7 +497,7 @@ def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
             elif not partial:
                 raise ValueError("label %r has no image in degree %d" % (lab, k))
         comps[k] = m
-    return ChainMap(src, tgt, comps, check=False)
+    return ChainMap(src, tgt, comps)
 
 
 def _keyed_index(c: ChainComplex, k, key):
@@ -519,7 +520,8 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
     same key; key defaults to the identity, and a missing complex is f's
     own.  An entry without a counterpart is dropped when partial, else it
     raises ValueError.  f itself is returned when both complexes are f's
-    own.  The result is not validated.  Entries are inserted column by
+    own.  Dropping entries can break the chain-map identity, so a partial
+    transport validates what it builds.  Entries are inserted column by
     column of the new source when the source changes, else in f's order."""
     src = f.source if source is None else source
     tgt = f.target if target is None else target
@@ -559,7 +561,8 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
                     continue
             mm.add_to(i, j, v)
         comps[k] = mm
-    return ChainMap(src, tgt, comps, d, check=False)
+    out = ChainMap(src, tgt, comps, d)
+    return out.validate() if partial else out
 
 
 def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
@@ -575,7 +578,7 @@ def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
             raise ArithmeticError("map leaves the subcomplex in degree %d"
                                   % (k + d))
         comps[k] = x
-    return ChainMap(g.source, incl.source, comps, d, check=False)
+    return ChainMap(g.source, incl.source, comps, d)
 
 
 def subcomplex(c: ChainComplex, constraints, label):
@@ -616,8 +619,8 @@ def subcomplex(c: ChainComplex, constraints, label):
                                   "degree %d" % k)
     sub = ChainComplex(F, {k: ik.cols for k, ik in incl.items()}, diff,
                        {k: tuple(label(k, i) for i in range(ik.cols))
-                        for k, ik in incl.items()}, check=False)
-    return sub, ChainMap(sub, c, incl, check=False)
+                        for k, ik in incl.items()})
+    return sub, ChainMap(sub, c, incl)
 
 
 def quotient(c: ChainComplex, relations, label):
@@ -655,8 +658,8 @@ def quotient(c: ChainComplex, relations, label):
             for i, v in pmats[k - 1].apply(dk.apply({j: one})).items():
                 m[i, jj] = v
         diff[k] = m
-    q = ChainComplex(F, dims, diff, labels, check=False)
-    return q, ChainMap(c, q, {k: pmats[k] for k in dims}, check=False)
+    q = ChainComplex(F, dims, diff, labels)
+    return q, ChainMap(c, q, {k: pmats[k] for k in dims})
 
 
 def shift(c: ChainComplex, d: int) -> ChainComplex:
@@ -664,14 +667,14 @@ def shift(c: ChainComplex, d: int) -> ChainComplex:
     dims = {k + d: n for k, n in c.dims.items()}
     diff = {k + d: m.scale(sgn) for k, m in c.diff.items()}
     labels = {k + d: tuple(("sh", d, lab) for lab in c.labels[k]) for k in c.dims}
-    return ChainComplex(c.field, dims, diff, labels, check=False)
+    return ChainComplex(c.field, dims, diff, labels)
 
 
 def shift_map(f: ChainMap, d: int) -> ChainMap:
     src = shift(f.source, d)
     tgt = shift(f.target, d)
     comps = {k + d: m for k, m in f.components.items()}
-    return ChainMap(src, tgt, comps, f.degree, check=False)
+    return ChainMap(src, tgt, comps, f.degree)
 
 
 def tensor(c: ChainComplex, dc: ChainComplex) -> ChainComplex:
@@ -704,7 +707,7 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
                     row = tidx[(lf2, lg2)]
                     comps.setdefault(k, SparseMatrix(tgt.dim(k + deg), src.dim(k), F))
                     comps[k].add_to(row, col, F.mul(sgn_g, F.mul(a, b)))
-    return ChainMap(src, tgt, comps, deg, check=False)
+    return ChainMap(src, tgt, comps, deg)
 
 
 def tensor_many(complexes) -> ChainComplex:
@@ -751,7 +754,7 @@ def tensor_many(complexes) -> ChainComplex:
             if pi[0] % 2 != 0:
                 sgn = field.neg(sgn)
     labels = {k: tuple(v) for k, v in labels.items()}
-    return ChainComplex(field, dims, diff, labels, check=False)
+    return ChainComplex(field, dims, diff, labels)
 
 
 def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
@@ -798,7 +801,7 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                     _, row = index[(p + 1, i2, q, j)]
                     m.add_to(row, col, field.mul(sgn, v))
     labels = {k: tuple(v) for k, v in labels.items()}
-    return ChainComplex(field, dims, diff, labels, check=False)
+    return ChainComplex(field, dims, diff, labels)
 
 
 def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
@@ -813,7 +816,7 @@ def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
         q, j = d.locate(ld)
         comps.setdefault(p, SparseMatrix(d.dim(p + degree), c.dim(p), F))
         comps[p].add_to(j, i, v)
-    return ChainMap(c, d, comps, degree, check=False)
+    return ChainMap(c, d, comps, degree)
 
 
 def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
@@ -847,7 +850,7 @@ def dual(c: ChainComplex) -> ChainComplex:
         # (df)(x) = -(-1)^{|f|} f(dx), |f| = n
         sgn = field.neg(one) if n % 2 == 0 else one
         diff[n] = dk1.transpose().scale(sgn)
-    return ChainComplex(field, dims, diff, labels, check=False)
+    return ChainComplex(field, dims, diff, labels)
 
 
 def cone(f: ChainMap) -> ChainComplex:
@@ -870,7 +873,7 @@ def cone(f: ChainMap) -> ChainComplex:
                 {(0, 0): None if dc is None else -dc, (1, 1): d.diff.get(k),
                  (1, 0): None if fm is None else -fm},
                 [c.dim(k - 2), d.dim(k - 1)], [c.dim(k - 1), d.dim(k)], field)
-    return ChainComplex(field, dims, diff, labels, check=False)
+    return ChainComplex(field, dims, diff, labels)
 
 
 def is_quasi_iso(f: ChainMap, w: DegreeWindow) -> bool:
@@ -928,7 +931,7 @@ def chain_map_space(c: ChainComplex, d: ChainComplex, degree=0,
             v = vec.get(idx)
             if v is not None:
                 comps.setdefault(k, SparseMatrix(d.dim(k + degree), c.dim(k), F))[i, j] = v
-        maps.append(ChainMap(c, d, comps, degree, check=False))
+        maps.append(ChainMap(c, d, comps, degree))
     return maps, var_index
 
 
@@ -1029,4 +1032,4 @@ def realize_homology_iso(c: ChainComplex, d: ChainComplex, h_iso=None) -> ChainM
         m = inc * iso * pi
         if not m.is_zero():
             comps[k] = m
-    return ChainMap(c, d, comps, check=False)
+    return ChainMap(c, d, comps)

@@ -63,8 +63,7 @@ def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
     F = a1.field
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
-        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()},
-        check=False)
+        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
     orb = homotopy_orbits(sa2, w)
     dim, reps = _h0_hom_on_window(a1, orb.complex, w)
     return {"dim": dim, "classes": _class_count(F, dim), "window": str(w),
@@ -129,9 +128,7 @@ def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
             for (hrow, acol), pv in pi.entries.items():
                 if hrow == col:
                     m.add_to(i, acol, F.mul(v, pv))
-    out = ChainMap(a1, tgt, {0: m} if not m.is_zero() else {}, check=False)
-    out.validate()
-    return out
+    return ChainMap(a1, tgt, {0: m} if not m.is_zero() else {}).validate()
 
 
 def _square_into_tate(z, a1, tgt, F):
@@ -158,24 +155,24 @@ def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
     """Spectra-to-spaces 2-excisive data: a module map
     m : A_1 (x) A_1 -> Sigma A_2 with a nullhomotopy of the composite
     A_1 -> Tate(A_1 (x) A_1) -> Tate(Sigma A_2)."""
-    F = a1.field
     # Tate of the square with swap action
     sq = tensor_power(a1, 2)
-    sq_idx = SpComponentModel(_as_term(sq), 1, w)
+    sq_idx = SpComponentModel(sq, 1, w)
     delta = tate_diagonal_unitlike(a1, sq_idx, w)
     # Tate(m): through the sidx-wrapped carrier
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
-        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()},
-        check=False)
-    t_sa2 = SpComponentModel(_as_term(sa2), 1, w)
-    tm = _tate_functor_map(sq_idx, t_sa2, m_map, F)
+        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
+    t_sa2 = SpComponentModel(sa2, 1, w)
+    # m is equivariant: apply the Tate functor
+    tm = sp_component_on_map(sq_idx, t_sa2, m_map)
     composite = tm.compose(delta)
     h = None
     if witness is not None:
         try:
             ChainHomotopy(composite, ChainMap.zero(composite.source,
-                                                   composite.target), witness)
+                                                   composite.target),
+                          witness).validate()
             h = witness
         except ValueError:
             return {"valid": False, "reason": "witness fails",
@@ -186,16 +183,6 @@ def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
     valid = h is not None
     return {"valid": valid, "obstruction_vanishes": obstruction == 0,
             "obstruction_dim": obstruction, "found_witness": h is not None}
-
-
-def _as_term(eq: EquivariantComplex) -> EquivariantComplex:
-    return eq
-
-
-def _tate_functor_map(src_model: SpComponentModel, tgt_model: SpComponentModel,
-                      f: ChainMap, F) -> ChainMap:
-    # f : (A_1)^{(x)2} -> Sigma A_2, equivariant; apply the Tate functor
-    return sp_component_on_map(src_model, tgt_model, f)
 
 
 def _obstruction_class(composite: ChainMap, w: DegreeWindow) -> int:
@@ -218,10 +205,9 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     delta = tate_diagonal_unitlike(a1, sq_idx, w)
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
-        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()},
-        check=False)
+        {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
     t_sa2 = SpComponentModel(sa2, 1, w)
-    route2 = _tate_functor_map(sq_idx, t_sa2, m_map, F).compose(delta)
+    route2 = sp_component_on_map(sq_idx, t_sa2, m_map).compose(delta)
     # route 1: m' lifted through the fixed points, then into the cone
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
@@ -229,19 +215,16 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     lift = _invariant_lift(m_prime, sa2, fx.complex, F)
     incl = t_sa2.fixed_part_inclusion(fx.complex)
     route1 = incl.compose(lift)
-    diff = route1 - ChainMap(route1.source, route1.target, route2.components,
-                             check=False)
+    route2 = ChainMap(route1.source, route1.target, route2.components)
     h = None
     if witness is not None:
         try:
-            ChainHomotopy(route1,
-                          ChainMap(route1.source, route1.target,
-                                   route2.components, check=False), witness)
+            ChainHomotopy(route1, route2, witness).validate()
             h = witness
         except ValueError:
             return {"valid": False, "reason": "witness fails"}
     else:
-        h = nullhomotopy(diff)
+        h = nullhomotopy(route1 - route2)
     return {"valid": h is not None,
             "obstruction_dim": 0 if h is not None else 1,
             "found_witness": h is not None}
@@ -262,9 +245,7 @@ def _invariant_lift(m_prime: ChainMap, sa2: EquivariantComplex,
                 out.add_to(row, j, v)
         if not out.is_zero():
             comps[k] = out
-    out_map = ChainMap(m_prime.source, fixed_model, comps, check=False)
-    out_map.validate()
-    return out_map
+    return ChainMap(m_prime.source, fixed_model, comps).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +317,7 @@ def _tot_to_diagonal_slot(builder, tot, n):
                           key=lambda lab: lab[2] if lab[1] == 0 else None)
     proj = block_map(cs.levels[0], tgt, parts, [tgt],
                      {(idx, 0): ChainMap.identity(tgt)})
-    out = proj.compose(inc0).compose(to_level0)
-    out.validate()
-    return out, tgt
+    return proj.compose(inc0).compose(to_level0).validate(), tgt
 
 
 def _off_diagonal_keys(builder, n):
@@ -428,7 +407,7 @@ def _assemble_gamma(cn: ChainComplex, bot: ChainMap, right: ChainMap,
     shifted source block C_{k-1} and bottom - right on the target block
     P_{n-1} (+) fixed."""
     corner = bot.target
-    h = ChainMap(shift(alpha.source, 1), corner, homotopy_part, check=False)
+    h = ChainMap(shift(alpha.source, 1), corner, homotopy_part)
     return block_map(cn, corner, [h.source, bot.source, right.source],
                      [corner], {(0, 0): h, (1, 0): bot,
                                 (2, 0): right.scale(F.neg(F.one()))})
@@ -590,8 +569,6 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
                     continue
                 g = transport(d, hom[1][key]["piece"].value.complex,
                               hom[2][tk2]["piece"].value.complex)
-                if g is not d:
-                    g.validate()
                 bd[(key, tk2)] = _post_block(hom[1][key], hom[2][tk2], g)
             for mm2 in range(m, cn.truncation + 1):
                 tk3 = (q, m, mm2)
@@ -614,7 +591,7 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
                         hom[2][key]["inv"], hom[1][(q, m)]["inv"], partial=True)
             codegens[(2, j)] = block(2, 1, bs)
     cs = CosimplicialComplex(tower.levels, cofaces, codegens,
-                             degenerate_above=D)
+                             degenerate_above=D).validate()
     t = fat_tot(cs)
     return {k: t.homology(k)[0] for k in win.degrees()}
 

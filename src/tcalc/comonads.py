@@ -80,8 +80,7 @@ class SurjectionSum:
                 idx, inner = lab
                 labs.append(("surj", self.surjections[idx], inner))
             labels[k] = tuple(labs)
-        self.total = ChainComplex(F, self.total.dims, self.total.diff, labels,
-                                  check=False)
+        self.total = ChainComplex(F, self.total.dims, self.total.diff, labels)
         self._deg_cache = {}
 
     def label_degree(self, m, lab):
@@ -125,9 +124,8 @@ class SurjectionSum:
                     relabels.append(mapping)
                 self._add_summand_map(comps, alpha, beta, relabels, a_act,
                                       tau=None)
-            action[gi] = ChainMap(self.total, self.total, comps, check=False)
-        return EquivariantComplex(self.total, group, action, check=False,
-                                  arity_bound=max(4, n))
+            action[gi] = ChainMap(self.total, self.total, comps)
+        return EquivariantComplex(self.total, group, action)
 
     def sigma_r_generator(self, gi) -> ChainMap:
         """Action of the adjacent transposition (gi, gi+1) of Sigma_r by
@@ -158,7 +156,7 @@ class SurjectionSum:
                         new_trees[gi + 1], new_trees[gi]
                     new_lab = ("surj", beta, tuple(new_trees) + (a_lab,))
                     comps[k].add_to(idx[new_lab], col, sgn)
-        return ChainMap(self.total, self.total, comps, check=False)
+        return ChainMap(self.total, self.total, comps)
 
     def _add_summand_map(self, comps, alpha, beta, relabels, a_map, tau):
         """Add the summand map alpha -> beta induced by tree relabelings and
@@ -204,9 +202,8 @@ def equivariant_tensor(a: EquivariantComplex, b: EquivariantComplex) -> Equivari
     action = {}
     for gi in a.group.generator_positions():
         f = tensor_map(a.action[gi], b.action[gi])
-        action[gi] = ChainMap(t, t, f.components, check=False)
-    return EquivariantComplex(t, a.group, action, check=False,
-                              arity_bound=max(4, a.group.degree))
+        action[gi] = ChainMap(t, t, f.components)
+    return EquivariantComplex(t, a.group, action)
 
 
 def l3_complex(field) -> EquivariantComplex:
@@ -223,7 +220,7 @@ def l3_complex(field) -> EquivariantComplex:
     d1 = SparseMatrix(1, 3, field)
     for j in range(3):
         d1[0, j] = field.one()
-    c = ChainComplex(field, dims, {1: d1}, labels)
+    c = ChainComplex(field, dims, {1: d1}, labels).validate()
     pos = {t: j for j, t in enumerate(transpositions)}
     action = {}
     for gi in S3.generator_positions():
@@ -233,9 +230,8 @@ def l3_complex(field) -> EquivariantComplex:
         for j, t in enumerate(transpositions):
             conj = compose(compose(s, t), inverse(s))
             m1[pos[conj], j] = field.one()
-        action[gi] = ChainMap(c, c, {0: m0, 1: m1}, check=False)
-    out = EquivariantComplex(c, S3, action)
-    return out
+        action[gi] = ChainMap(c, c, {0: m0, 1: m1})
+    return EquivariantComplex(c, S3, action).validate()
 
 
 def surjection_index_module(n, r) -> "tuple":
@@ -268,7 +264,7 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
             for (i, j), v in c.diff[k].entries.items():
                 m[t * c.dim(k - 1) + i, t * c.dim(k) + j] = v
         diff[k] = m
-    total = ChainComplex(F, dims, diff, labels, check=False)
+    total = ChainComplex(F, dims, diff, labels)
     action = {}
     for gi in a.group.generator_positions():
         s = transposition(n, gi)
@@ -283,9 +279,8 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
                 for (i, j), v in am.entries.items():
                     m[t2 * c.dim(k) + i, t * c.dim(k) + j] = v
             comps[k] = m
-        action[gi] = ChainMap(total, total, comps, check=False)
-    return EquivariantComplex(total, a.group, action, check=False,
-                              arity_bound=max(4, n))
+        action[gi] = ChainMap(total, total, comps)
+    return EquivariantComplex(total, a.group, action)
 
 
 def sp_sigma_r_generator(value: ChainComplex, n, r, gi, field) -> ChainMap:
@@ -310,6 +305,15 @@ def _relabel_sidx(lab, s_r):
 # ---------------------------------------------------------------------------
 
 
+def _zero_model(field, r) -> EquivariantComplex:
+    """The zero complex with the zero action of Sigma_r: a comonad
+    component at r > n."""
+    z = ChainComplex(field, {})
+    group = YoungGroup.full(r)
+    return EquivariantComplex(z, group, {gi: ChainMap.zero(z, z)
+                                         for gi in group.generator_positions()})
+
+
 class TopComponentModel:
     """K_r A_n for the based-spaces-to-spectra comonad.
 
@@ -328,11 +332,7 @@ class TopComponentModel:
         n = self.n
         if r > n:
             self.kind = "zero"
-            z = ChainComplex(F, {})
-            self.value = EquivariantComplex(
-                z, YoungGroup.full(r),
-                {gi: ChainMap.zero(z, z) for gi in
-                 YoungGroup.full(r).generator_positions()}, check=False)
+            self.value = _zero_model(F, r)
             self.exact = True
             self.sursum = None
             return
@@ -354,9 +354,7 @@ class TopComponentModel:
             for gi in YoungGroup.full(r).generator_positions():
                 sr = self.sursum.sigma_r_generator(gi)
                 action[gi] = _quotient_functor(proj, sr, proj)
-            self.value = EquivariantComplex(q, YoungGroup.full(r), action,
-                                            check=False,
-                                            arity_bound=max(4, r))
+            self.value = EquivariantComplex(q, YoungGroup.full(r), action)
         else:
             self.kind = "windowed"
             self.orbit = homotopy_orbits(w_total, w, tag="k-top", stages=stages)
@@ -366,9 +364,7 @@ class TopComponentModel:
             for gi in YoungGroup.full(r).generator_positions():
                 sr = self.sursum.sigma_r_generator(gi)
                 action[gi] = slotwise_map(model, model, sr)
-            self.value = EquivariantComplex(model, YoungGroup.full(r), action,
-                                            check=False,
-                                            arity_bound=max(4, r))
+            self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
     def iota(self) -> ChainMap:
         """The chain map W -> model (identity slot / projection / collapse)."""
@@ -391,7 +387,7 @@ class TopComponentModel:
                         if jj == i:
                             m.add_to(i2, col, v)
                 comps[k] = m
-            return ChainMap(W, a.complex, comps, check=False)
+            return ChainMap(W, a.complex, comps)
         if self.kind == "strict":
             return self.proj
         # windowed: include as the resolution-degree-0 slot
@@ -426,7 +422,7 @@ def _unit_section(proj: ChainMap) -> ChainMap:
         m = SparseMatrix(W.dim(k), q.dim(k), F)
         m.entries = {(j, i): one for i, j in sec.items()}
         comps[k] = m
-    return ChainMap(q, W, comps, check=False)
+    return ChainMap(q, W, comps)
 
 
 def coaugment_invariants(sub_incl: ChainMap,
@@ -499,7 +495,7 @@ class _PreTarget:
                 labs.append(("surj", self.gammas[idx], inner_lab))
             labels[k] = tuple(labs)
         self.total = ChainComplex(F, self.total.dims, self.total.diff,
-                                  labels, check=False)
+                                  labels)
 
     def sigma_n_equivariant(self) -> EquivariantComplex:
         """Sigma_n acts through the inner W(A, s) factor only."""
@@ -509,8 +505,7 @@ class _PreTarget:
         action = {gi: slotwise_map(self.total, self.total, inner_eq.action[gi],
                                    slot=(2, -1))
                   for gi in group.generator_positions()}
-        return EquivariantComplex(self.total, group, action, check=False,
-                                  arity_bound=max(4, n))
+        return EquivariantComplex(self.total, group, action)
 
 
 def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
@@ -564,7 +559,7 @@ def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
                                          sur_r.total.dim(k), F)
                         comps[k] = m
                     m.add_to(row, col, sgn)
-    return ChainMap(sur_r.total, pre.total, comps, check=True)
+    return ChainMap(sur_r.total, pre.total, comps).validate()
 
 
 def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,
@@ -683,7 +678,7 @@ def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
             idx, inner_lab = lab
             labs.append(("surj", gammas[idx], inner_lab))
         labels[k] = tuple(labs)
-    tgt = ChainComplex(F, tgt.dims, tgt.diff, labels, check=False)
+    tgt = ChainComplex(F, tgt.dims, tgt.diff, labels)
     blockwise = slotwise_map(pre.total, tgt, inner_model_proj, slot=(2, -1))
     return blockwise.compose(_unit_section(pre_proj)), tgt
 
@@ -935,15 +930,14 @@ def _compare_on_homology(f: ChainMap, g: ChainMap, w: DegreeWindow) -> bool:
             for k in f.target.dims):
         diff = f - g if f.target is g.target else None
         if diff is None:
-            g2 = ChainMap(f.source, f.target, g.components, g.degree,
-                          check=False)
+            g2 = ChainMap(f.source, f.target, g.components, g.degree)
             diff = f - g2
         for k in w.degrees():
             if not _induced_zero(diff, k):
                 return False
         return True
     g2 = label_map(g.target, f.target).compose(g)
-    g3 = ChainMap(f.source, f.target, g2.components, g2.degree, check=False)
+    g3 = ChainMap(f.source, f.target, g2.components, g2.degree)
     diff = f - g3
     for k in w.degrees():
         if not _induced_zero(diff, k):
@@ -980,11 +974,7 @@ class SpComponentModel:
             raise ValueError("sp comonad implemented for truncation <= 3")
         if r > n:
             self.kind = "zero"
-            z = ChainComplex(F, {})
-            self.value = EquivariantComplex(
-                z, YoungGroup.full(r),
-                {gi: ChainMap.zero(z, z) for gi in
-                 YoungGroup.full(r).generator_positions()}, check=False)
+            self.value = _zero_model(F, r)
             self.exact = True
             return
         if r == n:
@@ -1005,8 +995,7 @@ class SpComponentModel:
         action = {}
         for gi in YoungGroup.full(r).generator_positions():
             action[gi] = sp_sigma_r_generator(model, n, r, gi, F)
-        self.value = EquivariantComplex(model, YoungGroup.full(r), action,
-                                        check=False, arity_bound=max(4, r))
+        self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
     def fixed_part_inclusion(self, fixed_model: ChainComplex) -> ChainMap:
         """Canonical map (homotopy fixed points of the carrier) -> Tate model
@@ -1031,11 +1020,7 @@ class KPrimeComponent:
         F = a.field
         self.field = F
         if r > self.n:
-            z = ChainComplex(F, {})
-            self.value = EquivariantComplex(
-                z, YoungGroup.full(r),
-                {gi: ChainMap.zero(z, z) for gi in
-                 YoungGroup.full(r).generator_positions()}, check=False)
+            self.value = _zero_model(F, r)
             self.inclusion = None
             self.sursum = None
             return
@@ -1047,8 +1032,7 @@ class KPrimeComponent:
         for gi in YoungGroup.full(r).generator_positions():
             sr = self.sursum.sigma_r_generator(gi)
             action[gi] = factor_through(sr.compose(incl), incl)
-        self.value = EquivariantComplex(inv, YoungGroup.full(r), action,
-                                        check=False, arity_bound=max(4, r))
+        self.value = EquivariantComplex(inv, YoungGroup.full(r), action)
 
 
 class KPrimeComonad:
@@ -1109,7 +1093,7 @@ class KPrimeComonad:
             for g in group.elements():
                 total = total + eq.action_of(g).component(k) * incl.component(k)
             norm[k] = total
-        return factor_through(ChainMap(a, W, norm, check=False),
+        return factor_through(ChainMap(a, W, norm),
                               comp.inclusion)
 
     def _build_delta(self, r, s, n):
@@ -1165,7 +1149,7 @@ def _pre_to_outer_invariants(pre: _PreTarget, inner: KPrimeComponent,
             raise ArithmeticError("invariants inclusion not split")
         left[k] = x.transpose()
     return slotwise_map(pre.total, outer.sursum.total,
-                        ChainMap(W_s, inv, left, check=False), slot=(2, -1))
+                        ChainMap(W_s, inv, left), slot=(2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -1200,7 +1184,7 @@ def nu_component(top_comp: TopComponentModel, kp_comp: KPrimeComponent,
                          SparseMatrix.identity(dk, F)) if dk else None
         if x is not None:
             nbar[k] = x.transpose() * (comps_norm[k] * sec.component(k))
-    nbar_map = ChainMap(q, kp_comp.value.complex, nbar, check=False)
+    nbar_map = ChainMap(q, kp_comp.value.complex, nbar)
     W = W_eq.complex
     if top_comp.kind == "collapsed":
         # A_n = strict orbits of W via the collapse; invert the collapse
@@ -1214,9 +1198,7 @@ def nu_component(top_comp: TopComponentModel, kp_comp: KPrimeComponent,
         to_q = proj.compose(label_map(
             top_comp.value.complex, W, partial=True,
             key=lambda lab: lab[3] if lab[1] == 0 else None))
-    out = nbar_map.compose(to_q)
-    out.validate()
-    return out
+    return nbar_map.compose(to_q).validate()
 
 
 def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):

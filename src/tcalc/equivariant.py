@@ -23,19 +23,17 @@ from .perms import YoungGroup, compose, identity_perm, inverse, transposition
 from .sparse import Span, SparseMatrix, nullspace
 
 
-ARITY_BOUND_DEFAULT = 4
-
-
 class EquivariantComplex:
     """A finite chain complex with an action of a Young group.
 
     The action is specified on the Coxeter generators (adjacent
     transpositions within blocks); validation checks each generator is a
-    chain automorphism and that all Coxeter relations hold exactly.
+    chain automorphism and that all Coxeter relations hold exactly.  It
+    refuses groups of degree > 4 and order > 24, whose relations are too
+    many to check exactly.
     """
 
-    def __init__(self, complex: ChainComplex, group: YoungGroup, action,
-                 check=True, arity_bound=ARITY_BOUND_DEFAULT):
+    def __init__(self, complex: ChainComplex, group: YoungGroup, action):
         self.complex = complex
         self.group = group
         gens = group.generator_positions()
@@ -43,16 +41,14 @@ class EquivariantComplex:
         if set(self.action) != set(gens):
             raise ValueError("action must specify every Coxeter generator")
         self._cache = {identity_perm(group.degree): ChainMap.identity(complex)}
-        if check:
-            if group.degree > arity_bound and group.order > 24:
-                raise ValueError("arity bound exceeded: %s" % (group,))
-            self.validate()
 
     @property
     def field(self):
         return self.complex.field
 
     def validate(self):
+        if self.group.degree > 4 and self.group.order > 24:
+            raise ValueError("arity bound exceeded: %s" % (self.group,))
         for i, f in self.action.items():
             if f.source is not self.complex or f.target is not self.complex:
                 raise ValueError("generator action has wrong (co)domain")
@@ -92,15 +88,15 @@ class EquivariantComplex:
         n = self.group.degree
         for i in subgroup.generator_positions():
             action[i] = self.action_of(transposition(n, i))
-        return EquivariantComplex(self.complex, subgroup, action, check=False)
+        return EquivariantComplex(self.complex, subgroup, action)
 
     def truncate(self, lo, hi) -> "EquivariantComplex":
         c = self.complex.truncate(lo, hi)
         action = {}
         for i, f in self.action.items():
             comps = {k: m for k, m in f.components.items() if lo <= k <= hi}
-            action[i] = ChainMap(c, c, comps, check=False)
-        return EquivariantComplex(c, self.group, action, check=False)
+            action[i] = ChainMap(c, c, comps)
+        return EquivariantComplex(c, self.group, action)
 
     def __repr__(self):
         return "EquivariantComplex(%s on %r)" % (self.group, self.complex)
@@ -108,7 +104,7 @@ class EquivariantComplex:
 
 def trivial_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
     act = {i: ChainMap.identity(complex) for i in group.generator_positions()}
-    return EquivariantComplex(complex, group, act, check=False)
+    return EquivariantComplex(complex, group, act)
 
 
 def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
@@ -116,7 +112,7 @@ def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
     neg = F.neg(F.one())
     act = {i: ChainMap.identity(complex).scale(neg)
            for i in group.generator_positions()}
-    return EquivariantComplex(complex, group, act, check=False)
+    return EquivariantComplex(complex, group, act)
 
 
 def permutation_module(field, group: YoungGroup, labels, action_table,
@@ -141,8 +137,8 @@ def permutation_module(field, group: YoungGroup, labels, action_table,
             if signs and i in signs:
                 s = field.coerce(signs[i][j])
             m[img, j] = s
-        act[i] = ChainMap(c, c, {degree: m}, check=False)
-    return EquivariantComplex(c, group, act)
+        act[i] = ChainMap(c, c, {degree: m})
+    return EquivariantComplex(c, group, act).validate()
 
 
 def regular_module(field, group: YoungGroup, degree=0) -> EquivariantComplex:
@@ -158,8 +154,7 @@ def regular_module(field, group: YoungGroup, degree=0) -> EquivariantComplex:
                               table, degree)
 
 
-def tensor_power(x: ChainComplex, n: int,
-                 arity_bound=ARITY_BOUND_DEFAULT) -> EquivariantComplex:
+def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
     """X^{(x) n} with Sigma_n permuting the factors with Koszul signs."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
@@ -178,8 +173,8 @@ def tensor_power(x: ChainComplex, n: int,
                 s = F.one() if (d1 * d2) % 2 == 0 else F.neg(F.one())
                 m[row, col] = s
             m_by_deg[k] = m
-        action[gi] = ChainMap(t, t, m_by_deg, check=False)
-    return EquivariantComplex(t, group, action, arity_bound=max(arity_bound, n))
+        action[gi] = ChainMap(t, t, m_by_deg)
+    return EquivariantComplex(t, group, action).validate()
 
 
 @dataclass
@@ -436,8 +431,7 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
                         put(src, tgt, a.action_of(h).component(k),
                             F.neg(coef) if odd else coef)
     labels = {k: tuple(v) for k, v in labels.items()}
-    out = ChainComplex(F, dims, diff, labels, check=False)
-    out.validate()
+    out = ChainComplex(F, dims, diff, labels).validate()
     return WindowedResult(out, w, tag)
 
 
@@ -474,7 +468,7 @@ def slotwise_map(src_model: ChainComplex, tgt_model: ChainComplex,
                     m = SparseMatrix(tgt_model.dim(k + d), src_model.dim(k), F)
                     comps[k] = m
                 m.add_to(row, col, F.neg(v) if neg else v)
-    return ChainMap(src_model, tgt_model, comps, d, check=False)
+    return ChainMap(src_model, tgt_model, comps, d)
 
 
 def _slot_value(lab, path):
@@ -540,9 +534,7 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
                         m.add_to(row, col, v)
         if not m.is_zero():
             out_comps[k] = m
-    f = ChainMap(src, tgt, out_comps, check=False)
-    f.validate()
-    return f
+    return ChainMap(src, tgt, out_comps).validate()
 
 
 def tate(a: EquivariantComplex, w: DegreeWindow, extra_stages: int = 0,
@@ -574,4 +566,4 @@ def induced_from_trivial_subgroup(pieces, group: YoungGroup) -> EquivariantCompl
         action[gi] = block_map(total, total, parts, parts,
                                {(t, pos[compose(s, g)]): ident
                                 for t, g in enumerate(elements)})
-    return EquivariantComplex(total, group, action, check=False)
+    return EquivariantComplex(total, group, action)

@@ -164,7 +164,7 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
                         for (tgt_lab, deg2), v in image.items():
                             tgtpos = pos[(tgt_idx, k, tgt_lab)]
                             comps[k].add_to(tgtpos, srcpos, v)
-            action[gi] = ChainMap(total, total, comps, check=False)
+            action[gi] = ChainMap(total, total, comps)
         new_labels = {}
         for k in total.dims:
             labs = []
@@ -173,10 +173,10 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
                 part = summands[idx][0]
                 labs.append(("pleth", part, inner))
             new_labels[k] = tuple(labs)
-        total2 = ChainComplex(F, total.dims, total.diff, new_labels, check=False)
-        action2 = {gi: ChainMap(total2, total2, f.components, check=False)
+        total2 = ChainComplex(F, total.dims, total.diff, new_labels)
+        action2 = {gi: ChainMap(total2, total2, f.components)
                    for gi, f in action.items()}
-        out_terms[n] = EquivariantComplex(total2, group, action2, check=False)
+        out_terms[n] = EquivariantComplex(total2, group, action2)
     return SymmetricSequence(F, N, out_terms)
 
 
@@ -339,7 +339,7 @@ def commutative_operad(field, N) -> Operad:
             tgt = seq.term_complex(n)
             m = SparseMatrix(1, 1, field)
             m[0, 0] = field.one()
-            gamma[(r, comp)] = ChainMap(src, tgt, {0: m}, check=False)
+            gamma[(r, comp)] = ChainMap(src, tgt, {0: m})
     return Operad(seq, gamma, name="Com")
 
 
@@ -469,7 +469,7 @@ class BarConstruction:
                         new = ch[:i - 1] + ch[i:]
                         m.add_to(tgt_pos[new], col, F.one())
                 self.faces[(s, i, n)] = ChainMap(
-                    src, tgt, {0: m} if not m.is_zero() else {}, check=False)
+                    src, tgt, {0: m} if not m.is_zero() else {})
         # degeneracy maps
         for s in range(0, self.max_level):
             src = self.levels[(s, n)]
@@ -485,7 +485,7 @@ class BarConstruction:
                     new = (full[:j + 1] + (full[j],) + full[j + 1:])[1:-1]
                     m.add_to(tgt_pos[new], col, F.one())
                 self.degens[(s, j, n)] = ChainMap(
-                    src, tgt, {0: m} if not m.is_zero() else {}, check=False)
+                    src, tgt, {0: m} if not m.is_zero() else {})
         # normalized complex: strict chains, degree = level
         dims, labels, pos = {}, {}, {}
         for s in range(0, self.max_level + 1):
@@ -508,7 +508,7 @@ class BarConstruction:
                     if row is not None:
                         m.add_to(row, col, sgn)
             diff[s] = m
-        self.normalized[n] = ChainComplex(F, dims, diff, labels, check=False)
+        self.normalized[n] = ChainComplex(F, dims, diff, labels)
 
     def simplicial_identities_hold(self) -> bool:
         for n in range(1, self.truncation + 1):
@@ -590,8 +590,7 @@ def tree_complex(field, n) -> ChainComplex:
             _, row = pos[t2]
             m.add_to(row, col, field.coerce(sgn))
     labels = {d: tuple(v) for d, v in labels.items()}
-    out = ChainComplex(field, dims, diff, labels, check=True)
-    return out
+    return ChainComplex(field, dims, diff, labels).validate()
 
 
 def tree_equivariant(field, n) -> EquivariantComplex:
@@ -612,9 +611,8 @@ def tree_equivariant(field, n) -> EquivariantComplex:
             sgn, t2 = trees.relabel_terms(t, mapping)
             d2, row = pos[t2]
             comps[d].add_to(row, col, field.coerce(sgn))
-        action[gi] = ChainMap(c, c, comps, check=False)
-    return EquivariantComplex(c, group, action, check=False,
-                              arity_bound=max(4, n))
+        action[gi] = ChainMap(c, c, comps)
+    return EquivariantComplex(c, group, action)
 
 
 def tree_cooperad(field, N) -> Cooperad:
@@ -652,7 +650,7 @@ def tree_cooperad(field, N) -> Cooperad:
                     m = SparseMatrix(tgt.dim(d), src.dim(d), field)
                     comps[d] = m
                 m.add_to(row, col, field.coerce(sgn))
-            delta[(n, tuple(blocks))] = ChainMap(src, tgt, comps, check=True)
+            delta[(n, tuple(blocks))] = ChainMap(src, tgt, comps).validate()
     return Cooperad(seq, delta, name="T")
 
 
@@ -677,7 +675,7 @@ def tensor_reorder_map(factors, perm, field) -> ChainMap:
                 new_lab[perm[i]] = l
             m.add_to(tgt.label_index(k)[tuple(new_lab)], col, sgn)
         comps[k] = m
-    return ChainMap(src, tgt, comps, check=False)
+    return ChainMap(src, tgt, comps)
 
 
 def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
@@ -822,9 +820,8 @@ def spectral_lie(field, N) -> Operad:
             comps = {}
             for k, m in f.components.items():
                 comps[-k] = m.transpose()
-            action[gi] = ChainMap(dc, dc, comps, check=False)
-        terms[n] = EquivariantComplex(dc, group, action, check=False,
-                                      arity_bound=max(4, n))
+            action[gi] = ChainMap(dc, dc, comps)
+        terms[n] = EquivariantComplex(dc, group, action)
     seq = SymmetricSequence(field, N, terms)
     gamma = {}
     for n in range(1, N + 1):
@@ -891,7 +888,7 @@ def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target, field):
                 comps[sk] = mm
             val = F.mul(F.coerce(sgn), v)
             mm.add_to(tpos, spos, val)
-    return ChainMap(src, dual_target, comps, check=True)
+    return ChainMap(src, dual_target, comps).validate()
 
 
 def _undual(dual_factors):
@@ -991,7 +988,7 @@ def partition_poset_nerve(field, n):
                 _, row = pos[face]
                 m.add_to(row, col, sgn)
         diff[j] = m
-    nerve = ChainComplex(field, dims, diff, labels, check=True)
+    nerve = ChainComplex(field, dims, diff, labels).validate()
     group = YoungGroup.full(n)
     action = {}
     for gi in group.generator_positions():
@@ -1005,8 +1002,8 @@ def partition_poset_nerve(field, n):
                 _, row = pos[newch]
                 m.add_to(row, col, field.one())
             comps[j] = m
-        action[gi] = ChainMap(nerve, nerve, comps, check=False)
-    nerve_eq = EquivariantComplex(nerve, group, action, check=False)
+        action[gi] = ChainMap(nerve, nerve, comps)
+    nerve_eq = EquivariantComplex(nerve, group, action)
     # comparison complex: reduced chains shifted up by 2
     rdims = {j + 2: d for j, d in dims.items()}
     rdims[1] = 1  # the empty simplex in reduced degree -1, shifted to 1
@@ -1018,7 +1015,7 @@ def partition_poset_nerve(field, n):
         for col in range(dims[0]):
             m[0, col] = field.one()
         rdiff[2] = m
-    comparison = ChainComplex(field, rdims, rdiff, rlabels, check=True)
+    comparison = ChainComplex(field, rdims, rdiff, rlabels).validate()
     return nerve_eq, comparison
 
 
@@ -1027,7 +1024,7 @@ def partition_poset_nerve(field, n):
 # ---------------------------------------------------------------------------
 
 
-def validate_right_module(mod: RightModule, check_equivariance=True):
+def validate_right_module(mod: RightModule):
     """Checks unit, associativity and (generator) equivariance exactly.
 
     Returns a report dict {"valid": bool, "failures": [description, ...]}."""
@@ -1063,12 +1060,11 @@ def validate_right_module(mod: RightModule, check_equivariance=True):
                     failures.append(
                         "associativity fails at (%d; %s; %s)" %
                         (r, comp, comp2_parts))
-    if check_equivariance:
-        for r in mod.sequence.arities():
-            for comp in compositions_of_bounded(r, N):
-                bad = _check_module_equivariance(mod, r, comp)
-                if bad:
-                    failures.append(bad)
+    for r in mod.sequence.arities():
+        for comp in compositions_of_bounded(r, N):
+            bad = _check_module_equivariance(mod, r, comp)
+            if bad:
+                failures.append(bad)
     return {"valid": not failures, "failures": failures}
 
 

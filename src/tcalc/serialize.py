@@ -74,7 +74,7 @@ def chain_from_json(doc) -> ChainComplex:
     if doc.get("labels"):
         labels = {int(k): tuple(_label_from_json(x) for x in labs)
                   for k, labs in doc["labels"].items()}
-    return ChainComplex(field, dims, diff, labels)
+    return ChainComplex(field, dims, diff, labels).validate()
 
 
 def map_to_json(f: ChainMap):
@@ -92,7 +92,7 @@ def map_from_json(doc, source: ChainComplex, target: ChainComplex) -> ChainMap:
         k = int(k)
         comps[k] = matrix_from_json(entries, target.dim(k + degree),
                                     source.dim(k), source.field)
-    return ChainMap(source, target, comps, degree)
+    return ChainMap(source, target, comps, degree).validate()
 
 
 def equivariant_to_json(e: EquivariantComplex):
@@ -117,8 +117,8 @@ def equivariant_from_json(doc) -> EquivariantComplex:
             k = int(k)
             f_comps[k] = matrix_from_json(entries, c.dim(k), c.dim(k),
                                           c.field)
-        action[i] = ChainMap(c, c, f_comps, check=False)
-    return EquivariantComplex(c, group, action)
+        action[i] = ChainMap(c, c, f_comps)
+    return EquivariantComplex(c, group, action).validate()
 
 
 def sequence_to_json(s: SymmetricSequence):

@@ -37,16 +37,13 @@ from .sparse import Echelon, SparseMatrix, nullspace
 class CosimplicialComplex:
     """Levels 0..M of chain complexes with cofaces and codegeneracies."""
 
-    def __init__(self, levels, cofaces, codegens, degenerate_above=None,
-                 check=True):
+    def __init__(self, levels, cofaces, codegens, degenerate_above=None):
         self.levels = list(levels)
         self.cofaces = dict(cofaces)
         self.codegens = dict(codegens)
         self.M = len(self.levels) - 1
         self.degenerate_above = degenerate_above \
             if degenerate_above is not None else self.M
-        if check:
-            self.validate()
 
     @property
     def field(self):
@@ -151,7 +148,7 @@ def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
         for j in range(m):
             codegens[(m, j)] = ident
     return CosimplicialComplex([c] * (levels + 1), cofaces, codegens,
-                               degenerate_above=0)
+                               degenerate_above=0).validate()
 
 
 def conormalized_level(x: CosimplicialComplex, m):
@@ -169,12 +166,12 @@ def conormalized_level(x: CosimplicialComplex, m):
                       lambda k, i: ("norm", m, k, i))
 
 
-def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
+def fat_tot(x: CosimplicialComplex) -> ChainComplex:
     """Finite total complex of the conormalization over levels <= the
     degeneracy bound.  The conormalized levels N^m (joint kernels of the
     codegeneracies) carry the alternating coface sum; levels above the bound
     are verified to conormalize to zero."""
-    if check_degeneracy and not x.verify_degeneracy():
+    if not x.verify_degeneracy():
         raise ValueError("degeneracy verification failed above level %d" %
                          x.degenerate_above)
     D = min(x.degenerate_above, x.M)
@@ -204,7 +201,7 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
                 sgn = F.neg(sgn)
             comps[j] = big
         dsum[m] = factor_through(
-            ChainMap(src_sub, x.levels[m + 1], comps, check=False),
+            ChainMap(src_sub, x.levels[m + 1], comps),
             normed[m + 1][1]).components
     # d_k: N^m's differential on the diagonal, (-1)^j times the coface sum
     # out of N^m_j below it
@@ -221,10 +218,8 @@ def fat_tot(x: CosimplicialComplex, check_degeneracy=True) -> ChainComplex:
         diff[k] = SparseMatrix.block(
             blocks, [sub.dim(k - 1 + m) for m, sub in enumerate(subs)],
             [sub.dim(k + m) for m, sub in enumerate(subs)], F)
-    out = ChainComplex(F, {k: len(v) for k, v in labels.items()}, diff,
-                       labels, check=False)
-    out.validate()
-    return out
+    return ChainComplex(F, {k: len(v) for k, v in labels.items()}, diff,
+                        labels).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +278,8 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                 x, y, sums, totals, quotients, m, j, kind="codegen")
     out = CosimplicialComplex(levels, cofaces, codegens,
                               degenerate_above=min(x.degenerate_above +
-                                                   y.degenerate_above, M))
+                                                   y.degenerate_above,
+                                                   M)).validate()
     out._quotients = quotients
     return out
 
@@ -350,7 +346,7 @@ def simplex_cosimplicial(field, levels: int) -> CosimplicialComplex:
                     sgn = field.one() if t % 2 == 0 else field.neg(field.one())
                     mm.add_to(pos[face][1], col, sgn)
             diff[j] = mm
-        lvls.append(ChainComplex(field, dims, diff, labels, check=False))
+        lvls.append(ChainComplex(field, dims, diff, labels))
         subset_pos.append(pos)
     cofaces, codegens = {}, {}
     for m in range(levels):
@@ -364,8 +360,7 @@ def simplex_cosimplicial(field, levels: int) -> CosimplicialComplex:
                     s = tuple(sorted(dmap(v) for v in lab[1]))
                     mm[subset_pos[m + 1][s][1], col] = field.one()
                 comps[j] = mm
-            cofaces[(m, i)] = ChainMap(lvls[m], lvls[m + 1], comps,
-                                       check=False)
+            cofaces[(m, i)] = ChainMap(lvls[m], lvls[m + 1], comps)
     for m in range(1, levels + 1):
         for j in range(m):
             def smap(v, j=j):
@@ -380,9 +375,9 @@ def simplex_cosimplicial(field, levels: int) -> CosimplicialComplex:
                     s = tuple(sorted(img))
                     mm[subset_pos[m - 1][s][1], col] = field.one()
                 comps[jj] = mm
-            codegens[(m, j)] = ChainMap(lvls[m], lvls[m - 1], comps,
-                                        check=False)
-    return CosimplicialComplex(lvls, cofaces, codegens, degenerate_above=0)
+            codegens[(m, j)] = ChainMap(lvls[m], lvls[m - 1], comps)
+    return CosimplicialComplex(lvls, cofaces, codegens,
+                               degenerate_above=0).validate()
 
 
 def lemma_ij_check(x: CosimplicialComplex, max_level=None):
@@ -443,9 +438,7 @@ def _collapse_map(delta, x, bx, m) -> ChainMap:
         blocks[(p, 0)] = push.compose(aug)
     big = block_map(total, tgt, summands, [tgt], blocks)
     # the map kills the coequalized subspace, so any section computes it
-    result = big.compose(_kept_coordinates(q, total))
-    result.validate()
-    return result
+    return big.compose(_kept_coordinates(q, total)).validate()
 
 
 def _collapse_section(x, bx, m) -> ChainMap:
@@ -453,9 +446,7 @@ def _collapse_section(x, bx, m) -> ChainMap:
     _, proj = bx._quotients[m]
     vertex = label_map(x.levels[m], proj.source,
                        key=lambda xl: (0, (("simp", (0,)), xl)))
-    out = proj.compose(vertex)
-    out.validate()
-    return out
+    return proj.compose(vertex).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +571,7 @@ def _sp_fixed_into_tate(src_phi: PhiTerm, a_n, piece, q, n, w, F,
                 m.add_to(row, col, F.one())
         if not m.is_zero():
             comps[k] = m
-    out = ChainMap(src, tgt, comps, check=False)
-    out.validate()
-    return out
+    return ChainMap(src, tgt, comps).validate()
 
 
 def cobar(coalgebra, site, w: DegreeWindow | None = None) -> CosimplicialComplex:
@@ -640,7 +629,7 @@ def stratified_cone(field, m):
             if t in ipos:
                 d1[ipos[t], j] = field.neg(field.one())
         diff[1] = d1
-    c = ChainComplex(field, dims, diff, labels)
+    c = ChainComplex(field, dims, diff, labels).validate()
     group = YoungGroup.full(2)
     comps = {}
     m1 = SparseMatrix(dims[1], dims[1], field)
@@ -652,8 +641,8 @@ def stratified_cone(field, m):
         for t, j in ipos.items():
             m0[ipos[(t[1], t[0])], j] = field.one()
         comps[0] = m0
-    act = {0: ChainMap(c, c, comps, check=False)}
-    return EquivariantComplex(c, group, act)
+    act = {0: ChainMap(c, c, comps)}
+    return EquivariantComplex(c, group, act).validate()
 
 
 class _Levels:
@@ -759,9 +748,7 @@ class TopCobarBuilder(_Levels):
                                partial=True)
         iota = label_map(carrier, self.slot12.complex,
                          key=lambda lab: ("hG", 0, 0, lab), partial=True)
-        out = iota.compose(to_carrier).compose(d2["inclusion"])
-        out.validate()
-        return out
+        return iota.compose(to_carrier).compose(d2["inclusion"]).validate()
 
     def _theta12_map(self):
         """A_1 (x) X -> slot12 through theta_{1,2} and the tree-to-cone
@@ -795,8 +782,7 @@ class TopCobarBuilder(_Levels):
                     mm.add_to(row, j, sgn)
             if not mm.is_zero():
                 comps[k] = mm
-        g = ChainMap(wp, carrier, comps, check=False)
-        g.validate()
+        g = ChainMap(wp, carrier, comps).validate()
         orb_wp = homotopy_orbits(wprime_eq, self.w, tag="theta-aux",
                                  stages=self.stages12)
         gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
@@ -810,9 +796,7 @@ class TopCobarBuilder(_Levels):
         ident = label_map(tensor(comp12.value.complex, xmod), orb_wp.complex,
                           key=slot_outside, partial=True).validate()
         th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex, F)
-        out = gfun.compose(ident).compose(th_x)
-        out.validate()
-        return out
+        return gfun.compose(ident).compose(th_x).validate()
 
     def _theta_tensor_x(self, th, xmod, src, model, F) -> ChainMap:
         """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
@@ -839,9 +823,7 @@ class TopCobarBuilder(_Levels):
                     mm.add_to(row, j, F.mul(v, vv))
             if not mm.is_zero():
                 comps[k] = mm
-        out = ChainMap(src, tens, comps, check=False)
-        out.validate()
-        return out
+        return ChainMap(src, tens, comps).validate()
 
     def _assemble(self) -> CosimplicialComplex:
         cofaces, codegens = {}, {}
@@ -904,7 +886,8 @@ class TopCobarBuilder(_Levels):
                             self._slot(r, n))
                 codegens[(2, j)] = self._block(2, 1, bs)
         return CosimplicialComplex(self.levels[:self.D + 1], cofaces,
-                                   codegens, degenerate_above=self.D)
+                                   codegens,
+                                   degenerate_above=self.D).validate()
 
 
 class SpCobarBuilder(_Levels):
@@ -1024,16 +1007,12 @@ class SpCobarBuilder(_Levels):
         g = _sp_fixed_into_tate(src_phi, a_n, piece, q, n, self.w, F,
                                 self._stages.get(n))
         if q == 1:
-            out = ChainMap(src_phi.complex, tgt_phi.complex, g.components,
-                           check=False)
-            out.validate()
-            return out
+            return ChainMap(src_phi.complex, tgt_phi.complex,
+                            g.components).validate()
         _, incl = strict_fixed(piece.value)
         to_inv = factor_through(g, incl)
         coaug = coaugment_invariants(incl, tgt_phi.complex)
-        out = coaug.compose(to_inv)
-        out.validate()
-        return out
+        return coaug.compose(to_inv).validate()
 
     def _theta_block(self, src_lvl, tgt_lvl, at_inner):
         """theta applied at the innermost slot (the delta^{m+1} coface)."""
@@ -1058,8 +1037,6 @@ class SpCobarBuilder(_Levels):
                     # transported into the rebuilt piece model
                     f = transport(th, piece.value.complex,
                                   self.pieces[tgt_lvl][tk].value.complex)
-                    if f is not th:
-                        f.validate()
                     blocks[(key, tk)] = self._phi_map(src_lvl, key,
                                                       tgt_lvl, tk, f)
                 # r < s < n targets are dropped: components are zero
@@ -1109,7 +1086,7 @@ class SpCobarBuilder(_Levels):
             codegens[(2, 0)] = self._block(2, 1, self._eps_block(0))
             codegens[(2, 1)] = self._block(2, 1, self._eps_block(1))
         return CosimplicialComplex(self.levels, cofaces, codegens,
-                                   degenerate_above=self.D)
+                                   degenerate_above=self.D).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -1139,9 +1116,7 @@ def _fib_proj(f: ChainMap, fib: ChainComplex) -> ChainMap:
                     mm[idx[slab], j] = F.one()
         if not mm.is_zero():
             comps[k] = mm
-    out = ChainMap(fib, src, comps, check=False)
-    out.validate()
-    return out
+    return ChainMap(fib, src, comps).validate()
 
 
 def _tot_window(c, n) -> DegreeWindow:
@@ -1151,8 +1126,7 @@ def _tot_window(c, n) -> DegreeWindow:
         DegreeWindow(w.lo, w.lo)
 
 
-def p_n(coalgebra, site, n, w: DegreeWindow | None = None, route="tot",
-        builder=None):
+def p_n(coalgebra, site, n, route="tot", builder=None):
     """Stage n of the Taylor tower at a site.
 
     Returns a dict with the stage complex, the certified window, the route,
@@ -1247,8 +1221,7 @@ def _p_n_pullback(c, builder):
                 if ub is not None and diag is not None:
                     blocks[(1, t_i)] = ub.scale(F.neg(F.one()))
             gmap = block_map(src, direct_sum(tgt_parts), parts_src,
-                             tgt_parts, blocks)
-            gmap.validate()
+                             tgt_parts, blocks).validate()
             fib = _fib(gmap)
             proj_to_src = _fib_proj(gmap, fib)
         else:
@@ -1328,9 +1301,7 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
                     mm = SparseMatrix(tot_lo.dim(ks), tot_hi.dim(ks), F)
                     comps[ks] = mm
                 mm.add_to(ct, cs2, v)
-    out = ChainMap(tot_hi, tot_lo, comps, check=False)
-    out.validate()
-    return out
+    return ChainMap(tot_hi, tot_lo, comps).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -1371,9 +1342,8 @@ def equivariant_hom_complex(a, b):
                                b.complex.labels[kb][ib2])
                         mm.add_to(h.label_index(k)[new], j, F.mul(va, vb))
             comps[k] = mm
-        action[gi] = ChainMap(h, h, comps, check=False)
-    heq = EquivariantComplex(h, a.group, action, check=False,
-                             arity_bound=max(4, a.group.degree))
+        action[gi] = ChainMap(h, h, comps)
+    heq = EquivariantComplex(h, a.group, action)
     inv, incl = strict_fixed(heq)
     return h, inv, incl
 
@@ -1505,13 +1475,11 @@ class DerivedHomBuilder(_Levels):
                     kf = sp_component_on_map(ka_model, kp_model, f)
                 # theta recast into the model K_q(h) starts from
                 th = transport(theta, target=kf.source)
-                if th is not theta:
-                    th.validate()
                 # composite: A_q -> K_q P (degree k), as an element of Hom
                 cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
             img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), F)
-        return factor_through(ChainMap(src["inv"], tgt["full"], img,
-                                       check=False), tgt["incl"]).validate()
+        return factor_through(ChainMap(src["inv"], tgt["full"], img),
+                              tgt["incl"]).validate()
 
     # -- assembly ---------------------------------------------------------------
 
@@ -1553,8 +1521,6 @@ class DerivedHomBuilder(_Levels):
                         continue
                     g = transport(d, src["piece"].value.complex,
                                   tgt["piece"].value.complex)
-                    if g is not d:
-                        g.validate()
                 blocks[(key, tk)] = _post_block(src, tgt, g)
         return blocks
 
@@ -1583,8 +1549,6 @@ class DerivedHomBuilder(_Levels):
                     # theta itself (for sp at level 1: the collapsed outer)
                     g = transport(th, src["piece"].value.complex,
                                   tgt["piece"].value.complex)
-                    if g is not th:
-                        g.validate()
                     blocks[(key, tk)] = _post_block(src, tgt, g)
                 else:
                     if cp.source == "sp":
@@ -1596,10 +1560,8 @@ class DerivedHomBuilder(_Levels):
                     if inner is None or outer is None:
                         continue
                     tau = _model_transport(K.component(s, n), inner)
-                    th_s = transport(th, cp.sequence.term_complex(s))
-                    if th_s is not th:
-                        th_s.validate()
-                    theta_tilde = tau.compose(th_s)
+                    theta_tilde = tau.compose(
+                        transport(th, cp.sequence.term_complex(s)))
                     src_model = src["piece"]
                     if src_model.kind != outer.kind:
                         src_model = _rebuild_like(
@@ -1608,8 +1570,6 @@ class DerivedHomBuilder(_Levels):
                                               theta_tilde)
                     g = transport(kf, src["piece"].value.complex,
                                   tgt["piece"].value.complex)
-                    if g is not kf:
-                        g.validate()
                     blocks[(key, tk)] = _post_block(src, tgt, g)
         return blocks
 
@@ -1645,7 +1605,7 @@ class DerivedHomBuilder(_Levels):
             codegens[(2, 0)] = self._block(2, 1, self._sigma(2, 0))
             codegens[(2, 1)] = self._block(2, 1, self._sigma(2, 1))
         return CosimplicialComplex(self.levels, cofaces, codegens,
-                                   degenerate_above=self.D)
+                                   degenerate_above=self.D).validate()
 
 
 def derived_hom(c, cprime, w: DegreeWindow | None = None):
@@ -1797,7 +1757,7 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
                     if jj == i and r2 in pos_t:
                         m[pos_t[r2], c2] = v
             diff[k] = m
-        sub = ChainComplex(F, dims, diff, labels, check=False)
+        sub = ChainComplex(F, dims, diff, labels)
         # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
         # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
         for k in w.degrees():

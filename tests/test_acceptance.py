@@ -278,7 +278,7 @@ def test_criterion_08_mccarthy_and_mutations():
             dm[rng.randrange(rows), rng.randrange(cols)] = 1
             comps = dict(f.components)
             comps[k] = f.component(k) + dm
-            bad = ChainMap(f.source, f.target, comps, f.degree, check=False)
+            bad = ChainMap(f.source, f.target, comps, f.degree)
             state["orig"] = f
             state["bad"] = bad
             maps[which] = bad

@@ -159,7 +159,7 @@ def test_dd_zero_enforced():
     F = QQ
     bad = SparseMatrix.from_rows([[1]], F)
     with pytest.raises(ValueError):
-        ChainComplex(F, {0: 1, 1: 1, 2: 1}, {1: bad, 2: bad})
+        ChainComplex(F, {0: 1, 1: 1, 2: 1}, {1: bad, 2: bad}).validate()
 
 
 def test_circle_homology():
@@ -444,7 +444,7 @@ def test_factor_through_subcomplex():
     # e -> e2 leaves S
     with pytest.raises(ArithmeticError):
         factor_through(ChainMap(s, d, {1: SparseMatrix.from_rows(
-            [[0], [1]], QQ)}, check=False), incl)
+            [[0], [1]], QQ)}), incl)
     # a degree -1 map x -> v from a sphere in degree 1
     pt = sphere(QQ, 1, label="x")
     g = ChainMap(pt, d, {1: SparseMatrix.from_rows([[1], [0]], QQ)},

@@ -9,13 +9,16 @@ import pytest
 
 from helpers import random_theta, random_valid_coalgebra, triv
 from tcalc import serialize
-from tcalc.chain import ChainMap, DegreeWindow, sphere
+from tcalc.chain import ChainComplex, ChainMap, DegreeWindow, sphere
 from tcalc.cli import main
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
-from tcalc.equivariant import regular_module, trivial_action
-from tcalc.fields import F2
+from tcalc.equivariant import (
+    EquivariantComplex, regular_module, trivial_action,
+)
+from tcalc.fields import F2, F3
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sparse import SparseMatrix
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +159,41 @@ def test_out_of_range_entry_is_usage_error(tmp_path, capsys):
     doc["diff"] = {"1": [[5, 0, "1"]]}
     p = write(tmp_path, "oor.json", doc)
     assert_usage_error(capsys, "homology", p)
+
+
+def _dd_nonzero_doc():
+    one = SparseMatrix.from_rows([[1]], F2)
+    return serialize.chain_to_json(
+        ChainComplex(F2, {0: 1, 1: 1, 2: 1}, {1: one, 2: one}))
+
+
+def _generator_not_involution_doc():
+    c = ChainComplex(F3, {0: 2})
+    s = SparseMatrix.from_rows([[1, 1], [0, 1]], F3)
+    return serialize.equivariant_to_json(
+        EquivariantComplex(c, YoungGroup.full(2), {0: ChainMap(c, c, {0: s})}))
+
+
+def _degree_five_doc():
+    return serialize.equivariant_to_json(
+        trivial_action(sphere(F2, 0), YoungGroup.full(5)))
+
+
+@pytest.mark.parametrize("command, make_doc", [
+    ("homology", _dd_nonzero_doc),
+    ("tate", _generator_not_involution_doc),
+    ("tate", _degree_five_doc),
+])
+def test_decoded_input_is_certified(tmp_path, capsys, command, make_doc):
+    # constructors do not certify, so each document encodes as given; the
+    # decoders validate it before any command reads it
+    p = write(tmp_path, "bad.json", make_doc())
+    argv = [command, p] if command == "homology" else \
+        [command, "--window", "-1:1", p]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == "validation"
 
 
 @pytest.mark.parametrize("scalar", [0.1, True])

@@ -68,9 +68,9 @@ def test_injections_as_sigma2_set():
 def test_coxeter_validation_rejects_bad_action():
     c = ChainComplex(F3, {0: 2})
     bad = SparseMatrix.from_rows([[1, 1], [0, 1]], F3)
-    act = {0: ChainMap(c, c, {0: bad}, check=False)}
+    act = {0: ChainMap(c, c, {0: bad})}
     with pytest.raises(ValueError):
-        EquivariantComplex(c, S2, act)  # s^2 != 1 over F_3
+        EquivariantComplex(c, S2, act).validate()  # s^2 != 1 over F_3
 
 
 # ---------------------------------------------------------------------------

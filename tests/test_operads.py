@@ -343,8 +343,7 @@ def test_unit_sequence_is_valid_module():
         from tcalc.sparse import SparseMatrix
         m = SparseMatrix(1, 1, op.field)
         m[0, 0] = op.field.one()
-        action[(1, (1,))] = ChainMap(src, one.term_complex(1), {0: m},
-                                     check=False)
+        action[(1, (1,))] = ChainMap(src, one.term_complex(1), {0: m})
         mod = RightModule(op, one, action)
         report = validate_right_module(mod)
         assert report["valid"], report

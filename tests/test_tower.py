@@ -6,7 +6,8 @@ import pytest
 
 from helpers import random_theta, random_valid_coalgebra, staircase_sequence, triv
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, is_quasi_iso, sphere,
+    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, direct_sum,
+    is_quasi_iso, sphere,
 )
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, representable_module,
@@ -47,8 +48,17 @@ def test_two_level_semicosimplicial_tot():
     y = CosimplicialComplex([c, c], {(0, 0): ChainMap.identity(c),
                                      (0, 1): ChainMap.zero(c, c)}, {},
                             degenerate_above=1)
-    t = fat_tot(y, check_degeneracy=False)
+    t = fat_tot(y)
     assert t.is_acyclic(DegreeWindow(-3, 3))
+
+
+def test_validate_returns_self():
+    c = circle(QQ)
+    f = ChainMap.identity(c)
+    for x in (c, f, ChainHomotopy(f, f, {}),
+              trivial_action(c, YoungGroup.full(2)),
+              constant_cosimplicial(c, 2)):
+        assert x.validate() is x
 
 
 def test_box_unit_levelwise():
@@ -96,7 +106,7 @@ def test_lemma_ij():
     bad_cofaces = dict(x.cofaces)
     bad_cofaces[(0, 0)] = ChainMap.zero(c, c)
     y = CosimplicialComplex([c] * 3, bad_cofaces, x.codegens,
-                            degenerate_above=2, check=False)
+                            degenerate_above=2)
     rep2 = lemma_ij_check(y, max_level=1)
     assert not rep2["pass"]
 
