@@ -34,23 +34,31 @@ Conventions fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .fields import FieldSpec
 from .sparse import Echelon, Span, SparseMatrix, nullspace, solve, solve_matrix
 
 
-@dataclass(frozen=True)
 class DegreeWindow:
     """Closed interval of homological degrees in which a result is certified."""
 
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
             raise ValueError("empty degree window")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return "DegreeWindow(lo=%r, hi=%r)" % (self.lo, self.hi)
 
     def __contains__(self, k) -> bool:
         return self.lo <= k <= self.hi
@@ -243,7 +251,9 @@ class ChainMap:
             if m.rows != self.target.dim(k + self.degree) or m.cols != self.source.dim(k):
                 raise ValueError("component shape mismatch in degree %d" % k)
         s = 1 if self.degree % 2 == 0 else -1
-        for k in set(self.source.dims) | {k + 1 for k in self.source.dims}:
+        # both sides vanish unless f_k or f_{k-1} is nonzero, so the zero
+        # map is checked by its shapes alone
+        for k in set(self.components) | {k + 1 for k in self.components}:
             lhs = self.target.d(k + self.degree) * self.component(k)
             rhs = self.component(k - 1) * self.source.d(k)
             if s < 0:

@@ -14,7 +14,9 @@ import json
 import os
 import sys
 
-from . import serialize
+from . import (
+    classify, coalgebras, comonads, equivariant, operads, serialize, tower,
+)
 from .chain import DegreeWindow
 from .fields import UnsupportedField, field_from_name
 
@@ -86,11 +88,10 @@ def cmd_homology(args):
 
 
 def cmd_tate(args):
-    from .equivariant import tate
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    t = tate(e, w)
+    t = equivariant.tate(e, w)
     _emit(args, {"command": "tate", "group": list(e.group.blocks),
                  "dims": _windowed_dims(t.complex, w),
                  "window": serialize.window_to_json(w)})
@@ -98,10 +99,9 @@ def cmd_tate(args):
 
 
 def cmd_bar_com(args):
-    from .operads import bar_construction, commutative_operad
     field = field_from_name(args.field)
-    com = commutative_operad(field, args.n)
-    bc, normalized = bar_construction(com)
+    com = operads.commutative_operad(field, args.n)
+    bc, normalized = operads.bar_construction(com)
     out = {"command": "bar-com", "arity": args.n,
            "normalized_dims": {str(k): normalized[args.n].dim(k)
                                for k in normalized[args.n].support()},
@@ -113,9 +113,8 @@ def cmd_bar_com(args):
 
 
 def cmd_partition_nerve(args):
-    from .operads import partition_poset_nerve
     field = field_from_name(args.field)
-    nerve, comparison = partition_poset_nerve(field, args.n)
+    nerve, comparison = operads.partition_poset_nerve(field, args.n)
     _emit(args, {"command": "partition-nerve", "n": args.n,
                  "nerve_dims": {str(k): nerve.complex.dim(k)
                                 for k in nerve.complex.support()},
@@ -126,11 +125,10 @@ def cmd_partition_nerve(args):
 
 
 def cmd_k_top(args):
-    from .comonads import k_top_component
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    res = k_top_component(e, args.r, w)
+    res = comonads.k_top_component(e, args.r, w)
     _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
                  "dims": _windowed_dims(res.complex, w),
                  "exact": res.exact,
@@ -139,11 +137,10 @@ def cmd_k_top(args):
 
 
 def cmd_k_sp(args):
-    from .comonads import k_sp_component
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    res = k_sp_component(e, args.r, w)
+    res = comonads.k_sp_component(e, args.r, w)
     _emit(args, {"command": "k-sp", "r": args.r, "n": e.group.degree,
                  "dims": _windowed_dims(res.complex, w),
                  "window": serialize.window_to_json(w)})
@@ -157,15 +154,13 @@ def _parse_site(text, source):
         return int(text[1:])
     if not text.startswith("set:"):
         raise UsageError("top sites are set:<m>")
-    from .coalgebras import FinitePointedSet
-    return FinitePointedSet(int(text.split(":")[1]))
+    return coalgebras.FinitePointedSet(int(text.split(":")[1]))
 
 
 def cmd_cobar(args):
-    from .tower import cobar
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
-    cs = cobar(c, site, c.window)
+    cs = tower.cobar(c, site, c.window)
     _emit(args, {"command": "cobar",
                  "levels": [
                      {str(k): lv.dim(k) for k in lv.support()}
@@ -176,7 +171,6 @@ def cmd_cobar(args):
 
 
 def cmd_pn(args):
-    from .tower import p_n
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
     routes = [args.route] if args.route != "both" else ["tot", "pullback"]
@@ -184,7 +178,7 @@ def cmd_pn(args):
     builder = None
     for route in routes:
         # both routes read one cobar builder
-        st = p_n(c, site, args.n, route=route, builder=builder)
+        st = tower.p_n(c, site, args.n, route=route, builder=builder)
         builder = st["builder"]
         reports[route] = {
             "dims": _windowed_dims(st["complex"], st["window"]),
@@ -199,10 +193,9 @@ def cmd_pn(args):
 
 
 def cmd_derived_hom(args):
-    from .tower import derived_hom
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
-    r = derived_hom(c, c2)
+    r = tower.derived_hom(c, c2)
     _emit(args, {"command": "derived-hom", "h0": r["h0"],
                  "dims": _windowed_dims(r["complex"], r["window"]),
                  "window": serialize.window_to_json(r["window"])})
@@ -210,12 +203,11 @@ def cmd_derived_hom(args):
 
 
 def cmd_bk_e1(args):
-    from .tower import bk_e1, einf_dims
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
-    r = bk_e1(c, c2)
+    r = tower.bk_e1(c, c2)
     page = r["e1"]
-    einf = einf_dims(r)
+    einf = tower.einf_dims(r)
     _emit(args, {"command": "bk-e1",
                  "e1": {"%d,%d" % k: v for k, v in sorted(page.dims().items())},
                  "d1_squared_zero": page.d1_squared_zero(),
@@ -227,18 +219,17 @@ def cmd_bk_e1(args):
 
 
 def cmd_classify(args):
-    from .classify import classify_2exc_sp, classify_2exc_top, classify_3exc_sp
     w = _parse_window(args.window)
     doc = _load_doc(args.input)
     a1 = _decode(serialize.chain_from_json, doc, "a1")
     a2 = _decode(serialize.equivariant_from_json, doc, "a2")
     if args.variant == "sp_sp_2":
-        rep = classify_2exc_sp(a1, a2, w)
+        rep = classify.classify_2exc_sp(a1, a2, w)
     elif args.variant == "top_sp_2":
-        rep = classify_2exc_top(a1, a2, w)
+        rep = classify.classify_2exc_top(a1, a2, w)
     elif args.variant == "sp_sp_3":
         a3 = _decode(serialize.equivariant_from_json, doc, "a3")
-        rep = classify_3exc_sp(a1, a2, a3, w)
+        rep = classify.classify_3exc_sp(a1, a2, a3, w)
     else:
         raise UsageError("unknown classify variant %r" % args.variant)
     payload = {"command": "classify", "variant": args.variant}
@@ -251,10 +242,9 @@ def cmd_classify(args):
 
 
 def cmd_mccarthy(args):
-    from .classify import mccarthy_square_check
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
-    rep = mccarthy_square_check(c, site, args.n)
+    rep = classify.mccarthy_square_check(c, site, args.n)
     _emit(args, {"command": "mccarthy", "n": args.n,
                  "acyclic": rep["acyclic"],
                  "homology": {str(k): v for k, v in rep["homology"].items()},
@@ -264,9 +254,8 @@ def cmd_mccarthy(args):
 
 def cmd_check(args):
     """Full invariant suite on a coalgebra document."""
-    from .coalgebras import validate_coalgebra
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    rep = validate_coalgebra(c)
+    rep = coalgebras.validate_coalgebra(c)
     payload = {"command": "check", "valid": rep["valid"],
                "failures": rep["failures"],
                "squares": {"%d,%d,%d" % k: v

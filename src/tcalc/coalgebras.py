@@ -10,8 +10,6 @@ stored chain-homotopy witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import (
     ChainHomotopy, ChainMap, DegreeWindow, label_map, tensor_many, transport,
 )
@@ -29,18 +27,28 @@ from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix, rank
 
 
-@dataclass(frozen=True)
 class FinitePointedSet:
     """A finite pointed set with m non-basepoint elements."""
 
-    size: int
-    labels: tuple = ()
-
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int, labels: tuple = ()):
+        if size < 0:
             raise ValueError("size must be >= 0")
-        if self.labels and len(self.labels) != self.size:
+        if labels and len(labels) != size:
             raise ValueError("label count mismatch")
+        self.size = size
+        self.labels = labels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.labels) == (other.size, other.labels)
+
+    def __hash__(self):
+        return hash((self.size, self.labels))
+
+    def __repr__(self):
+        return "FinitePointedSet(size=%r, labels=%r)" % (self.size,
+                                                         self.labels)
 
     def points(self):
         return self.labels if self.labels else tuple(range(1, self.size + 1))

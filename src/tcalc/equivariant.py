@@ -12,8 +12,6 @@ Sigma_4 stay desk-scale.  The hand-coded periodic resolutions for Sigma_2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
     quotient, subcomplex, tensor_many,
@@ -177,14 +175,27 @@ def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
     return EquivariantComplex(t, group, action).validate()
 
 
-@dataclass
 class WindowedResult:
     """A complex whose homology is certified only inside `window`."""
 
-    complex: ChainComplex
-    window: DegreeWindow
-    tag: str
-    exact: bool = False  # True when the model is exact in all degrees
+    def __init__(self, complex: ChainComplex, window: DegreeWindow, tag: str,
+                 exact: bool = False):
+        self.complex = complex
+        self.window = window
+        self.tag = tag
+        self.exact = exact  # True when the model is exact in all degrees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.complex, self.window, self.tag, self.exact)
+                == (other.complex, other.window, other.tag, other.exact))
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self):
+        return "WindowedResult(complex=%r, window=%r, tag=%r, exact=%r)" % (
+            self.complex, self.window, self.tag, self.exact)
 
     def homology(self, k):
         if not self.exact and k not in self.window:

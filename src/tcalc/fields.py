@@ -14,7 +14,6 @@ package: a document scalar is a string or an integer, never a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -58,26 +57,33 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """A coefficient field: kind 'rationals' (char 0) or 'prime-field' (char p)."""
 
-    kind: str
-    characteristic: int
-
-    def __post_init__(self):
-        if self.kind == "rationals":
-            if self.characteristic != 0:
+    def __init__(self, kind: str, characteristic: int):
+        if kind == "rationals":
+            if characteristic != 0:
                 raise ValueError("rationals have characteristic 0")
-        elif self.kind == "prime-field":
-            p = self.characteristic
+        elif kind == "prime-field":
+            p = characteristic
             if p >= MAX_CHARACTERISTIC:
                 raise UnsupportedField("characteristic %r is not below the "
                                        "limit %d" % (p, MAX_CHARACTERISTIC))
             if not _is_prime(p):
                 raise UnsupportedField("characteristic %r is not prime" % (p,))
         else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
+            raise ValueError("unknown field kind %r" % (kind,))
+        self.kind = kind
+        self.characteristic = characteristic
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.characteristic)
+                == (other.kind, other.characteristic))
+
+    def __hash__(self):
+        return hash((self.kind, self.characteristic))
 
     # -- scalar arithmetic ------------------------------------------------
 

@@ -8,7 +8,6 @@ the adjacent transpositions (i, i+1) lying inside a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _iterperms
 from math import factorial
 
@@ -53,15 +52,24 @@ def transposition(n, i):
     return tuple(p)
 
 
-@dataclass(frozen=True)
 class YoungGroup:
     """Sigma_{n_1} x ... x Sigma_{n_r} inside Sigma_n, n = sum of blocks."""
 
-    blocks: tuple
-
-    def __post_init__(self):
-        if not all(isinstance(b, int) and b >= 1 for b in self.blocks):
+    def __init__(self, blocks: tuple):
+        if not all(isinstance(b, int) and b >= 1 for b in blocks):
             raise ValueError("blocks must be positive integers")
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash((self.blocks,))
+
+    def __repr__(self):
+        return "YoungGroup(blocks=%r)" % (self.blocks,)
 
     @classmethod
     def full(cls, n):

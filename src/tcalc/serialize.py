@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import json
 
+from . import coalgebras, equivariant, operads, perms
 from .chain import ChainComplex, ChainMap, DegreeWindow
-from .coalgebras import TruncatedCoalgebra
-from .equivariant import EquivariantComplex
 from .fields import field_from_name
-from .operads import SymmetricSequence
-from .perms import YoungGroup
 from .sparse import SparseMatrix
 
 
@@ -95,7 +92,7 @@ def map_from_json(doc, source: ChainComplex, target: ChainComplex) -> ChainMap:
     return ChainMap(source, target, comps, degree).validate()
 
 
-def equivariant_to_json(e: EquivariantComplex):
+def equivariant_to_json(e: equivariant.EquivariantComplex):
     out = chain_to_json(e.complex)
     out["group"] = list(e.group.blocks)
     out["action"] = {
@@ -106,9 +103,9 @@ def equivariant_to_json(e: EquivariantComplex):
     return out
 
 
-def equivariant_from_json(doc) -> EquivariantComplex:
+def equivariant_from_json(doc) -> equivariant.EquivariantComplex:
     c = chain_from_json(doc)
-    group = YoungGroup(tuple(doc["group"]))
+    group = perms.YoungGroup(tuple(doc["group"]))
     action = {}
     for name, comps in doc.get("action", {}).items():
         i = int(name.split("_")[1])
@@ -118,10 +115,10 @@ def equivariant_from_json(doc) -> EquivariantComplex:
             f_comps[k] = matrix_from_json(entries, c.dim(k), c.dim(k),
                                           c.field)
         action[i] = ChainMap(c, c, f_comps)
-    return EquivariantComplex(c, group, action).validate()
+    return equivariant.EquivariantComplex(c, group, action).validate()
 
 
-def sequence_to_json(s: SymmetricSequence):
+def sequence_to_json(s: operads.SymmetricSequence):
     return {
         "truncation": s.truncation,
         "field": s.field.name(),
@@ -130,11 +127,11 @@ def sequence_to_json(s: SymmetricSequence):
     }
 
 
-def sequence_from_json(doc) -> SymmetricSequence:
+def sequence_from_json(doc) -> operads.SymmetricSequence:
     field = field_from_name(doc["field"])
     terms = {int(n): equivariant_from_json(t)
              for n, t in doc.get("terms", {}).items()}
-    return SymmetricSequence(field, doc["truncation"], terms)
+    return operads.SymmetricSequence(field, doc["truncation"], terms)
 
 
 def window_to_json(w: DegreeWindow):
@@ -164,15 +161,15 @@ def coalgebra_to_json(c):
 def coalgebra_from_json(doc):
     seq = sequence_from_json(doc["sequence"])
     w = window_from_json(doc["window"])
-    shell = TruncatedCoalgebra(doc["source"], seq, w, {})
+    shell = coalgebras.TruncatedCoalgebra(doc["source"], seq, w, {})
     theta = {}
     for key, fdoc in doc.get("theta", {}).items():
         r, n = (int(x) for x in key.split(","))
         comp = shell.komonad.component(r, n)
         theta[(r, n)] = map_from_json(fdoc, seq.term_complex(r),
                                       comp.value.complex)
-    return TruncatedCoalgebra(doc["source"], seq, w, theta,
-                              komonad=shell.komonad)
+    return coalgebras.TruncatedCoalgebra(doc["source"], seq, w, theta,
+                                         komonad=shell.komonad)
 
 
 def dumps(doc) -> str:

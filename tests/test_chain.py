@@ -162,6 +162,22 @@ def test_dd_zero_enforced():
         ChainComplex(F, {0: 1, 1: 1, 2: 1}, {1: bad, 2: bad}).validate()
 
 
+def test_chain_map_validate_skips_only_the_zero_map():
+    # c = (k -> k, d = 1) in degrees 1, 0
+    c = ChainComplex(QQ, {0: 1, 1: 1},
+                     {1: SparseMatrix.identity(1, QQ)}).validate()
+    zero = ChainMap.zero(c, c)
+    assert zero.validate() is zero
+    assert ChainMap.zero(c, c, degree=1).validate().components == {}
+    with pytest.raises(ValueError, match="shape"):
+        ChainMap(c, c, {0: SparseMatrix.from_rows([[1], [1]], QQ)}).validate()
+    # the identity in degree 0 alone: d.f_1 = 0 but f_0.d = 1
+    with pytest.raises(ValueError, match="commute"):
+        ChainMap(c, c, {0: SparseMatrix.identity(1, QQ)}).validate()
+    one = SparseMatrix.identity(1, QQ)
+    assert ChainMap(c, c, {0: one, 1: one}).validate().components
+
+
 def test_circle_homology():
     for F in (QQ, F2, F3):
         c = circle(F)

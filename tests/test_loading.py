@@ -1,0 +1,142 @@
+"""Lazy loading: a subcommand runs only the modules it uses, the package's
+re-exports still resolve, and the outside-in tracer still sees every
+module."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import tcalc
+from tcalc import serialize
+from tcalc.chain import sphere
+from tcalc.equivariant import trivial_action
+from tcalc.fields import F2
+from tcalc.perms import YoungGroup
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tcalc.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs `tcalc.cli.main(argv)` and prints the tcalc modules whose code ran:
+# a registered module that was never touched is still a lazy module.
+PROBE = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, sys.argv.pop(1))
+import tcalc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = tcalc.cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(
+    n[len("tcalc."):] for n, m in sys.modules.items()
+    if n.startswith("tcalc.") and type(m) is types.ModuleType)]))
+"""
+
+# Every name the package exported before loading became lazy, by home module.
+EXPORTS = {
+    "chain": "ChainComplex ChainMap ChainHomotopy DegreeWindow",
+    "fields": "F2 F3 QQ FieldSpec field_from_name",
+    "sparse": "SparseMatrix",
+    "perms": "YoungGroup",
+    "equivariant": "EquivariantComplex WindowedResult homotopy_fixed "
+                   "homotopy_orbits is_free norm_map permutation_module "
+                   "strict_fixed strict_orbits tate tensor_power",
+    "operads": "Cooperad Operad RightModule SymmetricSequence "
+               "bar_construction commutative_operad partition_poset_nerve "
+               "plethysm spectral_lie tree_cooperad validate_right_module",
+    "comonads": "KPrimeComonad module_comonad_kprime SpComonad TopComonad "
+                "counit_check k_sp k_sp_component k_top k_top_component "
+                "l3_complex nu_component",
+    "coalgebras": "FinitePointedSet TruncatedCoalgebra divided_power_check "
+                  "evaluation_pairing_check representable_module "
+                  "truncate_coalgebra trivial_coalgebra validate_coalgebra",
+    "tower": "CosimplicialComplex bk_e1 box_product cobar derived_hom "
+             "fat_tot lemma_ij_check p_n tower_map",
+    "classify": "classify_2exc_sp classify_2exc_top classify_3exc_sp "
+                "mccarthy_square_check splitting_check "
+                "validate_2exc_sp_to_top validate_2exc_top_to_top",
+}
+
+
+def _python(*args, cwd):
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
+    return subprocess.run([sys.executable] + list(args), cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.fixture
+def s2_doc(tmp_path):
+    e = trivial_action(sphere(F2, 0), YoungGroup.full(2))
+    path = tmp_path / "s2.json"
+    path.write_text(serialize.dumps(serialize.equivariant_to_json(e)))
+    return str(path)
+
+
+def _modules_run(tmp_path, *argv):
+    proc = _python("-c", PROBE, SRC, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    rc, names = json.loads(proc.stdout)
+    assert rc == 0
+    return set(names)
+
+
+def test_tate_runs_only_the_equivariant_layer(tmp_path, s2_doc):
+    assert _modules_run(tmp_path, "tate", "--window", "-2:2", s2_doc) == {
+        "cli", "serialize", "chain", "fields", "sparse", "perms",
+        "equivariant"}
+
+
+def test_homology_runs_only_the_chain_layer(tmp_path):
+    doc = tmp_path / "c.json"
+    doc.write_text(serialize.dumps(serialize.chain_to_json(sphere(F2, 1))))
+    assert _modules_run(tmp_path, "homology", str(doc)) == {
+        "cli", "serialize", "chain", "fields", "sparse"}
+
+
+def test_bar_com_runs_no_tower_module(tmp_path):
+    ran = _modules_run(tmp_path, "bar-com", "--n", "3", "--field", "F2")
+    assert "operads" in ran
+    assert not ran & {"comonads", "coalgebras", "tower", "classify"}
+
+
+def test_every_reexport_resolves_to_its_home_object():
+    names = [(home, name) for home, text in EXPORTS.items()
+             for name in text.split()]
+    assert len(names) == 68
+    for home, name in names:
+        assert getattr(tcalc, name) is getattr(getattr(tcalc, home), name)
+    assert sorted(tcalc.__all__) == sorted(name for _, name in names)
+    assert set(tcalc.__all__) <= set(dir(tcalc))
+    with pytest.raises(AttributeError):
+        tcalc.no_such_name
+    with pytest.raises(ImportError):
+        from tcalc import no_such_name
+
+
+def test_module_run_as_script_is_quiet(tmp_path, s2_doc):
+    argv = ["tate", "--window", "-2:2", s2_doc]
+    script = _python("-m", "tcalc.cli", *argv, cwd=tmp_path)
+    assert script.returncode == 0
+    assert script.stderr == b""
+    assert json.loads(script.stdout)["command"] == "tate"
+
+
+def test_tracer_sees_every_module_and_keeps_stdout(tmp_path, s2_doc):
+    argv = ["tate", "--group", "S2", "--field", "F2", "--window", "-2:2",
+            s2_doc]
+    plain = _python("-c", "import sys, tcalc.cli; "
+                    "sys.exit(tcalc.cli.main(sys.argv[1:]))", *argv,
+                    cwd=tmp_path)
+    out = tmp_path / "trace.json"
+    traced = _python(os.path.join(ROOT, "perfbench", "tracer.py"), SRC,
+                     str(out), *argv, cwd=tmp_path)
+    assert plain.returncode == traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    trace = json.loads(out.read_text())
+    assert set(trace["layer_self"]) == {
+        "chain", "classify", "cli", "coalgebras", "comonads", "equivariant",
+        "fields", "operads", "perms", "serialize", "sparse", "tower", "trees"}
+    assert trace["main_s"] > 0
+    assert sum(trace["layer_self"].values()) == pytest.approx(
+        trace["main_s"], rel=1e-9, abs=1e-12)
+    assert trace["counts"]["coerce_calls"] > 0

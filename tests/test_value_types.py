@@ -1,0 +1,71 @@
+"""The small value classes: equality, hashing and repr.
+
+Their hashes are the hash of the field tuple, so sets and dicts keyed by
+them iterate in the same order under a fixed PYTHONHASHSEED, and with them
+the elimination order inside tcalc."""
+
+import pytest
+
+from tcalc.chain import DegreeWindow, sphere
+from tcalc.coalgebras import FinitePointedSet
+from tcalc.equivariant import WindowedResult
+from tcalc.fields import F2, F3, QQ, FieldSpec
+from tcalc.perms import YoungGroup
+
+
+@pytest.mark.parametrize("make, fields, other, text", [
+    (lambda: DegreeWindow(-1, 2), (-1, 2), DegreeWindow(-1, 3),
+     "DegreeWindow(lo=-1, hi=2)"),
+    (lambda: FieldSpec("prime-field", 3), ("prime-field", 3), F2,
+     "FieldSpec(F3)"),
+    (lambda: FieldSpec("rationals", 0), ("rationals", 0), F3,
+     "FieldSpec(Q)"),
+    (lambda: YoungGroup((2, 1)), ((2, 1),), YoungGroup((1, 2)),
+     "YoungGroup(blocks=(2, 1))"),
+    (lambda: FinitePointedSet(2), (2, ()), FinitePointedSet(2, ("a", "b")),
+     "FinitePointedSet(size=2, labels=())"),
+    (lambda: FinitePointedSet(2, ("a", "b")), (2, ("a", "b")),
+     FinitePointedSet(2), "FinitePointedSet(size=2, labels=('a', 'b'))"),
+])
+def test_value_eq_hash_repr(make, fields, other, text):
+    a, b = make(), make()
+    assert a == b and a is not b
+    assert a != other
+    assert a != fields  # another class never compares equal
+    assert hash(a) == hash(b) == hash(fields)
+    assert len({a, b, other}) == 2
+    assert repr(a) == text
+
+
+def test_field_constants_are_values():
+    assert FieldSpec("prime-field", 2) == F2
+    assert {F2: 1}[FieldSpec("prime-field", 2)] == 1
+    assert QQ != F2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DegreeWindow(1, 0),
+    lambda: FieldSpec("prime-field", 4),
+    lambda: FieldSpec("rationals", 2),
+    lambda: FieldSpec("reals", 0),
+    lambda: YoungGroup((2, 0)),
+    lambda: FinitePointedSet(-1),
+    lambda: FinitePointedSet(2, ("a",)),
+])
+def test_value_checks_still_reject(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_windowed_result_eq_repr_and_unhashable():
+    c = sphere(F2, 0)
+    w = DegreeWindow(0, 1)
+    r = WindowedResult(c, w, "tate")
+    assert r.exact is False
+    assert r == WindowedResult(c, DegreeWindow(0, 1), "tate", False)
+    assert r != WindowedResult(c, w, "tate", exact=True)
+    assert r != WindowedResult(c, w, "k-top")
+    assert repr(r) == ("WindowedResult(complex=%r, window=DegreeWindow(lo=0, "
+                       "hi=1), tag='tate', exact=False)" % (c,))
+    with pytest.raises(TypeError):
+        hash(r)
