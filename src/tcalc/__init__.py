@@ -3,14 +3,23 @@
 Modules:
   fields, sparse, chain   -- exact linear algebra and homological primitives
   perms, equivariant      -- Young groups, orbits/fixed points, norm, Tate
-  trees, operads          -- partition trees, bar constructions, the dual
-                             tree operad, plethysm
-  comonads                -- the Top and Sp comonads, K', nu
+  sequences               -- truncated symmetric sequences
+  trees, cooperad         -- partition trees; operads, cooperads, right
+                             modules and the tree cooperad T_*
+  operads                 -- bar constructions, the partition nerve, the
+                             dual tree operad, plethysm
+  topcomonad              -- the Top comonad (based spaces to spectra)
+  comonads                -- the Sp comonad, K' and nu
   coalgebras              -- coalgebra data, representables, divided powers
-  tower                   -- cobar, fat Tot, box product, stages, derived
-                             hom, the Bousfield-Kan E^1 page
+  tower                   -- cosimplicial complexes, fat Tot, cobar, p_n by
+                             two routes, derived hom
+  topcobar, spcobar       -- the cobar levels of a Top / Sp coalgebra
+  derivedhom              -- the derived hom builder, the Bousfield-Kan E^1
+                             page
   classify                -- 2-/3-excisive classification and validators
   serialize, cli          -- JSON interchange and the batch interface
+  laws                    -- law checks no subcommand runs (coassociativity,
+                             counit, right modules, box product)
 
 Loading is lazy, so a job compiles only the modules it runs.  Importing
 the package registers every module in `sys.modules` and as a package
@@ -26,9 +35,10 @@ reads `X.name` where it is used, unless every caller of the module needs X:
 import importlib.util
 import sys
 
-_LAZY = ("fields", "sparse", "chain", "perms", "equivariant", "trees",
-         "operads", "comonads", "coalgebras", "tower", "classify",
-         "serialize")
+_LAZY = ("fields", "sparse", "chain", "perms", "equivariant", "sequences",
+         "trees", "cooperad", "operads", "topcomonad", "comonads",
+         "coalgebras", "tower", "topcobar", "spcobar", "derivedhom",
+         "classify", "serialize", "laws")
 
 _EXPORTS = {
     "chain": ("ChainComplex", "ChainMap", "ChainHomotopy", "DegreeWindow"),
@@ -39,25 +49,30 @@ _EXPORTS = {
         "EquivariantComplex", "WindowedResult", "homotopy_fixed",
         "homotopy_orbits", "is_free", "norm_map", "permutation_module",
         "strict_fixed", "strict_orbits", "tate", "tensor_power"),
+    "sequences": ("SymmetricSequence",),
+    "cooperad": ("Cooperad", "Operad", "RightModule", "tree_cooperad"),
     "operads": (
-        "Cooperad", "Operad", "RightModule", "SymmetricSequence",
         "bar_construction", "commutative_operad", "partition_poset_nerve",
-        "plethysm", "spectral_lie", "tree_cooperad", "validate_right_module"),
+        "plethysm", "spectral_lie"),
+    "topcomonad": ("TopComonad", "k_top", "k_top_component"),
     "comonads": (
-        "KPrimeComonad", "module_comonad_kprime", "SpComonad", "TopComonad",
-        "counit_check", "k_sp", "k_sp_component", "k_top", "k_top_component",
-        "l3_complex", "nu_component"),
+        "KPrimeComonad", "module_comonad_kprime", "SpComonad", "k_sp",
+        "k_sp_component", "l3_complex", "nu_component"),
     "coalgebras": (
         "FinitePointedSet", "TruncatedCoalgebra", "divided_power_check",
         "evaluation_pairing_check", "representable_module",
         "truncate_coalgebra", "trivial_coalgebra", "validate_coalgebra"),
     "tower": (
-        "CosimplicialComplex", "bk_e1", "box_product", "cobar", "derived_hom",
-        "fat_tot", "lemma_ij_check", "p_n", "tower_map"),
+        "CosimplicialComplex", "cobar", "derived_hom", "fat_tot", "p_n",
+        "tower_map"),
+    "derivedhom": ("bk_e1",),
     "classify": (
         "classify_2exc_sp", "classify_2exc_top", "classify_3exc_sp",
         "mccarthy_square_check", "splitting_check", "validate_2exc_sp_to_top",
         "validate_2exc_top_to_top"),
+    "laws": (
+        "box_product", "counit_check", "lemma_ij_check",
+        "validate_right_module"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

@@ -159,10 +159,6 @@ class ChainComplex:
                 return k, i
         raise KeyError(lab)
 
-    def relabel(self, fn) -> "ChainComplex":
-        labels = {k: tuple(fn(k, lab) for lab in labs) for k, labs in self.labels.items()}
-        return ChainComplex(self.field, self.dims, self.diff, labels)
-
     def __repr__(self):
         if not self.dims:
             return "ChainComplex(0 over %s)" % self.field.name()

@@ -10,26 +10,19 @@ from __future__ import annotations
 
 from itertools import product
 
+from . import comonads, laws, tower
 from .chain import (
     ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
     direct_sum, hom_complex, homology_coordinates, homotopy_between,
-    label_map, nullhomotopy, shift, shift_map, transport,
+    label_map, nullhomotopy, shift, shift_map,
 )
-from .coalgebras import (
-    FinitePointedSet, psi_from_theta, representable_module, truncate_coalgebra,
-)
-from .comonads import SpComponentModel, equivariant_tensor, l3_complex
 from .equivariant import (
-    EquivariantComplex, homotopy_orbits, is_free, permutation_module,
-    strict_orbits, tate, tensor_power,
+    EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
+    permutation_module, strict_orbits, tate, tensor_power,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix
-from .tower import (
-    CosimplicialComplex, _Levels, _RawPiece, _post_block, conormalized_level,
-    equivariant_hom_complex, fat_tot, p_n, sp_component_on_map, tower_map,
-)
 
 
 def _class_count(field: FieldSpec, dim: int):
@@ -80,7 +73,7 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     plus the acyclicity making the compatibility square vacuous."""
     F = a1.field
     t2 = tate(a2, w)
-    l3a3 = equivariant_tensor(l3_complex(F), a3)
+    l3a3 = equivariant_tensor(comonads.l3_complex(F), a3)
     t3 = tate(l3a3, w)
     sub = a3.restrict(YoungGroup.of(1, 2))
     t12 = tate(sub, w)
@@ -88,9 +81,9 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     d2, _ = _h0_hom_on_window(a1, t3.complex, w)
     d3, _ = _h0_hom_on_window(a2.complex, t12.complex, w)
     # vacuity: K_1 K_2 A_3 acyclic
-    k23 = SpComponentModel(a3, 2, w)
+    k23 = comonads.SpComponentModel(a3, 2, w)
     inner_w = DegreeWindow(w.lo + 1, w.hi - 1) if w.hi - 1 >= w.lo + 1 else w
-    kk = SpComponentModel(k23.value, 1, inner_w)
+    kk = comonads.SpComponentModel(k23.value, 1, inner_w)
     vac = kk.value.complex.is_acyclic(inner_w)
     return {
         "dims": (d1, d2, d3),
@@ -157,15 +150,15 @@ def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
     A_1 -> Tate(A_1 (x) A_1) -> Tate(Sigma A_2)."""
     # Tate of the square with swap action
     sq = tensor_power(a1, 2)
-    sq_idx = SpComponentModel(sq, 1, w)
+    sq_idx = comonads.SpComponentModel(sq, 1, w)
     delta = tate_diagonal_unitlike(a1, sq_idx, w)
     # Tate(m): through the sidx-wrapped carrier
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
         {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    t_sa2 = SpComponentModel(sa2, 1, w)
+    t_sa2 = comonads.SpComponentModel(sa2, 1, w)
     # m is equivariant: apply the Tate functor
-    tm = sp_component_on_map(sq_idx, t_sa2, m_map)
+    tm = comonads.sp_component_on_map(sq_idx, t_sa2, m_map)
     composite = tm.compose(delta)
     h = None
     if witness is not None:
@@ -201,13 +194,13 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     into Tate(Sigma A_2)."""
     F = a1.field
     sq = tensor_power(a1, 2)
-    sq_idx = SpComponentModel(sq, 1, w)
+    sq_idx = comonads.SpComponentModel(sq, 1, w)
     delta = tate_diagonal_unitlike(a1, sq_idx, w)
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
         {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    t_sa2 = SpComponentModel(sa2, 1, w)
-    route2 = sp_component_on_map(sq_idx, t_sa2, m_map).compose(delta)
+    t_sa2 = comonads.SpComponentModel(sa2, 1, w)
+    route2 = comonads.sp_component_on_map(sq_idx, t_sa2, m_map).compose(delta)
     # route 1: m' lifted through the fixed points, then into the cone
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
@@ -263,7 +256,7 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     by exact linear solve (its absence is a hard failure).  `corrupt`
     optionally post-composes a mutation on one structure map for testing."""
     w = w or c.window
-    tm = tower_map(c, site, n, route="tot")
+    tm = tower.tower_map(c, site, n, route="tot")
     pn, pn1 = tm["source"], tm["target"]
     f_tower = tm["map"]
     builder = pn["cosimplicial"]._builder
@@ -307,7 +300,7 @@ def _tot_to_diagonal_slot(builder, tot, n):
         zero = ChainComplex(F, {})
         return ChainMap.zero(tot, zero), zero
     cs = builder.cosimplicial
-    sub0, inc0 = conormalized_level(cs, 0)
+    sub0, inc0 = tower.conormalized_level(cs, 0)
     parts = builder.parts[0]
     idx = keys.index((n,))
     tgt = parts[idx]
@@ -375,7 +368,7 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n, F):
     cs = builder.cosimplicial
     if cs.M < 1:
         return {}
-    sub1, inc1 = conormalized_level(cs, 1)
+    sub1, inc1 = tower.conormalized_level(cs, 1)
     keys1, parts1 = builder.level_keys[1], builder.parts[1]
     idx = [keys1.index(k) for k in _off_diagonal_keys(builder, n)]
     to_corner = block_map(
@@ -424,7 +417,7 @@ def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
         if not is_free(c.sequence.term(m)):
             report["free"] = False
     route = "pullback" if (c.source == "top" and c.truncation > 2) else "tot"
-    st = p_n(c, site, n, route=route)
+    st = tower.p_n(c, site, n, route=route)
     win = st["window"]
     pn_h = {k: st["complex"].homology(k)[0] for k in win.degrees()}
     layer_h = {k: 0 for k in win.degrees()}
@@ -438,7 +431,7 @@ def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
     report["details"]["layers"] = layer_h
     report["layers_match"] = pn_h == layer_h
     if c.source == "top":
-        mod_h = module_hom_tower(c, site, n, win)
+        mod_h = laws.module_hom_tower(c, site, n, win)
         report["details"]["module_hom"] = mod_h
         report["module_match"] = mod_h == pn_h
     report["pass"] = bool(report["layers_match"]) and \
@@ -484,114 +477,3 @@ def _tuple_module(field, j, m):
                      for t in tuples]
     return permutation_module(field, group,
                               [("xt", t) for t in tuples], table)
-
-
-def module_hom_tower(c, site, n, win: DegreeWindow):
-    """Map_{dI}(M(X), A_{<= n}) through the strict K'-cobar; exact."""
-    F = c.field
-    cn = truncate_coalgebra(c, n) if n < c.truncation else c
-    module, _ = representable_module(FinitePointedSet(site.size),
-                                     cn.truncation, F)
-    mseq = module.sequence
-    psi, KP = psi_from_theta(cn)
-    D = max(cn.truncation - 1, 0)
-    # pieces of K'^m A
-    pieces = {0: {}, 1: {}, 2: {}}
-    for m in cn.sequence.arities():
-        pieces[0][(m,)] = _RawPiece(cn.sequence.term(m))
-    for (q, m), comp in KP.components.items():
-        if comp.sursum is not None and not comp.value.complex.is_zero():
-            pieces[1][(q, m)] = comp
-    if D >= 2:
-        for key, outer in KP.delta_outer.items():
-            q, s, m = key
-            if outer is not None and not outer.value.complex.is_zero():
-                pieces[2][key] = outer
-    hom = {0: {}, 1: {}, 2: {}}
-    for lvl in range(D + 1):
-        for key, piece in pieces[lvl].items():
-            r = key[0]
-            m_r = mseq.term(r)
-            if m_r is None:
-                continue
-            full, inv, incl = equivariant_hom_complex(m_r, piece.value)
-            hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
-                             "piece": piece}
-    level_keys = {lvl: sorted(hom[lvl]) for lvl in range(D + 1)}
-    tower = _Levels(F, level_keys, {
-        lvl: [hom[lvl][k]["inv"] for k in ks]
-        for lvl, ks in level_keys.items()})
-    block = tower._block
-
-    cofaces, codegens = {}, {}
-    if D >= 1:
-        # delta^0: M(X) has trivial psi, so only the diagonal identity blocks
-        b0, b1, be = {}, {}, {}
-        for key in level_keys[0]:
-            m = key[0]
-            if (m, m) in hom[1]:
-                b0[(key, (m, m))] = label_map(
-                    hom[0][key]["inv"], hom[1][(m, m)]["inv"], partial=True)
-            for mm2 in range(m, cn.truncation + 1):
-                tk = (m, mm2)
-                if tk not in hom[1]:
-                    continue
-                if mm2 == m:
-                    b1[(key, tk)] = label_map(
-                        hom[0][key]["inv"], hom[1][tk]["inv"], partial=True)
-                else:
-                    ps = psi.get((m, mm2))
-                    if ps is None or ps.is_zero():
-                        continue
-                    b1[(key, tk)] = _post_block(hom[0][key], hom[1][tk], ps)
-        for key in level_keys[1]:
-            q, m = key
-            if q == m and (m,) in hom[0]:
-                be[(key, (m,))] = label_map(
-                    hom[1][key]["inv"], hom[0][(m,)]["inv"], partial=True)
-        cofaces[(0, 0)] = block(0, 1, b0)
-        cofaces[(0, 1)] = block(0, 1, b1)
-        codegens[(1, 0)] = block(1, 0, be)
-    if D >= 2:
-        bu, bd, bk2 = {}, {}, {}
-        for key in level_keys[1]:
-            q, m = key
-            tk = (q, q, m)
-            if tk in hom[2]:
-                bu[(key, tk)] = label_map(
-                    hom[1][key]["inv"], hom[2][tk]["inv"], partial=True)
-            for s in range(q, m + 1):
-                tk2 = (q, s, m)
-                if tk2 not in hom[2]:
-                    continue
-                d = KP.delta.get((q, s, m))
-                if d is None:
-                    continue
-                g = transport(d, hom[1][key]["piece"].value.complex,
-                              hom[2][tk2]["piece"].value.complex)
-                bd[(key, tk2)] = _post_block(hom[1][key], hom[2][tk2], g)
-            for mm2 in range(m, cn.truncation + 1):
-                tk3 = (q, m, mm2)
-                if tk3 not in hom[2]:
-                    continue
-                if mm2 == m:
-                    bk2[(key, tk3)] = label_map(
-                        hom[1][key]["inv"], hom[2][tk3]["inv"], partial=True)
-                # psi components vanish for the free representables
-        cofaces[(1, 0)] = block(1, 2, bu)
-        cofaces[(1, 1)] = block(1, 2, bd)
-        cofaces[(1, 2)] = block(1, 2, bk2)
-        for j in (0, 1):
-            bs = {}
-            for key in level_keys[2]:
-                q, s, m = key
-                keep = (j == 0 and s == q) or (j == 1 and s == m)
-                if keep and (q, m) in hom[1]:
-                    bs[(key, (q, m))] = label_map(
-                        hom[2][key]["inv"], hom[1][(q, m)]["inv"], partial=True)
-            codegens[(2, j)] = block(2, 1, bs)
-    cs = CosimplicialComplex(tower.levels, cofaces, codegens,
-                             degenerate_above=D).validate()
-    t = fat_tot(cs)
-    return {k: t.homology(k)[0] for k in win.degrees()}
-

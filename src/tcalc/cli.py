@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import (
-    classify, coalgebras, comonads, equivariant, operads, serialize, tower,
+    classify, coalgebras, comonads, derivedhom, equivariant, operads,
+    serialize, topcomonad, tower,
 )
 from .chain import DegreeWindow
 from .fields import UnsupportedField, field_from_name
@@ -87,9 +88,22 @@ def cmd_homology(args):
     return 0
 
 
+def _check_tags(args, e):
+    """`--group` and `--field`, when given, must name the document's Young
+    group (S3x1 for blocks [3, 1]) and field."""
+    group = "S" + "x".join(str(b) for b in e.group.blocks)
+    if args.group is not None and args.group != group:
+        raise UsageError("--group %s does not match the document's group %s"
+                         % (args.group, group))
+    if args.field is not None and field_from_name(args.field) != e.field:
+        raise UsageError("--field %s does not match the document's field %s"
+                         % (args.field, e.field.name()))
+
+
 def cmd_tate(args):
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
+    _check_tags(args, e)
     _guard_dims(e.complex)
     t = equivariant.tate(e, w)
     _emit(args, {"command": "tate", "group": list(e.group.blocks),
@@ -128,7 +142,7 @@ def cmd_k_top(args):
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    res = comonads.k_top_component(e, args.r, w)
+    res = topcomonad.k_top_component(e, args.r, w)
     _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
                  "dims": _windowed_dims(res.complex, w),
                  "exact": res.exact,
@@ -205,9 +219,9 @@ def cmd_derived_hom(args):
 def cmd_bk_e1(args):
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
-    r = tower.bk_e1(c, c2)
+    r = derivedhom.bk_e1(c, c2)
     page = r["e1"]
-    einf = tower.einf_dims(r)
+    einf = derivedhom.einf_dims(r)
     _emit(args, {"command": "bk-e1",
                  "e1": {"%d,%d" % k: v for k, v in sorted(page.dims().items())},
                  "d1_squared_zero": page.d1_squared_zero(),
@@ -285,8 +299,8 @@ def build_parser():
     sp.set_defaults(func=cmd_homology)
 
     sp = sub.add_parser("tate")
-    sp.add_argument("--group", help="informational group tag")
-    sp.add_argument("--field", help="informational field tag")
+    sp.add_argument("--group", help="the document's Young group, e.g. S3x1")
+    sp.add_argument("--field", help="the document's field, e.g. F2")
     add_common(sp)
     sp.set_defaults(func=cmd_tate)
 

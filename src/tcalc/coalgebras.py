@@ -10,20 +10,14 @@ stored chain-homotopy witnesses.
 
 from __future__ import annotations
 
+from . import comonads, cooperad, laws, operads, topcomonad
 from .chain import (
     ChainHomotopy, ChainMap, DegreeWindow, label_map, tensor_many, transport,
 )
-from .comonads import (
-    KPrimeComonad, SpComonad, TopComonad, nu_component, top_component_on_map,
-    _rebuild_like,
-)
 from .equivariant import permutation_module
 from .fields import FieldSpec
-from .operads import (
-    Operad, RightModule, SymmetricSequence, compositions_of_bounded,
-    spectral_lie, validate_right_module,
-)
 from .perms import YoungGroup, transposition
+from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, rank
 
 
@@ -88,9 +82,9 @@ class TruncatedCoalgebra:
         self.field = sequence.field
         if komonad is None:
             if source == "top":
-                komonad = TopComonad(sequence, window, coop=coop)
+                komonad = topcomonad.TopComonad(sequence, window, coop=coop)
             else:
-                komonad = SpComonad(sequence, window)
+                komonad = comonads.SpComonad(sequence, window)
         self.komonad = komonad
         self.theta = {}
         if theta:
@@ -227,9 +221,10 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         theta_tilde = tau.compose(theta_sn)
         src_model = K.component(r, s)
         if src_model.kind != outer.kind:
-            src_model = _rebuild_like(K.coop, c.sequence.term(s), r,
-                                      K.w, outer)
-        kf = top_component_on_map(K.coop, src_model, outer, theta_tilde)
+            src_model = topcomonad._rebuild_like(K.coop, c.sequence.term(s),
+                                                 r, K.w, outer)
+        kf = topcomonad.top_component_on_map(K.coop, src_model, outer,
+                                             theta_tilde)
         route2 = kf.compose(transport(theta_rs, target=kf.source))
     # compare on homology, route2 read on route1's complexes (its own are
     # label-equal models); exact witness check when provided
@@ -279,7 +274,7 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
         raise ValueError("N out of range (<= 4)")
     m = x.size
     window = window or DegreeWindow(0, 2)
-    op = spectral_lie(field, N)
+    op = operads.spectral_lie(field, N)
     terms = {}
     for n in range(1, N + 1):
         injs = injections(n, m)
@@ -305,7 +300,7 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
         for i in range(seq.term_complex(r).dim(0)):
             mm[i, i] = field.one()
         action[(r, comp)] = ChainMap(src, seq.term_complex(r), {0: mm})
-    module = RightModule(op, seq, action)
+    module = cooperad.RightModule(op, seq, action)
     coalg = trivial_coalgebra("top", seq, window)
     return module, coalg
 
@@ -339,7 +334,7 @@ def psi_from_theta(c: TruncatedCoalgebra):
     if c.source != "top":
         raise ValueError("divided powers live on the top source")
     K = c.komonad
-    KP = KPrimeComonad(c.sequence, coop=K.coop)
+    KP = comonads.KPrimeComonad(c.sequence, coop=K.coop)
     psi = {}
     for n in range(1, c.truncation + 1):
         for r in range(1, n):
@@ -352,16 +347,17 @@ def psi_from_theta(c: TruncatedCoalgebra):
                                             kp_comp.value.complex)
                 continue
             top_comp = K.component(r, n)
-            nu = nu_component(top_comp, kp_comp, c.window)
+            nu = comonads.nu_component(top_comp, kp_comp, c.window)
             psi[(r, n)] = nu.compose(transport(theta, target=nu.source))
     return psi, KP
 
 
-def module_from_psi(c: TruncatedCoalgebra, psi, KP: KPrimeComonad) -> RightModule:
+def module_from_psi(c: TruncatedCoalgebra, psi,
+                    KP: comonads.KPrimeComonad) -> cooperad.RightModule:
     """Convert psi maps (into strict invariants of the surjection sums) to
     right-module action maps along consecutive-block surjections."""
     F = c.field
-    op = spectral_lie(F, c.truncation)
+    op = operads.spectral_lie(F, c.truncation)
     action = {}
     seq = c.sequence
     for r in seq.arities():
@@ -388,7 +384,7 @@ def module_from_psi(c: TruncatedCoalgebra, psi, KP: KPrimeComonad) -> RightModul
             src_map[k] = msrc
         action[(r, comp)] = ChainMap(src, a_r, src_map)
     for r in seq.arities():
-        for comp in compositions_of_bounded(r, c.truncation):
+        for comp in operads.compositions_of_bounded(r, c.truncation):
             n = sum(comp)
             if n == r or n not in seq.terms:
                 continue
@@ -398,10 +394,11 @@ def module_from_psi(c: TruncatedCoalgebra, psi, KP: KPrimeComonad) -> RightModul
                 continue
             action[(r, comp)] = _adjoint_action(
                 c, ps, kp_comp, comp, op)
-    return RightModule(op, seq, action)
+    return cooperad.RightModule(op, seq, action)
 
 
-def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
+def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
+                    op: cooperad.Operad) -> ChainMap:
     """A_r (x) dI_{n_1} (x) ... (x) dI_{n_r} -> A_n from
     psi : A_r -> [(+)_alpha ((x) T) (x) A_n]^{Sigma_n}, evaluated at the
     consecutive-blocks surjection."""
@@ -461,7 +458,7 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp, op: Operad) -> ChainMap:
 
 
 def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,
-                        module: RightModule | None = None):
+                        module: cooperad.RightModule | None = None):
     """Extract psi = nu o theta, optionally compare with a given module's
     action maps, and validate the resulting right module."""
     if c.source != "top":
@@ -479,7 +476,7 @@ def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,
                 continue
             if act.components != given.components:
                 report["failures"].append("action mismatch at %r" % (key,))
-    vr = validate_right_module(mod)
+    vr = laws.validate_right_module(mod)
     if not vr["valid"]:
         report["failures"].extend(vr["failures"])
     report["valid"] = not report["failures"]

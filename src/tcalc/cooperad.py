@@ -1,0 +1,189 @@
+"""Operads, cooperads and right modules on truncated symmetric sequences,
+and the tree cooperad T_* that the Top comonad decorates with.
+
+``tree_cooperad`` builds T_* on the rooted-tree basis (`trees`), where the
+ungrafting decomposition maps are exactly coassociative and counital.  Its
+arity-wise dual, the derivatives-of-the-identity operad, is
+``operads.spectral_lie``.
+"""
+
+from __future__ import annotations
+
+from . import trees
+from .chain import ChainComplex, ChainMap, tensor_many
+from .equivariant import EquivariantComplex
+from .perms import YoungGroup, set_partitions
+from .sequences import SymmetricSequence
+from .sparse import SparseMatrix
+
+
+
+class Operad:
+    """An operad on an N-truncated symmetric sequence.
+
+    gamma[(r, comp)] for a composition comp = (n_1, ..., n_r) is a chain map
+    P_r (x) P_{n_1} (x) ... (x) P_{n_r} -> P_n along consecutive blocks."""
+
+    def __init__(self, sequence: SymmetricSequence, gamma, name="operad"):
+        self.sequence = sequence
+        self.gamma = gamma
+        self.name = name
+
+    @property
+    def field(self):
+        return self.sequence.field
+
+    @property
+    def truncation(self):
+        return self.sequence.truncation
+
+    def term(self, n):
+        return self.sequence.term(n)
+
+    def term_complex(self, n):
+        return self.sequence.term_complex(n)
+
+    def composition(self, r, comp) -> ChainMap | None:
+        return self.gamma.get((r, tuple(comp)))
+
+
+class Cooperad:
+    """A cooperad; delta[(n, blocks)] : T_n -> T_r (x) T_{|b_1|} (x) ... ."""
+
+    def __init__(self, sequence: SymmetricSequence, delta, name="cooperad"):
+        self.sequence = sequence
+        self.delta = delta
+        self.name = name
+
+    @property
+    def field(self):
+        return self.sequence.field
+
+    @property
+    def truncation(self):
+        return self.sequence.truncation
+
+    def term(self, n):
+        return self.sequence.term(n)
+
+    def term_complex(self, n):
+        return self.sequence.term_complex(n)
+
+    def decomposition(self, n, blocks) -> ChainMap | None:
+        return self.delta.get((n, tuple(blocks)))
+
+
+class RightModule:
+    """Right module over an operad: action[(r, comp)] :
+    M_r (x) P_{n_1} (x) ... (x) P_{n_r} -> M_n."""
+
+    def __init__(self, operad: Operad, sequence: SymmetricSequence, action):
+        self.operad = operad
+        self.sequence = sequence
+        self.action = action
+
+    @property
+    def field(self):
+        return self.sequence.field
+
+    @property
+    def truncation(self):
+        return self.sequence.truncation
+
+    def action_map(self, r, comp) -> ChainMap | None:
+        return self.action.get((r, tuple(comp)))
+
+
+# ---------------------------------------------------------------------------
+# The tree cooperad T_*
+# ---------------------------------------------------------------------------
+
+
+def tree_complex(field, n) -> ChainComplex:
+    """T(n) on the rooted-tree basis; degree = number of internal vertices."""
+    leaves = tuple(range(n))
+    basis = trees.all_trees(leaves)
+    dims, labels, pos = {}, {}, {}
+    for t in basis:
+        d = trees.degree(t)
+        dims[d] = dims.get(d, 0) + 1
+        labels.setdefault(d, []).append(("tree", t))
+    for d in labels:
+        for i, lab in enumerate(labels[d]):
+            pos[lab[1]] = (d, i)
+    diff = {}
+    for t in basis:
+        d = trees.degree(t)
+        if d < 2:
+            continue
+        _, col = pos[t]
+        m = diff.get(d)
+        if m is None:
+            m = SparseMatrix(dims.get(d - 1, 0), dims[d], field)
+            diff[d] = m
+        for sgn, t2 in trees.differential_terms(t):
+            _, row = pos[t2]
+            m.add_to(row, col, field.coerce(sgn))
+    labels = {d: tuple(v) for d, v in labels.items()}
+    return ChainComplex(field, dims, diff, labels).validate()
+
+
+def tree_equivariant(field, n) -> EquivariantComplex:
+    c = tree_complex(field, n)
+    group = YoungGroup.full(n)
+    pos = {}
+    for d in c.dims:
+        for i, lab in enumerate(c.labels[d]):
+            pos[lab[1]] = (d, i)
+    action = {}
+    for gi in group.generator_positions():
+        mapping = {x: x for x in range(n)}
+        mapping[gi], mapping[gi + 1] = gi + 1, gi
+        comps = {}
+        for d in c.dims:
+            comps[d] = SparseMatrix(c.dim(d), c.dim(d), field)
+        for t, (d, col) in pos.items():
+            sgn, t2 = trees.relabel_terms(t, mapping)
+            d2, row = pos[t2]
+            comps[d].add_to(row, col, field.coerce(sgn))
+        action[gi] = ChainMap(c, c, comps)
+    return EquivariantComplex(c, group, action)
+
+
+def tree_cooperad(field, N) -> Cooperad:
+    """The cooperad T_* with ungrafting decompositions, exactly coassociative."""
+    terms = {n: tree_equivariant(field, n) for n in range(1, N + 1)}
+    seq = SymmetricSequence(field, N, terms)
+    delta = {}
+    for n in range(1, N + 1):
+        src = seq.term_complex(n)
+        pos_src = {}
+        for d in src.dims:
+            for i, lab in enumerate(src.labels[d]):
+                pos_src[lab[1]] = (d, i)
+        for blocks in set_partitions(list(range(n))):
+            r = len(blocks)
+            factors = [seq.term_complex(r)] + \
+                [seq.term_complex(len(b)) for b in blocks]
+            tgt = tensor_many(factors)
+            comps = {}
+            for t, (d, col) in pos_src.items():
+                dec = trees.decompose(t, blocks)
+                if dec is None:
+                    continue
+                sgn, upper, lowers = dec
+                lowered = []
+                for b, lt in zip(blocks, lowers):
+                    mapping = {x: i for i, x in enumerate(sorted(b))}
+                    s2, lt2 = trees.relabel_terms(lt, mapping)
+                    assert s2 == 1  # order-preserving relabels are sign-free
+                    lowered.append(lt2)
+                lab = (("tree", upper),) + tuple(("tree", lt) for lt in lowered)
+                row = tgt.label_index(d)[lab]
+                m = comps.get(d)
+                if m is None:
+                    m = SparseMatrix(tgt.dim(d), src.dim(d), field)
+                    comps[d] = m
+                m.add_to(row, col, field.coerce(sgn))
+            delta[(n, tuple(blocks))] = ChainMap(src, tgt, comps).validate()
+    return Cooperad(seq, delta, name="T")

@@ -1,0 +1,476 @@
+"""The derived mapping complex of two coalgebras and its Bousfield-Kan
+E^1 page.
+
+`DerivedHomBuilder` builds the Hom-side cobar: levels
+m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r) on the strict invariants of
+equivariant hom complexes.  `tower.derived_hom` totalizes it; `bk_e1` reads
+the E^1 page off its strictly increasing index chains, and `einf_dims` the
+abutment off the column filtration of the totalization.
+"""
+
+from __future__ import annotations
+
+from . import comonads, topcomonad
+from .chain import (
+    ChainComplex, ChainMap, DegreeWindow, factor_through, hom_complex,
+    hom_element_to_map, label_map, map_to_hom_element, transport,
+)
+from .coalgebras import _model_transport
+from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
+from .sparse import Echelon, SparseMatrix, nullspace
+from .tower import (
+    CosimplicialComplex, _Levels, _piece_nonzero, _RawPiece, fat_tot,
+)
+
+
+# ---------------------------------------------------------------------------
+# Equivariant hom complexes and the Hom-side cobar
+# ---------------------------------------------------------------------------
+
+
+def equivariant_hom_complex(a, b):
+    """(strict invariants of Hom(a, b) under conjugation, inclusion).
+
+    a, b are EquivariantComplexes over the same Young group."""
+    if a.group != b.group:
+        raise ValueError("group mismatch in equivariant hom")
+    F = a.field
+    h = hom_complex(a.complex, b.complex)
+    action = {}
+    for gi in a.group.generator_positions():
+        ga = a.action[gi]
+        gb = b.action[gi]
+        comps = {}
+        for k in h.dims:
+            mm = SparseMatrix(h.dim(k), h.dim(k), F)
+            for j, lab in enumerate(h.labels[k]):
+                _, la, lb = lab
+                # conj(E_{la -> lb}) = g_b o E o g_a^{-1}; generators are
+                # involutions so g_a^{-1} = g_a
+                ka, ia = a.complex.locate(la)
+                kb, ib = b.complex.locate(lb)
+                gam = ga.component(ka)
+                gbm = gb.component(kb)
+                for (ia2, jja), va in gam.entries.items():
+                    if jja != ia:
+                        continue
+                    for (ib2, jjb), vb in gbm.entries.items():
+                        if jjb != ib:
+                            continue
+                        new = ("hom", a.complex.labels[ka][ia2],
+                               b.complex.labels[kb][ib2])
+                        mm.add_to(h.label_index(k)[new], j, F.mul(va, vb))
+            comps[k] = mm
+        action[gi] = ChainMap(h, h, comps)
+    heq = EquivariantComplex(h, a.group, action)
+    inv, incl = strict_fixed(heq)
+    return h, inv, incl
+
+
+class DerivedHomBuilder(_Levels):
+    """Levels m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r), truncation <= 3.
+
+    Cofaces follow the mapping-space cosimplicial structure: delta^0 applies
+    the comonad to a map and precomposes the source coalgebra structure,
+    middle cofaces insert the comultiplication, the top coface postcomposes
+    the target coalgebra structure; codegeneracies postcompose counits."""
+
+    def __init__(self, c, cprime, w: DegreeWindow):
+        if c.source != cprime.source:
+            raise ValueError("source tags differ")
+        if c.truncation != cprime.truncation:
+            raise ValueError("truncations differ")
+        if c.truncation > 3:
+            raise ValueError("derived hom bounded at truncation 3")
+        self.c = c
+        self.cp = cprime
+        self.w = w
+        F = c.field
+        self.field = F
+        self.D = max(c.truncation - 1, 0)
+        K = cprime.komonad
+        self.K = K
+        # pieces of K^m A': level 0: raw terms; level 1: components;
+        # level 2: (q, s, n)-models
+        self.pieces = {0: {}, 1: {}, 2: {}}
+        for n in cprime.sequence.arities():
+            self.pieces[0][(n,)] = _RawPiece(cprime.sequence.term(n))
+        for (q, n), comp in K.components.items():
+            if _piece_nonzero(comp):
+                self.pieces[1][(q, n)] = comp
+        if self.D >= 2:
+            for n in cprime.sequence.arities():
+                for s in range(1, n + 1):
+                    for q in range(1, s + 1):
+                        piece = self._level2_piece(q, s, n)
+                        if piece is not None and _piece_nonzero(piece):
+                            self.pieces[2][(q, s, n)] = piece
+        # hom complexes per piece (invariants), keyed by level and piece key
+        self.hom = {0: {}, 1: {}, 2: {}}
+        for lvl in range(self.D + 1):
+            for key, piece in self.pieces[lvl].items():
+                r = key[0]
+                a_r = c.sequence.term(r)
+                if a_r is None:
+                    continue
+                full, inv, incl = equivariant_hom_complex(a_r, piece.value)
+                self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
+                                      "piece": piece}
+        keys = {lvl: sorted(self.hom[lvl]) for lvl in range(self.D + 1)}
+        super().__init__(F, keys, {
+            lvl: [self.hom[lvl][k]["inv"] for k in ks]
+            for lvl, ks in keys.items()})
+        self.cosimplicial = self._assemble()
+
+    def _level2_piece(self, q, s, n):
+        c, K = self.cp, self.K
+        if c.source == "sp":
+            if q < s < n:
+                return None
+            return K.components.get((q, n))
+        if q < s < n:
+            return K.delta_outer.get((q, s, n))
+        return K.components.get((q, n))
+
+    # -- piece-level maps -----------------------------------------------------
+
+    def _kq_theta_block(self, src, tgt, q, r) -> ChainMap:
+        """Hom(A_r, P)^{inv} -> Hom(A_q, K_q P)^{inv}:
+        h |-> K_q(h) o theta^A_{q,r}, built column by column on the invariant
+        basis and solved once per degree."""
+        F = self.field
+        c = self.c
+        theta = c.theta_map(q, r)
+        if theta is None:
+            return ChainMap.zero(src["inv"], tgt["inv"])
+        # K_q(A_r)-model must match theta's target (the coalgebra's own
+        # component models)
+        ka_model = c.komonad.component(q, r)
+        kp_model = tgt["piece"]
+        img = {}
+        for k in src["inv"].dims:
+            inc = src["incl"].component(k)
+            cols = []
+            for j in range(src["inv"].dim(k)):
+                vec = {i: v for (i, jj), v in inc.entries.items() if jj == j}
+                f = hom_element_to_map(src["full"],
+                                       c.sequence.term_complex(r),
+                                       src["piece"].value.complex, vec,
+                                       degree=k)
+                if c.source == "top":
+                    src_model = ka_model
+                    if src_model.kind != kp_model.kind:
+                        src_model = topcomonad._rebuild_like(
+                            c.komonad.coop, c.sequence.term(r), q,
+                            c.komonad.w, kp_model)
+                    kf = topcomonad.top_component_on_map(
+                        c.komonad.coop, src_model, kp_model, f)
+                else:
+                    kf = comonads.sp_component_on_map(ka_model, kp_model, f)
+                # theta recast into the model K_q(h) starts from
+                th = transport(theta, target=kf.source)
+                # composite: A_q -> K_q P (degree k), as an element of Hom
+                cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
+            img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), F)
+        return factor_through(ChainMap(src["inv"], tgt["full"], img),
+                              tgt["incl"]).validate()
+
+    # -- assembly ---------------------------------------------------------------
+
+    def _delta0(self, src_lvl):
+        """h -> K(h) o theta (diagonal q = r gives the identity block)."""
+        blocks = {}
+        for key in self.level_keys[src_lvl]:
+            r = key[0]
+            src = self.hom[src_lvl][key]
+            for q in range(1, r + 1):
+                tk = (q,) + key
+                if tk not in self.hom[src_lvl + 1]:
+                    continue
+                tgt = self.hom[src_lvl + 1][tk]
+                if q == r:
+                    ident = label_map(src["inv"], tgt["inv"], partial=True)
+                    blocks[(key, tk)] = ident
+                else:
+                    blocks[(key, tk)] = self._kq_theta_block(src, tgt, q, r)
+        return blocks
+
+    def _delta_mid(self, src_lvl):
+        """Insert the comultiplication: postcompose delta of the comonad."""
+        blocks = {}
+        K = self.K
+        for key in self.level_keys[src_lvl]:
+            src = self.hom[src_lvl][key]
+            q, n = key[0], key[-1]
+            for s in range(q, n + 1):
+                tk = key[:1] + (s,) + key[1:]
+                if tk not in self.hom[src_lvl + 1]:
+                    continue
+                tgt = self.hom[src_lvl + 1][tk]
+                if self.cp.source == "sp":
+                    g = ChainMap.identity(src["piece"].value.complex)
+                else:
+                    d = K.delta.get((q, s, n))
+                    if d is None:
+                        continue
+                    g = transport(d, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                blocks[(key, tk)] = _post_block(src, tgt, g)
+        return blocks
+
+    def _delta_top(self, src_lvl):
+        """Postcompose theta of the target coalgebra at the innermost slot."""
+        blocks = {}
+        cp = self.cp
+        K = self.K
+        for key in self.level_keys[src_lvl]:
+            src = self.hom[src_lvl][key]
+            s = key[-1]
+            for n in range(s, cp.truncation + 1):
+                tk = key + (n,)
+                if tk not in self.hom[src_lvl + 1]:
+                    continue
+                tgt = self.hom[src_lvl + 1][tk]
+                th = cp.theta_map(s, n)
+                if th is None:
+                    continue
+                if s == n:
+                    blocks[(key, tk)] = label_map(src["inv"], tgt["inv"],
+                                                  partial=True)
+                    continue
+                q = key[0]
+                if src_lvl == 0 or (cp.source == "sp" and q == key[-1]):
+                    # theta itself (for sp at level 1: the collapsed outer)
+                    g = transport(th, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                    blocks[(key, tk)] = _post_block(src, tgt, g)
+                else:
+                    if cp.source == "sp":
+                        # the target was dropped or identity-kept
+                        continue
+                    # top: K_q(theta~)
+                    inner = K.delta_inner.get((q, s, n))
+                    outer = K.delta_outer.get((q, s, n))
+                    if inner is None or outer is None:
+                        continue
+                    tau = _model_transport(K.component(s, n), inner)
+                    theta_tilde = tau.compose(
+                        transport(th, cp.sequence.term_complex(s)))
+                    src_model = src["piece"]
+                    if src_model.kind != outer.kind:
+                        src_model = topcomonad._rebuild_like(
+                            K.coop, cp.sequence.term(s), q, K.w, outer)
+                    kf = topcomonad.top_component_on_map(
+                        K.coop, src_model, outer, theta_tilde)
+                    g = transport(kf, src["piece"].value.complex,
+                                  tgt["piece"].value.complex)
+                    blocks[(key, tk)] = _post_block(src, tgt, g)
+        return blocks
+
+    def _sigma(self, src_lvl, j):
+        blocks = {}
+        for key in self.level_keys[src_lvl]:
+            src = self.hom[src_lvl][key]
+            if len(key) == 2:
+                q, n = key
+                if q == n and (n,) in self.hom[0]:
+                    blocks[(key, (n,))] = label_map(
+                        src["inv"], self.hom[0][(n,)]["inv"], partial=True)
+            else:
+                q, s, n = key
+                if j == 0 and s == q and (q, n) in self.hom[1]:
+                    blocks[(key, (q, n))] = label_map(
+                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
+                if j == 1 and s == n and (q, n) in self.hom[1]:
+                    blocks[(key, (q, n))] = label_map(
+                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
+        return blocks
+
+    def _assemble(self) -> CosimplicialComplex:
+        cofaces, codegens = {}, {}
+        if self.D >= 1:
+            cofaces[(0, 0)] = self._block(0, 1, self._delta0(0))
+            cofaces[(0, 1)] = self._block(0, 1, self._delta_top(0))
+            codegens[(1, 0)] = self._block(1, 0, self._sigma(1, 0))
+        if self.D >= 2:
+            cofaces[(1, 0)] = self._block(1, 2, self._delta0(1))
+            cofaces[(1, 1)] = self._block(1, 2, self._delta_mid(1))
+            cofaces[(1, 2)] = self._block(1, 2, self._delta_top(1))
+            codegens[(2, 0)] = self._block(2, 1, self._sigma(2, 0))
+            codegens[(2, 1)] = self._block(2, 1, self._sigma(2, 1))
+        return CosimplicialComplex(self.levels, cofaces, codegens,
+                                   degenerate_above=self.D).validate()
+
+
+def _post_block(src, tgt, g: ChainMap) -> ChainMap:
+    """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, for hom
+    pieces {"full", "inv", "incl", "piece"} with source P and target Q."""
+    big = slotwise_map(src["full"], tgt["full"], g, slot=2)
+    return factor_through(big.compose(src["incl"]), tgt["incl"]).validate()
+
+
+# ---------------------------------------------------------------------------
+# The Bousfield-Kan E^1 page
+# ---------------------------------------------------------------------------
+
+
+class E1Page:
+    """E^1_{-s,t} entries with d^1 matrices and the induced E^2."""
+
+    def __init__(self, entries, d1, field):
+        self.entries = entries      # {(s, t): (dim, basis data)}
+        self.d1 = d1                # {(s, t): SparseMatrix to (s+1, t)}
+        self.field = field
+
+    def dims(self):
+        return {(s, t): e[0] for (s, t), e in self.entries.items() if e[0]}
+
+    def d1_squared_zero(self) -> bool:
+        for (s, t), m in self.d1.items():
+            nxt = self.d1.get((s + 1, t))
+            if nxt is not None and m is not None:
+                if not (nxt * m).is_zero():
+                    return False
+        return True
+
+    def e2_dims(self):
+        out = {}
+        for (s, t), e in self.entries.items():
+            dim = e[0]
+            if dim == 0:
+                continue
+            dout = self.d1.get((s, t))
+            din = self.d1.get((s - 1, t))
+            rk_out = Echelon(dout).rank if dout is not None else 0
+            rk_in = Echelon(din).rank if din is not None else 0
+            val = dim - rk_out - rk_in
+            if val:
+                out[(s, t)] = val
+        return out
+
+
+def bk_e1(c, cprime, w: DegreeWindow | None = None):
+    """The E^1 page of the mapping spectral sequence, from the strictly
+    increasing index chains of the derived-hom levels."""
+    w = w or c.window
+    builder = DerivedHomBuilder(c, cprime, w)
+    F = c.field
+    D = builder.D
+    win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
+    # strict keys per column
+    strict = {}
+    for lvl in range(D + 1):
+        keys = [k for k in builder.level_keys[lvl]
+                if all(k[i] < k[i + 1] for i in range(len(k) - 1))]
+        strict[lvl] = keys
+    # homology bases per strict piece
+    hdata = {}
+    for lvl, keys in strict.items():
+        for key in keys:
+            inv = builder.hom[lvl][key]["inv"]
+            for t in range(win.lo, win.hi + 2):
+                dim, reps, _ = inv.homology_data(t)
+                hdata[(lvl, key, t)] = (dim, reps, inv)
+    # the cofaces restricted to strict keys, alternating sum on homology
+    coface_blocks = {}
+    if D >= 1:
+        coface_blocks[0] = [builder._delta0(0), builder._delta_top(0)]
+    if D >= 2:
+        coface_blocks[1] = [builder._delta0(1), builder._delta_mid(1),
+                            builder._delta_top(1)]
+    entries, d1 = {}, {}
+    for s in range(D + 1):
+        for t in range(win.lo, win.hi + 2):
+            total = sum(hdata[(s, key, t)][0] for key in strict[s])
+            entries[(s, t)] = (total, [(key, hdata[(s, key, t)][0])
+                                       for key in strict[s]])
+    for s in range(D):
+        for t in range(win.lo, win.hi + 1):
+            rows = [hdata[(s + 1, key, t)][0] for key in strict[s + 1]]
+            cols = [hdata[(s, key, t)][0] for key in strict[s]]
+            if not (any(rows) and any(cols)):
+                if any(cols) or any(rows):
+                    d1[(s, t)] = SparseMatrix(sum(rows), sum(cols), F)
+                continue
+            # the alternating sum of the cofaces on homology, block by block
+            mats = {}
+            for i, blocks in enumerate(coface_blocks.get(s, [])):
+                for (sk, tk), blk in blocks.items():
+                    if sk not in strict[s] or tk not in strict[s + 1] or \
+                            not hdata[(s, sk, t)][0]:
+                        continue
+                    ind = blk.induced_on_homology(t)
+                    b = (strict[s + 1].index(tk), strict[s].index(sk))
+                    cur = mats.get(b)
+                    ind = ind if i % 2 == 0 else -ind
+                    mats[b] = ind if cur is None else cur + ind
+            d1[(s, t)] = SparseMatrix.block(mats, rows, cols, F)
+    page = E1Page(entries, d1, F)
+    tot = fat_tot(builder.cosimplicial)
+    return {"e1": page, "tot": tot, "window": win, "builder": builder,
+            "columns": strict}
+
+
+def einf_dims(bk_result, w: DegreeWindow | None = None):
+    """E-infinity dims from the column filtration of the Tot complex.
+
+    F_p Tot = the subcomplex spanned by columns s >= p; the graded pieces of
+    the image filtration on homology give the abutment."""
+    builder = bk_result["builder"]
+    tot = bk_result["tot"]
+    w = w or bk_result["window"]
+    F = tot.field
+    D = builder.D
+    # ranks of im(H_k(F_p) -> H_k(Tot))
+    out = {}
+    im_rank = {}
+    for p in range(D + 2):
+        # subcomplex of tot spanned by labels with level >= p
+        keep = {}
+        for k in tot.dims:
+            idx = [i for i, lab in enumerate(tot.labels[k]) if lab[1] >= p]
+            keep[k] = idx
+        dims = {k: len(v) for k, v in keep.items() if v}
+        labels = {k: tuple(tot.labels[k][i] for i in keep[k]) for k in dims}
+        diff = {}
+        for k in dims:
+            if not dims.get(k - 1):
+                continue
+            pos_t = {i: t for t, i in enumerate(keep[k - 1])}
+            m = SparseMatrix(dims[k - 1], dims[k], F)
+            dk = tot.d(k)
+            for c2, i in enumerate(keep[k]):
+                for (r2, jj), v in dk.entries.items():
+                    if jj == i and r2 in pos_t:
+                        m[pos_t[r2], c2] = v
+            diff[k] = m
+        sub = ChainComplex(F, dims, diff, labels)
+        # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
+        # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
+        for k in w.degrees():
+            if p > D + 1:
+                continue
+            zc = [z for z in _cycles(sub, k, keep)]
+            bnd = Echelon(tot.d(k + 1).transpose())
+            rows = list(bnd.pivot_rows)
+            base = len(rows)
+            mm = SparseMatrix.from_sparse_rows(rows + zc, tot.dim(k), F)
+            im_rank[(p, k)] = Echelon(mm).rank - base
+    for k in w.degrees():
+        for s in range(D + 1):
+            d = im_rank.get((s, k), 0) - im_rank.get((s + 1, k), 0)
+            if d:
+                out[(s, k + s)] = d
+    return out
+
+
+def _cycles(sub, k, keep):
+    """Cycles of the subcomplex, written in the ambient coordinates."""
+    if sub.dim(k) == 0:
+        return []
+    zs = nullspace(sub.d(k))
+    amb = keep[k]
+    out = []
+    for z in zs:
+        out.append({amb[i]: v for i, v in z.items()})
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    quotient, subcomplex, tensor_many,
+    quotient, subcomplex, tensor, tensor_many, tensor_map,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
@@ -105,6 +105,14 @@ def trivial_action(complex: ChainComplex, group: YoungGroup) -> EquivariantCompl
     return EquivariantComplex(complex, group, act)
 
 
+def zero_module(field, r) -> EquivariantComplex:
+    """The zero complex with the zero action of Sigma_r."""
+    z = ChainComplex(field, {})
+    group = YoungGroup.full(r)
+    return EquivariantComplex(z, group, {gi: ChainMap.zero(z, z)
+                                         for gi in group.generator_positions()})
+
+
 def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
     F = complex.field
     neg = F.neg(F.one())
@@ -173,6 +181,19 @@ def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
             m_by_deg[k] = m
         action[gi] = ChainMap(t, t, m_by_deg)
     return EquivariantComplex(t, group, action).validate()
+
+
+def equivariant_tensor(a: EquivariantComplex,
+                       b: EquivariantComplex) -> EquivariantComplex:
+    """Tensor of two complexes over the same group, diagonal action."""
+    if a.group != b.group:
+        raise ValueError("group mismatch")
+    t = tensor(a.complex, b.complex)
+    action = {}
+    for gi in a.group.generator_positions():
+        f = tensor_map(a.action[gi], b.action[gi])
+        action[gi] = ChainMap(t, t, f.components)
+    return EquivariantComplex(t, a.group, action)
 
 
 class WindowedResult:

@@ -1,6 +1,5 @@
-"""Symmetric sequences, plethysm, the bar construction on the commutative
-operad, the partition-poset cooperad T_*, and its dual operad (the
-derivatives-of-the-identity operad).
+"""Plethysm, the bar construction on the commutative operad, the
+partition-poset nerve, and the derivatives-of-the-identity operad.
 
 Two models of the bar construction coexist deliberately:
 
@@ -8,10 +7,10 @@ Two models of the bar construction coexist deliberately:
   1 o P^{o s} o 1 (basis: weakly decreasing chains of set partitions) and its
   normalized complex per arity.  It is the oracle side: homology ranks are
   cross-checked against ``partition_poset_nerve``.
-* ``tree_cooperad`` builds T_* on the rooted-tree basis, where the ungrafting
-  decomposition maps are exactly coassociative and counital.  Its arity-wise
-  dual ``spectral_lie`` is the operad acting on everything downstream.  The
-  two models coincide through arity 3 and have the same homology in arity 4.
+* ``cooperad.tree_cooperad`` builds T_* on the rooted-tree basis.  Its
+  arity-wise dual ``spectral_lie`` is the operad acting on everything
+  downstream.  The two models coincide through arity 3 and have the same
+  homology in arity 4.
 """
 
 from __future__ import annotations
@@ -19,67 +18,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as _iterprod
 
-from . import trees
 from .chain import (
-    ChainComplex, ChainMap, direct_sum, dual, sphere, tensor_many, tensor_map,
-    transport,
+    ChainComplex, ChainMap, direct_sum, dual, sphere, tensor_many,
 )
+from .cooperad import Operad, tree_cooperad
 from .equivariant import EquivariantComplex, trivial_action
-from .fields import FieldSpec
 from .perms import (
-    YoungGroup, apply_perm_to_partition, quotient_partition, refines,
-    restrict_partition, set_partitions, transposition,
+    YoungGroup, apply_perm_to_partition, refines, set_partitions,
+    transposition,
 )
+from .sequences import SymmetricSequence
 from .sparse import SparseMatrix
-
-
-# ---------------------------------------------------------------------------
-# Symmetric sequences
-# ---------------------------------------------------------------------------
-
-
-class SymmetricSequence:
-    """N-truncated symmetric sequence of equivariant complexes."""
-
-    def __init__(self, field: FieldSpec, truncation: int, terms):
-        self.field = field
-        self.truncation = truncation
-        self.terms = {}
-        for n, t in terms.items():
-            if t is None or t.complex.is_zero():
-                continue
-            if not (1 <= n <= truncation):
-                raise ValueError("term arity %d outside truncation %d" % (n, truncation))
-            if t.group.blocks != (n,):
-                raise ValueError("term %d must carry a full Sigma_%d action" % (n, n))
-            self.terms[n] = t
-
-    def term(self, n) -> EquivariantComplex | None:
-        return self.terms.get(n)
-
-    def term_complex(self, n) -> ChainComplex:
-        t = self.terms.get(n)
-        return t.complex if t else ChainComplex(self.field, {})
-
-    def arities(self):
-        return sorted(self.terms)
-
-    def truncate(self, n) -> "SymmetricSequence":
-        if n < 1:
-            raise ValueError("truncation must be >= 1")
-        return SymmetricSequence(self.field, n,
-                                 {m: t for m, t in self.terms.items() if m <= n})
-
-    def total_dim(self):
-        return sum(t.complex.total_dim() for t in self.terms.values())
-
-    def __repr__(self):
-        return "SymmetricSequence(N=%d, arities %s)" % (self.truncation, self.arities())
-
-
-def unit_sequence(field, truncation=1) -> SymmetricSequence:
-    one = trivial_action(sphere(field, 0, label="unit"), YoungGroup.full(1))
-    return SymmetricSequence(field, truncation, {1: one})
 
 
 # ---------------------------------------------------------------------------
@@ -234,88 +183,6 @@ def _koszul_reorder_sign(F, degs, tau):
             if tau[i] > tau[j] and degs[i] % 2 and degs[j] % 2:
                 sign = -sign
     return F.one() if sign == 1 else F.neg(F.one())
-
-
-# ---------------------------------------------------------------------------
-# Operads, cooperads, right modules
-# ---------------------------------------------------------------------------
-
-
-class Operad:
-    """An operad on an N-truncated symmetric sequence.
-
-    gamma[(r, comp)] for a composition comp = (n_1, ..., n_r) is a chain map
-    P_r (x) P_{n_1} (x) ... (x) P_{n_r} -> P_n along consecutive blocks."""
-
-    def __init__(self, sequence: SymmetricSequence, gamma, name="operad"):
-        self.sequence = sequence
-        self.gamma = gamma
-        self.name = name
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
-    def term(self, n):
-        return self.sequence.term(n)
-
-    def term_complex(self, n):
-        return self.sequence.term_complex(n)
-
-    def composition(self, r, comp) -> ChainMap | None:
-        return self.gamma.get((r, tuple(comp)))
-
-
-class Cooperad:
-    """A cooperad; delta[(n, blocks)] : T_n -> T_r (x) T_{|b_1|} (x) ... ."""
-
-    def __init__(self, sequence: SymmetricSequence, delta, name="cooperad"):
-        self.sequence = sequence
-        self.delta = delta
-        self.name = name
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
-    def term(self, n):
-        return self.sequence.term(n)
-
-    def term_complex(self, n):
-        return self.sequence.term_complex(n)
-
-    def decomposition(self, n, blocks) -> ChainMap | None:
-        return self.delta.get((n, tuple(blocks)))
-
-
-class RightModule:
-    """Right module over an operad: action[(r, comp)] :
-    M_r (x) P_{n_1} (x) ... (x) P_{n_r} -> M_n."""
-
-    def __init__(self, operad: Operad, sequence: SymmetricSequence, action):
-        self.operad = operad
-        self.sequence = sequence
-        self.action = action
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
-    def action_map(self, r, comp) -> ChainMap | None:
-        return self.action.get((r, tuple(comp)))
-
 
 # ---------------------------------------------------------------------------
 # The commutative operad
@@ -559,247 +426,6 @@ def bar_construction(operad: Operad):
     return bc, dict(bc.normalized)
 
 
-# ---------------------------------------------------------------------------
-# The tree cooperad T_* and the derivatives-of-the-identity operad
-# ---------------------------------------------------------------------------
-
-
-def tree_complex(field, n) -> ChainComplex:
-    """T(n) on the rooted-tree basis; degree = number of internal vertices."""
-    leaves = tuple(range(n))
-    basis = trees.all_trees(leaves)
-    dims, labels, pos = {}, {}, {}
-    for t in basis:
-        d = trees.degree(t)
-        dims[d] = dims.get(d, 0) + 1
-        labels.setdefault(d, []).append(("tree", t))
-    for d in labels:
-        for i, lab in enumerate(labels[d]):
-            pos[lab[1]] = (d, i)
-    diff = {}
-    for t in basis:
-        d = trees.degree(t)
-        if d < 2:
-            continue
-        _, col = pos[t]
-        m = diff.get(d)
-        if m is None:
-            m = SparseMatrix(dims.get(d - 1, 0), dims[d], field)
-            diff[d] = m
-        for sgn, t2 in trees.differential_terms(t):
-            _, row = pos[t2]
-            m.add_to(row, col, field.coerce(sgn))
-    labels = {d: tuple(v) for d, v in labels.items()}
-    return ChainComplex(field, dims, diff, labels).validate()
-
-
-def tree_equivariant(field, n) -> EquivariantComplex:
-    c = tree_complex(field, n)
-    group = YoungGroup.full(n)
-    pos = {}
-    for d in c.dims:
-        for i, lab in enumerate(c.labels[d]):
-            pos[lab[1]] = (d, i)
-    action = {}
-    for gi in group.generator_positions():
-        mapping = {x: x for x in range(n)}
-        mapping[gi], mapping[gi + 1] = gi + 1, gi
-        comps = {}
-        for d in c.dims:
-            comps[d] = SparseMatrix(c.dim(d), c.dim(d), field)
-        for t, (d, col) in pos.items():
-            sgn, t2 = trees.relabel_terms(t, mapping)
-            d2, row = pos[t2]
-            comps[d].add_to(row, col, field.coerce(sgn))
-        action[gi] = ChainMap(c, c, comps)
-    return EquivariantComplex(c, group, action)
-
-
-def tree_cooperad(field, N) -> Cooperad:
-    """The cooperad T_* with ungrafting decompositions, exactly coassociative."""
-    terms = {n: tree_equivariant(field, n) for n in range(1, N + 1)}
-    seq = SymmetricSequence(field, N, terms)
-    delta = {}
-    for n in range(1, N + 1):
-        src = seq.term_complex(n)
-        pos_src = {}
-        for d in src.dims:
-            for i, lab in enumerate(src.labels[d]):
-                pos_src[lab[1]] = (d, i)
-        for blocks in set_partitions(list(range(n))):
-            r = len(blocks)
-            factors = [seq.term_complex(r)] + \
-                [seq.term_complex(len(b)) for b in blocks]
-            tgt = tensor_many(factors)
-            comps = {}
-            for t, (d, col) in pos_src.items():
-                dec = trees.decompose(t, blocks)
-                if dec is None:
-                    continue
-                sgn, upper, lowers = dec
-                lowered = []
-                for b, lt in zip(blocks, lowers):
-                    mapping = {x: i for i, x in enumerate(sorted(b))}
-                    s2, lt2 = trees.relabel_terms(lt, mapping)
-                    assert s2 == 1  # order-preserving relabels are sign-free
-                    lowered.append(lt2)
-                lab = (("tree", upper),) + tuple(("tree", lt) for lt in lowered)
-                row = tgt.label_index(d)[lab]
-                m = comps.get(d)
-                if m is None:
-                    m = SparseMatrix(tgt.dim(d), src.dim(d), field)
-                    comps[d] = m
-                m.add_to(row, col, field.coerce(sgn))
-            delta[(n, tuple(blocks))] = ChainMap(src, tgt, comps).validate()
-    return Cooperad(seq, delta, name="T")
-
-
-def tensor_reorder_map(factors, perm, field) -> ChainMap:
-    """Koszul reordering iso tensor(factors) -> tensor(factors[perm^-1]).
-
-    perm[i] = new position of factor i."""
-    src = tensor_many(factors)
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    tgt_factors = [factors[inv[j]] for j in range(len(perm))]
-    tgt = tensor_many(tgt_factors)
-    comps = {}
-    for k in src.dims:
-        m = SparseMatrix(tgt.dim(k), src.dim(k), field)
-        for col, lab in enumerate(src.labels[k]):
-            degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
-            sgn = _koszul_reorder_sign(field, degs, perm)
-            new_lab = [None] * len(lab)
-            for i, l in enumerate(lab):
-                new_lab[perm[i]] = l
-            m.add_to(tgt.label_index(k)[tuple(new_lab)], col, sgn)
-        comps[k] = m
-    return ChainMap(src, tgt, comps)
-
-
-def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
-    """Exact coassociativity for a refinement `fine` <= `coarse` of {0..n-1}.
-
-    Route A: split along `fine`, then split the upper factor along the
-    induced partition of fine's blocks.  Route B: split along `coarse`, then
-    split each lower factor along the restriction of `fine`; then reorder so
-    both land in T(upper') (x) (x)_j T(mid_j) (x) (x)_c T(c)."""
-    F = coop.field
-    if not refines(fine, coarse):
-        raise ValueError("fine must refine coarse")
-    rf, rc = len(fine), len(coarse)
-    d_fine = coop.decomposition(n, fine)
-    d_coarse = coop.decomposition(n, coarse)
-    qpart = quotient_partition(coarse, fine)  # partition of {0..rf-1}
-    # Route A: delta_fine then delta_{qpart} on the first factor
-    d_q = coop.decomposition(rf, qpart)
-    fine_factors = [coop.term_complex(rf)] + \
-        [coop.term_complex(len(b)) for b in fine]
-    routeA = _apply_to_factor(d_fine, d_q, 0, fine_factors, F)
-    # Route B: delta_coarse then delta_{fine|b} on each lower factor,
-    # processed right-to-left so slot positions stay stable
-    cur = d_coarse
-    cur_factors = [coop.term_complex(rc)] + \
-        [coop.term_complex(len(b)) for b in coarse]
-    rests = [restrict_partition(fine, b) for b in coarse]
-    for j in range(rc - 1, -1, -1):
-        b = coarse[j]
-        d_rest = coop.decomposition(len(b), rests[j])
-        cur = _apply_to_factor(cur, d_rest, 1 + j, cur_factors, F)
-        rest_factors = [coop.term_complex(len(rests[j]))] + \
-            [coop.term_complex(len(c)) for c in rests[j]]
-        cur_factors = cur_factors[:1 + j] + rest_factors + cur_factors[2 + j:]
-    routeB = cur
-    # Align orders: route A = [upper', mids, fine blocks in fine order];
-    # route B = [upper'] + per coarse block [mid_j, its fine blocks].
-    permA = _fine_to_grouped_perm(coarse, fine)
-    routeA_factors = [coop.term_complex(rc)] + \
-        [coop.term_complex(len(b)) for b in qpart] + \
-        [coop.term_complex(len(c)) for c in fine]
-    reorderA = tensor_reorder_map(routeA_factors, permA, F)
-    routeA2 = _compose_via_flat(reorderA, routeA)
-    return _same_map(routeA2, routeB)
-
-
-def _fine_to_grouped_perm(coarse, fine):
-    """Regroup [upper, mid_0.., fine_0..] as [upper] + per-coarse-block
-    [mid_j, fine blocks inside coarse_j]; returns perm[i] = new position."""
-    rc, rf = len(coarse), len(fine)
-    lookup = {}
-    for fi, c in enumerate(fine):
-        for j, b in enumerate(coarse):
-            if set(c) <= set(b):
-                lookup[fi] = j
-                break
-    posn = 1
-    grouped_positions = {}
-    for j in range(rc):
-        grouped_positions[("mid", j)] = posn
-        posn += 1
-        for fi in range(rf):
-            if lookup[fi] == j:
-                grouped_positions[("fine", fi)] = posn
-                posn += 1
-    perm = [0] * (1 + rc + rf)
-    for j in range(rc):
-        perm[1 + j] = grouped_positions[("mid", j)]
-    for fi in range(rf):
-        perm[1 + rc + fi] = grouped_positions[("fine", fi)]
-    return perm
-
-
-def _flat_label(lab):
-    """A tensor label with its nesting removed, so that iterated binary
-    `tensor` and `tensor_many` label each basis vector alike."""
-    if isinstance(lab, tuple) and lab and not isinstance(lab[0], str):
-        return tuple(x for part in lab for x in _flat_label(part))
-    return (lab,)
-
-
-def _compose_via_flat(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f o g where f's source equals g's target up to label nesting."""
-    return f.compose(transport(g, target=f.source, key=_flat_label,
-                               partial=False))
-
-
-def _apply_to_factor(base: ChainMap, piece: ChainMap, slot, base_factors,
-                     F) -> ChainMap:
-    """Compose base with (id (x) ... (x) piece (x) ... (x) id) at `slot`
-    of base's target tensor factors."""
-    maps = []
-    for i, c in enumerate(base_factors):
-        if i == slot:
-            maps.append(piece)
-        else:
-            maps.append(ChainMap.identity(c))
-    big = maps[0]
-    for mp in maps[1:]:
-        big = tensor_map(big, mp)
-    # big's source is tensor(base_factors) rebuilt; identify with base.target
-    return _compose_via_flat(big, base)
-
-
-def _same_map(f: ChainMap, g: ChainMap) -> bool:
-    """Compare two chain maps with possibly differently-nested tensor labels."""
-    for k in set(f.source.dims) | set(g.source.dims):
-        if f.source.dim(k) != g.source.dim(k):
-            return False
-    for k in set(list(f.components) + list(g.components)):
-        mf, mg = f.component(k), g.component(k)
-        # align target bases by flattened labels
-        tf = {_flat_label(lab): i
-              for i, lab in enumerate(f.target.labels.get(k, ()))}
-        tg = {_flat_label(lab): i
-              for i, lab in enumerate(g.target.labels.get(k, ()))}
-        if set(tf) != set(tg):
-            return False
-        reindex = {tf[lab]: tg[lab] for lab in tf}
-        ent = {(reindex[i], j): v for (i, j), v in mf.entries.items()}
-        if ent != mg.entries:
-            return False
-    return True
-
 
 def spectral_lie(field, N) -> Operad:
     """The operad dual to T_*: derivatives of the identity on based spaces."""
@@ -1017,184 +643,3 @@ def partition_poset_nerve(field, n):
         rdiff[2] = m
     comparison = ChainComplex(field, rdims, rdiff, rlabels).validate()
     return nerve_eq, comparison
-
-
-# ---------------------------------------------------------------------------
-# Right module validation
-# ---------------------------------------------------------------------------
-
-
-def validate_right_module(mod: RightModule):
-    """Checks unit, associativity and (generator) equivariance exactly.
-
-    Returns a report dict {"valid": bool, "failures": [description, ...]}."""
-    failures = []
-    op = mod.operad
-    F = mod.field
-    N = min(mod.truncation, op.truncation)
-    # unit law: action along (1, ..., 1) is the identity (on the nose, up to
-    # the canonical iso M_r (x) k (x) ... (x) k = M_r)
-    for r in mod.sequence.arities():
-        comp = (1,) * r
-        act = mod.action_map(r, comp)
-        if act is None:
-            failures.append("missing unit action at arity %d" % r)
-            continue
-        if not _is_unit_iso(act, mod.sequence.term_complex(r), F):
-            failures.append("unit law fails at arity %d" % r)
-    # associativity: m . (p . q) vs (m . p) . q on composable patterns
-    for r in mod.sequence.arities():
-        for comp in compositions_of_bounded(r, N):
-            s = sum(comp)
-            if mod.action_map(r, comp) is None and any(
-                    op.term(c) is None for c in comp):
-                continue
-            for comp2_parts in _iterprod(*[compositions_of_bounded(c, N)
-                                           for c in comp]):
-                comp2 = tuple(x for part in comp2_parts for x in part)
-                n = sum(comp2)
-                if n > N:
-                    continue
-                ok = _check_module_assoc(mod, r, comp, comp2_parts)
-                if ok is False:
-                    failures.append(
-                        "associativity fails at (%d; %s; %s)" %
-                        (r, comp, comp2_parts))
-    for r in mod.sequence.arities():
-        for comp in compositions_of_bounded(r, N):
-            bad = _check_module_equivariance(mod, r, comp)
-            if bad:
-                failures.append(bad)
-    return {"valid": not failures, "failures": failures}
-
-
-def _check_module_assoc(mod: RightModule, r, comp, comp2_parts):
-    """(m.p).q = m.(p o q) as maps M_r (x) P_* (x) P_** -> M_n."""
-    op = mod.operad
-    F = mod.field
-    s = sum(comp)
-    comp2 = tuple(x for part in comp2_parts for x in part)
-    n = sum(comp2)
-    a1 = mod.action_map(r, comp)
-    a2 = mod.action_map(s, comp2)
-    if a1 is None or a2 is None:
-        return None
-    m_r = mod.sequence.term_complex(r)
-    p_factors = [op.term_complex(c) for c in comp]
-    q_factors = [op.term_complex(c) for c in comp2]
-    if any(c.is_zero() for c in [m_r] + p_factors + q_factors):
-        return None
-    # route 1: (a1 (x) id_q...) then a2
-    big = a1
-    for qf in q_factors:
-        big = tensor_map(big, ChainMap.identity(qf))
-    src_factors = [m_r] + p_factors + q_factors
-    big = transport(big, tensor_many(src_factors), key=_flat_label,
-                    partial=False)
-    mid = tensor_many([mod.sequence.term_complex(s)] + q_factors)
-    route1 = a2.compose(transport(big, target=mid, key=_flat_label,
-                                  partial=False))
-    # route 2: reorder q-factors to sit beside their p-factor, apply gamma on
-    # each group, then a1' along the composed pattern
-    perm = _group_q_after_p_perm(comp, comp2_parts)
-    reorder = tensor_reorder_map(src_factors, perm, F)
-    cur = reorder
-    cur_factors = _grouped_factors(m_r, op, comp, comp2_parts)
-    gam_maps = []
-    slot = 1
-    for c, part in zip(comp, comp2_parts):
-        g = op.composition(c, part)
-        if g is None:
-            return None
-        gam_maps.append((slot, g, 1 + len(part)))
-        slot += 1 + len(part)
-    maps = [ChainMap.identity(m_r)]
-    for slotpos, g, width in gam_maps:
-        maps.append(g)
-    big2 = maps[0]
-    for mp in maps[1:]:
-        big2 = tensor_map(big2, mp)
-    big2 = transport(big2, cur.target, key=_flat_label, partial=False)
-    composed = tuple(sum(part) for part in comp2_parts)
-    a3 = mod.action_map(r, composed)
-    if a3 is None:
-        return None
-    mid2 = tensor_many([m_r] + [op.term_complex(sum(part))
-                                for part in comp2_parts])
-    route2 = a3.compose(transport(big2.compose(cur), target=mid2,
-                                  key=_flat_label, partial=False))
-    return _same_map(route1, route2)
-
-
-def _group_q_after_p_perm(comp, comp2_parts):
-    """Factors: [m, p_1..p_r, q_1..q_s] -> [m, p_1, q(p_1 group), p_2, ...]."""
-    r = len(comp)
-    s = sum(len(part) for part in comp2_parts)
-    perm = [0] * (1 + r + s)
-    perm[0] = 0
-    pos = 1
-    qstart = 1 + r
-    qoff = 0
-    targets = {}
-    for i, part in enumerate(comp2_parts):
-        targets[("p", i)] = pos
-        pos += 1
-        for t in range(len(part)):
-            targets[("q", qoff + t)] = pos
-            pos += 1
-        qoff += len(part)
-    for i in range(r):
-        perm[1 + i] = targets[("p", i)]
-    for t in range(s):
-        perm[qstart + t] = targets[("q", t)]
-    return perm
-
-
-def _grouped_factors(m_r, op, comp, comp2_parts):
-    out = [m_r]
-    for c, part in zip(comp, comp2_parts):
-        out.append(op.term_complex(c))
-        out.extend(op.term_complex(x) for x in part)
-    return out
-
-
-def _check_module_equivariance(mod: RightModule, r, comp):
-    """Spot-check equivariance on within-block generators of Sigma_{n_i}."""
-    op = mod.operad
-    F = mod.field
-    act = mod.action_map(r, comp)
-    if act is None:
-        return None
-    n = sum(comp)
-    m_r = mod.sequence.term(r)
-    m_n = mod.sequence.term(n)
-    if m_r is None or m_n is None:
-        return None
-    offs = []
-    start = 0
-    for c in comp:
-        offs.append(start)
-        start += c
-    for bi, c in enumerate(comp):
-        pterm = op.term(c)
-        if pterm is None or c < 2:
-            continue
-        for gi in YoungGroup.full(c).generator_positions():
-            maps = [ChainMap.identity(mod.sequence.term_complex(r))]
-            for bj, c2 in enumerate(comp):
-                if bj == bi:
-                    maps.append(pterm.action[gi])
-                else:
-                    maps.append(ChainMap.identity(op.term_complex(c2)))
-            big = maps[0]
-            for mp in maps[1:]:
-                big = tensor_map(big, mp)
-            big = transport(big, act.source, key=_flat_label, partial=False)
-            lhs = _compose_via_flat(act, big)
-            # global generator at position offs[bi] + gi
-            glob = offs[bi] + gi
-            rhs = m_n.action[glob].compose(act)
-            if not _same_map(lhs, rhs):
-                return ("equivariance fails at (%d; %s), block %d, gen %d" %
-                        (r, comp, bi, gi))
-    return None

@@ -105,10 +105,6 @@ class YoungGroup:
             out.extend(range(lo, hi - 1))
         return out
 
-    def generators(self):
-        n = self.degree
-        return [transposition(n, i) for i in self.generator_positions()]
-
     def elements(self):
         """All elements, deterministic order (lexicographic per block)."""
         n = self.degree

@@ -1,0 +1,57 @@
+"""Truncated symmetric sequences: the data a coalgebra, an operad and a
+cooperad are built on.
+
+A symmetric sequence A stores, for each arity 1 <= n <= N, an equivariant
+complex A_n with a full Sigma_n action; zero terms are dropped.
+"""
+
+from __future__ import annotations
+
+from .chain import ChainComplex, sphere
+from .equivariant import EquivariantComplex, trivial_action
+from .fields import FieldSpec
+from .perms import YoungGroup
+
+
+class SymmetricSequence:
+    """N-truncated symmetric sequence of equivariant complexes."""
+
+    def __init__(self, field: FieldSpec, truncation: int, terms):
+        self.field = field
+        self.truncation = truncation
+        self.terms = {}
+        for n, t in terms.items():
+            if t is None or t.complex.is_zero():
+                continue
+            if not (1 <= n <= truncation):
+                raise ValueError("term arity %d outside truncation %d" % (n, truncation))
+            if t.group.blocks != (n,):
+                raise ValueError("term %d must carry a full Sigma_%d action" % (n, n))
+            self.terms[n] = t
+
+    def term(self, n) -> EquivariantComplex | None:
+        return self.terms.get(n)
+
+    def term_complex(self, n) -> ChainComplex:
+        t = self.terms.get(n)
+        return t.complex if t else ChainComplex(self.field, {})
+
+    def arities(self):
+        return sorted(self.terms)
+
+    def truncate(self, n) -> "SymmetricSequence":
+        if n < 1:
+            raise ValueError("truncation must be >= 1")
+        return SymmetricSequence(self.field, n,
+                                 {m: t for m, t in self.terms.items() if m <= n})
+
+    def total_dim(self):
+        return sum(t.complex.total_dim() for t in self.terms.values())
+
+    def __repr__(self):
+        return "SymmetricSequence(N=%d, arities %s)" % (self.truncation, self.arities())
+
+
+def unit_sequence(field, truncation=1) -> SymmetricSequence:
+    one = trivial_action(sphere(field, 0, label="unit"), YoungGroup.full(1))
+    return SymmetricSequence(field, truncation, {1: one})

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from . import coalgebras, equivariant, operads, perms
+from . import coalgebras, equivariant, perms, sequences
 from .chain import ChainComplex, ChainMap, DegreeWindow
 from .fields import field_from_name
 from .sparse import SparseMatrix
@@ -118,7 +118,7 @@ def equivariant_from_json(doc) -> equivariant.EquivariantComplex:
     return equivariant.EquivariantComplex(c, group, action).validate()
 
 
-def sequence_to_json(s: operads.SymmetricSequence):
+def sequence_to_json(s: sequences.SymmetricSequence):
     return {
         "truncation": s.truncation,
         "field": s.field.name(),
@@ -127,11 +127,11 @@ def sequence_to_json(s: operads.SymmetricSequence):
     }
 
 
-def sequence_from_json(doc) -> operads.SymmetricSequence:
+def sequence_from_json(doc) -> sequences.SymmetricSequence:
     field = field_from_name(doc["field"])
     terms = {int(n): equivariant_from_json(t)
              for n, t in doc.get("terms", {}).items()}
-    return operads.SymmetricSequence(field, doc["truncation"], terms)
+    return sequences.SymmetricSequence(field, doc["truncation"], terms)
 
 
 def window_to_json(w: DegreeWindow):
@@ -174,10 +174,6 @@ def coalgebra_from_json(doc):
 
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str):
-    return json.loads(text)
 
 
 def comonad_value_to_json(k):

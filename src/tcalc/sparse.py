@@ -42,10 +42,6 @@ class SparseMatrix:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls, rows, cols, field):
-        return cls(rows, cols, field)
-
-    @classmethod
     def identity(cls, n, field):
         m = cls(n, n, field)
         one = field.one()

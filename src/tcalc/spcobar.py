@@ -1,0 +1,290 @@
+"""The cobar construction Phi K^bullet A of an Sp-source coalgebra at the
+zero sphere, truncation <= 3.
+
+Phi(B)(S^0) is the sum over arities r of the Sigma_r homotopy fixed points
+of the level pieces; the pieces are the Sp comonad's Tate models
+(`comonads.SpComponentModel`), rebuilt with shared resolution lengths so
+every structural map is slotwise.
+"""
+
+from __future__ import annotations
+
+from .chain import (
+    ChainComplex, ChainMap, DegreeWindow, factor_through, transport,
+)
+from .comonads import SpComponentModel, coaugment_invariants
+from .equivariant import homotopy_fixed, slotwise_map, strict_fixed
+from .perms import all_surjections
+from .sparse import SparseMatrix
+from .tower import CosimplicialComplex, _Levels, _piece_nonzero, _RawPiece
+
+
+class PhiTerm:
+    """One arity-r summand of Phi(B)(S^0): a windowed homotopy-fixed model
+    of the piece B over Sigma_r (the piece itself at r = 1)."""
+
+    def __init__(self, piece_value, r, w, stages=None):
+        self.r = r
+        if piece_value.complex.is_zero():
+            self.complex = ChainComplex(piece_value.field, {})
+            self.kind = "zero"
+            return
+        if r == 1:
+            # Sigma_1-fixed points: the piece itself
+            self.complex = piece_value.complex
+            self.kind = "identity"
+            return
+        self.fixed = homotopy_fixed(piece_value, w, stages=stages)
+        self.complex = self.fixed.complex
+        self.kind = "fixed"
+
+    def apply(self, f: ChainMap, tgt: "PhiTerm") -> ChainMap:
+        """Phi of an equivariant map between the wrapped pieces."""
+        if self.kind == "zero" or tgt.kind == "zero":
+            return ChainMap.zero(self.complex, tgt.complex, f.degree)
+        if self.kind == "identity" and tgt.kind == "identity":
+            return f
+        if self.kind == "fixed" and tgt.kind == "fixed":
+            return slotwise_map(self.complex, tgt.complex, f).validate()
+        raise ValueError("mismatched Phi term kinds")
+
+
+def _sp_fixed_into_tate(src_phi: PhiTerm, a_n, piece, q, n, w, F,
+                        src_stages) -> ChainMap:
+    """Map the Sigma_n homotopy-fixed model of A_n into the cone-target part
+    of the Tate piece, through the structural carrier map:
+    identity for (1, 2)-type, the singular-set vertex for (1, 3), the
+    surjection diagonal for (2, 3)."""
+    src = src_phi.complex
+    tgt = piece.value.complex
+    surjs = all_surjections(n, q)
+    comps = {}
+    for k in src.dims:
+        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
+        tidx = tgt.label_index(k)
+        for col, lab in enumerate(src.labels[k]):
+            tag, slot, gen, alab = lab
+            for alpha in surjs:
+                if (q, n) == (1, 3):
+                    carrier_lab = ("sidx", alpha, (("l3", "w"), alab))
+                else:
+                    carrier_lab = ("sidx", alpha, alab)
+                row = tidx.get(("cone-tgt", ("hGf", slot, gen, carrier_lab)))
+                if row is None:
+                    continue
+                m.add_to(row, col, F.one())
+        if not m.is_zero():
+            comps[k] = m
+    return ChainMap(src, tgt, comps).validate()
+
+
+class SpCobarBuilder(_Levels):
+    """Phi K^bullet A at the zero sphere, truncation <= 3.
+
+    Level pieces are keyed by index chains; the strictly nested keys
+    r < s < n are dropped (acyclic targets, the swap permutes the two
+    partition summands), and the comultiplication components into them are
+    zero.  All fixed models share the expanded coalgebra window and a
+    per-arity resolution length, and the Tate pieces are rebuilt with
+    matching internal resolutions so every structural map is slotwise."""
+
+    def __init__(self, coalgebra, w: DegreeWindow):
+        c = coalgebra
+        if c.truncation > 3:
+            raise ValueError("sp cobar bounded at truncation 3")
+        if w != c.window:
+            raise ValueError("sp cobar must run at the coalgebra window")
+        self.c = c
+        self.w = w
+        F = c.field
+        self.field = F
+        self.D = max(c.truncation - 1, 0)
+        self.w_phi = w.expand(1)
+        seq = c.sequence
+        self.pieces = {0: {}, 1: {}, 2: {}}
+        for n in seq.arities():
+            self.pieces[0][(n,)] = _RawPiece(seq.term(n))
+        self._stage_table()
+        for n in seq.arities():
+            for r in range(1, n + 1):
+                piece = self._build_piece(r, n)
+                if _piece_nonzero(piece):
+                    self.pieces[1][(r, n)] = piece
+        if self.D >= 2:
+            for n in seq.arities():
+                for s in range(1, n + 1):
+                    for r in range(1, s + 1):
+                        if r < s < n:
+                            continue
+                        piece = self.pieces[1].get((r, n))
+                        if piece is not None:
+                            self.pieces[2][(r, s, n)] = piece
+        # Phi terms (fixed models over Sigma_r at the shared window)
+        self.phi = {0: {}, 1: {}, 2: {}}
+        for lvl in range(self.D + 1):
+            for key, piece in self.pieces[lvl].items():
+                r = key[0]
+                self.phi[lvl][key] = PhiTerm(piece.value, r, self.w_phi,
+                                             stages=self._stages.get(r))
+        keys = {lvl: sorted(self.phi[lvl]) for lvl in range(self.D + 1)}
+        super().__init__(F, keys, {
+            lvl: [self.phi[lvl][k].complex for k in ks]
+            for lvl, ks in keys.items()})
+        self.cosimplicial = self._assemble()
+
+    def pullback_corners(self):
+        """For the pullback route: the level-0 summands keyed like level 0,
+        the unit and theta blocks into the off-diagonal slots (r, n) with
+        r < n, and those slots' models."""
+        phi0 = {k: self.phi[0][k].complex for k in self.level_keys[0]}
+        slot_of = {key: self.phi[1][key].complex for key in self.pieces[1]
+                   if key[0] < key[1]}
+        ublocks = {(sk, tk): f for (sk, tk), f in self._u_block(0, 1).items()
+                   if tk[0] < tk[1]}
+        tblocks = {(sk, tk): f
+                   for (sk, tk), f in self._theta_block(0, 1, True).items()
+                   if tk[0] < tk[1]}
+        return phi0, ublocks, tblocks, slot_of
+
+    def _stage_table(self):
+        seq = self.c.sequence
+        self._stages = {}
+        for n in seq.arities():
+            t = seq.term_complex(n)
+            if t.is_zero():
+                continue
+            if n > 1:
+                self._stages[n] = max(
+                    self._stages.get(n, 1), t.max_degree - self.w_phi.lo + 2)
+        # outer fixed models over Sigma_2 of the K_2 A_3 Tate piece
+        if 3 in seq.arities() and not seq.term_complex(3).is_zero():
+            # the Tate model tops out around the orbit part's upper bound
+            top = self.w_phi.hi + 2
+            self._stages[2] = max(self._stages.get(2, 1),
+                                  top - self.w_phi.lo + 2)
+
+    def _build_piece(self, r, n):
+        term = self.c.sequence.term(n)
+        if term is None:
+            return None
+        base_max = term.complex.max_degree
+        if (r, n) == (1, 3):
+            base_max += 1
+        natural = base_max - self.w_phi.lo + 2
+        return SpComponentModel(term, r, self.w,
+                                fixed_stages=max(natural,
+                                                 self._stages.get(n, 1)))
+
+    def _phi_map(self, src_lvl, sk, tgt_lvl, tk, f) -> ChainMap:
+        return self.phi[src_lvl][sk].apply(f, self.phi[tgt_lvl][tk])
+
+    def _u_block(self, src_lvl, tgt_lvl):
+        """The unit: identity into the freshly-inserted diagonal copy, plus
+        the fixed-to-Tate maps out of top-arity summands."""
+        blocks = {}
+        for key, piece in self.pieces[src_lvl].items():
+            r, n = key[0], key[-1]
+            # fresh diagonal: K_q applied with q = r gives the same piece
+            tk = (key[0],) + key
+            if tk in self.pieces[tgt_lvl]:
+                f = ChainMap.identity(piece.value.complex)
+                blocks[(key, tk)] = self._phi_map(src_lvl, key, tgt_lvl, tk, f)
+            if r == n:
+                # off-diagonal unit components out of an arity-n object
+                for q in range(1, n):
+                    tk2 = (q,) + key
+                    if tk2 in self.pieces[tgt_lvl]:
+                        blocks[(key, tk2)] = self._sp_u(src_lvl, key,
+                                                        tgt_lvl, tk2)
+        return blocks
+
+    def _sp_u(self, src_lvl, src_key, tgt_lvl, tgt_key) -> ChainMap:
+        F = self.field
+        q, n = tgt_key[0], tgt_key[-1]
+        src_phi = self.phi[src_lvl][src_key]
+        tgt_phi = self.phi[tgt_lvl][tgt_key]
+        piece = self.pieces[tgt_lvl][tgt_key]
+        a_n = self.pieces[src_lvl][src_key].value
+        g = _sp_fixed_into_tate(src_phi, a_n, piece, q, n, self.w, F,
+                                self._stages.get(n))
+        if q == 1:
+            return ChainMap(src_phi.complex, tgt_phi.complex,
+                            g.components).validate()
+        _, incl = strict_fixed(piece.value)
+        to_inv = factor_through(g, incl)
+        coaug = coaugment_invariants(incl, tgt_phi.complex)
+        return coaug.compose(to_inv).validate()
+
+    def _theta_block(self, src_lvl, tgt_lvl, at_inner):
+        """theta applied at the innermost slot (the delta^{m+1} coface)."""
+        blocks = {}
+        c = self.c
+        for key, piece in self.pieces[src_lvl].items():
+            r = key[0]
+            s = key[-1]
+            for n in range(s, c.truncation + 1):
+                tk = key + (n,)
+                if tk not in self.pieces[tgt_lvl]:
+                    continue
+                th = c.theta_map(s, n)
+                if th is None:
+                    continue
+                if s == n:
+                    f = ChainMap.identity(piece.value.complex)
+                    blocks[(key, tk)] = self._phi_map(src_lvl, key,
+                                                      tgt_lvl, tk, f)
+                elif src_lvl == 0 or r == s:
+                    # K_s collapsed on an arity-s object: theta itself,
+                    # transported into the rebuilt piece model
+                    f = transport(th, piece.value.complex,
+                                  self.pieces[tgt_lvl][tk].value.complex)
+                    blocks[(key, tk)] = self._phi_map(src_lvl, key,
+                                                      tgt_lvl, tk, f)
+                # r < s < n targets are dropped: components are zero
+        return blocks
+
+    def _delta_block(self):
+        """The comultiplication coface at level 1: insert K at the middle.
+        With collapsed diagonals every kept component is the identity."""
+        blocks = {}
+        for (r, n), piece in self.pieces[1].items():
+            for s in range(r, n + 1):
+                tk = (r, s, n)
+                if tk not in self.pieces[2]:
+                    continue
+                f = ChainMap.identity(piece.value.complex)
+                blocks[((r, n), tk)] = self._phi_map(1, (r, n), 2, tk, f)
+        return blocks
+
+    def _eps_block(self, j):
+        blocks = {}
+        for (r, s, n), piece in self.pieces[2].items():
+            keep = (j == 0 and s == r) or (j == 1 and s == n)
+            if keep and (r, n) in self.pieces[1]:
+                f = ChainMap.identity(piece.value.complex)
+                blocks[((r, s, n), (r, n))] = self._phi_map(2, (r, s, n),
+                                                            1, (r, n), f)
+        return blocks
+
+    def _eps_block_10(self):
+        blocks = {}
+        for (r, n), piece in self.pieces[1].items():
+            if r == n and (r,) in self.pieces[0]:
+                f = ChainMap.identity(piece.value.complex)
+                blocks[((r, n), (r,))] = self._phi_map(1, (r, n), 0, (r,), f)
+        return blocks
+
+    def _assemble(self) -> CosimplicialComplex:
+        cofaces, codegens = {}, {}
+        if self.D >= 1:
+            cofaces[(0, 0)] = self._block(0, 1, self._u_block(0, 1))
+            cofaces[(0, 1)] = self._block(0, 1, self._theta_block(0, 1, True))
+            codegens[(1, 0)] = self._block(1, 0, self._eps_block_10())
+        if self.D >= 2:
+            cofaces[(1, 0)] = self._block(1, 2, self._u_block(1, 2))
+            cofaces[(1, 1)] = self._block(1, 2, self._delta_block())
+            cofaces[(1, 2)] = self._block(1, 2, self._theta_block(1, 2, True))
+            codegens[(2, 0)] = self._block(2, 1, self._eps_block(0))
+            codegens[(2, 1)] = self._block(2, 1, self._eps_block(1))
+        return CosimplicialComplex(self.levels, cofaces, codegens,
+                                   degenerate_above=self.D).validate()

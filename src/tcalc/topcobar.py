@@ -1,0 +1,318 @@
+"""The cobar construction Phi K^bullet A of a Top-source coalgebra at a
+finite pointed set X, truncation <= 2.
+
+Phi(A)(X) has the exact diagonal summands (A_n (x) k[Inj(n, X)])^{Sigma_n};
+the (1, 2) slot uses the stratified cone model of the Top comonad's
+K_1 A_2 (see `TopCobarBuilder`).
+"""
+
+from __future__ import annotations
+
+from .chain import ChainComplex, ChainMap, DegreeWindow, label_map, tensor
+from .coalgebras import injections
+from .equivariant import (
+    EquivariantComplex, equivariant_tensor, homotopy_orbits,
+    permutation_module, slotwise_map, strict_fixed, trivial_action,
+)
+from .perms import YoungGroup, transposition
+from .sparse import SparseMatrix
+from .topcomonad import _model_stages
+from .tower import CosimplicialComplex, _Levels
+
+
+def injections_module(field, r, m):
+    """k[Inj({0..r-1}, {0..m-1})] as a free Sigma_r permutation module."""
+    injs = injections(r, m)
+    if not injs:
+        return None
+    group = YoungGroup.full(r)
+    table = {}
+    pos = {inj: i for i, inj in enumerate(injs)}
+    for gi in group.generator_positions():
+        sperm = transposition(r, gi)
+        table[gi] = [pos[tuple(inj[sperm[i]] for i in range(r))]
+                     for inj in injs]
+    return permutation_module(field, group, [("inj", inj) for inj in injs],
+                              table)
+
+
+def diagonal_phi_term(field, term, site_m):
+    """(A_n (x) Inj_n)^{Sigma_n}: the exact diagonal summand of Phi(A)(X)."""
+    n = term.group.degree
+    inj = injections_module(field, n, site_m)
+    if inj is None or term.complex.is_zero():
+        return None
+    tensored = equivariant_tensor(term, inj)
+    inv, incl = strict_fixed(tensored)
+    return {"complex": inv, "inclusion": incl, "tensored": tensored}
+
+
+def stratified_cone(field, m):
+    """St(1,2)(X): cone(k[2-tuples] -> k[injective 2-tuples]) as a
+    Sigma_2-complex; quasi-isomorphic to the suspended diagonal."""
+    tuples = [(a, b) for a in range(m) for b in range(m)]
+    injs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    tpos = {t: i for i, t in enumerate(tuples)}
+    ipos = {t: i for i, t in enumerate(injs)}
+    dims = {1: len(tuples)}
+    labels = {1: tuple(("tup", t) for t in tuples)}
+    diff = {}
+    if injs:
+        dims[0] = len(injs)
+        labels[0] = tuple(("itup", t) for t in injs)
+        d1 = SparseMatrix(len(injs), len(tuples), field)
+        for t, j in tpos.items():
+            if t in ipos:
+                d1[ipos[t], j] = field.neg(field.one())
+        diff[1] = d1
+    c = ChainComplex(field, dims, diff, labels).validate()
+    group = YoungGroup.full(2)
+    comps = {}
+    m1 = SparseMatrix(dims[1], dims[1], field)
+    for t, j in tpos.items():
+        m1[tpos[(t[1], t[0])], j] = field.one()
+    comps[1] = m1
+    if injs:
+        m0 = SparseMatrix(dims[0], dims[0], field)
+        for t, j in ipos.items():
+            m0[ipos[(t[1], t[0])], j] = field.one()
+        comps[0] = m0
+    act = {0: ChainMap(c, c, comps)}
+    return EquivariantComplex(c, group, act).validate()
+
+
+class TopCobarBuilder(_Levels):
+    """Phi K^bullet A at a finite pointed set, truncation <= 2.
+
+    The (1,2)-type slots use the stratified cone model
+    orbit_{Sigma_2}(A_2 (x) cone(tuples -> injective tuples)): it receives
+    the counit-side inclusion from the invariants summand and the theta-side
+    translation from the tree model, so every coface is an honest chain map.
+    (At arity gap >= 2 the unit has no strict small model; those towers run
+    through the pullback route.)"""
+
+    def __init__(self, coalgebra, site, w: DegreeWindow):
+        c = coalgebra
+        if c.truncation > 2:
+            raise ValueError(
+                "top-source tot route bounded at truncation 2; "
+                "use route='pullback' for deeper towers")
+        self.c = c
+        self.site = site
+        self.w = w
+        F = c.field
+        self.field = F
+        m = site.size
+        self.D = max(c.truncation - 1, 0)
+        seq = c.sequence
+        self.diag = {}
+        for n in seq.arities():
+            self.diag[n] = diagonal_phi_term(F, seq.term(n), m)
+        self.slot12 = None
+        if c.truncation >= 2 and seq.term(2) is not None and m >= 1 \
+                and self.diag.get(2) is not None:
+            st = stratified_cone(F, m)
+            carrier = equivariant_tensor(seq.term(2), st)
+            self.carrier12 = carrier
+            comp12 = c.komonad.component(1, 2)
+            self.comp12 = comp12
+            base = max(self.w.hi - carrier.complex.min_degree + 2, 1)
+            inferred = _model_stages(comp12) or 1
+            self.stages12 = max(base, inferred)
+            self.slot12 = homotopy_orbits(carrier, w, tag="slot12",
+                                          stages=self.stages12)
+        self._build_levels()
+        self.cosimplicial = self._assemble()
+
+    def pullback_corners(self):
+        """For the pullback route: the level-0 summands keyed like level 0,
+        the unit and theta blocks into the off-diagonal slot (1, 2), and
+        that slot's model; the slot is absent when the site sees no arity-2
+        term."""
+        phi0 = {k: self.diag[k[0]]["complex"] for k in self.level_keys[0]}
+        ublocks, tblocks, slot_of = {}, {}, {}
+        if self.slot12 is not None:
+            ublocks[((2,), (1, 2))] = self._u12_map()
+            th12 = self._theta12_map()
+            if th12 is not None:
+                tblocks[((1,), (1, 2))] = th12
+            slot_of[(1, 2)] = self.slot12.complex
+        return phi0, ublocks, tblocks, slot_of
+
+    def _build_levels(self):
+        keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
+        keys1 = [(n, n) for n in sorted(self.diag)
+                 if self.diag[n] is not None]
+        if self.slot12 is not None:
+            keys1.append((1, 2))
+        keys1.sort()
+        keys2 = []
+        if self.D >= 1:
+            for (r, n) in keys1:
+                for s2 in range(r, n + 1):
+                    if r < s2 < n:
+                        continue
+                    keys2.append((r, s2, n))
+            keys2.sort()
+        keys = [keys0, keys1, keys2][:self.D + 1]
+        parts = [[self.diag[k[0]]["complex"] for k in keys0],
+                 [self._slot(k[0], k[1]) for k in keys1],
+                 [self._slot(k[0], k[2]) for k in keys2]][:self.D + 1]
+        super().__init__(self.field, dict(enumerate(keys)),
+                         dict(enumerate(parts)))
+
+    def _slot(self, r, n):
+        if r == n:
+            return self.diag[n]["complex"]
+        return self.slot12.complex
+
+    def _u12_map(self) -> ChainMap:
+        """(A_2 (x) I^2)^{inv} -> slot12: invariants into the injective-tuple
+        cone part, at the resolution-0 slot."""
+        d2 = self.diag[2]
+        carrier = self.carrier12.complex
+        to_carrier = label_map(d2["tensored"].complex, carrier,
+                               key=lambda lab: (lab[0], ("itup", lab[1][1])),
+                               partial=True)
+        iota = label_map(carrier, self.slot12.complex,
+                         key=lambda lab: ("hG", 0, 0, lab), partial=True)
+        return iota.compose(to_carrier).compose(d2["inclusion"]).validate()
+
+    def _theta12_map(self):
+        """A_1 (x) X -> slot12 through theta_{1,2} and the tree-to-cone
+        translation t (x) a (x) x -> (-1)^{|a|} a (x) (x,x)."""
+        F = self.field
+        th = self.c.theta_map(1, 2)
+        if th is None or self.slot12 is None:
+            return None
+        comp12 = self.comp12
+        tsum_eq = comp12.sursum.sigma_n_action()
+        a2 = self.c.sequence.term_complex(2)
+        carrier = self.carrier12.complex
+        m = self.site.size
+        xmod = ChainComplex(F, {0: m},
+                            labels={0: tuple(("pt", x) for x in range(m))})
+        xtriv = trivial_action(xmod, YoungGroup.full(2))
+        wprime_eq = equivariant_tensor(tsum_eq, xtriv)
+        wp = wprime_eq.complex
+        comps = {}
+        for k in wp.dims:
+            mm = SparseMatrix(carrier.dim(k), wp.dim(k), F)
+            cidx = carrier.label_index(k)
+            for j, lab in enumerate(wp.labels[k]):
+                wlab, xlab = lab
+                _, alpha, inner = wlab
+                a_lab = inner[-1]
+                x = xlab[1]
+                sgn = F.one() if a2.locate(a_lab)[0] % 2 == 0 else F.neg(F.one())
+                row = cidx.get((a_lab, ("tup", (x, x))))
+                if row is not None:
+                    mm.add_to(row, j, sgn)
+            if not mm.is_zero():
+                comps[k] = mm
+        g = ChainMap(wp, carrier, comps).validate()
+        orb_wp = homotopy_orbits(wprime_eq, self.w, tag="theta-aux",
+                                 stages=self.stages12)
+        gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
+        src = self.diag[1]["complex"]
+        def slot_outside(lab):
+            # orbit(W) (x) X -> orbit(W (x) X): the point module sits in
+            # degree zero with trivial action
+            (tag, s, gen, wlab), xlab = lab
+            return tag, s, gen, (wlab, xlab)
+
+        ident = label_map(tensor(comp12.value.complex, xmod), orb_wp.complex,
+                          key=slot_outside, partial=True).validate()
+        th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex, F)
+        return gfun.compose(ident).compose(th_x).validate()
+
+    def _theta_tensor_x(self, th, xmod, src, model, F) -> ChainMap:
+        """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
+        a1 = self.c.sequence.term_complex(1)
+        tens = tensor(model, xmod)
+        d1 = self.diag[1]
+        comps = {}
+        for k in src.dims:
+            mm = SparseMatrix(tens.dim(k), src.dim(k), F)
+            inc = d1["inclusion"].component(k)
+            mid = d1["tensored"].complex
+            tidx = tens.label_index(k)
+            for (i, j), v in inc.entries.items():
+                a_lab, inj_lab = mid.labels[k][i]
+                x = inj_lab[1][0]
+                ai = a1.label_index(k)[a_lab]
+                thm = th.component(k)
+                for (i2, jj), vv in thm.entries.items():
+                    if jj != ai:
+                        continue
+                    row = tidx.get((th.target.labels[k][i2], ("pt", x)))
+                    if row is None:
+                        continue
+                    mm.add_to(row, j, F.mul(v, vv))
+            if not mm.is_zero():
+                comps[k] = mm
+        return ChainMap(src, tens, comps).validate()
+
+    def _assemble(self) -> CosimplicialComplex:
+        cofaces, codegens = {}, {}
+        u12 = self._u12_map() if self.slot12 is not None else None
+        th12 = self._theta12_map() if self.slot12 is not None else None
+        if self.D >= 1:
+            b = {}
+            for (n,) in self.level_keys[0]:
+                b[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
+            if u12 is not None:
+                b[((2,), (1, 2))] = u12
+            cofaces[(0, 0)] = self._block(0, 1, b)
+            b2 = {}
+            for (n,) in self.level_keys[0]:
+                b2[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
+            if th12 is not None:
+                b2[((1,), (1, 2))] = th12
+            cofaces[(0, 1)] = self._block(0, 1, b2)
+            be = {}
+            for (r, n) in self.level_keys[1]:
+                if r == n and (r,) in self.level_keys[0]:
+                    be[((r, n), (r,))] = ChainMap.identity(
+                        self.diag[n]["complex"])
+            codegens[(1, 0)] = self._block(1, 0, be)
+        if self.D >= 2:
+            bu = {}
+            for (r, n) in self.level_keys[1]:
+                if (r, r, n) in self.level_keys[2]:
+                    bu[((r, n), (r, r, n))] = ChainMap.identity(
+                        self._slot(r, n))
+            if (1, 2, 2) in self.level_keys[2] and u12 is not None:
+                bu[((2, 2), (1, 2, 2))] = u12
+            cofaces[(1, 0)] = self._block(1, 2, bu)
+            bd = {}
+            for (r, n) in self.level_keys[1]:
+                for s2 in range(r, n + 1):
+                    if (r, s2, n) in self.level_keys[2]:
+                        bd[((r, n), (r, s2, n))] = ChainMap.identity(
+                            self._slot(r, n))
+            cofaces[(1, 1)] = self._block(1, 2, bd)
+            bk = {}
+            for (r, s) in self.level_keys[1]:
+                for n in range(s, self.c.truncation + 1):
+                    if (r, s, n) not in self.level_keys[2]:
+                        continue
+                    if s == n:
+                        bk[((r, s), (r, s, n))] = ChainMap.identity(
+                            self._slot(r, s))
+                    elif r == s == 1 and n == 2 and th12 is not None:
+                        bk[((1, 1), (1, 1, 2))] = th12
+            cofaces[(1, 2)] = self._block(1, 2, bk)
+            for j in (0, 1):
+                bs = {}
+                for (r, s, n) in self.level_keys[2]:
+                    if j == 0 and s == r and (r, n) in self.level_keys[1]:
+                        bs[((r, s, n), (r, n))] = ChainMap.identity(
+                            self._slot(r, n))
+                    if j == 1 and s == n and (r, n) in self.level_keys[1]:
+                        bs[((r, s, n), (r, n))] = ChainMap.identity(
+                            self._slot(r, n))
+                codegens[(2, j)] = self._block(2, 1, bs)
+        return CosimplicialComplex(self.levels[:self.D + 1], cofaces,
+                                   codegens,
+                                   degenerate_above=self.D).validate()

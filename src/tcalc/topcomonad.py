@@ -1,0 +1,753 @@
+"""The comonad for functors from based spaces (Top) to spectra.
+
+The component K_r A_n is the Sigma_n-homotopy-orbit complex of the sum, over
+surjections {0..n-1} ->> {0..r-1}, of T_{n_1} (x) ... (x) T_{n_r} (x) A_n,
+with T_* the tree cooperad.  When the total module is free the strict orbit
+complex is used and the result is exact.  Comultiplication comes from
+ungrafting decompositions of the tree cooperad; the counit collapses the
+bijection summands.  The Sp comonad, the strict comonad K' and the
+comparison nu : K -> K' are in `comonads`.
+"""
+
+from __future__ import annotations
+
+from . import trees
+from .chain import (
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, tensor_many,
+)
+from .cooperad import Cooperad, tree_cooperad
+from .equivariant import (
+    EquivariantComplex, WindowedResult, homotopy_orbits, is_free, slotwise_map,
+    strict_orbits, zero_module,
+)
+from .perms import (
+    YoungGroup, all_surjections, inverse, surjection_fibers, transposition,
+)
+from .sequences import SymmetricSequence
+from .sparse import SparseMatrix
+
+
+# ---------------------------------------------------------------------------
+# The (x T) (x) A_n building block
+# ---------------------------------------------------------------------------
+
+
+class SurjectionSum:
+    """(+)_{alpha: n ->> r} T_{f_1} (x) ... (x) T_{f_r} (x) A, with its
+    Sigma_n and Sigma_r actions.
+
+    Sigma_n acts by precomposition on surjections, relabeling the tree
+    factors within fibers and acting on A.  Sigma_r acts by postcomposition,
+    permuting the tree factors with Koszul signs.
+    """
+
+    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int):
+        self.coop = coop
+        self.a = a
+        self.r = r
+        self.n = a.group.degree
+        F = a.field
+        self.field = F
+        n = self.n
+        self.surjections = all_surjections(n, r)
+        summands = []
+        self.factors = {}
+        for alpha in self.surjections:
+            fibers = surjection_fibers(alpha, r)
+            factors = [coop.term_complex(len(f)) for f in fibers] + [a.complex]
+            summands.append(tensor_many(factors))
+            self.factors[alpha] = fibers
+        self.summand_complexes = summands
+        self.total = direct_sum(summands) if summands else ChainComplex(F, {})
+        # label: ("surj", alpha, (tree labels..., a label))
+        labels = {}
+        for k in self.total.dims:
+            labs = []
+            for lab in self.total.labels[k]:
+                idx, inner = lab
+                labs.append(("surj", self.surjections[idx], inner))
+            labels[k] = tuple(labs)
+        self.total = ChainComplex(F, self.total.dims, self.total.diff, labels)
+        self._deg_cache = {}
+
+    def label_degree(self, m, lab):
+        """Degree of a tree label in T(m) or of an A-label."""
+        key = (m, lab)
+        got = self._deg_cache.get(key)
+        if got is None:
+            c = self.coop.term_complex(m)
+            got = None
+            for k in c.dims:
+                if lab in c.label_index(k):
+                    got = k
+                    break
+            self._deg_cache[key] = got
+        return got
+
+    def sigma_n_action(self) -> EquivariantComplex:
+        """The Sigma_n-equivariant structure on the total complex."""
+        F = self.field
+        n = self.n
+        group = YoungGroup.full(n)
+        action = {}
+        for gi in group.generator_positions():
+            s = transposition(n, gi)
+            comps = {k: SparseMatrix(self.total.dim(k), self.total.dim(k), F)
+                     for k in self.total.dims}
+            a_act = self.a.action_of(s)
+            for alpha in self.surjections:
+                beta = tuple(alpha[inverse(s)[i]] for i in range(n))
+                fib_a = self.factors[alpha]
+                fib_b = self.factors[beta]
+                # within fiber j: relabeling s: fib_a[j] -> fib_b[j]
+                relabels = []
+                for j in range(self.r):
+                    src_sorted = list(fib_a[j])
+                    mapping = {}
+                    tgt_sorted = list(fib_b[j])
+                    tgt_pos = {x: t for t, x in enumerate(tgt_sorted)}
+                    for t, x in enumerate(src_sorted):
+                        mapping[t] = tgt_pos[s[x]]
+                    relabels.append(mapping)
+                self._add_summand_map(comps, alpha, beta, relabels, a_act,
+                                      tau=None)
+            action[gi] = ChainMap(self.total, self.total, comps)
+        return EquivariantComplex(self.total, group, action)
+
+    def sigma_r_generator(self, gi) -> ChainMap:
+        """Action of the adjacent transposition (gi, gi+1) of Sigma_r by
+        postcomposition: permutes tree factors with Koszul signs."""
+        F = self.field
+        s_r = transposition(self.r, gi)
+        comps = {k: SparseMatrix(self.total.dim(k), self.total.dim(k), F)
+                 for k in self.total.dims}
+        for alpha in self.surjections:
+            beta = tuple(s_r[v] for v in alpha)
+            fib_a = self.factors[alpha]
+            for k in self.total.dims:
+                idx = self.total.label_index(k)
+                for col, lab in enumerate(self.total.labels[k]):
+                    tag, al, inner = lab
+                    if al != alpha:
+                        continue
+                    tree_labs = list(inner[:-1])
+                    a_lab = inner[-1]
+                    degs = [self.label_degree(len(f), tl)
+                            for f, tl in zip(fib_a, tree_labs)]
+                    # swap factors gi, gi+1
+                    sgn = F.one()
+                    if degs[gi] % 2 and degs[gi + 1] % 2:
+                        sgn = F.neg(sgn)
+                    new_trees = list(tree_labs)
+                    new_trees[gi], new_trees[gi + 1] = \
+                        new_trees[gi + 1], new_trees[gi]
+                    new_lab = ("surj", beta, tuple(new_trees) + (a_lab,))
+                    comps[k].add_to(idx[new_lab], col, sgn)
+        return ChainMap(self.total, self.total, comps)
+
+    def _add_summand_map(self, comps, alpha, beta, relabels, a_map, tau):
+        """Add the summand map alpha -> beta induced by tree relabelings and
+        the map on A (no factor reordering)."""
+        F = self.field
+        fib_a = self.factors[alpha]
+        for k in self.total.dims:
+            idx = self.total.label_index(k)
+            for col, lab in enumerate(self.total.labels[k]):
+                tag, al, inner = lab
+                if al != alpha:
+                    continue
+                tree_labs = inner[:-1]
+                a_lab = inner[-1]
+                sgn = 1
+                new_trees = []
+                for tl, mapping in zip(tree_labs, relabels):
+                    s2, t2 = trees.relabel_terms(tl[1], mapping)
+                    sgn *= s2
+                    new_trees.append(("tree", t2))
+                # apply a_map to the A factor
+                a_src = self.a.complex
+                adeg, ai = a_src.locate(a_lab)
+                m = a_map.component(adeg)
+                for (i2, jj), v in m.entries.items():
+                    if jj != ai:
+                        continue
+                    new_lab = ("surj", beta,
+                               tuple(new_trees) + (a_src.labels[adeg][i2],))
+                    comps[k].add_to(idx[new_lab], col, F.mul(F.coerce(sgn), v))
+
+
+# ---------------------------------------------------------------------------
+# Component models
+# ---------------------------------------------------------------------------
+
+
+class TopComponentModel:
+    """K_r A_n for the based-spaces-to-spectra comonad.
+
+    Holds the surjection sum W, the chosen orbit model (collapsed / strict /
+    windowed), the inclusion iota : W -> model, and the Sigma_r structure."""
+
+    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int,
+                 w: DegreeWindow, force_windowed=False, stages=None):
+        self.coop = coop
+        self.a = a
+        self.r = r
+        self.n = a.group.degree
+        self.window = w
+        F = a.field
+        self.field = F
+        n = self.n
+        if r > n:
+            self.kind = "zero"
+            self.value = zero_module(F, r)
+            self.exact = True
+            self.sursum = None
+            return
+        if r == n and not force_windowed:
+            # collapsed model: K_n A_n = A_n on the nose
+            self.kind = "collapsed"
+            self.value = a
+            self.exact = True
+            self.sursum = SurjectionSum(coop, a, r)
+            return
+        self.sursum = SurjectionSum(coop, a, r)
+        w_total = self.sursum.sigma_n_action()
+        if is_free(w_total) and not force_windowed:
+            self.kind = "strict"
+            q, proj = strict_orbits(w_total)
+            self.proj = proj
+            self.exact = True
+            action = {}
+            for gi in YoungGroup.full(r).generator_positions():
+                sr = self.sursum.sigma_r_generator(gi)
+                action[gi] = _quotient_functor(proj, sr, proj)
+            self.value = EquivariantComplex(q, YoungGroup.full(r), action)
+        else:
+            self.kind = "windowed"
+            self.orbit = homotopy_orbits(w_total, w, tag="k-top", stages=stages)
+            self.exact = False
+            model = self.orbit.complex
+            action = {}
+            for gi in YoungGroup.full(r).generator_positions():
+                sr = self.sursum.sigma_r_generator(gi)
+                action[gi] = slotwise_map(model, model, sr)
+            self.value = EquivariantComplex(model, YoungGroup.full(r), action)
+
+    def iota(self) -> ChainMap:
+        """The chain map W -> model (identity slot / projection / collapse)."""
+        F = self.field
+        if self.kind == "zero":
+            return ChainMap.zero(ChainComplex(F, {}), self.value.complex)
+        W = self.sursum.total
+        if self.kind == "collapsed":
+            # (beta, units, a) -> beta . a
+            comps = {}
+            a = self.a
+            for k in W.dims:
+                m = SparseMatrix(a.complex.dim(k), W.dim(k), F)
+                for col, lab in enumerate(W.labels[k]):
+                    _, beta, inner = lab
+                    a_lab = inner[-1]
+                    i = a.complex.label_index(k)[a_lab]
+                    act = a.action_of(beta).component(k)
+                    for (i2, jj), v in act.entries.items():
+                        if jj == i:
+                            m.add_to(i2, col, v)
+                comps[k] = m
+            return ChainMap(W, a.complex, comps)
+        if self.kind == "strict":
+            return self.proj
+        # windowed: include as the resolution-degree-0 slot
+        return label_map(W, self.value.complex,
+                         key=lambda lab: ("hG", 0, 0, lab), partial=True)
+
+    def counit_to_a(self) -> ChainMap:
+        """epsilon_r for r = n (identity on the collapsed model)."""
+        if self.kind != "collapsed":
+            raise ValueError("counit only lives on the diagonal")
+        return ChainMap.identity(self.a.complex)
+
+
+def unit_section(proj: ChainMap) -> ChainMap:
+    """A section q -> W of a quotient projection proj : W -> q: each basis
+    vector of q goes to the first basis vector of W that proj sends to it
+    with coefficient 1.  It need not commute with the differentials and is
+    not validated; a basis vector of q without such a preimage raises
+    ArithmeticError."""
+    F = proj.field
+    q, W = proj.target, proj.source
+    one = F.one()
+    comps = {}
+    for k in q.dims:
+        sec = {}
+        for (i, j), v in proj.component(k).entries.items():
+            if i not in sec and F.is_one(v):
+                sec[i] = j
+        if len(sec) != q.dim(k):
+            raise ArithmeticError("no unit section for the quotient basis in "
+                                  "degree %d" % k)
+        m = SparseMatrix(W.dim(k), q.dim(k), F)
+        m.entries = {(j, i): one for i, j in sec.items()}
+        comps[k] = m
+    return ChainMap(q, W, comps)
+
+
+def _model_stages(model: TopComponentModel):
+    if model.kind != "windowed":
+        return None
+    # infer the resolution length from the stored orbit model labels
+    best = 0
+    for k in model.value.complex.dims:
+        for lab in model.value.complex.labels[k]:
+            best = max(best, lab[1])
+    return best + 1
+
+
+def _rebuild_like(coop, term, r, w, template: TopComponentModel):
+    return TopComponentModel(coop, term, r, w,
+                             force_windowed=(template.kind == "windowed"),
+                             stages=_model_stages(template))
+
+
+# ---------------------------------------------------------------------------
+# Comultiplication
+# ---------------------------------------------------------------------------
+
+
+def _factorizations(beta, s):
+    """All (gamma, alpha) with beta = gamma o alpha, alpha: n ->> s,
+    gamma: s ->> r."""
+    n = len(beta)
+    r = max(beta) + 1
+    out = []
+    for alpha in all_surjections(n, s):
+        # gamma exists iff beta is constant on alpha-fibers
+        gamma = {}
+        ok = True
+        for i in range(n):
+            g = gamma.get(alpha[i])
+            if g is None:
+                gamma[alpha[i]] = beta[i]
+            elif g != beta[i]:
+                ok = False
+                break
+        if not ok:
+            continue
+        gv = tuple(gamma[j] for j in range(s))
+        if len(set(gv)) == r:
+            out.append((gv, alpha))
+    return out
+
+
+class _PreTarget:
+    """(+)_{gamma: s ->> r} T_{gamma fibers} (x) W(A, s), with the diagonal
+    Sigma_n-action on the W(A, s) factor only."""
+
+    def __init__(self, coop: Cooperad, inner: SurjectionSum, r: int):
+        self.coop = coop
+        self.inner = inner
+        self.r = r
+        self.s = inner.r
+        F = inner.field
+        self.field = F
+        self.gammas = all_surjections(self.s, r)
+        summands = []
+        self.gamma_fibers = {}
+        for gamma in self.gammas:
+            fibers = surjection_fibers(gamma, r)
+            self.gamma_fibers[gamma] = fibers
+            factors = [coop.term_complex(len(f)) for f in fibers] + \
+                [inner.total]
+            summands.append(tensor_many(factors))
+        self.total = direct_sum(summands) if summands else \
+            ChainComplex(F, {})
+        labels = {}
+        for k in self.total.dims:
+            labs = []
+            for lab in self.total.labels[k]:
+                idx, inner_lab = lab
+                labs.append(("surj", self.gammas[idx], inner_lab))
+            labels[k] = tuple(labs)
+        self.total = ChainComplex(F, self.total.dims, self.total.diff,
+                                  labels)
+
+    def sigma_n_equivariant(self) -> EquivariantComplex:
+        """Sigma_n acts through the inner W(A, s) factor only."""
+        n = self.inner.n
+        group = YoungGroup.full(n)
+        inner_eq = self.inner.sigma_n_action()
+        action = {gi: slotwise_map(self.total, self.total, inner_eq.action[gi],
+                                   slot=(2, -1))
+                  for gi in group.generator_positions()}
+        return EquivariantComplex(self.total, group, action)
+
+
+def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
+                      pre: _PreTarget) -> ChainMap:
+    """The tree-splitting map W(A, r) -> PreTarget, summed over all
+    factorizations beta = gamma o alpha."""
+    F = sur_r.field
+    s = pre.s
+    n = sur_r.n
+    r = sur_r.r
+    comps = {}
+    for beta in sur_r.surjections:
+        beta_fibers = sur_r.factors[beta]
+        for gamma, alpha in _factorizations(beta, s):
+            alpha_fibers = surjection_fibers(alpha, s)
+            gamma_fibers = surjection_fibers(gamma, r)
+            # for each j < r: split T_{beta^{-1}(j)} along its alpha-fibers
+            # in local coordinates
+            local_blocks = []
+            for j in range(r):
+                bf = beta_fibers[j]
+                posmap = {x: t for t, x in enumerate(bf)}
+                blocks = []
+                for i in gamma_fibers[j]:
+                    blocks.append(tuple(sorted(posmap[x]
+                                               for x in alpha_fibers[i])))
+                blocks.sort(key=lambda b: b[0])
+                local_blocks.append(tuple(blocks))
+                # record which alpha-fiber each sorted block is
+            for k in sur_r.total.dims:
+                tidx = pre.total.label_index(k)
+                for col, col_lab in enumerate(sur_r.total.labels[k]):
+                    tag, b2, inner_lab = col_lab
+                    if b2 != beta:
+                        continue
+                    tree_labs = inner_lab[:-1]
+                    a_lab = inner_lab[-1]
+                    term = _split_trees(
+                        coop, F, tree_labs, beta_fibers,
+                        alpha_fibers, gamma_fibers, local_blocks, a_lab,
+                        sur_r.a.complex.locate(a_lab)[0], gamma, alpha, r, s)
+                    if term is None:
+                        continue
+                    sgn, tgt_lab = term
+                    row = tidx.get(tgt_lab)
+                    if row is None:
+                        continue
+                    m = comps.get(k)
+                    if m is None:
+                        m = SparseMatrix(pre.total.dim(k),
+                                         sur_r.total.dim(k), F)
+                        comps[k] = m
+                    m.add_to(row, col, sgn)
+    return ChainMap(sur_r.total, pre.total, comps).validate()
+
+
+def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,
+                 gamma_fibers, local_blocks, a_lab, a_degree, gamma, alpha,
+                 r, s):
+    """Split each tree along its local blocks; assemble the target label and
+    the total Koszul sign, or None when any decomposition vanishes."""
+    uppers = []
+    lowers_by_i = {}
+    degs_word = []   # (slot kind, degree) in source order for the reorder sign
+    split_results = []
+    for j in range(r):
+        t = tree_labs[j][1]
+        blocks = local_blocks[j]
+        dec = trees.decompose(t, blocks)
+        if dec is None:
+            return None
+        sgn_j, upper, lows = dec
+        # order-preserving relabel of lowers to standard leaves, and map each
+        # block back to its alpha-fiber index
+        bf = beta_fibers[j]
+        std_lows = []
+        for b, lt in zip(blocks, lows):
+            mapping = {x: i for i, x in enumerate(sorted(b))}
+            s2, lt2 = trees.relabel_terms(lt, mapping)
+            std_lows.append(lt2)
+        # which alpha fiber is block b? translate local positions to globals
+        glob_blocks = [tuple(sorted(bf[x] for x in b)) for b in blocks]
+        fiber_index = {}
+        for bi, gb in enumerate(glob_blocks):
+            for i in gamma_fibers[j]:
+                if tuple(sorted(alpha_fibers[i])) == gb:
+                    fiber_index[bi] = i
+                    break
+            else:
+                return None
+        # upper tree leaves are block indices ordered by min = order of
+        # gamma_fibers[j] sorted by the min of their alpha fiber...
+        # relabel upper leaves to the standard {0..len-1} along the order of
+        # the i's sorted by fiber minimum (the block order)
+        split_results.append((sgn_j, upper, std_lows, fiber_index, blocks))
+    # assemble: sign from decompositions
+    total_sign = 1
+    for sgn_j, _, _, _, _ in split_results:
+        total_sign *= sgn_j
+    # Koszul reordering: source word (after splitting, per j: upper_j then its
+    # lowers) plus a; target word: uppers in j order, then lowers in i order,
+    # then a.  Work with (name, degree) tokens.
+    tokens = []
+    upper_names = []
+    lower_names = {}
+    for j, (sgn_j, upper, std_lows, fiber_index, blocks) in \
+            enumerate(split_results):
+        udeg = trees.degree(upper)
+        uname = ("u", j)
+        upper_names.append((uname, udeg))
+        tokens.append((uname, udeg))
+        for bi, lt in enumerate(std_lows):
+            i = fiber_index[bi]
+            ldeg = trees.degree(lt)
+            lname = ("l", i)
+            lower_names[i] = (lname, ldeg, lt)
+            tokens.append((lname, ldeg))
+    tokens.append((("a",), a_degree))
+    target_tokens = list(upper_names)
+    for i in range(s):
+        lname, ldeg, _ = lower_names[i]
+        target_tokens.append((lname, ldeg))
+    target_tokens.append((("a",), a_degree))
+    sgn = _token_reorder_sign(tokens, target_tokens)
+    total_sign *= sgn
+    # build target label
+    upper_trees = tuple(("tree", sr[1]) for sr in split_results)
+    inner_trees = tuple(("tree", lower_names[i][2]) for i in range(s))
+    inner_lab = ("surj", alpha, inner_trees + (a_lab,))
+    tgt_lab = ("surj", gamma, upper_trees + (inner_lab,))
+    return F.coerce(total_sign), tgt_lab
+
+
+def _token_reorder_sign(src_tokens, tgt_tokens):
+    """Koszul sign of reordering graded tokens (name, degree)."""
+    names = [t[0] for t in src_tokens]
+    degs = {t[0]: t[1] for t in src_tokens}
+    tgt_names = [t[0] for t in tgt_tokens]
+    sign = 1
+    # bubble: count inversions between odd-degree pairs
+    posn = {x: i for i, x in enumerate(tgt_names)}
+    perm = [posn[x] for x in names]
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j] and degs[names[i]] % 2 and degs[names[j]] % 2:
+                sign = -sign
+    return sign
+
+
+def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
+                         pre_proj: ChainMap, F) -> ChainMap:
+    """strict(PreTarget) -> (+)_gamma (x T) (x) strict(W(A,s)): both are
+    quotients of PreTarget by the same subspace; map via section + blockwise
+    projection."""
+    # target: rebuild PreTarget labels with the inner W replaced by its
+    # strict orbit labels
+    inner_q = inner_model_proj.target
+    # assemble target complex: like pre.total but tensor with inner_q
+    summands = []
+    gammas = pre.gammas
+    for gamma in gammas:
+        fibers = pre.gamma_fibers[gamma]
+        factors = [pre.coop.term_complex(len(f)) for f in fibers] + [inner_q]
+        summands.append(tensor_many(factors))
+    tgt = direct_sum(summands)
+    labels = {}
+    for k in tgt.dims:
+        labs = []
+        for lab in tgt.labels[k]:
+            idx, inner_lab = lab
+            labs.append(("surj", gammas[idx], inner_lab))
+        labels[k] = tuple(labs)
+    tgt = ChainComplex(F, tgt.dims, tgt.diff, labels)
+    blockwise = slotwise_map(pre.total, tgt, inner_model_proj, slot=(2, -1))
+    return blockwise.compose(unit_section(pre_proj)), tgt
+
+
+class TopComonad:
+    """The comonad K for functors from based spaces to spectra, truncation N.
+
+    components[(r, n)] : TopComponentModel
+    delta[(r, s, n)]   : ChainMap K_r A_n -> K_r K_s A_n (model of the outer
+                         component built on the stored inner component)
+    delta_inner[(r, s, n)] : the inner TopComponentModel (K_s A_n)
+    delta_outer[(r, s, n)] : the outer TopComponentModel (K_r of it)
+    """
+
+    def __init__(self, a: SymmetricSequence, w: DegreeWindow, coop=None,
+                 build_delta=True):
+        if a.truncation > 4:
+            raise ValueError("arity bound exceeded (truncation <= 4)")
+        self.a = a
+        self.w = w
+        F = a.field
+        self.field = F
+        self.coop = coop or tree_cooperad(F, max(a.truncation, 1))
+        self.components = {}
+        self.delta = {}
+        self.delta_inner = {}
+        self.delta_outer = {}
+        self._inner_cache = {}
+        for n in a.arities():
+            term = a.term(n)
+            for r in range(1, n + 1):
+                self.components[(r, n)] = TopComponentModel(
+                    self.coop, term, r, w)
+        if build_delta:
+            for n in a.arities():
+                for s in range(1, n + 1):
+                    for r in range(1, s + 1):
+                        self._build_delta(r, s, n)
+
+    def component(self, r, n) -> TopComponentModel | None:
+        return self.components.get((r, n))
+
+    def epsilon(self, r) -> ChainMap | None:
+        comp = self.components.get((r, r))
+        if comp is None:
+            return None
+        return comp.counit_to_a()
+
+    def _build_delta(self, r, s, n):
+        comp = self.components.get((r, n))
+        if comp is None or comp.kind == "zero":
+            return
+        if s == n or s == r:
+            # collapsed inner or outer: the map is the identity on the model
+            self.delta[(r, s, n)] = ChainMap.identity(comp.value.complex)
+            self.delta_inner[(r, s, n)] = self.components.get((s, n))
+            self.delta_outer[(r, s, n)] = comp
+            return
+        # genuine case r < s < n
+        term = self.a.term(n)
+        w_wide = DegreeWindow(self.w.lo - (n + 1), self.w.hi + n + 1)
+        inner = self._inner_cache.get((s, n))
+        if inner is None:
+            inner = TopComponentModel(self.coop, term, s, w_wide)
+            if inner.kind == "windowed":
+                inner = TopComponentModel(self.coop, term, s, w_wide,
+                                          force_windowed=True,
+                                          stages=_delta_stages(self.w, term,
+                                                               self.coop, s,
+                                                               n))
+            self._inner_cache[(s, n)] = inner
+        comp2, total_map, outer = build_top_delta(
+            self.coop, term, comp, inner, r, s, self.w)
+        self.components[(r, n)] = comp2
+        self.delta[(r, s, n)] = total_map
+        self.delta_inner[(r, s, n)] = inner
+        self.delta_outer[(r, s, n)] = outer
+
+
+def _quotient_functor(src_proj: ChainMap, f: ChainMap,
+                      tgt_proj: ChainMap) -> ChainMap:
+    """Induced map on strict orbit quotients: q_tgt o f o section_src."""
+    return tgt_proj.compose(f.compose(unit_section(src_proj)))
+
+
+def _slot_inside(lab):
+    """("hG", s, gen, ("surj", gamma, trees + (w,))) ->
+    ("surj", gamma, trees + (("hG", s, gen, w),))."""
+    tag, s, gen, (_, gamma, inner) = lab
+    return ("surj", gamma, inner[:-1] + ((tag, s, gen, inner[-1]),))
+
+
+def _delta_stages(w: DegreeWindow, term: EquivariantComplex, coop, s, n):
+    """Deterministic resolution length for inner models shared across deltas:
+    long enough for any aux model at window w and the wide inner window."""
+    mindeg = term.complex.min_degree
+    return max(w.hi + n + 1 - mindeg + 2, 1) + n + 2
+
+
+def build_top_delta(coop: Cooperad, term: EquivariantComplex,
+                    comp: TopComponentModel, inner: TopComponentModel,
+                    r: int, s: int, w: DegreeWindow,
+                    outer: TopComponentModel | None = None):
+    """delta_{r,s} : K_r(term) -> K_r(inner model of K_s(term)).
+
+    Returns (possibly rebuilt source component, chain map, outer model)."""
+    F = term.field
+    n = term.group.degree
+    if s == n or s == r:
+        # collapsed inner or outer: the comultiplication is the identity
+        return comp, ChainMap.identity(comp.value.complex), comp
+    pre = _PreTarget(coop, inner.sursum, r)
+    dpre = top_delta_on_sums(coop, comp.sursum, pre)
+    if comp.kind == "strict" and inner.kind == "strict":
+        if outer is None:
+            outer = TopComponentModel(coop, inner.value, r, w)
+        pre_eq = pre.sigma_n_equivariant()
+        pre_q, pre_proj = strict_orbits(pre_eq)
+        src_map = _quotient_functor(comp.proj, dpre, pre_proj)
+        iso, tgt = _strict_quotient_iso(pre, inner.proj, pre_proj, F)
+        glue = label_map(tgt, outer.sursum.total)
+        total_map = outer.iota().compose(glue).compose(iso).compose(src_map)
+    else:
+        pre_eq = pre.sigma_n_equivariant()
+        # one resolution length per (term, w), shared by all deltas out of it
+        stages0 = max(w.hi - term.complex.min_degree + 2, 1)
+        comp = TopComponentModel(coop, term, r, w,
+                                 force_windowed=True, stages=stages0)
+        if inner.kind != "windowed":
+            inner = TopComponentModel(coop, term, s, w.expand(n + 1),
+                                      force_windowed=True)
+        if outer is None:
+            outer = TopComponentModel(coop, inner.value, r, w,
+                                      force_windowed=True)
+        aux = homotopy_orbits(pre_eq, w, tag="delta-aux", stages=stages0)
+        src_map = slotwise_map(comp.value.complex, aux.complex, dpre)
+        wout_trunc = outer.sursum.total.truncate(
+            outer.sursum.total.min_degree if outer.sursum.total.dims
+            else 0, w.hi + 1)
+        # orbit(PreTarget) -> W_outer: move the resolution slot inside the
+        # inner factor
+        reorder = label_map(aux.complex, wout_trunc, key=_slot_inside,
+                            partial=True)
+        iota_t = label_map(wout_trunc, outer.value.complex,
+                           key=lambda lab: ("hG", 0, 0, lab), partial=True)
+        total_map = iota_t.compose(reorder).compose(src_map)
+    total_map.validate()
+    return comp, total_map, outer
+
+
+def _sursum_map(src: SurjectionSum, tgt: SurjectionSum, f: ChainMap) -> ChainMap:
+    """trees (x) f on surjection sums, with the Koszul sign (-1)^{|f| |trees|}.
+    The result is not validated."""
+    def sign(lab):
+        _, alpha, inner = lab
+        treedeg = sum(src.label_degree(len(fb), tl)
+                      for fb, tl in zip(src.factors[alpha], inner[:-1]))
+        return -1 if f.degree * treedeg % 2 else 1
+    return slotwise_map(src.total, tgt.total, f, slot=(2, -1), sign=sign)
+
+
+def top_component_on_map(coop: Cooperad, src_model: TopComponentModel,
+                         tgt_model: TopComponentModel, f: ChainMap) -> ChainMap:
+    """K_r applied to an equivariant chain map f : B -> B' (any degree)."""
+    if src_model.kind == "zero" or tgt_model.kind == "zero":
+        return ChainMap.zero(src_model.value.complex, tgt_model.value.complex,
+                             f.degree)
+    if src_model.kind == "collapsed":
+        if tgt_model.kind != "collapsed":
+            raise ValueError("model kinds differ on the diagonal")
+        return f
+    wmap = _sursum_map(src_model.sursum, tgt_model.sursum, f)
+    if src_model.kind == "strict" and tgt_model.kind == "strict":
+        return _quotient_functor(src_model.proj, wmap, tgt_model.proj)
+    if src_model.kind == "windowed" and tgt_model.kind == "windowed":
+        return slotwise_map(src_model.value.complex, tgt_model.value.complex,
+                            wmap)
+    raise ValueError("mixed model kinds for K on maps: %s vs %s" %
+                     (src_model.kind, tgt_model.kind))
+
+
+# ---------------------------------------------------------------------------
+# The comonad value
+# ---------------------------------------------------------------------------
+
+
+def k_top(a: SymmetricSequence, w: DegreeWindow, coop=None) -> TopComonad:
+    """The comonad value K(A) for the based-spaces source, truncation <= 4."""
+    return TopComonad(a, w, coop=coop)
+
+
+def k_top_component(a_n: EquivariantComplex, r: int, w: DegreeWindow,
+                    coop=None) -> WindowedResult:
+    """K_r A_n for the Top comonad, as a windowed result with Sigma_r action."""
+    F = a_n.field
+    coop = coop or tree_cooperad(F, max(a_n.group.degree, 1))
+    comp = TopComponentModel(coop, a_n, r, w)
+    return WindowedResult(comp.value.complex, w, "k-top", comp.exact)

@@ -47,15 +47,6 @@ def min_leaf(t):
     return min(min_leaf(c) for c in t[1])
 
 
-def leaf_set(t):
-    if is_leaf(t):
-        return frozenset([t[1]])
-    out = frozenset()
-    for c in t[1]:
-        out |= leaf_set(c)
-    return out
-
-
 def degree(t) -> int:
     """Number of internal vertices."""
     if is_leaf(t):

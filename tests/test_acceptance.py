@@ -25,22 +25,25 @@ from tcalc.coalgebras import (
     trivial_coalgebra, validate_coalgebra,
 )
 from tcalc.comonads import (
-    KPrimeComonad, SpComponentModel, TopComonad, l3_complex, nu_component,
-    top_coassociativity_check,
+    KPrimeComonad, SpComponentModel, l3_complex, nu_component,
 )
+from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import (
     induced_from_trivial_subgroup, is_free, regular_module, tate,
     trivial_action,
 )
 from tcalc.fields import F2, QQ
+from tcalc.laws import box_product, lemma_ij_check, top_coassociativity_check
 from tcalc.operads import (
     SymmetricSequence, bar_construction, commutative_operad,
     partition_poset_nerve, spectral_lie, tree_cooperad,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
-from tcalc.tower import bk_e1, box_product, cobar, constant_cosimplicial, \
-    derived_hom, einf_dims, fat_tot, lemma_ij_check, p_n, tower_map
+from tcalc.topcomonad import TopComonad
+from tcalc.tower import (
+    cobar, constant_cosimplicial, derived_hom, fat_tot, p_n, tower_map,
+)
 
 
 def _report(num, name, ok):

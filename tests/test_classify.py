@@ -205,7 +205,7 @@ def test_mccarthy_at_arity_three():
 def test_module_hom_counts_stable_maps_between_sets():
     # Map through the strict module cobar: the stage-2 value of the stable
     # mapping functor out of Y at X counts the reduced stable maps Y -> X
-    from tcalc.classify import module_hom_tower
+    from tcalc.laws import module_hom_tower
     # Y = 2 points, X = 1 point: pointed maps [2]+ -> [1]+ form a 4-point
     # set, reduced chains have rank 3
     _, coalg = representable_module(FinitePointedSet(2), 2, F2,

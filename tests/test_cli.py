@@ -275,7 +275,7 @@ def test_unsupported_field_is_a_usage_error(tmp_path, capsys, field):
 
 
 def test_comonad_value_roundtrip():
-    from tcalc.comonads import TopComonad
+    from tcalc.topcomonad import TopComonad
     from tcalc.operads import SymmetricSequence
     from tcalc.serialize import comonad_value_roundtrip_identical
     A = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
@@ -334,7 +334,7 @@ def test_rational_matrix_round_trip(tmp_path, capsys):
 def test_pn_both_routes_build_one_cobar_builder(tmp_path, capsys,
                                                  monkeypatch, source, N,
                                                  site):
-    from tcalc import tower
+    from tcalc import spcobar, topcobar
     from tcalc.fields import QQ
     rng = random.Random(8)
     w = DegreeWindow(0, 2) if source == "sp" else DegreeWindow(0, 3)
@@ -347,7 +347,7 @@ def test_pn_both_routes_build_one_cobar_builder(tmp_path, capsys,
         assert rc == 0
         alone[route] = json.loads(out)["routes"][route]
     built = []
-    for cls in (tower.SpCobarBuilder, tower.TopCobarBuilder):
+    for cls in (spcobar.SpCobarBuilder, topcobar.TopCobarBuilder):
         def counted(self, *args, _init=cls.__init__):
             built.append(type(self).__name__)
             _init(self, *args)
@@ -358,3 +358,86 @@ def test_pn_both_routes_build_one_cobar_builder(tmp_path, capsys,
     payload = json.loads(out)
     # reusing the builder changes nothing either route reports
     assert payload["routes"] == alone and payload["routes_agree"] is True
+
+
+def test_k_top_cli(tmp_path, capsys):
+    p = write(tmp_path, "a2.json", serialize.equivariant_to_json(triv(F2, 2)))
+    # K_1 A_2 for trivial A_2 = k: Sigma_2-homotopy orbits of the tree
+    # factor T_2 = k[1], so H_*(Sigma_2; F2) shifted up by one
+    rc, out, _ = run_cli(capsys, "k-top", "--r", "1", "--window", "0:4", p)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["dims"] == {"0": 0, "1": 1, "2": 1, "3": 1, "4": 1}
+    assert (payload["n"], payload["r"], payload["exact"]) == (2, 1, False)
+    # the diagonal component collapses to A_2 itself, exactly
+    rc, out, _ = run_cli(capsys, "k-top", "--r", "2", "--window", "0:4", p)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["dims"] == {"0": 1, "1": 0, "2": 0, "3": 0, "4": 0}
+    assert payload["exact"] is True
+
+
+def test_k_sp_cli(tmp_path, capsys):
+    p = write(tmp_path, "a2.json", serialize.equivariant_to_json(triv(F2, 2)))
+    # K_1 A_2 = Tate_{Sigma_2}(k): one class in every degree over F2
+    rc, out, _ = run_cli(capsys, "k-sp", "--r", "1", "--window", "-2:2", p)
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["dims"] == {str(k): 1 for k in range(-2, 3)}
+    assert payload["window"] == [-2, 2]
+    rc, out, _ = run_cli(capsys, "k-sp", "--r", "2", "--window", "-2:2", p)
+    assert rc == 0
+    assert json.loads(out)["dims"] == {"-2": 0, "-1": 0, "0": 1, "1": 0,
+                                       "2": 0}
+
+
+@pytest.mark.parametrize("source, w", [("sp", DegreeWindow(0, 2)),
+                                       ("top", DegreeWindow(0, 3))])
+def test_derived_hom_and_bk_e1_cli_agree(tmp_path, capsys, source, w):
+    c = random_valid_coalgebra(random.Random(3), F2, source, 2, w)
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    rc, out, _ = run_cli(capsys, "derived-hom", p, p)
+    assert rc == 0
+    hom = json.loads(out)
+    assert hom["h0"] == hom["dims"]["0"] > 0
+    rc, out, _ = run_cli(capsys, "bk-e1", p, p)
+    assert rc == 0
+    page = json.loads(out)
+    assert page["d1_squared_zero"] is True
+    assert page["window"] == hom["window"]
+    # E-infinity at (s, t) sits in total degree t - s and abuts to the
+    # homology of the derived mapping complex
+    abut = {}
+    for key, dim in page["einf"].items():
+        s, t = map(int, key.split(","))
+        abut[str(t - s)] = abut.get(str(t - s), 0) + dim
+    assert abut == {k: v for k, v in hom["dims"].items() if v}
+    # E2 is a subquotient of E1, and E-infinity one of E2
+    for key, dim in page["einf"].items():
+        assert dim <= page["e2"][key] <= page["e1"][key]
+
+
+@pytest.mark.parametrize("tags", [("--group", "S9"), ("--field", "F3"),
+                                  ("--group", "S3x1"), ("--group", "S2x2"),
+                                  ("--field", "Q")])
+def test_tate_tags_must_match_the_document(tmp_path, capsys, tags):
+    p = write(tmp_path, "t.json", serialize.equivariant_to_json(triv(F2, 2)))
+    rc, out, err = run_cli(capsys, "tate", *tags, "--window", "-2:2", p)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"] == "usage" and tags[1] in report["detail"]
+
+
+def test_tate_tags_name_young_blocks(tmp_path, capsys):
+    # S3x1 names the Young group with blocks [3, 1]; the field tag is read
+    # like --field everywhere else
+    e = trivial_action(sphere(F3, 0), YoungGroup((3, 1)))
+    p = write(tmp_path, "t.json", serialize.equivariant_to_json(e))
+    rc, out, _ = run_cli(capsys, "tate", "--group", "S3x1", "--field", "F3",
+                         "--window", "-1:1", p)
+    assert rc == 0
+    assert json.loads(out)["group"] == [3, 1]
+    rc, _, err = run_cli(capsys, "tate", "--group", "S3", "--window", "-1:1",
+                         p)
+    assert rc == 2 and json.loads(err)["error"] == "usage"

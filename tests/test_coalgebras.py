@@ -10,12 +10,13 @@ from tcalc.coalgebras import (
     evaluation_pairing_check, injections, representable_module,
     trivial_coalgebra, truncate_coalgebra, validate_coalgebra,
 )
-from tcalc.comonads import k_top
 from tcalc.equivariant import is_free, trivial_action
 from tcalc.fields import F2, QQ
-from tcalc.operads import SymmetricSequence, validate_right_module
+from tcalc.laws import validate_right_module
+from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
+from tcalc.topcomonad import k_top
 
 
 def triv(F, n, deg=0, label="a"):
@@ -184,7 +185,7 @@ def test_divided_power_scaled_mismatch():
     module, coalg = representable_module(x, 2, QQ)
     scaled_action = {key: act.scale(QQ.coerce(2))
                      for key, act in module.action.items()}
-    from tcalc.operads import RightModule
+    from tcalc.cooperad import RightModule
     bad = RightModule(module.operad, module.sequence, scaled_action)
     rep = divided_power_check(coalg, module=bad)
     assert not rep["valid"]

@@ -6,18 +6,21 @@ import pytest
 
 from tcalc.chain import ChainMap, DegreeWindow, cone, direct_sum, shift, sphere
 from tcalc.comonads import (
-    KPrimeComonad, SpComonad, SpComponentModel, TopComonad, TopComponentModel,
-    counit_check, equivariant_tensor, k_sp, k_sp_component, k_top,
-    k_top_component, l3_complex, nu_component, top_coassociativity_check,
+    KPrimeComonad, SpComonad, SpComponentModel, equivariant_tensor, k_sp,
+    k_sp_component, l3_complex, nu_component,
 )
 from tcalc.equivariant import (
     induced_from_trivial_subgroup, regular_module, sign_action,
     trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
+from tcalc.laws import counit_check, top_coassociativity_check
 from tcalc.operads import SymmetricSequence, tree_cooperad
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
+from tcalc.topcomonad import (
+    TopComonad, TopComponentModel, k_top, k_top_component,
+)
 
 S1, S2, S3 = YoungGroup.full(1), YoungGroup.full(2), YoungGroup.full(3)
 
@@ -291,7 +294,7 @@ def test_sp_components_f3():
 def test_kprime_coassociativity_exact_arity4():
     # the tree cooperad's exact coassociativity driven through the strict
     # comonad over Sigma_4: both composites agree entrywise
-    from tcalc.comonads import kprime_coassociativity_check
+    from tcalc.laws import kprime_coassociativity_check
     A = SymmetricSequence(F2, 4, {4: triv(F2, 4)})
     assert kprime_coassociativity_check(A, 1, 2, 3, 4)
     from tcalc.fields import F3

@@ -4,14 +4,16 @@ module."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import tcalc
+from helpers import random_valid_coalgebra
 from tcalc import serialize
-from tcalc.chain import sphere
+from tcalc.chain import DegreeWindow, sphere
 from tcalc.equivariant import trivial_action
 from tcalc.fields import F2
 from tcalc.perms import YoungGroup
@@ -32,7 +34,8 @@ print(json.dumps([rc, sorted(
     if n.startswith("tcalc.") and type(m) is types.ModuleType)]))
 """
 
-# Every name the package exported before loading became lazy, by home module.
+# Every name the package exported before loading became lazy, by the module
+# that defines it.
 EXPORTS = {
     "chain": "ChainComplex ChainMap ChainHomotopy DegreeWindow",
     "fields": "F2 F3 QQ FieldSpec field_from_name",
@@ -41,20 +44,22 @@ EXPORTS = {
     "equivariant": "EquivariantComplex WindowedResult homotopy_fixed "
                    "homotopy_orbits is_free norm_map permutation_module "
                    "strict_fixed strict_orbits tate tensor_power",
-    "operads": "Cooperad Operad RightModule SymmetricSequence "
-               "bar_construction commutative_operad partition_poset_nerve "
-               "plethysm spectral_lie tree_cooperad validate_right_module",
-    "comonads": "KPrimeComonad module_comonad_kprime SpComonad TopComonad "
-                "counit_check k_sp k_sp_component k_top k_top_component "
-                "l3_complex nu_component",
+    "sequences": "SymmetricSequence",
+    "cooperad": "Cooperad Operad RightModule tree_cooperad",
+    "operads": "bar_construction commutative_operad partition_poset_nerve "
+               "plethysm spectral_lie",
+    "topcomonad": "TopComonad k_top k_top_component",
+    "comonads": "KPrimeComonad module_comonad_kprime SpComonad k_sp "
+                "k_sp_component l3_complex nu_component",
     "coalgebras": "FinitePointedSet TruncatedCoalgebra divided_power_check "
                   "evaluation_pairing_check representable_module "
                   "truncate_coalgebra trivial_coalgebra validate_coalgebra",
-    "tower": "CosimplicialComplex bk_e1 box_product cobar derived_hom "
-             "fat_tot lemma_ij_check p_n tower_map",
+    "tower": "CosimplicialComplex cobar derived_hom fat_tot p_n tower_map",
+    "derivedhom": "bk_e1",
     "classify": "classify_2exc_sp classify_2exc_top classify_3exc_sp "
                 "mccarthy_square_check splitting_check "
                 "validate_2exc_sp_to_top validate_2exc_top_to_top",
+    "laws": "box_product counit_check lemma_ij_check validate_right_module",
 }
 
 
@@ -93,10 +98,65 @@ def test_homology_runs_only_the_chain_layer(tmp_path):
         "cli", "serialize", "chain", "fields", "sparse"}
 
 
+# What a coalgebra job runs besides its subcommand's own modules: the
+# chain and equivariant layers, the coalgebra, and its source's comonad.
+LAYERS = {"cli", "serialize", "chain", "fields", "sparse", "perms",
+          "equivariant"}
+COALGEBRA = {
+    "sp": LAYERS | {"sequences", "coalgebras", "comonads"},
+    "top": LAYERS | {"sequences", "coalgebras", "trees", "cooperad",
+                     "topcomonad"},
+}
+
+
+@pytest.fixture
+def coalgebra_doc(tmp_path):
+    def make(source):
+        w = DegreeWindow(0, 2) if source == "sp" else DegreeWindow(0, 3)
+        c = random_valid_coalgebra(random.Random(3), F2, source, 2, w)
+        path = tmp_path / ("%s.json" % source)
+        path.write_text(serialize.dumps(serialize.coalgebra_to_json(c)))
+        return str(path)
+    return make
+
+
+@pytest.mark.parametrize("source, argv, own", [
+    ("sp", ("pn", "--n", "2", "--site", "S0"), {"tower", "spcobar"}),
+    ("top", ("pn", "--n", "2", "--site", "set:2"), {"tower", "topcobar"}),
+    ("sp", ("cobar", "--site", "S0"), {"tower", "spcobar"}),
+    ("top", ("cobar", "--site", "set:1"), {"tower", "topcobar"}),
+    ("sp", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
+    ("top", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
+    ("sp", ("check",), set()),
+    ("top", ("check",), set()),
+])
+def test_tower_jobs_run_only_their_source(tmp_path, coalgebra_doc, source,
+                                          argv, own):
+    doc = coalgebra_doc(source)
+    argv = [doc if a == "{doc}" else a for a in argv] + [doc]
+    assert _modules_run(tmp_path, *argv) == COALGEBRA[source] | own
+
+
+def test_classify_runs_only_the_equivariant_layer(tmp_path):
+    doc = {"a1": serialize.chain_to_json(sphere(F2, 0)),
+           "a2": serialize.equivariant_to_json(
+               trivial_action(sphere(F2, 0), YoungGroup.full(2)))}
+    path = tmp_path / "pair.json"
+    path.write_text(serialize.dumps(doc))
+    assert _modules_run(tmp_path, "classify", "--variant", "sp_sp_2",
+                        "--window", "-3:3", str(path)) == LAYERS | {"classify"}
+
+
+def test_k_sp_runs_no_top_module(tmp_path, s2_doc):
+    assert _modules_run(tmp_path, "k-sp", "--r", "1", "--window", "-2:2",
+                        s2_doc) == LAYERS | {"comonads"}
+
+
 def test_bar_com_runs_no_tower_module(tmp_path):
     ran = _modules_run(tmp_path, "bar-com", "--n", "3", "--field", "F2")
     assert "operads" in ran
-    assert not ran & {"comonads", "coalgebras", "tower", "classify"}
+    assert not ran & {"comonads", "topcomonad", "coalgebras", "tower",
+                      "classify", "laws"}
 
 
 def test_every_reexport_resolves_to_its_home_object():

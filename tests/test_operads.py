@@ -8,14 +8,17 @@ import pytest
 
 from tcalc.chain import DegreeWindow, sphere
 from tcalc.equivariant import trivial_action
+from tcalc.cooperad import (
+    Cooperad, Operad, RightModule, tree_cooperad, tree_equivariant,
+)
 from tcalc.fields import F2, F3, QQ
+from tcalc.laws import check_coassociativity, validate_right_module
 from tcalc.operads import (
-    BarConstruction, Cooperad, Operad, RightModule, SymmetricSequence,
-    bar_construction, check_coassociativity, commutative_operad,
-    partition_poset_nerve, plethysm, spectral_lie, tree_cooperad,
-    tree_equivariant, unit_sequence, validate_right_module, _weak_chains,
+    BarConstruction, bar_construction, commutative_operad,
+    partition_poset_nerve, plethysm, spectral_lie, _weak_chains,
 )
 from tcalc.perms import YoungGroup, refines, set_partitions
+from tcalc.sequences import SymmetricSequence, unit_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_spectral_lie_associativity_instance():
     # gamma(gamma(x; y) ; z) = gamma(x; gamma(y; z)) on a composable pattern:
     # arity pattern 2 -> (1, 2) -> ((1), (1, 1)) inside truncation 3
     from tcalc.chain import ChainMap, tensor_map, transport
-    from tcalc.operads import _flat_label, _same_map, tensor_reorder_map
+    from tcalc.laws import _flat_label, _same_map, tensor_reorder_map
     from tcalc.chain import tensor_many
     op = spectral_lie(F2, 3)
     F = F2
@@ -134,7 +137,7 @@ def test_flat_label_transport_between_tensor_nestings():
     matches the basis vectors by flattened labels, in either direction."""
     from tcalc.chain import (ChainComplex, ChainMap, tensor, tensor_many,
                              tensor_map, transport)
-    from tcalc.operads import _flat_label
+    from tcalc.laws import _flat_label
     from tcalc.sparse import SparseMatrix
     F = F3
     a = ChainComplex(F, {0: 2, 1: 1}, {1: SparseMatrix.from_rows([[1], [1]], F)},
@@ -165,7 +168,7 @@ def test_flat_label_transport_between_tensor_nestings():
 
 def test_flat_label_collision_raises():
     from tcalc.chain import ChainComplex, ChainMap, transport
-    from tcalc.operads import _flat_label
+    from tcalc.laws import _flat_label
     x, y, z = ("x",), ("y",), ("z",)
     labels = {0: (((x, y), z), (x, (y, z)))}
     k = ChainComplex(F2, {0: 2}, labels=labels)

@@ -13,16 +13,17 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, representable_module,
     trivial_coalgebra,
 )
-from tcalc.comonads import SpComponentModel
+from tcalc.comonads import SpComponentModel, sp_component_on_map
+from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
+from tcalc.laws import box_product, lemma_ij_check, simplex_cosimplicial
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
 from tcalc.tower import (
-    CosimplicialComplex, bk_e1, box_product, cobar, constant_cosimplicial,
-    derived_hom, einf_dims, fat_tot, lemma_ij_check, p_n, simplex_cosimplicial,
-    sp_component_on_map, tower_map,
+    CosimplicialComplex, cobar, constant_cosimplicial, derived_hom, fat_tot,
+    p_n, tower_map,
 )
 
 
@@ -358,7 +359,7 @@ def test_derived_hom_into_cofree_collapses():
     # certified interior
     h = hom_complex(B.term_complex(2), B.term_complex(2))
     # compare H_0 counts: hom-invariants of Sigma_2 maps mod homotopy
-    from tcalc.tower import equivariant_hom_complex
+    from tcalc.derivedhom import equivariant_hom_complex
     full, inv, incl = equivariant_hom_complex(B.term(2), B.term(2))
     assert r["h0"] == inv.homology(0)[0]
 
@@ -367,7 +368,7 @@ def test_derived_hom_h0_cross_checked_with_classify():
     # N=2 sp: H_0 of the derived mapping complex decomposes as the classify
     # count plus the diagonal contributions
     from tcalc.classify import classify_2exc_sp
-    from tcalc.tower import equivariant_hom_complex
+    from tcalc.derivedhom import equivariant_hom_complex
     w = DegreeWindow(-2, 2)
     A = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
     c = trivial_coalgebra("sp", A, w)
