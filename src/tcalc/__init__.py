@@ -10,7 +10,7 @@ Modules:
                              dual tree operad, plethysm
   topcomonad              -- the Top comonad (based spaces to spectra)
   comonads                -- the Sp comonad, K' and nu
-  coalgebras              -- coalgebra data, representables, divided powers
+  coalgebras              -- coalgebra data and its validation
   tower                   -- cosimplicial complexes, fat Tot, cobar, p_n by
                              two routes, derived hom
   topcobar, spcobar       -- the cobar levels of a Top / Sp coalgebra
@@ -19,7 +19,8 @@ Modules:
   classify                -- 2-/3-excisive classification and validators
   serialize, cli          -- JSON interchange and the batch interface
   laws                    -- law checks no subcommand runs (coassociativity,
-                             counit, right modules, box product)
+                             counit, right modules, box product), the
+                             representable modules and divided powers
 
 Loading is lazy, so a job compiles only the modules it runs.  Importing
 the package registers every module in `sys.modules` and as a package
@@ -56,12 +57,11 @@ _EXPORTS = {
         "plethysm", "spectral_lie"),
     "topcomonad": ("TopComonad", "k_top", "k_top_component"),
     "comonads": (
-        "KPrimeComonad", "module_comonad_kprime", "SpComonad", "k_sp",
-        "k_sp_component", "l3_complex", "nu_component"),
+        "KPrimeComonad", "SpComonad", "k_sp_component", "l3_complex",
+        "nu_component"),
     "coalgebras": (
-        "FinitePointedSet", "TruncatedCoalgebra", "divided_power_check",
-        "evaluation_pairing_check", "representable_module",
-        "truncate_coalgebra", "trivial_coalgebra", "validate_coalgebra"),
+        "FinitePointedSet", "TruncatedCoalgebra", "truncate_coalgebra",
+        "trivial_coalgebra", "validate_coalgebra"),
     "tower": (
         "CosimplicialComplex", "cobar", "derived_hom", "fat_tot", "p_n",
         "tower_map"),
@@ -71,7 +71,8 @@ _EXPORTS = {
         "mccarthy_square_check", "splitting_check", "validate_2exc_sp_to_top",
         "validate_2exc_top_to_top"),
     "laws": (
-        "box_product", "counit_check", "lemma_ij_check",
+        "box_product", "counit_check", "divided_power_check",
+        "evaluation_pairing_check", "lemma_ij_check", "representable_module",
         "validate_right_module"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

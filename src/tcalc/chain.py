@@ -5,7 +5,10 @@ Conventions fixed once for the whole package:
 * differentials lower degree: d_k : C_k -> C_{k-1};
 * tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy;
 * hom complex Hom(C, D)_n = prod_k Hom(C_k, D_{k+n}) with
-  (df) = d_D f - (-1)^{|f|} f d_C;
+  (df) = d_D f - (-1)^{|f|} f d_C.  Chain maps C -> D are its degree-0
+  cycles (`chain_map_space`), a homotopy from f to g is a degree-1 element
+  whose boundary is f - g (`homotopy_between`), and homotopy classes of maps
+  are its H_0 (`count_maps_mod_homotopy`);
 * dual(C)_k = Hom(C_{-k}, k) with (df)(x) = -(-1)^{|f|} f(dx);
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
 * shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
@@ -369,56 +372,17 @@ class ChainHomotopy:
 
 
 def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
-    """Solve f - g = d h + h d for h; None if no exact witness exists."""
+    """Solve f - g = d h + h d for h; None if no exact witness exists.
+
+    h is a degree-1 element of hom_complex(C, D) whose boundary is f - g:
+    in degree 1 that complex's d(h) = d_D h - (-1)^1 h d_C is d h + h d."""
     C, D = f.source, f.target
-    F = f.field
-    degs = sorted(set(C.dims) | {k - 1 for k in D.dims})
-    # unknowns: entries of h_k for each k; assemble one global linear system
-    var_index = {}
-    nvars = 0
-    for k in degs:
-        rows, cols = D.dim(k + 1), C.dim(k)
-        for i in range(rows):
-            for j in range(cols):
-                var_index[(k, i, j)] = nvars
-                nvars += 1
-    eqs = []  # (coeff dict, rhs scalar)
-    for k in degs:
-        want = f.component(k) - g.component(k)
-        rows, cols = D.dim(k), C.dim(k)
-        dd = D.d(k + 1)
-        dc = C.d(k)
-        for i in range(rows):
-            for j in range(cols):
-                coeffs = {}
-                # (d h)_ij = sum_m dd[i,m] h_k[m,j]
-                for (ii, m), v in dd.entries.items():
-                    if ii == i:
-                        coeffs[var_index[(k, m, j)]] = v
-                # (h d)_ij = sum_m h_{k-1}[i,m] dc[m,j]
-                for (m, jj), v in dc.entries.items():
-                    if jj == j and (k - 1, i, m) in var_index:
-                        idx = var_index[(k - 1, i, m)]
-                        coeffs[idx] = F.add(coeffs.get(idx, F.zero()), v)
-                rhs = want[i, j]
-                if coeffs or not F.is_zero(rhs):
-                    eqs.append((coeffs, rhs))
-    A = SparseMatrix(len(eqs), nvars, F)
-    b = {}
-    for r, (coeffs, rhs) in enumerate(eqs):
-        for c, v in coeffs.items():
-            A[r, c] = v
-        if not F.is_zero(rhs):
-            b[r] = rhs
-    x = solve(A, b)
+    h = hom_complex(C, D)
+    x = solve(h.d(1), map_to_hom_element(h, f - g))
     if x is None:
         return None
-    comps = {}
-    for (k, i, j), idx in var_index.items():
-        v = x.get(idx)
-        if v is not None and not F.is_zero(v):
-            comps.setdefault(k, SparseMatrix(D.dim(k + 1), C.dim(k), F))[i, j] = v
-    return ChainHomotopy(f, g, comps).validate()
+    hmap = hom_element_to_map(h, C, D, x, 1)
+    return ChainHomotopy(f, g, hmap.components).validate()
 
 
 def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
@@ -812,7 +776,8 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
 
 def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
                        vec: dict, degree=0) -> ChainMap:
-    """Interpret a degree-`degree` cycle of hom_complex(c, d) as a ChainMap."""
+    """Interpret a degree-`degree` element of hom_complex(c, d) as a
+    ChainMap (a chain map when the element is a cycle)."""
     F = c.field
     comps = {}
     labs = h.labels.get(degree, ())
@@ -887,103 +852,20 @@ def is_quasi_iso(f: ChainMap, w: DegreeWindow) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles (used by tests and the classify module)
+# Maps and homotopy classes read off the mapping complex
 # ---------------------------------------------------------------------------
 
 
-def chain_map_space(c: ChainComplex, d: ChainComplex, degree=0,
-                    extra_conditions=None):
-    """Basis of the space of degree-`degree` chain maps c -> d.
-
-    Returns (list of ChainMap, var layout).  extra_conditions, when given, is a
-    callable adding (coeff-dict, rhs) rows over the flat variable layout.
-    """
-    F = c.field
-    var_index = {}
-    nvars = 0
-    for k in c.support():
-        for i in range(d.dim(k + degree)):
-            for j in range(c.dim(k)):
-                var_index[(k, i, j)] = nvars
-                nvars += 1
-    eqs = []
-    sgn = F.one() if degree % 2 == 0 else F.neg(F.one())
-    for k in set(c.dims) | {k + 1 for k in c.dims}:
-        rows, cols = d.dim(k - 1 + degree), c.dim(k)
-        dd = d.diff.get(k + degree)
-        dc = c.diff.get(k)
-        for i in range(rows):
-            for j in range(cols):
-                coeffs = {}
-                if dd is not None:
-                    for (ii, m), v in dd.entries.items():
-                        if ii == i and (k, m, j) in var_index:
-                            idx = var_index[(k, m, j)]
-                            coeffs[idx] = F.add(coeffs.get(idx, F.zero()), v)
-                if dc is not None:
-                    for (m, jj), v in dc.entries.items():
-                        if jj == j and (k - 1, i, m) in var_index:
-                            idx = var_index[(k - 1, i, m)]
-                            coeffs[idx] = F.sub(coeffs.get(idx, F.zero()), F.mul(sgn, v))
-                if coeffs:
-                    eqs.append(coeffs)
-    if extra_conditions:
-        eqs.extend(extra_conditions(var_index))
-    basis = nullspace(SparseMatrix.from_sparse_rows(eqs, nvars, F))
-    maps = []
-    for vec in basis:
-        comps = {}
-        for (k, i, j), idx in var_index.items():
-            v = vec.get(idx)
-            if v is not None:
-                comps.setdefault(k, SparseMatrix(d.dim(k + degree), c.dim(k), F))[i, j] = v
-        maps.append(ChainMap(c, d, comps, degree))
-    return maps, var_index
+def chain_map_space(c: ChainComplex, d: ChainComplex):
+    """A basis of the chain maps c -> d: the degree-0 cycles of
+    hom_complex(c, d), as ChainMaps."""
+    h = hom_complex(c, d)
+    return [hom_element_to_map(h, c, d, z) for z in nullspace(h.d(0))]
 
 
 def count_maps_mod_homotopy(c: ChainComplex, d: ChainComplex) -> int:
-    """dim of (chain maps c -> d)/(homotopy-trivial maps), by brute force."""
-    F = c.field
-    maps, var_index = chain_map_space(c, d)
-    nvars = (max(var_index.values()) + 1) if var_index else 0
-    # rows spanning the nullhomotopic maps: image of h -> d h + h d on
-    # elementary homotopies E_{(k0, i0, j0)} : c_{k0} -> d_{k0+1}
-    cols = []
-    for k0 in c.support():
-        for i0 in range(d.dim(k0 + 1)):
-            for j0 in range(c.dim(k0)):
-                vec = {}
-                dd = d.diff.get(k0 + 1)
-                if dd is not None:
-                    for (i2, ii), v in dd.entries.items():
-                        if ii == i0:
-                            idx = var_index.get((k0, i2, j0))
-                            if idx is not None:
-                                vec[idx] = F.add(vec.get(idx, F.zero()), v)
-                dc = c.diff.get(k0 + 1)
-                if dc is not None:
-                    for (jj, j2), v in dc.entries.items():
-                        if jj == j0:
-                            idx = var_index.get((k0 + 1, i0, j2))
-                            if idx is not None:
-                                vec[idx] = F.add(vec.get(idx, F.zero()), v)
-                vec = {a: b for a, b in vec.items() if not F.is_zero(b)}
-                if vec:
-                    cols.append(vec)
-    null_rank = Echelon(SparseMatrix.from_sparse_rows(cols, nvars, F)).rank \
-        if cols else 0
-    all_rows = cols + [_map_to_vec(m, var_index, F) for m in maps]
-    total_rank = Echelon(SparseMatrix.from_sparse_rows(all_rows, nvars, F)).rank \
-        if all_rows else 0
-    return total_rank - null_rank
-
-
-def _map_to_vec(m: ChainMap, var_index, F):
-    vec = {}
-    for k, comp in m.components.items():
-        for (i, j), v in comp.entries.items():
-            vec[var_index[(k, i, j)]] = v
-    return vec
+    """dim of (chain maps c -> d)/(nullhomotopic maps) = dim H_0 Hom(c, d)."""
+    return hom_complex(c, d).homology(0)[0]
 
 
 def homology_coordinates(c: ChainComplex, k):

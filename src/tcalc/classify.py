@@ -13,8 +13,8 @@ from itertools import product
 from . import comonads, laws, tower
 from .chain import (
     ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
-    direct_sum, hom_complex, homology_coordinates, homotopy_between,
-    label_map, nullhomotopy, shift, shift_map,
+    direct_sum, hom_complex, homology_coordinates, label_map, nullhomotopy,
+    shift, shift_map,
 )
 from .equivariant import (
     EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
@@ -172,18 +172,11 @@ def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
                     "obstruction_dim": None}
     else:
         h = nullhomotopy(composite)
-    obstruction = _obstruction_class(composite, w)
-    valid = h is not None
-    return {"valid": valid, "obstruction_vanishes": obstruction == 0,
+    # the composite's class in H_0 of the mapping complex: zero exactly
+    # when a nullhomotopy exists
+    obstruction = 0 if h is not None else 1
+    return {"valid": h is not None, "obstruction_vanishes": obstruction == 0,
             "obstruction_dim": obstruction, "found_witness": h is not None}
-
-
-def _obstruction_class(composite: ChainMap, w: DegreeWindow) -> int:
-    """The dimension of the span of the composite's homology class in degree
-    0 of the mapping complex (0 = nullhomotopic up to the window)."""
-    h = homotopy_between(composite,
-                         ChainMap.zero(composite.source, composite.target))
-    return 0 if h is not None else 1
 
 
 def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,

@@ -1,14 +1,14 @@
 """The spectrum-to-spectrum comonad, the strict comonad K' and the
 comparison map nu.
 
-* ``k_sp`` models the spectrum-to-spectrum case at truncation <= 3 through
-  its Tate identifications: K_r A_r = A_r, K_1 A_2 = Tate_{S2}(A_2),
+* ``SpComonad`` models the spectrum-to-spectrum case at truncation <= 3
+  through its Tate identifications: K_r A_r = A_r, K_1 A_2 = Tate_{S2}(A_2),
   K_1 A_3 = Tate_{S3}(L_3 (x) A_3), and K_2 A_3 = the induced
   Sigma_2-pair of Tate_{S1xS2}(A_3).  Iterated components K_r K_s A_n with
   r < s < n are acyclic (the swap permutes the two partition summands) and
   are dropped, with the comultiplication components into them set to zero.
 
-* ``module_comonad_kprime`` is the strict comonad whose coalgebras are right
+* ``KPrimeComonad`` is the strict comonad whose coalgebras are right
   modules over the dual tree operad; ``nu`` is the comparison map from the
   Top comonad (`topcomonad`), given componentwise by the norm.  Both are
   built on the Top comonad's surjection sums, which load with them.
@@ -228,15 +228,12 @@ class SpComonad:
         return self.components.get((r, n))
 
     def epsilon(self, r) -> ChainMap | None:
+        """The counit K_r A_r -> A_r: the identity of the collapsed
+        diagonal."""
         comp = self.components.get((r, r))
         if comp is None:
             return None
         return ChainMap.identity(comp.value.complex)
-
-
-def k_sp(a: sequences.SymmetricSequence, w: DegreeWindow) -> SpComonad:
-    """The comonad value K(A) for the spectra source, truncation <= 3."""
-    return SpComonad(a, w)
 
 
 def k_sp_component(a_n: EquivariantComplex, r: int, w: DegreeWindow) -> WindowedResult:
@@ -433,17 +430,11 @@ def nu_component(top_comp: topcomonad.TopComponentModel,
             n_mat = n_mat + W_eq.action_of(g).component(k)
         comps_norm[k] = n_mat
     # factor through the quotient by a unit section, and into the invariants
-    # by a left inverse of their inclusion
-    sec = topcomonad.unit_section(proj)
-    nbar = {}
-    for k in q.dims:
-        dk = kp_comp.value.complex.dim(k)
-        x = solve_matrix(kp_comp.inclusion.component(k).transpose(),
-                         SparseMatrix.identity(dk, F)) if dk else None
-        if x is not None:
-            nbar[k] = x.transpose() * (comps_norm[k] * sec.component(k))
-    nbar_map = ChainMap(q, kp_comp.value.complex, nbar)
+    # through their inclusion (which certifies that the norm lands there)
     W = W_eq.complex
+    sec = topcomonad.unit_section(proj)
+    nbar_map = factor_through(ChainMap(W, W, comps_norm).compose(sec),
+                              kp_comp.inclusion)
     if top_comp.kind == "collapsed":
         # A_n = strict orbits of W via the collapse; invert the collapse
         # first, a |-> (id, units, a)
@@ -457,10 +448,3 @@ def nu_component(top_comp: topcomonad.TopComponentModel,
             top_comp.value.complex, W, partial=True,
             key=lambda lab: lab[3] if lab[1] == 0 else None))
     return nbar_map.compose(to_q).validate()
-
-
-def module_comonad_kprime(a: sequences.SymmetricSequence,
-                          coop=None) -> KPrimeComonad:
-    """The strict comonad whose coalgebras are right modules over the dual
-    tree operad (exact structure maps, truncation <= 4)."""
-    return KPrimeComonad(a, coop=coop)

@@ -59,10 +59,6 @@ class Cooperad:
     def field(self):
         return self.sequence.field
 
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
     def term(self, n):
         return self.sequence.term(n)
 

@@ -29,7 +29,8 @@ from .tower import (
 
 
 def equivariant_hom_complex(a, b):
-    """(strict invariants of Hom(a, b) under conjugation, inclusion).
+    """(Hom(a, b), its strict invariants under conjugation, their
+    inclusion).
 
     a, b are EquivariantComplexes over the same Young group."""
     if a.group != b.group:

@@ -88,14 +88,6 @@ class EquivariantComplex:
             action[i] = self.action_of(transposition(n, i))
         return EquivariantComplex(self.complex, subgroup, action)
 
-    def truncate(self, lo, hi) -> "EquivariantComplex":
-        c = self.complex.truncate(lo, hi)
-        action = {}
-        for i, f in self.action.items():
-            comps = {k: m for k, m in f.components.items() if lo <= k <= hi}
-            action[i] = ChainMap(c, c, comps)
-        return EquivariantComplex(c, self.group, action)
-
     def __repr__(self):
         return "EquivariantComplex(%s on %r)" % (self.group, self.complex)
 

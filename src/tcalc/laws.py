@@ -4,8 +4,10 @@ the structures the other modules build.
 Cooperad coassociativity and the right-module laws over an operad; the
 coassociativity of the Top comonad (on homology) and of K' (exactly), and
 the counit; the box product of cosimplicial complexes with the collapse
-lemma; and the strict module derived hom through K' that
-`classify.splitting_check` compares p_n with on Top sources.
+lemma; the representable modules over finite pointed sets and the
+divided-power factorization psi = nu o theta of a Top coalgebra; and the
+strict module derived hom through K' that `classify.splitting_check`
+compares p_n with on Top sources.
 """
 
 from __future__ import annotations
@@ -19,18 +21,22 @@ from .chain import (
     tensor, tensor_many, tensor_map, transport,
 )
 from .coalgebras import (
-    FinitePointedSet, psi_from_theta, representable_module, truncate_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
+    truncate_coalgebra,
 )
-from .comonads import KPrimeComonad, KPrimeComponent
-from .cooperad import Cooperad, RightModule, tree_cooperad
+from .comonads import KPrimeComonad, KPrimeComponent, nu_component
+from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
 from .derivedhom import _post_block, equivariant_hom_complex
-from .equivariant import EquivariantComplex
+from .equivariant import EquivariantComplex, permutation_module
+from .fields import FieldSpec
 from .operads import (
-    _is_unit_iso, _koszul_reorder_sign, compositions_of_bounded,
+    _is_unit_iso, _koszul_reorder_sign, compositions_of_bounded, spectral_lie,
 )
-from .perms import YoungGroup, quotient_partition, refines, restrict_partition
+from .perms import (
+    YoungGroup, quotient_partition, refines, restrict_partition, transposition,
+)
 from .sequences import SymmetricSequence
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, rank
 from .topcomonad import (
     TopComponentModel, _model_stages, _rebuild_like, _sursum_map,
     build_top_delta, top_component_on_map,
@@ -739,6 +745,207 @@ def _collapse_section(x, bx, m) -> ChainMap:
     vertex = label_map(x.levels[m], proj.source,
                        key=lambda xl: (0, (("simp", (0,)), xl)))
     return proj.compose(vertex).validate()
+
+
+# ---------------------------------------------------------------------------
+# Representable modules and the divided-power factorization
+# ---------------------------------------------------------------------------
+
+
+def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
+                         window: DegreeWindow | None = None):
+    """(RightModule, TruncatedCoalgebra) for the stable mapping functor out
+    of a finite pointed set.
+
+    M(X)_n is the dual of the permutation module on injections of
+    {0..n-1} into the non-basepoint elements of X; the module action is zero
+    in every non-unit component (the tree factors live in strictly positive
+    degrees while the module is concentrated in degree 0), and the coalgebra
+    obtained through the inverse of the norm comparison has trivial theta."""
+    if N > 4:
+        raise ValueError("N out of range (<= 4)")
+    m = x.size
+    window = window or DegreeWindow(0, 2)
+    op = spectral_lie(field, N)
+    terms = {}
+    for n in range(1, N + 1):
+        injs = injections(n, m)
+        if not injs:
+            continue
+        group = YoungGroup.full(n)
+        table = {}
+        for gi in group.generator_positions():
+            sperm = transposition(n, gi)
+            pos = {inj: i for i, inj in enumerate(injs)}
+            table[gi] = [pos[tuple(inj[sperm[i]] for i in range(n))]
+                         for inj in injs]
+        terms[n] = permutation_module(field, group,
+                                      [("minj", inj) for inj in injs], table)
+    seq = SymmetricSequence(field, N, terms)
+    # module action: unit components only
+    module = RightModule(op, seq, _unit_action(seq, op))
+    coalg = trivial_coalgebra("top", seq, window)
+    return module, coalg
+
+
+def evaluation_pairing_check(x: FinitePointedSet, r: int, field: FieldSpec):
+    """The pairing of M(X)_r against the injections module: for X = [r]_+ it
+    is an isomorphism onto a |Sigma_r|-dimensional space with the identity
+    component the canonical evaluation."""
+    m = x.size
+    injs = injections(r, m)
+    report = {"rank": 0, "identity_component_nonzero": False,
+              "target_zero": not injs}
+    if not injs:
+        return report
+    # pairing matrix: dual basis against basis = identity permutation matrix
+    pairing = SparseMatrix.identity(len(injs), field)
+    report["rank"] = rank(pairing)
+    if m == r:
+        ident = tuple(range(r))
+        report["identity_component_nonzero"] = ident in injs
+    return report
+
+
+def psi_from_theta(c: TruncatedCoalgebra):
+    """psi_{r,n} := nu o theta_{r,n} : A_r -> K'_r A_n, as chain maps."""
+    if c.source != "top":
+        raise ValueError("divided powers live on the top source")
+    K = c.komonad
+    KP = KPrimeComonad(c.sequence, coop=K.coop)
+    psi = {}
+    for n in range(1, c.truncation + 1):
+        for r in range(1, n):
+            theta = c.theta_map(r, n)
+            kp_comp = KP.component(r, n)
+            if kp_comp is None:
+                continue
+            if theta is None:
+                psi[(r, n)] = ChainMap.zero(c.sequence.term_complex(r),
+                                            kp_comp.value.complex)
+                continue
+            top_comp = K.component(r, n)
+            nu = nu_component(top_comp, kp_comp, c.window)
+            psi[(r, n)] = nu.compose(transport(theta, target=nu.source))
+    return psi, KP
+
+
+def module_from_psi(c: TruncatedCoalgebra, psi,
+                    KP: KPrimeComonad) -> RightModule:
+    """Convert psi maps (into strict invariants of the surjection sums) to
+    right-module action maps along consecutive-block surjections."""
+    op = spectral_lie(c.field, c.truncation)
+    seq = c.sequence
+    action = _unit_action(seq, op)
+    for r in seq.arities():
+        for comp in compositions_of_bounded(r, c.truncation):
+            n = sum(comp)
+            if n == r or n not in seq.terms:
+                continue
+            ps = psi.get((r, n))
+            kp_comp = KP.component(r, n)
+            if ps is None or kp_comp is None:
+                continue
+            action[(r, comp)] = _adjoint_action(
+                c, ps, kp_comp, comp, op)
+    return RightModule(op, seq, action)
+
+
+def _unit_action(seq: SymmetricSequence, op: Operad):
+    """The unit components of a right module's action: A_r (x) dI_1^{(x) r}
+    -> A_r identifies each basis vector with its A_r factor (the unit
+    factors are one-dimensional in degree 0)."""
+    return {(r, (1,) * r): label_map(
+        tensor_many([seq.term_complex(r)] + [op.term_complex(1)] * r),
+        seq.term_complex(r), key=lambda lab: lab[0])
+        for r in seq.arities()}
+
+
+def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
+                    op: Operad) -> ChainMap:
+    """A_r (x) dI_{n_1} (x) ... (x) dI_{n_r} -> A_n from
+    psi : A_r -> [(+)_alpha ((x) T) (x) A_n]^{Sigma_n}, evaluated at the
+    consecutive-blocks surjection."""
+    F = c.field
+    r = len(comp)
+    n = sum(comp)
+    a_r = c.sequence.term_complex(r)
+    a_n = c.sequence.term_complex(n)
+    duals = [op.term_complex(m) for m in comp]
+    src = tensor_many([a_r] + duals)
+    # consecutive blocks surjection alpha0
+    alpha0 = []
+    for j, mify in enumerate(comp):
+        alpha0.extend([j] * mify)
+    alpha0 = tuple(alpha0)
+    W = kp_comp.sursum.total
+    inc = kp_comp.inclusion
+    comps = {}
+    for k0 in a_r.dims:
+        pm = ps.component(k0)
+        im = inc.component(k0)
+        if pm.is_zero():
+            continue
+        big = im * pm   # A_r degree-k0 -> W degree-k0
+        for (wi, j), v in big.entries.items():
+            lab = W.labels[k0][wi]
+            _, alpha, inner = lab
+            if alpha != alpha0:
+                continue
+            tree_labs = inner[:-1]
+            an_lab = inner[-1]
+            # the source basis elements pairing with these trees
+            try:
+                t_degs = [-d.locate(("dual", t_lab))[0]
+                          for t_lab, d in zip(tree_labs, duals)]
+            except KeyError:
+                continue
+            # Koszul sign for the multi-evaluation of duals against trees
+            sgn = 1
+            for ii in range(len(t_degs)):
+                for jj in range(ii + 1, len(t_degs)):
+                    if t_degs[ii] % 2 and t_degs[jj] % 2:
+                        sgn = -sgn
+            src_lab = (a_r.labels[k0][j],) + \
+                tuple(("dual", t) for t in tree_labs)
+            try:
+                sk, spos = src.locate(src_lab)
+            except KeyError:
+                continue
+            an_i = a_n.locate(an_lab)[1]
+            m = comps.get(sk)
+            if m is None:
+                m = SparseMatrix(a_n.dim(sk), src.dim(sk), F)
+                comps[sk] = m
+            m.add_to(an_i, spos, F.mul(F.coerce(sgn), v))
+    return ChainMap(src, a_n, comps).validate()
+
+
+def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,
+                        module: RightModule | None = None):
+    """Extract psi = nu o theta, optionally compare with a given module's
+    action maps, and validate the resulting right module."""
+    if c.source != "top":
+        raise ValueError("top source required")
+    w = w or c.window
+    psi, KP = psi_from_theta(c)
+    mod = module_from_psi(c, psi, KP)
+    report = {"valid": True, "failures": [], "triangle": {}}
+    if module is not None:
+        for key, act in mod.action.items():
+            given = module.action_map(*key)
+            if given is None:
+                if not act.is_zero():
+                    report["failures"].append("extra action at %r" % (key,))
+                continue
+            if act.components != given.components:
+                report["failures"].append("action mismatch at %r" % (key,))
+    vr = validate_right_module(mod)
+    if not vr["valid"]:
+        report["failures"].extend(vr["failures"])
+    report["valid"] = not report["failures"]
+    report["module"] = mod
+    return report
 
 
 # ---------------------------------------------------------------------------

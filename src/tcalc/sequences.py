@@ -45,9 +45,6 @@ class SymmetricSequence:
         return SymmetricSequence(self.field, n,
                                  {m: t for m, t in self.terms.items() if m <= n})
 
-    def total_dim(self):
-        return sum(t.complex.total_dim() for t in self.terms.values())
-
     def __repr__(self):
         return "SymmetricSequence(N=%d, arities %s)" % (self.truncation, self.arities())
 

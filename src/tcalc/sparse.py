@@ -134,9 +134,6 @@ class SparseMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        raise TypeError("SparseMatrix is unhashable")
-
     def __repr__(self):
         return "SparseMatrix(%dx%d over %s, %d nonzero)" % (
             self.rows, self.cols, self.field.name(), len(self.entries))

@@ -3,17 +3,18 @@
 import random
 
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, chain_map_space, direct_sum, shift,
-    sphere,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, hom_element_to_map,
+    shift, sphere,
 )
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
+from tcalc.derivedhom import equivariant_hom_complex
 from tcalc.equivariant import (
     EquivariantComplex, induced_from_trivial_subgroup, regular_module,
     sign_action, trivial_action,
 )
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
-from tcalc.sparse import SparseMatrix
+from tcalc.sparse import SparseMatrix, nullspace
 
 
 def triv(F, n, deg=0, label="a"):
@@ -46,37 +47,14 @@ def random_term(rng, F, n, degs=(0, 1), label="a"):
 
 
 def equivariant_theta_space(c, r, n):
-    """Basis of Sigma_r-equivariant chain maps A_r -> K_r A_n."""
-    F = c.field
+    """Basis of Sigma_r-equivariant chain maps A_r -> K_r A_n: the degree-0
+    cycles of the invariants of Hom(A_r, K_r A_n), pushed into Hom."""
     a_r = c.sequence.term(r)
-    comp = c.komonad.component(r, n)
-    tgt = comp.value.complex
-
-    def extra(var_index):
-        eqs = []
-        for gi in YoungGroup.full(r).generator_positions():
-            act_s = a_r.action[gi]
-            act_t = comp.value.action[gi]
-            for k in a_r.complex.dims:
-                for i in range(tgt.dim(k)):
-                    for j in range(a_r.complex.dim(k)):
-                        coeffs = {}
-                        for (jj, j2), v in act_s.component(k).entries.items():
-                            if j2 == j and (k, i, jj) in var_index:
-                                idx = var_index[(k, i, jj)]
-                                coeffs[idx] = F.add(coeffs.get(idx, F.zero()),
-                                                    v)
-                        for (i2, ii), v in act_t.component(k).entries.items():
-                            if i2 == i and (k, ii, j) in var_index:
-                                idx = var_index[(k, ii, j)]
-                                coeffs[idx] = F.sub(coeffs.get(idx, F.zero()),
-                                                    v)
-                        if coeffs:
-                            eqs.append(coeffs)
-        return eqs
-
-    maps, _ = chain_map_space(a_r.complex, tgt, extra_conditions=extra)
-    return maps
+    value = c.komonad.component(r, n).value
+    h, inv, incl = equivariant_hom_complex(a_r, value)
+    return [hom_element_to_map(h, a_r.complex, value.complex,
+                               incl.component(0).apply(z))
+            for z in nullspace(inv.d(0))]
 
 
 def random_theta(c, r, n, rng, allow_zero=False):

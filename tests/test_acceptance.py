@@ -21,8 +21,8 @@ from tcalc.classify import (
     mccarthy_square_check, splitting_check,
 )
 from tcalc.coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, representable_module,
-    trivial_coalgebra, validate_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
+    validate_coalgebra,
 )
 from tcalc.comonads import (
     KPrimeComonad, SpComponentModel, l3_complex, nu_component,
@@ -33,7 +33,10 @@ from tcalc.equivariant import (
     trivial_action,
 )
 from tcalc.fields import F2, QQ
-from tcalc.laws import box_product, lemma_ij_check, top_coassociativity_check
+from tcalc.laws import (
+    box_product, lemma_ij_check, representable_module,
+    top_coassociativity_check,
+)
 from tcalc.operads import (
     SymmetricSequence, bar_construction, commutative_operad,
     partition_poset_nerve, spectral_lie, tree_cooperad,
@@ -186,7 +189,7 @@ def test_criterion_05_comonad_laws():
 # -- 6 -----------------------------------------------------------------------
 
 def test_criterion_06_divided_powers():
-    from tcalc.coalgebras import divided_power_check
+    from tcalc.laws import divided_power_check
     ok = True
     for m in (1, 2, 3):
         for N in (2, 3):

@@ -224,7 +224,7 @@ def test_block_map_matches_inclusions_and_projections():
                     kind = rng.choice(["none", "zero", "map", "map"])
                     f = None if kind == "none" else ChainMap.zero(a, b)
                     if kind == "map":
-                        for g in chain_map_space(a, b)[0]:
+                        for g in chain_map_space(a, b):
                             f = f + g.scale(rng.choice([1, -1]))
                         kind = "zero" if f.is_zero() else "nonzero"
                     blocks[(j, i)] = f
@@ -368,6 +368,30 @@ def test_homotopy_solver():
     assert h is not None
     # identity is not nullhomotopic
     assert nullhomotopy(f) is None
+
+
+def test_mapping_complex_agrees_with_kunneth():
+    # over a field H_0 Hom(C, D) = prod_k Hom(H_k C, H_k D): maps up to
+    # homotopy are counted by the homology dimensions, and two maps are
+    # homotopic exactly when they induce the same map on every H_k
+    rng = random.Random(29)
+    seen = {True: 0, False: 0}
+    for F in (F2, F3, QQ):
+        for _ in range(40):
+            c, d = random_complex(rng, F), random_complex(rng, F)
+            degs = sorted(set(c.dims) | set(d.dims))
+            assert count_maps_mod_homotopy(c, d) == sum(
+                c.homology(k)[0] * d.homology(k)[0] for k in degs)
+            maps = chain_map_space(c, d)
+            f, g = ChainMap.zero(c, d), ChainMap.zero(c, d)
+            for m in maps:
+                f = f + m.scale(F.coerce(rng.choice([0, 1, -1])))
+                g = g + m.scale(F.coerce(rng.choice([0, 1, -1])))
+            same = all(f.induced_on_homology(k) == g.induced_on_homology(k)
+                       for k in degs)
+            assert (homotopy_between(f, g) is not None) == same
+            seen[same] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_tensor_map_koszul_sign():
@@ -547,7 +571,7 @@ def test_subcomplex_matches_per_vector_solve():
             c = direct_sum([random_complex(rng, F, max_deg=3)
                             for _ in range(3)])
             f = ChainMap.zero(c, c)
-            for g in chain_map_space(c, c)[0]:
+            for g in chain_map_space(c, c):
                 if rng.random() < 0.5:
                     f = f + g.scale(rng.choice([1, -1, 2]))
             cons = {k: [f.component(k)] for k in c.support()}

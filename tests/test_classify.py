@@ -15,11 +15,11 @@ from tcalc.classify import (
     validate_2exc_top_to_top,
 )
 from tcalc.coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, representable_module,
-    trivial_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
 from tcalc.equivariant import regular_module, tate, tensor_power, trivial_action
 from tcalc.fields import F2, QQ
+from tcalc.laws import representable_module
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
 
@@ -87,13 +87,13 @@ def test_validator_sp_to_top():
     # rational: any composite has a solvable witness
     a1q, a2q = sphere(QQ, 0), triv(QQ, 2)
     sqq = tensor_power(a1q, 2)
-    maps, _ = chain_map_space(sqq.complex, shift(a2q.complex, 1))
+    maps = chain_map_space(sqq.complex, shift(a2q.complex, 1))
     mq = maps[0] if maps else ChainMap.zero(sqq.complex, shift(a2q.complex, 1))
     rq = validate_2exc_sp_to_top(a1q, a2q, mq, W)
     assert rq["valid"]
     # F2 with the canonical nonzero m: the obstruction class is nonzero
     a2b = trivial_action(sphere(F2, -1), YoungGroup.full(2))
-    maps2, _ = chain_map_space(sq.complex, shift(a2b.complex, 1))
+    maps2 = chain_map_space(sq.complex, shift(a2b.complex, 1))
     m2 = next(m for m in maps2 if not m.is_zero())
     r2 = validate_2exc_sp_to_top(a1, a2b, m2, W)
     assert not r2["valid"] and r2["obstruction_dim"] == 1
@@ -108,7 +108,7 @@ def test_validator_top_to_top():
     zero_mp = ChainMap.zero(a1, sa2)
     assert validate_2exc_top_to_top(a1, a2b, zero_m, zero_mp, W)["valid"]
     # m' = 0 with nonzero m embeds the sp->top validator
-    maps, _ = chain_map_space(sq.complex, sa2)
+    maps = chain_map_space(sq.complex, sa2)
     m = next(f for f in maps if not f.is_zero())
     r_tt = validate_2exc_top_to_top(a1, a2b, m, zero_mp, W)
     r_st = validate_2exc_sp_to_top(a1, a2b, m, W)

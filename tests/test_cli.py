@@ -296,7 +296,7 @@ def test_check_cli_flags_invalid_and_exits_1(tmp_path, capsys):
     c0 = trivial_coalgebra("top", A, w)
     from tcalc.chain import chain_map_space
     comp = c0.komonad.component(2, 3)
-    allmaps, _ = chain_map_space(A.term_complex(2), comp.value.complex)
+    allmaps = chain_map_space(A.term_complex(2), comp.value.complex)
     broken = None
     from tcalc.coalgebras import validate_coalgebra
     for m in allmaps:

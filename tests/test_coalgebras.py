@@ -4,15 +4,18 @@ import random
 
 import pytest
 
-from tcalc.chain import ChainMap, DegreeWindow, chain_map_space, sphere
+from helpers import random_theta
+from tcalc.chain import DegreeWindow, sphere
 from tcalc.coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, divided_power_check,
-    evaluation_pairing_check, injections, representable_module,
-    trivial_coalgebra, truncate_coalgebra, validate_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
+    truncate_coalgebra, validate_coalgebra,
 )
 from tcalc.equivariant import is_free, trivial_action
 from tcalc.fields import F2, QQ
-from tcalc.laws import validate_right_module
+from tcalc.laws import (
+    divided_power_check, evaluation_pairing_check, representable_module,
+    validate_right_module,
+)
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
@@ -28,50 +31,6 @@ def seq(F, terms):
     return SymmetricSequence(F, max(terms), terms)
 
 
-def random_equivariant_theta(c, r, n, rng):
-    """A random Sigma_r-equivariant chain map A_r -> K_r A_n."""
-    a_r = c.sequence.term_complex(r)
-    comp = c.komonad.component(r, n)
-    tgt = comp.value.complex
-    a_term = c.sequence.term(r)
-
-    def extra(var_index):
-        F = c.field
-        eqs = []
-        for gi in YoungGroup.full(r).generator_positions():
-            act_s = a_term.action[gi]
-            act_t = comp.value.action[gi]
-            for k in a_r.dims:
-                for i in range(tgt.dim(k)):
-                    for j in range(a_r.dim(k)):
-                        coeffs = {}
-                        # (theta o act_s - act_t o theta)[i,j] = 0
-                        for (jj, j2), v in act_s.component(k).entries.items():
-                            if j2 == j and (k, i, jj) in var_index:
-                                idx = var_index[(k, i, jj)]
-                                coeffs[idx] = F.add(coeffs.get(idx, F.zero()), v)
-                        for (i2, ii), v in act_t.component(k).entries.items():
-                            if i2 == i and (k, ii, j) in var_index:
-                                idx = var_index[(k, ii, j)]
-                                coeffs[idx] = F.sub(coeffs.get(idx, F.zero()), v)
-                        if coeffs:
-                            eqs.append(coeffs)
-        return eqs
-
-    maps, _ = chain_map_space(a_r, tgt, extra_conditions=extra)
-    if not maps:
-        return None
-    # random combination, nonzero when the space is nonzero
-    F = c.field
-    out = ChainMap.zero(a_r, tgt)
-    for m in maps:
-        if rng.random() < 0.6:
-            out = out + m
-    if out.is_zero():
-        out = maps[rng.randrange(len(maps))]
-    return out
-
-
 def test_trivial_coalgebra_valid_top():
     w = DegreeWindow(0, 3)
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3)})
@@ -85,7 +44,7 @@ def test_sp_n2_any_theta_valid():
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2)})
     rng = random.Random(5)
     c = trivial_coalgebra("sp", A, w)
-    th = random_equivariant_theta(c, 1, 2, rng)
+    th = random_theta(c, 1, 2, rng)
     assert th is not None and not th.is_zero()
     c2 = TruncatedCoalgebra("sp", A, w, {(1, 2): th}, komonad=c.komonad)
     rep = validate_coalgebra(c2)
@@ -99,7 +58,7 @@ def test_sp_n3_squares_vacuous():
     c = trivial_coalgebra("sp", A, w)
     theta = {}
     for (r, n) in ((1, 2), (1, 3), (2, 3)):
-        th = random_equivariant_theta(c, r, n, rng)
+        th = random_theta(c, r, n, rng)
         if th is not None:
             theta[(r, n)] = th
     c2 = TruncatedCoalgebra("sp", A, w, theta, komonad=c.komonad)
@@ -118,8 +77,8 @@ def test_top_n3_square_checked_and_can_fail():
     rep0 = validate_coalgebra(c0)
     assert rep0["valid"]
     rng = random.Random(11)
-    th12 = random_equivariant_theta(c0, 1, 2, rng)
-    th23 = random_equivariant_theta(c0, 2, 3, rng)
+    th12 = random_theta(c0, 1, 2, rng)
+    th23 = random_theta(c0, 2, 3, rng)
     assert th12 is not None and th23 is not None
     assert not th12.is_zero() and not th23.is_zero()
     c2 = TruncatedCoalgebra("top", A, w, {(1, 2): th12, (2, 3): th23},
@@ -196,7 +155,7 @@ def test_truncate_coalgebra():
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3)})
     rng = random.Random(13)
     c = trivial_coalgebra("top", A, w)
-    th12 = random_equivariant_theta(c, 1, 2, rng)
+    th12 = random_theta(c, 1, 2, rng)
     c2 = TruncatedCoalgebra("top", A, w, {(1, 2): th12}, komonad=c.komonad)
     t2 = truncate_coalgebra(c2, 2)
     assert t2.truncation == 2
@@ -221,7 +180,7 @@ def test_failing_witness_reported():
     from tcalc.sparse import SparseMatrix
     rng = random.Random(31)
     w = DegreeWindow(0, 4)
-    from helpers import staircase_sequence, random_theta
+    from helpers import staircase_sequence
     A = staircase_sequence(F2, 3)
     c0 = trivial_coalgebra("top", A, w)
     th12 = random_theta(c0, 1, 2, rng)
@@ -245,7 +204,7 @@ def test_nonequivariant_theta_reported():
     A = staircase_sequence(F2, 3)
     c0 = trivial_coalgebra("top", A, w)
     comp = c0.komonad.component(2, 3)
-    allmaps, _ = chain_map_space(A.term_complex(2), comp.value.complex)
+    allmaps = chain_map_space(A.term_complex(2), comp.value.complex)
     saw_invalid = False
     for m in allmaps:
         if m.is_zero():

@@ -6,7 +6,7 @@ import pytest
 
 from tcalc.chain import ChainMap, DegreeWindow, cone, direct_sum, shift, sphere
 from tcalc.comonads import (
-    KPrimeComonad, SpComonad, SpComponentModel, equivariant_tensor, k_sp,
+    KPrimeComonad, SpComonad, SpComponentModel, equivariant_tensor,
     k_sp_component, l3_complex, nu_component,
 )
 from tcalc.equivariant import (
@@ -137,6 +137,23 @@ def test_sp_free_a3_vanishing():
     assert k13.value.complex.is_acyclic(w)
     k23 = SpComponentModel(a3, 2, w)
     assert k23.value.complex.is_acyclic(w)
+
+
+def test_sp_counit_is_the_diagonal_identity():
+    # K_r A_r = A_r, so the counit is the identity of A_r; it is also part
+    # of the comonad value a document records
+    from tcalc.serialize import comonad_value_roundtrip_identical
+    w = DegreeWindow(-2, 2)
+    A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3, deg=1)})
+    K = SpComonad(A, w)
+    for r in A.arities():
+        eps = K.epsilon(r)
+        assert eps.source is A.term_complex(r)
+        assert eps.components == ChainMap.identity(eps.source).components
+    assert SpComonad(SymmetricSequence(F2, 2, {1: triv(F2, 1)}),
+                     w).epsilon(2) is None
+    assert counit_check(K, A, w)["pass"]
+    assert comonad_value_roundtrip_identical(K)
 
 
 def test_sp_n_bound():

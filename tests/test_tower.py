@@ -10,14 +10,15 @@ from tcalc.chain import (
     is_quasi_iso, sphere,
 )
 from tcalc.coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, representable_module,
-    trivial_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
 from tcalc.comonads import SpComponentModel, sp_component_on_map
 from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
-from tcalc.laws import box_product, lemma_ij_check, simplex_cosimplicial
+from tcalc.laws import (
+    box_product, lemma_ij_check, representable_module, simplex_cosimplicial,
+)
 from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
 from tcalc.sparse import SparseMatrix
