@@ -13,9 +13,12 @@ Conventions fixed once for the whole package:
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
 * shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
 * basis labels are unique within a complex, across all its degrees, and are
-  set once at construction.  Maps between complexes that share labels are
-  built by label lookup: `label_map` for the map matching two bases, and
-  `transport` for carrying a map onto label-equal complexes;
+  set once at construction.  A map is built from labels by `linear_map`,
+  which sends each source label to a signed combination of target labels;
+  `label_map` (the map matching two bases) and `transport` (a map carried
+  onto label-equal complexes) are calls of it.  A matrix is built from
+  entries by `SparseMatrix.from_entries`, which sums repeated indices and
+  canonicalizes once;
 * a subcomplex is the span of chosen independent vectors in each degree
   (`subcomplex`, returned with its inclusion), and a quotient keeps the
   coordinates that are not pivots of the echelon form of its relations
@@ -323,28 +326,21 @@ class ChainMap:
         sd, sreps, _ = self.source.homology_data(k)
         td, treps, tbnd = self.target.homology_data(k + self.degree)
         F = self.field
-        out = SparseMatrix(td, sd, F)
-        if sd == 0 or self.source.dim(k) == 0:
-            return out
-        if td == 0:
-            return out
+        if sd == 0 or td == 0 or self.source.dim(k) == 0:
+            return SparseMatrix(td, sd, F)
         # express image cycles in homology basis: solve [reps | boundaries] x = img
         ncols_t = self.target.dim(k + self.degree)
         bmat = self.target.d(k + self.degree + 1)
-        width = td + bmat.cols
-        A = SparseMatrix(ncols_t, width, F)
-        for j, z in enumerate(treps):
-            for i, v in z.items():
-                A[i, j] = v
-        for (i, j), v in bmat.entries.items():
-            A[i, td + j] = v
+        A = SparseMatrix.block(
+            {(0, 0): SparseMatrix.from_columns(treps, ncols_t, F),
+             (0, 1): bmat}, [ncols_t], [td, bmat.cols], F)
         imgs = self.component(k) * SparseMatrix.from_columns(
             sreps, self.source.dim(k), F)
         x = solve_matrix(A, imgs)
         if x is None:
             raise ArithmeticError("image of cycle is not a cycle mod boundaries")
-        out.entries = {(i, j): v for (i, j), v in x.entries.items() if i < td}
-        return out
+        return SparseMatrix.from_entries(td, sd, F, {
+            ij: v for ij, v in x.entries.items() if ij[0] < td})
 
 
 class ChainHomotopy:
@@ -447,6 +443,34 @@ def block_map(source, target, src_parts, tgt_parts, blocks) -> ChainMap:
     return ChainMap(source, target, comps)
 
 
+def linear_map(src: ChainComplex, tgt: ChainComplex, image, *, degree=0,
+               partial=False) -> ChainMap:
+    """The map of the given degree sending the basis vector of src labelled
+    lab in degree k to the sum of c * (the vector of tgt labelled t in degree
+    k + degree) over the pairs (t, c) of image(k, lab).
+
+    A target label missing from tgt raises ValueError, or is dropped when
+    partial.  Each matrix is one SparseMatrix.from_entries, so repeated
+    targets are summed and scalars canonicalized once; nothing is
+    validated."""
+    comps = {}
+    for k, labs in src.labels.items():
+        tidx = tgt.label_index(k + degree)
+        acc = {}
+        for j, lab in enumerate(labs):
+            for t, c in image(k, lab):
+                i = tidx.get(t)
+                if i is None:
+                    if partial:
+                        continue
+                    raise ValueError("label %r has no image in degree %d"
+                                     % (lab, k))
+                acc[i, j] = acc.get((i, j), 0) + c
+        comps[k] = SparseMatrix.from_entries(tgt.dim(k + degree), len(labs),
+                                             src.field, acc)
+    return ChainMap(src, tgt, comps, degree)
+
+
 def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
               partial=False) -> ChainMap:
     """The degree-0 map sending the basis vector of src labelled lab to the
@@ -454,20 +478,11 @@ def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
 
     key defaults to the identity.  A label whose image is missing from tgt
     raises ValueError, or is sent to zero when partial."""
-    F = src.field
-    one = F.one()
-    comps = {}
-    for k in src.dims:
-        tidx = tgt.label_index(k)
-        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        for j, lab in enumerate(src.labels[k]):
-            i = tidx.get(lab if key is None else key(lab))
-            if i is not None:
-                m.entries[(i, j)] = one
-            elif not partial:
-                raise ValueError("label %r has no image in degree %d" % (lab, k))
-        comps[k] = m
-    return ChainMap(src, tgt, comps)
+    if key is None:
+        return linear_map(src, tgt, lambda k, lab: ((lab, 1),),
+                          partial=partial)
+    return linear_map(src, tgt, lambda k, lab: ((key(lab), 1),),
+                      partial=partial)
 
 
 def _keyed_index(c: ChainComplex, k, key):
@@ -491,47 +506,33 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
     own.  An entry without a counterpart is dropped when partial, else it
     raises ValueError.  f itself is returned when both complexes are f's
     own.  Dropping entries can break the chain-map identity, so a partial
-    transport validates what it builds.  Entries are inserted column by
-    column of the new source when the source changes, else in f's order."""
+    transport validates what it builds.  Each column keeps f's entry order."""
     src = f.source if source is None else source
     tgt = f.target if target is None else target
-    src_changed, tgt_changed = src is not f.source, tgt is not f.target
-    if not (src_changed or tgt_changed):
+    if src is f.source and tgt is f.target:
         return f
-    if src_changed and not partial and not set(f.components) <= set(src.dims):
-        raise ValueError("f has entries in a degree the new source lacks")
-    F, d = f.field, f.degree
-    comps = {}
-    for k in (src.dims if src_changed else f.components):
-        m = f.components.get(k)
-        if m is None:
-            continue
-        entries = m.entries.items()
-        if src_changed:
-            new_idx = _keyed_index(src, k, key)
-            col = {oj: new_idx[lab] for lab, oj in
-                   _keyed_index(f.source, k, key).items() if lab in new_idx}
-            if not partial and any(oj not in col for _, oj in m.entries):
-                raise ValueError("an entry in degree %d has no source "
-                                 "counterpart" % k)
-            entries = sorted((((i, col[oj]), v) for (i, oj), v in entries
-                              if oj in col), key=lambda e: e[0][1])
-        if tgt_changed:
-            tidx = _keyed_index(tgt, k + d, key)
-            labs = f.target.labels[k + d]
-        mm = SparseMatrix(tgt.dim(k + d), src.dim(k), F)
-        for (i, j), v in entries:
-            if tgt_changed:
-                lab = labs[i]
-                i = tidx.get(lab if key is None else key(lab))
-                if i is None:
-                    if not partial:
-                        raise ValueError("target label %r has no counterpart"
-                                         % (lab,))
+    skey = key if src is not f.source else None
+    tkey = key if tgt is not f.target else None
+    d = f.degree
+    images = {}     # degree -> {key of an f.source label: [(tgt label, c)]}
+    for k, m in f.components.items():
+        cols = _keyed_index(src, k, skey)
+        _keyed_index(f.source, k, skey)     # refuse a shared key
+        rows = _keyed_index(tgt, k + d, tkey)
+        slabs, tlabs = f.source.labels[k], f.target.labels[k + d]
+        new = tgt.labels.get(k + d, ())
+        img = images[k] = {}
+        for (i, j), v in m.entries.items():
+            s = slabs[j] if skey is None else skey(slabs[j])
+            t = rows.get(tlabs[i] if tkey is None else tkey(tlabs[i]))
+            if t is None or s not in cols:
+                if partial:
                     continue
-            mm.add_to(i, j, v)
-        comps[k] = mm
-    out = ChainMap(src, tgt, comps, d)
+                raise ValueError("an entry in degree %d has no counterpart"
+                                 % k)
+            img.setdefault(s, []).append((new[t], v))
+    out = linear_map(src, tgt, lambda k, lab: images.get(k, {}).get(
+        lab if skey is None else skey(lab), ()), degree=d)
     return out.validate() if partial else out
 
 
@@ -579,9 +580,9 @@ def subcomplex(c: ChainComplex, constraints, label):
             ok = y.is_zero()
         else:
             row = free[k - 1]
-            m = SparseMatrix(below.cols, ik.cols, F)
-            m.entries = {(row[i], j): v for (i, j), v in y.entries.items()
-                         if i in row}
+            m = SparseMatrix.from_entries(below.cols, ik.cols, F, {
+                (row[i], j): v for (i, j), v in y.entries.items()
+                if i in row})
             ok = below * m == y
             diff[k] = m
         if not ok:
@@ -599,7 +600,6 @@ def quotient(c: ChainComplex, relations, label):
     echelon form, labelled label(k, j); proj and the differential of q
     reduce against the relations.  Nothing is validated."""
     F = c.field
-    one = F.one()
     dims, labels, pmats, kept = {}, {}, {}, {}
     for k in c.support():
         n = c.dim(k)
@@ -610,24 +610,16 @@ def quotient(c: ChainComplex, relations, label):
         if keep:
             dims[k] = len(keep)
             labels[k] = tuple(label(k, j) for j in keep)
-        pmat = SparseMatrix(len(keep), n, F)
-        for j in range(n):
-            red = ech.reduce_vector({j: one})
-            for t, kj in enumerate(keep):
-                v = red.get(kj)
-                if v is not None:
-                    pmat[t, j] = v
-        pmats[k], kept[k] = pmat, keep
-    diff = {}
-    for k in dims:
-        if not dims.get(k - 1):
-            continue
-        m = SparseMatrix(dims[k - 1], dims[k], F)
-        dk = c.d(k)
-        for jj, j in enumerate(kept[k]):
-            for i, v in pmats[k - 1].apply(dk.apply({j: one})).items():
-                m[i, jj] = v
-        diff[k] = m
+        # a reduced vector is zero on the pivots, so it lies on kept columns
+        pos = kept[k] = {j: t for t, j in enumerate(keep)}
+        pmats[k] = SparseMatrix.from_entries(len(keep), n, F, {
+            (pos[i], j): v for j in range(n)
+            for i, v in ech.reduce_vector({j: 1}).items()})
+    # q's differential at a kept coordinate j is proj(d e_j)
+    diff = {k: pmats[k - 1] * SparseMatrix.from_entries(
+        c.dim(k - 1), dims[k], F, {(i, kept[k][j]): v for (i, j), v in
+                                   c.d(k).entries.items() if j in kept[k]})
+        for k in dims if dims.get(k - 1)}
     q = ChainComplex(F, dims, diff, labels)
     return q, ChainMap(c, q, {k: pmats[k] for k in dims})
 
@@ -655,29 +647,22 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     """f (x) g with Koszul sign (-1)^{|g| * p} on the degree-p part of f's source."""
     src = tensor(f.source, g.source)
     tgt = tensor(f.target, g.target)
-    F = f.field
-    deg = f.degree + g.degree
-    comps = {}
-    for k in src.dims:
-        tidx = tgt.label_index(k + deg)
-        for col, (lf, lg) in enumerate(src.labels[k]):
-            p, i = f.source.locate(lf)
-            q, j = g.source.locate(lg)
-            fm = f.components.get(p)
-            gm = g.components.get(q)
-            sgn_g = F.one() if (g.degree * p) % 2 == 0 else F.neg(F.one())
-            for i2, lf2 in enumerate(f.target.labels.get(p + f.degree, ())):
-                a = fm[i2, i] if fm is not None else F.zero()
-                if F.is_zero(a):
-                    continue
-                for j2, lg2 in enumerate(g.target.labels.get(q + g.degree, ())):
-                    b = gm[j2, j] if gm is not None else F.zero()
-                    if F.is_zero(b):
-                        continue
-                    row = tidx[(lf2, lg2)]
-                    comps.setdefault(k, SparseMatrix(tgt.dim(k + deg), src.dim(k), F))
-                    comps[k].add_to(row, col, F.mul(sgn_g, F.mul(a, b)))
-    return ChainMap(src, tgt, comps, deg)
+    fl, gl = f.target.labels, g.target.labels
+    fcols = {p: m.by_column() for p, m in f.components.items()}
+    gcols = {q: m.by_column() for q, m in g.components.items()}
+
+    def image(k, lab):
+        lf, lg = lab
+        p, i = f.source.locate(lf)
+        q, j = g.source.locate(lg)
+        fcol = fcols.get(p, {}).get(i)
+        gcol = gcols.get(q, {}).get(j)
+        if not (fcol and gcol):
+            return ()
+        sgn = -1 if g.degree * p % 2 else 1
+        return [((fl[p + f.degree][i2], gl[q + g.degree][j2]), sgn * a * b)
+                for i2, a in fcol.items() for j2, b in gcol.items()]
+    return linear_map(src, tgt, image, degree=f.degree + g.degree)
 
 
 def tensor_many(complexes) -> ChainComplex:
@@ -706,23 +691,22 @@ def tensor_many(complexes) -> ChainComplex:
             for (i2, i), v in dp.entries.items():
                 cols.setdefault((p, i), []).append((i2, v))
         dcols.append(cols)
-    diff = {}
-    one = field.one()
+    acc = {k: {} for k in dims if dims.get(k - 1)}
     for (degs, idxs), (k, col) in index.items():
-        m = diff.get(k)
+        m = acc.get(k)
         if m is None:
-            if not dims.get(k - 1):
-                continue
-            m = diff[k] = SparseMatrix(dims[k - 1], dims[k], field)
+            continue
         # each (factor, row) of a column is a distinct row of the product
-        sgn = one
+        sgn = 1
         for t, pi in enumerate(zip(degs, idxs)):
             for i2, v in dcols[t].get(pi, ()):
                 _, row = index[(degs[:t] + (pi[0] - 1,) + degs[t + 1:],
                                 idxs[:t] + (i2,) + idxs[t + 1:])]
-                m.entries[(row, col)] = field.mul(sgn, v)
+                m[row, col] = sgn * v
             if pi[0] % 2 != 0:
-                sgn = field.neg(sgn)
+                sgn = -sgn
+    diff = {k: SparseMatrix.from_entries(dims[k - 1], dims[k], field, m)
+            for k, m in acc.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
     return ChainComplex(field, dims, diff, labels)
 
@@ -746,14 +730,10 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
             labels.setdefault(n, [])
             labels[n].extend(("hom", c.labels[p][i], d.labels[q][j])
                              for i in range(c.dim(p)) for j in range(d.dim(q)))
-    diff = {}
-    one = field.one()
+    acc = {n: [] for n in dims if dims.get(n - 1)}
     for (p, i, q, j), (n, col) in index.items():
         # d(f) = d_D o f - (-1)^n f o d_C ; basis element E_{(p,i),(q,j)}
-        m = diff.get(n)
-        if m is None and dims.get(n - 1):
-            m = SparseMatrix(dims[n - 1], dims[n], field)
-            diff[n] = m
+        m = acc.get(n)
         if m is None:
             continue
         dd = d.diff.get(q)
@@ -761,15 +741,16 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
             for (j2, jj), v in dd.entries.items():
                 if jj == j:
                     _, row = index[(p, i, q - 1, j2)]
-                    m.add_to(row, col, v)
+                    m.append(((row, col), v))
         dc = c.diff.get(p + 1)
         if dc is not None:
-            sgn = one if n % 2 == 0 else field.neg(one)
-            sgn = field.neg(sgn)  # -(-1)^n
+            sgn = -1 if n % 2 == 0 else 1  # -(-1)^n
             for (ii, i2), v in dc.entries.items():
                 if ii == i:
                     _, row = index[(p + 1, i2, q, j)]
-                    m.add_to(row, col, field.mul(sgn, v))
+                    m.append(((row, col), sgn * v))
+    diff = {n: SparseMatrix.from_entries(dims[n - 1], dims[n], field, m)
+            for n, m in acc.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
     return ChainComplex(field, dims, diff, labels)
 
@@ -778,16 +759,12 @@ def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
                        vec: dict, degree=0) -> ChainMap:
     """Interpret a degree-`degree` element of hom_complex(c, d) as a
     ChainMap (a chain map when the element is a cycle)."""
-    F = c.field
-    comps = {}
     labs = h.labels.get(degree, ())
+    images = {}
     for idx, v in vec.items():
         _, lc, ld = labs[idx]
-        p, i = c.locate(lc)
-        q, j = d.locate(ld)
-        comps.setdefault(p, SparseMatrix(d.dim(p + degree), c.dim(p), F))
-        comps[p].add_to(j, i, v)
-    return ChainMap(c, d, comps, degree)
+        images.setdefault(lc, []).append((ld, v))
+    return linear_map(c, d, lambda k, lab: images.get(lab, ()), degree=degree)
 
 
 def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
@@ -889,10 +866,8 @@ def homology_coordinates(c: ChainComplex, k):
     Pinv = solve_matrix(P, SparseMatrix.identity(n, F))
     if Pinv is None:
         raise ArithmeticError("adapted basis not invertible")
-    pi = SparseMatrix(h, n, F)
-    for (i, j), v in Pinv.entries.items():
-        if i < h:
-            pi[i, j] = v
+    pi = SparseMatrix.from_entries(h, n, F, {
+        ij: v for ij, v in Pinv.entries.items() if ij[0] < h})
     return pi, reps
 
 

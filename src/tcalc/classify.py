@@ -13,8 +13,8 @@ from itertools import product
 from . import comonads, laws, tower
 from .chain import (
     ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
-    direct_sum, hom_complex, homology_coordinates, label_map, nullhomotopy,
-    shift, shift_map,
+    direct_sum, hom_complex, homology_coordinates, label_map, linear_map,
+    nullhomotopy, shift, shift_map,
 )
 from .equivariant import (
     EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
@@ -114,14 +114,9 @@ def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
     pi, reps = homology_coordinates(a1, 0)
     if not reps:
         return ChainMap.zero(a1, tgt)
-    m = SparseMatrix(tgt.dim(0), a1.dim(0), F)
-    for col, z in enumerate(reps):
-        vec = _square_into_tate(z, a1, tgt, F)
-        for i, v in vec.items():
-            for (hrow, acol), pv in pi.entries.items():
-                if hrow == col:
-                    m.add_to(i, acol, F.mul(v, pv))
-    return ChainMap(a1, tgt, {0: m} if not m.is_zero() else {}).validate()
+    squares = SparseMatrix.from_columns(
+        [_square_into_tate(z, a1, tgt, F) for z in reps], tgt.dim(0), F)
+    return ChainMap(a1, tgt, {0: squares * pi}).validate()
 
 
 def _square_into_tate(z, a1, tgt, F):
@@ -185,7 +180,6 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     """Spaces-to-spaces 2-excisive data: maps m : A_1 (x) A_1 -> Sigma A_2
     and m' : A_1 -> Sigma A_2, with a homotopy between the two composites
     into Tate(Sigma A_2)."""
-    F = a1.field
     sq = tensor_power(a1, 2)
     sq_idx = comonads.SpComponentModel(sq, 1, w)
     delta = tate_diagonal_unitlike(a1, sq_idx, w)
@@ -198,7 +192,7 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
     # as a strictly invariant functional
-    lift = _invariant_lift(m_prime, sa2, fx.complex, F)
+    lift = _invariant_lift(m_prime, fx.complex)
     incl = t_sa2.fixed_part_inclusion(fx.complex)
     route1 = incl.compose(lift)
     route2 = ChainMap(route1.source, route1.target, route2.components)
@@ -216,22 +210,12 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
             "found_witness": h is not None}
 
 
-def _invariant_lift(m_prime: ChainMap, sa2: EquivariantComplex,
-                    fixed_model: ChainComplex, F) -> ChainMap:
+def _invariant_lift(m_prime: ChainMap, fixed_model: ChainComplex) -> ChainMap:
     """m' : A_1 -> Sigma A_2 with invariant image lifts to the homotopy fixed
     points as the degree-0 functional slot (carrier wrapped in sidx)."""
-    comps = {}
-    for k, mm in m_prime.components.items():
-        out = SparseMatrix(fixed_model.dim(k), m_prime.source.dim(k), F)
-        tidx = fixed_model.label_index(k)
-        for (i, j), v in mm.entries.items():
-            row = tidx.get(("hGf", 0, 0, ("sidx", (0, 0),
-                                          m_prime.target.labels[k][i])))
-            if row is not None:
-                out.add_to(row, j, v)
-        if not out.is_zero():
-            comps[k] = out
-    return ChainMap(m_prime.source, fixed_model, comps).validate()
+    return label_map(m_prime.target, fixed_model, partial=True,
+                     key=lambda lab: ("hGf", 0, 0, ("sidx", (0, 0), lab))
+                     ).compose(m_prime).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +245,7 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     # its level-1 off-diagonal slots; it is fixed under mutation, so
     # corruptions cannot be silently repaired
     homotopy_part = _canonical_square_homotopy(
-        builder, pn["complex"], corner_cx, n, F)
+        builder, pn["complex"], corner_cx, n)
     if corrupt is not None:
         f_tower, top_map, bot_map, right_map = corrupt(
             f_tower, top_map, bot_map, right_map)
@@ -351,7 +335,7 @@ def _pair_map(f1: ChainMap, f2: ChainMap) -> ChainMap:
                      {(0, 0): f1, (0, 1): f2})
 
 
-def _canonical_square_homotopy(builder, pn_tot, corner, n, F):
+def _canonical_square_homotopy(builder, pn_tot, corner, n):
     """The structural square homotopy: project a Tot element to its level-1
     coordinates in the slots (r, n), r < n, which are the corner's summands.
 
@@ -368,17 +352,14 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n, F):
         cs.levels[1], corner, parts1, [parts1[i] for i in idx],
         {(i, t): ChainMap.identity(parts1[i])
          for t, i in enumerate(idx)}).compose(inc1)
+    # the Tot vector ("tot", 1, inner) in degree k is the conormalized
+    # vector inner in degree k + 1
+    pick = linear_map(pn_tot, sub1, lambda k, lab: (
+        ((lab[2], 1),) if lab[1] == 1 else ()), degree=1, partial=True)
     out = {}
     for k in pn_tot.dims:
         deg = k + 1
-        # the Tot vector ("tot", 1, inner) in degree k is the conormalized
-        # vector inner in degree k + 1
-        idx1 = sub1.label_index(deg)
-        pick = SparseMatrix(sub1.dim(deg), pn_tot.dim(k), F)
-        for j, (_, lvl, inner) in enumerate(pn_tot.labels[k]):
-            if lvl == 1 and inner in idx1:
-                pick.entries[(idx1[inner], j)] = F.one()
-        mm = to_corner.component(deg) * pick
+        mm = to_corner.component(deg) * pick.component(k)
         if not mm.is_zero():
             # per-degree sign (-1)^{k+1}: with the Tot coface signs (-1)^j
             # the slot projection then satisfies d h + h d = right o top -

@@ -53,7 +53,8 @@ def _load_doc(path):
 
 def _decode(from_json, doc, key=None):
     """from_json(doc), or from_json(doc[key]); a document of the wrong shape
-    (a list for an object, an entry out of range) is a usage error."""
+    (a list for an object, an entry out of range or repeated) is a usage
+    error."""
     try:
         return from_json(doc if key is None else doc[key])
     except (TypeError, AttributeError, IndexError) as e:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from . import cooperad, sequences, topcomonad, trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, factor_through, label_map,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, factor_through,
+    label_map, linear_map,
 )
 from .equivariant import (
     EquivariantComplex, WindowedResult, equivariant_tensor, slotwise_map,
@@ -44,28 +45,18 @@ def l3_complex(field) -> EquivariantComplex:
     dims = {0: 1, 1: 3}
     labels = {0: (("l3", "w"),),
               1: tuple(("l3", t) for t in transpositions)}
-    d1 = SparseMatrix(1, 3, field)
-    for j in range(3):
-        d1[0, j] = field.one()
+    d1 = SparseMatrix.from_rows([[1, 1, 1]], field)
     c = ChainComplex(field, dims, {1: d1}, labels).validate()
-    pos = {t: j for j, t in enumerate(transpositions)}
-    action = {}
-    for gi in S3.generator_positions():
-        s = transposition(3, gi)
-        m0 = SparseMatrix.identity(1, field)
-        m1 = SparseMatrix(3, 3, field)
-        for j, t in enumerate(transpositions):
-            conj = compose(compose(s, t), inverse(s))
-            m1[pos[conj], j] = field.one()
-        action[gi] = ChainMap(c, c, {0: m0, 1: m1})
+
+    def conjugation(s):
+        def image(k, lab):
+            if k == 0:
+                return ((lab, 1),)
+            return ((("l3", compose(compose(s, lab[1]), inverse(s))), 1),)
+        return linear_map(c, c, image)
+    action = {gi: conjugation(transposition(3, gi))
+              for gi in S3.generator_positions()}
     return EquivariantComplex(c, S3, action).validate()
-
-
-def surjection_index_module(n, r) -> "tuple":
-    """The basis of k[Surj(n, r)]: the surjections and their positions."""
-    surjs = all_surjections(n, r)
-    pos = {a: i for i, a in enumerate(surjs)}
-    return surjs, pos
 
 
 def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex:
@@ -73,41 +64,27 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
     the index); carries the Sigma_r postcomposition action via
     ``sp_sigma_r_generator``."""
     n = a.group.degree
-    F = a.field
-    surjs, pos = surjection_index_module(n, r)
+    surjs = all_surjections(n, r)
     c = a.complex
-    dims = {k: c.dim(k) * len(surjs) for k in c.dims}
-    labels = {}
-    for k in c.dims:
-        labs = []
-        for alpha in surjs:
-            labs.extend((("sidx", alpha, lab)) for lab in c.labels[k])
-        labels[k] = tuple(labs)
-    diff = {}
-    nd = {k: c.dim(k) for k in c.dims}
-    for k in c.diff:
-        m = SparseMatrix(dims.get(k - 1, 0), dims[k], F)
-        for t in range(len(surjs)):
-            for (i, j), v in c.diff[k].entries.items():
-                m[t * c.dim(k - 1) + i, t * c.dim(k) + j] = v
-        diff[k] = m
-    total = ChainComplex(F, dims, diff, labels)
-    action = {}
-    for gi in a.group.generator_positions():
-        s = transposition(n, gi)
-        sinv = inverse(s)
-        comps = {}
-        for k in total.dims:
-            m = SparseMatrix(total.dim(k), total.dim(k), F)
-            am = a.action[gi].component(k)
-            for t, alpha in enumerate(surjs):
-                beta = tuple(alpha[sinv[i]] for i in range(n))
-                t2 = pos[beta]
-                for (i, j), v in am.entries.items():
-                    m[t2 * c.dim(k) + i, t * c.dim(k) + j] = v
-            comps[k] = m
-        action[gi] = ChainMap(total, total, comps)
-    return EquivariantComplex(total, a.group, action)
+    copies = direct_sum([c] * len(surjs))
+    total = ChainComplex(a.field, copies.dims, copies.diff, {
+        k: tuple(("sidx", surjs[t], lab) for t, lab in labs)
+        for k, labs in copies.labels.items()})
+
+    def act(gi):
+        sinv = inverse(transposition(n, gi))
+        cols = {k: m.by_column() for k, m in a.action[gi].components.items()}
+
+        def image(k, lab):
+            _, alpha, alab = lab
+            beta = tuple(alpha[sinv[i]] for i in range(n))
+            labs = c.labels[k]
+            return [(("sidx", beta, labs[i]), v)
+                    for i, v in cols.get(k, {}).get(
+                        c.label_index(k)[alab], {}).items()]
+        return linear_map(total, total, image)
+    return EquivariantComplex(total, a.group, {
+        gi: act(gi) for gi in a.group.generator_positions()})
 
 
 def sp_sigma_r_generator(value: ChainComplex, n, r, gi, field) -> ChainMap:
@@ -336,22 +313,12 @@ class KPrimeComonad:
         comp = self.components.get((r, r))
         if comp is None:
             return None
-        F = self.field
-        a = comp.a.complex
-        W = comp.sursum.total
-        eq = comp.sursum.sigma_n_action()
-        group = comp.a.group
         # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
         # the identity-bijection summand, then sum over the group to land in
         # the invariants
-        incl = label_map(a, W, key=_identity_slot(r), partial=True)
-        norm = {}
-        for k in a.dims:
-            total = SparseMatrix(W.dim(k), a.dim(k), F)
-            for g in group.elements():
-                total = total + eq.action_of(g).component(k) * incl.component(k)
-            norm[k] = total
-        return factor_through(ChainMap(a, W, norm),
+        incl = label_map(comp.a.complex, comp.sursum.total,
+                         key=_identity_slot(r), partial=True)
+        return factor_through(comp.sursum.sigma_n_action().norm().compose(incl),
                               comp.inclusion)
 
     def _build_delta(self, r, s, n):
@@ -416,25 +383,16 @@ def nu_component(top_comp: topcomonad.TopComponentModel,
                  w: DegreeWindow) -> ChainMap:
     """The comparison K_r A_n -> K'_r A_n: project the orbit model to strict
     orbits, apply the norm sum, and land in the strict invariants."""
-    F = top_comp.field
     if top_comp.kind == "zero":
         return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
     W_eq = top_comp.sursum.sigma_n_action()
     q, proj = strict_orbits(W_eq)
-    # norm: strict orbits -> strict invariants, induced by sum_g g
-    group = W_eq.group
-    comps_norm = {}
-    for k in W_eq.complex.dims:
-        n_mat = SparseMatrix(W_eq.complex.dim(k), W_eq.complex.dim(k), F)
-        for g in group.elements():
-            n_mat = n_mat + W_eq.action_of(g).component(k)
-        comps_norm[k] = n_mat
-    # factor through the quotient by a unit section, and into the invariants
-    # through their inclusion (which certifies that the norm lands there)
+    # the norm sum_g g induces strict orbits -> strict invariants: factor it
+    # through the quotient by a unit section, and into the invariants through
+    # their inclusion (which certifies that the norm lands there)
     W = W_eq.complex
     sec = topcomonad.unit_section(proj)
-    nbar_map = factor_through(ChainMap(W, W, comps_norm).compose(sec),
-                              kp_comp.inclusion)
+    nbar_map = factor_through(W_eq.norm().compose(sec), kp_comp.inclusion)
     if top_comp.kind == "collapsed":
         # A_n = strict orbits of W via the collapse; invert the collapse
         # first, a |-> (id, units, a)

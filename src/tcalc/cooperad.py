@@ -10,11 +10,10 @@ arity-wise dual, the derivatives-of-the-identity operad, is
 from __future__ import annotations
 
 from . import trees
-from .chain import ChainComplex, ChainMap, tensor_many
+from .chain import ChainComplex, ChainMap, linear_map, tensor_many
 from .equivariant import EquivariantComplex
 from .perms import YoungGroup, set_partitions
 from .sequences import SymmetricSequence
-from .sparse import SparseMatrix
 
 
 
@@ -97,52 +96,32 @@ class RightModule:
 
 def tree_complex(field, n) -> ChainComplex:
     """T(n) on the rooted-tree basis; degree = number of internal vertices."""
-    leaves = tuple(range(n))
-    basis = trees.all_trees(leaves)
-    dims, labels, pos = {}, {}, {}
-    for t in basis:
+    dims, labels = {}, {}
+    for t in trees.all_trees(tuple(range(n))):
         d = trees.degree(t)
         dims[d] = dims.get(d, 0) + 1
         labels.setdefault(d, []).append(("tree", t))
-    for d in labels:
-        for i, lab in enumerate(labels[d]):
-            pos[lab[1]] = (d, i)
-    diff = {}
-    for t in basis:
-        d = trees.degree(t)
-        if d < 2:
-            continue
-        _, col = pos[t]
-        m = diff.get(d)
-        if m is None:
-            m = SparseMatrix(dims.get(d - 1, 0), dims[d], field)
-            diff[d] = m
-        for sgn, t2 in trees.differential_terms(t):
-            _, row = pos[t2]
-            m.add_to(row, col, field.coerce(sgn))
     labels = {d: tuple(v) for d, v in labels.items()}
-    return ChainComplex(field, dims, diff, labels).validate()
+    bare = ChainComplex(field, dims, None, labels)
+    d = linear_map(bare, bare, lambda k, lab: [
+        (("tree", t2), sgn) for sgn, t2 in trees.differential_terms(lab[1])],
+        degree=-1)
+    return ChainComplex(field, dims, d.components, labels).validate()
 
 
 def tree_equivariant(field, n) -> EquivariantComplex:
     c = tree_complex(field, n)
     group = YoungGroup.full(n)
-    pos = {}
-    for d in c.dims:
-        for i, lab in enumerate(c.labels[d]):
-            pos[lab[1]] = (d, i)
-    action = {}
-    for gi in group.generator_positions():
+
+    def swap(gi):
         mapping = {x: x for x in range(n)}
         mapping[gi], mapping[gi + 1] = gi + 1, gi
-        comps = {}
-        for d in c.dims:
-            comps[d] = SparseMatrix(c.dim(d), c.dim(d), field)
-        for t, (d, col) in pos.items():
-            sgn, t2 = trees.relabel_terms(t, mapping)
-            d2, row = pos[t2]
-            comps[d].add_to(row, col, field.coerce(sgn))
-        action[gi] = ChainMap(c, c, comps)
+
+        def image(k, lab):
+            sgn, t2 = trees.relabel_terms(lab[1], mapping)
+            return ((("tree", t2), sgn),)
+        return linear_map(c, c, image)
+    action = {gi: swap(gi) for gi in group.generator_positions()}
     return EquivariantComplex(c, group, action)
 
 
@@ -153,33 +132,23 @@ def tree_cooperad(field, N) -> Cooperad:
     delta = {}
     for n in range(1, N + 1):
         src = seq.term_complex(n)
-        pos_src = {}
-        for d in src.dims:
-            for i, lab in enumerate(src.labels[d]):
-                pos_src[lab[1]] = (d, i)
         for blocks in set_partitions(list(range(n))):
             r = len(blocks)
             factors = [seq.term_complex(r)] + \
                 [seq.term_complex(len(b)) for b in blocks]
             tgt = tensor_many(factors)
-            comps = {}
-            for t, (d, col) in pos_src.items():
-                dec = trees.decompose(t, blocks)
+
+            def image(k, lab, blocks=blocks):
+                dec = trees.decompose(lab[1], blocks)
                 if dec is None:
-                    continue
+                    return ()
                 sgn, upper, lowers = dec
                 lowered = []
                 for b, lt in zip(blocks, lowers):
                     mapping = {x: i for i, x in enumerate(sorted(b))}
                     s2, lt2 = trees.relabel_terms(lt, mapping)
                     assert s2 == 1  # order-preserving relabels are sign-free
-                    lowered.append(lt2)
-                lab = (("tree", upper),) + tuple(("tree", lt) for lt in lowered)
-                row = tgt.label_index(d)[lab]
-                m = comps.get(d)
-                if m is None:
-                    m = SparseMatrix(tgt.dim(d), src.dim(d), field)
-                    comps[d] = m
-                m.add_to(row, col, field.coerce(sgn))
-            delta[(n, tuple(blocks))] = ChainMap(src, tgt, comps).validate()
+                    lowered.append(("tree", lt2))
+                return (((("tree", upper),) + tuple(lowered), sgn),)
+            delta[(n, tuple(blocks))] = linear_map(src, tgt, image).validate()
     return Cooperad(seq, delta, name="T")

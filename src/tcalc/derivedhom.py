@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from . import comonads, topcomonad
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, factor_through, hom_complex,
-    hom_element_to_map, label_map, map_to_hom_element, transport,
+    ChainMap, DegreeWindow, factor_through, hom_complex, hom_element_to_map,
+    label_map, linear_map, map_to_hom_element, subcomplex, transport,
 )
 from .coalgebras import _model_transport
 from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
@@ -35,34 +35,24 @@ def equivariant_hom_complex(a, b):
     a, b are EquivariantComplexes over the same Young group."""
     if a.group != b.group:
         raise ValueError("group mismatch in equivariant hom")
-    F = a.field
     h = hom_complex(a.complex, b.complex)
-    action = {}
-    for gi in a.group.generator_positions():
-        ga = a.action[gi]
-        gb = b.action[gi]
-        comps = {}
-        for k in h.dims:
-            mm = SparseMatrix(h.dim(k), h.dim(k), F)
-            for j, lab in enumerate(h.labels[k]):
-                _, la, lb = lab
-                # conj(E_{la -> lb}) = g_b o E o g_a^{-1}; generators are
-                # involutions so g_a^{-1} = g_a
-                ka, ia = a.complex.locate(la)
-                kb, ib = b.complex.locate(lb)
-                gam = ga.component(ka)
-                gbm = gb.component(kb)
-                for (ia2, jja), va in gam.entries.items():
-                    if jja != ia:
-                        continue
-                    for (ib2, jjb), vb in gbm.entries.items():
-                        if jjb != ib:
-                            continue
-                        new = ("hom", a.complex.labels[ka][ia2],
-                               b.complex.labels[kb][ib2])
-                        mm.add_to(h.label_index(k)[new], j, F.mul(va, vb))
-            comps[k] = mm
-        action[gi] = ChainMap(h, h, comps)
+    la, lb = a.complex.labels, b.complex.labels
+
+    def conjugation(gi):
+        # conj(E_{x -> y}) = g_b o E o g_a^{-1}; generators are involutions
+        # so g_a^{-1} = g_a
+        acols = {k: m.by_column() for k, m in a.action[gi].components.items()}
+        bcols = {k: m.by_column() for k, m in b.action[gi].components.items()}
+
+        def image(k, lab):
+            _, x, y = lab
+            ka, ia = a.complex.locate(x)
+            kb, ib = b.complex.locate(y)
+            return [(("hom", la[ka][i], lb[kb][j]), va * vb)
+                    for i, va in acols.get(ka, {}).get(ia, {}).items()
+                    for j, vb in bcols.get(kb, {}).get(ib, {}).items()]
+        return linear_map(h, h, image)
+    action = {gi: conjugation(gi) for gi in a.group.generator_positions()}
     heq = EquivariantComplex(h, a.group, action)
     inv, incl = strict_fixed(heq)
     return h, inv, incl
@@ -426,32 +416,20 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
     out = {}
     im_rank = {}
     for p in range(D + 2):
-        # subcomplex of tot spanned by labels with level >= p
-        keep = {}
-        for k in tot.dims:
-            idx = [i for i, lab in enumerate(tot.labels[k]) if lab[1] >= p]
-            keep[k] = idx
-        dims = {k: len(v) for k, v in keep.items() if v}
-        labels = {k: tuple(tot.labels[k][i] for i in keep[k]) for k in dims}
-        diff = {}
-        for k in dims:
-            if not dims.get(k - 1):
-                continue
-            pos_t = {i: t for t, i in enumerate(keep[k - 1])}
-            m = SparseMatrix(dims[k - 1], dims[k], F)
-            dk = tot.d(k)
-            for c2, i in enumerate(keep[k]):
-                for (r2, jj), v in dk.entries.items():
-                    if jj == i and r2 in pos_t:
-                        m[pos_t[r2], c2] = v
-            diff[k] = m
-        sub = ChainComplex(F, dims, diff, labels)
+        # the subcomplex of tot spanned by the labels with level >= p: the
+        # joint kernel of the coordinates of the lower levels
+        constraints = {}
+        for k, labs in tot.labels.items():
+            low = [i for i, lab in enumerate(labs) if lab[1] < p]
+            constraints[k] = [SparseMatrix.from_entries(
+                len(low), len(labs), F, {(t, i): 1 for t, i in enumerate(low)})]
+        sub, incl = subcomplex(tot, constraints, lambda k, i: ("F", p, k, i))
         # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
         # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
         for k in w.degrees():
             if p > D + 1:
                 continue
-            zc = [z for z in _cycles(sub, k, keep)]
+            zc = [incl.component(k).apply(z) for z in nullspace(sub.d(k))]
             bnd = Echelon(tot.d(k + 1).transpose())
             rows = list(bnd.pivot_rows)
             base = len(rows)
@@ -462,16 +440,4 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
             d = im_rank.get((s, k), 0) - im_rank.get((s + 1, k), 0)
             if d:
                 out[(s, k + s)] = d
-    return out
-
-
-def _cycles(sub, k, keep):
-    """Cycles of the subcomplex, written in the ambient coordinates."""
-    if sub.dim(k) == 0:
-        return []
-    zs = nullspace(sub.d(k))
-    amb = keep[k]
-    out = []
-    for z in zs:
-        out.append({amb[i]: v for i, v in z.items()})
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    quotient, subcomplex, tensor, tensor_many, tensor_map,
+    linear_map, quotient, subcomplex, tensor, tensor_many, tensor_map,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
@@ -78,6 +78,14 @@ class EquivariantComplex:
             self._cache[p] = got
         return got
 
+    def norm(self) -> ChainMap:
+        """The norm sum_g g of the action, a map of the complex to itself."""
+        maps = [self.action_of(g) for g in self.group.elements()]
+        return ChainMap(self.complex, self.complex, {
+            k: SparseMatrix.from_entries(n, n, self.field, (
+                e for f in maps for e in f.component(k).entries.items()))
+            for k, n in self.complex.dims.items()})
+
     def restrict(self, subgroup: YoungGroup) -> "EquivariantComplex":
         """Restrict along a Young subgroup whose blocks refine this group's."""
         if subgroup.degree != self.group.degree:
@@ -129,12 +137,10 @@ def permutation_module(field, group: YoungGroup, labels, action_table,
         images = action_table[i]
         if sorted(images) != list(range(n)):
             raise ValueError("invalid action table for generator %d" % i)
-        m = SparseMatrix(n, n, field)
-        for j, img in enumerate(images):
-            s = field.one()
-            if signs and i in signs:
-                s = field.coerce(signs[i][j])
-            m[img, j] = s
+        s = signs.get(i) if signs else None
+        m = SparseMatrix.from_entries(n, n, field, {
+            (img, j): 1 if s is None else field.coerce(s[j])
+            for j, img in enumerate(images)})
         act[i] = ChainMap(c, c, {degree: m})
     return EquivariantComplex(c, group, act).validate()
 
@@ -158,20 +164,14 @@ def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
         raise ValueError("tensor power needs n >= 1")
     group = YoungGroup.full(n)
     t = tensor_many([x] * n)
-    F = x.field
-    action = {}
-    for gi in group.generator_positions():
-        m_by_deg = {}
-        for k in t.dims:
-            m = SparseMatrix(t.dim(k), t.dim(k), F)
-            for col, lab in enumerate(t.labels[k]):
-                swapped = lab[:gi] + (lab[gi + 1], lab[gi]) + lab[gi + 2:]
-                row = t.label_index(k)[swapped]
-                d1, d2 = x.locate(lab[gi])[0], x.locate(lab[gi + 1])[0]
-                s = F.one() if (d1 * d2) % 2 == 0 else F.neg(F.one())
-                m[row, col] = s
-            m_by_deg[k] = m
-        action[gi] = ChainMap(t, t, m_by_deg)
+
+    def swap(gi):
+        def image(k, lab):
+            d1, d2 = x.locate(lab[gi])[0], x.locate(lab[gi + 1])[0]
+            return (((lab[:gi] + (lab[gi + 1], lab[gi]) + lab[gi + 2:]),
+                     -1 if d1 * d2 % 2 else 1),)
+        return linear_map(t, t, image)
+    action = {gi: swap(gi) for gi in group.generator_positions()}
     return EquivariantComplex(t, group, action).validate()
 
 
@@ -252,12 +252,9 @@ class GroupResolution:
         self._mult = [[self.pos[compose(h, g)] for g in self.elements]
                       for h in self.elements]
         self.ranks = [1]
-        aug = SparseMatrix(1, self.order, field)
-        one = field.one()
-        for j in range(self.order):
-            aug[0, j] = one
-        self.diffs = [aug]
-        self.boundaries = [[{0: one}]]
+        self.diffs = [SparseMatrix.from_entries(
+            1, self.order, field, {(0, j): 1 for j in range(self.order)})]
+        self.boundaries = [[{0: 1}]]
 
     def stage_dim(self, s):
         return self.ranks[s] * self.order
@@ -349,16 +346,10 @@ def is_free(a: EquivariantComplex) -> bool:
             continue
         f = a.action_of(g)
         for k in a.complex.support():
-            m = f.component(k)
-            cols = {}
-            for (i, j), v in m.entries.items():
-                cols.setdefault(j, []).append((i, v))
+            cols = f.component(k).by_column()
             for j in range(a.complex.dim(k)):
-                hits = cols.get(j, [])
-                if len(hits) != 1:
-                    return False
-                i, _ = hits[0]
-                if i == j:
+                col = cols.get(j, {})
+                if len(col) != 1 or j in col:
                     return False
     return True
 
@@ -425,20 +416,17 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
                 dims[tot] = dims.get(tot, 0) + c.dim(k)
                 labels.setdefault(tot, []).extend(
                     (name, s, gen, lab) for lab in c.labels[k])
-    diff = {t: SparseMatrix(dims[t - 1], dims[t], F)
-            for t in dims if dims.get(t - 1)}
+    acc = {t: [] for t in dims if dims.get(t - 1)}
 
     def put(src, tgt, mat, coef):
         tot, col = blocks[src]
         row = blocks[tgt][1]
-        m = diff[tot]
-        for (i, j), v in mat.entries.items():
-            m.add_to(row + i, col + j, F.mul(coef, v))
+        acc[tot].extend(((row + i, col + j), coef * v)
+                        for (i, j), v in mat.entries.items())
 
-    one = F.one()
     for (s, gen, k) in blocks:
         if k in c.diff and (s, gen, k - 1) in blocks:
-            put((s, gen, k), (s, gen, k - 1), c.diff[k], one)
+            put((s, gen, k), (s, gen, k - 1), c.diff[k], 1)
     for t in range(1, stages + 1):
         for gen, bd in enumerate(res.boundaries[t]):
             for i, coef in bd.items():
@@ -453,7 +441,9 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
                         odd = (k + t) % 2
                     if src in blocks and tgt in blocks:
                         put(src, tgt, a.action_of(h).component(k),
-                            F.neg(coef) if odd else coef)
+                            -coef if odd else coef)
+    diff = {t: SparseMatrix.from_entries(dims[t - 1], dims[t], F, m)
+            for t, m in acc.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
     out = ChainComplex(F, dims, diff, labels).validate()
     return WindowedResult(out, w, tag)
@@ -473,26 +463,19 @@ def slotwise_map(src_model: ChainComplex, tgt_model: ChainComplex,
     label without the slot raises ValueError.  The result is not
     validated."""
     path = (slot,) if isinstance(slot, int) else tuple(slot)
-    F, d = f.field, f.degree
-    comps = {}
-    for k in src_model.dims:
-        tidx = tgt_model.label_index(k + d)
-        for col, lab in enumerate(src_model.labels[k]):
-            wk, wi = f.source.locate(_slot_value(lab, path))
-            neg = sign is not None and sign(lab) < 0
-            for (i2, jj), v in f.component(wk).entries.items():
-                if jj != wi:
-                    continue
-                row = tidx.get(_with_slot(lab, path,
-                                          f.target.labels[wk + d][i2]))
-                if row is None:
-                    continue
-                m = comps.get(k)
-                if m is None:
-                    m = SparseMatrix(tgt_model.dim(k + d), src_model.dim(k), F)
-                    comps[k] = m
-                m.add_to(row, col, F.neg(v) if neg else v)
-    return ChainMap(src_model, tgt_model, comps, d)
+    d = f.degree
+    cols = {k: m.by_column() for k, m in f.components.items()}
+
+    def image(k, lab):
+        wk, wi = f.source.locate(_slot_value(lab, path))
+        col = cols.get(wk, {}).get(wi)
+        if not col:
+            return ()
+        neg = sign is not None and sign(lab) < 0
+        tlabs = f.target.labels[wk + d]
+        return [(_with_slot(lab, path, tlabs[i]), -v if neg else v)
+                for i, v in col.items()]
+    return linear_map(src_model, tgt_model, image, degree=d, partial=True)
 
 
 def _slot_value(lab, path):
@@ -515,7 +498,6 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
              orbits: WindowedResult | None = None,
              fixed: WindowedResult | None = None) -> ChainMap:
     """Chain-level norm: orbit model -> strict orbits -> N -> invariants -> fixed model."""
-    F = a.field
     if orbits is None:
         orbits = homotopy_orbits(a, w)
     if fixed is None:
@@ -523,42 +505,18 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
     if orbits.window != fixed.window:
         raise ValueError("window mismatch between orbit and fixed models")
     c = a.complex
-    src, tgt = orbits.complex, fixed.complex
-    # norm on the underlying complex: x -> sum_g g.x
-    comps = {}
-    for k in c.support():
-        n = c.dim(k)
-        if n == 0:
-            continue
-        nm = SparseMatrix(n, n, F)
-        for g in a.group.elements():
-            nm = nm + a.action_of(g).component(k)
-        comps[k] = nm
-    # assemble: src (s=0 part, identity-coset) --aug--> A --N--> A --coaug--> tgt
-    out_comps = {}
-    for k in src.dims:
-        if k not in tgt.dims:
-            continue
-        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        nm = comps.get(k)
-        if nm is None:
-            continue
-        a_idx = c.label_index(k)
-        tidx = tgt.label_index(k)
-        for col, lab in enumerate(src.labels[k]):
-            _, s, gen, alab = lab
-            if s != 0:
-                continue
-            i = a_idx[alab]
-            # N(e_i) expressed in A, then placed in the s=0 slot of the target
-            for (i2, jj), v in nm.entries.items():
-                if jj == i:
-                    row = tidx.get(("hGf", 0, 0, c.labels[k][i2]))
-                    if row is not None:
-                        m.add_to(row, col, v)
-        if not m.is_zero():
-            out_comps[k] = m
-    return ChainMap(src, tgt, out_comps).validate()
+    cols = {k: m.by_column() for k, m in a.norm().components.items()}
+
+    # src (s=0 part, identity-coset) --aug--> A --N--> A --coaug--> tgt
+    def image(k, lab):
+        _, s, _, alab = lab
+        col = cols.get(k, {}).get(c.label_index(k)[alab]) if s == 0 else None
+        if not col:
+            return ()
+        labs = c.labels[k]
+        return [(("hGf", 0, 0, labs[i]), v) for i, v in col.items()]
+    return linear_map(orbits.complex, fixed.complex, image,
+                      partial=True).validate()
 
 
 def tate(a: EquivariantComplex, w: DegreeWindow, extra_stages: int = 0,

@@ -17,8 +17,8 @@ from itertools import product as _iterprod
 
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, homotopy_between, is_quasi_iso, label_map, quotient,
-    tensor, tensor_many, tensor_map, transport,
+    factor_through, homotopy_between, is_quasi_iso, label_map, linear_map,
+    quotient, tensor, tensor_many, tensor_map, transport,
 )
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
@@ -59,18 +59,12 @@ def tensor_reorder_map(factors, perm, field) -> ChainMap:
         inv[v] = i
     tgt_factors = [factors[inv[j]] for j in range(len(perm))]
     tgt = tensor_many(tgt_factors)
-    comps = {}
-    for k in src.dims:
-        m = SparseMatrix(tgt.dim(k), src.dim(k), field)
-        for col, lab in enumerate(src.labels[k]):
-            degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
-            sgn = _koszul_reorder_sign(field, degs, perm)
-            new_lab = [None] * len(lab)
-            for i, l in enumerate(lab):
-                new_lab[perm[i]] = l
-            m.add_to(tgt.label_index(k)[tuple(new_lab)], col, sgn)
-        comps[k] = m
-    return ChainMap(src, tgt, comps)
+
+    def image(k, lab):
+        degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
+        return ((tuple(lab[inv[j]] for j in range(len(lab))),
+                 _koszul_reorder_sign(field, degs, perm)),)
+    return linear_map(src, tgt, image)
 
 
 def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
@@ -624,56 +618,37 @@ def _kept_coordinates(q, total) -> ChainMap:
 def simplex_cosimplicial(field, levels: int) -> CosimplicialComplex:
     """m |-> normalized chains of the m-simplex (basis: nonempty subsets)."""
     lvls = []
-    subset_pos = []
     for m in range(levels + 1):
         dims, labels = {}, {}
-        pos = {}
         for j in range(m + 1):
             subs = list(combinations(range(m + 1), j + 1))
             dims[j] = len(subs)
             labels[j] = tuple(("simp", s) for s in subs)
-            for i, s in enumerate(subs):
-                pos[s] = (j, i)
-        diff = {}
-        for j in range(1, m + 1):
-            mm = SparseMatrix(dims[j - 1], dims[j], field)
-            for col, lab in enumerate(labels[j]):
-                s = lab[1]
-                for t in range(len(s)):
-                    face = s[:t] + s[t + 1:]
-                    sgn = field.one() if t % 2 == 0 else field.neg(field.one())
-                    mm.add_to(pos[face][1], col, sgn)
-            diff[j] = mm
-        lvls.append(ChainComplex(field, dims, diff, labels))
-        subset_pos.append(pos)
+        # d(s) = sum_t (-1)^t (s without its t-th vertex)
+        bare = ChainComplex(field, dims, None, labels)
+        d = linear_map(bare, bare, lambda k, lab: [
+            (("simp", lab[1][:t] + lab[1][t + 1:]), -1 if t % 2 else 1)
+            for t in range(len(lab[1]))], degree=-1, partial=True)
+        lvls.append(ChainComplex(field, dims, d.components, labels))
+
+    def simplicial(src, tgt, vertex_map):
+        """The map of normalized chains induced by a monotone vertex map: a
+        simplex whose image repeats a vertex is degenerate and dies."""
+        def image(k, lab):
+            img = [vertex_map(v) for v in lab[1]]
+            if len(set(img)) != len(img):
+                return ()
+            return ((("simp", tuple(sorted(img))), 1),)
+        return linear_map(src, tgt, image)
     cofaces, codegens = {}, {}
     for m in range(levels):
         for i in range(m + 2):
-            def dmap(v, i=i):
-                return v if v < i else v + 1
-            comps = {}
-            for j in lvls[m].dims:
-                mm = SparseMatrix(lvls[m + 1].dim(j), lvls[m].dim(j), field)
-                for col, lab in enumerate(lvls[m].labels[j]):
-                    s = tuple(sorted(dmap(v) for v in lab[1]))
-                    mm[subset_pos[m + 1][s][1], col] = field.one()
-                comps[j] = mm
-            cofaces[(m, i)] = ChainMap(lvls[m], lvls[m + 1], comps)
+            cofaces[(m, i)] = simplicial(
+                lvls[m], lvls[m + 1], lambda v, i=i: v if v < i else v + 1)
     for m in range(1, levels + 1):
         for j in range(m):
-            def smap(v, j=j):
-                return v if v <= j else v - 1
-            comps = {}
-            for jj in lvls[m].dims:
-                mm = SparseMatrix(lvls[m - 1].dim(jj), lvls[m].dim(jj), field)
-                for col, lab in enumerate(lvls[m].labels[jj]):
-                    img = [smap(v) for v in lab[1]]
-                    if len(set(img)) != len(img):
-                        continue  # degenerate: dies in normalized chains
-                    s = tuple(sorted(img))
-                    mm[subset_pos[m - 1][s][1], col] = field.one()
-                comps[jj] = mm
-            codegens[(m, j)] = ChainMap(lvls[m], lvls[m - 1], comps)
+            codegens[(m, j)] = simplicial(
+                lvls[m], lvls[m - 1], lambda v, j=j: v if v <= j else v - 1)
     return CosimplicialComplex(lvls, cofaces, codegens,
                                degenerate_above=0).validate()
 
@@ -866,7 +841,6 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
     """A_r (x) dI_{n_1} (x) ... (x) dI_{n_r} -> A_n from
     psi : A_r -> [(+)_alpha ((x) T) (x) A_n]^{Sigma_n}, evaluated at the
     consecutive-blocks surjection."""
-    F = c.field
     r = len(comp)
     n = sum(comp)
     a_r = c.sequence.term_complex(r)
@@ -880,7 +854,7 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
     alpha0 = tuple(alpha0)
     W = kp_comp.sursum.total
     inc = kp_comp.inclusion
-    comps = {}
+    images = {}
     for k0 in a_r.dims:
         pm = ps.component(k0)
         im = inc.component(k0)
@@ -908,17 +882,8 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
                         sgn = -sgn
             src_lab = (a_r.labels[k0][j],) + \
                 tuple(("dual", t) for t in tree_labs)
-            try:
-                sk, spos = src.locate(src_lab)
-            except KeyError:
-                continue
-            an_i = a_n.locate(an_lab)[1]
-            m = comps.get(sk)
-            if m is None:
-                m = SparseMatrix(a_n.dim(sk), src.dim(sk), F)
-                comps[sk] = m
-            m.add_to(an_i, spos, F.mul(F.coerce(sgn), v))
-    return ChainMap(src, a_n, comps).validate()
+            images.setdefault(src_lab, []).append((an_lab, sgn * v))
+    return linear_map(src, a_n, lambda k, lab: images.get(lab, ())).validate()
 
 
 def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,

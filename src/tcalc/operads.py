@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product as _iterprod
 
 from .chain import (
-    ChainComplex, ChainMap, direct_sum, dual, sphere, tensor_many,
+    ChainComplex, ChainMap, direct_sum, dual, linear_map, sphere, tensor_many,
 )
 from .cooperad import Operad, tree_cooperad
 from .equivariant import EquivariantComplex, trivial_action
@@ -74,58 +74,36 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
             summands.append((part, tensor_many(factors), factors))
         if not summands:
             continue
-        total = direct_sum([c for _, c, _ in summands])
-        relabeled = {}
-        offset_of = {}
-        for idx, (part, c, _) in enumerate(summands):
-            offset_of[part] = idx
-        # index: (summand idx, degree, position) -> global position
-        pos = {}
-        for k in total.dims:
-            for i, lab in enumerate(total.labels[k]):
-                idx, inner = lab
-                pos[(idx, k, inner)] = i
-        # build the Sigma_n action on generators
-        action = {}
+        summed = direct_sum([c for _, c, _ in summands])
+        parts = [part for part, _, _ in summands]
+        total = ChainComplex(F, summed.dims, summed.diff, {
+            k: tuple(("pleth", parts[idx], inner) for idx, inner in labs)
+            for k, labs in summed.labels.items()})
+        factors_of = {part: factors for part, _, factors in summands}
         group = YoungGroup.full(n)
-        for gi in group.generator_positions():
-            s = transposition(n, gi)
-            comps = {}
-            for k in total.dims:
-                m = SparseMatrix(total.dim(k), total.dim(k), F)
-                comps[k] = m
-            for idx, (part, c, factors) in enumerate(summands):
-                tgt_part = apply_perm_to_partition(s, part)
-                tgt_idx = offset_of[tgt_part]
+
+        def act(s):
+            # A_r gets tau, block i gets its inner permutation, and the
+            # b-factors are reordered along tau
+            moves = {}
+            for part in parts:
                 tau, inner_perms = _perm_of_blocks(s, part)
-                a_r = a.term(len(part))
-                b_terms = [b.term(len(blk)) for blk in part]
-                # map on the tensor factors: A_r gets tau, block i gets inner perm
-                a_map = a_r.action_of(tuple(tau))
-                b_maps = [bt.action_of(tuple(ip))
-                          for bt, ip in zip(b_terms, inner_perms)]
-                for k in c.dims:
-                    for col, lab in enumerate(c.labels[k]):
-                        # lab = (a_lab, b_lab_1, ..., b_lab_r) in summand order
-                        srcpos = pos[(idx, k, lab)]
-                        image = _plethysm_image(
-                            F, lab, factors, a_map, b_maps, tau)
-                        for (tgt_lab, deg2), v in image.items():
-                            tgtpos = pos[(tgt_idx, k, tgt_lab)]
-                            comps[k].add_to(tgtpos, srcpos, v)
-            action[gi] = ChainMap(total, total, comps)
-        new_labels = {}
-        for k in total.dims:
-            labs = []
-            for lab in total.labels[k]:
-                idx, inner = lab
-                part = summands[idx][0]
-                labs.append(("pleth", part, inner))
-            new_labels[k] = tuple(labs)
-        total2 = ChainComplex(F, total.dims, total.diff, new_labels)
-        action2 = {gi: ChainMap(total2, total2, f.components)
-                   for gi, f in action.items()}
-        out_terms[n] = EquivariantComplex(total2, group, action2)
+                b_maps = [b.term(len(blk)).action_of(tuple(ip))
+                          for blk, ip in zip(part, inner_perms)]
+                moves[part] = (apply_perm_to_partition(s, part),
+                               a.term(len(part)).action_of(tuple(tau)),
+                               b_maps, tau)
+
+            def image(k, lab):
+                _, part, inner = lab
+                tgt_part, a_map, b_maps, tau = moves[part]
+                return [(("pleth", tgt_part, tl), v) for (tl, _), v in
+                        _plethysm_image(F, inner, factors_of[part], a_map,
+                                        b_maps, tau).items()]
+            return linear_map(total, total, image)
+        out_terms[n] = EquivariantComplex(total, group, {
+            gi: act(transposition(n, gi))
+            for gi in group.generator_positions()})
     return SymmetricSequence(F, N, out_terms)
 
 
@@ -204,9 +182,8 @@ def commutative_operad(field, N) -> Operad:
             src = tensor_many([seq.term_complex(r)] +
                               [seq.term_complex(m) for m in comp])
             tgt = seq.term_complex(n)
-            m = SparseMatrix(1, 1, field)
-            m[0, 0] = field.one()
-            gamma[(r, comp)] = ChainMap(src, tgt, {0: m})
+            gamma[(r, comp)] = ChainMap(
+                src, tgt, {0: SparseMatrix.identity(1, field)})
     return Operad(seq, gamma, name="Com")
 
 
@@ -304,78 +281,51 @@ class BarConstruction:
                              labels={0: tuple(("bar", ch) for ch in chains)}
                              if chains else None)
             self.levels[(s, n)] = c
-        # face maps
+        # face maps: d_i composes around the partition at position i of the
+        # full chain (top,) + ch + (bot,); at level 1 the chain () goes to
+        # level 0 only when n == 1
         for s in range(1, self.max_level + 1):
             src = self.levels[(s, n)]
             tgt = self.levels[(s - 1, n)]
-            src_chains = chains_by_level[s]
-            tgt_pos = {ch: i for i, ch in enumerate(chains_by_level[s - 1])}
             for i in range(0, s + 1):
-                m = SparseMatrix(tgt.dim(0), src.dim(0), F)
-                for col, ch in enumerate(src_chains):
+                def image(k, lab, s=s, i=i):
+                    ch = lab[1]
                     full = (top,) + ch + (bot,)
-                    # d_i composes around the partition at position i
-                    if i == 0:
-                        if full[1] == top:
-                            new = ch[1:] if s >= 2 else ()
-                            if s == 1:
-                                # chain () at level 1 -> level 0 requires n == 1
-                                if n == 1:
-                                    m.add_to(tgt_pos[()], col, F.one())
-                                continue
-                            m.add_to(tgt_pos[new], col, F.one())
-                    elif i == s:
-                        if full[s - 1] == bot:
-                            if s == 1:
-                                if n == 1:
-                                    m.add_to(tgt_pos[()], col, F.one())
-                                continue
-                            new = ch[:-1]
-                            m.add_to(tgt_pos[new], col, F.one())
+                    if i == 0 or i == s:
+                        if full[1 if i == 0 else s - 1] != (top if i == 0
+                                                            else bot):
+                            return ()
+                        if s == 1:
+                            return (((("bar", ()), 1),) if n == 1 else ())
+                        new = ch[1:] if i == 0 else ch[:-1]
                     else:
                         new = ch[:i - 1] + ch[i:]
-                        m.add_to(tgt_pos[new], col, F.one())
-                self.faces[(s, i, n)] = ChainMap(
-                    src, tgt, {0: m} if not m.is_zero() else {})
-        # degeneracy maps
+                    return ((("bar", new), 1),)
+                self.faces[(s, i, n)] = linear_map(src, tgt, image)
+        # degeneracy maps: the level-s full chain (P_0, ..., P_s); for s = 0
+        # it is the single entry (top,), which forces n = 1
         for s in range(0, self.max_level):
             src = self.levels[(s, n)]
             tgt = self.levels[(s + 1, n)]
-            src_chains = chains_by_level[s]
-            tgt_pos = {ch: i for i, ch in enumerate(chains_by_level[s + 1])}
             for j in range(0, s + 1):
-                m = SparseMatrix(tgt.dim(0), src.dim(0), F)
-                for col, ch in enumerate(src_chains):
-                    # level-s full chain (P_0, ..., P_s); for s = 0 it is the
-                    # single entry (top,), which forces n = 1
-                    full = (top,) + ch + (bot,) if s >= 1 else (top,)
-                    new = (full[:j + 1] + (full[j],) + full[j + 1:])[1:-1]
-                    m.add_to(tgt_pos[new], col, F.one())
-                self.degens[(s, j, n)] = ChainMap(
-                    src, tgt, {0: m} if not m.is_zero() else {})
-        # normalized complex: strict chains, degree = level
-        dims, labels, pos = {}, {}, {}
+                def image(k, lab, s=s, j=j):
+                    full = (top,) + lab[1] + (bot,) if s >= 1 else (top,)
+                    return ((("bar", (full[:j + 1] + (full[j],)
+                                      + full[j + 1:])[1:-1]), 1),)
+                self.degens[(s, j, n)] = linear_map(src, tgt, image)
+        # normalized complex: strict chains, degree = level; interior
+        # deletions only, and their results stay strict
+        dims, labels = {}, {}
         for s in range(0, self.max_level + 1):
             strict = [ch for ch in chains_by_level[s] if _is_strict(ch, n, s)]
             if strict:
                 dims[s] = len(strict)
                 labels[s] = tuple(("bar", ch) for ch in strict)
-                pos[s] = {ch: i for i, ch in enumerate(strict)}
-        diff = {}
-        for s in sorted(dims):
-            if not dims.get(s - 1):
-                continue
-            m = SparseMatrix(dims[s - 1], dims[s], F)
-            for col, (_, ch) in enumerate(labels[s]):
-                # interior deletions only; results stay strict
-                for i in range(1, s):
-                    new = ch[:i - 1] + ch[i:]
-                    sgn = F.one() if i % 2 == 0 else F.neg(F.one())
-                    row = pos[s - 1].get(new)
-                    if row is not None:
-                        m.add_to(row, col, sgn)
-            diff[s] = m
-        self.normalized[n] = ChainComplex(F, dims, diff, labels)
+        bare = ChainComplex(F, dims, None, labels)
+        d = linear_map(bare, bare, lambda k, lab: [
+            (("bar", lab[1][:i - 1] + lab[1][i:]), -1 if i % 2 else 1)
+            for i in range(1, k)], degree=-1, partial=True)
+        self.normalized[n] = ChainComplex(F, dims, d.components, labels)
 
     def simplicial_identities_hold(self) -> bool:
         for n in range(1, self.truncation + 1):
@@ -460,7 +410,7 @@ def spectral_lie(field, N) -> Operad:
                 gamma[(r, comp)] = _dualize_decomposition(
                     dmap, [seq.term_complex(r)] +
                     [seq.term_complex(m) for m in comp],
-                    dual_complexes[n], field)
+                    dual_complexes[n])
     op = Operad(seq, gamma, name="spectral-lie")
     _validate_operad_units(op)
     return op
@@ -475,7 +425,7 @@ def _consecutive_blocks(comp):
     return tuple(blocks)
 
 
-def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target, field):
+def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target):
     """gamma := dual of a decomposition map, with Koszul evaluation signs.
 
     dmap : T(n) -> T(r) (x) T(b_1) (x) ... ; the result maps
@@ -483,38 +433,24 @@ def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target, field):
     gamma[t*, (x_0*, ..., x_r*)] = (-1)^{sum_{i<j} |x_i||x_j|} delta[x_., t].
     """
     src = tensor_many(dual_factors)
-    F = field
-    # positions of dual labels: dual label = ("dual", original)
-    tgt_pos = {}
-    for k in dual_target.dims:
-        for i, lab in enumerate(dual_target.labels[k]):
-            tgt_pos[lab[1]] = (k, i)
-    # decode dmap target labels (tuples of originals) and source labels
-    comps = {}
-    for k, m in dmap.components.items():
-        for (row, col), v in m.entries.items():
-            xlab = dmap.target.labels[k][row]      # tuple of tree labels
-            tlab = dmap.source.labels[k][col]      # ("tree", t)
-            # degrees of the x factors
-            degs = []
-            for fl, fc in zip(xlab, _undual(dual_factors)):
-                degs.append(fc[fl])
-            sgn = 1
-            for i in range(len(degs)):
-                for j in range(i + 1, len(degs)):
-                    if degs[i] % 2 and degs[j] % 2:
-                        sgn = -sgn
-            # source basis position in tensor of duals
-            dual_lab = tuple(("dual", l) for l in xlab)
-            sk, spos = src.locate(dual_lab)
-            tk, tpos = tgt_pos[tlab]
-            mm = comps.get(sk)
-            if mm is None:
-                mm = SparseMatrix(dual_target.dim(sk), src.dim(sk), F)
-                comps[sk] = mm
-            val = F.mul(F.coerce(sgn), v)
-            mm.add_to(tpos, spos, val)
-    return ChainMap(src, dual_target, comps).validate()
+    degs = _undual(dual_factors)
+    # the rows of dmap, from the target side
+    rows = {k: m.transpose().by_column() for k, m in dmap.components.items()}
+
+    def image(k, lab):
+        xlab = tuple(l for _, l in lab)     # a tuple of tree labels
+        row = rows.get(-k, {}).get(dmap.target.label_index(-k).get(xlab))
+        if not row:
+            return ()
+        dk = [fc[fl] for fl, fc in zip(xlab, degs)]
+        sgn = 1
+        for i in range(len(dk)):
+            for j in range(i + 1, len(dk)):
+                if dk[i] % 2 and dk[j] % 2:
+                    sgn = -sgn
+        tlabs = dmap.source.labels[-k]
+        return [(("dual", tlabs[col]), sgn * v) for col, v in row.items()]
+    return linear_map(src, dual_target, image).validate()
 
 
 def _undual(dual_factors):
@@ -597,39 +533,19 @@ def partition_poset_nerve(field, n):
         if sims:
             dims[j] = len(sims)
             labels[j] = tuple(("simplex", s) for s in sims)
-    pos = {}
-    for j in dims:
-        for i, lab in enumerate(labels[j]):
-            pos[lab[1]] = (j, i)
-    diff = {}
-    for j in dims:
-        if j == 0 or not dims.get(j - 1):
-            continue
-        m = SparseMatrix(dims[j - 1], dims[j], field)
-        for col, lab in enumerate(labels[j]):
-            ch = lab[1]
-            for i in range(len(ch)):
-                face = ch[:i] + ch[i + 1:]
-                sgn = field.one() if i % 2 == 0 else field.neg(field.one())
-                _, row = pos[face]
-                m.add_to(row, col, sgn)
-        diff[j] = m
+    bare = ChainComplex(field, dims, None, labels)
+    d = linear_map(bare, bare, lambda k, lab: [
+        (("simplex", lab[1][:i] + lab[1][i + 1:]), -1 if i % 2 else 1)
+        for i in range(len(lab[1]))], degree=-1, partial=True)
+    diff = d.components
     nerve = ChainComplex(field, dims, diff, labels).validate()
     group = YoungGroup.full(n)
-    action = {}
-    for gi in group.generator_positions():
-        s = transposition(n, gi)
-        comps = {}
-        for j in nerve.dims:
-            m = SparseMatrix(nerve.dim(j), nerve.dim(j), field)
-            for col, lab in enumerate(nerve.labels[j]):
-                ch = lab[1]
-                newch = tuple(apply_perm_to_partition(s, p) for p in ch)
-                _, row = pos[newch]
-                m.add_to(row, col, field.one())
-            comps[j] = m
-        action[gi] = ChainMap(nerve, nerve, comps)
-    nerve_eq = EquivariantComplex(nerve, group, action)
+
+    def act(s):
+        return linear_map(nerve, nerve, lambda k, lab: ((("simplex", tuple(
+            apply_perm_to_partition(s, p) for p in lab[1])), 1),))
+    nerve_eq = EquivariantComplex(nerve, group, {
+        gi: act(transposition(n, gi)) for gi in group.generator_positions()})
     # comparison complex: reduced chains shifted up by 2
     rdims = {j + 2: d for j, d in dims.items()}
     rdims[1] = 1  # the empty simplex in reduced degree -1, shifted to 1
@@ -637,9 +553,6 @@ def partition_poset_nerve(field, n):
     rlabels[1] = (("simplex", ()),)
     rdiff = {j + 2: m for j, m in diff.items()}
     if dims.get(0):
-        m = SparseMatrix(1, dims[0], field)
-        for col in range(dims[0]):
-            m[0, col] = field.one()
-        rdiff[2] = m
+        rdiff[2] = SparseMatrix.from_rows([[1] * dims[0]], field)
     comparison = ChainComplex(field, rdims, rdiff, rlabels).validate()
     return nerve_eq, comparison

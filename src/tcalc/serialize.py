@@ -42,10 +42,14 @@ def matrix_to_json(m: SparseMatrix):
 
 
 def matrix_from_json(doc, rows, cols, field) -> SparseMatrix:
-    m = SparseMatrix(rows, cols, field)
+    """The matrix of [row, col, scalar] triples; an index outside the shape
+    or repeated raises IndexError."""
+    acc = {}
     for r, c, v in doc:
-        m[r, c] = field.parse_scalar(v)
-    return m
+        if (r, c) in acc:
+            raise IndexError("entry %r repeats" % ((r, c),))
+        acc[r, c] = field.parse_scalar(v)
+    return SparseMatrix.from_entries(rows, cols, field, acc)
 
 
 def chain_to_json(c: ChainComplex):

@@ -20,6 +20,7 @@ once, which yields the unique reduced row echelon form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .fields import FieldSpec
@@ -28,54 +29,68 @@ from .fields import FieldSpec
 class SparseMatrix:
     __slots__ = ("rows", "cols", "field", "entries")
 
-    def __init__(self, rows: int, cols: int, field: FieldSpec, entries=None):
+    def __init__(self, rows: int, cols: int, field: FieldSpec):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows = rows
         self.cols = cols
         self.field = field
         self.entries = {}
-        if entries:
-            for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
-                self[i, j] = v
 
     # -- construction -------------------------------------------------------
 
     @classmethod
+    def from_entries(cls, rows, cols, field, acc):
+        """The rows x cols matrix with the entries acc: a dict {(i, j):
+        scalar}, or an iterable of ((i, j), scalar) pairs whose repeated
+        indices are summed.  Each entry is brought to canonical form once
+        (an int stays an int over Q, and is reduced by % p over F_p) and
+        zeros are dropped; an index outside the shape raises IndexError.
+        This is the one way to build a matrix from entries."""
+        if not isinstance(acc, dict):
+            pairs, acc = acc, {}
+            for ij, v in pairs:
+                acc[ij] = acc.get(ij, 0) + v
+        for ij in acc:
+            i, j = ij
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError("entry %r out of range for %dx%d"
+                                 % (ij, rows, cols))
+        m = cls(rows, cols, field)
+        p = field.p
+        coerce = field.coerce
+        if p:
+            m.entries = {ij: r for ij, v in acc.items()
+                         if (r := v % p if v.__class__ is int else coerce(v))}
+        else:
+            m.entries = {ij: v if v.__class__ is int else coerce(v)
+                         for ij, v in acc.items() if v}
+        return m
+
+    @classmethod
     def identity(cls, n, field):
         m = cls(n, n, field)
-        one = field.one()
-        for i in range(n):
-            m.entries[(i, i)] = one
+        m.entries = {(i, i): 1 for i in range(n)}
         return m
 
     @classmethod
     def from_rows(cls, rows_list, field):
-        r = len(rows_list)
         c = len(rows_list[0]) if rows_list else 0
-        m = cls(r, c, field)
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
+        return cls.from_entries(len(rows_list), c, field, {
+            (i, j): v for i, row in enumerate(rows_list)
+            for j, v in enumerate(row)})
 
     @classmethod
     def from_sparse_rows(cls, rows, cols, field):
         """The matrix whose r-th row is the sparse vector rows[r] ({col: scalar})."""
-        m = cls(len(rows), cols, field)
-        for r, vec in enumerate(rows):
-            for j, v in vec.items():
-                m[r, j] = v
-        return m
+        return cls.from_entries(len(rows), cols, field, {
+            (r, j): v for r, vec in enumerate(rows) for j, v in vec.items()})
 
     @classmethod
     def from_columns(cls, columns, rows, field):
         """The matrix whose j-th column is the sparse vector columns[j]."""
-        m = cls(rows, len(columns), field)
-        for j, vec in enumerate(columns):
-            for i, v in vec.items():
-                m[i, j] = v
-        return m
+        return cls.from_entries(rows, len(columns), field, {
+            (i, j): v for j, vec in enumerate(columns) for i, v in vec.items()})
 
     @classmethod
     def vstack(cls, mats):
@@ -83,44 +98,26 @@ class SparseMatrix:
         cols, field = mats[0].cols, mats[0].field
         if any(m.cols != cols or m.field != field for m in mats):
             raise ValueError("vstack needs equal column counts and fields")
-        out = cls(sum(m.rows for m in mats), cols, field)
-        off = 0
-        for m in mats:
-            for (i, j), v in m.entries.items():
-                out.entries[(off + i, j)] = v
-            off += m.rows
-        return out
+        return cls.block({(i, 0): m for i, m in enumerate(mats)},
+                         [m.rows for m in mats], [cols], field)
 
-    def nonzero_columns(self):
-        """The nonzero columns, left to right, as {row: scalar} vectors."""
+    def by_column(self):
+        """{column: {row: scalar}} over the nonzero columns, each column's
+        entries in stored order."""
         cols = {}
         for (i, j), v in self.entries.items():
             cols.setdefault(j, {})[i] = v
-        return [cols[j] for j in sorted(cols)]
+        return cols
 
-    def copy(self):
-        m = SparseMatrix(self.rows, self.cols, self.field)
-        m.entries = dict(self.entries)
-        return m
+    def nonzero_columns(self):
+        """The nonzero columns, left to right, as {row: scalar} vectors."""
+        cols = self.by_column()
+        return [cols[j] for j in sorted(cols)]
 
     # -- entry access ---------------------------------------------------------
 
     def __getitem__(self, ij):
         return self.entries.get(ij, self.field.zero())
-
-    def __setitem__(self, ij, v):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry %r out of range for %dx%d" % (ij, self.rows, self.cols))
-        v = self.field.coerce(v)
-        if self.field.is_zero(v):
-            self.entries.pop(ij, None)
-        else:
-            self.entries[ij] = v
-
-    def add_to(self, i, j, v):
-        cur = self.entries.get((i, j), self.field.zero())
-        self[i, j] = self.field.add(cur, v)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -142,18 +139,16 @@ class SparseMatrix:
 
     def __add__(self, other):
         self._check_shape(other)
-        m = self.copy()
-        for ij, v in other.entries.items():
-            m.add_to(ij[0], ij[1], v)
-        return m
+        return SparseMatrix.from_entries(
+            self.rows, self.cols, self.field,
+            chain(self.entries.items(), other.entries.items()))
 
     def __sub__(self, other):
         self._check_shape(other)
-        m = self.copy()
-        F = self.field
-        for ij, v in other.entries.items():
-            m.add_to(ij[0], ij[1], F.neg(v))
-        return m
+        return SparseMatrix.from_entries(
+            self.rows, self.cols, self.field,
+            chain(self.entries.items(),
+                  ((ij, -v) for ij, v in other.entries.items())))
 
     def __neg__(self):
         m = SparseMatrix(self.rows, self.cols, self.field)
@@ -180,7 +175,6 @@ class SparseMatrix:
         if self.field != other.field:
             raise ValueError("field mismatch")
         F = self.field
-        p = F.p
         # group other's entries by row
         by_row = {}
         for (i, j), v in other.entries.items():
@@ -193,14 +187,7 @@ class SparseMatrix:
             for j, b in hits:
                 ij = (i, j)
                 acc[ij] = acc.get(ij, 0) + a * b
-        out = SparseMatrix(self.rows, other.cols, F)
-        # reduce each sum once: mod p, or to canonical form over Q
-        if p:
-            out.entries = {ij: r for ij, v in acc.items() if (r := v % p)}
-        else:
-            out.entries = {ij: v.numerator if v.denominator == 1 else v
-                           for ij, v in acc.items() if v}
-        return out
+        return SparseMatrix.from_entries(self.rows, other.cols, F, acc)
 
     def transpose(self):
         m = SparseMatrix(self.cols, self.rows, self.field)
@@ -314,16 +301,14 @@ class Echelon:
                 if r2 & (1 << col):
                     pivots[k] = (c2, r2 ^ row)
         self.pivot_cols = [c for c, _ in pivots]
-        one = self.field.one()
         self.pivot_rows = []
         for c, bits in pivots:
+            # walk the set bits, lowest first
             row = {}
-            j = 0
             while bits:
-                if bits & 1:
-                    row[j] = one
-                bits >>= 1
-                j += 1
+                low = bits & -bits
+                row[low.bit_length() - 1] = 1
+                bits ^= low
             self.pivot_rows.append(row)
 
     def _init_lead_keyed(self, m):
@@ -376,16 +361,15 @@ class Echelon:
         """Basis of the kernel (column vectors as dicts).  The t-th vector is
         1 on free_cols()[t] and 0 on the other free columns."""
         F = self.field
-        basis = []
-        one = F.one()
-        for fj in self.free_cols():
-            vec = {fj: one}
-            for col, row in zip(self.pivot_cols, self.pivot_rows):
-                c = row.get(fj)
-                if c is not None:
+        basis = {fj: {fj: 1} for fj in self.free_cols()}
+        # one pass over the pivot rows: a reduced row is 0 at every other
+        # pivot column, so each entry off its own pivot lies in a free column
+        for col, row in zip(self.pivot_cols, self.pivot_rows):
+            for j, c in row.items():
+                vec = basis.get(j)
+                if vec is not None:
                     vec[col] = F.neg(c)
-            basis.append(vec)
-        return basis
+        return list(basis.values())
 
 
 def _primitive(vec):
@@ -533,26 +517,17 @@ def solve_matrix(m: SparseMatrix, b: SparseMatrix):
     """Solve m X = b columnwise; returns X or None."""
     if m.rows != b.rows or m.field != b.field:
         raise ValueError("shape/field mismatch")
-    F = m.field
-    cols_b = {}
-    for (i, j), v in b.entries.items():
-        cols_b.setdefault(j, {})[i] = v
-    x = SparseMatrix(m.cols, b.cols, F)
+    F, n = m.field, m.cols
     # single elimination of m with all right-hand sides appended
-    width = m.cols + b.cols
-    aug = SparseMatrix(m.rows, width, F)
-    aug.entries = dict(m.entries)
-    for (i, j), v in b.entries.items():
-        aug.entries[(i, m.cols + j)] = v
-    ech = Echelon(aug)
-    for col, row in zip(ech.pivot_cols, ech.pivot_rows):
-        if col >= m.cols:
-            return None
-        for j, v in row.items():
-            if j >= m.cols:
-                x[col, j - m.cols] = v
+    ech = Echelon(SparseMatrix.block({(0, 0): m, (0, 1): b}, [m.rows],
+                                     [n, b.cols], F))
+    if ech.pivot_cols and ech.pivot_cols[-1] >= n:
+        return None
+    x = SparseMatrix(n, b.cols, F)
+    x.entries = {(col, j - n): v
+                 for col, row in zip(ech.pivot_cols, ech.pivot_rows)
+                 for j, v in row.items() if j >= n}
     # verify (cheap insurance against pivoting into the rhs block)
     if (m * x) != b:
         return None
     return x
-

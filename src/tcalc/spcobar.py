@@ -10,12 +10,12 @@ every structural map is slotwise.
 from __future__ import annotations
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, factor_through, transport,
+    ChainComplex, ChainMap, DegreeWindow, factor_through, linear_map,
+    transport,
 )
 from .comonads import SpComponentModel, coaugment_invariants
 from .equivariant import homotopy_fixed, slotwise_map, strict_fixed
 from .perms import all_surjections
-from .sparse import SparseMatrix
 from .tower import CosimplicialComplex, _Levels, _piece_nonzero, _RawPiece
 
 
@@ -49,33 +49,20 @@ class PhiTerm:
         raise ValueError("mismatched Phi term kinds")
 
 
-def _sp_fixed_into_tate(src_phi: PhiTerm, a_n, piece, q, n, w, F,
-                        src_stages) -> ChainMap:
+def _sp_fixed_into_tate(src_phi: PhiTerm, piece, q, n) -> ChainMap:
     """Map the Sigma_n homotopy-fixed model of A_n into the cone-target part
     of the Tate piece, through the structural carrier map:
     identity for (1, 2)-type, the singular-set vertex for (1, 3), the
     surjection diagonal for (2, 3)."""
-    src = src_phi.complex
-    tgt = piece.value.complex
     surjs = all_surjections(n, q)
-    comps = {}
-    for k in src.dims:
-        m = SparseMatrix(tgt.dim(k), src.dim(k), F)
-        tidx = tgt.label_index(k)
-        for col, lab in enumerate(src.labels[k]):
-            tag, slot, gen, alab = lab
-            for alpha in surjs:
-                if (q, n) == (1, 3):
-                    carrier_lab = ("sidx", alpha, (("l3", "w"), alab))
-                else:
-                    carrier_lab = ("sidx", alpha, alab)
-                row = tidx.get(("cone-tgt", ("hGf", slot, gen, carrier_lab)))
-                if row is None:
-                    continue
-                m.add_to(row, col, F.one())
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(src, tgt, comps).validate()
+
+    def image(k, lab):
+        _, slot, gen, alab = lab
+        inner = (("l3", "w"), alab) if (q, n) == (1, 3) else alab
+        return [(("cone-tgt", ("hGf", slot, gen, ("sidx", alpha, inner))), 1)
+                for alpha in surjs]
+    return linear_map(src_phi.complex, piece.value.complex, image,
+                      partial=True).validate()
 
 
 class SpCobarBuilder(_Levels):
@@ -199,14 +186,11 @@ class SpCobarBuilder(_Levels):
         return blocks
 
     def _sp_u(self, src_lvl, src_key, tgt_lvl, tgt_key) -> ChainMap:
-        F = self.field
         q, n = tgt_key[0], tgt_key[-1]
         src_phi = self.phi[src_lvl][src_key]
         tgt_phi = self.phi[tgt_lvl][tgt_key]
         piece = self.pieces[tgt_lvl][tgt_key]
-        a_n = self.pieces[src_lvl][src_key].value
-        g = _sp_fixed_into_tate(src_phi, a_n, piece, q, n, self.w, F,
-                                self._stages.get(n))
+        g = _sp_fixed_into_tate(src_phi, piece, q, n)
         if q == 1:
             return ChainMap(src_phi.complex, tgt_phi.complex,
                             g.components).validate()

@@ -8,14 +8,15 @@ K_1 A_2 (see `TopCobarBuilder`).
 
 from __future__ import annotations
 
-from .chain import ChainComplex, ChainMap, DegreeWindow, label_map, tensor
+from .chain import (
+    ChainComplex, ChainMap, DegreeWindow, label_map, linear_map, tensor,
+)
 from .coalgebras import injections
 from .equivariant import (
     EquivariantComplex, equivariant_tensor, homotopy_orbits,
     permutation_module, slotwise_map, strict_fixed, trivial_action,
 )
 from .perms import YoungGroup, transposition
-from .sparse import SparseMatrix
 from .topcomonad import _model_stages
 from .tower import CosimplicialComplex, _Levels
 
@@ -52,33 +53,16 @@ def stratified_cone(field, m):
     Sigma_2-complex; quasi-isomorphic to the suspended diagonal."""
     tuples = [(a, b) for a in range(m) for b in range(m)]
     injs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    tpos = {t: i for i, t in enumerate(tuples)}
-    ipos = {t: i for i, t in enumerate(injs)}
-    dims = {1: len(tuples)}
-    labels = {1: tuple(("tup", t) for t in tuples)}
-    diff = {}
-    if injs:
-        dims[0] = len(injs)
-        labels[0] = tuple(("itup", t) for t in injs)
-        d1 = SparseMatrix(len(injs), len(tuples), field)
-        for t, j in tpos.items():
-            if t in ipos:
-                d1[ipos[t], j] = field.neg(field.one())
-        diff[1] = d1
-    c = ChainComplex(field, dims, diff, labels).validate()
-    group = YoungGroup.full(2)
-    comps = {}
-    m1 = SparseMatrix(dims[1], dims[1], field)
-    for t, j in tpos.items():
-        m1[tpos[(t[1], t[0])], j] = field.one()
-    comps[1] = m1
-    if injs:
-        m0 = SparseMatrix(dims[0], dims[0], field)
-        for t, j in ipos.items():
-            m0[ipos[(t[1], t[0])], j] = field.one()
-        comps[0] = m0
-    act = {0: ChainMap(c, c, comps)}
-    return EquivariantComplex(c, group, act).validate()
+    dims = {1: len(tuples), 0: len(injs)}
+    labels = {1: tuple(("tup", t) for t in tuples),
+              0: tuple(("itup", t) for t in injs)}
+    # d sends an injective tuple to minus its copy; the others bound nothing
+    bare = ChainComplex(field, dims, None, labels)
+    d = linear_map(bare, bare, lambda k, lab: ((("itup", lab[1]), -1),),
+                   degree=-1, partial=True)
+    c = ChainComplex(field, dims, d.components, labels).validate()
+    swap = linear_map(c, c, lambda k, lab: (((lab[0], lab[1][::-1]), 1),))
+    return EquivariantComplex(c, YoungGroup.full(2), {0: swap}).validate()
 
 
 class TopCobarBuilder(_Levels):
@@ -195,22 +179,12 @@ class TopCobarBuilder(_Levels):
         xtriv = trivial_action(xmod, YoungGroup.full(2))
         wprime_eq = equivariant_tensor(tsum_eq, xtriv)
         wp = wprime_eq.complex
-        comps = {}
-        for k in wp.dims:
-            mm = SparseMatrix(carrier.dim(k), wp.dim(k), F)
-            cidx = carrier.label_index(k)
-            for j, lab in enumerate(wp.labels[k]):
-                wlab, xlab = lab
-                _, alpha, inner = wlab
-                a_lab = inner[-1]
-                x = xlab[1]
-                sgn = F.one() if a2.locate(a_lab)[0] % 2 == 0 else F.neg(F.one())
-                row = cidx.get((a_lab, ("tup", (x, x))))
-                if row is not None:
-                    mm.add_to(row, j, sgn)
-            if not mm.is_zero():
-                comps[k] = mm
-        g = ChainMap(wp, carrier, comps).validate()
+
+        def translate(k, lab):
+            (_, _, inner), (_, x) = lab
+            sgn = -1 if a2.locate(inner[-1])[0] % 2 else 1
+            return (((inner[-1], ("tup", (x, x))), sgn),)
+        g = linear_map(wp, carrier, translate, partial=True).validate()
         orb_wp = homotopy_orbits(wprime_eq, self.w, tag="theta-aux",
                                  stages=self.stages12)
         gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
@@ -223,35 +197,29 @@ class TopCobarBuilder(_Levels):
 
         ident = label_map(tensor(comp12.value.complex, xmod), orb_wp.complex,
                           key=slot_outside, partial=True).validate()
-        th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex, F)
+        th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex)
         return gfun.compose(ident).compose(th_x).validate()
 
-    def _theta_tensor_x(self, th, xmod, src, model, F) -> ChainMap:
+    def _theta_tensor_x(self, th, xmod, src, model) -> ChainMap:
         """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
         a1 = self.c.sequence.term_complex(1)
         tens = tensor(model, xmod)
-        d1 = self.diag[1]
-        comps = {}
-        for k in src.dims:
-            mm = SparseMatrix(tens.dim(k), src.dim(k), F)
-            inc = d1["inclusion"].component(k)
-            mid = d1["tensored"].complex
-            tidx = tens.label_index(k)
-            for (i, j), v in inc.entries.items():
+        inc = self.diag[1]["inclusion"]
+        mid = self.diag[1]["tensored"].complex
+        inc_cols = {k: m.by_column() for k, m in inc.components.items()}
+        th_cols = {k: m.by_column() for k, m in th.components.items()}
+
+        def image(k, lab):
+            out = []
+            for i, v in inc_cols.get(k, {}).get(
+                    src.label_index(k)[lab], {}).items():
                 a_lab, inj_lab = mid.labels[k][i]
-                x = inj_lab[1][0]
-                ai = a1.label_index(k)[a_lab]
-                thm = th.component(k)
-                for (i2, jj), vv in thm.entries.items():
-                    if jj != ai:
-                        continue
-                    row = tidx.get((th.target.labels[k][i2], ("pt", x)))
-                    if row is None:
-                        continue
-                    mm.add_to(row, j, F.mul(v, vv))
-            if not mm.is_zero():
-                comps[k] = mm
-        return ChainMap(src, tens, comps).validate()
+                x = ("pt", inj_lab[1][0])
+                for i2, vv in th_cols.get(k, {}).get(
+                        a1.label_index(k)[a_lab], {}).items():
+                    out.append(((th.target.labels[k][i2], x), v * vv))
+            return out
+        return linear_map(src, tens, image, partial=True).validate()
 
     def _assemble(self) -> CosimplicialComplex:
         cofaces, codegens = {}, {}

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from . import trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
+    tensor_many,
 )
 from .cooperad import Cooperad, tree_cooperad
 from .equivariant import (
@@ -86,94 +87,63 @@ class SurjectionSum:
 
     def sigma_n_action(self) -> EquivariantComplex:
         """The Sigma_n-equivariant structure on the total complex."""
-        F = self.field
         n = self.n
         group = YoungGroup.full(n)
         action = {}
         for gi in group.generator_positions():
             s = transposition(n, gi)
-            comps = {k: SparseMatrix(self.total.dim(k), self.total.dim(k), F)
-                     for k in self.total.dims}
-            a_act = self.a.action_of(s)
+            sinv = inverse(s)
+            moves = {}
             for alpha in self.surjections:
-                beta = tuple(alpha[inverse(s)[i]] for i in range(n))
-                fib_a = self.factors[alpha]
-                fib_b = self.factors[beta]
+                beta = tuple(alpha[sinv[i]] for i in range(n))
                 # within fiber j: relabeling s: fib_a[j] -> fib_b[j]
                 relabels = []
-                for j in range(self.r):
-                    src_sorted = list(fib_a[j])
-                    mapping = {}
-                    tgt_sorted = list(fib_b[j])
-                    tgt_pos = {x: t for t, x in enumerate(tgt_sorted)}
-                    for t, x in enumerate(src_sorted):
-                        mapping[t] = tgt_pos[s[x]]
-                    relabels.append(mapping)
-                self._add_summand_map(comps, alpha, beta, relabels, a_act,
-                                      tau=None)
-            action[gi] = ChainMap(self.total, self.total, comps)
+                for fa, fb in zip(self.factors[alpha], self.factors[beta]):
+                    tgt_pos = {x: t for t, x in enumerate(fb)}
+                    relabels.append({t: tgt_pos[s[x]]
+                                     for t, x in enumerate(fa)})
+                moves[alpha] = (beta, relabels)
+            action[gi] = self._summand_map(moves, self.a.action_of(s))
         return EquivariantComplex(self.total, group, action)
 
     def sigma_r_generator(self, gi) -> ChainMap:
         """Action of the adjacent transposition (gi, gi+1) of Sigma_r by
         postcomposition: permutes tree factors with Koszul signs."""
-        F = self.field
         s_r = transposition(self.r, gi)
-        comps = {k: SparseMatrix(self.total.dim(k), self.total.dim(k), F)
-                 for k in self.total.dims}
-        for alpha in self.surjections:
-            beta = tuple(s_r[v] for v in alpha)
-            fib_a = self.factors[alpha]
-            for k in self.total.dims:
-                idx = self.total.label_index(k)
-                for col, lab in enumerate(self.total.labels[k]):
-                    tag, al, inner = lab
-                    if al != alpha:
-                        continue
-                    tree_labs = list(inner[:-1])
-                    a_lab = inner[-1]
-                    degs = [self.label_degree(len(f), tl)
-                            for f, tl in zip(fib_a, tree_labs)]
-                    # swap factors gi, gi+1
-                    sgn = F.one()
-                    if degs[gi] % 2 and degs[gi + 1] % 2:
-                        sgn = F.neg(sgn)
-                    new_trees = list(tree_labs)
-                    new_trees[gi], new_trees[gi + 1] = \
-                        new_trees[gi + 1], new_trees[gi]
-                    new_lab = ("surj", beta, tuple(new_trees) + (a_lab,))
-                    comps[k].add_to(idx[new_lab], col, sgn)
-        return ChainMap(self.total, self.total, comps)
 
-    def _add_summand_map(self, comps, alpha, beta, relabels, a_map, tau):
-        """Add the summand map alpha -> beta induced by tree relabelings and
-        the map on A (no factor reordering)."""
-        F = self.field
-        fib_a = self.factors[alpha]
-        for k in self.total.dims:
-            idx = self.total.label_index(k)
-            for col, lab in enumerate(self.total.labels[k]):
-                tag, al, inner = lab
-                if al != alpha:
-                    continue
-                tree_labs = inner[:-1]
-                a_lab = inner[-1]
-                sgn = 1
-                new_trees = []
-                for tl, mapping in zip(tree_labs, relabels):
-                    s2, t2 = trees.relabel_terms(tl[1], mapping)
-                    sgn *= s2
-                    new_trees.append(("tree", t2))
-                # apply a_map to the A factor
-                a_src = self.a.complex
-                adeg, ai = a_src.locate(a_lab)
-                m = a_map.component(adeg)
-                for (i2, jj), v in m.entries.items():
-                    if jj != ai:
-                        continue
-                    new_lab = ("surj", beta,
-                               tuple(new_trees) + (a_src.labels[adeg][i2],))
-                    comps[k].add_to(idx[new_lab], col, F.mul(F.coerce(sgn), v))
+        def image(k, lab):
+            _, alpha, inner = lab
+            tree_labs = list(inner[:-1])
+            degs = [self.label_degree(len(f), tl)
+                    for f, tl in zip(self.factors[alpha], tree_labs)]
+            tree_labs[gi], tree_labs[gi + 1] = tree_labs[gi + 1], tree_labs[gi]
+            beta = tuple(s_r[v] for v in alpha)
+            return ((("surj", beta, tuple(tree_labs) + inner[-1:]),
+                     -1 if degs[gi] % 2 and degs[gi + 1] % 2 else 1),)
+        return linear_map(self.total, self.total, image)
+
+    def _summand_map(self, moves, a_map) -> ChainMap:
+        """The map sending summand alpha to summand beta, for (beta,
+        relabels) = moves[alpha]: each tree factor relabeled along its
+        relabeling, a_map on the A factor, no factor reordering."""
+        a_src = self.a.complex
+        cols = {k: m.by_column() for k, m in a_map.components.items()}
+
+        def image(k, lab):
+            _, alpha, inner = lab
+            beta, relabels = moves[alpha]
+            sgn = 1
+            new_trees = []
+            for tl, mapping in zip(inner[:-1], relabels):
+                s2, t2 = trees.relabel_terms(tl[1], mapping)
+                sgn *= s2
+                new_trees.append(("tree", t2))
+            new_trees = tuple(new_trees)
+            adeg, ai = a_src.locate(inner[-1])
+            alabs = a_src.labels[adeg]
+            return [(("surj", beta, new_trees + (alabs[i],)), sgn * v)
+                    for i, v in cols.get(adeg, {}).get(ai, {}).items()]
+        return linear_map(self.total, self.total, image)
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +211,19 @@ class TopComponentModel:
         W = self.sursum.total
         if self.kind == "collapsed":
             # (beta, units, a) -> beta . a
-            comps = {}
-            a = self.a
-            for k in W.dims:
-                m = SparseMatrix(a.complex.dim(k), W.dim(k), F)
-                for col, lab in enumerate(W.labels[k]):
-                    _, beta, inner = lab
-                    a_lab = inner[-1]
-                    i = a.complex.label_index(k)[a_lab]
-                    act = a.action_of(beta).component(k)
-                    for (i2, jj), v in act.entries.items():
-                        if jj == i:
-                            m.add_to(i2, col, v)
-                comps[k] = m
-            return ChainMap(W, a.complex, comps)
+            a = self.a.complex
+            cols = {}
+
+            def image(k, lab):
+                _, beta, inner = lab
+                col = cols.get((beta, k))
+                if col is None:
+                    col = cols[beta, k] = \
+                        self.a.action_of(beta).component(k).by_column()
+                labs = a.labels[k]
+                return [(labs[i], v) for i, v in
+                        col.get(a.label_index(k)[inner[-1]], {}).items()]
+            return linear_map(W, a, image)
         if self.kind == "strict":
             return self.proj
         # windowed: include as the resolution-degree-0 slot
@@ -274,21 +243,19 @@ def unit_section(proj: ChainMap) -> ChainMap:
     with coefficient 1.  It need not commute with the differentials and is
     not validated; a basis vector of q without such a preimage raises
     ArithmeticError."""
-    F = proj.field
     q, W = proj.target, proj.source
-    one = F.one()
     comps = {}
     for k in q.dims:
         sec = {}
         for (i, j), v in proj.component(k).entries.items():
-            if i not in sec and F.is_one(v):
+            if i not in sec and v == 1:
                 sec[i] = j
         if len(sec) != q.dim(k):
             raise ArithmeticError("no unit section for the quotient basis in "
                                   "degree %d" % k)
-        m = SparseMatrix(W.dim(k), q.dim(k), F)
-        m.entries = {(j, i): one for i, j in sec.items()}
-        comps[k] = m
+        comps[k] = SparseMatrix.from_entries(
+            W.dim(k), q.dim(k), proj.field,
+            {(j, i): 1 for i, j in sec.items()})
     return ChainMap(q, W, comps)
 
 
@@ -388,52 +355,40 @@ def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
     factorizations beta = gamma o alpha."""
     F = sur_r.field
     s = pre.s
-    n = sur_r.n
     r = sur_r.r
-    comps = {}
+    # per beta, the factorizations with the local blocks along which each
+    # tree T_{beta^{-1}(j)} splits
+    splits = {}
     for beta in sur_r.surjections:
         beta_fibers = sur_r.factors[beta]
+        splits[beta] = out = []
         for gamma, alpha in _factorizations(beta, s):
             alpha_fibers = surjection_fibers(alpha, s)
             gamma_fibers = surjection_fibers(gamma, r)
-            # for each j < r: split T_{beta^{-1}(j)} along its alpha-fibers
-            # in local coordinates
             local_blocks = []
             for j in range(r):
-                bf = beta_fibers[j]
-                posmap = {x: t for t, x in enumerate(bf)}
-                blocks = []
-                for i in gamma_fibers[j]:
-                    blocks.append(tuple(sorted(posmap[x]
-                                               for x in alpha_fibers[i])))
+                posmap = {x: t for t, x in enumerate(beta_fibers[j])}
+                blocks = [tuple(sorted(posmap[x] for x in alpha_fibers[i]))
+                          for i in gamma_fibers[j]]
                 blocks.sort(key=lambda b: b[0])
                 local_blocks.append(tuple(blocks))
-                # record which alpha-fiber each sorted block is
-            for k in sur_r.total.dims:
-                tidx = pre.total.label_index(k)
-                for col, col_lab in enumerate(sur_r.total.labels[k]):
-                    tag, b2, inner_lab = col_lab
-                    if b2 != beta:
-                        continue
-                    tree_labs = inner_lab[:-1]
-                    a_lab = inner_lab[-1]
-                    term = _split_trees(
-                        coop, F, tree_labs, beta_fibers,
-                        alpha_fibers, gamma_fibers, local_blocks, a_lab,
-                        sur_r.a.complex.locate(a_lab)[0], gamma, alpha, r, s)
-                    if term is None:
-                        continue
-                    sgn, tgt_lab = term
-                    row = tidx.get(tgt_lab)
-                    if row is None:
-                        continue
-                    m = comps.get(k)
-                    if m is None:
-                        m = SparseMatrix(pre.total.dim(k),
-                                         sur_r.total.dim(k), F)
-                        comps[k] = m
-                    m.add_to(row, col, sgn)
-    return ChainMap(sur_r.total, pre.total, comps).validate()
+            out.append((gamma, alpha, alpha_fibers, gamma_fibers,
+                        local_blocks))
+
+    def image(k, lab):
+        _, beta, inner = lab
+        a_lab = inner[-1]
+        a_degree = sur_r.a.complex.locate(a_lab)[0]
+        terms = []
+        for gamma, alpha, alpha_fibers, gamma_fibers, local_blocks in \
+                splits[beta]:
+            term = _split_trees(coop, F, inner[:-1], sur_r.factors[beta],
+                                alpha_fibers, gamma_fibers, local_blocks,
+                                a_lab, a_degree, gamma, alpha, r, s)
+            if term is not None:
+                terms.append((term[1], term[0]))
+        return terms
+    return linear_map(sur_r.total, pre.total, image, partial=True).validate()
 
 
 def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,

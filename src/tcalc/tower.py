@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import derivedhom, spcobar, topcobar
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, label_map, shift, subcomplex,
+    factor_through, label_map, linear_map, shift, subcomplex,
 )
 from .coalgebras import FinitePointedSet, truncate_coalgebra
 from .sparse import SparseMatrix, nullspace
@@ -296,22 +296,9 @@ def _fib(f: ChainMap) -> ChainComplex:
 
 def _fib_proj(f: ChainMap, fib: ChainComplex) -> ChainMap:
     """The projection fib(f) -> source(f)."""
-    F = f.field
-    comps = {}
-    src = f.source
-    for k in fib.dims:
-        mm = SparseMatrix(src.dim(k), fib.dim(k), F)
-        for j, lab in enumerate(fib.labels[k]):
-            # fib labels: ("sh", -1, ("cone-src", src label) | ("cone-tgt", ...))
-            inner = lab[2]
-            if inner[0] == "cone-src":
-                slab = inner[1]
-                idx = src.label_index(k)
-                if slab in idx:
-                    mm[idx[slab], j] = F.one()
-        if not mm.is_zero():
-            comps[k] = mm
-    return ChainMap(fib, src, comps).validate()
+    # fib labels: ("sh", -1, ("cone-src", src label) | ("cone-tgt", ...))
+    return label_map(fib, f.source, partial=True, key=lambda lab: (
+        lab[2][1] if lab[2][0] == "cone-src" else None)).validate()
 
 
 def _tot_window(c, n) -> DegreeWindow:
@@ -424,7 +411,6 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     """Project the Tot of the larger cobar onto the Tot of the truncation by
     dropping pieces with indices above the lower truncation (computed through
     the conormalized bases)."""
-    F = tot_hi.field
     bh = cs_hi._builder if hasattr(cs_hi, "_builder") else None
     bl = cs_lo._builder if hasattr(cs_lo, "_builder") else None
     D_lo = min(cs_lo.degenerate_above, cs_lo.M)
@@ -445,7 +431,8 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
     normed_hi = [conormalized_level(cs_hi, m) for m in
                  range(min(cs_hi.degenerate_above, cs_hi.M) + 1)]
     normed_lo = [conormalized_level(cs_lo, m) for m in range(D_lo + 1)]
-    comps = {}
+    # the Tot vector ("tot", m, lab) stands for the conormalized vector lab
+    images = {}
     for m, (sub_h, inc_h) in enumerate(normed_hi):
         if m >= len(normed_lo):
             continue
@@ -455,16 +442,12 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
             continue
         for j_deg, xsol in factor_through(f.compose(inc_h),
                                           inc_l).components.items():
-            ks = j_deg - m
+            labs_h, labs_l = sub_h.labels[j_deg], sub_l.labels[j_deg]
             for (i, j), v in xsol.entries.items():
-                cs2 = tot_hi.label_index(ks)[("tot", m, sub_h.labels[j_deg][j])]
-                ct = tot_lo.label_index(ks)[("tot", m, sub_l.labels[j_deg][i])]
-                mm = comps.get(ks)
-                if mm is None:
-                    mm = SparseMatrix(tot_lo.dim(ks), tot_hi.dim(ks), F)
-                    comps[ks] = mm
-                mm.add_to(ct, cs2, v)
-    return ChainMap(tot_hi, tot_lo, comps).validate()
+                images.setdefault(("tot", m, labs_h[j]), []).append(
+                    (("tot", m, labs_l[i]), v))
+    return linear_map(tot_hi, tot_lo,
+                      lambda k, lab: images.get(lab, ())).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,8 @@ def test_criterion_08_mccarthy_and_mutations():
             if rows == 0 or cols == 0:
                 state["skip"] = True
                 return tuple(maps)
-            dm = SparseMatrix(rows, cols, F2)
-            dm[rng.randrange(rows), rng.randrange(cols)] = 1
+            dm = SparseMatrix.from_entries(
+                rows, cols, F2, {(rng.randrange(rows), rng.randrange(cols)): 1})
             comps = dict(f.components)
             comps[k] = f.component(k) + dm
             bad = ChainMap(f.source, f.target, comps, f.degree)

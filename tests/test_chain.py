@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,8 @@ from helpers import random_term
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, chain_map_space, cone,
     count_maps_mod_homotopy, direct_sum, dual, factor_through, hom_complex,
-    homotopy_between, is_quasi_iso, label_map, nullhomotopy, quotient,
+    homotopy_between, is_quasi_iso, label_map, linear_map, nullhomotopy,
+    quotient,
     realize_homology_iso, shift, sphere, subcomplex, tensor, tensor_map,
     transport, zero_complex,
 )
@@ -300,11 +302,12 @@ def random_complex(rng, F, max_deg=2, max_dim=2):
     for k, n in dims.items():
         m = None
         while m is None or rank(m) < n:  # redraw a singular change
-            m = SparseMatrix.identity(n, F)
+            ent = {(i, i): 1 for i in range(n)}
             for _ in range(n):
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
-                    m[i, j] = F.coerce(rng.randint(-1, 1))
+                    ent[i, j] = F.coerce(rng.randint(-1, 1))
+            m = SparseMatrix.from_entries(n, n, F, ent)
         change[k] = m
     from tcalc.sparse import solve_matrix as sm
     diff = {}
@@ -453,6 +456,82 @@ def _labelled(F, labels, diff=None):
                         labels)
 
 
+def _reference_linear_map(src, tgt, images, degree, partial):
+    """linear_map entry by entry: {k: {(i, j): value}} with F.add and
+    F.coerce on each term and zeros dropped, or None on a strict miss."""
+    F = src.field
+    out = {}
+    for k in src.dims:
+        tlabs = list(tgt.labels.get(k + degree, ()))
+        cur = {}
+        for j, lab in enumerate(src.labels[k]):
+            for t, c in images[lab]:
+                if t not in tlabs:
+                    if partial:
+                        continue
+                    return None
+                i = tlabs.index(t)
+                cur[i, j] = F.add(cur.get((i, j), 0), F.coerce(c))
+        out[k] = {ij: v for ij, v in cur.items() if v != 0}
+    return out
+
+
+def test_linear_map_matches_per_entry_reference():
+    rng = random.Random(13)
+    for F in (F2, F3, QQ):
+        coeffs = [-2, -1, 1, 2, 3]
+        if not F.p:
+            coeffs += [Fraction(1, 2), Fraction(-2, 3)]
+        cases = {"miss": 0, "cancel": 0, "strict": 0}
+        for _ in range(150):
+            src = _labelled(F, {k: tuple(("s", k, i) for i in range(
+                rng.randint(1, 4))) for k in range(3)})
+            tgt = _labelled(F, {k: tuple(("t", k, i) for i in range(
+                rng.randint(0, 4))) for k in range(-1, 4)})
+            degree = rng.choice((-1, 0, 1))
+            partial = rng.random() < 0.5
+            images = {}
+            for k, labs in src.labels.items():
+                for lab in labs:
+                    # targets may be missing from tgt (index 4 never
+                    # exists), and a term and its negative cancel
+                    terms = [(("t", k + degree, rng.randint(0, 4)),
+                              rng.choice(coeffs))
+                             for _ in range(rng.randint(0, 3))]
+                    if terms and rng.random() < 0.3:
+                        terms.append((terms[0][0], -terms[0][1]))
+                    images[lab] = terms
+            want = _reference_linear_map(src, tgt, images, degree, partial)
+            if want is None:
+                cases["strict"] += 1
+                with pytest.raises(ValueError):
+                    linear_map(src, tgt, lambda k, lab: images[lab],
+                               degree=degree)
+                continue
+            f = linear_map(src, tgt, lambda k, lab: images[lab],
+                           degree=degree, partial=partial)
+            assert f.source is src and f.target is tgt
+            assert f.degree == degree
+            for k in src.dims:
+                m = f.component(k)
+                assert (m.rows, m.cols) == (tgt.dim(k + degree), src.dim(k))
+                assert m.entries == want[k]
+                for v in m.entries.values():
+                    assert v != 0
+                    if F.p:
+                        assert type(v) is int and 0 < v < F.p
+                    else:
+                        assert (type(v) is int) == (v.denominator == 1)
+            cases["miss"] += partial and any(
+                t not in tgt.label_index(t[1]) for ts in images.values()
+                for t, _ in ts)
+            cases["cancel"] += any(
+                len(ts) > 1 and ts[-1] == (ts[0][0], -ts[0][1])
+                for ts in images.values())
+        # every behaviour the test names was exercised
+        assert all(cases.values()), (F, cases)
+
+
 def test_label_map_strict_and_partial():
     src = _labelled(F2, {0: ("a", "b"), 1: ("c",)})
     tgt = _labelled(F2, {0: ("b", "x", "a"), 1: ("c",)})
@@ -552,13 +631,14 @@ def _check_subcomplex(c, constraints, sub, incl):
     assert sub.labels == {k: tuple(("s", k, i) for i in range(n))
                           for k, n in sub.dims.items()}
     for k in sub.support():
-        ref = SparseMatrix(sub.dim(k - 1), sub.dim(k), F)
+        ent = {}
         for j, z in enumerate(incl.component(k).nonzero_columns()):
             x = solve(incl.component(k - 1), c.d(k).apply(z))
             assert x is not None
             for i, v in x.items():
-                ref[i, j] = v
-        assert sub.d(k) == ref
+                ent[i, j] = v
+        assert sub.d(k) == SparseMatrix.from_entries(sub.dim(k - 1),
+                                                     sub.dim(k), F, ent)
 
 
 def test_subcomplex_matches_per_vector_solve():

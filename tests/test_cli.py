@@ -161,6 +161,16 @@ def test_out_of_range_entry_is_usage_error(tmp_path, capsys):
     assert_usage_error(capsys, "homology", p)
 
 
+def test_repeated_entry_is_usage_error(tmp_path, capsys):
+    # a repeated (row, col) pair is malformed: decoding it used to keep the
+    # last value, so this differential read as zero
+    doc = serialize.chain_to_json(sphere(F2, 0))
+    doc["dims"]["1"] = 1
+    doc["diff"] = {"1": [[0, 0, "1"], [0, 0, "0"]]}
+    p = write(tmp_path, "repeat.json", doc)
+    assert_usage_error(capsys, "homology", p)
+
+
 def _dd_nonzero_doc():
     one = SparseMatrix.from_rows([[1]], F2)
     return serialize.chain_to_json(

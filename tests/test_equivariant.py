@@ -261,6 +261,17 @@ def test_norm_identity_for_trivial_group():
     assert cone_acyclic_on(nm, DegreeWindow(-1, 1))
 
 
+def test_norm_sums_the_group():
+    # on k[S3] every group element is reached from every other once, and on
+    # the sign module the six signs cancel
+    for F in (F2, F3, QQ):
+        reg = regular_module(F, S3)
+        assert reg.norm().validate().component(0) == \
+            SparseMatrix.from_rows([[1] * 6] * 6, F)
+        sgn = sign_action(sphere(F, 0), S3)
+        assert sgn.norm().is_zero()
+
+
 def test_induced_module_tate_vanishes():
     # B (+) B with swap exchanging the summands: Tate acyclic
     b = sphere(F2, 0)

@@ -1,10 +1,12 @@
 """Differential tests of the elimination kernel and the matrix product.
 
-Seeded random matrices over Q, F3, F5 and F7 (shapes 0..14, non-integral
+Seeded random matrices over Q, F3, F5, F7 and F2 (shapes 0..14, non-integral
 rationals, zero rows and columns, dependent rows) are compared with a dense
 Gauss-Jordan and a dense product written here, independently of
-tcalc.sparse.  Over Q every entry the kernel stores must be in canonical
-form: an int exactly when it is integral."""
+tcalc.sparse; F2 runs on the int-bitset path, and a few wide F2 shapes
+(hundreds of columns) check its row and nullspace read-out, key order
+included.  Over Q every entry the kernel stores must be in canonical form:
+an int exactly when it is integral."""
 
 import random
 from fractions import Fraction
@@ -12,8 +14,8 @@ from fractions import Fraction
 from tcalc.fields import QQ, FieldSpec
 from tcalc.sparse import Echelon, SparseMatrix, nullspace
 
-F3, F5, F7 = (FieldSpec("prime-field", p) for p in (3, 5, 7))
-FIELDS = (QQ, F3, F5, F7)
+F2, F3, F5, F7 = (FieldSpec("prime-field", p) for p in (2, 3, 5, 7))
+FIELDS = (QQ, F3, F5, F7, F2)
 MATRICES_PER_FIELD = 2500
 
 
@@ -48,12 +50,9 @@ def _random_dense(rng, F, rows, cols):
 
 
 def _to_sparse(dense, cols, F):
-    m = SparseMatrix(len(dense), cols, F)
-    for i, row in enumerate(dense):
-        for j, x in enumerate(row):
-            if x:
-                m[i, j] = x
-    return m
+    return SparseMatrix.from_entries(len(dense), cols, F, {
+        (i, j): x for i, row in enumerate(dense)
+        for j, x in enumerate(row) if x})
 
 
 def _reference_rref(dense, cols, p):
@@ -80,6 +79,21 @@ def _reference_rref(dense, cols, p):
         top += 1
     return pivots, [{j: x for j, x in enumerate(rows[t]) if x}
                     for t in range(len(pivots))]
+
+
+def _reference_nullspace(pivots, rows, cols, p):
+    """The kernel basis read off a reduced row echelon form: for each free
+    column f ascending, 1 at f, then -row[f] at each pivot in pivot order."""
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = {f: 1}
+        for col, row in zip(pivots, rows):
+            if row.get(f):
+                vec[col] = -row[f] % p if p else -row[f]
+        basis.append(vec)
+    return basis
 
 
 def _dense_product(a, b, p):
@@ -152,3 +166,18 @@ def test_rational_scalars_are_canonical():
     assert QQ.format_scalar(QQ.coerce("4/2")) == "2"
     assert QQ.format_scalar(QQ.coerce("-2/6")) == "-1/3"
     assert hash(QQ.coerce("3")) == hash(Fraction(3))
+
+
+def test_gf2_kernel_on_wide_matrices():
+    rng = random.Random(7)
+    for rows, cols in ((3, 200), (12, 300), (40, 257), (25, 512), (90, 640)):
+        dense = _random_dense(rng, F2, rows, cols)
+        ech = Echelon(_to_sparse(dense, cols, F2))
+        want_cols, want_rows = _reference_rref(dense, cols, 2)
+        assert ech.pivot_cols == want_cols
+        # the same rows with the same key order (ascending columns)
+        assert [list(r.items()) for r in ech.pivot_rows] == \
+            [sorted(r.items()) for r in want_rows]
+        want_null = _reference_nullspace(want_cols, want_rows, cols, 2)
+        assert [list(v.items()) for v in ech.nullspace_basis()] == \
+            [list(v.items()) for v in want_null]

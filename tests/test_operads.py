@@ -344,8 +344,7 @@ def test_unit_sequence_is_valid_module():
         from tcalc.chain import ChainMap, tensor_many
         src = tensor_many([one.term_complex(1), op.term_complex(1)])
         from tcalc.sparse import SparseMatrix
-        m = SparseMatrix(1, 1, op.field)
-        m[0, 0] = op.field.one()
+        m = SparseMatrix.from_entries(1, 1, op.field, {(0, 0): 1})
         action[(1, (1,))] = ChainMap(src, one.term_complex(1), {0: m})
         mod = RightModule(op, one, action)
         report = validate_right_module(mod)
