@@ -6,10 +6,10 @@ Modules:
   sequences               -- truncated symmetric sequences
   trees, cooperad         -- partition trees; operads, cooperads, right
                              modules and the tree cooperad T_*
-  operads                 -- bar constructions, the partition nerve, the
-                             dual tree operad, plethysm
+  operads                 -- the normalized bar complex of Com from strict
+                             chains of partitions, the partition nerve
   topcomonad              -- the Top comonad (based spaces to spectra)
-  comonads                -- the Sp comonad, K' and nu
+  comonads                -- the Sp comonad
   coalgebras              -- coalgebra data and its validation
   tower                   -- cosimplicial complexes, fat Tot, cobar, p_n by
                              two routes, derived hom
@@ -18,9 +18,12 @@ Modules:
                              page
   classify                -- 2-/3-excisive classification and validators
   serialize, cli          -- JSON interchange and the batch interface
-  laws                    -- law checks no subcommand runs (coassociativity,
-                             counit, right modules, box product), the
-                             representable modules and divided powers
+  laws                    -- what no subcommand runs: law checks
+                             (coassociativity, counit, right modules, box
+                             product), the commutative operad, plethysm, the
+                             dual tree operad, the leveled bar construction,
+                             K' and nu, the representable modules and
+                             divided powers
 
 Loading is lazy, so a job compiles only the modules it runs.  Importing
 the package registers every module in `sys.modules` and as a package
@@ -52,13 +55,9 @@ _EXPORTS = {
         "strict_fixed", "strict_orbits", "tate", "tensor_power"),
     "sequences": ("SymmetricSequence",),
     "cooperad": ("Cooperad", "Operad", "RightModule", "tree_cooperad"),
-    "operads": (
-        "bar_construction", "commutative_operad", "partition_poset_nerve",
-        "plethysm", "spectral_lie"),
+    "operads": ("partition_poset_nerve",),
     "topcomonad": ("TopComonad", "k_top", "k_top_component"),
-    "comonads": (
-        "KPrimeComonad", "SpComonad", "k_sp_component", "l3_complex",
-        "nu_component"),
+    "comonads": ("SpComonad", "k_sp_component", "l3_complex"),
     "coalgebras": (
         "FinitePointedSet", "TruncatedCoalgebra", "truncate_coalgebra",
         "trivial_coalgebra", "validate_coalgebra"),
@@ -71,8 +70,10 @@ _EXPORTS = {
         "mccarthy_square_check", "splitting_check", "validate_2exc_sp_to_top",
         "validate_2exc_top_to_top"),
     "laws": (
-        "box_product", "counit_check", "divided_power_check",
-        "evaluation_pairing_check", "lemma_ij_check", "representable_module",
+        "KPrimeComonad", "bar_construction", "box_product",
+        "commutative_operad", "counit_check", "divided_power_check",
+        "evaluation_pairing_check", "lemma_ij_check", "nu_component",
+        "plethysm", "representable_module", "spectral_lie",
         "validate_right_module"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

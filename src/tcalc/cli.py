@@ -115,15 +115,11 @@ def cmd_tate(args):
 
 def cmd_bar_com(args):
     field = field_from_name(args.field)
-    com = operads.commutative_operad(field, args.n)
-    bc, normalized = operads.bar_construction(com)
-    out = {"command": "bar-com", "arity": args.n,
-           "normalized_dims": {str(k): normalized[args.n].dim(k)
-                               for k in normalized[args.n].support()},
-           "homology": {str(k): normalized[args.n].homology(k)[0]
-                        for k in normalized[args.n].support()},
-           "window": "exact (finite complex)"}
-    _emit(args, out)
+    c = operads.bar_complex(field, args.n)
+    _emit(args, {"command": "bar-com", "arity": args.n,
+                 "normalized_dims": {str(k): c.dim(k) for k in c.support()},
+                 "homology": {str(k): c.homology(k)[0] for k in c.support()},
+                 "window": "exact (finite complex)"})
     return 0
 
 

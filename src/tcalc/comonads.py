@@ -1,32 +1,28 @@
-"""The spectrum-to-spectrum comonad, the strict comonad K' and the
-comparison map nu.
+"""The spectrum-to-spectrum comonad.
 
-* ``SpComonad`` models the spectrum-to-spectrum case at truncation <= 3
-  through its Tate identifications: K_r A_r = A_r, K_1 A_2 = Tate_{S2}(A_2),
-  K_1 A_3 = Tate_{S3}(L_3 (x) A_3), and K_2 A_3 = the induced
-  Sigma_2-pair of Tate_{S1xS2}(A_3).  Iterated components K_r K_s A_n with
-  r < s < n are acyclic (the swap permutes the two partition summands) and
-  are dropped, with the comultiplication components into them set to zero.
+``SpComonad`` models the spectrum-to-spectrum case at truncation <= 3
+through its Tate identifications: K_r A_r = A_r, K_1 A_2 = Tate_{S2}(A_2),
+K_1 A_3 = Tate_{S3}(L_3 (x) A_3), and K_2 A_3 = the induced Sigma_2-pair of
+Tate_{S1xS2}(A_3).  Iterated components K_r K_s A_n with r < s < n are
+acyclic (the swap permutes the two partition summands) and are dropped,
+with the comultiplication components into them set to zero.
 
-* ``KPrimeComonad`` is the strict comonad whose coalgebras are right
-  modules over the dual tree operad; ``nu`` is the comparison map from the
-  Top comonad (`topcomonad`), given componentwise by the norm.  Both are
-  built on the Top comonad's surjection sums, which load with them.
+The strict right-module comonad K' and the norm comparison nu from the Top
+comonad live in `laws`: no subcommand runs them.
 """
 
 from __future__ import annotations
 
-from . import cooperad, sequences, topcomonad, trees
+from . import sequences
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, factor_through,
-    label_map, linear_map,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
 )
 from .equivariant import (
     EquivariantComplex, WindowedResult, equivariant_tensor, slotwise_map,
-    strict_fixed, strict_orbits, tate, zero_module,
+    tate, zero_module,
 )
 from .perms import YoungGroup, all_surjections, compose, inverse, transposition
-from .sparse import SparseMatrix, solve_matrix
+from .sparse import SparseMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -237,172 +233,3 @@ def sp_component_on_map(src_model, tgt_model, f: ChainMap) -> ChainMap:
         return -1 if odd and f.degree % 2 else 1
     return slotwise_map(src_model.value.complex, tgt_model.value.complex, f,
                         (1, 3, 2, 1) if l3 else (1, 3, 2), sign).validate()
-
-
-# ---------------------------------------------------------------------------
-# The strict right-module comonad K' and the comparison map nu
-# ---------------------------------------------------------------------------
-
-
-class KPrimeComponent:
-    """K'_r A_n = strict Sigma_n-invariants of W(A, r), as a subcomplex."""
-
-    def __init__(self, coop: cooperad.Cooperad, a: EquivariantComplex, r: int):
-        self.coop = coop
-        self.a = a
-        self.r = r
-        self.n = a.group.degree
-        F = a.field
-        self.field = F
-        if r > self.n:
-            self.value = zero_module(F, r)
-            self.inclusion = None
-            self.sursum = None
-            return
-        self.sursum = topcomonad.SurjectionSum(coop, a, r)
-        eq = self.sursum.sigma_n_action()
-        inv, incl = strict_fixed(eq)
-        self.inclusion = incl
-        action = {}
-        for gi in YoungGroup.full(r).generator_positions():
-            sr = self.sursum.sigma_r_generator(gi)
-            action[gi] = factor_through(sr.compose(incl), incl)
-        self.value = EquivariantComplex(inv, YoungGroup.full(r), action)
-
-
-class KPrimeComonad:
-    """The strict comonad whose coalgebras are right modules over the dual
-    tree operad; all structure maps are exact identities."""
-
-    def __init__(self, a: sequences.SymmetricSequence, coop=None):
-        if a.truncation > 4:
-            raise ValueError("arity bound exceeded (truncation <= 4)")
-        self.a = a
-        F = a.field
-        self.field = F
-        self.coop = coop or cooperad.tree_cooperad(F, max(a.truncation, 1))
-        self.components = {}
-        self.delta = {}
-        self.delta_outer = {}
-        for n in a.arities():
-            term = a.term(n)
-            for r in range(1, n + 1):
-                self.components[(r, n)] = KPrimeComponent(self.coop, term, r)
-        for n in a.arities():
-            for s in range(1, n + 1):
-                for r in range(1, s + 1):
-                    self._build_delta(r, s, n)
-
-    def component(self, r, n) -> KPrimeComponent | None:
-        return self.components.get((r, n))
-
-    def epsilon(self, r) -> ChainMap | None:
-        """K'_r A_r -> A_r: evaluate at the identity-bijection summand."""
-        comp = self.components.get((r, r))
-        if comp is None:
-            return None
-        idb = tuple(range(r))
-        at_id = label_map(
-            comp.sursum.total, comp.a.complex, partial=True,
-            key=lambda lab: lab[2][-1] if lab[1] == idb else None)
-        return at_id.compose(comp.inclusion)
-
-    def epsilon_section(self, r) -> ChainMap | None:
-        """The canonical section A_r -> K'_r A_r: a |-> sum over the orbit of
-        the identity-bijection slot."""
-        comp = self.components.get((r, r))
-        if comp is None:
-            return None
-        # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
-        # the identity-bijection summand, then sum over the group to land in
-        # the invariants
-        incl = label_map(comp.a.complex, comp.sursum.total,
-                         key=_identity_slot(r), partial=True)
-        return factor_through(comp.sursum.sigma_n_action().norm().compose(incl),
-                              comp.inclusion)
-
-    def _build_delta(self, r, s, n):
-        comp = self.components.get((r, n))
-        if comp is None or comp.sursum is None:
-            return
-        F = self.field
-        term = self.a.term(n)
-        if s == n or s == r:
-            # collapsing a diagonal K' factor is the canonical identification
-            self.delta[(r, s, n)] = ChainMap.identity(comp.value.complex)
-            self.delta_outer[(r, s, n)] = comp
-            return
-        inner = KPrimeComponent(self.coop, term, s)
-        outer = KPrimeComponent(self.coop, inner.value, r)
-        pre = topcomonad._PreTarget(self.coop, inner.sursum, r)
-        dpre = topcomonad.top_delta_on_sums(self.coop, comp.sursum, pre)
-        # restrict to invariants: D(inv(W_r)) lies in the gamma-sum of
-        # tensors with inv(W_s), and is Sigma_s-invariant; express it in the
-        # basis of the outer invariants model through its surjection sum.
-        conv = _pre_to_outer_invariants(pre, inner, outer, F)
-        dmap = factor_through(conv.compose(dpre.compose(comp.inclusion)),
-                              outer.inclusion).validate()
-        self.delta[(r, s, n)] = dmap
-        self.delta_outer[(r, s, n)] = outer
-
-
-def _identity_slot(r):
-    """Key sending a label of A to its copy (id, units, a) in the
-    identity-bijection summand of W(A, r)."""
-    idb = tuple(range(r))
-    units = tuple(("tree", trees.leaf(0)) for _ in range(r))
-    return lambda lab: ("surj", idb, units + (lab,))
-
-
-def _pre_to_outer_invariants(pre: topcomonad._PreTarget,
-                             inner: KPrimeComponent,
-                             outer: KPrimeComponent, F) -> ChainMap:
-    """pre.total -> outer.sursum.total: express the W(A, s) factor in the
-    inner invariants coordinates (projecting along a chosen splitting).
-
-    Only valid on elements whose W_s-part is strictly invariant; the
-    conversion uses the left inverse of the invariants inclusion."""
-    W_s = pre.inner.total
-    inv = inner.value.complex
-    inc = inner.inclusion
-    # left inverse: for each degree solve inc^T ... use solve per column of I
-    left = {}
-    for k in inv.dims:
-        m = inc.component(k)
-        # left inverse L with L m = I: solve m^T X = I and take L = X^T
-        x = solve_matrix(m.transpose(), SparseMatrix.identity(inv.dim(k), F))
-        if x is None:
-            raise ArithmeticError("invariants inclusion not split")
-        left[k] = x.transpose()
-    return slotwise_map(pre.total, outer.sursum.total,
-                        ChainMap(W_s, inv, left), slot=(2, -1))
-
-
-def nu_component(top_comp: topcomonad.TopComponentModel,
-                 kp_comp: KPrimeComponent,
-                 w: DegreeWindow) -> ChainMap:
-    """The comparison K_r A_n -> K'_r A_n: project the orbit model to strict
-    orbits, apply the norm sum, and land in the strict invariants."""
-    if top_comp.kind == "zero":
-        return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
-    W_eq = top_comp.sursum.sigma_n_action()
-    q, proj = strict_orbits(W_eq)
-    # the norm sum_g g induces strict orbits -> strict invariants: factor it
-    # through the quotient by a unit section, and into the invariants through
-    # their inclusion (which certifies that the norm lands there)
-    W = W_eq.complex
-    sec = topcomonad.unit_section(proj)
-    nbar_map = factor_through(W_eq.norm().compose(sec), kp_comp.inclusion)
-    if top_comp.kind == "collapsed":
-        # A_n = strict orbits of W via the collapse; invert the collapse
-        # first, a |-> (id, units, a)
-        to_q = proj.compose(label_map(top_comp.a.complex, W, partial=True,
-                                      key=_identity_slot(top_comp.r)))
-    elif top_comp.kind == "strict":
-        to_q = label_map(top_comp.value.complex, q)
-    else:
-        # windowed: orbit model -> strict orbits via the degree-0 slot
-        to_q = proj.compose(label_map(
-            top_comp.value.complex, W, partial=True,
-            key=lambda lab: lab[3] if lab[1] == 0 else None))
-    return nbar_map.compose(to_q).validate()

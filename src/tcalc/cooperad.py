@@ -4,7 +4,7 @@ and the tree cooperad T_* that the Top comonad decorates with.
 ``tree_cooperad`` builds T_* on the rooted-tree basis (`trees`), where the
 ungrafting decomposition maps are exactly coassociative and counital.  Its
 arity-wise dual, the derivatives-of-the-identity operad, is
-``operads.spectral_lie``.
+``laws.spectral_lie``.
 """
 
 from __future__ import annotations

@@ -412,6 +412,9 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
     w = w or bk_result["window"]
     F = tot.field
     D = builder.D
+    # the boundaries of Tot in each degree, reduced once for every p
+    bnd = {k: Echelon(tot.d(k + 1).transpose()).pivot_rows
+           for k in w.degrees()}
     # ranks of im(H_k(F_p) -> H_k(Tot))
     out = {}
     im_rank = {}
@@ -427,14 +430,9 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
         # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
         # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
         for k in w.degrees():
-            if p > D + 1:
-                continue
             zc = [incl.component(k).apply(z) for z in nullspace(sub.d(k))]
-            bnd = Echelon(tot.d(k + 1).transpose())
-            rows = list(bnd.pivot_rows)
-            base = len(rows)
-            mm = SparseMatrix.from_sparse_rows(rows + zc, tot.dim(k), F)
-            im_rank[(p, k)] = Echelon(mm).rank - base
+            mm = SparseMatrix.from_sparse_rows(bnd[k] + zc, tot.dim(k), F)
+            im_rank[(p, k)] = Echelon(mm).rank - len(bnd[k])
     for k in w.degrees():
         for s in range(D + 1):
             d = im_rank.get((s, k), 0) - im_rank.get((s + 1, k), 0)

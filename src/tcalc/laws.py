@@ -1,10 +1,14 @@
-"""Law checks that no subcommand runs: the test suite's certificates of
-the structures the other modules build.
+"""Mathematics no subcommand runs: the test suite's oracles and
+certificates of the structures the other modules build.
 
-Cooperad coassociativity and the right-module laws over an operad; the
-coassociativity of the Top comonad (on homology) and of K' (exactly), and
-the counit; the box product of cosimplicial complexes with the collapse
-lemma; the representable modules over finite pointed sets and the
+The commutative operad, plethysm and the dual tree operad (the
+derivatives of the identity); the leveled bar construction B(1, Com, 1),
+whose normalized complexes are `operads.bar_complex`; cooperad
+coassociativity and the right-module laws over an operad; the strict
+right-module comonad K' and the norm comparison nu from the Top comonad;
+the coassociativity of the Top comonad (on homology) and of K' (exactly),
+and the counit; the box product of cosimplicial complexes with the
+collapse lemma; the representable modules over finite pointed sets and the
 divided-power factorization psi = nu o theta of a Top coalgebra; and the
 strict module derived hom through K' that `classify.splitting_check`
 compares p_n with on Top sources.
@@ -16,32 +20,485 @@ from itertools import combinations
 from itertools import product as _iterprod
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
+    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum, dual,
     factor_through, homotopy_between, is_quasi_iso, label_map, linear_map,
-    quotient, tensor, tensor_many, tensor_map, transport,
+    quotient, sphere, tensor, tensor_many, tensor_map, transport,
 )
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra,
 )
-from .comonads import KPrimeComonad, KPrimeComponent, nu_component
 from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
 from .derivedhom import _post_block, equivariant_hom_complex
-from .equivariant import EquivariantComplex, permutation_module
-from .fields import FieldSpec
-from .operads import (
-    _is_unit_iso, _koszul_reorder_sign, compositions_of_bounded, spectral_lie,
+from .equivariant import (
+    EquivariantComplex, permutation_module, slotwise_map, strict_fixed,
+    strict_orbits, trivial_action, zero_module,
 )
+from .fields import FieldSpec
+from .operads import DISCRETE, TOP, _refinements, bar_complex
 from .perms import (
-    YoungGroup, quotient_partition, refines, restrict_partition, transposition,
+    YoungGroup, apply_perm_to_partition, quotient_partition, refines,
+    restrict_partition, set_partitions, transposition,
 )
 from .sequences import SymmetricSequence
-from .sparse import SparseMatrix, rank
+from .sparse import SparseMatrix, rank, solve_matrix
 from .topcomonad import (
-    TopComponentModel, _model_stages, _rebuild_like, _sursum_map,
-    build_top_delta, top_component_on_map,
+    SurjectionSum, TopComponentModel, _model_stages, _PreTarget,
+    _rebuild_like, _sursum_map, build_top_delta, top_component_on_map,
+    top_delta_on_sums, unit_section,
 )
 from .tower import CosimplicialComplex, _Levels, _RawPiece, fat_tot
+from .trees import leaf
+
+
+# ---------------------------------------------------------------------------
+# Plethysm (composition product)
+# ---------------------------------------------------------------------------
+
+
+def _perm_of_blocks(p, blocks):
+    """Blocks sorted by min; image blocks re-sorted; returns (tau, per-block perms).
+
+    tau[i] = position of image of block i among the image blocks; the
+    per-block permutation is the relabeling sorted(b) -> sorted(p(b)) induced
+    by p, written as a permutation of {0..|b|-1}."""
+    images = [tuple(sorted(p[x] for x in b)) for b in blocks]
+    order = sorted(range(len(blocks)), key=lambda i: images[i][0])
+    tau = [0] * len(blocks)
+    for newpos, i in enumerate(order):
+        tau[i] = newpos
+    inner = []
+    for b, img in zip(blocks, images):
+        sb = sorted(b)
+        pos_in_img = {x: t for t, x in enumerate(img)}
+        inner.append(tuple(pos_in_img[p[x]] for x in sb))
+    return tuple(tau), inner
+
+
+def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
+    """(A o B)_n = (+) over set partitions P of {0..n-1} of A_r (x) (x)_i B_{|b_i|}."""
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+    F = a.field
+    N = a.truncation
+    out_terms = {}
+    for n in range(1, N + 1):
+        summands = []  # (partition, complex, factor complexes)
+        for part in set_partitions(list(range(n))):
+            r = len(part)
+            if a.term(r) is None:
+                continue
+            if any(b.term(len(blk)) is None for blk in part):
+                continue
+            factors = [a.term_complex(r)] + [b.term_complex(len(blk)) for blk in part]
+            summands.append((part, tensor_many(factors), factors))
+        if not summands:
+            continue
+        summed = direct_sum([c for _, c, _ in summands])
+        parts = [part for part, _, _ in summands]
+        total = ChainComplex(F, summed.dims, summed.diff, {
+            k: tuple(("pleth", parts[idx], inner) for idx, inner in labs)
+            for k, labs in summed.labels.items()})
+        factors_of = {part: factors for part, _, factors in summands}
+        group = YoungGroup.full(n)
+
+        def act(s):
+            # A_r gets tau, block i gets its inner permutation, and the
+            # b-factors are reordered along tau
+            moves = {}
+            for part in parts:
+                tau, inner_perms = _perm_of_blocks(s, part)
+                b_maps = [b.term(len(blk)).action_of(tuple(ip))
+                          for blk, ip in zip(part, inner_perms)]
+                moves[part] = (apply_perm_to_partition(s, part),
+                               a.term(len(part)).action_of(tuple(tau)),
+                               b_maps, tau)
+
+            def image(k, lab):
+                _, part, inner = lab
+                tgt_part, a_map, b_maps, tau = moves[part]
+                return [(("pleth", tgt_part, tl), v) for (tl, _), v in
+                        _plethysm_image(F, inner, factors_of[part], a_map,
+                                        b_maps, tau).items()]
+            return linear_map(total, total, image)
+        out_terms[n] = EquivariantComplex(total, group, {
+            gi: act(transposition(n, gi))
+            for gi in group.generator_positions()})
+    return SymmetricSequence(F, N, out_terms)
+
+
+def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
+    """Image of a tensor basis element under (a_map (x) b_maps) followed by
+    reordering the b-factors along tau, with Koszul signs.
+
+    Returns {(target label, degree): coefficient}."""
+    maps = [a_map] + b_maps
+    # apply each map factorwise; collect (coefficient, target label, degree)
+    per_factor = []
+    for c, l, mp in zip(factors, lab, maps):
+        k0, i0 = c.locate(l)
+        comp = mp.component(k0)
+        hits = []
+        tgt = mp.target
+        for (i2, j2), v in comp.entries.items():
+            if j2 == i0:
+                hits.append((tgt.labels[k0][i2], k0, v))
+        per_factor.append(hits)
+    out = {}
+    for combo in _iterprod(*per_factor):
+        coeff = F.one()
+        new_lab = []
+        degs = []
+        for l2, k2, v in combo:
+            coeff = F.mul(coeff, v)
+            new_lab.append(l2)
+            degs.append(k2)
+        # reorder b-factors (positions 1..r) along tau with Koszul signs
+        r = len(tau)
+        b_labels = new_lab[1:]
+        b_degs = degs[1:]
+        sgn = _koszul_reorder_sign(F, b_degs, tau)
+        reordered = [None] * r
+        for i in range(r):
+            reordered[tau[i]] = b_labels[i]
+        final_lab = (new_lab[0],) + tuple(reordered)
+        key = (final_lab, sum(degs))
+        cur = out.get(key, F.zero())
+        cur = F.add(cur, F.mul(sgn, coeff))
+        if F.is_zero(cur):
+            out.pop(key, None)
+        else:
+            out[key] = cur
+    return out
+
+
+def _koszul_reorder_sign(F, degs, tau):
+    """Sign of reordering graded factors: factor i moves to position tau[i]."""
+    sign = 1
+    r = len(tau)
+    for i in range(r):
+        for j in range(i + 1, r):
+            if tau[i] > tau[j] and degs[i] % 2 and degs[j] % 2:
+                sign = -sign
+    return F.one() if sign == 1 else F.neg(F.one())
+
+
+# ---------------------------------------------------------------------------
+# The commutative operad
+# ---------------------------------------------------------------------------
+
+
+def commutative_operad(field, N) -> Operad:
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    terms = {}
+    for n in range(1, N + 1):
+        terms[n] = trivial_action(sphere(field, 0, label="com%d" % n),
+                                  YoungGroup.full(n))
+    seq = SymmetricSequence(field, N, terms)
+    gamma = {}
+    for r in range(1, N + 1):
+        for comp in compositions_of_bounded(r, N):
+            n = sum(comp)
+            src = tensor_many([seq.term_complex(r)] +
+                              [seq.term_complex(m) for m in comp])
+            tgt = seq.term_complex(n)
+            gamma[(r, comp)] = ChainMap(
+                src, tgt, {0: SparseMatrix.identity(1, field)})
+    return Operad(seq, gamma, name="Com")
+
+
+def compositions_of_bounded(r, N):
+    """All compositions (n_1..n_r) of length r with sum <= N, each n_i >= 1."""
+    out = []
+
+    def rec(acc, total):
+        if len(acc) == r:
+            out.append(tuple(acc))
+            return
+        rem = r - len(acc) - 1
+        for v in range(1, N - total - rem + 1):
+            acc.append(v)
+            rec(acc, total + v)
+            acc.pop()
+
+    if r >= 1 and r <= N:
+        rec([], 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The leveled bar construction B(1, Com, 1)
+# ---------------------------------------------------------------------------
+
+
+def _weak_chains(n, length):
+    """Weakly decreasing chains (P_1 >= ... >= P_length) of partitions of
+    {0..n-1}, as tuples (coarsest first)."""
+    parts, finer = _refinements(n)
+    if length == 0:
+        return [()]
+    out = []
+
+    def rec(acc, choices):
+        if len(acc) == length:
+            out.append(tuple(acc))
+            return
+        for p in choices:
+            acc.append(p)
+            rec(acc, finer[p])
+            acc.pop()
+
+    rec([], parts)
+    return out
+
+
+class BarConstruction:
+    """The simplicial symmetric sequence B(1, P, 1) for a Com-like operad:
+    level s in arity n is spanned by the weakly decreasing chains of s - 1
+    partitions of {0..n-1}, with the simplicial structure maps.  Its
+    normalized complexes are `operads.bar_complex`, the oracle's side of
+    what `bar-com` prints."""
+
+    def __init__(self, operad: Operad):
+        F = operad.field
+        N = operad.truncation
+        for n in range(1, N + 1):
+            t = operad.term_complex(n)
+            if t.dims != {0: 1}:
+                raise ValueError(
+                    "bar construction implemented for operads with one-"
+                    "dimensional degree-0 terms (the commutative operad)")
+        self.field = F
+        self.truncation = N
+        self.max_level = N + 1
+        self.levels = {}     # (s, n) -> ChainComplex (degree 0, chain basis)
+        self.faces = {}      # (s, i, n) -> ChainMap level s -> s-1
+        self.degens = {}     # (s, j, n) -> ChainMap level s -> s+1
+        self.normalized = {}  # n -> ChainComplex with degree = level
+        for n in range(1, N + 1):
+            self._build_arity(n)
+            self.normalized[n] = bar_complex(F, n)
+
+    def _build_arity(self, n):
+        F = self.field
+        top, bot = TOP(n), DISCRETE(n)
+        for s in range(0, self.max_level + 1):
+            if s == 0:
+                chains = [()] if n == 1 else []
+            else:
+                chains = _weak_chains(n, s - 1)
+            c = ChainComplex(F, {0: len(chains)} if chains else {},
+                             labels={0: tuple(("bar", ch) for ch in chains)}
+                             if chains else None)
+            self.levels[(s, n)] = c
+        # face maps: d_i composes around the partition at position i of the
+        # full chain (top,) + ch + (bot,); at level 1 the chain () goes to
+        # level 0 only when n == 1
+        for s in range(1, self.max_level + 1):
+            src = self.levels[(s, n)]
+            tgt = self.levels[(s - 1, n)]
+            for i in range(0, s + 1):
+                def image(k, lab, s=s, i=i):
+                    ch = lab[1]
+                    full = (top,) + ch + (bot,)
+                    if i == 0 or i == s:
+                        if full[1 if i == 0 else s - 1] != (top if i == 0
+                                                            else bot):
+                            return ()
+                        if s == 1:
+                            return (((("bar", ()), 1),) if n == 1 else ())
+                        new = ch[1:] if i == 0 else ch[:-1]
+                    else:
+                        new = ch[:i - 1] + ch[i:]
+                    return ((("bar", new), 1),)
+                self.faces[(s, i, n)] = linear_map(src, tgt, image)
+        # degeneracy maps: the level-s full chain (P_0, ..., P_s); for s = 0
+        # it is the single entry (top,), which forces n = 1
+        for s in range(0, self.max_level):
+            src = self.levels[(s, n)]
+            tgt = self.levels[(s + 1, n)]
+            for j in range(0, s + 1):
+                def image(k, lab, s=s, j=j):
+                    full = (top,) + lab[1] + (bot,) if s >= 1 else (top,)
+                    return ((("bar", (full[:j + 1] + (full[j],)
+                                      + full[j + 1:])[1:-1]), 1),)
+                self.degens[(s, j, n)] = linear_map(src, tgt, image)
+
+    def simplicial_identities_hold(self) -> bool:
+        for n in range(1, self.truncation + 1):
+            for s in range(2, self.max_level + 1):
+                for i in range(s):
+                    for j in range(i + 1, s + 1):
+                        lhs = self.faces[(s - 1, i, n)].compose(self.faces[(s, j, n)])
+                        rhs = self.faces[(s - 1, j - 1, n)].compose(self.faces[(s, i, n)])
+                        if lhs.components != rhs.components:
+                            return False
+            for s in range(0, self.max_level - 1):
+                for i in range(s + 1):
+                    for j in range(i, s + 1):
+                        lhs = self.degens[(s + 1, i, n)].compose(self.degens[(s, j, n)])
+                        rhs = self.degens[(s + 1, j + 1, n)].compose(self.degens[(s, i, n)])
+                        if lhs.components != rhs.components:
+                            return False
+            # mixed identities d_i s_j
+            for s in range(0, self.max_level):
+                for j in range(s + 1):
+                    for i in range(s + 2):
+                        ds = self.faces[(s + 1, i, n)].compose(self.degens[(s, j, n)])
+                        if i == j or i == j + 1:
+                            rhs = ChainMap.identity(self.levels[(s, n)])
+                        elif i < j:
+                            rhs = self.degens[(s - 1, j - 1, n)].compose(
+                                self.faces[(s, i, n)])
+                        else:
+                            rhs = self.degens[(s - 1, j, n)].compose(
+                                self.faces[(s, i - 1, n)])
+                        if ds.components != rhs.components:
+                            return False
+        return True
+
+
+def _is_strict(ch, n, s):
+    top, bot = TOP(n), DISCRETE(n)
+    full = ((top,) + ch + (bot,)) if s >= 1 else (top,)
+    for a, b in zip(full, full[1:]):
+        if a == b:
+            return False
+    return True
+
+
+def bar_construction(operad: Operad):
+    """Returns (BarConstruction, {n: normalized ChainComplex})."""
+    bc = BarConstruction(operad)
+    return bc, dict(bc.normalized)
+
+
+def spectral_lie(field, N) -> Operad:
+    """The operad dual to T_*: derivatives of the identity on based spaces."""
+    if N > 6:
+        raise ValueError("arity bound exceeded")
+    coop = tree_cooperad(field, N)
+    terms = {}
+    dual_complexes = {}
+    for n in range(1, N + 1):
+        tc = coop.term_complex(n)
+        dc = dual(tc)
+        dual_complexes[n] = dc
+        group = YoungGroup.full(n)
+        action = {}
+        for gi in group.generator_positions():
+            # dual of an involution's action, transposed degreewise
+            f = coop.term(n).action[gi]
+            comps = {}
+            for k, m in f.components.items():
+                comps[-k] = m.transpose()
+            action[gi] = ChainMap(dc, dc, comps)
+        terms[n] = EquivariantComplex(dc, group, action)
+    seq = SymmetricSequence(field, N, terms)
+    gamma = {}
+    for n in range(1, N + 1):
+        for r in range(1, n + 1):
+            for comp in compositions_of_bounded(r, N):
+                if sum(comp) != n:
+                    continue
+                blocks = _consecutive_blocks(comp)
+                dmap = coop.decomposition(n, blocks)
+                gamma[(r, comp)] = _dualize_decomposition(
+                    dmap, [seq.term_complex(r)] +
+                    [seq.term_complex(m) for m in comp],
+                    dual_complexes[n])
+    op = Operad(seq, gamma, name="spectral-lie")
+    _validate_operad_units(op)
+    return op
+
+
+def _consecutive_blocks(comp):
+    blocks = []
+    start = 0
+    for m in comp:
+        blocks.append(tuple(range(start, start + m)))
+        start += m
+    return tuple(blocks)
+
+
+def _dualize_decomposition(dmap: ChainMap, dual_factors, dual_target):
+    """gamma := dual of a decomposition map, with Koszul evaluation signs.
+
+    dmap : T(n) -> T(r) (x) T(b_1) (x) ... ; the result maps
+    tensor(dual factors) -> dual(T(n)).  Entry convention:
+    gamma[t*, (x_0*, ..., x_r*)] = (-1)^{sum_{i<j} |x_i||x_j|} delta[x_., t].
+    """
+    src = tensor_many(dual_factors)
+    degs = _undual(dual_factors)
+    # the rows of dmap, from the target side
+    rows = {k: m.transpose().by_column() for k, m in dmap.components.items()}
+
+    def image(k, lab):
+        xlab = tuple(l for _, l in lab)     # a tuple of tree labels
+        row = rows.get(-k, {}).get(dmap.target.label_index(-k).get(xlab))
+        if not row:
+            return ()
+        dk = [fc[fl] for fl, fc in zip(xlab, degs)]
+        sgn = 1
+        for i in range(len(dk)):
+            for j in range(i + 1, len(dk)):
+                if dk[i] % 2 and dk[j] % 2:
+                    sgn = -sgn
+        tlabs = dmap.source.labels[-k]
+        return [(("dual", tlabs[col]), sgn * v) for col, v in row.items()]
+    return linear_map(src, dual_target, image).validate()
+
+
+def _undual(dual_factors):
+    """Recover original complexes' label degrees from dual complexes."""
+    out = []
+    for dc in dual_factors:
+        dm = {}
+        for k in dc.dims:
+            for lab in dc.labels[k]:
+                dm[lab[1]] = -k
+        out.append(dm)
+    return out
+
+
+def _validate_operad_units(op: Operad):
+    F = op.field
+    for n in range(1, op.truncation + 1):
+        if op.term(n) is None:
+            continue
+        # unit on the right: gamma(x; 1, ..., 1) = x
+        comp = (1,) * n
+        g = op.composition(n, comp)
+        if g is not None:
+            if not _is_unit_iso(g, op.term_complex(n), F):
+                raise ValueError("right unit law fails at arity %d" % n)
+        # unit on the left: gamma(1; x) = x
+        g2 = op.composition(1, (n,))
+        if g2 is not None:
+            if not _is_unit_iso(g2, op.term_complex(n), F):
+                raise ValueError("left unit law fails at arity %d" % n)
+
+
+def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
+    for k in target.dims:
+        m = g.component(k)
+        if m.rows != target.dim(k):
+            return False
+        ent = {}
+        for (i, j), v in m.entries.items():
+            ent[(i, j)] = v
+        # must be a bijection matrix with unit entries
+        if len(ent) != target.dim(k):
+            return False
+        rows = {i for (i, j) in ent}
+        cols = {j for (i, j) in ent}
+        if len(rows) != target.dim(k) or len(cols) != target.dim(k):
+            return False
+        for v in ent.values():
+            if not (F.is_one(v) or F.is_one(F.neg(v))):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +822,175 @@ def _check_module_equivariance(mod: RightModule, r, comp):
                 return ("equivariance fails at (%d; %s), block %d, gen %d" %
                         (r, comp, bi, gi))
     return None
+
+
+# ---------------------------------------------------------------------------
+# The strict right-module comonad K' and the comparison map nu
+# ---------------------------------------------------------------------------
+
+
+class KPrimeComponent:
+    """K'_r A_n = strict Sigma_n-invariants of W(A, r), as a subcomplex."""
+
+    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int):
+        self.coop = coop
+        self.a = a
+        self.r = r
+        self.n = a.group.degree
+        F = a.field
+        self.field = F
+        if r > self.n:
+            self.value = zero_module(F, r)
+            self.inclusion = None
+            self.sursum = None
+            return
+        self.sursum = SurjectionSum(coop, a, r)
+        eq = self.sursum.sigma_n_action()
+        inv, incl = strict_fixed(eq)
+        self.inclusion = incl
+        action = {}
+        for gi in YoungGroup.full(r).generator_positions():
+            sr = self.sursum.sigma_r_generator(gi)
+            action[gi] = factor_through(sr.compose(incl), incl)
+        self.value = EquivariantComplex(inv, YoungGroup.full(r), action)
+
+
+class KPrimeComonad:
+    """The strict comonad whose coalgebras are right modules over the dual
+    tree operad; all structure maps are exact identities."""
+
+    def __init__(self, a: SymmetricSequence, coop=None):
+        if a.truncation > 4:
+            raise ValueError("arity bound exceeded (truncation <= 4)")
+        self.a = a
+        F = a.field
+        self.field = F
+        self.coop = coop or tree_cooperad(F, max(a.truncation, 1))
+        self.components = {}
+        self.delta = {}
+        self.delta_outer = {}
+        for n in a.arities():
+            term = a.term(n)
+            for r in range(1, n + 1):
+                self.components[(r, n)] = KPrimeComponent(self.coop, term, r)
+        for n in a.arities():
+            for s in range(1, n + 1):
+                for r in range(1, s + 1):
+                    self._build_delta(r, s, n)
+
+    def component(self, r, n) -> KPrimeComponent | None:
+        return self.components.get((r, n))
+
+    def epsilon(self, r) -> ChainMap | None:
+        """K'_r A_r -> A_r: evaluate at the identity-bijection summand."""
+        comp = self.components.get((r, r))
+        if comp is None:
+            return None
+        idb = tuple(range(r))
+        at_id = label_map(
+            comp.sursum.total, comp.a.complex, partial=True,
+            key=lambda lab: lab[2][-1] if lab[1] == idb else None)
+        return at_id.compose(comp.inclusion)
+
+    def epsilon_section(self, r) -> ChainMap | None:
+        """The canonical section A_r -> K'_r A_r: a |-> sum over the orbit of
+        the identity-bijection slot."""
+        comp = self.components.get((r, r))
+        if comp is None:
+            return None
+        # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
+        # the identity-bijection summand, then sum over the group to land in
+        # the invariants
+        incl = label_map(comp.a.complex, comp.sursum.total,
+                         key=_identity_slot(r), partial=True)
+        return factor_through(comp.sursum.sigma_n_action().norm().compose(incl),
+                              comp.inclusion)
+
+    def _build_delta(self, r, s, n):
+        comp = self.components.get((r, n))
+        if comp is None or comp.sursum is None:
+            return
+        F = self.field
+        term = self.a.term(n)
+        if s == n or s == r:
+            # collapsing a diagonal K' factor is the canonical identification
+            self.delta[(r, s, n)] = ChainMap.identity(comp.value.complex)
+            self.delta_outer[(r, s, n)] = comp
+            return
+        inner = KPrimeComponent(self.coop, term, s)
+        outer = KPrimeComponent(self.coop, inner.value, r)
+        pre = _PreTarget(self.coop, inner.sursum, r)
+        dpre = top_delta_on_sums(self.coop, comp.sursum, pre)
+        # restrict to invariants: D(inv(W_r)) lies in the gamma-sum of
+        # tensors with inv(W_s), and is Sigma_s-invariant; express it in the
+        # basis of the outer invariants model through its surjection sum.
+        conv = _pre_to_outer_invariants(pre, inner, outer, F)
+        dmap = factor_through(conv.compose(dpre.compose(comp.inclusion)),
+                              outer.inclusion).validate()
+        self.delta[(r, s, n)] = dmap
+        self.delta_outer[(r, s, n)] = outer
+
+
+def _identity_slot(r):
+    """Key sending a label of A to its copy (id, units, a) in the
+    identity-bijection summand of W(A, r)."""
+    idb = tuple(range(r))
+    units = tuple(("tree", leaf(0)) for _ in range(r))
+    return lambda lab: ("surj", idb, units + (lab,))
+
+
+def _pre_to_outer_invariants(pre: _PreTarget,
+                             inner: KPrimeComponent,
+                             outer: KPrimeComponent, F) -> ChainMap:
+    """pre.total -> outer.sursum.total: express the W(A, s) factor in the
+    inner invariants coordinates (projecting along a chosen splitting).
+
+    Only valid on elements whose W_s-part is strictly invariant; the
+    conversion uses the left inverse of the invariants inclusion."""
+    W_s = pre.inner.total
+    inv = inner.value.complex
+    inc = inner.inclusion
+    # left inverse: for each degree solve inc^T ... use solve per column of I
+    left = {}
+    for k in inv.dims:
+        m = inc.component(k)
+        # left inverse L with L m = I: solve m^T X = I and take L = X^T
+        x = solve_matrix(m.transpose(), SparseMatrix.identity(inv.dim(k), F))
+        if x is None:
+            raise ArithmeticError("invariants inclusion not split")
+        left[k] = x.transpose()
+    return slotwise_map(pre.total, outer.sursum.total,
+                        ChainMap(W_s, inv, left), slot=(2, -1))
+
+
+def nu_component(top_comp: TopComponentModel,
+                 kp_comp: KPrimeComponent,
+                 w: DegreeWindow) -> ChainMap:
+    """The comparison K_r A_n -> K'_r A_n: project the orbit model to strict
+    orbits, apply the norm sum, and land in the strict invariants."""
+    if top_comp.kind == "zero":
+        return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
+    W_eq = top_comp.sursum.sigma_n_action()
+    q, proj = strict_orbits(W_eq)
+    # the norm sum_g g induces strict orbits -> strict invariants: factor it
+    # through the quotient by a unit section, and into the invariants through
+    # their inclusion (which certifies that the norm lands there)
+    W = W_eq.complex
+    sec = unit_section(proj)
+    nbar_map = factor_through(W_eq.norm().compose(sec), kp_comp.inclusion)
+    if top_comp.kind == "collapsed":
+        # A_n = strict orbits of W via the collapse; invert the collapse
+        # first, a |-> (id, units, a)
+        to_q = proj.compose(label_map(top_comp.a.complex, W, partial=True,
+                                      key=_identity_slot(top_comp.r)))
+    elif top_comp.kind == "strict":
+        to_q = label_map(top_comp.value.complex, q)
+    else:
+        # windowed: orbit model -> strict orbits via the degree-0 slot
+        to_q = proj.compose(label_map(
+            top_comp.value.complex, W, partial=True,
+            key=lambda lab: lab[3] if lab[1] == 0 else None))
+    return nbar_map.compose(to_q).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from tcalc.equivariant import (
     EquivariantComplex, induced_from_trivial_subgroup, regular_module,
     sign_action, trivial_action,
 )
-from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix, nullspace
 
 

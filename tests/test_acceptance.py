@@ -24,24 +24,22 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
     validate_coalgebra,
 )
-from tcalc.comonads import (
-    KPrimeComonad, SpComponentModel, l3_complex, nu_component,
-)
+from tcalc.comonads import SpComponentModel, l3_complex
 from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import (
     induced_from_trivial_subgroup, is_free, regular_module, tate,
     trivial_action,
 )
 from tcalc.fields import F2, QQ
+from tcalc.cooperad import tree_cooperad
 from tcalc.laws import (
-    box_product, lemma_ij_check, representable_module,
+    KPrimeComonad, bar_construction, box_product, commutative_operad,
+    lemma_ij_check, nu_component, representable_module, spectral_lie,
     top_coassociativity_check,
 )
-from tcalc.operads import (
-    SymmetricSequence, bar_construction, commutative_operad,
-    partition_poset_nerve, spectral_lie, tree_cooperad,
-)
+from tcalc.operads import partition_poset_nerve
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.topcomonad import TopComonad
 from tcalc.tower import (

@@ -20,8 +20,8 @@ from tcalc.coalgebras import (
 from tcalc.equivariant import regular_module, tate, tensor_power, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import representable_module
-from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 
 
 W = DegreeWindow(-3, 3)

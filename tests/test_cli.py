@@ -16,8 +16,8 @@ from tcalc.equivariant import (
     EquivariantComplex, regular_module, trivial_action,
 )
 from tcalc.fields import F2, F3
-from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 
 
@@ -72,6 +72,20 @@ def test_bar_and_nerve_cli(capsys):
                          "F2")
     assert rc == 0
     assert json.loads(out)["comparison_homology"]["2"] == 2
+
+
+def test_bar_com_bounds_the_arity(capsys):
+    for n in ("0", "7"):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "bar-com", "--n", n, "--field", "F2")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "validation"
+    rc, out, _ = run_cli(capsys, "bar-com", "--n", "6", "--field", "F3")
+    assert rc == 0
+    assert json.loads(out)["homology"] == {
+        "1": 0, "2": 0, "3": 0, "4": 0, "5": 120}
 
 
 def test_pn_cli_routes_agree(tmp_path, capsys):
@@ -286,7 +300,7 @@ def test_unsupported_field_is_a_usage_error(tmp_path, capsys, field):
 
 def test_comonad_value_roundtrip():
     from tcalc.topcomonad import TopComonad
-    from tcalc.operads import SymmetricSequence
+    from tcalc.sequences import SymmetricSequence
     from tcalc.serialize import comonad_value_roundtrip_identical
     A = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
     K = TopComonad(A, DegreeWindow(0, 2))

@@ -16,8 +16,8 @@ from tcalc.laws import (
     divided_power_check, evaluation_pairing_check, representable_module,
     validate_right_module,
 )
-from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.topcomonad import k_top
 

@@ -9,17 +9,21 @@ from tcalc.chain import (
     sphere,
 )
 from tcalc.comonads import (
-    KPrimeComonad, SpComonad, SpComponentModel, _identity_slot,
-    equivariant_tensor, k_sp_component, l3_complex, nu_component,
+    SpComonad, SpComponentModel, equivariant_tensor, k_sp_component,
+    l3_complex,
 )
+from tcalc.cooperad import tree_cooperad
 from tcalc.equivariant import (
     induced_from_trivial_subgroup, regular_module, sign_action,
     tensor_power, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
-from tcalc.laws import counit_check, top_coassociativity_check
-from tcalc.operads import SymmetricSequence, tree_cooperad
+from tcalc.laws import (
+    KPrimeComonad, _identity_slot, counit_check, nu_component,
+    top_coassociativity_check,
+)
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.topcomonad import (
     TopComonad, TopComponentModel, k_top, k_top_component,
@@ -234,7 +238,7 @@ def test_kprime_unit_invariants():
     # K'(unit sequence truncated at 2) has K'_1 containing the invariants of
     # the T_2 (x) A_2 summand
     a2 = triv(F2, 2)
-    from tcalc.comonads import KPrimeComponent
+    from tcalc.laws import KPrimeComponent
     coop = tree_cooperad(F2, 2)
     comp = KPrimeComponent(coop, a2, 1)
     # W = T_2 (x) A_2 = one-dimensional in degree 1 with trivial S2 action
@@ -245,7 +249,7 @@ def test_nu_free_iso():
     w = DegreeWindow(0, 3)
     coop = tree_cooperad(F2, 2)
     a2 = regular_module(F2, S2)
-    from tcalc.comonads import KPrimeComponent
+    from tcalc.laws import KPrimeComponent
     top = TopComponentModel(coop, a2, 1, w)
     kp = KPrimeComponent(coop, a2, 1)
     nu = nu_component(top, kp, w)
@@ -256,7 +260,7 @@ def test_nu_rational_quasi_iso():
     w = DegreeWindow(0, 3)
     coop = tree_cooperad(QQ, 2)
     a2 = triv(QQ, 2)
-    from tcalc.comonads import KPrimeComponent
+    from tcalc.laws import KPrimeComponent
     top = TopComponentModel(coop, a2, 1, w)
     kp = KPrimeComponent(coop, a2, 1)
     nu = nu_component(top, kp, w)
@@ -268,7 +272,7 @@ def test_nu_cone_matches_tate_f2():
     w = DegreeWindow(0, 4)
     coop = tree_cooperad(F2, 2)
     a2 = triv(F2, 2)
-    from tcalc.comonads import KPrimeComponent
+    from tcalc.laws import KPrimeComponent
     from tcalc.equivariant import tate
     top = TopComponentModel(coop, a2, 1, w)
     kp = KPrimeComponent(coop, a2, 1)

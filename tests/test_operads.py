@@ -1,6 +1,7 @@
 """Operad and cooperad layer: trees, bar construction, nerve oracle, plethysm."""
 
 import random
+import tracemalloc
 from itertools import product
 from math import factorial
 
@@ -12,10 +13,13 @@ from tcalc.cooperad import (
     Cooperad, Operad, RightModule, tree_cooperad, tree_equivariant,
 )
 from tcalc.fields import F2, F3, QQ
-from tcalc.laws import check_coassociativity, validate_right_module
+from tcalc.laws import (
+    BarConstruction, bar_construction, check_coassociativity,
+    commutative_operad, plethysm, spectral_lie, validate_right_module,
+    _is_strict, _weak_chains,
+)
 from tcalc.operads import (
-    BarConstruction, bar_construction, commutative_operad,
-    partition_poset_nerve, plethysm, spectral_lie, _weak_chains,
+    _refinements, _strict_chains, bar_complex, partition_poset_nerve,
 )
 from tcalc.perms import YoungGroup, refines, set_partitions
 from tcalc.sequences import SymmetricSequence, unit_sequence
@@ -220,6 +224,69 @@ def test_weak_chains_match_the_brute_force_filter():
             want = [ch for ch in product(parts, repeat=length)
                     if all(refines(q, p) for p, q in zip(ch, ch[1:]))]
             assert _weak_chains(n, length) == want, (n, length)
+
+
+def test_strict_chains_are_the_strict_weak_chains():
+    for n in range(1, 6):
+        levels = _strict_chains(n)
+        assert levels.get(0, []) == ([()] if n == 1 else [])
+        for length in range(n + 1):
+            s = length + 1
+            want = [ch for ch in _weak_chains(n, length)
+                    if _is_strict(ch, n, s)]
+            assert levels.get(s, []) == want, (n, length)
+        assert set(levels) <= set(range(n + 1))
+
+
+def _by_label(m, rows, cols):
+    return {(rows[i], cols[j]): v for (i, j), v in m.entries.items()}
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ])
+def test_bar_complex_is_the_normalized_simplicial_object(F):
+    # basis: the level-s chains that no degeneracy hits; d: the alternating
+    # sum of the faces, taken mod the degenerate chains
+    bc = BarConstruction(commutative_operad(F, 4))
+    for n in range(1, 5):
+        c = bar_complex(F, n)
+        nondeg = {}
+        for s in range(bc.max_level + 1):
+            labs = bc.levels[(s, n)].labels.get(0, ())
+            hit = set()
+            for j in range(s):
+                hit |= {labs[i] for i, _ in
+                        bc.degens[(s - 1, j, n)].component(0).entries}
+            nondeg[s] = [lab for lab in labs if lab not in hit]
+            assert list(c.labels.get(s, ())) == nondeg[s], (n, s)
+        for s in range(1, bc.max_level + 1):
+            src = bc.levels[(s, n)].labels.get(0, ())
+            tgt = bc.levels[(s - 1, n)].labels.get(0, ())
+            faces = {}
+            for i in range(s + 1):
+                face = _by_label(bc.faces[(s, i, n)].component(0), tgt, src)
+                for key, v in face.items():
+                    v = v if i % 2 == 0 else F.neg(v)
+                    faces[key] = F.add(faces.get(key, F.zero()), v)
+            want = {(t, lab): v for (t, lab), v in faces.items()
+                    if t in nondeg[s - 1] and lab in nondeg[s]
+                    and not F.is_zero(v)}
+            got = _by_label(c.d(s), c.labels.get(s - 1, ()),
+                            c.labels.get(s, ()))
+            assert got == want, (n, s)
+
+
+def test_bar_complex_builds_in_small_memory():
+    # the leveled object B(1, Com, 1) through arity 5 peaks at about 16 MB
+    _refinements.cache_clear()
+    tracemalloc.start()
+    try:
+        c = bar_complex(F2, 5)
+        dims = {k: c.homology(k)[0] for k in c.support()}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == {1: 0, 2: 0, 3: 0, 4: 24}
+    assert peak < 2 * 1024 * 1024, peak
 
 
 def test_partition_nerve_oracle():

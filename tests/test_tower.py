@@ -19,8 +19,8 @@ from tcalc.fields import F2, QQ
 from tcalc.laws import (
     box_product, lemma_ij_check, representable_module, simplex_cosimplicial,
 )
-from tcalc.operads import SymmetricSequence
 from tcalc.perms import YoungGroup
+from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.tower import (
     CosimplicialComplex, cobar, constant_cosimplicial, derived_hom, fat_tot,
