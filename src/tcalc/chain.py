@@ -43,7 +43,9 @@ from __future__ import annotations
 from itertools import product
 
 from .fields import FieldSpec
-from .sparse import Echelon, Span, SparseMatrix, nullspace, solve, solve_matrix
+from .sparse import (
+    Echelon, Span, SparseMatrix, nullspace, solve_matrix, vanishes,
+)
 
 
 class DegreeWindow:
@@ -143,10 +145,8 @@ class ChainComplex:
             if m.field != self.field:
                 raise ValueError("differential field mismatch")
         for k in list(self.diff):
-            if self.dim(k):
-                dd = self.d(k - 1) * self.d(k)
-                if not dd.is_zero():
-                    raise ValueError("d o d != 0 leaving degree %d" % k)
+            if self.dim(k) and not vanishes([(1, self.d(k - 1), self.d(k))]):
+                raise ValueError("d o d != 0 leaving degree %d" % k)
         return self
 
     def label_index(self, k):
@@ -252,15 +252,13 @@ class ChainMap:
         for k, m in self.components.items():
             if m.rows != self.target.dim(k + self.degree) or m.cols != self.source.dim(k):
                 raise ValueError("component shape mismatch in degree %d" % k)
-        s = 1 if self.degree % 2 == 0 else -1
-        # both sides vanish unless f_k or f_{k-1} is nonzero, so the zero
-        # map is checked by its shapes alone
+        # d f - (-1)^|f| f d = 0; both sides vanish unless f_k or f_{k-1}
+        # is nonzero, so the zero map is checked by its shapes alone
+        s = -1 if self.degree % 2 == 0 else 1
         for k in set(self.components) | {k + 1 for k in self.components}:
-            lhs = self.target.d(k + self.degree) * self.component(k)
-            rhs = self.component(k - 1) * self.source.d(k)
-            if s < 0:
-                rhs = -rhs
-            if lhs != rhs:
+            if not vanishes([
+                    (1, self.target.d(k + self.degree), self.component(k)),
+                    (s, self.component(k - 1), self.source.d(k))]):
                 raise ValueError("chain map fails to commute with d in degree %d" % k)
         return self
 
@@ -340,7 +338,7 @@ class ChainMap:
         if x is None:
             raise ArithmeticError("image of cycle is not a cycle mod boundaries")
         return SparseMatrix.from_entries(td, sd, F, {
-            ij: v for ij, v in x.entries.items() if ij[0] < td})
+            ij: v for ij, v in x.items() if ij[0] < td})
 
 
 class ChainHomotopy:
@@ -360,9 +358,10 @@ class ChainHomotopy:
     def validate(self):
         C, D = self.f.source, self.f.target
         for k in set(C.dims) | {k - 1 for k in D.dims}:
-            want = self.f.component(k) - self.g.component(k)
-            got = D.d(k + 1) * self.component(k) + self.component(k - 1) * C.d(k)
-            if want != got:
+            if not vanishes([(1, self.f.component(k), None),
+                             (-1, self.g.component(k), None),
+                             (-1, D.d(k + 1), self.component(k)),
+                             (-1, self.component(k - 1), C.d(k))]):
                 raise ValueError("homotopy identity fails in degree %d" % k)
         return self
 
@@ -374,10 +373,12 @@ def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
     in degree 1 that complex's d(h) = d_D h - (-1)^1 h d_C is d h + h d."""
     C, D = f.source, f.target
     h = hom_complex(C, D)
-    x = solve(h.d(1), map_to_hom_element(h, f - g))
+    d1 = h.d(1)
+    x = solve_matrix(d1, SparseMatrix.from_columns(
+        [map_to_hom_element(h, f - g)], d1.rows, f.field))
     if x is None:
         return None
-    hmap = hom_element_to_map(h, C, D, x, 1)
+    hmap = hom_element_to_map(h, C, D, x.by_column().get(0, {}), 1)
     return ChainHomotopy(f, g, hmap.components).validate()
 
 
@@ -522,7 +523,7 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
         slabs, tlabs = f.source.labels[k], f.target.labels[k + d]
         new = tgt.labels.get(k + d, ())
         img = images[k] = {}
-        for (i, j), v in m.entries.items():
+        for (i, j), v in m.items():
             s = slabs[j] if skey is None else skey(slabs[j])
             t = rows.get(tlabs[i] if tkey is None else tkey(tlabs[i]))
             if t is None or s not in cols:
@@ -581,7 +582,7 @@ def subcomplex(c: ChainComplex, constraints, label):
         else:
             row = free[k - 1]
             m = SparseMatrix.from_entries(below.cols, ik.cols, F, {
-                (row[i], j): v for (i, j), v in y.entries.items()
+                (row[i], j): v for (i, j), v in y.items()
                 if i in row})
             ok = below * m == y
             diff[k] = m
@@ -618,7 +619,7 @@ def quotient(c: ChainComplex, relations, label):
     # q's differential at a kept coordinate j is proj(d e_j)
     diff = {k: pmats[k - 1] * SparseMatrix.from_entries(
         c.dim(k - 1), dims[k], F, {(i, kept[k][j]): v for (i, j), v in
-                                   c.d(k).entries.items() if j in kept[k]})
+                                   c.d(k).items() if j in kept[k]})
         for k in dims if dims.get(k - 1)}
     q = ChainComplex(F, dims, diff, labels)
     return q, ChainMap(c, q, {k: pmats[k] for k in dims})
@@ -688,7 +689,7 @@ def tensor_many(complexes) -> ChainComplex:
     for c in complexes:
         cols = {}
         for p, dp in c.diff.items():
-            for (i2, i), v in dp.entries.items():
+            for (i2, i), v in dp.items():
                 cols.setdefault((p, i), []).append((i2, v))
         dcols.append(cols)
     acc = {k: {} for k in dims if dims.get(k - 1)}
@@ -730,25 +731,25 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
             labels.setdefault(n, [])
             labels[n].extend(("hom", c.labels[p][i], d.labels[q][j])
                              for i in range(c.dim(p)) for j in range(d.dim(q)))
+    # d_D by column and d_C by row, each in the order of items()
+    dcols, crows = {}, {}
+    for q, dd in d.diff.items():
+        for (j2, j), v in dd.items():
+            dcols.setdefault((q, j), []).append((j2, v))
+    for p, dc in c.diff.items():
+        for (i, i2), v in dc.items():
+            crows.setdefault((p, i), []).append((i2, v))
     acc = {n: [] for n in dims if dims.get(n - 1)}
     for (p, i, q, j), (n, col) in index.items():
         # d(f) = d_D o f - (-1)^n f o d_C ; basis element E_{(p,i),(q,j)}
         m = acc.get(n)
         if m is None:
             continue
-        dd = d.diff.get(q)
-        if dd is not None:
-            for (j2, jj), v in dd.entries.items():
-                if jj == j:
-                    _, row = index[(p, i, q - 1, j2)]
-                    m.append(((row, col), v))
-        dc = c.diff.get(p + 1)
-        if dc is not None:
-            sgn = -1 if n % 2 == 0 else 1  # -(-1)^n
-            for (ii, i2), v in dc.entries.items():
-                if ii == i:
-                    _, row = index[(p + 1, i2, q, j)]
-                    m.append(((row, col), sgn * v))
+        for j2, v in dcols.get((q, j), ()):
+            m.append(((index[(p, i, q - 1, j2)][1], col), v))
+        sgn = -1 if n % 2 == 0 else 1  # -(-1)^n
+        for i2, v in crows.get((p + 1, i), ()):
+            m.append(((index[(p + 1, i2, q, j)][1], col), sgn * v))
     diff = {n: SparseMatrix.from_entries(dims[n - 1], dims[n], field, m)
             for n, m in acc.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
@@ -776,7 +777,7 @@ def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
     dl = f.target.labels
     vec = {}
     for p, m in f.components.items():
-        for (j, i), v in m.entries.items():
+        for (j, i), v in m.items():
             lab = ("hom", cl[p][i], dl[p + degree][j])
             vec[pos[lab]] = v
     return vec
@@ -867,7 +868,7 @@ def homology_coordinates(c: ChainComplex, k):
     if Pinv is None:
         raise ArithmeticError("adapted basis not invertible")
     pi = SparseMatrix.from_entries(h, n, F, {
-        ij: v for ij, v in Pinv.entries.items() if ij[0] < h})
+        ij: v for ij, v in Pinv.items() if ij[0] < h})
     return pi, reps
 
 

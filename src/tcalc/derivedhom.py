@@ -140,10 +140,10 @@ class DerivedHomBuilder(_Levels):
         kp_model = tgt["piece"]
         img = {}
         for k in src["inv"].dims:
-            inc = src["incl"].component(k)
+            inc = src["incl"].component(k).by_column()
             cols = []
             for j in range(src["inv"].dim(k)):
-                vec = {i: v for (i, jj), v in inc.entries.items() if jj == j}
+                vec = inc.get(j, {})
                 f = hom_element_to_map(src["full"],
                                        c.sequence.term_complex(r),
                                        src["piece"].value.complex, vec,

@@ -83,7 +83,7 @@ class EquivariantComplex:
         maps = [self.action_of(g) for g in self.group.elements()]
         return ChainMap(self.complex, self.complex, {
             k: SparseMatrix.from_entries(n, n, self.field, (
-                e for f in maps for e in f.component(k).entries.items()))
+                e for f in maps for e in f.component(k).items()))
             for k, n in self.complex.dims.items()})
 
     def restrict(self, subgroup: YoungGroup) -> "EquivariantComplex":
@@ -416,13 +416,13 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
                 dims[tot] = dims.get(tot, 0) + c.dim(k)
                 labels.setdefault(tot, []).extend(
                     (name, s, gen, lab) for lab in c.labels[k])
-    acc = {t: [] for t in dims if dims.get(t - 1)}
+    # per degree, the blocks (row, col, matrix, coef) of the differential,
+    # read straight into each matrix by from_entries
+    puts = {t: [] for t in dims if dims.get(t - 1)}
 
     def put(src, tgt, mat, coef):
         tot, col = blocks[src]
-        row = blocks[tgt][1]
-        acc[tot].extend(((row + i, col + j), coef * v)
-                        for (i, j), v in mat.entries.items())
+        puts[tot].append((blocks[tgt][1], col, mat, coef))
 
     for (s, gen, k) in blocks:
         if k in c.diff and (s, gen, k - 1) in blocks:
@@ -442,9 +442,12 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
                     if src in blocks and tgt in blocks:
                         put(src, tgt, a.action_of(h).component(k),
                             -coef if odd else coef)
-    diff = {t: SparseMatrix.from_entries(dims[t - 1], dims[t], F, m)
-            for t, m in acc.items()}
+    diff = {t: SparseMatrix.from_entries(dims[t - 1], dims[t], F, (
+        ((row + i, col + j), coef * v)
+        for row, col, mat, coef in block for (i, j), v in mat.items()))
+        for t, block in puts.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
+    del puts
     out = ChainComplex(F, dims, diff, labels).validate()
     return WindowedResult(out, w, tag)
 

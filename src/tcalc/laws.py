@@ -140,7 +140,7 @@ def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
         comp = mp.component(k0)
         hits = []
         tgt = mp.target
-        for (i2, j2), v in comp.entries.items():
+        for (i2, j2), v in comp.items():
             if j2 == i0:
                 hits.append((tgt.labels[k0][i2], k0, v))
         per_factor.append(hits)
@@ -485,9 +485,7 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
         m = g.component(k)
         if m.rows != target.dim(k):
             return False
-        ent = {}
-        for (i, j), v in m.entries.items():
-            ent[(i, j)] = v
+        ent = dict(m.items())
         # must be a bijection matrix with unit entries
         if len(ent) != target.dim(k):
             return False
@@ -641,8 +639,8 @@ def _same_map(f: ChainMap, g: ChainMap) -> bool:
         if set(tf) != set(tg):
             return False
         reindex = {tf[lab]: tg[lab] for lab in tf}
-        ent = {(reindex[i], j): v for (i, j), v in mf.entries.items()}
-        if ent != mg.entries:
+        ent = {(reindex[i], j): v for (i, j), v in mf.items()}
+        if ent != dict(mg.items()):
             return False
     return True
 
@@ -1134,7 +1132,8 @@ def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
     glue = label_map(tgt_b.value.complex, tgt_model.value.complex)
     routeB2 = glue.compose(routeB)
     for k in set(routeA.components) | set(routeB2.components):
-        if routeA.component(k).entries != routeB2.component(k).entries:
+        if dict(routeA.component(k).items()) != \
+                dict(routeB2.component(k).items()):
             return False
     return True
 
@@ -1487,7 +1486,7 @@ def _adjoint_action(c, ps: ChainMap, kp_comp, comp,
         if pm.is_zero():
             continue
         big = im * pm   # A_r degree-k0 -> W degree-k0
-        for (wi, j), v in big.entries.items():
+        for (wi, j), v in big.items():
             lab = W.labels[k0][wi]
             _, alpha, inner = lab
             if alpha != alpha0:

@@ -16,6 +16,7 @@ subcommand runs it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, product
 
 from . import equivariant, sequences
 from .chain import ChainComplex, linear_map
@@ -42,9 +43,15 @@ def __getattr__(name):
 @lru_cache(maxsize=None)
 def _refinements(n):
     """The partitions of {0..n-1} in set_partitions order, and for each
-    partition q the ordered list of those partitions that refine q."""
+    partition q the ordered list of those partitions that refine q: one
+    partition of each block of q, joined.  set_partitions sorts its
+    normalized tuples, and a join sorted by block minima is normalized, so
+    sorting the joins keeps that order."""
     parts = set_partitions(list(range(n)))
-    return parts, {q: [p for p in parts if refines(p, q)] for q in parts}
+    split = {b: set_partitions(b) for b in {b for q in parts for b in q}}
+    return parts, {q: sorted(tuple(sorted(chain.from_iterable(pick)))
+                             for pick in product(*[split[b] for b in q]))
+                   for q in parts}
 
 
 TOP = lambda n: (tuple(range(n)),)

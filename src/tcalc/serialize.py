@@ -38,7 +38,7 @@ def _label_from_json(doc):
 def matrix_to_json(m: SparseMatrix):
     field = m.field
     return [[i, j, field.format_scalar(v)]
-            for (i, j), v in sorted(m.entries.items())]
+            for (i, j), v in sorted(m.items())]
 
 
 def matrix_from_json(doc, rows, cols, field) -> SparseMatrix:

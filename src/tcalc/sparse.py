@@ -1,41 +1,111 @@
 """Sparse exact matrices over a FieldSpec and the elimination kernel.
 
 Matrices map column vectors to column vectors: an (r x c) matrix is a map
-k^c -> k^r.  Entries live in ``entries[(i, j)]`` with no stored zeros, in
-the field's canonical scalar form.
+k^c -> k^r.  Its storage ``data`` depends on the field, and only this module
+reads it; elsewhere a matrix is read through ``items()`` (``((i, j),
+scalar)`` pairs), ``by_column()``, ``m[i, j]`` and ``nnz()``:
 
-Elimination over F_2 runs on int bitsets.  Over F_p and Q one lead-keyed
-kernel serves both ``Span`` and ``Echelon``: each incoming row is reduced
-against the rows kept so far, keyed by their lowest column (the lead), until
-its lead is new or it vanishes.  Over F_p the kept rows have lead 1 and all
-arithmetic is inline ``% p``.  Over Q the kept rows are primitive int
-vectors (denominators cleared, content divided out): one reduction step is
-the fraction-free combination a*v - c*row with a, c the two leads over their
-gcd, followed by division by the content, so no ``Fraction`` is formed while
-eliminating (compare Bareiss, Math. Comp. 22 (1968)).  ``Echelon`` then
-back-substitutes from the last pivot up and divides each row by its lead
-once, which yields the unique reduced row echelon form.
+* over F_2, ``{i: bits}`` with no zero rows, bit j of row i set iff entry
+  (i, j) is 1: sums XOR rows, a product XORs the rows of the right factor
+  picked by the bits of a left row, and blocks shift rows;
+* over F_p and Q, ``{(i, j): scalar}`` with no stored zeros, each scalar in
+  the field's canonical form.
+
+Sums, products and ``vanishes`` (is a signed sum of products zero?) all add
+c * A * B into one accumulator in that storage form, ``_accumulate``.
+
+One lead-keyed kernel serves both ``Span`` and ``Echelon`` on every field:
+each incoming row is reduced against the rows kept so far, keyed by their
+lowest column (the lead), until its lead is new or it vanishes.  Over F_2 a
+row is an int bitset and a step is one XOR.  Over F_p the kept rows have
+lead 1 and all arithmetic is inline ``% p``.  Over Q the kept rows are
+primitive int vectors (denominators cleared, content divided out): one
+reduction step is the fraction-free combination a*v - c*row with a, c the
+two leads over their gcd, followed by division by the content, so no
+``Fraction`` is formed while eliminating (compare Bareiss, Math. Comp. 22
+(1968)).  ``Echelon`` then back-substitutes from the last lead up and
+divides each row by its lead once, which yields the unique reduced row
+echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from .fields import FieldSpec
 
 
-class SparseMatrix:
-    __slots__ = ("rows", "cols", "field", "entries")
+def _ones(bits):
+    """The set bits of an int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
-    def __init__(self, rows: int, cols: int, field: FieldSpec):
+
+def _accumulate(acc, c, a, b):
+    """Add c * a * b (b None: c * a) into acc, a dict in the storage form of
+    a's field, for an int c nonzero in the field; sums that cancel stay as
+    zeros.  Over F_2 each row of a XORs the rows of b its bits pick."""
+    get = acc.get
+    if a.field.p == 2:
+        if b is None:
+            for i, r in a.data.items():
+                acc[i] = get(i, 0) ^ r
+            return
+        rows = b.data
+        for i, r in a.data.items():
+            x = 0
+            while r:
+                low = r & -r
+                x ^= rows.get(low.bit_length() - 1, 0)
+                r ^= low
+            acc[i] = get(i, 0) ^ x
+        return
+    if b is None:
+        for ij, x in a.data.items():
+            acc[ij] = get(ij, 0) + c * x
+        return
+    rows = {}
+    for (i, j), v in b.data.items():
+        rows.setdefault(i, []).append((j, v))
+    for (i, k), x in a.data.items():
+        hits = rows.get(k)
+        if hits is not None:
+            if c != 1:
+                x = c * x
+            for j, y in hits:
+                ij = (i, j)
+                acc[ij] = get(ij, 0) + x * y
+
+
+def _from_acc(rows, cols, field, acc):
+    """The matrix of an accumulator filled by _accumulate."""
+    if field.p == 2:
+        return SparseMatrix(rows, cols, field, {i: x for i, x in acc.items()
+                                                if x})
+    return SparseMatrix.from_entries(rows, cols, field, acc)
+
+
+def _check_product(a, b):
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch %dx%d * %dx%d" %
+                         (a.rows, a.cols, b.rows, b.cols))
+    if a.field != b.field:
+        raise ValueError("field mismatch")
+
+
+class SparseMatrix:
+    __slots__ = ("rows", "cols", "field", "data")
+
+    def __init__(self, rows: int, cols: int, field: FieldSpec, data=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.entries = {}
+        self.data = {} if data is None else data
 
     # -- construction -------------------------------------------------------
 
@@ -47,6 +117,19 @@ class SparseMatrix:
         (an int stays an int over Q, and is reduced by % p over F_p) and
         zeros are dropped; an index outside the shape raises IndexError.
         This is the one way to build a matrix from entries."""
+        p = field.p
+        coerce = field.coerce
+        if p == 2:
+            # summing over F_2 is XOR, so pairs are packed as they come
+            data = {}
+            for ij, v in acc.items() if isinstance(acc, dict) else acc:
+                i, j = ij
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise IndexError("entry %r out of range for %dx%d"
+                                     % (ij, rows, cols))
+                if v & 1 if v.__class__ is int else coerce(v):
+                    data[i] = data.get(i, 0) ^ 1 << j
+            return cls(rows, cols, field, {i: b for i, b in data.items() if b})
         if not isinstance(acc, dict):
             pairs, acc = acc, {}
             for ij, v in pairs:
@@ -56,22 +139,19 @@ class SparseMatrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError("entry %r out of range for %dx%d"
                                  % (ij, rows, cols))
-        m = cls(rows, cols, field)
-        p = field.p
-        coerce = field.coerce
         if p:
-            m.entries = {ij: r for ij, v in acc.items()
-                         if (r := v % p if v.__class__ is int else coerce(v))}
+            data = {ij: r for ij, v in acc.items()
+                    if (r := v % p if v.__class__ is int else coerce(v))}
         else:
-            m.entries = {ij: v if v.__class__ is int else coerce(v)
-                         for ij, v in acc.items() if v}
-        return m
+            data = {ij: v if v.__class__ is int else coerce(v)
+                    for ij, v in acc.items() if v}
+        return cls(rows, cols, field, data)
 
     @classmethod
     def identity(cls, n, field):
-        m = cls(n, n, field)
-        m.entries = {(i, i): 1 for i in range(n)}
-        return m
+        if field.p == 2:
+            return cls(n, n, field, {i: 1 << i for i in range(n)})
+        return cls(n, n, field, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows_list, field):
@@ -101,11 +181,26 @@ class SparseMatrix:
         return cls.block({(i, 0): m for i, m in enumerate(mats)},
                          [m.rows for m in mats], [cols], field)
 
+    # -- entry access ---------------------------------------------------------
+
+    def items(self):
+        """The nonzero entries as ((i, j), scalar) pairs; over F_2 row by row
+        in stored row order, each row's columns ascending."""
+        if self.field.p == 2:
+            return (((i, j), 1) for i, b in self.data.items()
+                    for j in _ones(b))
+        return self.data.items()
+
+    def nnz(self) -> int:
+        if self.field.p == 2:
+            return sum(b.bit_count() for b in self.data.values())
+        return len(self.data)
+
     def by_column(self):
         """{column: {row: scalar}} over the nonzero columns, each column's
-        entries in stored order."""
+        entries in the order of items()."""
         cols = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.items():
             cols.setdefault(j, {})[i] = v
         return cols
 
@@ -114,13 +209,13 @@ class SparseMatrix:
         cols = self.by_column()
         return [cols[j] for j in sorted(cols)]
 
-    # -- entry access ---------------------------------------------------------
-
     def __getitem__(self, ij):
-        return self.entries.get(ij, self.field.zero())
+        if self.field.p == 2:
+            return self.data.get(ij[0], 0) >> ij[1] & 1
+        return self.data.get(ij, self.field.zero())
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.data
 
     def __eq__(self, other):
         return (
@@ -128,77 +223,76 @@ class SparseMatrix:
             and self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __repr__(self):
         return "SparseMatrix(%dx%d over %s, %d nonzero)" % (
-            self.rows, self.cols, self.field.name(), len(self.entries))
+            self.rows, self.cols, self.field.name(), self.nnz())
 
     # -- algebra ---------------------------------------------------------------
 
     def __add__(self, other):
-        self._check_shape(other)
-        return SparseMatrix.from_entries(
-            self.rows, self.cols, self.field,
-            chain(self.entries.items(), other.entries.items()))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check_shape(other)
-        return SparseMatrix.from_entries(
-            self.rows, self.cols, self.field,
-            chain(self.entries.items(),
-                  ((ij, -v) for ij, v in other.entries.items())))
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        if self.field != other.field:
+            raise ValueError("field mismatch")
+        acc = {}
+        _accumulate(acc, 1, self, None)
+        _accumulate(acc, sign, other, None)
+        return _from_acc(self.rows, self.cols, self.field, acc)
 
     def __neg__(self):
-        m = SparseMatrix(self.rows, self.cols, self.field)
         F = self.field
-        m.entries = {ij: F.neg(v) for ij, v in self.entries.items()}
-        return m
+        data = self.data
+        return SparseMatrix(self.rows, self.cols, F, dict(data) if F.p == 2
+                            else {ij: F.neg(v) for ij, v in data.items()})
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        m = SparseMatrix(self.rows, self.cols, self.field)
-        if self.field.is_zero(c):
-            return m
         F = self.field
-        m.entries = {ij: F.mul(c, v) for ij, v in self.entries.items()}
-        return m
+        c = F.coerce(c)
+        if F.is_zero(c):
+            return SparseMatrix(self.rows, self.cols, F)
+        if F.p == 2:
+            return SparseMatrix(self.rows, self.cols, F, dict(self.data))
+        return SparseMatrix(self.rows, self.cols, F,
+                            {ij: F.mul(c, v) for ij, v in self.data.items()})
 
     def __mul__(self, other):
         """Matrix product self * other (composition: self after other)."""
         if not isinstance(other, SparseMatrix):
             return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch %dx%d * %dx%d" %
-                             (self.rows, self.cols, other.rows, other.cols))
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        F = self.field
-        # group other's entries by row
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
+        _check_product(self, other)
         acc = {}
-        for (i, k), a in self.entries.items():
-            hits = by_row.get(k)
-            if hits is None:
-                continue
-            for j, b in hits:
-                ij = (i, j)
-                acc[ij] = acc.get(ij, 0) + a * b
-        return SparseMatrix.from_entries(self.rows, other.cols, F, acc)
+        _accumulate(acc, 1, self, other)
+        return _from_acc(self.rows, other.cols, self.field, acc)
 
     def transpose(self):
-        m = SparseMatrix(self.cols, self.rows, self.field)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
+        if self.field.p == 2:
+            data = {}
+            for i, b in self.data.items():
+                bit = 1 << i
+                for j in _ones(b):
+                    data[j] = data.get(j, 0) | bit
+        else:
+            data = {(j, i): v for (i, j), v in self.data.items()}
+        return SparseMatrix(self.cols, self.rows, self.field, data)
 
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse column vector {index: scalar}."""
         F = self.field
+        if F.p == 2:
+            v = sum(1 << j for j in vec)
+            return {i: 1 for i, b in self.data.items()
+                    if (b & v).bit_count() & 1}
         out = {}
-        for (i, j), a in self.entries.items():
+        for (i, j), a in self.data.items():
             b = vec.get(j)
             if b is None:
                 continue
@@ -209,12 +303,6 @@ class SparseMatrix:
             else:
                 out[i] = cur
         return out
-
-    def _check_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
 
     # -- block assembly ---------------------------------------------------------
 
@@ -229,48 +317,52 @@ class SparseMatrix:
         for s in col_sizes:
             coff.append(coff[-1] + s)
         out = cls(roff[-1], coff[-1], field)
-        entries = out.entries
+        data = out.data
         for (bi, bj), m in blocks.items():
             if m is None:
                 continue
             if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
                 raise ValueError("block (%d,%d) has wrong shape" % (bi, bj))
             r0, c0 = roff[bi], coff[bj]
-            for (i, j), v in m.entries.items():
-                entries[(r0 + i, c0 + j)] = v
+            if field.p == 2:
+                for i, b in m.data.items():
+                    data[r0 + i] = data.get(r0 + i, 0) | b << c0
+            else:
+                for (i, j), v in m.data.items():
+                    data[(r0 + i, c0 + j)] = v
         return out
+
+
+def vanishes(terms) -> bool:
+    """Whether the sum of c * A * B over the triples (c, A, B) of terms is
+    zero, c an int; B None stands for the identity.  The terms are added
+    one by one into a single accumulator in the field's storage form, so no
+    product and no negated copy is built: over F_2 a row of A XORs the
+    stored rows of B its bits pick.
+
+    A * B with A.cols != B.rows or mixed fields raises ValueError as the
+    product would; terms of different shapes or fields never vanish, as ==
+    between their sums would say."""
+    shapes = set()
+    for _, a, b in terms:
+        if b is not None:
+            _check_product(a, b)
+        shapes.add((a.rows, a.cols if b is None else b.cols, a.field))
+    if len(shapes) > 1:
+        return False
+    p = terms[0][1].field.p
+    acc = {}
+    for c, a, b in terms:
+        if c % p if p else c:
+            _accumulate(acc, c, a, b)
+    if p > 2:
+        return not any(v % p for v in acc.values())
+    return not any(acc.values())
 
 
 # ---------------------------------------------------------------------------
 # Elimination kernel
 # ---------------------------------------------------------------------------
-
-
-def _rows_as_bitsets(m: SparseMatrix):
-    rows = [0] * m.rows
-    for (i, j), _ in m.entries.items():
-        rows[i] |= 1 << j
-    return rows
-
-
-def _gf2_echelon(rows, ncols):
-    """In-place forward elimination; returns list of (pivot_col, row_bits)."""
-    pivots = []
-    work = [r for r in rows if r]
-    for col in range(ncols):
-        mask = 1 << col
-        pivot_row = None
-        for idx, r in enumerate(work):
-            if r & mask:
-                pivot_row = idx
-                break
-        if pivot_row is None:
-            continue
-        pr = work.pop(pivot_row)
-        pivots.append((col, pr))
-        work = [(r ^ pr) if (r & mask) else r for r in work]
-        work = [r for r in work if r]
-    return pivots
 
 
 class Echelon:
@@ -285,52 +377,36 @@ class Echelon:
     def __init__(self, m: SparseMatrix):
         self.field = m.field
         self.cols = m.cols
-        if m.field.p == 2:
-            self._init_gf2(m)
+        p = self.field.p
+        if p == 2:
+            rows = m.data
         else:
-            self._init_lead_keyed(m)
-
-    def _init_gf2(self, m):
-        pivots = _gf2_echelon(_rows_as_bitsets(m), m.cols)
-        # back-substitute for reduced form
-        pivots.sort()
-        for idx in range(len(pivots) - 1, -1, -1):
-            col, row = pivots[idx]
-            for k in range(idx):
-                c2, r2 = pivots[k]
-                if r2 & (1 << col):
-                    pivots[k] = (c2, r2 ^ row)
-        self.pivot_cols = [c for c, _ in pivots]
-        self.pivot_rows = []
-        for c, bits in pivots:
-            # walk the set bits, lowest first
-            row = {}
-            while bits:
-                low = bits & -bits
-                row[low.bit_length() - 1] = 1
-                bits ^= low
-            self.pivot_rows.append(row)
-
-    def _init_lead_keyed(self, m):
+            rows = {}
+            for (i, j), v in m.data.items():
+                rows.setdefault(i, {})[j] = v
         # forward: grow the span of the rows, one kept row per pivot column
-        by_row = {}
-        for (i, j), v in m.entries.items():
-            by_row.setdefault(i, {})[j] = v
         span = Span(self.field)
-        for row in by_row.values():
+        for row in rows.values():
             span.add(row)
         # back-substitute from the last pivot up: the rows below a pivot are
         # already reduced, so clearing their leads in any order is enough
-        p = self.field.p
         done = {}
+        mask = 0    # the leads in done, over F_2
         for col in sorted(span.rows, reverse=True):
             row = span.rows[col]
-            for lead in [j for j in row if j in done]:
-                row = _eliminate(row, done[lead], lead, p)
+            if p == 2:
+                for lead in _ones(row & mask):
+                    row ^= done[lead]
+                mask |= 1 << col
+            else:
+                for lead in [j for j in row if j in done]:
+                    row = _eliminate(row, done[lead], lead, p)
             done[col] = row
         self.pivot_cols = sorted(done)
-        self.pivot_rows = [done[c] if p else _divide_q(done[c], done[c][c])
-                           for c in self.pivot_cols]
+        self.pivot_rows = [
+            dict.fromkeys(_ones(done[c]), 1) if p == 2
+            else done[c] if p else _divide_q(done[c], done[c][c])
+            for c in self.pivot_cols]
 
     @property
     def rank(self) -> int:
@@ -428,9 +504,9 @@ class Span:
 
     Each stored row is keyed by its lowest index (its lead), with distinct
     leads; a vector lies in the span iff reducing it lead by lead empties it.
-    Over F_2 rows are int bitsets, over F_p dicts with lead coefficient 1,
-    and over Q primitive int vectors with a positive lead, so that reducing
-    never leaves the integers.
+    Over F_2 rows are int bitsets (a vector may be given as one), over F_p
+    dicts with lead coefficient 1, and over Q primitive int vectors with a
+    positive lead, so that reducing never leaves the integers.
     """
 
     def __init__(self, field: FieldSpec):
@@ -444,9 +520,7 @@ class Span:
         rows = self.rows
         p = self.field.p
         if p == 2:
-            v = 0
-            for j in vec:
-                v |= 1 << j
+            v = vec if vec.__class__ is int else sum(1 << j for j in vec)
             while v:
                 lead = (v & -v).bit_length() - 1
                 row = rows.get(lead)
@@ -493,28 +567,9 @@ def nullspace(m: SparseMatrix):
     return Echelon(m).nullspace_basis()
 
 
-def solve(m: SparseMatrix, b: dict):
-    """One solution x (dict) of m x = b, or None.  b is {row: scalar}."""
-    F = m.field
-    # eliminate on the augmented matrix [m | b]
-    aug = SparseMatrix(m.rows, m.cols + 1, F)
-    aug.entries = dict(m.entries)
-    for i, v in b.items():
-        if not F.is_zero(v):
-            aug.entries[(i, m.cols)] = v
-    ech = Echelon(aug)
-    x = {}
-    for col, row in zip(ech.pivot_cols, ech.pivot_rows):
-        if col == m.cols:
-            return None  # inconsistent
-        c = row.get(m.cols)
-        if c is not None:
-            x[col] = c
-    return x
-
-
 def solve_matrix(m: SparseMatrix, b: SparseMatrix):
-    """Solve m X = b columnwise; returns X or None."""
+    """Solve m X = b columnwise; returns X or None.  A single vector is the
+    one-column case."""
     if m.rows != b.rows or m.field != b.field:
         raise ValueError("shape/field mismatch")
     F, n = m.field, m.cols
@@ -523,10 +578,11 @@ def solve_matrix(m: SparseMatrix, b: SparseMatrix):
                                      [n, b.cols], F))
     if ech.pivot_cols and ech.pivot_cols[-1] >= n:
         return None
-    x = SparseMatrix(n, b.cols, F)
-    x.entries = {(col, j - n): v
-                 for col, row in zip(ech.pivot_cols, ech.pivot_rows)
-                 for j, v in row.items() if j >= n}
+    x = {(col, j - n): v for col, row in zip(ech.pivot_cols, ech.pivot_rows)
+         for j, v in row.items() if j >= n}
+    # the reduced rows hold canonical scalars: only F_2 packs them
+    x = (SparseMatrix.from_entries(n, b.cols, F, x) if F.p == 2
+         else SparseMatrix(n, b.cols, F, x))
     # verify (cheap insurance against pivoting into the rhs block)
     if (m * x) != b:
         return None

@@ -247,7 +247,7 @@ def unit_section(proj: ChainMap) -> ChainMap:
     comps = {}
     for k in q.dims:
         sec = {}
-        for (i, j), v in proj.component(k).entries.items():
+        for (i, j), v in proj.component(k).items():
             if i not in sec and v == 1:
                 sec[i] = j
         if len(sec) != q.dim(k):

@@ -443,7 +443,7 @@ def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
         for j_deg, xsol in factor_through(f.compose(inc_h),
                                           inc_l).components.items():
             labs_h, labs_l = sub_h.labels[j_deg], sub_l.labels[j_deg]
-            for (i, j), v in xsol.entries.items():
+            for (i, j), v in xsol.items():
                 images.setdefault(("tot", m, labs_h[j]), []).append(
                     (("tot", m, labs_l[i]), v))
     return linear_map(tot_hi, tot_lo,

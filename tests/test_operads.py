@@ -62,13 +62,13 @@ def test_cooperad_counit_laws():
         src = coop.term_complex(n)
         for k in src.dims:
             m = d.component(k)
-            assert len(m.entries) == src.dim(k)
+            assert m.nnz() == src.dim(k)
         # discrete: T_n (x) units
         blocks = tuple((i,) for i in range(n))
         d2 = coop.decomposition(n, blocks)
         for k in src.dims:
             m = d2.component(k)
-            assert len(m.entries) == src.dim(k)
+            assert m.nnz() == src.dim(k)
 
 
 def test_cooperad_coassociative_all_small():
@@ -157,7 +157,7 @@ def test_flat_label_transport_between_tensor_nestings():
     g.validate()
     for k in flat.dims:
         for col, (la, lb, lc) in enumerate(flat.labels[k]):
-            img = [flat.labels[k][i] for (i, j) in g.component(k).entries
+            img = [flat.labels[k][i] for (i, j), _ in g.component(k).items()
                    if j == col]
             new_a = {("a", 0): ("a", 1), ("a", 1): ("a", 0)}.get(la, la)
             assert img == [(new_a, lb, lc)]
@@ -239,7 +239,7 @@ def test_strict_chains_are_the_strict_weak_chains():
 
 
 def _by_label(m, rows, cols):
-    return {(rows[i], cols[j]): v for (i, j), v in m.entries.items()}
+    return {(rows[i], cols[j]): v for (i, j), v in m.items()}
 
 
 @pytest.mark.parametrize("F", [F2, F3, QQ])
@@ -254,8 +254,8 @@ def test_bar_complex_is_the_normalized_simplicial_object(F):
             labs = bc.levels[(s, n)].labels.get(0, ())
             hit = set()
             for j in range(s):
-                hit |= {labs[i] for i, _ in
-                        bc.degens[(s - 1, j, n)].component(0).entries}
+                hit |= {labs[i] for (i, _), _ in
+                        bc.degens[(s - 1, j, n)].component(0).items()}
             nondeg[s] = [lab for lab in labs if lab not in hit]
             assert list(c.labels.get(s, ())) == nondeg[s], (n, s)
         for s in range(1, bc.max_level + 1):
