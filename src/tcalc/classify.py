@@ -302,11 +302,7 @@ def _corner_maps(builder, pn1, n, c):
     offkeys = _off_diagonal_keys(builder, n)
     slot_parts = [builder.parts[1][builder.level_keys[1].index(k)]
                   for k in offkeys]
-    if c.source == "top":
-        ub = {((2,), (1, 2)): builder._u12_map()} if offkeys else {}
-        tb = {((1,), (1, 2)): builder._theta12_map()} if offkeys else {}
-    else:
-        ub, tb = builder._u_block(0, 1), builder._theta_block(0, 1, True)
+    _, ub, tb, _ = builder.pullback_corners()
     corner = direct_sum(slot_parts) if slot_parts else ChainComplex(F, {})
     # bottom: out of P_{n-1}-Tot through its level-0 arity projections
     pn1_tot = pn1["complex"]

@@ -3,9 +3,14 @@ E^1 page.
 
 `DerivedHomBuilder` builds the Hom-side cobar: levels
 m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r) on the strict invariants of
-equivariant hom complexes.  `tower.derived_hom` totalizes it; `bk_e1` reads
-the E^1 page off its strictly increasing index chains, and `einf_dims` the
-abutment off the column filtration of the totalization.
+equivariant hom complexes.  The index walk of its cofaces and
+codegeneracies lives in `tower._Levels`; the builder supplies the hom
+pieces and the blocks off the diagonal: h |-> K_q(h) o theta for delta^0,
+postcomposition with the comultiplication for the middle cofaces and with
+theta for the last.  `tower.derived_hom` totalizes it; `bk_e1` reads the
+E^1 page off the coface blocks between its strictly increasing index
+chains, and `einf_dims` the abutment off the column filtration of the
+totalization.
 """
 
 from __future__ import annotations
@@ -13,14 +18,12 @@ from __future__ import annotations
 from . import comonads, topcomonad
 from .chain import (
     ChainMap, DegreeWindow, factor_through, hom_complex, hom_element_to_map,
-    label_map, linear_map, map_to_hom_element, subcomplex, transport,
+    linear_map, map_to_hom_element, subcomplex, transport,
 )
 from .coalgebras import _model_transport
 from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
 from .sparse import Echelon, SparseMatrix, nullspace
-from .tower import (
-    CosimplicialComplex, _Levels, _piece_nonzero, _RawPiece, fat_tot,
-)
+from .tower import _Levels, _piece_nonzero, _RawPiece, fat_tot
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +61,54 @@ def equivariant_hom_complex(a, b):
     return h, inv, incl
 
 
-class DerivedHomBuilder(_Levels):
+class _HomLevels(_Levels):
+    """Levels m |-> (+)_r Hom_{Sigma_r}(M_r, P)^{inv} over the pieces P of
+    K^m A', keyed like the pieces (pieces[lvl][key], key[0] = r), each on
+    the strict invariants of `equivariant_hom_complex`.  The middle cofaces
+    postcompose the comonad K's comultiplication; a subclass supplies the
+    other blocks off the diagonal."""
+
+    def __init__(self, mseq, K, pieces):
+        self.K = K
+        self.hom = {}
+        for lvl, by_key in pieces.items():
+            self.hom[lvl] = {}
+            for key, piece in by_key.items():
+                m_r = mseq.term(key[0])
+                if m_r is None:
+                    continue
+                full, inv, incl = equivariant_hom_complex(m_r, piece.value)
+                self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
+                                      "piece": piece}
+        keys = {lvl: sorted(h) for lvl, h in self.hom.items()}
+        super().__init__(mseq.field, keys, {
+            lvl: [self.hom[lvl][k]["inv"] for k in ks]
+            for lvl, ks in keys.items()})
+        self.cosimplicial = self._assemble()
+
+    def _post(self, m, sk, tk, g: ChainMap) -> ChainMap:
+        """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g
+        carried onto the pieces P of sk and Q of tk."""
+        src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
+        g = transport(g, src["piece"].value.complex, tgt["piece"].value.complex)
+        big = slotwise_map(src["full"], tgt["full"], g, slot=2)
+        return factor_through(big.compose(src["incl"]), tgt["incl"]).validate()
+
+    def _middle(self, m, sk, tk):
+        d = self.K.delta.get(tk)
+        return None if d is None else self._post(m, sk, tk, d)
+
+
+class DerivedHomBuilder(_HomLevels):
     """Levels m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r), truncation <= 3.
 
     Cofaces follow the mapping-space cosimplicial structure: delta^0 applies
     the comonad to a map and precomposes the source coalgebra structure,
     middle cofaces insert the comultiplication, the top coface postcomposes
-    the target coalgebra structure; codegeneracies postcompose counits."""
+    the target coalgebra structure; codegeneracies postcompose counits.  The
+    index walk lives in `tower._Levels`; this builder supplies the pieces
+    and the blocks off the diagonal: `_kq_theta_block` for delta^0, and
+    postcomposition (`_post`) with delta or theta for the others."""
 
     def __init__(self, c, cprime, w: DegreeWindow):
         if c.source != cprime.source:
@@ -76,46 +120,28 @@ class DerivedHomBuilder(_Levels):
         self.c = c
         self.cp = cprime
         self.w = w
-        F = c.field
-        self.field = F
+        self.field = c.field
         self.D = max(c.truncation - 1, 0)
         K = cprime.komonad
-        self.K = K
         # pieces of K^m A': level 0: raw terms; level 1: components;
         # level 2: (q, s, n)-models
-        self.pieces = {0: {}, 1: {}, 2: {}}
-        for n in cprime.sequence.arities():
-            self.pieces[0][(n,)] = _RawPiece(cprime.sequence.term(n))
-        for (q, n), comp in K.components.items():
-            if _piece_nonzero(comp):
-                self.pieces[1][(q, n)] = comp
+        pieces = {0: {(n,): _RawPiece(cprime.sequence.term(n))
+                      for n in cprime.sequence.arities()}}
+        if self.D >= 1:
+            pieces[1] = {key: comp for key, comp in K.components.items()
+                         if _piece_nonzero(comp)}
         if self.D >= 2:
+            pieces[2] = {}
             for n in cprime.sequence.arities():
                 for s in range(1, n + 1):
                     for q in range(1, s + 1):
-                        piece = self._level2_piece(q, s, n)
+                        piece = self._level2_piece(K, q, s, n)
                         if piece is not None and _piece_nonzero(piece):
-                            self.pieces[2][(q, s, n)] = piece
-        # hom complexes per piece (invariants), keyed by level and piece key
-        self.hom = {0: {}, 1: {}, 2: {}}
-        for lvl in range(self.D + 1):
-            for key, piece in self.pieces[lvl].items():
-                r = key[0]
-                a_r = c.sequence.term(r)
-                if a_r is None:
-                    continue
-                full, inv, incl = equivariant_hom_complex(a_r, piece.value)
-                self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
-                                      "piece": piece}
-        keys = {lvl: sorted(self.hom[lvl]) for lvl in range(self.D + 1)}
-        super().__init__(F, keys, {
-            lvl: [self.hom[lvl][k]["inv"] for k in ks]
-            for lvl, ks in keys.items()})
-        self.cosimplicial = self._assemble()
+                            pieces[2][(q, s, n)] = piece
+        super().__init__(c.sequence, K, pieces)
 
-    def _level2_piece(self, q, s, n):
-        c, K = self.cp, self.K
-        if c.source == "sp":
+    def _level2_piece(self, K, q, s, n):
+        if self.cp.source == "sp":
             if q < s < n:
                 return None
             return K.components.get((q, n))
@@ -123,7 +149,11 @@ class DerivedHomBuilder(_Levels):
             return K.delta_outer.get((q, s, n))
         return K.components.get((q, n))
 
-    # -- piece-level maps -----------------------------------------------------
+    # -- blocks off the diagonal ----------------------------------------------
+
+    def _outer(self, m, sk, tk) -> ChainMap:
+        return self._kq_theta_block(self.hom[m][sk], self.hom[m + 1][tk],
+                                    tk[0], sk[0])
 
     def _kq_theta_block(self, src, tgt, q, r) -> ChainMap:
         """Hom(A_r, P)^{inv} -> Hom(A_q, K_q P)^{inv}:
@@ -166,138 +196,29 @@ class DerivedHomBuilder(_Levels):
         return factor_through(ChainMap(src["inv"], tgt["full"], img),
                               tgt["incl"]).validate()
 
-    # -- assembly ---------------------------------------------------------------
-
-    def _delta0(self, src_lvl):
-        """h -> K(h) o theta (diagonal q = r gives the identity block)."""
-        blocks = {}
-        for key in self.level_keys[src_lvl]:
-            r = key[0]
-            src = self.hom[src_lvl][key]
-            for q in range(1, r + 1):
-                tk = (q,) + key
-                if tk not in self.hom[src_lvl + 1]:
-                    continue
-                tgt = self.hom[src_lvl + 1][tk]
-                if q == r:
-                    ident = label_map(src["inv"], tgt["inv"], partial=True)
-                    blocks[(key, tk)] = ident
-                else:
-                    blocks[(key, tk)] = self._kq_theta_block(src, tgt, q, r)
-        return blocks
-
-    def _delta_mid(self, src_lvl):
-        """Insert the comultiplication: postcompose delta of the comonad."""
-        blocks = {}
-        K = self.K
-        for key in self.level_keys[src_lvl]:
-            src = self.hom[src_lvl][key]
-            q, n = key[0], key[-1]
-            for s in range(q, n + 1):
-                tk = key[:1] + (s,) + key[1:]
-                if tk not in self.hom[src_lvl + 1]:
-                    continue
-                tgt = self.hom[src_lvl + 1][tk]
-                if self.cp.source == "sp":
-                    g = ChainMap.identity(src["piece"].value.complex)
-                else:
-                    d = K.delta.get((q, s, n))
-                    if d is None:
-                        continue
-                    g = transport(d, src["piece"].value.complex,
-                                  tgt["piece"].value.complex)
-                blocks[(key, tk)] = _post_block(src, tgt, g)
-        return blocks
-
-    def _delta_top(self, src_lvl):
-        """Postcompose theta of the target coalgebra at the innermost slot."""
-        blocks = {}
-        cp = self.cp
-        K = self.K
-        for key in self.level_keys[src_lvl]:
-            src = self.hom[src_lvl][key]
-            s = key[-1]
-            for n in range(s, cp.truncation + 1):
-                tk = key + (n,)
-                if tk not in self.hom[src_lvl + 1]:
-                    continue
-                tgt = self.hom[src_lvl + 1][tk]
-                th = cp.theta_map(s, n)
-                if th is None:
-                    continue
-                if s == n:
-                    blocks[(key, tk)] = label_map(src["inv"], tgt["inv"],
-                                                  partial=True)
-                    continue
-                q = key[0]
-                if src_lvl == 0 or (cp.source == "sp" and q == key[-1]):
-                    # theta itself (for sp at level 1: the collapsed outer)
-                    g = transport(th, src["piece"].value.complex,
-                                  tgt["piece"].value.complex)
-                    blocks[(key, tk)] = _post_block(src, tgt, g)
-                else:
-                    if cp.source == "sp":
-                        # the target was dropped or identity-kept
-                        continue
-                    # top: K_q(theta~)
-                    inner = K.delta_inner.get((q, s, n))
-                    outer = K.delta_outer.get((q, s, n))
-                    if inner is None or outer is None:
-                        continue
-                    tau = _model_transport(K.component(s, n), inner)
-                    theta_tilde = tau.compose(
-                        transport(th, cp.sequence.term_complex(s)))
-                    src_model = src["piece"]
-                    if src_model.kind != outer.kind:
-                        src_model = topcomonad._rebuild_like(
-                            K.coop, cp.sequence.term(s), q, K.w, outer)
-                    kf = topcomonad.top_component_on_map(
-                        K.coop, src_model, outer, theta_tilde)
-                    g = transport(kf, src["piece"].value.complex,
-                                  tgt["piece"].value.complex)
-                    blocks[(key, tk)] = _post_block(src, tgt, g)
-        return blocks
-
-    def _sigma(self, src_lvl, j):
-        blocks = {}
-        for key in self.level_keys[src_lvl]:
-            src = self.hom[src_lvl][key]
-            if len(key) == 2:
-                q, n = key
-                if q == n and (n,) in self.hom[0]:
-                    blocks[(key, (n,))] = label_map(
-                        src["inv"], self.hom[0][(n,)]["inv"], partial=True)
-            else:
-                q, s, n = key
-                if j == 0 and s == q and (q, n) in self.hom[1]:
-                    blocks[(key, (q, n))] = label_map(
-                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
-                if j == 1 and s == n and (q, n) in self.hom[1]:
-                    blocks[(key, (q, n))] = label_map(
-                        src["inv"], self.hom[1][(q, n)]["inv"], partial=True)
-        return blocks
-
-    def _assemble(self) -> CosimplicialComplex:
-        cofaces, codegens = {}, {}
-        if self.D >= 1:
-            cofaces[(0, 0)] = self._block(0, 1, self._delta0(0))
-            cofaces[(0, 1)] = self._block(0, 1, self._delta_top(0))
-            codegens[(1, 0)] = self._block(1, 0, self._sigma(1, 0))
-        if self.D >= 2:
-            cofaces[(1, 0)] = self._block(1, 2, self._delta0(1))
-            cofaces[(1, 1)] = self._block(1, 2, self._delta_mid(1))
-            cofaces[(1, 2)] = self._block(1, 2, self._delta_top(1))
-            codegens[(2, 0)] = self._block(2, 1, self._sigma(2, 0))
-            codegens[(2, 1)] = self._block(2, 1, self._sigma(2, 1))
-        return CosimplicialComplex(self.levels, cofaces, codegens,
-                                   degenerate_above=self.D).validate()
-
-
-def _post_block(src, tgt, g: ChainMap) -> ChainMap:
-    """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, for hom
-    pieces {"full", "inv", "incl", "piece"} with source P and target Q."""
-    big = slotwise_map(src["full"], tgt["full"], g, slot=2)
-    return factor_through(big.compose(src["incl"]), tgt["incl"]).validate()
+    def _inner(self, m, sk, tk):
+        """Postcompose theta of the target coalgebra at the innermost slot:
+        theta itself out of level 0 (and, for sp, out of a collapsed outer
+        index), K_q(theta~) for top at level 1."""
+        cp, K = self.cp, self.K
+        q, s, n = sk[0], sk[-1], tk[-1]
+        th = cp.theta_map(s, n)
+        if th is None:
+            return None
+        if m == 0 or (cp.source == "sp" and q == s):
+            return self._post(m, sk, tk, th)
+        inner = K.delta_inner.get((q, s, n))
+        outer = K.delta_outer.get((q, s, n))
+        if inner is None or outer is None:
+            return None
+        tau = _model_transport(K.component(s, n), inner)
+        theta_tilde = tau.compose(transport(th, cp.sequence.term_complex(s)))
+        src_model = self.hom[m][sk]["piece"]
+        if src_model.kind != outer.kind:
+            src_model = topcomonad._rebuild_like(
+                K.coop, cp.sequence.term(s), q, K.w, outer)
+        return self._post(m, sk, tk, topcomonad.top_component_on_map(
+            K.coop, src_model, outer, theta_tilde))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +283,6 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
             for t in range(win.lo, win.hi + 2):
                 dim, reps, _ = inv.homology_data(t)
                 hdata[(lvl, key, t)] = (dim, reps, inv)
-    # the cofaces restricted to strict keys, alternating sum on homology
-    coface_blocks = {}
-    if D >= 1:
-        coface_blocks[0] = [builder._delta0(0), builder._delta_top(0)]
-    if D >= 2:
-        coface_blocks[1] = [builder._delta0(1), builder._delta_mid(1),
-                            builder._delta_top(1)]
     entries, d1 = {}, {}
     for s in range(D + 1):
         for t in range(win.lo, win.hi + 2):
@@ -384,11 +298,11 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
                     d1[(s, t)] = SparseMatrix(sum(rows), sum(cols), F)
                 continue
             # the alternating sum of the cofaces on homology, block by block
+            # between strict keys
             mats = {}
-            for i, blocks in enumerate(coface_blocks.get(s, [])):
-                for (sk, tk), blk in blocks.items():
-                    if sk not in strict[s] or tk not in strict[s + 1] or \
-                            not hdata[(s, sk, t)][0]:
+            for i in range(s + 2):
+                for (sk, tk), blk in builder.coface_blocks[(s, i)].items():
+                    if not hdata[(s, sk, t)][0]:
                         continue
                     ind = blk.induced_on_homology(t)
                     b = (strict[s + 1].index(tk), strict[s].index(sk))

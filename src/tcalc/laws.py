@@ -29,7 +29,7 @@ from .coalgebras import (
     truncate_coalgebra,
 )
 from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
-from .derivedhom import _post_block, equivariant_hom_complex
+from .derivedhom import _HomLevels
 from .equivariant import (
     EquivariantComplex, permutation_module, slotwise_map, strict_fixed,
     strict_orbits, trivial_action, zero_module,
@@ -47,7 +47,7 @@ from .topcomonad import (
     _rebuild_like, _sursum_map, build_top_delta, top_component_on_map,
     top_delta_on_sums, unit_section,
 )
-from .tower import CosimplicialComplex, _Levels, _RawPiece, fat_tot
+from .tower import CosimplicialComplex, _RawPiece, fat_tot
 from .trees import leaf
 
 
@@ -562,8 +562,10 @@ def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
         [coop.term_complex(len(b)) for b in qpart] + \
         [coop.term_complex(len(c)) for c in fine]
     reorderA = tensor_reorder_map(routeA_factors, permA, F)
-    routeA2 = _compose_via_flat(reorderA, routeA)
-    return _same_map(routeA2, routeB)
+    routeA2 = reorderA.compose(transport(routeA, target=reorderA.source,
+                                         key=_flat_label, partial=False))
+    return transport(routeA2, target=routeB.target, key=_flat_label,
+                     partial=False).components == routeB.components
 
 
 def _fine_to_grouped_perm(coarse, fine):
@@ -601,12 +603,6 @@ def _flat_label(lab):
     return (lab,)
 
 
-def _compose_via_flat(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f o g where f's source equals g's target up to label nesting."""
-    return f.compose(transport(g, target=f.source, key=_flat_label,
-                               partial=False))
-
-
 def _apply_to_factor(base: ChainMap, piece: ChainMap, slot, base_factors,
                      F) -> ChainMap:
     """Compose base with (id (x) ... (x) piece (x) ... (x) id) at `slot`
@@ -621,29 +617,8 @@ def _apply_to_factor(base: ChainMap, piece: ChainMap, slot, base_factors,
     for mp in maps[1:]:
         big = tensor_map(big, mp)
     # big's source is tensor(base_factors) rebuilt; identify with base.target
-    return _compose_via_flat(big, base)
-
-
-def _same_map(f: ChainMap, g: ChainMap) -> bool:
-    """Compare two chain maps with possibly differently-nested tensor labels."""
-    for k in set(f.source.dims) | set(g.source.dims):
-        if f.source.dim(k) != g.source.dim(k):
-            return False
-    for k in set(list(f.components) + list(g.components)):
-        mf, mg = f.component(k), g.component(k)
-        # align target bases by flattened labels
-        tf = {_flat_label(lab): i
-              for i, lab in enumerate(f.target.labels.get(k, ()))}
-        tg = {_flat_label(lab): i
-              for i, lab in enumerate(g.target.labels.get(k, ()))}
-        if set(tf) != set(tg):
-            return False
-        reindex = {tf[lab]: tg[lab] for lab in tf}
-        ent = {(reindex[i], j): v for (i, j), v in mf.items()}
-        if ent != dict(mg.items()):
-            return False
-    return True
-
+    return big.compose(transport(base, target=big.source, key=_flat_label,
+                                 partial=False))
 
 
 def validate_right_module(mod: RightModule):
@@ -745,7 +720,8 @@ def _check_module_assoc(mod: RightModule, r, comp, comp2_parts):
                                 for part in comp2_parts])
     route2 = a3.compose(transport(big2.compose(cur), target=mid2,
                                   key=_flat_label, partial=False))
-    return _same_map(route1, route2)
+    return transport(route1, target=route2.target, key=_flat_label,
+                     partial=False).components == route2.components
 
 
 def _group_q_after_p_perm(comp, comp2_parts):
@@ -811,12 +787,13 @@ def _check_module_equivariance(mod: RightModule, r, comp):
             big = maps[0]
             for mp in maps[1:]:
                 big = tensor_map(big, mp)
-            big = transport(big, act.source, key=_flat_label, partial=False)
-            lhs = _compose_via_flat(act, big)
+            lhs = act.compose(transport(big, act.source, act.source,
+                                        key=_flat_label, partial=False))
             # global generator at position offs[bi] + gi
             glob = offs[bi] + gi
             rhs = m_n.action[glob].compose(act)
-            if not _same_map(lhs, rhs):
+            if transport(lhs, target=rhs.target, key=_flat_label,
+                         partial=False).components != rhs.components:
                 return ("equivariance fails at (%d; %s), block %d, gen %d" %
                         (r, comp, bi, gi))
     return None
@@ -1543,111 +1520,44 @@ def divided_power_check(c: TruncatedCoalgebra, w: DegreeWindow | None = None,
 # ---------------------------------------------------------------------------
 
 
+class _ModuleHomLevels(_HomLevels):
+    """Levels m |-> (+)_r Hom_{Sigma_r}(M(X)_r, (K'^m A)_r) of the strict
+    module derived hom.  M(X) has trivial psi, so delta^0 keeps only its
+    diagonal blocks; delta^1 out of level 0 postcomposes psi of A, whose
+    components out of level 1 vanish for the free representables."""
+
+    def __init__(self, mseq, KP, pieces, psi):
+        self.psi = psi
+        super().__init__(mseq, KP, pieces)
+
+    def _outer(self, m, sk, tk):
+        return None
+
+    def _inner(self, m, sk, tk):
+        ps = self.psi.get((sk[0], tk[-1])) if m == 0 else None
+        if ps is None or ps.is_zero():
+            return None
+        return self._post(m, sk, tk, ps)
+
+
 def module_hom_tower(c, site, n, win: DegreeWindow):
     """Map_{dI}(M(X), A_{<= n}) through the strict K'-cobar; exact."""
-    F = c.field
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
     module, _ = representable_module(FinitePointedSet(site.size),
-                                     cn.truncation, F)
-    mseq = module.sequence
+                                     cn.truncation, c.field)
     psi, KP = psi_from_theta(cn)
     D = max(cn.truncation - 1, 0)
     # pieces of K'^m A
-    pieces = {0: {}, 1: {}, 2: {}}
-    for m in cn.sequence.arities():
-        pieces[0][(m,)] = _RawPiece(cn.sequence.term(m))
-    for (q, m), comp in KP.components.items():
-        if comp.sursum is not None and not comp.value.complex.is_zero():
-            pieces[1][(q, m)] = comp
-    if D >= 2:
-        for key, outer in KP.delta_outer.items():
-            q, s, m = key
-            if outer is not None and not outer.value.complex.is_zero():
-                pieces[2][key] = outer
-    hom = {0: {}, 1: {}, 2: {}}
-    for lvl in range(D + 1):
-        for key, piece in pieces[lvl].items():
-            r = key[0]
-            m_r = mseq.term(r)
-            if m_r is None:
-                continue
-            full, inv, incl = equivariant_hom_complex(m_r, piece.value)
-            hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
-                             "piece": piece}
-    level_keys = {lvl: sorted(hom[lvl]) for lvl in range(D + 1)}
-    levels = _Levels(F, level_keys, {
-        lvl: [hom[lvl][k]["inv"] for k in ks]
-        for lvl, ks in level_keys.items()})
-    block = levels._block
-
-    cofaces, codegens = {}, {}
+    pieces = {0: {(m,): _RawPiece(cn.sequence.term(m))
+                  for m in cn.sequence.arities()}}
     if D >= 1:
-        # delta^0: M(X) has trivial psi, so only the diagonal identity blocks
-        b0, b1, be = {}, {}, {}
-        for key in level_keys[0]:
-            m = key[0]
-            if (m, m) in hom[1]:
-                b0[(key, (m, m))] = label_map(
-                    hom[0][key]["inv"], hom[1][(m, m)]["inv"], partial=True)
-            for mm2 in range(m, cn.truncation + 1):
-                tk = (m, mm2)
-                if tk not in hom[1]:
-                    continue
-                if mm2 == m:
-                    b1[(key, tk)] = label_map(
-                        hom[0][key]["inv"], hom[1][tk]["inv"], partial=True)
-                else:
-                    ps = psi.get((m, mm2))
-                    if ps is None or ps.is_zero():
-                        continue
-                    b1[(key, tk)] = _post_block(hom[0][key], hom[1][tk], ps)
-        for key in level_keys[1]:
-            q, m = key
-            if q == m and (m,) in hom[0]:
-                be[(key, (m,))] = label_map(
-                    hom[1][key]["inv"], hom[0][(m,)]["inv"], partial=True)
-        cofaces[(0, 0)] = block(0, 1, b0)
-        cofaces[(0, 1)] = block(0, 1, b1)
-        codegens[(1, 0)] = block(1, 0, be)
+        pieces[1] = {key: comp for key, comp in KP.components.items()
+                     if comp.sursum is not None
+                     and not comp.value.complex.is_zero()}
     if D >= 2:
-        bu, bd, bk2 = {}, {}, {}
-        for key in level_keys[1]:
-            q, m = key
-            tk = (q, q, m)
-            if tk in hom[2]:
-                bu[(key, tk)] = label_map(
-                    hom[1][key]["inv"], hom[2][tk]["inv"], partial=True)
-            for s in range(q, m + 1):
-                tk2 = (q, s, m)
-                if tk2 not in hom[2]:
-                    continue
-                d = KP.delta.get((q, s, m))
-                if d is None:
-                    continue
-                g = transport(d, hom[1][key]["piece"].value.complex,
-                              hom[2][tk2]["piece"].value.complex)
-                bd[(key, tk2)] = _post_block(hom[1][key], hom[2][tk2], g)
-            for mm2 in range(m, cn.truncation + 1):
-                tk3 = (q, m, mm2)
-                if tk3 not in hom[2]:
-                    continue
-                if mm2 == m:
-                    bk2[(key, tk3)] = label_map(
-                        hom[1][key]["inv"], hom[2][tk3]["inv"], partial=True)
-                # psi components vanish for the free representables
-        cofaces[(1, 0)] = block(1, 2, bu)
-        cofaces[(1, 1)] = block(1, 2, bd)
-        cofaces[(1, 2)] = block(1, 2, bk2)
-        for j in (0, 1):
-            bs = {}
-            for key in level_keys[2]:
-                q, s, m = key
-                keep = (j == 0 and s == q) or (j == 1 and s == m)
-                if keep and (q, m) in hom[1]:
-                    bs[(key, (q, m))] = label_map(
-                        hom[2][key]["inv"], hom[1][(q, m)]["inv"], partial=True)
-            codegens[(2, j)] = block(2, 1, bs)
-    cs = CosimplicialComplex(levels.levels, cofaces, codegens,
-                             degenerate_above=D).validate()
-    t = fat_tot(cs)
+        pieces[2] = {key: outer for key, outer in KP.delta_outer.items()
+                     if outer is not None
+                     and not outer.value.complex.is_zero()}
+    t = fat_tot(_ModuleHomLevels(module.sequence, KP, pieces,
+                                 psi).cosimplicial)
     return {k: t.homology(k)[0] for k in win.degrees()}

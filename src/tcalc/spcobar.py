@@ -4,7 +4,9 @@ zero sphere, truncation <= 3.
 Phi(B)(S^0) is the sum over arities r of the Sigma_r homotopy fixed points
 of the level pieces; the pieces are the Sp comonad's Tate models
 (`comonads.SpComponentModel`), rebuilt with shared resolution lengths so
-every structural map is slotwise.
+every structural map is slotwise.  The index walk of the cofaces and
+codegeneracies lives in `tower._Levels`; this builder supplies the pieces,
+the fixed-to-Tate unit off the diagonal and the transport of theta.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .chain import (
 from .comonads import SpComponentModel, coaugment_invariants
 from .equivariant import homotopy_fixed, slotwise_map, strict_fixed
 from .perms import all_surjections
-from .tower import CosimplicialComplex, _Levels, _piece_nonzero, _RawPiece
+from .tower import _Levels, _piece_nonzero, _RawPiece
 
 
 class PhiTerm:
@@ -119,20 +121,6 @@ class SpCobarBuilder(_Levels):
             for lvl, ks in keys.items()})
         self.cosimplicial = self._assemble()
 
-    def pullback_corners(self):
-        """For the pullback route: the level-0 summands keyed like level 0,
-        the unit and theta blocks into the off-diagonal slots (r, n) with
-        r < n, and those slots' models."""
-        phi0 = {k: self.phi[0][k].complex for k in self.level_keys[0]}
-        slot_of = {key: self.phi[1][key].complex for key in self.pieces[1]
-                   if key[0] < key[1]}
-        ublocks = {(sk, tk): f for (sk, tk), f in self._u_block(0, 1).items()
-                   if tk[0] < tk[1]}
-        tblocks = {(sk, tk): f
-                   for (sk, tk), f in self._theta_block(0, 1, True).items()
-                   if tk[0] < tk[1]}
-        return phi0, ublocks, tblocks, slot_of
-
     def _stage_table(self):
         seq = self.c.sequence
         self._stages = {}
@@ -162,34 +150,13 @@ class SpCobarBuilder(_Levels):
                                 fixed_stages=max(natural,
                                                  self._stages.get(n, 1)))
 
-    def _phi_map(self, src_lvl, sk, tgt_lvl, tk, f) -> ChainMap:
-        return self.phi[src_lvl][sk].apply(f, self.phi[tgt_lvl][tk])
-
-    def _u_block(self, src_lvl, tgt_lvl):
-        """The unit: identity into the freshly-inserted diagonal copy, plus
-        the fixed-to-Tate maps out of top-arity summands."""
-        blocks = {}
-        for key, piece in self.pieces[src_lvl].items():
-            r, n = key[0], key[-1]
-            # fresh diagonal: K_q applied with q = r gives the same piece
-            tk = (key[0],) + key
-            if tk in self.pieces[tgt_lvl]:
-                f = ChainMap.identity(piece.value.complex)
-                blocks[(key, tk)] = self._phi_map(src_lvl, key, tgt_lvl, tk, f)
-            if r == n:
-                # off-diagonal unit components out of an arity-n object
-                for q in range(1, n):
-                    tk2 = (q,) + key
-                    if tk2 in self.pieces[tgt_lvl]:
-                        blocks[(key, tk2)] = self._sp_u(src_lvl, key,
-                                                        tgt_lvl, tk2)
-        return blocks
-
-    def _sp_u(self, src_lvl, src_key, tgt_lvl, tgt_key) -> ChainMap:
-        q, n = tgt_key[0], tgt_key[-1]
-        src_phi = self.phi[src_lvl][src_key]
-        tgt_phi = self.phi[tgt_lvl][tgt_key]
-        piece = self.pieces[tgt_lvl][tgt_key]
+    def _outer(self, m, sk, tk) -> ChainMap:
+        """The unit off the diagonal, out of a top-arity summand (n, ..., n)
+        into (q, n, ..., n): the fixed-to-Tate map through the structural
+        carrier map."""
+        q, n = tk[0], tk[-1]
+        src_phi, tgt_phi = self.phi[m][sk], self.phi[m + 1][tk]
+        piece = self.pieces[m + 1][tk]
         g = _sp_fixed_into_tate(src_phi, piece, q, n)
         if q == 1:
             return ChainMap(src_phi.complex, tgt_phi.complex,
@@ -199,76 +166,13 @@ class SpCobarBuilder(_Levels):
         coaug = coaugment_invariants(incl, tgt_phi.complex)
         return coaug.compose(to_inv).validate()
 
-    def _theta_block(self, src_lvl, tgt_lvl, at_inner):
-        """theta applied at the innermost slot (the delta^{m+1} coface)."""
-        blocks = {}
-        c = self.c
-        for key, piece in self.pieces[src_lvl].items():
-            r = key[0]
-            s = key[-1]
-            for n in range(s, c.truncation + 1):
-                tk = key + (n,)
-                if tk not in self.pieces[tgt_lvl]:
-                    continue
-                th = c.theta_map(s, n)
-                if th is None:
-                    continue
-                if s == n:
-                    f = ChainMap.identity(piece.value.complex)
-                    blocks[(key, tk)] = self._phi_map(src_lvl, key,
-                                                      tgt_lvl, tk, f)
-                elif src_lvl == 0 or r == s:
-                    # K_s collapsed on an arity-s object: theta itself,
-                    # transported into the rebuilt piece model
-                    f = transport(th, piece.value.complex,
-                                  self.pieces[tgt_lvl][tk].value.complex)
-                    blocks[(key, tk)] = self._phi_map(src_lvl, key,
-                                                      tgt_lvl, tk, f)
-                # r < s < n targets are dropped: components are zero
-        return blocks
-
-    def _delta_block(self):
-        """The comultiplication coface at level 1: insert K at the middle.
-        With collapsed diagonals every kept component is the identity."""
-        blocks = {}
-        for (r, n), piece in self.pieces[1].items():
-            for s in range(r, n + 1):
-                tk = (r, s, n)
-                if tk not in self.pieces[2]:
-                    continue
-                f = ChainMap.identity(piece.value.complex)
-                blocks[((r, n), tk)] = self._phi_map(1, (r, n), 2, tk, f)
-        return blocks
-
-    def _eps_block(self, j):
-        blocks = {}
-        for (r, s, n), piece in self.pieces[2].items():
-            keep = (j == 0 and s == r) or (j == 1 and s == n)
-            if keep and (r, n) in self.pieces[1]:
-                f = ChainMap.identity(piece.value.complex)
-                blocks[((r, s, n), (r, n))] = self._phi_map(2, (r, s, n),
-                                                            1, (r, n), f)
-        return blocks
-
-    def _eps_block_10(self):
-        blocks = {}
-        for (r, n), piece in self.pieces[1].items():
-            if r == n and (r,) in self.pieces[0]:
-                f = ChainMap.identity(piece.value.complex)
-                blocks[((r, n), (r,))] = self._phi_map(1, (r, n), 0, (r,), f)
-        return blocks
-
-    def _assemble(self) -> CosimplicialComplex:
-        cofaces, codegens = {}, {}
-        if self.D >= 1:
-            cofaces[(0, 0)] = self._block(0, 1, self._u_block(0, 1))
-            cofaces[(0, 1)] = self._block(0, 1, self._theta_block(0, 1, True))
-            codegens[(1, 0)] = self._block(1, 0, self._eps_block_10())
-        if self.D >= 2:
-            cofaces[(1, 0)] = self._block(1, 2, self._u_block(1, 2))
-            cofaces[(1, 1)] = self._block(1, 2, self._delta_block())
-            cofaces[(1, 2)] = self._block(1, 2, self._theta_block(1, 2, True))
-            codegens[(2, 0)] = self._block(2, 1, self._eps_block(0))
-            codegens[(2, 1)] = self._block(2, 1, self._eps_block(1))
-        return CosimplicialComplex(self.levels, cofaces, codegens,
-                                   degenerate_above=self.D).validate()
+    def _inner(self, m, sk, tk):
+        """theta_{s,n} at the innermost slot; K_s collapsed on an arity-s
+        object, so it is theta itself, transported into the rebuilt piece
+        model.  (The targets r < s < n are dropped: their blocks are zero.)"""
+        th = self.c.theta_map(sk[-1], tk[-1])
+        if th is None:
+            return None
+        f = transport(th, self.pieces[m][sk].value.complex,
+                      self.pieces[m + 1][tk].value.complex)
+        return self.phi[m][sk].apply(f, self.phi[m + 1][tk])

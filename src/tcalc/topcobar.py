@@ -3,7 +3,10 @@ finite pointed set X, truncation <= 2.
 
 Phi(A)(X) has the exact diagonal summands (A_n (x) k[Inj(n, X)])^{Sigma_n};
 the (1, 2) slot uses the stratified cone model of the Top comonad's
-K_1 A_2 (see `TopCobarBuilder`).
+K_1 A_2 (see `TopCobarBuilder`).  The index walk of the cofaces and
+codegeneracies lives in `tower._Levels`; this builder supplies the pieces
+and its two maps off the diagonal, the unit u12 : A_2 -> slot (1, 2) and
+theta12 : A_1 -> slot (1, 2).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .equivariant import (
 )
 from .perms import YoungGroup, transposition
 from .topcomonad import _model_stages
-from .tower import CosimplicialComplex, _Levels
+from .tower import _Levels
 
 
 def injections_module(field, r, m):
@@ -72,15 +75,16 @@ class TopCobarBuilder(_Levels):
     orbit_{Sigma_2}(A_2 (x) cone(tuples -> injective tuples)): it receives
     the counit-side inclusion from the invariants summand and the theta-side
     translation from the tree model, so every coface is an honest chain map.
-    (At arity gap >= 2 the unit has no strict small model; those towers run
-    through the pullback route.)"""
+    At arity gap >= 2 the unit has no strict small model, so no route runs a
+    based-spaces tower above truncation 2.  Off the diagonal the index walk
+    of `_Levels` reaches only the slot (1, 2): delta^0 from A_2 (`u12`) and
+    delta^1 from A_1 (`th12`), each built once."""
 
     def __init__(self, coalgebra, site, w: DegreeWindow):
         c = coalgebra
         if c.truncation > 2:
-            raise ValueError(
-                "top-source tot route bounded at truncation 2; "
-                "use route='pullback' for deeper towers")
+            raise ValueError("no route runs a based-spaces tower above "
+                             "truncation 2 in this build")
         self.c = c
         self.site = site
         self.w = w
@@ -105,45 +109,22 @@ class TopCobarBuilder(_Levels):
             self.stages12 = max(base, inferred)
             self.slot12 = homotopy_orbits(carrier, w, tag="slot12",
                                           stages=self.stages12)
-        self._build_levels()
+        keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
+        keys1 = sorted([(n, n) for (n,) in keys0] +
+                       ([(1, 2)] if self.slot12 is not None else []))
+        keys = [keys0, keys1][:self.D + 1]
+        super().__init__(F, dict(enumerate(keys)), {
+            lvl: [self._slot(k[0], k[-1]) for k in ks]
+            for lvl, ks in enumerate(keys)})
+        self.u12 = self._u12_map() if self.slot12 is not None else None
+        self.th12 = self._theta12_map()
         self.cosimplicial = self._assemble()
 
-    def pullback_corners(self):
-        """For the pullback route: the level-0 summands keyed like level 0,
-        the unit and theta blocks into the off-diagonal slot (1, 2), and
-        that slot's model; the slot is absent when the site sees no arity-2
-        term."""
-        phi0 = {k: self.diag[k[0]]["complex"] for k in self.level_keys[0]}
-        ublocks, tblocks, slot_of = {}, {}, {}
-        if self.slot12 is not None:
-            ublocks[((2,), (1, 2))] = self._u12_map()
-            th12 = self._theta12_map()
-            if th12 is not None:
-                tblocks[((1,), (1, 2))] = th12
-            slot_of[(1, 2)] = self.slot12.complex
-        return phi0, ublocks, tblocks, slot_of
+    def _outer(self, m, sk, tk):
+        return self.u12
 
-    def _build_levels(self):
-        keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
-        keys1 = [(n, n) for n in sorted(self.diag)
-                 if self.diag[n] is not None]
-        if self.slot12 is not None:
-            keys1.append((1, 2))
-        keys1.sort()
-        keys2 = []
-        if self.D >= 1:
-            for (r, n) in keys1:
-                for s2 in range(r, n + 1):
-                    if r < s2 < n:
-                        continue
-                    keys2.append((r, s2, n))
-            keys2.sort()
-        keys = [keys0, keys1, keys2][:self.D + 1]
-        parts = [[self.diag[k[0]]["complex"] for k in keys0],
-                 [self._slot(k[0], k[1]) for k in keys1],
-                 [self._slot(k[0], k[2]) for k in keys2]][:self.D + 1]
-        super().__init__(self.field, dict(enumerate(keys)),
-                         dict(enumerate(parts)))
+    def _inner(self, m, sk, tk):
+        return self.th12
 
     def _slot(self, r, n):
         if r == n:
@@ -220,67 +201,3 @@ class TopCobarBuilder(_Levels):
                     out.append(((th.target.labels[k][i2], x), v * vv))
             return out
         return linear_map(src, tens, image, partial=True).validate()
-
-    def _assemble(self) -> CosimplicialComplex:
-        cofaces, codegens = {}, {}
-        u12 = self._u12_map() if self.slot12 is not None else None
-        th12 = self._theta12_map() if self.slot12 is not None else None
-        if self.D >= 1:
-            b = {}
-            for (n,) in self.level_keys[0]:
-                b[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
-            if u12 is not None:
-                b[((2,), (1, 2))] = u12
-            cofaces[(0, 0)] = self._block(0, 1, b)
-            b2 = {}
-            for (n,) in self.level_keys[0]:
-                b2[((n,), (n, n))] = ChainMap.identity(self.diag[n]["complex"])
-            if th12 is not None:
-                b2[((1,), (1, 2))] = th12
-            cofaces[(0, 1)] = self._block(0, 1, b2)
-            be = {}
-            for (r, n) in self.level_keys[1]:
-                if r == n and (r,) in self.level_keys[0]:
-                    be[((r, n), (r,))] = ChainMap.identity(
-                        self.diag[n]["complex"])
-            codegens[(1, 0)] = self._block(1, 0, be)
-        if self.D >= 2:
-            bu = {}
-            for (r, n) in self.level_keys[1]:
-                if (r, r, n) in self.level_keys[2]:
-                    bu[((r, n), (r, r, n))] = ChainMap.identity(
-                        self._slot(r, n))
-            if (1, 2, 2) in self.level_keys[2] and u12 is not None:
-                bu[((2, 2), (1, 2, 2))] = u12
-            cofaces[(1, 0)] = self._block(1, 2, bu)
-            bd = {}
-            for (r, n) in self.level_keys[1]:
-                for s2 in range(r, n + 1):
-                    if (r, s2, n) in self.level_keys[2]:
-                        bd[((r, n), (r, s2, n))] = ChainMap.identity(
-                            self._slot(r, n))
-            cofaces[(1, 1)] = self._block(1, 2, bd)
-            bk = {}
-            for (r, s) in self.level_keys[1]:
-                for n in range(s, self.c.truncation + 1):
-                    if (r, s, n) not in self.level_keys[2]:
-                        continue
-                    if s == n:
-                        bk[((r, s), (r, s, n))] = ChainMap.identity(
-                            self._slot(r, s))
-                    elif r == s == 1 and n == 2 and th12 is not None:
-                        bk[((1, 1), (1, 1, 2))] = th12
-            cofaces[(1, 2)] = self._block(1, 2, bk)
-            for j in (0, 1):
-                bs = {}
-                for (r, s, n) in self.level_keys[2]:
-                    if j == 0 and s == r and (r, n) in self.level_keys[1]:
-                        bs[((r, s, n), (r, n))] = ChainMap.identity(
-                            self._slot(r, n))
-                    if j == 1 and s == n and (r, n) in self.level_keys[1]:
-                        bs[((r, s, n), (r, n))] = ChainMap.identity(
-                            self._slot(r, n))
-                codegens[(2, j)] = self._block(2, 1, bs)
-        return CosimplicialComplex(self.levels[:self.D + 1], cofaces,
-                                   codegens,
-                                   degenerate_above=self.D).validate()

@@ -204,30 +204,14 @@ class TopComponentModel:
             self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
     def iota(self) -> ChainMap:
-        """The chain map W -> model (identity slot / projection / collapse)."""
-        F = self.field
-        if self.kind == "zero":
-            return ChainMap.zero(ChainComplex(F, {}), self.value.complex)
-        W = self.sursum.total
-        if self.kind == "collapsed":
-            # (beta, units, a) -> beta . a
-            a = self.a.complex
-            cols = {}
-
-            def image(k, lab):
-                _, beta, inner = lab
-                col = cols.get((beta, k))
-                if col is None:
-                    col = cols[beta, k] = \
-                        self.a.action_of(beta).component(k).by_column()
-                labs = a.labels[k]
-                return [(labs[i], v) for i, v in
-                        col.get(a.label_index(k)[inner[-1]], {}).items()]
-            return linear_map(W, a, image)
+        """The chain map W -> model of a strict or windowed model (the
+        projection / the identity slot); its one caller, `build_top_delta`,
+        takes K_r of a Sigma_s-module with r < s, which is neither collapsed
+        nor zero."""
         if self.kind == "strict":
             return self.proj
         # windowed: include as the resolution-degree-0 slot
-        return label_map(W, self.value.complex,
+        return label_map(self.sursum.total, self.value.complex,
                          key=lambda lab: ("hG", 0, 0, lab), partial=True)
 
     def counit_to_a(self) -> ChainMap:

@@ -2,9 +2,15 @@
 conormalization, the fat totalization, the cobar construction and the
 Taylor stages p_n by two routes, and the derived mapping complex.
 
-The cobar levels are built by the source's builder: `topcobar` at a finite
-pointed set, `spcobar` at the zero sphere; the derived mapping complex by
-`derivedhom`, which also holds the Bousfield-Kan E^1 page.
+The cobar's index walk is written once, in `_Levels`: which per-piece map
+feeds each block of delta^0, the middle cofaces, delta^{m+1} and sigma^j
+between the keys (n,), (q, n) and (q, s, n), with the relabelling of a piece
+onto its copy wherever an index repeats.  The level builders supply their
+pieces and the blocks off the diagonal: `topcobar` at a finite pointed set
+(the unit and theta into the stratified-cone slot), `spcobar` at the zero
+sphere (the fixed-to-Tate unit and the transported theta), `derivedhom` for
+the derived mapping complex (K_q(h) o theta and postcomposition), which also
+holds the Bousfield-Kan E^1 page.
 
 Conventions: a cosimplicial complex stores chain-complex levels 0..M with
 cofaces delta^i (0 <= i <= m+1) raising the level and codegeneracies sigma^j
@@ -232,14 +238,73 @@ def _piece_nonzero(piece) -> bool:
 
 class _Levels:
     """Levels of a cosimplicial object built as direct sums of keyed
-    summands: parts[lvl] lists the summand complexes in the order of the
-    keys level_keys[lvl], and levels[lvl] is their direct sum."""
+    summands, and the cobar index walk between them.
+
+    parts[lvl] lists the summand complexes in the order of the keys
+    level_keys[lvl], and levels[lvl] is their direct sum.  A key at level m
+    is an index chain (i_0 <= ... <= i_m) of arities, and every structure
+    map is a block map with one per-piece map from summand sk to summand tk:
+
+    - the coface delta^i out of level m inserts an index x at position i of
+      sk, between its neighbours: delta^0 puts q <= sk[0] in front, the
+      middle cofaces insert s inside, delta^{m+1} appends n >= sk[-1];
+    - the codegeneracy sigma^j drops the repeated index sk[j] = sk[j + 1].
+
+    Where the inserted or dropped index repeats a neighbour, the block is
+    `_same`, the relabelling of a piece onto its copy.  A builder supplies
+    only the blocks off the diagonal: `_outer(m, sk, tk)` for delta^0,
+    `_inner` for delta^{m+1} and, if its keys hold strictly nested chains
+    q < s < n, `_middle`; None is a zero block."""
 
     def __init__(self, field, level_keys, parts):
         self.level_keys = level_keys
         self.parts = parts
         self.levels = [direct_sum(parts[lvl]) if parts[lvl] else
                        ChainComplex(field, {}) for lvl in range(len(parts))]
+
+    def _part(self, lvl, key) -> ChainComplex:
+        return self.parts[lvl][self.level_keys[lvl].index(key)]
+
+    def _same(self, src_lvl, sk, tgt_lvl, tk) -> ChainMap:
+        return label_map(self._part(src_lvl, sk), self._part(tgt_lvl, tk),
+                         partial=True)
+
+    def _coface_blocks(self, m, i):
+        """{(sk, tk): per-piece map} of delta^i out of level m, built over
+        the sorted source keys and ascending inserted index."""
+        up = set(self.level_keys[m + 1])
+        if not up:
+            return {}
+        top = max(k[-1] for k in up)
+        blocks = {}
+        for sk in self.level_keys[m]:
+            near = sk[max(i - 1, 0):i + 1]      # the neighbours of x
+            lo, hi = (sk[i - 1] if i else 1), (sk[i] if i <= m else top)
+            for x in range(lo, hi + 1):
+                tk = sk[:i] + (x,) + sk[i:]
+                if tk not in up:
+                    continue
+                if x in near:
+                    f = self._same(m, sk, m + 1, tk)
+                elif i == 0:
+                    f = self._outer(m, sk, tk)
+                elif i == m + 1:
+                    f = self._inner(m, sk, tk)
+                else:
+                    f = self._middle(m, sk, tk)
+                if f is not None:
+                    blocks[(sk, tk)] = f
+        return blocks
+
+    def _codegen_blocks(self, m, j):
+        """{(sk, tk): map} of sigma^j out of level m."""
+        down = set(self.level_keys[m - 1])
+        blocks = {}
+        for sk in self.level_keys[m]:
+            tk = sk[:j] + sk[j + 1:]
+            if sk[j] == sk[j + 1] and tk in down:
+                blocks[(sk, tk)] = self._same(m, sk, m - 1, tk)
+        return blocks
 
     def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
         """The map of levels whose block from summand sk to summand tk is
@@ -249,8 +314,39 @@ class _Levels:
             self.levels[src_lvl], self.levels[tgt_lvl], self.parts[src_lvl],
             self.parts[tgt_lvl],
             {(src_keys.index(sk), tgt_keys.index(tk)): f
-             for (sk, tk), f in blocks.items()
-             if f is not None and not f.is_zero()}).validate()
+             for (sk, tk), f in blocks.items() if not f.is_zero()}).validate()
+
+    def _assemble(self) -> CosimplicialComplex:
+        """The cosimplicial object of the walk, level by level: the cofaces
+        out of level m, then the codegeneracies back onto it.  Of each
+        coface, coface_blocks[(m, i)] keeps the blocks into strictly
+        increasing index chains, which the pullback route and the E^1 page
+        read; the others are dropped once assembled."""
+        cofaces, codegens = {}, {}
+        self.coface_blocks = {}
+        M = len(self.levels) - 1
+        for m in range(M):
+            for i in range(m + 2):
+                b = self._coface_blocks(m, i)
+                self.coface_blocks[(m, i)] = {
+                    (sk, tk): f for (sk, tk), f in b.items()
+                    if all(a < c for a, c in zip(tk, tk[1:]))}
+                cofaces[(m, i)] = self._block(m, m + 1, b)
+            for j in range(m + 1):
+                codegens[(m + 1, j)] = self._block(
+                    m + 1, m, self._codegen_blocks(m + 1, j))
+        return CosimplicialComplex(self.levels, cofaces, codegens,
+                                   degenerate_above=M).validate()
+
+    def pullback_corners(self):
+        """For the pullback route: the level-0 summands by key, the blocks
+        of the unit delta^0 and of theta delta^1 from level 0 into the
+        off-diagonal level-1 slots (r, n), r < n, and those slots' models."""
+        slot_of = {k: p for k, p in zip(self.level_keys.get(1, ()),
+                                        self.parts.get(1, ())) if k[0] < k[1]}
+        return (dict(zip(self.level_keys[0], self.parts[0])),
+                self.coface_blocks.get((0, 0), {}),
+                self.coface_blocks.get((0, 1), {}), slot_of)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +417,7 @@ def p_n(coalgebra, site, n, route="tot", builder=None):
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
     if route not in ("tot", "pullback"):
         raise ValueError("route must be 'tot' or 'pullback'")
-    if route == "pullback" and cn.source == "top" and n > 2:
-        raise ValueError("top pullback route bounded at truncation 2 "
-                         "in this build")
+    # both routes read the cobar builder, which bounds the truncation
     if builder is None:
         builder = cobar(cn, site, cn.window)._builder
     if route == "pullback":

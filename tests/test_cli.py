@@ -465,3 +465,16 @@ def test_tate_tags_name_young_blocks(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "tate", "--group", "S3", "--window", "-1:1",
                          p)
     assert rc == 2 and json.loads(err)["error"] == "usage"
+
+
+def test_no_route_runs_a_top_tower_above_truncation_2(tmp_path, capsys):
+    c = random_valid_coalgebra(random.Random(3), F2, "top", 3,
+                               DegreeWindow(0, 2))
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    for argv in (("pn", "--n", "3", "--route", "tot"),
+                 ("pn", "--n", "3", "--route", "pullback"), ("cobar",)):
+        rc, out, err = run_cli(capsys, *argv, "--site", "set:2", p)
+        assert rc == 1 and out == ""
+        detail = json.loads(err.strip().splitlines()[-1])["detail"]
+        assert "no route runs a based-spaces tower above truncation 2" \
+            in detail

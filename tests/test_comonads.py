@@ -4,23 +4,18 @@ import random
 
 import pytest
 
-from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, label_map, shift,
-    sphere,
-)
+from tcalc.chain import ChainMap, DegreeWindow, cone, direct_sum, shift, sphere
 from tcalc.comonads import (
     SpComonad, SpComponentModel, equivariant_tensor, k_sp_component,
     l3_complex,
 )
 from tcalc.cooperad import tree_cooperad
 from tcalc.equivariant import (
-    induced_from_trivial_subgroup, regular_module, sign_action,
-    tensor_power, trivial_action,
+    induced_from_trivial_subgroup, regular_module, sign_action, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
-    KPrimeComonad, _identity_slot, counit_check, nu_component,
-    top_coassociativity_check,
+    KPrimeComonad, counit_check, nu_component, top_coassociativity_check,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
@@ -79,28 +74,6 @@ def test_diagonal_collapse_and_counit():
     assert cone(eps).is_acyclic(w)
     rep = counit_check(K, A, w)
     assert rep["pass"]
-
-
-def test_collapsed_iota_is_the_collapse():
-    # on the diagonal K_n A_n = A_n, and iota : W -> A_n, (beta, units, a)
-    # -> beta . a, is the quotient by Sigma_n: invariant under the action
-    # on W and the identity on the identity-bijection summand
-    x = ChainComplex(F3, {0: 1, 1: 2}, {1: SparseMatrix.from_rows(
-        [[1, -1]], F3)})
-    for a in (regular_module(F3, S3), tensor_power(x, 2)):
-        n = a.group.degree
-        comp = TopComponentModel(tree_cooperad(F3, n), a, n,
-                                 DegreeWindow(0, 2))
-        assert comp.kind == "collapsed"
-        iota = comp.iota().validate()
-        eq = comp.sursum.sigma_n_action()
-        for g in a.group.elements():
-            assert iota.compose(eq.action_of(g)).components == \
-                iota.components
-        at_id = label_map(a.complex, comp.sursum.total, partial=True,
-                          key=_identity_slot(n))
-        assert iota.compose(at_id).components == \
-            ChainMap.identity(a.complex).components
 
 
 def test_k_top_of_zero_sequence():

@@ -1,5 +1,6 @@
 """Cosimplicial machinery: box product, Tot, cobar, stages, derived hom, E1."""
 
+import hashlib
 import random
 
 import pytest
@@ -455,3 +456,55 @@ def test_derived_hom_over_f3():
     page = bk_e1(c, c, w)["e1"]
     assert page.d1_squared_zero()
     assert r["h0"] >= 1  # the identity class survives
+
+
+# ---------------------------------------------------------------------------
+# structure maps pinned entry for entry
+# ---------------------------------------------------------------------------
+
+
+def _structure_digest(cs):
+    """SHA-256 over the level labels and every coface and codegeneracy
+    matrix, entry by entry."""
+    h = hashlib.sha256()
+    for lvl, level in enumerate(cs.levels):
+        h.update(repr(("level", lvl, sorted(level.labels.items()))).encode())
+    for name, maps in (("coface", cs.cofaces), ("codegen", cs.codegens)):
+        for key in sorted(maps):
+            for k, m in sorted(maps[key].components.items()):
+                h.update(repr((name, key, k, m.rows, m.cols, sorted(
+                    (ij, str(v)) for ij, v in m.items()))).encode())
+    return h.hexdigest()
+
+
+def _self_hom(c):
+    return derived_hom(c, c)["cosimplicial"]
+
+
+W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
+
+
+@pytest.mark.parametrize("build, digest", [
+    # Top N = 2 with a nonzero theta_{1,2} (trivial terms): the unit and
+    # theta into the stratified-cone slot (1, 2)
+    (lambda: cobar(random_valid_coalgebra(random.Random(1), QQ, "top", 2,
+                                          W03), FinitePointedSet(2)),
+     "c5f93a1ac6d6d7bdc2b22a850547b98e6a94c8dab77d6823714ddaab64f22779"),
+    # Sp N = 3 at S^0 with theta_{1,2}, theta_{1,3} and theta_{2,3}
+    (lambda: cobar(random_valid_coalgebra(random.Random(1), QQ, "sp", 3,
+                                          W02, staircase=False), 0),
+     "36df1c3b47d96369db16d1e68b81fd55c571fe22d6596c0500ac42fa09730413"),
+    # derived homs: K_q(h) o theta and the postcomposed theta on both
+    # sources, and the genuine comultiplication of a Top N = 3 comonad
+    (lambda: _self_hom(random_valid_coalgebra(random.Random(1), QQ, "sp", 3,
+                                              W02, staircase=False)),
+     "c71d1584fda85ffe0ccd94067b61111cc6eba0dd603a92c5b6005bdaa0353b52"),
+    (lambda: _self_hom(random_valid_coalgebra(random.Random(1), QQ, "top", 2,
+                                              W03)),
+     "33e720693b1c54fdcdb707a16a8909ebec63f1ad813e6dcf059f76aa02ce0d95"),
+    (lambda: _self_hom(random_valid_coalgebra(random.Random(3), F2, "top", 3,
+                                              W02)),
+     "7cc417b09c15292496292a4fd9c90a59bc3f43e98f6b143ebc2dc1bbeee860ed"),
+], ids=["cobar-top2", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
+def test_structure_maps_are_pinned(build, digest):
+    assert _structure_digest(build()) == digest
