@@ -1,15 +1,13 @@
-"""Batch command-line interface.
+"""Batch command-line interface: one subcommand per row of COMMANDS.
 
-Subcommands: homology, tate, bar-com, partition-nerve, k-top, k-sp, cobar,
-pn, derived-hom, bk-e1, classify, mccarthy, check.  Inputs are JSON
-documents; output is deterministic JSON with every homological claim carrying
-its certified degree window.  Exit codes: 0 success, 1 validation failure,
-2 usage error.
+Inputs are JSON documents; output is deterministic JSON with every
+homological claim carrying its certified degree window.  Exit codes: 0
+success, 1 validation failure or internal error, 2 usage error; each error
+is one JSON line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -63,7 +61,7 @@ def _decode(from_json, doc, key=None):
 
 def _emit(args, payload):
     text = serialize.dumps(payload)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
     else:
@@ -238,11 +236,9 @@ def cmd_classify(args):
         rep = classify.classify_2exc_sp(a1, a2, w)
     elif args.variant == "top_sp_2":
         rep = classify.classify_2exc_top(a1, a2, w)
-    elif args.variant == "sp_sp_3":
+    else:
         a3 = _decode(serialize.equivariant_from_json, doc, "a3")
         rep = classify.classify_3exc_sp(a1, a2, a3, w)
-    else:
-        raise UsageError("unknown classify variant %r" % args.variant)
     payload = {"command": "classify", "variant": args.variant}
     payload.update({k: (list(v) if isinstance(v, tuple) else v)
                     for k, v in rep.items()
@@ -276,124 +272,127 @@ def cmd_check(args):
     return 0 if rep["valid"] else 1
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="tcalc",
-        description="Exact chain-level Taylor tower calculator")
-    sub = p.add_subparsers(dest="command", required=True)
+# option -> (type, required, default, allowed values or None for any)
+_COMMON = {"--out": (str, False, None, None),
+           "--format": (str, False, "json", ("json",))}
+_WINDOW = {"--window": (str, True, None, None)}
+_SITE = {"--site": (str, True, None, None)}
+_ARITY = {"--n": (int, True, None, None)}
+_PIECE = {"--r": (int, True, None, None)}
+_FIELD = {"--field": (str, True, None, None)}
 
-    def add_common(sp, window=True, input_file=True):
-        if window:
-            sp.add_argument("--window", required=window,
-                            help="certified degree window lo:hi")
-        if input_file:
-            sp.add_argument("input", help="input JSON document")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", default="json", choices=["json"])
+# subcommand -> (handler, its options besides _COMMON, its positionals in
+# command-line order)
+COMMANDS = {
+    "homology": (cmd_homology, {}, ("input",)),
+    "tate": (cmd_tate, {"--group": (str, False, None, None),
+                        "--field": (str, False, None, None), **_WINDOW},
+             ("input",)),
+    "bar-com": (cmd_bar_com, {**_ARITY, **_FIELD}, ()),
+    "partition-nerve": (cmd_partition_nerve, {**_ARITY, **_FIELD}, ()),
+    "k-top": (cmd_k_top, {**_PIECE, **_WINDOW}, ("input",)),
+    "k-sp": (cmd_k_sp, {**_PIECE, **_WINDOW}, ("input",)),
+    "cobar": (cmd_cobar, _SITE, ("input",)),
+    "pn": (cmd_pn, {**_ARITY, **_SITE, "--route": (
+        str, False, "both", ("tot", "pullback", "both"))}, ("input",)),
+    # the first document is the second argument of derived_hom and bk_e1
+    "derived-hom": (cmd_derived_hom, {}, ("second", "input")),
+    "bk-e1": (cmd_bk_e1, {}, ("second", "input")),
+    "classify": (cmd_classify, {"--variant": (
+        str, True, None, ("sp_sp_2", "sp_sp_3", "top_sp_2")),
+        **_WINDOW}, ("input",)),
+    "mccarthy": (cmd_mccarthy, {**_ARITY, **_SITE}, ("input",)),
+    "check": (cmd_check, {}, ("input",)),
+}
 
-    sp = sub.add_parser("homology")
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_homology)
 
-    sp = sub.add_parser("tate")
-    sp.add_argument("--group", help="the document's Young group, e.g. S3x1")
-    sp.add_argument("--field", help="the document's field, e.g. F2")
-    add_common(sp)
-    sp.set_defaults(func=cmd_tate)
+class Args:
+    """A parsed command line: one attribute per option and positional."""
 
-    sp = sub.add_parser("bar-com")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--field", required=True)
-    add_common(sp, window=False, input_file=False)
-    sp.set_defaults(func=cmd_bar_com)
+    def __init__(self, values):
+        self.__dict__.update(values)
 
-    sp = sub.add_parser("partition-nerve")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--field", required=True)
-    add_common(sp, window=False, input_file=False)
-    sp.set_defaults(func=cmd_partition_nerve)
 
-    sp = sub.add_parser("k-top")
-    sp.add_argument("--r", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_k_top)
+def _help(args):
+    """Print the usage of one subcommand, or of every one, from COMMANDS."""
+    lines = []
+    for command in [args.command] if args.command else COMMANDS:
+        _, extra, positionals = COMMANDS[command]
+        words = ["tcalc", command]
+        for name, (kind, required, _, choices) in {**extra, **_COMMON}.items():
+            word = "%s %s" % (name, "|".join(choices) if choices
+                              else kind.__name__.upper())
+            words.append(word if required else "[%s]" % word)
+        lines.append(" ".join(words + list(positionals)))
+    sys.stdout.write("usage: " + "\n       ".join(lines) + "\n")
+    return 0
 
-    sp = sub.add_parser("k-sp")
-    sp.add_argument("--r", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=cmd_k_sp)
 
-    sp = sub.add_parser("cobar")
-    sp.add_argument("--site", required=True)
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_cobar)
-
-    sp = sub.add_parser("pn")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--site", required=True)
-    sp.add_argument("--route", default="both",
-                    choices=["tot", "pullback", "both"])
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_pn)
-
-    sp = sub.add_parser("derived-hom")
-    sp.add_argument("second", help="second coalgebra JSON document")
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_derived_hom)
-
-    sp = sub.add_parser("bk-e1")
-    sp.add_argument("second")
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_bk_e1)
-
-    sp = sub.add_parser("classify")
-    sp.add_argument("--variant", required=True,
-                    choices=["sp_sp_2", "sp_sp_3", "top_sp_2"])
-    add_common(sp)
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("mccarthy")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--site", required=True)
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_mccarthy)
-
-    sp = sub.add_parser("check")
-    add_common(sp, window=False)
-    sp.set_defaults(func=cmd_check)
-
-    return p
+def parse(argv):
+    """(handler, Args) for a command line, read against its row of COMMANDS:
+    `--opt value` (the next token, even one starting with "-") or
+    `--opt=value` in any order among the positionals, the last of a repeated
+    option winning.  Any mistake raises UsageError."""
+    command = argv[0] if argv else ""
+    if command in ("-h", "--help"):
+        return _help, Args({"command": None})
+    if command not in COMMANDS:
+        raise UsageError("the first argument must be a subcommand, one of "
+                         "%s; not %r" % (", ".join(COMMANDS), command))
+    handler, extra, positionals = COMMANDS[command]
+    options = {**extra, **_COMMON}
+    values = {name[2:]: default
+              for name, (_, _, default, _) in options.items()}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, Args({"command": command})
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise UsageError("%s: unknown option %s" % (command, name))
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError("%s: %s needs a value" % (command, name))
+        kind, _, _, choices = options[name]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError("%s: %s takes an integer, not %r"
+                                 % (command, name, value))
+        if choices is not None and value not in choices:
+            raise UsageError("%s: %s takes one of %s, not %r"
+                             % (command, name, ", ".join(choices), value))
+        values[name[2:]] = value
+    missing = [name for name, (_, required, _, _) in options.items()
+               if required and values[name[2:]] is None]
+    if missing:
+        raise UsageError("%s: missing %s" % (command, ", ".join(missing)))
+    if len(given) != len(positionals):
+        raise UsageError("%s: takes %d positional arguments (%s), not %d"
+                         % (command, len(positionals), " ".join(positionals),
+                            len(given)))
+    values.update(zip(positionals, given))
+    return handler, Args(values)
 
 
 def main(argv=None):
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    # accept `--window -4:4` by gluing the value (argparse would otherwise
-    # read a leading minus as an option)
-    glued = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--window" and i + 1 < len(argv):
-            glued.append("--window=" + argv[i + 1])
-            i += 2
-        else:
-            glued.append(argv[i])
-            i += 1
     try:
-        args = parser.parse_args(glued)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        handler, args = parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (UsageError, UnsupportedField) as e:
-        sys.stderr.write(serialize.dumps({"error": "usage", "detail": str(e)})
-                         + "\n")
-        return 2
+        kind, detail, code = "usage", str(e), 2
     except (ValueError, KeyError, ArithmeticError) as e:
-        sys.stderr.write(serialize.dumps({"error": "validation",
-                                          "detail": str(e)}) + "\n")
-        return 1
+        kind, detail, code = "validation", str(e), 1
+    except Exception as e:
+        # never a traceback: an unexpected failure is one line as well
+        kind, detail, code = "internal", "%s: %s" % (type(e).__name__, e), 1
+    sys.stderr.write(serialize.dumps({"error": kind, "detail": detail}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -593,8 +593,7 @@ def _delta_stages(w: DegreeWindow, term: EquivariantComplex, coop, s, n):
 
 def build_top_delta(coop: Cooperad, term: EquivariantComplex,
                     comp: TopComponentModel, inner: TopComponentModel,
-                    r: int, s: int, w: DegreeWindow,
-                    outer: TopComponentModel | None = None):
+                    r: int, s: int, w: DegreeWindow):
     """delta_{r,s} : K_r(term) -> K_r(inner model of K_s(term)).
 
     Returns (possibly rebuilt source component, chain map, outer model)."""
@@ -606,8 +605,7 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
     pre = _PreTarget(coop, inner.sursum, r)
     dpre = top_delta_on_sums(coop, comp.sursum, pre)
     if comp.kind == "strict" and inner.kind == "strict":
-        if outer is None:
-            outer = TopComponentModel(coop, inner.value, r, w)
+        outer = TopComponentModel(coop, inner.value, r, w)
         pre_eq = pre.sigma_n_equivariant()
         pre_q, pre_proj = strict_orbits(pre_eq)
         src_map = _quotient_functor(comp.proj, dpre, pre_proj)
@@ -623,9 +621,8 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         if inner.kind != "windowed":
             inner = TopComponentModel(coop, term, s, w.expand(n + 1),
                                       force_windowed=True)
-        if outer is None:
-            outer = TopComponentModel(coop, inner.value, r, w,
-                                      force_windowed=True)
+        outer = TopComponentModel(coop, inner.value, r, w,
+                                  force_windowed=True)
         aux = homotopy_orbits(pre_eq, w, tag="delta-aux", stages=stages0)
         src_map = slotwise_map(comp.value.complex, aux.complex, dpre)
         wout_trunc = outer.sursum.total.truncate(

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, deterministic output, round trips."""
 
+import hashlib
 import json
 import os
 import random
@@ -49,7 +50,9 @@ def test_cli_output_is_byte_stable(tmp_path, capsys):
     p = write(tmp_path, "t.json", doc)
     rc1, out1, _ = run_cli(capsys, "tate", "--window", "-2:2", p)
     rc2, out2, _ = run_cli(capsys, "tate", "--window", "-2:2", p)
-    assert rc1 == rc2 == 0 and out1 == out2
+    # the value after an option may start with a minus, in either form
+    rc3, out3, _ = run_cli(capsys, "tate", "--window=-2:2", p)
+    assert rc1 == rc2 == rc3 == 0 and out1 == out2 == out3
 
 
 def test_homology_cli(tmp_path, capsys):
@@ -151,6 +154,98 @@ def assert_usage_error(capsys, *argv):
     assert rc == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "usage"
+
+
+# One well-formed command line per subcommand.  Its documents need not
+# exist: each malformed variant below fails while the command line is read.
+WELL_FORMED = {
+    "homology": ("c.json",),
+    "tate": ("--window", "-2:2", "e.json"),
+    "bar-com": ("--n", "3", "--field", "F2"),
+    "partition-nerve": ("--n", "3", "--field", "F2"),
+    "k-top": ("--r", "1", "--window", "0:2", "e.json"),
+    "k-sp": ("--r", "1", "--window", "-2:2", "e.json"),
+    "cobar": ("--site", "S0", "c.json"),
+    "pn": ("--n", "2", "--site", "S0", "c.json"),
+    "derived-hom": ("c.json", "c.json"),
+    "bk-e1": ("c.json", "c.json"),
+    "classify": ("--variant", "sp_sp_2", "--window", "0:2", "p.json"),
+    "mccarthy": ("--n", "2", "--site", "S0", "c.json"),
+    "check": ("c.json",),
+}
+
+
+def malformed_command_lines():
+    """One pytest param per subcommand and kind of mistake."""
+    for command, argv in WELL_FORMED.items():
+        kinds = {
+            "unknown-option": argv + ("--bogus", "1"),
+            "short-option": ("-o", "x") + argv,
+            "abbreviated-option": argv + ("--form", "json"),
+            "missing-value": argv + ("--out",),
+            "value-outside-the-choices": argv + ("--format", "xml"),
+            "extra-positional": argv + ("extra.json",),
+        }
+        if argv[0].startswith("--"):
+            kinds["missing-option"] = argv[2:]
+        if len(argv) < 2 or not argv[-2].startswith("--"):
+            kinds["missing-positional"] = argv[:-1]
+        for opt in ("--n", "--r"):
+            if opt in argv:
+                i = argv.index(opt) + 1
+                kinds["bad-integer"] = argv[:i] + ("two",) + argv[i + 1:]
+        if command == "pn":
+            kinds["route-outside-the-choices"] = argv + ("--route", "all")
+        for kind, bad in kinds.items():
+            yield pytest.param((command,) + bad, id=command + "-" + kind)
+
+
+def test_well_formed_command_lines_parse():
+    from tcalc.cli import COMMANDS, parse
+    for command, argv in WELL_FORMED.items():
+        handler, _ = parse((command,) + argv)
+        assert handler is COMMANDS[command][0]
+
+
+@pytest.mark.parametrize("argv", list(malformed_command_lines()))
+def test_every_command_line_mistake_is_one_json_line(capsys, argv):
+    from tcalc.cli import UsageError, parse
+    with pytest.raises(UsageError):
+        parse(argv)
+    assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [(), ("nope",), ("--window", "0:1"),
+                                  ("Tate", "x.json")])
+def test_a_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv):
+    assert_usage_error(capsys, *argv)
+
+
+def test_help_prints_the_usage_from_the_table(capsys):
+    rc, out, err = run_cli(capsys, "-h")
+    assert rc == 0 and err == ""
+    assert [line.replace("usage:", "").split()[1]
+            for line in out.splitlines()] == list(WELL_FORMED)
+    rc, out, err = run_cli(capsys, "pn", "--n", "2", "--help")
+    assert rc == 0 and err == ""
+    assert out == ("usage: tcalc pn --n INT --site STR "
+                   "[--route tot|pullback|both] [--out STR] [--format json] "
+                   "input\n")
+
+
+def test_an_unexpected_failure_is_one_internal_json_line(tmp_path, capsys,
+                                                         monkeypatch):
+    from tcalc import cli
+
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli.COMMANDS, "check",
+                        (broken,) + cli.COMMANDS["check"][1:])
+    rc, out, err = run_cli(capsys, "check", str(tmp_path / "c.json"))
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "internal",
+                               "detail": "TypeError: unsupported operand"}
 
 
 def test_top_level_array_is_usage_error(tmp_path, capsys):
@@ -478,3 +573,26 @@ def test_no_route_runs_a_top_tower_above_truncation_2(tmp_path, capsys):
         detail = json.loads(err.strip().splitlines()[-1])["detail"]
         assert "no route runs a based-spaces tower above truncation 2" \
             in detail
+
+
+def test_pn_both_on_a_pool_top2_document_matches_its_reference(tmp_path,
+                                                               capsys):
+    # `pn --route both` on this document reads the theta_{1,2} block through
+    # the pullback route, so its output moves when that block is dropped
+    pool = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "pool", "tower-f2.json")
+    with open(pool) as f:
+        slots = {s["name"]: s for s in json.load(f)["slots"]}
+    variant = slots["top2"]["variants"][3]
+    doc = json.dumps(variant["docs"]["c"], sort_keys=True,
+                     separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        variant["doc_sha256"]["c"]
+    p = tmp_path / "c.json"
+    p.write_text(doc)
+    [ref] = [j for j in variant["jobs"] if j["argv"][0] == "pn"]
+    argv = [str(p) if a == "{c}" else a for a in ref["argv"]]
+    assert "both" in argv
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == ref["rc"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]

@@ -90,6 +90,21 @@ def test_tate_runs_only_the_equivariant_layer(tmp_path, s2_doc):
         "equivariant"}
 
 
+def test_a_job_imports_no_argument_parsing_library(tmp_path, s2_doc):
+    # every job is a fresh interpreter, so each module it imports is paid
+    # once per call
+    proc = _python("-c", "import sys, tcalc.cli; "
+                   "rc = tcalc.cli.main(sys.argv[1:]); "
+                   "print(sorted({'argparse', 'gettext', 'locale'} "
+                   "& set(sys.modules)))",
+                   "tate", "--group", "S2", "--field", "F2", "--window",
+                   "-2:2", s2_doc, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    result, loaded = proc.stdout.decode().splitlines()
+    assert json.loads(result)["command"] == "tate"
+    assert json.loads(loaded) == []
+
+
 def test_homology_runs_only_the_chain_layer(tmp_path):
     doc = tmp_path / "c.json"
     doc.write_text(serialize.dumps(serialize.chain_to_json(sphere(F2, 1))))

@@ -229,12 +229,17 @@ def test_top_n2_route_agreement_with_theta():
     assert h0 != h1
 
 
-def test_top_n3_tot_refuses_and_pullback_viable():
+def test_top_n3_tower_refuses_every_route():
     w = DegreeWindow(0, 2)
     A = staircase_sequence(F2, 3)
     c = trivial_coalgebra("top", A, w)
-    with pytest.raises(ValueError):
-        cobar(c, FinitePointedSet(2), w)
+    site = FinitePointedSet(2)
+    bound = "no route runs a based-spaces tower above truncation 2"
+    with pytest.raises(ValueError, match=bound):
+        cobar(c, site, w)
+    for route in ("tot", "pullback"):
+        with pytest.raises(ValueError, match=bound):
+            p_n(c, site, 3, route=route)
 
 
 # ---------------------------------------------------------------------------
