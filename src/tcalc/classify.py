@@ -153,7 +153,7 @@ def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
         {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
     t_sa2 = comonads.SpComponentModel(sa2, 1, w)
     # m is equivariant: apply the Tate functor
-    tm = comonads.sp_component_on_map(sq_idx, t_sa2, m_map)
+    tm = sq_idx.apply(m_map, t_sa2)
     composite = tm.compose(delta)
     h = None
     if witness is not None:
@@ -187,7 +187,7 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
         shift(a2.complex, 1), a2.group,
         {gi: _shift_action(a2, gi) for gi in a2.group.generator_positions()})
     t_sa2 = comonads.SpComponentModel(sa2, 1, w)
-    route2 = comonads.sp_component_on_map(sq_idx, t_sa2, m_map).compose(delta)
+    route2 = sq_idx.apply(m_map, t_sa2).compose(delta)
     # route 1: m' lifted through the fixed points, then into the cone
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
@@ -236,7 +236,7 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     tm = tower.tower_map(c, site, n, route="tot")
     pn, pn1 = tm["source"], tm["target"]
     f_tower = tm["map"]
-    builder = pn["cosimplicial"]._builder
+    builder = pn["builder"]
     # fixed corner and Tate corner from the builder's slot models
     top_map, fixed_cx = _tot_to_diagonal_slot(builder, pn["complex"], n)
     bot_map, corner_cx, right_map = _corner_maps(builder, pn1, n, c)
@@ -306,7 +306,7 @@ def _corner_maps(builder, pn1, n, c):
     corner = direct_sum(slot_parts) if slot_parts else ChainComplex(F, {})
     # bottom: out of P_{n-1}-Tot through its level-0 arity projections
     pn1_tot = pn1["complex"]
-    bl = pn1["cosimplicial"]._builder
+    bl = pn1["builder"]
     bot_blocks, right_blocks = {}, {}
     for t_i, key in enumerate(offkeys):
         r = key[0]

@@ -40,11 +40,17 @@ class UsageError(Exception):
 
 
 def _load_doc(path):
+    """The JSON document at path; a file that cannot be read (missing, a
+    directory, not UTF-8) or is not JSON is a usage error."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
     except FileNotFoundError:
         raise UsageError("input file not found: %s" % path)
+    except OSError as e:
+        raise UsageError("cannot read %s: %s" % (path, e.strerror))
+    except UnicodeDecodeError as e:
+        raise UsageError("%s is not UTF-8: %s" % (path, e.reason))
     except json.JSONDecodeError as e:
         raise UsageError("malformed JSON in %s: %s" % (path, e))
 
@@ -62,8 +68,12 @@ def _decode(from_json, doc, key=None):
 def _emit(args, payload):
     text = serialize.dumps(payload)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            raise UsageError("cannot write --out %s: %s"
+                             % (args.out, e.strerror))
     else:
         sys.stdout.write(text + "\n")
 

@@ -11,7 +11,7 @@ stored chain-homotopy witnesses.
 from __future__ import annotations
 
 from . import comonads, topcomonad
-from .chain import ChainHomotopy, ChainMap, DegreeWindow, label_map, transport
+from .chain import ChainHomotopy, ChainMap, DegreeWindow, transport
 from .perms import YoungGroup
 from .sequences import SymmetricSequence
 
@@ -197,26 +197,15 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
     if s == n or s == r:
         return "ok"  # collapsed sides make both routes literally agree
     delta = K.delta.get((r, s, n))
-    comp_rn = K.component(r, n)
     if theta_rn is None:
         route1 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
         route1 = delta.compose(transport(theta_rn, target=delta.source))
     # route 2: K_r(theta~_{s,n}) o theta_{r,s}
-    inner = K.delta_inner[(r, s, n)]
-    outer = K.delta_outer[(r, s, n)]
     if theta_rs is None or theta_sn is None:
-        route2 = ChainMap.zero(c.sequence.term_complex(r), outer.value.complex)
+        route2 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
-        comp_sn = K.component(s, n)
-        tau = _model_transport(comp_sn, inner)
-        theta_tilde = tau.compose(theta_sn)
-        src_model = K.component(r, s)
-        if src_model.kind != outer.kind:
-            src_model = topcomonad._rebuild_like(K.coop, c.sequence.term(s),
-                                                 r, K.w, outer)
-        kf = topcomonad.top_component_on_map(K.coop, src_model, outer,
-                                             theta_tilde)
+        kf = K.kq_theta(theta_sn, r, s, n)
         route2 = kf.compose(transport(theta_rs, target=kf.source))
     # compare on homology, route2 read on route1's complexes (its own are
     # label-equal models); exact witness check when provided
@@ -234,14 +223,3 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         if not diffm.induced_on_homology(k).is_zero():
             return "homology mismatch in degree %d" % k
     return "ok"
-
-
-def _model_transport(src_model, tgt_model) -> ChainMap:
-    """Slot-identity transport between two windowed models of the same
-    surjection sum (target must extend the source)."""
-    if src_model.kind == "collapsed" and tgt_model.kind == "collapsed":
-        return ChainMap.identity(src_model.value.complex)
-    if src_model.kind == "strict" and tgt_model.kind == "strict":
-        return label_map(src_model.value.complex, tgt_model.value.complex)
-    return label_map(src_model.value.complex, tgt_model.value.complex,
-                     partial=True).validate()

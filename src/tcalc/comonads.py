@@ -164,6 +164,27 @@ class SpComponentModel:
         return label_map(fixed_model, self.value.complex,
                          key=lambda lab: ("cone-tgt", lab), partial=True)
 
+    def apply(self, f: ChainMap, tgt: "SpComponentModel") -> ChainMap:
+        """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
+        of any degree, this model being K_r B and tgt K_r B': slotwise on
+        the Tate cone models, f itself on collapsed diagonals."""
+        if self.kind == "collapsed":
+            return f
+        if self.kind != "tate" or tgt.kind != "tate":
+            raise ValueError("sp K on maps needs matching tate models")
+        # Tate labels are (cone part, ("hG"/"hGf", s, gen, ("sidx", alpha,
+        # base))) with base the A-label, or (l3 label, A-label) when
+        # (r, n) = (1, 3).  Moving f onto A passes the cone's degree shift on
+        # "cone-src" labels and an l3 edge (degree 1): each gives a Koszul
+        # sign when f is odd.
+        l3 = (self.r, self.n) == (1, 3)
+
+        def sign(lab):
+            odd = (lab[0] == "cone-src") != (l3 and lab[1][3][2][0][1] != "w")
+            return -1 if odd and f.degree % 2 else 1
+        return slotwise_map(self.value.complex, tgt.value.complex, f,
+                            (1, 3, 2, 1) if l3 else (1, 3, 2), sign).validate()
+
 
 class SpComonad:
     """The comonad for functors from spectra to spectra, truncation <= 3.
@@ -213,23 +234,3 @@ def k_sp_component(a_n: EquivariantComplex, r: int, w: DegreeWindow) -> Windowed
     """K_r A_n for the Sp comonad (truncation <= 3)."""
     comp = SpComponentModel(a_n, r, w)
     return WindowedResult(comp.value.complex, w, "k-sp", comp.exact)
-
-
-def sp_component_on_map(src_model, tgt_model, f: ChainMap) -> ChainMap:
-    """K_q(f) for the sp comonad: slotwise on the Tate cone models (or f
-    itself on collapsed diagonals)."""
-    if src_model.kind == "collapsed":
-        return f
-    if src_model.kind != "tate" or tgt_model.kind != "tate":
-        raise ValueError("sp K on maps needs matching tate models")
-    # Tate labels are (cone part, ("hG"/"hGf", s, gen, ("sidx", alpha, base)))
-    # with base the A-label, or (l3 label, A-label) when (r, n) = (1, 3).
-    # Moving f onto A passes the cone's degree shift on "cone-src" labels and
-    # an l3 edge (degree 1): each gives a Koszul sign when f is odd.
-    l3 = (src_model.r, src_model.n) == (1, 3)
-
-    def sign(lab):
-        odd = (lab[0] == "cone-src") != (l3 and lab[1][3][2][0][1] != "w")
-        return -1 if odd and f.degree % 2 else 1
-    return slotwise_map(src_model.value.complex, tgt_model.value.complex, f,
-                        (1, 3, 2, 1) if l3 else (1, 3, 2), sign).validate()

@@ -15,12 +15,10 @@ totalization.
 
 from __future__ import annotations
 
-from . import comonads, topcomonad
 from .chain import (
     ChainMap, DegreeWindow, factor_through, hom_complex, hom_element_to_map,
     linear_map, map_to_hom_element, subcomplex, transport,
 )
-from .coalgebras import _model_transport
 from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
 from .sparse import Echelon, SparseMatrix, nullspace
 from .tower import _Levels, _piece_nonzero, _RawPiece, fat_tot
@@ -167,7 +165,6 @@ class DerivedHomBuilder(_HomLevels):
         # K_q(A_r)-model must match theta's target (the coalgebra's own
         # component models)
         ka_model = c.komonad.component(q, r)
-        kp_model = tgt["piece"]
         img = {}
         for k in src["inv"].dims:
             inc = src["incl"].component(k).by_column()
@@ -178,16 +175,7 @@ class DerivedHomBuilder(_HomLevels):
                                        c.sequence.term_complex(r),
                                        src["piece"].value.complex, vec,
                                        degree=k)
-                if c.source == "top":
-                    src_model = ka_model
-                    if src_model.kind != kp_model.kind:
-                        src_model = topcomonad._rebuild_like(
-                            c.komonad.coop, c.sequence.term(r), q,
-                            c.komonad.w, kp_model)
-                    kf = topcomonad.top_component_on_map(
-                        c.komonad.coop, src_model, kp_model, f)
-                else:
-                    kf = comonads.sp_component_on_map(ka_model, kp_model, f)
+                kf = ka_model.apply(f, tgt["piece"])
                 # theta recast into the model K_q(h) starts from
                 th = transport(theta, target=kf.source)
                 # composite: A_q -> K_q P (degree k), as an element of Hom
@@ -207,18 +195,8 @@ class DerivedHomBuilder(_HomLevels):
             return None
         if m == 0 or (cp.source == "sp" and q == s):
             return self._post(m, sk, tk, th)
-        inner = K.delta_inner.get((q, s, n))
-        outer = K.delta_outer.get((q, s, n))
-        if inner is None or outer is None:
-            return None
-        tau = _model_transport(K.component(s, n), inner)
-        theta_tilde = tau.compose(transport(th, cp.sequence.term_complex(s)))
-        src_model = self.hom[m][sk]["piece"]
-        if src_model.kind != outer.kind:
-            src_model = topcomonad._rebuild_like(
-                K.coop, cp.sequence.term(s), q, K.w, outer)
-        return self._post(m, sk, tk, topcomonad.top_component_on_map(
-            K.coop, src_model, outer, theta_tilde))
+        kf = K.kq_theta(transport(th, cp.sequence.term_complex(s)), q, s, n)
+        return None if kf is None else self._post(m, sk, tk, kf)
 
 
 # ---------------------------------------------------------------------------

@@ -523,10 +523,10 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
 
 
 def tate(a: EquivariantComplex, w: DegreeWindow, extra_stages: int = 0,
-         fixed_stages=None, orbit_stages=None) -> WindowedResult:
+         fixed_stages=None) -> WindowedResult:
     """Tate construction: cone of the norm map, window shrunk by 1 each end."""
     wide = w.expand(1)
-    orbits = homotopy_orbits(a, wide, extra_stages, stages=orbit_stages)
+    orbits = homotopy_orbits(a, wide, extra_stages)
     fixed = homotopy_fixed(a, wide, extra_stages, stages=fixed_stages)
     nm = norm_map(a, wide, orbits, fixed)
     out = WindowedResult(cone(nm), w, "tate")

@@ -32,23 +32,21 @@ from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
 from .derivedhom import _HomLevels
 from .equivariant import (
     EquivariantComplex, permutation_module, slotwise_map, strict_fixed,
-    strict_orbits, trivial_action, zero_module,
+    trivial_action, zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
 from .perms import (
-    YoungGroup, apply_perm_to_partition, quotient_partition, refines,
-    restrict_partition, set_partitions, transposition,
+    YoungGroup, apply_perm_to_partition, koszul_sign, quotient_partition,
+    refines, restrict_partition, set_partitions, transposition,
 )
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, rank, solve_matrix
 from .topcomonad import (
-    SurjectionSum, TopComponentModel, _model_stages, _PreTarget,
-    _rebuild_like, _sursum_map, build_top_delta, top_component_on_map,
+    SurjectionSum, TopComponentModel, _PreTarget, build_top_delta,
     top_delta_on_sums, unit_section,
 )
 from .tower import CosimplicialComplex, _RawPiece, fat_tot
-from .trees import leaf
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +155,7 @@ def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
         r = len(tau)
         b_labels = new_lab[1:]
         b_degs = degs[1:]
-        sgn = _koszul_reorder_sign(F, b_degs, tau)
+        sgn = koszul_sign(tau, b_degs)
         reordered = [None] * r
         for i in range(r):
             reordered[tau[i]] = b_labels[i]
@@ -170,17 +168,6 @@ def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
         else:
             out[key] = cur
     return out
-
-
-def _koszul_reorder_sign(F, degs, tau):
-    """Sign of reordering graded factors: factor i moves to position tau[i]."""
-    sign = 1
-    r = len(tau)
-    for i in range(r):
-        for j in range(i + 1, r):
-            if tau[i] > tau[j] and degs[i] % 2 and degs[j] % 2:
-                sign = -sign
-    return F.one() if sign == 1 else F.neg(F.one())
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +491,7 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
 # ---------------------------------------------------------------------------
 
 
-def tensor_reorder_map(factors, perm, field) -> ChainMap:
+def tensor_reorder_map(factors, perm) -> ChainMap:
     """Koszul reordering iso tensor(factors) -> tensor(factors[perm^-1]).
 
     perm[i] = new position of factor i."""
@@ -518,7 +505,7 @@ def tensor_reorder_map(factors, perm, field) -> ChainMap:
     def image(k, lab):
         degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
         return ((tuple(lab[inv[j]] for j in range(len(lab))),
-                 _koszul_reorder_sign(field, degs, perm)),)
+                 koszul_sign(perm, degs)),)
     return linear_map(src, tgt, image)
 
 
@@ -561,7 +548,7 @@ def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
     routeA_factors = [coop.term_complex(rc)] + \
         [coop.term_complex(len(b)) for b in qpart] + \
         [coop.term_complex(len(c)) for c in fine]
-    reorderA = tensor_reorder_map(routeA_factors, permA, F)
+    reorderA = tensor_reorder_map(routeA_factors, permA)
     routeA2 = reorderA.compose(transport(routeA, target=reorderA.source,
                                          key=_flat_label, partial=False))
     return transport(routeA2, target=routeB.target, key=_flat_label,
@@ -694,7 +681,7 @@ def _check_module_assoc(mod: RightModule, r, comp, comp2_parts):
     # route 2: reorder q-factors to sit beside their p-factor, apply gamma on
     # each group, then a1' along the composed pattern
     perm = _group_q_after_p_perm(comp, comp2_parts)
-    reorder = tensor_reorder_map(src_factors, perm, F)
+    reorder = tensor_reorder_map(src_factors, perm)
     cur = reorder
     cur_factors = _grouped_factors(m_r, op, comp, comp2_parts)
     gam_maps = []
@@ -829,6 +816,13 @@ class KPrimeComponent:
             action[gi] = factor_through(sr.compose(incl), incl)
         self.value = EquivariantComplex(inv, YoungGroup.full(r), action)
 
+    def apply(self, f: ChainMap, tgt: "KPrimeComponent") -> ChainMap:
+        """K'_r(f) : K'_r B -> K'_r B' for an equivariant map f : B -> B', on
+        the strict invariants models."""
+        big = self.sursum.apply(f, tgt.sursum)
+        return factor_through(big.compose(self.inclusion),
+                              tgt.inclusion).validate()
+
 
 class KPrimeComonad:
     """The strict comonad whose coalgebras are right modules over the dual
@@ -876,10 +870,8 @@ class KPrimeComonad:
         # a |-> sum_{sigma} sigma . (id, a): strictly invariant.  Include a at
         # the identity-bijection summand, then sum over the group to land in
         # the invariants
-        incl = label_map(comp.a.complex, comp.sursum.total,
-                         key=_identity_slot(r), partial=True)
-        return factor_through(comp.sursum.sigma_n_action().norm().compose(incl),
-                              comp.inclusion)
+        return factor_through(comp.sursum.sigma_n_action().norm().compose(
+            comp.sursum.unit_inclusion()), comp.inclusion)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))
@@ -904,14 +896,6 @@ class KPrimeComonad:
                               outer.inclusion).validate()
         self.delta[(r, s, n)] = dmap
         self.delta_outer[(r, s, n)] = outer
-
-
-def _identity_slot(r):
-    """Key sending a label of A to its copy (id, units, a) in the
-    identity-bijection summand of W(A, r)."""
-    idb = tuple(range(r))
-    units = tuple(("tree", leaf(0)) for _ in range(r))
-    return lambda lab: ("surj", idb, units + (lab,))
 
 
 def _pre_to_outer_invariants(pre: _PreTarget,
@@ -941,30 +925,18 @@ def _pre_to_outer_invariants(pre: _PreTarget,
 def nu_component(top_comp: TopComponentModel,
                  kp_comp: KPrimeComponent,
                  w: DegreeWindow) -> ChainMap:
-    """The comparison K_r A_n -> K'_r A_n: project the orbit model to strict
-    orbits, apply the norm sum, and land in the strict invariants."""
-    if top_comp.kind == "zero":
+    """The comparison K_r A_n -> K'_r A_n: map the model to the strict
+    orbits of its surjection sum W, apply the norm sum, and land in the
+    strict invariants."""
+    if top_comp.sursum is None:
         return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
-    W_eq = top_comp.sursum.sigma_n_action()
-    q, proj = strict_orbits(W_eq)
+    to_q, proj = top_comp.to_strict_orbits()
     # the norm sum_g g induces strict orbits -> strict invariants: factor it
     # through the quotient by a unit section, and into the invariants through
     # their inclusion (which certifies that the norm lands there)
-    W = W_eq.complex
-    sec = unit_section(proj)
-    nbar_map = factor_through(W_eq.norm().compose(sec), kp_comp.inclusion)
-    if top_comp.kind == "collapsed":
-        # A_n = strict orbits of W via the collapse; invert the collapse
-        # first, a |-> (id, units, a)
-        to_q = proj.compose(label_map(top_comp.a.complex, W, partial=True,
-                                      key=_identity_slot(top_comp.r)))
-    elif top_comp.kind == "strict":
-        to_q = label_map(top_comp.value.complex, q)
-    else:
-        # windowed: orbit model -> strict orbits via the degree-0 slot
-        to_q = proj.compose(label_map(
-            top_comp.value.complex, W, partial=True,
-            key=lambda lab: lab[3] if lab[1] == 0 else None))
+    norm = top_comp.sursum.sigma_n_action().norm()
+    nbar_map = factor_through(norm.compose(unit_section(proj)),
+                              kp_comp.inclusion)
     return nbar_map.compose(to_q).validate()
 
 
@@ -993,19 +965,14 @@ def top_coassociativity_check(coop: Cooperad, term: EquivariantComplex,
     comp_s_wide, d_st, outer_st = build_top_delta(
         coop, term, comp_s_wide, inner_t_wide, s, t, w2)
     # K_r of d_st: source outer_rs (K_r of inner_s); target K_r(outer_st)
-    tgt_model = TopComponentModel(
-        coop, outer_st.value, r, w,
-        force_windowed=(outer_rs.kind == "windowed"),
-        stages=_model_stages(outer_rs))
-    src_model = _rebuild_like(coop, inner_s.value, r, w, outer_rs)
-    k_dst = top_component_on_map(coop, src_model, tgt_model, d_st)
+    tgt_model = outer_rs.like(outer_st.value, w)
+    src_model = outer_rs.like(inner_s.value, w)
+    k_dst = src_model.apply(d_st, tgt_model)
     routeA = k_dst.compose(label_map(d_rs.target, src_model.value.complex)
                            .compose(d_rs))
     # route B: d_rt then delta_{r,s} of the inner_t value
-    comp_b = _rebuild_like(coop, inner_t.value, r, w, outer_rt)
-    inner_b = TopComponentModel(
-        coop, inner_t.value, s, w2,
-        force_windowed=(inner_s.kind == "windowed"))
+    comp_b = outer_rt.like(inner_t.value, w)
+    inner_b = inner_s.like(inner_t.value, w2)
     comp_b, d_b, outer_b = build_top_delta(coop, inner_t.value, comp_b,
                                            inner_b, r, s, w)
     routeB = d_b.compose(label_map(d_rt.target, comp_b.value.complex)
@@ -1061,15 +1028,6 @@ def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):
     return report
 
 
-def kprime_on_map(coop: Cooperad, src_comp: KPrimeComponent,
-                  tgt_comp: KPrimeComponent, f: ChainMap) -> ChainMap:
-    """K'_r applied to an equivariant map f : B -> B' on the strict
-    invariants models."""
-    big = _sursum_map(src_comp.sursum, tgt_comp.sursum, f)
-    return factor_through(big.compose(src_comp.inclusion),
-                          tgt_comp.inclusion).validate()
-
-
 def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
                                  coop=None) -> bool:
     """Exact comonadic coassociativity for K' on the component chain
@@ -1093,7 +1051,7 @@ def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
     src_model = KPrimeComponent(coop, inner_s.value, r)
     tgt_model = KPrimeComponent(coop, outer_st.value, r)
     ident_in = label_map(outer_rs.value.complex, src_model.value.complex)
-    k_dst = kprime_on_map(coop, src_model, tgt_model, d_st)
+    k_dst = src_model.apply(d_st, tgt_model)
     routeA = k_dst.compose(ident_in).compose(d_rs)
     # route B: d_rt then d'_{r,s} of the inner_t value
     single = SymmetricSequence(F, t, {t: inner_t.value})

@@ -45,6 +45,19 @@ def perm_sign(p) -> int:
     return sign
 
 
+def koszul_sign(perm, degrees) -> int:
+    """The Koszul sign of reordering graded factors, factor i (of degree
+    degrees[i]) moving to position perm[i]: -1 to the number of pairs of
+    odd-degree factors whose order the move reverses."""
+    odd = [i for i, d in enumerate(degrees) if d % 2]
+    sign = 1
+    for a, i in enumerate(odd):
+        for j in odd[a + 1:]:
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def transposition(n, i):
     """Adjacent transposition swapping positions i and i+1 (0-indexed)."""
     p = list(range(n))

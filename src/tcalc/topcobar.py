@@ -20,7 +20,6 @@ from .equivariant import (
     permutation_module, slotwise_map, strict_fixed, trivial_action,
 )
 from .perms import YoungGroup, transposition
-from .topcomonad import _model_stages
 from .tower import _Levels
 
 
@@ -105,7 +104,7 @@ class TopCobarBuilder(_Levels):
             comp12 = c.komonad.component(1, 2)
             self.comp12 = comp12
             base = max(self.w.hi - carrier.complex.min_degree + 2, 1)
-            inferred = _model_stages(comp12) or 1
+            inferred = comp12.stages() or 1
             self.stages12 = max(base, inferred)
             self.slot12 = homotopy_orbits(carrier, w, tag="slot12",
                                           stages=self.stages12)

@@ -5,8 +5,10 @@ surjections {0..n-1} ->> {0..r-1}, of T_{n_1} (x) ... (x) T_{n_r} (x) A_n,
 with T_* the tree cooperad.  When the total module is free the strict orbit
 complex is used and the result is exact.  Comultiplication comes from
 ungrafting decompositions of the tree cooperad; the counit collapses the
-bijection summands.  The Sp comonad, the strict comonad K' and the
-comparison nu : K -> K' are in `comonads`.
+bijection summands.  A component model applies K_r to maps itself
+(`TopComponentModel.apply`), so no module outside the comonads reads a
+model's kind.  The Sp comonad is in `comonads`; the strict comonad K' and
+the comparison nu : K -> K' are in `laws`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .equivariant import (
     strict_orbits, zero_module,
 )
 from .perms import (
-    YoungGroup, all_surjections, inverse, surjection_fibers, transposition,
+    YoungGroup, all_surjections, inverse, koszul_sign, surjection_fibers,
+    transposition,
 )
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix
@@ -122,6 +125,24 @@ class SurjectionSum:
                      -1 if degs[gi] % 2 and degs[gi + 1] % 2 else 1),)
         return linear_map(self.total, self.total, image)
 
+    def apply(self, f: ChainMap, tgt: "SurjectionSum") -> ChainMap:
+        """trees (x) f : W(B, r) -> W(B', r) for f : B -> B', with the Koszul
+        sign (-1)^{|f| |trees|}.  The result is not validated."""
+        def sign(lab):
+            _, alpha, inner = lab
+            treedeg = sum(self.label_degree(len(fb), tl)
+                          for fb, tl in zip(self.factors[alpha], inner[:-1]))
+            return -1 if f.degree * treedeg % 2 else 1
+        return slotwise_map(self.total, tgt.total, f, slot=(2, -1), sign=sign)
+
+    def unit_inclusion(self) -> ChainMap:
+        """A -> W: a |-> (id, units, a), the copy of a in the
+        identity-bijection summand with a unit tree in every factor."""
+        idb = tuple(range(self.r))
+        units = tuple(("tree", trees.leaf(0)) for _ in range(self.r))
+        return label_map(self.a.complex, self.total, partial=True,
+                         key=lambda lab: ("surj", idb, units + (lab,)))
+
     def _summand_map(self, moves, a_map) -> ChainMap:
         """The map sending summand alpha to summand beta, for (beta,
         relabels) = moves[alpha]: each tree factor relabeled along its
@@ -220,6 +241,57 @@ class TopComponentModel:
             raise ValueError("counit only lives on the diagonal")
         return ChainMap.identity(self.a.complex)
 
+    def stages(self):
+        """The resolution length of a windowed model, read off its labels
+        (None for the other kinds)."""
+        if self.kind != "windowed":
+            return None
+        return max((lab[1] for labs in self.value.complex.labels.values()
+                    for lab in labs), default=0) + 1
+
+    def like(self, a: EquivariantComplex, w: DegreeWindow):
+        """K_r(a) at window w, windowed with this model's resolution length
+        when this model is windowed, else in its natural kind."""
+        return TopComponentModel(self.coop, a, self.r, w,
+                                 force_windowed=self.kind == "windowed",
+                                 stages=self.stages())
+
+    def apply(self, f: ChainMap, tgt: "TopComponentModel") -> ChainMap:
+        """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
+        of any degree, this model being K_r B and tgt K_r B'.  A model of
+        another kind than tgt is first rebuilt like tgt; the result starts
+        from that rebuilt model."""
+        src = self if self.kind == tgt.kind else tgt.like(self.a, self.window)
+        if src.kind == "zero" or tgt.kind == "zero":
+            return ChainMap.zero(src.value.complex, tgt.value.complex,
+                                 f.degree)
+        if src.kind == "collapsed":
+            if tgt.kind != "collapsed":
+                raise ValueError("model kinds differ on the diagonal")
+            return f
+        wmap = src.sursum.apply(f, tgt.sursum)
+        if src.kind == "strict" and tgt.kind == "strict":
+            return _quotient_functor(src.proj, wmap, tgt.proj)
+        if src.kind == "windowed" and tgt.kind == "windowed":
+            return slotwise_map(src.value.complex, tgt.value.complex, wmap)
+        raise ValueError("mixed model kinds for K on maps: %s vs %s" %
+                         (src.kind, tgt.kind))
+
+    def to_strict_orbits(self):
+        """(to_q, proj): the map to_q from this model to the strict
+        Sigma_n-orbits q of its surjection sum W, and the projection
+        proj : W -> q.  A collapsed model is q through the collapse, so
+        to_q inverts the collapse first; a windowed one goes through its
+        resolution-degree-0 slot."""
+        if self.kind == "strict":
+            return ChainMap.identity(self.value.complex), self.proj
+        _, proj = strict_orbits(self.sursum.sigma_n_action())
+        if self.kind == "collapsed":
+            return proj.compose(self.sursum.unit_inclusion()), proj
+        slot0 = label_map(self.value.complex, self.sursum.total, partial=True,
+                          key=lambda lab: lab[3] if lab[1] == 0 else None)
+        return proj.compose(slot0), proj
+
 
 def unit_section(proj: ChainMap) -> ChainMap:
     """A section q -> W of a quotient projection proj : W -> q: each basis
@@ -241,23 +313,6 @@ def unit_section(proj: ChainMap) -> ChainMap:
             W.dim(k), q.dim(k), proj.field,
             {(j, i): 1 for i, j in sec.items()})
     return ChainMap(q, W, comps)
-
-
-def _model_stages(model: TopComponentModel):
-    if model.kind != "windowed":
-        return None
-    # infer the resolution length from the stored orbit model labels
-    best = 0
-    for k in model.value.complex.dims:
-        for lab in model.value.complex.labels[k]:
-            best = max(best, lab[1])
-    return best + 1
-
-
-def _rebuild_like(coop, term, r, w, template: TopComponentModel):
-    return TopComponentModel(coop, term, r, w,
-                             force_windowed=(template.kind == "windowed"),
-                             stages=_model_stages(template))
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +497,15 @@ def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,
         lname, ldeg, _ = lower_names[i]
         target_tokens.append((lname, ldeg))
     target_tokens.append((("a",), a_degree))
-    sgn = _token_reorder_sign(tokens, target_tokens)
-    total_sign *= sgn
+    posn = {name: i for i, (name, _) in enumerate(target_tokens)}
+    total_sign *= koszul_sign([posn[name] for name, _ in tokens],
+                              [deg for _, deg in tokens])
     # build target label
     upper_trees = tuple(("tree", sr[1]) for sr in split_results)
     inner_trees = tuple(("tree", lower_names[i][2]) for i in range(s))
     inner_lab = ("surj", alpha, inner_trees + (a_lab,))
     tgt_lab = ("surj", gamma, upper_trees + (inner_lab,))
     return F.coerce(total_sign), tgt_lab
-
-
-def _token_reorder_sign(src_tokens, tgt_tokens):
-    """Koszul sign of reordering graded tokens (name, degree)."""
-    names = [t[0] for t in src_tokens]
-    degs = {t[0]: t[1] for t in src_tokens}
-    tgt_names = [t[0] for t in tgt_tokens]
-    sign = 1
-    # bubble: count inversions between odd-degree pairs
-    posn = {x: i for i, x in enumerate(tgt_names)}
-    perm = [posn[x] for x in names]
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and degs[names[i]] % 2 and degs[names[j]] % 2:
-                sign = -sign
-    return sign
 
 
 def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
@@ -539,6 +579,24 @@ class TopComonad:
         if comp is None:
             return None
         return comp.counit_to_a()
+
+    def kq_theta(self, theta: ChainMap, q, s, n) -> ChainMap | None:
+        """K_q(theta~) : K_q A_s -> delta_outer[(q, s, n)], for s < n and
+        theta : A_s -> K_s A_n in the component model, where theta~ is theta
+        carried into the comultiplication's inner model
+        delta_inner[(q, s, n)] (label-equal, or wider when windowed).  None
+        when the comultiplication has no such component."""
+        inner = self.delta_inner.get((q, s, n))
+        outer = self.delta_outer.get((q, s, n))
+        if inner is None or outer is None:
+            return None
+        comp = self.component(s, n)
+        if comp.kind == "strict":
+            tau = label_map(comp.value.complex, inner.value.complex)
+        else:
+            tau = label_map(comp.value.complex, inner.value.complex,
+                            partial=True).validate()
+        return self.component(q, s).apply(tau.compose(theta), outer)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))
@@ -637,37 +695,6 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         total_map = iota_t.compose(reorder).compose(src_map)
     total_map.validate()
     return comp, total_map, outer
-
-
-def _sursum_map(src: SurjectionSum, tgt: SurjectionSum, f: ChainMap) -> ChainMap:
-    """trees (x) f on surjection sums, with the Koszul sign (-1)^{|f| |trees|}.
-    The result is not validated."""
-    def sign(lab):
-        _, alpha, inner = lab
-        treedeg = sum(src.label_degree(len(fb), tl)
-                      for fb, tl in zip(src.factors[alpha], inner[:-1]))
-        return -1 if f.degree * treedeg % 2 else 1
-    return slotwise_map(src.total, tgt.total, f, slot=(2, -1), sign=sign)
-
-
-def top_component_on_map(coop: Cooperad, src_model: TopComponentModel,
-                         tgt_model: TopComponentModel, f: ChainMap) -> ChainMap:
-    """K_r applied to an equivariant chain map f : B -> B' (any degree)."""
-    if src_model.kind == "zero" or tgt_model.kind == "zero":
-        return ChainMap.zero(src_model.value.complex, tgt_model.value.complex,
-                             f.degree)
-    if src_model.kind == "collapsed":
-        if tgt_model.kind != "collapsed":
-            raise ValueError("model kinds differ on the diagonal")
-        return f
-    wmap = _sursum_map(src_model.sursum, tgt_model.sursum, f)
-    if src_model.kind == "strict" and tgt_model.kind == "strict":
-        return _quotient_functor(src_model.proj, wmap, tgt_model.proj)
-    if src_model.kind == "windowed" and tgt_model.kind == "windowed":
-        return slotwise_map(src_model.value.complex, tgt_model.value.complex,
-                            wmap)
-    raise ValueError("mixed model kinds for K on maps: %s vs %s" %
-                     (src_model.kind, tgt_model.kind))
 
 
 # ---------------------------------------------------------------------------

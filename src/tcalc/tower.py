@@ -228,8 +228,6 @@ class _RawPiece:
 
     def __init__(self, value):
         self.value = value
-        self.kind = "raw"
-        self.exact = True
 
 
 def _piece_nonzero(piece) -> bool:
@@ -359,8 +357,12 @@ def cobar(coalgebra, site, w: DegreeWindow | None = None) -> CosimplicialComplex
 
     Top source: site is a FinitePointedSet.  Sp source: site is the sphere
     dimension d (S^0 supported at truncation <= 3; other d raise)."""
-    c = coalgebra
-    w = w or c.window
+    return _cobar_builder(coalgebra, site, w or coalgebra.window).cosimplicial
+
+
+def _cobar_builder(c, site, w: DegreeWindow):
+    """The cobar construction's builder: its cosimplicial object, level
+    pieces and structural maps."""
     if c.source == "top":
         if not isinstance(site, FinitePointedSet):
             raise ValueError("top-source sites are finite pointed sets")
@@ -372,12 +374,8 @@ def cobar(coalgebra, site, w: DegreeWindow | None = None) -> CosimplicialComplex
                 "sp evaluation implemented at S^0 (nonzero sphere dimensions "
                 "need equivariant twist models outside desk scale)")
     if c.source == "top":
-        builder = topcobar.TopCobarBuilder(c, site, w)
-    else:
-        builder = spcobar.SpCobarBuilder(c, w)
-    out = builder.cosimplicial
-    out._builder = builder
-    return out
+        return topcobar.TopCobarBuilder(c, site, w)
+    return spcobar.SpCobarBuilder(c, w)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +417,7 @@ def p_n(coalgebra, site, n, route="tot", builder=None):
         raise ValueError("route must be 'tot' or 'pullback'")
     # both routes read the cobar builder, which bounds the truncation
     if builder is None:
-        builder = cobar(cn, site, cn.window)._builder
+        builder = _cobar_builder(cn, site, cn.window)
     if route == "pullback":
         return _p_n_pullback(cn, builder)
     cs = builder.cosimplicial
@@ -496,17 +494,16 @@ def tower_map(c, site, n, route="tot"):
     lo = p_n(c, site, n - 1, route=route)
     if route != "tot":
         raise ValueError("tower maps are provided on the tot route")
-    f = _tot_truncation_map(hi["cosimplicial"], lo["cosimplicial"],
-                            hi["complex"], lo["complex"])
+    f = _tot_truncation_map(hi["builder"], lo["builder"], hi["complex"],
+                            lo["complex"])
     return {"map": f, "source": hi, "target": lo}
 
 
-def _tot_truncation_map(cs_hi, cs_lo, tot_hi, tot_lo) -> ChainMap:
-    """Project the Tot of the larger cobar onto the Tot of the truncation by
-    dropping pieces with indices above the lower truncation (computed through
-    the conormalized bases)."""
-    bh = cs_hi._builder if hasattr(cs_hi, "_builder") else None
-    bl = cs_lo._builder if hasattr(cs_lo, "_builder") else None
+def _tot_truncation_map(bh, bl, tot_hi, tot_lo) -> ChainMap:
+    """Project the Tot of the larger cobar (builder bh) onto the Tot of the
+    truncation (builder bl) by dropping pieces with indices above the lower
+    truncation (computed through the conormalized bases)."""
+    cs_hi, cs_lo = bh.cosimplicial, bl.cosimplicial
     D_lo = min(cs_lo.degenerate_above, cs_lo.M)
     # level maps: project the direct sums by matching piece keys
     level_maps = {}

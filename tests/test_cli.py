@@ -10,7 +10,9 @@ import pytest
 
 from helpers import random_theta, random_valid_coalgebra, triv
 from tcalc import serialize
-from tcalc.chain import ChainComplex, ChainMap, DegreeWindow, sphere
+from tcalc.chain import (
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
+)
 from tcalc.cli import main
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.equivariant import (
@@ -596,3 +598,46 @@ def test_pn_both_on_a_pool_top2_document_matches_its_reference(tmp_path,
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == ref["rc"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
+
+
+def test_file_system_mistakes_are_usage_errors(tmp_path, capsys):
+    p = write(tmp_path, "t.json", serialize.equivariant_to_json(triv(F2, 2)))
+    argv = ("tate", "--window", "-2:2")
+    # --out into a directory that does not exist
+    assert_usage_error(capsys, *argv, p, "--out",
+                       str(tmp_path / "missing" / "x.json"))
+    # an input path that is a directory
+    assert_usage_error(capsys, *argv, str(tmp_path))
+    # an input that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"field": "F2\xe9"}')
+    assert_usage_error(capsys, *argv, str(latin1))
+
+
+def test_derived_hom_maps_out_of_the_second_document(tmp_path, capsys):
+    # `derived-hom A B` and `bk-e1 A B` compute maps out of B into A on B's
+    # window.  A_1 = k in degree 0 (window 0:3); B_1 = k in degrees 0 and 1
+    # (window -2:2): the map B_1 -> A_0 of degree -1 has no counterpart
+    # from A into B, which has one of degree +1 instead.
+    a = trivial_coalgebra("sp", SymmetricSequence(F2, 1, {1: triv(F2, 1)}),
+                          DegreeWindow(0, 3))
+    b1 = trivial_action(direct_sum([sphere(F2, 0, label="b0"),
+                                    sphere(F2, 1, label="b1")]),
+                        YoungGroup.full(1))
+    b = trivial_coalgebra("sp", SymmetricSequence(F2, 1, {1: b1}),
+                          DegreeWindow(-2, 2))
+    pa = write(tmp_path, "a.json", serialize.coalgebra_to_json(a))
+    pb = write(tmp_path, "b.json", serialize.coalgebra_to_json(b))
+    rc, out, _ = run_cli(capsys, "derived-hom", pa, pb)
+    assert rc == 0
+    assert json.loads(out) == {"command": "derived-hom", "h0": 1,
+                               "dims": {"-2": 0, "-1": 1, "0": 1, "1": 0,
+                                        "2": 0}, "window": [-2, 2]}
+    rc, out, _ = run_cli(capsys, "derived-hom", pb, pa)
+    assert rc == 0
+    assert json.loads(out)["dims"] == {"0": 1, "1": 1, "2": 0, "3": 0}
+    rc, out, _ = run_cli(capsys, "bk-e1", pa, pb)
+    assert rc == 0
+    page = json.loads(out)
+    assert page["window"] == [-2, 2]
+    assert page["einf"] == {"0,-1": 1, "0,0": 1}

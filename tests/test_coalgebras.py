@@ -1,5 +1,6 @@
 """Coalgebra validation, representables, divided powers, truncation."""
 
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.topcomonad import k_top
+from tcalc.tower import derived_hom
 
 
 def triv(F, n, deg=0, label="a"):
@@ -67,26 +69,63 @@ def test_sp_n3_squares_vacuous():
     assert rep["squares"].get((1, 2, 3)) == "vacuous"
 
 
-def test_top_n3_square_checked_and_can_fail():
-    # staircase degrees so that nonzero theta maps exist: a theta_{r,n} needs
-    # deg A_r >= (n - r) + deg A_n
+def _top_n3_staircase():
+    """A Top N=3 coalgebra over F2 with nonzero theta_{1,2} and theta_{2,3}
+    (window 0:4, seed 11), and its trivial-theta companion on the same
+    comonad.  Staircase degrees make nonzero theta maps exist: a theta_{r,n}
+    needs deg A_r >= (n - r) + deg A_n."""
     w = DegreeWindow(0, 4)
     A = seq(F2, {1: triv(F2, 1, deg=2), 2: triv(F2, 2, deg=1),
                  3: triv(F2, 3, deg=0)})
     c0 = trivial_coalgebra("top", A, w)
-    rep0 = validate_coalgebra(c0)
-    assert rep0["valid"]
     rng = random.Random(11)
     th12 = random_theta(c0, 1, 2, rng)
     th23 = random_theta(c0, 2, 3, rng)
     assert th12 is not None and th23 is not None
     assert not th12.is_zero() and not th23.is_zero()
-    c2 = TruncatedCoalgebra("top", A, w, {(1, 2): th12, (2, 3): th23},
-                            komonad=c0.komonad)
+    return c0, TruncatedCoalgebra("top", A, w, {(1, 2): th12, (2, 3): th23},
+                                  komonad=c0.komonad)
+
+
+def test_top_n3_square_checked_and_can_fail():
+    c0, c2 = _top_n3_staircase()
+    rep0 = validate_coalgebra(c0)
+    assert rep0["valid"]
     rep2 = validate_coalgebra(c2)
     # whether valid or not, the square must have been genuinely computed
     assert (1, 2, 3) in rep2["squares"]
     assert rep2["squares"][(1, 2, 3)] != "vacuous"
+
+
+def _map_digest(f):
+    """SHA-256 over a chain map's source and target labels, its degree and
+    every matrix entry."""
+    h = hashlib.sha256()
+    for c in (f.source, f.target):
+        h.update(repr(sorted(c.labels.items())).encode())
+    h.update(repr(f.degree).encode())
+    for k, m in sorted(f.components.items()):
+        h.update(repr((k, m.rows, m.cols, sorted(
+            (ij, str(v)) for ij, v in m.items()))).encode())
+    return h.hexdigest()
+
+
+def test_top_n3_square_route_is_pinned():
+    # K_1(theta~_{2,3}) into the outer model of delta_{1,2,3}, the map the
+    # (1, 2, 3) square's second route starts with, entry for entry
+    _, c2 = _top_n3_staircase()
+    assert validate_coalgebra(c2)["squares"][(1, 2, 3)] == "ok"
+    kf = c2.komonad.kq_theta(c2.theta_map(2, 3), 1, 2, 3)
+    assert _map_digest(kf) == \
+        "d84464204570c6c839f2a155883a4cf07fbe761c3f1c23631856f91df94824fb"
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="K_q(h) o theta fails to commute with d in degree "
+                          "4 (the Top-source form of case-1)")
+def test_top_n3_derived_hom():
+    _, c2 = _top_n3_staircase()
+    assert derived_hom(c2, c2)["h0"] >= 1
 
 
 def test_representable_module_dims():

@@ -125,7 +125,7 @@ def test_spectral_lie_associativity_instance():
     maps = [ChainMap.identity(p2), ga, gb]
     # factors must be grouped: [p2, (p1 ; p1), (p2 ; p1, p1)]
     perm = [0, 1, 3, 2, 4, 5]
-    reorder = tensor_reorder_map([p2, p1, p2, p1, p1, p1], perm, F)
+    reorder = tensor_reorder_map([p2, p1, p2, p1, p1, p1], perm)
     big2 = maps[0]
     big2 = tensor_map(big2, ga)
     big2 = tensor_map(big2, gb)
