@@ -44,7 +44,7 @@ from itertools import product
 
 from .fields import FieldSpec
 from .sparse import (
-    Echelon, Span, SparseMatrix, nullspace, solve_matrix, vanishes,
+    Echelon, SparseMatrix, nullspace, solve_matrix, vanishes,
 )
 
 
@@ -185,9 +185,7 @@ class ChainComplex:
         bnd = Echelon(self.d(k + 1).transpose())  # row space = image of d_{k+1}
         # a cycle is a new representative iff it is outside the span of the
         # boundaries and the representatives chosen before it
-        span = Span(self.field)
-        for row in bnd.pivot_rows:
-            span.add(row)
+        span = bnd.span()
         reps = [z for z in cycles if span.add(z)]
         return len(reps), reps, bnd
 
@@ -507,7 +505,7 @@ def transport(f: ChainMap, source: ChainComplex | None = None,
     own.  An entry without a counterpart is dropped when partial, else it
     raises ValueError.  f itself is returned when both complexes are f's
     own.  Dropping entries can break the chain-map identity, so a partial
-    transport validates what it builds.  Each column keeps f's entry order."""
+    transport validates what it builds."""
     src = f.source if source is None else source
     tgt = f.target if target is None else target
     if src is f.source and tgt is f.target:
@@ -856,8 +854,8 @@ def homology_coordinates(c: ChainComplex, k):
         return SparseMatrix(h, 0, F), reps
     # basis adapted to c_k: [reps | boundaries | complement]
     chosen = reps + bnd.pivot_rows
-    span = Span(F)
-    for v in chosen:
+    span = bnd.span()
+    for v in reps:
         span.add(v)
     for j in range(n):
         probe = {j: F.one()}

@@ -386,8 +386,7 @@ def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
     for m in c.sequence.arities():
         if not is_free(c.sequence.term(m)):
             report["free"] = False
-    route = "pullback" if (c.source == "top" and c.truncation > 2) else "tot"
-    st = tower.p_n(c, site, n, route=route)
+    st = tower.p_n(c, site, n)
     win = st["window"]
     pn_h = {k: st["complex"].homology(k)[0] for k in win.degrees()}
     layer_h = {k: 0 for k in win.degrees()}

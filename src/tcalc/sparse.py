@@ -1,25 +1,27 @@
 """Sparse exact matrices over a FieldSpec and the elimination kernel.
 
 Matrices map column vectors to column vectors: an (r x c) matrix is a map
-k^c -> k^r.  Its storage ``data`` depends on the field, and only this module
-reads it; elsewhere a matrix is read through ``items()`` (``((i, j),
-scalar)`` pairs), ``by_column()``, ``m[i, j]`` and ``nnz()``:
+k^c -> k^r.  It is stored row by row in ``data``, ``{i: row}`` with no empty
+rows, and only this module reads it; elsewhere a matrix is read through
+``items()`` (``((i, j), scalar)`` pairs), ``by_column()``, ``m[i, j]`` and
+``nnz()``.  A row is
 
-* over F_2, ``{i: bits}`` with no zero rows, bit j of row i set iff entry
-  (i, j) is 1: sums XOR rows, a product XORs the rows of the right factor
-  picked by the bits of a left row, and blocks shift rows;
-* over F_p and Q, ``{(i, j): scalar}`` with no stored zeros, each scalar in
-  the field's canonical form.
+* over F_2, an int bitset, bit j of row i set iff entry (i, j) is 1: sums
+  XOR rows and blocks shift them;
+* over F_p and Q, a dict ``{j: scalar}`` with no stored zeros, each scalar
+  in the field's canonical form.
 
 Sums, products and ``vanishes`` (is a signed sum of products zero?) all add
-c * A * B into one accumulator in that storage form, ``_accumulate``.
+c * A * B into one accumulator of rows, ``_accumulate``: a row of A adds up
+the stored rows of B that its entries pick (over F_2 it XORs them), and
+``_canonical`` turns the sums back into storage.
 
-One lead-keyed kernel serves both ``Span`` and ``Echelon`` on every field:
-each incoming row is reduced against the rows kept so far, keyed by their
-lowest column (the lead), until its lead is new or it vanishes.  Over F_2 a
-row is an int bitset and a step is one XOR.  Over F_p the kept rows have
-lead 1 and all arithmetic is inline ``% p``.  Over Q the kept rows are
-primitive int vectors (denominators cleared, content divided out): one
+One lead-keyed kernel serves both ``Span`` and ``Echelon`` on every field,
+and reads the stored rows as they are: each incoming row is reduced against
+the rows kept so far, keyed by their lowest column (the lead), until its
+lead is new or it vanishes.  Over F_2 a step is one XOR.  Over F_p the kept
+rows have lead 1 and all arithmetic is inline ``% p``.  Over Q the kept rows
+are primitive int vectors (denominators cleared, content divided out): one
 reduction step is the fraction-free combination a*v - c*row with a, c the
 two leads over their gcd, followed by division by the content, so no
 ``Fraction`` is formed while eliminating (compare Bareiss, Math. Comp. 22
@@ -31,6 +33,7 @@ echelon form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .fields import FieldSpec
@@ -45,47 +48,54 @@ def _ones(bits):
 
 
 def _accumulate(acc, c, a, b):
-    """Add c * a * b (b None: c * a) into acc, a dict in the storage form of
-    a's field, for an int c nonzero in the field; sums that cancel stay as
-    zeros.  Over F_2 each row of a XORs the rows of b its bits pick."""
-    get = acc.get
+    """Add c * a * b (b None: c * a) into acc, {row: row} in the storage
+    form of a's field, for c nonzero in the field; sums that cancel stay as
+    zeros.  Each row of a adds up c times the rows of b its entries pick,
+    scaled by those entries; over F_2 it XORs them."""
+    rows = None if b is None else b.data
     if a.field.p == 2:
-        if b is None:
-            for i, r in a.data.items():
-                acc[i] = get(i, 0) ^ r
-            return
-        rows = b.data
         for i, r in a.data.items():
-            x = 0
-            while r:
-                low = r & -r
-                x ^= rows.get(low.bit_length() - 1, 0)
-                r ^= low
-            acc[i] = get(i, 0) ^ x
+            if rows is not None:
+                x = 0
+                while r:
+                    low = r & -r
+                    x ^= rows.get(low.bit_length() - 1, 0)
+                    r ^= low
+                r = x
+            acc[i] = acc.get(i, 0) ^ r
         return
-    if b is None:
-        for ij, x in a.data.items():
-            acc[ij] = get(ij, 0) + c * x
-        return
-    rows = {}
-    for (i, j), v in b.data.items():
-        rows.setdefault(i, []).append((j, v))
-    for (i, k), x in a.data.items():
-        hits = rows.get(k)
-        if hits is not None:
+    for i, r in a.data.items():
+        out = acc.setdefault(i, {})
+        get = out.get
+        for k, x in r.items():
             if c != 1:
                 x = c * x
-            for j, y in hits:
-                ij = (i, j)
-                acc[ij] = get(ij, 0) + x * y
+            if rows is None:
+                out[k] = get(k, 0) + x
+            elif k in rows:
+                for j, y in rows[k].items():
+                    out[j] = get(j, 0) + x * y
 
 
-def _from_acc(rows, cols, field, acc):
-    """The matrix of an accumulator filled by _accumulate."""
-    if field.p == 2:
-        return SparseMatrix(rows, cols, field, {i: x for i, x in acc.items()
-                                                if x})
-    return SparseMatrix.from_entries(rows, cols, field, acc)
+def _canonical(field, acc):
+    """The storage of rows of sums, {i: bits} or {i: {j: scalar}}: each
+    scalar brought to canonical form in place (% p over F_p, an int or a
+    reduced Fraction over Q), zeros and empty rows dropped."""
+    p = field.p
+    if p == 2:
+        return {i: x for i, x in acc.items() if x}
+    coerce = field.coerce
+    data = {}
+    for i, row in acc.items():
+        for j, v in row.items():
+            x = (v % p if p else v) if v.__class__ is int else coerce(v)
+            if x is not v:
+                row[j] = x
+        if 0 in row.values():
+            row = {j: x for j, x in row.items() if x}
+        if row:
+            data[i] = row
+    return data
 
 
 def _check_product(a, b):
@@ -117,41 +127,26 @@ class SparseMatrix:
         (an int stays an int over Q, and is reduced by % p over F_p) and
         zeros are dropped; an index outside the shape raises IndexError.
         This is the one way to build a matrix from entries."""
-        p = field.p
+        two = field.p == 2
         coerce = field.coerce
-        if p == 2:
-            # summing over F_2 is XOR, so pairs are packed as they come
-            data = {}
-            for ij, v in acc.items() if isinstance(acc, dict) else acc:
-                i, j = ij
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError("entry %r out of range for %dx%d"
-                                     % (ij, rows, cols))
-                if v & 1 if v.__class__ is int else coerce(v):
-                    data[i] = data.get(i, 0) ^ 1 << j
-            return cls(rows, cols, field, {i: b for i, b in data.items() if b})
-        if not isinstance(acc, dict):
-            pairs, acc = acc, {}
-            for ij, v in pairs:
-                acc[ij] = acc.get(ij, 0) + v
-        for ij in acc:
+        data = {}
+        for ij, v in acc.items() if isinstance(acc, dict) else acc:
             i, j = ij
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError("entry %r out of range for %dx%d"
                                  % (ij, rows, cols))
-        if p:
-            data = {ij: r for ij, v in acc.items()
-                    if (r := v % p if v.__class__ is int else coerce(v))}
-        else:
-            data = {ij: v if v.__class__ is int else coerce(v)
-                    for ij, v in acc.items() if v}
-        return cls(rows, cols, field, data)
+            if not two:
+                row = data.setdefault(i, {})
+                row[j] = row[j] + v if j in row else v
+            # summing over F_2 is XOR, so entries are packed as they come
+            elif v & 1 if v.__class__ is int else coerce(v):
+                data[i] = data.get(i, 0) ^ 1 << j
+        return cls(rows, cols, field, _canonical(field, data))
 
     @classmethod
     def identity(cls, n, field):
-        if field.p == 2:
-            return cls(n, n, field, {i: 1 << i for i in range(n)})
-        return cls(n, n, field, {(i, i): 1 for i in range(n)})
+        return cls(n, n, field, {i: 1 << i if field.p == 2 else {i: 1}
+                                 for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows_list, field):
@@ -184,17 +179,18 @@ class SparseMatrix:
     # -- entry access ---------------------------------------------------------
 
     def items(self):
-        """The nonzero entries as ((i, j), scalar) pairs; over F_2 row by row
-        in stored row order, each row's columns ascending."""
+        """The nonzero entries as ((i, j), scalar) pairs, row by row in
+        stored row order; over F_2 each row's columns ascend."""
         if self.field.p == 2:
             return (((i, j), 1) for i, b in self.data.items()
                     for j in _ones(b))
-        return self.data.items()
+        return (((i, j), v) for i, r in self.data.items()
+                for j, v in r.items())
 
     def nnz(self) -> int:
         if self.field.p == 2:
             return sum(b.bit_count() for b in self.data.values())
-        return len(self.data)
+        return sum(map(len, self.data.values()))
 
     def by_column(self):
         """{column: {row: scalar}} over the nonzero columns, each column's
@@ -210,9 +206,10 @@ class SparseMatrix:
         return [cols[j] for j in sorted(cols)]
 
     def __getitem__(self, ij):
+        i, j = ij
         if self.field.p == 2:
-            return self.data.get(ij[0], 0) >> ij[1] & 1
-        return self.data.get(ij, self.field.zero())
+            return self.data.get(i, 0) >> j & 1
+        return self.data.get(i, {}).get(j, 0)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -246,23 +243,19 @@ class SparseMatrix:
         acc = {}
         _accumulate(acc, 1, self, None)
         _accumulate(acc, sign, other, None)
-        return _from_acc(self.rows, self.cols, self.field, acc)
+        return SparseMatrix(self.rows, self.cols, self.field,
+                            _canonical(self.field, acc))
 
     def __neg__(self):
-        F = self.field
-        data = self.data
-        return SparseMatrix(self.rows, self.cols, F, dict(data) if F.p == 2
-                            else {ij: F.neg(v) for ij, v in data.items()})
+        return self.scale(-1)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        if F.is_zero(c):
-            return SparseMatrix(self.rows, self.cols, F)
-        if F.p == 2:
-            return SparseMatrix(self.rows, self.cols, F, dict(self.data))
-        return SparseMatrix(self.rows, self.cols, F,
-                            {ij: F.mul(c, v) for ij, v in self.data.items()})
+        acc = {}
+        if not F.is_zero(c):
+            _accumulate(acc, c, self, None)
+        return SparseMatrix(self.rows, self.cols, F, _canonical(F, acc))
 
     def __mul__(self, other):
         """Matrix product self * other (composition: self after other)."""
@@ -271,17 +264,20 @@ class SparseMatrix:
         _check_product(self, other)
         acc = {}
         _accumulate(acc, 1, self, other)
-        return _from_acc(self.rows, other.cols, self.field, acc)
+        return SparseMatrix(self.rows, other.cols, self.field,
+                            _canonical(self.field, acc))
 
     def transpose(self):
-        if self.field.p == 2:
-            data = {}
-            for i, b in self.data.items():
+        data = {}
+        two = self.field.p == 2
+        for i, r in self.data.items():
+            if two:
                 bit = 1 << i
-                for j in _ones(b):
+                for j in _ones(r):
                     data[j] = data.get(j, 0) | bit
-        else:
-            data = {(j, i): v for (i, j), v in self.data.items()}
+            else:
+                for j, v in r.items():
+                    data.setdefault(j, {})[i] = v
         return SparseMatrix(self.cols, self.rows, self.field, data)
 
     def apply(self, vec: dict) -> dict:
@@ -291,18 +287,10 @@ class SparseMatrix:
             v = sum(1 << j for j in vec)
             return {i: 1 for i, b in self.data.items()
                     if (b & v).bit_count() & 1}
-        out = {}
-        for (i, j), a in self.data.items():
-            b = vec.get(j)
-            if b is None:
-                continue
-            cur = out.get(i, F.zero())
-            cur = F.add(cur, F.mul(a, b))
-            if F.is_zero(cur):
-                out.pop(i, None)
-            else:
-                out[i] = cur
-        return out
+        # the image column, canonicalized as the one row of an accumulator
+        return _canonical(F, {0: {
+            i: sum(a * vec[j] for j, a in r.items() if j in vec)
+            for i, r in self.data.items()}}).get(0, {})
 
     # -- block assembly ---------------------------------------------------------
 
@@ -318,27 +306,28 @@ class SparseMatrix:
             coff.append(coff[-1] + s)
         out = cls(roff[-1], coff[-1], field)
         data = out.data
+        two = field.p == 2
         for (bi, bj), m in blocks.items():
             if m is None:
                 continue
             if m.rows != row_sizes[bi] or m.cols != col_sizes[bj]:
                 raise ValueError("block (%d,%d) has wrong shape" % (bi, bj))
             r0, c0 = roff[bi], coff[bj]
-            if field.p == 2:
-                for i, b in m.data.items():
-                    data[r0 + i] = data.get(r0 + i, 0) | b << c0
-            else:
-                for (i, j), v in m.data.items():
-                    data[(r0 + i, c0 + j)] = v
+            for i, r in m.data.items():
+                if two:
+                    data[r0 + i] = data.get(r0 + i, 0) | r << c0
+                else:
+                    row = data.setdefault(r0 + i, {})
+                    for j, v in r.items():
+                        row[c0 + j] = v
         return out
 
 
 def vanishes(terms) -> bool:
     """Whether the sum of c * A * B over the triples (c, A, B) of terms is
     zero, c an int; B None stands for the identity.  The terms are added
-    one by one into a single accumulator in the field's storage form, so no
-    product and no negated copy is built: over F_2 a row of A XORs the
-    stored rows of B its bits pick.
+    one by one into a single accumulator of rows, so no product and no
+    negated copy is built: a row of A adds up the stored rows of B it picks.
 
     A * B with A.cols != B.rows or mixed fields raises ValueError as the
     product would; terms of different shapes or fields never vanish, as ==
@@ -355,9 +344,9 @@ def vanishes(terms) -> bool:
     for c, a, b in terms:
         if c % p if p else c:
             _accumulate(acc, c, a, b)
-    if p > 2:
-        return not any(v % p for v in acc.values())
-    return not any(acc.values())
+    if p == 2:
+        return not any(acc.values())
+    return not any(x % p if p else x for r in acc.values() for x in r.values())
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +359,22 @@ class Echelon:
     nullspace.
 
     pivot_cols ascend, and pivot_rows[t] is the t-th row of the reduced row
-    echelon form of the row space ({col: scalar}): 1 at pivot_cols[t] and 0
-    at every other pivot column.  That form is unique, so it does not depend
-    on the elimination order."""
+    echelon form of the row space ({col: scalar}), built on first read: 1 at
+    pivot_cols[t] and 0 at every other pivot column.  That form is unique,
+    so it does not depend on the elimination order."""
 
     def __init__(self, m: SparseMatrix):
         self.field = m.field
         self.cols = m.cols
         p = self.field.p
-        if p == 2:
-            rows = m.data
-        else:
-            rows = {}
-            for (i, j), v in m.data.items():
-                rows.setdefault(i, {})[j] = v
-        # forward: grow the span of the rows, one kept row per pivot column
+        # forward: grow the span of the stored rows, one kept row per lead
         span = Span(self.field)
-        for row in rows.values():
+        for row in m.data.values():
             span.add(row)
         # back-substitute from the last pivot up: the rows below a pivot are
-        # already reduced, so clearing their leads in any order is enough
-        done = {}
+        # already reduced, so clearing their leads in any order is enough;
+        # each reduced row keeps its lead and is still a row of a Span
+        done = self._done = {}
         mask = 0    # the leads in done, over F_2
         for col in sorted(span.rows, reverse=True):
             row = span.rows[col]
@@ -403,10 +387,20 @@ class Echelon:
                     row = _eliminate(row, done[lead], lead, p)
             done[col] = row
         self.pivot_cols = sorted(done)
-        self.pivot_rows = [
-            dict.fromkeys(_ones(done[c]), 1) if p == 2
-            else done[c] if p else _divide_q(done[c], done[c][c])
-            for c in self.pivot_cols]
+
+    @cached_property
+    def pivot_rows(self):
+        p = self.field.p
+        done = self._done
+        return [dict.fromkeys(_ones(done[c]), 1) if p == 2
+                else done[c] if p else _divide_q(done[c], done[c][c])
+                for c in self.pivot_cols]
+
+    def span(self):
+        """A new Span of the row space, to grow without changing this one."""
+        span = Span(self.field)
+        span.rows = dict(self._done)
+        return span
 
     @property
     def rank(self) -> int:
@@ -578,11 +572,9 @@ def solve_matrix(m: SparseMatrix, b: SparseMatrix):
                                      [n, b.cols], F))
     if ech.pivot_cols and ech.pivot_cols[-1] >= n:
         return None
-    x = {(col, j - n): v for col, row in zip(ech.pivot_cols, ech.pivot_rows)
-         for j, v in row.items() if j >= n}
-    # the reduced rows hold canonical scalars: only F_2 packs them
-    x = (SparseMatrix.from_entries(n, b.cols, F, x) if F.p == 2
-         else SparseMatrix(n, b.cols, F, x))
+    x = SparseMatrix.from_entries(n, b.cols, F, (
+        ((col, j - n), v) for col, row in zip(ech.pivot_cols, ech.pivot_rows)
+        for j, v in row.items() if j >= n))
     # verify (cheap insurance against pivoting into the rhs block)
     if (m * x) != b:
         return None

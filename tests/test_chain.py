@@ -725,5 +725,6 @@ def test_transport_source_side():
     # both sides at once: the map read in c2 coordinates
     h = transport(f, c2, c2).validate()
     assert h.component(1) == SparseMatrix.from_rows([[2, 0], [1, 1]], QQ)
-    # the entries are inserted column by column of the new source
-    assert [ij for ij, _ in g.component(1).items()] == [(0, 0), (1, 0), (0, 1)]
+    # the entries are inserted column by column of the new source and, as
+    # in every matrix, stored and read row by row
+    assert [ij for ij, _ in g.component(1).items()] == [(0, 0), (0, 1), (1, 0)]

@@ -1,9 +1,9 @@
 """SparseMatrix against a dense reference, and rank certificates.
 
 Every operation of the matrix type is checked on seeded random draws over
-F2 (row bitsets), F3 and Q ({(i, j): scalar} entries) against dense lists of
-canonical scalars computed here, independently of tcalc.sparse.  The
-vanishing test for signed sums of products is checked against the
+F2 (rows stored as bitsets), F3 and Q (rows stored as {col: scalar} dicts)
+against dense lists of canonical scalars computed here, independently of
+tcalc.sparse.  The vanishing test for signed sums of products is checked against the
 materialized sum on draws that vanish and draws that do not.  The rank
 certificates are rank-nullity in each degree of a random integral complex
 whose homology is known over each field, and rank over Q >= rank over F_p on
