@@ -203,6 +203,9 @@ def cmd_pn(args):
             "dims": _windowed_dims(st["complex"], st["window"]),
             "window": serialize.window_to_json(st["window"]),
         }
+        # keep only the builder and the report: the next route does not need
+        # this one's stages, Tot complex included
+        del st
     payload = {"command": "pn", "n": args.n, "routes": reports}
     if len(reports) == 2:
         payload["routes_agree"] = \

@@ -148,9 +148,8 @@ class SpComponentModel:
         base = a
         if (r, n) == (1, 3):
             base = equivariant_tensor(l3_complex(F), a)
-        carrier = tensor_with_surjection_index(base, r)
-        self.carrier = carrier
-        t = tate(carrier, w, fixed_stages=fixed_stages)
+        t = tate(tensor_with_surjection_index(base, r), w,
+                 fixed_stages=fixed_stages)
         self.tate_result = t
         model = t.complex
         action = {}

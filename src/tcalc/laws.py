@@ -31,8 +31,8 @@ from .coalgebras import (
 from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
 from .derivedhom import _HomLevels
 from .equivariant import (
-    EquivariantComplex, permutation_module, slotwise_map, strict_fixed,
-    trivial_action, zero_module,
+    EquivariantComplex, permutation_module, strict_fixed, trivial_action,
+    zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
@@ -43,8 +43,8 @@ from .perms import (
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, rank, solve_matrix
 from .topcomonad import (
-    SurjectionSum, TopComponentModel, _PreTarget, build_top_delta,
-    top_delta_on_sums, unit_section,
+    SurjectionSum, TopComponentModel, build_top_delta, top_delta_on_sums,
+    unit_section,
 )
 from .tower import CosimplicialComplex, _RawPiece, fat_tot
 
@@ -810,11 +810,10 @@ class KPrimeComponent:
         eq = self.sursum.sigma_n_action()
         inv, incl = strict_fixed(eq)
         self.inclusion = incl
-        action = {}
-        for gi in YoungGroup.full(r).generator_positions():
-            sr = self.sursum.sigma_r_generator(gi)
-            action[gi] = factor_through(sr.compose(incl), incl)
-        self.value = EquivariantComplex(inv, YoungGroup.full(r), action)
+        sr = self.sursum.sigma_r_action()
+        action = {gi: factor_through(g.compose(incl), incl)
+                  for gi, g in sr.action.items()}
+        self.value = EquivariantComplex(inv, sr.group, action)
 
     def apply(self, f: ChainMap, tgt: "KPrimeComponent") -> ChainMap:
         """K'_r(f) : K'_r B -> K'_r B' for an equivariant map f : B -> B', on
@@ -886,11 +885,11 @@ class KPrimeComonad:
             return
         inner = KPrimeComponent(self.coop, term, s)
         outer = KPrimeComponent(self.coop, inner.value, r)
-        pre = _PreTarget(self.coop, inner.sursum, r)
-        dpre = top_delta_on_sums(self.coop, comp.sursum, pre)
-        # restrict to invariants: D(inv(W_r)) lies in the gamma-sum of
-        # tensors with inv(W_s), and is Sigma_s-invariant; express it in the
-        # basis of the outer invariants model through its surjection sum.
+        pre = SurjectionSum(self.coop, inner.sursum.sigma_r_action(), r)
+        dpre = top_delta_on_sums(comp.sursum, pre)
+        # restrict to invariants: D(inv(W_r)) is Sigma_s-invariant; express
+        # it in the basis of the outer invariants model through its
+        # surjection sum.
         conv = _pre_to_outer_invariants(pre, inner, outer, F)
         dmap = factor_through(conv.compose(dpre.compose(comp.inclusion)),
                               outer.inclusion).validate()
@@ -898,18 +897,22 @@ class KPrimeComonad:
         self.delta_outer[(r, s, n)] = outer
 
 
-def _pre_to_outer_invariants(pre: _PreTarget,
+def _pre_to_outer_invariants(pre: SurjectionSum,
                              inner: KPrimeComponent,
                              outer: KPrimeComponent, F) -> ChainMap:
-    """pre.total -> outer.sursum.total: express the W(A, s) factor in the
-    inner invariants coordinates (projecting along a chosen splitting).
+    """pre.total = W(W(A, s), r) -> outer.sursum.total: express the W(A, s)
+    factor in the inner invariants coordinates through a left inverse L of
+    the invariants inclusion (L inc = id), which projects W(A, s) onto
+    inv(W(A, s)) along a chosen complement.
 
-    Only valid on elements whose W_s-part is strictly invariant; the
-    conversion uses the left inverse of the invariants inclusion."""
-    W_s = pre.inner.total
+    The projection cannot be a solve through the inclusion: D(inv W_r) does
+    not lie in the tensors with inv(W_s).  Factoring it through
+    `outer.sursum.apply(inner.inclusion, pre)` instead raises "map leaves
+    the subcomplex" on the trivial Sigma_4-module in arity 4.  Only the
+    composite into the outer invariants is certified, by the caller's
+    `factor_through`."""
     inv = inner.value.complex
     inc = inner.inclusion
-    # left inverse: for each degree solve inc^T ... use solve per column of I
     left = {}
     for k in inv.dims:
         m = inc.component(k)
@@ -918,8 +921,7 @@ def _pre_to_outer_invariants(pre: _PreTarget,
         if x is None:
             raise ArithmeticError("invariants inclusion not split")
         left[k] = x.transpose()
-    return slotwise_map(pre.total, outer.sursum.total,
-                        ChainMap(W_s, inv, left), slot=(2, -1))
+    return pre.apply(ChainMap(pre.a.complex, inv, left), outer.sursum)
 
 
 def nu_component(top_comp: TopComponentModel,

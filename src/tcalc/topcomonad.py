@@ -3,12 +3,14 @@
 The component K_r A_n is the Sigma_n-homotopy-orbit complex of the sum, over
 surjections {0..n-1} ->> {0..r-1}, of T_{n_1} (x) ... (x) T_{n_r} (x) A_n,
 with T_* the tree cooperad.  When the total module is free the strict orbit
-complex is used and the result is exact.  Comultiplication comes from
-ungrafting decompositions of the tree cooperad; the counit collapses the
-bijection summands.  A component model applies K_r to maps itself
-(`TopComponentModel.apply`), so no module outside the comonads reads a
-model's kind.  The Sp comonad is in `comonads`; the strict comonad K' and
-the comparison nu : K -> K' are in `laws`.
+complex is used and the result is exact.  One class, `SurjectionSum`, builds
+that sum W(X, r) for any Sigma_n-module X in place of A_n.  Comultiplication
+comes from ungrafting decompositions of the tree cooperad: it maps W(A, r)
+into W(W(A, s), r), with W(A, s) a Sigma_s-module, and on to the orbit
+models.  The counit collapses the bijection summands.  A component model
+applies K_r to maps itself (`TopComponentModel.apply`), so no module outside
+the comonads reads a model's kind.  The Sp comonad is in `comonads`; the
+strict comonad K' and the comparison nu : K -> K' are in `laws`.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ from .sparse import SparseMatrix
 
 
 class SurjectionSum:
-    """(+)_{alpha: n ->> r} T_{f_1} (x) ... (x) T_{f_r} (x) A, with its
-    Sigma_n and Sigma_r actions.
+    """W(X, r) = (+)_{alpha: n ->> r} T_{f_1} (x) ... (x) T_{f_r} (x) X, with
+    its Sigma_n and Sigma_r actions, for any Sigma_n-module X: a term A_n,
+    an orbit model, or W(A, s) itself as a Sigma_s-module (the target of
+    the comultiplication).
 
     Sigma_n acts by precomposition on surjections, relabeling the tree
-    factors within fibers and acting on A.  Sigma_r acts by postcomposition,
+    factors within fibers and acting on X.  Sigma_r acts by postcomposition,
     permuting the tree factors with Koszul signs.
     """
 
@@ -125,6 +129,13 @@ class SurjectionSum:
                      -1 if degs[gi] % 2 and degs[gi + 1] % 2 else 1),)
         return linear_map(self.total, self.total, image)
 
+    def sigma_r_action(self) -> EquivariantComplex:
+        """The total complex as a Sigma_r-module under postcomposition."""
+        group = YoungGroup.full(self.r)
+        return EquivariantComplex(self.total, group, {
+            gi: self.sigma_r_generator(gi)
+            for gi in group.generator_positions()})
+
     def apply(self, f: ChainMap, tgt: "SurjectionSum") -> ChainMap:
         """trees (x) f : W(B, r) -> W(B', r) for f : B -> B', with the Koszul
         sign (-1)^{|f| |trees|}.  The result is not validated."""
@@ -132,8 +143,9 @@ class SurjectionSum:
             _, alpha, inner = lab
             treedeg = sum(self.label_degree(len(fb), tl)
                           for fb, tl in zip(self.factors[alpha], inner[:-1]))
-            return -1 if f.degree * treedeg % 2 else 1
-        return slotwise_map(self.total, tgt.total, f, slot=(2, -1), sign=sign)
+            return -1 if treedeg % 2 else 1
+        return slotwise_map(self.total, tgt.total, f, slot=(2, -1),
+                            sign=sign if f.degree % 2 else None)
 
     def unit_inclusion(self) -> ChainMap:
         """A -> W: a |-> (id, units, a), the copy of a in the
@@ -176,7 +188,8 @@ class TopComponentModel:
     """K_r A_n for the based-spaces-to-spectra comonad.
 
     Holds the surjection sum W, the chosen orbit model (collapsed / strict /
-    windowed), the inclusion iota : W -> model, and the Sigma_r structure."""
+    windowed), the projection W -> model of a strict one, and the Sigma_r
+    structure."""
 
     def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int,
                  w: DegreeWindow, force_windowed=False, stages=None):
@@ -203,37 +216,23 @@ class TopComponentModel:
             return
         self.sursum = SurjectionSum(coop, a, r)
         w_total = self.sursum.sigma_n_action()
+        sr = self.sursum.sigma_r_action()
         if is_free(w_total) and not force_windowed:
             self.kind = "strict"
             q, proj = strict_orbits(w_total)
             self.proj = proj
             self.exact = True
-            action = {}
-            for gi in YoungGroup.full(r).generator_positions():
-                sr = self.sursum.sigma_r_generator(gi)
-                action[gi] = _quotient_functor(proj, sr, proj)
-            self.value = EquivariantComplex(q, YoungGroup.full(r), action)
+            action = {gi: _quotient_functor(proj, g, proj)
+                      for gi, g in sr.action.items()}
+            self.value = EquivariantComplex(q, sr.group, action)
         else:
             self.kind = "windowed"
             self.orbit = homotopy_orbits(w_total, w, tag="k-top", stages=stages)
             self.exact = False
             model = self.orbit.complex
-            action = {}
-            for gi in YoungGroup.full(r).generator_positions():
-                sr = self.sursum.sigma_r_generator(gi)
-                action[gi] = slotwise_map(model, model, sr)
-            self.value = EquivariantComplex(model, YoungGroup.full(r), action)
-
-    def iota(self) -> ChainMap:
-        """The chain map W -> model of a strict or windowed model (the
-        projection / the identity slot); its one caller, `build_top_delta`,
-        takes K_r of a Sigma_s-module with r < s, which is neither collapsed
-        nor zero."""
-        if self.kind == "strict":
-            return self.proj
-        # windowed: include as the resolution-degree-0 slot
-        return label_map(self.sursum.total, self.value.complex,
-                         key=lambda lab: ("hG", 0, 0, lab), partial=True)
+            action = {gi: slotwise_map(model, model, g)
+                      for gi, g in sr.action.items()}
+            self.value = EquivariantComplex(model, sr.group, action)
 
     def counit_to_a(self) -> ChainMap:
         """epsilon_r for r = n (identity on the collapsed model)."""
@@ -345,195 +344,69 @@ def _factorizations(beta, s):
     return out
 
 
-class _PreTarget:
-    """(+)_{gamma: s ->> r} T_{gamma fibers} (x) W(A, s), with the diagonal
-    Sigma_n-action on the W(A, s) factor only."""
-
-    def __init__(self, coop: Cooperad, inner: SurjectionSum, r: int):
-        self.coop = coop
-        self.inner = inner
-        self.r = r
-        self.s = inner.r
-        F = inner.field
-        self.field = F
-        self.gammas = all_surjections(self.s, r)
-        summands = []
-        self.gamma_fibers = {}
-        for gamma in self.gammas:
-            fibers = surjection_fibers(gamma, r)
-            self.gamma_fibers[gamma] = fibers
-            factors = [coop.term_complex(len(f)) for f in fibers] + \
-                [inner.total]
-            summands.append(tensor_many(factors))
-        self.total = direct_sum(summands) if summands else \
-            ChainComplex(F, {})
-        labels = {}
-        for k in self.total.dims:
-            labs = []
-            for lab in self.total.labels[k]:
-                idx, inner_lab = lab
-                labs.append(("surj", self.gammas[idx], inner_lab))
-            labels[k] = tuple(labs)
-        self.total = ChainComplex(F, self.total.dims, self.total.diff,
-                                  labels)
-
-    def sigma_n_equivariant(self) -> EquivariantComplex:
-        """Sigma_n acts through the inner W(A, s) factor only."""
-        n = self.inner.n
-        group = YoungGroup.full(n)
-        inner_eq = self.inner.sigma_n_action()
-        action = {gi: slotwise_map(self.total, self.total, inner_eq.action[gi],
-                                   slot=(2, -1))
-                  for gi in group.generator_positions()}
-        return EquivariantComplex(self.total, group, action)
-
-
-def top_delta_on_sums(coop: Cooperad, sur_r: SurjectionSum,
-                      pre: _PreTarget) -> ChainMap:
-    """The tree-splitting map W(A, r) -> PreTarget, summed over all
-    factorizations beta = gamma o alpha."""
+def top_delta_on_sums(sur_r: SurjectionSum, pre: SurjectionSum) -> ChainMap:
+    """The tree-splitting map W(A, r) -> pre = W(W(A, s), r), summed over all
+    factorizations beta = gamma o alpha with alpha : n ->> s."""
     F = sur_r.field
-    s = pre.s
-    r = sur_r.r
-    # per beta, the factorizations with the local blocks along which each
-    # tree T_{beta^{-1}(j)} splits
+    r, s = sur_r.r, pre.n
+    # per beta and factorization, per tree T_{beta^{-1}(j)}: the blocks of
+    # local leaf positions it splits along, sorted by their least position,
+    # each with the index of its alpha fiber
     splits = {}
     for beta in sur_r.surjections:
-        beta_fibers = sur_r.factors[beta]
         splits[beta] = out = []
         for gamma, alpha in _factorizations(beta, s):
             alpha_fibers = surjection_fibers(alpha, s)
-            gamma_fibers = surjection_fibers(gamma, r)
-            local_blocks = []
-            for j in range(r):
-                posmap = {x: t for t, x in enumerate(beta_fibers[j])}
-                blocks = [tuple(sorted(posmap[x] for x in alpha_fibers[i]))
-                          for i in gamma_fibers[j]]
-                blocks.sort(key=lambda b: b[0])
-                local_blocks.append(tuple(blocks))
-            out.append((gamma, alpha, alpha_fibers, gamma_fibers,
-                        local_blocks))
+            per_tree = []
+            for bf, gf in zip(sur_r.factors[beta],
+                              surjection_fibers(gamma, r)):
+                posmap = {x: t for t, x in enumerate(bf)}
+                per_tree.append(sorted(
+                    (tuple(sorted(posmap[x] for x in alpha_fibers[i])), i)
+                    for i in gf))
+            out.append((gamma, alpha, per_tree))
 
     def image(k, lab):
         _, beta, inner = lab
-        a_lab = inner[-1]
-        a_degree = sur_r.a.complex.locate(a_lab)[0]
+        a_degree = sur_r.a.complex.locate(inner[-1])[0]
         terms = []
-        for gamma, alpha, alpha_fibers, gamma_fibers, local_blocks in \
-                splits[beta]:
-            term = _split_trees(coop, F, inner[:-1], sur_r.factors[beta],
-                                alpha_fibers, gamma_fibers, local_blocks,
-                                a_lab, a_degree, gamma, alpha, r, s)
-            if term is not None:
-                terms.append((term[1], term[0]))
+        for gamma, alpha, per_tree in splits[beta]:
+            split = _split_trees(inner, per_tree, a_degree, s)
+            if split is not None:
+                sign, uppers, lowers = split
+                inner_lab = ("surj", alpha, lowers + inner[-1:])
+                terms.append((("surj", gamma, uppers + (inner_lab,)),
+                              F.coerce(sign)))
         return terms
     return linear_map(sur_r.total, pre.total, image, partial=True).validate()
 
 
-def _split_trees(coop, F, tree_labs, beta_fibers, alpha_fibers,
-                 gamma_fibers, local_blocks, a_lab, a_degree, gamma, alpha,
-                 r, s):
-    """Split each tree along its local blocks; assemble the target label and
-    the total Koszul sign, or None when any decomposition vanishes."""
-    uppers = []
-    lowers_by_i = {}
-    degs_word = []   # (slot kind, degree) in source order for the reorder sign
-    split_results = []
-    for j in range(r):
-        t = tree_labs[j][1]
-        blocks = local_blocks[j]
-        dec = trees.decompose(t, blocks)
+def _split_trees(inner, per_tree, a_degree, s):
+    """Split tree j of the label tuple inner along the blocks of
+    per_tree[j]: (sign, upper trees by j, lower trees by alpha fiber), or
+    None when a decomposition vanishes.  The sign is the product of the
+    decomposition signs and the Koszul sign of reordering the word
+    (upper_j, its lowers)_j, a into (uppers, lowers by fiber, a)."""
+    r = len(per_tree)
+    sign = 1
+    uppers, lowers = [], [None] * s
+    word = []   # (target position, degree), in source order
+    for j, blocks in enumerate(per_tree):
+        dec = trees.decompose(inner[j][1], tuple(b for b, _ in blocks))
         if dec is None:
             return None
         sgn_j, upper, lows = dec
-        # order-preserving relabel of lowers to standard leaves, and map each
-        # block back to its alpha-fiber index
-        bf = beta_fibers[j]
-        std_lows = []
-        for b, lt in zip(blocks, lows):
-            mapping = {x: i for i, x in enumerate(sorted(b))}
-            s2, lt2 = trees.relabel_terms(lt, mapping)
-            std_lows.append(lt2)
-        # which alpha fiber is block b? translate local positions to globals
-        glob_blocks = [tuple(sorted(bf[x] for x in b)) for b in blocks]
-        fiber_index = {}
-        for bi, gb in enumerate(glob_blocks):
-            for i in gamma_fibers[j]:
-                if tuple(sorted(alpha_fibers[i])) == gb:
-                    fiber_index[bi] = i
-                    break
-            else:
-                return None
-        # upper tree leaves are block indices ordered by min = order of
-        # gamma_fibers[j] sorted by the min of their alpha fiber...
-        # relabel upper leaves to the standard {0..len-1} along the order of
-        # the i's sorted by fiber minimum (the block order)
-        split_results.append((sgn_j, upper, std_lows, fiber_index, blocks))
-    # assemble: sign from decompositions
-    total_sign = 1
-    for sgn_j, _, _, _, _ in split_results:
-        total_sign *= sgn_j
-    # Koszul reordering: source word (after splitting, per j: upper_j then its
-    # lowers) plus a; target word: uppers in j order, then lowers in i order,
-    # then a.  Work with (name, degree) tokens.
-    tokens = []
-    upper_names = []
-    lower_names = {}
-    for j, (sgn_j, upper, std_lows, fiber_index, blocks) in \
-            enumerate(split_results):
-        udeg = trees.degree(upper)
-        uname = ("u", j)
-        upper_names.append((uname, udeg))
-        tokens.append((uname, udeg))
-        for bi, lt in enumerate(std_lows):
-            i = fiber_index[bi]
-            ldeg = trees.degree(lt)
-            lname = ("l", i)
-            lower_names[i] = (lname, ldeg, lt)
-            tokens.append((lname, ldeg))
-    tokens.append((("a",), a_degree))
-    target_tokens = list(upper_names)
-    for i in range(s):
-        lname, ldeg, _ = lower_names[i]
-        target_tokens.append((lname, ldeg))
-    target_tokens.append((("a",), a_degree))
-    posn = {name: i for i, (name, _) in enumerate(target_tokens)}
-    total_sign *= koszul_sign([posn[name] for name, _ in tokens],
-                              [deg for _, deg in tokens])
-    # build target label
-    upper_trees = tuple(("tree", sr[1]) for sr in split_results)
-    inner_trees = tuple(("tree", lower_names[i][2]) for i in range(s))
-    inner_lab = ("surj", alpha, inner_trees + (a_lab,))
-    tgt_lab = ("surj", gamma, upper_trees + (inner_lab,))
-    return F.coerce(total_sign), tgt_lab
-
-
-def _strict_quotient_iso(pre: _PreTarget, inner_model_proj: ChainMap,
-                         pre_proj: ChainMap, F) -> ChainMap:
-    """strict(PreTarget) -> (+)_gamma (x T) (x) strict(W(A,s)): both are
-    quotients of PreTarget by the same subspace; map via section + blockwise
-    projection."""
-    # target: rebuild PreTarget labels with the inner W replaced by its
-    # strict orbit labels
-    inner_q = inner_model_proj.target
-    # assemble target complex: like pre.total but tensor with inner_q
-    summands = []
-    gammas = pre.gammas
-    for gamma in gammas:
-        fibers = pre.gamma_fibers[gamma]
-        factors = [pre.coop.term_complex(len(f)) for f in fibers] + [inner_q]
-        summands.append(tensor_many(factors))
-    tgt = direct_sum(summands)
-    labels = {}
-    for k in tgt.dims:
-        labs = []
-        for lab in tgt.labels[k]:
-            idx, inner_lab = lab
-            labs.append(("surj", gammas[idx], inner_lab))
-        labels[k] = tuple(labs)
-    tgt = ChainComplex(F, tgt.dims, tgt.diff, labels)
-    blockwise = slotwise_map(pre.total, tgt, inner_model_proj, slot=(2, -1))
-    return blockwise.compose(unit_section(pre_proj)), tgt
+        sign *= sgn_j
+        uppers.append(("tree", upper))
+        word.append((j, trees.degree(upper)))
+        for (b, i), low in zip(blocks, lows):
+            # relabel the leaves to 0..len(b)-1, keeping their order
+            _, low = trees.relabel_terms(low, {x: t for t, x in enumerate(b)})
+            lowers[i] = ("tree", low)
+            word.append((r + i, trees.degree(low)))
+    word.append((r + s, a_degree))
+    sign *= koszul_sign([p for p, _ in word], [d for _, d in word])
+    return sign, tuple(uppers), tuple(lowers)
 
 
 class TopComonad:
@@ -615,11 +488,9 @@ class TopComonad:
         if inner is None:
             inner = TopComponentModel(self.coop, term, s, w_wide)
             if inner.kind == "windowed":
-                inner = TopComponentModel(self.coop, term, s, w_wide,
-                                          force_windowed=True,
-                                          stages=_delta_stages(self.w, term,
-                                                               self.coop, s,
-                                                               n))
+                inner = TopComponentModel(
+                    self.coop, term, s, w_wide, force_windowed=True,
+                    stages=_delta_stages(self.w, term, n))
             self._inner_cache[(s, n)] = inner
         comp2, total_map, outer = build_top_delta(
             self.coop, term, comp, inner, r, s, self.w)
@@ -642,7 +513,7 @@ def _slot_inside(lab):
     return ("surj", gamma, inner[:-1] + ((tag, s, gen, inner[-1]),))
 
 
-def _delta_stages(w: DegreeWindow, term: EquivariantComplex, coop, s, n):
+def _delta_stages(w: DegreeWindow, term: EquivariantComplex, n):
     """Deterministic resolution length for inner models shared across deltas:
     long enough for any aux model at window w and the wide inner window."""
     mindeg = term.complex.min_degree
@@ -654,24 +525,27 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
                     r: int, s: int, w: DegreeWindow):
     """delta_{r,s} : K_r(term) -> K_r(inner model of K_s(term)).
 
-    Returns (possibly rebuilt source component, chain map, outer model)."""
-    F = term.field
+    The tree splitting maps W(A, r) into pre = W(W(A, s), r), the surjection
+    sum of W(A, s) as a Sigma_s-module, and on into the outer model K_r of
+    the inner model's value.  Returns (possibly rebuilt source component,
+    chain map, outer model)."""
     n = term.group.degree
     if s == n or s == r:
         # collapsed inner or outer: the comultiplication is the identity
         return comp, ChainMap.identity(comp.value.complex), comp
-    pre = _PreTarget(coop, inner.sursum, r)
-    dpre = top_delta_on_sums(coop, comp.sursum, pre)
+    pre = SurjectionSum(coop, inner.sursum.sigma_r_action(), r)
+    dpre = top_delta_on_sums(comp.sursum, pre)
     if comp.kind == "strict" and inner.kind == "strict":
+        # the inner factor's Sigma_n-orbits, then the outer Sigma_s-orbits
         outer = TopComponentModel(coop, inner.value, r, w)
-        pre_eq = pre.sigma_n_equivariant()
-        pre_q, pre_proj = strict_orbits(pre_eq)
-        src_map = _quotient_functor(comp.proj, dpre, pre_proj)
-        iso, tgt = _strict_quotient_iso(pre, inner.proj, pre_proj, F)
-        glue = label_map(tgt, outer.sursum.total)
-        total_map = outer.iota().compose(glue).compose(iso).compose(src_map)
+        total_map = _quotient_functor(
+            comp.proj, pre.apply(inner.proj, outer.sursum).compose(dpre),
+            outer.proj)
     else:
-        pre_eq = pre.sigma_n_equivariant()
+        # Sigma_n acts on pre through the inner factor only
+        inner_eq = inner.sursum.sigma_n_action()
+        pre_eq = EquivariantComplex(pre.total, inner_eq.group, {
+            gi: pre.apply(g, pre) for gi, g in inner_eq.action.items()})
         # one resolution length per (term, w), shared by all deltas out of it
         stages0 = max(w.hi - term.complex.min_degree + 2, 1)
         comp = TopComponentModel(coop, term, r, w,
@@ -686,8 +560,8 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         wout_trunc = outer.sursum.total.truncate(
             outer.sursum.total.min_degree if outer.sursum.total.dims
             else 0, w.hi + 1)
-        # orbit(PreTarget) -> W_outer: move the resolution slot inside the
-        # inner factor
+        # homotopy orbits of pre -> W_outer: move the resolution slot
+        # inside the inner factor
         reorder = label_map(aux.complex, wout_trunc, key=_slot_inside,
                             partial=True)
         iota_t = label_map(wout_trunc, outer.value.complex,

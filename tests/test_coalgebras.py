@@ -11,16 +11,16 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra, validate_coalgebra,
 )
-from tcalc.equivariant import is_free, trivial_action
+from tcalc.equivariant import is_free, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
-    divided_power_check, evaluation_pairing_check, representable_module,
-    validate_right_module,
+    KPrimeComonad, divided_power_check, evaluation_pairing_check,
+    representable_module, validate_right_module,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
-from tcalc.topcomonad import k_top
+from tcalc.topcomonad import TopComonad, k_top
 from tcalc.tower import derived_hom
 
 
@@ -69,14 +69,18 @@ def test_sp_n3_squares_vacuous():
     assert rep["squares"].get((1, 2, 3)) == "vacuous"
 
 
+def _staircase_terms(F):
+    return seq(F, {1: triv(F, 1, deg=2), 2: triv(F, 2, deg=1),
+                   3: triv(F, 3, deg=0)})
+
+
 def _top_n3_staircase():
     """A Top N=3 coalgebra over F2 with nonzero theta_{1,2} and theta_{2,3}
     (window 0:4, seed 11), and its trivial-theta companion on the same
     comonad.  Staircase degrees make nonzero theta maps exist: a theta_{r,n}
     needs deg A_r >= (n - r) + deg A_n."""
     w = DegreeWindow(0, 4)
-    A = seq(F2, {1: triv(F2, 1, deg=2), 2: triv(F2, 2, deg=1),
-                 3: triv(F2, 3, deg=0)})
+    A = _staircase_terms(F2)
     c0 = trivial_coalgebra("top", A, w)
     rng = random.Random(11)
     th12 = random_theta(c0, 1, 2, rng)
@@ -118,6 +122,43 @@ def test_top_n3_square_route_is_pinned():
     kf = c2.komonad.kq_theta(c2.theta_map(2, 3), 1, 2, 3)
     assert _map_digest(kf) == \
         "d84464204570c6c839f2a155883a4cf07fbe761c3f1c23631856f91df94824fb"
+
+
+def _free_terms(F):
+    return seq(F, {n: regular_module(F, YoungGroup.full(n))
+                   for n in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("terms, field, window, branch, digests", [
+    # a free A_3: delta_{1,2,3} maps between strict orbit models
+    (_free_terms, F2, DegreeWindow(0, 2), "strict",
+     ("fd0a2ef7dbe6dee69d8b95a7d98847719edc07d20ac071e98403c5f989a812ee",
+      "0d56d994dff138da57778d98123bbddefd9ad889478c00b5bf0c2ff59720c8c0")),
+    (_free_terms, QQ, DegreeWindow(0, 2), "strict",
+     ("ef881a148da492128f266fd503c516c502958295ed7799802ca3c3a0f6eae224",
+      "0d56d994dff138da57778d98123bbddefd9ad889478c00b5bf0c2ff59720c8c0")),
+    # the staircase A_3 (trivial terms): windowed homotopy-orbit models
+    (_staircase_terms, F2, DegreeWindow(0, 4), "windowed",
+     ("594d75d3ed84030f6308bb1ff976e36c28dfc42ae7364ed294a2af8cc9133e25",
+      "c4c594bb8f000bbf7c0be84259c72d20593973939ccd9d509fe528c4014ee5a4")),
+    (_staircase_terms, QQ, DegreeWindow(0, 4), "windowed",
+     ("594d75d3ed84030f6308bb1ff976e36c28dfc42ae7364ed294a2af8cc9133e25",
+      "c4c594bb8f000bbf7c0be84259c72d20593973939ccd9d509fe528c4014ee5a4")),
+], ids=["free-F2", "free-Q", "staircase-F2", "staircase-Q"])
+def test_comultiplications_are_pinned(terms, field, window, branch, digests):
+    # every component of the Top comultiplication and of the strict K', entry
+    # for entry
+    A = terms(field)
+    K = TopComonad(A, window)
+    KP = KPrimeComonad(A, coop=K.coop)
+    assert K.delta_outer[(1, 2, 3)].kind == branch
+    got = []
+    for delta in (K.delta, KP.delta):
+        h = hashlib.sha256()
+        for key in sorted(delta):
+            h.update(repr((key, _map_digest(delta[key]))).encode())
+        got.append(h.hexdigest())
+    assert tuple(got) == digests
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError,
