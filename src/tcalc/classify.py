@@ -270,24 +270,15 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
 
 def _tot_to_diagonal_slot(builder, tot, n):
     """The projection Tot -> level 0 -> arity-n diagonal summand."""
-    F = tot.field
     keys = builder.level_keys[0]
     if (n,) not in keys:
         # the arity-n diagonal Phi term is zero, e.g. at a 1-point set
-        zero = ChainComplex(F, {})
+        zero = ChainComplex(tot.field, {})
         return ChainMap.zero(tot, zero), zero
-    cs = builder.cosimplicial
-    sub0, inc0 = tower.conormalized_level(cs, 0)
-    parts = builder.parts[0]
-    idx = keys.index((n,))
-    tgt = parts[idx]
-    # Tot -> level 0: a label ("tot", 0, inner) names the conormalized
-    # vector inner (level 0 has no codegeneracies, so N^0 is the level)
-    to_level0 = label_map(tot, sub0, partial=True,
-                          key=lambda lab: lab[2] if lab[1] == 0 else None)
-    proj = block_map(cs.levels[0], tgt, parts, [tgt],
-                     {(idx, 0): ChainMap.identity(tgt)})
-    return proj.compose(inc0).compose(to_level0).validate(), tgt
+    tgt = builder.parts[0][keys.index((n,))]
+    # the Tot vector ("tot", 0, (n,), lab) is the vector lab of that piece
+    return label_map(tot, tgt, partial=True, key=lambda lab: (
+        lab[3] if lab[1:3] == (0, (n,)) else None)).validate(), tgt
 
 
 def _off_diagonal_keys(builder, n):
@@ -337,25 +328,17 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n):
 
     Stored as {cone degree k: matrix corner_k x P_n-tot_{k-1}}; the Tot
     differential identity d h + h d = (right o top) - (bottom o tower) is
-    exactly the conormalized coface relation."""
-    cs = builder.cosimplicial
-    if cs.M < 1:
-        return {}
-    sub1, inc1 = tower.conormalized_level(cs, 1)
-    keys1, parts1 = builder.level_keys[1], builder.parts[1]
-    idx = [keys1.index(k) for k in _off_diagonal_keys(builder, n)]
-    to_corner = block_map(
-        cs.levels[1], corner, parts1, [parts1[i] for i in idx],
-        {(i, t): ChainMap.identity(parts1[i])
-         for t, i in enumerate(idx)}).compose(inc1)
-    # the Tot vector ("tot", 1, inner) in degree k is the conormalized
-    # vector inner in degree k + 1
-    pick = linear_map(pn_tot, sub1, lambda k, lab: (
-        ((lab[2], 1),) if lab[1] == 1 else ()), degree=1, partial=True)
+    exactly the coface relation between the strict chains (n,) and (r, n)
+    of the normalized cobar."""
+    slot = {k: t for t, k in enumerate(_off_diagonal_keys(builder, n))}
+    # the Tot vector ("tot", 1, (r, n), lab) in degree k is the vector lab
+    # of the slot (r, n) in degree k + 1, the corner's summand (t, lab)
+    pick = linear_map(pn_tot, corner, lambda k, lab: (
+        (((slot[lab[2]], lab[3]), 1),) if lab[1] == 1 and lab[2] in slot
+        else ()), degree=1, partial=True)
     out = {}
-    for k in pn_tot.dims:
+    for k, mm in pick.components.items():
         deg = k + 1
-        mm = to_corner.component(deg) * pick.component(k)
         if not mm.is_zero():
             # per-degree sign (-1)^{k+1}: with the Tot coface signs (-1)^j
             # the slot projection then satisfies d h + h d = right o top -

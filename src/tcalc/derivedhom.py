@@ -69,20 +69,23 @@ class _HomLevels(_Levels):
     def __init__(self, mseq, K, pieces):
         self.K = K
         self.hom = {}
+        built = {}      # one hom complex per arity and piece value
         for lvl, by_key in pieces.items():
             self.hom[lvl] = {}
             for key, piece in by_key.items():
                 m_r = mseq.term(key[0])
                 if m_r is None:
                     continue
-                full, inv, incl = equivariant_hom_complex(m_r, piece.value)
+                made = (key[0], id(piece.value))
+                if made not in built:
+                    built[made] = equivariant_hom_complex(m_r, piece.value)
+                full, inv, incl = built[made]
                 self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
                                       "piece": piece}
         keys = {lvl: sorted(h) for lvl, h in self.hom.items()}
         super().__init__(mseq.field, keys, {
             lvl: [self.hom[lvl][k]["inv"] for k in ks]
             for lvl, ks in keys.items()})
-        self.cosimplicial = self._assemble()
 
     def _post(self, m, sk, tk, g: ChainMap) -> ChainMap:
         """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g
@@ -247,12 +250,7 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
     F = c.field
     D = builder.D
     win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
-    # strict keys per column
-    strict = {}
-    for lvl in range(D + 1):
-        keys = [k for k in builder.level_keys[lvl]
-                if all(k[i] < k[i + 1] for i in range(len(k) - 1))]
-        strict[lvl] = keys
+    strict = builder.strict_keys        # the keys of each column
     # homology bases per strict piece
     hdata = {}
     for lvl, keys in strict.items():
@@ -289,7 +287,7 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
                     mats[b] = ind if cur is None else cur + ind
             d1[(s, t)] = SparseMatrix.block(mats, rows, cols, F)
     page = E1Page(entries, d1, F)
-    tot = fat_tot(builder.cosimplicial)
+    tot = fat_tot(builder)
     return {"e1": page, "tot": tot, "window": win, "builder": builder,
             "columns": strict}
 

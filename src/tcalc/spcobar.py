@@ -108,18 +108,22 @@ class SpCobarBuilder(_Levels):
                         piece = self.pieces[1].get((r, n))
                         if piece is not None:
                             self.pieces[2][(r, s, n)] = piece
-        # Phi terms (fixed models over Sigma_r at the shared window)
+        # Phi terms (fixed models over Sigma_r at the shared window), one
+        # per arity and piece value: a degenerate key shares its copy's
         self.phi = {0: {}, 1: {}, 2: {}}
+        built = {}
         for lvl in range(self.D + 1):
             for key, piece in self.pieces[lvl].items():
                 r = key[0]
-                self.phi[lvl][key] = PhiTerm(piece.value, r, self.w_phi,
-                                             stages=self._stages.get(r))
+                made = (r, id(piece.value))
+                if made not in built:
+                    built[made] = PhiTerm(piece.value, r, self.w_phi,
+                                          stages=self._stages.get(r))
+                self.phi[lvl][key] = built[made]
         keys = {lvl: sorted(self.phi[lvl]) for lvl in range(self.D + 1)}
         super().__init__(F, keys, {
             lvl: [self.phi[lvl][k].complex for k in ks]
             for lvl, ks in keys.items()})
-        self.cosimplicial = self._assemble()
 
     def _stage_table(self):
         seq = self.c.sequence

@@ -117,7 +117,6 @@ class TopCobarBuilder(_Levels):
             for lvl, ks in enumerate(keys)})
         self.u12 = self._u12_map() if self.slot12 is not None else None
         self.th12 = self._theta12_map()
-        self.cosimplicial = self._assemble()
 
     def _outer(self, m, sk, tk):
         return self.u12

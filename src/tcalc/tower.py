@@ -12,6 +12,14 @@ sphere (the fixed-to-Tate unit and the transported theta), `derivedhom` for
 the derived mapping complex (K_q(h) o theta and postcomposition), which also
 holds the Bousfield-Kan E^1 page.
 
+A builder's normalized levels are the sums of its pieces on strictly
+increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
+derived mapping complex and the E^1 page read those pieces and the coface
+blocks between them.  The whole cosimplicial object, with every degenerate
+piece, coface and codegeneracy, is built only by `cobar`, which validates
+its identities; the codegeneracy kernels (`conormalized_level`) normalize a
+bare CosimplicialComplex.
+
 Conventions: a cosimplicial complex stores chain-complex levels 0..M with
 cofaces delta^i (0 <= i <= m+1) raising the level and codegeneracies sigma^j
 (0 <= j <= m-1) lowering it.  The fat totalization of a degenerate-above-D
@@ -21,10 +29,12 @@ d_int + (-1)^{internal degree} sum_i (-1)^i delta^i.
 
 from __future__ import annotations
 
+import functools
+
 from . import derivedhom, spcobar, topcobar
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, label_map, linear_map, shift, subcomplex,
+    factor_through, label_map, shift, subcomplex,
 )
 from .coalgebras import FinitePointedSet, truncate_coalgebra
 from .sparse import SparseMatrix, nullspace, vanishes
@@ -53,6 +63,9 @@ class CosimplicialComplex:
         self.M = len(self.levels) - 1
         self.degenerate_above = degenerate_above \
             if degenerate_above is not None else self.M
+        if not 0 <= self.degenerate_above <= self.M:
+            raise ValueError("degeneracy bound %r outside the levels 0..%d" %
+                             (self.degenerate_above, self.M))
 
     @property
     def field(self):
@@ -122,15 +135,40 @@ class CosimplicialComplex:
         """Levels above the bound carry no conormalized content: the joint
         kernel of the codegeneracies vanishes."""
         for m in range(self.degenerate_above + 1, self.M + 1):
-            level = self.levels[m]
-            for k in level.dims:
-                if m == 0:
-                    return level.dim(k) == 0
+            for k in self.levels[m].dims:
                 stacked = SparseMatrix.vstack(
                     [self.codegen(m, j).component(k) for j in range(m)])
                 if nullspace(stacked):
                     return False
         return True
+
+    def normalized(self):
+        """The normal form `fat_tot` reads: at each level m up to the
+        degeneracy bound the one piece (None, N^m), N^m the joint kernel of
+        the codegeneracies (`conormalized_level`), and the alternating coface
+        sum N^m -> N^{m+1} as the block {(m, None, None): (0, map)}.  Levels
+        above the bound are verified to conormalize to zero."""
+        if not self.verify_degeneracy():
+            raise ValueError("degeneracy verification failed above level %d"
+                             % self.degenerate_above)
+        F = self.field
+        normed = [conormalized_level(self, m)
+                  for m in range(self.degenerate_above + 1)]
+        cofaces = {}
+        for m, (sub, inc) in enumerate(normed[:-1]):
+            # the coface sum o incl, solved back into the next basis
+            comps = {}
+            for j in sub.dims:
+                big = SparseMatrix(self.levels[m + 1].dim(j), sub.dim(j), F)
+                sgn = F.one()
+                for i in range(m + 2):
+                    cf = self.coface(m, i).component(j)
+                    big = big + (cf * inc.component(j)).scale(sgn)
+                    sgn = F.neg(sgn)
+                comps[j] = big
+            cofaces[(m, None, None)] = (0, factor_through(
+                ChainMap(sub, self.levels[m + 1], comps), normed[m + 1][1]))
+        return [[(None, sub)] for sub, _ in normed], cofaces
 
 
 def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
@@ -161,58 +199,37 @@ def conormalized_level(x: CosimplicialComplex, m):
                       lambda k, i: ("norm", m, k, i))
 
 
-def fat_tot(x: CosimplicialComplex) -> ChainComplex:
-    """Finite total complex of the conormalization over levels <= the
-    degeneracy bound.  The conormalized levels N^m (joint kernels of the
-    codegeneracies) carry the alternating coface sum; levels above the bound
-    are verified to conormalize to zero."""
-    if not x.verify_degeneracy():
-        raise ValueError("degeneracy verification failed above level %d" %
-                         x.degenerate_above)
-    D = min(x.degenerate_above, x.M)
+def fat_tot(x) -> ChainComplex:
+    """The finite total complex of the normal form of x, a
+    CosimplicialComplex (its conormalized levels) or a level builder
+    (`_Levels`: its strict-chain pieces).  `x.normalized()` gives the pieces
+    (key, P) of each level N^m and the coface blocks {(m, sk, tk): (i,
+    map)} between them.  Tot_k is the sum of the P_{k+m}, a vector
+    labelled ("tot", m, key, lab); d_k has each piece's differential on the
+    diagonal and (-1)^{k+m+i} times each coface block below it."""
+    columns, cofaces = x.normalized()
     F = x.field
-    normed = [conormalized_level(x, m) for m in range(D + 1)]
-    subs = [sub for sub, _ in normed]
-    # Tot_k is the sum over m of N^m_{k+m}, labelled ("tot", m, lab)
+    slots = [(m, key, p) for m, col in enumerate(columns) for key, p in col]
+    pos = {(m, key): s for s, (m, key, _) in enumerate(slots)}
     labels = {}
-    for m, sub in enumerate(subs):
-        for j in sub.support():
+    for m, key, p in slots:
+        for j in p.support():
             labels.setdefault(j - m, []).extend(
-                ("tot", m, lab) for lab in sub.labels[j])
-    labels = {k: tuple(v) for k, v in labels.items()}
-    # coface sums on conormalized levels: delta-sum o incl, solved back into
-    # the next conormalized basis
-    dsum = {}
-    one = F.one()
-    for m in range(D):
-        src_sub, src_inc = normed[m]
-        comps = {}
-        for j in src_sub.dims:
-            big = SparseMatrix(x.levels[m + 1].dim(j), src_sub.dim(j), F)
-            sgn = one
-            for i in range(m + 2):
-                cf = x.coface(m, i).component(j)
-                big = big + (cf * src_inc.component(j)).scale(sgn)
-                sgn = F.neg(sgn)
-            comps[j] = big
-        dsum[m] = factor_through(
-            ChainMap(src_sub, x.levels[m + 1], comps),
-            normed[m + 1][1]).components
-    # d_k: N^m's differential on the diagonal, (-1)^j times the coface sum
-    # out of N^m_j below it
+                ("tot", m, key, lab) for lab in p.labels[j])
     diff = {}
     for k in labels:
         if k - 1 not in labels:
             continue
-        blocks = {}
-        for m, sub in enumerate(subs):
-            blocks[(m, m)] = sub.diff.get(k + m)
-            cf = dsum[m].get(k + m) if m < D else None
+        blocks = {(s, s): p.diff.get(k + m)
+                  for s, (m, _, p) in enumerate(slots)}
+        for (m, sk, tk), (i, f) in cofaces.items():
+            cf = f.components.get(k + m)
             if cf is not None:
-                blocks[(m + 1, m)] = cf if (k + m) % 2 == 0 else -cf
+                blocks[(pos[m + 1, tk], pos[m, sk])] = \
+                    cf if (k + m + i) % 2 == 0 else -cf
         diff[k] = SparseMatrix.block(
-            blocks, [sub.dim(k - 1 + m) for m, sub in enumerate(subs)],
-            [sub.dim(k + m) for m, sub in enumerate(subs)], F)
+            blocks, [p.dim(k - 1 + m) for m, _, p in slots],
+            [p.dim(k + m) for m, _, p in slots], F)
     return ChainComplex(F, {k: len(v) for k, v in labels.items()}, diff,
                         labels).validate()
 
@@ -233,14 +250,18 @@ def _piece_nonzero(piece) -> bool:
     return piece is not None and not piece.value.complex.is_zero()
 
 
+def _strict(key) -> bool:
+    return all(a < b for a, b in zip(key, key[1:]))
+
+
 class _Levels:
     """Levels of a cosimplicial object built as direct sums of keyed
     summands, and the cobar index walk between them.
 
     parts[lvl] lists the summand complexes in the order of the keys
-    level_keys[lvl], and levels[lvl] is their direct sum.  A key at level m
-    is an index chain (i_0 <= ... <= i_m) of arities, and every structure
-    map is a block map with one per-piece map from summand sk to summand tk:
+    level_keys[lvl].  A key at level m is an index chain (i_0 <= ... <= i_m)
+    of arities, and every structure map is a block map with one per-piece
+    map from summand sk to summand tk:
 
     - the coface delta^i out of level m inserts an index x at position i of
       sk, between its neighbours: delta^0 puts q <= sk[0] in front, the
@@ -251,25 +272,44 @@ class _Levels:
     `_same`, the relabelling of a piece onto its copy.  A builder supplies
     only the blocks off the diagonal: `_outer(m, sk, tk)` for delta^0,
     `_inner` for delta^{m+1} and, if its keys hold strictly nested chains
-    q < s < n, `_middle`; None is a zero block."""
+    q < s < n, `_middle`; None is a zero block.
+
+    The normal form is the sum of the pieces on strict chains
+    i_0 < ... < i_m (Goerss-Jardine III.2).  The piece of a degenerate chain
+    is the model of its copy, the chain with the repeat dropped, and every
+    codegeneracy block is `_same`, a total relabelling that raises if the
+    copy lacks a label of the piece.  So sigma^j is injective on the piece
+    of each chain with i_j = i_{j+1}, no two such chains share a copy, and
+    the joint kernel of the codegeneracies is exactly the sum of the strict
+    pieces.  The alternating coface sum maps it into the next through the
+    blocks between strict chains (`coface_blocks`).  `fat_tot` reads only
+    those; the full levels and the cosimplicial object are built on first
+    use."""
 
     def __init__(self, field, level_keys, parts):
+        self.field = field
         self.level_keys = level_keys
         self.parts = parts
-        self.levels = [direct_sum(parts[lvl]) if parts[lvl] else
-                       ChainComplex(field, {}) for lvl in range(len(parts))]
+        self.strict_keys = {lvl: [k for k in keys if _strict(k)]
+                            for lvl, keys in level_keys.items()}
+
+    @functools.cached_property
+    def levels(self):
+        """The full levels: the direct sums of every level's pieces."""
+        return [direct_sum(self.parts[lvl]) if self.parts[lvl] else
+                ChainComplex(self.field, {}) for lvl in range(len(self.parts))]
 
     def _part(self, lvl, key) -> ChainComplex:
         return self.parts[lvl][self.level_keys[lvl].index(key)]
 
     def _same(self, src_lvl, sk, tgt_lvl, tk) -> ChainMap:
-        return label_map(self._part(src_lvl, sk), self._part(tgt_lvl, tk),
-                         partial=True)
+        return label_map(self._part(src_lvl, sk), self._part(tgt_lvl, tk))
 
-    def _coface_blocks(self, m, i):
-        """{(sk, tk): per-piece map} of delta^i out of level m, built over
-        the sorted source keys and ascending inserted index."""
-        up = set(self.level_keys[m + 1])
+    def _coface_blocks(self, m, i, strict):
+        """{(sk, tk): per-piece map} of delta^i out of level m into the
+        keys tk that are strict chains (strict) or are not, built over the
+        sorted source keys and ascending inserted index."""
+        up = {k for k in self.level_keys[m + 1] if _strict(k) == strict}
         if not up:
             return {}
         top = max(k[-1] for k in up)
@@ -293,6 +333,24 @@ class _Levels:
                     blocks[(sk, tk)] = f
         return blocks
 
+    @functools.cached_property
+    def coface_blocks(self):
+        """{(m, i): {(sk, tk): per-piece map}}: the blocks of each delta^i
+        into strict chains tk.  A chain with one index left out of a strict
+        chain is strict, so every source sk is strict too."""
+        return {(m, i): self._coface_blocks(m, i, True)
+                for m in range(len(self.parts) - 1) for i in range(m + 2)}
+
+    def normalized(self):
+        """The normal form `fat_tot` reads: the pieces (key, P) of the
+        strict chains at each level, in key order, and the coface blocks
+        between them as {(m, sk, tk): (i, map)}."""
+        columns = [[(k, self._part(m, k)) for k in self.strict_keys[m]]
+                   for m in range(len(self.parts))]
+        return columns, {(m, sk, tk): (i, f)
+                         for (m, i), b in self.coface_blocks.items()
+                         for (sk, tk), f in b.items()}
+
     def _codegen_blocks(self, m, j):
         """{(sk, tk): map} of sigma^j out of level m."""
         down = set(self.level_keys[m - 1])
@@ -313,21 +371,17 @@ class _Levels:
             {(src_keys.index(sk), tgt_keys.index(tk)): f
              for (sk, tk), f in blocks.items() if not f.is_zero()}).validate()
 
-    def _assemble(self) -> CosimplicialComplex:
-        """The cosimplicial object of the walk, level by level: the cofaces
-        out of level m, then the codegeneracies back onto it.  Of each
-        coface, coface_blocks[(m, i)] keeps the blocks into strictly
-        increasing index chains, which the pullback route and the E^1 page
-        read; the others are dropped once assembled."""
+    @functools.cached_property
+    def cosimplicial(self) -> CosimplicialComplex:
+        """The whole cosimplicial object, every identity validated, level by
+        level: the cofaces out of level m (`coface_blocks` and the blocks
+        into degenerate chains), then the codegeneracies back onto it."""
         cofaces, codegens = {}, {}
-        self.coface_blocks = {}
         M = len(self.levels) - 1
         for m in range(M):
             for i in range(m + 2):
-                b = self._coface_blocks(m, i)
-                self.coface_blocks[(m, i)] = {
-                    (sk, tk): f for (sk, tk), f in b.items()
-                    if all(a < c for a, c in zip(tk, tk[1:]))}
+                b = dict(self.coface_blocks[(m, i)])
+                b.update(self._coface_blocks(m, i, False))
                 cofaces[(m, i)] = self._block(m, m + 1, b)
             for j in range(m + 1):
                 codegens[(m + 1, j)] = self._block(
@@ -419,10 +473,8 @@ def p_n(coalgebra, site, n, route="tot", builder=None):
         builder = _cobar_builder(cn, site, cn.window)
     if route == "pullback":
         return _p_n_pullback(cn, builder)
-    cs = builder.cosimplicial
-    return {"complex": fat_tot(cs), "window": _tot_window(cn, n),
-            "route": "tot", "cosimplicial": cs, "coalgebra": cn,
-            "builder": builder}
+    return {"complex": fat_tot(builder), "window": _tot_window(cn, n),
+            "route": "tot", "coalgebra": cn, "builder": builder}
 
 
 def _p_n_pullback(c, builder):
@@ -486,58 +538,19 @@ def _p_n_pullback(c, builder):
 
 
 def tower_map(c, site, n, route="tot"):
-    """The stage map p_n -> p_{n-1} induced by truncation (tot route)."""
+    """The stage map p_n -> p_{n-1} induced by truncation (tot route): the
+    projection of Tots dropping the pieces of chains with indices above
+    n - 1.  A Tot vector ("tot", m, key, lab) is the vector lab of the
+    strict-chain piece key at level m, and the pieces of a chain both cobars
+    hold agree on their common labels."""
+    if route != "tot":
+        raise ValueError("tower maps are provided on the tot route")
     if n <= 1:
         raise ValueError("tower map needs n >= 2")
     hi = p_n(c, site, n, route=route)
     lo = p_n(c, site, n - 1, route=route)
-    if route != "tot":
-        raise ValueError("tower maps are provided on the tot route")
-    f = _tot_truncation_map(hi["builder"], lo["builder"], hi["complex"],
-                            lo["complex"])
+    f = label_map(hi["complex"], lo["complex"], partial=True).validate()
     return {"map": f, "source": hi, "target": lo}
-
-
-def _tot_truncation_map(bh, bl, tot_hi, tot_lo) -> ChainMap:
-    """Project the Tot of the larger cobar (builder bh) onto the Tot of the
-    truncation (builder bl) by dropping pieces with indices above the lower
-    truncation (computed through the conormalized bases)."""
-    cs_hi, cs_lo = bh.cosimplicial, bl.cosimplicial
-    D_lo = min(cs_lo.degenerate_above, cs_lo.M)
-    # level maps: project the direct sums by matching piece keys
-    level_maps = {}
-    for m in range(min(cs_hi.M, cs_lo.M) + 1):
-        keys_hi, keys_lo = bh.level_keys.get(m, []), bl.level_keys.get(m, [])
-        parts_hi, parts_lo = bh.parts.get(m, []), bl.parts.get(m, [])
-        blocks = {}
-        for i_lo, key in enumerate(keys_lo):
-            if key in keys_hi:
-                i_hi = keys_hi.index(key)
-                blocks[(i_hi, i_lo)] = label_map(parts_hi[i_hi],
-                                                 parts_lo[i_lo], partial=True)
-        level_maps[m] = block_map(cs_hi.levels[m], cs_lo.levels[m], parts_hi,
-                                  parts_lo, blocks)
-    # induce on the conormalized total complexes
-    normed_hi = [conormalized_level(cs_hi, m) for m in
-                 range(min(cs_hi.degenerate_above, cs_hi.M) + 1)]
-    normed_lo = [conormalized_level(cs_lo, m) for m in range(D_lo + 1)]
-    # the Tot vector ("tot", m, lab) stands for the conormalized vector lab
-    images = {}
-    for m, (sub_h, inc_h) in enumerate(normed_hi):
-        if m >= len(normed_lo):
-            continue
-        sub_l, inc_l = normed_lo[m]
-        f = level_maps.get(m)
-        if f is None:
-            continue
-        for j_deg, xsol in factor_through(f.compose(inc_h),
-                                          inc_l).components.items():
-            labs_h, labs_l = sub_h.labels[j_deg], sub_l.labels[j_deg]
-            for (i, j), v in xsol.items():
-                images.setdefault(("tot", m, labs_h[j]), []).append(
-                    (("tot", m, labs_l[i]), v))
-    return linear_map(tot_hi, tot_lo,
-                      lambda k, lab: images.get(lab, ())).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +562,8 @@ def derived_hom(c, cprime, w: DegreeWindow | None = None):
     """Derived K-coalgebra mapping complex and its H_0 count."""
     w = w or c.window
     builder = derivedhom.DerivedHomBuilder(c, cprime, w)
-    t = fat_tot(builder.cosimplicial)
+    t = fat_tot(builder)
     D = builder.D
     win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
     h0 = t.homology(0)[0]
-    return {"complex": t, "h0": h0, "window": win,
-            "cosimplicial": builder.cosimplicial, "builder": builder}
+    return {"complex": t, "h0": h0, "window": win, "builder": builder}

@@ -1,6 +1,8 @@
 """Cosimplicial machinery: box product, Tot, cobar, stages, derived hom, E1."""
 
 import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -13,8 +15,9 @@ from tcalc.chain import (
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
+from tcalc.classify import mccarthy_square_check
 from tcalc.comonads import SpComponentModel
-from tcalc.derivedhom import bk_e1, einf_dims
+from tcalc.derivedhom import DerivedHomBuilder, bk_e1, einf_dims
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
@@ -22,10 +25,13 @@ from tcalc.laws import (
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
+from tcalc.serialize import coalgebra_from_json
 from tcalc.sparse import SparseMatrix
+from tcalc.spcobar import SpCobarBuilder
+from tcalc.topcobar import TopCobarBuilder
 from tcalc.tower import (
-    CosimplicialComplex, cobar, constant_cosimplicial, derived_hom, fat_tot,
-    p_n, tower_map,
+    CosimplicialComplex, _Levels, cobar, constant_cosimplicial,
+    conormalized_level, derived_hom, fat_tot, p_n, tower_map,
 )
 
 
@@ -53,6 +59,14 @@ def test_two_level_semicosimplicial_tot():
                             degenerate_above=1)
     t = fat_tot(y)
     assert t.is_acyclic(DegreeWindow(-3, 3))
+
+
+def test_degeneracy_bound_lies_in_the_levels():
+    c = circle(QQ)
+    maps = {(0, 0): ChainMap.identity(c), (0, 1): ChainMap.zero(c, c)}
+    for bound in (-1, 2):
+        with pytest.raises(ValueError, match="degeneracy bound"):
+            CosimplicialComplex([c, c], maps, {}, degenerate_above=bound)
 
 
 def test_validate_returns_self():
@@ -316,20 +330,11 @@ def test_bk_e1_euler_characteristic():
     c = random_valid_coalgebra(rng, F2, "sp", 2, w)
     r = bk_e1(c, c, w)
     page = r["e1"]
-    builder = r["builder"]
-    from tcalc.tower import conormalized_level
-    # per total degree: alternating E^1 dims match alternating conormalized
-    # chain dims (columns have equal Euler characteristics)
-    for k in r["window"].degrees():
-        e_sum = 0
-        c_sum = 0
-        for s in range(builder.D + 1):
-            e_sum += (-1) ** s * page.dims().get((s, k + s), 0)
-            sub, _ = conormalized_level(builder.cosimplicial, s)
-            c_sum += (-1) ** s * sub.dim(k + s)
-        # chain-level Euler characteristic telescopes across the window only
-        # when boundaries vanish at the edges; compare on homology instead
-        pass
+    columns, _ = r["builder"].normalized()
+    # E^1_{s,t} is the homology of the strict pieces of N^s in degree t, so
+    # it is no larger than N^s_t
+    for (s, t), (dim, _) in page.entries.items():
+        assert dim <= sum(p.dim(t) for _, p in columns[s]), (s, t)
     # identity that must hold on the nose: sum over the antidiagonal of E^inf
     einf = einf_dims(r)
     for k in r["window"].degrees():
@@ -483,7 +488,7 @@ def _structure_digest(cs):
 
 
 def _self_hom(c):
-    return derived_hom(c, c)["cosimplicial"]
+    return derived_hom(c, c)["builder"].cosimplicial
 
 
 W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
@@ -513,3 +518,115 @@ W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
 ], ids=["cobar-top2", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
 def test_structure_maps_are_pinned(build, digest):
     assert _structure_digest(build()) == digest
+
+
+# ---------------------------------------------------------------------------
+# the normal form: strict-chain pieces against the generic conormalization
+# ---------------------------------------------------------------------------
+
+
+POOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench", "pool")
+
+
+def _pool_coalgebras():
+    """(coalgebra document, cobar site) of every tower pool variant."""
+    out = []
+    for workload in ("tower-f2", "tower-q"):
+        with open(os.path.join(POOL, workload + ".json")) as f:
+            pool = json.load(f)
+        for slot in pool["slots"]:
+            for v, variant in enumerate(slot["variants"]):
+                argv = next(job["argv"] for job in variant["jobs"]
+                            if job["argv"][0] == "cobar")
+                out.append(pytest.param(
+                    variant["docs"]["c"], argv[argv.index("--site") + 1],
+                    id="%s-%s-%d" % (workload, slot["name"], v)))
+    return out
+
+
+def _tot_summary(tot, w):
+    """The homology dims of tot on w and its differential entry by entry."""
+    return tot.homology_dims(w), {k: sorted(m.items())
+                                  for k, m in tot.diff.items()}
+
+
+def _normal_forms(builder, w):
+    """(strict, generic): each the per-level dims of N^m and `_tot_summary`
+    of Tot, from the strict pieces and from the conormalized levels of the
+    whole cosimplicial object; the message of the ValueError one of them
+    raises (case-1) stands for its result.  The kernel basis of the
+    codegeneracies is the unit vectors on the strict coordinates, so the
+    two Tots agree entry for entry."""
+    def strict():
+        columns, _ = builder.normalized()
+        levels = [{k: sum(p.dim(k) for _, p in col) for k in
+                   sorted({k for _, p in col for k in p.dims})}
+                  for col in columns]
+        return levels, _tot_summary(fat_tot(builder), w)
+
+    def generic():
+        cs = builder.cosimplicial
+        levels = [conormalized_level(cs, m)[0].dims for m in range(cs.M + 1)]
+        return levels, _tot_summary(fat_tot(cs), w)
+
+    out = []
+    for form in (strict, generic):
+        try:
+            out.append(form())
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+@pytest.mark.parametrize("doc, site", _pool_coalgebras())
+def test_strict_tot_matches_conormalized_tot(doc, site):
+    c = coalgebra_from_json(doc)
+    if c.source == "sp":
+        cobar_builder = lambda: SpCobarBuilder(c, c.window)
+    else:
+        cobar_builder = lambda: TopCobarBuilder(
+            c, FinitePointedSet(int(site.split(":")[1])), c.window)
+    for make in (cobar_builder, lambda: DerivedHomBuilder(c, c, c.window)):
+        try:
+            builder = make()
+        except ValueError:
+            # case-2: the Top cobar of a free A_2 has no theta_{1,2} block
+            assert c.source == "top"
+            continue
+        strict, generic = _normal_forms(builder, c.window)
+        assert strict == generic
+
+
+def test_job_paths_leave_the_cosimplicial_object_unbuilt(monkeypatch):
+    """p_n (both routes), derived_hom, bk_e1 and the McCarthy square read
+    only strict pieces; cobar builds the whole object and validates it."""
+    builders, validated = [], []
+    init, validate = _Levels.__init__, CosimplicialComplex.validate
+
+    def record(self, *args):
+        builders.append(self)
+        init(self, *args)
+
+    def record_validate(self):
+        validated.append(self)
+        return validate(self)
+    monkeypatch.setattr(_Levels, "__init__", record)
+    monkeypatch.setattr(CosimplicialComplex, "validate", record_validate)
+    for source, N, w, site in (("sp", 3, W02, 0),
+                               ("top", 2, W03, FinitePointedSet(2))):
+        c = random_valid_coalgebra(random.Random(1), QQ, source, N, w,
+                                   staircase=False)
+        builders.clear()
+        for route in ("tot", "pullback"):
+            p_n(c, site, N, route=route)
+        derived_hom(c, c)
+        bk_e1(c, c)
+        assert mccarthy_square_check(c, site, N)["acyclic"]
+        assert len(builders) == 6
+        for b in builders:
+            assert "cosimplicial" not in vars(b), (source, type(b))
+            assert "levels" not in vars(b), (source, type(b))
+        cs = cobar(c, site)
+        assert vars(builders[-1])["cosimplicial"] is cs
+        assert validated[-1] is cs
