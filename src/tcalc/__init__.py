@@ -9,21 +9,26 @@ Modules:
   operads                 -- the normalized bar complex of Com from strict
                              chains of partitions, the partition nerve
   topcomonad              -- the Top comonad (based spaces to spectra)
+  topdelta                -- its comultiplication delta_{r,s} for r < s < n
+                             (arity-3 and arity-4 inputs)
   comonads                -- the Sp comonad
   coalgebras              -- coalgebra data and its validation
-  tower                   -- cosimplicial complexes, fat Tot, cobar, p_n by
-                             two routes, derived hom
+  cosimplicial            -- cosimplicial complexes, their identities and
+                             conormalization (the cobar subcommand)
+  tower                   -- fat Tot, cobar, p_n by two routes, derived hom
   topcobar, spcobar       -- the cobar levels of a Top / Sp coalgebra
   derivedhom              -- the derived hom builder, the Bousfield-Kan E^1
                              page
-  classify                -- 2-/3-excisive classification and validators
+  classify                -- 2-/3-excisive classification, McCarthy squares
   serialize, cli          -- JSON interchange and the batch interface
-  laws                    -- what no subcommand runs: law checks
-                             (coassociativity, counit, right modules, box
-                             product), the commutative operad, plethysm, the
-                             dual tree operad, the leveled bar construction,
-                             K' and nu, the representable modules and
-                             divided powers
+  laws                    -- what no subcommand runs, loaded only by the
+                             test suite: law checks (coassociativity, counit,
+                             right modules, box product), the commutative
+                             operad, plethysm, the dual tree operad, the
+                             leveled bar construction, K' and nu, the
+                             representable modules and divided powers, the
+                             splitting criterion and the paragraph-7
+                             validators
 
 Loading is lazy, so a job compiles only the modules it runs.  Importing
 the package registers every module in `sys.modules` and as a package
@@ -40,9 +45,9 @@ import importlib.util
 import sys
 
 _LAZY = ("fields", "sparse", "chain", "perms", "equivariant", "sequences",
-         "trees", "cooperad", "operads", "topcomonad", "comonads",
-         "coalgebras", "tower", "topcobar", "spcobar", "derivedhom",
-         "classify", "serialize", "laws")
+         "trees", "cooperad", "operads", "topcomonad", "topdelta", "comonads",
+         "coalgebras", "cosimplicial", "tower", "topcobar", "spcobar",
+         "derivedhom", "classify", "serialize", "laws")
 
 _EXPORTS = {
     "chain": ("ChainComplex", "ChainMap", "ChainHomotopy", "DegreeWindow"),
@@ -61,19 +66,18 @@ _EXPORTS = {
     "coalgebras": (
         "FinitePointedSet", "TruncatedCoalgebra", "truncate_coalgebra",
         "trivial_coalgebra", "validate_coalgebra"),
-    "tower": (
-        "CosimplicialComplex", "cobar", "derived_hom", "fat_tot", "p_n",
-        "tower_map"),
+    "cosimplicial": ("CosimplicialComplex",),
+    "tower": ("cobar", "derived_hom", "fat_tot", "p_n", "tower_map"),
     "derivedhom": ("bk_e1",),
     "classify": (
         "classify_2exc_sp", "classify_2exc_top", "classify_3exc_sp",
-        "mccarthy_square_check", "splitting_check", "validate_2exc_sp_to_top",
-        "validate_2exc_top_to_top"),
+        "mccarthy_square_check"),
     "laws": (
         "KPrimeComonad", "bar_construction", "box_product",
         "commutative_operad", "counit_check", "divided_power_check",
         "evaluation_pairing_check", "lemma_ij_check", "nu_component",
-        "plethysm", "representable_module", "spectral_lie",
+        "plethysm", "representable_module", "spectral_lie", "splitting_check",
+        "validate_2exc_sp_to_top", "validate_2exc_top_to_top",
         "validate_right_module"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

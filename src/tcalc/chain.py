@@ -389,10 +389,6 @@ def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
 # ---------------------------------------------------------------------------
 
 
-def zero_complex(field) -> ChainComplex:
-    return ChainComplex(field, {})
-
-
 def sphere(field, degree=0, label="s") -> ChainComplex:
     """Field in a single degree."""
     return ChainComplex(field, {degree: 1}, labels={degree: ((label, degree),)})
@@ -868,30 +864,3 @@ def homology_coordinates(c: ChainComplex, k):
     pi = SparseMatrix.from_entries(h, n, F, {
         ij: v for ij, v in Pinv.items() if ij[0] < h})
     return pi, reps
-
-
-def realize_homology_iso(c: ChainComplex, d: ChainComplex, h_iso=None) -> ChainMap:
-    """A chain map c -> d inducing a prescribed map on homology.
-
-    Over a field, f := (include cycles) o iso o (homology coordinates) is a
-    chain map: it kills boundaries and non-cycles and lands in cycles, so both
-    composites with the differentials vanish.  When h_iso is None the identity
-    on the chosen homology bases is used (homology dims must then agree).
-    """
-    F = c.field
-    comps = {}
-    for k in sorted(set(c.dims) | set(d.dims)):
-        if c.dim(k) == 0:
-            continue
-        pi, reps_c = homology_coordinates(c, k)
-        hd, reps_d, _ = d.homology_data(k)
-        iso = h_iso.get(k) if h_iso else None
-        if iso is None:
-            if len(reps_c) != hd:
-                raise ValueError("homology dims differ in degree %d" % k)
-            iso = SparseMatrix.identity(hd, F)
-        inc = SparseMatrix.from_columns(reps_d, d.dim(k), F)
-        m = inc * iso * pi
-        if not m.is_zero():
-            comps[k] = m
-    return ChainMap(c, d, comps)

@@ -1,5 +1,5 @@
-"""Mathematics no subcommand runs: the test suite's oracles and
-certificates of the structures the other modules build.
+"""Mathematics no subcommand runs, loaded only by the test suite: its
+oracles and certificates of the structures the other modules build.
 
 The commutative operad, plethysm and the dual tree operad (the
 derivatives of the identity); the leveled bar construction B(1, Com, 1),
@@ -9,9 +9,11 @@ right-module comonad K' and the norm comparison nu from the Top comonad;
 the coassociativity of the Top comonad (on homology) and of K' (exactly),
 and the counit; the box product of cosimplicial complexes with the
 collapse lemma; the representable modules over finite pointed sets and the
-divided-power factorization psi = nu o theta of a Top coalgebra; and the
-strict module derived hom through K' that `classify.splitting_check`
-compares p_n with on Top sources.
+divided-power factorization psi = nu o theta of a Top coalgebra; the
+splitting criterion, which compares p_n of free coefficients with the sum
+of its layers and, on Top sources, with the strict module derived hom
+through K'; and the paragraph-7 validators of space-valued 2-excisive data
+with explicit witnesses.
 """
 
 from __future__ import annotations
@@ -20,19 +22,24 @@ from itertools import combinations
 from itertools import product as _iterprod
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum, dual,
-    factor_through, homotopy_between, is_quasi_iso, label_map, linear_map,
-    quotient, sphere, tensor, tensor_many, tensor_map, transport,
+    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
+    direct_sum, dual, factor_through, homology_coordinates, homotopy_between,
+    is_quasi_iso, label_map, linear_map, nullhomotopy, quotient, shift,
+    sphere, tensor, tensor_many, tensor_map, transport,
 )
+from .classify import shift_action
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra,
 )
+from .comonads import SpComponentModel
 from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
+from .cosimplicial import CosimplicialComplex
 from .derivedhom import _HomLevels
 from .equivariant import (
-    EquivariantComplex, permutation_module, strict_fixed, trivial_action,
-    zero_module,
+    EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
+    permutation_module, strict_fixed, strict_orbits, tensor_power,
+    trivial_action, zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
@@ -42,11 +49,9 @@ from .perms import (
 )
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, rank, solve_matrix
-from .topcomonad import (
-    SurjectionSum, TopComponentModel, build_top_delta, top_delta_on_sums,
-    unit_section,
-)
-from .tower import CosimplicialComplex, _RawPiece, fat_tot
+from .topcomonad import SurjectionSum, TopComponentModel, unit_section
+from .topdelta import build_top_delta, top_delta_on_sums
+from .tower import _RawPiece, fat_tot, p_n
 
 
 # ---------------------------------------------------------------------------
@@ -1521,3 +1526,205 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
     t = fat_tot(_ModuleHomLevels(module.sequence, KP, pieces,
                                  psi).cosimplicial)
     return {k: t.homology(k)[0] for k in win.degrees()}
+
+
+# ---------------------------------------------------------------------------
+# The splitting criterion
+# ---------------------------------------------------------------------------
+
+
+def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
+    """With every A_n free: P_n homology equals the sum of the layers; for
+    top sources it also equals the strict module derived hom through K'."""
+    w = w or c.window
+    n = n or c.truncation
+    report = {"free": True, "layers_match": None, "module_match": None,
+              "details": {}}
+    for m in c.sequence.arities():
+        if not is_free(c.sequence.term(m)):
+            report["free"] = False
+    st = p_n(c, site, n)
+    win = st["window"]
+    pn_h = {k: st["complex"].homology(k)[0] for k in win.degrees()}
+    layer_h = {k: 0 for k in win.degrees()}
+    for j in range(1, n + 1):
+        d_j = _layer(c, site, j)
+        if d_j is None:
+            continue
+        for k in win.degrees():
+            layer_h[k] += d_j.homology(k)[0]
+    report["details"]["p_n"] = pn_h
+    report["details"]["layers"] = layer_h
+    report["layers_match"] = pn_h == layer_h
+    if c.source == "top":
+        mod_h = module_hom_tower(c, site, n, win)
+        report["details"]["module_hom"] = mod_h
+        report["module_match"] = mod_h == pn_h
+    report["pass"] = bool(report["layers_match"]) and \
+        (report["module_match"] in (None, True))
+    return report
+
+
+def _layer(c, site, j):
+    """D_j at the site: orbits of A_j (x) X-power (strict when free).
+
+    The top-source power is the full smash power (all j-tuples of points),
+    not the injective part."""
+    term = c.sequence.term(j)
+    if term is None:
+        return None
+    F = c.field
+    if c.source == "sp":
+        if is_free(term):
+            q, _ = strict_orbits(term)
+            return q
+        return homotopy_orbits(term, c.window).complex
+    tup = _tuple_module(F, j, site.size)
+    if tup is None:
+        return ChainComplex(F, {})
+    tens = equivariant_tensor(term, tup)
+    if is_free(tens):
+        q, _ = strict_orbits(tens)
+        return q
+    return homotopy_orbits(tens, c.window).complex
+
+
+def _tuple_module(field, j, m):
+    """k[X-bar^{x j}] with the Sigma_j coordinate-permutation action."""
+    tuples = [t for t in _iterprod(range(m), repeat=j)]
+    if not tuples:
+        return None
+    group = YoungGroup.full(j)
+    pos = {t: i for i, t in enumerate(tuples)}
+    table = {}
+    for gi in group.generator_positions():
+        sperm = transposition(j, gi)
+        table[gi] = [pos[tuple(t[sperm[i]] for i in range(j))]
+                     for t in tuples]
+    return permutation_module(field, group,
+                              [("xt", t) for t in tuples], table)
+
+
+# ---------------------------------------------------------------------------
+# Space-valued 2-excisive validators (paragraph 7)
+# ---------------------------------------------------------------------------
+
+
+def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
+    """The diagonal A_1 -> Tate_{Sigma_2}(A_1 (x) A_1) for coefficients with
+    homology concentrated in degree 0.
+
+    Over a field of odd or zero characteristic the target vanishes on the
+    window and the map is zero.  Over F_2 a degree-0 class [z] goes to the
+    Frobenius square class [z (x) z], placed as a strictly invariant cycle in
+    the fixed-part slot of the Tate cone; the assignment is F_2-linear on
+    homology (cross terms are norms)."""
+    F = a1.field
+    tgt = t_model.value.complex
+    if F.p != 2:
+        return ChainMap.zero(a1, tgt)
+    pi, reps = homology_coordinates(a1, 0)
+    if not reps:
+        return ChainMap.zero(a1, tgt)
+    squares = SparseMatrix.from_columns(
+        [_square_into_tate(z, a1, tgt, F) for z in reps], tgt.dim(0), F)
+    return ChainMap(a1, tgt, {0: squares * pi}).validate()
+
+
+def _square_into_tate(z, a1, tgt, F):
+    """The cycle z (x) z written in the Tate model: strictly invariant over
+    F_2, placed in the degree-0 fixed-part slot of the cone."""
+    tidx = tgt.label_index(0)
+    out = {}
+    labs = a1.labels.get(0, ())
+    for i1, v1 in z.items():
+        for i2, v2 in z.items():
+            lab = ("sidx", (0, 0), (labs[i1], labs[i2]))
+            row = tidx.get(("cone-tgt", ("hGf", 0, 0, lab)))
+            if row is not None:
+                cur = F.add(out.get(row, F.zero()), F.mul(v1, v2))
+                if F.is_zero(cur):
+                    out.pop(row, None)
+                else:
+                    out[row] = cur
+    return out
+
+
+def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
+                            m_map: ChainMap, w: DegreeWindow, witness=None):
+    """Spectra-to-spaces 2-excisive data: a module map
+    m : A_1 (x) A_1 -> Sigma A_2 with a nullhomotopy of the composite
+    A_1 -> Tate(A_1 (x) A_1) -> Tate(Sigma A_2)."""
+    # Tate of the square with swap action
+    sq = tensor_power(a1, 2)
+    sq_idx = SpComponentModel(sq, 1, w)
+    delta = tate_diagonal_unitlike(a1, sq_idx, w)
+    # Tate(m): through the sidx-wrapped carrier
+    sa2 = EquivariantComplex(
+        shift(a2.complex, 1), a2.group,
+        {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
+    t_sa2 = SpComponentModel(sa2, 1, w)
+    # m is equivariant: apply the Tate functor
+    tm = sq_idx.apply(m_map, t_sa2)
+    composite = tm.compose(delta)
+    h = None
+    if witness is not None:
+        try:
+            ChainHomotopy(composite, ChainMap.zero(composite.source,
+                                                   composite.target),
+                          witness).validate()
+            h = witness
+        except ValueError:
+            return {"valid": False, "reason": "witness fails",
+                    "obstruction_dim": None}
+    else:
+        h = nullhomotopy(composite)
+    # the composite's class in H_0 of the mapping complex: zero exactly
+    # when a nullhomotopy exists
+    obstruction = 0 if h is not None else 1
+    return {"valid": h is not None, "obstruction_vanishes": obstruction == 0,
+            "obstruction_dim": obstruction, "found_witness": h is not None}
+
+
+def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
+                             m_map: ChainMap, m_prime: ChainMap,
+                             w: DegreeWindow, witness=None):
+    """Spaces-to-spaces 2-excisive data: maps m : A_1 (x) A_1 -> Sigma A_2
+    and m' : A_1 -> Sigma A_2, with a homotopy between the two composites
+    into Tate(Sigma A_2)."""
+    sq = tensor_power(a1, 2)
+    sq_idx = SpComponentModel(sq, 1, w)
+    delta = tate_diagonal_unitlike(a1, sq_idx, w)
+    sa2 = EquivariantComplex(
+        shift(a2.complex, 1), a2.group,
+        {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
+    t_sa2 = SpComponentModel(sa2, 1, w)
+    route2 = sq_idx.apply(m_map, t_sa2).compose(delta)
+    # route 1: m' lifted through the fixed points, then into the cone
+    fx = t_sa2.tate_result.fixed
+    # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
+    # as a strictly invariant functional
+    lift = _invariant_lift(m_prime, fx.complex)
+    incl = t_sa2.fixed_part_inclusion(fx.complex)
+    route1 = incl.compose(lift)
+    route2 = ChainMap(route1.source, route1.target, route2.components)
+    h = None
+    if witness is not None:
+        try:
+            ChainHomotopy(route1, route2, witness).validate()
+            h = witness
+        except ValueError:
+            return {"valid": False, "reason": "witness fails"}
+    else:
+        h = nullhomotopy(route1 - route2)
+    return {"valid": h is not None,
+            "obstruction_dim": 0 if h is not None else 1,
+            "found_witness": h is not None}
+
+
+def _invariant_lift(m_prime: ChainMap, fixed_model: ChainComplex) -> ChainMap:
+    """m' : A_1 -> Sigma A_2 with invariant image lifts to the homotopy fixed
+    points as the degree-0 functional slot (carrier wrapped in sidx)."""
+    return label_map(m_prime.target, fixed_model, partial=True,
+                     key=lambda lab: ("hGf", 0, 0, ("sidx", (0, 0), lab))
+                     ).compose(m_prime).validate()

@@ -178,59 +178,3 @@ def coalgebra_from_json(doc):
 
 def dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def comonad_value_to_json(k):
-    """Serialize a comonad value: per-component complexes with their
-    certified windows, and the comultiplication/counit matrices."""
-    comps = {}
-    for (r, n), comp in sorted(k.components.items()):
-        entry = {
-            "complex": chain_to_json(comp.value.complex),
-            "window": window_to_json(getattr(comp, "window", k.w
-                                             if hasattr(k, "w") else
-                                             comp.window)),
-            "exact": bool(getattr(comp, "exact", False)),
-            "kind": comp.kind,
-        }
-        comps["%d,%d" % (r, n)] = entry
-    deltas = {}
-    for key, d in sorted(getattr(k, "delta", {}).items()):
-        if d is None:
-            deltas["%d,%d,%d" % key] = None
-        else:
-            deltas["%d,%d,%d" % key] = map_to_json(d)
-    eps = {}
-    for (r, n) in sorted(k.components):
-        if r == n and hasattr(k, "epsilon"):
-            e = k.epsilon(r)
-            if e is not None:
-                eps[str(r)] = map_to_json(e)
-    return {"components": comps, "delta": deltas, "epsilon": eps}
-
-
-def comonad_value_from_json(doc):
-    """Parse a comonad-value document back into plain data (complexes,
-    windows, matrices); canonical print o parse is the identity."""
-    out = {"components": {}, "delta": doc.get("delta", {}),
-           "epsilon": doc.get("epsilon", {})}
-    for key, entry in doc.get("components", {}).items():
-        out["components"][key] = {
-            "complex": chain_from_json(entry["complex"]),
-            "window": window_from_json(entry["window"]),
-            "exact": entry.get("exact", False),
-            "kind": entry.get("kind"),
-        }
-    return out
-
-
-def comonad_value_roundtrip_identical(k) -> bool:
-    doc = comonad_value_to_json(k)
-    parsed = comonad_value_from_json(doc)
-    redoc = {"components": {key: {
-        "complex": chain_to_json(entry["complex"]),
-        "window": window_to_json(entry["window"]),
-        "exact": entry["exact"], "kind": entry["kind"]}
-        for key, entry in parsed["components"].items()},
-        "delta": parsed["delta"], "epsilon": parsed["epsilon"]}
-    return dumps(doc) == dumps(redoc)

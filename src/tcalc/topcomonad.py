@@ -4,10 +4,11 @@ The component K_r A_n is the Sigma_n-homotopy-orbit complex of the sum, over
 surjections {0..n-1} ->> {0..r-1}, of T_{n_1} (x) ... (x) T_{n_r} (x) A_n,
 with T_* the tree cooperad.  When the total module is free the strict orbit
 complex is used and the result is exact.  One class, `SurjectionSum`, builds
-that sum W(X, r) for any Sigma_n-module X in place of A_n.  Comultiplication
-comes from ungrafting decompositions of the tree cooperad: it maps W(A, r)
-into W(W(A, s), r), with W(A, s) a Sigma_s-module, and on to the orbit
-models.  The counit collapses the bijection summands.  A component model
+that sum W(X, r) for any Sigma_n-module X in place of A_n.  The
+comultiplication delta_{r,s} is the identity of the model where s = n or
+s = r; for r < s < n it comes from ungrafting decompositions of the tree
+cooperad and lives in `topdelta`, which only arity-3 and arity-4 inputs run.
+The counit collapses the bijection summands.  A component model
 applies K_r to maps itself (`TopComponentModel.apply`), so no module outside
 the comonads reads a model's kind.  The Sp comonad is in `comonads`; the
 strict comonad K' and the comparison nu : K -> K' are in `laws`.
@@ -15,7 +16,7 @@ strict comonad K' and the comparison nu : K -> K' are in `laws`.
 
 from __future__ import annotations
 
-from . import trees
+from . import topdelta, trees
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
     tensor_many,
@@ -26,8 +27,7 @@ from .equivariant import (
     strict_orbits, zero_module,
 )
 from .perms import (
-    YoungGroup, all_surjections, inverse, koszul_sign, surjection_fibers,
-    transposition,
+    YoungGroup, all_surjections, inverse, surjection_fibers, transposition,
 )
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix
@@ -130,11 +130,12 @@ class SurjectionSum:
         return linear_map(self.total, self.total, image)
 
     def sigma_r_action(self) -> EquivariantComplex:
-        """The total complex as a Sigma_r-module under postcomposition."""
+        """The total complex as a Sigma_r-module under postcomposition,
+        validated."""
         group = YoungGroup.full(self.r)
         return EquivariantComplex(self.total, group, {
             gi: self.sigma_r_generator(gi)
-            for gi in group.generator_positions()})
+            for gi in group.generator_positions()}).validate()
 
     def apply(self, f: ChainMap, tgt: "SurjectionSum") -> ChainMap:
         """trees (x) f : W(B, r) -> W(B', r) for f : B -> B', with the Koszul
@@ -222,9 +223,9 @@ class TopComponentModel:
             q, proj = strict_orbits(w_total)
             self.proj = proj
             self.exact = True
-            action = {gi: _quotient_functor(proj, g, proj)
+            action = {gi: quotient_functor(proj, g, proj)
                       for gi, g in sr.action.items()}
-            self.value = EquivariantComplex(q, sr.group, action)
+            self.value = EquivariantComplex(q, sr.group, action).validate()
         else:
             self.kind = "windowed"
             self.orbit = homotopy_orbits(w_total, w, tag="k-top", stages=stages)
@@ -270,7 +271,7 @@ class TopComponentModel:
             return f
         wmap = src.sursum.apply(f, tgt.sursum)
         if src.kind == "strict" and tgt.kind == "strict":
-            return _quotient_functor(src.proj, wmap, tgt.proj)
+            return quotient_functor(src.proj, wmap, tgt.proj)
         if src.kind == "windowed" and tgt.kind == "windowed":
             return slotwise_map(src.value.complex, tgt.value.complex, wmap)
         raise ValueError("mixed model kinds for K on maps: %s vs %s" %
@@ -313,100 +314,15 @@ def unit_section(proj: ChainMap) -> ChainMap:
             {(j, i): 1 for i, j in sec.items()})
     return ChainMap(q, W, comps)
 
+def quotient_functor(src_proj: ChainMap, f: ChainMap,
+                     tgt_proj: ChainMap) -> ChainMap:
+    """Induced map on strict orbit quotients: q_tgt o f o section_src."""
+    return tgt_proj.compose(f.compose(unit_section(src_proj)))
+
 
 # ---------------------------------------------------------------------------
-# Comultiplication
+# The comonad and its comultiplication
 # ---------------------------------------------------------------------------
-
-
-def _factorizations(beta, s):
-    """All (gamma, alpha) with beta = gamma o alpha, alpha: n ->> s,
-    gamma: s ->> r."""
-    n = len(beta)
-    r = max(beta) + 1
-    out = []
-    for alpha in all_surjections(n, s):
-        # gamma exists iff beta is constant on alpha-fibers
-        gamma = {}
-        ok = True
-        for i in range(n):
-            g = gamma.get(alpha[i])
-            if g is None:
-                gamma[alpha[i]] = beta[i]
-            elif g != beta[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        gv = tuple(gamma[j] for j in range(s))
-        if len(set(gv)) == r:
-            out.append((gv, alpha))
-    return out
-
-
-def top_delta_on_sums(sur_r: SurjectionSum, pre: SurjectionSum) -> ChainMap:
-    """The tree-splitting map W(A, r) -> pre = W(W(A, s), r), summed over all
-    factorizations beta = gamma o alpha with alpha : n ->> s."""
-    F = sur_r.field
-    r, s = sur_r.r, pre.n
-    # per beta and factorization, per tree T_{beta^{-1}(j)}: the blocks of
-    # local leaf positions it splits along, sorted by their least position,
-    # each with the index of its alpha fiber
-    splits = {}
-    for beta in sur_r.surjections:
-        splits[beta] = out = []
-        for gamma, alpha in _factorizations(beta, s):
-            alpha_fibers = surjection_fibers(alpha, s)
-            per_tree = []
-            for bf, gf in zip(sur_r.factors[beta],
-                              surjection_fibers(gamma, r)):
-                posmap = {x: t for t, x in enumerate(bf)}
-                per_tree.append(sorted(
-                    (tuple(sorted(posmap[x] for x in alpha_fibers[i])), i)
-                    for i in gf))
-            out.append((gamma, alpha, per_tree))
-
-    def image(k, lab):
-        _, beta, inner = lab
-        a_degree = sur_r.a.complex.locate(inner[-1])[0]
-        terms = []
-        for gamma, alpha, per_tree in splits[beta]:
-            split = _split_trees(inner, per_tree, a_degree, s)
-            if split is not None:
-                sign, uppers, lowers = split
-                inner_lab = ("surj", alpha, lowers + inner[-1:])
-                terms.append((("surj", gamma, uppers + (inner_lab,)),
-                              F.coerce(sign)))
-        return terms
-    return linear_map(sur_r.total, pre.total, image, partial=True).validate()
-
-
-def _split_trees(inner, per_tree, a_degree, s):
-    """Split tree j of the label tuple inner along the blocks of
-    per_tree[j]: (sign, upper trees by j, lower trees by alpha fiber), or
-    None when a decomposition vanishes.  The sign is the product of the
-    decomposition signs and the Koszul sign of reordering the word
-    (upper_j, its lowers)_j, a into (uppers, lowers by fiber, a)."""
-    r = len(per_tree)
-    sign = 1
-    uppers, lowers = [], [None] * s
-    word = []   # (target position, degree), in source order
-    for j, blocks in enumerate(per_tree):
-        dec = trees.decompose(inner[j][1], tuple(b for b, _ in blocks))
-        if dec is None:
-            return None
-        sgn_j, upper, lows = dec
-        sign *= sgn_j
-        uppers.append(("tree", upper))
-        word.append((j, trees.degree(upper)))
-        for (b, i), low in zip(blocks, lows):
-            # relabel the leaves to 0..len(b)-1, keeping their order
-            _, low = trees.relabel_terms(low, {x: t for t, x in enumerate(b)})
-            lowers[i] = ("tree", low)
-            word.append((r + i, trees.degree(low)))
-    word.append((r + s, a_degree))
-    sign *= koszul_sign([p for p, _ in word], [d for _, d in word])
-    return sign, tuple(uppers), tuple(lowers)
 
 
 class TopComonad:
@@ -492,7 +408,7 @@ class TopComonad:
                     self.coop, term, s, w_wide, force_windowed=True,
                     stages=_delta_stages(self.w, term, n))
             self._inner_cache[(s, n)] = inner
-        comp2, total_map, outer = build_top_delta(
+        comp2, total_map, outer = topdelta.build_top_delta(
             self.coop, term, comp, inner, r, s, self.w)
         self.components[(r, n)] = comp2
         self.delta[(r, s, n)] = total_map
@@ -500,75 +416,11 @@ class TopComonad:
         self.delta_outer[(r, s, n)] = outer
 
 
-def _quotient_functor(src_proj: ChainMap, f: ChainMap,
-                      tgt_proj: ChainMap) -> ChainMap:
-    """Induced map on strict orbit quotients: q_tgt o f o section_src."""
-    return tgt_proj.compose(f.compose(unit_section(src_proj)))
-
-
-def _slot_inside(lab):
-    """("hG", s, gen, ("surj", gamma, trees + (w,))) ->
-    ("surj", gamma, trees + (("hG", s, gen, w),))."""
-    tag, s, gen, (_, gamma, inner) = lab
-    return ("surj", gamma, inner[:-1] + ((tag, s, gen, inner[-1]),))
-
-
 def _delta_stages(w: DegreeWindow, term: EquivariantComplex, n):
     """Deterministic resolution length for inner models shared across deltas:
     long enough for any aux model at window w and the wide inner window."""
     mindeg = term.complex.min_degree
     return max(w.hi + n + 1 - mindeg + 2, 1) + n + 2
-
-
-def build_top_delta(coop: Cooperad, term: EquivariantComplex,
-                    comp: TopComponentModel, inner: TopComponentModel,
-                    r: int, s: int, w: DegreeWindow):
-    """delta_{r,s} : K_r(term) -> K_r(inner model of K_s(term)).
-
-    The tree splitting maps W(A, r) into pre = W(W(A, s), r), the surjection
-    sum of W(A, s) as a Sigma_s-module, and on into the outer model K_r of
-    the inner model's value.  Returns (possibly rebuilt source component,
-    chain map, outer model)."""
-    n = term.group.degree
-    if s == n or s == r:
-        # collapsed inner or outer: the comultiplication is the identity
-        return comp, ChainMap.identity(comp.value.complex), comp
-    pre = SurjectionSum(coop, inner.sursum.sigma_r_action(), r)
-    dpre = top_delta_on_sums(comp.sursum, pre)
-    if comp.kind == "strict" and inner.kind == "strict":
-        # the inner factor's Sigma_n-orbits, then the outer Sigma_s-orbits
-        outer = TopComponentModel(coop, inner.value, r, w)
-        total_map = _quotient_functor(
-            comp.proj, pre.apply(inner.proj, outer.sursum).compose(dpre),
-            outer.proj)
-    else:
-        # Sigma_n acts on pre through the inner factor only
-        inner_eq = inner.sursum.sigma_n_action()
-        pre_eq = EquivariantComplex(pre.total, inner_eq.group, {
-            gi: pre.apply(g, pre) for gi, g in inner_eq.action.items()})
-        # one resolution length per (term, w), shared by all deltas out of it
-        stages0 = max(w.hi - term.complex.min_degree + 2, 1)
-        comp = TopComponentModel(coop, term, r, w,
-                                 force_windowed=True, stages=stages0)
-        if inner.kind != "windowed":
-            inner = TopComponentModel(coop, term, s, w.expand(n + 1),
-                                      force_windowed=True)
-        outer = TopComponentModel(coop, inner.value, r, w,
-                                  force_windowed=True)
-        aux = homotopy_orbits(pre_eq, w, tag="delta-aux", stages=stages0)
-        src_map = slotwise_map(comp.value.complex, aux.complex, dpre)
-        wout_trunc = outer.sursum.total.truncate(
-            outer.sursum.total.min_degree if outer.sursum.total.dims
-            else 0, w.hi + 1)
-        # homotopy orbits of pre -> W_outer: move the resolution slot
-        # inside the inner factor
-        reorder = label_map(aux.complex, wout_trunc, key=_slot_inside,
-                            partial=True)
-        iota_t = label_map(wout_trunc, outer.value.complex,
-                           key=lambda lab: ("hG", 0, 0, lab), partial=True)
-        total_map = iota_t.compose(reorder).compose(src_map)
-    total_map.validate()
-    return comp, total_map, outer
 
 
 # ---------------------------------------------------------------------------

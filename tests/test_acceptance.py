@@ -18,13 +18,14 @@ from tcalc.chain import (
 )
 from tcalc.classify import (
     classify_2exc_sp, classify_2exc_top, classify_3exc_sp,
-    mccarthy_square_check, splitting_check,
+    mccarthy_square_check,
 )
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
     validate_coalgebra,
 )
 from tcalc.comonads import SpComponentModel, l3_complex
+from tcalc.cosimplicial import constant_cosimplicial
 from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import (
     induced_from_trivial_subgroup, is_free, regular_module, tate,
@@ -35,16 +36,14 @@ from tcalc.cooperad import tree_cooperad
 from tcalc.laws import (
     KPrimeComonad, bar_construction, box_product, commutative_operad,
     lemma_ij_check, nu_component, representable_module, spectral_lie,
-    top_coassociativity_check,
+    splitting_check, top_coassociativity_check,
 )
 from tcalc.operads import partition_poset_nerve
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
 from tcalc.topcomonad import TopComonad
-from tcalc.tower import (
-    cobar, constant_cosimplicial, derived_hom, fat_tot, p_n, tower_map,
-)
+from tcalc.tower import cobar, derived_hom, fat_tot, p_n, tower_map
 
 
 def _report(num, name, ok):

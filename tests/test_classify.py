@@ -11,15 +11,17 @@ from tcalc.chain import (
 )
 from tcalc.classify import (
     classify_2exc_sp, classify_2exc_top, classify_3exc_sp,
-    mccarthy_square_check, splitting_check, validate_2exc_sp_to_top,
-    validate_2exc_top_to_top,
+    mccarthy_square_check,
 )
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
 from tcalc.equivariant import regular_module, tate, tensor_power, trivial_action
 from tcalc.fields import F2, QQ
-from tcalc.laws import representable_module
+from tcalc.laws import (
+    representable_module, splitting_check, validate_2exc_sp_to_top,
+    validate_2exc_top_to_top,
+)
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 

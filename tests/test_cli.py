@@ -395,15 +395,6 @@ def test_unsupported_field_is_a_usage_error(tmp_path, capsys, field):
     assert json.loads(err)["error"] == "usage"
 
 
-def test_comonad_value_roundtrip():
-    from tcalc.topcomonad import TopComonad
-    from tcalc.sequences import SymmetricSequence
-    from tcalc.serialize import comonad_value_roundtrip_identical
-    A = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
-    K = TopComonad(A, DegreeWindow(0, 2))
-    assert comonad_value_roundtrip_identical(K)
-
-
 def test_check_cli_flags_invalid_and_exits_1(tmp_path, capsys):
     # corrupt the equivariance of theta_{1,2}: the validator reports the
     # failure and the CLI exits 1

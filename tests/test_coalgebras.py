@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import random_theta
-from tcalc.chain import DegreeWindow, sphere
+from tcalc.chain import ChainMap, DegreeWindow, sphere
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra, validate_coalgebra,
@@ -20,7 +20,7 @@ from tcalc.laws import (
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
-from tcalc.topcomonad import TopComonad, k_top
+from tcalc.topcomonad import SurjectionSum, TopComonad, k_top
 from tcalc.tower import derived_hom
 
 
@@ -99,6 +99,24 @@ def test_top_n3_square_checked_and_can_fail():
     # whether valid or not, the square must have been genuinely computed
     assert (1, 2, 3) in rep2["squares"]
     assert rep2["squares"][(1, 2, 3)] != "vacuous"
+
+
+def test_top_sigma_2_action_is_certified_where_built(monkeypatch):
+    # zero one degree of the Sigma_2 generator of every surjection sum: the
+    # staircase's comonad builds K_2 A_3 and the comultiplication's inner
+    # K_2, and each validates its Sigma_2 action
+    generator = SurjectionSum.sigma_r_generator
+
+    def corrupted(self, gi):
+        g = generator(self, gi)
+        if self.r != 2:
+            return g
+        k = min(k for k, m in g.components.items() if not m.is_zero())
+        return ChainMap(g.source, g.target,
+                        {**g.components, k: g.components[k].scale(0)})
+    monkeypatch.setattr(SurjectionSum, "sigma_r_generator", corrupted)
+    with pytest.raises(ValueError, match="generator action is not invertible"):
+        _top_n3_staircase()
 
 
 def _map_digest(f):

@@ -11,9 +11,10 @@ import sys
 import pytest
 
 import tcalc
-from helpers import random_valid_coalgebra
+from helpers import random_theta, random_valid_coalgebra, staircase_sequence
 from tcalc import serialize
 from tcalc.chain import DegreeWindow, sphere
+from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.equivariant import trivial_action
 from tcalc.fields import F2
 from tcalc.perms import YoungGroup
@@ -50,15 +51,16 @@ EXPORTS = {
     "comonads": "SpComonad k_sp_component l3_complex",
     "coalgebras": "FinitePointedSet TruncatedCoalgebra truncate_coalgebra "
                   "trivial_coalgebra validate_coalgebra",
-    "tower": "CosimplicialComplex cobar derived_hom fat_tot p_n tower_map",
+    "cosimplicial": "CosimplicialComplex",
+    "tower": "cobar derived_hom fat_tot p_n tower_map",
     "derivedhom": "bk_e1",
     "classify": "classify_2exc_sp classify_2exc_top classify_3exc_sp "
-                "mccarthy_square_check splitting_check "
-                "validate_2exc_sp_to_top validate_2exc_top_to_top",
+                "mccarthy_square_check",
     "laws": "KPrimeComonad bar_construction box_product commutative_operad "
             "counit_check divided_power_check evaluation_pairing_check "
             "lemma_ij_check nu_component plethysm representable_module "
-            "spectral_lie validate_right_module",
+            "spectral_lie splitting_check validate_2exc_sp_to_top "
+            "validate_2exc_top_to_top validate_right_module",
 }
 
 
@@ -137,8 +139,9 @@ def coalgebra_doc(tmp_path):
 @pytest.mark.parametrize("source, argv, own", [
     ("sp", ("pn", "--n", "2", "--site", "S0"), {"tower", "spcobar"}),
     ("top", ("pn", "--n", "2", "--site", "set:2"), {"tower", "topcobar"}),
-    ("sp", ("cobar", "--site", "S0"), {"tower", "spcobar"}),
-    ("top", ("cobar", "--site", "set:1"), {"tower", "topcobar"}),
+    ("sp", ("cobar", "--site", "S0"), {"tower", "spcobar", "cosimplicial"}),
+    ("top", ("cobar", "--site", "set:1"),
+     {"tower", "topcobar", "cosimplicial"}),
     ("sp", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
     ("top", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
     ("sp", ("check",), set()),
@@ -151,7 +154,51 @@ def test_tower_jobs_run_only_their_source(tmp_path, coalgebra_doc, source,
     assert _modules_run(tmp_path, *argv) == COALGEBRA[source] | own
 
 
+# Modules that only some jobs run: the whole cosimplicial object (the
+# `cobar` subcommand), the Top comultiplication for r < s < n (arity-3 and
+# arity-4 inputs) and the law checks (the test suite alone).
+ONLY_SOME = {"cosimplicial", "topdelta", "laws"}
+POOL = os.path.join(ROOT, "perfbench", "pool", "tower-f2.json")
+
+
+def _pool_jobs(slot):
+    """({subcommand: its argv, "{c}" standing for the document}, the
+    document) of variant 0 of a tower-f2 pool slot."""
+    with open(POOL) as f:
+        [variant] = [s["variants"][0] for s in json.load(f)["slots"]
+                     if s["name"] == slot]
+    return ({job["argv"][0]: job["argv"] for job in variant["jobs"]},
+            variant["docs"]["c"])
+
+
+@pytest.mark.parametrize("slot", ["sp3-triv", "top2"])
+def test_pool_tower_jobs_run_cosimplicial_only_for_cobar(tmp_path, slot):
+    jobs, doc = _pool_jobs(slot)
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(doc))
+    for cmd in ("pn", "derived-hom", "bk-e1", "mccarthy", "check"):
+        argv = [str(path) if a == "{c}" else a for a in jobs[cmd]]
+        assert not _modules_run(tmp_path, *argv) & ONLY_SOME, cmd
+    argv = [str(path) if a == "{c}" else a for a in jobs["cobar"]]
+    assert _modules_run(tmp_path, *argv) & ONLY_SOME == {"cosimplicial"}
+
+
+def test_top_arity_3_runs_the_comultiplication_module(tmp_path):
+    # the Top N=3 staircase with nonzero theta_{1,2} and theta_{2,3}
+    w = DegreeWindow(0, 4)
+    A = staircase_sequence(F2, 3)
+    c0 = trivial_coalgebra("top", A, w)
+    rng = random.Random(11)
+    theta = {key: random_theta(c0, *key, rng) for key in ((1, 2), (2, 3))}
+    c = TruncatedCoalgebra("top", A, w, theta, komonad=c0.komonad)
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(serialize.coalgebra_to_json(c)))
+    assert _modules_run(tmp_path, "check", str(path)) & ONLY_SOME == {
+        "topdelta"}
+
+
 def test_classify_runs_only_the_equivariant_layer(tmp_path):
+    # and so no laws: the paragraph-7 validators live there
     doc = {"a1": serialize.chain_to_json(sphere(F2, 0)),
            "a2": serialize.equivariant_to_json(
                trivial_action(sphere(F2, 0), YoungGroup.full(2)))}

@@ -17,6 +17,9 @@ from tcalc.coalgebras import (
 )
 from tcalc.classify import mccarthy_square_check
 from tcalc.comonads import SpComponentModel
+from tcalc.cosimplicial import (
+    CosimplicialComplex, constant_cosimplicial, conormalized_level,
+)
 from tcalc.derivedhom import DerivedHomBuilder, bk_e1, einf_dims
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
@@ -29,10 +32,7 @@ from tcalc.serialize import coalgebra_from_json
 from tcalc.sparse import SparseMatrix
 from tcalc.spcobar import SpCobarBuilder
 from tcalc.topcobar import TopCobarBuilder
-from tcalc.tower import (
-    CosimplicialComplex, _Levels, cobar, constant_cosimplicial,
-    conormalized_level, derived_hom, fat_tot, p_n, tower_map,
-)
+from tcalc.tower import _Levels, cobar, derived_hom, fat_tot, p_n, tower_map
 
 
 def circle(F):
@@ -452,7 +452,7 @@ def test_routes_over_rationals():
     h2 = {k: r2["complex"].homology(k)[0] for k in win.degrees()}
     assert h1 == h2
     # rational Tate parts vanish, so the tower splits into the layers
-    from tcalc.classify import splitting_check
+    from tcalc.laws import splitting_check
     rep = splitting_check(c, 0)
     assert rep["layers_match"], rep["details"]
 
