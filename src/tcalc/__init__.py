@@ -13,8 +13,8 @@ Modules:
                              (arity-3 and arity-4 inputs)
   comonads                -- the Sp comonad
   coalgebras              -- coalgebra data and its validation
-  cosimplicial            -- cosimplicial complexes, their identities and
-                             conormalization (the cobar subcommand)
+  cosimplicial            -- cosimplicial complexes and conormalization;
+                             the cobar's certificate on its keyed blocks
   tower                   -- fat Tot, cobar, p_n by two routes, derived hom
   topcobar, spcobar       -- the cobar levels of a Top / Sp coalgebra
   derivedhom              -- the derived hom builder, the Bousfield-Kan E^1

@@ -140,30 +140,23 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
 
 def _tot_to_diagonal_slot(builder, tot, n):
     """The projection Tot -> level 0 -> arity-n diagonal summand."""
-    keys = builder.level_keys[0]
-    if (n,) not in keys:
+    tgt = builder.summands[0].get((n,))
+    if tgt is None:
         # the arity-n diagonal Phi term is zero, e.g. at a 1-point set
         zero = ChainComplex(tot.field, {})
         return ChainMap.zero(tot, zero), zero
-    tgt = builder.parts[0][keys.index((n,))]
     # the Tot vector ("tot", 0, (n,), lab) is the vector lab of that piece
     return label_map(tot, tgt, partial=True, key=lambda lab: (
         lab[3] if lab[1:3] == (0, (n,)) else None)).validate(), tgt
-
-
-def _off_diagonal_keys(builder, n):
-    """The level-1 keys (r, n), r < n, of the square's corner, in order."""
-    return [k for k in builder.level_keys.get(1, ()) if k[0] < k[1] == n]
 
 
 def _corner_maps(builder, pn1, n, c):
     """(bottom map P_{n-1} -> corner, corner complex, right map fixed ->
     corner): the corner is the off-diagonal comonad slot sum at arity < n."""
     F = c.field
-    offkeys = _off_diagonal_keys(builder, n)
-    slot_parts = [builder.parts[1][builder.level_keys[1].index(k)]
-                  for k in offkeys]
-    _, ub, tb, _ = builder.pullback_corners()
+    offkeys = builder.corner_keys(n)
+    slot_parts = [builder.summands[1][k] for k in offkeys]
+    ub, tb = (builder.coface_blocks.get((0, i), {}) for i in (0, 1))
     corner = direct_sum(slot_parts) if slot_parts else ChainComplex(F, {})
     # bottom: out of P_{n-1}-Tot through its level-0 arity projections
     pn1_tot = pn1["complex"]
@@ -178,9 +171,7 @@ def _corner_maps(builder, pn1, n, c):
         # right: out of the fixed (diagonal arity-n) slot via the unit blocks
         right_blocks[(0, t_i)] = ub.get(((n,), key))
     bot = block_map(pn1_tot, corner, [pn1_tot], slot_parts, bot_blocks)
-    keys0 = builder.level_keys[0]
-    fixed_cx = builder.parts[0][keys0.index((n,))] if (n,) in keys0 \
-        else ChainComplex(F, {})
+    fixed_cx = builder.summands[0].get((n,)) or ChainComplex(F, {})
     right = block_map(fixed_cx, corner, [fixed_cx], slot_parts, right_blocks)
     return bot, corner, right
 
@@ -200,7 +191,7 @@ def _canonical_square_homotopy(builder, pn_tot, corner, n):
     differential identity d h + h d = (right o top) - (bottom o tower) is
     exactly the coface relation between the strict chains (n,) and (r, n)
     of the normalized cobar."""
-    slot = {k: t for t, k in enumerate(_off_diagonal_keys(builder, n))}
+    slot = {k: t for t, k in enumerate(builder.corner_keys(n))}
     # the Tot vector ("tot", 1, (r, n), lab) in degree k is the vector lab
     # of the slot (r, n) in degree k + 1, the corner's summand (t, lab)
     pick = linear_map(pn_tot, corner, lambda k, lab: (

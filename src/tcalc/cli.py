@@ -179,12 +179,13 @@ def _parse_site(text, source):
 def cmd_cobar(args):
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
-    cs = tower.cobar(c, site, c.window)
-    _emit(args, {"command": "cobar",
-                 "levels": [
-                     {str(k): lv.dim(k) for k in lv.support()}
-                     for lv in cs.levels],
-                 "degenerate_above": cs.degenerate_above,
+    b = tower.cobar(c, site, c.window)
+    levels = [{str(k): sum(p.dim(k) for p in b.summands[m].values())
+               for k in sorted({k for p in b.summands[m].values()
+                                for k in p.dims})}
+              for m in range(len(b.summands))]
+    _emit(args, {"command": "cobar", "levels": levels,
+                 "degenerate_above": len(levels) - 1,
                  "window": serialize.window_to_json(c.window)})
     return 0
 

@@ -82,10 +82,8 @@ class _HomLevels(_Levels):
                 full, inv, incl = built[made]
                 self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
                                       "piece": piece}
-        keys = {lvl: sorted(h) for lvl, h in self.hom.items()}
-        super().__init__(mseq.field, keys, {
-            lvl: [self.hom[lvl][k]["inv"] for k in ks]
-            for lvl, ks in keys.items()})
+        super().__init__(mseq.field, {lvl: {k: h[k]["inv"] for k in sorted(h)}
+                                      for lvl, h in self.hom.items()})
 
     def _post(self, m, sk, tk, g: ChainMap) -> ChainMap:
         """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g

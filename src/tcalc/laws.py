@@ -34,7 +34,7 @@ from .coalgebras import (
 )
 from .comonads import SpComponentModel
 from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
-from .cosimplicial import CosimplicialComplex
+from .cosimplicial import CosimplicialComplex, check_identities
 from .derivedhom import _HomLevels
 from .equivariant import (
     EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
@@ -318,36 +318,23 @@ class BarConstruction:
                 self.degens[(s, j, n)] = linear_map(src, tgt, image)
 
     def simplicial_identities_hold(self) -> bool:
+        """The simplicial identities in each arity, as the cosimplicial
+        ones of the transposed maps: d_i^T and s_j^T are the cofaces and
+        codegeneracies of the dual object (`check_identities`)."""
+        def dual(f):
+            return ChainMap(f.target, f.source, {
+                k: m.transpose() for k, m in f.components.items()})
         for n in range(1, self.truncation + 1):
-            for s in range(2, self.max_level + 1):
-                for i in range(s):
-                    for j in range(i + 1, s + 1):
-                        lhs = self.faces[(s - 1, i, n)].compose(self.faces[(s, j, n)])
-                        rhs = self.faces[(s - 1, j - 1, n)].compose(self.faces[(s, i, n)])
-                        if lhs.components != rhs.components:
-                            return False
-            for s in range(0, self.max_level - 1):
-                for i in range(s + 1):
-                    for j in range(i, s + 1):
-                        lhs = self.degens[(s + 1, i, n)].compose(self.degens[(s, j, n)])
-                        rhs = self.degens[(s + 1, j + 1, n)].compose(self.degens[(s, i, n)])
-                        if lhs.components != rhs.components:
-                            return False
-            # mixed identities d_i s_j
-            for s in range(0, self.max_level):
-                for j in range(s + 1):
-                    for i in range(s + 2):
-                        ds = self.faces[(s + 1, i, n)].compose(self.degens[(s, j, n)])
-                        if i == j or i == j + 1:
-                            rhs = ChainMap.identity(self.levels[(s, n)])
-                        elif i < j:
-                            rhs = self.degens[(s - 1, j - 1, n)].compose(
-                                self.faces[(s, i, n)])
-                        else:
-                            rhs = self.degens[(s - 1, j, n)].compose(
-                                self.faces[(s, i - 1, n)])
-                        if ds.components != rhs.components:
-                            return False
+            try:
+                check_identities(
+                    [{n: self.levels[(s, n)]}
+                     for s in range(self.max_level + 1)],
+                    {(s - 1, i): {(n, n): dual(f)}
+                     for (s, i, a), f in self.faces.items() if a == n},
+                    {(s + 1, j): {(n, n): dual(f)}
+                     for (s, j, a), f in self.degens.items() if a == n})
+            except ValueError:
+                return False
         return True
 
 

@@ -120,10 +120,9 @@ class SpCobarBuilder(_Levels):
                     built[made] = PhiTerm(piece.value, r, self.w_phi,
                                           stages=self._stages.get(r))
                 self.phi[lvl][key] = built[made]
-        keys = {lvl: sorted(self.phi[lvl]) for lvl in range(self.D + 1)}
-        super().__init__(F, keys, {
-            lvl: [self.phi[lvl][k].complex for k in ks]
-            for lvl, ks in keys.items()})
+        super().__init__(F, {lvl: {k: self.phi[lvl][k].complex
+                                   for k in sorted(self.phi[lvl])}
+                             for lvl in range(self.D + 1)})
 
     def _stage_table(self):
         seq = self.c.sequence

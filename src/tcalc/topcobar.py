@@ -112,9 +112,8 @@ class TopCobarBuilder(_Levels):
         keys1 = sorted([(n, n) for (n,) in keys0] +
                        ([(1, 2)] if self.slot12 is not None else []))
         keys = [keys0, keys1][:self.D + 1]
-        super().__init__(F, dict(enumerate(keys)), {
-            lvl: [self._slot(k[0], k[-1]) for k in ks]
-            for lvl, ks in enumerate(keys)})
+        super().__init__(F, {lvl: {k: self._slot(k[0], k[-1]) for k in ks}
+                             for lvl, ks in enumerate(keys)})
         self.u12 = self._u12_map() if self.slot12 is not None else None
         self.th12 = self._theta12_map()
 

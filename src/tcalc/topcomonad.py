@@ -77,6 +77,7 @@ class SurjectionSum:
             labels[k] = tuple(labs)
         self.total = ChainComplex(F, self.total.dims, self.total.diff, labels)
         self._deg_cache = {}
+        self._sigma_r = None
 
     def label_degree(self, m, lab):
         """Degree of a tree label in T(m) or of an A-label."""
@@ -131,11 +132,13 @@ class SurjectionSum:
 
     def sigma_r_action(self) -> EquivariantComplex:
         """The total complex as a Sigma_r-module under postcomposition,
-        validated."""
-        group = YoungGroup.full(self.r)
-        return EquivariantComplex(self.total, group, {
-            gi: self.sigma_r_generator(gi)
-            for gi in group.generator_positions()}).validate()
+        validated; built once per sum, which every model over it shares."""
+        if self._sigma_r is None:
+            group = YoungGroup.full(self.r)
+            self._sigma_r = EquivariantComplex(self.total, group, {
+                gi: self.sigma_r_generator(gi)
+                for gi in group.generator_positions()}).validate()
+        return self._sigma_r
 
     def apply(self, f: ChainMap, tgt: "SurjectionSum") -> ChainMap:
         """trees (x) f : W(B, r) -> W(B', r) for f : B -> B', with the Koszul

@@ -15,11 +15,10 @@ holds the Bousfield-Kan E^1 page.
 A builder's normalized levels are the sums of its pieces on strictly
 increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
 derived mapping complex and the E^1 page read those pieces and the coface
-blocks between them.  The whole cosimplicial object, with every degenerate
-piece, coface and codegeneracy, is built only by `cobar`, as a
-`cosimplicial.CosimplicialComplex` whose identities it validates; that
-module, with the codegeneracy kernels that normalize a bare cosimplicial
-complex, runs in no other job.
+blocks between them.  `cobar` certifies the cosimplicial identities on the
+keyed blocks, degenerate chains and codegeneracies included, and assembles
+no level (`cosimplicial.certify`); the tests and `laws` alone assemble the
+whole object.  The `cosimplicial` module runs in no other job.
 
 The fat totalization of a degenerate-above-D object is the finite total
 complex over levels <= D, with differential
@@ -98,10 +97,10 @@ class _Levels:
     """Levels of a cosimplicial object built as direct sums of keyed
     summands, and the cobar index walk between them.
 
-    parts[lvl] lists the summand complexes in the order of the keys
-    level_keys[lvl].  A key at level m is an index chain (i_0 <= ... <= i_m)
-    of arities, and every structure map is a block map with one per-piece
-    map from summand sk to summand tk:
+    summands[lvl] is {key: summand complex}, in key order.  A key at level
+    m is an index chain (i_0 <= ... <= i_m) of arities, and every structure
+    map is a block map with one per-piece map from summand sk to summand
+    tk:
 
     - the coface delta^i out of level m inserts an index x at position i of
       sk, between its neighbours: delta^0 puts q <= sk[0] in front, the
@@ -117,44 +116,42 @@ class _Levels:
     The normal form is the sum of the pieces on strict chains
     i_0 < ... < i_m (Goerss-Jardine III.2).  The piece of a degenerate chain
     is the model of its copy, the chain with the repeat dropped, and every
-    codegeneracy block is `_same`, a total relabelling that raises if the
-    copy lacks a label of the piece.  So sigma^j is injective on the piece
-    of each chain with i_j = i_{j+1}, no two such chains share a copy, and
-    the joint kernel of the codegeneracies is exactly the sum of the strict
-    pieces.  The alternating coface sum maps it into the next through the
-    blocks between strict chains (`coface_blocks`).  `fat_tot` reads only
-    those; the full levels and the cosimplicial object are built on first
-    use."""
+    codegeneracy block is `_same`: the identity of the piece, which is the
+    copy's too.  So sigma^j is injective on the piece of each chain with
+    i_j = i_{j+1}, no two such chains share a copy, and the joint kernel of
+    the codegeneracies is exactly the sum of the strict pieces.  The
+    alternating coface sum maps it into the next through the blocks between
+    strict chains (`coface_blocks`).  `fat_tot` reads only those; `cobar`
+    certifies the identities on every block, and only the tests and `laws`
+    assemble the whole object (`cosimplicial`)."""
 
-    def __init__(self, field, level_keys, parts):
+    def __init__(self, field, summands):
         self.field = field
-        self.level_keys = level_keys
-        self.parts = parts
-        self.strict_keys = {lvl: [k for k in keys if _strict(k)]
-                            for lvl, keys in level_keys.items()}
-
-    @functools.cached_property
-    def levels(self):
-        """The full levels: the direct sums of every level's pieces."""
-        return [direct_sum(self.parts[lvl]) if self.parts[lvl] else
-                ChainComplex(self.field, {}) for lvl in range(len(self.parts))]
-
-    def _part(self, lvl, key) -> ChainComplex:
-        return self.parts[lvl][self.level_keys[lvl].index(key)]
+        self.summands = summands
+        self.strict_keys = {lvl: [k for k in s if _strict(k)]
+                            for lvl, s in summands.items()}
+        self._identity = {}
 
     def _same(self, src_lvl, sk, tgt_lvl, tk) -> ChainMap:
-        return label_map(self._part(src_lvl, sk), self._part(tgt_lvl, tk))
+        """The piece of sk relabelled onto its copy, the piece of tk: the
+        piece's identity, built once, when the two are one complex."""
+        src, tgt = self.summands[src_lvl][sk], self.summands[tgt_lvl][tk]
+        if src is not tgt:
+            return label_map(src, tgt).validate()
+        if id(src) not in self._identity:
+            self._identity[id(src)] = ChainMap.identity(src)
+        return self._identity[id(src)]
 
     def _coface_blocks(self, m, i, strict):
         """{(sk, tk): per-piece map} of delta^i out of level m into the
         keys tk that are strict chains (strict) or are not, built over the
         sorted source keys and ascending inserted index."""
-        up = {k for k in self.level_keys[m + 1] if _strict(k) == strict}
+        up = {k for k in self.summands[m + 1] if _strict(k) == strict}
         if not up:
             return {}
         top = max(k[-1] for k in up)
         blocks = {}
-        for sk in self.level_keys[m]:
+        for sk in self.summands[m]:
             near = sk[max(i - 1, 0):i + 1]      # the neighbours of x
             lo, hi = (sk[i - 1] if i else 1), (sk[i] if i <= m else top)
             for x in range(lo, hi + 1):
@@ -179,65 +176,27 @@ class _Levels:
         into strict chains tk.  A chain with one index left out of a strict
         chain is strict, so every source sk is strict too."""
         return {(m, i): self._coface_blocks(m, i, True)
-                for m in range(len(self.parts) - 1) for i in range(m + 2)}
+                for m in range(len(self.summands) - 1) for i in range(m + 2)}
 
     def normalized(self):
         """The normal form `fat_tot` reads: the pieces (key, P) of the
         strict chains at each level, in key order, and the coface blocks
         between them as {(m, sk, tk): (i, map)}."""
-        columns = [[(k, self._part(m, k)) for k in self.strict_keys[m]]
-                   for m in range(len(self.parts))]
+        columns = [[(k, self.summands[m][k]) for k in self.strict_keys[m]]
+                   for m in range(len(self.summands))]
         return columns, {(m, sk, tk): (i, f)
                          for (m, i), b in self.coface_blocks.items()
                          for (sk, tk), f in b.items()}
 
-    def _codegen_blocks(self, m, j):
-        """{(sk, tk): map} of sigma^j out of level m."""
-        down = set(self.level_keys[m - 1])
-        blocks = {}
-        for sk in self.level_keys[m]:
-            tk = sk[:j] + sk[j + 1:]
-            if sk[j] == sk[j + 1] and tk in down:
-                blocks[(sk, tk)] = self._same(m, sk, m - 1, tk)
-        return blocks
-
-    def _block(self, src_lvl, tgt_lvl, blocks) -> ChainMap:
-        """The map of levels whose block from summand sk to summand tk is
-        blocks[(sk, tk)]."""
-        src_keys, tgt_keys = self.level_keys[src_lvl], self.level_keys[tgt_lvl]
-        return block_map(
-            self.levels[src_lvl], self.levels[tgt_lvl], self.parts[src_lvl],
-            self.parts[tgt_lvl],
-            {(src_keys.index(sk), tgt_keys.index(tk)): f
-             for (sk, tk), f in blocks.items() if not f.is_zero()}).validate()
-
     @functools.cached_property
     def cosimplicial(self) -> cosimplicial.CosimplicialComplex:
-        """The whole cosimplicial object, every identity validated, level by
-        level: the cofaces out of level m (`coface_blocks` and the blocks
-        into degenerate chains), then the codegeneracies back onto it."""
-        cofaces, codegens = {}, {}
-        M = len(self.levels) - 1
-        for m in range(M):
-            for i in range(m + 2):
-                b = dict(self.coface_blocks[(m, i)])
-                b.update(self._coface_blocks(m, i, False))
-                cofaces[(m, i)] = self._block(m, m + 1, b)
-            for j in range(m + 1):
-                codegens[(m + 1, j)] = self._block(
-                    m + 1, m, self._codegen_blocks(m + 1, j))
-        return cosimplicial.CosimplicialComplex(
-            self.levels, cofaces, codegens, degenerate_above=M).validate()
+        """The whole cosimplicial object (`cosimplicial.assemble`)."""
+        return cosimplicial.assemble(self)
 
-    def pullback_corners(self):
-        """For the pullback route: the level-0 summands by key, the blocks
-        of the unit delta^0 and of theta delta^1 from level 0 into the
-        off-diagonal level-1 slots (r, n), r < n, and those slots' models."""
-        slot_of = {k: p for k, p in zip(self.level_keys.get(1, ()),
-                                        self.parts.get(1, ())) if k[0] < k[1]}
-        return (dict(zip(self.level_keys[0], self.parts[0])),
-                self.coface_blocks.get((0, 0), {}),
-                self.coface_blocks.get((0, 1), {}), slot_of)
+    def corner_keys(self, n):
+        """The off-diagonal level-1 keys (r, n), r < n, in order: the slots
+        the unit delta^0 and theta delta^1 reach from (n,) and (r,)."""
+        return [k for k in self.summands.get(1, ()) if k[0] < k[1] == n]
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +204,15 @@ class _Levels:
 # ---------------------------------------------------------------------------
 
 
-def cobar(coalgebra, site,
-          w: DegreeWindow | None = None) -> cosimplicial.CosimplicialComplex:
-    """The cosimplicial cobar construction Phi K^bullet A at a site.
+def cobar(coalgebra, site, w: DegreeWindow | None = None):
+    """The cosimplicial cobar construction Phi K^bullet A at a site, as its
+    level builder (level m the sum of `summands[m]`, degenerate above the
+    top level) certified on its keyed blocks (`cosimplicial.certify`).
 
     Top source: site is a FinitePointedSet.  Sp source: site is the sphere
     dimension d (S^0 supported at truncation <= 3; other d raise)."""
-    return _cobar_builder(coalgebra, site, w or coalgebra.window).cosimplicial
+    return cosimplicial.certify(
+        _cobar_builder(coalgebra, site, w or coalgebra.window))
 
 
 def _cobar_builder(c, site, w: DegreeWindow):
@@ -326,24 +287,21 @@ def _p_n_pullback(c, builder):
     The cobar builder of c provides all slot models and structural maps."""
     F = c.field
     N = c.truncation
-    phi0, ublocks, tblocks, slot_of = builder.pullback_corners()
+    phi0, blocks = builder.summands[0], builder.coface_blocks
+    ublocks, tblocks = blocks.get((0, 0), {}), blocks.get((0, 1), {})
     # P_1 = arity-1 summand of Phi(A)
-    if (1,) in phi0:
-        stage = phi0[(1,)]
-    else:
-        stage = ChainComplex(F, {})
+    stage = phi0.get((1,)) or ChainComplex(F, {})
     projections = {1: ChainMap.identity(stage)} if (1,) in phi0 else {}
     stages = {1: stage}
     for j in range(2, N + 1):
         # assemble the map (P_{j-1} (+) diag_j) -> (+)_{r<j} slot (r, j)
-        offkeys = [k for k in slot_of if k[1] == j]
-        offkeys.sort()
+        offkeys = builder.corner_keys(j)
         diag_key = (j,)
         diag = phi0.get(diag_key)
         parts_src = [stages[j - 1]] + ([diag] if diag is not None else [])
         src = direct_sum(parts_src)
         if offkeys:
-            tgt_parts = [slot_of[k] for k in offkeys]
+            tgt_parts = [builder.summands[1][k] for k in offkeys]
             blocks = {}
             for t_i, key in enumerate(offkeys):
                 # theta side out of P_{j-1} through its arity-r projection

@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import random
+import re
+import tracemalloc
 
 import pytest
 
 from helpers import random_theta, random_valid_coalgebra, staircase_sequence, triv
+from tcalc import cli, cosimplicial, serialize
 from tcalc.chain import (
     ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, direct_sum,
     is_quasi_iso, sphere,
@@ -32,6 +35,7 @@ from tcalc.serialize import coalgebra_from_json
 from tcalc.sparse import SparseMatrix
 from tcalc.spcobar import SpCobarBuilder
 from tcalc.topcobar import TopCobarBuilder
+from tcalc.topcomonad import SurjectionSum
 from tcalc.tower import _Levels, cobar, derived_hom, fat_tot, p_n, tower_map
 
 
@@ -131,7 +135,7 @@ def test_lemma_ij():
 def test_lemma_ij_on_cobar_of_representable():
     _, coalg = representable_module(FinitePointedSet(2), 2, F2,
                                     window=DegreeWindow(-1, 2))
-    cs = cobar(coalg, FinitePointedSet(2), coalg.window)
+    cs = cobar(coalg, FinitePointedSet(2), coalg.window).cosimplicial
     rep = lemma_ij_check(cs, max_level=1)
     assert rep["pass"], rep
 
@@ -153,7 +157,7 @@ def test_cobar_cosimplicial_identities_checked():
     w = DegreeWindow(-2, 2)
     rng = random.Random(7)
     c = random_valid_coalgebra(rng, F2, "sp", 3, w)
-    cs = cobar(c, 0, w)
+    cs = cobar(c, 0, w).cosimplicial
     cs.validate()  # exact cosimplicial identities
     assert cs.verify_degeneracy()
 
@@ -422,7 +426,7 @@ def test_routes_and_identities_over_f3():
     w = DegreeWindow(-2, 2)
     for N in (2, 3):
         c = random_valid_coalgebra(rng, F3, "sp", N, w)
-        cs = cobar(c, 0, w)
+        cs = cobar(c, 0, w).cosimplicial
         cs.validate()            # exact cosimplicial identities with signs
         assert cs.verify_degeneracy()
         r1 = p_n(c, 0, N, route="tot")
@@ -492,17 +496,25 @@ def _self_hom(c):
 
 
 W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
+HOM_TOP3 = "7cc417b09c15292496292a4fd9c90a59bc3f43e98f6b143ebc2dc1bbeee860ed"
+
+
+def _hom_top3():
+    """A Top N = 3 coalgebra whose comonad has a genuine comultiplication."""
+    return random_valid_coalgebra(random.Random(3), F2, "top", 3, W02)
 
 
 @pytest.mark.parametrize("build, digest", [
     # Top N = 2 with a nonzero theta_{1,2} (trivial terms): the unit and
     # theta into the stratified-cone slot (1, 2)
     (lambda: cobar(random_valid_coalgebra(random.Random(1), QQ, "top", 2,
-                                          W03), FinitePointedSet(2)),
+                                          W03), FinitePointedSet(2))
+     .cosimplicial,
      "c5f93a1ac6d6d7bdc2b22a850547b98e6a94c8dab77d6823714ddaab64f22779"),
     # Sp N = 3 at S^0 with theta_{1,2}, theta_{1,3} and theta_{2,3}
     (lambda: cobar(random_valid_coalgebra(random.Random(1), QQ, "sp", 3,
-                                          W02, staircase=False), 0),
+                                          W02, staircase=False), 0)
+     .cosimplicial,
      "36df1c3b47d96369db16d1e68b81fd55c571fe22d6596c0500ac42fa09730413"),
     # derived homs: K_q(h) o theta and the postcomposed theta on both
     # sources, and the genuine comultiplication of a Top N = 3 comonad
@@ -512,12 +524,72 @@ W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
     (lambda: _self_hom(random_valid_coalgebra(random.Random(1), QQ, "top", 2,
                                               W03)),
      "33e720693b1c54fdcdb707a16a8909ebec63f1ad813e6dcf059f76aa02ce0d95"),
-    (lambda: _self_hom(random_valid_coalgebra(random.Random(3), F2, "top", 3,
-                                              W02)),
-     "7cc417b09c15292496292a4fd9c90a59bc3f43e98f6b143ebc2dc1bbeee860ed"),
+    (lambda: _self_hom(_hom_top3()), HOM_TOP3),
 ], ids=["cobar-top2", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
 def test_structure_maps_are_pinned(build, digest):
     assert _structure_digest(build()) == digest
+
+
+@pytest.mark.parametrize("block, pair", [("_outer", "(0, 1)"),
+                                         ("_inner", "(0, 2)")])
+def test_block_certificate_catches_a_scaled_block(monkeypatch, tmp_path,
+                                                  capsys, block, pair):
+    # twice a chain map is one, so only a cosimplicial identity sees the
+    # first nonzero block out of level 0 scaled by 2
+    c = random_valid_coalgebra(random.Random(1), QQ, "sp", 3, W02,
+                               staircase=False)
+    made, scaled = getattr(SpCobarBuilder, block), []
+
+    def corrupted(self, m, sk, tk):
+        f = made(self, m, sk, tk)
+        if m == 0 and not scaled and f is not None and not f.is_zero():
+            scaled.append((sk, tk))
+            return f.scale(2)
+        return f
+    monkeypatch.setattr(SpCobarBuilder, block, corrupted)
+    message = "coface identity fails at level 0 " + pair
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cobar(c, 0)
+    assert scaled
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(serialize.coalgebra_to_json(c)))
+    scaled.clear()
+    assert cli.main(["cobar", "--site", "S0", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and scaled
+    assert json.loads(err) == {"error": "validation", "detail": message}
+
+
+@pytest.mark.parametrize("levels, kind, key, message", [
+    (2, "cofaces", (0, 1), "coface identity fails at level 0 (0, 2)"),
+    # sigma^0 delta^i = id out of level 0, and sigma^m out of level m + 1,
+    # are checked too
+    (1, "codegens", (1, 0), "sigma delta != id at (0; 0, 0)"),
+    (2, "codegens", (2, 1), "mixed identity fails (1; 0, 1)"),
+])
+def test_bare_object_catches_a_scaled_map(levels, kind, key, message):
+    c = circle(QQ)
+    x = constant_cosimplicial(c, levels)
+    maps = {"cofaces": dict(x.cofaces), "codegens": dict(x.codegens)}
+    maps[kind][key] = ChainMap.identity(c).scale(2)
+    y = CosimplicialComplex(x.levels, **maps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        y.validate()
+
+
+def test_each_surjection_sum_builds_one_sigma_r_module(monkeypatch):
+    # the comonad's components and the comultiplication's inner models
+    # share their surjection sums, and with them one Sigma_r module each
+    calls = []
+    generator = SurjectionSum.sigma_r_generator
+
+    def record(self, gi):
+        calls.append((self, gi))
+        return generator(self, gi)
+    monkeypatch.setattr(SurjectionSum, "sigma_r_generator", record)
+    assert _structure_digest(_self_hom(_hom_top3())) == HOM_TOP3
+    built = [(id(w), gi) for w, gi in calls]
+    assert built and len(set(built)) == len(built)
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +671,37 @@ def test_strict_tot_matches_conormalized_tot(doc, site):
 
 
 def test_job_paths_leave_the_cosimplicial_object_unbuilt(monkeypatch):
-    """p_n (both routes), derived_hom, bk_e1 and the McCarthy square read
-    only strict pieces; cobar builds the whole object and validates it."""
-    builders, validated = [], []
-    init, validate = _Levels.__init__, CosimplicialComplex.validate
+    """p_n (both routes), derived_hom, bk_e1, the McCarthy square and cobar
+    build no level sum and no CosimplicialComplex.  cobar certifies its
+    builder on the keyed blocks, and checks there every identity that the
+    assembled object's validate() checks."""
+    builders, objects, sums, agreed = [], [], [], []
+    init, new = _Levels.__init__, CosimplicialComplex.__init__
+    agree, direct = cosimplicial._agree, cosimplicial.direct_sum
 
     def record(self, *args):
         builders.append(self)
         init(self, *args)
 
-    def record_validate(self):
-        validated.append(self)
-        return validate(self)
+    def record_object(self, *args, **kwargs):
+        objects.append(self)
+        new(self, *args, **kwargs)
+
+    def record_sum(parts):
+        sums.append(parts)
+        return direct(parts)
+
+    def record_agree(*args):
+        agreed.append(args)
+        return agree(*args)
     monkeypatch.setattr(_Levels, "__init__", record)
-    monkeypatch.setattr(CosimplicialComplex, "validate", record_validate)
-    for source, N, w, site in (("sp", 3, W02, 0),
-                               ("top", 2, W03, FinitePointedSet(2))):
+    monkeypatch.setattr(CosimplicialComplex, "__init__", record_object)
+    monkeypatch.setattr(cosimplicial, "direct_sum", record_sum)
+    monkeypatch.setattr(cosimplicial, "_agree", record_agree)
+    # levels 0..2 have 3 coface identities, 6 sigma delta = id, 2 mixed and
+    # 1 codegeneracy identity; levels 0..1 have 2 sigma delta = id
+    for source, N, w, site, identities in (
+            ("sp", 3, W02, 0, 12), ("top", 2, W03, FinitePointedSet(2), 2)):
         c = random_valid_coalgebra(random.Random(1), QQ, source, N, w,
                                    staircase=False)
         builders.clear()
@@ -624,9 +711,37 @@ def test_job_paths_leave_the_cosimplicial_object_unbuilt(monkeypatch):
         bk_e1(c, c)
         assert mccarthy_square_check(c, site, N)["acyclic"]
         assert len(builders) == 6
-        for b in builders:
-            assert "cosimplicial" not in vars(b), (source, type(b))
-            assert "levels" not in vars(b), (source, type(b))
-        cs = cobar(c, site)
-        assert vars(builders[-1])["cosimplicial"] is cs
-        assert validated[-1] is cs
+        agreed.clear()
+        b = cobar(c, site)
+        assert b is builders[-1]
+        for x in builders:
+            assert "cosimplicial" not in vars(x), (source, type(x))
+        assert not objects and not sums and len(agreed) == identities
+        cs = b.cosimplicial
+        assert objects == [cs] and len(sums) == len(cs.levels)
+        agreed.clear()
+        cs.validate()
+        assert len(agreed) == identities
+        objects.clear()
+        sums.clear()
+
+
+def test_cobar_job_keeps_no_level_sized_maps(tmp_path, capsys):
+    # the traced peak of the cobar job on tower-q's sp3-sum variant 0: the
+    # certificate on the keyed blocks builds no level sum and no level-sized
+    # coface or codegeneracy (their assembly peaked at 4.2 MB)
+    with open(os.path.join(POOL, "tower-q.json")) as f:
+        [slot] = [s for s in json.load(f)["slots"] if s["name"] == "sp3-sum"]
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(slot["variants"][0]["docs"]["c"]))
+    argv = ["cobar", "--site", "S0", str(path)]
+    assert cli.main(argv) == 0      # every module it runs is loaded
+    first = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == first
+    assert peak <= 3.0e6, peak
