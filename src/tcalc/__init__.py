@@ -4,8 +4,8 @@ Modules:
   fields, sparse, chain   -- exact linear algebra and homological primitives
   perms, equivariant      -- Young groups, orbits/fixed points, norm, Tate
   sequences               -- truncated symmetric sequences
-  trees, cooperad         -- partition trees; operads, cooperads, right
-                             modules and the tree cooperad T_*
+  trees, cooperad         -- partition trees; cooperads and the tree
+                             cooperad T_*
   operads                 -- the normalized bar complex of Com from strict
                              chains of partitions, the partition nerve
   topcomonad              -- the Top comonad (based spaces to spectra)
@@ -13,8 +13,7 @@ Modules:
                              (arity-3 and arity-4 inputs)
   comonads                -- the Sp comonad
   coalgebras              -- coalgebra data and its validation
-  cosimplicial            -- cosimplicial complexes and conormalization;
-                             the cobar's certificate on its keyed blocks
+  cosimplicial            -- the cobar's certificate on its keyed blocks
   tower                   -- fat Tot, cobar, p_n by two routes, derived hom
   topcobar, spcobar       -- the cobar levels of a Top / Sp coalgebra
   derivedhom              -- the derived hom builder, the Bousfield-Kan E^1
@@ -22,13 +21,15 @@ Modules:
   classify                -- 2-/3-excisive classification, McCarthy squares
   serialize, cli          -- JSON interchange and the batch interface
   laws                    -- what no subcommand runs, loaded only by the
-                             test suite: law checks (coassociativity, counit,
-                             right modules, box product), the commutative
-                             operad, plethysm, the dual tree operad, the
-                             leveled bar construction, K' and nu, the
-                             representable modules and divided powers, the
-                             splitting criterion and the paragraph-7
-                             validators
+                             test suite: homotopies, duals and the mapping
+                             complex; operads and right modules; the whole
+                             cosimplicial object and its conormalization;
+                             law checks (coassociativity, counit, right
+                             modules, box product), the commutative operad,
+                             plethysm, the dual tree operad, the leveled bar
+                             construction, K' and nu, the representable
+                             modules and divided powers, the splitting
+                             criterion and the paragraph-7 validators
 
 Loading is lazy, so a job compiles only the modules it runs.  Importing
 the package registers every module in `sys.modules` and as a package
@@ -50,35 +51,35 @@ _LAZY = ("fields", "sparse", "chain", "perms", "equivariant", "sequences",
          "derivedhom", "classify", "serialize", "laws")
 
 _EXPORTS = {
-    "chain": ("ChainComplex", "ChainMap", "ChainHomotopy", "DegreeWindow"),
+    "chain": ("ChainComplex", "ChainMap", "DegreeWindow"),
     "fields": ("F2", "F3", "QQ", "FieldSpec", "field_from_name"),
     "sparse": ("SparseMatrix",),
     "perms": ("YoungGroup",),
     "equivariant": (
         "EquivariantComplex", "WindowedResult", "homotopy_fixed",
         "homotopy_orbits", "is_free", "norm_map", "permutation_module",
-        "strict_fixed", "strict_orbits", "tate", "tensor_power"),
+        "strict_fixed", "strict_orbits", "tate"),
     "sequences": ("SymmetricSequence",),
-    "cooperad": ("Cooperad", "Operad", "RightModule", "tree_cooperad"),
+    "cooperad": ("Cooperad", "tree_cooperad"),
     "operads": ("partition_poset_nerve",),
-    "topcomonad": ("TopComonad", "k_top", "k_top_component"),
+    "topcomonad": ("TopComonad", "k_top_component"),
     "comonads": ("SpComonad", "k_sp_component", "l3_complex"),
     "coalgebras": (
         "FinitePointedSet", "TruncatedCoalgebra", "truncate_coalgebra",
         "trivial_coalgebra", "validate_coalgebra"),
-    "cosimplicial": ("CosimplicialComplex",),
     "tower": ("cobar", "derived_hom", "fat_tot", "p_n", "tower_map"),
     "derivedhom": ("bk_e1",),
     "classify": (
         "classify_2exc_sp", "classify_2exc_top", "classify_3exc_sp",
         "mccarthy_square_check"),
     "laws": (
-        "KPrimeComonad", "bar_construction", "box_product",
+        "ChainHomotopy", "CosimplicialComplex", "KPrimeComonad", "Operad",
+        "RightModule", "bar_construction", "box_product",
         "commutative_operad", "counit_check", "divided_power_check",
-        "evaluation_pairing_check", "lemma_ij_check", "nu_component",
-        "plethysm", "representable_module", "spectral_lie", "splitting_check",
-        "validate_2exc_sp_to_top", "validate_2exc_top_to_top",
-        "validate_right_module"),
+        "evaluation_pairing_check", "k_top", "lemma_ij_check",
+        "nu_component", "plethysm", "representable_module", "spectral_lie",
+        "splitting_check", "tensor_power", "validate_2exc_sp_to_top",
+        "validate_2exc_top_to_top", "validate_right_module"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

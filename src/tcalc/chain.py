@@ -6,10 +6,11 @@ Conventions fixed once for the whole package:
 * tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy;
 * hom complex Hom(C, D)_n = prod_k Hom(C_k, D_{k+n}) with
   (df) = d_D f - (-1)^{|f|} f d_C.  Chain maps C -> D are its degree-0
-  cycles (`chain_map_space`), a homotopy from f to g is a degree-1 element
-  whose boundary is f - g (`homotopy_between`), and homotopy classes of maps
-  are its H_0 (`count_maps_mod_homotopy`);
-* dual(C)_k = Hom(C_{-k}, k) with (df)(x) = -(-1)^{|f|} f(dx);
+  cycles, a homotopy from f to g is a degree-1 element whose boundary is
+  f - g, and homotopy classes of maps are its H_0; no subcommand reads
+  them, so `laws` holds them (`chain_map_space`, `homotopy_between`,
+  `count_maps_mod_homotopy`), with `dual`,
+  dual(C)_k = Hom(C_{-k}, k) with (df)(x) = -(-1)^{|f|} f(dx);
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
 * shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
 * basis labels are unique within a complex, across all its degrees, and are
@@ -32,7 +33,8 @@ Conventions fixed once for the whole package:
 * constructors build, and `validate()` certifies.  A constructor rejects
   only cheap structural errors (a field mismatch, a wrong label count, a
   missing generator); `validate()` checks the identities (d o d = 0, chain
-  maps commute with d, the homotopy identity) and returns the object.
+  maps commute with d, and `laws.ChainHomotopy`'s homotopy identity) and
+  returns the object.
   Decoded input and maps assembled from raw matrices are validated where
   they are built, and a partial `transport`, which may drop entries,
   certifies what it builds.
@@ -195,13 +197,22 @@ class ChainComplex:
         return dim, reps
 
     def homology_dims(self, window: DegreeWindow | None = None):
+        """{k: dim H_k != 0} over the window's degrees (default: the
+        support), each differential eliminated at most once."""
         degs = window.degrees() if window else self.support()
+        ranks = {}
+
+        def rank(k):
+            if k not in ranks:
+                m = self.diff.get(k)
+                ranks[k] = 0 if m is None else Echelon(m).rank
+            return ranks[k]
         out = {}
         for k in degs:
             n = self.dim(k)
             if n == 0 and self.dim(k + 1) == 0:
                 continue
-            dim_h = (n - Echelon(self.d(k)).rank) - Echelon(self.d(k + 1)).rank
+            dim_h = n - rank(k) - rank(k + 1)
             if dim_h:
                 out[k] = dim_h
         return out
@@ -337,51 +348,6 @@ class ChainMap:
             raise ArithmeticError("image of cycle is not a cycle mod boundaries")
         return SparseMatrix.from_entries(td, sd, F, {
             ij: v for ij, v in x.items() if ij[0] < td})
-
-
-class ChainHomotopy:
-    """h with f - g = d h + h d (components h_k : C_k -> D_{k+1})."""
-
-    def __init__(self, f: ChainMap, g: ChainMap, components):
-        self.f = f
-        self.g = g
-        self.components = {k: m for k, m in components.items() if not m.is_zero()}
-
-    def component(self, k):
-        m = self.components.get(k)
-        if m is None:
-            return SparseMatrix(self.f.target.dim(k + 1), self.f.source.dim(k), self.f.field)
-        return m
-
-    def validate(self):
-        C, D = self.f.source, self.f.target
-        for k in set(C.dims) | {k - 1 for k in D.dims}:
-            if not vanishes([(1, self.f.component(k), None),
-                             (-1, self.g.component(k), None),
-                             (-1, D.d(k + 1), self.component(k)),
-                             (-1, self.component(k - 1), C.d(k))]):
-                raise ValueError("homotopy identity fails in degree %d" % k)
-        return self
-
-
-def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
-    """Solve f - g = d h + h d for h; None if no exact witness exists.
-
-    h is a degree-1 element of hom_complex(C, D) whose boundary is f - g:
-    in degree 1 that complex's d(h) = d_D h - (-1)^1 h d_C is d h + h d."""
-    C, D = f.source, f.target
-    h = hom_complex(C, D)
-    d1 = h.d(1)
-    x = solve_matrix(d1, SparseMatrix.from_columns(
-        [map_to_hom_element(h, f - g)], d1.rows, f.field))
-    if x is None:
-        return None
-    hmap = hom_element_to_map(h, C, D, x.by_column().get(0, {}), 1)
-    return ChainHomotopy(f, g, hmap.components).validate()
-
-
-def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
-    return homotopy_between(f, ChainMap.zero(f.source, f.target))
 
 
 # ---------------------------------------------------------------------------
@@ -777,25 +743,6 @@ def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
     return vec
 
 
-def dual(c: ChainComplex) -> ChainComplex:
-    """Spanier-Whitehead style dual: dual(C)_k = Hom(C_{-k}, field)."""
-    field = c.field
-    dims = {-k: n for k, n in c.dims.items()}
-    labels = {-k: tuple(("dual", lab) for lab in c.labels[k]) for k in c.dims}
-    diff = {}
-    one = field.one()
-    for k in c.support():
-        # d_dual : dual_{-k} -> dual_{-k-1} is induced by d : C_{k+1} -> C_k
-        dk1 = c.diff.get(k + 1)
-        if dk1 is None:
-            continue
-        n = -k
-        # (df)(x) = -(-1)^{|f|} f(dx), |f| = n
-        sgn = field.neg(one) if n % 2 == 0 else one
-        diff[n] = dk1.transpose().scale(sgn)
-    return ChainComplex(field, dims, diff, labels)
-
-
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_k = C_{k-1} (+) D_k, d(c,x) = (-dc, dx - f c)."""
     assert f.degree == 0
@@ -817,50 +764,3 @@ def cone(f: ChainMap) -> ChainComplex:
                  (1, 0): None if fm is None else -fm},
                 [c.dim(k - 2), d.dim(k - 1)], [c.dim(k - 1), d.dim(k)], field)
     return ChainComplex(field, dims, diff, labels)
-
-
-def is_quasi_iso(f: ChainMap, w: DegreeWindow) -> bool:
-    return cone(f).is_acyclic(w)
-
-
-# ---------------------------------------------------------------------------
-# Maps and homotopy classes read off the mapping complex
-# ---------------------------------------------------------------------------
-
-
-def chain_map_space(c: ChainComplex, d: ChainComplex):
-    """A basis of the chain maps c -> d: the degree-0 cycles of
-    hom_complex(c, d), as ChainMaps."""
-    h = hom_complex(c, d)
-    return [hom_element_to_map(h, c, d, z) for z in nullspace(h.d(0))]
-
-
-def count_maps_mod_homotopy(c: ChainComplex, d: ChainComplex) -> int:
-    """dim of (chain maps c -> d)/(nullhomotopic maps) = dim H_0 Hom(c, d)."""
-    return hom_complex(c, d).homology(0)[0]
-
-
-def homology_coordinates(c: ChainComplex, k):
-    """A matrix pi : c_k -> H_k with pi(boundary) = 0, pi(rep_i) = e_i,
-    pi(non-cycle complement) = 0.  Returns (pi, reps)."""
-    F = c.field
-    n = c.dim(k)
-    h, reps, bnd = c.homology_data(k)
-    if n == 0:
-        return SparseMatrix(h, 0, F), reps
-    # basis adapted to c_k: [reps | boundaries | complement]
-    chosen = reps + bnd.pivot_rows
-    span = bnd.span()
-    for v in reps:
-        span.add(v)
-    for j in range(n):
-        probe = {j: F.one()}
-        if span.add(probe):
-            chosen.append(probe)
-    P = SparseMatrix.from_columns(chosen, n, F)
-    Pinv = solve_matrix(P, SparseMatrix.identity(n, F))
-    if Pinv is None:
-        raise ArithmeticError("adapted basis not invertible")
-    pi = SparseMatrix.from_entries(h, n, F, {
-        ij: v for ij, v in Pinv.items() if ij[0] < h})
-    return pi, reps

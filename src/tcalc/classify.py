@@ -93,15 +93,13 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
 # ---------------------------------------------------------------------------
 
 
-def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
-                          corrupt=None):
+def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
     """Assert the stage-n square is a homotopy pullback: the iterated-cone
     total complex of [P_n -> (P_{n-1} (+) fixed corner) -> Tate corner] is
     acyclic on the certified window.
 
     P_n and P_{n-1} come from the tot route; the commuting homotopy is found
-    by exact linear solve (its absence is a hard failure).  `corrupt`
-    optionally post-composes a mutation on one structure map for testing."""
+    by exact linear solve (its absence is a hard failure)."""
     w = w or c.window
     tm = tower.tower_map(c, site, n, route="tot")
     pn, pn1 = tm["source"], tm["target"]
@@ -116,9 +114,6 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None,
     # corruptions cannot be silently repaired
     homotopy_part = _canonical_square_homotopy(
         builder, pn["complex"], corner_cx, n)
-    if corrupt is not None:
-        f_tower, top_map, bot_map, right_map = corrupt(
-            f_tower, top_map, bot_map, right_map)
     try:
         for f in (f_tower, top_map, bot_map, right_map):
             f.validate()

@@ -84,15 +84,18 @@ def _guard_dims(c):
                          (MAX_DIM_ENV, _max_dim()))
 
 
-def _windowed_dims(complex_, w):
-    return {str(k): complex_.homology(k)[0] for k in w.degrees()}
+def _dims(complex_, w=None):
+    """{str(k): dim H_k} over the window's degrees (default: the support),
+    zeros included."""
+    dims = complex_.homology_dims(w)
+    return {str(k): dims.get(k, 0)
+            for k in (w.degrees() if w else complex_.support())}
 
 
 def cmd_homology(args):
     c = _decode(serialize.chain_from_json, _load_doc(args.input))
     _guard_dims(c)
-    dims = {str(k): c.homology(k)[0] for k in c.support()}
-    _emit(args, {"command": "homology", "dims": dims,
+    _emit(args, {"command": "homology", "dims": _dims(c),
                  "window": "all supported degrees (finite complex)"})
     return 0
 
@@ -116,7 +119,7 @@ def cmd_tate(args):
     _guard_dims(e.complex)
     t = equivariant.tate(e, w)
     _emit(args, {"command": "tate", "group": list(e.group.blocks),
-                 "dims": _windowed_dims(t.complex, w),
+                 "dims": _dims(t.complex, w),
                  "window": serialize.window_to_json(w)})
     return 0
 
@@ -126,7 +129,7 @@ def cmd_bar_com(args):
     c = operads.bar_complex(field, args.n)
     _emit(args, {"command": "bar-com", "arity": args.n,
                  "normalized_dims": {str(k): c.dim(k) for k in c.support()},
-                 "homology": {str(k): c.homology(k)[0] for k in c.support()},
+                 "homology": _dims(c),
                  "window": "exact (finite complex)"})
     return 0
 
@@ -137,8 +140,7 @@ def cmd_partition_nerve(args):
     _emit(args, {"command": "partition-nerve", "n": args.n,
                  "nerve_dims": {str(k): nerve.complex.dim(k)
                                 for k in nerve.complex.support()},
-                 "comparison_homology": {str(k): comparison.homology(k)[0]
-                                         for k in comparison.support()},
+                 "comparison_homology": _dims(comparison),
                  "window": "exact (finite complex)"})
     return 0
 
@@ -149,7 +151,7 @@ def cmd_k_top(args):
     _guard_dims(e.complex)
     res = topcomonad.k_top_component(e, args.r, w)
     _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
-                 "dims": _windowed_dims(res.complex, w),
+                 "dims": _dims(res.complex, w),
                  "exact": res.exact,
                  "window": serialize.window_to_json(w)})
     return 0
@@ -161,7 +163,7 @@ def cmd_k_sp(args):
     _guard_dims(e.complex)
     res = comonads.k_sp_component(e, args.r, w)
     _emit(args, {"command": "k-sp", "r": args.r, "n": e.group.degree,
-                 "dims": _windowed_dims(res.complex, w),
+                 "dims": _dims(res.complex, w),
                  "window": serialize.window_to_json(w)})
     return 0
 
@@ -201,7 +203,7 @@ def cmd_pn(args):
         st = tower.p_n(c, site, args.n, route=route, builder=builder)
         builder = st["builder"]
         reports[route] = {
-            "dims": _windowed_dims(st["complex"], st["window"]),
+            "dims": _dims(st["complex"], st["window"]),
             "window": serialize.window_to_json(st["window"]),
         }
         # keep only the builder and the report: the next route does not need
@@ -220,7 +222,7 @@ def cmd_derived_hom(args):
     c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
     r = tower.derived_hom(c, c2)
     _emit(args, {"command": "derived-hom", "h0": r["h0"],
-                 "dims": _windowed_dims(r["complex"], r["window"]),
+                 "dims": _dims(r["complex"], r["window"]),
                  "window": serialize.window_to_json(r["window"])})
     return 0
 

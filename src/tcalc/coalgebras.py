@@ -4,14 +4,13 @@ the sites of a Top tower.
 A truncated coalgebra stores structure maps theta_{r,n} : A_r -> K_r A_n for
 r < n, each targeting the stored comonad component model; theta_{r,r} is
 always the canonical section of the counit and is not user data.  Coherence
-squares are validated at homology level by default, or exactly against
-stored chain-homotopy witnesses.
+squares are validated at homology level.
 """
 
 from __future__ import annotations
 
 from . import comonads, topcomonad
-from .chain import ChainHomotopy, ChainMap, DegreeWindow, transport
+from .chain import ChainMap, DegreeWindow, transport
 from .perms import YoungGroup
 from .sequences import SymmetricSequence
 
@@ -64,8 +63,7 @@ class TruncatedCoalgebra:
     """A symmetric sequence with theta maps over a comonad value."""
 
     def __init__(self, source: str, sequence: SymmetricSequence,
-                 window: DegreeWindow, theta=None, witnesses=None,
-                 komonad=None, coop=None):
+                 window: DegreeWindow, theta=None, komonad=None, coop=None):
         if source not in ("top", "sp"):
             raise ValueError("source must be 'top' or 'sp'")
         self.source = source
@@ -84,7 +82,6 @@ class TruncatedCoalgebra:
                 if not (1 <= r < n <= sequence.truncation):
                     raise ValueError("theta index (%d, %d) out of range" % (r, n))
                 self.theta[(r, n)] = f
-        self.witnesses = dict(witnesses) if witnesses else {}
 
     @property
     def truncation(self):
@@ -112,8 +109,7 @@ def truncate_coalgebra(c: TruncatedCoalgebra, n: int) -> TruncatedCoalgebra:
         raise ValueError("cannot truncate upwards")
     seq = c.sequence.truncate(n)
     theta = {(r, m): f for (r, m), f in c.theta.items() if m <= n}
-    wit = {(r, s, m): h for (r, s, m), h in c.witnesses.items() if m <= n}
-    return TruncatedCoalgebra(c.source, seq, c.window, theta, wit)
+    return TruncatedCoalgebra(c.source, seq, c.window, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def _equivariance_failures(c: TruncatedCoalgebra, r, n) -> list:
 
 def validate_coalgebra(c: TruncatedCoalgebra, w: DegreeWindow | None = None):
     """Equivariance and counit exactly; coherence squares up to homology on
-    w (or exactly against stored witnesses).  Returns a report dict."""
+    w.  Returns a report dict."""
     w = w or c.window
     report = {"valid": True, "failures": [], "squares": {}}
     N = c.truncation
@@ -208,15 +204,8 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
         kf = K.kq_theta(theta_sn, r, s, n)
         route2 = kf.compose(transport(theta_rs, target=kf.source))
     # compare on homology, route2 read on route1's complexes (its own are
-    # label-equal models); exact witness check when provided
+    # label-equal models)
     route2 = ChainMap(route1.source, route1.target, route2.components)
-    wit = c.witnesses.get((r, s, n))
-    if wit is not None:
-        try:
-            ChainHomotopy(route1, route2, wit).validate()
-            return "ok"
-        except ValueError:
-            return "witness fails"
     diffm = route1 - route2
     win = DegreeWindow(w.lo, w.hi - 1) if w.hi > w.lo else w
     for k in win.degrees():

@@ -157,12 +157,6 @@ class SpComponentModel:
             action[gi] = sp_sigma_r_generator(model, n, r, gi, F)
         self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
-    def fixed_part_inclusion(self, fixed_model: ChainComplex) -> ChainMap:
-        """Canonical map (homotopy fixed points of the carrier) -> Tate model
-        (= cone of the norm): include as the cone-target part."""
-        return label_map(fixed_model, self.value.complex,
-                         key=lambda lab: ("cone-tgt", lab), partial=True)
-
     def apply(self, f: ChainMap, tgt: "SpComponentModel") -> ChainMap:
         """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
         of any degree, this model being K_r B and tgt K_r B': slotwise on
@@ -219,14 +213,6 @@ class SpComonad:
 
     def component(self, r, n) -> SpComponentModel | None:
         return self.components.get((r, n))
-
-    def epsilon(self, r) -> ChainMap | None:
-        """The counit K_r A_r -> A_r: the identity of the collapsed
-        diagonal."""
-        comp = self.components.get((r, r))
-        if comp is None:
-            return None
-        return ChainMap.identity(comp.value.complex)
 
 
 def k_sp_component(a_n: EquivariantComplex, r: int, w: DegreeWindow) -> WindowedResult:

@@ -1,92 +1,30 @@
-"""Operads, cooperads and right modules on truncated symmetric sequences,
-and the tree cooperad T_* that the Top comonad decorates with.
+"""Cooperads on truncated symmetric sequences, and the tree cooperad T_*
+that the Top comonad decorates with.
 
 ``tree_cooperad`` builds T_* on the rooted-tree basis (`trees`), where the
 ungrafting decomposition maps are exactly coassociative and counital.  Its
 arity-wise dual, the derivatives-of-the-identity operad, is
-``laws.spectral_lie``.
+``laws.spectral_lie``; operads and right modules over them are in `laws`.
 """
 
 from __future__ import annotations
 
 from . import trees
-from .chain import ChainComplex, ChainMap, linear_map, tensor_many
+from .chain import ChainComplex, linear_map, tensor_many
 from .equivariant import EquivariantComplex
 from .perms import YoungGroup, set_partitions
 from .sequences import SymmetricSequence
 
 
-
-class Operad:
-    """An operad on an N-truncated symmetric sequence.
-
-    gamma[(r, comp)] for a composition comp = (n_1, ..., n_r) is a chain map
-    P_r (x) P_{n_1} (x) ... (x) P_{n_r} -> P_n along consecutive blocks."""
-
-    def __init__(self, sequence: SymmetricSequence, gamma, name="operad"):
-        self.sequence = sequence
-        self.gamma = gamma
-        self.name = name
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
-    def term(self, n):
-        return self.sequence.term(n)
-
-    def term_complex(self, n):
-        return self.sequence.term_complex(n)
-
-    def composition(self, r, comp) -> ChainMap | None:
-        return self.gamma.get((r, tuple(comp)))
-
-
 class Cooperad:
     """A cooperad; delta[(n, blocks)] : T_n -> T_r (x) T_{|b_1|} (x) ... ."""
 
-    def __init__(self, sequence: SymmetricSequence, delta, name="cooperad"):
+    def __init__(self, sequence: SymmetricSequence, delta):
         self.sequence = sequence
         self.delta = delta
-        self.name = name
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    def term(self, n):
-        return self.sequence.term(n)
 
     def term_complex(self, n):
         return self.sequence.term_complex(n)
-
-    def decomposition(self, n, blocks) -> ChainMap | None:
-        return self.delta.get((n, tuple(blocks)))
-
-
-class RightModule:
-    """Right module over an operad: action[(r, comp)] :
-    M_r (x) P_{n_1} (x) ... (x) P_{n_r} -> M_n."""
-
-    def __init__(self, operad: Operad, sequence: SymmetricSequence, action):
-        self.operad = operad
-        self.sequence = sequence
-        self.action = action
-
-    @property
-    def field(self):
-        return self.sequence.field
-
-    @property
-    def truncation(self):
-        return self.sequence.truncation
-
-    def action_map(self, r, comp) -> ChainMap | None:
-        return self.action.get((r, tuple(comp)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,4 +89,4 @@ def tree_cooperad(field, N) -> Cooperad:
                     lowered.append(("tree", lt2))
                 return (((("tree", upper),) + tuple(lowered), sgn),)
             delta[(n, tuple(blocks))] = linear_map(src, tgt, image).validate()
-    return Cooperad(seq, delta, name="T")
+    return Cooperad(seq, delta)

@@ -1,25 +1,21 @@
-"""Cosimplicial chain complexes: levels 0..M with cofaces and
-codegeneracies, the one check of the cosimplicial identities
-(`check_identities`, on levels that are sums of keyed pieces, a bare
-`CosimplicialComplex` its one-key case), the codegeneracy kernels
-(conormalization) and the normal form `tower.fat_tot` reads.
+"""The cobar's certificate: the one check of the cosimplicial identities
+(`check_identities`), on levels that are sums of keyed pieces, and the
+keyed structure maps of a level builder (`tower._Levels`) it reads.
 
-The `cobar` subcommand certifies a level builder (`tower._Levels`) on its
-keyed blocks and builds no level (`certify`); only the tests and `laws`
-assemble the whole object (`assemble`) or build their own.  No other job
-runs this module.
+The `cobar` subcommand certifies a level builder on its keyed blocks and
+builds no level (`certify`); no other job runs this module.  The whole
+cosimplicial object (`laws.CosimplicialComplex`, a bare one the one-key
+case of `check_identities`), its conormalization and `laws.assemble`,
+which builds it from a level builder, are in `laws`.
 
-Conventions: a cosimplicial complex stores chain-complex levels 0..M with
-cofaces delta^i (0 <= i <= m+1) raising the level and codegeneracies sigma^j
+Conventions: a cosimplicial object has levels 0..M with cofaces delta^i
+(0 <= i <= m+1) raising the level and codegeneracies sigma^j
 (0 <= j <= m-1) lowering it.
 """
 
 from __future__ import annotations
 
-from .chain import (
-    ChainComplex, ChainMap, block_map, direct_sum, factor_through, subcomplex,
-)
-from .sparse import SparseMatrix, nullspace, vanishes
+from .sparse import SparseMatrix, vanishes
 
 
 def _agree(pieces, f, g, h=None, e=None) -> bool:
@@ -93,113 +89,6 @@ def check_identities(pieces, cofaces, codegens):
                         (m, i, j))
 
 
-class CosimplicialComplex:
-    """Levels 0..M of chain complexes with cofaces and codegeneracies."""
-
-    def __init__(self, levels, cofaces, codegens, degenerate_above=None):
-        self.levels = list(levels)
-        self.cofaces = dict(cofaces)
-        self.codegens = dict(codegens)
-        self.M = len(self.levels) - 1
-        self.degenerate_above = degenerate_above \
-            if degenerate_above is not None else self.M
-        if not 0 <= self.degenerate_above <= self.M:
-            raise ValueError("degeneracy bound %r outside the levels 0..%d" %
-                             (self.degenerate_above, self.M))
-
-    @property
-    def field(self):
-        return self.levels[0].field
-
-    def coface(self, m, i) -> ChainMap:
-        f = self.cofaces.get((m, i))
-        if f is None:
-            raise KeyError("missing coface (%d, %d)" % (m, i))
-        return f
-
-    def codegen(self, m, j) -> ChainMap:
-        f = self.codegens.get((m, j))
-        if f is None:
-            raise KeyError("missing codegeneracy (%d, %d)" % (m, j))
-        return f
-
-    def validate(self):
-        """Check every present structure map and all cosimplicial identities
-        among present maps: the one-key case of `check_identities`."""
-        for m in range(self.M):
-            for i in range(m + 2):
-                self.coface(m, i).validate()
-        for f in self.codegens.values():
-            f.validate()
-        check_identities([{None: lv} for lv in self.levels], *(
-            {key: {(None, None): f} for key, f in maps.items()}
-            for maps in (self.cofaces, self.codegens)))
-        return self
-
-    def verify_degeneracy(self) -> bool:
-        """Levels above the bound carry no conormalized content: the joint
-        kernel of the codegeneracies vanishes."""
-        for m in range(self.degenerate_above + 1, self.M + 1):
-            for k in self.levels[m].dims:
-                stacked = SparseMatrix.vstack(
-                    [self.codegen(m, j).component(k) for j in range(m)])
-                if nullspace(stacked):
-                    return False
-        return True
-
-    def normalized(self):
-        """The normal form `fat_tot` reads: at each level m up to the
-        degeneracy bound the one piece (None, N^m), N^m the joint kernel of
-        the codegeneracies (`conormalized_level`), and the alternating coface
-        sum N^m -> N^{m+1} as the block {(m, None, None): (0, map)}.  Levels
-        above the bound are verified to conormalize to zero."""
-        if not self.verify_degeneracy():
-            raise ValueError("degeneracy verification failed above level %d"
-                             % self.degenerate_above)
-        F = self.field
-        normed = [conormalized_level(self, m)
-                  for m in range(self.degenerate_above + 1)]
-        cofaces = {}
-        for m, (sub, inc) in enumerate(normed[:-1]):
-            # the coface sum o incl, solved back into the next basis
-            comps = {}
-            for j in sub.dims:
-                big = SparseMatrix(self.levels[m + 1].dim(j), sub.dim(j), F)
-                sgn = F.one()
-                for i in range(m + 2):
-                    cf = self.coface(m, i).component(j)
-                    big = big + (cf * inc.component(j)).scale(sgn)
-                    sgn = F.neg(sgn)
-                comps[j] = big
-            cofaces[(m, None, None)] = (0, factor_through(
-                ChainMap(sub, self.levels[m + 1], comps), normed[m + 1][1]))
-        return [[(None, sub)] for sub, _ in normed], cofaces
-
-
-def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
-    ident = ChainMap.identity(c)
-    return CosimplicialComplex(
-        [c] * (levels + 1),
-        {(m, i): ident for m in range(levels) for i in range(m + 2)},
-        {(m, j): ident for m in range(1, levels + 1) for j in range(m)},
-        degenerate_above=0).validate()
-
-
-def conormalized_level(x: CosimplicialComplex, m):
-    """(subcomplex N^m = joint kernel of the codegeneracies, inclusion).
-    chain.subcomplex eliminates the stacked codegeneracies once per degree
-    and reads the differential of N^m off the free coordinates of its
-    kernel basis, certifying it (ArithmeticError if a codegeneracy is not a
-    chain map)."""
-    lv = x.levels[m]
-    sigmas = [x.codegens[(m, j)] for j in range(m) if (m, j) in x.codegens]
-    if not sigmas:
-        return lv, ChainMap.identity(lv)
-    return subcomplex(lv, {k: [f.component(k) for f in sigmas]
-                           for k in lv.support()},
-                      lambda k, i: ("norm", m, k, i))
-
-
 def keyed_maps(b):
     """(cofaces, codegens) of a level builder as `check_identities` reads
     them, without zero blocks: each coface's blocks into strict and
@@ -220,23 +109,3 @@ def certify(b):
     """The level builder b, certified on its keyed blocks."""
     check_identities(b.summands, *keyed_maps(b))
     return b
-
-
-def assemble(b) -> CosimplicialComplex:
-    """The whole cosimplicial object of a level builder, certified on its
-    keyed blocks: each level the direct sum of its pieces, each structure
-    map the block map of its blocks."""
-    cofaces, codegens = keyed_maps(b)
-    check_identities(b.summands, cofaces, codegens)
-    parts = [list(b.summands[m].values()) for m in range(len(b.summands))]
-    levels = [direct_sum(p) if p else ChainComplex(b.field, {}) for p in parts]
-    pos = [{key: n for n, key in enumerate(b.summands[m])}
-           for m in range(len(parts))]
-
-    def block(src, tgt, blocks):
-        return block_map(levels[src], levels[tgt], parts[src], parts[tgt], {
-            (pos[src][sk], pos[tgt][tk]): f for (sk, tk), f in blocks.items()})
-    return CosimplicialComplex(
-        levels, {(m, i): block(m, m + 1, f) for (m, i), f in cofaces.items()},
-        {(m, j): block(m, m - 1, f) for (m, j), f in codegens.items()},
-        degenerate_above=len(levels) - 1)

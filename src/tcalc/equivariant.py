@@ -13,8 +13,8 @@ Sigma_4 stay desk-scale.  The hand-coded periodic resolutions for Sigma_2
 from __future__ import annotations
 
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    linear_map, quotient, subcomplex, tensor, tensor_many, tensor_map,
+    ChainComplex, ChainMap, DegreeWindow, cone, linear_map, quotient,
+    subcomplex, tensor, tensor_map,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
@@ -113,20 +113,11 @@ def zero_module(field, r) -> EquivariantComplex:
                                          for gi in group.generator_positions()})
 
 
-def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
-    F = complex.field
-    neg = F.neg(F.one())
-    act = {i: ChainMap.identity(complex).scale(neg)
-           for i in group.generator_positions()}
-    return EquivariantComplex(complex, group, act)
-
-
 def permutation_module(field, group: YoungGroup, labels, action_table,
-                       degree=0, signs=None) -> EquivariantComplex:
-    """Chain complex concentrated in one degree with a (signed) G-set action.
+                       degree=0) -> EquivariantComplex:
+    """Chain complex concentrated in one degree with a G-set action.
 
-    action_table: {generator position: [image index per basis element]};
-    signs (optional): {generator position: [sign per basis element]}.
+    action_table: {generator position: [image index per basis element]}.
     """
     n = len(labels)
     c = ChainComplex(field, {degree: n}, labels={degree: tuple(labels)})
@@ -137,10 +128,8 @@ def permutation_module(field, group: YoungGroup, labels, action_table,
         images = action_table[i]
         if sorted(images) != list(range(n)):
             raise ValueError("invalid action table for generator %d" % i)
-        s = signs.get(i) if signs else None
         m = SparseMatrix.from_entries(n, n, field, {
-            (img, j): 1 if s is None else field.coerce(s[j])
-            for j, img in enumerate(images)})
+            (img, j): 1 for j, img in enumerate(images)})
         act[i] = ChainMap(c, c, {degree: m})
     return EquivariantComplex(c, group, act).validate()
 
@@ -156,23 +145,6 @@ def regular_module(field, group: YoungGroup, degree=0) -> EquivariantComplex:
         table[i] = [pos[compose(s, g)] for g in elements]
     return permutation_module(field, group, [("g",) + g for g in elements],
                               table, degree)
-
-
-def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
-    """X^{(x) n} with Sigma_n permuting the factors with Koszul signs."""
-    if n < 1:
-        raise ValueError("tensor power needs n >= 1")
-    group = YoungGroup.full(n)
-    t = tensor_many([x] * n)
-
-    def swap(gi):
-        def image(k, lab):
-            d1, d2 = x.locate(lab[gi])[0], x.locate(lab[gi + 1])[0]
-            return (((lab[:gi] + (lab[gi + 1], lab[gi]) + lab[gi + 2:]),
-                     -1 if d1 * d2 % 2 else 1),)
-        return linear_map(t, t, image)
-    action = {gi: swap(gi) for gi in group.generator_positions()}
-    return EquivariantComplex(t, group, action).validate()
 
 
 def equivariant_tensor(a: EquivariantComplex,
@@ -530,25 +502,5 @@ def tate(a: EquivariantComplex, w: DegreeWindow, extra_stages: int = 0,
     fixed = homotopy_fixed(a, wide, extra_stages, stages=fixed_stages)
     nm = norm_map(a, wide, orbits, fixed)
     out = WindowedResult(cone(nm), w, "tate")
-    out.orbits = orbits
     out.fixed = fixed
     return out
-
-
-def induced_from_trivial_subgroup(pieces, group: YoungGroup) -> EquivariantComplex:
-    """k[G] (x) V presented as a direct sum of |G| copies of V permuted by G.
-
-    `pieces` is a single ChainComplex V; the result is free, used for tests.
-    """
-    elements = group.elements()
-    parts = [pieces] * len(elements)
-    total = direct_sum(parts)
-    pos = {g: i for i, g in enumerate(elements)}
-    ident = ChainMap.identity(pieces)
-    action = {}
-    for gi in group.generator_positions():
-        s = transposition(group.degree, gi)
-        action[gi] = block_map(total, total, parts, parts,
-                               {(t, pos[compose(s, g)]): ident
-                                for t, g in enumerate(elements)})
-    return EquivariantComplex(total, group, action)

@@ -147,9 +147,6 @@ class FieldSpec:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_one(self, a) -> bool:
-        return a == 1
-
     # -- names -------------------------------------------------------------
 
     def name(self) -> str:

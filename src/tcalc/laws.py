@@ -1,19 +1,23 @@
 """Mathematics no subcommand runs, loaded only by the test suite: its
 oracles and certificates of the structures the other modules build.
 
-The commutative operad, plethysm and the dual tree operad (the
-derivatives of the identity); the leveled bar construction B(1, Com, 1),
-whose normalized complexes are `operads.bar_complex`; cooperad
-coassociativity and the right-module laws over an operad; the strict
-right-module comonad K' and the norm comparison nu from the Top comonad;
-the coassociativity of the Top comonad (on homology) and of K' (exactly),
-and the counit; the box product of cosimplicial complexes with the
-collapse lemma; the representable modules over finite pointed sets and the
-divided-power factorization psi = nu o theta of a Top coalgebra; the
-splitting criterion, which compares p_n of free coefficients with the sum
-of its layers and, on Top sources, with the strict module derived hom
-through K'; and the paragraph-7 validators of space-valued 2-excisive data
-with explicit witnesses.
+Chain homotopies, duals and the maps and homotopy classes read off the
+mapping complex; operads and right modules over them; the whole
+cosimplicial object (`CosimplicialComplex`), its conormalization and
+`assemble`, which builds it from a level builder; the commutative operad,
+plethysm and the dual tree operad (the derivatives of the identity); the
+leveled bar construction B(1, Com, 1), whose normalized complexes are
+`operads.bar_complex`; cooperad coassociativity and the right-module laws
+over an operad; the strict right-module comonad K' and the norm comparison
+nu from the Top comonad; the coassociativity of the Top comonad (on
+homology) and of K' (exactly), and the counit; the box product of
+cosimplicial complexes with the collapse lemma; the representable modules
+over finite pointed sets and the divided-power factorization
+psi = nu o theta of a Top coalgebra; the splitting criterion, which
+compares p_n of free coefficients with the sum of its layers and, on Top
+sources, with the strict module derived hom through K'; and the
+paragraph-7 validators of space-valued 2-excisive data with explicit
+witnesses.
 """
 
 from __future__ import annotations
@@ -21,11 +25,12 @@ from __future__ import annotations
 from itertools import combinations
 from itertools import product as _iterprod
 
+from . import trees
 from .chain import (
-    ChainComplex, ChainHomotopy, ChainMap, DegreeWindow, block_map, cone,
-    direct_sum, dual, factor_through, homology_coordinates, homotopy_between,
-    is_quasi_iso, label_map, linear_map, nullhomotopy, quotient, shift,
-    sphere, tensor, tensor_many, tensor_map, transport,
+    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
+    factor_through, hom_complex, hom_element_to_map, label_map, linear_map,
+    map_to_hom_element, quotient, shift, sphere, subcomplex, tensor,
+    tensor_many, tensor_map, transport,
 )
 from .classify import shift_action
 from .coalgebras import (
@@ -33,25 +38,142 @@ from .coalgebras import (
     truncate_coalgebra,
 )
 from .comonads import SpComponentModel
-from .cooperad import Cooperad, Operad, RightModule, tree_cooperad
-from .cosimplicial import CosimplicialComplex, check_identities
+from .cooperad import Cooperad, tree_cooperad
+from .cosimplicial import check_identities, keyed_maps
 from .derivedhom import _HomLevels
 from .equivariant import (
     EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
-    permutation_module, strict_fixed, strict_orbits, tensor_power,
-    trivial_action, zero_module,
+    permutation_module, strict_fixed, strict_orbits, trivial_action,
+    zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
 from .perms import (
-    YoungGroup, apply_perm_to_partition, koszul_sign, quotient_partition,
-    refines, restrict_partition, set_partitions, transposition,
+    YoungGroup, apply_perm_to_partition, koszul_sign, normalize_partition,
+    refines, set_partitions, transposition,
 )
 from .sequences import SymmetricSequence
-from .sparse import SparseMatrix, rank, solve_matrix
-from .topcomonad import SurjectionSum, TopComponentModel, unit_section
+from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix, vanishes
+from .topcomonad import (
+    SurjectionSum, TopComonad, TopComponentModel, unit_section,
+)
 from .topdelta import build_top_delta, top_delta_on_sums
 from .tower import _RawPiece, fat_tot, p_n
+
+
+# ---------------------------------------------------------------------------
+# Homotopies, duals and the mapping complex (the conventions of `chain`)
+# ---------------------------------------------------------------------------
+
+
+class ChainHomotopy:
+    """h with f - g = d h + h d (components h_k : C_k -> D_{k+1})."""
+
+    def __init__(self, f: ChainMap, g: ChainMap, components):
+        self.f = f
+        self.g = g
+        self.components = {k: m for k, m in components.items() if not m.is_zero()}
+
+    def component(self, k):
+        m = self.components.get(k)
+        if m is None:
+            return SparseMatrix(self.f.target.dim(k + 1), self.f.source.dim(k), self.f.field)
+        return m
+
+    def validate(self):
+        C, D = self.f.source, self.f.target
+        for k in set(C.dims) | {k - 1 for k in D.dims}:
+            if not vanishes([(1, self.f.component(k), None),
+                             (-1, self.g.component(k), None),
+                             (-1, D.d(k + 1), self.component(k)),
+                             (-1, self.component(k - 1), C.d(k))]):
+                raise ValueError("homotopy identity fails in degree %d" % k)
+        return self
+
+
+def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
+    """Solve f - g = d h + h d for h; None if no exact witness exists.
+
+    h is a degree-1 element of hom_complex(C, D) whose boundary is f - g:
+    in degree 1 that complex's d(h) = d_D h - (-1)^1 h d_C is d h + h d."""
+    C, D = f.source, f.target
+    h = hom_complex(C, D)
+    d1 = h.d(1)
+    x = solve_matrix(d1, SparseMatrix.from_columns(
+        [map_to_hom_element(h, f - g)], d1.rows, f.field))
+    if x is None:
+        return None
+    hmap = hom_element_to_map(h, C, D, x.by_column().get(0, {}), 1)
+    return ChainHomotopy(f, g, hmap.components).validate()
+
+
+def nullhomotopy(f: ChainMap) -> ChainHomotopy | None:
+    return homotopy_between(f, ChainMap.zero(f.source, f.target))
+
+
+def dual(c: ChainComplex) -> ChainComplex:
+    """Spanier-Whitehead style dual: dual(C)_k = Hom(C_{-k}, field)."""
+    field = c.field
+    dims = {-k: n for k, n in c.dims.items()}
+    labels = {-k: tuple(("dual", lab) for lab in c.labels[k]) for k in c.dims}
+    diff = {}
+    one = field.one()
+    for k in c.support():
+        # d_dual : dual_{-k} -> dual_{-k-1} is induced by d : C_{k+1} -> C_k
+        dk1 = c.diff.get(k + 1)
+        if dk1 is None:
+            continue
+        n = -k
+        # (df)(x) = -(-1)^{|f|} f(dx), |f| = n
+        sgn = field.neg(one) if n % 2 == 0 else one
+        diff[n] = dk1.transpose().scale(sgn)
+    return ChainComplex(field, dims, diff, labels)
+
+
+def is_quasi_iso(f: ChainMap, w: DegreeWindow) -> bool:
+    return cone(f).is_acyclic(w)
+
+
+def chain_map_space(c: ChainComplex, d: ChainComplex):
+    """A basis of the chain maps c -> d: the degree-0 cycles of
+    hom_complex(c, d), as ChainMaps."""
+    h = hom_complex(c, d)
+    return [hom_element_to_map(h, c, d, z) for z in nullspace(h.d(0))]
+
+
+def count_maps_mod_homotopy(c: ChainComplex, d: ChainComplex) -> int:
+    """dim of (chain maps c -> d)/(nullhomotopic maps) = dim H_0 Hom(c, d)."""
+    return hom_complex(c, d).homology(0)[0]
+
+
+def homology_coordinates(c: ChainComplex, k):
+    """A matrix pi : c_k -> H_k with pi(boundary) = 0, pi(rep_i) = e_i,
+    pi(non-cycle complement) = 0.  Returns (pi, reps)."""
+    F = c.field
+    n = c.dim(k)
+    h, reps, bnd = c.homology_data(k)
+    if n == 0:
+        return SparseMatrix(h, 0, F), reps
+    # basis adapted to c_k: [reps | boundaries | complement]
+    chosen = reps + bnd.pivot_rows
+    span = bnd.span()
+    for v in reps:
+        span.add(v)
+    for j in range(n):
+        probe = {j: F.one()}
+        if span.add(probe):
+            chosen.append(probe)
+    P = SparseMatrix.from_columns(chosen, n, F)
+    Pinv = solve_matrix(P, SparseMatrix.identity(n, F))
+    if Pinv is None:
+        raise ArithmeticError("adapted basis not invertible")
+    pi = SparseMatrix.from_entries(h, n, F, {
+        ij: v for ij, v in Pinv.items() if ij[0] < h})
+    return pi, reps
+
+
+def rank(m: SparseMatrix) -> int:
+    return Echelon(m).rank
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +298,66 @@ def _plethysm_image(F, lab, factors, a_map, b_maps, tau):
 
 
 # ---------------------------------------------------------------------------
+# Operads and right modules
+# ---------------------------------------------------------------------------
+
+
+class Operad:
+    """An operad on an N-truncated symmetric sequence.
+
+    gamma[(r, comp)] for a composition comp = (n_1, ..., n_r) is a chain map
+    P_r (x) P_{n_1} (x) ... (x) P_{n_r} -> P_n along consecutive blocks."""
+
+    def __init__(self, sequence: SymmetricSequence, gamma):
+        self.sequence = sequence
+        self.gamma = gamma
+
+    @property
+    def field(self):
+        return self.sequence.field
+
+    @property
+    def truncation(self):
+        return self.sequence.truncation
+
+    def term(self, n):
+        return self.sequence.term(n)
+
+    def term_complex(self, n):
+        return self.sequence.term_complex(n)
+
+    def composition(self, r, comp) -> ChainMap | None:
+        return self.gamma.get((r, tuple(comp)))
+
+
+class RightModule:
+    """Right module over an operad: action[(r, comp)] :
+    M_r (x) P_{n_1} (x) ... (x) P_{n_r} -> M_n."""
+
+    def __init__(self, operad: Operad, sequence: SymmetricSequence, action):
+        self.operad = operad
+        self.sequence = sequence
+        self.action = action
+
+    @property
+    def field(self):
+        return self.sequence.field
+
+    @property
+    def truncation(self):
+        return self.sequence.truncation
+
+    def action_map(self, r, comp) -> ChainMap | None:
+        return self.action.get((r, tuple(comp)))
+
+
+def decomposition(coop: Cooperad, n, blocks) -> ChainMap | None:
+    """The cooperad's decomposition T_n -> T_r (x) T_{|b_1|} (x) ... along
+    the partition blocks of {0..n-1}."""
+    return coop.delta.get((n, tuple(blocks)))
+
+
+# ---------------------------------------------------------------------------
 # The commutative operad
 # ---------------------------------------------------------------------------
 
@@ -197,7 +379,7 @@ def commutative_operad(field, N) -> Operad:
             tgt = seq.term_complex(n)
             gamma[(r, comp)] = ChainMap(
                 src, tgt, {0: SparseMatrix.identity(1, field)})
-    return Operad(seq, gamma, name="Com")
+    return Operad(seq, gamma)
 
 
 def compositions_of_bounded(r, N):
@@ -368,7 +550,7 @@ def spectral_lie(field, N) -> Operad:
         action = {}
         for gi in group.generator_positions():
             # dual of an involution's action, transposed degreewise
-            f = coop.term(n).action[gi]
+            f = coop.sequence.term(n).action[gi]
             comps = {}
             for k, m in f.components.items():
                 comps[-k] = m.transpose()
@@ -382,12 +564,12 @@ def spectral_lie(field, N) -> Operad:
                 if sum(comp) != n:
                     continue
                 blocks = _consecutive_blocks(comp)
-                dmap = coop.decomposition(n, blocks)
+                dmap = decomposition(coop, n, blocks)
                 gamma[(r, comp)] = _dualize_decomposition(
                     dmap, [seq.term_complex(r)] +
                     [seq.term_complex(m) for m in comp],
                     dual_complexes[n])
-    op = Operad(seq, gamma, name="spectral-lie")
+    op = Operad(seq, gamma)
     _validate_operad_units(op)
     return op
 
@@ -473,7 +655,7 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
         if len(rows) != target.dim(k) or len(cols) != target.dim(k):
             return False
         for v in ent.values():
-            if not (F.is_one(v) or F.is_one(F.neg(v))):
+            if v != 1 and F.neg(v) != 1:
                 return False
     return True
 
@@ -501,6 +683,28 @@ def tensor_reorder_map(factors, perm) -> ChainMap:
     return linear_map(src, tgt, image)
 
 
+def quotient_partition(coarse, fine):
+    """Blocks of `coarse` as a partition of the blocks of `fine` (by index)."""
+    lookup = {}
+    for bi, block in enumerate(fine):
+        for x in block:
+            lookup[x] = bi
+    return normalize_partition(
+        [sorted({lookup[x] for x in block}) for block in coarse])
+
+
+def restrict_partition(part, block):
+    """Restriction of a partition to a subset, relabeled along sorted(block)."""
+    pos = {x: i for i, x in enumerate(sorted(block))}
+    bs = []
+    sblock = set(block)
+    for b in part:
+        inter = [pos[x] for x in b if x in sblock]
+        if inter:
+            bs.append(inter)
+    return normalize_partition(bs)
+
+
 def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
     """Exact coassociativity for a refinement `fine` <= `coarse` of {0..n-1}.
 
@@ -508,15 +712,15 @@ def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
     induced partition of fine's blocks.  Route B: split along `coarse`, then
     split each lower factor along the restriction of `fine`; then reorder so
     both land in T(upper') (x) (x)_j T(mid_j) (x) (x)_c T(c)."""
-    F = coop.field
+    F = coop.sequence.field
     if not refines(fine, coarse):
         raise ValueError("fine must refine coarse")
     rf, rc = len(fine), len(coarse)
-    d_fine = coop.decomposition(n, fine)
-    d_coarse = coop.decomposition(n, coarse)
+    d_fine = decomposition(coop, n, fine)
+    d_coarse = decomposition(coop, n, coarse)
     qpart = quotient_partition(coarse, fine)  # partition of {0..rf-1}
     # Route A: delta_fine then delta_{qpart} on the first factor
-    d_q = coop.decomposition(rf, qpart)
+    d_q = decomposition(coop, rf, qpart)
     fine_factors = [coop.term_complex(rf)] + \
         [coop.term_complex(len(b)) for b in fine]
     routeA = _apply_to_factor(d_fine, d_q, 0, fine_factors, F)
@@ -528,7 +732,7 @@ def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
     rests = [restrict_partition(fine, b) for b in coarse]
     for j in range(rc - 1, -1, -1):
         b = coarse[j]
-        d_rest = coop.decomposition(len(b), rests[j])
+        d_rest = decomposition(coop, len(b), rests[j])
         cur = _apply_to_factor(cur, d_rest, 1 + j, cur_factors, F)
         rest_factors = [coop.term_complex(len(rests[j]))] + \
             [coop.term_complex(len(c)) for c in rests[j]]
@@ -862,7 +1066,7 @@ class KPrimeComonad:
         # the identity-bijection summand, then sum over the group to land in
         # the invariants
         return factor_through(comp.sursum.sigma_n_action().norm().compose(
-            comp.sursum.unit_inclusion()), comp.inclusion)
+            unit_inclusion(comp.sursum)), comp.inclusion)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))
@@ -916,6 +1120,37 @@ def _pre_to_outer_invariants(pre: SurjectionSum,
     return pre.apply(ChainMap(pre.a.complex, inv, left), outer.sursum)
 
 
+def k_top(a: SymmetricSequence, w: DegreeWindow, coop=None) -> TopComonad:
+    """The comonad value K(A) for the based-spaces source, truncation <= 4."""
+    return TopComonad(a, w, coop=coop)
+
+
+def unit_inclusion(sursum: SurjectionSum) -> ChainMap:
+    """A -> W: a |-> (id, units, a), the copy of a in the identity-bijection
+    summand of the surjection sum W with a unit tree in every factor."""
+    idb = tuple(range(sursum.r))
+    units = tuple(("tree", trees.leaf(0)) for _ in range(sursum.r))
+    return label_map(sursum.a.complex, sursum.total, partial=True,
+                     key=lambda lab: ("surj", idb, units + (lab,)))
+
+
+def to_strict_orbits(top_comp: TopComponentModel):
+    """(to_q, proj): the map to_q from a Top component model to the strict
+    Sigma_n-orbits q of its surjection sum W, and the projection
+    proj : W -> q.  A collapsed model is q through the collapse, so to_q
+    inverts the collapse first; a windowed one goes through its
+    resolution-degree-0 slot."""
+    if top_comp.kind == "strict":
+        return ChainMap.identity(top_comp.value.complex), top_comp.proj
+    _, proj = strict_orbits(top_comp.sursum.sigma_n_action())
+    if top_comp.kind == "collapsed":
+        return proj.compose(unit_inclusion(top_comp.sursum)), proj
+    slot0 = label_map(top_comp.value.complex, top_comp.sursum.total,
+                      partial=True,
+                      key=lambda lab: lab[3] if lab[1] == 0 else None)
+    return proj.compose(slot0), proj
+
+
 def nu_component(top_comp: TopComponentModel,
                  kp_comp: KPrimeComponent,
                  w: DegreeWindow) -> ChainMap:
@@ -924,7 +1159,7 @@ def nu_component(top_comp: TopComponentModel,
     strict invariants."""
     if top_comp.sursum is None:
         return ChainMap.zero(top_comp.value.complex, kp_comp.value.complex)
-    to_q, proj = top_comp.to_strict_orbits()
+    to_q, proj = to_strict_orbits(top_comp)
     # the norm sum_g g induces strict orbits -> strict invariants: factor it
     # through the quotient by a unit section, and into the invariants through
     # their inclusion (which certifies that the norm lands there)
@@ -1006,6 +1241,15 @@ def _induced_zero(f: ChainMap, k) -> bool:
     return f.induced_on_homology(k).is_zero()
 
 
+def counit(k_value, r) -> ChainMap | None:
+    """The counit K_r A_r -> A_r of a TopComonad or SpComonad: the identity
+    of the collapsed diagonal, which is A_r on the nose."""
+    comp = k_value.component(r, r)
+    if comp is None:
+        return None
+    return ChainMap.identity(comp.value.complex)
+
+
 def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):
     """epsilon : K(A)_N -> A_N is a quasi-iso on w; reports per-degree cone
     homology.  k_value is a TopComonad or SpComonad."""
@@ -1015,7 +1259,7 @@ def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):
     if comp is None:
         report["pass"] = not a.term(N)
         return report
-    cn = cone(k_value.epsilon(N))
+    cn = cone(counit(k_value, N))
     dims = cn.homology_dims(w)
     report["cone_homology"] = dims
     report["pass"] = not dims
@@ -1065,6 +1309,138 @@ def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
                 dict(routeB2.component(k).items()):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Cosimplicial complexes and conormalization
+# ---------------------------------------------------------------------------
+
+
+class CosimplicialComplex:
+    """Levels 0..M of chain complexes with cofaces and codegeneracies."""
+
+    def __init__(self, levels, cofaces, codegens, degenerate_above=None):
+        self.levels = list(levels)
+        self.cofaces = dict(cofaces)
+        self.codegens = dict(codegens)
+        self.M = len(self.levels) - 1
+        self.degenerate_above = degenerate_above \
+            if degenerate_above is not None else self.M
+        if not 0 <= self.degenerate_above <= self.M:
+            raise ValueError("degeneracy bound %r outside the levels 0..%d" %
+                             (self.degenerate_above, self.M))
+
+    @property
+    def field(self):
+        return self.levels[0].field
+
+    def coface(self, m, i) -> ChainMap:
+        f = self.cofaces.get((m, i))
+        if f is None:
+            raise KeyError("missing coface (%d, %d)" % (m, i))
+        return f
+
+    def codegen(self, m, j) -> ChainMap:
+        f = self.codegens.get((m, j))
+        if f is None:
+            raise KeyError("missing codegeneracy (%d, %d)" % (m, j))
+        return f
+
+    def validate(self):
+        """Check every present structure map and all cosimplicial identities
+        among present maps: the one-key case of `check_identities`."""
+        for m in range(self.M):
+            for i in range(m + 2):
+                self.coface(m, i).validate()
+        for f in self.codegens.values():
+            f.validate()
+        check_identities([{None: lv} for lv in self.levels], *(
+            {key: {(None, None): f} for key, f in maps.items()}
+            for maps in (self.cofaces, self.codegens)))
+        return self
+
+    def verify_degeneracy(self) -> bool:
+        """Levels above the bound carry no conormalized content: the joint
+        kernel of the codegeneracies vanishes."""
+        for m in range(self.degenerate_above + 1, self.M + 1):
+            for k in self.levels[m].dims:
+                stacked = SparseMatrix.vstack(
+                    [self.codegen(m, j).component(k) for j in range(m)])
+                if nullspace(stacked):
+                    return False
+        return True
+
+    def normalized(self):
+        """The normal form `fat_tot` reads: at each level m up to the
+        degeneracy bound the one piece (None, N^m), N^m the joint kernel of
+        the codegeneracies (`conormalized_level`), and the alternating coface
+        sum N^m -> N^{m+1} as the block {(m, None, None): (0, map)}.  Levels
+        above the bound are verified to conormalize to zero."""
+        if not self.verify_degeneracy():
+            raise ValueError("degeneracy verification failed above level %d"
+                             % self.degenerate_above)
+        F = self.field
+        normed = [conormalized_level(self, m)
+                  for m in range(self.degenerate_above + 1)]
+        cofaces = {}
+        for m, (sub, inc) in enumerate(normed[:-1]):
+            # the coface sum o incl, solved back into the next basis
+            comps = {}
+            for j in sub.dims:
+                big = SparseMatrix(self.levels[m + 1].dim(j), sub.dim(j), F)
+                sgn = F.one()
+                for i in range(m + 2):
+                    cf = self.coface(m, i).component(j)
+                    big = big + (cf * inc.component(j)).scale(sgn)
+                    sgn = F.neg(sgn)
+                comps[j] = big
+            cofaces[(m, None, None)] = (0, factor_through(
+                ChainMap(sub, self.levels[m + 1], comps), normed[m + 1][1]))
+        return [[(None, sub)] for sub, _ in normed], cofaces
+
+
+def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
+    ident = ChainMap.identity(c)
+    return CosimplicialComplex(
+        [c] * (levels + 1),
+        {(m, i): ident for m in range(levels) for i in range(m + 2)},
+        {(m, j): ident for m in range(1, levels + 1) for j in range(m)},
+        degenerate_above=0).validate()
+
+
+def conormalized_level(x: CosimplicialComplex, m):
+    """(subcomplex N^m = joint kernel of the codegeneracies, inclusion).
+    chain.subcomplex eliminates the stacked codegeneracies once per degree
+    and reads the differential of N^m off the free coordinates of its
+    kernel basis, certifying it (ArithmeticError if a codegeneracy is not a
+    chain map)."""
+    lv = x.levels[m]
+    sigmas = [x.codegens[(m, j)] for j in range(m) if (m, j) in x.codegens]
+    if not sigmas:
+        return lv, ChainMap.identity(lv)
+    return subcomplex(lv, {k: [f.component(k) for f in sigmas]
+                           for k in lv.support()},
+                      lambda k, i: ("norm", m, k, i))
+
+
+def assemble(b) -> CosimplicialComplex:
+    """The whole cosimplicial object of a level builder, certified on its
+    keyed blocks: each level the direct sum of its pieces, each structure
+    map the block map of its blocks."""
+    cofaces, codegens = keyed_maps(b)
+    check_identities(b.summands, cofaces, codegens)
+    parts = [list(b.summands[m].values()) for m in range(len(b.summands))]
+    levels = [direct_sum(p) if p else ChainComplex(b.field, {}) for p in parts]
+    pos = [{key: n for n, key in enumerate(b.summands[m])}
+           for m in range(len(parts))]
+
+    def block(src, tgt, blocks):
+        return block_map(levels[src], levels[tgt], parts[src], parts[tgt], {
+            (pos[src][sk], pos[tgt][tk]): f for (sk, tk), f in blocks.items()})
+    return CosimplicialComplex(
+        levels, {(m, i): block(m, m + 1, f) for (m, i), f in cofaces.items()},
+        {(m, j): block(m, m - 1, f) for (m, j), f in codegens.items()},
+        degenerate_above=len(levels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1510,8 +1886,8 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
         pieces[2] = {key: outer for key, outer in KP.delta_outer.items()
                      if outer is not None
                      and not outer.value.complex.is_zero()}
-    t = fat_tot(_ModuleHomLevels(module.sequence, KP, pieces,
-                                 psi).cosimplicial)
+    t = fat_tot(assemble(_ModuleHomLevels(module.sequence, KP, pieces,
+                                          psi)))
     return {k: t.homology(k)[0] for k in win.degrees()}
 
 
@@ -1595,6 +1971,32 @@ def _tuple_module(field, j, m):
 # ---------------------------------------------------------------------------
 # Space-valued 2-excisive validators (paragraph 7)
 # ---------------------------------------------------------------------------
+
+
+def tensor_power(x: ChainComplex, n: int) -> EquivariantComplex:
+    """X^{(x) n} with Sigma_n permuting the factors with Koszul signs."""
+    if n < 1:
+        raise ValueError("tensor power needs n >= 1")
+    group = YoungGroup.full(n)
+    t = tensor_many([x] * n)
+
+    def swap(gi):
+        def image(k, lab):
+            d1, d2 = x.locate(lab[gi])[0], x.locate(lab[gi + 1])[0]
+            return (((lab[:gi] + (lab[gi + 1], lab[gi]) + lab[gi + 2:]),
+                     -1 if d1 * d2 % 2 else 1),)
+        return linear_map(t, t, image)
+    action = {gi: swap(gi) for gi in group.generator_positions()}
+    return EquivariantComplex(t, group, action).validate()
+
+
+def fixed_part_inclusion(model: SpComponentModel,
+                         fixed_model: ChainComplex) -> ChainMap:
+    """The canonical map (homotopy fixed points of the carrier) -> the Tate
+    model of an Sp component (the cone of the norm): include as the
+    cone-target part."""
+    return label_map(fixed_model, model.value.complex,
+                     key=lambda lab: ("cone-tgt", lab), partial=True)
 
 
 def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
@@ -1692,7 +2094,7 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
     # as a strictly invariant functional
     lift = _invariant_lift(m_prime, fx.complex)
-    incl = t_sa2.fixed_part_inclusion(fx.complex)
+    incl = fixed_part_inclusion(t_sa2, fx.complex)
     route1 = incl.compose(lift)
     route2 = ChainMap(route1.source, route1.target, route2.components)
     h = None

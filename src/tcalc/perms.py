@@ -240,8 +240,8 @@ def set_partitions(items):
         for i in range(len(part)):
             blocks = [list(b) for b in part]
             blocks[i].append(first)
-            out.append(_normalize_partition(blocks))
-        out.append(_normalize_partition([list(b) for b in part] + [[first]]))
+            out.append(normalize_partition(blocks))
+        out.append(normalize_partition([list(b) for b in part] + [[first]]))
     seen = set()
     uniq = []
     for p in out:
@@ -252,14 +252,14 @@ def set_partitions(items):
     return uniq
 
 
-def _normalize_partition(blocks):
+def normalize_partition(blocks):
     bs = [tuple(sorted(b)) for b in blocks if b]
     bs.sort(key=lambda b: b[0])
     return tuple(bs)
 
 
 def apply_perm_to_partition(p, part):
-    return _normalize_partition([[p[i] for i in block] for block in part])
+    return normalize_partition([[p[i] for i in block] for block in part])
 
 
 def refines(fine, coarse) -> bool:
@@ -272,25 +272,3 @@ def refines(fine, coarse) -> bool:
         if len({lookup[x] for x in block}) != 1:
             return False
     return True
-
-
-def quotient_partition(coarse, fine):
-    """Blocks of `coarse` as a partition of the blocks of `fine` (by index)."""
-    lookup = {}
-    for bi, block in enumerate(fine):
-        for x in block:
-            lookup[x] = bi
-    return _normalize_partition(
-        [sorted({lookup[x] for x in block}) for block in coarse])
-
-
-def restrict_partition(part, block):
-    """Restriction of a partition to a subset, relabeled along sorted(block)."""
-    pos = {x: i for i, x in enumerate(sorted(block))}
-    bs = []
-    sblock = set(block)
-    for b in part:
-        inter = [pos[x] for x in b if x in sblock]
-        if inter:
-            bs.append(inter)
-    return _normalize_partition(bs)

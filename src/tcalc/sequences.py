@@ -7,10 +7,9 @@ complex A_n with a full Sigma_n action; zero terms are dropped.
 
 from __future__ import annotations
 
-from .chain import ChainComplex, sphere
-from .equivariant import EquivariantComplex, trivial_action
+from .chain import ChainComplex
+from .equivariant import EquivariantComplex
 from .fields import FieldSpec
-from .perms import YoungGroup
 
 
 class SymmetricSequence:
@@ -47,8 +46,3 @@ class SymmetricSequence:
 
     def __repr__(self):
         return "SymmetricSequence(N=%d, arities %s)" % (self.truncation, self.arities())
-
-
-def unit_sequence(field, truncation=1) -> SymmetricSequence:
-    one = trivial_action(sphere(field, 0, label="unit"), YoungGroup.full(1))
-    return SymmetricSequence(field, truncation, {1: one})

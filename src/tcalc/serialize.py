@@ -147,19 +147,13 @@ def window_from_json(doc) -> DegreeWindow:
 
 
 def coalgebra_to_json(c):
-    out = {
+    return {
         "source": c.source,
         "window": window_to_json(c.window),
         "sequence": sequence_to_json(c.sequence),
         "theta": {"%d,%d" % key: map_to_json(f)
                   for key, f in sorted(c.theta.items())},
     }
-    if c.witnesses:
-        out["witnesses"] = {"%d,%d,%d" % key:
-                            {str(k): matrix_to_json(m)
-                             for k, m in sorted(w.items())}
-                            for key, w in sorted(c.witnesses.items())}
-    return out
 
 
 def coalgebra_from_json(doc):

@@ -553,10 +553,6 @@ class Span:
         return True
 
 
-def rank(m: SparseMatrix) -> int:
-    return Echelon(m).rank
-
-
 def nullspace(m: SparseMatrix):
     return Echelon(m).nullspace_basis()
 

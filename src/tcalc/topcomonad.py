@@ -8,9 +8,10 @@ that sum W(X, r) for any Sigma_n-module X in place of A_n.  The
 comultiplication delta_{r,s} is the identity of the model where s = n or
 s = r; for r < s < n it comes from ungrafting decompositions of the tree
 cooperad and lives in `topdelta`, which only arity-3 and arity-4 inputs run.
-The counit collapses the bijection summands.  A component model
-applies K_r to maps itself (`TopComponentModel.apply`), so no module outside
-the comonads reads a model's kind.  The Sp comonad is in `comonads`; the
+The counit is the identity of the collapsed diagonal (`laws.counit`
+reads it for the law checks).  A component model
+applies K_r to maps itself (`TopComponentModel.apply`), so no job module
+outside the comonads reads a model's kind.  The Sp comonad is in `comonads`; the
 strict comonad K' and the comparison nu : K -> K' are in `laws`.
 """
 
@@ -65,7 +66,6 @@ class SurjectionSum:
             factors = [coop.term_complex(len(f)) for f in fibers] + [a.complex]
             summands.append(tensor_many(factors))
             self.factors[alpha] = fibers
-        self.summand_complexes = summands
         self.total = direct_sum(summands) if summands else ChainComplex(F, {})
         # label: ("surj", alpha, (tree labels..., a label))
         labels = {}
@@ -151,14 +151,6 @@ class SurjectionSum:
         return slotwise_map(self.total, tgt.total, f, slot=(2, -1),
                             sign=sign if f.degree % 2 else None)
 
-    def unit_inclusion(self) -> ChainMap:
-        """A -> W: a |-> (id, units, a), the copy of a in the
-        identity-bijection summand with a unit tree in every factor."""
-        idb = tuple(range(self.r))
-        units = tuple(("tree", trees.leaf(0)) for _ in range(self.r))
-        return label_map(self.a.complex, self.total, partial=True,
-                         key=lambda lab: ("surj", idb, units + (lab,)))
-
     def _summand_map(self, moves, a_map) -> ChainMap:
         """The map sending summand alpha to summand beta, for (beta,
         relabels) = moves[alpha]: each tree factor relabeled along its
@@ -238,12 +230,6 @@ class TopComponentModel:
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(model, sr.group, action)
 
-    def counit_to_a(self) -> ChainMap:
-        """epsilon_r for r = n (identity on the collapsed model)."""
-        if self.kind != "collapsed":
-            raise ValueError("counit only lives on the diagonal")
-        return ChainMap.identity(self.a.complex)
-
     def stages(self):
         """The resolution length of a windowed model, read off its labels
         (None for the other kinds)."""
@@ -279,22 +265,6 @@ class TopComponentModel:
             return slotwise_map(src.value.complex, tgt.value.complex, wmap)
         raise ValueError("mixed model kinds for K on maps: %s vs %s" %
                          (src.kind, tgt.kind))
-
-    def to_strict_orbits(self):
-        """(to_q, proj): the map to_q from this model to the strict
-        Sigma_n-orbits q of its surjection sum W, and the projection
-        proj : W -> q.  A collapsed model is q through the collapse, so
-        to_q inverts the collapse first; a windowed one goes through its
-        resolution-degree-0 slot."""
-        if self.kind == "strict":
-            return ChainMap.identity(self.value.complex), self.proj
-        _, proj = strict_orbits(self.sursum.sigma_n_action())
-        if self.kind == "collapsed":
-            return proj.compose(self.sursum.unit_inclusion()), proj
-        slot0 = label_map(self.value.complex, self.sursum.total, partial=True,
-                          key=lambda lab: lab[3] if lab[1] == 0 else None)
-        return proj.compose(slot0), proj
-
 
 def unit_section(proj: ChainMap) -> ChainMap:
     """A section q -> W of a quotient projection proj : W -> q: each basis
@@ -366,12 +336,6 @@ class TopComonad:
     def component(self, r, n) -> TopComponentModel | None:
         return self.components.get((r, n))
 
-    def epsilon(self, r) -> ChainMap | None:
-        comp = self.components.get((r, r))
-        if comp is None:
-            return None
-        return comp.counit_to_a()
-
     def kq_theta(self, theta: ChainMap, q, s, n) -> ChainMap | None:
         """K_q(theta~) : K_q A_s -> delta_outer[(q, s, n)], for s < n and
         theta : A_s -> K_s A_n in the component model, where theta~ is theta
@@ -429,11 +393,6 @@ def _delta_stages(w: DegreeWindow, term: EquivariantComplex, n):
 # ---------------------------------------------------------------------------
 # The comonad value
 # ---------------------------------------------------------------------------
-
-
-def k_top(a: SymmetricSequence, w: DegreeWindow, coop=None) -> TopComonad:
-    """The comonad value K(A) for the based-spaces source, truncation <= 4."""
-    return TopComonad(a, w, coop=coop)
 
 
 def k_top_component(a_n: EquivariantComplex, r: int, w: DegreeWindow,

@@ -17,8 +17,8 @@ increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
 derived mapping complex and the E^1 page read those pieces and the coface
 blocks between them.  `cobar` certifies the cosimplicial identities on the
 keyed blocks, degenerate chains and codegeneracies included, and assembles
-no level (`cosimplicial.certify`); the tests and `laws` alone assemble the
-whole object.  The `cosimplicial` module runs in no other job.
+no level (`cosimplicial.certify`); only `laws.assemble` builds the whole
+object.  The `cosimplicial` module runs in no other job.
 
 The fat totalization of a degenerate-above-D object is the finite total
 complex over levels <= D, with differential
@@ -39,9 +39,9 @@ from .sparse import SparseMatrix
 
 
 def fat_tot(x) -> ChainComplex:
-    """The finite total complex of the normal form of x, a
-    CosimplicialComplex (its conormalized levels) or a level builder
-    (`_Levels`: its strict-chain pieces).  `x.normalized()` gives the pieces
+    """The finite total complex of the normal form of x, a level builder
+    (`_Levels`: its strict-chain pieces) or a `laws.CosimplicialComplex`
+    (its conormalized levels).  `x.normalized()` gives the pieces
     (key, P) of each level N^m and the coface blocks {(m, sk, tk): (i,
     map)} between them.  Tot_k is the sum of the P_{k+m}, a vector
     labelled ("tot", m, key, lab); d_k has each piece's differential on the
@@ -122,8 +122,8 @@ class _Levels:
     the codegeneracies is exactly the sum of the strict pieces.  The
     alternating coface sum maps it into the next through the blocks between
     strict chains (`coface_blocks`).  `fat_tot` reads only those; `cobar`
-    certifies the identities on every block, and only the tests and `laws`
-    assemble the whole object (`cosimplicial`)."""
+    certifies the identities on every block, and only `laws.assemble`
+    builds the whole object."""
 
     def __init__(self, field, summands):
         self.field = field
@@ -187,11 +187,6 @@ class _Levels:
         return columns, {(m, sk, tk): (i, f)
                          for (m, i), b in self.coface_blocks.items()
                          for (sk, tk), f in b.items()}
-
-    @functools.cached_property
-    def cosimplicial(self) -> cosimplicial.CosimplicialComplex:
-        """The whole cosimplicial object (`cosimplicial.assemble`)."""
-        return cosimplicial.assemble(self)
 
     def corner_keys(self, n):
         """The off-diagonal level-1 keys (r, n), r < n, in order: the slots
@@ -364,5 +359,5 @@ def derived_hom(c, cprime, w: DegreeWindow | None = None):
     t = fat_tot(builder)
     D = builder.D
     win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
-    h0 = t.homology(0)[0]
+    h0 = t.homology_dims(DegreeWindow(0, 0)).get(0, 0)
     return {"complex": t, "h0": h0, "window": win, "builder": builder}

@@ -2,17 +2,15 @@
 
 import random
 
+from tcalc import classify, tower
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, hom_element_to_map,
-    shift, sphere,
+    ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum,
+    hom_element_to_map, shift, sphere,
 )
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.derivedhom import equivariant_hom_complex
-from tcalc.equivariant import (
-    EquivariantComplex, induced_from_trivial_subgroup, regular_module,
-    sign_action, trivial_action,
-)
-from tcalc.perms import YoungGroup
+from tcalc.equivariant import EquivariantComplex, regular_module, trivial_action
+from tcalc.perms import YoungGroup, compose, transposition
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix, nullspace
 
@@ -20,6 +18,38 @@ from tcalc.sparse import SparseMatrix, nullspace
 def triv(F, n, deg=0, label="a"):
     return trivial_action(sphere(F, deg, label="%s%d" % (label, n)),
                           YoungGroup.full(n))
+
+
+def unit_sequence(field, truncation=1) -> SymmetricSequence:
+    one = trivial_action(sphere(field, 0, label="unit"), YoungGroup.full(1))
+    return SymmetricSequence(field, truncation, {1: one})
+
+
+def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
+    F = complex.field
+    neg = F.neg(F.one())
+    act = {i: ChainMap.identity(complex).scale(neg)
+           for i in group.generator_positions()}
+    return EquivariantComplex(complex, group, act)
+
+
+def induced_from_trivial_subgroup(pieces, group: YoungGroup) -> EquivariantComplex:
+    """k[G] (x) V presented as a direct sum of |G| copies of V permuted by G.
+
+    `pieces` is a single ChainComplex V; the result is free.
+    """
+    elements = group.elements()
+    parts = [pieces] * len(elements)
+    total = direct_sum(parts)
+    pos = {g: i for i, g in enumerate(elements)}
+    ident = ChainMap.identity(pieces)
+    action = {}
+    for gi in group.generator_positions():
+        s = transposition(group.degree, gi)
+        action[gi] = block_map(total, total, parts, parts,
+                               {(t, pos[compose(s, g)]): ident
+                                for t, g in enumerate(elements)})
+    return EquivariantComplex(total, group, action)
 
 
 def staircase_sequence(F, N, top_deg=0, label="a"):
@@ -32,7 +62,7 @@ def staircase_sequence(F, N, top_deg=0, label="a"):
 
 
 def random_term(rng, F, n, degs=(0, 1), label="a"):
-    """A small random equivariant term: trivial, sign, regular, or a sum."""
+    """A small random equivariant term: trivial, regular, or a sum."""
     kind = rng.choice(["trivial", "regular", "sum"])
     g = YoungGroup.full(n)
     if kind == "trivial":
@@ -91,6 +121,33 @@ def random_valid_coalgebra(rng, F, source, N, w, staircase=True):
         if th is not None and not th.is_zero():
             theta[(r, n)] = th
     return TruncatedCoalgebra(source, seq, w, theta, komonad=c0.komonad)
+
+
+def corrupt_square_map(monkeypatch, which, mutate):
+    """Make classify.mccarthy_square_check see mutate(f) in place of one
+    map f of its square: 0 the tower map P_n -> P_{n-1}, 1 the map to the
+    fixed corner, 2 the bottom map, 3 the right map into the Tate corner."""
+    tower_map = tower.tower_map
+    to_slot = classify._tot_to_diagonal_slot
+    corner_maps = classify._corner_maps
+    if which == 0:
+        def patched(*args, **kwargs):
+            tm = dict(tower_map(*args, **kwargs))
+            tm["map"] = mutate(tm["map"])
+            return tm
+        monkeypatch.setattr(tower, "tower_map", patched)
+    elif which == 1:
+        def patched(*args):
+            top_map, fixed = to_slot(*args)
+            return mutate(top_map), fixed
+        monkeypatch.setattr(classify, "_tot_to_diagonal_slot", patched)
+    else:
+        def patched(*args):
+            bot_map, corner, right_map = corner_maps(*args)
+            if which == 2:
+                return mutate(bot_map), corner, right_map
+            return bot_map, corner, mutate(right_map)
+        monkeypatch.setattr(classify, "_corner_maps", patched)
 
 
 # hand-coded resolution oracles ------------------------------------------------

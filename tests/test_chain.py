@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_term
+from helpers import induced_from_trivial_subgroup, random_term
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, chain_map_space, cone,
-    count_maps_mod_homotopy, direct_sum, dual, factor_through, hom_complex,
-    homotopy_between, is_quasi_iso, label_map, linear_map, nullhomotopy,
-    quotient, shift, sphere, subcomplex, tensor, tensor_map, transport,
+    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
+    factor_through, hom_complex, label_map, linear_map, quotient, shift,
+    sphere, subcomplex, tensor, tensor_map, transport,
 )
-from tcalc.equivariant import induced_from_trivial_subgroup
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
-from tcalc.perms import YoungGroup
-from tcalc.sparse import (
-    Echelon, Span, SparseMatrix, nullspace, rank, solve_matrix,
+from tcalc.laws import (
+    chain_map_space, count_maps_mod_homotopy, dual, homotopy_between,
+    is_quasi_iso, nullhomotopy, rank,
 )
+from tcalc.perms import YoungGroup
+from tcalc.sparse import Echelon, Span, SparseMatrix, nullspace, solve_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +316,31 @@ def random_complex(rng, F, max_deg=2, max_dim=2):
             inv = sm(change[k], SparseMatrix.identity(dims[k], F))
             diff[k] = change[k - 1] * total.d(k) * inv
     return ChainComplex(F, dims, diff)
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=lambda F: F.name())
+def test_homology_dims_eliminates_each_differential_once(F, monkeypatch):
+    from tcalc import chain
+    built = []
+
+    class Counted(Echelon):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+    rng = random.Random(61)
+    for _ in range(8):
+        c = direct_sum([random_complex(rng, F, max_deg=4)
+                        for _ in range(rng.randint(1, 3))])
+        c.validate()
+        w = DegreeWindow(-1, 6)
+        want = {k: c.homology(k)[0] for k in w.degrees()}
+        monkeypatch.setattr(chain, "Echelon", Counted)
+        built.clear()
+        assert c.homology_dims(w) == {k: v for k, v in want.items() if v}
+        assert len(built) <= len(w.degrees()) + 1
+        assert c.homology_dims() == c.homology_dims(
+            DegreeWindow(c.min_degree, c.max_degree))
+        monkeypatch.undo()
 
 
 def test_hom_complex_shift_and_self():

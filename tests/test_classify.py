@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from helpers import random_theta, random_valid_coalgebra, staircase_sequence, triv
-from tcalc.chain import (
-    ChainMap, DegreeWindow, chain_map_space, count_maps_mod_homotopy,
-    hom_complex, shift, sphere,
+from helpers import (
+    corrupt_square_map, random_theta, random_valid_coalgebra,
+    staircase_sequence, triv,
 )
+from tcalc.chain import ChainMap, DegreeWindow, hom_complex, shift, sphere
 from tcalc.classify import (
     classify_2exc_sp, classify_2exc_top, classify_3exc_sp,
     mccarthy_square_check,
@@ -16,10 +16,11 @@ from tcalc.classify import (
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
-from tcalc.equivariant import regular_module, tate, tensor_power, trivial_action
+from tcalc.equivariant import regular_module, tate, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
-    representable_module, splitting_check, validate_2exc_sp_to_top,
+    chain_map_space, count_maps_mod_homotopy, representable_module,
+    splitting_check, tensor_power, validate_2exc_sp_to_top,
     validate_2exc_top_to_top,
 )
 from tcalc.perms import YoungGroup
@@ -117,18 +118,18 @@ def test_validator_top_to_top():
     assert r_tt["valid"] == r_st["valid"]
 
 
-def test_mccarthy_acyclic_and_mutation_detected():
+def _zero_map(f):
+    return ChainMap.zero(f.source, f.target)
+
+
+def test_mccarthy_acyclic_and_mutation_detected(monkeypatch):
     rng = random.Random(2)
     w = DegreeWindow(-2, 2)
     c = random_valid_coalgebra(rng, F2, "sp", 2, w)
     rep = mccarthy_square_check(c, 0, 2)
     assert rep["acyclic"], rep
-
-    def corrupt(f_tower, top_map, bot_map, right_map):
-        return f_tower, top_map, bot_map, ChainMap.zero(
-            right_map.source, right_map.target)
-
-    rep2 = mccarthy_square_check(c, 0, 2, corrupt=corrupt)
+    corrupt_square_map(monkeypatch, 3, _zero_map)
+    rep2 = mccarthy_square_check(c, 0, 2)
     assert not rep2["acyclic"]
 
 
@@ -196,12 +197,9 @@ def test_mccarthy_at_arity_three():
                                    DegreeWindow(-1, 2))
         rep = mccarthy_square_check(c, 0, 3)
         assert rep["acyclic"] and rep["window"] == "[-1,0]", rep
-
-        def corrupt(f_tower, top_map, bot_map, right_map):
-            return f_tower, top_map, bot_map, ChainMap.zero(
-                right_map.source, right_map.target)
-
-        assert not mccarthy_square_check(c, 0, 3, corrupt=corrupt)["acyclic"]
+        with pytest.MonkeyPatch.context() as mp:
+            corrupt_square_map(mp, 3, _zero_map)
+            assert not mccarthy_square_check(c, 0, 3)["acyclic"]
 
 
 def test_module_hom_counts_stable_maps_between_sets():
@@ -224,7 +222,8 @@ def test_module_hom_counts_stable_maps_between_sets():
 def test_rational_tate_acyclic_randomized():
     import random as _r
     from tcalc.chain import direct_sum
-    from tcalc.equivariant import tate, trivial_action, sign_action
+    from tcalc.equivariant import tate, trivial_action
+    from helpers import sign_action
     rng = _r.Random(51)
     w = DegreeWindow(-2, 2)
     for _ in range(5):

@@ -406,7 +406,7 @@ def test_check_cli_flags_invalid_and_exits_1(tmp_path, capsys):
     w = DegreeWindow(0, 4)
     A = staircase_sequence(F2, 3)
     c0 = trivial_coalgebra("top", A, w)
-    from tcalc.chain import chain_map_space
+    from tcalc.laws import chain_map_space
     comp = c0.komonad.component(2, 3)
     allmaps = chain_map_space(A.term_complex(2), comp.value.complex)
     broken = None

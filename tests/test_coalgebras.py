@@ -14,13 +14,12 @@ from tcalc.coalgebras import (
 from tcalc.equivariant import is_free, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
-    KPrimeComonad, divided_power_check, evaluation_pairing_check,
+    KPrimeComonad, divided_power_check, evaluation_pairing_check, k_top,
     representable_module, validate_right_module,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
-from tcalc.sparse import SparseMatrix
-from tcalc.topcomonad import SurjectionSum, TopComonad, k_top
+from tcalc.topcomonad import SurjectionSum, TopComonad
 from tcalc.tower import derived_hom
 
 
@@ -242,7 +241,7 @@ def test_divided_power_scaled_mismatch():
     module, coalg = representable_module(x, 2, QQ)
     scaled_action = {key: act.scale(QQ.coerce(2))
                      for key, act in module.action.items()}
-    from tcalc.cooperad import RightModule
+    from tcalc.laws import RightModule
     bad = RightModule(module.operad, module.sequence, scaled_action)
     rep = divided_power_check(coalg, module=bad)
     assert not rep["valid"]
@@ -272,31 +271,9 @@ def test_injections_count():
     assert len(injections(3, 2)) == 0
 
 
-def test_failing_witness_reported():
-    # a stored witness that does not satisfy the homotopy identity is
-    # reported for its square
-    from tcalc.sparse import SparseMatrix
-    rng = random.Random(31)
-    w = DegreeWindow(0, 4)
-    from helpers import staircase_sequence
-    A = staircase_sequence(F2, 3)
-    c0 = trivial_coalgebra("top", A, w)
-    th12 = random_theta(c0, 1, 2, rng)
-    th23 = random_theta(c0, 2, 3, rng)
-    # a garbage witness for the (1,2,3) square
-    bad_witness = {5: SparseMatrix(1, 1, F2)}
-    c = TruncatedCoalgebra("top", A, w, {(1, 2): th12, (2, 3): th23},
-                           witnesses={(1, 2, 3): bad_witness},
-                           komonad=c0.komonad)
-    rep = validate_coalgebra(c)
-    assert rep["squares"][(1, 2, 3)] in ("witness fails", "ok") or True
-    # the report must have evaluated the square either way
-    assert (1, 2, 3) in rep["squares"]
-
-
 def test_nonequivariant_theta_reported():
     # equivariance bites for r >= 2: theta_{2,3} must commute with the swap
-    from tcalc.chain import chain_map_space
+    from tcalc.laws import chain_map_space
     from helpers import staircase_sequence
     w = DegreeWindow(0, 4)
     A = staircase_sequence(F2, 3)

@@ -4,25 +4,23 @@ import random
 
 import pytest
 
+from helpers import induced_from_trivial_subgroup, sign_action
 from tcalc.chain import ChainMap, DegreeWindow, cone, direct_sum, shift, sphere
 from tcalc.comonads import (
     SpComonad, SpComponentModel, equivariant_tensor, k_sp_component,
     l3_complex,
 )
 from tcalc.cooperad import tree_cooperad
-from tcalc.equivariant import (
-    induced_from_trivial_subgroup, regular_module, sign_action, trivial_action,
-)
+from tcalc.equivariant import regular_module, trivial_action
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
-    KPrimeComonad, counit_check, nu_component, top_coassociativity_check,
+    KPrimeComonad, counit, counit_check, k_top, nu_component,
+    top_coassociativity_check,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
-from tcalc.topcomonad import (
-    TopComonad, TopComponentModel, k_top, k_top_component,
-)
+from tcalc.topcomonad import TopComonad, TopComponentModel, k_top_component
 
 S1, S2, S3 = YoungGroup.full(1), YoungGroup.full(2), YoungGroup.full(3)
 
@@ -69,7 +67,7 @@ def test_diagonal_collapse_and_counit():
     w = DegreeWindow(0, 3)
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2)})
     K = k_top(A, w)
-    eps = K.epsilon(2)
+    eps = counit(K, 2)
     assert eps is not None
     assert cone(eps).is_acyclic(w)
     rep = counit_check(K, A, w)
@@ -147,11 +145,11 @@ def test_sp_counit_is_the_diagonal_identity():
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3, deg=1)})
     K = SpComonad(A, w)
     for r in A.arities():
-        eps = K.epsilon(r)
+        eps = counit(K, r)
         assert eps.source is A.term_complex(r)
         assert eps.components == ChainMap.identity(eps.source).components
-    assert SpComonad(SymmetricSequence(F2, 2, {1: triv(F2, 1)}),
-                     w).epsilon(2) is None
+    assert counit(SpComonad(SymmetricSequence(F2, 2, {1: triv(F2, 1)}), w),
+                  2) is None
     assert counit_check(K, A, w)["pass"]
 
 

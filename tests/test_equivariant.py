@@ -9,17 +9,18 @@ import tracemalloc
 
 import pytest
 
+from helpers import induced_from_trivial_subgroup, sign_action
 from tcalc import equivariant
 from tcalc.chain import ChainComplex, ChainMap, DegreeWindow, sphere
 from tcalc.equivariant import (
     EquivariantComplex, group_resolution, homotopy_fixed, homotopy_orbits,
-    induced_from_trivial_subgroup, is_free, norm_map, permutation_module,
-    regular_module, sign_action, slotwise_map, strict_fixed, strict_orbits,
-    tate, tensor_power, trivial_action,
+    is_free, norm_map, permutation_module, regular_module, slotwise_map,
+    strict_fixed, strict_orbits, tate, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
+from tcalc.laws import rank, tensor_power
 from tcalc.perms import YoungGroup, all_surjections, compose, set_partitions
-from tcalc.sparse import SparseMatrix, rank
+from tcalc.sparse import SparseMatrix
 
 S2 = YoungGroup.of(2)
 S3 = YoungGroup.of(3)
@@ -241,7 +242,7 @@ def test_tate_free_vanishes():
 
 
 def test_norm_quasi_iso_on_free_and_rational():
-    from tcalc.chain import is_quasi_iso
+    from tcalc.laws import is_quasi_iso
     w = DegreeWindow(-3, 3)
     wide = w.expand(1)
     a = regular_module(F2, S2)

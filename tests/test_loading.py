@@ -10,8 +10,8 @@ import sys
 
 import pytest
 
-import tcalc
 from helpers import random_theta, random_valid_coalgebra, staircase_sequence
+import tcalc
 from tcalc import serialize
 from tcalc.chain import DegreeWindow, sphere
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
@@ -37,30 +37,31 @@ print(json.dumps([rc, sorted(
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "chain": "ChainComplex ChainMap ChainHomotopy DegreeWindow",
+    "chain": "ChainComplex ChainMap DegreeWindow",
     "fields": "F2 F3 QQ FieldSpec field_from_name",
     "sparse": "SparseMatrix",
     "perms": "YoungGroup",
     "equivariant": "EquivariantComplex WindowedResult homotopy_fixed "
                    "homotopy_orbits is_free norm_map permutation_module "
-                   "strict_fixed strict_orbits tate tensor_power",
+                   "strict_fixed strict_orbits tate",
     "sequences": "SymmetricSequence",
-    "cooperad": "Cooperad Operad RightModule tree_cooperad",
+    "cooperad": "Cooperad tree_cooperad",
     "operads": "partition_poset_nerve",
-    "topcomonad": "TopComonad k_top k_top_component",
+    "topcomonad": "TopComonad k_top_component",
     "comonads": "SpComonad k_sp_component l3_complex",
     "coalgebras": "FinitePointedSet TruncatedCoalgebra truncate_coalgebra "
                   "trivial_coalgebra validate_coalgebra",
-    "cosimplicial": "CosimplicialComplex",
     "tower": "cobar derived_hom fat_tot p_n tower_map",
     "derivedhom": "bk_e1",
     "classify": "classify_2exc_sp classify_2exc_top classify_3exc_sp "
                 "mccarthy_square_check",
-    "laws": "KPrimeComonad bar_construction box_product commutative_operad "
-            "counit_check divided_power_check evaluation_pairing_check "
+    "laws": "ChainHomotopy CosimplicialComplex KPrimeComonad Operad "
+            "RightModule bar_construction box_product commutative_operad "
+            "counit_check divided_power_check evaluation_pairing_check k_top "
             "lemma_ij_check nu_component plethysm representable_module "
-            "spectral_lie splitting_check validate_2exc_sp_to_top "
-            "validate_2exc_top_to_top validate_right_module",
+            "spectral_lie splitting_check tensor_power "
+            "validate_2exc_sp_to_top validate_2exc_top_to_top "
+            "validate_right_module",
 }
 
 
@@ -154,9 +155,9 @@ def test_tower_jobs_run_only_their_source(tmp_path, coalgebra_doc, source,
     assert _modules_run(tmp_path, *argv) == COALGEBRA[source] | own
 
 
-# Modules that only some jobs run: the whole cosimplicial object (the
-# `cobar` subcommand), the Top comultiplication for r < s < n (arity-3 and
-# arity-4 inputs) and the law checks (the test suite alone).
+# Modules that only some jobs run: the cobar's certificate (the `cobar`
+# subcommand), the Top comultiplication for r < s < n (arity-3 and arity-4
+# inputs) and the law checks (the test suite alone).
 ONLY_SOME = {"cosimplicial", "topdelta", "laws"}
 POOL = os.path.join(ROOT, "perfbench", "pool", "tower-f2.json")
 

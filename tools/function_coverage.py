@@ -1,15 +1,29 @@
-"""Function-coverage gate: every function under src/tcalc/ must be entered by
-the Tier-1 suite or by a job of the benchmark pool.
+"""Function-coverage gate: a job module holds only what some subcommand runs.
 
     PYTHONHASHSEED=0 python tools/function_coverage.py
 
-Runs the Tier-1 suite (pytest, in this process), then every job of every
-variant in perfbench/pool/*.json through `tcalc.cli.main`, both under a
-call-event profiler (`sys.setprofile`).  The pool is only read: each
-variant's documents are written to a temporary directory.  A function is
-keyed by (co_filename, co_firstlineno), which for a decorated function is
-the line of its first decorator (`co_qualname` does not exist on 3.10).
-Exits 1 listing every function that neither entered, `__repr__` exempt.
+The rule, for every function under src/tcalc/:
+
+* in `laws`, which only the test suite loads, the function is entered by
+  the Tier-1 suite or by a pool job;
+* everywhere else it is entered by a job of the benchmark pool, or it is in
+  LISTED.  A listed function names the CLI input outside the pool that
+  reaches it, what in perfbench/ imports it, or, for a method of a public
+  value type, why the tests read it; it must still be entered by Tier-1.
+  Code that no subcommand runs on any input is deleted when nothing reads
+  it, moved into `laws` when only `laws` and the tests read it, and moved
+  into tests/helpers.py when only the tests build inputs with it.
+
+Runs the Tier-1 suite (pytest, in this process), and every job of every
+variant in perfbench/pool/*.json through `tcalc.cli.main` in a fresh
+interpreter, so that no cache the suite filled hides a function from the
+pool; both run under a call-event profiler (`sys.setprofile`).  The pool
+is only read: each variant's documents are written to a temporary
+directory.  A function is keyed by (co_filename, co_firstlineno), which for
+a decorated function is the line of its first decorator (`co_qualname` does
+not exist on 3.10), and named `module.qualname` in LISTED.  Exits 1 listing every function that
+breaks the rule, and every LISTED name that is no longer defined, lives in
+`laws` or is entered by a pool job; `__repr__` is exempt.
 """
 
 import ast
@@ -18,6 +32,7 @@ import glob
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -32,9 +47,76 @@ from jobs import doc_bytes, resolve  # noqa: E402
 
 EXEMPT = {"__repr__"}
 
+GEN_POOL = "perfbench/gen_pool.py builds the pool's documents with it"
+TOP_N3 = ("a Top coalgebra of truncation >= 3 (delta_{r,s} for r < s < n): "
+          "check, pn, cobar or derived-hom")
+LISTED = {
+    # the package's re-exports (`tcalc.ChainComplex`), read by the tests
+    "__init__.__getattr__": "a package-level name, `tcalc.<name>`",
+    "__init__.__dir__": "dir(tcalc), which the tests read",
+    # perfbench/ imports these, and it changes only with the benchmark
+    "chain.sphere": GEN_POOL,
+    "coalgebras.trivial_coalgebra": GEN_POOL,
+    "equivariant.regular_module": GEN_POOL,
+    "operads.__getattr__": "perfbench/gen_pool.py imports "
+                           "SymmetricSequence from operads",
+    "serialize._label_to_json": GEN_POOL,
+    "serialize.matrix_to_json": GEN_POOL,
+    "serialize.chain_to_json": GEN_POOL,
+    "serialize.map_to_json": GEN_POOL,
+    "serialize.equivariant_to_json": GEN_POOL,
+    "serialize.sequence_to_json": GEN_POOL,
+    "serialize.coalgebra_to_json": GEN_POOL,
+    # CLI inputs outside the pool
+    "cli.cmd_homology": "`homology DOC`",
+    "cli._help": "`-h` and `help`",
+    "chain.ChainComplex.truncate": TOP_N3,
+    "chain.ChainMap.__add__": "check on " + TOP_N3 + " (its route1 - "
+                              "route2)",
+    "chain.ChainMap.__sub__": "check on " + TOP_N3 + " (its route1 - "
+                              "route2)",
+    "derivedhom._HomLevels._middle": "derived-hom on " + TOP_N3,
+    "perms.koszul_sign": TOP_N3,
+    "topcomonad.TopComonad.kq_theta": TOP_N3,
+    "topcomonad.TopComponentModel.like": TOP_N3 + ", through kq_theta",
+    "topcomonad._delta_stages": TOP_N3,
+    "topdelta._factorizations": TOP_N3,
+    "topdelta.top_delta_on_sums": TOP_N3,
+    "topdelta.top_delta_on_sums.image": TOP_N3,
+    "topdelta._split_trees": TOP_N3,
+    "topdelta._slot_inside": TOP_N3,
+    "topdelta.build_top_delta": TOP_N3,
+    "perms.YoungGroup.order": "a document whose group has degree > 4, "
+                              "refused by EquivariantComplex.validate",
+    "perms.YoungGroup.__str__": "a document whose group has degree > 4, "
+                                "named in the refusal",
+    # methods of public value types, and why the tests read them
+    "chain.DegreeWindow.__hash__": "windows are compared and hashed as "
+                                   "values",
+    "chain.DegreeWindow.__contains__": "tests ask whether a degree is "
+                                       "certified",
+    "chain.DegreeWindow.shrink": "tests and laws read a window's interior",
+    "coalgebras.FinitePointedSet.__eq__": "sites are compared as values",
+    "coalgebras.FinitePointedSet.__hash__": "sites are hashed as values",
+    "equivariant.WindowedResult.__eq__": "results are compared as values",
+    "equivariant.WindowedResult.homology": "tests read a result's homology",
+    "equivariant.WindowedResult.is_acyclic": "tests read whether a result "
+                                             "is acyclic",
+    "fields.FieldSpec.add": "tests and laws add scalars",
+    "fields.FieldSpec.inv": "tests check scalar inversion",
+    "fields.FieldSpec.format_scalar": "tests and the serialize writers "
+                                      "print scalars",
+    "perms.YoungGroup.__hash__": "groups are hashed as values",
+    "sparse.SparseMatrix.nnz": "tests count a matrix's entries",
+    "sparse.SparseMatrix.__getitem__": "tests read single entries",
+    "sparse.SparseMatrix.__add__": "tests and ChainMap.__add__ add "
+                                   "matrices",
+}
+
 
 def defined_functions():
-    """{(path, first line): qualified name} for every def under src/tcalc/."""
+    """{(path, first line): module.qualname} for every def under
+    src/tcalc/."""
     out = {}
 
     def walk(node, prefix, path):
@@ -52,7 +134,8 @@ def defined_functions():
 
     for path in sorted(glob.glob(os.path.join(PKG, "*.py"))):
         with open(path) as f:
-            walk(ast.parse(f.read()), "", os.path.realpath(path))
+            walk(ast.parse(f.read()), os.path.basename(path)[:-3] + ".",
+                 os.path.realpath(path))
     return out
 
 
@@ -110,23 +193,54 @@ def run_pool():
     return count
 
 
+def pool_entered():
+    """(jobs run, {(path, first line)} entered) of the pool, run in a fresh
+    interpreter (`--pool`)."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__),
+                           "--pool"], capture_output=True, text=True,
+                          check=True)
+    jobs, seen = json.loads(proc.stdout)
+    return jobs, {tuple(key) for key in seen}
+
+
 def main():
     functions = defined_functions()
+    jobs, pool = pool_entered()
     rc, tier1 = profiled(run_tier1)
     if rc != 0:
         print("Tier-1 failed under the profiler (pytest exit %d)" % rc)
         return 1
-    jobs, pool = profiled(run_pool)
-    missing = sorted(set(functions) - tier1 - pool)
+    pool = set(functions) & pool
+    in_laws = {key for key, name in functions.items()
+               if name.startswith("laws.")}
+    unlisted = sorted(key for key in set(functions) - in_laws - pool
+                      if functions[key] not in LISTED)
+    unentered = sorted(set(functions) - tier1 - pool)
+    names = {name: key for key, name in functions.items()}
+    stale = sorted(name for name in LISTED if name not in names
+                   or names[name] in in_laws or names[name] in pool)
     print("%d functions under src/tcalc/ (__repr__ exempt): %d entered by "
-          "Tier-1, %d by the %d pool jobs, %d by neither"
-          % (len(functions), len(set(functions) & tier1),
-             len(set(functions) & pool), jobs, len(missing)))
-    for path, line in missing:
-        print("  %s:%d %s" % (os.path.relpath(path, ROOT), line,
-                              functions[(path, line)]))
-    return 1 if missing else 0
+          "Tier-1, %d by the %d pool jobs; outside laws, %d listed"
+          % (len(functions), len(set(functions) & tier1), len(pool), jobs,
+             len(LISTED)))
+    for title, keys in (
+            ("outside laws, entered by no pool job and not listed",
+             unlisted),
+            ("entered by neither Tier-1 nor a pool job", unentered)):
+        if keys:
+            print("%s:" % title)
+        for path, line in keys:
+            print("  %s:%d %s" % (os.path.relpath(path, ROOT), line,
+                                  functions[(path, line)]))
+    if stale:
+        print("listed, but no longer defined, in laws or entered by a pool "
+              "job:\n" + "\n".join("  " + name for name in stale))
+    return 1 if unlisted or unentered or stale else 0
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--pool"]:
+        jobs, seen = profiled(run_pool)
+        print(json.dumps([jobs, sorted(seen)]))
+        sys.exit(0)
     sys.exit(main())
