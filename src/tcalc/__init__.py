@@ -76,7 +76,7 @@ _EXPORTS = {
         "ChainHomotopy", "CosimplicialComplex", "KPrimeComonad", "Operad",
         "RightModule", "bar_construction", "box_product",
         "commutative_operad", "counit_check", "divided_power_check",
-        "evaluation_pairing_check", "k_top", "lemma_ij_check",
+        "evaluation_pairing_check", "lemma_ij_check",
         "nu_component", "plethysm", "representable_module", "spectral_lie",
         "splitting_check", "tensor_power", "validate_2exc_sp_to_top",
         "validate_2exc_top_to_top", "validate_right_module"),

@@ -55,7 +55,7 @@ from .perms import (
 from .sequences import SymmetricSequence
 from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix, vanishes
 from .topcomonad import (
-    SurjectionSum, TopComonad, TopComponentModel, unit_section,
+    SurjectionSum, TopComponentModel, unit_section,
 )
 from .topdelta import build_top_delta, top_delta_on_sums
 from .tower import _RawPiece, fat_tot, p_n
@@ -1118,11 +1118,6 @@ def _pre_to_outer_invariants(pre: SurjectionSum,
             raise ArithmeticError("invariants inclusion not split")
         left[k] = x.transpose()
     return pre.apply(ChainMap(pre.a.complex, inv, left), outer.sursum)
-
-
-def k_top(a: SymmetricSequence, w: DegreeWindow, coop=None) -> TopComonad:
-    """The comonad value K(A) for the based-spaces source, truncation <= 4."""
-    return TopComonad(a, w, coop=coop)
 
 
 def unit_inclusion(sursum: SurjectionSum) -> ChainMap:

@@ -1,6 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
 import random
+import sys
 
 from tcalc import classify, tower
 from tcalc.chain import (
@@ -126,28 +127,44 @@ def random_valid_coalgebra(rng, F, source, N, w, staircase=True):
 def corrupt_square_map(monkeypatch, which, mutate):
     """Make classify.mccarthy_square_check see mutate(f) in place of one
     map f of its square: 0 the tower map P_n -> P_{n-1}, 1 the map to the
-    fixed corner, 2 the bottom map, 3 the right map into the Tate corner."""
+    fixed corner, 2 the bottom map, 3 the right map into the Tate corner.
+
+    Only the calls the square check makes itself are patched: _corner_maps
+    also projects P_{n-1} through _tot_to_diagonal_slot, and those
+    projections pass through unchanged.  Returns a dict whose "calls" counts
+    the maps mutated; one square check mutates exactly one."""
     tower_map = tower.tower_map
     to_slot = classify._tot_to_diagonal_slot
     corner_maps = classify._corner_maps
+    square_check = classify.mccarthy_square_check.__code__
+    count = {"calls": 0}
+
+    def own_call(f):
+        # frame 1 is the patched function, frame 2 the one that called it
+        if sys._getframe(2).f_code is not square_check:
+            return f
+        count["calls"] += 1
+        return mutate(f)
+
     if which == 0:
         def patched(*args, **kwargs):
             tm = dict(tower_map(*args, **kwargs))
-            tm["map"] = mutate(tm["map"])
+            tm["map"] = own_call(tm["map"])
             return tm
         monkeypatch.setattr(tower, "tower_map", patched)
     elif which == 1:
         def patched(*args):
             top_map, fixed = to_slot(*args)
-            return mutate(top_map), fixed
+            return own_call(top_map), fixed
         monkeypatch.setattr(classify, "_tot_to_diagonal_slot", patched)
     else:
         def patched(*args):
             bot_map, corner, right_map = corner_maps(*args)
             if which == 2:
-                return mutate(bot_map), corner, right_map
-            return bot_map, corner, mutate(right_map)
+                return own_call(bot_map), corner, right_map
+            return bot_map, corner, own_call(right_map)
         monkeypatch.setattr(classify, "_corner_maps", patched)
+    return count
 
 
 # hand-coded resolution oracles ------------------------------------------------

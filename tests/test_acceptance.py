@@ -279,8 +279,9 @@ def test_criterion_08_mccarthy_and_mutations():
             return bad
 
         with pytest.MonkeyPatch.context() as mp:
-            corrupt_square_map(mp, which, mutate)
+            mutated = corrupt_square_map(mp, which, mutate)
             rep = mccarthy_square_check(c, 0, 2)
+        assert mutated["calls"] == 1, (which, mutated)
         if state.get("skip"):
             detected += 1  # no content to corrupt in that slot: vacuous
             continue

@@ -128,9 +128,9 @@ def test_mccarthy_acyclic_and_mutation_detected(monkeypatch):
     c = random_valid_coalgebra(rng, F2, "sp", 2, w)
     rep = mccarthy_square_check(c, 0, 2)
     assert rep["acyclic"], rep
-    corrupt_square_map(monkeypatch, 3, _zero_map)
+    mutated = corrupt_square_map(monkeypatch, 3, _zero_map)
     rep2 = mccarthy_square_check(c, 0, 2)
-    assert not rep2["acyclic"]
+    assert not rep2["acyclic"] and mutated["calls"] == 1
 
 
 def test_mccarthy_top_site():
@@ -198,8 +198,9 @@ def test_mccarthy_at_arity_three():
         rep = mccarthy_square_check(c, 0, 3)
         assert rep["acyclic"] and rep["window"] == "[-1,0]", rep
         with pytest.MonkeyPatch.context() as mp:
-            corrupt_square_map(mp, 3, _zero_map)
+            mutated = corrupt_square_map(mp, 3, _zero_map)
             assert not mccarthy_square_check(c, 0, 3)["acyclic"]
+            assert mutated["calls"] == 1
 
 
 def test_module_hom_counts_stable_maps_between_sets():

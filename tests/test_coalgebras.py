@@ -14,7 +14,7 @@ from tcalc.coalgebras import (
 from tcalc.equivariant import is_free, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
-    KPrimeComonad, divided_power_check, evaluation_pairing_check, k_top,
+    KPrimeComonad, divided_power_check, evaluation_pairing_check,
     representable_module, validate_right_module,
 )
 from tcalc.perms import YoungGroup

@@ -14,7 +14,7 @@ from tcalc.cooperad import tree_cooperad
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
-    KPrimeComonad, counit, counit_check, k_top, nu_component,
+    KPrimeComonad, counit, counit_check, nu_component,
     top_coassociativity_check,
 )
 from tcalc.perms import YoungGroup
@@ -66,7 +66,7 @@ def test_k_r_zero_above_n():
 def test_diagonal_collapse_and_counit():
     w = DegreeWindow(0, 3)
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2)})
-    K = k_top(A, w)
+    K = TopComonad(A, w)
     eps = counit(K, 2)
     assert eps is not None
     assert cone(eps).is_acyclic(w)
@@ -76,14 +76,14 @@ def test_diagonal_collapse_and_counit():
 
 def test_k_top_of_zero_sequence():
     A = SymmetricSequence(F2, 2, {})
-    K = k_top(A, DegreeWindow(0, 2))
+    K = TopComonad(A, DegreeWindow(0, 2))
     assert not K.components
 
 
 def test_delta_validates_and_coassoc_n3():
     w = DegreeWindow(0, 3)
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3)})
-    K = k_top(A, w)
+    K = TopComonad(A, w)
     assert (1, 2, 3) in K.delta
     coop = tree_cooperad(F2, 3)
     assert top_coassociativity_check(coop, A.term(3), 1, 2, 3, w)
@@ -255,7 +255,7 @@ def test_nu_cone_matches_tate_f2():
 def test_counit_fails_on_corrupted():
     w = DegreeWindow(0, 3)
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2)})
-    K = k_top(A, w)
+    K = TopComonad(A, w)
     comp = K.component(2, 2)
     bad = ChainMap.zero(comp.value.complex, comp.value.complex)
     assert not cone(bad).is_acyclic(w)
@@ -269,7 +269,7 @@ def test_top_comonad_over_f3_and_q():
     for F in (F3, QQ):
         terms = {1: triv(F, 1), 2: triv(F, 2), 3: triv(F, 3)}
         A = SymmetricSequence(F, 3, terms)
-        K = k_top(A, w)
+        K = TopComonad(A, w)
         assert (1, 2, 3) in K.delta  # validated at construction
         coop = tree_cooperad(F, 3)
         assert top_coassociativity_check(coop, A.term(3), 1, 2, 3, w)

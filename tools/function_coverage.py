@@ -21,9 +21,10 @@ pool; both run under a call-event profiler (`sys.setprofile`).  The pool
 is only read: each variant's documents are written to a temporary
 directory.  A function is keyed by (co_filename, co_firstlineno), which for
 a decorated function is the line of its first decorator (`co_qualname` does
-not exist on 3.10), and named `module.qualname` in LISTED.  Exits 1 listing every function that
-breaks the rule, and every LISTED name that is no longer defined, lives in
-`laws` or is entered by a pool job; `__repr__` is exempt.
+not exist on 3.10), and named `module.qualname` in LISTED.  Exits 1 listing
+every function that breaks the rule, and every LISTED name that is no
+longer defined, lives in `laws` or is entered by a pool job; `__repr__` is
+exempt.
 """
 
 import ast
