@@ -28,34 +28,29 @@ def _class_count(field: FieldSpec, dim: int):
 
 def _h0_hom_on_window(a: ChainComplex, target: ChainComplex,
                       w: DegreeWindow):
+    """dim H_0 of hom(a, target)."""
     if w.lo > 0 or w.hi < 0:
         raise ValueError("window too small to certify degree 0")
-    h = hom_complex(a, target)
-    dim, reps = h.homology(0)
-    return dim, reps
+    return hom_complex(a, target).homology_dims(DegreeWindow(0, 0)).get(0, 0)
 
 
 def classify_2exc_sp(a1: ChainComplex, a2: EquivariantComplex,
                      w: DegreeWindow):
     """Homotopy classes A_1 -> Tate_{Sigma_2}(A_2)."""
-    F = a1.field
-    t = tate(a2, w)
-    dim, reps = _h0_hom_on_window(a1, t.complex, w)
-    return {"dim": dim, "classes": _class_count(F, dim), "window": str(w),
-            "target_homology": t.homology_dims()}
+    dim = _h0_hom_on_window(a1, tate(a2, w).complex, w)
+    return {"dim": dim, "classes": _class_count(a1.field, dim),
+            "window": str(w)}
 
 
 def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
                       w: DegreeWindow):
     """Homotopy classes A_1 -> (Sigma A_2)_{h Sigma_2} (trivial suspension)."""
-    F = a1.field
     sa2 = EquivariantComplex(
         shift(a2.complex, 1), a2.group,
         {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    orb = homotopy_orbits(sa2, w)
-    dim, reps = _h0_hom_on_window(a1, orb.complex, w)
-    return {"dim": dim, "classes": _class_count(F, dim), "window": str(w),
-            "target_homology": orb.homology_dims()}
+    dim = _h0_hom_on_window(a1, homotopy_orbits(sa2, w).complex, w)
+    return {"dim": dim, "classes": _class_count(a1.field, dim),
+            "window": str(w)}
 
 
 def shift_action(a: EquivariantComplex, gi) -> ChainMap:
@@ -72,9 +67,9 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     t3 = tate(l3a3, w)
     sub = a3.restrict(YoungGroup.of(1, 2))
     t12 = tate(sub, w)
-    d1, _ = _h0_hom_on_window(a1, t2.complex, w)
-    d2, _ = _h0_hom_on_window(a1, t3.complex, w)
-    d3, _ = _h0_hom_on_window(a2.complex, t12.complex, w)
+    d1 = _h0_hom_on_window(a1, t2.complex, w)
+    d2 = _h0_hom_on_window(a1, t3.complex, w)
+    d3 = _h0_hom_on_window(a2.complex, t12.complex, w)
     # vacuity: K_1 K_2 A_3 acyclic
     k23 = comonads.SpComponentModel(a3, 2, w)
     inner_w = DegreeWindow(w.lo + 1, w.hi - 1) if w.hi - 1 >= w.lo + 1 else w
@@ -101,7 +96,7 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
     P_n and P_{n-1} come from the tot route; the commuting homotopy is found
     by exact linear solve (its absence is a hard failure)."""
     w = w or c.window
-    tm = tower.tower_map(c, site, n, route="tot")
+    tm = tower.tower_map(c, site, n)
     pn, pn1 = tm["source"], tm["target"]
     f_tower = tm["map"]
     builder = pn["builder"]

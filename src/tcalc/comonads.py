@@ -122,8 +122,7 @@ class SpComponentModel:
     L = the singular-set complex for (r, n) = (1, 3) and trivial otherwise;
     the diagonal (r = n) collapses to A_n itself."""
 
-    def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow,
-                 fixed_stages=None):
+    def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow):
         self.a = a
         self.r = r
         self.n = a.group.degree
@@ -148,8 +147,7 @@ class SpComponentModel:
         base = a
         if (r, n) == (1, 3):
             base = equivariant_tensor(l3_complex(F), a)
-        t = tate(tensor_with_surjection_index(base, r), w,
-                 fixed_stages=fixed_stages)
+        t = tate(tensor_with_surjection_index(base, r), w)
         self.tate_result = t
         model = t.complex
         action = {}

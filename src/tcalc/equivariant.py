@@ -331,29 +331,32 @@ def is_free(a: EquivariantComplex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow,
-                    extra_stages: int = 0, tag="orbits",
-                    stages: int | None = None) -> WindowedResult:
+def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
     """Total complex of A (x)_{kG} F_*, certified on w."""
-    return _total_complex(a, w, 1, extra_stages, tag, stages)
+    return _total_complex(a, w, 1)
 
 
-def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow,
-                   extra_stages: int = 0, tag="fixed",
-                   stages: int | None = None) -> WindowedResult:
+def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
     """Total complex of Hom_{kG}(F_*, A), certified on w."""
-    return _total_complex(a, w, -1, extra_stages, tag, stages)
+    return _total_complex(a, w, -1)
 
 
-def _total_complex(a, w, direction, extra_stages, tag, stages):
+def _total_complex(a, w, direction):
     """The orbit model (direction 1) or the fixed model (direction -1).
 
     Its basis in degree k + direction * s is ("hG"/"hGf", s, gen, x) for x
     a basis vector of A_k and gen a generator of stage s of the resolution
     F; "hG" stands for x (x) (gen, e) and "hGf" for the kG-map sending
-    (gen, e) to x.  The model is truncated on its unbounded side only (above
-    w.hi + 1 for orbits, below w.lo - 1 for fixed points), so maps between
-    models of one complex at different windows stay exact.
+    (gen, e) to x.  The model is truncated on its unbounded side only: the
+    label is present iff deg x + s <= w.hi + 1 for orbits, or
+    deg x - s >= w.lo - 1 for fixed points.  So no stage beyond reach + 1
+    (reach = w.hi - min deg A for orbits, max deg A - w.lo for fixed points)
+    adds a basis vector or an entry, and the resolution is extended to the
+    model's own length max(reach + 2, 1), which no caller chooses.  Whether a
+    label is present depends on (s, deg x) and w alone, not on that length,
+    so a map between models over one group that keeps (s, gen) and moves x
+    (`slotwise_map`) stays exact without the models sharing a length, and
+    so do maps between models of one complex at different windows.
 
     The differential is d_A (x) 1 on each (s, gen, k) block plus, for each
     nonzero coefficient coef of (gen', g) in d(gen, e) of stage t, one
@@ -364,6 +367,7 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
     """
     F = a.field
     c = a.complex
+    tag = "orbits" if direction > 0 else "fixed"
     if c.is_zero():
         return WindowedResult(c, w, tag, exact=True)
     res = group_resolution(F, a.group)
@@ -371,11 +375,10 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
         name, edge, reach = "hG", w.hi + 1, w.hi - c.min_degree
     else:
         name, edge, reach = "hGf", w.lo - 1, c.max_degree - w.lo
-    if stages is None:
-        stages = max(reach + 2, 1) + extra_stages
-    res.extend_to(stages)
+    length = max(reach + 2, 1)
+    res.extend_to(length)
     dims, labels, blocks = {}, {}, {}
-    for s in range(stages + 1):
+    for s in range(length + 1):
         r = res.ranks[s]
         if r == 0:
             break
@@ -399,7 +402,7 @@ def _total_complex(a, w, direction, extra_stages, tag, stages):
     for (s, gen, k) in blocks:
         if k in c.diff and (s, gen, k - 1) in blocks:
             put((s, gen, k), (s, gen, k - 1), c.diff[k], 1)
-    for t in range(1, stages + 1):
+    for t in range(1, length + 1):
         for gen, bd in enumerate(res.boundaries[t]):
             for i, coef in bd.items():
                 gen2, gpos = divmod(i, res.order)
@@ -494,12 +497,11 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
                       partial=True).validate()
 
 
-def tate(a: EquivariantComplex, w: DegreeWindow, extra_stages: int = 0,
-         fixed_stages=None) -> WindowedResult:
+def tate(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
     """Tate construction: cone of the norm map, window shrunk by 1 each end."""
     wide = w.expand(1)
-    orbits = homotopy_orbits(a, wide, extra_stages)
-    fixed = homotopy_fixed(a, wide, extra_stages, stages=fixed_stages)
+    orbits = homotopy_orbits(a, wide)
+    fixed = homotopy_fixed(a, wide)
     nm = norm_map(a, wide, orbits, fixed)
     out = WindowedResult(cone(nm), w, "tate")
     out.fixed = fixed

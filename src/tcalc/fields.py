@@ -137,13 +137,6 @@ class FieldSpec:
     def neg(self, a):
         return (-a) % self.characteristic if self.characteristic else -a
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverting zero")
-        if self.characteristic:
-            return pow(a, -1, self.characteristic)
-        return _rational(1 / Fraction(a))
-
     def is_zero(self, a) -> bool:
         return a == 0
 

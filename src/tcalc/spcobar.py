@@ -2,11 +2,13 @@
 zero sphere, truncation <= 3.
 
 Phi(B)(S^0) is the sum over arities r of the Sigma_r homotopy fixed points
-of the level pieces; the pieces are the Sp comonad's Tate models
-(`comonads.SpComponentModel`), rebuilt with shared resolution lengths so
-every structural map is slotwise.  The index walk of the cofaces and
-codegeneracies lives in `tower._Levels`; this builder supplies the pieces,
-the fixed-to-Tate unit off the diagonal and the transport of theta.
+of the level pieces.  The level-1 pieces are the coalgebra's own comonad
+components K_r A_n (`comonads.SpComponentModel`, Tate models off the
+diagonal).  Every windowed model sizes its own resolution by one rule
+(`equivariant._total_complex`), so every structural map is slotwise.  The
+index walk of the cofaces and codegeneracies lives in `tower._Levels`; this
+builder supplies the pieces, the fixed-to-Tate unit off the diagonal and
+the transport of theta.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .chain import (
     ChainComplex, ChainMap, DegreeWindow, factor_through, linear_map,
     transport,
 )
-from .comonads import SpComponentModel, coaugment_invariants
+from .comonads import coaugment_invariants
 from .equivariant import homotopy_fixed, slotwise_map, strict_fixed
 from .perms import all_surjections
 from .tower import _Levels, _piece_nonzero, _RawPiece
@@ -25,7 +27,7 @@ class PhiTerm:
     """One arity-r summand of Phi(B)(S^0): a windowed homotopy-fixed model
     of the piece B over Sigma_r (the piece itself at r = 1)."""
 
-    def __init__(self, piece_value, r, w, stages=None):
+    def __init__(self, piece_value, r, w):
         self.r = r
         if piece_value.complex.is_zero():
             self.complex = ChainComplex(piece_value.field, {})
@@ -36,7 +38,7 @@ class PhiTerm:
             self.complex = piece_value.complex
             self.kind = "identity"
             return
-        self.fixed = homotopy_fixed(piece_value, w, stages=stages)
+        self.fixed = homotopy_fixed(piece_value, w)
         self.complex = self.fixed.complex
         self.kind = "fixed"
 
@@ -73,9 +75,10 @@ class SpCobarBuilder(_Levels):
     Level pieces are keyed by index chains; the strictly nested keys
     r < s < n are dropped (acyclic targets, the swap permutes the two
     partition summands), and the comultiplication components into them are
-    zero.  All fixed models share the expanded coalgebra window and a
-    per-arity resolution length, and the Tate pieces are rebuilt with
-    matching internal resolutions so every structural map is slotwise."""
+    zero.  The level-1 pieces are the coalgebra's comonad components
+    themselves, and every fixed model is taken at the expanded coalgebra
+    window; each model sizes its own resolution, and the maps between them
+    are slotwise."""
 
     def __init__(self, coalgebra, w: DegreeWindow):
         c = coalgebra
@@ -93,10 +96,9 @@ class SpCobarBuilder(_Levels):
         self.pieces = {0: {}, 1: {}, 2: {}}
         for n in seq.arities():
             self.pieces[0][(n,)] = _RawPiece(seq.term(n))
-        self._stage_table()
         for n in seq.arities():
             for r in range(1, n + 1):
-                piece = self._build_piece(r, n)
+                piece = c.komonad.component(r, n)
                 if _piece_nonzero(piece):
                     self.pieces[1][(r, n)] = piece
         if self.D >= 2:
@@ -117,41 +119,11 @@ class SpCobarBuilder(_Levels):
                 r = key[0]
                 made = (r, id(piece.value))
                 if made not in built:
-                    built[made] = PhiTerm(piece.value, r, self.w_phi,
-                                          stages=self._stages.get(r))
+                    built[made] = PhiTerm(piece.value, r, self.w_phi)
                 self.phi[lvl][key] = built[made]
         super().__init__(F, {lvl: {k: self.phi[lvl][k].complex
                                    for k in sorted(self.phi[lvl])}
                              for lvl in range(self.D + 1)})
-
-    def _stage_table(self):
-        seq = self.c.sequence
-        self._stages = {}
-        for n in seq.arities():
-            t = seq.term_complex(n)
-            if t.is_zero():
-                continue
-            if n > 1:
-                self._stages[n] = max(
-                    self._stages.get(n, 1), t.max_degree - self.w_phi.lo + 2)
-        # outer fixed models over Sigma_2 of the K_2 A_3 Tate piece
-        if 3 in seq.arities() and not seq.term_complex(3).is_zero():
-            # the Tate model tops out around the orbit part's upper bound
-            top = self.w_phi.hi + 2
-            self._stages[2] = max(self._stages.get(2, 1),
-                                  top - self.w_phi.lo + 2)
-
-    def _build_piece(self, r, n):
-        term = self.c.sequence.term(n)
-        if term is None:
-            return None
-        base_max = term.complex.max_degree
-        if (r, n) == (1, 3):
-            base_max += 1
-        natural = base_max - self.w_phi.lo + 2
-        return SpComponentModel(term, r, self.w,
-                                fixed_stages=max(natural,
-                                                 self._stages.get(n, 1)))
 
     def _outer(self, m, sk, tk) -> ChainMap:
         """The unit off the diagonal, out of a top-arity summand (n, ..., n)
@@ -171,8 +143,8 @@ class SpCobarBuilder(_Levels):
 
     def _inner(self, m, sk, tk):
         """theta_{s,n} at the innermost slot; K_s collapsed on an arity-s
-        object, so it is theta itself, transported into the rebuilt piece
-        model.  (The targets r < s < n are dropped: their blocks are zero.)"""
+        object, so it is theta itself, transported into the piece model.
+        (The targets r < s < n are dropped: their blocks are zero.)"""
         th = self.c.theta_map(sk[-1], tk[-1])
         if th is None:
             return None

@@ -103,11 +103,7 @@ class TopCobarBuilder(_Levels):
             self.carrier12 = carrier
             comp12 = c.komonad.component(1, 2)
             self.comp12 = comp12
-            base = max(self.w.hi - carrier.complex.min_degree + 2, 1)
-            inferred = comp12.stages() or 1
-            self.stages12 = max(base, inferred)
-            self.slot12 = homotopy_orbits(carrier, w, tag="slot12",
-                                          stages=self.stages12)
+            self.slot12 = homotopy_orbits(carrier, w)
         keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
         keys1 = sorted([(n, n) for (n,) in keys0] +
                        ([(1, 2)] if self.slot12 is not None else []))
@@ -163,8 +159,7 @@ class TopCobarBuilder(_Levels):
             sgn = -1 if a2.locate(inner[-1])[0] % 2 else 1
             return (((inner[-1], ("tup", (x, x))), sgn),)
         g = linear_map(wp, carrier, translate, partial=True).validate()
-        orb_wp = homotopy_orbits(wprime_eq, self.w, tag="theta-aux",
-                                 stages=self.stages12)
+        orb_wp = homotopy_orbits(wprime_eq, self.w)
         gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
         src = self.diag[1]["complex"]
         def slot_outside(lab):

@@ -188,7 +188,7 @@ class TopComponentModel:
     structure."""
 
     def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int,
-                 w: DegreeWindow, force_windowed=False, stages=None):
+                 w: DegreeWindow, force_windowed=False):
         self.coop = coop
         self.a = a
         self.r = r
@@ -223,27 +223,18 @@ class TopComponentModel:
             self.value = EquivariantComplex(q, sr.group, action).validate()
         else:
             self.kind = "windowed"
-            self.orbit = homotopy_orbits(w_total, w, tag="k-top", stages=stages)
             self.exact = False
-            model = self.orbit.complex
+            model = homotopy_orbits(w_total, w).complex
             action = {gi: slotwise_map(model, model, g)
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(model, sr.group, action)
 
-    def stages(self):
-        """The resolution length of a windowed model, read off its labels
-        (None for the other kinds)."""
-        if self.kind != "windowed":
-            return None
-        return max((lab[1] for labs in self.value.complex.labels.values()
-                    for lab in labs), default=0) + 1
-
     def like(self, a: EquivariantComplex, w: DegreeWindow):
-        """K_r(a) at window w, windowed with this model's resolution length
-        when this model is windowed, else in its natural kind."""
+        """K_r(a) at window w: windowed when this model is windowed, else in
+        its natural kind.  A windowed model sizes its own resolution, so
+        maps between it and this one stay slotwise."""
         return TopComponentModel(self.coop, a, self.r, w,
-                                 force_windowed=self.kind == "windowed",
-                                 stages=self.stages())
+                                 force_windowed=self.kind == "windowed")
 
     def apply(self, f: ChainMap, tgt: "TopComponentModel") -> ChainMap:
         """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
@@ -370,10 +361,6 @@ class TopComonad:
         inner = self._inner_cache.get((s, n))
         if inner is None:
             inner = TopComponentModel(self.coop, term, s, w_wide)
-            if inner.kind == "windowed":
-                inner = TopComponentModel(
-                    self.coop, term, s, w_wide, force_windowed=True,
-                    stages=_delta_stages(self.w, term, n))
             self._inner_cache[(s, n)] = inner
         comp2, total_map, outer = topdelta.build_top_delta(
             self.coop, term, comp, inner, r, s, self.w)
@@ -381,13 +368,6 @@ class TopComonad:
         self.delta[(r, s, n)] = total_map
         self.delta_inner[(r, s, n)] = inner
         self.delta_outer[(r, s, n)] = outer
-
-
-def _delta_stages(w: DegreeWindow, term: EquivariantComplex, n):
-    """Deterministic resolution length for inner models shared across deltas:
-    long enough for any aux model at window w and the wide inner window."""
-    mindeg = term.complex.min_degree
-    return max(w.hi + n + 1 - mindeg + 2, 1) + n + 2
 
 
 # ---------------------------------------------------------------------------

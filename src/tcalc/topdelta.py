@@ -143,16 +143,14 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         inner_eq = inner.sursum.sigma_n_action()
         pre_eq = EquivariantComplex(pre.total, inner_eq.group, {
             gi: pre.apply(g, pre) for gi, g in inner_eq.action.items()})
-        # one resolution length per (term, w), shared by all deltas out of it
-        stages0 = max(w.hi - term.complex.min_degree + 2, 1)
-        comp = TopComponentModel(coop, term, r, w,
-                                 force_windowed=True, stages=stages0)
+        if comp.kind != "windowed":
+            comp = TopComponentModel(coop, term, r, w, force_windowed=True)
         if inner.kind != "windowed":
             inner = TopComponentModel(coop, term, s, w.expand(n + 1),
                                       force_windowed=True)
         outer = TopComponentModel(coop, inner.value, r, w,
                                   force_windowed=True)
-        aux = homotopy_orbits(pre_eq, w, tag="delta-aux", stages=stages0)
+        aux = homotopy_orbits(pre_eq, w)
         src_map = slotwise_map(comp.value.complex, aux.complex, dpre)
         wout_trunc = outer.sursum.total.truncate(
             outer.sursum.total.min_degree if outer.sursum.total.dims

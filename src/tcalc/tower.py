@@ -331,18 +331,16 @@ def _p_n_pullback(c, builder):
             "stages": stages, "projections": projections, "builder": builder}
 
 
-def tower_map(c, site, n, route="tot"):
+def tower_map(c, site, n):
     """The stage map p_n -> p_{n-1} induced by truncation (tot route): the
     projection of Tots dropping the pieces of chains with indices above
     n - 1.  A Tot vector ("tot", m, key, lab) is the vector lab of the
     strict-chain piece key at level m, and the pieces of a chain both cobars
     hold agree on their common labels."""
-    if route != "tot":
-        raise ValueError("tower maps are provided on the tot route")
     if n <= 1:
         raise ValueError("tower map needs n >= 2")
-    hi = p_n(c, site, n, route=route)
-    lo = p_n(c, site, n - 1, route=route)
+    hi = p_n(c, site, n)
+    lo = p_n(c, site, n - 1)
     f = label_map(hi["complex"], lo["complex"], partial=True).validate()
     return {"map": f, "source": hi, "target": lo}
 

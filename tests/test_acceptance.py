@@ -83,7 +83,8 @@ def test_criterion_03_tate_oracles():
              for k in w.degrees())
     ok = ok and tate(triv(QQ, 2), w).is_acyclic()
     ok = ok and tate(regular_module(F2, YoungGroup.full(2)), w).is_acyclic()
-    t2 = tate(triv(F2, 2), w, extra_stages=2)
+    # a window two degrees wider on each side leaves the homology on w
+    t2 = tate(triv(F2, 2), w.expand(2))
     ok = ok and all(t2.complex.homology(k)[0] == t.complex.homology(k)[0]
                     for k in w.degrees())
     _report(3, "Tate oracles on [-6,6]", ok)

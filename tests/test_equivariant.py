@@ -5,17 +5,20 @@ Sigma_3) live here as independent oracles; the engine itself only knows the
 generic greedy resolution.
 """
 
+import random
 import tracemalloc
 
 import pytest
 
 from helpers import induced_from_trivial_subgroup, sign_action
 from tcalc import equivariant
-from tcalc.chain import ChainComplex, ChainMap, DegreeWindow, sphere
+from tcalc.chain import (
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
+)
 from tcalc.equivariant import (
-    EquivariantComplex, group_resolution, homotopy_fixed, homotopy_orbits,
-    is_free, norm_map, permutation_module, regular_module, slotwise_map,
-    strict_fixed, strict_orbits, tate, trivial_action,
+    EquivariantComplex, equivariant_tensor, group_resolution, homotopy_fixed,
+    homotopy_orbits, is_free, norm_map, permutation_module, regular_module,
+    slotwise_map, strict_fixed, strict_orbits, tate, trivial_action,
 )
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import rank, tensor_power
@@ -200,14 +203,73 @@ def test_orbits_sigma3_f2():
 
 
 def test_window_stability_plus_two_stages():
+    # two more degrees on the unbounded side take two more stages of the
+    # resolution and leave the homology on the old window as it was
     a = trivial_action(sphere(F2, 0), S2)
     w = DegreeWindow(0, 4)
     d1 = homotopy_orbits(a, w).homology_dims()
-    d2 = homotopy_orbits(a, w, extra_stages=2).homology_dims()
+    d2 = homotopy_orbits(a, DegreeWindow(0, 6)).complex.homology_dims(w)
     assert d1 == d2
-    f1 = homotopy_fixed(a, DegreeWindow(-4, 0)).homology_dims()
-    f2 = homotopy_fixed(a, DegreeWindow(-4, 0), extra_stages=2).homology_dims()
+    w = DegreeWindow(-4, 0)
+    f1 = homotopy_fixed(a, w).homology_dims()
+    f2 = homotopy_fixed(a, DegreeWindow(-6, 0)).complex.homology_dims(w)
     assert f1 == f2
+
+
+def _spread_module(rng, F, group):
+    """A G-module over several degrees: a trivial or regular module
+    tensored with a trivially acted complex whose cells lie in 2 or 3
+    degrees, one pair of them joined by an identity differential."""
+    degs = sorted(rng.sample(range(-2, 3), rng.choice([2, 3])))
+    parts = [sphere(F, d, label=("e", i)) for i, d in enumerate(degs)]
+    lo = degs[0]
+    disk = ChainComplex(F, {lo: 1, lo + 1: 1},
+                        {lo + 1: SparseMatrix.identity(1, F)},
+                        {lo: (("b",),), lo + 1: (("t",),)})
+    spread = trivial_action(direct_sum(parts + [disk]), group)
+    base = rng.choice([trivial_action(sphere(F, 0), group),
+                       regular_module(F, group)])
+    return equivariant_tensor(spread, base)
+
+
+def _rule_labels(a, res, name, keep, direction):
+    """{(degree, label)} the basis rule asks for: (name, s, gen, x) in
+    degree deg x + direction * s for every stage s that keep(deg x, s)
+    allows and every generator gen of stage s."""
+    out = set()
+    for k in a.complex.support():
+        s = 0
+        while keep(k, s):
+            out |= {(k + direction * s, (name, s, gen, x))
+                    for gen in range(res.ranks[s])
+                    for x in a.complex.labels[k]}
+            s += 1
+    return out
+
+
+def _model_labels(model):
+    return {(k, lab) for k, labs in model.complex.labels.items()
+            for lab in labs}
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_orbit_and_fixed_bases_follow_the_basis_rule(F):
+    # a model's basis is fixed by the window alone: ("hG", s, gen, x) with
+    # deg x + s <= w.hi + 1, and ("hGf", s, gen, x) with
+    # deg x - s >= w.lo - 1, for gen < rank(s)
+    rng = random.Random(27)
+    for group in (S2, S3, YoungGroup.of(2, 1)):
+        for _ in range(3):
+            a = _spread_module(rng, F, group)
+            lo = rng.randint(-3, 1)
+            w = DegreeWindow(lo, lo + rng.randint(0, 3))
+            res = group_resolution(F, group)
+            orbits = homotopy_orbits(a, w)
+            assert _model_labels(orbits) == _rule_labels(
+                a, res, "hG", lambda k, s: k + s <= w.hi + 1, 1)
+            fixed = homotopy_fixed(a, w)
+            assert _model_labels(fixed) == _rule_labels(
+                a, res, "hGf", lambda k, s: k - s >= w.lo - 1, -1)
 
 
 # ---------------------------------------------------------------------------

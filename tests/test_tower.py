@@ -666,6 +666,17 @@ def test_strict_tot_matches_conormalized_tot(doc, site):
         assert strict == generic
 
 
+@pytest.mark.parametrize("doc, site", [
+    p for p in _pool_coalgebras() if p.values[0]["source"] == "sp"])
+def test_sp_cobar_pieces_are_the_comonad_components(doc, site):
+    # the Sp cobar reads the coalgebra's own Tate models, not copies
+    c = coalgebra_from_json(doc)
+    builder = SpCobarBuilder(c, c.window)
+    assert builder.pieces[1]
+    for (r, n), piece in builder.pieces[1].items():
+        assert piece is c.komonad.component(r, n)
+
+
 def test_job_paths_leave_the_cosimplicial_object_unbuilt(monkeypatch):
     """p_n (both routes), derived_hom, bk_e1, the McCarthy square and cobar
     build no level sum and no CosimplicialComplex.  cobar certifies its
