@@ -716,33 +716,6 @@ def hom_complex(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     return ChainComplex(field, dims, diff, labels)
 
 
-def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
-                       vec: dict, degree=0) -> ChainMap:
-    """Interpret a degree-`degree` element of hom_complex(c, d) as a
-    ChainMap (a chain map when the element is a cycle)."""
-    labs = h.labels.get(degree, ())
-    images = {}
-    for idx, v in vec.items():
-        _, lc, ld = labs[idx]
-        images.setdefault(lc, []).append((ld, v))
-    return linear_map(c, d, lambda k, lab: images.get(lab, ()), degree=degree)
-
-
-def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
-    """Inverse of hom_element_to_map: ChainMap -> vector in hom complex."""
-    degree = f.degree
-    labs = h.labels.get(degree, ())
-    pos = {lab: idx for idx, lab in enumerate(labs)}
-    cl = f.source.labels
-    dl = f.target.labels
-    vec = {}
-    for p, m in f.components.items():
-        for (j, i), v in m.items():
-            lab = ("hom", cl[p][i], dl[p + degree][j])
-            vec[pos[lab]] = v
-    return vec
-
-
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_k = C_{k-1} (+) D_k, d(c,x) = (-dc, dx - f c)."""
     assert f.degree == 0

@@ -45,16 +45,15 @@ def classify_2exc_sp(a1: ChainComplex, a2: EquivariantComplex,
 def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
                       w: DegreeWindow):
     """Homotopy classes A_1 -> (Sigma A_2)_{h Sigma_2} (trivial suspension)."""
-    sa2 = EquivariantComplex(
-        shift(a2.complex, 1), a2.group,
-        {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    dim = _h0_hom_on_window(a1, homotopy_orbits(sa2, w).complex, w)
+    dim = _h0_hom_on_window(a1, homotopy_orbits(suspension(a2), w).complex, w)
     return {"dim": dim, "classes": _class_count(a1.field, dim),
             "window": str(w)}
 
 
-def shift_action(a: EquivariantComplex, gi) -> ChainMap:
-    return shift_map(a.action[gi], 1)
+def suspension(a: EquivariantComplex) -> EquivariantComplex:
+    """Sigma A, with the action shifted along."""
+    return EquivariantComplex(shift(a.complex, 1), a.group, {
+        gi: shift_map(a.action[gi], 1) for gi in a.group.generator_positions()})
 
 
 def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,

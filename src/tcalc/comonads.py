@@ -18,7 +18,7 @@ from .chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
 )
 from .equivariant import (
-    EquivariantComplex, WindowedResult, equivariant_tensor, slotwise_map,
+    EquivariantComplex, SlotwiseModel, WindowedResult, equivariant_tensor,
     tate, zero_module,
 )
 from .perms import YoungGroup, all_surjections, compose, inverse, transposition
@@ -115,7 +115,7 @@ def coaugment_invariants(sub_incl: ChainMap,
 # ---------------------------------------------------------------------------
 
 
-class SpComponentModel:
+class SpComponentModel(SlotwiseModel):
     """K_r A_n for the spectra-to-spectra comonad, truncation <= 3.
 
     Uniform model: K_r A_n = Tate_{Sigma_n}(L (x) A_n (x) k[Surj(n, r)]) with
@@ -155,26 +155,23 @@ class SpComponentModel:
             action[gi] = sp_sigma_r_generator(model, n, r, gi, F)
         self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
-    def apply(self, f: ChainMap, tgt: "SpComponentModel") -> ChainMap:
-        """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
-        of any degree, this model being K_r B and tgt K_r B': slotwise on
-        the Tate cone models, f itself on collapsed diagonals."""
+    def on_maps(self, tgt: "SpComponentModel"):
+        """K_r on maps into tgt (`SlotwiseModel`): f itself on collapsed
+        diagonals, else at the A-label in (cone part, ("hG"/"hGf", s, gen,
+        ("sidx", alpha, A-label or (l3 label, A-label)))), with a Koszul
+        sign for "cone-src" and for an l3 edge.  For |f| != 0, K_r(f) need
+        not commute with d in the outer |f| degrees of the truncation."""
         if self.kind == "collapsed":
-            return f
+            return self.value.complex, tgt.value.complex, (), None, None, None
         if self.kind != "tate" or tgt.kind != "tate":
             raise ValueError("sp K on maps needs matching tate models")
-        # Tate labels are (cone part, ("hG"/"hGf", s, gen, ("sidx", alpha,
-        # base))) with base the A-label, or (l3 label, A-label) when
-        # (r, n) = (1, 3).  Moving f onto A passes the cone's degree shift on
-        # "cone-src" labels and an l3 edge (degree 1): each gives a Koszul
-        # sign when f is odd.
         l3 = (self.r, self.n) == (1, 3)
 
         def sign(lab):
             odd = (lab[0] == "cone-src") != (l3 and lab[1][3][2][0][1] != "w")
-            return -1 if odd and f.degree % 2 else 1
-        return slotwise_map(self.value.complex, tgt.value.complex, f,
-                            (1, 3, 2, 1) if l3 else (1, 3, 2), sign).validate()
+            return -1 if odd else 1
+        return (self.value.complex, tgt.value.complex,
+                (1, 3, 2, 1) if l3 else (1, 3, 2), sign, None, None)
 
 
 class SpComonad:

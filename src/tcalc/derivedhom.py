@@ -5,19 +5,22 @@ E^1 page.
 m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r) on the strict invariants of
 equivariant hom complexes.  The index walk of its cofaces and
 codegeneracies lives in `tower._Levels`; the builder supplies the hom
-pieces and the blocks off the diagonal: h |-> K_q(h) o theta for delta^0,
-postcomposition with the comultiplication for the middle cofaces and with
-theta for the last.  `tower.derived_hom` totalizes it; `bk_e1` reads the
-E^1 page off the coface blocks between its strictly increasing index
-chains, and `einf_dims` the abutment off the column filtration of the
-totalization.
+pieces and the blocks off the diagonal: postcomposition with the
+comultiplication for the middle cofaces and with theta for the last, and
+for delta^0 the map h |-> K_q(h) o theta.  The mapping complex uses the
+comonad only as a functor on maps, so that map is linear in h: each block
+is one map read off theta's entries by the rule for K on maps that the
+component model holds (`SlotwiseModel.on_homs`), certified once as a block.
+`tower.derived_hom` totalizes the levels; `bk_e1` reads the E^1 page off
+the coface blocks between its strictly increasing index chains, and
+`einf_dims` the abutment off the column filtration of the totalization.
 """
 
 from __future__ import annotations
 
 from .chain import (
-    ChainMap, DegreeWindow, factor_through, hom_complex, hom_element_to_map,
-    linear_map, map_to_hom_element, subcomplex, transport,
+    ChainMap, DegreeWindow, factor_through, hom_complex, linear_map,
+    subcomplex, transport,
 )
 from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
 from .sparse import Echelon, SparseMatrix, nullspace
@@ -106,7 +109,7 @@ class DerivedHomBuilder(_HomLevels):
     middle cofaces insert the comultiplication, the top coface postcomposes
     the target coalgebra structure; codegeneracies postcompose counits.  The
     index walk lives in `tower._Levels`; this builder supplies the pieces
-    and the blocks off the diagonal: `_kq_theta_block` for delta^0, and
+    and the blocks off the diagonal: `_outer` for delta^0, and
     postcomposition (`_post`) with delta or theta for the others."""
 
     def __init__(self, c, cprime, w: DegreeWindow):
@@ -151,39 +154,19 @@ class DerivedHomBuilder(_HomLevels):
     # -- blocks off the diagonal ----------------------------------------------
 
     def _outer(self, m, sk, tk) -> ChainMap:
-        return self._kq_theta_block(self.hom[m][sk], self.hom[m + 1][tk],
-                                    tk[0], sk[0])
-
-    def _kq_theta_block(self, src, tgt, q, r) -> ChainMap:
-        """Hom(A_r, P)^{inv} -> Hom(A_q, K_q P)^{inv}:
-        h |-> K_q(h) o theta^A_{q,r}, built column by column on the invariant
-        basis and solved once per degree."""
-        F = self.field
-        c = self.c
-        theta = c.theta_map(q, r)
+        """delta^0's block Phi : Hom(A_r, P)^{inv} -> Hom(A_q, K_q P)^{inv},
+        h |-> K_q(h) o theta^A_{q,r}, for (q, r) = (tk[0], sk[0]).  Phi is
+        linear in h: one map on the full hom complexes, read off theta's
+        entries by the rule for K on maps of the model K_q A_r that theta
+        lands in (`on_homs`), composed with the source inclusion, factored
+        through the target invariants and validated once, as a block."""
+        src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
+        theta = self.c.theta_map(tk[0], sk[0])
         if theta is None:
             return ChainMap.zero(src["inv"], tgt["inv"])
-        # K_q(A_r)-model must match theta's target (the coalgebra's own
-        # component models)
-        ka_model = c.komonad.component(q, r)
-        img = {}
-        for k in src["inv"].dims:
-            inc = src["incl"].component(k).by_column()
-            cols = []
-            for j in range(src["inv"].dim(k)):
-                vec = inc.get(j, {})
-                f = hom_element_to_map(src["full"],
-                                       c.sequence.term_complex(r),
-                                       src["piece"].value.complex, vec,
-                                       degree=k)
-                kf = ka_model.apply(f, tgt["piece"])
-                # theta recast into the model K_q(h) starts from
-                th = transport(theta, target=kf.source)
-                # composite: A_q -> K_q P (degree k), as an element of Hom
-                cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
-            img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), F)
-        return factor_through(ChainMap(src["inv"], tgt["full"], img),
-                              tgt["incl"]).validate()
+        phi = self.c.komonad.component(tk[0], sk[0]).on_homs(
+            theta, tgt["piece"], src["full"], tgt["full"])
+        return factor_through(phi.compose(src["incl"]), tgt["incl"]).validate()
 
     def _inner(self, m, sk, tk):
         """Postcompose theta of the target coalgebra at the innermost slot:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, linear_map, quotient,
-    subcomplex, tensor, tensor_map,
+    subcomplex, tensor, tensor_map, transport,
 )
 from .fields import FieldSpec
 from .perms import YoungGroup, compose, identity_perm, inverse, transposition
@@ -352,11 +352,12 @@ def _total_complex(a, w, direction):
     deg x - s >= w.lo - 1 for fixed points.  So no stage beyond reach + 1
     (reach = w.hi - min deg A for orbits, max deg A - w.lo for fixed points)
     adds a basis vector or an entry, and the resolution is extended to the
-    model's own length max(reach + 2, 1), which no caller chooses.  Whether a
-    label is present depends on (s, deg x) and w alone, not on that length,
-    so a map between models over one group that keeps (s, gen) and moves x
-    (`slotwise_map`) stays exact without the models sharing a length, and
-    so do maps between models of one complex at different windows.
+    last stage a label reads: the model's own length max(reach + 1, 0),
+    which no caller chooses.  Whether a label is present depends on
+    (s, deg x) and w alone, not on that length, so a map between models
+    over one group that keeps (s, gen) and moves x (`slotwise_map`) stays
+    exact without the models sharing a length, and so do maps between
+    models of one complex at different windows.
 
     The differential is d_A (x) 1 on each (s, gen, k) block plus, for each
     nonzero coefficient coef of (gen', g) in d(gen, e) of stage t, one
@@ -375,7 +376,7 @@ def _total_complex(a, w, direction):
         name, edge, reach = "hG", w.hi + 1, w.hi - c.min_degree
     else:
         name, edge, reach = "hGf", w.lo - 1, c.max_degree - w.lo
-    length = max(reach + 2, 1)
+    length = max(reach + 1, 0)
     res.extend_to(length)
     dims, labels, blocks = {}, {}, {}
     for s in range(length + 1):
@@ -435,11 +436,10 @@ def slotwise_map(src_model: ChainComplex, tgt_model: ChainComplex,
     f(slot of lab); terms missing from tgt_model are dropped.
 
     slot is an index, or a tuple path of indices into nested tuple labels;
-    negative indices count from the end.  sign(lab) is +1 or -1 (the Koszul
-    sign of moving f to the slot) and defaults to +1.  The default slot is
-    the w of the orbit and fixed models' ("hG"/"hGf", s, gen, w) labels.  A
-    label without the slot raises ValueError.  The result is not
-    validated."""
+    negative indices count from the end.  sign(lab) is +1 (the default) or
+    -1.  The default slot is the w of the orbit and fixed models'
+    ("hG"/"hGf", s, gen, w) labels.  A label without the slot raises
+    ValueError.  The result is not validated."""
     path = (slot,) if isinstance(slot, int) else tuple(slot)
     d = f.degree
     cols = {k: m.by_column() for k, m in f.components.items()}
@@ -470,6 +470,56 @@ def _with_slot(lab, path, new):
         return new
     i = path[0] % len(lab)
     return lab[:i] + (_with_slot(lab[i], path[1:], new),) + lab[i + 1:]
+
+
+class SlotwiseModel:
+    """A model K(B) over the labels of B whose functor K acts on maps by one
+    rule, `on_maps(tgt)` = (source, target, path, sign, pre, post), read by
+    K(f) (`apply`) and h |-> K(h) o theta (`on_homs`): f : B -> B' goes from
+    source to target by `slotwise_map` at path (empty: the label is the
+    B-label) with the Koszul sign(lab) when f is odd, after pre : K(B) ->
+    source and before post : target -> K(B') unless None.  Nothing here is
+    validated: the caller that assembles a block certifies it."""
+
+    def apply(self, f: ChainMap, tgt) -> ChainMap:
+        """K(f) : K(B) -> K(B') = tgt for f : B -> B' of any degree."""
+        source, target, path, sign, pre, post = self.on_maps(tgt)
+        if not path:
+            return f
+        out = slotwise_map(source, target, f, path,
+                           sign if f.degree % 2 else None)
+        out = out if pre is None else out.compose(pre)
+        return out if post is None else post.compose(out)
+
+    def on_homs(self, theta: ChainMap, tgt, hom_src: ChainComplex,
+                hom_tgt: ChainComplex) -> ChainMap:
+        """h |-> K(h) o theta from hom_src = Hom(B, B') to hom_tgt =
+        Hom(X, K(B')), for theta : X -> K(B) carried onto the model by
+        label.  It is linear in h, so the column at ("hom", x, y) is read
+        off theta's entries whose slot value is x, moved to y with the sign."""
+        source, target, path, sign, pre, post = self.on_maps(tgt)
+        th = transport(theta, target=source if pre is None else pre.source)
+        th = th if pre is None else pre.compose(th)
+        onward, by_slot = {}, {}    # onward: target label -> post image
+        for k, m in (() if post is None else post.components.items()):
+            for (i, j), v in m.items():
+                onward.setdefault(target.labels[k][j], []).append(
+                    (post.target.labels[k][i], v))
+        for k, m in th.components.items():
+            for (i, j), v in m.items():
+                lab = th.target.labels[k][i]
+                by_slot.setdefault(_slot_value(lab, path), []).append(
+                    (th.source.labels[k][j], lab, v))
+
+        def image(k, hlab):
+            out = []
+            for a, lab, v in by_slot.get(hlab[1], ()):
+                t = _with_slot(lab, path, hlab[2])
+                v = -v if k % 2 and sign is not None and sign(lab) < 0 else v
+                out.extend((("hom", a, u), c * v) for u, c in (
+                    ((t, 1),) if post is None else onward.get(t, ())))
+            return out
+        return linear_map(hom_src, hom_tgt, image, partial=True)
 
 
 def norm_map(a: EquivariantComplex, w: DegreeWindow,

@@ -28,11 +28,10 @@ from itertools import product as _iterprod
 from . import trees
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, hom_complex, hom_element_to_map, label_map, linear_map,
-    map_to_hom_element, quotient, shift, sphere, subcomplex, tensor,
-    tensor_many, tensor_map, transport,
+    factor_through, hom_complex, label_map, linear_map, quotient, sphere,
+    subcomplex, tensor, tensor_many, tensor_map, transport,
 )
-from .classify import shift_action
+from .classify import suspension
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra,
@@ -89,6 +88,24 @@ class ChainHomotopy:
                              (-1, self.component(k - 1), C.d(k))]):
                 raise ValueError("homotopy identity fails in degree %d" % k)
         return self
+
+
+def hom_element_to_map(h: ChainComplex, c: ChainComplex, d: ChainComplex,
+                       vec: dict, degree=0) -> ChainMap:
+    """Interpret a degree-`degree` element of hom_complex(c, d) as a
+    ChainMap (a chain map when the element is a cycle)."""
+    images = {}
+    for idx, v in vec.items():
+        _, lc, ld = h.labels[degree][idx]
+        images.setdefault(lc, []).append((ld, v))
+    return linear_map(c, d, lambda k, lab: images.get(lab, ()), degree=degree)
+
+
+def map_to_hom_element(h: ChainComplex, f: ChainMap) -> dict:
+    """Inverse of hom_element_to_map: ChainMap -> vector in hom complex."""
+    pos, d = h.label_index(f.degree), f.degree
+    return {pos[("hom", f.source.labels[p][i], f.target.labels[p + d][j])]: v
+            for p, m in f.components.items() for (j, i), v in m.items()}
 
 
 def homotopy_between(f: ChainMap, g: ChainMap) -> ChainHomotopy | None:
@@ -2034,23 +2051,23 @@ def _square_into_tate(z, a1, tgt, F):
     return out
 
 
+def _tate_of_m_after_diagonal(a1, a2, m_map, w):
+    """(Tate(m) o delta, the Tate model of Sigma A_2): the diagonal
+    A_1 -> Tate(A_1 (x) A_1) with the swap action, then the Tate functor on
+    the equivariant m : A_1 (x) A_1 -> Sigma A_2 through the sidx-wrapped
+    carrier, certified here."""
+    sq_idx = SpComponentModel(tensor_power(a1, 2), 1, w)
+    t_sa2 = SpComponentModel(suspension(a2), 1, w)
+    tm = sq_idx.apply(m_map, t_sa2).validate()
+    return tm.compose(tate_diagonal_unitlike(a1, sq_idx, w)), t_sa2
+
+
 def validate_2exc_sp_to_top(a1: ChainComplex, a2: EquivariantComplex,
                             m_map: ChainMap, w: DegreeWindow, witness=None):
     """Spectra-to-spaces 2-excisive data: a module map
     m : A_1 (x) A_1 -> Sigma A_2 with a nullhomotopy of the composite
     A_1 -> Tate(A_1 (x) A_1) -> Tate(Sigma A_2)."""
-    # Tate of the square with swap action
-    sq = tensor_power(a1, 2)
-    sq_idx = SpComponentModel(sq, 1, w)
-    delta = tate_diagonal_unitlike(a1, sq_idx, w)
-    # Tate(m): through the sidx-wrapped carrier
-    sa2 = EquivariantComplex(
-        shift(a2.complex, 1), a2.group,
-        {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    t_sa2 = SpComponentModel(sa2, 1, w)
-    # m is equivariant: apply the Tate functor
-    tm = sq_idx.apply(m_map, t_sa2)
-    composite = tm.compose(delta)
+    composite, _ = _tate_of_m_after_diagonal(a1, a2, m_map, w)
     h = None
     if witness is not None:
         try:
@@ -2076,14 +2093,7 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     """Spaces-to-spaces 2-excisive data: maps m : A_1 (x) A_1 -> Sigma A_2
     and m' : A_1 -> Sigma A_2, with a homotopy between the two composites
     into Tate(Sigma A_2)."""
-    sq = tensor_power(a1, 2)
-    sq_idx = SpComponentModel(sq, 1, w)
-    delta = tate_diagonal_unitlike(a1, sq_idx, w)
-    sa2 = EquivariantComplex(
-        shift(a2.complex, 1), a2.group,
-        {gi: shift_action(a2, gi) for gi in a2.group.generator_positions()})
-    t_sa2 = SpComponentModel(sa2, 1, w)
-    route2 = sq_idx.apply(m_map, t_sa2).compose(delta)
+    route2, t_sa2 = _tate_of_m_after_diagonal(a1, a2, m_map, w)
     # route 1: m' lifted through the fixed points, then into the cone
     fx = t_sa2.tate_result.fixed
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)

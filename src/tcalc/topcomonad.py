@@ -9,29 +9,29 @@ comultiplication delta_{r,s} is the identity of the model where s = n or
 s = r; for r < s < n it comes from ungrafting decompositions of the tree
 cooperad and lives in `topdelta`, which only arity-3 and arity-4 inputs run.
 The counit is the identity of the collapsed diagonal (`laws.counit`
-reads it for the law checks).  A component model
-applies K_r to maps itself (`TopComponentModel.apply`), so no job module
-outside the comonads reads a model's kind.  The Sp comonad is in `comonads`; the
-strict comonad K' and the comparison nu : K -> K' are in `laws`.
+reads it for the law checks).  A component model holds K_r on maps as one
+slot rule (`TopComponentModel.on_maps`), so no job module outside the
+comonads reads a model's kind.  The Sp comonad is in `comonads`; the strict
+comonad K' and the comparison nu : K -> K' are in `laws`.
 """
 
 from __future__ import annotations
 
 from . import topdelta, trees
 from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
-    tensor_many,
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map, tensor_many,
+    transport,
 )
 from .cooperad import Cooperad, tree_cooperad
 from .equivariant import (
-    EquivariantComplex, WindowedResult, homotopy_orbits, is_free, slotwise_map,
-    strict_orbits, zero_module,
+    EquivariantComplex, SlotwiseModel, WindowedResult, homotopy_orbits,
+    is_free, slotwise_map, strict_orbits, zero_module,
 )
 from .perms import (
     YoungGroup, all_surjections, inverse, surjection_fibers, transposition,
 )
 from .sequences import SymmetricSequence
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, vanishes
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ from .sparse import SparseMatrix
 # ---------------------------------------------------------------------------
 
 
-class SurjectionSum:
+class SurjectionSum(SlotwiseModel):
     """W(X, r) = (+)_{alpha: n ->> r} T_{f_1} (x) ... (x) T_{f_r} (x) X, with
     its Sigma_n and Sigma_r actions, for any Sigma_n-module X: a term A_n,
     an orbit model, or W(A, s) itself as a Sigma_s-module (the target of
@@ -140,16 +140,15 @@ class SurjectionSum:
                 for gi in group.generator_positions()}).validate()
         return self._sigma_r
 
-    def apply(self, f: ChainMap, tgt: "SurjectionSum") -> ChainMap:
-        """trees (x) f : W(B, r) -> W(B', r) for f : B -> B', with the Koszul
-        sign (-1)^{|f| |trees|}.  The result is not validated."""
+    def on_maps(self, tgt: "SurjectionSum"):
+        """trees (x) f : W(B, r) -> W(B', r) for f : B -> B' (`SlotwiseModel`),
+        with the Koszul sign (-1)^{|f| |trees|} on ("surj", alpha, trees +
+        (x,))."""
         def sign(lab):
             _, alpha, inner = lab
-            treedeg = sum(self.label_degree(len(fb), tl)
-                          for fb, tl in zip(self.factors[alpha], inner[:-1]))
-            return -1 if treedeg % 2 else 1
-        return slotwise_map(self.total, tgt.total, f, slot=(2, -1),
-                            sign=sign if f.degree % 2 else None)
+            return -1 if sum(self.label_degree(len(fb), tl) for fb, tl in zip(
+                self.factors[alpha], inner[:-1])) % 2 else 1
+        return self.total, tgt.total, (2, -1), sign, None, None
 
     def _summand_map(self, moves, a_map) -> ChainMap:
         """The map sending summand alpha to summand beta, for (beta,
@@ -180,12 +179,12 @@ class SurjectionSum:
 # ---------------------------------------------------------------------------
 
 
-class TopComponentModel:
+class TopComponentModel(SlotwiseModel):
     """K_r A_n for the based-spaces-to-spectra comonad.
 
     Holds the surjection sum W, the chosen orbit model (collapsed / strict /
-    windowed), the projection W -> model of a strict one, and the Sigma_r
-    structure."""
+    windowed), the projection W -> model of a strict one with its certified
+    unit section, and the Sigma_r structure."""
 
     def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int,
                  w: DegreeWindow, force_windowed=False):
@@ -217,8 +216,9 @@ class TopComponentModel:
             self.kind = "strict"
             q, proj = strict_orbits(w_total)
             self.proj = proj
+            self.section = unit_section(proj)
             self.exact = True
-            action = {gi: quotient_functor(proj, g, proj)
+            action = {gi: proj.compose(g.compose(self.section))
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(q, sr.group, action).validate()
         else:
@@ -236,52 +236,45 @@ class TopComponentModel:
         return TopComponentModel(self.coop, a, self.r, w,
                                  force_windowed=self.kind == "windowed")
 
-    def apply(self, f: ChainMap, tgt: "TopComponentModel") -> ChainMap:
-        """K_r(f) : K_r B -> K_r B' for an equivariant chain map f : B -> B'
-        of any degree, this model being K_r B and tgt K_r B'.  A model of
-        another kind than tgt is first rebuilt like tgt; the result starts
-        from that rebuilt model."""
+    def on_maps(self, tgt: "TopComponentModel"):
+        """K_r on maps into tgt (`SlotwiseModel`), from this model rebuilt
+        like tgt when their kinds differ: f itself on collapsed diagonals,
+        else the surjection sums' rule, between the unit section and the
+        projection of strict models, in the W slot of windowed ones."""
         src = self if self.kind == tgt.kind else tgt.like(self.a, self.window)
-        if src.kind == "zero" or tgt.kind == "zero":
-            return ChainMap.zero(src.value.complex, tgt.value.complex,
-                                 f.degree)
-        if src.kind == "collapsed":
-            if tgt.kind != "collapsed":
-                raise ValueError("model kinds differ on the diagonal")
-            return f
-        wmap = src.sursum.apply(f, tgt.sursum)
-        if src.kind == "strict" and tgt.kind == "strict":
-            return quotient_functor(src.proj, wmap, tgt.proj)
-        if src.kind == "windowed" and tgt.kind == "windowed":
-            return slotwise_map(src.value.complex, tgt.value.complex, wmap)
-        raise ValueError("mixed model kinds for K on maps: %s vs %s" %
-                         (src.kind, tgt.kind))
+        kinds = (src.kind, tgt.kind)
+        if kinds == ("collapsed", "collapsed"):
+            return src.value.complex, tgt.value.complex, (), None, None, None
+        if kinds not in (("strict", "strict"), ("windowed", "windowed")):
+            raise ValueError("mixed model kinds for K on maps: %s vs %s"
+                             % kinds)
+        source, target, path, sign, _, _ = src.sursum.on_maps(tgt.sursum)
+        if src.kind == "strict":
+            return source, target, path, sign, src.section, tgt.proj
+        return (src.value.complex, tgt.value.complex, (3,) + path,
+                lambda lab: sign(lab[3]), None, None)
+
 
 def unit_section(proj: ChainMap) -> ChainMap:
     """A section q -> W of a quotient projection proj : W -> q: each basis
     vector of q goes to the first basis vector of W that proj sends to it
-    with coefficient 1.  It need not commute with the differentials and is
-    not validated; a basis vector of q without such a preimage raises
-    ArithmeticError."""
-    q, W = proj.target, proj.source
+    with coefficient 1, certified degreewise by proj o section = id
+    (ArithmeticError where that fails).  It need not commute with the
+    differentials."""
+    q, W, F = proj.target, proj.source, proj.field
     comps = {}
     for k in q.dims:
         sec = {}
         for (i, j), v in proj.component(k).items():
             if i not in sec and v == 1:
                 sec[i] = j
-        if len(sec) != q.dim(k):
+        comps[k] = SparseMatrix.from_entries(
+            W.dim(k), q.dim(k), F, {(j, i): 1 for i, j in sec.items()})
+        if not vanishes([(1, proj.component(k), comps[k]),
+                         (-1, SparseMatrix.identity(q.dim(k), F), None)]):
             raise ArithmeticError("no unit section for the quotient basis in "
                                   "degree %d" % k)
-        comps[k] = SparseMatrix.from_entries(
-            W.dim(k), q.dim(k), proj.field,
-            {(j, i): 1 for i, j in sec.items()})
     return ChainMap(q, W, comps)
-
-def quotient_functor(src_proj: ChainMap, f: ChainMap,
-                     tgt_proj: ChainMap) -> ChainMap:
-    """Induced map on strict orbit quotients: q_tgt o f o section_src."""
-    return tgt_proj.compose(f.compose(unit_section(src_proj)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +323,15 @@ class TopComonad:
     def kq_theta(self, theta: ChainMap, q, s, n) -> ChainMap | None:
         """K_q(theta~) : K_q A_s -> delta_outer[(q, s, n)], for s < n and
         theta : A_s -> K_s A_n in the component model, where theta~ is theta
-        carried into the comultiplication's inner model
+        carried by label into the comultiplication's inner model
         delta_inner[(q, s, n)] (label-equal, or wider when windowed).  None
         when the comultiplication has no such component."""
         inner = self.delta_inner.get((q, s, n))
         outer = self.delta_outer.get((q, s, n))
         if inner is None or outer is None:
             return None
-        comp = self.component(s, n)
-        if comp.kind == "strict":
-            tau = label_map(comp.value.complex, inner.value.complex)
-        else:
-            tau = label_map(comp.value.complex, inner.value.complex,
-                            partial=True).validate()
-        return self.component(q, s).apply(tau.compose(theta), outer)
+        return self.component(q, s).apply(
+            transport(theta, target=inner.value.complex), outer)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))

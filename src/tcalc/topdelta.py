@@ -17,7 +17,7 @@ from .chain import ChainMap, DegreeWindow, label_map, linear_map
 from .cooperad import Cooperad
 from .equivariant import EquivariantComplex, homotopy_orbits, slotwise_map
 from .perms import all_surjections, koszul_sign, surjection_fibers
-from .topcomonad import SurjectionSum, TopComponentModel, quotient_functor
+from .topcomonad import SurjectionSum, TopComponentModel
 
 
 def _factorizations(beta, s):
@@ -135,9 +135,8 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
     if comp.kind == "strict" and inner.kind == "strict":
         # the inner factor's Sigma_n-orbits, then the outer Sigma_s-orbits
         outer = TopComponentModel(coop, inner.value, r, w)
-        total_map = quotient_functor(
-            comp.proj, pre.apply(inner.proj, outer.sursum).compose(dpre),
-            outer.proj)
+        total_map = outer.proj.compose(pre.apply(
+            inner.proj, outer.sursum).compose(dpre).compose(comp.section))
     else:
         # Sigma_n acts on pre through the inner factor only
         inner_eq = inner.sursum.sigma_n_action()

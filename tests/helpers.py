@@ -6,11 +6,12 @@ import sys
 from tcalc import classify, tower
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum,
-    hom_element_to_map, shift, sphere,
+    factor_through, shift, sphere, transport,
 )
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.derivedhom import equivariant_hom_complex
 from tcalc.equivariant import EquivariantComplex, regular_module, trivial_action
+from tcalc.laws import hom_element_to_map, map_to_hom_element
 from tcalc.perms import YoungGroup, compose, transposition
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix, nullspace
@@ -122,6 +123,46 @@ def random_valid_coalgebra(rng, F, source, N, w, staircase=True):
         if th is not None and not th.is_zero():
             theta[(r, n)] = th
     return TruncatedCoalgebra(source, seq, w, theta, komonad=c0.komonad)
+
+
+def kq_theta_by_columns(builder, m, sk, tk):
+    """The reference for delta^0's block of a DerivedHomBuilder out of
+    (m, sk) into (m + 1, tk): h |-> K_q(h) o theta composed one invariant
+    basis element h at a time, through the model's K on maps, and factored
+    through the target invariants; not validated."""
+    src, tgt = builder.hom[m][sk], builder.hom[m + 1][tk]
+    q, r = tk[0], sk[0]
+    c = builder.c
+    theta = c.theta_map(q, r)
+    if theta is None:
+        return ChainMap.zero(src["inv"], tgt["inv"])
+    model = c.komonad.component(q, r)
+    img = {}
+    for k in src["inv"].dims:
+        inc = src["incl"].component(k).by_column()
+        cols = []
+        for j in range(src["inv"].dim(k)):
+            f = hom_element_to_map(src["full"], c.sequence.term_complex(r),
+                                   src["piece"].value.complex, inc.get(j, {}),
+                                   degree=k)
+            kf = model.apply(f, tgt["piece"])
+            th = transport(theta, target=kf.source)
+            cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
+        img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), c.field)
+    return factor_through(ChainMap(src["inv"], tgt["full"], img),
+                          tgt["incl"])
+
+
+def widened(c, e):
+    """c with every comonad model built over its window expanded by e on
+    each side, and theta carried over by label: every entry must survive,
+    and theta must stay a chain map."""
+    w = c.window.expand(e)
+    komonad = TruncatedCoalgebra(c.source, c.sequence, w).komonad
+    theta = {key: transport(f, target=komonad.component(*key).value.complex,
+                            partial=False).validate()
+             for key, f in c.theta.items()}
+    return TruncatedCoalgebra(c.source, c.sequence, w, theta, komonad=komonad)
 
 
 def corrupt_square_map(monkeypatch, which, mutate):

@@ -5,7 +5,10 @@ import random
 import pytest
 
 from helpers import induced_from_trivial_subgroup, sign_action
-from tcalc.chain import ChainMap, DegreeWindow, cone, direct_sum, shift, sphere
+from tcalc import topcomonad
+from tcalc.chain import (
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, shift, sphere,
+)
 from tcalc.comonads import (
     SpComonad, SpComponentModel, equivariant_tensor, k_sp_component,
     l3_complex,
@@ -55,6 +58,37 @@ def test_k1a2_free_strict():
     assert comp.exact
     dims = {k: comp.complex.homology(k)[0] for k in comp.complex.support()}
     assert {k: v for k, v in dims.items() if v} == {1: 1}
+
+
+def test_strict_models_hold_one_certified_section(monkeypatch):
+    # each strict model builds its unit section once, where it is built:
+    # not once per Sigma_r generator and per K on maps
+    built, made = [], topcomonad.unit_section
+    models, init = [], TopComponentModel.__init__
+    monkeypatch.setattr(topcomonad, "unit_section",
+                        lambda proj: built.append(proj) or made(proj))
+    monkeypatch.setattr(TopComponentModel, "__init__", lambda self, *a, **k:
+                        models.append(self) or init(self, *a, **k))
+    w = DegreeWindow(0, 2)
+    terms = {n: regular_module(F2, YoungGroup.full(n)) for n in (1, 2, 3)}
+    TopComonad(seq(F2, terms), w)
+    strict = [m for m in models if m.kind == "strict"]
+    assert len(strict) > 3 and len(built) == len(strict)
+    for m in strict:
+        assert m.proj.compose(m.section).components == \
+            ChainMap.identity(m.value.complex).components
+        kf = m.apply(ChainMap.identity(m.a.complex), m)
+        assert kf.components == ChainMap.identity(m.value.complex).components
+    assert len(built) == len(strict)
+
+
+def test_unit_section_is_certified():
+    # the first vector sent to q_0 with coefficient 1 also reaches q_1, so
+    # it is no section of q_0: proj o section = id fails and is caught
+    W, q = ChainComplex(F2, {0: 2}), ChainComplex(F2, {0: 2})
+    proj = ChainMap(W, q, {0: SparseMatrix.from_rows([[1, 0], [1, 1]], F2)})
+    with pytest.raises(ArithmeticError, match="no unit section"):
+        topcomonad.unit_section(proj)
 
 
 def test_k_r_zero_above_n():

@@ -80,6 +80,8 @@ LISTED = {
     "perms.koszul_sign": TOP_N3,
     "topcomonad.TopComonad.kq_theta": TOP_N3,
     "topcomonad.TopComponentModel.like": TOP_N3 + ", through kq_theta",
+    "equivariant.SlotwiseModel.apply": TOP_N3 + " (K on maps in kq_theta "
+                                       "and the comultiplication)",
     "topdelta._factorizations": TOP_N3,
     "topdelta.top_delta_on_sums": TOP_N3,
     "topdelta.top_delta_on_sums.image": TOP_N3,
