@@ -482,7 +482,8 @@ class SlotwiseModel:
     validated: the caller that assembles a block certifies it."""
 
     def apply(self, f: ChainMap, tgt) -> ChainMap:
-        """K(f) : K(B) -> K(B') = tgt for f : B -> B' of any degree."""
+        """K(f) : K(B) -> K(B') = tgt for f : B -> B' of any degree.  K on
+        maps is not validated: the caller that assembles a block does it."""
         source, target, path, sign, pre, post = self.on_maps(tgt)
         if not path:
             return f

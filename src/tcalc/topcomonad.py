@@ -246,8 +246,7 @@ class TopComponentModel(SlotwiseModel):
         if kinds == ("collapsed", "collapsed"):
             return src.value.complex, tgt.value.complex, (), None, None, None
         if kinds not in (("strict", "strict"), ("windowed", "windowed")):
-            raise ValueError("mixed model kinds for K on maps: %s vs %s"
-                             % kinds)
+            raise ValueError("K on maps between %s and %s models" % kinds)
         source, target, path, sign, _, _ = src.sursum.on_maps(tgt.sursum)
         if src.kind == "strict":
             return source, target, path, sign, src.section, tgt.proj
