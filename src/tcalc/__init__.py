@@ -2,7 +2,14 @@
 
 Modules:
   fields, sparse, chain   -- exact linear algebra and homological primitives
-  perms, equivariant      -- Young groups, orbits/fixed points, norm, Tate
+  rationals               -- Fraction, for the Q scalars that are not ints
+  chainops                -- tensor and hom complexes, shifts, sub- and
+                             quotient complexes, transport, factor_through
+  perms, equivariant      -- Young groups, resolutions, homotopy orbits and
+                             fixed points, norm, Tate
+  combinat                -- surjections, set partitions, permutation signs
+  equivops                -- strict orbits and fixed points, permutation
+                             modules, the diagonal tensor, slotwise maps
   sequences               -- truncated symmetric sequences
   trees, cooperad         -- partition trees; cooperads and the tree
                              cooperad T_*
@@ -31,10 +38,12 @@ Modules:
                              modules and divided powers, the splitting
                              criterion and the paragraph-7 validators
 
-Loading is lazy, so a job compiles only the modules it runs.  Importing
-the package registers every module in `sys.modules` and as a package
-attribute, unexecuted (`importlib.util.LazyLoader`); a module's code runs
-on the first access to one of its attributes.  `cli` is the exception, so
+Loading is lazy, so a job compiles only the modules it runs: `tate` runs
+fields, sparse, chain, perms, equivariant, serialize and cli, and an F_p job
+never runs rationals.  Importing the package registers every module in
+`sys.modules` and as a package attribute, unexecuted
+(`importlib.util.LazyLoader`); a module's code runs on the first access to
+one of its attributes.  `cli` is the exception, so
 that `python -m tcalc.cli` finds it not yet imported.  The names in
 `_EXPORTS` resolve at package level on first access, through `__getattr__`.
 Inside the package, a module binds a sibling with `from . import X` and
@@ -45,8 +54,9 @@ reads `X.name` where it is used, unless every caller of the module needs X:
 import importlib.util
 import sys
 
-_LAZY = ("fields", "sparse", "chain", "perms", "equivariant", "sequences",
-         "trees", "cooperad", "operads", "topcomonad", "topdelta", "comonads",
+_LAZY = ("rationals", "fields", "sparse", "chain", "chainops", "perms",
+         "combinat", "equivariant", "equivops", "sequences", "trees",
+         "cooperad", "operads", "topcomonad", "topdelta", "comonads",
          "coalgebras", "cosimplicial", "tower", "topcobar", "spcobar",
          "derivedhom", "classify", "serialize", "laws")
 
@@ -57,8 +67,9 @@ _EXPORTS = {
     "perms": ("YoungGroup",),
     "equivariant": (
         "EquivariantComplex", "WindowedResult", "homotopy_fixed",
-        "homotopy_orbits", "is_free", "norm_map", "permutation_module",
-        "strict_fixed", "strict_orbits", "tate"),
+        "homotopy_orbits", "norm_map", "tate"),
+    "equivops": (
+        "is_free", "permutation_module", "strict_fixed", "strict_orbits"),
     "sequences": ("SymmetricSequence",),
     "cooperad": ("Cooperad", "tree_cooperad"),
     "operads": ("partition_poset_nerve",),

@@ -8,14 +8,12 @@ run in no subcommand and live in `laws`."""
 
 from __future__ import annotations
 
-from . import comonads, tower
+from . import chainops, comonads, equivops, tower
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    hom_complex, label_map, linear_map, shift, shift_map,
+    label_map, linear_map,
 )
-from .equivariant import (
-    EquivariantComplex, equivariant_tensor, homotopy_orbits, tate,
-)
+from .equivariant import EquivariantComplex, homotopy_orbits, tate
 from .fields import FieldSpec
 from .perms import YoungGroup
 
@@ -31,7 +29,8 @@ def _h0_hom_on_window(a: ChainComplex, target: ChainComplex,
     """dim H_0 of hom(a, target)."""
     if w.lo > 0 or w.hi < 0:
         raise ValueError("window too small to certify degree 0")
-    return hom_complex(a, target).homology_dims(DegreeWindow(0, 0)).get(0, 0)
+    return chainops.hom_complex(a, target).homology_dims(
+        DegreeWindow(0, 0)).get(0, 0)
 
 
 def classify_2exc_sp(a1: ChainComplex, a2: EquivariantComplex,
@@ -52,8 +51,9 @@ def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
 
 def suspension(a: EquivariantComplex) -> EquivariantComplex:
     """Sigma A, with the action shifted along."""
-    return EquivariantComplex(shift(a.complex, 1), a.group, {
-        gi: shift_map(a.action[gi], 1) for gi in a.group.generator_positions()})
+    return EquivariantComplex(chainops.shift(a.complex, 1), a.group, {
+        gi: chainops.shift_map(a.action[gi], 1)
+        for gi in a.group.generator_positions()})
 
 
 def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
@@ -62,7 +62,7 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     plus the acyclicity making the compatibility square vacuous."""
     F = a1.field
     t2 = tate(a2, w)
-    l3a3 = equivariant_tensor(comonads.l3_complex(F), a3)
+    l3a3 = equivops.equivariant_tensor(comonads.l3_complex(F), a3)
     t3 = tate(l3a3, w)
     sub = a3.restrict(YoungGroup.of(1, 2))
     t12 = tate(sub, w)
@@ -203,7 +203,7 @@ def _assemble_gamma(cn: ChainComplex, bot: ChainMap, right: ChainMap,
     shifted source block C_{k-1} and bottom - right on the target block
     P_{n-1} (+) fixed."""
     corner = bot.target
-    h = ChainMap(shift(alpha.source, 1), corner, homotopy_part)
+    h = ChainMap(chainops.shift(alpha.source, 1), corner, homotopy_part)
     return block_map(cn, corner, [h.source, bot.source, right.source],
                      [corner], {(0, 0): h, (1, 0): bot,
                                 (2, 0): right.scale(F.neg(F.one()))})

@@ -9,8 +9,8 @@ squares are validated at homology level.
 
 from __future__ import annotations
 
-from . import comonads, topcomonad
-from .chain import ChainMap, DegreeWindow, transport
+from . import chainops, comonads, topcomonad
+from .chain import ChainMap, DegreeWindow
 from .perms import YoungGroup
 from .sequences import SymmetricSequence
 
@@ -196,13 +196,14 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
     if theta_rn is None:
         route1 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
-        route1 = delta.compose(transport(theta_rn, target=delta.source))
+        route1 = delta.compose(
+            chainops.transport(theta_rn, target=delta.source))
     # route 2: K_r(theta~_{s,n}) o theta_{r,s}
     if theta_rs is None or theta_sn is None:
         route2 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
         kf = K.kq_theta(theta_sn, r, s, n)
-        route2 = kf.compose(transport(theta_rs, target=kf.source))
+        route2 = kf.compose(chainops.transport(theta_rs, target=kf.source))
     # compare on homology, route2 read on route1's complexes (its own are
     # label-equal models)
     route2 = ChainMap(route1.source, route1.target, route2.components)

@@ -13,15 +13,12 @@ comonad live in `laws`: no subcommand runs them.
 
 from __future__ import annotations
 
-from . import sequences
+from . import combinat, equivops, sequences
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
 )
-from .equivariant import (
-    EquivariantComplex, SlotwiseModel, WindowedResult, equivariant_tensor,
-    tate, zero_module,
-)
-from .perms import YoungGroup, all_surjections, compose, inverse, transposition
+from .equivariant import EquivariantComplex, WindowedResult, tate
+from .perms import YoungGroup, compose, inverse, transposition
 from .sparse import SparseMatrix
 
 
@@ -60,7 +57,7 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
     the index); carries the Sigma_r postcomposition action via
     ``sp_sigma_r_generator``."""
     n = a.group.degree
-    surjs = all_surjections(n, r)
+    surjs = combinat.all_surjections(n, r)
     c = a.complex
     copies = direct_sum([c] * len(surjs))
     total = ChainComplex(a.field, copies.dims, copies.diff, {
@@ -115,7 +112,7 @@ def coaugment_invariants(sub_incl: ChainMap,
 # ---------------------------------------------------------------------------
 
 
-class SpComponentModel(SlotwiseModel):
+class SpComponentModel(equivops.SlotwiseModel):
     """K_r A_n for the spectra-to-spectra comonad, truncation <= 3.
 
     Uniform model: K_r A_n = Tate_{Sigma_n}(L (x) A_n (x) k[Surj(n, r)]) with
@@ -134,7 +131,7 @@ class SpComponentModel(SlotwiseModel):
             raise ValueError("sp comonad implemented for truncation <= 3")
         if r > n:
             self.kind = "zero"
-            self.value = zero_module(F, r)
+            self.value = equivops.zero_module(F, r)
             self.exact = True
             return
         if r == n:
@@ -146,7 +143,7 @@ class SpComponentModel(SlotwiseModel):
         self.exact = False
         base = a
         if (r, n) == (1, 3):
-            base = equivariant_tensor(l3_complex(F), a)
+            base = equivops.equivariant_tensor(l3_complex(F), a)
         t = tate(tensor_with_surjection_index(base, r), w)
         self.tate_result = t
         model = t.complex

@@ -9,10 +9,10 @@ arity-wise dual, the derivatives-of-the-identity operad, is
 
 from __future__ import annotations
 
-from . import trees
-from .chain import ChainComplex, linear_map, tensor_many
+from . import chainops, combinat, trees
+from .chain import ChainComplex, linear_map
 from .equivariant import EquivariantComplex
-from .perms import YoungGroup, set_partitions
+from .perms import YoungGroup
 from .sequences import SymmetricSequence
 
 
@@ -60,7 +60,8 @@ def tree_equivariant(field, n) -> EquivariantComplex:
             return ((("tree", t2), sgn),)
         return linear_map(c, c, image)
     action = {gi: swap(gi) for gi in group.generator_positions()}
-    return EquivariantComplex(c, group, action)
+    # certified here: SymmetricSequence does not validate its terms
+    return EquivariantComplex(c, group, action).validate()
 
 
 def tree_cooperad(field, N) -> Cooperad:
@@ -70,11 +71,11 @@ def tree_cooperad(field, N) -> Cooperad:
     delta = {}
     for n in range(1, N + 1):
         src = seq.term_complex(n)
-        for blocks in set_partitions(list(range(n))):
+        for blocks in combinat.set_partitions(list(range(n))):
             r = len(blocks)
             factors = [seq.term_complex(r)] + \
                 [seq.term_complex(len(b)) for b in blocks]
-            tgt = tensor_many(factors)
+            tgt = chainops.tensor_many(factors)
 
             def image(k, lab, blocks=blocks):
                 dec = trees.decompose(lab[1], blocks)

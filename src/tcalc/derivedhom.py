@@ -18,11 +18,9 @@ the coface blocks between its strictly increasing index chains, and
 
 from __future__ import annotations
 
-from .chain import (
-    ChainMap, DegreeWindow, factor_through, hom_complex, linear_map,
-    subcomplex, transport,
-)
-from .equivariant import EquivariantComplex, slotwise_map, strict_fixed
+from . import chainops, equivops
+from .chain import ChainMap, DegreeWindow, linear_map
+from .equivariant import EquivariantComplex
 from .sparse import Echelon, SparseMatrix, nullspace
 from .tower import _Levels, _piece_nonzero, _RawPiece, fat_tot
 
@@ -39,7 +37,7 @@ def equivariant_hom_complex(a, b):
     a, b are EquivariantComplexes over the same Young group."""
     if a.group != b.group:
         raise ValueError("group mismatch in equivariant hom")
-    h = hom_complex(a.complex, b.complex)
+    h = chainops.hom_complex(a.complex, b.complex)
     la, lb = a.complex.labels, b.complex.labels
 
     def conjugation(gi):
@@ -58,7 +56,7 @@ def equivariant_hom_complex(a, b):
         return linear_map(h, h, image)
     action = {gi: conjugation(gi) for gi in a.group.generator_positions()}
     heq = EquivariantComplex(h, a.group, action)
-    inv, incl = strict_fixed(heq)
+    inv, incl = equivops.strict_fixed(heq)
     return h, inv, incl
 
 
@@ -92,9 +90,11 @@ class _HomLevels(_Levels):
         """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g
         carried onto the pieces P of sk and Q of tk."""
         src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
-        g = transport(g, src["piece"].value.complex, tgt["piece"].value.complex)
-        big = slotwise_map(src["full"], tgt["full"], g, slot=2)
-        return factor_through(big.compose(src["incl"]), tgt["incl"]).validate()
+        g = chainops.transport(g, src["piece"].value.complex,
+                               tgt["piece"].value.complex)
+        big = equivops.slotwise_map(src["full"], tgt["full"], g, slot=2)
+        return chainops.factor_through(big.compose(src["incl"]),
+                                       tgt["incl"]).validate()
 
     def _middle(self, m, sk, tk):
         d = self.K.delta.get(tk)
@@ -166,7 +166,8 @@ class DerivedHomBuilder(_HomLevels):
             return ChainMap.zero(src["inv"], tgt["inv"])
         phi = self.c.komonad.component(tk[0], sk[0]).on_homs(
             theta, tgt["piece"], src["full"], tgt["full"])
-        return factor_through(phi.compose(src["incl"]), tgt["incl"]).validate()
+        return chainops.factor_through(phi.compose(src["incl"]),
+                                       tgt["incl"]).validate()
 
     def _inner(self, m, sk, tk):
         """Postcompose theta of the target coalgebra at the innermost slot:
@@ -179,7 +180,8 @@ class DerivedHomBuilder(_HomLevels):
             return None
         if m == 0 or (cp.source == "sp" and q == s):
             return self._post(m, sk, tk, th)
-        kf = K.kq_theta(transport(th, cp.sequence.term_complex(s)), q, s, n)
+        kf = K.kq_theta(chainops.transport(th, cp.sequence.term_complex(s)),
+                        q, s, n)
         return None if kf is None else self._post(m, sk, tk, kf)
 
 
@@ -297,7 +299,8 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
             low = [i for i, lab in enumerate(labs) if lab[1] < p]
             constraints[k] = [SparseMatrix.from_entries(
                 len(low), len(labs), F, {(t, i): 1 for t, i in enumerate(low)})]
-        sub, incl = subcomplex(tot, constraints, lambda k, i: ("F", p, k, i))
+        sub, incl = chainops.subcomplex(tot, constraints,
+                                        lambda k, i: ("F", p, k, i))
         # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
         # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
         for k in w.degrees():

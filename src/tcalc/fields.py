@@ -14,18 +14,13 @@ package: a document scalar is a string or an integer, never a float.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from . import rationals
 
 
 # Miller-Rabin to the first 13 prime bases is exact below this bound, the
 # least strong pseudoprime to all of them; larger characteristics are refused.
 MAX_CHARACTERISTIC = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _rational(x):
-    """A rational in canonical form: its numerator when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class UnsupportedField(ValueError):
@@ -98,41 +93,48 @@ class FieldSpec:
         return 1
 
     def coerce(self, x):
-        """Bring an int/Fraction/str into canonical scalar form."""
+        """Bring an int/Fraction/str into canonical scalar form.
+
+        A string of ASCII digits with an optional sign is read by `int`;
+        any other string by Fraction (`rationals.parse`), whose grammar and
+        errors are the reference, so an F_p job that reads plain integers
+        never imports `fractions`."""
         if isinstance(x, str):
-            x = Fraction(x)
+            digits = x[1:] if x.startswith(("+", "-")) else x
+            x = int(x) if digits.isascii() and digits.isdigit() \
+                else rationals.parse(x)
         p = self.characteristic
         if p:
-            if isinstance(x, Fraction):
-                den = x.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("denominator divisible by %d" % p)
-                return (x.numerator * pow(den, -1, p)) % p
-            return int(x) % p
+            if isinstance(x, int):
+                return x % p
+            den = x.denominator % p
+            if den == 0:
+                raise ZeroDivisionError("denominator divisible by %d" % p)
+            return (x.numerator * pow(den, -1, p)) % p
         if x.__class__ is int:
             return x
-        return _rational(Fraction(x))
+        return rationals.parse(x)
 
     def add(self, a, b):
         p = self.characteristic
         if p:
             return (a + b) % p
         s = a + b
-        return s if s.__class__ is int else _rational(s)
+        return s if s.__class__ is int else rationals.canonical(s)
 
     def sub(self, a, b):
         p = self.characteristic
         if p:
             return (a - b) % p
         s = a - b
-        return s if s.__class__ is int else _rational(s)
+        return s if s.__class__ is int else rationals.canonical(s)
 
     def mul(self, a, b):
         p = self.characteristic
         if p:
             return (a * b) % p
         s = a * b
-        return s if s.__class__ is int else _rational(s)
+        return s if s.__class__ is int else rationals.canonical(s)
 
     def neg(self, a):
         return (-a) % self.characteristic if self.characteristic else -a

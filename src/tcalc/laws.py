@@ -28,29 +28,33 @@ from itertools import product as _iterprod
 from . import trees
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, hom_complex, label_map, linear_map, quotient, sphere,
-    subcomplex, tensor, tensor_many, tensor_map, transport,
+    label_map, linear_map, sphere,
+)
+from .chainops import (
+    factor_through, hom_complex, quotient, subcomplex, tensor, tensor_many,
+    tensor_map, transport,
 )
 from .classify import suspension
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra,
 )
+from .combinat import (
+    apply_perm_to_partition, koszul_sign, normalize_partition, refines,
+    set_partitions,
+)
 from .comonads import SpComponentModel
 from .cooperad import Cooperad, tree_cooperad
 from .cosimplicial import check_identities, keyed_maps
 from .derivedhom import _HomLevels
-from .equivariant import (
-    EquivariantComplex, equivariant_tensor, homotopy_orbits, is_free,
-    permutation_module, strict_fixed, strict_orbits, trivial_action,
-    zero_module,
+from .equivariant import EquivariantComplex, homotopy_orbits, trivial_action
+from .equivops import (
+    equivariant_tensor, is_free, permutation_module, strict_fixed,
+    strict_orbits, zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
-from .perms import (
-    YoungGroup, apply_perm_to_partition, koszul_sign, normalize_partition,
-    refines, set_partitions, transposition,
-)
+from .perms import YoungGroup, transposition
 from .sequences import SymmetricSequence
 from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix, vanishes
 from .topcomonad import (
@@ -1422,7 +1426,7 @@ def constant_cosimplicial(c: ChainComplex, levels: int) -> CosimplicialComplex:
 
 def conormalized_level(x: CosimplicialComplex, m):
     """(subcomplex N^m = joint kernel of the codegeneracies, inclusion).
-    chain.subcomplex eliminates the stacked codegeneracies once per degree
+    chainops.subcomplex eliminates the stacked codegeneracies once per degree
     and reads the differential of N^m off the free coordinates of its
     kernel basis, certifying it (ArithmeticError if a codegeneracy is not a
     chain map)."""

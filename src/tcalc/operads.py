@@ -18,12 +18,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 
-from . import equivariant, sequences
+from . import combinat, equivariant, sequences
 from .chain import ChainComplex, linear_map
-from .perms import (
-    YoungGroup, apply_perm_to_partition, refines, set_partitions,
-    transposition,
-)
+from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix
 
 
@@ -47,8 +44,9 @@ def _refinements(n):
     partition of each block of q, joined.  set_partitions sorts its
     normalized tuples, and a join sorted by block minima is normalized, so
     sorting the joins keeps that order."""
-    parts = set_partitions(list(range(n)))
-    split = {b: set_partitions(b) for b in {b for q in parts for b in q}}
+    parts = combinat.set_partitions(list(range(n)))
+    split = {b: combinat.set_partitions(b)
+             for b in {b for q in parts for b in q}}
     return parts, {q: sorted(tuple(sorted(chain.from_iterable(pick)))
                              for pick in product(*[split[b] for b in q]))
                    for q in parts}
@@ -102,7 +100,7 @@ def partition_poset_nerve(field, n):
     {1..n} with Sigma_n action, comparison complex = reduced chains [+2])."""
     if not (2 <= n <= 4):
         raise ValueError("n out of range [2, 4]")
-    proper = [p for p in set_partitions(list(range(n)))
+    proper = [p for p in combinat.set_partitions(list(range(n)))
               if 1 < len(p) < n]
     # chains ordered by refinement: ascending chains p_0 < p_1 < ... (finer first)
     simplices = {0: [(p,) for p in proper]}
@@ -111,7 +109,7 @@ def partition_poset_nerve(field, n):
         nxt = []
         for ch in simplices[j]:
             for p in proper:
-                if p != ch[-1] and refines(ch[-1], p):
+                if p != ch[-1] and combinat.refines(ch[-1], p):
                     nxt.append(ch + (p,))
         if nxt:
             simplices[j + 1] = sorted(nxt)
@@ -131,7 +129,7 @@ def partition_poset_nerve(field, n):
 
     def act(s):
         return linear_map(nerve, nerve, lambda k, lab: ((("simplex", tuple(
-            apply_perm_to_partition(s, p) for p in lab[1])), 1),))
+            combinat.apply_perm_to_partition(s, p) for p in lab[1])), 1),))
     nerve_eq = equivariant.EquivariantComplex(nerve, group, {
         gi: act(transposition(n, gi))
         for gi in group.generator_positions()}).validate()

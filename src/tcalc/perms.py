@@ -3,7 +3,8 @@
 A permutation of {0..n-1} is a tuple ``p`` with ``p[i]`` the image of ``i``.
 A Young group with blocks (n_1, ..., n_r) is Sigma_{n_1} x ... x Sigma_{n_r}
 embedded in Sigma_n along consecutive positions; its Coxeter generators are
-the adjacent transpositions (i, i+1) lying inside a block.
+the adjacent transpositions (i, i+1) lying inside a block.  Surjections,
+set partitions and permutation signs live in `combinat`.
 """
 
 from __future__ import annotations
@@ -26,36 +27,6 @@ def inverse(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        cnt = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            cnt += 1
-        if cnt % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def koszul_sign(perm, degrees) -> int:
-    """The Koszul sign of reordering graded factors, factor i (of degree
-    degrees[i]) moving to position perm[i]: -1 to the number of pairs of
-    odd-degree factors whose order the move reverses."""
-    odd = [i for i, d in enumerate(degrees) if d % 2]
-    sign = 1
-    for a, i in enumerate(odd):
-        for j in odd[a + 1:]:
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def transposition(n, i):
@@ -191,84 +162,3 @@ class YoungGroup:
 
     def __str__(self):
         return "S(%s)" % ",".join(str(b) for b in self.blocks)
-
-
-def all_surjections(n, r):
-    """All surjections {0..n-1} ->> {0..r-1} as tuples, deterministic order."""
-    if r > n:
-        return []
-    out = []
-
-    def rec(i, acc, hit):
-        if i == n:
-            if len(hit) == r:
-                out.append(tuple(acc))
-            return
-        if n - i < r - len(hit):
-            return
-        for v in range(r):
-            acc.append(v)
-            added = v not in hit
-            if added:
-                hit.add(v)
-            rec(i + 1, acc, hit)
-            if added:
-                hit.discard(v)
-            acc.pop()
-
-    rec(0, [], set())
-    return out
-
-
-def surjection_fibers(alpha, r):
-    """Fiber tuple: fibers[j] = sorted tuple of preimages of j."""
-    fibers = [[] for _ in range(r)]
-    for i, v in enumerate(alpha):
-        fibers[v].append(i)
-    return tuple(tuple(f) for f in fibers)
-
-
-def set_partitions(items):
-    """All set partitions of `items`, blocks sorted by min, deterministic."""
-    items = list(items)
-    if not items:
-        return [()]
-    first, rest = items[0], items[1:]
-    out = []
-    for part in set_partitions(rest):
-        # add `first` to each existing block, or as a new block
-        for i in range(len(part)):
-            blocks = [list(b) for b in part]
-            blocks[i].append(first)
-            out.append(normalize_partition(blocks))
-        out.append(normalize_partition([list(b) for b in part] + [[first]]))
-    seen = set()
-    uniq = []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    uniq.sort()
-    return uniq
-
-
-def normalize_partition(blocks):
-    bs = [tuple(sorted(b)) for b in blocks if b]
-    bs.sort(key=lambda b: b[0])
-    return tuple(bs)
-
-
-def apply_perm_to_partition(p, part):
-    return normalize_partition([[p[i] for i in block] for block in part])
-
-
-def refines(fine, coarse) -> bool:
-    """True if every block of `fine` is contained in a block of `coarse`."""
-    lookup = {}
-    for bi, block in enumerate(coarse):
-        for x in block:
-            lookup[x] = bi
-    for block in fine:
-        if len({lookup[x] for x in block}) != 1:
-            return False
-    return True

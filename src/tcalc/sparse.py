@@ -32,10 +32,10 @@ echelon form.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
+from . import rationals
 from .fields import FieldSpec
 
 
@@ -489,7 +489,8 @@ def _divide_q(v, a):
     """The int vector v divided by the int a, in canonical Q scalars."""
     if a == 1:
         return v
-    return {j: x // a if x % a == 0 else Fraction(x, a) for j, x in v.items()}
+    fraction = rationals.Fraction
+    return {j: x // a if x % a == 0 else fraction(x, a) for j, x in v.items()}
 
 
 class Span:

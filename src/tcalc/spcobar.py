@@ -13,13 +13,10 @@ the transport of theta.
 
 from __future__ import annotations
 
-from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, factor_through, linear_map,
-    transport,
-)
+from . import chainops, combinat, equivops
+from .chain import ChainComplex, ChainMap, DegreeWindow, linear_map
 from .comonads import coaugment_invariants
-from .equivariant import homotopy_fixed, slotwise_map, strict_fixed
-from .perms import all_surjections
+from .equivariant import homotopy_fixed
 from .tower import _Levels, _piece_nonzero, _RawPiece
 
 
@@ -49,7 +46,8 @@ class PhiTerm:
         if self.kind == "identity" and tgt.kind == "identity":
             return f
         if self.kind == "fixed" and tgt.kind == "fixed":
-            return slotwise_map(self.complex, tgt.complex, f).validate()
+            return equivops.slotwise_map(self.complex, tgt.complex,
+                                         f).validate()
         raise ValueError("mismatched Phi term kinds")
 
 
@@ -58,7 +56,7 @@ def _sp_fixed_into_tate(src_phi: PhiTerm, piece, q, n) -> ChainMap:
     of the Tate piece, through the structural carrier map:
     identity for (1, 2)-type, the singular-set vertex for (1, 3), the
     surjection diagonal for (2, 3)."""
-    surjs = all_surjections(n, q)
+    surjs = combinat.all_surjections(n, q)
 
     def image(k, lab):
         _, slot, gen, alab = lab
@@ -136,8 +134,8 @@ class SpCobarBuilder(_Levels):
         if q == 1:
             return ChainMap(src_phi.complex, tgt_phi.complex,
                             g.components).validate()
-        _, incl = strict_fixed(piece.value)
-        to_inv = factor_through(g, incl)
+        _, incl = equivops.strict_fixed(piece.value)
+        to_inv = chainops.factor_through(g, incl)
         coaug = coaugment_invariants(incl, tgt_phi.complex)
         return coaug.compose(to_inv).validate()
 
@@ -148,6 +146,6 @@ class SpCobarBuilder(_Levels):
         th = self.c.theta_map(sk[-1], tk[-1])
         if th is None:
             return None
-        f = transport(th, self.pieces[m][sk].value.complex,
-                      self.pieces[m + 1][tk].value.complex)
+        f = chainops.transport(th, self.pieces[m][sk].value.complex,
+                               self.pieces[m + 1][tk].value.complex)
         return self.phi[m][sk].apply(f, self.phi[m + 1][tk])

@@ -11,14 +11,10 @@ theta12 : A_1 -> slot (1, 2).
 
 from __future__ import annotations
 
-from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, label_map, linear_map, tensor,
-)
+from . import chainops, equivops
+from .chain import ChainComplex, ChainMap, DegreeWindow, label_map, linear_map
 from .coalgebras import injections
-from .equivariant import (
-    EquivariantComplex, equivariant_tensor, homotopy_orbits,
-    permutation_module, slotwise_map, strict_fixed, trivial_action,
-)
+from .equivariant import EquivariantComplex, homotopy_orbits, trivial_action
 from .perms import YoungGroup, transposition
 from .tower import _Levels
 
@@ -35,8 +31,8 @@ def injections_module(field, r, m):
         sperm = transposition(r, gi)
         table[gi] = [pos[tuple(inj[sperm[i]] for i in range(r))]
                      for inj in injs]
-    return permutation_module(field, group, [("inj", inj) for inj in injs],
-                              table)
+    return equivops.permutation_module(
+        field, group, [("inj", inj) for inj in injs], table)
 
 
 def diagonal_phi_term(field, term, site_m):
@@ -45,8 +41,8 @@ def diagonal_phi_term(field, term, site_m):
     inj = injections_module(field, n, site_m)
     if inj is None or term.complex.is_zero():
         return None
-    tensored = equivariant_tensor(term, inj)
-    inv, incl = strict_fixed(tensored)
+    tensored = equivops.equivariant_tensor(term, inj)
+    inv, incl = equivops.strict_fixed(tensored)
     return {"complex": inv, "inclusion": incl, "tensored": tensored}
 
 
@@ -99,7 +95,7 @@ class TopCobarBuilder(_Levels):
         if c.truncation >= 2 and seq.term(2) is not None and m >= 1 \
                 and self.diag.get(2) is not None:
             st = stratified_cone(F, m)
-            carrier = equivariant_tensor(seq.term(2), st)
+            carrier = equivops.equivariant_tensor(seq.term(2), st)
             self.carrier12 = carrier
             comp12 = c.komonad.component(1, 2)
             self.comp12 = comp12
@@ -151,7 +147,7 @@ class TopCobarBuilder(_Levels):
         xmod = ChainComplex(F, {0: m},
                             labels={0: tuple(("pt", x) for x in range(m))})
         xtriv = trivial_action(xmod, YoungGroup.full(2))
-        wprime_eq = equivariant_tensor(tsum_eq, xtriv)
+        wprime_eq = equivops.equivariant_tensor(tsum_eq, xtriv)
         wp = wprime_eq.complex
 
         def translate(k, lab):
@@ -160,7 +156,7 @@ class TopCobarBuilder(_Levels):
             return (((inner[-1], ("tup", (x, x))), sgn),)
         g = linear_map(wp, carrier, translate, partial=True).validate()
         orb_wp = homotopy_orbits(wprime_eq, self.w)
-        gfun = slotwise_map(orb_wp.complex, self.slot12.complex, g)
+        gfun = equivops.slotwise_map(orb_wp.complex, self.slot12.complex, g)
         src = self.diag[1]["complex"]
         def slot_outside(lab):
             # orbit(W) (x) X -> orbit(W (x) X): the point module sits in
@@ -168,15 +164,16 @@ class TopCobarBuilder(_Levels):
             (tag, s, gen, wlab), xlab = lab
             return tag, s, gen, (wlab, xlab)
 
-        ident = label_map(tensor(comp12.value.complex, xmod), orb_wp.complex,
-                          key=slot_outside, partial=True).validate()
+        ident = label_map(chainops.tensor(comp12.value.complex, xmod),
+                          orb_wp.complex, key=slot_outside,
+                          partial=True).validate()
         th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex)
         return gfun.compose(ident).compose(th_x).validate()
 
     def _theta_tensor_x(self, th, xmod, src, model) -> ChainMap:
         """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
         a1 = self.c.sequence.term_complex(1)
-        tens = tensor(model, xmod)
+        tens = chainops.tensor(model, xmod)
         inc = self.diag[1]["inclusion"]
         mid = self.diag[1]["tensored"].complex
         inc_cols = {k: m.by_column() for k, m in inc.components.items()}

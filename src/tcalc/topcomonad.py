@@ -17,19 +17,11 @@ comonad K' and the comparison nu : K -> K' are in `laws`.
 
 from __future__ import annotations
 
-from . import topdelta, trees
-from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map, tensor_many,
-    transport,
-)
+from . import chainops, combinat, equivops, topdelta, trees
+from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
 from .cooperad import Cooperad, tree_cooperad
-from .equivariant import (
-    EquivariantComplex, SlotwiseModel, WindowedResult, homotopy_orbits,
-    is_free, slotwise_map, strict_orbits, zero_module,
-)
-from .perms import (
-    YoungGroup, all_surjections, inverse, surjection_fibers, transposition,
-)
+from .equivariant import EquivariantComplex, WindowedResult, homotopy_orbits
+from .perms import YoungGroup, inverse, transposition
 from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, vanishes
 
@@ -39,7 +31,7 @@ from .sparse import SparseMatrix, vanishes
 # ---------------------------------------------------------------------------
 
 
-class SurjectionSum(SlotwiseModel):
+class SurjectionSum(equivops.SlotwiseModel):
     """W(X, r) = (+)_{alpha: n ->> r} T_{f_1} (x) ... (x) T_{f_r} (x) X, with
     its Sigma_n and Sigma_r actions, for any Sigma_n-module X: a term A_n,
     an orbit model, or W(A, s) itself as a Sigma_s-module (the target of
@@ -58,13 +50,13 @@ class SurjectionSum(SlotwiseModel):
         F = a.field
         self.field = F
         n = self.n
-        self.surjections = all_surjections(n, r)
+        self.surjections = combinat.all_surjections(n, r)
         summands = []
         self.factors = {}
         for alpha in self.surjections:
-            fibers = surjection_fibers(alpha, r)
+            fibers = combinat.surjection_fibers(alpha, r)
             factors = [coop.term_complex(len(f)) for f in fibers] + [a.complex]
-            summands.append(tensor_many(factors))
+            summands.append(chainops.tensor_many(factors))
             self.factors[alpha] = fibers
         self.total = direct_sum(summands) if summands else ChainComplex(F, {})
         # label: ("surj", alpha, (tree labels..., a label))
@@ -179,7 +171,7 @@ class SurjectionSum(SlotwiseModel):
 # ---------------------------------------------------------------------------
 
 
-class TopComponentModel(SlotwiseModel):
+class TopComponentModel(equivops.SlotwiseModel):
     """K_r A_n for the based-spaces-to-spectra comonad.
 
     Holds the surjection sum W, the chosen orbit model (collapsed / strict /
@@ -198,7 +190,7 @@ class TopComponentModel(SlotwiseModel):
         n = self.n
         if r > n:
             self.kind = "zero"
-            self.value = zero_module(F, r)
+            self.value = equivops.zero_module(F, r)
             self.exact = True
             self.sursum = None
             return
@@ -212,9 +204,9 @@ class TopComponentModel(SlotwiseModel):
         self.sursum = SurjectionSum(coop, a, r)
         w_total = self.sursum.sigma_n_action()
         sr = self.sursum.sigma_r_action()
-        if is_free(w_total) and not force_windowed:
+        if equivops.is_free(w_total) and not force_windowed:
             self.kind = "strict"
-            q, proj = strict_orbits(w_total)
+            q, proj = equivops.strict_orbits(w_total)
             self.proj = proj
             self.section = unit_section(proj)
             self.exact = True
@@ -225,7 +217,7 @@ class TopComponentModel(SlotwiseModel):
             self.kind = "windowed"
             self.exact = False
             model = homotopy_orbits(w_total, w).complex
-            action = {gi: slotwise_map(model, model, g)
+            action = {gi: equivops.slotwise_map(model, model, g)
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(model, sr.group, action)
 
@@ -330,7 +322,7 @@ class TopComonad:
         if inner is None or outer is None:
             return None
         return self.component(q, s).apply(
-            transport(theta, target=inner.value.complex), outer)
+            chainops.transport(theta, target=inner.value.complex), outer)
 
     def _build_delta(self, r, s, n):
         comp = self.components.get((r, n))

@@ -12,11 +12,10 @@ and the law checks in `laws` run this module.
 
 from __future__ import annotations
 
-from . import trees
+from . import combinat, equivops, trees
 from .chain import ChainMap, DegreeWindow, label_map, linear_map
 from .cooperad import Cooperad
-from .equivariant import EquivariantComplex, homotopy_orbits, slotwise_map
-from .perms import all_surjections, koszul_sign, surjection_fibers
+from .equivariant import EquivariantComplex, homotopy_orbits
 from .topcomonad import SurjectionSum, TopComponentModel
 
 
@@ -26,7 +25,7 @@ def _factorizations(beta, s):
     n = len(beta)
     r = max(beta) + 1
     out = []
-    for alpha in all_surjections(n, s):
+    for alpha in combinat.all_surjections(n, s):
         # gamma exists iff beta is constant on alpha-fibers
         gamma = {}
         ok = True
@@ -57,10 +56,10 @@ def top_delta_on_sums(sur_r: SurjectionSum, pre: SurjectionSum) -> ChainMap:
     for beta in sur_r.surjections:
         splits[beta] = out = []
         for gamma, alpha in _factorizations(beta, s):
-            alpha_fibers = surjection_fibers(alpha, s)
+            alpha_fibers = combinat.surjection_fibers(alpha, s)
             per_tree = []
             for bf, gf in zip(sur_r.factors[beta],
-                              surjection_fibers(gamma, r)):
+                              combinat.surjection_fibers(gamma, r)):
                 posmap = {x: t for t, x in enumerate(bf)}
                 per_tree.append(sorted(
                     (tuple(sorted(posmap[x] for x in alpha_fibers[i])), i)
@@ -106,7 +105,7 @@ def _split_trees(inner, per_tree, a_degree, s):
             lowers[i] = ("tree", low)
             word.append((r + i, trees.degree(low)))
     word.append((r + s, a_degree))
-    sign *= koszul_sign([p for p, _ in word], [d for _, d in word])
+    sign *= combinat.koszul_sign([p for p, _ in word], [d for _, d in word])
     return sign, tuple(uppers), tuple(lowers)
 
 
@@ -150,7 +149,7 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         outer = TopComponentModel(coop, inner.value, r, w,
                                   force_windowed=True)
         aux = homotopy_orbits(pre_eq, w)
-        src_map = slotwise_map(comp.value.complex, aux.complex, dpre)
+        src_map = equivops.slotwise_map(comp.value.complex, aux.complex, dpre)
         wout_trunc = outer.sursum.total.truncate(
             outer.sursum.total.min_degree if outer.sursum.total.dims
             else 0, w.hi + 1)

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import functools
 
-from . import cosimplicial, derivedhom, spcobar, topcobar
+from . import chainops, cosimplicial, derivedhom, spcobar, topcobar
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    label_map, shift,
+    label_map,
 )
 from .coalgebras import FinitePointedSet, truncate_coalgebra
 from .sparse import SparseMatrix
@@ -235,7 +235,7 @@ def _cobar_builder(c, site, w: DegreeWindow):
 
 def _fib(f: ChainMap) -> ChainComplex:
     """Homotopy fiber as a complex: shift(cone(f), -1)."""
-    return shift(cone(f), -1)
+    return chainops.shift(cone(f), -1)
 
 
 def _fib_proj(f: ChainMap, fib: ChainComplex) -> ChainMap:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .perms import perm_sign, set_partitions
+from . import combinat
 
 # tree encoding: ("L", label) or ("N", (child, ...)) with children sorted by
 # minimal leaf.
@@ -62,7 +62,7 @@ def all_trees(leaves):
     if len(leaves) == 1:
         return (leaf(leaves[0]),)
     out = []
-    for part in set_partitions(list(leaves)):
+    for part in combinat.set_partitions(list(leaves)):
         if len(part) < 2:
             continue
         choices = [all_trees(tuple(b)) for b in part]
@@ -129,7 +129,7 @@ def edge_word(idt):
 
 def _word_sign(old, new) -> int:
     pos = {x: i for i, x in enumerate(old)}
-    return perm_sign(tuple(pos[x] for x in new))
+    return combinat.perm_sign(tuple(pos[x] for x in new))
 
 
 def differential_terms(t):

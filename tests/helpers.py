@@ -5,9 +5,9 @@ import sys
 
 from tcalc import classify, tower
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum,
-    factor_through, shift, sphere, transport,
+    ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum, sphere,
 )
+from tcalc.chainops import factor_through, shift, transport
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.derivedhom import equivariant_hom_complex
 from tcalc.equivariant import EquivariantComplex, regular_module, trivial_action

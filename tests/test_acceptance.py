@@ -13,8 +13,9 @@ from helpers import (
     random_valid_coalgebra, staircase_sequence, tate_s2_oracle, triv,
 )
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, shift, sphere,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, sphere,
 )
+from tcalc.chainops import shift
 from tcalc.classify import (
     classify_2exc_sp, classify_2exc_top, classify_3exc_sp,
     mccarthy_square_check,
@@ -25,7 +26,8 @@ from tcalc.coalgebras import (
 )
 from tcalc.comonads import SpComponentModel, l3_complex
 from tcalc.derivedhom import bk_e1, einf_dims
-from tcalc.equivariant import is_free, regular_module, tate, trivial_action
+from tcalc.equivariant import regular_module, tate, trivial_action
+from tcalc.equivops import is_free
 from tcalc.fields import F2, QQ
 from tcalc.cooperad import tree_cooperad
 from tcalc.laws import (

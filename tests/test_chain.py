@@ -6,8 +6,11 @@ import pytest
 from helpers import induced_from_trivial_subgroup, random_term
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    factor_through, hom_complex, label_map, linear_map, quotient, shift,
-    sphere, subcomplex, tensor, tensor_map, transport,
+    label_map, linear_map, sphere,
+)
+from tcalc.chainops import (
+    factor_through, hom_complex, quotient, shift, subcomplex, tensor,
+    tensor_map, transport,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.laws import (

@@ -8,7 +8,8 @@ from helpers import (
     corrupt_square_map, random_theta, random_valid_coalgebra,
     staircase_sequence, triv,
 )
-from tcalc.chain import ChainMap, DegreeWindow, hom_complex, shift, sphere
+from tcalc.chain import ChainMap, DegreeWindow, sphere
+from tcalc.chainops import hom_complex, shift
 from tcalc.classify import (
     classify_2exc_sp, classify_2exc_top, classify_3exc_sp,
     mccarthy_square_check,

@@ -11,7 +11,8 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
     truncate_coalgebra, validate_coalgebra,
 )
-from tcalc.equivariant import is_free, regular_module, trivial_action
+from tcalc.equivariant import regular_module, trivial_action
+from tcalc.equivops import is_free
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
     KPrimeComonad, divided_power_check, evaluation_pairing_check,

@@ -7,12 +7,13 @@ import pytest
 from helpers import induced_from_trivial_subgroup, sign_action
 from tcalc import topcomonad
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, shift, sphere,
+    ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, sphere,
 )
+from tcalc.chainops import shift
 from tcalc.comonads import (
-    SpComonad, SpComponentModel, equivariant_tensor, k_sp_component,
-    l3_complex,
+    SpComonad, SpComponentModel, k_sp_component, l3_complex,
 )
+from tcalc.equivops import equivariant_tensor
 from tcalc.cooperad import tree_cooperad
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.fields import F2, F3, QQ

@@ -15,14 +15,18 @@ from tcalc import equivariant
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
 )
+from tcalc.combinat import all_surjections, set_partitions
 from tcalc.equivariant import (
-    EquivariantComplex, equivariant_tensor, group_resolution, homotopy_fixed,
-    homotopy_orbits, is_free, norm_map, permutation_module, regular_module,
-    slotwise_map, strict_fixed, strict_orbits, tate, trivial_action,
+    EquivariantComplex, group_resolution, homotopy_fixed, homotopy_orbits,
+    norm_map, regular_module, tate, trivial_action,
+)
+from tcalc.equivops import (
+    equivariant_tensor, is_free, permutation_module, slotwise_map,
+    strict_fixed, strict_orbits,
 )
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import rank, tensor_power
-from tcalc.perms import YoungGroup, all_surjections, compose, set_partitions
+from tcalc.perms import YoungGroup, compose
 from tcalc.sparse import SparseMatrix
 
 S2 = YoungGroup.of(2)

@@ -2,28 +2,32 @@
 re-exports still resolve, and the outside-in tracer still sees every
 module."""
 
+import ast
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from helpers import random_theta, random_valid_coalgebra, staircase_sequence
 import tcalc
 from tcalc import serialize
-from tcalc.chain import DegreeWindow, sphere
+from tcalc.chain import ChainComplex, DegreeWindow, sphere
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.equivariant import trivial_action
-from tcalc.fields import F2
+from tcalc.fields import F2, F3, QQ
 from tcalc.perms import YoungGroup
+from tcalc.sparse import SparseMatrix
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tcalc.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Runs `tcalc.cli.main(argv)` and prints the tcalc modules whose code ran:
-# a registered module that was never touched is still a lazy module.
+# Runs `tcalc.cli.main(argv)` and prints the tcalc modules whose code ran
+# (a registered module that was never touched is still a lazy module), and
+# which of `fractions` and `decimal` were imported.
 PROBE = """
 import contextlib, io, json, sys, types
 sys.path.insert(0, sys.argv.pop(1))
@@ -32,7 +36,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = tcalc.cli.main(sys.argv[1:])
 print(json.dumps([rc, sorted(
     n[len("tcalc."):] for n, m in sys.modules.items()
-    if n.startswith("tcalc.") and type(m) is types.ModuleType)]))
+    if n.startswith("tcalc.") and type(m) is types.ModuleType),
+    sorted({"fractions", "decimal"} & set(sys.modules))]))
 """
 
 # Every name the package exports, by the module that defines it.
@@ -42,8 +47,8 @@ EXPORTS = {
     "sparse": "SparseMatrix",
     "perms": "YoungGroup",
     "equivariant": "EquivariantComplex WindowedResult homotopy_fixed "
-                   "homotopy_orbits is_free norm_map permutation_module "
-                   "strict_fixed strict_orbits tate",
+                   "homotopy_orbits norm_map tate",
+    "equivops": "is_free permutation_module strict_fixed strict_orbits",
     "sequences": "SymmetricSequence",
     "cooperad": "Cooperad tree_cooperad",
     "operads": "partition_poset_nerve",
@@ -71,26 +76,92 @@ def _python(*args, cwd):
                           capture_output=True, timeout=120)
 
 
-@pytest.fixture
-def s2_doc(tmp_path):
-    e = trivial_action(sphere(F2, 0), YoungGroup.full(2))
-    path = tmp_path / "s2.json"
+def _s2(tmp_path, field):
+    e = trivial_action(sphere(field, 0), YoungGroup.full(2))
+    path = tmp_path / ("s2-%s.json" % field.name())
     path.write_text(serialize.dumps(serialize.equivariant_to_json(e)))
     return str(path)
 
 
-def _modules_run(tmp_path, *argv):
+@pytest.fixture
+def s2_doc(tmp_path):
+    return _s2(tmp_path, F2)
+
+
+def _job(tmp_path, *argv):
+    """(the tcalc modules the job ran, the ones of `fractions` and
+    `decimal` it imported)."""
     proc = _python("-c", PROBE, SRC, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
-    rc, names = json.loads(proc.stdout)
+    rc, names, stdlib = json.loads(proc.stdout)
     assert rc == 0
-    return set(names)
+    return set(names), set(stdlib)
+
+
+def _modules_run(tmp_path, *argv):
+    return _job(tmp_path, *argv)[0]
+
+
+# What `tate` runs: the value types, the resolutions and the windowed
+# models, and the document and command-line layers.
+EQUIVARIANT = {"cli", "serialize", "chain", "fields", "sparse", "perms",
+               "equivariant"}
 
 
 def test_tate_runs_only_the_equivariant_layer(tmp_path, s2_doc):
-    assert _modules_run(tmp_path, "tate", "--window", "-2:2", s2_doc) == {
-        "cli", "serialize", "chain", "fields", "sparse", "perms",
-        "equivariant"}
+    assert _modules_run(tmp_path, "tate", "--window", "-2:2",
+                        s2_doc) == EQUIVARIANT
+
+
+def _code_size(stem):
+    """The bytes of a tcalc module's code: its syntax tree unparsed with
+    every docstring removed, so neither docstrings, comments nor layout
+    count."""
+    with open(os.path.join(SRC, "tcalc", stem + ".py")) as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            node.body = body[1:] or [ast.Pass()]
+    return len(ast.unparse(tree))
+
+
+def test_tate_compiles_only_the_code_of_its_layer(tmp_path, s2_doc):
+    # a job byte-compiles every module it runs, whatever it enters of it;
+    # the tensor and hom complexes, sub- and quotient complexes, strict
+    # orbits, slotwise maps and the surjection and partition helpers live
+    # in chainops, equivops and combinat, which tate never runs
+    names = _modules_run(tmp_path, "tate", "--window", "-2:2", s2_doc)
+    total = sum(_code_size(stem) for stem in names | {"__init__"})
+    assert total <= 66000, total
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=lambda F: F.name())
+@pytest.mark.parametrize("argv", [
+    ("tate", "--window", "-2:2", "{doc}"),
+    ("k-sp", "--r", "1", "--window", "-2:2", "{doc}"),
+    ("bar-com", "--n", "4", "--field", "{field}"),
+], ids=lambda argv: argv[0])
+def test_prime_field_jobs_import_no_fractions(tmp_path, field, argv):
+    # `fractions` also imports `decimal`; an F_p job holds ints only
+    doc = _s2(tmp_path, field)
+    argv = [doc if a == "{doc}" else field.name() if a == "{field}" else a
+            for a in argv]
+    assert _job(tmp_path, *argv)[1] == set()
+
+
+def test_a_rational_job_still_runs(tmp_path):
+    # a scalar "1/2" is read by Fraction, through rationals
+    half = SparseMatrix.from_entries(1, 1, QQ, {(0, 0): Fraction(1, 2)})
+    c = ChainComplex(QQ, {0: 1, 1: 1}, {1: half})
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(serialize.chain_to_json(c)))
+    assert '"1/2"' in path.read_text()
+    names, stdlib = _job(tmp_path, "homology", str(path))
+    assert "rationals" in names and stdlib == {"fractions", "decimal"}
 
 
 def test_a_job_imports_no_argument_parsing_library(tmp_path, s2_doc):
@@ -116,13 +187,14 @@ def test_homology_runs_only_the_chain_layer(tmp_path):
 
 
 # What a coalgebra job runs besides its subcommand's own modules: the
-# chain and equivariant layers, the coalgebra, and its source's comonad.
-LAYERS = {"cli", "serialize", "chain", "fields", "sparse", "perms",
-          "equivariant"}
+# equivariant layer with the surjections and slotwise maps the comonads
+# read, the coalgebra, and its source's comonad (the Top one builds tensor
+# products, so it runs chainops).
+LAYERS = EQUIVARIANT | {"combinat", "equivops"}
 COALGEBRA = {
     "sp": LAYERS | {"sequences", "coalgebras", "comonads"},
     "top": LAYERS | {"sequences", "coalgebras", "trees", "cooperad",
-                     "topcomonad"},
+                     "topcomonad", "chainops"},
 }
 
 
@@ -138,12 +210,14 @@ def coalgebra_doc(tmp_path):
 
 
 @pytest.mark.parametrize("source, argv, own", [
-    ("sp", ("pn", "--n", "2", "--site", "S0"), {"tower", "spcobar"}),
+    ("sp", ("pn", "--n", "2", "--site", "S0"),
+     {"tower", "spcobar", "chainops"}),
     ("top", ("pn", "--n", "2", "--site", "set:2"), {"tower", "topcobar"}),
-    ("sp", ("cobar", "--site", "S0"), {"tower", "spcobar", "cosimplicial"}),
+    ("sp", ("cobar", "--site", "S0"),
+     {"tower", "spcobar", "cosimplicial", "chainops"}),
     ("top", ("cobar", "--site", "set:1"),
      {"tower", "topcobar", "cosimplicial"}),
-    ("sp", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
+    ("sp", ("derived-hom", "{doc}"), {"tower", "derivedhom", "chainops"}),
     ("top", ("derived-hom", "{doc}"), {"tower", "derivedhom"}),
     ("sp", ("check",), set()),
     ("top", ("check",), set()),
@@ -205,23 +279,29 @@ def test_classify_runs_only_the_equivariant_layer(tmp_path):
                trivial_action(sphere(F2, 0), YoungGroup.full(2)))}
     path = tmp_path / "pair.json"
     path.write_text(serialize.dumps(doc))
+    # (the Hom(A_1, A_1) class count reads chainops's hom complex)
     assert _modules_run(tmp_path, "classify", "--variant", "sp_sp_2",
-                        "--window", "-3:3", str(path)) == LAYERS | {"classify"}
+                        "--window", "-3:3", str(path)) == EQUIVARIANT | {
+        "classify", "chainops"}
 
 
 def test_k_sp_runs_no_top_module(tmp_path, s2_doc):
+    # K_r's model subclasses equivops.SlotwiseModel
     assert _modules_run(tmp_path, "k-sp", "--r", "1", "--window", "-2:2",
-                        s2_doc) == LAYERS | {"comonads"}
+                        s2_doc) == EQUIVARIANT | {"comonads", "equivops",
+                                                  "combinat"}
 
 
 def test_bar_com_runs_no_tower_module(tmp_path):
     assert _modules_run(tmp_path, "bar-com", "--n", "3", "--field", "F2") == {
-        "cli", "serialize", "chain", "fields", "sparse", "perms", "operads"}
+        "cli", "serialize", "chain", "fields", "sparse", "perms", "operads",
+        "combinat"}
 
 
 def test_partition_nerve_adds_only_the_equivariant_layer(tmp_path):
     assert _modules_run(tmp_path, "partition-nerve", "--n", "3",
-                        "--field", "F2") == LAYERS | {"operads"}
+                        "--field", "F2") == EQUIVARIANT | {"operads",
+                                                           "combinat"}
 
 
 def test_operads_still_resolves_symmetric_sequence():

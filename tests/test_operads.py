@@ -8,7 +8,9 @@ from math import factorial
 import pytest
 
 from helpers import unit_sequence
+from tcalc import trees
 from tcalc.chain import DegreeWindow, sphere
+from tcalc.combinat import refines, set_partitions
 from tcalc.equivariant import trivial_action
 from tcalc.cooperad import Cooperad, tree_cooperad, tree_equivariant
 from tcalc.fields import F2, F3, QQ
@@ -20,7 +22,7 @@ from tcalc.laws import (
 from tcalc.operads import (
     _refinements, _strict_chains, bar_complex, partition_poset_nerve,
 )
-from tcalc.perms import YoungGroup, refines, set_partitions
+from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 
 
@@ -51,6 +53,20 @@ def test_tree_action_coxeter():
         tree_equivariant(QQ, n).validate()
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_tree_action_with_a_flipped_swap_is_refused(monkeypatch, n):
+    # -s_0 with s_1 kept breaks the braid relation s_0 s_1 s_0 = s_1 s_0 s_1,
+    # and tree_equivariant certifies its action where it builds it
+    relabel = trees.relabel_terms
+
+    def flipped(t, mapping):
+        sgn, t2 = relabel(t, mapping)
+        return (-sgn if mapping.get(0) == 1 else sgn), t2
+    monkeypatch.setattr(trees, "relabel_terms", flipped)
+    with pytest.raises(ValueError, match="Coxeter relation fails"):
+        tree_equivariant(QQ, n)
+
+
 def test_cooperad_counit_laws():
     coop = tree_cooperad(QQ, 4)
     for n in range(1, 5):
@@ -77,7 +93,7 @@ def test_cooperad_coassociative_all_small():
             parts = set_partitions(list(range(n)))
             for coarse in parts:
                 for fine in parts:
-                    from tcalc.perms import refines
+                    from tcalc.combinat import refines
                     if refines(fine, coarse) and fine != coarse:
                         assert check_coassociativity(coop, n, coarse, fine), \
                             (F, n, coarse, fine)
@@ -97,9 +113,10 @@ def test_spectral_lie_homology():
 def test_spectral_lie_associativity_instance():
     # gamma(gamma(x; y) ; z) = gamma(x; gamma(y; z)) on a composable pattern:
     # arity pattern 2 -> (1, 2) -> ((1), (1, 1)) inside truncation 3
-    from tcalc.chain import ChainMap, tensor_map, transport
+    from tcalc.chain import ChainMap
+    from tcalc.chainops import tensor_map, transport
     from tcalc.laws import _flat_label, tensor_reorder_map
-    from tcalc.chain import tensor_many
+    from tcalc.chainops import tensor_many
     op = spectral_lie(F2, 3)
     F = F2
     # route 1: (gamma_{2,(1,2)} (x) id (x) id (x) id) then gamma_{3,(1,1,1)}...
@@ -139,8 +156,8 @@ def test_spectral_lie_associativity_instance():
 def test_flat_label_transport_between_tensor_nestings():
     """A map on tensor(tensor(A, B), C) carried onto tensor_many([A, B, C])
     matches the basis vectors by flattened labels, in either direction."""
-    from tcalc.chain import (ChainComplex, ChainMap, tensor, tensor_many,
-                             tensor_map, transport)
+    from tcalc.chain import ChainComplex, ChainMap
+    from tcalc.chainops import tensor, tensor_many, tensor_map, transport
     from tcalc.laws import _flat_label
     from tcalc.sparse import SparseMatrix
     F = F3
@@ -171,7 +188,8 @@ def test_flat_label_transport_between_tensor_nestings():
 
 
 def test_flat_label_collision_raises():
-    from tcalc.chain import ChainComplex, ChainMap, transport
+    from tcalc.chain import ChainComplex, ChainMap
+    from tcalc.chainops import transport
     from tcalc.laws import _flat_label
     x, y, z = ("x",), ("y",), ("z",)
     labels = {0: (((x, y), z), (x, (y, z)))}
@@ -409,7 +427,8 @@ def test_unit_sequence_is_valid_module():
         one = unit_sequence(op.field, op.truncation)
         action = {}
         # only the unit pattern exists for the unit sequence
-        from tcalc.chain import ChainMap, tensor_many
+        from tcalc.chain import ChainMap
+        from tcalc.chainops import tensor_many
         src = tensor_many([one.term_complex(1), op.term_complex(1)])
         from tcalc.sparse import SparseMatrix
         m = SparseMatrix.from_entries(1, 1, op.field, {(0, 0): 1})
@@ -422,7 +441,8 @@ def test_unit_sequence_is_valid_module():
 def test_corrupted_module_reported():
     op = spectral_lie(F2, 3)
     one = unit_sequence(op.field, op.truncation)
-    from tcalc.chain import ChainMap, tensor_many
+    from tcalc.chain import ChainMap
+    from tcalc.chainops import tensor_many
     src = tensor_many([one.term_complex(1), op.term_complex(1)])
     action = {(1, (1,)): ChainMap.zero(src, one.term_complex(1))}
     mod = RightModule(op, one, action)

@@ -350,7 +350,7 @@ def test_bk_e1_euler_characteristic():
 def test_derived_hom_into_cofree_collapses():
     """Mapping into the cofree coalgebra K(B) reduces to Hom(A, B)."""
     from tcalc.comonads import SpComonad
-    from tcalc.chain import hom_complex
+    from tcalc.chainops import hom_complex
     from tcalc.chain import label_map
     F = F2
     w = DegreeWindow(-2, 2)
@@ -396,7 +396,7 @@ def test_derived_hom_h0_cross_checked_with_classify():
     # off-diagonal H_1-class of hom(A_1, Tate A_2) appearing in total
     # degree 0 -- which is exactly the classify dimension shifted by the
     # 1-periodicity of the Tate target
-    from tcalc.chain import hom_complex
+    from tcalc.chainops import hom_complex
     d_diag = hom_complex(A.term_complex(1), A.term_complex(1)).homology(0)[0]
     full, inv, _ = equivariant_hom_complex(A.term(2), A.term(2))
     d_diag += inv.homology(0)[0]

@@ -4,6 +4,8 @@ Their hashes are the hash of the field tuple, so sets and dicts keyed by
 them iterate in the same order under a fixed PYTHONHASHSEED, and with them
 the elimination order inside tcalc."""
 
+from fractions import Fraction
+
 import pytest
 
 from tcalc.chain import DegreeWindow, sphere
@@ -69,3 +71,43 @@ def test_windowed_result_eq_repr_and_unhashable():
                        "hi=1), tag='tate', exact=False)" % (c,))
     with pytest.raises(TypeError):
         hash(r)
+
+
+def _as_fraction_reads(F, s):
+    """s read by Fraction and brought into F by hand: over F_p the numerator
+    times the inverse of the denominator, over Q an int when integral."""
+    x = Fraction(s)
+    if F.p:
+        den = x.denominator % F.p
+        if den == 0:
+            raise ZeroDivisionError(s)
+        return x.numerator * pow(den, -1, F.p) % F.p
+    return x.numerator if x.denominator == 1 else x
+
+
+def _outcome(read, *args):
+    try:
+        x = read(*args)
+    except Exception as err:
+        return "raises", type(err)
+    return "value", type(x), x
+
+
+@pytest.mark.parametrize("F", [F2, F3, FieldSpec("prime-field", 5), QQ],
+                         ids=lambda F: F.name())
+@pytest.mark.parametrize("s", [
+    "0", "007", "+3", "-4", " 5 ",        # integers, read by int
+    "1/2", "3/6", "1.5", "1e2",           # fractions and decimals
+    "\u0663", "\u00b2",                   # non-ASCII digits: ٣ and ²
+    "", "x", "1/3",
+])
+def test_parse_scalar_reads_a_string_as_fraction_does(F, s):
+    # the int fast path for ASCII digits is checked against Fraction itself,
+    # so the grammar it accepts cannot drift from Fraction's
+    assert _outcome(F.parse_scalar, s) == _outcome(_as_fraction_reads, F, s)
+
+
+def test_parse_scalar_refuses_a_denominator_the_characteristic_divides():
+    with pytest.raises(ZeroDivisionError):
+        F3.parse_scalar("1/3")
+    assert F3.parse_scalar("\u0663") == 0 and QQ.parse_scalar("-4") == -4

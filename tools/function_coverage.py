@@ -77,11 +77,11 @@ LISTED = {
     "chain.ChainMap.__sub__": "check on " + TOP_N3 + " (its route1 - "
                               "route2)",
     "derivedhom._HomLevels._middle": "derived-hom on " + TOP_N3,
-    "perms.koszul_sign": TOP_N3,
+    "combinat.koszul_sign": TOP_N3,
     "topcomonad.TopComonad.kq_theta": TOP_N3,
     "topcomonad.TopComponentModel.like": TOP_N3 + ", through kq_theta",
-    "equivariant.SlotwiseModel.apply": TOP_N3 + " (K on maps in kq_theta "
-                                       "and the comultiplication)",
+    "equivops.SlotwiseModel.apply": TOP_N3 + " (K on maps in kq_theta "
+                                    "and the comultiplication)",
     "topdelta._factorizations": TOP_N3,
     "topdelta.top_delta_on_sums": TOP_N3,
     "topdelta.top_delta_on_sums.image": TOP_N3,
