@@ -285,7 +285,9 @@ class ChainMap:
         return cls(c, c, comps)
 
     def __add__(self, other):
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError("cannot add maps of degrees %d and %d"
+                             % (self.degree, other.degree))
         comps = dict(self.components)
         out = ChainMap(self.source, self.target, None, self.degree)
         out.components = comps
@@ -452,7 +454,9 @@ def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
 
 def cone(f: ChainMap) -> ChainComplex:
     """Mapping cone: cone(f)_k = C_{k-1} (+) D_k, d(c,x) = (-dc, dx - f c)."""
-    assert f.degree == 0
+    if f.degree != 0:
+        raise ValueError("the cone needs a degree-0 map, not degree %d"
+                         % f.degree)
     c, d = f.source, f.target
     field = c.field
     dims, labels = {}, {}

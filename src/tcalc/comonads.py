@@ -144,9 +144,7 @@ class SpComponentModel(equivops.SlotwiseModel):
         base = a
         if (r, n) == (1, 3):
             base = equivops.equivariant_tensor(l3_complex(F), a)
-        t = tate(tensor_with_surjection_index(base, r), w)
-        self.tate_result = t
-        model = t.complex
+        model = tate(tensor_with_surjection_index(base, r), w).complex
         action = {}
         for gi in YoungGroup.full(r).generator_positions():
             action[gi] = sp_sigma_r_generator(model, n, r, gi, F)

@@ -1,15 +1,18 @@
 """Cooperads on truncated symmetric sequences, and the tree cooperad T_*
 that the Top comonad decorates with.
 
-``tree_cooperad`` builds T_* on the rooted-tree basis (`trees`), where the
-ungrafting decomposition maps are exactly coassociative and counital.  Its
-arity-wise dual, the derivatives-of-the-identity operad, is
-``laws.spectral_lie``; operads and right modules over them are in `laws`.
+``tree_cooperad`` builds the Sigma_n-complexes T(n) of T_* on the
+rooted-tree basis (`trees`).  No job reads T_*'s decomposition maps: the
+ungrafting maps, exactly coassociative and counital, are built on demand by
+``laws.decomposition`` for the law checks, and the Top comultiplication
+(`topdelta`) ungrafts trees one basis element at a time.  Its arity-wise
+dual, the derivatives-of-the-identity operad, is ``laws.spectral_lie``;
+operads and right modules over them are in `laws`.
 """
 
 from __future__ import annotations
 
-from . import chainops, combinat, trees
+from . import trees
 from .chain import ChainComplex, linear_map
 from .equivariant import EquivariantComplex
 from .perms import YoungGroup
@@ -17,11 +20,11 @@ from .sequences import SymmetricSequence
 
 
 class Cooperad:
-    """A cooperad; delta[(n, blocks)] : T_n -> T_r (x) T_{|b_1|} (x) ... ."""
+    """A cooperad, held as its symmetric sequence; its decompositions
+    T_n -> T_r (x) T_{|b_1|} (x) ... are built by `laws.decomposition`."""
 
-    def __init__(self, sequence: SymmetricSequence, delta):
+    def __init__(self, sequence: SymmetricSequence):
         self.sequence = sequence
-        self.delta = delta
 
     def term_complex(self, n):
         return self.sequence.term_complex(n)
@@ -65,29 +68,6 @@ def tree_equivariant(field, n) -> EquivariantComplex:
 
 
 def tree_cooperad(field, N) -> Cooperad:
-    """The cooperad T_* with ungrafting decompositions, exactly coassociative."""
-    terms = {n: tree_equivariant(field, n) for n in range(1, N + 1)}
-    seq = SymmetricSequence(field, N, terms)
-    delta = {}
-    for n in range(1, N + 1):
-        src = seq.term_complex(n)
-        for blocks in combinat.set_partitions(list(range(n))):
-            r = len(blocks)
-            factors = [seq.term_complex(r)] + \
-                [seq.term_complex(len(b)) for b in blocks]
-            tgt = chainops.tensor_many(factors)
-
-            def image(k, lab, blocks=blocks):
-                dec = trees.decompose(lab[1], blocks)
-                if dec is None:
-                    return ()
-                sgn, upper, lowers = dec
-                lowered = []
-                for b, lt in zip(blocks, lowers):
-                    mapping = {x: i for i, x in enumerate(sorted(b))}
-                    s2, lt2 = trees.relabel_terms(lt, mapping)
-                    assert s2 == 1  # order-preserving relabels are sign-free
-                    lowered.append(("tree", lt2))
-                return (((("tree", upper),) + tuple(lowered), sgn),)
-            delta[(n, tuple(blocks))] = linear_map(src, tgt, image).validate()
-    return Cooperad(seq, delta)
+    """The cooperad T_* through arity N, as its Sigma_n-complexes T(n)."""
+    return Cooperad(SymmetricSequence(field, N, {
+        n: tree_equivariant(field, n) for n in range(1, N + 1)}))

@@ -365,6 +365,4 @@ def tate(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
     orbits = homotopy_orbits(a, wide)
     fixed = homotopy_fixed(a, wide)
     nm = norm_map(a, wide, orbits, fixed)
-    out = WindowedResult(cone(nm), w, "tate")
-    out.fixed = fixed
-    return out
+    return WindowedResult(cone(nm), w, "tate")

@@ -43,11 +43,13 @@ from .combinat import (
     apply_perm_to_partition, koszul_sign, normalize_partition, refines,
     set_partitions,
 )
-from .comonads import SpComponentModel
+from .comonads import SpComponentModel, tensor_with_surjection_index
 from .cooperad import Cooperad, tree_cooperad
 from .cosimplicial import check_identities, keyed_maps
 from .derivedhom import _HomLevels
-from .equivariant import EquivariantComplex, homotopy_orbits, trivial_action
+from .equivariant import (
+    EquivariantComplex, homotopy_fixed, homotopy_orbits, trivial_action,
+)
 from .equivops import (
     equivariant_tensor, is_free, permutation_module, strict_fixed,
     strict_orbits, zero_module,
@@ -372,10 +374,21 @@ class RightModule:
         return self.action.get((r, tuple(comp)))
 
 
-def decomposition(coop: Cooperad, n, blocks) -> ChainMap | None:
+def decomposition(coop: Cooperad, n, blocks) -> ChainMap:
     """The cooperad's decomposition T_n -> T_r (x) T_{|b_1|} (x) ... along
-    the partition blocks of {0..n-1}."""
-    return coop.delta.get((n, tuple(blocks)))
+    the partition blocks of {0..n-1} (sorted tuples, sorted by min), read
+    off `trees.decompose`, certified."""
+    seq = coop.sequence
+    tgt = tensor_many([seq.term_complex(len(blocks))] +
+                      [seq.term_complex(len(b)) for b in blocks])
+
+    def image(k, lab):
+        dec = trees.decompose(lab[1], blocks)
+        if dec is None:
+            return ()
+        sgn, upper, lowers = dec
+        return ((tuple(("tree", t) for t in (upper,) + lowers), sgn),)
+    return linear_map(seq.term_complex(n), tgt, image).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -2098,8 +2111,10 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
     and m' : A_1 -> Sigma A_2, with a homotopy between the two composites
     into Tate(Sigma A_2)."""
     route2, t_sa2 = _tate_of_m_after_diagonal(a1, a2, m_map, w)
-    # route 1: m' lifted through the fixed points, then into the cone
-    fx = t_sa2.tate_result.fixed
+    # route 1: m' lifted through the fixed points, then into the cone; the
+    # fixed model is the one `tate` builds for t_sa2, on the widened window
+    fx = homotopy_fixed(tensor_with_surjection_index(suspension(a2), 1),
+                        w.expand(1))
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
     # as a strictly invariant functional
     lift = _invariant_lift(m_prime, fx.complex)

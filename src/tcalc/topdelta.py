@@ -99,9 +99,7 @@ def _split_trees(inner, per_tree, a_degree, s):
         sign *= sgn_j
         uppers.append(("tree", upper))
         word.append((j, trees.degree(upper)))
-        for (b, i), low in zip(blocks, lows):
-            # relabel the leaves to 0..len(b)-1, keeping their order
-            _, low = trees.relabel_terms(low, {x: t for t, x in enumerate(b)})
+        for (_, i), low in zip(blocks, lows):
             lowers[i] = ("tree", low)
             word.append((r + i, trees.degree(low)))
     word.append((r + s, a_degree))

@@ -381,6 +381,19 @@ def test_cone_of_zero_map():
     assert cn.homology(2)[0] == 1
 
 
+def test_a_sum_of_maps_of_different_degrees_is_refused():
+    # raised, not asserted, so `python -O` keeps the check
+    c = circle(QQ)
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        ChainMap.identity(c) + ChainMap.zero(c, c, 1)
+
+
+def test_the_cone_of_a_map_of_nonzero_degree_is_refused():
+    c = circle(QQ)
+    with pytest.raises(ValueError, match="not degree 1"):
+        cone(ChainMap.zero(c, c, 1))
+
+
 def test_is_quasi_iso():
     c = circle(QQ)
     w = DegreeWindow(-2, 4)

@@ -272,6 +272,38 @@ def test_top_arity_3_runs_the_comultiplication_module(tmp_path):
         "topdelta"}
 
 
+# PROBE under a profiler that counts the entries into trees.decompose
+COUNT_DECOMPOSE = """
+import sys
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and frame.f_code.co_name == "decompose"
+               and frame.f_code.co_filename.endswith("trees.py")
+               and calls.append(1))
+""" + PROBE + "sys.setprofile(None)\nprint(len(calls))\n"
+
+
+def _decompose_calls(tmp_path, *argv):
+    proc = _python("-c", COUNT_DECOMPOSE, SRC, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    result, calls = proc.stdout.decode().splitlines()
+    assert json.loads(result)[0] == 0
+    return int(calls)
+
+
+def test_no_job_builds_a_decomposition_map(tmp_path, coalgebra_doc):
+    # T_*'s ungrafting maps are built only by laws.decomposition; a job
+    # builds the complexes T(n) alone, and only topdelta (Top inputs of
+    # arity >= 3) ungrafts trees
+    e = trivial_action(sphere(F2, 0), YoungGroup.full(4))
+    path = tmp_path / "s4.json"
+    path.write_text(serialize.dumps(serialize.equivariant_to_json(e)))
+    assert _decompose_calls(tmp_path, "k-top", "--r", "1", "--window", "0:3",
+                            str(path)) == 0
+    assert _decompose_calls(tmp_path, "pn", "--n", "2", "--site", "set:2",
+                            coalgebra_doc("top")) == 0
+
+
 def test_classify_runs_only_the_equivariant_layer(tmp_path):
     # and so no laws: the paragraph-7 validators live there
     doc = {"a1": serialize.chain_to_json(sphere(F2, 0)),

@@ -1,8 +1,9 @@
 """Operad and cooperad layer: trees, bar construction, nerve oracle, plethysm."""
 
+import hashlib
 import random
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -65,6 +66,40 @@ def test_tree_action_with_a_flipped_swap_is_refused(monkeypatch, n):
     monkeypatch.setattr(trees, "relabel_terms", flipped)
     with pytest.raises(ValueError, match="Coxeter relation fails"):
         tree_equivariant(QQ, n)
+
+
+def _leaves(t):
+    if trees.is_leaf(t):
+        return [t[1]]
+    return [x for c in t[1] for x in _leaves(c)]
+
+
+def _standardized(t):
+    """t with its leaves renamed 0..k-1 in order, which carries no sign."""
+    sgn, t2 = trees.relabel_terms(
+        t, {x: i for i, x in enumerate(sorted(_leaves(t)))})
+    assert sgn == 1
+    return t2
+
+
+def test_tree_signs_are_pinned_on_every_tree_up_to_5_leaves():
+    # the differential, every leaf relabeling and every ungrafting of T_*,
+    # signs included, on all 268 trees with at most 5 leaves
+    h = hashlib.sha256()
+    for n in range(1, 6):
+        for t in trees.all_trees(tuple(range(n))):
+            h.update(repr(trees.differential_terms(t)).encode())
+            for sigma in permutations(range(n)):
+                h.update(repr(trees.relabel_terms(
+                    t, dict(enumerate(sigma)))).encode())
+            for blocks in set_partitions(list(range(n))):
+                dec = trees.decompose(t, tuple(blocks))
+                if dec is not None:
+                    sgn, upper, lowers = dec
+                    dec = sgn, upper, tuple(_standardized(lt) for lt in lowers)
+                h.update(repr(dec).encode())
+    assert h.hexdigest() == \
+        "d6b617b488f9e892b41087edadb6954ab78300e3b73bfec41ecbd38699eef948"
 
 
 def test_cooperad_counit_laws():

@@ -88,6 +88,9 @@ LISTED = {
     "topdelta._split_trees": TOP_N3,
     "topdelta._slot_inside": TOP_N3,
     "topdelta.build_top_delta": TOP_N3,
+    # T_*'s decompositions: laws.decomposition builds the maps, and on the
+    # job path only topdelta._split_trees ungrafts trees
+    "trees.decompose": TOP_N3,
     "perms.YoungGroup.order": "a document whose group has degree > 4, "
                               "refused by EquivariantComplex.validate",
     "perms.YoungGroup.__str__": "a document whose group has degree > 4, "
