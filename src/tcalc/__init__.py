@@ -11,8 +11,8 @@ Modules:
   equivops                -- strict orbits and fixed points, permutation
                              modules, the diagonal tensor, slotwise maps
   sequences               -- truncated symmetric sequences
-  trees, cooperad         -- partition trees; cooperads and the tree
-                             cooperad T_*
+  trees                   -- rooted trees and the tree cooperad T_*: its
+                             Sigma_n-complexes T(n), one per field and arity
   operads                 -- the normalized bar complex of Com from strict
                              chains of partitions, the partition nerve
   topcomonad              -- the Top comonad (based spaces to spectra)
@@ -56,9 +56,9 @@ import sys
 
 _LAZY = ("rationals", "fields", "sparse", "chain", "chainops", "perms",
          "combinat", "equivariant", "equivops", "sequences", "trees",
-         "cooperad", "operads", "topcomonad", "topdelta", "comonads",
-         "coalgebras", "cosimplicial", "tower", "topcobar", "spcobar",
-         "derivedhom", "classify", "serialize", "laws")
+         "operads", "topcomonad", "topdelta", "comonads", "coalgebras",
+         "cosimplicial", "tower", "topcobar", "spcobar", "derivedhom",
+         "classify", "serialize", "laws")
 
 _EXPORTS = {
     "chain": ("ChainComplex", "ChainMap", "DegreeWindow"),
@@ -71,7 +71,6 @@ _EXPORTS = {
     "equivops": (
         "is_free", "permutation_module", "strict_fixed", "strict_orbits"),
     "sequences": ("SymmetricSequence",),
-    "cooperad": ("Cooperad", "tree_cooperad"),
     "operads": ("partition_poset_nerve",),
     "topcomonad": ("TopComonad", "k_top_component"),
     "comonads": ("SpComonad", "k_sp_component", "l3_complex"),

@@ -63,7 +63,7 @@ class TruncatedCoalgebra:
     """A symmetric sequence with theta maps over a comonad value."""
 
     def __init__(self, source: str, sequence: SymmetricSequence,
-                 window: DegreeWindow, theta=None, komonad=None, coop=None):
+                 window: DegreeWindow, theta=None, komonad=None):
         if source not in ("top", "sp"):
             raise ValueError("source must be 'top' or 'sp'")
         self.source = source
@@ -72,7 +72,7 @@ class TruncatedCoalgebra:
         self.field = sequence.field
         if komonad is None:
             if source == "top":
-                komonad = topcomonad.TopComonad(sequence, window, coop=coop)
+                komonad = topcomonad.TopComonad(sequence, window)
             else:
                 komonad = comonads.SpComonad(sequence, window)
         self.komonad = komonad
@@ -97,9 +97,9 @@ class TruncatedCoalgebra:
         return self.theta.get((r, n))
 
 
-def trivial_coalgebra(source, sequence, window, coop=None) -> TruncatedCoalgebra:
+def trivial_coalgebra(source, sequence, window) -> TruncatedCoalgebra:
     """theta_{r,n} = 0 for all r < n."""
-    return TruncatedCoalgebra(source, sequence, window, {}, coop=coop)
+    return TruncatedCoalgebra(source, sequence, window, {})
 
 
 def truncate_coalgebra(c: TruncatedCoalgebra, n: int) -> TruncatedCoalgebra:

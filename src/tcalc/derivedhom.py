@@ -124,6 +124,10 @@ class DerivedHomBuilder(_HomLevels):
         self.w = w
         self.field = c.field
         self.D = max(c.truncation - 1, 0)
+        # the window the derived hom and its E^1 page print: w with its top
+        # lowered by D, or w itself when that leaves nothing
+        self.printed_window = DegreeWindow(w.lo, w.hi - self.D) \
+            if w.hi - self.D >= w.lo else w
         K = cprime.komonad
         # pieces of K^m A': level 0: raw terms; level 1: components;
         # level 2: (q, s, n)-models
@@ -232,7 +236,7 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
     builder = DerivedHomBuilder(c, cprime, w)
     F = c.field
     D = builder.D
-    win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
+    win = builder.printed_window
     strict = builder.strict_keys        # the keys of each column
     # homology bases per strict piece
     hdata = {}

@@ -7,12 +7,14 @@ cosimplicial object (`CosimplicialComplex`), its conormalization and
 `assemble`, which builds it from a level builder; the commutative operad,
 plethysm and the dual tree operad (the derivatives of the identity); the
 leveled bar construction B(1, Com, 1), whose normalized complexes are
-`operads.bar_complex`; cooperad coassociativity and the right-module laws
-over an operad; the strict right-module comonad K' and the norm comparison
-nu from the Top comonad; the coassociativity of the Top comonad (on
-homology) and of K' (exactly), and the counit; the box product of
-cosimplicial complexes with the collapse lemma; the representable modules
-over finite pointed sets and the divided-power factorization
+`operads.bar_complex`; the decomposition maps of the tree cooperad T_*
+(`decomposition`, over a field: T(n) is `trees.term`) with their
+coassociativity, and the right-module laws over an operad; the strict
+right-module comonad K' and the norm comparison nu from the Top comonad;
+the coassociativity of the Top comonad (on homology) and of K' (exactly),
+and the counit; the box product of cosimplicial complexes with the
+collapse lemma; the representable modules over finite pointed sets and the
+divided-power factorization
 psi = nu o theta of a Top coalgebra; the splitting criterion, which
 compares p_n of free coefficients with the sum of its layers and, on Top
 sources, with the strict module derived hom through K'; and the
@@ -44,7 +46,6 @@ from .combinat import (
     set_partitions,
 )
 from .comonads import SpComponentModel, tensor_with_surjection_index
-from .cooperad import Cooperad, tree_cooperad
 from .cosimplicial import check_identities, keyed_maps
 from .derivedhom import _HomLevels
 from .equivariant import (
@@ -374,13 +375,12 @@ class RightModule:
         return self.action.get((r, tuple(comp)))
 
 
-def decomposition(coop: Cooperad, n, blocks) -> ChainMap:
-    """The cooperad's decomposition T_n -> T_r (x) T_{|b_1|} (x) ... along
-    the partition blocks of {0..n-1} (sorted tuples, sorted by min), read
-    off `trees.decompose`, certified."""
-    seq = coop.sequence
-    tgt = tensor_many([seq.term_complex(len(blocks))] +
-                      [seq.term_complex(len(b)) for b in blocks])
+def decomposition(field, n, blocks) -> ChainMap:
+    """The tree cooperad's decomposition T_n -> T_r (x) T_{|b_1|} (x) ...
+    over `field` along the partition blocks of {0..n-1} (sorted tuples,
+    sorted by min), read off `trees.decompose`, certified."""
+    tgt = tensor_many([trees.term(field, m).complex
+                       for m in [len(blocks)] + [len(b) for b in blocks]])
 
     def image(k, lab):
         dec = trees.decompose(lab[1], blocks)
@@ -388,7 +388,7 @@ def decomposition(coop: Cooperad, n, blocks) -> ChainMap:
             return ()
         sgn, upper, lowers = dec
         return ((tuple(("tree", t) for t in (upper,) + lowers), sgn),)
-    return linear_map(seq.term_complex(n), tgt, image).validate()
+    return linear_map(trees.term(field, n).complex, tgt, image).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -573,18 +573,17 @@ def spectral_lie(field, N) -> Operad:
     """The operad dual to T_*: derivatives of the identity on based spaces."""
     if N > 6:
         raise ValueError("arity bound exceeded")
-    coop = tree_cooperad(field, N)
     terms = {}
     dual_complexes = {}
     for n in range(1, N + 1):
-        tc = coop.term_complex(n)
-        dc = dual(tc)
+        tn = trees.term(field, n)
+        dc = dual(tn.complex)
         dual_complexes[n] = dc
         group = YoungGroup.full(n)
         action = {}
         for gi in group.generator_positions():
             # dual of an involution's action, transposed degreewise
-            f = coop.sequence.term(n).action[gi]
+            f = tn.action[gi]
             comps = {}
             for k, m in f.components.items():
                 comps[-k] = m.transpose()
@@ -598,7 +597,7 @@ def spectral_lie(field, N) -> Operad:
                 if sum(comp) != n:
                     continue
                 blocks = _consecutive_blocks(comp)
-                dmap = decomposition(coop, n, blocks)
+                dmap = decomposition(field, n, blocks)
                 gamma[(r, comp)] = _dualize_decomposition(
                     dmap, [seq.term_complex(r)] +
                     [seq.term_complex(m) for m in comp],
@@ -695,7 +694,7 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
 
 
 # ---------------------------------------------------------------------------
-# Cooperad coassociativity and right-module laws
+# Coassociativity of the tree cooperad, and right-module laws
 # ---------------------------------------------------------------------------
 
 
@@ -739,45 +738,42 @@ def restrict_partition(part, block):
     return normalize_partition(bs)
 
 
-def check_coassociativity(coop: Cooperad, n, coarse, fine) -> bool:
+def check_coassociativity(F, n, coarse, fine) -> bool:
     """Exact coassociativity for a refinement `fine` <= `coarse` of {0..n-1}.
 
     Route A: split along `fine`, then split the upper factor along the
     induced partition of fine's blocks.  Route B: split along `coarse`, then
     split each lower factor along the restriction of `fine`; then reorder so
-    both land in T(upper') (x) (x)_j T(mid_j) (x) (x)_c T(c)."""
-    F = coop.sequence.field
+    both land in T(upper') (x) (x)_j T(mid_j) (x) (x)_c T(c), over F."""
+    def T(m):
+        return trees.term(F, m).complex
     if not refines(fine, coarse):
         raise ValueError("fine must refine coarse")
     rf, rc = len(fine), len(coarse)
-    d_fine = decomposition(coop, n, fine)
-    d_coarse = decomposition(coop, n, coarse)
+    d_fine = decomposition(F, n, fine)
+    d_coarse = decomposition(F, n, coarse)
     qpart = quotient_partition(coarse, fine)  # partition of {0..rf-1}
     # Route A: delta_fine then delta_{qpart} on the first factor
-    d_q = decomposition(coop, rf, qpart)
-    fine_factors = [coop.term_complex(rf)] + \
-        [coop.term_complex(len(b)) for b in fine]
+    d_q = decomposition(F, rf, qpart)
+    fine_factors = [T(rf)] + [T(len(b)) for b in fine]
     routeA = _apply_to_factor(d_fine, d_q, 0, fine_factors, F)
     # Route B: delta_coarse then delta_{fine|b} on each lower factor,
     # processed right-to-left so slot positions stay stable
     cur = d_coarse
-    cur_factors = [coop.term_complex(rc)] + \
-        [coop.term_complex(len(b)) for b in coarse]
+    cur_factors = [T(rc)] + [T(len(b)) for b in coarse]
     rests = [restrict_partition(fine, b) for b in coarse]
     for j in range(rc - 1, -1, -1):
         b = coarse[j]
-        d_rest = decomposition(coop, len(b), rests[j])
+        d_rest = decomposition(F, len(b), rests[j])
         cur = _apply_to_factor(cur, d_rest, 1 + j, cur_factors, F)
-        rest_factors = [coop.term_complex(len(rests[j]))] + \
-            [coop.term_complex(len(c)) for c in rests[j]]
+        rest_factors = [T(len(rests[j]))] + [T(len(c)) for c in rests[j]]
         cur_factors = cur_factors[:1 + j] + rest_factors + cur_factors[2 + j:]
     routeB = cur
     # Align orders: route A = [upper', mids, fine blocks in fine order];
     # route B = [upper'] + per coarse block [mid_j, its fine blocks].
     permA = _fine_to_grouped_perm(coarse, fine)
-    routeA_factors = [coop.term_complex(rc)] + \
-        [coop.term_complex(len(b)) for b in qpart] + \
-        [coop.term_complex(len(c)) for c in fine]
+    routeA_factors = [T(rc)] + [T(len(b)) for b in qpart] + \
+        [T(len(c)) for c in fine]
     reorderA = tensor_reorder_map(routeA_factors, permA)
     routeA2 = reorderA.compose(transport(routeA, target=reorderA.source,
                                          key=_flat_label, partial=False))
@@ -1024,8 +1020,7 @@ def _check_module_equivariance(mod: RightModule, r, comp):
 class KPrimeComponent:
     """K'_r A_n = strict Sigma_n-invariants of W(A, r), as a subcomplex."""
 
-    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int):
-        self.coop = coop
+    def __init__(self, a: EquivariantComplex, r: int):
         self.a = a
         self.r = r
         self.n = a.group.degree
@@ -1036,7 +1031,7 @@ class KPrimeComponent:
             self.inclusion = None
             self.sursum = None
             return
-        self.sursum = SurjectionSum(coop, a, r)
+        self.sursum = SurjectionSum(a, r)
         eq = self.sursum.sigma_n_action()
         inv, incl = strict_fixed(eq)
         self.inclusion = incl
@@ -1057,20 +1052,18 @@ class KPrimeComonad:
     """The strict comonad whose coalgebras are right modules over the dual
     tree operad; all structure maps are exact identities."""
 
-    def __init__(self, a: SymmetricSequence, coop=None):
+    def __init__(self, a: SymmetricSequence):
         if a.truncation > 4:
             raise ValueError("arity bound exceeded (truncation <= 4)")
         self.a = a
-        F = a.field
-        self.field = F
-        self.coop = coop or tree_cooperad(F, max(a.truncation, 1))
+        self.field = a.field
         self.components = {}
         self.delta = {}
         self.delta_outer = {}
         for n in a.arities():
             term = a.term(n)
             for r in range(1, n + 1):
-                self.components[(r, n)] = KPrimeComponent(self.coop, term, r)
+                self.components[(r, n)] = KPrimeComponent(term, r)
         for n in a.arities():
             for s in range(1, n + 1):
                 for r in range(1, s + 1):
@@ -1113,9 +1106,9 @@ class KPrimeComonad:
             self.delta[(r, s, n)] = ChainMap.identity(comp.value.complex)
             self.delta_outer[(r, s, n)] = comp
             return
-        inner = KPrimeComponent(self.coop, term, s)
-        outer = KPrimeComponent(self.coop, inner.value, r)
-        pre = SurjectionSum(self.coop, inner.sursum.sigma_r_action(), r)
+        inner = KPrimeComponent(term, s)
+        outer = KPrimeComponent(inner.value, r)
+        pre = SurjectionSum(inner.sursum.sigma_r_action(), r)
         dpre = top_delta_on_sums(comp.sursum, pre)
         # restrict to invariants: D(inv(W_r)) is Sigma_s-invariant; express
         # it in the basis of the outer invariants model through its
@@ -1203,25 +1196,23 @@ def nu_component(top_comp: TopComponentModel,
 # ---------------------------------------------------------------------------
 
 
-def top_coassociativity_check(coop: Cooperad, term: EquivariantComplex,
-                              r, s, t, w: DegreeWindow) -> bool:
+def top_coassociativity_check(term: EquivariantComplex, r, s, t,
+                              w: DegreeWindow) -> bool:
     """Comonad coassociativity (delta K)delta = (K delta)delta on homology,
     for the component chain K_r A_n -> K_r K_s K_t A_n (r <= s <= t <= n)."""
     n = term.group.degree
     w2 = w.expand(n + 1)
-    comp_r = TopComponentModel(coop, term, r, w)
+    comp_r = TopComponentModel(term, r, w)
     # inner models
-    inner_t = TopComponentModel(coop, term, t, w2)
-    comp_r, d_rt, outer_rt = build_top_delta(coop, term, comp_r, inner_t,
-                                             r, t, w)
-    inner_s = TopComponentModel(coop, term, s, w2)
-    comp_r2, d_rs, outer_rs = build_top_delta(coop, term, comp_r, inner_s,
-                                              r, s, w)
+    inner_t = TopComponentModel(term, t, w2)
+    comp_r, d_rt, outer_rt = build_top_delta(term, comp_r, inner_t, r, t, w)
+    inner_s = TopComponentModel(term, s, w2)
+    comp_r2, d_rs, outer_rs = build_top_delta(term, comp_r, inner_s, r, s, w)
     # route A: d_rs then K_r(delta_{s,t} of term at the wide window)
     comp_s_wide = inner_s
-    inner_t_wide = TopComponentModel(coop, term, t, w2.expand(n + 1))
+    inner_t_wide = TopComponentModel(term, t, w2.expand(n + 1))
     comp_s_wide, d_st, outer_st = build_top_delta(
-        coop, term, comp_s_wide, inner_t_wide, s, t, w2)
+        term, comp_s_wide, inner_t_wide, s, t, w2)
     # K_r of d_st: source outer_rs (K_r of inner_s); target K_r(outer_st)
     tgt_model = outer_rs.like(outer_st.value, w)
     src_model = outer_rs.like(inner_s.value, w)
@@ -1231,8 +1222,8 @@ def top_coassociativity_check(coop: Cooperad, term: EquivariantComplex,
     # route B: d_rt then delta_{r,s} of the inner_t value
     comp_b = outer_rt.like(inner_t.value, w)
     inner_b = inner_s.like(inner_t.value, w2)
-    comp_b, d_b, outer_b = build_top_delta(coop, inner_t.value, comp_b,
-                                           inner_b, r, s, w)
+    comp_b, d_b, outer_b = build_top_delta(inner_t.value, comp_b, inner_b,
+                                           r, s, w)
     routeB = d_b.compose(label_map(d_rt.target, comp_b.value.complex)
                          .compose(d_rt))
     # compare on homology: targets are different models of K_r K_s K_t A_n;
@@ -1295,18 +1286,16 @@ def counit_check(k_value, a: SymmetricSequence, w: DegreeWindow):
     return report
 
 
-def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
-                                 coop=None) -> bool:
+def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n) -> bool:
     """Exact comonadic coassociativity for K' on the component chain
     K'_r A_n -> K'_r K'_s K'_t A_n, with r < s < t < n (all maps strict)."""
     F = a.field
-    coop = coop or tree_cooperad(F, a.truncation)
     term = a.term(n)
-    comp_r = KPrimeComponent(coop, term, r)
+    comp_r = KPrimeComponent(term, r)
     # route pieces on A_n
-    inner_t = KPrimeComponent(coop, term, t)
-    inner_s = KPrimeComponent(coop, term, s)
-    KP = KPrimeComonad(a, coop=coop)
+    inner_t = KPrimeComponent(term, t)
+    inner_s = KPrimeComponent(term, s)
+    KP = KPrimeComonad(a)
     d_rs = KP.delta[(r, s, n)]
     d_rt = KP.delta[(r, t, n)]
     # route A: d_rs then K'_r(d_st of A_n)
@@ -1315,14 +1304,14 @@ def kprime_coassociativity_check(a: SymmetricSequence, r, s, t, n,
     outer_rs = KP.delta_outer[(r, s, n)]
     outer_st = KP.delta_outer[(s, t, n)]
     # K'_r of d_st: source K'_r(inner_s value); target K'_r(outer_st value)
-    src_model = KPrimeComponent(coop, inner_s.value, r)
-    tgt_model = KPrimeComponent(coop, outer_st.value, r)
+    src_model = KPrimeComponent(inner_s.value, r)
+    tgt_model = KPrimeComponent(outer_st.value, r)
     ident_in = label_map(outer_rs.value.complex, src_model.value.complex)
     k_dst = src_model.apply(d_st, tgt_model)
     routeA = k_dst.compose(ident_in).compose(d_rs)
     # route B: d_rt then d'_{r,s} of the inner_t value
     single = SymmetricSequence(F, t, {t: inner_t.value})
-    KP_b = KPrimeComonad(single, coop=coop)
+    KP_b = KPrimeComonad(single)
     d_b = KP_b.delta[(r, s, t)]
     outer_rt = KP.delta_outer[(r, t, n)]
     src_b = KP_b.components[(r, t)]
@@ -1746,7 +1735,7 @@ def psi_from_theta(c: TruncatedCoalgebra):
     if c.source != "top":
         raise ValueError("divided powers live on the top source")
     K = c.komonad
-    KP = KPrimeComonad(c.sequence, coop=K.coop)
+    KP = KPrimeComonad(c.sequence)
     psi = {}
     for n in range(1, c.truncation + 1):
         for r in range(1, n):

@@ -1,5 +1,5 @@
-"""Truncated symmetric sequences: the data a coalgebra, an operad and a
-cooperad are built on.
+"""Truncated symmetric sequences: the data a coalgebra and an operad are
+built on.
 
 A symmetric sequence A stores, for each arity 1 <= n <= N, an equivariant
 complex A_n with a full Sigma_n action; zero terms are dropped.

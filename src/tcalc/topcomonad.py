@@ -2,9 +2,12 @@
 
 The component K_r A_n is the Sigma_n-homotopy-orbit complex of the sum, over
 surjections {0..n-1} ->> {0..r-1}, of T_{n_1} (x) ... (x) T_{n_r} (x) A_n,
-with T_* the tree cooperad.  When the total module is free the strict orbit
-complex is used and the result is exact.  One class, `SurjectionSum`, builds
-that sum W(X, r) for any Sigma_n-module X in place of A_n.  The
+with T_* the tree cooperad.  T_* is the dual of the derivatives of the
+identity, so it depends on the field alone: every model reads T(m) from
+`trees.term`.  When the total module is free the strict orbit complex is
+used and the result is exact.  One class, `SurjectionSum`, builds that sum
+W(X, r) for any Sigma_n-module X in place of A_n; a tree factor's degree
+is `trees.degree` of its label.  The
 comultiplication delta_{r,s} is the identity of the model where s = n or
 s = r; for r < s < n it comes from ungrafting decompositions of the tree
 cooperad and lives in `topdelta`, which only arity-3 and arity-4 inputs run.
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from . import chainops, combinat, equivops, topdelta, trees
 from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
-from .cooperad import Cooperad, tree_cooperad
 from .equivariant import EquivariantComplex, WindowedResult, homotopy_orbits
 from .perms import YoungGroup, inverse, transposition
 from .sequences import SymmetricSequence
@@ -42,8 +44,7 @@ class SurjectionSum(equivops.SlotwiseModel):
     permuting the tree factors with Koszul signs.
     """
 
-    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int):
-        self.coop = coop
+    def __init__(self, a: EquivariantComplex, r: int):
         self.a = a
         self.r = r
         self.n = a.group.degree
@@ -55,7 +56,8 @@ class SurjectionSum(equivops.SlotwiseModel):
         self.factors = {}
         for alpha in self.surjections:
             fibers = combinat.surjection_fibers(alpha, r)
-            factors = [coop.term_complex(len(f)) for f in fibers] + [a.complex]
+            factors = [trees.term(F, len(f)).complex
+                       for f in fibers] + [a.complex]
             summands.append(chainops.tensor_many(factors))
             self.factors[alpha] = fibers
         self.total = direct_sum(summands) if summands else ChainComplex(F, {})
@@ -68,22 +70,7 @@ class SurjectionSum(equivops.SlotwiseModel):
                 labs.append(("surj", self.surjections[idx], inner))
             labels[k] = tuple(labs)
         self.total = ChainComplex(F, self.total.dims, self.total.diff, labels)
-        self._deg_cache = {}
         self._sigma_r = None
-
-    def label_degree(self, m, lab):
-        """Degree of a tree label in T(m) or of an A-label."""
-        key = (m, lab)
-        got = self._deg_cache.get(key)
-        if got is None:
-            c = self.coop.term_complex(m)
-            got = None
-            for k in c.dims:
-                if lab in c.label_index(k):
-                    got = k
-                    break
-            self._deg_cache[key] = got
-        return got
 
     def sigma_n_action(self) -> EquivariantComplex:
         """The Sigma_n-equivariant structure on the total complex."""
@@ -114,8 +101,7 @@ class SurjectionSum(equivops.SlotwiseModel):
         def image(k, lab):
             _, alpha, inner = lab
             tree_labs = list(inner[:-1])
-            degs = [self.label_degree(len(f), tl)
-                    for f, tl in zip(self.factors[alpha], tree_labs)]
+            degs = [trees.degree(tl[1]) for tl in tree_labs]
             tree_labs[gi], tree_labs[gi + 1] = tree_labs[gi + 1], tree_labs[gi]
             beta = tuple(s_r[v] for v in alpha)
             return ((("surj", beta, tuple(tree_labs) + inner[-1:]),
@@ -138,8 +124,8 @@ class SurjectionSum(equivops.SlotwiseModel):
         (x,))."""
         def sign(lab):
             _, alpha, inner = lab
-            return -1 if sum(self.label_degree(len(fb), tl) for fb, tl in zip(
-                self.factors[alpha], inner[:-1])) % 2 else 1
+            return -1 if sum(trees.degree(tl[1])
+                             for tl in inner[:-1]) % 2 else 1
         return self.total, tgt.total, (2, -1), sign, None, None
 
     def _summand_map(self, moves, a_map) -> ChainMap:
@@ -178,9 +164,8 @@ class TopComponentModel(equivops.SlotwiseModel):
     windowed), the projection W -> model of a strict one with its certified
     unit section, and the Sigma_r structure."""
 
-    def __init__(self, coop: Cooperad, a: EquivariantComplex, r: int,
-                 w: DegreeWindow, force_windowed=False):
-        self.coop = coop
+    def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow,
+                 force_windowed=False):
         self.a = a
         self.r = r
         self.n = a.group.degree
@@ -199,9 +184,9 @@ class TopComponentModel(equivops.SlotwiseModel):
             self.kind = "collapsed"
             self.value = a
             self.exact = True
-            self.sursum = SurjectionSum(coop, a, r)
+            self.sursum = SurjectionSum(a, r)
             return
-        self.sursum = SurjectionSum(coop, a, r)
+        self.sursum = SurjectionSum(a, r)
         w_total = self.sursum.sigma_n_action()
         sr = self.sursum.sigma_r_action()
         if equivops.is_free(w_total) and not force_windowed:
@@ -225,7 +210,7 @@ class TopComponentModel(equivops.SlotwiseModel):
         """K_r(a) at window w: windowed when this model is windowed, else in
         its natural kind.  A windowed model sizes its own resolution, so
         maps between it and this one stay slotwise."""
-        return TopComponentModel(self.coop, a, self.r, w,
+        return TopComponentModel(a, self.r, w,
                                  force_windowed=self.kind == "windowed")
 
     def on_maps(self, tgt: "TopComponentModel"):
@@ -283,15 +268,12 @@ class TopComonad:
     delta_outer[(r, s, n)] : the outer TopComponentModel (K_r of it)
     """
 
-    def __init__(self, a: SymmetricSequence, w: DegreeWindow, coop=None,
-                 build_delta=True):
+    def __init__(self, a: SymmetricSequence, w: DegreeWindow):
         if a.truncation > 4:
             raise ValueError("arity bound exceeded (truncation <= 4)")
         self.a = a
         self.w = w
-        F = a.field
-        self.field = F
-        self.coop = coop or tree_cooperad(F, max(a.truncation, 1))
+        self.field = a.field
         self.components = {}
         self.delta = {}
         self.delta_inner = {}
@@ -300,13 +282,11 @@ class TopComonad:
         for n in a.arities():
             term = a.term(n)
             for r in range(1, n + 1):
-                self.components[(r, n)] = TopComponentModel(
-                    self.coop, term, r, w)
-        if build_delta:
-            for n in a.arities():
-                for s in range(1, n + 1):
-                    for r in range(1, s + 1):
-                        self._build_delta(r, s, n)
+                self.components[(r, n)] = TopComponentModel(term, r, w)
+        for n in a.arities():
+            for s in range(1, n + 1):
+                for r in range(1, s + 1):
+                    self._build_delta(r, s, n)
 
     def component(self, r, n) -> TopComponentModel | None:
         return self.components.get((r, n))
@@ -339,10 +319,10 @@ class TopComonad:
         w_wide = DegreeWindow(self.w.lo - (n + 1), self.w.hi + n + 1)
         inner = self._inner_cache.get((s, n))
         if inner is None:
-            inner = TopComponentModel(self.coop, term, s, w_wide)
+            inner = TopComponentModel(term, s, w_wide)
             self._inner_cache[(s, n)] = inner
         comp2, total_map, outer = topdelta.build_top_delta(
-            self.coop, term, comp, inner, r, s, self.w)
+            term, comp, inner, r, s, self.w)
         self.components[(r, n)] = comp2
         self.delta[(r, s, n)] = total_map
         self.delta_inner[(r, s, n)] = inner
@@ -354,10 +334,8 @@ class TopComonad:
 # ---------------------------------------------------------------------------
 
 
-def k_top_component(a_n: EquivariantComplex, r: int, w: DegreeWindow,
-                    coop=None) -> WindowedResult:
+def k_top_component(a_n: EquivariantComplex, r: int,
+                    w: DegreeWindow) -> WindowedResult:
     """K_r A_n for the Top comonad, as a windowed result with Sigma_r action."""
-    F = a_n.field
-    coop = coop or tree_cooperad(F, max(a_n.group.degree, 1))
-    comp = TopComponentModel(coop, a_n, r, w)
+    comp = TopComponentModel(a_n, r, w)
     return WindowedResult(comp.value.complex, w, "k-top", comp.exact)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from . import combinat, equivops, trees
 from .chain import ChainMap, DegreeWindow, label_map, linear_map
-from .cooperad import Cooperad
 from .equivariant import EquivariantComplex, homotopy_orbits
 from .topcomonad import SurjectionSum, TopComponentModel
 
@@ -114,9 +113,8 @@ def _slot_inside(lab):
     return ("surj", gamma, inner[:-1] + ((tag, s, gen, inner[-1]),))
 
 
-def build_top_delta(coop: Cooperad, term: EquivariantComplex,
-                    comp: TopComponentModel, inner: TopComponentModel,
-                    r: int, s: int, w: DegreeWindow):
+def build_top_delta(term: EquivariantComplex, comp: TopComponentModel,
+                    inner: TopComponentModel, r: int, s: int, w: DegreeWindow):
     """delta_{r,s} : K_r(term) -> K_r(inner model of K_s(term)).
 
     The tree splitting maps W(A, r) into pre = W(W(A, s), r), the surjection
@@ -127,11 +125,11 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
     if s == n or s == r:
         # collapsed inner or outer: the comultiplication is the identity
         return comp, ChainMap.identity(comp.value.complex), comp
-    pre = SurjectionSum(coop, inner.sursum.sigma_r_action(), r)
+    pre = SurjectionSum(inner.sursum.sigma_r_action(), r)
     dpre = top_delta_on_sums(comp.sursum, pre)
     if comp.kind == "strict" and inner.kind == "strict":
         # the inner factor's Sigma_n-orbits, then the outer Sigma_s-orbits
-        outer = TopComponentModel(coop, inner.value, r, w)
+        outer = TopComponentModel(inner.value, r, w)
         total_map = outer.proj.compose(pre.apply(
             inner.proj, outer.sursum).compose(dpre).compose(comp.section))
     else:
@@ -140,12 +138,11 @@ def build_top_delta(coop: Cooperad, term: EquivariantComplex,
         pre_eq = EquivariantComplex(pre.total, inner_eq.group, {
             gi: pre.apply(g, pre) for gi, g in inner_eq.action.items()})
         if comp.kind != "windowed":
-            comp = TopComponentModel(coop, term, r, w, force_windowed=True)
+            comp = TopComponentModel(term, r, w, force_windowed=True)
         if inner.kind != "windowed":
-            inner = TopComponentModel(coop, term, s, w.expand(n + 1),
+            inner = TopComponentModel(term, s, w.expand(n + 1),
                                       force_windowed=True)
-        outer = TopComponentModel(coop, inner.value, r, w,
-                                  force_windowed=True)
+        outer = TopComponentModel(inner.value, r, w, force_windowed=True)
         aux = homotopy_orbits(pre_eq, w)
         src_map = equivops.slotwise_map(comp.value.complex, aux.complex, dpre)
         wout_trunc = outer.sursum.total.truncate(

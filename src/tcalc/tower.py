@@ -355,7 +355,6 @@ def derived_hom(c, cprime, w: DegreeWindow | None = None):
     w = w or c.window
     builder = derivedhom.DerivedHomBuilder(c, cprime, w)
     t = fat_tot(builder)
-    D = builder.D
-    win = DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else w
     h0 = t.homology_dims(DegreeWindow(0, 0)).get(0, 0)
-    return {"complex": t, "h0": h0, "window": win, "builder": builder}
+    return {"complex": t, "h0": h0, "window": builder.printed_window,
+            "builder": builder}

@@ -19,6 +19,12 @@ the cooperad decomposition along a set partition ungrafts the subtrees
 spanned by the blocks, converting each cut edge into the suspension slot of
 its lower tree.  All signs are permutation signs of slot words, so d o d = 0
 is automatic and the decompositions are exactly coassociative.
+
+`term` builds T(n) over a field as a Sigma_n-complex on this basis, once
+per field and arity: T_* is the dual of the derivatives of the identity,
+so no caller chooses it.  Its decomposition maps are built only by
+`laws.decomposition`; a job ungrafts trees one basis element at a time
+(`topdelta`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from functools import lru_cache
 from itertools import product
 
 from . import combinat
+from .chain import ChainComplex, linear_map
+from .equivariant import EquivariantComplex
+from .perms import YoungGroup
 
 
 def leaf(x):
@@ -176,3 +185,32 @@ def decompose(t, blocks):
         word += lower if sub is t or not lower else [frozenset(b)] + lower[1:]
         lowers.append(_rebuild(sub, {x: i for i, x in enumerate(b)}))
     return _word_sign(_word(t), word), upper, tuple(lowers)
+
+
+@lru_cache(maxsize=None)
+def term(field, n) -> EquivariantComplex:
+    """T(n) over `field`, with its Sigma_n action by leaf relabeling, on the
+    basis all_trees(0..n-1); degree = number of internal vertices.  Built
+    and certified once per (field, n)."""
+    labels = {}
+    for t in all_trees(tuple(range(n))):
+        labels.setdefault(degree(t), []).append(("tree", t))
+    dims = {d: len(v) for d, v in labels.items()}
+    labels = {d: tuple(v) for d, v in labels.items()}
+    bare = ChainComplex(field, dims, None, labels)
+    d = linear_map(bare, bare, lambda k, lab: [
+        (("tree", t2), sgn) for sgn, t2 in differential_terms(lab[1])],
+        degree=-1)
+    c = ChainComplex(field, dims, d.components, labels).validate()
+    group = YoungGroup.full(n)
+
+    def swap(gi):
+        mapping = {x: x for x in range(n)}
+        mapping[gi], mapping[gi + 1] = gi + 1, gi
+
+        def image(k, lab):
+            sgn, t2 = relabel_terms(lab[1], mapping)
+            return ((("tree", t2), sgn),)
+        return linear_map(c, c, image)
+    return EquivariantComplex(c, group, {
+        gi: swap(gi) for gi in group.generator_positions()}).validate()

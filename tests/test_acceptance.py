@@ -29,7 +29,6 @@ from tcalc.derivedhom import bk_e1, einf_dims
 from tcalc.equivariant import regular_module, tate, trivial_action
 from tcalc.equivops import is_free
 from tcalc.fields import F2, QQ
-from tcalc.cooperad import tree_cooperad
 from tcalc.laws import (
     KPrimeComonad, bar_construction, box_product, commutative_operad,
     constant_cosimplicial, counit, count_maps_mod_homotopy, homotopy_between,
@@ -122,7 +121,7 @@ def test_criterion_04_counit_equivalences():
             terms[1] = triv(F2, 1)
         N_eff = max(terms)
         A = SymmetricSequence(F2, N_eff, terms)
-        K = TopComonad(A, w, build_delta=False)
+        K = TopComonad(A, w)
         for r in A.arities():
             eps = counit(K, r)
             if eps is None or not cone(eps).is_acyclic(w):
@@ -139,7 +138,6 @@ def test_criterion_04_counit_equivalences():
 
 def test_criterion_05_comonad_laws():
     rng = random.Random(505)
-    coop = tree_cooperad(F2, 3)
     w = DegreeWindow(0, 2)
     ok = True
     for trial in range(25):
@@ -149,7 +147,7 @@ def test_criterion_05_comonad_laws():
                                   YoungGroup.full(3))
         else:
             term = regular_module(F2, YoungGroup.full(3), degree=deg)
-        ok = ok and top_coassociativity_check(coop, term, 1, 2, 3, w)
+        ok = ok and top_coassociativity_check(term, 1, 2, 3, w)
     # counit diagrams: epsilon after the diagonal comultiplications is the
     # identity on every component of a sample comonad value
     A = staircase_sequence(F2, 3)
@@ -194,7 +192,7 @@ def test_criterion_06_divided_powers():
             rep = divided_power_check(coalg, module=module)
             ok = ok and rep["valid"]
             K = coalg.komonad
-            KP = KPrimeComonad(coalg.sequence, coop=K.coop)
+            KP = KPrimeComonad(coalg.sequence)
             for (r, n), comp in K.components.items():
                 kp = KP.component(r, n)
                 if kp is None or kp.sursum is None:

@@ -168,7 +168,7 @@ def test_comultiplications_are_pinned(terms, field, window, branch, digests):
     # for entry
     A = terms(field)
     K = TopComonad(A, window)
-    KP = KPrimeComonad(A, coop=K.coop)
+    KP = KPrimeComonad(A)
     assert K.delta_outer[(1, 2, 3)].kind == branch
     got = []
     for delta in (K.delta, KP.delta):

@@ -14,7 +14,6 @@ from tcalc.comonads import (
     SpComonad, SpComponentModel, k_sp_component, l3_complex,
 )
 from tcalc.equivops import equivariant_tensor
-from tcalc.cooperad import tree_cooperad
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
@@ -120,15 +119,13 @@ def test_delta_validates_and_coassoc_n3():
     A = seq(F2, {1: triv(F2, 1), 2: triv(F2, 2), 3: triv(F2, 3)})
     K = TopComonad(A, w)
     assert (1, 2, 3) in K.delta
-    coop = tree_cooperad(F2, 3)
-    assert top_coassociativity_check(coop, A.term(3), 1, 2, 3, w)
+    assert top_coassociativity_check(A.term(3), 1, 2, 3, w)
 
 
 def test_coassoc_nontrivial_coefficients():
     w = DegreeWindow(0, 2)
-    coop = tree_cooperad(F2, 3)
     a3 = trivial_action(direct_sum([sphere(F2, 0), sphere(F2, 1)]), S3)
-    assert top_coassociativity_check(coop, a3, 1, 2, 3, w)
+    assert top_coassociativity_check(a3, 1, 2, 3, w)
 
 
 def test_k_preserves_direct_sums():
@@ -242,30 +239,27 @@ def test_kprime_unit_invariants():
     # the T_2 (x) A_2 summand
     a2 = triv(F2, 2)
     from tcalc.laws import KPrimeComponent
-    coop = tree_cooperad(F2, 2)
-    comp = KPrimeComponent(coop, a2, 1)
+    comp = KPrimeComponent(a2, 1)
     # W = T_2 (x) A_2 = one-dimensional in degree 1 with trivial S2 action
     assert comp.value.complex.dim(1) == 1
 
 
 def test_nu_free_iso():
     w = DegreeWindow(0, 3)
-    coop = tree_cooperad(F2, 2)
     a2 = regular_module(F2, S2)
     from tcalc.laws import KPrimeComponent
-    top = TopComponentModel(coop, a2, 1, w)
-    kp = KPrimeComponent(coop, a2, 1)
+    top = TopComponentModel(a2, 1, w)
+    kp = KPrimeComponent(a2, 1)
     nu = nu_component(top, kp, w)
     assert nu.is_iso()
 
 
 def test_nu_rational_quasi_iso():
     w = DegreeWindow(0, 3)
-    coop = tree_cooperad(QQ, 2)
     a2 = triv(QQ, 2)
     from tcalc.laws import KPrimeComponent
-    top = TopComponentModel(coop, a2, 1, w)
-    kp = KPrimeComponent(coop, a2, 1)
+    top = TopComponentModel(a2, 1, w)
+    kp = KPrimeComponent(a2, 1)
     nu = nu_component(top, kp, w)
     assert cone(nu).is_acyclic(w.shrink(1))
 
@@ -273,12 +267,11 @@ def test_nu_rational_quasi_iso():
 def test_nu_cone_matches_tate_f2():
     # A_2 = k over F_2: cone(nu_1) homology matches Tate_{S2}(Sigma A_2)
     w = DegreeWindow(0, 4)
-    coop = tree_cooperad(F2, 2)
     a2 = triv(F2, 2)
     from tcalc.laws import KPrimeComponent
     from tcalc.equivariant import tate
-    top = TopComponentModel(coop, a2, 1, w)
-    kp = KPrimeComponent(coop, a2, 1)
+    top = TopComponentModel(a2, 1, w)
+    kp = KPrimeComponent(a2, 1)
     nu = nu_component(top, kp, w)
     cn = cone(nu)
     shifted = trivial_action(shift(sphere(F2, 0), 1), S2)
@@ -306,8 +299,7 @@ def test_top_comonad_over_f3_and_q():
         A = SymmetricSequence(F, 3, terms)
         K = TopComonad(A, w)
         assert (1, 2, 3) in K.delta  # validated at construction
-        coop = tree_cooperad(F, 3)
-        assert top_coassociativity_check(coop, A.term(3), 1, 2, 3, w)
+        assert top_coassociativity_check(A.term(3), 1, 2, 3, w)
 
 
 def test_k_top_component_f3_orbit_values():

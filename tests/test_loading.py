@@ -50,7 +50,6 @@ EXPORTS = {
                    "homotopy_orbits norm_map tate",
     "equivops": "is_free permutation_module strict_fixed strict_orbits",
     "sequences": "SymmetricSequence",
-    "cooperad": "Cooperad tree_cooperad",
     "operads": "partition_poset_nerve",
     "topcomonad": "TopComonad k_top_component",
     "comonads": "SpComonad k_sp_component l3_complex",
@@ -139,6 +138,20 @@ def test_tate_compiles_only_the_code_of_its_layer(tmp_path, s2_doc):
     assert total <= 66000, total
 
 
+def test_k_top_compiles_only_the_code_of_its_layer(tmp_path):
+    # K_1 of a Sigma_3-module reads T(1), T(2) and T(3), which trees
+    # builds on its own basis
+    e = trivial_action(sphere(F2, 0), YoungGroup.full(3))
+    path = tmp_path / "s3.json"
+    path.write_text(serialize.dumps(serialize.equivariant_to_json(e)))
+    names = _modules_run(tmp_path, "k-top", "--r", "1", "--window", "0:3",
+                         str(path))
+    assert names == EQUIVARIANT | {"combinat", "equivops", "chainops",
+                                   "sequences", "trees", "topcomonad"}
+    total = sum(_code_size(stem) for stem in names | {"__init__"})
+    assert total <= 96000, total
+
+
 @pytest.mark.parametrize("field", [F2, F3], ids=lambda F: F.name())
 @pytest.mark.parametrize("argv", [
     ("tate", "--window", "-2:2", "{doc}"),
@@ -193,8 +206,8 @@ def test_homology_runs_only_the_chain_layer(tmp_path):
 LAYERS = EQUIVARIANT | {"combinat", "equivops"}
 COALGEBRA = {
     "sp": LAYERS | {"sequences", "coalgebras", "comonads"},
-    "top": LAYERS | {"sequences", "coalgebras", "trees", "cooperad",
-                     "topcomonad", "chainops"},
+    "top": LAYERS | {"sequences", "coalgebras", "trees", "topcomonad",
+                     "chainops"},
 }
 
 
@@ -347,7 +360,7 @@ def test_operads_still_resolves_symmetric_sequence():
 def test_every_reexport_resolves_to_its_home_object():
     names = [(home, name) for home, text in EXPORTS.items()
              for name in text.split()]
-    assert len(names) == 65
+    assert len(names) == 63
     for home, name in names:
         assert getattr(tcalc, name) is getattr(getattr(tcalc, home), name)
     assert sorted(tcalc.__all__) == sorted(name for _, name in names)

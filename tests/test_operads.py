@@ -13,7 +13,6 @@ from tcalc import trees
 from tcalc.chain import DegreeWindow, sphere
 from tcalc.combinat import refines, set_partitions
 from tcalc.equivariant import trivial_action
-from tcalc.cooperad import Cooperad, tree_cooperad, tree_equivariant
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
     BarConstruction, Operad, RightModule, _is_strict, _weak_chains,
@@ -25,6 +24,7 @@ from tcalc.operads import (
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
+from tcalc.topcomonad import TopComonad
 
 
 # ---------------------------------------------------------------------------
@@ -33,17 +33,17 @@ from tcalc.sequences import SymmetricSequence
 
 
 def test_tree_complex_dims():
-    t2 = tree_equivariant(QQ, 2).complex
+    t2 = trees.term(QQ, 2).complex
     assert {k: t2.dim(k) for k in t2.support()} == {1: 1}
-    t3 = tree_equivariant(QQ, 3).complex
+    t3 = trees.term(QQ, 3).complex
     assert {k: t3.dim(k) for k in t3.support()} == {1: 1, 2: 3}
-    t4 = tree_equivariant(QQ, 4).complex
+    t4 = trees.term(QQ, 4).complex
     assert {k: t4.dim(k) for k in t4.support()} == {1: 1, 2: 10, 3: 15}
 
 
 @pytest.mark.parametrize("n,F", [(2, QQ), (3, QQ), (4, QQ), (3, F2), (4, F2)])
 def test_tree_homology_concentrated(n, F):
-    t = tree_equivariant(F, n).complex
+    t = trees.term(F, n).complex
     for k in t.support():
         want = factorial(n - 1) if k == n - 1 else 0
         assert t.homology(k)[0] == want, (n, k)
@@ -51,21 +51,44 @@ def test_tree_homology_concentrated(n, F):
 
 def test_tree_action_coxeter():
     for n in (2, 3, 4):
-        tree_equivariant(QQ, n).validate()
+        trees.term(QQ, n).validate()
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tree_action_with_a_flipped_swap_is_refused(monkeypatch, n):
     # -s_0 with s_1 kept breaks the braid relation s_0 s_1 s_0 = s_1 s_0 s_1,
-    # and tree_equivariant certifies its action where it builds it
+    # and trees.term certifies its action where it builds it; T(n) is
+    # cached, so the build must start from an empty cache, and no T(n) built
+    # under the patch may outlive the test
     relabel = trees.relabel_terms
 
     def flipped(t, mapping):
         sgn, t2 = relabel(t, mapping)
         return (-sgn if mapping.get(0) == 1 else sgn), t2
+    trees.term.cache_clear()
     monkeypatch.setattr(trees, "relabel_terms", flipped)
-    with pytest.raises(ValueError, match="Coxeter relation fails"):
-        tree_equivariant(QQ, n)
+    try:
+        with pytest.raises(ValueError, match="Coxeter relation fails"):
+            trees.term(QQ, n)
+    finally:
+        trees.term.cache_clear()
+
+
+def test_tree_terms_are_built_once_per_field():
+    # T(n) is a fact of the field: one object per (field, n), each over its
+    # own field, shared by every comonad that reads it
+    t_f2, t_q = trees.term(F2, 3), trees.term(QQ, 3)
+    assert t_f2 is not t_q
+    assert (t_f2.field, t_q.field) == (F2, QQ)
+    assert trees.term(F2, 3) is t_f2
+    w = DegreeWindow(0, 3)
+    A = SymmetricSequence(F2, 3, {
+        n: trivial_action(sphere(F2, 0), YoungGroup.full(n))
+        for n in (1, 2, 3)})
+    TopComonad(A, w)
+    built = trees.term.cache_info().misses
+    TopComonad(A, w)
+    assert trees.term.cache_info().misses == built
 
 
 def _leaves(t):
@@ -103,19 +126,18 @@ def test_tree_signs_are_pinned_on_every_tree_up_to_5_leaves():
 
 
 def test_cooperad_counit_laws():
-    coop = tree_cooperad(QQ, 4)
     for n in range(1, 5):
         # indiscrete: unit (x) T_n component is the identity through T(1)
         blocks = (tuple(range(n)),)
-        d = decomposition(coop, n, blocks)
+        d = decomposition(QQ, n, blocks)
         assert d is not None
-        src = coop.term_complex(n)
+        src = trees.term(QQ, n).complex
         for k in src.dims:
             m = d.component(k)
             assert m.nnz() == src.dim(k)
         # discrete: T_n (x) units
         blocks = tuple((i,) for i in range(n))
-        d2 = decomposition(coop, n, blocks)
+        d2 = decomposition(QQ, n, blocks)
         for k in src.dims:
             m = d2.component(k)
             assert m.nnz() == src.dim(k)
@@ -123,14 +145,13 @@ def test_cooperad_counit_laws():
 
 def test_cooperad_coassociative_all_small():
     for F in (QQ, F2):
-        coop = tree_cooperad(F, 4)
         for n in (2, 3, 4):
             parts = set_partitions(list(range(n)))
             for coarse in parts:
                 for fine in parts:
                     from tcalc.combinat import refines
                     if refines(fine, coarse) and fine != coarse:
-                        assert check_coassociativity(coop, n, coarse, fine), \
+                        assert check_coassociativity(F, n, coarse, fine), \
                             (F, n, coarse, fine)
 
 
