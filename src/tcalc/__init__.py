@@ -44,9 +44,9 @@ never runs rationals.  Importing the package registers every module in
 `sys.modules` and as a package attribute, unexecuted
 (`importlib.util.LazyLoader`); a module's code runs on the first access to
 one of its attributes.  `cli` is the exception, so
-that `python -m tcalc.cli` finds it not yet imported.  The names in
-`_EXPORTS` resolve at package level on first access, through `__getattr__`.
-Inside the package, a module binds a sibling with `from . import X` and
+that `python -m tcalc.cli` finds it not yet imported.  A name is read from
+its module (`tcalc.chain.ChainComplex`); the package exports no names of its
+own.  Inside the package, a module binds a sibling with `from . import X` and
 reads `X.name` where it is used, unless every caller of the module needs X:
 `from .X import name` runs X whenever the importing module runs.
 """
@@ -59,40 +59,6 @@ _LAZY = ("rationals", "fields", "sparse", "chain", "chainops", "perms",
          "operads", "topcomonad", "topdelta", "comonads", "coalgebras",
          "cosimplicial", "tower", "topcobar", "spcobar", "derivedhom",
          "classify", "serialize", "laws")
-
-_EXPORTS = {
-    "chain": ("ChainComplex", "ChainMap", "DegreeWindow"),
-    "fields": ("F2", "F3", "QQ", "FieldSpec", "field_from_name"),
-    "sparse": ("SparseMatrix",),
-    "perms": ("YoungGroup",),
-    "equivariant": (
-        "EquivariantComplex", "WindowedResult", "homotopy_fixed",
-        "homotopy_orbits", "norm_map", "tate"),
-    "equivops": (
-        "is_free", "permutation_module", "strict_fixed", "strict_orbits"),
-    "sequences": ("SymmetricSequence",),
-    "operads": ("partition_poset_nerve",),
-    "topcomonad": ("TopComonad", "k_top_component"),
-    "comonads": ("SpComonad", "k_sp_component", "l3_complex"),
-    "coalgebras": (
-        "FinitePointedSet", "TruncatedCoalgebra", "truncate_coalgebra",
-        "trivial_coalgebra", "validate_coalgebra"),
-    "tower": ("cobar", "derived_hom", "fat_tot", "p_n", "tower_map"),
-    "derivedhom": ("bk_e1",),
-    "classify": (
-        "classify_2exc_sp", "classify_2exc_top", "classify_3exc_sp",
-        "mccarthy_square_check"),
-    "laws": (
-        "ChainHomotopy", "CosimplicialComplex", "KPrimeComonad", "Operad",
-        "RightModule", "bar_construction", "box_product",
-        "commutative_operad", "counit_check", "divided_power_check",
-        "evaluation_pairing_check", "lemma_ij_check",
-        "nu_component", "plethysm", "representable_module", "spectral_lie",
-        "splitting_check", "tensor_power", "validate_2exc_sp_to_top",
-        "validate_2exc_top_to_top", "validate_right_module"),
-}
-_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
-__all__ = sorted(_HOME)
 
 
 def _register(name):
@@ -108,15 +74,3 @@ def _register(name):
 for _name in _LAZY:
     globals()[_name] = _register(_name)
 del _name
-
-
-def __getattr__(name):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
-    return getattr(globals()[home], name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_HOME))

@@ -9,10 +9,7 @@ run in no subcommand and live in `laws`."""
 from __future__ import annotations
 
 from . import chainops, comonads, equivops, tower
-from .chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    label_map, linear_map,
-)
+from .chain import ChainComplex, ChainMap, DegreeWindow, block_map, cone
 from .equivariant import EquivariantComplex, homotopy_orbits, tate
 from .fields import FieldSpec
 from .perms import YoungGroup
@@ -92,30 +89,38 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
     total complex of [P_n -> (P_{n-1} (+) fixed corner) -> Tate corner] is
     acyclic on the certified window.
 
-    P_n and P_{n-1} come from the tot route; the commuting homotopy is found
-    by exact linear solve (its absence is a hard failure)."""
+    P_n and P_{n-1} come from the tot route.  The fixed corner is the
+    diagonal piece (n,) and the Tate corner the sum of the slots (r, n),
+    r < n; gamma on P_{n-1} (+) fixed is `tower.corner_map`, the bottom map
+    minus the right map.  The commuting homotopy is the canonical one (its
+    absence is a hard failure)."""
     w = w or c.window
     tm = tower.tower_map(c, site, n)
     pn, pn1 = tm["source"], tm["target"]
-    f_tower = tm["map"]
-    builder = pn["builder"]
-    # fixed corner and Tate corner from the builder's slot models
-    top_map, fixed_cx = _tot_to_diagonal_slot(builder, pn["complex"], n)
-    bot_map, corner_cx, right_map = _corner_maps(builder, pn1, n, c)
-    F = c.field
-    # the commuting homotopy is the canonical one: projection of the Tot to
-    # its level-1 off-diagonal slots; it is fixed under mutation, so
-    # corruptions cannot be silently repaired
-    homotopy_part = _canonical_square_homotopy(
-        builder, pn["complex"], corner_cx, n)
+    builder, tot = pn["builder"], pn["complex"]
+    keys = builder.corner_keys(n)
+    top_map = tower.tot_projection(builder, tot, 0, [(n,)])
+    projections = {r: tower.tot_projection(
+        pn1["builder"], pn1["complex"], 0, [(r,)]) for r, _ in keys}
+    corner = tower.corner_map(builder, n, pn1["complex"], projections)
+    # the homotopy projects the Tot onto its level-1 coordinates in the
+    # slots (r, n): d h + h d = right o top - bottom o tower is the coface
+    # relation between the strict chains (n,) and (r, n), once each degree
+    # k + 1 of the shifted source carries the sign (-1)^{k+1}.  It is fixed,
+    # so a corrupted map cannot be silently repaired
+    pick = tower.tot_projection(builder, tot, 1, keys)
+    h = ChainMap(chainops.shift(tot, 1), corner.target, {
+        k + 1: m if (k + 1) % 2 == 0 else -m
+        for k, m in pick.components.items()})
     try:
-        for f in (f_tower, top_map, bot_map, right_map):
+        for f in (tm["map"], top_map, corner):
             f.validate()
-        alpha = _pair_map(f_tower, top_map)
-        cn = cone(alpha)
-        gamma = _assemble_gamma(cn, bot_map, right_map, alpha,
-                                homotopy_part, F)
-        gamma.validate()
+        alpha = block_map(tot, corner.source, [tot],
+                          [pn1["complex"], top_map.target],
+                          {(0, 0): tm["map"], (0, 1): top_map})
+        gamma = block_map(cone(alpha), corner.target,
+                          [h.source, corner.source], [corner.target],
+                          {(0, 0): h, (1, 0): corner}).validate()
         total = cone(gamma)
     except (ValueError, ArithmeticError) as e:
         return {"acyclic": False, "homology": None,
@@ -125,85 +130,3 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
         if pn["window"].hi - 1 >= pn["window"].lo + 1 else pn["window"]
     dims = total.homology_dims(win)
     return {"acyclic": not dims, "homology": dims, "window": str(win)}
-
-
-def _tot_to_diagonal_slot(builder, tot, n):
-    """The projection Tot -> level 0 -> arity-n diagonal summand."""
-    tgt = builder.summands[0].get((n,))
-    if tgt is None:
-        # the arity-n diagonal Phi term is zero, e.g. at a 1-point set
-        zero = ChainComplex(tot.field, {})
-        return ChainMap.zero(tot, zero), zero
-    # the Tot vector ("tot", 0, (n,), lab) is the vector lab of that piece
-    return label_map(tot, tgt, partial=True, key=lambda lab: (
-        lab[3] if lab[1:3] == (0, (n,)) else None)).validate(), tgt
-
-
-def _corner_maps(builder, pn1, n, c):
-    """(bottom map P_{n-1} -> corner, corner complex, right map fixed ->
-    corner): the corner is the off-diagonal comonad slot sum at arity < n."""
-    F = c.field
-    offkeys = builder.corner_keys(n)
-    slot_parts = [builder.summands[1][k] for k in offkeys]
-    ub, tb = (builder.coface_blocks.get((0, i), {}) for i in (0, 1))
-    corner = direct_sum(slot_parts) if slot_parts else ChainComplex(F, {})
-    # bottom: out of P_{n-1}-Tot through its level-0 arity projections
-    pn1_tot = pn1["complex"]
-    bl = pn1["builder"]
-    bot_blocks, right_blocks = {}, {}
-    for t_i, key in enumerate(offkeys):
-        r = key[0]
-        f = tb.get(((r,), key))
-        if f is not None:
-            proj_r, _ = _tot_to_diagonal_slot(bl, pn1_tot, r)
-            bot_blocks[(0, t_i)] = f.compose(proj_r)
-        # right: out of the fixed (diagonal arity-n) slot via the unit blocks
-        right_blocks[(0, t_i)] = ub.get(((n,), key))
-    bot = block_map(pn1_tot, corner, [pn1_tot], slot_parts, bot_blocks)
-    fixed_cx = builder.summands[0].get((n,)) or ChainComplex(F, {})
-    right = block_map(fixed_cx, corner, [fixed_cx], slot_parts, right_blocks)
-    return bot, corner, right
-
-
-def _pair_map(f1: ChainMap, f2: ChainMap) -> ChainMap:
-    """(f1, f2) : X -> Y1 (+) Y2."""
-    parts = [f1.target, f2.target]
-    return block_map(f1.source, direct_sum(parts), [f1.source], parts,
-                     {(0, 0): f1, (0, 1): f2})
-
-
-def _canonical_square_homotopy(builder, pn_tot, corner, n):
-    """The structural square homotopy: project a Tot element to its level-1
-    coordinates in the slots (r, n), r < n, which are the corner's summands.
-
-    Stored as {cone degree k: matrix corner_k x P_n-tot_{k-1}}; the Tot
-    differential identity d h + h d = (right o top) - (bottom o tower) is
-    exactly the coface relation between the strict chains (n,) and (r, n)
-    of the normalized cobar."""
-    slot = {k: t for t, k in enumerate(builder.corner_keys(n))}
-    # the Tot vector ("tot", 1, (r, n), lab) in degree k is the vector lab
-    # of the slot (r, n) in degree k + 1, the corner's summand (t, lab)
-    pick = linear_map(pn_tot, corner, lambda k, lab: (
-        (((slot[lab[2]], lab[3]), 1),) if lab[1] == 1 and lab[2] in slot
-        else ()), degree=1, partial=True)
-    out = {}
-    for k, mm in pick.components.items():
-        deg = k + 1
-        if not mm.is_zero():
-            # per-degree sign (-1)^{k+1}: with the Tot coface signs (-1)^j
-            # the slot projection then satisfies d h + h d = right o top -
-            # bot o tower
-            out[deg] = mm if deg % 2 == 0 else -mm
-    return out
-
-
-def _assemble_gamma(cn: ChainComplex, bot: ChainMap, right: ChainMap,
-                    alpha: ChainMap, homotopy_part, F) -> ChainMap:
-    """gamma : cone(alpha) -> corner, with the prescribed homotopy on the
-    shifted source block C_{k-1} and bottom - right on the target block
-    P_{n-1} (+) fixed."""
-    corner = bot.target
-    h = ChainMap(chainops.shift(alpha.source, 1), corner, homotopy_part)
-    return block_map(cn, corner, [h.source, bot.source, right.source],
-                     [corner], {(0, 0): h, (1, 0): bot,
-                                (2, 0): right.scale(F.neg(F.one()))})

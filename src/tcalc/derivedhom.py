@@ -22,7 +22,9 @@ from . import chainops, equivops
 from .chain import ChainMap, DegreeWindow, linear_map
 from .equivariant import EquivariantComplex
 from .sparse import Echelon, SparseMatrix, nullspace
-from .tower import _Levels, _piece_nonzero, _RawPiece, fat_tot
+from .tower import (
+    _Levels, _piece_nonzero, _RawPiece, fat_tot, tot_projection,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +294,18 @@ def einf_dims(bk_result, w: DegreeWindow | None = None):
     # the boundaries of Tot in each degree, reduced once for every p
     bnd = {k: Echelon(tot.d(k + 1).transpose()).pivot_rows
            for k in w.degrees()}
+    # each column's coordinates: the projection of tot onto its pieces
+    columns = [tot_projection(builder, tot, m, builder.strict_keys[m])
+               for m in range(D + 1)]
     # ranks of im(H_k(F_p) -> H_k(Tot))
     out = {}
     im_rank = {}
     for p in range(D + 2):
-        # the subcomplex of tot spanned by the labels with level >= p: the
-        # joint kernel of the coordinates of the lower levels
-        constraints = {}
-        for k, labs in tot.labels.items():
-            low = [i for i, lab in enumerate(labs) if lab[1] < p]
-            constraints[k] = [SparseMatrix.from_entries(
-                len(low), len(labs), F, {(t, i): 1 for t, i in enumerate(low)})]
-        sub, incl = chainops.subcomplex(tot, constraints,
-                                        lambda k, i: ("F", p, k, i))
+        # the subcomplex of tot spanned by the columns s >= p: the joint
+        # kernel of the coordinates of the lower columns
+        sub, incl = chainops.subcomplex(
+            tot, {k: [col.component(k) for col in columns[:p]]
+                  for k in tot.labels}, lambda k, i: ("F", p, k, i))
         # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
         # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
         for k in w.degrees():

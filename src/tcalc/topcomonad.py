@@ -20,11 +20,10 @@ comonad K' and the comparison nu : K -> K' are in `laws`.
 
 from __future__ import annotations
 
-from . import chainops, combinat, equivops, topdelta, trees
+from . import chainops, combinat, equivops, sequences, topdelta, trees
 from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
 from .equivariant import EquivariantComplex, WindowedResult, homotopy_orbits
 from .perms import YoungGroup, inverse, transposition
-from .sequences import SymmetricSequence
 from .sparse import SparseMatrix, vanishes
 
 
@@ -268,7 +267,7 @@ class TopComonad:
     delta_outer[(r, s, n)] : the outer TopComponentModel (K_r of it)
     """
 
-    def __init__(self, a: SymmetricSequence, w: DegreeWindow):
+    def __init__(self, a: sequences.SymmetricSequence, w: DegreeWindow):
         if a.truncation > 4:
             raise ValueError("arity bound exceeded (truncation <= 4)")
         self.a = a

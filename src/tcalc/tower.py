@@ -20,6 +20,11 @@ keyed blocks, degenerate chains and codegeneracies included, and assembles
 no level (`cosimplicial.certify`); only `laws.assemble` builds the whole
 object.  The `cosimplicial` module runs in no other job.
 
+Only this module reads the Tot's basis: `tot_projection` maps it onto the
+pieces of one level, for the McCarthy square and the E-infinity page, and
+`corner_map` is the one map into the off-diagonal corner that the pullback
+route and the McCarthy square both read.
+
 The fat totalization of a degenerate-above-D object is the finite total
 complex over levels <= D, with differential
 d_int + (-1)^{internal degree} sum_i (-1)^i delta^i.
@@ -32,7 +37,7 @@ import functools
 from . import chainops, cosimplicial, derivedhom, spcobar, topcobar
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
-    label_map,
+    label_map, linear_map,
 )
 from .coalgebras import FinitePointedSet, truncate_coalgebra
 from .sparse import SparseMatrix
@@ -271,64 +276,84 @@ def p_n(coalgebra, site, n, route="tot", builder=None):
     if route == "pullback":
         return _p_n_pullback(cn, builder)
     return {"complex": fat_tot(builder), "window": _tot_window(cn, n),
-            "route": "tot", "coalgebra": cn, "builder": builder}
+            "route": "tot", "builder": builder}
 
 
 def _p_n_pullback(c, builder):
-    """Iterated homotopy pullback up the tower: P_j is the fiber of the map
-    (P_{j-1} (+) diagonal summand) -> off-diagonal comonad corners, built
-    from theta and the canonical unit maps (the fiber form of the McCarthy
-    squares, with the comonad's own Tate / stratified-cone corner models).
-    The cobar builder of c provides all slot models and structural maps."""
-    F = c.field
-    N = c.truncation
-    phi0, blocks = builder.summands[0], builder.coface_blocks
-    ublocks, tblocks = blocks.get((0, 0), {}), blocks.get((0, 1), {})
-    # P_1 = arity-1 summand of Phi(A)
-    stage = phi0.get((1,)) or ChainComplex(F, {})
+    """Iterated homotopy pullback up the tower: P_j is the fiber of
+    `corner_map` out of P_{j-1} (+) the diagonal piece (j,) (the fiber form
+    of the McCarthy squares, with the comonad's own Tate / stratified-cone
+    corner models).  projections[r] maps the current stage onto its
+    arity-r piece."""
+    phi0 = builder.summands[0]
+    stage = _piece(builder, 0, (1,))
     projections = {1: ChainMap.identity(stage)} if (1,) in phi0 else {}
-    stages = {1: stage}
-    for j in range(2, N + 1):
-        # assemble the map (P_{j-1} (+) diag_j) -> (+)_{r<j} slot (r, j)
-        offkeys = builder.corner_keys(j)
-        diag_key = (j,)
-        diag = phi0.get(diag_key)
-        parts_src = [stages[j - 1]] + ([diag] if diag is not None else [])
-        src = direct_sum(parts_src)
-        if offkeys:
-            tgt_parts = [builder.summands[1][k] for k in offkeys]
-            blocks = {}
-            for t_i, key in enumerate(offkeys):
-                # theta side out of P_{j-1} through its arity-r projection
-                r = key[0]
-                tb = tblocks.get(((r,), key))
-                if tb is not None and r in projections:
-                    blocks[(0, t_i)] = tb.compose(projections[r])
-                ub = ublocks.get(((j,), key))
-                if ub is not None and diag is not None:
-                    blocks[(1, t_i)] = ub.scale(F.neg(F.one()))
-            gmap = block_map(src, direct_sum(tgt_parts), parts_src,
-                             tgt_parts, blocks).validate()
-            fib = _fib(gmap)
-            proj_to_src = _fib_proj(gmap, fib)
+    for j in range(2, c.truncation + 1):
+        g = corner_map(builder, j, stage, projections).validate()
+        parts = [stage, _piece(builder, 0, (j,))]
+        if g.target.is_zero():
+            fib, to_src = g.source, ChainMap.identity(g.source)
         else:
-            fib = src
-            proj_to_src = ChainMap.identity(src)
-        stages[j] = fib
-        # update arity projections: P_j -> A_r slots
-        new_projections = {}
-        for r, pr in projections.items():
-            new_projections[r] = block_map(
-                src, pr.target, parts_src, [pr.target],
-                {(0, 0): pr}).compose(proj_to_src)
-        if diag is not None:
-            new_projections[j] = block_map(
-                src, diag, parts_src, [diag],
-                {(1, 0): ChainMap.identity(diag)}).compose(proj_to_src)
-        projections = new_projections
-    w = _tot_window(c, N)
-    return {"complex": stages[N], "window": w, "route": "pullback",
-            "stages": stages, "projections": projections, "builder": builder}
+            fib = _fib(g)
+            to_src = _fib_proj(g, fib)
+        # the fiber's arity projections: through P_{j-1}, and onto (j,)
+        projections = {r: block_map(g.source, pr.target, parts, [pr.target],
+                                    {(0, 0): pr}).compose(to_src)
+                       for r, pr in projections.items()}
+        if (j,) in phi0:
+            projections[j] = block_map(
+                g.source, parts[1], parts, [parts[1]],
+                {(1, 0): ChainMap.identity(parts[1])}).compose(to_src)
+        stage = fib
+    return {"complex": stage, "window": _tot_window(c, c.truncation),
+            "route": "pullback", "builder": builder}
+
+
+def _piece(builder, m, key) -> ChainComplex:
+    """The level-m piece of key, or the zero complex where it has none."""
+    return builder.summands[m].get(key) or ChainComplex(builder.field, {})
+
+
+def _sum(field, parts) -> ChainComplex:
+    return direct_sum(parts) if parts else ChainComplex(field, {})
+
+
+def tot_projection(builder, tot, m, keys) -> ChainMap:
+    """The degree-m map from tot = fat_tot(builder) onto the sum of the
+    level-m pieces of keys, in order (the zero complex for a key the level
+    lacks): the Tot vector ("tot", m, key, lab) in degree k is the vector
+    lab of that piece in degree k + m.  No coface lands in level 0, so at
+    m = 0 it is a chain map; nothing is validated."""
+    slot = {key: i for i, key in enumerate(keys)}
+    target = _sum(builder.field, [_piece(builder, m, key) for key in keys])
+    return linear_map(tot, target, lambda k, lab: (
+        (((slot[lab[2]], lab[3]), 1),) if lab[1] == m and lab[2] in slot
+        else ()), degree=m)
+
+
+def corner_map(builder, n, stage, projections) -> ChainMap:
+    """The map (stage (+) diagonal piece (n,)) -> (+) of the slots (r, n)
+    of `corner_keys(n)`: out of the stage, theta's delta^1 block from (r,)
+    composed with projections[r], the stage's map onto its arity-r piece;
+    out of (n,), minus the unit's delta^0 block.  The next stage of the
+    pullback route is its fiber, and it is the McCarthy square's gamma on
+    P_{n-1} (+) the fixed corner.  Nothing is validated."""
+    keys = builder.corner_keys(n)
+    diag = _piece(builder, 0, (n,))
+    units, thetas = (builder.coface_blocks.get((0, i), {}) for i in (0, 1))
+    minus_one = builder.field.neg(builder.field.one())
+    blocks = {}
+    for t, key in enumerate(keys):
+        r = key[0]
+        theta = thetas.get(((r,), key))
+        if theta is not None and r in projections:
+            blocks[(0, t)] = theta.compose(projections[r])
+        unit = units.get(((n,), key))
+        if unit is not None:
+            blocks[(1, t)] = unit.scale(minus_one)
+    parts = [builder.summands[1][key] for key in keys]
+    return block_map(direct_sum([stage, diag]), _sum(builder.field, parts),
+                     [stage, diag], parts, blocks)
 
 
 def tower_map(c, site, n):

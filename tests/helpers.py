@@ -5,7 +5,8 @@ import sys
 
 from tcalc import classify, tower
 from tcalc.chain import (
-    ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum, sphere,
+    ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum, label_map,
+    sphere,
 )
 from tcalc.chainops import factor_through, shift, transport
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
@@ -170,15 +171,19 @@ def corrupt_square_map(monkeypatch, which, mutate):
     map f of its square: 0 the tower map P_n -> P_{n-1}, 1 the map to the
     fixed corner, 2 the bottom map, 3 the right map into the Tate corner.
 
-    Only the calls the square check makes itself are patched: _corner_maps
-    also projects P_{n-1} through _tot_to_diagonal_slot, and those
-    projections pass through unchanged.  Returns a dict whose "calls" counts
-    the maps mutated; one square check mutates exactly one."""
+    The square check reads 0 from tower.tower_map, 1 as the level-0
+    tower.tot_projection of P_n's Tot, and 2 and 3 as the blocks of
+    tower.corner_map out of P_{n-1} and out of the fixed corner (3 negated,
+    as gamma holds it).  Only the calls the square check makes itself are
+    patched: its P_{n-1} arity projections, its homotopy and the pullback
+    route pass through unchanged.  Returns a dict whose "calls" counts the
+    maps mutated; one square check mutates exactly one."""
     tower_map = tower.tower_map
-    to_slot = classify._tot_to_diagonal_slot
-    corner_maps = classify._corner_maps
+    projection = tower.tot_projection
+    corner_map = tower.corner_map
     square_check = classify.mccarthy_square_check.__code__
     count = {"calls": 0}
+    p_n_tot = [None]    # the source of the last tower map
 
     def own_call(f):
         # frame 1 is the patched function, frame 2 the one that called it
@@ -187,24 +192,29 @@ def corrupt_square_map(monkeypatch, which, mutate):
         count["calls"] += 1
         return mutate(f)
 
-    if which == 0:
-        def patched(*args, **kwargs):
-            tm = dict(tower_map(*args, **kwargs))
+    def patched_tower_map(*args, **kwargs):
+        tm = dict(tower_map(*args, **kwargs))
+        p_n_tot[0] = tm["source"]["complex"]
+        if which == 0:
             tm["map"] = own_call(tm["map"])
-            return tm
-        monkeypatch.setattr(tower, "tower_map", patched)
-    elif which == 1:
-        def patched(*args):
-            top_map, fixed = to_slot(*args)
-            return own_call(top_map), fixed
-        monkeypatch.setattr(classify, "_tot_to_diagonal_slot", patched)
-    else:
-        def patched(*args):
-            bot_map, corner, right_map = corner_maps(*args)
-            if which == 2:
-                return own_call(bot_map), corner, right_map
-            return bot_map, corner, own_call(right_map)
-        monkeypatch.setattr(classify, "_corner_maps", patched)
+        return tm
+    monkeypatch.setattr(tower, "tower_map", patched_tower_map)
+    if which == 1:
+        def patched(builder, tot, m, keys):
+            f = projection(builder, tot, m, keys)
+            return own_call(f) if m == 0 and tot is p_n_tot[0] else f
+        monkeypatch.setattr(tower, "tot_projection", patched)
+    elif which in (2, 3):
+        def patched(builder, n, stage, projections):
+            g = corner_map(builder, n, stage, projections)
+            parts = [stage, tower._piece(builder, 0, (n,))]
+            blocks = [g.compose(label_map(p, g.source,
+                                          key=lambda lab, i=i: (i, lab)))
+                      for i, p in enumerate(parts)]
+            blocks[which - 2] = own_call(blocks[which - 2])
+            return block_map(g.source, g.target, parts, [g.target],
+                             {(0, 0): blocks[0], (1, 0): blocks[1]})
+        monkeypatch.setattr(tower, "corner_map", patched)
     return count
 
 

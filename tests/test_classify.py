@@ -198,10 +198,12 @@ def test_mccarthy_at_arity_three():
                                    DegreeWindow(-1, 2))
         rep = mccarthy_square_check(c, 0, 3)
         assert rep["acyclic"] and rep["window"] == "[-1,0]", rep
-        with pytest.MonkeyPatch.context() as mp:
-            mutated = corrupt_square_map(mp, 3, _zero_map)
-            assert not mccarthy_square_check(c, 0, 3)["acyclic"]
-            assert mutated["calls"] == 1
+        # zeroing any one of the four maps breaks the square
+        for which in range(4):
+            with pytest.MonkeyPatch.context() as mp:
+                mutated = corrupt_square_map(mp, which, _zero_map)
+                assert not mccarthy_square_check(c, 0, 3)["acyclic"], which
+                assert mutated["calls"] == 1
 
 
 def test_module_hom_counts_stable_maps_between_sets():

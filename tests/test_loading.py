@@ -1,6 +1,5 @@
-"""Lazy loading: a subcommand runs only the modules it uses, the package's
-re-exports still resolve, and the outside-in tracer still sees every
-module."""
+"""Lazy loading: a subcommand runs only the modules it uses, and the
+outside-in tracer still sees every module."""
 
 import ast
 import json
@@ -39,35 +38,6 @@ print(json.dumps([rc, sorted(
     if n.startswith("tcalc.") and type(m) is types.ModuleType),
     sorted({"fractions", "decimal"} & set(sys.modules))]))
 """
-
-# Every name the package exports, by the module that defines it.
-EXPORTS = {
-    "chain": "ChainComplex ChainMap DegreeWindow",
-    "fields": "F2 F3 QQ FieldSpec field_from_name",
-    "sparse": "SparseMatrix",
-    "perms": "YoungGroup",
-    "equivariant": "EquivariantComplex WindowedResult homotopy_fixed "
-                   "homotopy_orbits norm_map tate",
-    "equivops": "is_free permutation_module strict_fixed strict_orbits",
-    "sequences": "SymmetricSequence",
-    "operads": "partition_poset_nerve",
-    "topcomonad": "TopComonad k_top_component",
-    "comonads": "SpComonad k_sp_component l3_complex",
-    "coalgebras": "FinitePointedSet TruncatedCoalgebra truncate_coalgebra "
-                  "trivial_coalgebra validate_coalgebra",
-    "tower": "cobar derived_hom fat_tot p_n tower_map",
-    "derivedhom": "bk_e1",
-    "classify": "classify_2exc_sp classify_2exc_top classify_3exc_sp "
-                "mccarthy_square_check",
-    "laws": "ChainHomotopy CosimplicialComplex KPrimeComonad Operad "
-            "RightModule bar_construction box_product commutative_operad "
-            "counit_check divided_power_check evaluation_pairing_check "
-            "lemma_ij_check nu_component plethysm representable_module "
-            "spectral_lie splitting_check tensor_power "
-            "validate_2exc_sp_to_top validate_2exc_top_to_top "
-            "validate_right_module",
-}
-
 
 def _python(*args, cwd):
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=SRC)
@@ -147,9 +117,9 @@ def test_k_top_compiles_only_the_code_of_its_layer(tmp_path):
     names = _modules_run(tmp_path, "k-top", "--r", "1", "--window", "0:3",
                          str(path))
     assert names == EQUIVARIANT | {"combinat", "equivops", "chainops",
-                                   "sequences", "trees", "topcomonad"}
+                                   "trees", "topcomonad"}
     total = sum(_code_size(stem) for stem in names | {"__init__"})
-    assert total <= 96000, total
+    assert total <= 92748, total
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=lambda F: F.name())
@@ -355,20 +325,6 @@ def test_operads_still_resolves_symmetric_sequence():
         tcalc.sequences.SymmetricSequence
     with pytest.raises(AttributeError):
         tcalc.operads.no_such_name
-
-
-def test_every_reexport_resolves_to_its_home_object():
-    names = [(home, name) for home, text in EXPORTS.items()
-             for name in text.split()]
-    assert len(names) == 63
-    for home, name in names:
-        assert getattr(tcalc, name) is getattr(getattr(tcalc, home), name)
-    assert sorted(tcalc.__all__) == sorted(name for _, name in names)
-    assert set(tcalc.__all__) <= set(dir(tcalc))
-    with pytest.raises(AttributeError):
-        tcalc.no_such_name
-    with pytest.raises(ImportError):
-        from tcalc import no_such_name
 
 
 def test_module_run_as_script_is_quiet(tmp_path, s2_doc):
