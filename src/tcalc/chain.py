@@ -74,9 +74,6 @@ class DegreeWindow:
     def __repr__(self):
         return "DegreeWindow(lo=%r, hi=%r)" % (self.lo, self.hi)
 
-    def __contains__(self, k) -> bool:
-        return self.lo <= k <= self.hi
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 

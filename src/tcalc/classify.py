@@ -33,7 +33,7 @@ def _h0_hom_on_window(a: ChainComplex, target: ChainComplex,
 def classify_2exc_sp(a1: ChainComplex, a2: EquivariantComplex,
                      w: DegreeWindow):
     """Homotopy classes A_1 -> Tate_{Sigma_2}(A_2)."""
-    dim = _h0_hom_on_window(a1, tate(a2, w).complex, w)
+    dim = _h0_hom_on_window(a1, tate(a2, w), w)
     return {"dim": dim, "classes": _class_count(a1.field, dim),
             "window": str(w)}
 
@@ -41,7 +41,7 @@ def classify_2exc_sp(a1: ChainComplex, a2: EquivariantComplex,
 def classify_2exc_top(a1: ChainComplex, a2: EquivariantComplex,
                       w: DegreeWindow):
     """Homotopy classes A_1 -> (Sigma A_2)_{h Sigma_2} (trivial suspension)."""
-    dim = _h0_hom_on_window(a1, homotopy_orbits(suspension(a2), w).complex, w)
+    dim = _h0_hom_on_window(a1, homotopy_orbits(suspension(a2), w), w)
     return {"dim": dim, "classes": _class_count(a1.field, dim),
             "window": str(w)}
 
@@ -63,9 +63,9 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     t3 = tate(l3a3, w)
     sub = a3.restrict(YoungGroup.of(1, 2))
     t12 = tate(sub, w)
-    d1 = _h0_hom_on_window(a1, t2.complex, w)
-    d2 = _h0_hom_on_window(a1, t3.complex, w)
-    d3 = _h0_hom_on_window(a2.complex, t12.complex, w)
+    d1 = _h0_hom_on_window(a1, t2, w)
+    d2 = _h0_hom_on_window(a1, t3, w)
+    d3 = _h0_hom_on_window(a2.complex, t12, w)
     # vacuity: K_1 K_2 A_3 acyclic
     k23 = comonads.SpComponentModel(a3, 2, w)
     inner_w = DegreeWindow(w.lo + 1, w.hi - 1) if w.hi - 1 >= w.lo + 1 else w

@@ -119,7 +119,7 @@ def cmd_tate(args):
     _guard_dims(e.complex)
     t = equivariant.tate(e, w)
     _emit(args, {"command": "tate", "group": list(e.group.blocks),
-                 "dims": _dims(t.complex, w),
+                 "dims": _dims(t, w),
                  "window": serialize.window_to_json(w)})
     return 0
 
@@ -149,10 +149,10 @@ def cmd_k_top(args):
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    res = topcomonad.k_top_component(e, args.r, w)
+    comp = topcomonad.TopComponentModel(e, args.r, w)
     _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
-                 "dims": _dims(res.complex, w),
-                 "exact": res.exact,
+                 "dims": _dims(comp.value.complex, w),
+                 "exact": comp.exact,
                  "window": serialize.window_to_json(w)})
     return 0
 
@@ -161,9 +161,9 @@ def cmd_k_sp(args):
     w = _parse_window(args.window)
     e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
     _guard_dims(e.complex)
-    res = comonads.k_sp_component(e, args.r, w)
+    comp = comonads.SpComponentModel(e, args.r, w)
     _emit(args, {"command": "k-sp", "r": args.r, "n": e.group.degree,
-                 "dims": _dims(res.complex, w),
+                 "dims": _dims(comp.value.complex, w),
                  "window": serialize.window_to_json(w)})
     return 0
 
@@ -289,8 +289,7 @@ def cmd_check(args):
 
 
 # option -> (type, required, default, allowed values or None for any)
-_COMMON = {"--out": (str, False, None, None),
-           "--format": (str, False, "json", ("json",))}
+_COMMON = {"--out": (str, False, None, None)}
 _WINDOW = {"--window": (str, True, None, None)}
 _SITE = {"--site": (str, True, None, None)}
 _ARITY = {"--n": (int, True, None, None)}

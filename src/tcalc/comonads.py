@@ -17,7 +17,7 @@ from . import combinat, equivops, sequences
 from .chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
 )
-from .equivariant import EquivariantComplex, WindowedResult, tate
+from .equivariant import EquivariantComplex, tate
 from .perms import YoungGroup, compose, inverse, transposition
 from .sparse import SparseMatrix
 
@@ -132,19 +132,16 @@ class SpComponentModel(equivops.SlotwiseModel):
         if r > n:
             self.kind = "zero"
             self.value = equivops.zero_module(F, r)
-            self.exact = True
             return
         if r == n:
             self.kind = "collapsed"
             self.value = a
-            self.exact = True
             return
         self.kind = "tate"
-        self.exact = False
         base = a
         if (r, n) == (1, 3):
             base = equivops.equivariant_tensor(l3_complex(F), a)
-        model = tate(tensor_with_surjection_index(base, r), w).complex
+        model = tate(tensor_with_surjection_index(base, r), w)
         action = {}
         for gi in YoungGroup.full(r).generator_positions():
             action[gi] = sp_sigma_r_generator(model, n, r, gi, F)
@@ -203,9 +200,3 @@ class SpComonad:
 
     def component(self, r, n) -> SpComponentModel | None:
         return self.components.get((r, n))
-
-
-def k_sp_component(a_n: EquivariantComplex, r: int, w: DegreeWindow) -> WindowedResult:
-    """K_r A_n for the Sp comonad (truncation <= 3)."""
-    comp = SpComponentModel(a_n, r, w)
-    return WindowedResult(comp.value.complex, w, "k-sp", comp.exact)

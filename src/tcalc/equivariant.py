@@ -9,6 +9,11 @@ This keeps ranks near-minimal, so windowed computations over Sigma_3 and
 Sigma_4 stay desk-scale.  The hand-coded periodic resolutions for Sigma_2
 (and Sigma_3 at p = 3) live in the test suite as independent oracles.
 
+The orbit, fixed and Tate models are plain `ChainComplex`es whose homology
+is certified on the degree window the caller passes in; outside it a model
+is truncated and its homology is not certified.  The caller keeps the
+window and reads homology on it: the CLI prints the window beside the dims.
+
 Strict orbits and fixed points, permutation modules, the diagonal tensor
 and slotwise maps, which only the comonad and tower layers build, live in
 `equivops`.
@@ -120,40 +125,6 @@ def regular_module(field, group: YoungGroup, degree=0) -> EquivariantComplex:
         field, group, [("g",) + g for g in elements], table, degree)
 
 
-class WindowedResult:
-    """A complex whose homology is certified only inside `window`."""
-
-    def __init__(self, complex: ChainComplex, window: DegreeWindow, tag: str,
-                 exact: bool = False):
-        self.complex = complex
-        self.window = window
-        self.tag = tag
-        self.exact = exact  # True when the model is exact in all degrees
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.complex, self.window, self.tag, self.exact)
-                == (other.complex, other.window, other.tag, other.exact))
-
-    __hash__ = None  # mutable, so unhashable
-
-    def __repr__(self):
-        return "WindowedResult(complex=%r, window=%r, tag=%r, exact=%r)" % (
-            self.complex, self.window, self.tag, self.exact)
-
-    def homology(self, k):
-        if not self.exact and k not in self.window:
-            raise ValueError("degree %d outside certified window %s" % (k, self.window))
-        return self.complex.homology(k)
-
-    def homology_dims(self):
-        return self.complex.homology_dims(self.window)
-
-    def is_acyclic(self):
-        return self.complex.is_acyclic(self.window)
-
-
 # ---------------------------------------------------------------------------
 # Free resolutions over k[G]
 # ---------------------------------------------------------------------------
@@ -237,12 +208,12 @@ def group_resolution(field: FieldSpec, group: YoungGroup) -> GroupResolution:
 # ---------------------------------------------------------------------------
 
 
-def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
+def homotopy_orbits(a: EquivariantComplex, w: DegreeWindow) -> ChainComplex:
     """Total complex of A (x)_{kG} F_*, certified on w."""
     return _total_complex(a, w, 1)
 
 
-def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
+def homotopy_fixed(a: EquivariantComplex, w: DegreeWindow) -> ChainComplex:
     """Total complex of Hom_{kG}(F_*, A), certified on w."""
     return _total_complex(a, w, -1)
 
@@ -274,9 +245,8 @@ def _total_complex(a, w, direction):
     """
     F = a.field
     c = a.complex
-    tag = "orbits" if direction > 0 else "fixed"
     if c.is_zero():
-        return WindowedResult(c, w, tag, exact=True)
+        return c
     res = group_resolution(F, a.group)
     if direction > 0:
         name, edge, reach = "hG", w.hi + 1, w.hi - c.min_degree
@@ -330,20 +300,11 @@ def _total_complex(a, w, direction):
         for t, block in puts.items()}
     labels = {k: tuple(v) for k, v in labels.items()}
     del puts
-    out = ChainComplex(F, dims, diff, labels).validate()
-    return WindowedResult(out, w, tag)
+    return ChainComplex(F, dims, diff, labels).validate()
 
 
-def norm_map(a: EquivariantComplex, w: DegreeWindow,
-             orbits: WindowedResult | None = None,
-             fixed: WindowedResult | None = None) -> ChainMap:
+def norm_map(a: EquivariantComplex, w: DegreeWindow) -> ChainMap:
     """Chain-level norm: orbit model -> strict orbits -> N -> invariants -> fixed model."""
-    if orbits is None:
-        orbits = homotopy_orbits(a, w)
-    if fixed is None:
-        fixed = homotopy_fixed(a, w)
-    if orbits.window != fixed.window:
-        raise ValueError("window mismatch between orbit and fixed models")
     c = a.complex
     cols = {k: m.by_column() for k, m in a.norm().components.items()}
 
@@ -355,14 +316,10 @@ def norm_map(a: EquivariantComplex, w: DegreeWindow,
             return ()
         labs = c.labels[k]
         return [(("hGf", 0, 0, labs[i]), v) for i, v in col.items()]
-    return linear_map(orbits.complex, fixed.complex, image,
+    return linear_map(homotopy_orbits(a, w), homotopy_fixed(a, w), image,
                       partial=True).validate()
 
 
-def tate(a: EquivariantComplex, w: DegreeWindow) -> WindowedResult:
+def tate(a: EquivariantComplex, w: DegreeWindow) -> ChainComplex:
     """Tate construction: cone of the norm map, window shrunk by 1 each end."""
-    wide = w.expand(1)
-    orbits = homotopy_orbits(a, wide)
-    fixed = homotopy_fixed(a, wide)
-    nm = norm_map(a, wide, orbits, fixed)
-    return WindowedResult(cone(nm), w, "tate")
+    return cone(norm_map(a, w.expand(1)))

@@ -1959,7 +1959,7 @@ def _layer(c, site, j):
         if is_free(term):
             q, _ = strict_orbits(term)
             return q
-        return homotopy_orbits(term, c.window).complex
+        return homotopy_orbits(term, c.window)
     tup = _tuple_module(F, j, site.size)
     if tup is None:
         return ChainComplex(F, {})
@@ -1967,7 +1967,7 @@ def _layer(c, site, j):
     if is_free(tens):
         q, _ = strict_orbits(tens)
         return q
-    return homotopy_orbits(tens, c.window).complex
+    return homotopy_orbits(tens, c.window)
 
 
 def _tuple_module(field, j, m):
@@ -2106,8 +2106,8 @@ def validate_2exc_top_to_top(a1: ChainComplex, a2: EquivariantComplex,
                         w.expand(1))
     # m' is equivariant into the trivial-action suspension; lift x -> m'(x)
     # as a strictly invariant functional
-    lift = _invariant_lift(m_prime, fx.complex)
-    incl = fixed_part_inclusion(t_sa2, fx.complex)
+    lift = _invariant_lift(m_prime, fx)
+    incl = fixed_part_inclusion(t_sa2, fx)
     route1 = incl.compose(lift)
     route2 = ChainMap(route1.source, route1.target, route2.components)
     h = None

@@ -20,38 +20,7 @@ from .equivariant import homotopy_fixed
 from .tower import _Levels, _piece_nonzero, _RawPiece
 
 
-class PhiTerm:
-    """One arity-r summand of Phi(B)(S^0): a windowed homotopy-fixed model
-    of the piece B over Sigma_r (the piece itself at r = 1)."""
-
-    def __init__(self, piece_value, r, w):
-        self.r = r
-        if piece_value.complex.is_zero():
-            self.complex = ChainComplex(piece_value.field, {})
-            self.kind = "zero"
-            return
-        if r == 1:
-            # Sigma_1-fixed points: the piece itself
-            self.complex = piece_value.complex
-            self.kind = "identity"
-            return
-        self.fixed = homotopy_fixed(piece_value, w)
-        self.complex = self.fixed.complex
-        self.kind = "fixed"
-
-    def apply(self, f: ChainMap, tgt: "PhiTerm") -> ChainMap:
-        """Phi of an equivariant map between the wrapped pieces."""
-        if self.kind == "zero" or tgt.kind == "zero":
-            return ChainMap.zero(self.complex, tgt.complex, f.degree)
-        if self.kind == "identity" and tgt.kind == "identity":
-            return f
-        if self.kind == "fixed" and tgt.kind == "fixed":
-            return equivops.slotwise_map(self.complex, tgt.complex,
-                                         f).validate()
-        raise ValueError("mismatched Phi term kinds")
-
-
-def _sp_fixed_into_tate(src_phi: PhiTerm, piece, q, n) -> ChainMap:
+def _sp_fixed_into_tate(src: ChainComplex, piece, q, n) -> ChainMap:
     """Map the Sigma_n homotopy-fixed model of A_n into the cone-target part
     of the Tate piece, through the structural carrier map:
     identity for (1, 2)-type, the singular-set vertex for (1, 3), the
@@ -63,7 +32,7 @@ def _sp_fixed_into_tate(src_phi: PhiTerm, piece, q, n) -> ChainMap:
         inner = (("l3", "w"), alab) if (q, n) == (1, 3) else alab
         return [(("cone-tgt", ("hGf", slot, gen, ("sidx", alpha, inner))), 1)
                 for alpha in surjs]
-    return linear_map(src_phi.complex, piece.value.complex, image,
+    return linear_map(src, piece.value.complex, image,
                       partial=True).validate()
 
 
@@ -108,19 +77,19 @@ class SpCobarBuilder(_Levels):
                         piece = self.pieces[1].get((r, n))
                         if piece is not None:
                             self.pieces[2][(r, s, n)] = piece
-        # Phi terms (fixed models over Sigma_r at the shared window), one
-        # per arity and piece value: a degenerate key shares its copy's
+        # Phi terms, one per arity and piece value (a degenerate key shares
+        # its copy's): the piece itself at arity 1, else its fixed model
+        # over Sigma_r at the shared window
         self.phi = {0: {}, 1: {}, 2: {}}
         built = {}
         for lvl in range(self.D + 1):
             for key, piece in self.pieces[lvl].items():
-                r = key[0]
-                made = (r, id(piece.value))
+                made = (key[0], id(piece.value))
                 if made not in built:
-                    built[made] = PhiTerm(piece.value, r, self.w_phi)
+                    built[made] = piece.value.complex if key[0] == 1 else \
+                        homotopy_fixed(piece.value, self.w_phi)
                 self.phi[lvl][key] = built[made]
-        super().__init__(F, {lvl: {k: self.phi[lvl][k].complex
-                                   for k in sorted(self.phi[lvl])}
+        super().__init__(F, {lvl: dict(sorted(self.phi[lvl].items()))
                              for lvl in range(self.D + 1)})
 
     def _outer(self, m, sk, tk) -> ChainMap:
@@ -128,24 +97,28 @@ class SpCobarBuilder(_Levels):
         into (q, n, ..., n): the fixed-to-Tate map through the structural
         carrier map."""
         q, n = tk[0], tk[-1]
-        src_phi, tgt_phi = self.phi[m][sk], self.phi[m + 1][tk]
+        src, tgt = self.phi[m][sk], self.phi[m + 1][tk]
         piece = self.pieces[m + 1][tk]
-        g = _sp_fixed_into_tate(src_phi, piece, q, n)
+        g = _sp_fixed_into_tate(src, piece, q, n)
         if q == 1:
-            return ChainMap(src_phi.complex, tgt_phi.complex,
-                            g.components).validate()
+            return ChainMap(src, tgt, g.components).validate()
         _, incl = equivops.strict_fixed(piece.value)
         to_inv = chainops.factor_through(g, incl)
-        coaug = coaugment_invariants(incl, tgt_phi.complex)
+        coaug = coaugment_invariants(incl, tgt)
         return coaug.compose(to_inv).validate()
 
     def _inner(self, m, sk, tk):
         """theta_{s,n} at the innermost slot; K_s collapsed on an arity-s
-        object, so it is theta itself, transported into the piece model.
-        (The targets r < s < n are dropped: their blocks are zero.)"""
+        object, so it is theta itself, transported into the piece model,
+        and on the Phi terms: itself at arity 1, slotwise on the fixed
+        models otherwise.  (The targets r < s < n are dropped: their
+        blocks are zero.)"""
         th = self.c.theta_map(sk[-1], tk[-1])
         if th is None:
             return None
         f = chainops.transport(th, self.pieces[m][sk].value.complex,
                                self.pieces[m + 1][tk].value.complex)
-        return self.phi[m][sk].apply(f, self.phi[m + 1][tk])
+        if sk[0] == 1:
+            return f
+        return equivops.slotwise_map(self.phi[m][sk], self.phi[m + 1][tk],
+                                     f).validate()

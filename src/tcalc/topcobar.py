@@ -118,7 +118,7 @@ class TopCobarBuilder(_Levels):
     def _slot(self, r, n):
         if r == n:
             return self.diag[n]["complex"]
-        return self.slot12.complex
+        return self.slot12
 
     def _u12_map(self) -> ChainMap:
         """(A_2 (x) I^2)^{inv} -> slot12: invariants into the injective-tuple
@@ -128,7 +128,7 @@ class TopCobarBuilder(_Levels):
         to_carrier = label_map(d2["tensored"].complex, carrier,
                                key=lambda lab: (lab[0], ("itup", lab[1][1])),
                                partial=True)
-        iota = label_map(carrier, self.slot12.complex,
+        iota = label_map(carrier, self.slot12,
                          key=lambda lab: ("hG", 0, 0, lab), partial=True)
         return iota.compose(to_carrier).compose(d2["inclusion"]).validate()
 
@@ -156,7 +156,7 @@ class TopCobarBuilder(_Levels):
             return (((inner[-1], ("tup", (x, x))), sgn),)
         g = linear_map(wp, carrier, translate, partial=True).validate()
         orb_wp = homotopy_orbits(wprime_eq, self.w)
-        gfun = equivops.slotwise_map(orb_wp.complex, self.slot12.complex, g)
+        gfun = equivops.slotwise_map(orb_wp, self.slot12, g)
         src = self.diag[1]["complex"]
         def slot_outside(lab):
             # orbit(W) (x) X -> orbit(W (x) X): the point module sits in
@@ -165,7 +165,7 @@ class TopCobarBuilder(_Levels):
             return tag, s, gen, (wlab, xlab)
 
         ident = label_map(chainops.tensor(comp12.value.complex, xmod),
-                          orb_wp.complex, key=slot_outside,
+                          orb_wp, key=slot_outside,
                           partial=True).validate()
         th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex)
         return gfun.compose(ident).compose(th_x).validate()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from . import chainops, combinat, equivops, sequences, topdelta, trees
 from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
-from .equivariant import EquivariantComplex, WindowedResult, homotopy_orbits
+from .equivariant import EquivariantComplex, homotopy_orbits
 from .perms import YoungGroup, inverse, transposition
 from .sparse import SparseMatrix, vanishes
 
@@ -200,7 +200,7 @@ class TopComponentModel(equivops.SlotwiseModel):
         else:
             self.kind = "windowed"
             self.exact = False
-            model = homotopy_orbits(w_total, w).complex
+            model = homotopy_orbits(w_total, w)
             action = {gi: equivops.slotwise_map(model, model, g)
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(model, sr.group, action)
@@ -315,10 +315,9 @@ class TopComonad:
             return
         # genuine case r < s < n
         term = self.a.term(n)
-        w_wide = DegreeWindow(self.w.lo - (n + 1), self.w.hi + n + 1)
         inner = self._inner_cache.get((s, n))
         if inner is None:
-            inner = TopComponentModel(term, s, w_wide)
+            inner = TopComponentModel(term, s, self.w.expand(n + 1))
             self._inner_cache[(s, n)] = inner
         comp2, total_map, outer = topdelta.build_top_delta(
             term, comp, inner, r, s, self.w)
@@ -326,15 +325,3 @@ class TopComonad:
         self.delta[(r, s, n)] = total_map
         self.delta_inner[(r, s, n)] = inner
         self.delta_outer[(r, s, n)] = outer
-
-
-# ---------------------------------------------------------------------------
-# The comonad value
-# ---------------------------------------------------------------------------
-
-
-def k_top_component(a_n: EquivariantComplex, r: int,
-                    w: DegreeWindow) -> WindowedResult:
-    """K_r A_n for the Top comonad, as a windowed result with Sigma_r action."""
-    comp = TopComponentModel(a_n, r, w)
-    return WindowedResult(comp.value.complex, w, "k-top", comp.exact)

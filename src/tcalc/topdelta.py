@@ -140,18 +140,17 @@ def build_top_delta(term: EquivariantComplex, comp: TopComponentModel,
         if comp.kind != "windowed":
             comp = TopComponentModel(term, r, w, force_windowed=True)
         if inner.kind != "windowed":
-            inner = TopComponentModel(term, s, w.expand(n + 1),
+            inner = TopComponentModel(term, s, inner.window,
                                       force_windowed=True)
         outer = TopComponentModel(inner.value, r, w, force_windowed=True)
         aux = homotopy_orbits(pre_eq, w)
-        src_map = equivops.slotwise_map(comp.value.complex, aux.complex, dpre)
+        src_map = equivops.slotwise_map(comp.value.complex, aux, dpre)
         wout_trunc = outer.sursum.total.truncate(
             outer.sursum.total.min_degree if outer.sursum.total.dims
             else 0, w.hi + 1)
         # homotopy orbits of pre -> W_outer: move the resolution slot
         # inside the inner factor
-        reorder = label_map(aux.complex, wout_trunc, key=_slot_inside,
-                            partial=True)
+        reorder = label_map(aux, wout_trunc, key=_slot_inside, partial=True)
         iota_t = label_map(wout_trunc, outer.value.complex,
                            key=lambda lab: ("hG", 0, 0, lab), partial=True)
         total_map = iota_t.compose(reorder).compose(src_map)

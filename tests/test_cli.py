@@ -183,9 +183,8 @@ def malformed_command_lines():
         kinds = {
             "unknown-option": argv + ("--bogus", "1"),
             "short-option": ("-o", "x") + argv,
-            "abbreviated-option": argv + ("--form", "json"),
+            "abbreviated-option": argv + ("--ou", "x"),
             "missing-value": argv + ("--out",),
-            "value-outside-the-choices": argv + ("--format", "xml"),
             "extra-positional": argv + ("extra.json",),
         }
         if argv[0].startswith("--"):
@@ -198,6 +197,9 @@ def malformed_command_lines():
                 kinds["bad-integer"] = argv[:i] + ("two",) + argv[i + 1:]
         if command == "pn":
             kinds["route-outside-the-choices"] = argv + ("--route", "all")
+        if command == "classify":
+            kinds["value-outside-the-choices"] = argv + ("--variant",
+                                                         "sp_sp_9")
         for kind, bad in kinds.items():
             yield pytest.param((command,) + bad, id=command + "-" + kind)
 
@@ -231,8 +233,7 @@ def test_help_prints_the_usage_from_the_table(capsys):
     rc, out, err = run_cli(capsys, "pn", "--n", "2", "--help")
     assert rc == 0 and err == ""
     assert out == ("usage: tcalc pn --n INT --site STR "
-                   "[--route tot|pullback|both] [--out STR] [--format json] "
-                   "input\n")
+                   "[--route tot|pullback|both] [--out STR] input\n")
 
 
 def test_an_unexpected_failure_is_one_internal_json_line(tmp_path, capsys,

@@ -10,9 +10,7 @@ from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, sphere,
 )
 from tcalc.chainops import shift
-from tcalc.comonads import (
-    SpComonad, SpComponentModel, k_sp_component, l3_complex,
-)
+from tcalc.comonads import SpComonad, SpComponentModel, l3_complex
 from tcalc.equivops import equivariant_tensor
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.fields import F2, F3, QQ
@@ -23,7 +21,7 @@ from tcalc.laws import (
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
-from tcalc.topcomonad import TopComonad, TopComponentModel, k_top_component
+from tcalc.topcomonad import TopComonad, TopComponentModel
 
 S1, S2, S3 = YoungGroup.full(1), YoungGroup.full(2), YoungGroup.full(3)
 
@@ -45,18 +43,19 @@ def seq(F, terms):
 
 def test_k1a2_is_shifted_borbits():
     w = DegreeWindow(0, 4)
-    comp = k_top_component(triv(F2, 2), 1, w)
+    comp = TopComponentModel(triv(F2, 2), 1, w)
     # (T_2 (x) A_2)_{hS2} = (Sigma A_2)_{hS2}: dim 1 in degrees 1..hi
     for k in range(0, 5):
         want = 1 if k >= 1 else 0
-        assert comp.complex.homology(k)[0] == want
+        assert comp.value.complex.homology(k)[0] == want
 
 
 def test_k1a2_free_strict():
     w = DegreeWindow(0, 4)
-    comp = k_top_component(regular_module(F2, S2), 1, w)
+    comp = TopComponentModel(regular_module(F2, S2), 1, w)
     assert comp.exact
-    dims = {k: comp.complex.homology(k)[0] for k in comp.complex.support()}
+    c = comp.value.complex
+    dims = {k: c.homology(k)[0] for k in c.support()}
     assert {k: v for k, v in dims.items() if v} == {1: 1}
 
 
@@ -93,8 +92,8 @@ def test_unit_section_is_certified():
 
 def test_k_r_zero_above_n():
     w = DegreeWindow(0, 2)
-    comp = k_top_component(triv(F2, 2), 3, w)
-    assert comp.complex.is_zero()
+    comp = TopComponentModel(triv(F2, 2), 3, w)
+    assert comp.value.complex.is_zero()
 
 
 def test_diagonal_collapse_and_counit():
@@ -133,12 +132,12 @@ def test_k_preserves_direct_sums():
     a = triv(F2, 2, deg=0)
     b = triv(F2, 2, deg=1, label="b")
     ab = trivial_action(direct_sum([a.complex, b.complex]), S2)
-    ka = k_top_component(a, 1, w)
-    kb = k_top_component(b, 1, w)
-    kab = k_top_component(ab, 1, w)
+    ka = TopComponentModel(a, 1, w)
+    kb = TopComponentModel(b, 1, w)
+    kab = TopComponentModel(ab, 1, w)
     for k in w.degrees():
-        assert kab.complex.homology(k)[0] == \
-            ka.complex.homology(k)[0] + kb.complex.homology(k)[0]
+        assert kab.value.complex.homology(k)[0] == \
+            ka.value.complex.homology(k)[0] + kb.value.complex.homology(k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +147,11 @@ def test_k_preserves_direct_sums():
 
 def test_sp_k1a2_tate():
     w = DegreeWindow(-4, 4)
-    comp = k_sp_component(triv(F2, 2), 1, w)
+    comp = SpComponentModel(triv(F2, 2), 1, w)
     for k in range(-4, 5):
-        assert comp.complex.homology(k)[0] == 1
-    compq = k_sp_component(triv(QQ, 2), 1, w)
-    assert compq.complex.is_acyclic(w)
+        assert comp.value.complex.homology(k)[0] == 1
+    compq = SpComponentModel(triv(QQ, 2), 1, w)
+    assert compq.value.complex.is_acyclic(w)
 
 
 def test_sp_k1k2a3_acyclic():
@@ -277,7 +276,7 @@ def test_nu_cone_matches_tate_f2():
     shifted = trivial_action(shift(sphere(F2, 0), 1), S2)
     t = tate(shifted, DegreeWindow(0, 3))
     for k in range(1, 3):
-        assert cn.homology(k)[0] == t.complex.homology(k)[0], k
+        assert cn.homology(k)[0] == t.homology(k)[0], k
 
 
 def test_counit_fails_on_corrupted():
@@ -308,8 +307,8 @@ def test_k_top_component_f3_orbit_values():
     # the degree-1 class survives
     from tcalc.fields import F3
     w = DegreeWindow(0, 4)
-    comp = k_top_component(triv(F3, 2), 1, w)
-    dims = {k: comp.complex.homology(k)[0] for k in w.degrees()}
+    comp = TopComponentModel(triv(F3, 2), 1, w)
+    dims = {k: comp.value.complex.homology(k)[0] for k in w.degrees()}
     assert dims == {0: 0, 1: 1, 2: 0, 3: 0, 4: 0}
 
 
@@ -317,15 +316,15 @@ def test_sp_components_f3():
     from tcalc.fields import F3
     w = DegreeWindow(-3, 3)
     # Sigma_2 Tate vanishes away from characteristic 2
-    k12 = k_sp_component(triv(F3, 2), 1, w)
-    assert k12.complex.is_acyclic(w)
+    k12 = SpComponentModel(triv(F3, 2), 1, w)
+    assert k12.value.complex.is_acyclic(w)
     # Sigma_3 over F_3: Tate of the trivial module is 4-periodic; the
     # orbit classes (degrees = 0, 3 mod 4) glue to the fixed classes with a
     # one-degree shift, so the complete pattern is one-dimensional exactly
     # in degrees = 0, 1 mod 4
     from tcalc.equivariant import tate
     t = tate(triv(F3, 3), w)
-    dims = {k: t.complex.homology(k)[0] for k in w.degrees()}
+    dims = {k: t.homology(k)[0] for k in w.degrees()}
     want = {k: (1 if k % 4 in (0, 1) else 0) for k in w.degrees()}
     assert dims == want, dims
 
@@ -347,13 +346,13 @@ def test_k_top_arity4_components():
     w = DegreeWindow(0, 2)
     a4 = triv(F2, 4)
     for r in (1, 2, 3, 4):
-        comp = k_top_component(a4, r, w)
+        comp = TopComponentModel(a4, r, w)
         # K_4 A_4 collapses to A_4; lower components are windowed orbit
         # models with content in strictly positive degrees
         if r == 4:
-            assert comp.complex.dims == a4.complex.dims
+            assert comp.value.complex.dims == a4.complex.dims
         else:
-            assert comp.complex.homology(0)[0] == 0
+            assert comp.value.complex.homology(0)[0] == 0
     free4 = regular_module(F2, YoungGroup.full(4))
-    compf = k_top_component(free4, 3, w)
+    compf = TopComponentModel(free4, 3, w)
     assert compf.exact

@@ -22,7 +22,9 @@ from tcalc.coalgebras import (
 )
 from tcalc.classify import mccarthy_square_check
 from tcalc.comonads import SpComponentModel
-from tcalc.derivedhom import DerivedHomBuilder, bk_e1, einf_dims
+from tcalc.derivedhom import (
+    DerivedHomBuilder, bk_e1, einf_dims, equivariant_hom_complex,
+)
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
 from tcalc.fields import F2, QQ
 from tcalc.laws import (
@@ -171,8 +173,7 @@ def test_sp_trivial_splits_to_orbit_sum():
     o2 = homotopy_orbits(triv(F2, 2), DegreeWindow(0, 2))
     o3 = homotopy_orbits(triv(F2, 3), DegreeWindow(0, 2))
     for k in range(0, 1):
-        want = (1 if k == 0 else 0) + o2.complex.homology(k)[0] + \
-            o3.complex.homology(k)[0]
+        want = (1 if k == 0 else 0) + o2.homology(k)[0] + o3.homology(k)[0]
         assert t.homology(k)[0] == want
 
 
@@ -737,15 +738,17 @@ def _split_homology(c, k, w):
     for j in range(1, k + 1):
         term = c.sequence.term(j)
         if term is not None:
-            for deg, dim in homotopy_orbits(term, w).complex.homology_dims(
-                    w).items():
+            for deg, dim in homotopy_orbits(term, w).homology_dims(w).items():
                 out[deg] = out.get(deg, 0) + dim
     return out
 
 
-@pytest.mark.parametrize("doc", [
-    pytest.param(p.values[0], id=p.id) for p in _pool_coalgebras()
-    if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"])
+# the tower-q Sp pool documents: over Q their towers split
+_Q_SP_DOCS = [pytest.param(p.values[0], id=p.id) for p in _pool_coalgebras()
+              if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"]
+
+
+@pytest.mark.parametrize("doc", _Q_SP_DOCS)
 def test_both_p_n_routes_give_the_split_answer_over_q(doc):
     # over Q the Tate construction of every finite group is acyclic, so the
     # tower of a functor from spectra to spectra splits into its layers
@@ -759,6 +762,36 @@ def test_both_p_n_routes_give_the_split_answer_over_q(doc):
             builder, w = st["builder"], st["window"]
             assert st["complex"].homology_dims(w) == \
                 _split_homology(c, k, w), (k, route)
+
+
+def _split_hom_homology(c, w):
+    """(+)_n H(Hom(A_n, A_n)^{Sigma_n}) on w: what the derived mapping
+    complex of c to itself is when the tower splits into its layers."""
+    out = {}
+    for n in c.sequence.arities():
+        a = c.sequence.term(n)
+        inv = equivariant_hom_complex(a, a)[1]
+        for deg, dim in inv.homology_dims(w).items():
+            out[deg] = out.get(deg, 0) + dim
+    return out
+
+
+@pytest.mark.parametrize("doc", _Q_SP_DOCS)
+def test_derived_hom_and_einf_give_the_split_answer_over_q(doc):
+    # the same splitting on the Hom side: the derived maps of c to itself
+    # are the equivariant maps of each layer, an answer that reads no
+    # comonad model; the E-infinity totals sum_s E_{s, k+s} add up to it
+    # too, both on the printed window
+    c = coalgebra_from_json(doc)
+    r = derived_hom(c, c)
+    w = r["window"]
+    want = _split_hom_homology(c, w)
+    assert r["complex"].homology_dims(w) == want
+    bk = bk_e1(c, c)
+    totals = {}
+    for (s, t), dim in einf_dims(bk).items():
+        totals[t - s] = totals.get(t - s, 0) + dim
+    assert bk["window"] == w and totals == want
 
 
 def test_job_paths_leave_the_cosimplicial_object_unbuilt(monkeypatch):

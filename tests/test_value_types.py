@@ -8,9 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from tcalc.chain import DegreeWindow, sphere
+from tcalc.chain import DegreeWindow
 from tcalc.coalgebras import FinitePointedSet
-from tcalc.equivariant import WindowedResult
 from tcalc.fields import F2, F3, QQ, FieldSpec
 from tcalc.perms import YoungGroup
 
@@ -57,20 +56,6 @@ def test_field_constants_are_values():
 def test_value_checks_still_reject(make):
     with pytest.raises(ValueError):
         make()
-
-
-def test_windowed_result_eq_repr_and_unhashable():
-    c = sphere(F2, 0)
-    w = DegreeWindow(0, 1)
-    r = WindowedResult(c, w, "tate")
-    assert r.exact is False
-    assert r == WindowedResult(c, DegreeWindow(0, 1), "tate", False)
-    assert r != WindowedResult(c, w, "tate", exact=True)
-    assert r != WindowedResult(c, w, "k-top")
-    assert repr(r) == ("WindowedResult(complex=%r, window=DegreeWindow(lo=0, "
-                       "hi=1), tag='tate', exact=False)" % (c,))
-    with pytest.raises(TypeError):
-        hash(r)
 
 
 def _as_fraction_reads(F, s):

@@ -97,17 +97,9 @@ LISTED = {
                                    "representing cycles",
     "chain.DegreeWindow.__hash__": "windows are compared and hashed as "
                                    "values",
-    "chain.DegreeWindow.__contains__": "tests ask whether a degree is "
-                                       "certified",
     "chain.DegreeWindow.shrink": "tests and laws read a window's interior",
     "coalgebras.FinitePointedSet.__eq__": "sites are compared as values",
     "coalgebras.FinitePointedSet.__hash__": "sites are hashed as values",
-    "equivariant.WindowedResult.__eq__": "results are compared as values",
-    "equivariant.WindowedResult.homology": "tests read a result's homology",
-    "equivariant.WindowedResult.is_acyclic": "tests read whether a result "
-                                             "is acyclic",
-    "equivariant.WindowedResult.homology_dims": "tests read a result's "
-                                                "homology on its window",
     "fields.FieldSpec.add": "tests and laws add scalars",
     "fields.FieldSpec.format_scalar": "tests and the serialize writers "
                                       "print scalars",
