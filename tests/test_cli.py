@@ -197,6 +197,8 @@ def malformed_command_lines():
                 kinds["bad-integer"] = argv[:i] + ("two",) + argv[i + 1:]
         if command == "pn":
             kinds["route-outside-the-choices"] = argv + ("--route", "all")
+            # choices match exactly: a route's name in another case is refused
+            kinds["value-outside-the-choices"] = argv + ("--route", "Tot")
         if command == "classify":
             kinds["value-outside-the-choices"] = argv + ("--variant",
                                                          "sp_sp_9")
