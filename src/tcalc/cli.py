@@ -181,7 +181,7 @@ def _parse_site(text, source):
 def cmd_cobar(args):
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
-    b = tower.cobar(c, site, c.window)
+    b = tower.cobar(c, site)
     levels = [{str(k): sum(p.dim(k) for p in b.summands[m].values())
                for k in sorted({k for p in b.summands[m].values()
                                 for k in p.dims})}

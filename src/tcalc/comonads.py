@@ -123,7 +123,6 @@ class SpComponentModel(equivops.SlotwiseModel):
         self.a = a
         self.r = r
         self.n = a.group.degree
-        self.window = w
         F = a.field
         self.field = F
         n = self.n
@@ -181,6 +180,8 @@ class SpComonad:
         self.field = a.field
         self.components = {}
         self.delta = {}
+        # the nested models K_r K_s A_n, r < s < n, are dropped
+        self.delta_outer = {}
         for n in a.arities():
             term = a.term(n)
             for r in range(1, n + 1):

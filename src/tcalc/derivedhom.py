@@ -3,11 +3,12 @@ E^1 page.
 
 `DerivedHomBuilder` builds the Hom-side cobar: levels
 m |-> (+)_r Hom_{Sigma_r}(A_r, (K^m A')_r) on the strict invariants of
-equivariant hom complexes.  The index walk of its cofaces and
-codegeneracies lives in `tower._Levels`; the builder supplies the hom
-pieces and the blocks off the diagonal: postcomposition with the
-comultiplication for the middle cofaces and with theta for the last, and
-for delta^0 the map h |-> K_q(h) o theta.  The mapping complex uses the
+equivariant hom complexes.  The pieces of K^m A' and their models come from
+the one rule in `tower` (`chain_model`, `cobar_pieces`), and the index walk
+of the cofaces and codegeneracies lives in `tower._Levels`; the builder
+supplies the hom summand of a piece and the blocks off the diagonal:
+postcomposition with the comultiplication for the middle cofaces and with
+theta for the last, and for delta^0 the map h |-> K_q(h) o theta.  The mapping complex uses the
 comonad only as a functor on maps, so that map is linear in h: each block
 is one map read off theta's entries by the rule for K on maps that the
 component model holds (`SlotwiseModel.on_homs`), certified once as a block.
@@ -23,7 +24,8 @@ from .chain import ChainMap, DegreeWindow, linear_map
 from .equivariant import EquivariantComplex
 from .sparse import Echelon, SparseMatrix, nullspace
 from .tower import (
-    _Levels, _piece_nonzero, _RawPiece, fat_tot, tot_projection,
+    _Levels, chain_model, cobar_pieces, fat_tot, summands_by_value,
+    tot_projection,
 )
 
 
@@ -64,36 +66,31 @@ def equivariant_hom_complex(a, b):
 
 class _HomLevels(_Levels):
     """Levels m |-> (+)_r Hom_{Sigma_r}(M_r, P)^{inv} over the pieces P of
-    K^m A', keyed like the pieces (pieces[lvl][key], key[0] = r), each on
-    the strict invariants of `equivariant_hom_complex`.  The middle cofaces
-    postcompose the comonad K's comultiplication; a subclass supplies the
-    other blocks off the diagonal."""
+    K^m A' (`tower.cobar_pieces` of the sequence seq, levels <= D), keyed
+    like the pieces (key[0] = r), each on the strict invariants of
+    `equivariant_hom_complex`.  The middle cofaces postcompose the comonad
+    K's comultiplication; a subclass supplies the other blocks off the
+    diagonal."""
 
-    def __init__(self, mseq, K, pieces):
+    def __init__(self, mseq, seq, K, D):
         self.K = K
-        self.hom = {}
-        built = {}      # one hom complex per arity and piece value
-        for lvl, by_key in pieces.items():
-            self.hom[lvl] = {}
-            for key, piece in by_key.items():
-                m_r = mseq.term(key[0])
-                if m_r is None:
-                    continue
-                made = (key[0], id(piece.value))
-                if made not in built:
-                    built[made] = equivariant_hom_complex(m_r, piece.value)
-                full, inv, incl = built[made]
-                self.hom[lvl][key] = {"full": full, "inv": inv, "incl": incl,
-                                      "piece": piece}
-        super().__init__(mseq.field, {lvl: {k: h[k]["inv"] for k in sorted(h)}
-                                      for lvl, h in self.hom.items()})
+        self.D = D
+        self.pieces = cobar_pieces(seq, K, D)
+
+        def hom(r, piece):
+            m_r = mseq.term(r)
+            return None if m_r is None else dict(zip(
+                ("full", "inv", "incl"), equivariant_hom_complex(m_r, piece)))
+        self.hom = summands_by_value(self.pieces, hom)
+        super().__init__(mseq.field, {lvl: {k: h["inv"] for k, h in by.items()}
+                                      for lvl, by in self.hom.items()})
 
     def _post(self, m, sk, tk, g: ChainMap) -> ChainMap:
         """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g
         carried onto the pieces P of sk and Q of tk."""
         src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
-        g = chainops.transport(g, src["piece"].value.complex,
-                               tgt["piece"].value.complex)
+        g = chainops.transport(g, self.pieces[m][sk].complex,
+                               self.pieces[m + 1][tk].complex)
         big = equivops.slotwise_map(src["full"], tgt["full"], g, slot=2)
         return chainops.factor_through(big.compose(src["incl"]),
                                        tgt["incl"]).validate()
@@ -110,9 +107,10 @@ class DerivedHomBuilder(_HomLevels):
     the comonad to a map and precomposes the source coalgebra structure,
     middle cofaces insert the comultiplication, the top coface postcomposes
     the target coalgebra structure; codegeneracies postcompose counits.  The
-    index walk lives in `tower._Levels`; this builder supplies the pieces
-    and the blocks off the diagonal: `_outer` for delta^0, and
-    postcomposition (`_post`) with delta or theta for the others."""
+    pieces of K^m A' come from `tower.cobar_pieces` and the index walk from
+    `tower._Levels`; this builder supplies the blocks off the diagonal:
+    `_outer` for delta^0, and postcomposition (`_post`) with delta or theta
+    for the others."""
 
     def __init__(self, c, cprime, w: DegreeWindow):
         if c.source != cprime.source:
@@ -123,39 +121,12 @@ class DerivedHomBuilder(_HomLevels):
             raise ValueError("derived hom bounded at truncation 3")
         self.c = c
         self.cp = cprime
-        self.w = w
-        self.field = c.field
-        self.D = max(c.truncation - 1, 0)
+        D = max(c.truncation - 1, 0)
         # the window the derived hom and its E^1 page print: w with its top
         # lowered by D, or w itself when that leaves nothing
-        self.printed_window = DegreeWindow(w.lo, w.hi - self.D) \
-            if w.hi - self.D >= w.lo else w
-        K = cprime.komonad
-        # pieces of K^m A': level 0: raw terms; level 1: components;
-        # level 2: (q, s, n)-models
-        pieces = {0: {(n,): _RawPiece(cprime.sequence.term(n))
-                      for n in cprime.sequence.arities()}}
-        if self.D >= 1:
-            pieces[1] = {key: comp for key, comp in K.components.items()
-                         if _piece_nonzero(comp)}
-        if self.D >= 2:
-            pieces[2] = {}
-            for n in cprime.sequence.arities():
-                for s in range(1, n + 1):
-                    for q in range(1, s + 1):
-                        piece = self._level2_piece(K, q, s, n)
-                        if piece is not None and _piece_nonzero(piece):
-                            pieces[2][(q, s, n)] = piece
-        super().__init__(c.sequence, K, pieces)
-
-    def _level2_piece(self, K, q, s, n):
-        if self.cp.source == "sp":
-            if q < s < n:
-                return None
-            return K.components.get((q, n))
-        if q < s < n:
-            return K.delta_outer.get((q, s, n))
-        return K.components.get((q, n))
+        self.printed_window = DegreeWindow(w.lo, w.hi - D) \
+            if w.hi - D >= w.lo else w
+        super().__init__(c.sequence, cprime.sequence, cprime.komonad, D)
 
     # -- blocks off the diagonal ----------------------------------------------
 
@@ -171,7 +142,7 @@ class DerivedHomBuilder(_HomLevels):
         if theta is None:
             return ChainMap.zero(src["inv"], tgt["inv"])
         phi = self.c.komonad.component(tk[0], sk[0]).on_homs(
-            theta, tgt["piece"], src["full"], tgt["full"])
+            theta, chain_model(self.K, tk), src["full"], tgt["full"])
         return chainops.factor_through(phi.compose(src["incl"]),
                                        tgt["incl"]).validate()
 

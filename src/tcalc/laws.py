@@ -64,7 +64,7 @@ from .topcomonad import (
     SurjectionSum, TopComponentModel, unit_section,
 )
 from .topdelta import build_top_delta, top_delta_on_sums
-from .tower import _RawPiece, fat_tot, p_n
+from .tower import fat_tot, p_n
 
 
 # ---------------------------------------------------------------------------
@@ -1872,9 +1872,9 @@ class _ModuleHomLevels(_HomLevels):
     diagonal blocks; delta^1 out of level 0 postcomposes psi of A, whose
     components out of level 1 vanish for the free representables."""
 
-    def __init__(self, mseq, KP, pieces, psi):
+    def __init__(self, mseq, seq, KP, D, psi):
         self.psi = psi
-        super().__init__(mseq, KP, pieces)
+        super().__init__(mseq, seq, KP, D)
 
     def _outer(self, m, sk, tk):
         return None
@@ -1892,20 +1892,8 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
     module, _ = representable_module(FinitePointedSet(site.size),
                                      cn.truncation, c.field)
     psi, KP = psi_from_theta(cn)
-    D = max(cn.truncation - 1, 0)
-    # pieces of K'^m A
-    pieces = {0: {(m,): _RawPiece(cn.sequence.term(m))
-                  for m in cn.sequence.arities()}}
-    if D >= 1:
-        pieces[1] = {key: comp for key, comp in KP.components.items()
-                     if comp.sursum is not None
-                     and not comp.value.complex.is_zero()}
-    if D >= 2:
-        pieces[2] = {key: outer for key, outer in KP.delta_outer.items()
-                     if outer is not None
-                     and not outer.value.complex.is_zero()}
-    t = fat_tot(assemble(_ModuleHomLevels(module.sequence, KP, pieces,
-                                          psi)))
+    t = fat_tot(assemble(_ModuleHomLevels(
+        module.sequence, cn.sequence, KP, max(cn.truncation - 1, 0), psi)))
     return {k: t.homology(k)[0] for k in win.degrees()}
 
 

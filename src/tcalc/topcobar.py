@@ -12,7 +12,7 @@ theta12 : A_1 -> slot (1, 2).
 from __future__ import annotations
 
 from . import chainops, equivops
-from .chain import ChainComplex, ChainMap, DegreeWindow, label_map, linear_map
+from .chain import ChainComplex, ChainMap, label_map, linear_map
 from .coalgebras import injections
 from .equivariant import EquivariantComplex, homotopy_orbits, trivial_action
 from .perms import YoungGroup, transposition
@@ -75,14 +75,13 @@ class TopCobarBuilder(_Levels):
     of `_Levels` reaches only the slot (1, 2): delta^0 from A_2 (`u12`) and
     delta^1 from A_1 (`th12`), each built once."""
 
-    def __init__(self, coalgebra, site, w: DegreeWindow):
+    def __init__(self, coalgebra, site):
         c = coalgebra
         if c.truncation > 2:
             raise ValueError("no route runs a based-spaces tower above "
                              "truncation 2 in this build")
         self.c = c
         self.site = site
-        self.w = w
         F = c.field
         self.field = F
         m = site.size
@@ -99,7 +98,7 @@ class TopCobarBuilder(_Levels):
             self.carrier12 = carrier
             comp12 = c.komonad.component(1, 2)
             self.comp12 = comp12
-            self.slot12 = homotopy_orbits(carrier, w)
+            self.slot12 = homotopy_orbits(carrier, c.window)
         keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
         keys1 = sorted([(n, n) for (n,) in keys0] +
                        ([(1, 2)] if self.slot12 is not None else []))
@@ -155,7 +154,7 @@ class TopCobarBuilder(_Levels):
             sgn = -1 if a2.locate(inner[-1])[0] % 2 else 1
             return (((inner[-1], ("tup", (x, x))), sgn),)
         g = linear_map(wp, carrier, translate, partial=True).validate()
-        orb_wp = homotopy_orbits(wprime_eq, self.w)
+        orb_wp = homotopy_orbits(wprime_eq, self.c.window)
         gfun = equivops.slotwise_map(orb_wp, self.slot12, g)
         src = self.diag[1]["complex"]
         def slot_outside(lab):

@@ -5,12 +5,16 @@ complex.
 The cobar's index walk is written once, in `_Levels`: which per-piece map
 feeds each block of delta^0, the middle cofaces, delta^{m+1} and sigma^j
 between the keys (n,), (q, n) and (q, s, n), with the relabelling of a piece
-onto its copy wherever an index repeats.  The level builders supply their
-pieces and the blocks off the diagonal: `topcobar` at a finite pointed set
-(the unit and theta into the stratified-cone slot), `spcobar` at the zero
-sphere (the fixed-to-Tate unit and the transported theta), `derivedhom` for
-the derived mapping complex (K_q(h) o theta and postcomposition), which also
-holds the Bousfield-Kan E^1 page.
+onto its copy wherever an index repeats.  The pieces of K^m A and their
+models come from one rule (`chain_model`, `cobar_pieces`), and
+`summands_by_value` builds a level's summands from them once per arity and
+piece value.  The level builders supply their summands (the Sp cobar and
+the Hom side by a rule on those pieces) and the blocks off the diagonal:
+`topcobar` at a finite pointed set (the unit and theta into the
+stratified-cone slot), `spcobar` at the zero sphere (the fixed-to-Tate unit
+and the transported theta), `derivedhom` for the derived mapping complex
+(K_q(h) o theta and postcomposition), which also holds the Bousfield-Kan
+E^1 page.
 
 A builder's normalized levels are the sums of its pieces on strictly
 increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
@@ -33,6 +37,7 @@ d_int + (-1)^{internal degree} sum_i (-1)^i delta^i.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import chainops, cosimplicial, derivedhom, spcobar, topcobar
 from .chain import (
@@ -83,15 +88,46 @@ def fat_tot(x) -> ChainComplex:
 # ---------------------------------------------------------------------------
 
 
-class _RawPiece:
-    """A bare symmetric-sequence term presented with the piece interface."""
+def chain_model(K, chain):
+    """The model of the comonad K on an index chain: K_r A_n on (r, n), the
+    outer model of the comultiplication on a strictly nested (q, s, n)
+    (None where K drops it), and K_q A_n on any other (q, s, n)."""
+    if len(chain) == 3 and chain[0] < chain[1] < chain[2]:
+        return K.delta_outer.get(chain)
+    return K.component(chain[0], chain[-1])
 
-    def __init__(self, value):
-        self.value = value
+
+def cobar_pieces(seq, K, D):
+    """The pieces of K^m A for m <= D, as {m: {chain: EquivariantComplex}}:
+    A_n at (n,), and at m >= 1 the value of `chain_model` on each
+    non-decreasing chain of m + 1 indices ending in n, wherever it is
+    nonzero."""
+    pieces = {0: {(n,): seq.term(n) for n in seq.arities()}}
+    for m in range(1, D + 1):
+        pieces[m] = {}
+        for n in seq.arities():
+            for head in itertools.combinations_with_replacement(
+                    range(1, n + 1), m):
+                model = chain_model(K, head + (n,))
+                if model is not None and not model.value.complex.is_zero():
+                    pieces[m][head + (n,)] = model.value
+    return pieces
 
 
-def _piece_nonzero(piece) -> bool:
-    return piece is not None and not piece.value.complex.is_zero()
+def summands_by_value(pieces, rule):
+    """{m: {chain: rule(r, piece)}} in chain order, with r = chain[0]; a
+    None summand is left out.  rule runs once per arity and piece value, so
+    a degenerate chain shares its copy's summand."""
+    built, out = {}, {}
+    for m, by_chain in pieces.items():
+        out[m] = {}
+        for chain in sorted(by_chain):
+            made = (chain[0], id(by_chain[chain]))
+            if made not in built:
+                built[made] = rule(chain[0], by_chain[chain])
+            if built[made] is not None:
+                out[m][chain] = built[made]
+    return out
 
 
 def _strict(key) -> bool:
@@ -100,7 +136,9 @@ def _strict(key) -> bool:
 
 class _Levels:
     """Levels of a cosimplicial object built as direct sums of keyed
-    summands, and the cobar index walk between them.
+    summands, and the cobar index walk between them.  The Sp cobar and the
+    Hom-side builders key theirs like the pieces of K^m A (`cobar_pieces`),
+    built by `summands_by_value`.
 
     summands[lvl] is {key: summand complex}, in key order.  A key at level
     m is an index chain (i_0 <= ... <= i_m) of arities, and every structure
@@ -204,7 +242,7 @@ class _Levels:
 # ---------------------------------------------------------------------------
 
 
-def cobar(coalgebra, site, w: DegreeWindow | None = None):
+def cobar(coalgebra, site):
     """The cosimplicial cobar construction Phi K^bullet A at a site, as its
     level builder (level m the sum of `summands[m]`, degenerate above the
     top level) certified on its keyed blocks (`cosimplicial.certify`).
@@ -212,10 +250,10 @@ def cobar(coalgebra, site, w: DegreeWindow | None = None):
     Top source: site is a FinitePointedSet.  Sp source: site is the sphere
     dimension d (S^0 supported at truncation <= 3; other d raise)."""
     return cosimplicial.certify(
-        _cobar_builder(coalgebra, site, w or coalgebra.window))
+        _cobar_builder(coalgebra, site))
 
 
-def _cobar_builder(c, site, w: DegreeWindow):
+def _cobar_builder(c, site):
     """The cobar construction's builder: its cosimplicial object, level
     pieces and structural maps."""
     if c.source == "top":
@@ -229,8 +267,8 @@ def _cobar_builder(c, site, w: DegreeWindow):
                 "sp evaluation implemented at S^0 (nonzero sphere dimensions "
                 "need equivariant twist models outside desk scale)")
     if c.source == "top":
-        return topcobar.TopCobarBuilder(c, site, w)
-    return spcobar.SpCobarBuilder(c, w)
+        return topcobar.TopCobarBuilder(c, site)
+    return spcobar.SpCobarBuilder(c)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +310,7 @@ def p_n(coalgebra, site, n, route="tot", builder=None):
         raise ValueError("route must be 'tot' or 'pullback'")
     # both routes read the cobar builder, which bounds the truncation
     if builder is None:
-        builder = _cobar_builder(cn, site, cn.window)
+        builder = _cobar_builder(cn, site)
     if route == "pullback":
         return _p_n_pullback(cn, builder)
     return {"complex": fat_tot(builder), "window": _tot_window(cn, n),

@@ -144,9 +144,9 @@ def kq_theta_by_columns(builder, m, sk, tk):
         cols = []
         for j in range(src["inv"].dim(k)):
             f = hom_element_to_map(src["full"], c.sequence.term_complex(r),
-                                   src["piece"].value.complex, inc.get(j, {}),
-                                   degree=k)
-            kf = model.apply(f, tgt["piece"])
+                                   builder.pieces[m][sk].complex,
+                                   inc.get(j, {}), degree=k)
+            kf = model.apply(f, tower.chain_model(builder.K, tk))
             th = transport(theta, target=kf.source)
             cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
         img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), c.field)

@@ -26,7 +26,7 @@ from tcalc.derivedhom import (
     DerivedHomBuilder, bk_e1, einf_dims, equivariant_hom_complex,
 )
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
-from tcalc.fields import F2, QQ
+from tcalc.fields import F2, QQ, field_from_name
 from tcalc.laws import (
     ChainHomotopy, CosimplicialComplex, box_product, conormalized_level,
     constant_cosimplicial, is_quasi_iso, lemma_ij_check, representable_module,
@@ -138,7 +138,7 @@ def test_lemma_ij():
 def test_lemma_ij_on_cobar_of_representable():
     _, coalg = representable_module(FinitePointedSet(2), 2, F2,
                                     window=DegreeWindow(-1, 2))
-    cs = laws.assemble(cobar(coalg, FinitePointedSet(2), coalg.window))
+    cs = laws.assemble(cobar(coalg, FinitePointedSet(2)))
     rep = lemma_ij_check(cs, max_level=1)
     assert rep["pass"], rep
 
@@ -152,7 +152,7 @@ def test_cobar_n1_linear():
     w = DegreeWindow(0, 2)
     A1 = SymmetricSequence(F2, 1, {1: triv(F2, 1)})
     c1 = trivial_coalgebra("top", A1, w)
-    t = fat_tot(cobar(c1, FinitePointedSet(3), w))
+    t = fat_tot(cobar(c1, FinitePointedSet(3)))
     assert {k: t.homology(k)[0] for k in t.support()} == {0: 3}
 
 
@@ -160,7 +160,7 @@ def test_cobar_cosimplicial_identities_checked():
     w = DegreeWindow(-2, 2)
     rng = random.Random(7)
     c = random_valid_coalgebra(rng, F2, "sp", 3, w)
-    cs = laws.assemble(cobar(c, 0, w))
+    cs = laws.assemble(cobar(c, 0))
     cs.validate()  # exact cosimplicial identities
     assert cs.verify_degeneracy()
 
@@ -169,7 +169,7 @@ def test_sp_trivial_splits_to_orbit_sum():
     w = DegreeWindow(-2, 2)
     A3 = SymmetricSequence(F2, 3, {n: triv(F2, n) for n in (1, 2, 3)})
     c3 = trivial_coalgebra("sp", A3, w)
-    t = fat_tot(cobar(c3, 0, w))
+    t = fat_tot(cobar(c3, 0))
     o2 = homotopy_orbits(triv(F2, 2), DegreeWindow(0, 2))
     o3 = homotopy_orbits(triv(F2, 3), DegreeWindow(0, 2))
     for k in range(0, 1):
@@ -256,7 +256,7 @@ def test_top_n3_tower_refuses_every_route():
     site = FinitePointedSet(2)
     bound = "no route runs a based-spaces tower above truncation 2"
     with pytest.raises(ValueError, match=bound):
-        cobar(c, site, w)
+        cobar(c, site)
     for route in ("tot", "pullback"):
         with pytest.raises(ValueError, match=bound):
             p_n(c, site, 3, route=route)
@@ -428,7 +428,7 @@ def test_routes_and_identities_over_f3():
     w = DegreeWindow(-2, 2)
     for N in (2, 3):
         c = random_valid_coalgebra(rng, F3, "sp", N, w)
-        cs = laws.assemble(cobar(c, 0, w))
+        cs = laws.assemble(cobar(c, 0))
         cs.validate()            # exact cosimplicial identities with signs
         assert cs.verify_degeneracy()
         r1 = p_n(c, 0, N, route="tot")
@@ -648,10 +648,10 @@ def _normal_forms(builder, w):
 def test_strict_tot_matches_conormalized_tot(doc, site):
     c = coalgebra_from_json(doc)
     if c.source == "sp":
-        cobar_builder = lambda: SpCobarBuilder(c, c.window)
+        cobar_builder = lambda: SpCobarBuilder(c)
     else:
         cobar_builder = lambda: TopCobarBuilder(
-            c, FinitePointedSet(int(site.split(":")[1])), c.window)
+            c, FinitePointedSet(int(site.split(":")[1])))
     for make in (cobar_builder, lambda: DerivedHomBuilder(c, c, c.window)):
         try:
             builder = make()
@@ -721,14 +721,30 @@ def test_case1_derived_hom_and_bk_e1(doc):
 
 
 @pytest.mark.parametrize("doc, site", [
-    p for p in _pool_coalgebras() if p.values[0]["source"] == "sp"])
+    p for p in _pool_coalgebras() if p.values[0]["source"] == "sp"] +
+    [pytest.param(None, None, id="hom-top3")])
 def test_sp_cobar_pieces_are_the_comonad_components(doc, site):
-    # the Sp cobar reads the coalgebra's own Tate models, not copies
-    c = coalgebra_from_json(doc)
-    builder = SpCobarBuilder(c, c.window)
-    assert builder.pieces[1]
-    for (r, n), piece in builder.pieces[1].items():
-        assert piece is c.komonad.component(r, n)
+    # the Sp cobar and the derived hom read the coalgebra's own comonad
+    # models, not copies: a piece of level m >= 1 is the value of K_q A_n on
+    # a chain (q, ..., n), and of the comultiplication's outer model on a
+    # strictly nested (q, s, n), which the Sp comonad drops
+    c = _hom_top3() if doc is None else coalgebra_from_json(doc)
+    K = c.komonad
+    builders = [DerivedHomBuilder(c, c, c.window)]
+    if c.source == "sp":
+        builders.append(SpCobarBuilder(c))
+    for builder in builders:
+        assert builder.pieces[1]
+        for m in range(1, builder.D + 1):
+            for chain, piece in builder.pieces[m].items():
+                q, n = chain[0], chain[-1]
+                if m == 2 and q < chain[1] < n:
+                    assert c.source == "top"
+                    assert piece is K.delta_outer[chain].value, chain
+                else:
+                    assert piece is K.component(q, n).value, chain
+    if doc is None:
+        assert (1, 2, 3) in builders[0].pieces[2]
 
 
 def _split_homology(c, k, w):
@@ -743,18 +759,36 @@ def _split_homology(c, k, w):
     return out
 
 
-# the tower-q Sp pool documents: over Q their towers split
+# the tower-q Sp pool documents, and seeded random Sp coalgebras (F, N,
+# window, seed) over Q, F5 and F7: over these fields the Tate construction
+# of every Sigma_k with k <= 3 is acyclic, so their towers split
 _Q_SP_DOCS = [pytest.param(p.values[0], id=p.id) for p in _pool_coalgebras()
-              if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"]
+              if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"
+              ] + [pytest.param((F, N, w, seed), id="random-%s-N%d-%d"
+                                % (name, N, seed))
+                   for name in ("Q", "F5", "F7")
+                   for F in [field_from_name(name)]
+                   for N, w in ((2, W03), (3, W02)) for seed in range(3)]
+
+
+def _split_input(doc):
+    """The coalgebra of a pool document, or the seeded random draw (F, N,
+    window, seed)."""
+    if isinstance(doc, dict):
+        return coalgebra_from_json(doc)
+    F, N, w, seed = doc
+    return random_valid_coalgebra(random.Random(seed), F, "sp", N, w,
+                                  staircase=False)
 
 
 @pytest.mark.parametrize("doc", _Q_SP_DOCS)
 def test_both_p_n_routes_give_the_split_answer_over_q(doc):
-    # over Q the Tate construction of every finite group is acyclic, so the
-    # tower of a functor from spectra to spectra splits into its layers
-    # (N. J. Kuhn, Geom. Topol. Monographs 10, 2007): an answer that reads
-    # no comonad model, checked on each route's printed window
-    c = coalgebra_from_json(doc)
+    # over Q, and over F_p with p > N, the Tate construction of every
+    # Sigma_k with k <= N is acyclic, so the tower of a functor from spectra
+    # to spectra splits into its layers (N. J. Kuhn, Geom. Topol.
+    # Monographs 10, 2007): an answer that reads no comonad model, checked
+    # on each route's printed window
+    c = _split_input(doc)
     for k in range(1, c.truncation + 1):
         builder = None
         for route in ("tot", "pullback"):
@@ -782,7 +816,7 @@ def test_derived_hom_and_einf_give_the_split_answer_over_q(doc):
     # are the equivariant maps of each layer, an answer that reads no
     # comonad model; the E-infinity totals sum_s E_{s, k+s} add up to it
     # too, both on the printed window
-    c = coalgebra_from_json(doc)
+    c = _split_input(doc)
     r = derived_hom(c, c)
     w = r["window"]
     want = _split_hom_homology(c, w)

@@ -95,6 +95,8 @@ LISTED = {
     # methods of public value types, and why the tests read them
     "chain.ChainComplex.homology": "tests and laws read homology with its "
                                    "representing cycles",
+    "chain.DegreeWindow.__eq__": "windows are compared and hashed as "
+                                 "values",
     "chain.DegreeWindow.__hash__": "windows are compared and hashed as "
                                    "values",
     "chain.DegreeWindow.shrink": "tests and laws read a window's interior",
