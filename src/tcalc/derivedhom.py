@@ -8,10 +8,11 @@ the one rule in `tower` (`chain_model`, `cobar_pieces`), and the index walk
 of the cofaces and codegeneracies lives in `tower._Levels`; the builder
 supplies the hom summand of a piece and the blocks off the diagonal:
 postcomposition with the comultiplication for the middle cofaces and with
-theta for the last, and for delta^0 the map h |-> K_q(h) o theta.  The mapping complex uses the
-comonad only as a functor on maps, so that map is linear in h: each block
-is one map read off theta's entries by the rule for K on maps that the
-component model holds (`SlotwiseModel.on_homs`), certified once as a block.
+theta for the last, and for delta^0 the map h |-> K_q(h) o theta.  The
+mapping complex uses the comonad only as a functor on maps, so that map is
+linear in h: each block is one map read off theta's entries by the rule for
+K on maps that the component model holds (`SlotwiseModel.on_homs`),
+certified once as a block.
 `tower.derived_hom` totalizes the levels; `bk_e1` reads the E^1 page off
 the coface blocks between its strictly increasing index chains, and
 `einf_dims` the abutment off the column filtration of the totalization.
