@@ -762,13 +762,13 @@ def _split_homology(c, k, w):
 # the tower-q Sp pool documents, and seeded random Sp coalgebras (F, N,
 # window, seed) over Q, F5 and F7: over these fields the Tate construction
 # of every Sigma_k with k <= 3 is acyclic, so their towers split
-_Q_SP_DOCS = [pytest.param(p.values[0], id=p.id) for p in _pool_coalgebras()
-              if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"
-              ] + [pytest.param((F, N, w, seed), id="random-%s-N%d-%d"
-                                % (name, N, seed))
-                   for name in ("Q", "F5", "F7")
-                   for F in [field_from_name(name)]
-                   for N, w in ((2, W03), (3, W02)) for seed in range(3)]
+_SPLIT_INPUTS = [
+    pytest.param(p.values[0], id=p.id) for p in _pool_coalgebras()
+    if p.id.startswith("tower-q-") and p.values[0]["source"] == "sp"] + [
+    pytest.param((field_from_name(name), N, w, seed),
+                 id="random-%s-N%d-%d" % (name, N, seed))
+    for name in ("Q", "F5", "F7") for N, w in ((2, W03), (3, W02))
+    for seed in range(3)]
 
 
 def _split_input(doc):
@@ -781,7 +781,7 @@ def _split_input(doc):
                                   staircase=False)
 
 
-@pytest.mark.parametrize("doc", _Q_SP_DOCS)
+@pytest.mark.parametrize("doc", _SPLIT_INPUTS)
 def test_both_p_n_routes_give_the_split_answer_over_q(doc):
     # over Q, and over F_p with p > N, the Tate construction of every
     # Sigma_k with k <= N is acyclic, so the tower of a functor from spectra
@@ -810,7 +810,7 @@ def _split_hom_homology(c, w):
     return out
 
 
-@pytest.mark.parametrize("doc", _Q_SP_DOCS)
+@pytest.mark.parametrize("doc", _SPLIT_INPUTS)
 def test_derived_hom_and_einf_give_the_split_answer_over_q(doc):
     # the same splitting on the Hom side: the derived maps of c to itself
     # are the equivariant maps of each layer, an answer that reads no
