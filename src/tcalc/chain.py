@@ -221,15 +221,6 @@ class ChainComplex:
     def is_acyclic(self, window: DegreeWindow) -> bool:
         return not self.homology_dims(window)
 
-    # -- truncation -------------------------------------------------------------
-
-    def truncate(self, lo, hi) -> "ChainComplex":
-        """Brutal truncation to degrees [lo, hi]; homology certified on (lo, hi)."""
-        dims = {k: n for k, n in self.dims.items() if lo <= k <= hi}
-        diff = {k: m for k, m in self.diff.items() if lo + 1 <= k <= hi}
-        labels = {k: self.labels[k] for k in dims}
-        return ChainComplex(self.field, dims, diff, labels)
-
 
 class ChainMap:
     """Degreewise map of chain complexes commuting with differentials."""

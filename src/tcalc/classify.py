@@ -68,7 +68,7 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
     d3 = _h0_hom_on_window(a2.complex, t12, w)
     # vacuity: K_1 K_2 A_3 acyclic
     k23 = comonads.SpComponentModel(a3, 2, w)
-    inner_w = DegreeWindow(w.lo + 1, w.hi - 1) if w.hi - 1 >= w.lo + 1 else w
+    inner_w = w.shrink() if w.hi - w.lo >= 2 else w
     kk = comonads.SpComponentModel(k23.value, 1, inner_w)
     vac = kk.value.complex.is_acyclic(inner_w)
     return {
@@ -84,7 +84,7 @@ def classify_3exc_sp(a1: ChainComplex, a2: EquivariantComplex,
 # ---------------------------------------------------------------------------
 
 
-def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
+def mccarthy_square_check(c, site, n):
     """Assert the stage-n square is a homotopy pullback: the iterated-cone
     total complex of [P_n -> (P_{n-1} (+) fixed corner) -> Tate corner] is
     acyclic on the certified window.
@@ -94,7 +94,6 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
     r < n; gamma on P_{n-1} (+) fixed is `tower.corner_map`, the bottom map
     minus the right map.  The commuting homotopy is the canonical one (its
     absence is a hard failure)."""
-    w = w or c.window
     tm = tower.tower_map(c, site, n)
     pn, pn1 = tm["source"], tm["target"]
     builder, tot = pn["builder"], pn["complex"]
@@ -125,8 +124,8 @@ def mccarthy_square_check(c, site, n, w: DegreeWindow | None = None):
     except (ValueError, ArithmeticError) as e:
         return {"acyclic": False, "homology": None,
                 "reason": "structure map fails validation: %s" % e,
-                "window": str(w)}
-    win = DegreeWindow(pn["window"].lo + 1, pn["window"].hi - 1) \
-        if pn["window"].hi - 1 >= pn["window"].lo + 1 else pn["window"]
+                "window": str(c.window)}
+    pw = pn["window"]
+    win = pw.shrink() if pw.hi - pw.lo >= 2 else pw
     dims = total.homology_dims(win)
     return {"acyclic": not dims, "homology": dims, "window": str(win)}

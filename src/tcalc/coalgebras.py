@@ -133,10 +133,9 @@ def _equivariance_failures(c: TruncatedCoalgebra, r, n) -> list:
     return fails
 
 
-def validate_coalgebra(c: TruncatedCoalgebra, w: DegreeWindow | None = None):
+def validate_coalgebra(c: TruncatedCoalgebra):
     """Equivariance and counit exactly; coherence squares up to homology on
-    w.  Returns a report dict."""
-    w = w or c.window
+    the coalgebra's window.  Returns a report dict."""
     report = {"valid": True, "failures": [], "squares": {}}
     N = c.truncation
     for n in range(1, N + 1):
@@ -161,7 +160,7 @@ def validate_coalgebra(c: TruncatedCoalgebra, w: DegreeWindow | None = None):
         for s in range(1, n):
             for r in range(1, s + 1):
                 key = (r, s, n)
-                res = _check_square(c, r, s, n, w)
+                res = _check_square(c, r, s, n)
                 report["squares"][key] = res
                 if res not in ("ok", "vacuous"):
                     report["failures"].append(
@@ -170,29 +169,22 @@ def validate_coalgebra(c: TruncatedCoalgebra, w: DegreeWindow | None = None):
     return report
 
 
-def _check_square(c: TruncatedCoalgebra, r, s, n, w):
-    """theta then delta versus theta then K(theta), on homology inside w."""
+def _check_square(c: TruncatedCoalgebra, r, s, n):
+    """theta then delta versus theta then K(theta), on homology inside the
+    coalgebra's window, for r <= s < n.  A collapsed outer index (s = r)
+    makes both routes literally agree; a square without a comultiplication
+    (the Sp comonad drops its acyclic nested targets) is vacuous."""
     theta_rn = c.theta_map(r, n)
     theta_rs = c.theta_map(r, s)
     theta_sn = c.theta_map(s, n)
     if theta_rn is None and (theta_rs is None or theta_sn is None):
         return "ok"
-    if c.source == "sp":
-        delta = c.komonad.delta.get((r, s, n))
-        if delta is None:
-            # dropped acyclic target: no condition (the swap permutes the
-            # two partition summands)
-            return "vacuous"
-        if s == n:
-            return "ok"  # both routes equal theta_{r,n} on the nose
-        if s == r:
-            return "ok"
-        return "vacuous"
-    # Top case
+    if s == r:
+        return "ok"
     K = c.komonad
-    if s == n or s == r:
-        return "ok"  # collapsed sides make both routes literally agree
     delta = K.delta.get((r, s, n))
+    if delta is None:
+        return "vacuous"
     if theta_rn is None:
         route1 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
@@ -208,6 +200,7 @@ def _check_square(c: TruncatedCoalgebra, r, s, n, w):
     # label-equal models)
     route2 = ChainMap(route1.source, route1.target, route2.components)
     diffm = route1 - route2
+    w = c.window
     win = DegreeWindow(w.lo, w.hi - 1) if w.hi > w.lo else w
     for k in win.degrees():
         if not diffm.induced_on_homology(k).is_zero():

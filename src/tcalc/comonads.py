@@ -5,7 +5,9 @@ through its Tate identifications: K_r A_r = A_r, K_1 A_2 = Tate_{S2}(A_2),
 K_1 A_3 = Tate_{S3}(L_3 (x) A_3), and K_2 A_3 = the induced Sigma_2-pair of
 Tate_{S1xS2}(A_3).  Iterated components K_r K_s A_n with r < s < n are
 acyclic (the swap permutes the two partition summands) and are dropped,
-with the comultiplication components into them set to zero.
+and with them the comultiplication, whose other components are identities:
+`SpComonad.delta` is empty, and a coherence square without a
+comultiplication is vacuous.
 
 The strict right-module comonad K' and the norm comparison nu from the Top
 comonad live in `laws`: no subcommand runs them.
@@ -53,8 +55,9 @@ def l3_complex(field) -> EquivariantComplex:
 
 
 def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex:
-    """A (x) k[Surj(n, r)] with Sigma_n acting diagonally (precomposition on
-    the index); carries the Sigma_r postcomposition action via
+    """A (x) k[Surj(n, r)] with Sigma_n acting diagonally: A's action in the
+    A slot of each ("sidx", alpha, A-label), then precomposition on the
+    index alpha.  Carries the Sigma_r postcomposition action via
     ``sp_sigma_r_generator``."""
     n = a.group.degree
     surjs = combinat.all_surjections(n, r)
@@ -66,21 +69,15 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
 
     def act(gi):
         sinv = inverse(transposition(n, gi))
-        cols = {k: m.by_column() for k, m in a.action[gi].components.items()}
-
-        def image(k, lab):
-            _, alpha, alab = lab
-            beta = tuple(alpha[sinv[i]] for i in range(n))
-            labs = c.labels[k]
-            return [(("sidx", beta, labs[i]), v)
-                    for i, v in cols.get(k, {}).get(
-                        c.label_index(k)[alab], {}).items()]
-        return linear_map(total, total, image)
+        index = label_map(total, total, key=lambda lab: (
+            "sidx", tuple(lab[1][sinv[i]] for i in range(n)), lab[2]))
+        return index.compose(
+            equivops.slotwise_map(total, total, a.action[gi], slot=2))
     return EquivariantComplex(total, a.group, {
         gi: act(gi) for gi in a.group.generator_positions()})
 
 
-def sp_sigma_r_generator(value: ChainComplex, n, r, gi, field) -> ChainMap:
+def sp_sigma_r_generator(value: ChainComplex, r, gi) -> ChainMap:
     """Postcomposition action of the transposition (gi, gi+1) of Sigma_r on a
     complex whose labels carry ("sidx", alpha, _) markers, slotwise."""
     s_r = transposition(r, gi)
@@ -143,7 +140,7 @@ class SpComponentModel(equivops.SlotwiseModel):
         model = tate(tensor_with_surjection_index(base, r), w)
         action = {}
         for gi in YoungGroup.full(r).generator_positions():
-            action[gi] = sp_sigma_r_generator(model, n, r, gi, F)
+            action[gi] = sp_sigma_r_generator(model, r, gi)
         self.value = EquivariantComplex(model, YoungGroup.full(r), action)
 
     def on_maps(self, tgt: "SpComponentModel"):
@@ -170,7 +167,7 @@ class SpComonad:
 
     Nested off-diagonal components K_r K_s A_n with r < s < n are acyclic
     (the swap permutes the two partition summands of K_2 A_3) and are
-    dropped; the comultiplication components into them are zero."""
+    dropped, so `delta` and `delta_outer` are empty."""
 
     def __init__(self, a: sequences.SymmetricSequence, w: DegreeWindow):
         if a.truncation > 3:
@@ -180,24 +177,11 @@ class SpComonad:
         self.field = a.field
         self.components = {}
         self.delta = {}
-        # the nested models K_r K_s A_n, r < s < n, are dropped
         self.delta_outer = {}
         for n in a.arities():
             term = a.term(n)
             for r in range(1, n + 1):
                 self.components[(r, n)] = SpComponentModel(term, r, w)
-        for n in a.arities():
-            for s in range(1, n + 1):
-                for r in range(1, s + 1):
-                    comp = self.components.get((r, n))
-                    if comp is None or comp.kind == "zero":
-                        continue
-                    if s == r or s == n:
-                        self.delta[(r, s, n)] = ChainMap.identity(
-                            comp.value.complex)
-                    else:
-                        # acyclic nested target: the component is dropped
-                        self.delta[(r, s, n)] = None
 
     def component(self, r, n) -> SpComponentModel | None:
         return self.components.get((r, n))

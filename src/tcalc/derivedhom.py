@@ -21,7 +21,7 @@ the coface blocks between its strictly increasing index chains, and
 from __future__ import annotations
 
 from . import chainops, equivops
-from .chain import ChainMap, DegreeWindow, linear_map
+from .chain import ChainMap, DegreeWindow
 from .equivariant import EquivariantComplex
 from .sparse import Echelon, SparseMatrix, nullspace
 from .tower import (
@@ -39,29 +39,17 @@ def equivariant_hom_complex(a, b):
     """(Hom(a, b), its strict invariants under conjugation, their
     inclusion).
 
-    a, b are EquivariantComplexes over the same Young group."""
+    a, b are EquivariantComplexes over the same Young group.  A generator g
+    acts on the label ("hom", x, y) by g_a at its source slot and g_b at its
+    target slot: the conjugation E |-> g_b o E o g_a^{-1} where g_a is a
+    signed permutation, so that g_a^{-1} is its transpose."""
     if a.group != b.group:
         raise ValueError("group mismatch in equivariant hom")
     h = chainops.hom_complex(a.complex, b.complex)
-    la, lb = a.complex.labels, b.complex.labels
-
-    def conjugation(gi):
-        # conj(E_{x -> y}) = g_b o E o g_a^{-1}; generators are involutions
-        # so g_a^{-1} = g_a
-        acols = {k: m.by_column() for k, m in a.action[gi].components.items()}
-        bcols = {k: m.by_column() for k, m in b.action[gi].components.items()}
-
-        def image(k, lab):
-            _, x, y = lab
-            ka, ia = a.complex.locate(x)
-            kb, ib = b.complex.locate(y)
-            return [(("hom", la[ka][i], lb[kb][j]), va * vb)
-                    for i, va in acols.get(ka, {}).get(ia, {}).items()
-                    for j, vb in bcols.get(kb, {}).get(ib, {}).items()]
-        return linear_map(h, h, image)
-    action = {gi: conjugation(gi) for gi in a.group.generator_positions()}
-    heq = EquivariantComplex(h, a.group, action)
-    inv, incl = equivops.strict_fixed(heq)
+    action = {gi: equivops.slotwise_map(h, h, b.action[gi], slot=2).compose(
+        equivops.slotwise_map(h, h, a.action[gi], slot=1))
+        for gi in a.group.generator_positions()}
+    inv, incl = equivops.strict_fixed(EquivariantComplex(h, a.group, action))
     return h, inv, incl
 
 
@@ -169,15 +157,15 @@ class DerivedHomBuilder(_HomLevels):
 
 
 class E1Page:
-    """E^1_{-s,t} entries with d^1 matrices and the induced E^2."""
+    """E^1_{-s,t} dims with d^1 matrices and the induced E^2."""
 
     def __init__(self, entries, d1, field):
-        self.entries = entries      # {(s, t): (dim, basis data)}
+        self.entries = entries      # {(s, t): dim}
         self.d1 = d1                # {(s, t): SparseMatrix to (s+1, t)}
         self.field = field
 
     def dims(self):
-        return {(s, t): e[0] for (s, t), e in self.entries.items() if e[0]}
+        return {st: dim for st, dim in self.entries.items() if dim}
 
     def d1_squared_zero(self) -> bool:
         for (s, t), m in self.d1.items():
@@ -189,8 +177,7 @@ class E1Page:
 
     def e2_dims(self):
         out = {}
-        for (s, t), e in self.entries.items():
-            dim = e[0]
+        for (s, t), dim in self.entries.items():
             if dim == 0:
                 continue
             dout = self.d1.get((s, t))
@@ -212,24 +199,19 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
     D = builder.D
     win = builder.printed_window
     strict = builder.strict_keys        # the keys of each column
-    # homology bases per strict piece
-    hdata = {}
-    for lvl, keys in strict.items():
-        for key in keys:
-            inv = builder.hom[lvl][key]["inv"]
-            for t in range(win.lo, win.hi + 2):
-                dim, reps, _ = inv.homology_data(t)
-                hdata[(lvl, key, t)] = (dim, reps, inv)
+    # homology dims per strict piece, on the degrees the page reads
+    read = DegreeWindow(win.lo, win.hi + 1)
+    hdims = {(lvl, key): builder.hom[lvl][key]["inv"].homology_dims(read)
+             for lvl, keys in strict.items() for key in keys}
     entries, d1 = {}, {}
     for s in range(D + 1):
-        for t in range(win.lo, win.hi + 2):
-            total = sum(hdata[(s, key, t)][0] for key in strict[s])
-            entries[(s, t)] = (total, [(key, hdata[(s, key, t)][0])
-                                       for key in strict[s]])
+        for t in read.degrees():
+            entries[(s, t)] = sum(hdims[(s, key)].get(t, 0)
+                                  for key in strict[s])
     for s in range(D):
-        for t in range(win.lo, win.hi + 1):
-            rows = [hdata[(s + 1, key, t)][0] for key in strict[s + 1]]
-            cols = [hdata[(s, key, t)][0] for key in strict[s]]
+        for t in win.degrees():
+            rows = [hdims[(s + 1, key)].get(t, 0) for key in strict[s + 1]]
+            cols = [hdims[(s, key)].get(t, 0) for key in strict[s]]
             if not (any(rows) and any(cols)):
                 if any(cols) or any(rows):
                     d1[(s, t)] = SparseMatrix(sum(rows), sum(cols), F)
@@ -239,7 +221,7 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
             mats = {}
             for i in range(s + 2):
                 for (sk, tk), blk in builder.coface_blocks[(s, i)].items():
-                    if not hdata[(s, sk, t)][0]:
+                    if not hdims[(s, sk)].get(t, 0):
                         continue
                     ind = blk.induced_on_homology(t)
                     b = (strict[s + 1].index(tk), strict[s].index(sk))
@@ -249,18 +231,18 @@ def bk_e1(c, cprime, w: DegreeWindow | None = None):
             d1[(s, t)] = SparseMatrix.block(mats, rows, cols, F)
     page = E1Page(entries, d1, F)
     tot = fat_tot(builder)
-    return {"e1": page, "tot": tot, "window": win, "builder": builder,
-            "columns": strict}
+    return {"e1": page, "tot": tot, "window": win, "builder": builder}
 
 
-def einf_dims(bk_result, w: DegreeWindow | None = None):
-    """E-infinity dims from the column filtration of the Tot complex.
+def einf_dims(bk_result):
+    """E-infinity dims from the column filtration of the Tot complex, on
+    the page's window.
 
     F_p Tot = the subcomplex spanned by columns s >= p; the graded pieces of
     the image filtration on homology give the abutment."""
     builder = bk_result["builder"]
     tot = bk_result["tot"]
-    w = w or bk_result["window"]
+    w = bk_result["window"]
     F = tot.field
     D = builder.D
     # the boundaries of Tot in each degree, reduced once for every p

@@ -2,11 +2,14 @@
 finite pointed set X, truncation <= 2.
 
 Phi(A)(X) has the exact diagonal summands (A_n (x) k[Inj(n, X)])^{Sigma_n};
-the (1, 2) slot uses the stratified cone model of the Top comonad's
-K_1 A_2 (see `TopCobarBuilder`).  The index walk of the cofaces and
-codegeneracies lives in `tower._Levels`; this builder supplies the pieces
-and its two maps off the diagonal, the unit u12 : A_2 -> slot (1, 2) and
-theta12 : A_1 -> slot (1, 2).
+the (1, 2) slot is the homotopy-orbit model of A_2 (x) St(1,2)(X), the
+stratified cone standing in for the Top comonad's K_1 A_2 (see
+`TopCobarBuilder`).  The index walk of the cofaces and codegeneracies lives
+in `tower._Levels`; this builder supplies the pieces and its two maps off
+the diagonal, the unit u12 : A_2 -> slot (1, 2) and theta12 : A_1 -> slot
+(1, 2).  Each is one composite of relabellings and existing maps into the
+slot, theta12 through theta_{1,2} (x) id_X (`chainops.tensor_map`), so the
+slot is the only orbit model the builder makes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from . import chainops, equivops
 from .chain import ChainComplex, ChainMap, label_map, linear_map
 from .coalgebras import injections
-from .equivariant import EquivariantComplex, homotopy_orbits, trivial_action
+from .equivariant import EquivariantComplex, homotopy_orbits
 from .perms import YoungGroup, transposition
 from .tower import _Levels
 
@@ -96,8 +99,6 @@ class TopCobarBuilder(_Levels):
             st = stratified_cone(F, m)
             carrier = equivops.equivariant_tensor(seq.term(2), st)
             self.carrier12 = carrier
-            comp12 = c.komonad.component(1, 2)
-            self.comp12 = comp12
             self.slot12 = homotopy_orbits(carrier, c.window)
         keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
         keys1 = sorted([(n, n) for (n,) in keys0] +
@@ -132,60 +133,27 @@ class TopCobarBuilder(_Levels):
         return iota.compose(to_carrier).compose(d2["inclusion"]).validate()
 
     def _theta12_map(self):
-        """A_1 (x) X -> slot12 through theta_{1,2} and the tree-to-cone
-        translation t (x) a (x) x -> (-1)^{|a|} a (x) (x,x)."""
-        F = self.field
+        """A_1 (x) X -> slot12, one composite validated once: the inclusion
+        of the invariants, the relabelling of Inj(1, X) onto the points of
+        X, theta_{1,2} (x) id_X, and the tree-to-cone translation
+        t (x) a (x) x -> (-1)^{|a|} a (x) (x,x) inside each orbit label
+        ("hG", s, gen, .) of K_1 A_2 (x) X."""
         th = self.c.theta_map(1, 2)
         if th is None or self.slot12 is None:
             return None
-        comp12 = self.comp12
-        tsum_eq = comp12.sursum.sigma_n_action()
-        a2 = self.c.sequence.term_complex(2)
-        carrier = self.carrier12.complex
         m = self.site.size
-        xmod = ChainComplex(F, {0: m},
+        xmod = ChainComplex(self.field, {0: m},
                             labels={0: tuple(("pt", x) for x in range(m))})
-        xtriv = trivial_action(xmod, YoungGroup.full(2))
-        wprime_eq = equivops.equivariant_tensor(tsum_eq, xtriv)
-        wp = wprime_eq.complex
+        th_x = chainops.tensor_map(th, ChainMap.identity(xmod))
+        d1 = self.diag[1]
+        to_x = label_map(d1["tensored"].complex, th_x.source,
+                         key=lambda lab: (lab[0], ("pt", lab[1][1][0])))
+        a2 = self.c.sequence.term_complex(2)
 
         def translate(k, lab):
-            (_, _, inner), (_, x) = lab
+            (tag, s, gen, (_, _, inner)), (_, x) = lab
             sgn = -1 if a2.locate(inner[-1])[0] % 2 else 1
-            return (((inner[-1], ("tup", (x, x))), sgn),)
-        g = linear_map(wp, carrier, translate, partial=True).validate()
-        orb_wp = homotopy_orbits(wprime_eq, self.c.window)
-        gfun = equivops.slotwise_map(orb_wp, self.slot12, g)
-        src = self.diag[1]["complex"]
-        def slot_outside(lab):
-            # orbit(W) (x) X -> orbit(W (x) X): the point module sits in
-            # degree zero with trivial action
-            (tag, s, gen, wlab), xlab = lab
-            return tag, s, gen, (wlab, xlab)
-
-        ident = label_map(chainops.tensor(comp12.value.complex, xmod),
-                          orb_wp, key=slot_outside,
-                          partial=True).validate()
-        th_x = self._theta_tensor_x(th, xmod, src, comp12.value.complex)
-        return gfun.compose(ident).compose(th_x).validate()
-
-    def _theta_tensor_x(self, th, xmod, src, model) -> ChainMap:
-        """(A_1 (x) X-invariants) -> model (x) X, via theta on the A_1 part."""
-        a1 = self.c.sequence.term_complex(1)
-        tens = chainops.tensor(model, xmod)
-        inc = self.diag[1]["inclusion"]
-        mid = self.diag[1]["tensored"].complex
-        inc_cols = {k: m.by_column() for k, m in inc.components.items()}
-        th_cols = {k: m.by_column() for k, m in th.components.items()}
-
-        def image(k, lab):
-            out = []
-            for i, v in inc_cols.get(k, {}).get(
-                    src.label_index(k)[lab], {}).items():
-                a_lab, inj_lab = mid.labels[k][i]
-                x = ("pt", inj_lab[1][0])
-                for i2, vv in th_cols.get(k, {}).get(
-                        a1.label_index(k)[a_lab], {}).items():
-                    out.append(((th.target.labels[k][i2], x), v * vv))
-            return out
-        return linear_map(src, tens, image, partial=True).validate()
+            return (((tag, s, gen, (inner[-1], ("tup", (x, x)))), sgn),)
+        to_slot = linear_map(th_x.target, self.slot12, translate, partial=True)
+        return to_slot.compose(th_x).compose(to_x).compose(
+            d1["inclusion"]).validate()

@@ -304,9 +304,7 @@ class TopComonad:
             chainops.transport(theta, target=inner.value.complex), outer)
 
     def _build_delta(self, r, s, n):
-        comp = self.components.get((r, n))
-        if comp is None or comp.kind == "zero":
-            return
+        comp = self.components[(r, n)]
         if s == n or s == r:
             # collapsed inner or outer: the map is the identity on the model
             self.delta[(r, s, n)] = ChainMap.identity(comp.value.complex)

@@ -4,17 +4,19 @@ r < s < n.
 Ungrafting the tree cooperad maps the surjection sum W(A, r) into
 W(W(A, s), r), the surjection sum of W(A, s) as a Sigma_s-module, summed
 over the factorizations beta = gamma o alpha of each surjection; the map then
-goes on to the outer orbit model, strictly when both orbit models are strict
-and through a resolution otherwise.  Only the genuine branch of
+goes on to the outer orbit model.  When both orbit models are strict it runs
+through their projections and unit section; otherwise it is one map between
+the windowed models, applied in the W slot of each orbit label, whose
+resolution slot then moves inside the inner factor.  Only the genuine branch of
 `topcomonad.TopComonad._build_delta`, which arity-3 and arity-4 inputs reach,
 and the law checks in `laws` run this module.
 """
 
 from __future__ import annotations
 
-from . import combinat, equivops, trees
-from .chain import ChainMap, DegreeWindow, label_map, linear_map
-from .equivariant import EquivariantComplex, homotopy_orbits
+from . import combinat, trees
+from .chain import ChainMap, DegreeWindow, linear_map
+from .equivariant import EquivariantComplex
 from .topcomonad import SurjectionSum, TopComponentModel
 
 
@@ -133,26 +135,23 @@ def build_top_delta(term: EquivariantComplex, comp: TopComponentModel,
         total_map = outer.proj.compose(pre.apply(
             inner.proj, outer.sursum).compose(dpre).compose(comp.section))
     else:
-        # Sigma_n acts on pre through the inner factor only
-        inner_eq = inner.sursum.sigma_n_action()
-        pre_eq = EquivariantComplex(pre.total, inner_eq.group, {
-            gi: pre.apply(g, pre) for gi, g in inner_eq.action.items()})
         if comp.kind != "windowed":
             comp = TopComponentModel(term, r, w, force_windowed=True)
         if inner.kind != "windowed":
             inner = TopComponentModel(term, s, inner.window,
                                       force_windowed=True)
         outer = TopComponentModel(inner.value, r, w, force_windowed=True)
-        aux = homotopy_orbits(pre_eq, w)
-        src_map = equivops.slotwise_map(comp.value.complex, aux, dpre)
-        wout_trunc = outer.sursum.total.truncate(
-            outer.sursum.total.min_degree if outer.sursum.total.dims
-            else 0, w.hi + 1)
-        # homotopy orbits of pre -> W_outer: move the resolution slot
-        # inside the inner factor
-        reorder = label_map(aux, wout_trunc, key=_slot_inside, partial=True)
-        iota_t = label_map(wout_trunc, outer.value.complex,
-                           key=lambda lab: ("hG", 0, 0, lab), partial=True)
-        total_map = iota_t.compose(reorder).compose(src_map)
+        cols = {k: m.by_column() for k, m in dpre.components.items()}
+
+        def image(k, lab):
+            # dpre in the W slot, then the resolution slot moves inside the
+            # inner factor, at the outer model's resolution-0 slot
+            tag, t, gen, x = lab
+            p, j = dpre.source.locate(x)
+            return [(("hG", 0, 0, _slot_inside(
+                (tag, t, gen, dpre.target.labels[p][i]))), v)
+                for i, v in cols.get(p, {}).get(j, {}).items()]
+        total_map = linear_map(comp.value.complex, outer.value.complex,
+                               image, partial=True)
     total_map.validate()
     return comp, total_map, outer

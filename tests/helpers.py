@@ -23,6 +23,14 @@ def triv(F, n, deg=0, label="a"):
                           YoungGroup.full(n))
 
 
+def truncate(c: ChainComplex, lo, hi) -> ChainComplex:
+    """Brutal truncation of c to degrees [lo, hi]; homology certified on
+    (lo, hi)."""
+    dims = {k: n for k, n in c.dims.items() if lo <= k <= hi}
+    diff = {k: m for k, m in c.diff.items() if lo + 1 <= k <= hi}
+    return ChainComplex(c.field, dims, diff, {k: c.labels[k] for k in dims})
+
+
 def unit_sequence(field, truncation=1) -> SymmetricSequence:
     one = trivial_action(sphere(field, 0, label="unit"), YoungGroup.full(1))
     return SymmetricSequence(field, truncation, {1: one})

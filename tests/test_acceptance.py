@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     corrupt_square_map, induced_from_trivial_subgroup, random_theta,
     random_valid_coalgebra, staircase_sequence, tate_s2_oracle, triv,
+    truncate,
 )
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, sphere,
@@ -336,7 +337,7 @@ def test_criterion_10_classification_counts():
     for a2 in (triv(F2, 2), trivial_action(sphere(F2, -1),
                                            YoungGroup.full(2))):
         t = tate(a2, w)
-        bf = count_maps_mod_homotopy(sphere(F2, 0), t.truncate(-2, 2))
+        bf = count_maps_mod_homotopy(sphere(F2, 0), truncate(t, -2, 2))
         ok = ok and classify_2exc_sp(sphere(F2, 0), a2, w)["dim"] == bf
     _report(10, "classification counts", ok)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import induced_from_trivial_subgroup, random_term
+from helpers import induced_from_trivial_subgroup, random_term, truncate
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
     label_map, linear_map, sphere,
@@ -449,7 +449,7 @@ def test_tensor_map_koszul_sign():
 
 def test_truncate_certifies_interior():
     c = circle(QQ)
-    t = c.truncate(0, 1)
+    t = truncate(c, 0, 1)
     assert t.dims == c.dims
     w = DegreeWindow(0, 5)
     z = ChainComplex(QQ, {})

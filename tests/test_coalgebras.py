@@ -13,7 +13,7 @@ from tcalc.coalgebras import (
 )
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.equivops import is_free
-from tcalc.fields import F2, QQ
+from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
     KPrimeComonad, divided_power_check, evaluation_pairing_check,
     representable_module, validate_right_module,
@@ -162,7 +162,10 @@ def _free_terms(F):
     (_staircase_terms, QQ, DegreeWindow(0, 4), "windowed",
      ("594d75d3ed84030f6308bb1ff976e36c28dfc42ae7364ed294a2af8cc9133e25",
       "c4c594bb8f000bbf7c0be84259c72d20593973939ccd9d509fe528c4014ee5a4")),
-], ids=["free-F2", "free-Q", "staircase-F2", "staircase-Q"])
+    (_staircase_terms, F3, DegreeWindow(0, 4), "windowed",
+     ("594d75d3ed84030f6308bb1ff976e36c28dfc42ae7364ed294a2af8cc9133e25",
+      "c4c594bb8f000bbf7c0be84259c72d20593973939ccd9d509fe528c4014ee5a4")),
+], ids=["free-F2", "free-Q", "staircase-F2", "staircase-Q", "staircase-F3"])
 def test_comultiplications_are_pinned(terms, field, window, branch, digests):
     # every component of the Top comultiplication and of the strict K', entry
     # for entry

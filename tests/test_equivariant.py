@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import induced_from_trivial_subgroup, sign_action
+from helpers import induced_from_trivial_subgroup, sign_action, truncate
 from tcalc import equivariant
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
@@ -408,7 +408,7 @@ def test_slotwise_map_on_orbit_labels():
                     "w2": {("hG", s, gen, "w1"): 1, ("hG", s, gen, "w2"): 2}}
             assert img == {idx[t]: v for t, v in want[lab].items()}
     # terms missing from the target model are dropped
-    low = model.truncate(0, 1)
+    low = truncate(model, 0, 1)
     h = slotwise_map(model, low, f)
     assert set(h.components) == {0, 1}
     assert h.component(1) == g.component(1)

@@ -26,7 +26,7 @@ from tcalc.derivedhom import (
     DerivedHomBuilder, bk_e1, einf_dims, equivariant_hom_complex,
 )
 from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
-from tcalc.fields import F2, QQ, field_from_name
+from tcalc.fields import F2, F3, QQ, field_from_name
 from tcalc.laws import (
     ChainHomotopy, CosimplicialComplex, box_product, conormalized_level,
     constant_cosimplicial, is_quasi_iso, lemma_ij_check, representable_module,
@@ -339,7 +339,7 @@ def test_bk_e1_euler_characteristic():
     columns, _ = r["builder"].normalized()
     # E^1_{s,t} is the homology of the strict pieces of N^s in degree t, so
     # it is no larger than N^s_t
-    for (s, t), (dim, _) in page.entries.items():
+    for (s, t), dim in page.entries.items():
         assert dim <= sum(p.dim(t) for _, p in columns[s]), (s, t)
     # identity that must hold on the nose: sum over the antidiagonal of E^inf
     einf = einf_dims(r)
@@ -497,7 +497,7 @@ def _self_hom(c):
     return laws.assemble(derived_hom(c, c)["builder"])
 
 
-W02, W03 = DegreeWindow(0, 2), DegreeWindow(0, 3)
+W02, W03, W04 = DegreeWindow(0, 2), DegreeWindow(0, 3), DegreeWindow(0, 4)
 HOM_TOP3 = "7cc417b09c15292496292a4fd9c90a59bc3f43e98f6b143ebc2dc1bbeee860ed"
 
 
@@ -506,12 +506,26 @@ def _hom_top3():
     return random_valid_coalgebra(random.Random(3), F2, "top", 3, W02)
 
 
+def _cobar_top2_odd():
+    """A Top N = 2 staircase over F3 with A_2 in degree 1, so theta_{1,2}'s
+    translation into the cone slot carries the Koszul sign (-1)^{|a|} = -1,
+    with a random nonzero theta_{1,2}, at a 2-point site."""
+    A = staircase_sequence(F3, 2, top_deg=1)
+    c0 = trivial_coalgebra("top", A, W04)
+    th = random_theta(c0, 1, 2, random.Random(2))
+    c = TruncatedCoalgebra("top", A, W04, {(1, 2): th}, komonad=c0.komonad)
+    return laws.assemble(cobar(c, FinitePointedSet(2)))
+
+
 @pytest.mark.parametrize("build, digest", [
     # Top N = 2 with a nonzero theta_{1,2} (trivial terms): the unit and
     # theta into the stratified-cone slot (1, 2)
     (lambda: laws.assemble(cobar(random_valid_coalgebra(
         random.Random(1), QQ, "top", 2, W03), FinitePointedSet(2))),
      "c5f93a1ac6d6d7bdc2b22a850547b98e6a94c8dab77d6823714ddaab64f22779"),
+    # the same with A_2 in odd degree: theta_{1,2}'s Koszul sign
+    (_cobar_top2_odd,
+     "27bcc018676bfd29d46cc4c34b71a3faa0006fd5978f10fdf8b97ac3d30c5396"),
     # Sp N = 3 at S^0 with theta_{1,2}, theta_{1,3} and theta_{2,3}
     (lambda: laws.assemble(cobar(random_valid_coalgebra(
         random.Random(1), QQ, "sp", 3, W02, staircase=False), 0)),
@@ -525,7 +539,7 @@ def _hom_top3():
                                               W03)),
      "33e720693b1c54fdcdb707a16a8909ebec63f1ad813e6dcf059f76aa02ce0d95"),
     (lambda: _self_hom(_hom_top3()), HOM_TOP3),
-], ids=["cobar-top2", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
+], ids=["cobar-top2", "cobar-top2-odd", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
 def test_structure_maps_are_pinned(build, digest):
     assert _structure_digest(build()) == digest
 

@@ -56,6 +56,7 @@ LISTED = {
     "chain.sphere": GEN_POOL,
     "coalgebras.trivial_coalgebra": GEN_POOL,
     "equivariant.regular_module": GEN_POOL,
+    "equivariant.trivial_action": GEN_POOL,
     "operads.__getattr__": "perfbench/gen_pool.py imports "
                            "SymmetricSequence from operads",
     "serialize._label_to_json": GEN_POOL,
@@ -68,7 +69,6 @@ LISTED = {
     # CLI inputs outside the pool
     "cli.cmd_homology": "`homology DOC`",
     "cli._help": "`-h` and `help`",
-    "chain.ChainComplex.truncate": TOP_N3,
     "chain.ChainMap.__add__": "check on " + TOP_N3 + " (its route1 - "
                               "route2)",
     "chain.ChainMap.__sub__": "check on " + TOP_N3 + " (its route1 - "
@@ -85,6 +85,7 @@ LISTED = {
     "topdelta._split_trees": TOP_N3,
     "topdelta._slot_inside": TOP_N3,
     "topdelta.build_top_delta": TOP_N3,
+    "topdelta.build_top_delta.image": TOP_N3,
     # T_*'s decompositions: laws.decomposition builds the maps, and on the
     # job path only topdelta._split_trees ungrafts trees
     "trees.decompose": TOP_N3,
@@ -99,7 +100,6 @@ LISTED = {
                                  "values",
     "chain.DegreeWindow.__hash__": "windows are compared and hashed as "
                                    "values",
-    "chain.DegreeWindow.shrink": "tests and laws read a window's interior",
     "coalgebras.FinitePointedSet.__eq__": "sites are compared as values",
     "coalgebras.FinitePointedSet.__hash__": "sites are hashed as values",
     "fields.FieldSpec.add": "tests and laws add scalars",
