@@ -7,9 +7,9 @@ over the factorizations beta = gamma o alpha of each surjection; the map then
 goes on to the outer orbit model.  When both orbit models are strict it runs
 through their projections and unit section; otherwise it is one map between
 the windowed models, applied in the W slot of each orbit label, whose
-resolution slot then moves inside the inner factor.  Only the genuine branch of
-`topcomonad.TopComonad._build_delta`, which arity-3 and arity-4 inputs reach,
-and the law checks in `laws` run this module.
+resolution slot then moves inside the inner factor.  Only the genuine branch
+of `topcomonad.TopComonad._build_delta`, which arity-3 and arity-4 inputs
+reach, and the law checks in `laws` run this module.
 """
 
 from __future__ import annotations

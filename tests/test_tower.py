@@ -539,7 +539,8 @@ def _cobar_top2_odd():
                                               W03)),
      "33e720693b1c54fdcdb707a16a8909ebec63f1ad813e6dcf059f76aa02ce0d95"),
     (lambda: _self_hom(_hom_top3()), HOM_TOP3),
-], ids=["cobar-top2", "cobar-top2-odd", "cobar-sp3", "hom-sp3", "hom-top2", "hom-top3"])
+], ids=["cobar-top2", "cobar-top2-odd", "cobar-sp3", "hom-sp3", "hom-top2",
+        "hom-top3"])
 def test_structure_maps_are_pinned(build, digest):
     assert _structure_digest(build()) == digest
 
