@@ -102,16 +102,6 @@ def trivial_coalgebra(source, sequence, window) -> TruncatedCoalgebra:
     return TruncatedCoalgebra(source, sequence, window, {})
 
 
-def truncate_coalgebra(c: TruncatedCoalgebra, n: int) -> TruncatedCoalgebra:
-    if n < 1:
-        raise ValueError("truncation must be >= 1")
-    if n > c.truncation:
-        raise ValueError("cannot truncate upwards")
-    seq = c.sequence.truncate(n)
-    theta = {(r, m): f for (r, m), f in c.theta.items() if m <= n}
-    return TruncatedCoalgebra(c.source, seq, c.window, theta)
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------

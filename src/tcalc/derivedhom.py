@@ -40,14 +40,20 @@ def equivariant_hom_complex(a, b):
     inclusion).
 
     a, b are EquivariantComplexes over the same Young group.  A generator g
-    acts on the label ("hom", x, y) by g_a at its source slot and g_b at its
-    target slot: the conjugation E |-> g_b o E o g_a^{-1} where g_a is a
-    signed permutation, so that g_a^{-1} is its transpose."""
+    acts by the conjugation E |-> g_b o E o g_a^{-1}.  g is an involution
+    (the action is validated), so g_a^{-1} = g_a, and E_{x -> y} o g_a is
+    the sum of g_a[x, z] E_{z -> y}: on the label ("hom", x, y) g acts by
+    the transpose of g_a (its row at x) at the source slot and by g_b at
+    the target slot."""
     if a.group != b.group:
         raise ValueError("group mismatch in equivariant hom")
     h = chainops.hom_complex(a.complex, b.complex)
+
+    def transpose(f):
+        return ChainMap(f.target, f.source, {
+            k: m.transpose() for k, m in f.components.items()})
     action = {gi: equivops.slotwise_map(h, h, b.action[gi], slot=2).compose(
-        equivops.slotwise_map(h, h, a.action[gi], slot=1))
+        equivops.slotwise_map(h, h, transpose(a.action[gi]), slot=1))
         for gi in a.group.generator_positions()}
     inv, incl = equivops.strict_fixed(EquivariantComplex(h, a.group, action))
     return h, inv, incl
@@ -55,16 +61,15 @@ def equivariant_hom_complex(a, b):
 
 class _HomLevels(_Levels):
     """Levels m |-> (+)_r Hom_{Sigma_r}(M_r, P)^{inv} over the pieces P of
-    K^m A' (`tower.cobar_pieces` of the sequence seq, levels <= D), keyed
-    like the pieces (key[0] = r), each on the strict invariants of
-    `equivariant_hom_complex`.  The middle cofaces postcompose the comonad
-    K's comultiplication; a subclass supplies the other blocks off the
-    diagonal."""
+    K^m A' (`tower.cobar_pieces` of the sequence seq up to the top arity
+    top), keyed like the pieces (key[0] = r), each on the strict invariants
+    of `equivariant_hom_complex`.  The middle cofaces postcompose the
+    comonad K's comultiplication; a subclass supplies the other blocks off
+    the diagonal."""
 
-    def __init__(self, mseq, seq, K, D):
+    def __init__(self, mseq, seq, K, top):
         self.K = K
-        self.D = D
-        self.pieces = cobar_pieces(seq, K, D)
+        self.pieces = cobar_pieces(seq, K, top)
 
         def hom(r, piece):
             m_r = mseq.term(r)
@@ -110,12 +115,13 @@ class DerivedHomBuilder(_HomLevels):
             raise ValueError("derived hom bounded at truncation 3")
         self.c = c
         self.cp = cprime
-        D = max(c.truncation - 1, 0)
+        super().__init__(c.sequence, cprime.sequence, cprime.komonad,
+                         c.truncation)
         # the window the derived hom and its E^1 page print: w with its top
         # lowered by D, or w itself when that leaves nothing
+        D = self.D
         self.printed_window = DegreeWindow(w.lo, w.hi - D) \
             if w.hi - D >= w.lo else w
-        super().__init__(c.sequence, cprime.sequence, cprime.komonad, D)
 
     # -- blocks off the diagonal ----------------------------------------------
 

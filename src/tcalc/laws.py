@@ -15,11 +15,12 @@ the coassociativity of the Top comonad (on homology) and of K' (exactly),
 and the counit; the box product of cosimplicial complexes with the
 collapse lemma; the representable modules over finite pointed sets and the
 divided-power factorization
-psi = nu o theta of a Top coalgebra; the splitting criterion, which
-compares p_n of free coefficients with the sum of its layers and, on Top
-sources, with the strict module derived hom through K'; and the
-paragraph-7 validators of space-valued 2-excisive data with explicit
-witnesses.
+psi = nu o theta of a Top coalgebra; the n-truncation of a coalgebra as a
+coalgebra of its own (`truncate_coalgebra`), the reference the stages p_n
+are compared with; the splitting criterion, which compares p_n of free
+coefficients with the sum of its layers and, on Top sources, with the
+strict module derived hom through K'; and the paragraph-7 validators of
+space-valued 2-excisive data with explicit witnesses.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .chainops import (
 from .classify import suspension
 from .coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
-    truncate_coalgebra,
 )
 from .combinat import (
     apply_perm_to_partition, koszul_sign, normalize_partition, refines,
@@ -52,14 +52,14 @@ from .equivariant import (
     EquivariantComplex, homotopy_fixed, homotopy_orbits, trivial_action,
 )
 from .equivops import (
-    equivariant_tensor, is_free, permutation_module, strict_fixed,
-    strict_orbits, zero_module,
+    equivariant_tensor, is_free, strict_fixed, strict_orbits, zero_module,
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
 from .perms import YoungGroup, transposition
 from .sequences import SymmetricSequence
 from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix, vanishes
+from .topcobar import tuple_module
 from .topcomonad import (
     SurjectionSum, TopComponentModel, unit_section,
 )
@@ -1690,21 +1690,9 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
     m = x.size
     window = window or DegreeWindow(0, 2)
     op = spectral_lie(field, N)
-    terms = {}
-    for n in range(1, N + 1):
-        injs = injections(n, m)
-        if not injs:
-            continue
-        group = YoungGroup.full(n)
-        table = {}
-        for gi in group.generator_positions():
-            sperm = transposition(n, gi)
-            pos = {inj: i for i, inj in enumerate(injs)}
-            table[gi] = [pos[tuple(inj[sperm[i]] for i in range(n))]
-                         for inj in injs]
-        terms[n] = permutation_module(field, group,
-                                      [("minj", inj) for inj in injs], table)
-    seq = SymmetricSequence(field, N, terms)
+    seq = SymmetricSequence(field, N, {
+        n: tuple_module(field, n, injections(n, m), "minj")
+        for n in range(1, N + 1)})
     # module action: unit components only
     module = RightModule(op, seq, _unit_action(seq, op))
     coalg = trivial_coalgebra("top", seq, window)
@@ -1872,9 +1860,9 @@ class _ModuleHomLevels(_HomLevels):
     diagonal blocks; delta^1 out of level 0 postcomposes psi of A, whose
     components out of level 1 vanish for the free representables."""
 
-    def __init__(self, mseq, seq, KP, D, psi):
+    def __init__(self, mseq, seq, KP, top, psi):
         self.psi = psi
-        super().__init__(mseq, seq, KP, D)
+        super().__init__(mseq, seq, KP, top)
 
     def _outer(self, m, sk, tk):
         return None
@@ -1886,6 +1874,22 @@ class _ModuleHomLevels(_HomLevels):
         return self._post(m, sk, tk, ps)
 
 
+def truncate_coalgebra(c: TruncatedCoalgebra, n: int) -> TruncatedCoalgebra:
+    """The n-truncation of c as a coalgebra of its own: the terms and theta
+    maps of arity <= n over a comonad built afresh on them.  On those
+    arities its comonad's models are label-equal to c's, so a stage p_n of c
+    reads c itself; this copy is the reference the tests compare it with,
+    and the input of `module_hom_tower`."""
+    if n < 1:
+        raise ValueError("truncation must be >= 1")
+    if n > c.truncation:
+        raise ValueError("cannot truncate upwards")
+    seq = SymmetricSequence(c.field, n, {
+        m: t for m, t in c.sequence.terms.items() if m <= n})
+    theta = {(r, m): f for (r, m), f in c.theta.items() if m <= n}
+    return TruncatedCoalgebra(c.source, seq, c.window, theta)
+
+
 def module_hom_tower(c, site, n, win: DegreeWindow):
     """Map_{dI}(M(X), A_{<= n}) through the strict K'-cobar; exact."""
     cn = truncate_coalgebra(c, n) if n < c.truncation else c
@@ -1893,7 +1897,7 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
                                      cn.truncation, c.field)
     psi, KP = psi_from_theta(cn)
     t = fat_tot(assemble(_ModuleHomLevels(
-        module.sequence, cn.sequence, KP, max(cn.truncation - 1, 0), psi)))
+        module.sequence, cn.sequence, KP, cn.truncation, psi)))
     return {k: t.homology(k)[0] for k in win.degrees()}
 
 
@@ -1948,7 +1952,8 @@ def _layer(c, site, j):
             q, _ = strict_orbits(term)
             return q
         return homotopy_orbits(term, c.window)
-    tup = _tuple_module(F, j, site.size)
+    tup = tuple_module(F, j, list(_iterprod(range(site.size), repeat=j)),
+                       "xt")
     if tup is None:
         return ChainComplex(F, {})
     tens = equivariant_tensor(term, tup)
@@ -1956,22 +1961,6 @@ def _layer(c, site, j):
         q, _ = strict_orbits(tens)
         return q
     return homotopy_orbits(tens, c.window)
-
-
-def _tuple_module(field, j, m):
-    """k[X-bar^{x j}] with the Sigma_j coordinate-permutation action."""
-    tuples = [t for t in _iterprod(range(m), repeat=j)]
-    if not tuples:
-        return None
-    group = YoungGroup.full(j)
-    pos = {t: i for i, t in enumerate(tuples)}
-    table = {}
-    for gi in group.generator_positions():
-        sperm = transposition(j, gi)
-        table[gi] = [pos[tuple(t[sperm[i]] for i in range(j))]
-                     for t in tuples]
-    return permutation_module(field, group,
-                              [("xt", t) for t in tuples], table)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,5 @@ class SymmetricSequence:
     def arities(self):
         return sorted(self.terms)
 
-    def truncate(self, n) -> "SymmetricSequence":
-        if n < 1:
-            raise ValueError("truncation must be >= 1")
-        return SymmetricSequence(self.field, n,
-                                 {m: t for m, t in self.terms.items() if m <= n})
-
     def __repr__(self):
         return "SymmetricSequence(N=%d, arities %s)" % (self.truncation, self.arities())

@@ -9,7 +9,10 @@ Tate models off the diagonal).  Every windowed model sizes its own
 resolution by one rule (`equivariant._total_complex`), so every structural
 map is slotwise.  The index walk of the cofaces and codegeneracies lives in
 `tower._Levels`; this builder supplies the Phi term of a piece, the
-fixed-to-Tate unit off the diagonal and the transport of theta.
+fixed-to-Tate unit off the diagonal and the transport of theta.  The
+builder of stage n reads the coalgebra's own terms of arity <= n, comonad
+and theta, which there are its n-truncation's, so no truncated copy is
+built.
 """
 
 from __future__ import annotations
@@ -37,24 +40,24 @@ def _sp_fixed_into_tate(src: ChainComplex, piece, q, n) -> ChainMap:
 
 
 class SpCobarBuilder(_Levels):
-    """Phi K^bullet A at the zero sphere, truncation <= 3.
+    """Phi K^bullet A_{<= n} at the zero sphere, for a top arity n <= 3.
 
-    The level pieces are K^m A's, from the one rule in `tower`
-    (`cobar_pieces`): the coalgebra's own comonad models, so the strictly
-    nested chains r < s < n, whose models the Sp comonad drops (acyclic
-    targets, the swap permutes the two partition summands), have none.  The
-    Phi term of a piece is the piece itself at arity 1, else its fixed model
-    over Sigma_r at the expanded coalgebra window; each model sizes its own
+    The level pieces are K^m A's on the arities <= n, from the one rule in
+    `tower` (`cobar_pieces`): the coalgebra's own comonad models, which on
+    those arities are its n-truncation's.  So the strictly nested chains
+    q < s < t, whose models the Sp comonad drops (acyclic targets, the swap
+    permutes the two partition summands), have none.  The Phi term of a
+    piece is the piece itself at arity 1, else its fixed model over
+    Sigma_r at the expanded coalgebra window; each model sizes its own
     resolution, and the maps between them are slotwise."""
 
-    def __init__(self, coalgebra):
+    def __init__(self, coalgebra, n):
         c = coalgebra
-        if c.truncation > 3:
+        if n > 3:
             raise ValueError("sp cobar bounded at truncation 3")
         self.c = c
-        self.D = max(c.truncation - 1, 0)
         w_phi = c.window.expand(1)
-        self.pieces = cobar_pieces(c.sequence, c.komonad, self.D)
+        self.pieces = cobar_pieces(c.sequence, c.komonad, n)
         super().__init__(c.field, summands_by_value(self.pieces, lambda r, p: (
             p.complex if r == 1 else homotopy_fixed(p, w_phi))))
 

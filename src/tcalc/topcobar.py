@@ -1,5 +1,6 @@
-"""The cobar construction Phi K^bullet A of a Top-source coalgebra at a
-finite pointed set X, truncation <= 2.
+"""The cobar construction Phi K^bullet A_{<= n} of a Top-source coalgebra
+at a finite pointed set X, for a top arity n <= 2: a stage n <= 2 of a
+deeper coalgebra reads its terms of arity <= n and its theta_{1,2}.
 
 Phi(A)(X) has the exact diagonal summands (A_n (x) k[Inj(n, X)])^{Sigma_n};
 the (1, 2) slot is the homotopy-orbit model of A_2 (x) St(1,2)(X), the
@@ -22,26 +23,27 @@ from .perms import YoungGroup, transposition
 from .tower import _Levels
 
 
-def injections_module(field, r, m):
-    """k[Inj({0..r-1}, {0..m-1})] as a free Sigma_r permutation module."""
-    injs = injections(r, m)
-    if not injs:
+def tuple_module(field, r, tuples, tag):
+    """k[tuples] as a Sigma_r permutation module, Sigma_r permuting the
+    coordinates of the r-tuples, each labelled (tag, tuple); None when there
+    are no tuples."""
+    if not tuples:
         return None
     group = YoungGroup.full(r)
+    pos = {t: i for i, t in enumerate(tuples)}
     table = {}
-    pos = {inj: i for i, inj in enumerate(injs)}
     for gi in group.generator_positions():
         sperm = transposition(r, gi)
-        table[gi] = [pos[tuple(inj[sperm[i]] for i in range(r))]
-                     for inj in injs]
+        table[gi] = [pos[tuple(t[sperm[i]] for i in range(r))]
+                     for t in tuples]
     return equivops.permutation_module(
-        field, group, [("inj", inj) for inj in injs], table)
+        field, group, [(tag, t) for t in tuples], table)
 
 
 def diagonal_phi_term(field, term, site_m):
     """(A_n (x) Inj_n)^{Sigma_n}: the exact diagonal summand of Phi(A)(X)."""
     n = term.group.degree
-    inj = injections_module(field, n, site_m)
+    inj = tuple_module(field, n, injections(n, site_m), "inj")
     if inj is None or term.complex.is_zero():
         return None
     tensored = equivops.equivariant_tensor(term, inj)
@@ -67,7 +69,8 @@ def stratified_cone(field, m):
 
 
 class TopCobarBuilder(_Levels):
-    """Phi K^bullet A at a finite pointed set, truncation <= 2.
+    """Phi K^bullet A_{<= n} at a finite pointed set, for a top arity
+    n <= 2, on the coalgebra's own terms of arity <= n and its theta.
 
     The (1,2)-type slots use the stratified cone model
     orbit_{Sigma_2}(A_2 (x) cone(tuples -> injective tuples)): it receives
@@ -78,9 +81,9 @@ class TopCobarBuilder(_Levels):
     of `_Levels` reaches only the slot (1, 2): delta^0 from A_2 (`u12`) and
     delta^1 from A_1 (`th12`), each built once."""
 
-    def __init__(self, coalgebra, site):
+    def __init__(self, coalgebra, site, n):
         c = coalgebra
-        if c.truncation > 2:
+        if n > 2:
             raise ValueError("no route runs a based-spaces tower above "
                              "truncation 2 in this build")
         self.c = c
@@ -88,22 +91,20 @@ class TopCobarBuilder(_Levels):
         F = c.field
         self.field = F
         m = site.size
-        self.D = max(c.truncation - 1, 0)
         seq = c.sequence
-        self.diag = {}
-        for n in seq.arities():
-            self.diag[n] = diagonal_phi_term(F, seq.term(n), m)
+        self.diag = {a: diagonal_phi_term(F, seq.term(a), m)
+                     for a in seq.arities() if a <= n}
         self.slot12 = None
-        if c.truncation >= 2 and seq.term(2) is not None and m >= 1 \
+        if n >= 2 and seq.term(2) is not None and m >= 1 \
                 and self.diag.get(2) is not None:
             st = stratified_cone(F, m)
             carrier = equivops.equivariant_tensor(seq.term(2), st)
             self.carrier12 = carrier
             self.slot12 = homotopy_orbits(carrier, c.window)
-        keys0 = [(n,) for n in sorted(self.diag) if self.diag[n] is not None]
-        keys1 = sorted([(n, n) for (n,) in keys0] +
+        keys0 = [(a,) for a in sorted(self.diag) if self.diag[a] is not None]
+        keys1 = sorted([(a, a) for (a,) in keys0] +
                        ([(1, 2)] if self.slot12 is not None else []))
-        keys = [keys0, keys1][:self.D + 1]
+        keys = [keys0, keys1][:n]
         super().__init__(F, {lvl: {k: self._slot(k[0], k[-1]) for k in ks}
                              for lvl, ks in enumerate(keys)})
         self.u12 = self._u12_map() if self.slot12 is not None else None

@@ -8,13 +8,18 @@ between the keys (n,), (q, n) and (q, s, n), with the relabelling of a piece
 onto its copy wherever an index repeats.  The pieces of K^m A and their
 models come from one rule (`chain_model`, `cobar_pieces`), and
 `summands_by_value` builds a level's summands from them once per arity and
-piece value.  The level builders supply their summands (the Sp cobar and
+piece value.  A builder's one size input is its top arity n: it reads the
+terms of arity <= n with the coalgebra's own comonad and theta, which are
+its n-truncation's there (K_r A_m for m <= n reads nothing above n), so
+stage p_n builds no truncated copy.  Its top level D = n - 1 is set once by
+`_Levels`, and the windows printed below the top (`_tot_window`, the derived
+hom's) read it.  The level builders supply their summands (the Sp cobar and
 the Hom side by a rule on those pieces) and the blocks off the diagonal:
 `topcobar` at a finite pointed set (the unit and theta into the
 stratified-cone slot), `spcobar` at the zero sphere (the fixed-to-Tate unit
 and the transported theta), `derivedhom` for the derived mapping complex
-(K_q(h) o theta and postcomposition), which also holds the Bousfield-Kan
-E^1 page.
+(K_q(h) o theta and postcomposition), which also holds the Bousfield-Kan E^1
+page.
 
 A builder's normalized levels are the sums of its pieces on strictly
 increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
@@ -44,7 +49,7 @@ from .chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
     label_map, linear_map,
 )
-from .coalgebras import FinitePointedSet, truncate_coalgebra
+from .coalgebras import FinitePointedSet
 from .sparse import SparseMatrix
 
 
@@ -97,15 +102,18 @@ def chain_model(K, chain):
     return K.component(chain[0], chain[-1])
 
 
-def cobar_pieces(seq, K, D):
-    """The pieces of K^m A for m <= D, as {m: {chain: EquivariantComplex}}:
-    A_n at (n,), and at m >= 1 the value of `chain_model` on each
-    non-decreasing chain of m + 1 indices ending in n, wherever it is
-    nonzero."""
-    pieces = {0: {(n,): seq.term(n) for n in seq.arities()}}
-    for m in range(1, D + 1):
+def cobar_pieces(seq, K, top):
+    """The pieces of K^m A on the arities n <= top at the levels m < top,
+    as {m: {chain: EquivariantComplex}}: A_n at (n,), and at m >= 1 the
+    value of `chain_model` on each non-decreasing chain of m + 1 indices
+    ending in n, wherever it is nonzero.  K_r A_n for n <= top reads no
+    term above top, so these are the pieces of the top-truncation's cobar,
+    models and all."""
+    arities = [n for n in seq.arities() if n <= top]
+    pieces = {0: {(n,): seq.term(n) for n in arities}}
+    for m in range(1, top):
         pieces[m] = {}
-        for n in seq.arities():
+        for n in arities:
             for head in itertools.combinations_with_replacement(
                     range(1, n + 1), m):
                 model = chain_model(K, head + (n,))
@@ -140,10 +148,11 @@ class _Levels:
     Hom-side builders key theirs like the pieces of K^m A (`cobar_pieces`),
     built by `summands_by_value`.
 
-    summands[lvl] is {key: summand complex}, in key order.  A key at level
-    m is an index chain (i_0 <= ... <= i_m) of arities, and every structure
-    map is a block map with one per-piece map from summand sk to summand
-    tk:
+    summands[lvl] is {key: summand complex}, in key order, for the levels
+    0..D; above D the object is degenerate.  A builder of the cobar
+    truncated at top arity n has D = n - 1.  A key at level m is an index
+    chain (i_0 <= ... <= i_m) of arities, and every structure map is a
+    block map with one per-piece map from summand sk to summand tk:
 
     - the coface delta^i out of level m inserts an index x at position i of
       sk, between its neighbours: delta^0 puts q <= sk[0] in front, the
@@ -171,6 +180,7 @@ class _Levels:
     def __init__(self, field, summands):
         self.field = field
         self.summands = summands
+        self.D = len(summands) - 1
         self.strict_keys = {lvl: [k for k in s if _strict(k)]
                             for lvl, s in summands.items()}
         self._identity = {}
@@ -219,14 +229,14 @@ class _Levels:
         into strict chains tk.  A chain with one index left out of a strict
         chain is strict, so every source sk is strict too."""
         return {(m, i): self._coface_blocks(m, i, True)
-                for m in range(len(self.summands) - 1) for i in range(m + 2)}
+                for m in range(self.D) for i in range(m + 2)}
 
     def normalized(self):
         """The normal form `fat_tot` reads: the pieces (key, P) of the
         strict chains at each level, in key order, and the coface blocks
         between them as {(m, sk, tk): (i, map)}."""
         columns = [[(k, self.summands[m][k]) for k in self.strict_keys[m]]
-                   for m in range(len(self.summands))]
+                   for m in range(self.D + 1)]
         return columns, {(m, sk, tk): (i, f)
                          for (m, i), b in self.coface_blocks.items()
                          for (sk, tk), f in b.items()}
@@ -250,12 +260,13 @@ def cobar(coalgebra, site):
     Top source: site is a FinitePointedSet.  Sp source: site is the sphere
     dimension d (S^0 supported at truncation <= 3; other d raise)."""
     return cosimplicial.certify(
-        _cobar_builder(coalgebra, site))
+        _cobar_builder(coalgebra, site, coalgebra.truncation))
 
 
-def _cobar_builder(c, site):
-    """The cobar construction's builder: its cosimplicial object, level
-    pieces and structural maps."""
+def _cobar_builder(c, site, n):
+    """The builder of the cobar construction of c's n-truncation: its level
+    pieces and structural maps, on the terms of arity <= n and c's own
+    comonad and theta."""
     if c.source == "top":
         if not isinstance(site, FinitePointedSet):
             raise ValueError("top-source sites are finite pointed sets")
@@ -267,8 +278,8 @@ def _cobar_builder(c, site):
                 "sp evaluation implemented at S^0 (nonzero sphere dimensions "
                 "need equivariant twist models outside desk scale)")
     if c.source == "top":
-        return topcobar.TopCobarBuilder(c, site)
-    return spcobar.SpCobarBuilder(c)
+        return topcobar.TopCobarBuilder(c, site, n)
+    return spcobar.SpCobarBuilder(c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,45 +299,48 @@ def _fib_proj(f: ChainMap, fib: ChainComplex) -> ChainMap:
         lab[2][1] if lab[2][0] == "cone-src" else None)).validate()
 
 
-def _tot_window(c, n) -> DegreeWindow:
-    D = max(min(n, c.truncation) - 1, 0)
-    w = c.window
+def _tot_window(builder) -> DegreeWindow:
+    """The coalgebra's window with its top lowered by the builder's top
+    level D, or its bottom degree alone when that leaves nothing."""
+    D, w = builder.D, builder.c.window
     return DegreeWindow(w.lo, w.hi - D) if w.hi - D >= w.lo else \
         DegreeWindow(w.lo, w.lo)
 
 
 def p_n(coalgebra, site, n, route="tot", builder=None):
-    """Stage n of the Taylor tower at a site.
+    """Stage n of the Taylor tower at a site: the cobar construction of the
+    n-truncation (n above the truncation reads the whole coalgebra), built
+    on the terms of arity <= n with the coalgebra's own comonad and theta.
 
     Returns a dict with the stage complex, the certified window, the route,
     and the cobar builder of the stage (its slot models and structural
     maps).  Either route builds that builder unless ``builder``, the
     "builder" of an earlier result for the same coalgebra, site and n, is
     passed in to be reused."""
-    c = coalgebra
-    n = min(n, c.truncation)
-    cn = truncate_coalgebra(c, n) if n < c.truncation else c
+    if n < 1:
+        raise ValueError("truncation must be >= 1")
     if route not in ("tot", "pullback"):
         raise ValueError("route must be 'tot' or 'pullback'")
     # both routes read the cobar builder, which bounds the truncation
     if builder is None:
-        builder = _cobar_builder(cn, site)
+        builder = _cobar_builder(coalgebra, site,
+                                 min(n, coalgebra.truncation))
     if route == "pullback":
-        return _p_n_pullback(cn, builder)
-    return {"complex": fat_tot(builder), "window": _tot_window(cn, n),
+        return _p_n_pullback(builder)
+    return {"complex": fat_tot(builder), "window": _tot_window(builder),
             "route": "tot", "builder": builder}
 
 
-def _p_n_pullback(c, builder):
+def _p_n_pullback(builder):
     """Iterated homotopy pullback up the tower: P_j is the fiber of
     `corner_map` out of P_{j-1} (+) the diagonal piece (j,) (the fiber form
     of the McCarthy squares, with the comonad's own Tate / stratified-cone
-    corner models).  projections[r] maps the current stage onto its
-    arity-r piece."""
+    corner models), up to the builder's top arity D + 1.  projections[r]
+    maps the current stage onto its arity-r piece."""
     phi0 = builder.summands[0]
     stage = _piece(builder, 0, (1,))
     projections = {1: ChainMap.identity(stage)} if (1,) in phi0 else {}
-    for j in range(2, c.truncation + 1):
+    for j in range(2, builder.D + 2):
         g = corner_map(builder, j, stage, projections).validate()
         parts = [stage, _piece(builder, 0, (j,))]
         if g.target.is_zero():
@@ -343,7 +357,7 @@ def _p_n_pullback(c, builder):
                 g.source, parts[1], parts, [parts[1]],
                 {(1, 0): ChainMap.identity(parts[1])}).compose(to_src)
         stage = fib
-    return {"complex": stage, "window": _tot_window(c, c.truncation),
+    return {"complex": stage, "window": _tot_window(builder),
             "route": "pullback", "builder": builder}
 
 

@@ -571,6 +571,20 @@ def test_no_route_runs_a_top_tower_above_truncation_2(tmp_path, capsys):
             in detail
 
 
+def test_stages_below_1_and_tower_maps_below_2_are_refused(tmp_path,
+                                                           capsys):
+    c = random_valid_coalgebra(random.Random(3), F2, "sp", 2,
+                               DegreeWindow(0, 2))
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    for cmd, n, detail in (("pn", "0", "truncation must be >= 1"),
+                           ("pn", "-3", "truncation must be >= 1"),
+                           ("mccarthy", "1", "tower map needs n >= 2")):
+        rc, out, err = run_cli(capsys, cmd, "--n", n, "--site", "S0", p)
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["detail"] == detail
+
+
 def test_pn_both_on_a_pool_top2_document_matches_its_reference(tmp_path,
                                                                capsys):
     # `pn --route both` on this document reads the theta_{1,2} block through

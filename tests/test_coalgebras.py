@@ -9,14 +9,14 @@ from helpers import random_theta
 from tcalc.chain import ChainMap, DegreeWindow, sphere
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
-    truncate_coalgebra, validate_coalgebra,
+    validate_coalgebra,
 )
 from tcalc.equivariant import regular_module, trivial_action
 from tcalc.equivops import is_free
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
     KPrimeComonad, divided_power_check, evaluation_pairing_check,
-    representable_module, validate_right_module,
+    representable_module, truncate_coalgebra, validate_right_module,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from helpers import induced_from_trivial_subgroup, sign_action
+from helpers import (
+    induced_from_trivial_subgroup, sign_action, staircase_sequence,
+)
 from tcalc import topcomonad
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, cone, direct_sum, sphere,
@@ -356,3 +358,12 @@ def test_k_top_arity4_components():
     free4 = regular_module(F2, YoungGroup.full(4))
     compf = TopComponentModel(free4, 3, w)
     assert compf.exact
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 2 (exact windows): the windowed "
+                          "delta_{1,3,4} fails to commute with d in degree 4")
+def test_top_comonad_builds_on_the_arity_4_staircase():
+    # A_r = k in degree 4 - r over F3: build_top_delta's total_map.validate()
+    # refuses the windowed delta_{1,3,4} at window 0:3
+    TopComonad(staircase_sequence(F3, 4), DegreeWindow(0, 3))

@@ -21,11 +21,13 @@ from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
 from tcalc.classify import mccarthy_square_check
-from tcalc.comonads import SpComponentModel
+from tcalc.comonads import SpComonad, SpComponentModel
 from tcalc.derivedhom import (
     DerivedHomBuilder, bk_e1, einf_dims, equivariant_hom_complex,
 )
-from tcalc.equivariant import homotopy_orbits, regular_module, trivial_action
+from tcalc.equivariant import (
+    EquivariantComplex, homotopy_orbits, regular_module, trivial_action,
+)
 from tcalc.fields import F2, F3, QQ, field_from_name
 from tcalc.laws import (
     ChainHomotopy, CosimplicialComplex, box_product, conormalized_level,
@@ -38,7 +40,7 @@ from tcalc.serialize import coalgebra_from_json
 from tcalc.sparse import SparseMatrix
 from tcalc.spcobar import SpCobarBuilder
 from tcalc.topcobar import TopCobarBuilder
-from tcalc.topcomonad import SurjectionSum
+from tcalc.topcomonad import SurjectionSum, TopComonad
 from tcalc.tower import _Levels, cobar, derived_hom, fat_tot, p_n, tower_map
 
 
@@ -405,7 +407,8 @@ def test_derived_hom_h0_cross_checked_with_classify():
 
 
 def test_validate_then_truncate_matches_truncate_then_validate():
-    from tcalc.coalgebras import truncate_coalgebra, validate_coalgebra
+    from tcalc.coalgebras import validate_coalgebra
+    from tcalc.laws import truncate_coalgebra
     rng = random.Random(17)
     w = DegreeWindow(-2, 2)
     c = random_valid_coalgebra(rng, F2, "sp", 3, w)
@@ -414,6 +417,48 @@ def test_validate_then_truncate_matches_truncate_then_validate():
     rep2 = validate_coalgebra(c2)
     surviving = {k: v for k, v in rep3["squares"].items() if k[2] <= 2}
     assert rep2["squares"] == surviving
+
+
+def test_equivariant_hom_invariants_are_the_conjugation_invariants():
+    # Sigma_2 acts on k^2 = <u, v> by the involution g = [[1, 1], [0, -1]]
+    # (g u = u, g v = u - v), which is no signed permutation.  A functional
+    # phi is invariant when phi o g^{-1} = phi, that is phi(u) = 2 phi(v):
+    # the invariants of Hom(A, k) are spanned by (2, 1)
+    S2 = YoungGroup.full(2)
+    c = ChainComplex(QQ, {0: 2}, labels={0: ("u", "v")})
+    g = ChainMap(c, c, {0: SparseMatrix.from_rows([[1, 1], [0, -1]], QQ)})
+    a = EquivariantComplex(c, S2, {0: g}).validate()
+    k = trivial_action(ChainComplex(QQ, {0: 1}, labels={0: ("t",)}), S2)
+    h, inv, incl = equivariant_hom_complex(a, k)
+    assert h.labels[0] == (("hom", "u", "t"), ("hom", "v", "t"))
+    assert inv.dims == {0: 1}
+    phi = incl.component(0).by_column()[0]
+    assert phi.get(0, 0) == 2 * phi.get(1, 0) != 0
+
+
+@pytest.mark.parametrize("source, N, site", [("sp", 3, 0),
+                                             ("top", 2, FinitePointedSet(2))])
+def test_stages_build_no_coalgebra_and_no_comonad(monkeypatch, source, N,
+                                                  site):
+    # a stage below the truncation reads the coalgebra's own comonad and
+    # theta on the arities it holds: no truncated copy is built, for p_n or
+    # for the McCarthy square, which reads the stages n and n - 1
+    w = W02 if source == "sp" else W03
+    c = random_valid_coalgebra(random.Random(1), QQ, source, N, w,
+                               staircase=False)
+    built = []
+    for cls in (TruncatedCoalgebra, SpComonad, TopComonad):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    p_n(c, site, 2)
+    mccarthy_square_check(c, site, 2)
+    assert built == []
+    # the counters see the construction of a truncated copy
+    laws.truncate_coalgebra(c, 1)
+    assert built == ["TruncatedCoalgebra",
+                     "SpComonad" if source == "sp" else "TopComonad"]
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +708,10 @@ def _normal_forms(builder, w):
 def test_strict_tot_matches_conormalized_tot(doc, site):
     c = coalgebra_from_json(doc)
     if c.source == "sp":
-        cobar_builder = lambda: SpCobarBuilder(c)
+        cobar_builder = lambda: SpCobarBuilder(c, c.truncation)
     else:
         cobar_builder = lambda: TopCobarBuilder(
-            c, FinitePointedSet(int(site.split(":")[1])))
+            c, FinitePointedSet(int(site.split(":")[1])), c.truncation)
     for make in (cobar_builder, lambda: DerivedHomBuilder(c, c, c.window)):
         try:
             builder = make()
@@ -684,6 +729,25 @@ def _delta0_blocks(builder):
     return [(m, sk, tk) for m in range(builder.D)
             for sk in builder.hom[m] for tk in builder.hom[m + 1]
             if tk[1:] == sk and tk[0] < sk[0]]
+
+
+@pytest.mark.parametrize("doc, site", [
+    p for p in _pool_coalgebras()
+    if p.values[0]["sequence"]["truncation"] > 1])
+def test_lower_stages_match_the_stages_of_the_truncation(doc, site):
+    # stage j < N reads the coalgebra's own terms of arity <= j, comonad and
+    # theta; the j-truncation, a coalgebra of its own over a comonad built
+    # afresh, gives the same Tot, label for label and matrix for matrix
+    c = coalgebra_from_json(doc)
+    at = 0 if c.source == "sp" else FinitePointedSet(int(site.split(":")[1]))
+    for j in range(1, c.truncation):
+        own = p_n(c, at, j)
+        ref = p_n(laws.truncate_coalgebra(c, j), at, j)
+        assert own["window"] == ref["window"]
+        a, b = own["complex"], ref["complex"]
+        assert a.labels == b.labels
+        assert {k: sorted(m.items()) for k, m in a.diff.items()} == \
+            {k: sorted(m.items()) for k, m in b.diff.items()}
 
 
 @pytest.mark.parametrize("doc", [pytest.param(p.values[0], id=p.id)
@@ -747,7 +811,7 @@ def test_sp_cobar_pieces_are_the_comonad_components(doc, site):
     K = c.komonad
     builders = [DerivedHomBuilder(c, c, c.window)]
     if c.source == "sp":
-        builders.append(SpCobarBuilder(c))
+        builders.append(SpCobarBuilder(c, c.truncation))
     for builder in builders:
         assert builder.pieces[1]
         for m in range(1, builder.D + 1):
