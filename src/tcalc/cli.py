@@ -169,13 +169,17 @@ def cmd_k_sp(args):
 
 
 def _parse_site(text, source):
+    """--site as a whole: S<d> (an integer d) for a spectra source, set:<m>
+    (m >= 0) for a based-spaces source; any other text is a usage error."""
+    prefix, form = ("S", "S<d>") if source == "sp" else ("set:", "set:<m>")
+    body = text[len(prefix):] if text.startswith(prefix) else ""
+    digits = body[1:] if source == "sp" and body.startswith("-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError("--site for a %s source is %s, not %r"
+                         % (source, form, text))
     if source == "sp":
-        if not text.startswith("S"):
-            raise UsageError("sp sites are spheres S<d>")
-        return int(text[1:])
-    if not text.startswith("set:"):
-        raise UsageError("top sites are set:<m>")
-    return coalgebras.FinitePointedSet(int(text.split(":")[1]))
+        return int(body)
+    return coalgebras.FinitePointedSet(int(body))
 
 
 def cmd_cobar(args):

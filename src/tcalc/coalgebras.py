@@ -18,45 +18,21 @@ from .sequences import SymmetricSequence
 class FinitePointedSet:
     """A finite pointed set with m non-basepoint elements."""
 
-    def __init__(self, size: int, labels: tuple = ()):
+    def __init__(self, size: int):
         if size < 0:
             raise ValueError("size must be >= 0")
-        if labels and len(labels) != size:
-            raise ValueError("label count mismatch")
         self.size = size
-        self.labels = labels
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.size, self.labels) == (other.size, other.labels)
+        return self.size == other.size
 
     def __hash__(self):
-        return hash((self.size, self.labels))
+        return hash((self.size,))
 
     def __repr__(self):
-        return "FinitePointedSet(size=%r, labels=%r)" % (self.size,
-                                                         self.labels)
-
-
-def injections(n, m):
-    """All injections {0..n-1} -> {0..m-1} as tuples."""
-    out = []
-
-    def rec(acc, used):
-        if len(acc) == n:
-            out.append(tuple(acc))
-            return
-        for v in range(m):
-            if v not in used:
-                used.add(v)
-                acc.append(v)
-                rec(acc, used)
-                acc.pop()
-                used.discard(v)
-
-    rec([], set())
-    return out
+        return "FinitePointedSet(size=%r)" % (self.size,)
 
 
 class TruncatedCoalgebra:

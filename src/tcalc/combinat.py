@@ -4,12 +4,16 @@ poset.
 
 A surjection n ->> r is a tuple ``alpha`` with ``alpha[i]`` the image of
 ``i``; a set partition is a tuple of sorted blocks ordered by their least
-element (`normalize_partition`).  These live apart from `perms`, which holds
+element (`normalize_partition`).  Both are enumerated in lexicographic
+order, surjections by `itertools.product`, and every basis indexed by them
+depends on that order.  These live apart from `perms`, which holds
 the Young groups every equivariant job reads, so that `tate` does not
 compile them.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 
 def perm_sign(p) -> int:
@@ -43,30 +47,9 @@ def koszul_sign(perm, degrees) -> int:
 
 
 def all_surjections(n, r):
-    """All surjections {0..n-1} ->> {0..r-1} as tuples, deterministic order."""
-    if r > n:
-        return []
-    out = []
-
-    def rec(i, acc, hit):
-        if i == n:
-            if len(hit) == r:
-                out.append(tuple(acc))
-            return
-        if n - i < r - len(hit):
-            return
-        for v in range(r):
-            acc.append(v)
-            added = v not in hit
-            if added:
-                hit.add(v)
-            rec(i + 1, acc, hit)
-            if added:
-                hit.discard(v)
-            acc.pop()
-
-    rec(0, [], set())
-    return out
+    """All surjections {0..n-1} ->> {0..r-1} as tuples, in lexicographic
+    order."""
+    return [a for a in product(range(r), repeat=n) if len(set(a)) == r]
 
 
 def surjection_fibers(alpha, r):
@@ -78,7 +61,8 @@ def surjection_fibers(alpha, r):
 
 
 def set_partitions(items):
-    """All set partitions of `items`, blocks sorted by min, deterministic."""
+    """All set partitions of `items`, blocks sorted by min, in
+    lexicographic order."""
     items = list(items)
     if not items:
         return [()]
@@ -91,14 +75,8 @@ def set_partitions(items):
             blocks[i].append(first)
             out.append(normalize_partition(blocks))
         out.append(normalize_partition([list(b) for b in part] + [[first]]))
-    seen = set()
-    uniq = []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    uniq.sort()
-    return uniq
+    out.sort()
+    return out
 
 
 def normalize_partition(blocks):

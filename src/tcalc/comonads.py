@@ -117,6 +117,8 @@ class SpComponentModel(equivops.SlotwiseModel):
     the diagonal (r = n) collapses to A_n itself."""
 
     def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow):
+        if r < 1:
+            raise ValueError("r must be >= 1")
         self.a = a
         self.r = r
         self.n = a.group.degree

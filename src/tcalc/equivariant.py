@@ -97,11 +97,7 @@ class EquivariantComplex:
         """Restrict along a Young subgroup whose blocks refine this group's."""
         if subgroup.degree != self.group.degree:
             raise ValueError("degree mismatch")
-        action = {}
-        n = self.group.degree
-        for i in subgroup.generator_positions():
-            action[i] = self.action_of(transposition(n, i))
-        return EquivariantComplex(self.complex, subgroup, action)
+        return EquivariantComplex(self.complex, subgroup, self.action)
 
     def __repr__(self):
         return "EquivariantComplex(%s on %r)" % (self.group, self.complex)

@@ -25,7 +25,7 @@ space-valued 2-excisive data with explicit witnesses.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from itertools import product as _iterprod
 
 from . import trees
@@ -39,7 +39,7 @@ from .chainops import (
 )
 from .classify import suspension
 from .coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
 )
 from .combinat import (
     apply_perm_to_partition, koszul_sign, normalize_partition, refines,
@@ -417,22 +417,12 @@ def commutative_operad(field, N) -> Operad:
 
 
 def compositions_of_bounded(r, N):
-    """All compositions (n_1..n_r) of length r with sum <= N, each n_i >= 1."""
-    out = []
-
-    def rec(acc, total):
-        if len(acc) == r:
-            out.append(tuple(acc))
-            return
-        rem = r - len(acc) - 1
-        for v in range(1, N - total - rem + 1):
-            acc.append(v)
-            rec(acc, total + v)
-            acc.pop()
-
-    if r >= 1 and r <= N:
-        rec([], 0)
-    return out
+    """All compositions (n_1..n_r) of length r >= 1 with sum <= N, each
+    n_i >= 1, in lexicographic order."""
+    if r < 1:
+        return []
+    return [comp for comp in _iterprod(range(1, N - r + 2), repeat=r)
+            if sum(comp) <= N]
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +432,15 @@ def compositions_of_bounded(r, N):
 
 def _weak_chains(n, length):
     """Weakly decreasing chains (P_1 >= ... >= P_length) of partitions of
-    {0..n-1}, as tuples (coarsest first)."""
-    parts, finer = _refinements(n)
+    {0..n-1}, as tuples (coarsest first), in lexicographic order of
+    set_partitions positions."""
     if length == 0:
         return [()]
-    out = []
-
-    def rec(acc, choices):
-        if len(acc) == length:
-            out.append(tuple(acc))
-            return
-        for p in choices:
-            acc.append(p)
-            rec(acc, finer[p])
-            acc.pop()
-
-    rec([], parts)
-    return out
+    parts, finer = _refinements(n)
+    chains = [(p,) for p in parts]
+    for _ in range(length - 1):
+        chains = [ch + (q,) for ch in chains for q in finer[ch[-1]]]
+    return chains
 
 
 class BarConstruction:
@@ -1691,7 +1673,7 @@ def representable_module(x: FinitePointedSet, N: int, field: FieldSpec,
     window = window or DegreeWindow(0, 2)
     op = spectral_lie(field, N)
     seq = SymmetricSequence(field, N, {
-        n: tuple_module(field, n, injections(n, m), "minj")
+        n: tuple_module(field, n, list(permutations(range(m), n)), "minj")
         for n in range(1, N + 1)})
     # module action: unit components only
     module = RightModule(op, seq, _unit_action(seq, op))
@@ -1704,7 +1686,7 @@ def evaluation_pairing_check(x: FinitePointedSet, r: int, field: FieldSpec):
     is an isomorphism onto a |Sigma_r|-dimensional space with the identity
     component the canonical evaluation."""
     m = x.size
-    injs = injections(r, m)
+    injs = list(permutations(range(m), r))
     report = {"rank": 0, "identity_component_nonzero": False,
               "target_zero": not injs}
     if not injs:

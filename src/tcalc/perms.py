@@ -3,13 +3,15 @@
 A permutation of {0..n-1} is a tuple ``p`` with ``p[i]`` the image of ``i``.
 A Young group with blocks (n_1, ..., n_r) is Sigma_{n_1} x ... x Sigma_{n_r}
 embedded in Sigma_n along consecutive positions; its Coxeter generators are
-the adjacent transpositions (i, i+1) lying inside a block.  Surjections,
-set partitions and permutation signs live in `combinat`.
+the adjacent transpositions (i, i+1) lying inside a block.  Its elements
+are enumerated by `itertools` in lexicographic order, on which the basis of
+every regular module and resolution depends.  Surjections, set partitions
+and permutation signs live in `combinat`.
 """
 
 from __future__ import annotations
 
-from itertools import permutations as _iterperms
+from itertools import chain, permutations, product
 from math import factorial
 
 
@@ -90,29 +92,10 @@ class YoungGroup:
         return out
 
     def elements(self):
-        """All elements, deterministic order (lexicographic per block)."""
-        n = self.degree
-        blocks = self.block_bounds()
-        partials = []
-        for lo, hi in blocks:
-            partials.append([tuple(lo + x for x in p)
-                             for p in sorted(_iterperms(range(hi - lo)))])
-        out = [identity_perm(n)]
-        result = []
-
-        def rec(i, acc):
-            if i == len(blocks):
-                result.append(tuple(acc))
-                return
-            lo, hi = blocks[i]
-            for p in partials[i]:
-                acc2 = list(acc)
-                for k in range(lo, hi):
-                    acc2[k] = p[k - lo]
-                rec(i + 1, acc2)
-
-        rec(0, list(range(n)))
-        return result
+        """All elements in lexicographic order: the `itertools.product` of
+        each block's `itertools.permutations`."""
+        return [tuple(chain.from_iterable(ps)) for ps in product(
+            *(permutations(range(lo, hi)) for lo, hi in self.block_bounds()))]
 
     def contains(self, p) -> bool:
         for lo, hi in self.block_bounds():

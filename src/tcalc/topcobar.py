@@ -15,9 +15,10 @@ slot is the only orbit model the builder makes.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from . import chainops, equivops
 from .chain import ChainComplex, ChainMap, label_map, linear_map
-from .coalgebras import injections
 from .equivariant import EquivariantComplex, homotopy_orbits
 from .perms import YoungGroup, transposition
 from .tower import _Levels
@@ -43,7 +44,7 @@ def tuple_module(field, r, tuples, tag):
 def diagonal_phi_term(field, term, site_m):
     """(A_n (x) Inj_n)^{Sigma_n}: the exact diagonal summand of Phi(A)(X)."""
     n = term.group.degree
-    inj = tuple_module(field, n, injections(n, site_m), "inj")
+    inj = tuple_module(field, n, list(permutations(range(site_m), n)), "inj")
     if inj is None or term.complex.is_zero():
         return None
     tensored = equivops.equivariant_tensor(term, inj)

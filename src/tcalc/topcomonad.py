@@ -89,7 +89,7 @@ class SurjectionSum(equivops.SlotwiseModel):
                     relabels.append({t: tgt_pos[s[x]]
                                      for t, x in enumerate(fa)})
                 moves[alpha] = (beta, relabels)
-            action[gi] = self._summand_map(moves, self.a.action_of(s))
+            action[gi] = self._summand_map(moves, self.a.action[gi])
         return EquivariantComplex(self.total, group, action)
 
     def sigma_r_generator(self, gi) -> ChainMap:
@@ -165,6 +165,8 @@ class TopComponentModel(equivops.SlotwiseModel):
 
     def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow,
                  force_windowed=False):
+        if r < 1:
+            raise ValueError("r must be >= 1")
         self.a = a
         self.r = r
         self.n = a.group.degree

@@ -506,6 +506,37 @@ def test_k_sp_cli(tmp_path, capsys):
                                        "2": 0}
 
 
+@pytest.mark.parametrize("cmd, window", [("k-top", "0:4"),
+                                         ("k-sp", "-2:2")])
+def test_k_components_refuse_r_below_1(tmp_path, capsys, cmd, window):
+    p = write(tmp_path, "a2.json", serialize.equivariant_to_json(triv(F2, 2)))
+    for r in ("0", "-2"):
+        rc, out, err = run_cli(capsys, cmd, "--r", r, "--window", window, p)
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "validation",
+                                   "detail": "r must be >= 1"}
+
+
+@pytest.mark.parametrize("source, sites", [
+    ("top", ("set:1:2", "set:x", "set:", "set:-1", "set: 1", "set:\u00b2",
+             "S0", "set")),
+    ("sp", ("S", "Sx", "S1:2", "S--1", "S+1", "S 0", "S\u00b2", "set:1")),
+])
+def test_site_is_read_whole(tmp_path, capsys, source, sites):
+    # the whole text must be set:<digits> or S<optional minus><digits>
+    c = random_valid_coalgebra(random.Random(3), F2, source, 2,
+                               DegreeWindow(0, 2))
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    for site in sites:
+        for argv in (("pn", "--n", "1"), ("cobar",), ("mccarthy", "--n", "2")):
+            rc, out, err = run_cli(capsys, *argv, "--site", site, p)
+            assert rc == 2 and out == "", (argv, site)
+            assert err.count("\n") == 1
+            error = json.loads(err)
+            assert error["error"] == "usage" and "--site" in error["detail"]
+
+
 @pytest.mark.parametrize("source, w", [("sp", DegreeWindow(0, 2)),
                                        ("top", DegreeWindow(0, 3))])
 def test_derived_hom_and_bk_e1_cli_agree(tmp_path, capsys, source, w):

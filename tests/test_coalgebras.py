@@ -8,7 +8,7 @@ import pytest
 from helpers import random_theta
 from tcalc.chain import ChainMap, DegreeWindow, sphere
 from tcalc.coalgebras import (
-    FinitePointedSet, TruncatedCoalgebra, injections, trivial_coalgebra,
+    FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
     validate_coalgebra,
 )
 from tcalc.equivariant import regular_module, trivial_action
@@ -267,12 +267,6 @@ def test_truncate_coalgebra():
     # truncate twice = truncate once
     t1b = truncate_coalgebra(c2, 1)
     assert t1b.sequence.arities() == t1.sequence.arities()
-
-
-def test_injections_count():
-    assert len(injections(2, 2)) == 2
-    assert len(injections(2, 3)) == 6
-    assert len(injections(3, 2)) == 0
 
 
 def test_nonequivariant_theta_reported():

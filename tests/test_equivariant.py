@@ -5,6 +5,8 @@ Sigma_3) live here as independent oracles; the engine itself only knows the
 generic greedy resolution.
 """
 
+import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -25,9 +27,10 @@ from tcalc.equivops import (
     strict_fixed, strict_orbits,
 )
 from tcalc.fields import F2, F3, QQ
-from tcalc.laws import rank, tensor_power
+from tcalc.laws import compositions_of_bounded, rank, tensor_power
 from tcalc.perms import YoungGroup, compose
 from tcalc.sparse import SparseMatrix
+from tcalc.topcobar import diagonal_phi_term
 
 S2 = YoungGroup.of(2)
 S3 = YoungGroup.of(3)
@@ -58,6 +61,39 @@ def test_surjections_and_partitions():
     assert len(all_surjections(2, 2)) == 2
     assert len(set_partitions([0, 1, 2])) == 5
     assert len(set_partitions([0, 1, 2, 3])) == 15
+
+
+def _enumeration_orders():
+    """The finite sets every basis is indexed by, in the order the package
+    enumerates them: surjections, Young group elements, set partitions, the
+    injections labelling a Top site's diagonal summand, and the operad's
+    bounded compositions."""
+    out = [("surj", n, r, all_surjections(n, r))
+           for n in range(5) for r in range(5)]
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            for blocks in itertools.product(range(1, n + 1), repeat=r):
+                if sum(blocks) == n:
+                    out.append(("young", blocks,
+                                YoungGroup(blocks).elements()))
+    out += [("part", n, set_partitions(range(n))) for n in range(7)]
+    for n in (1, 2):
+        term = trivial_action(sphere(F2, 0), YoungGroup.full(n))
+        for m in range(5):
+            d = diagonal_phi_term(F2, term, m)
+            out.append(("inj", n, m, d and [
+                lab[1] for lab in d["tensored"].complex.labels[0]]))
+    out += [("comp", r, N, compositions_of_bounded(r, N))
+            for N in range(1, 5) for r in range(1, N + 1)]
+    return out
+
+
+def test_enumeration_orders_are_pinned():
+    # every basis order is built on these orders; the digest was taken
+    # from the recursive enumerators the itertools expressions replaced
+    got = hashlib.sha256(repr(_enumeration_orders()).encode()).hexdigest()
+    assert got == ("2f9f317131f442d11073214bdaefd2a6"
+                   "4bf626141bfc7efcd09743c5f4608b14"), got
 
 
 def test_regular_module_and_freeness():
