@@ -3,8 +3,9 @@
 Modules:
   fields, sparse, chain   -- exact linear algebra and homological primitives
   rationals               -- Fraction, for the Q scalars that are not ints
-  chainops                -- tensor and hom complexes, shifts, sub- and
-                             quotient complexes, transport, factor_through
+  chainops                -- tensor and hom complexes, the tensor product
+                             of maps, shifts, sub- and quotient complexes,
+                             transport, factor_through
   perms, equivariant      -- Young groups, resolutions, homotopy orbits and
                              fixed points, norm, Tate
   combinat                -- surjections, set partitions, permutation signs

@@ -3,7 +3,9 @@
 Conventions fixed once for the whole package:
 
 * differentials lower degree: d_k : C_k -> C_{k-1};
-* tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy;
+* tensor differential d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, and
+  tensor product of maps (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y),
+  so f_1 (x) ... (x) f_n carries (-1)^{|f_j| (|x_1| + ... + |x_{j-1}|)};
 * hom complex Hom(C, D)_n = prod_k Hom(C_k, D_{k+n}) with
   (df) = d_D f - (-1)^{|f|} f d_C.  Chain maps C -> D are its degree-0
   cycles, a homotopy from f to g is a degree-1 element whose boundary is
@@ -16,10 +18,11 @@ Conventions fixed once for the whole package:
 * basis labels are unique within a complex, across all its degrees, and are
   set once at construction.  A map is built from labels by `linear_map`,
   which sends each source label to a signed combination of target labels;
-  `label_map` (the map matching two bases) and `transport` (a map carried
-  onto label-equal complexes) are calls of it.  A matrix is built from
-  entries by `SparseMatrix.from_entries`, which sums repeated indices and
-  canonicalizes once;
+  `label_map` (the map matching two bases), `transport` (a map carried
+  onto label-equal complexes) and `tensor_map` (the tensor product of any
+  number of maps, on `tensor_many`'s flat labels) are calls of it.  A
+  matrix is built from entries by `SparseMatrix.from_entries`, which sums
+  repeated indices and canonicalizes once;
 * a subcomplex is the span of chosen independent vectors in each degree
   (`subcomplex`, returned with its inclusion), and a quotient keeps the
   coordinates that are not pivots of the echelon form of its relations
@@ -36,13 +39,14 @@ Conventions fixed once for the whole package:
   maps commute with d, and `laws.ChainHomotopy`'s homotopy identity) and
   returns the object.
   Decoded input and maps assembled from raw matrices are validated where
-  they are built, and a partial `transport`, which may drop entries,
-  certifies what it builds.
+  they are built, and `transport`, which drops the entries that have no
+  counterpart, certifies what it builds.
 
 This module holds what every job reads: the value types, direct sums,
 maps built from labels and the cone.  The constructions that only the
-comonad and tower layers build (tensor and hom complexes, shifts, sub- and
-quotient complexes, `transport` and `factor_through`) live in `chainops`,
+comonad and tower layers build (tensor and hom complexes, the tensor product
+of maps, shifts, sub- and quotient complexes, `transport` and
+`factor_through`) live in `chainops`,
 so the equivariant subcommands do not compile them.
 """
 
@@ -325,7 +329,7 @@ class ChainMap:
     def induced_on_homology(self, k):
         """Matrix of H_k(source) -> H_{k+degree}(target) on chosen cycle bases."""
         sd, sreps, _ = self.source.homology_data(k)
-        td, treps, tbnd = self.target.homology_data(k + self.degree)
+        td, treps, _ = self.target.homology_data(k + self.degree)
         F = self.field
         if sd == 0 or td == 0 or self.source.dim(k) == 0:
             return SparseMatrix(td, sd, F)

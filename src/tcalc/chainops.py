@@ -1,71 +1,52 @@
 """Constructions on chain complexes that the comonad and tower layers build:
-tensor and hom complexes, shifts, sub- and quotient complexes, and maps
-carried onto label-equal complexes (`transport`) or through an inclusion
+tensor and hom complexes, the tensor product of any number of maps
+(`tensor_map`), shifts, sub- and quotient complexes, and maps carried onto
+label-equal complexes (`transport`) or through an inclusion
 (`factor_through`).
 
 Their conventions are `chain`'s: the tensor and hom differentials, the
-shift's sign, the subcomplex spanned by chosen vectors and the quotient kept
-on the non-pivot coordinates.  They live apart from `chain` so that a job
-that never builds one (`tate`, `homology`, `bar-com`) does not compile them.
+Koszul sign of a tensor product of maps, the shift's sign, the subcomplex
+spanned by chosen vectors and the quotient kept on the non-pivot
+coordinates.  They live apart from `chain` so that a job that never builds
+one (`tate`, `homology`, `bar-com`) does not compile them.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .chain import ChainComplex, ChainMap, linear_map
 from .sparse import Echelon, SparseMatrix, solve_matrix
 
 
-def _keyed_index(c: ChainComplex, k, key):
-    if key is None:
-        return c.label_index(k)
-    idx = {key(lab): i for i, lab in enumerate(c.labels.get(k, ()))}
-    if len(idx) != c.dim(k):
-        raise ValueError("two labels share a key in degree %d" % k)
-    return idx
-
-
 def transport(f: ChainMap, source: ChainComplex | None = None,
-              target: ChainComplex | None = None, *, key=None,
-              partial=True) -> ChainMap:
+              target: ChainComplex | None = None) -> ChainMap:
     """f carried onto label-equal complexes in one pass over its entries.
 
     The basis vector of `source` labelled lab stands for the vector of
-    f.source in the same degree whose label has the same key, and each
-    vector of f.target goes to the vector of `target` whose label has the
-    same key; key defaults to the identity, and a missing complex is f's
-    own.  An entry without a counterpart is dropped when partial, else it
-    raises ValueError.  f itself is returned when both complexes are f's
-    own.  Dropping entries can break the chain-map identity, so a partial
-    transport validates what it builds."""
+    f.source with the same label, and each vector of f.target goes to the
+    vector of `target` with the same label; a missing complex is f's own.
+    An entry without a counterpart is dropped, which can break the
+    chain-map identity, so the result is validated.  f itself is returned
+    when both complexes are f's own."""
     src = f.source if source is None else source
     tgt = f.target if target is None else target
     if src is f.source and tgt is f.target:
         return f
-    skey = key if src is not f.source else None
-    tkey = key if tgt is not f.target else None
     d = f.degree
-    images = {}     # degree -> {key of an f.source label: [(tgt label, c)]}
+    images = {}     # degree -> {f.source label: [(tgt label, c)]}
     for k, m in f.components.items():
-        cols = _keyed_index(src, k, skey)
-        _keyed_index(f.source, k, skey)     # refuse a shared key
-        rows = _keyed_index(tgt, k + d, tkey)
+        rows = tgt.label_index(k + d)
         slabs, tlabs = f.source.labels[k], f.target.labels[k + d]
         new = tgt.labels.get(k + d, ())
         img = images[k] = {}
         for (i, j), v in m.items():
-            s = slabs[j] if skey is None else skey(slabs[j])
-            t = rows.get(tlabs[i] if tkey is None else tkey(tlabs[i]))
-            if t is None or s not in cols:
-                if partial:
-                    continue
-                raise ValueError("an entry in degree %d has no counterpart"
-                                 % k)
-            img.setdefault(s, []).append((new[t], v))
-    out = linear_map(src, tgt, lambda k, lab: images.get(k, {}).get(
-        lab if skey is None else skey(lab), ()), degree=d)
-    return out.validate() if partial else out
+            t = rows.get(tlabs[i])
+            if t is not None:
+                img.setdefault(slabs[j], []).append((new[t], v))
+    return linear_map(src, tgt, lambda k, lab: images.get(k, {}).get(
+        lab, ()), degree=d).validate()
 
 
 def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:
@@ -175,26 +156,33 @@ def tensor(c: ChainComplex, dc: ChainComplex) -> ChainComplex:
     return tensor_many([c, dc])
 
 
-def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    """f (x) g with Koszul sign (-1)^{|g| * p} on the degree-p part of f's source."""
-    src = tensor(f.source, g.source)
-    tgt = tensor(f.target, g.target)
-    fl, gl = f.target.labels, g.target.labels
-    fcols = {p: m.by_column() for p, m in f.components.items()}
-    gcols = {q: m.by_column() for q, m in g.components.items()}
+def tensor_map(*maps: ChainMap) -> ChainMap:
+    """f_1 (x) ... (x) f_n on `tensor_many`'s flat labels, with the Koszul
+    sign (-1)^{|f_j| (p_1 + ... + p_{j-1})} on the part of the source whose
+    factors lie in degrees p_1, ..., p_n."""
+    src = tensor_many([f.source for f in maps])
+    tgt = tensor_many([f.target for f in maps])
+    cols = [{p: m.by_column() for p, m in f.components.items()}
+            for f in maps]
 
     def image(k, lab):
-        lf, lg = lab
-        p, i = f.source.locate(lf)
-        q, j = g.source.locate(lg)
-        fcol = fcols.get(p, {}).get(i)
-        gcol = gcols.get(q, {}).get(j)
-        if not (fcol and gcol):
-            return ()
-        sgn = -1 if g.degree * p % 2 else 1
-        return [((fl[p + f.degree][i2], gl[q + g.degree][j2]), sgn * a * b)
-                for i2, a in fcol.items() for j2, b in gcol.items()]
-    return linear_map(src, tgt, image, degree=f.degree + g.degree)
+        hits, sgn, below = [], 1, 0
+        for f, fcols, lf in zip(maps, cols, lab):
+            p, i = f.source.locate(lf)
+            col = fcols.get(p, {}).get(i)
+            if not col:
+                return ()
+            if f.degree * below % 2:
+                sgn = -sgn
+            below += p
+            tl = f.target.labels[p + f.degree]
+            hits.append([(tl[i2], a) for i2, a in col.items()])
+        out = []
+        for combo in product(*hits):
+            labs, coeffs = zip(*combo)
+            out.append((labs, prod(coeffs, start=sgn)))
+        return out
+    return linear_map(src, tgt, image, degree=sum(f.degree for f in maps))
 
 
 def tensor_many(complexes) -> ChainComplex:

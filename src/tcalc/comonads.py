@@ -68,9 +68,9 @@ def tensor_with_surjection_index(a: EquivariantComplex, r) -> EquivariantComplex
         for k, labs in copies.labels.items()})
 
     def act(gi):
-        sinv = inverse(transposition(n, gi))
+        s = transposition(n, gi)    # its own inverse
         index = label_map(total, total, key=lambda lab: (
-            "sidx", tuple(lab[1][sinv[i]] for i in range(n)), lab[2]))
+            "sidx", tuple(lab[1][s[i]] for i in range(n)), lab[2]))
         return index.compose(
             equivops.slotwise_map(total, total, a.action[gi], slot=2))
     return EquivariantComplex(total, a.group, {

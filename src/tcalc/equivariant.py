@@ -54,7 +54,7 @@ class EquivariantComplex:
     def validate(self):
         if self.group.degree > 4 and self.group.order > 24:
             raise ValueError("arity bound exceeded: %s" % (self.group,))
-        for i, f in self.action.items():
+        for f in self.action.values():
             if f.source is not self.complex or f.target is not self.complex:
                 raise ValueError("generator action has wrong (co)domain")
             f.validate()

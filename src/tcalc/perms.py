@@ -112,7 +112,6 @@ class YoungGroup:
         """
         if not self.contains(p):
             raise ValueError("permutation not in Young group")
-        n = self.degree
         word = []
         cur = list(p)
         # bubble-sort cur to identity, recording swaps; p = (swaps reversed)

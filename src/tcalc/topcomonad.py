@@ -23,7 +23,7 @@ from __future__ import annotations
 from . import chainops, combinat, equivops, sequences, topdelta, trees
 from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
 from .equivariant import EquivariantComplex, homotopy_orbits
-from .perms import YoungGroup, inverse, transposition
+from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix, vanishes
 
 
@@ -77,11 +77,11 @@ class SurjectionSum(equivops.SlotwiseModel):
         group = YoungGroup.full(n)
         action = {}
         for gi in group.generator_positions():
+            # an adjacent transposition is its own inverse
             s = transposition(n, gi)
-            sinv = inverse(s)
             moves = {}
             for alpha in self.surjections:
-                beta = tuple(alpha[sinv[i]] for i in range(n))
+                beta = tuple(alpha[s[i]] for i in range(n))
                 # within fiber j: relabeling s: fib_a[j] -> fib_b[j]
                 relabels = []
                 for fa, fb in zip(self.factors[alpha], self.factors[beta]):
@@ -122,9 +122,8 @@ class SurjectionSum(equivops.SlotwiseModel):
         with the Koszul sign (-1)^{|f| |trees|} on ("surj", alpha, trees +
         (x,))."""
         def sign(lab):
-            _, alpha, inner = lab
             return -1 if sum(trees.degree(tl[1])
-                             for tl in inner[:-1]) % 2 else 1
+                             for tl in lab[2][:-1]) % 2 else 1
         return self.total, tgt.total, (2, -1), sign, None, None
 
     def _summand_map(self, moves, a_map) -> ChainMap:
@@ -159,9 +158,11 @@ class SurjectionSum(equivops.SlotwiseModel):
 class TopComponentModel(equivops.SlotwiseModel):
     """K_r A_n for the based-spaces-to-spectra comonad.
 
-    Holds the surjection sum W, the chosen orbit model (collapsed / strict /
-    windowed), the projection W -> model of a strict one with its certified
-    unit section, and the Sigma_r structure."""
+    Holds the chosen orbit model (collapsed / strict / windowed), the
+    surjection sum W of a strict or windowed one (no job reads the W of a
+    collapsed diagonal, so none is built there), the projection W -> model
+    of a strict one with its certified unit section, and the Sigma_r
+    structure."""
 
     def __init__(self, a: EquivariantComplex, r: int, w: DegreeWindow,
                  force_windowed=False):
@@ -185,7 +186,7 @@ class TopComponentModel(equivops.SlotwiseModel):
             self.kind = "collapsed"
             self.value = a
             self.exact = True
-            self.sursum = SurjectionSum(a, r)
+            self.sursum = None
             return
         self.sursum = SurjectionSum(a, r)
         w_total = self.sursum.sigma_n_action()

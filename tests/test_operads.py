@@ -170,63 +170,61 @@ def test_spectral_lie_associativity_instance():
     # gamma(gamma(x; y) ; z) = gamma(x; gamma(y; z)) on a composable pattern:
     # arity pattern 2 -> (1, 2) -> ((1), (1, 1)) inside truncation 3
     from tcalc.chain import ChainMap
-    from tcalc.chainops import tensor_map, transport
-    from tcalc.laws import _flat_label, tensor_reorder_map
-    from tcalc.chainops import tensor_many
+    from tcalc.chainops import tensor_many, tensor_map
+    from tcalc.laws import _associator, tensor_reorder_map
     op = spectral_lie(F2, 3)
-    F = F2
-    # route 1: (gamma_{2,(1,2)} (x) id (x) id (x) id) then gamma_{3,(1,1,1)}...
-    # keep it concrete: m = P_2, comp = (1,2): s = 3
     g1 = op.composition(2, (1, 2))   # P_2 (x) P_1 (x) P_2 -> P_3
     g2 = op.composition(3, (1, 1, 1))  # P_3 (x) P_1^3 -> P_3
     g3 = op.composition(2, (1, 2))
     assert g1 is not None and g2 is not None
-    p1, p2, p3 = op.term_complex(1), op.term_complex(2), op.term_complex(3)
+    p1, p2 = op.term_complex(1), op.term_complex(2)
+    factors = [p2, p1, p2, p1, p1, p1]
+    # route 1: gamma_{2,(1,2)} (x) id (x) id (x) id, then gamma_{3,(1,1,1)}
     idp = ChainMap.identity(p1)
-    big = g1
-    for _ in range(3):
-        big = tensor_map(big, idp)
-    src = tensor_many([p2, p1, p2, p1, p1, p1])
-    big = transport(big, src, key=_flat_label, partial=False)
-    mid = tensor_many([p3, p1, p1, p1])
-    route1 = g2.compose(transport(big, target=mid, key=_flat_label,
-                                  partial=False))
-    # route 2: gamma on inner factors first: P_1 . (1) and P_2 . (1,1)
-    ga = op.composition(1, (1,))
-    gb = op.composition(2, (1, 1))
-    maps = [ChainMap.identity(p2), ga, gb]
-    # factors must be grouped: [p2, (p1 ; p1), (p2 ; p1, p1)]
-    perm = [0, 1, 3, 2, 4, 5]
-    reorder = tensor_reorder_map([p2, p1, p2, p1, p1, p1], perm)
-    big2 = maps[0]
-    big2 = tensor_map(big2, ga)
-    big2 = tensor_map(big2, gb)
-    big2 = transport(big2, reorder.target, key=_flat_label, partial=False)
-    mid2 = tensor_many([p2, p1, p2])
-    route2 = g3.compose(transport(big2.compose(reorder), target=mid2,
-                                  key=_flat_label, partial=False))
-    assert transport(route1, target=route2.target, key=_flat_label,
-                     partial=False).components == route2.components
+    big = tensor_map(g1, idp, idp, idp)
+    route1 = g2.compose(_associator(big.target, g2.source).compose(
+        big).compose(_associator(tensor_many(factors), big.source)))
+    # route 2: gamma on inner factors first, P_1 . (1) and P_2 . (1, 1), on
+    # the factors grouped as [p2, (p1 ; p1), (p2 ; p1, p1)]
+    reorder = tensor_reorder_map(factors, [0, 1, 3, 2, 4, 5])
+    big2 = tensor_map(ChainMap.identity(p2), op.composition(1, (1,)),
+                      op.composition(2, (1, 1)))
+    route2 = g3.compose(_associator(big2.target, g3.source).compose(
+        big2).compose(_associator(reorder.target, big2.source)).compose(
+        reorder))
+    assert not route1.is_zero()
+    assert _associator(route1.target, route2.target).compose(
+        route1).components == route2.components
 
 
-def test_flat_label_transport_between_tensor_nestings():
-    """A map on tensor(tensor(A, B), C) carried onto tensor_many([A, B, C])
-    matches the basis vectors by flattened labels, in either direction."""
-    from tcalc.chain import ChainComplex, ChainMap
-    from tcalc.chainops import tensor, tensor_many, tensor_map, transport
-    from tcalc.laws import _flat_label
+def _three_factors(F):
+    from tcalc.chain import ChainComplex
     from tcalc.sparse import SparseMatrix
-    F = F3
     a = ChainComplex(F, {0: 2, 1: 1}, {1: SparseMatrix.from_rows([[1], [1]], F)},
                      labels={0: (("a", 0), ("a", 1)), 1: (("a", 2),)})
     b = ChainComplex(F, {0: 1, 1: 1}, labels={0: (("b", 0),), 1: (("b", 1),)})
     c = ChainComplex(F, {0: 2}, labels={0: (("c", 0), ("c", 1))})
+    return a, b, c
+
+
+def test_associator_between_tensor_nestings():
+    """A map on tensor(tensor(A, B), C) read on tensor_many([A, B, C])
+    through the associator matches the basis vectors by flattened labels,
+    in either direction."""
+    from tcalc.chain import ChainMap
+    from tcalc.chainops import tensor_many, tensor_map
+    from tcalc.laws import _associator
+    from tcalc.sparse import SparseMatrix
+    F = F3
+    a, b, c = _three_factors(F)
     swap = ChainMap(a, a, {0: SparseMatrix.from_rows([[0, 1], [1, 0]], F),
                            1: SparseMatrix.identity(1, F)})
-    ida, idb, idc = (ChainMap.identity(x) for x in (a, b, c))
+    idb, idc = ChainMap.identity(b), ChainMap.identity(c)
     nested = tensor_map(tensor_map(swap, idb), idc)
     flat = tensor_many([a, b, c])
-    g = transport(nested, flat, flat, key=_flat_label, partial=False)
+    to_flat = _associator(nested.source, flat)
+    to_nested = _associator(flat, nested.source)
+    g = _associator(nested.target, flat).compose(nested).compose(to_nested)
     g.validate()
     for k in flat.dims:
         for col, (la, lb, lc) in enumerate(flat.labels[k]):
@@ -234,28 +232,33 @@ def test_flat_label_transport_between_tensor_nestings():
                    if j == col]
             new_a = {("a", 0): ("a", 1), ("a", 1): ("a", 0)}.get(la, la)
             assert img == [(new_a, lb, lc)]
-    # and back: the identity of the nested complex, read on the flat one
-    ident = transport(ChainMap.identity(nested.source), flat, flat,
-                      key=_flat_label, partial=False)
-    assert ident.components == ChainMap.identity(flat).components
-    back = transport(g, nested.source, nested.target, key=_flat_label,
-                     partial=False)
+    assert g.components == tensor_map(swap, idb, idc).components
+    # the two directions are inverse isos, and carry g back to nested
+    assert to_flat.compose(to_nested).components == \
+        ChainMap.identity(flat).components
+    assert to_nested.compose(to_flat).components == \
+        ChainMap.identity(nested.source).components
+    back = _associator(flat, nested.target).compose(g).compose(to_flat)
     assert back.components == nested.components
 
 
-def test_flat_label_collision_raises():
-    from tcalc.chain import ChainComplex, ChainMap
-    from tcalc.chainops import transport
-    from tcalc.laws import _flat_label
+def test_associator_refuses_collisions_and_missing_partners():
+    from tcalc.chain import ChainComplex
+    from tcalc.chainops import tensor, tensor_many
+    from tcalc.laws import _associator, _flat_label
     x, y, z = ("x",), ("y",), ("z",)
     labels = {0: (((x, y), z), (x, (y, z)))}
     k = ChainComplex(F2, {0: 2}, labels=labels)
     copy = ChainComplex(F2, {0: 2}, labels=labels)
     assert _flat_label(labels[0][0]) == _flat_label(labels[0][1])
     with pytest.raises(ValueError):
-        transport(ChainMap.identity(k), target=copy, key=_flat_label)
+        _associator(k, copy)
     with pytest.raises(ValueError):
-        transport(ChainMap.identity(k), source=copy, key=_flat_label)
+        _associator(copy, k)
+    # a label of the source with no partner in the target
+    a, b, c = _three_factors(F2)
+    with pytest.raises(ValueError):
+        _associator(tensor(tensor(a, b), c), tensor_many([a, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +460,32 @@ def test_plethysm_action_valid():
     out = plethysm(a, b)
     for n in out.arities():
         out.term(n).validate()
+
+
+def test_plethysm_actions_are_pinned():
+    # the Sigma_n actions of A o B, every term validated, hashed entry by
+    # entry; odd-degree factors make the reordering of the B-factors carry
+    # Koszul signs
+    h = hashlib.sha256()
+    for F in (F2, F3, QQ):
+        lie = spectral_lie(F, 4).sequence
+        com = commutative_operad(F, 4).sequence
+        odd = SymmetricSequence(F, 4, {
+            n: trivial_action(sphere(F, 1, label="o%d" % n),
+                              YoungGroup.full(n)) for n in (1, 2)})
+        for a, b in ((lie, lie), (com, odd), (lie, odd), (odd, lie)):
+            out = plethysm(a, b)
+            for n in out.arities():
+                t = out.term(n).validate()
+                h.update(repr(sorted(t.complex.labels.items())).encode())
+                for gi in sorted(t.action):
+                    for k in sorted(t.action[gi].components):
+                        m = t.action[gi].component(k)
+                        h.update(repr((n, gi, k, m.rows, m.cols, [
+                            (ij, F.format_scalar(v))
+                            for ij, v in sorted(m.items())])).encode())
+    assert h.hexdigest() == ("a0c29acf9f6ed9d5fd9dd37aebc1080b"
+                             "d93b25f9674a80c6a40219598ff30bc3")
 
 
 def test_plethysm_com_com():

@@ -74,8 +74,6 @@ LISTED = {
     "chain.ChainMap.__sub__": "check on " + TOP_N3 + " (its route1 - "
                               "route2)",
     "derivedhom._HomLevels._middle": "derived-hom on " + TOP_N3,
-    "chainops._keyed_index": "check on " + TOP_N3 + " (theta carried onto "
-                             "kq_theta's inner model)",
     "combinat.koszul_sign": TOP_N3,
     "topcomonad.TopComonad.kq_theta": TOP_N3,
     "topcomonad.TopComponentModel.like": TOP_N3 + ", through kq_theta",
