@@ -16,11 +16,15 @@ Conventions fixed once for the whole package:
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
 * shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
 * basis labels are unique within a complex, across all its degrees, and are
-  set once at construction.  A map is built from labels by `linear_map`,
-  which sends each source label to a signed combination of target labels;
-  `label_map` (the map matching two bases), `transport` (a map carried
-  onto label-equal complexes) and `tensor_map` (the tensor product of any
-  number of maps, on `tensor_many`'s flat labels) are calls of it.  A
+  set once at construction.  Two bases meet when they are one complex or
+  label-equal, degree by degree (`ChainComplex.same_basis`): `compose`, `+`,
+  `-`, `block_map` and an equivariant complex's generators join no others,
+  and a change of basis is a `label_map`, never a position.  A map is
+  built from labels by `linear_map`, which sends each source label to a
+  signed combination of target labels; `label_map` (the map matching two
+  bases), `transport` (a map carried by label onto other complexes) and
+  `tensor_map` (the tensor product of any number of maps, on
+  `tensor_many`'s flat labels) are calls of it.  A
   matrix is built from entries by `SparseMatrix.from_entries`, which sums
   repeated indices and canonicalizes once;
 * a subcomplex is the span of chosen independent vectors in each degree
@@ -164,6 +168,10 @@ class ChainComplex:
             self._label_index[k] = idx
         return idx
 
+    def same_basis(self, other) -> bool:
+        """Whether other is this complex or label-equal to it."""
+        return other is self or other.labels == self.labels
+
     def locate(self, lab):
         """(degree, position) of a basis label; KeyError if it is absent."""
         for k in self.dims:
@@ -280,37 +288,28 @@ class ChainMap:
         if self.degree != other.degree:
             raise ValueError("cannot add maps of degrees %d and %d"
                              % (self.degree, other.degree))
-        comps = dict(self.components)
-        out = ChainMap(self.source, self.target, None, self.degree)
-        out.components = comps
-        for k, m in other.components.items():
-            cur = out.component(k) + m
-            if cur.is_zero():
-                out.components.pop(k, None)
-            else:
-                out.components[k] = cur
-        return out
+        if not (self.source.same_basis(other.source)
+                and self.target.same_basis(other.target)):
+            raise ValueError("cannot add maps on other bases")
+        return ChainMap(self.source, self.target, {
+            k: self.component(k) + other.component(k)
+            for k in {**self.components, **other.components}}, self.degree)
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one()))
 
     def scale(self, c):
-        out = ChainMap(self.source, self.target, None, self.degree)
-        out.components = {k: m.scale(c) for k, m in self.components.items()}
-        out.components = {k: m for k, m in out.components.items() if not m.is_zero()}
-        return out
+        return ChainMap(self.source, self.target, {
+            k: m.scale(c) for k, m in self.components.items()}, self.degree)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other."""
-        if other.target is not self.source and other.target.dims != self.source.dims:
+        if not self.source.same_basis(other.target):
             raise ValueError("composition mismatch")
-        deg = self.degree + other.degree
-        comps = {}
-        for k in other.source.dims:
-            m = self.component(k + other.degree) * other.component(k)
-            if not m.is_zero():
-                comps[k] = m
-        return ChainMap(other.source, self.target, comps, deg)
+        return ChainMap(other.source, self.target, {
+            k: self.component(k + other.degree) * m
+            for k, m in other.components.items()},
+            self.degree + other.degree)
 
     def is_zero(self):
         return not self.components
@@ -389,11 +388,14 @@ def block_map(source, target, src_parts, tgt_parts, blocks) -> ChainMap:
     """The degree-0 map from source = direct_sum(src_parts) to target =
     direct_sum(tgt_parts) whose block from summand j to summand i is the
     ChainMap blocks[(j, i)] (None is zero).  Either side may be one complex,
-    the sum of a single part.  A block whose shape differs from its
-    summands' raises ValueError; nothing is validated."""
+    the sum of a single part.  A block that does not meet its summands
+    (`ChainComplex.same_basis`) raises ValueError; nothing is validated."""
     by_degree = {}
     for (j, i), f in blocks.items():
         if f is not None:
+            if not (src_parts[j].same_basis(f.source)
+                    and tgt_parts[i].same_basis(f.target)):
+                raise ValueError("block %r misses its summands" % ((j, i),))
             for k, m in f.components.items():
                 by_degree.setdefault(k, {})[(i, j)] = m
     comps = {k: SparseMatrix.block(mats, _block_sizes(tgt_parts, k),

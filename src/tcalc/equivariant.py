@@ -33,9 +33,9 @@ class EquivariantComplex:
 
     The action is specified on the Coxeter generators (adjacent
     transpositions within blocks); validation checks each generator is a
-    chain automorphism and that all Coxeter relations hold exactly.  It
-    refuses groups of degree > 4 and order > 24, whose relations are too
-    many to check exactly.
+    chain automorphism of the complex or a label-equal twin and that all
+    Coxeter relations hold exactly.  It refuses groups of degree > 4 and
+    order > 24, whose relations are too many to check exactly.
     """
 
     def __init__(self, complex: ChainComplex, group: YoungGroup, action):
@@ -55,7 +55,8 @@ class EquivariantComplex:
         if self.group.degree > 4 and self.group.order > 24:
             raise ValueError("arity bound exceeded: %s" % (self.group,))
         for f in self.action.values():
-            if f.source is not self.complex or f.target is not self.complex:
+            if not (self.complex.same_basis(f.source)
+                    and self.complex.same_basis(f.target)):
                 raise ValueError("generator action has wrong (co)domain")
             f.validate()
             if not f.is_iso():

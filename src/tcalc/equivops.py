@@ -52,11 +52,9 @@ def equivariant_tensor(a: EquivariantComplex,
     if a.group != b.group:
         raise ValueError("group mismatch")
     t = chainops.tensor(a.complex, b.complex)
-    action = {}
-    for gi in a.group.generator_positions():
-        f = chainops.tensor_map(a.action[gi], b.action[gi])
-        action[gi] = ChainMap(t, t, f.components)
-    return EquivariantComplex(t, a.group, action)
+    return EquivariantComplex(t, a.group, {
+        gi: chainops.tensor_map(a.action[gi], b.action[gi])
+        for gi in a.group.generator_positions()})
 
 
 def _generator_maps(a: EquivariantComplex):

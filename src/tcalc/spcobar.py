@@ -70,7 +70,7 @@ class SpCobarBuilder(_Levels):
         piece = self.pieces[m + 1][tk]
         g = _sp_fixed_into_tate(src, piece, q, n)
         if q == 1:
-            return ChainMap(src, tgt, g.components).validate()
+            return g
         _, incl = equivops.strict_fixed(piece)
         to_inv = chainops.factor_through(g, incl)
         coaug = coaugment_invariants(incl, tgt)

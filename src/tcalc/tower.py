@@ -367,29 +367,33 @@ def _piece(builder, m, key) -> ChainComplex:
 
 
 def _sum(field, parts) -> ChainComplex:
-    return direct_sum(parts) if parts else ChainComplex(field, {})
+    """The direct sum of parts; one part is its own sum, as in block_map."""
+    return parts[0] if len(parts) == 1 else \
+        direct_sum(parts) if parts else ChainComplex(field, {})
 
 
 def tot_projection(builder, tot, m, keys) -> ChainMap:
     """The degree-m map from tot = fat_tot(builder) onto the sum of the
     level-m pieces of keys, in order (the zero complex for a key the level
-    lacks): the Tot vector ("tot", m, key, lab) in degree k is the vector
-    lab of that piece in degree k + m.  No coface lands in level 0, so at
-    m = 0 it is a chain map; nothing is validated."""
+    lacks, one key's piece itself): the Tot vector ("tot", m, key, lab) in
+    degree k is the vector lab of that piece in degree k + m.  No coface
+    lands in level 0, so at m = 0 it is a chain map; nothing is validated."""
     slot = {key: i for i, key in enumerate(keys)}
     target = _sum(builder.field, [_piece(builder, m, key) for key in keys])
     return linear_map(tot, target, lambda k, lab: (
-        (((slot[lab[2]], lab[3]), 1),) if lab[1] == m and lab[2] in slot
-        else ()), degree=m)
+        ((lab[3] if len(keys) == 1 else (slot[lab[2]], lab[3]), 1),)
+        if lab[1] == m and lab[2] in slot else ()), degree=m)
 
 
 def corner_map(builder, n, stage, projections) -> ChainMap:
     """The map (stage (+) diagonal piece (n,)) -> (+) of the slots (r, n)
     of `corner_keys(n)`: out of the stage, theta's delta^1 block from (r,)
-    composed with projections[r], the stage's map onto its arity-r piece;
-    out of (n,), minus the unit's delta^0 block.  The next stage of the
-    pullback route is its fiber, and it is the McCarthy square's gamma on
-    P_{n-1} (+) the fixed corner.  Nothing is validated."""
+    composed with projections[r], the stage's map onto the level-0 piece
+    (r,) itself (`tot_projection` on the one key (r,), or the pullback
+    route's fiber projection); out of (n,), minus the unit's delta^0 block.
+    One slot is its own sum.  The next stage of the pullback route is its
+    fiber, and it is the McCarthy square's gamma on P_{n-1} (+) the fixed
+    corner.  Nothing is validated."""
     keys = builder.corner_keys(n)
     diag = _piece(builder, 0, (n,))
     units, thetas = (builder.coface_blocks.get((0, i), {}) for i in (0, 1))

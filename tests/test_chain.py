@@ -10,7 +10,7 @@ from tcalc.chain import (
 )
 from tcalc.chainops import (
     factor_through, hom_complex, quotient, shift, subcomplex, tensor,
-    tensor_map, transport,
+    tensor_many, tensor_map, transport,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.laws import (
@@ -386,6 +386,60 @@ def test_a_sum_of_maps_of_different_degrees_is_refused():
     c = circle(QQ)
     with pytest.raises(ValueError, match="degrees 0 and 1"):
         ChainMap.identity(c) + ChainMap.zero(c, c, 1)
+
+
+def _relabelled(c, tag="x"):
+    """c with the same dims and differential and other labels."""
+    return ChainComplex(c.field, c.dims, c.diff, {
+        k: tuple((tag, lab) for lab in labs) for k, labs in c.labels.items()})
+
+
+def test_two_bracketings_of_one_tensor_product_do_not_compose():
+    # equal dims, but the degree-1 basis vectors come in another order, so
+    # pairing the two bases by position would permute them
+    a = ChainComplex(F2, {0: 2, 1: 1}, labels={0: (("a", 0), ("a", 1)),
+                                               1: (("a", 2),)})
+    b = ChainComplex(F2, {0: 1, 1: 1}, labels={0: (("b", 0),),
+                                               1: (("b", 1),)})
+    flat, nested = tensor_many([a, b, a]), tensor(a, tensor(b, a))
+    assert flat.dims == nested.dims
+    iso = _associator(nested, flat)
+    assert iso.component(1) != SparseMatrix.identity(flat.dim(1), F2)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        ChainMap.identity(flat).compose(ChainMap.identity(nested))
+    # the change of basis is a label map, and a label-equal twin meets
+    assert ChainMap.identity(flat).compose(iso).components == iso.components
+    twin = tensor_many([a, b, a])
+    assert ChainMap.identity(flat).compose(
+        ChainMap.identity(twin)).source is twin
+
+
+def test_sums_refuse_maps_on_other_bases():
+    c = circle(QQ)
+    other, f = _relabelled(c), ChainMap.identity(c)
+    for g in (ChainMap.zero(other, c), ChainMap.zero(c, other)):
+        with pytest.raises(ValueError, match="other bases"):
+            f + g
+        with pytest.raises(ValueError, match="other bases"):
+            f - g
+    # a label-equal twin adds
+    twin = ChainComplex(QQ, c.dims, c.diff, c.labels)
+    assert (f - ChainMap.identity(twin)).is_zero()
+    assert (f + ChainMap.identity(twin)).components == f.scale(2).components
+
+
+def test_block_map_refuses_a_block_on_a_relabelled_summand():
+    a, b = sphere(QQ, 0, label="a"), sphere(QQ, 1, label="b")
+    copy = _relabelled(a)
+    for block in (label_map(copy, a, key=lambda lab: lab[1]),
+                  label_map(a, copy, key=lambda lab: ("x", lab))):
+        with pytest.raises(ValueError, match="misses its summands"):
+            block_map(direct_sum([a, b]), direct_sum([a, b]), [a, b],
+                      [a, b], {(0, 0): block})
+    twin = sphere(QQ, 0, label="a")
+    g = block_map(direct_sum([a, b]), a, [a, b], [a],
+                  {(0, 0): ChainMap.identity(twin)})
+    assert g.validate().component(0) == SparseMatrix.identity(1, QQ)
 
 
 def test_the_cone_of_a_map_of_nonzero_degree_is_refused():

@@ -17,6 +17,7 @@ from tcalc import equivariant
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
 )
+from tcalc.chainops import tensor, tensor_map
 from tcalc.combinat import all_surjections, set_partitions
 from tcalc.equivariant import (
     EquivariantComplex, group_resolution, homotopy_fixed, homotopy_orbits,
@@ -118,6 +119,28 @@ def test_coxeter_validation_rejects_bad_action():
     act = {0: ChainMap(c, c, {0: bad})}
     with pytest.raises(ValueError):
         EquivariantComplex(c, S2, act).validate()  # s^2 != 1 over F_3
+
+
+def test_generators_meet_the_complex_by_label():
+    # tensor_map lands on a tensor complex of its own, label-equal to the
+    # diagonal action's complex: its generators are accepted as they are
+    S3 = YoungGroup.full(3)
+    a, b = regular_module(F2, S3), trivial_action(sphere(F2, 1), S3)
+    t = tensor(a.complex, b.complex)
+    action = {gi: tensor_map(a.action[gi], b.action[gi])
+              for gi in S3.generator_positions()}
+    assert all(f.source is not t and f.source.labels == t.labels
+               for f in action.values())
+    e = EquivariantComplex(t, S3, action).validate()
+    assert equivariant_tensor(a, b).action_of((1, 2, 0)).components == \
+        e.action_of((1, 2, 0)).components
+    # the same matrices on a complex of equal dims and other labels are not
+    other = ChainComplex(F2, t.dims, t.diff, {
+        k: tuple(("x", lab) for lab in labs) for k, labs in t.labels.items()})
+    moved = {gi: ChainMap(other, other, f.components)
+             for gi, f in action.items()}
+    with pytest.raises(ValueError, match="wrong"):
+        EquivariantComplex(t, S3, moved).validate()
 
 
 # ---------------------------------------------------------------------------
