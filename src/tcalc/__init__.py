@@ -5,7 +5,7 @@ Modules:
   rationals               -- Fraction, for the Q scalars that are not ints
   chainops                -- tensor and hom complexes, the tensor product
                              of maps, shifts, sub- and quotient complexes,
-                             transport, factor_through
+                             factor_through
   perms, equivariant      -- Young groups, resolutions, homotopy orbits and
                              fixed points, norm, Tate
   combinat                -- surjections, set partitions, permutation signs

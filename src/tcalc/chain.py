@@ -22,7 +22,7 @@ Conventions fixed once for the whole package:
   and a change of basis is a `label_map`, never a position.  A map is
   built from labels by `linear_map`, which sends each source label to a
   signed combination of target labels; `label_map` (the map matching two
-  bases), `transport` (a map carried by label onto other complexes) and
+  bases, strict unless asked to drop the labels without a counterpart) and
   `tensor_map` (the tensor product of any number of maps, on
   `tensor_many`'s flat labels) are calls of it.  A
   matrix is built from entries by `SparseMatrix.from_entries`, which sums
@@ -43,15 +43,13 @@ Conventions fixed once for the whole package:
   maps commute with d, and `laws.ChainHomotopy`'s homotopy identity) and
   returns the object.
   Decoded input and maps assembled from raw matrices are validated where
-  they are built, and `transport`, which drops the entries that have no
-  counterpart, certifies what it builds.
+  they are built.
 
 This module holds what every job reads: the value types, direct sums,
 maps built from labels and the cone.  The constructions that only the
 comonad and tower layers build (tensor and hom complexes, the tensor product
-of maps, shifts, sub- and quotient complexes, `transport` and
-`factor_through`) live in `chainops`,
-so the equivariant subcommands do not compile them.
+of maps, shifts, sub- and quotient complexes and `factor_through`) live
+in `chainops`, so the equivariant subcommands do not compile them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Constructions on chain complexes that the comonad and tower layers build:
 tensor and hom complexes, the tensor product of any number of maps
-(`tensor_map`), shifts, sub- and quotient complexes, and maps carried by
-label onto other complexes (`transport`) or through an inclusion
-(`factor_through`).
+(`tensor_map`), shifts, sub- and quotient complexes, and maps carried
+through an inclusion (`factor_through`).
 
 Their conventions are `chain`'s: the tensor and hom differentials, the
 Koszul sign of a tensor product of maps, the shift's sign, the subcomplex
@@ -18,35 +17,6 @@ from math import prod
 
 from .chain import ChainComplex, ChainMap, linear_map
 from .sparse import Echelon, SparseMatrix, solve_matrix
-
-
-def transport(f: ChainMap, source: ChainComplex | None = None,
-              target: ChainComplex | None = None) -> ChainMap:
-    """f carried by label onto other complexes in one pass over its entries.
-
-    The basis vector of `source` labelled lab stands for the vector of
-    f.source with the same label, and each vector of f.target goes to the
-    vector of `target` with the same label; a missing complex is f's own.
-    An entry without a counterpart is dropped, which can break the
-    chain-map identity, so the result is validated.  f itself is returned
-    when both complexes are f's own, and f's matrices on label-equal ones."""
-    src = f.source if source is None else source
-    tgt = f.target if target is None else target
-    if src is f.source and tgt is f.target:
-        return f
-    d = f.degree
-    images = {}     # degree -> {f.source label: [(tgt label, c)]}
-    for k, m in f.components.items():
-        rows = tgt.label_index(k + d)
-        slabs, tlabs = f.source.labels[k], f.target.labels[k + d]
-        new = tgt.labels.get(k + d, ())
-        img = images[k] = {}
-        for (i, j), v in m.items():
-            t = rows.get(tlabs[i])
-            if t is not None:
-                img.setdefault(slabs[j], []).append((new[t], v))
-    return linear_map(src, tgt, lambda k, lab: images.get(k, {}).get(
-        lab, ()), degree=d).validate()
 
 
 def factor_through(g: ChainMap, incl: ChainMap) -> ChainMap:

@@ -93,7 +93,9 @@ def mccarthy_square_check(c, site, n):
     diagonal piece (n,) and the Tate corner the sum of the slots (r, n),
     r < n; gamma on P_{n-1} (+) fixed is `tower.corner_map`, the bottom map
     minus the right map.  The commuting homotopy is the canonical one (its
-    absence is a hard failure)."""
+    absence is a hard failure).  Returns the acyclic flag, the window and
+    its homology dims, or a reason in place of the dims when a map of the
+    square fails validation."""
     tm = tower.tower_map(c, site, n)
     pn, pn1 = tm["source"], tm["target"]
     builder, tot = pn["builder"], pn["complex"]
@@ -122,7 +124,7 @@ def mccarthy_square_check(c, site, n):
                           {(0, 0): h, (1, 0): corner}).validate()
         total = cone(gamma)
     except (ValueError, ArithmeticError) as e:
-        return {"acyclic": False, "homology": None,
+        return {"acyclic": False,
                 "reason": "structure map fails validation: %s" % e,
                 "window": str(c.window)}
     pw = pn["window"]

@@ -272,10 +272,10 @@ def cmd_mccarthy(args):
     c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
     site = _parse_site(args.site, c.source)
     rep = classify.mccarthy_square_check(c, site, args.n)
-    _emit(args, {"command": "mccarthy", "n": args.n,
-                 "acyclic": rep["acyclic"],
-                 "homology": {str(k): v for k, v in rep["homology"].items()},
-                 "window": rep["window"]})
+    # a square map that fails validation leaves a reason, not a homology
+    if "homology" in rep:
+        rep["homology"] = {str(k): v for k, v in rep["homology"].items()}
+    _emit(args, {"command": "mccarthy", "n": args.n, **rep})
     return 0 if rep["acyclic"] else 1
 
 

@@ -2,14 +2,15 @@
 the sites of a Top tower.
 
 A truncated coalgebra stores structure maps theta_{r,n} : A_r -> K_r A_n for
-r < n, each targeting the stored comonad component model; theta_{r,r} is
-always the canonical section of the counit and is not user data.  Coherence
-squares are validated at homology level.
+r < n, each on the basis of A_r and of the stored comonad component model,
+which the constructor checks; theta_{r,r} is always the canonical section
+of the counit and is not user data.  Coherence squares are validated at
+homology level.
 """
 
 from __future__ import annotations
 
-from . import chainops, comonads, topcomonad
+from . import comonads, topcomonad
 from .chain import ChainMap, DegreeWindow
 from .perms import YoungGroup
 from .sequences import SymmetricSequence
@@ -57,6 +58,14 @@ class TruncatedCoalgebra:
             for (r, n), f in theta.items():
                 if not (1 <= r < n <= sequence.truncation):
                     raise ValueError("theta index (%d, %d) out of range" % (r, n))
+                comp = komonad.component(r, n)
+                if f is not None and (
+                        comp is None
+                        or not f.source.same_basis(sequence.term_complex(r))
+                        or not f.target.same_basis(comp.value.complex)):
+                    raise ValueError("theta_%d,%d is not a map from the basis "
+                                     "of A_%d to that of K_%d A_%d"
+                                     % (r, n, r, r, n))
                 self.theta[(r, n)] = f
 
     @property
@@ -106,14 +115,8 @@ def validate_coalgebra(c: TruncatedCoalgebra):
     N = c.truncation
     for n in range(1, N + 1):
         for r in range(1, n):
-            if c.theta_map(r, n) is None:
-                continue
             theta = c.theta_map(r, n)
-            comp = c.komonad.component(r, n)
-            if theta.source.dims != c.sequence.term_complex(r).dims or \
-                    theta.target.dims != comp.value.complex.dims:
-                report["failures"].append(
-                    "theta_%d,%d has wrong (co)domain" % (r, n))
+            if theta is None:
                 continue
             try:
                 theta.validate()
@@ -154,14 +157,12 @@ def _check_square(c: TruncatedCoalgebra, r, s, n):
     if theta_rn is None:
         route1 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
-        route1 = delta.compose(
-            chainops.transport(theta_rn, target=delta.source))
+        route1 = delta.compose(theta_rn)
     # route 2: K_r(theta~_{s,n}) o theta_{r,s}
     if theta_rs is None or theta_sn is None:
         route2 = ChainMap.zero(c.sequence.term_complex(r), delta.target)
     else:
-        kf = K.kq_theta(theta_sn, r, s, n)
-        route2 = kf.compose(chainops.transport(theta_rs, target=kf.source))
+        route2 = K.kq_theta(theta_sn, r, s, n).compose(theta_rs)
     diffm = route1 - route2
     w = c.window
     win = DegreeWindow(w.lo, w.hi - 1) if w.hi > w.lo else w

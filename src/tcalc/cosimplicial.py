@@ -98,7 +98,7 @@ def keyed_maps(b):
         **strict, **b._coface_blocks(m, i, False)}.items() if not f.is_zero()}
         for (m, i), strict in b.coface_blocks.items()}
     codegens = {(m, j): {
-        (sk, sk[:j] + sk[j + 1:]): b._same(m, sk, m - 1, sk[:j] + sk[j + 1:])
+        (sk, sk[:j] + sk[j + 1:]): b._same(m, sk)
         for sk in b.summands[m]
         if sk[j] == sk[j + 1] and sk[:j] + sk[j + 1:] in b.summands[m - 1]}
         for m in range(1, len(b.summands)) for j in range(m)}

@@ -80,11 +80,9 @@ class _HomLevels(_Levels):
                                       for lvl, by in self.hom.items()})
 
     def _post(self, m, sk, tk, g: ChainMap) -> ChainMap:
-        """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, with g
-        carried onto the pieces P of sk and Q of tk."""
+        """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, for g
+        on the pieces P of sk and Q of tk (or twins of them)."""
         src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
-        g = chainops.transport(g, self.pieces[m][sk].complex,
-                               self.pieces[m + 1][tk].complex)
         big = equivops.slotwise_map(src["full"], tgt["full"], g, slot=2)
         return chainops.factor_through(big.compose(src["incl"]),
                                        tgt["incl"]).validate()
@@ -152,8 +150,7 @@ class DerivedHomBuilder(_HomLevels):
             return None
         if m == 0 or (cp.source == "sp" and q == s):
             return self._post(m, sk, tk, th)
-        kf = K.kq_theta(chainops.transport(th, cp.sequence.term_complex(s)),
-                        q, s, n)
+        kf = K.kq_theta(th, q, s, n)
         return None if kf is None else self._post(m, sk, tk, kf)
 
 

@@ -174,13 +174,11 @@ class SlotwiseModel:
     def on_homs(self, theta: ChainMap, tgt, hom_src: ChainComplex,
                 hom_tgt: ChainComplex) -> ChainMap:
         """h |-> K(h) o theta from hom_src = Hom(B, B') to hom_tgt =
-        Hom(X, K(B')), for theta : X -> K(B) carried onto the model by
-        label.  It is linear in h, so the column at ("hom", x, y) is read
-        off theta's entries whose slot value is x, moved to y with the sign."""
-        source, target, path, sign, pre, post = self.on_maps(tgt)
-        th = chainops.transport(
-            theta, target=source if pre is None else pre.source)
-        th = th if pre is None else pre.compose(th)
+        Hom(X, K(B')), for theta : X -> K(B) on this model.  It is linear in
+        h, so the column at ("hom", x, y) is read off theta's entries whose
+        slot value is x, moved to y with the sign."""
+        _, target, path, sign, pre, post = self.on_maps(tgt)
+        th = theta if pre is None else pre.compose(theta)
         onward, by_slot = {}, {}    # onward: target label -> post image
         for k, m in (() if post is None else post.components.items()):
             for (i, j), v in m.items():

@@ -41,7 +41,7 @@ from .chain import (
 )
 from .chainops import (
     factor_through, hom_complex, quotient, subcomplex, tensor, tensor_many,
-    tensor_map, transport,
+    tensor_map,
 )
 from .classify import suspension
 from .coalgebras import (
@@ -1595,7 +1595,7 @@ def psi_from_theta(c: TruncatedCoalgebra):
                 continue
             top_comp = K.component(r, n)
             nu = nu_component(top_comp, kp_comp, c.window)
-            psi[(r, n)] = nu.compose(transport(theta, target=nu.source))
+            psi[(r, n)] = nu.compose(theta)
     return psi, KP
 
 

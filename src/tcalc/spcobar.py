@@ -9,7 +9,7 @@ Tate models off the diagonal).  Every windowed model sizes its own
 resolution by one rule (`equivariant._total_complex`), so every structural
 map is slotwise.  The index walk of the cofaces and codegeneracies lives in
 `tower._Levels`; this builder supplies the Phi term of a piece, the
-fixed-to-Tate unit off the diagonal and the transport of theta.  The
+fixed-to-Tate unit off the diagonal and theta at the innermost slot.  The
 builder of stage n reads the coalgebra's own terms of arity <= n, comonad
 and theta, which there are its n-truncation's, so no truncated copy is
 built.
@@ -78,16 +78,12 @@ class SpCobarBuilder(_Levels):
 
     def _inner(self, m, sk, tk):
         """theta_{s,n} at the innermost slot; K_s collapsed on an arity-s
-        object, so it is theta itself, transported into the piece model,
-        and on the Phi terms: itself at arity 1, slotwise on the fixed
-        models otherwise.  (The targets r < s < n are dropped: their
-        blocks are zero.)"""
+        object, so it is theta itself, which lands on the piece model or a
+        twin of it, and on the Phi terms: itself at arity 1, slotwise on
+        the fixed models otherwise.  (The targets r < s < n are dropped:
+        their blocks are zero.)"""
         th = self.c.theta_map(sk[-1], tk[-1])
-        if th is None:
-            return None
-        f = chainops.transport(th, self.pieces[m][sk].complex,
-                               self.pieces[m + 1][tk].complex)
-        if sk[0] == 1:
-            return f
+        if th is None or sk[0] == 1:
+            return th
         return equivops.slotwise_map(self.summands[m][sk],
-                                     self.summands[m + 1][tk], f).validate()
+                                     self.summands[m + 1][tk], th).validate()

@@ -21,7 +21,9 @@ comonad K' and the comparison nu : K -> K' are in `laws`.
 from __future__ import annotations
 
 from . import chainops, combinat, equivops, sequences, topdelta, trees
-from .chain import ChainComplex, ChainMap, DegreeWindow, direct_sum, linear_map
+from .chain import (
+    ChainComplex, ChainMap, DegreeWindow, direct_sum, label_map, linear_map,
+)
 from .equivariant import EquivariantComplex, homotopy_orbits
 from .perms import YoungGroup, transposition
 from .sparse import SparseMatrix, vanishes
@@ -216,20 +218,23 @@ class TopComponentModel(equivops.SlotwiseModel):
                                  force_windowed=self.kind == "windowed")
 
     def on_maps(self, tgt: "TopComponentModel"):
-        """K_r on maps into tgt (`SlotwiseModel`), from this model rebuilt
-        like tgt when their kinds differ: f itself on collapsed diagonals,
-        else the surjection sums' rule, between the unit section and the
-        projection of strict models, in the W slot of windowed ones."""
-        src = self if self.kind == tgt.kind else tgt.like(self.a, self.window)
-        kinds = (src.kind, tgt.kind)
+        """K_r on maps from this model into tgt of the same kind
+        (`SlotwiseModel`): f itself on collapsed diagonals, else the
+        surjection sums' rule, between the unit section and the projection
+        of strict models, in the W slot of windowed ones.  Models of two
+        kinds raise ValueError: a map out of this model rebuilt like tgt
+        would miss every map that lands on this one."""
+        kinds = (self.kind, tgt.kind)
         if kinds == ("collapsed", "collapsed"):
-            return src.value.complex, tgt.value.complex, (), None, None, None
+            return self.value.complex, tgt.value.complex, (), None, None, None
         if kinds not in (("strict", "strict"), ("windowed", "windowed")):
-            raise ValueError("K on maps between %s and %s models" % kinds)
-        source, target, path, sign, _, _ = src.sursum.on_maps(tgt.sursum)
-        if src.kind == "strict":
-            return source, target, path, sign, src.section, tgt.proj
-        return (src.value.complex, tgt.value.complex, (3,) + path,
+            raise ValueError("K_%d on maps from a %s model into a %s one: "
+                             "carrying theta across model kinds is ROADMAP "
+                             "item 4" % ((self.r,) + kinds))
+        source, target, path, sign, _, _ = self.sursum.on_maps(tgt.sursum)
+        if self.kind == "strict":
+            return source, target, path, sign, self.section, tgt.proj
+        return (self.value.complex, tgt.value.complex, (3,) + path,
                 lambda lab: sign(lab[3]), None, None)
 
 
@@ -296,15 +301,18 @@ class TopComonad:
     def kq_theta(self, theta: ChainMap, q, s, n) -> ChainMap | None:
         """K_q(theta~) : K_q A_s -> delta_outer[(q, s, n)], for s < n and
         theta : A_s -> K_s A_n in the component model, where theta~ is theta
-        carried by label into the comultiplication's inner model
-        delta_inner[(q, s, n)] (label-equal, or wider when windowed).  None
-        when the comultiplication has no such component."""
+        followed by the strict label map into the comultiplication's inner
+        model delta_inner[(q, s, n)] (the same basis, or wider when
+        windowed).  None when the comultiplication has no such
+        component."""
         inner = self.delta_inner.get((q, s, n))
         outer = self.delta_outer.get((q, s, n))
         if inner is None or outer is None:
             return None
-        return self.component(q, s).apply(
-            chainops.transport(theta, target=inner.value.complex), outer)
+        wide = inner.value.complex
+        if not theta.target.same_basis(wide):
+            theta = label_map(theta.target, wide).compose(theta).validate()
+        return self.component(q, s).apply(theta, outer)
 
     def _build_delta(self, r, s, n):
         comp = self.components[(r, n)]

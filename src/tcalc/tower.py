@@ -4,7 +4,7 @@ complex.
 
 The cobar's index walk is written once, in `_Levels`: which per-piece map
 feeds each block of delta^0, the middle cofaces, delta^{m+1} and sigma^j
-between the keys (n,), (q, n) and (q, s, n), with the relabelling of a piece
+between the keys (n,), (q, n) and (q, s, n), with the identity of a piece
 onto its copy wherever an index repeats.  The pieces of K^m A and their
 models come from one rule (`chain_model`, `cobar_pieces`), and
 `summands_by_value` builds a level's summands from them once per arity and
@@ -17,9 +17,9 @@ hom's) read it.  The level builders supply their summands (the Sp cobar and
 the Hom side by a rule on those pieces) and the blocks off the diagonal:
 `topcobar` at a finite pointed set (the unit and theta into the
 stratified-cone slot), `spcobar` at the zero sphere (the fixed-to-Tate unit
-and the transported theta), `derivedhom` for the derived mapping complex
-(K_q(h) o theta and postcomposition), which also holds the Bousfield-Kan E^1
-page.
+and theta at the innermost slot), `derivedhom` for the derived mapping
+complex (K_q(h) o theta and postcomposition), which also holds the
+Bousfield-Kan E^1 page.
 
 A builder's normalized levels are the sums of its pieces on strictly
 increasing chains (see `_Levels`), so `fat_tot`, both routes of `p_n`, the
@@ -160,7 +160,7 @@ class _Levels:
     - the codegeneracy sigma^j drops the repeated index sk[j] = sk[j + 1].
 
     Where the inserted or dropped index repeats a neighbour, the block is
-    `_same`, the relabelling of a piece onto its copy.  A builder supplies
+    `_same`, the identity of a piece onto its copy.  A builder supplies
     only the blocks off the diagonal: `_outer(m, sk, tk)` for delta^0,
     `_inner` for delta^{m+1} and, if its keys hold strictly nested chains
     q < s < n, `_middle`; None is a zero block.
@@ -185,12 +185,11 @@ class _Levels:
                             for lvl, s in summands.items()}
         self._identity = {}
 
-    def _same(self, src_lvl, sk, tgt_lvl, tk) -> ChainMap:
-        """The piece of sk relabelled onto its copy, the piece of tk: the
-        piece's identity, built once, when the two are one complex."""
-        src, tgt = self.summands[src_lvl][sk], self.summands[tgt_lvl][tk]
-        if src is not tgt:
-            return label_map(src, tgt).validate()
+    def _same(self, lvl, key) -> ChainMap:
+        """The block from the piece of key onto its copy: the piece's
+        identity, built once, since the copy's piece is the same complex
+        or a twin of it (`ChainComplex.same_basis`)."""
+        src = self.summands[lvl][key]
         if id(src) not in self._identity:
             self._identity[id(src)] = ChainMap.identity(src)
         return self._identity[id(src)]
@@ -212,7 +211,7 @@ class _Levels:
                 if tk not in up:
                     continue
                 if x in near:
-                    f = self._same(m, sk, m + 1, tk)
+                    f = self._same(m, sk)
                 elif i == 0:
                     f = self._outer(m, sk, tk)
                 elif i == m + 1:

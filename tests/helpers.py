@@ -8,7 +8,7 @@ from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, direct_sum, label_map,
     sphere,
 )
-from tcalc.chainops import factor_through, shift, transport
+from tcalc.chainops import factor_through, shift
 from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.derivedhom import equivariant_hom_complex
 from tcalc.equivariant import EquivariantComplex, regular_module, trivial_action
@@ -155,8 +155,7 @@ def kq_theta_by_columns(builder, m, sk, tk):
                                    builder.pieces[m][sk].complex,
                                    inc.get(j, {}), degree=k)
             kf = model.apply(f, tower.chain_model(builder.K, tk))
-            th = transport(theta, target=kf.source)
-            cols.append(map_to_hom_element(tgt["full"], kf.compose(th)))
+            cols.append(map_to_hom_element(tgt["full"], kf.compose(theta)))
         img[k] = SparseMatrix.from_columns(cols, tgt["full"].dim(k), c.field)
     return factor_through(ChainMap(src["inv"], tgt["full"], img),
                           tgt["incl"])

@@ -10,7 +10,7 @@ from tcalc.chain import (
 )
 from tcalc.chainops import (
     factor_through, hom_complex, quotient, shift, subcomplex, tensor,
-    tensor_many, tensor_map, transport,
+    tensor_many, tensor_map,
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.laws import (
@@ -592,7 +592,7 @@ def test_deformation_retract_quasi_iso():
 
 
 # ---------------------------------------------------------------------------
-# label transport
+# maps built from labels
 # ---------------------------------------------------------------------------
 
 
@@ -841,19 +841,21 @@ def test_quotient_by_the_image_of_a_subcomplex():
     assert q0.dims == d.dims and proj0.is_iso()
 
 
-def test_transport_target_drops_missing_labels():
+def test_partial_label_map_drops_missing_labels():
     c = _labelled(QQ, {0: ("a", "b", "c")})
     f = ChainMap(c, c, {0: SparseMatrix.from_rows(
         [[1, 0, 0], [2, 0, 1], [0, 3, 0]], QQ)})
     tgt = _labelled(QQ, {0: ("c", "a")})
-    g = transport(f, target=tgt)
+    g = label_map(c, tgt, partial=True).compose(f)
     assert g.target is tgt and g.source is c
     assert g.component(0) == SparseMatrix.from_rows(
         [[0, 3, 0], [1, 0, 0]], QQ)
-    assert transport(f, c, c) is f
+    # the strict change of basis refuses the label b that tgt lacks
+    with pytest.raises(ValueError, match="no image"):
+        label_map(c, tgt)
 
 
-def test_transport_source_side():
+def test_label_map_changes_basis_on_either_side():
     d = SparseMatrix.from_rows([[1, -1]], QQ)
     c = _labelled(QQ, {0: ("v",), 1: ("e", "e2")}, {1: d})
     # the same complex with its degree-1 basis listed in the other order
@@ -861,11 +863,8 @@ def test_transport_source_side():
                    {1: SparseMatrix.from_rows([[-1, 1]], QQ)})
     f = ChainMap(c, c, {0: SparseMatrix.identity(1, QQ),
                         1: SparseMatrix.from_rows([[1, 1], [0, 2]], QQ)})
-    g = transport(f, source=c2).validate()
+    g = f.compose(label_map(c2, c)).validate()
     assert g.component(1) == SparseMatrix.from_rows([[1, 1], [2, 0]], QQ)
     # both sides at once: the map read in c2 coordinates
-    h = transport(f, c2, c2).validate()
+    h = label_map(c, c2).compose(g).validate()
     assert h.component(1) == SparseMatrix.from_rows([[2, 0], [1, 1]], QQ)
-    # the entries are inserted column by column of the new source and, as
-    # in every matrix, stored and read row by row
-    assert [ij for ij, _ in g.component(1).items()] == [(0, 0), (0, 1), (1, 0)]

@@ -8,7 +8,9 @@ import time
 
 import pytest
 
-from helpers import random_theta, random_valid_coalgebra, triv
+from helpers import (
+    corrupt_square_map, random_theta, random_valid_coalgebra, triv,
+)
 from tcalc import serialize
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, direct_sum, sphere,
@@ -18,7 +20,7 @@ from tcalc.coalgebras import TruncatedCoalgebra, trivial_coalgebra
 from tcalc.equivariant import (
     EquivariantComplex, regular_module, trivial_action,
 )
-from tcalc.fields import F2, F3
+from tcalc.fields import F2, F3, QQ
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
 from tcalc.sparse import SparseMatrix
@@ -680,3 +682,60 @@ def test_derived_hom_maps_out_of_the_second_document(tmp_path, capsys):
     page = json.loads(out)
     assert page["window"] == [-2, 2]
     assert page["einf"] == {"0,-1": 1, "0,0": 1}
+
+
+def _one_more_entry_per_degree(f):
+    """f with 1 added at the first entry of each nonzero block, so the
+    chain-map identity fails."""
+    comps = dict(f.components)
+    for k in f.source.dims:
+        rows = f.target.dim(k + f.degree)
+        if rows:
+            comps[k] = f.component(k) + SparseMatrix.from_entries(
+                rows, f.source.dim(k), f.field, {(0, 0): 1})
+    return ChainMap(f.source, f.target, comps, f.degree)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_mccarthy_reports_a_square_map_that_fails_validation(
+        tmp_path, capsys, monkeypatch, which):
+    # mccarthy_square_check returns a reason and no homology when one of
+    # its maps is no chain map; the subcommand prints that, not an
+    # internal error
+    c = random_valid_coalgebra(random.Random(2), F2, "sp", 2,
+                               DegreeWindow(-2, 2))
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    mutated = corrupt_square_map(monkeypatch, which,
+                                 _one_more_entry_per_degree)
+    rc, out, err = run_cli(capsys, "mccarthy", "--n", "2", "--site", "S0", p)
+    assert mutated["calls"] == 1
+    assert (rc, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["acyclic"] is False and "homology" not in payload
+    assert payload["reason"].startswith(
+        "structure map fails validation: chain map fails to commute")
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=lambda F: F.name())
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_top_check_refuses_theta_across_model_kinds(tmp_path, capsys, F,
+                                                     seed):
+    # A_2 free: K_1 A_2 is a strict model, while the outer model of
+    # delta_{1,2,3} is windowed, so K_1 of theta_{2,3} cannot land where
+    # theta_{1,2} starts.  Carried across by label, every entry of theta_{1,2}
+    # would drop and the square (1, 2, 3) would compare two zero maps.
+    A = SymmetricSequence(F, 3, {
+        1: triv(F, 1, deg=2), 2: regular_module(F, YoungGroup.full(2), 1),
+        3: triv(F, 3)})
+    c0 = trivial_coalgebra("top", A, DegreeWindow(0, 4))
+    rng = random.Random(seed)
+    theta = {key: random_theta(c0, *key, rng) for key in ((1, 2), (2, 3))}
+    assert not any(th.is_zero() for th in theta.values())
+    c = TruncatedCoalgebra("top", A, c0.window, theta, komonad=c0.komonad)
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(c))
+    rc, out, err = run_cli(capsys, "check", p)
+    assert (rc, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "validation",
+        "detail": "K_1 on maps from a strict model into a windowed one: "
+                  "carrying theta across model kinds is ROADMAP item 4"}

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from helpers import random_theta
-from tcalc.chain import ChainMap, DegreeWindow, sphere
+from helpers import random_theta, random_valid_coalgebra
+from tcalc.chain import (
+    ChainComplex, ChainMap, DegreeWindow, label_map, sphere,
+)
 from tcalc.coalgebras import (
     FinitePointedSet, TruncatedCoalgebra, trivial_coalgebra,
     validate_coalgebra,
@@ -16,7 +18,8 @@ from tcalc.equivops import is_free
 from tcalc.fields import F2, F3, QQ
 from tcalc.laws import (
     KPrimeComonad, divided_power_check, evaluation_pairing_check,
-    representable_module, truncate_coalgebra, validate_right_module,
+    psi_from_theta, representable_module, truncate_coalgebra,
+    validate_right_module,
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
@@ -249,6 +252,47 @@ def test_divided_power_scaled_mismatch():
     bad = RightModule(module.operad, module.sequence, scaled_action)
     rep = divided_power_check(coalg, module=bad)
     assert not rep["valid"]
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=lambda F: F.name())
+@pytest.mark.parametrize("seed", [1, 3])
+def test_divided_power_of_a_nonzero_theta(F, seed):
+    # psi_{1,2} = nu o theta_{1,2} with theta_{1,2} nonzero.  A_2 is
+    # trivial, so nu is the norm, 2 times the orbit-to-invariant map: psi
+    # vanishes over F2 alone
+    c = random_valid_coalgebra(random.Random(seed), F, "top", 2,
+                               DegreeWindow(0, 2))
+    assert not c.theta[(1, 2)].is_zero()
+    rep = divided_power_check(c)
+    assert rep["valid"], rep
+    psi, _ = psi_from_theta(c)
+    assert psi[(1, 2)].is_zero() == (F is F2)
+
+
+def _relabelled(c):
+    """A copy of the complex c with each label lab read as ("copy", lab)."""
+    return ChainComplex(c.field, c.dims, c.diff, {
+        k: tuple(("copy", lab) for lab in labs)
+        for k, labs in c.labels.items()})
+
+
+def test_theta_meets_its_bases_when_built():
+    # theta_{1,2} moved by position onto a relabelled copy of A_1, or of
+    # K_1 A_2, is refused; read by position it would pair other bases
+    c = random_valid_coalgebra(random.Random(1), F2, "sp", 2,
+                               DegreeWindow(0, 2))
+    th = c.theta[(1, 2)]
+    a1 = _relabelled(th.source)
+    k12 = _relabelled(th.target)
+    for moved in (
+            th.compose(label_map(a1, th.source, key=lambda lab: lab[1])),
+            label_map(th.target, k12, key=lambda lab: ("copy", lab))
+            .compose(th)):
+        with pytest.raises(ValueError, match="theta_1,2 is not a map"):
+            TruncatedCoalgebra("sp", c.sequence, c.window, {(1, 2): moved},
+                               komonad=c.komonad)
+    TruncatedCoalgebra("sp", c.sequence, c.window, {(1, 2): th},
+                       komonad=c.komonad)
 
 
 def test_truncate_coalgebra():

@@ -76,7 +76,9 @@ LISTED = {
     "derivedhom._HomLevels._middle": "derived-hom on " + TOP_N3,
     "combinat.koszul_sign": TOP_N3,
     "topcomonad.TopComonad.kq_theta": TOP_N3,
-    "topcomonad.TopComponentModel.like": TOP_N3 + ", through kq_theta",
+    "topcomonad.TopComponentModel.like": "laws.top_coassociativity_check "
+                                         "rebuilds Top models of one kind "
+                                         "with it",
     "equivops.SlotwiseModel.apply": TOP_N3 + " (K on maps in kq_theta "
                                     "and the comultiplication)",
     "topdelta._factorizations": TOP_N3,
