@@ -16,10 +16,12 @@ Conventions fixed once for the whole package:
 * cone(f: C -> D)_k = C_{k-1} (+) D_k with d(c, x) = (-dc, dx - f(c));
 * shift(C, d)_k = C_{k-d} with differential scaled by (-1)^d;
 * basis labels are unique within a complex, across all its degrees, and are
-  set once at construction.  Two bases meet when they are one complex or
-  label-equal, degree by degree (`ChainComplex.same_basis`): `compose`, `+`,
-  `-`, `block_map` and an equivariant complex's generators join no others,
-  and a change of basis is a `label_map`, never a position.  A map is
+  set once at construction; `serialize.chain_from_json` checks this on every
+  decoded document, and constructors trust their callers.  Two bases meet
+  when they are one complex or label-equal, degree by degree
+  (`ChainComplex.same_basis`): `compose`, `+`, `-`, `block_map` and an
+  equivariant complex's generators join no others, and a change of basis
+  is a `label_map`, never a position.  A map is
   built from labels by `linear_map`, which sends each source label to a
   signed combination of target labels; `label_map` (the map matching two
   bases, strict unless asked to drop the labels without a counterpart) and

@@ -1,9 +1,15 @@
 """Batch command-line interface: one subcommand per row of COMMANDS.
 
 Inputs are JSON documents; output is deterministic JSON with every
-homological claim carrying its certified degree window.  Exit codes: 0
-success, 1 validation failure or internal error, 2 usage error; each error
-is one JSON line on stderr.
+homological claim carrying its certified degree window.  `main` is the one
+path that reads input and writes output: `parse` converts each option by its
+kind (`--n` an integer, `--window` LO:HI), every positional document is
+decoded by the `serialize` reader of its kind and each complex it holds is
+capped at TCALC_MAX_DIM basis elements, and the handler's payload is written
+with "command" added.  A handler only computes and returns its payload.
+Exit codes: 0 success, 1 a false verdict (check's `valid`, mccarthy's
+`acyclic`), a validation failure or an internal error, 2 usage error; each
+error is one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -23,28 +29,43 @@ from .fields import UnsupportedField, field_from_name
 MAX_DIM_ENV = "TCALC_MAX_DIM"
 
 
-def _max_dim():
-    return int(os.environ.get(MAX_DIM_ENV, "20000"))
-
-
-def _parse_window(text):
-    try:
-        lo, hi = text.split(":")
-        return DegreeWindow(int(lo), int(hi))
-    except Exception:
-        raise UsageError("--window must be lo:hi with lo <= hi")
-
-
 class UsageError(Exception):
     pass
 
 
-def _load_doc(path):
-    """The JSON document at path; a file that cannot be read (missing, a
-    directory, not UTF-8) or is not JSON is a usage error."""
+def _decode(doc, kind):
+    """doc decoded by the `serialize` reader of its kind, "chain",
+    "equivariant", "coalgebra" or "classify" (one document of each part),
+    once no complex it holds has more than TCALC_MAX_DIM basis elements."""
+    if kind == "classify":
+        # only sp_sp_3 reads a3, which other documents may leave out
+        parts = {"a1": "chain", "a2": "equivariant", "a3": "equivariant"}
+        return {key: _decode(doc[key], part) for key, part in parts.items()
+                if key != "a3" or "a3" in doc}
+    if kind == "chain":
+        x = serialize.chain_from_json(doc)
+        held = [x]
+    elif kind == "equivariant":
+        x = serialize.equivariant_from_json(doc)
+        held = [x.complex]
+    else:
+        x = serialize.coalgebra_from_json(doc)
+        held = [t.complex for t in x.sequence.terms.values()]
+    cap = int(os.environ.get(MAX_DIM_ENV, "20000"))
+    if any(c.total_dim() > cap for c in held):
+        raise UsageError("complex exceeds %s=%d basis elements"
+                         % (MAX_DIM_ENV, cap))
+    return x
+
+
+def _document(path, kind):
+    """The positional document at path, decoded by `_decode`.  A file that
+    cannot be read (missing, a directory, not UTF-8), is not JSON or has the
+    wrong shape (a list for an object; a matrix entry out of range or
+    repeated, a label repeated) is a usage error."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError:
         raise UsageError("input file not found: %s" % path)
     except OSError as e:
@@ -53,35 +74,10 @@ def _load_doc(path):
         raise UsageError("%s is not UTF-8: %s" % (path, e.reason))
     except json.JSONDecodeError as e:
         raise UsageError("malformed JSON in %s: %s" % (path, e))
-
-
-def _decode(from_json, doc, key=None):
-    """from_json(doc), or from_json(doc[key]); a document of the wrong shape
-    (a list for an object, an entry out of range or repeated) is a usage
-    error."""
     try:
-        return from_json(doc if key is None else doc[key])
+        return _decode(doc, kind)
     except (TypeError, AttributeError, IndexError) as e:
         raise UsageError("malformed document: %s" % e)
-
-
-def _emit(args, payload):
-    text = serialize.dumps(payload)
-    if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
-        except OSError as e:
-            raise UsageError("cannot write --out %s: %s"
-                             % (args.out, e.strerror))
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _guard_dims(c):
-    if c.total_dim() > _max_dim():
-        raise UsageError("complex exceeds %s=%d basis elements" %
-                         (MAX_DIM_ENV, _max_dim()))
 
 
 def _dims(complex_, w=None):
@@ -93,16 +89,14 @@ def _dims(complex_, w=None):
 
 
 def cmd_homology(args):
-    c = _decode(serialize.chain_from_json, _load_doc(args.input))
-    _guard_dims(c)
-    _emit(args, {"command": "homology", "dims": _dims(c),
-                 "window": "all supported degrees (finite complex)"})
-    return 0
+    return {"dims": _dims(args.input),
+            "window": "all supported degrees (finite complex)"}
 
 
-def _check_tags(args, e):
-    """`--group` and `--field`, when given, must name the document's Young
-    group (S3x1 for blocks [3, 1]) and field."""
+def cmd_tate(args):
+    """Tate homology; `--group` and `--field`, when given, must name the
+    document's Young group (S3x1 for blocks [3, 1]) and field."""
+    e, w = args.input, args.window
     group = "S" + "x".join(str(b) for b in e.group.blocks)
     if args.group is not None and args.group != group:
         raise UsageError("--group %s does not match the document's group %s"
@@ -110,62 +104,41 @@ def _check_tags(args, e):
     if args.field is not None and field_from_name(args.field) != e.field:
         raise UsageError("--field %s does not match the document's field %s"
                          % (args.field, e.field.name()))
-
-
-def cmd_tate(args):
-    w = _parse_window(args.window)
-    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
-    _check_tags(args, e)
-    _guard_dims(e.complex)
-    t = equivariant.tate(e, w)
-    _emit(args, {"command": "tate", "group": list(e.group.blocks),
-                 "dims": _dims(t, w),
-                 "window": serialize.window_to_json(w)})
-    return 0
+    return {"group": list(e.group.blocks),
+            "dims": _dims(equivariant.tate(e, w), w),
+            "window": serialize.window_to_json(w)}
 
 
 def cmd_bar_com(args):
-    field = field_from_name(args.field)
-    c = operads.bar_complex(field, args.n)
-    _emit(args, {"command": "bar-com", "arity": args.n,
-                 "normalized_dims": {str(k): c.dim(k) for k in c.support()},
-                 "homology": _dims(c),
-                 "window": "exact (finite complex)"})
-    return 0
+    c = operads.bar_complex(field_from_name(args.field), args.n)
+    return {"arity": args.n,
+            "normalized_dims": {str(k): c.dim(k) for k in c.support()},
+            "homology": _dims(c),
+            "window": "exact (finite complex)"}
 
 
 def cmd_partition_nerve(args):
-    field = field_from_name(args.field)
-    nerve, comparison = operads.partition_poset_nerve(field, args.n)
-    _emit(args, {"command": "partition-nerve", "n": args.n,
-                 "nerve_dims": {str(k): nerve.complex.dim(k)
-                                for k in nerve.complex.support()},
-                 "comparison_homology": _dims(comparison),
-                 "window": "exact (finite complex)"})
-    return 0
+    nerve, comparison = operads.partition_poset_nerve(
+        field_from_name(args.field), args.n)
+    return {"n": args.n,
+            "nerve_dims": {str(k): nerve.complex.dim(k)
+                           for k in nerve.complex.support()},
+            "comparison_homology": _dims(comparison),
+            "window": "exact (finite complex)"}
 
 
-def cmd_k_top(args):
-    w = _parse_window(args.window)
-    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
-    _guard_dims(e.complex)
-    comp = topcomonad.TopComponentModel(e, args.r, w)
-    _emit(args, {"command": "k-top", "r": args.r, "n": e.group.degree,
-                 "dims": _dims(comp.value.complex, w),
-                 "exact": comp.exact,
-                 "window": serialize.window_to_json(w)})
-    return 0
-
-
-def cmd_k_sp(args):
-    w = _parse_window(args.window)
-    e = _decode(serialize.equivariant_from_json, _load_doc(args.input))
-    _guard_dims(e.complex)
-    comp = comonads.SpComponentModel(e, args.r, w)
-    _emit(args, {"command": "k-sp", "r": args.r, "n": e.group.degree,
-                 "dims": _dims(comp.value.complex, w),
-                 "window": serialize.window_to_json(w)})
-    return 0
+def cmd_component(args):
+    """k-top and k-sp: the component K_r of the Top or the Sp comonad on
+    the document; k-top also says whether its model is exact."""
+    top = args.command == "k-top"
+    model = topcomonad.TopComponentModel if top else comonads.SpComponentModel
+    comp = model(args.input, args.r, args.window)
+    payload = {"r": args.r, "n": args.input.group.degree,
+               "dims": _dims(comp.value.complex, args.window),
+               "window": serialize.window_to_json(args.window)}
+    if top:
+        payload["exact"] = comp.exact
+    return payload
 
 
 def _parse_site(text, source):
@@ -183,21 +156,18 @@ def _parse_site(text, source):
 
 
 def cmd_cobar(args):
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    site = _parse_site(args.site, c.source)
-    b = tower.cobar(c, site)
+    c = args.input
+    b = tower.cobar(c, _parse_site(args.site, c.source))
     levels = [{str(k): sum(p.dim(k) for p in b.summands[m].values())
                for k in sorted({k for p in b.summands[m].values()
                                 for k in p.dims})}
               for m in range(len(b.summands))]
-    _emit(args, {"command": "cobar", "levels": levels,
-                 "degenerate_above": len(levels) - 1,
-                 "window": serialize.window_to_json(c.window)})
-    return 0
+    return {"levels": levels, "degenerate_above": len(levels) - 1,
+            "window": serialize.window_to_json(c.window)}
 
 
 def cmd_pn(args):
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
+    c = args.input
     site = _parse_site(args.site, c.source)
     routes = [args.route] if args.route != "both" else ["tot", "pullback"]
     reports = {}
@@ -213,120 +183,113 @@ def cmd_pn(args):
         # keep only the builder and the report: the next route does not need
         # this one's stages, Tot complex included
         del st
-    payload = {"command": "pn", "n": args.n, "routes": reports}
+    payload = {"n": args.n, "routes": reports}
     if len(reports) == 2:
         payload["routes_agree"] = \
             reports["tot"]["dims"] == reports["pullback"]["dims"]
-    _emit(args, payload)
-    return 0
+    return payload
 
 
 def cmd_derived_hom(args):
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
-    r = tower.derived_hom(c, c2)
-    _emit(args, {"command": "derived-hom", "h0": r["h0"],
-                 "dims": _dims(r["complex"], r["window"]),
-                 "window": serialize.window_to_json(r["window"])})
-    return 0
+    r = tower.derived_hom(args.input, args.second)
+    return {"h0": r["h0"], "dims": _dims(r["complex"], r["window"]),
+            "window": serialize.window_to_json(r["window"])}
 
 
 def cmd_bk_e1(args):
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    c2 = _decode(serialize.coalgebra_from_json, _load_doc(args.second))
-    r = derivedhom.bk_e1(c, c2)
+    r = derivedhom.bk_e1(args.input, args.second)
     page = r["e1"]
     einf = derivedhom.einf_dims(r)
-    _emit(args, {"command": "bk-e1",
-                 "e1": {"%d,%d" % k: v for k, v in sorted(page.dims().items())},
-                 "d1_squared_zero": page.d1_squared_zero(),
-                 "e2": {"%d,%d" % k: v for k, v in
-                        sorted(page.e2_dims().items())},
-                 "einf": {"%d,%d" % k: v for k, v in sorted(einf.items())},
-                 "window": serialize.window_to_json(r["window"])})
-    return 0
+    return {"e1": {"%d,%d" % k: v for k, v in sorted(page.dims().items())},
+            "d1_squared_zero": page.d1_squared_zero(),
+            "e2": {"%d,%d" % k: v for k, v in sorted(page.e2_dims().items())},
+            "einf": {"%d,%d" % k: v for k, v in sorted(einf.items())},
+            "window": serialize.window_to_json(r["window"])}
 
 
 def cmd_classify(args):
-    w = _parse_window(args.window)
-    doc = _load_doc(args.input)
-    a1 = _decode(serialize.chain_from_json, doc, "a1")
-    a2 = _decode(serialize.equivariant_from_json, doc, "a2")
+    a, w = args.input, args.window
     if args.variant == "sp_sp_2":
-        rep = classify.classify_2exc_sp(a1, a2, w)
+        rep = classify.classify_2exc_sp(a["a1"], a["a2"], w)
     elif args.variant == "top_sp_2":
-        rep = classify.classify_2exc_top(a1, a2, w)
+        rep = classify.classify_2exc_top(a["a1"], a["a2"], w)
     else:
-        a3 = _decode(serialize.equivariant_from_json, doc, "a3")
-        rep = classify.classify_3exc_sp(a1, a2, a3, w)
-    payload = {"command": "classify", "variant": args.variant}
+        rep = classify.classify_3exc_sp(a["a1"], a["a2"], a["a3"], w)
+    payload = {"variant": args.variant}
     payload.update({k: (list(v) if isinstance(v, tuple) else v)
                     for k, v in rep.items()
                     if k in ("dim", "dims", "classes", "square_vacuous",
                              "window")})
-    _emit(args, payload)
-    return 0
+    return payload
 
 
 def cmd_mccarthy(args):
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    site = _parse_site(args.site, c.source)
-    rep = classify.mccarthy_square_check(c, site, args.n)
+    c = args.input
+    rep = classify.mccarthy_square_check(c, _parse_site(args.site, c.source),
+                                         args.n)
     # a square map that fails validation leaves a reason, not a homology
     if "homology" in rep:
         rep["homology"] = {str(k): v for k, v in rep["homology"].items()}
-    _emit(args, {"command": "mccarthy", "n": args.n, **rep})
-    return 0 if rep["acyclic"] else 1
+    return {"n": args.n, **rep}
 
 
 def cmd_check(args):
     """Full invariant suite on a coalgebra document."""
-    c = _decode(serialize.coalgebra_from_json, _load_doc(args.input))
-    rep = coalgebras.validate_coalgebra(c)
-    payload = {"command": "check", "valid": rep["valid"],
-               "failures": rep["failures"],
-               "squares": {"%d,%d,%d" % k: v
-                           for k, v in sorted(rep["squares"].items())},
-               "window": serialize.window_to_json(c.window)}
-    _emit(args, payload)
-    return 0 if rep["valid"] else 1
+    rep = coalgebras.validate_coalgebra(args.input)
+    return {"valid": rep["valid"], "failures": rep["failures"],
+            "squares": {"%d,%d,%d" % k: v
+                        for k, v in sorted(rep["squares"].items())},
+            "window": serialize.window_to_json(args.input.window)}
 
 
-# option -> (type, required, default, allowed values or None for any)
-_COMMON = {"--out": (str, False, None, None)}
-_WINDOW = {"--window": (str, True, None, None)}
-_SITE = {"--site": (str, True, None, None)}
-_ARITY = {"--n": (int, True, None, None)}
-_PIECE = {"--r": (int, True, None, None)}
-_FIELD = {"--field": (str, True, None, None)}
+def _window(text):
+    lo, hi = text.split(":")
+    return DegreeWindow(int(lo), int(hi))
+
+
+# option kind, as -h prints it -> (what a value of it is, its converter; a
+# value the converter refuses with ValueError is a usage error)
+_KINDS = {"STR": ("a string", str), "INT": ("an integer", int),
+          "LO:HI": ("lo:hi with lo <= hi", _window)}
+
+# option -> (kind, required, default, allowed values or None for any)
+_COMMON = {"--out": ("STR", False, None, None)}
+_WINDOW = {"--window": ("LO:HI", True, None, None)}
+_SITE = {"--site": ("STR", True, None, None)}
+_ARITY = {"--n": ("INT", True, None, None)}
+_PIECE = {"--r": ("INT", True, None, None)}
+_FIELD = {"--field": ("STR", True, None, None)}
+_COALGEBRA = {"input": "coalgebra"}
 
 # subcommand -> (handler, its options besides _COMMON, its positionals in
-# command-line order)
+# command-line order, each with the kind of its document)
 COMMANDS = {
-    "homology": (cmd_homology, {}, ("input",)),
-    "tate": (cmd_tate, {"--group": (str, False, None, None),
-                        "--field": (str, False, None, None), **_WINDOW},
-             ("input",)),
-    "bar-com": (cmd_bar_com, {**_ARITY, **_FIELD}, ()),
-    "partition-nerve": (cmd_partition_nerve, {**_ARITY, **_FIELD}, ()),
-    "k-top": (cmd_k_top, {**_PIECE, **_WINDOW}, ("input",)),
-    "k-sp": (cmd_k_sp, {**_PIECE, **_WINDOW}, ("input",)),
-    "cobar": (cmd_cobar, _SITE, ("input",)),
+    "homology": (cmd_homology, {}, {"input": "chain"}),
+    "tate": (cmd_tate, {"--group": ("STR", False, None, None),
+                        "--field": ("STR", False, None, None), **_WINDOW},
+             {"input": "equivariant"}),
+    "bar-com": (cmd_bar_com, {**_ARITY, **_FIELD}, {}),
+    "partition-nerve": (cmd_partition_nerve, {**_ARITY, **_FIELD}, {}),
+    "k-top": (cmd_component, {**_PIECE, **_WINDOW}, {"input": "equivariant"}),
+    "k-sp": (cmd_component, {**_PIECE, **_WINDOW}, {"input": "equivariant"}),
+    "cobar": (cmd_cobar, _SITE, _COALGEBRA),
     "pn": (cmd_pn, {**_ARITY, **_SITE, "--route": (
-        str, False, "both", ("tot", "pullback", "both"))}, ("input",)),
+        "STR", False, "both", ("tot", "pullback", "both"))}, _COALGEBRA),
     # the first document is the second argument of derived_hom and bk_e1
-    "derived-hom": (cmd_derived_hom, {}, ("second", "input")),
-    "bk-e1": (cmd_bk_e1, {}, ("second", "input")),
+    "derived-hom": (cmd_derived_hom, {},
+                    {"second": "coalgebra", "input": "coalgebra"}),
+    "bk-e1": (cmd_bk_e1, {}, {"second": "coalgebra", "input": "coalgebra"}),
     "classify": (cmd_classify, {"--variant": (
-        str, True, None, ("sp_sp_2", "sp_sp_3", "top_sp_2")),
-        **_WINDOW}, ("input",)),
-    "mccarthy": (cmd_mccarthy, {**_ARITY, **_SITE}, ("input",)),
-    "check": (cmd_check, {}, ("input",)),
+        "STR", True, None, ("sp_sp_2", "sp_sp_3", "top_sp_2")),
+        **_WINDOW}, {"input": "classify"}),
+    "mccarthy": (cmd_mccarthy, {**_ARITY, **_SITE}, _COALGEBRA),
+    "check": (cmd_check, {}, _COALGEBRA),
 }
 
 
 class Args:
-    """A parsed command line: one attribute per option and positional."""
+    """A parsed command line: one attribute per option and positional, and
+    the subcommand."""
 
     def __init__(self, values):
         self.__dict__.update(values)
@@ -339,8 +302,7 @@ def _help(args):
         _, extra, positionals = COMMANDS[command]
         words = ["tcalc", command]
         for name, (kind, required, _, choices) in {**extra, **_COMMON}.items():
-            word = "%s %s" % (name, "|".join(choices) if choices
-                              else kind.__name__.upper())
+            word = "%s %s" % (name, "|".join(choices) if choices else kind)
             words.append(word if required else "[%s]" % word)
         lines.append(" ".join(words + list(positionals)))
     sys.stdout.write("usage: " + "\n       ".join(lines) + "\n")
@@ -351,7 +313,8 @@ def parse(argv):
     """(handler, Args) for a command line, read against its row of COMMANDS:
     `--opt value` (the next token, even one starting with "-") or
     `--opt=value` in any order among the positionals, the last of a repeated
-    option winning.  Any mistake raises UsageError."""
+    option winning, each value converted by its option's kind.  Any mistake
+    raises UsageError."""
     command = argv[0] if argv else ""
     if command in ("-h", "--help"):
         return _help, Args({"command": None})
@@ -377,12 +340,12 @@ def parse(argv):
             if value is None:
                 raise UsageError("%s: %s needs a value" % (command, name))
         kind, _, _, choices = options[name]
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError("%s: %s takes an integer, not %r"
-                                 % (command, name, value))
+        what, convert = _KINDS[kind]
+        try:
+            value = convert(value)
+        except ValueError:
+            raise UsageError("%s: %s takes %s, not %r"
+                             % (command, name, what, value))
         if choices is not None and value not in choices:
             raise UsageError("%s: %s takes one of %s, not %r"
                              % (command, name, ", ".join(choices), value))
@@ -396,13 +359,35 @@ def parse(argv):
                          % (command, len(positionals), " ".join(positionals),
                             len(given)))
     values.update(zip(positionals, given))
+    values["command"] = command
     return handler, Args(values)
 
 
 def main(argv=None):
+    """Run one command line: parse it, decode and cap its documents, run
+    its handler, and write the payload with "command" added to stdout or
+    `--out`.  Returns the exit code: 1 when the payload's verdict is false
+    (check's `valid`, mccarthy's `acyclic`), else 0; or the error's."""
     try:
         handler, args = parse(sys.argv[1:] if argv is None else argv)
-        return handler(args)
+        if handler is _help:
+            return _help(args)
+        # the last positional first: derived-hom and bk-e1 decode input
+        # before second
+        for name, kind in reversed(COMMANDS[args.command][2].items()):
+            setattr(args, name, _document(getattr(args, name), kind))
+        payload = {"command": args.command, **handler(args)}
+        text = serialize.dumps(payload) + "\n"
+        if args.out:
+            try:
+                with open(args.out, "w") as f:
+                    f.write(text)
+            except OSError as e:
+                raise UsageError("cannot write --out %s: %s"
+                                 % (args.out, e.strerror))
+        else:
+            sys.stdout.write(text)
+        return int(any(payload.get(k) is False for k in ("valid", "acyclic")))
     except (UsageError, UnsupportedField) as e:
         kind, detail, code = "usage", str(e), 2
     except (ValueError, KeyError, ArithmeticError) as e:

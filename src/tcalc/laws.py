@@ -1099,6 +1099,13 @@ def nu_component(top_comp: TopComponentModel,
 # ---------------------------------------------------------------------------
 
 
+def _like(model: TopComponentModel, a: EquivariantComplex, w: DegreeWindow):
+    """K_r(a) at window w, for model's r: windowed when model is (the only
+    inexact kind), else in its natural kind.  A windowed model sizes its own
+    resolution, so maps between it and model stay slotwise."""
+    return TopComponentModel(a, model.r, w, force_windowed=not model.exact)
+
+
 def top_coassociativity_check(term: EquivariantComplex, r, s, t,
                               w: DegreeWindow) -> bool:
     """Comonad coassociativity (delta K)delta = (K delta)delta on homology,
@@ -1117,13 +1124,13 @@ def top_coassociativity_check(term: EquivariantComplex, r, s, t,
     comp_s_wide, d_st, outer_st = build_top_delta(
         term, comp_s_wide, inner_t_wide, s, t, w2)
     # K_r of d_st: source outer_rs (K_r of inner_s); target K_r(outer_st)
-    tgt_model = outer_rs.like(outer_st.value, w)
-    src_model = outer_rs.like(inner_s.value, w)
+    tgt_model = _like(outer_rs, outer_st.value, w)
+    src_model = _like(outer_rs, inner_s.value, w)
     k_dst = src_model.apply(d_st, tgt_model)
     routeA = k_dst.compose(d_rs)
     # route B: d_rt then delta_{r,s} of the inner_t value
-    comp_b = outer_rt.like(inner_t.value, w)
-    inner_b = inner_s.like(inner_t.value, w2)
+    comp_b = _like(outer_rt, inner_t.value, w)
+    inner_b = _like(inner_s, inner_t.value, w2)
     _, d_b, _ = build_top_delta(inner_t.value, comp_b, inner_b, r, s, w)
     routeB = d_b.compose(d_rt)
     # compare on homology: the two routes land on label-equal models of

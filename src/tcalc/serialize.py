@@ -75,7 +75,15 @@ def chain_from_json(doc) -> ChainComplex:
     if doc.get("labels"):
         labels = {int(k): tuple(_label_from_json(x) for x in labs)
                   for k, labs in doc["labels"].items()}
-    return ChainComplex(field, dims, diff, labels).validate()
+    c = ChainComplex(field, dims, diff, labels)
+    # a label names one basis vector across all degrees; like a repeated
+    # matrix entry, a repeated label raises IndexError
+    seen = set()
+    for lab in (lab for labs in c.labels.values() for lab in labs):
+        if lab in seen:
+            raise IndexError("label %r repeats" % (lab,))
+        seen.add(lab)
+    return c.validate()
 
 
 def map_to_json(f: ChainMap):

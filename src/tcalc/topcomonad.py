@@ -210,19 +210,12 @@ class TopComponentModel(equivops.SlotwiseModel):
                       for gi, g in sr.action.items()}
             self.value = EquivariantComplex(model, sr.group, action)
 
-    def like(self, a: EquivariantComplex, w: DegreeWindow):
-        """K_r(a) at window w: windowed when this model is windowed, else in
-        its natural kind.  A windowed model sizes its own resolution, so
-        maps between it and this one stay slotwise."""
-        return TopComponentModel(a, self.r, w,
-                                 force_windowed=self.kind == "windowed")
-
     def on_maps(self, tgt: "TopComponentModel"):
         """K_r on maps from this model into tgt of the same kind
         (`SlotwiseModel`): f itself on collapsed diagonals, else the
         surjection sums' rule, between the unit section and the projection
         of strict models, in the W slot of windowed ones.  Models of two
-        kinds raise ValueError: a map out of this model rebuilt like tgt
+        kinds raise ValueError: a map out of this model rebuilt in tgt's kind
         would miss every map that lands on this one."""
         kinds = (self.kind, tgt.kind)
         if kinds == ("collapsed", "collapsed"):

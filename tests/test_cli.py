@@ -197,6 +197,10 @@ def malformed_command_lines():
             if opt in argv:
                 i = argv.index(opt) + 1
                 kinds["bad-integer"] = argv[:i] + ("two",) + argv[i + 1:]
+        if "--window" in argv:
+            i = argv.index("--window") + 1
+            kinds["bad-window"] = argv[:i] + ("oops",) + argv[i + 1:]
+            kinds["empty-window"] = argv[:i] + ("3:1",) + argv[i + 1:]
         if command == "pn":
             kinds["route-outside-the-choices"] = argv + ("--route", "all")
             # choices match exactly: a route's name in another case is refused
@@ -238,6 +242,10 @@ def test_help_prints_the_usage_from_the_table(capsys):
     assert rc == 0 and err == ""
     assert out == ("usage: tcalc pn --n INT --site STR "
                    "[--route tot|pullback|both] [--out STR] input\n")
+    rc, out, err = run_cli(capsys, "tate", "-h")
+    assert rc == 0 and err == ""
+    assert out == ("usage: tcalc tate [--group STR] [--field STR] "
+                   "--window LO:HI [--out STR] input\n")
 
 
 def test_an_unexpected_failure_is_one_internal_json_line(tmp_path, capsys,
@@ -249,7 +257,11 @@ def test_an_unexpected_failure_is_one_internal_json_line(tmp_path, capsys,
 
     monkeypatch.setitem(cli.COMMANDS, "check",
                         (broken,) + cli.COMMANDS["check"][1:])
-    rc, out, err = run_cli(capsys, "check", str(tmp_path / "c.json"))
+    # main decodes the document before the handler runs
+    A = SymmetricSequence(F2, 1, {1: triv(F2, 1)})
+    p = write(tmp_path, "c.json", serialize.coalgebra_to_json(
+        trivial_coalgebra("sp", A, DegreeWindow(0, 1))))
+    rc, out, err = run_cli(capsys, "check", p)
     assert rc == 1 and out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "internal",
                                "detail": "TypeError: unsupported operand"}
@@ -372,6 +384,21 @@ def test_max_dim_cap(tmp_path, capsys, monkeypatch):
     p = write(tmp_path, "t.json", doc)
     rc, out, err = run_cli(capsys, "tate", "--window", "-1:1", p)
     assert rc == 2
+    # the cap covers every complex a document holds: each term of a
+    # coalgebra's sequence, and classify's a1, a2 and a3
+    A2 = SymmetricSequence(F2, 2, {1: triv(F2, 1), 2: triv(F2, 2)})
+    coalg = write(tmp_path, "c.json", serialize.coalgebra_to_json(
+        trivial_coalgebra("sp", A2, DegreeWindow(-2, 2))))
+    pair = write(tmp_path, "p.json", {
+        "a1": serialize.chain_to_json(sphere(F2, 0)),
+        "a2": serialize.equivariant_to_json(triv(F2, 2))})
+    for argv in (("check", coalg), ("pn", "--n", "2", "--site", "S0", coalg),
+                 ("classify", "--variant", "sp_sp_2", "--window", "-3:3",
+                  pair)):
+        assert_usage_error(capsys, *argv)
+        monkeypatch.setenv("TCALC_MAX_DIM", "20000")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("TCALC_MAX_DIM", "0")
 
 
 def test_huge_prime_field_is_accepted_quickly(tmp_path, capsys):
@@ -739,3 +766,40 @@ def test_top_check_refuses_theta_across_model_kinds(tmp_path, capsys, F,
         "error": "validation",
         "detail": "K_1 on maps from a strict model into a windowed one: "
                   "carrying theta across model kinds is ROADMAP item 4"}
+
+
+def test_derived_hom_refuses_a_repeated_label(tmp_path, capsys):
+    # term 2 of the pool's sp2 document with its degree-0 label copied over
+    # its degree-1 one: read as two vectors of one name, derived-hom printed
+    # h0 2 where the document gives 3
+    pool = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "pool", "tower-f2.json")
+    with open(pool) as f:
+        slots = {s["name"]: s for s in json.load(f)["slots"]}
+    doc = slots["sp2"]["variants"][0]["docs"]["c"]
+    p = write(tmp_path, "c.json", doc)
+    rc, out, _ = run_cli(capsys, "derived-hom", p, p)
+    assert rc == 0 and json.loads(out)["h0"] == 3
+    labels = doc["sequence"]["terms"]["2"]["labels"]
+    labels["1"] = labels["0"]
+    p = write(tmp_path, "c.json", doc)
+    rc, out, err = run_cli(capsys, "derived-hom", p, p)
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": "malformed document: label (1, ('a2_1', 0)) repeats"}
+
+
+def test_k_top_refuses_a_repeated_label(tmp_path, capsys):
+    # the regular S2-module over F2 with one label for both vectors: decoded,
+    # K_1 failed d o d = 0 leaving degree 3
+    doc = {"field": "F2", "dims": {"0": 2}, "labels": {"0": ["a", "a"]},
+           "group": [2], "action": {"s_0": {"0": [[0, 1, "1"], [1, 0, "1"]]}}}
+    argv = ("k-top", "--r", "1", "--window", "0:2")
+    rc, out, err = run_cli(capsys, *argv, write(tmp_path, "e.json", doc))
+    assert (rc, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "usage", "detail": "malformed document: label 'a' repeats"}
+    doc["labels"]["0"] = ["a", "b"]
+    rc, out, err = run_cli(capsys, *argv, write(tmp_path, "e.json", doc))
+    assert rc == 0 and json.loads(out)["dims"] == {"0": 0, "1": 1, "2": 0}
