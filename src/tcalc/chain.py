@@ -29,6 +29,11 @@ Conventions fixed once for the whole package:
   `tensor_many`'s flat labels) are calls of it.  A
   matrix is built from entries by `SparseMatrix.from_entries`, which sums
   repeated indices and canonicalizes once;
+* a field is its characteristic (`fields.FieldSpec(p)`, p = 0 for Q) and
+  does no arithmetic: scalars are canonicalized only by `FieldSpec.coerce`
+  and `sparse._canonical`, every sum and product of scalars runs in
+  `sparse`'s accumulate and eliminate kernel, and the maps here pass plain
+  ints (`scale(-1)`) where they need a sign;
 * a subcomplex is the span of chosen independent vectors in each degree
   (`subcomplex`, returned with its inclusion), and a quotient keeps the
   coordinates that are not pivots of the echelon form of its relations
@@ -296,7 +301,7 @@ class ChainMap:
             for k in {**self.components, **other.components}}, self.degree)
 
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one()))
+        return self + other.scale(-1)
 
     def scale(self, c):
         return ChainMap(self.source, self.target, {

@@ -49,8 +49,9 @@ def subcomplex(c: ChainComplex, constraints, label):
     incl, free = {}, {}
     for k, mats in constraints.items():
         n = c.dim(k)
-        ech = Echelon(SparseMatrix.vstack(mats) if mats
-                      else SparseMatrix(0, n, F))
+        ech = Echelon(SparseMatrix.block(
+            {(i, 0): m for i, m in enumerate(mats)}, [m.rows for m in mats],
+            [n], F))
         basis = ech.nullspace_basis()
         if basis:
             incl[k] = SparseMatrix.from_columns(basis, n, F)
@@ -81,23 +82,25 @@ def quotient(c: ChainComplex, relations, label):
     """(q, proj) for c modulo the span of the sparse vectors relations[k] of
     c_k.  q keeps the coordinates j that are not pivots of the relations'
     echelon form, labelled label(k, j); proj and the differential of q
-    reduce against the relations.  Nothing is validated."""
+    reduce against the relations.  Nothing is validated.
+
+    proj's rows are the relations' nullspace basis, read off their reduced
+    echelon rows: the t-th row kills every relation and is 1 on the t-th
+    kept coordinate and 0 on the others, so a kept coordinate maps to
+    itself and a pivot to minus its row's entries on the kept ones."""
     F = c.field
     dims, labels, pmats, kept = {}, {}, {}, {}
     for k in c.support():
         n = c.dim(k)
-        ech = Echelon(SparseMatrix.from_sparse_rows(relations.get(k, []), n,
-                                                    F))
-        piv = set(ech.pivot_cols)
-        keep = [j for j in range(n) if j not in piv]
+        ech = Echelon(SparseMatrix.from_columns(relations.get(k, []), n,
+                                                F).transpose())
+        keep = ech.free_cols()
         if keep:
             dims[k] = len(keep)
             labels[k] = tuple(label(k, j) for j in keep)
-        # a reduced vector is zero on the pivots, so it lies on kept columns
-        pos = kept[k] = {j: t for t, j in enumerate(keep)}
-        pmats[k] = SparseMatrix.from_entries(len(keep), n, F, {
-            (pos[i], j): v for j in range(n)
-            for i, v in ech.reduce_vector({j: 1}).items()})
+        kept[k] = {j: t for t, j in enumerate(keep)}
+        pmats[k] = SparseMatrix.from_columns(ech.nullspace_basis(), n,
+                                             F).transpose()
     # q's differential at a kept coordinate j is proj(d e_j)
     diff = {k: pmats[k - 1] * SparseMatrix.from_entries(
         c.dim(k - 1), dims[k], F, {(i, kept[k][j]): v for (i, j), v in
@@ -108,9 +111,8 @@ def quotient(c: ChainComplex, relations, label):
 
 
 def shift(c: ChainComplex, d: int) -> ChainComplex:
-    sgn = c.field.one() if d % 2 == 0 else c.field.neg(c.field.one())
     dims = {k + d: n for k, n in c.dims.items()}
-    diff = {k + d: m.scale(sgn) for k, m in c.diff.items()}
+    diff = {k + d: m.scale(-1 if d % 2 else 1) for k, m in c.diff.items()}
     labels = {k + d: tuple(("sh", d, lab) for lab in c.labels[k]) for k in c.dims}
     return ChainComplex(c.field, dims, diff, labels)
 

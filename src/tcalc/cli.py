@@ -51,7 +51,11 @@ def _decode(doc, kind):
     else:
         x = serialize.coalgebra_from_json(doc)
         held = [t.complex for t in x.sequence.terms.values()]
-    cap = int(os.environ.get(MAX_DIM_ENV, "20000"))
+    setting = os.environ.get(MAX_DIM_ENV, "20000")
+    if not setting.strip().isdecimal():
+        raise UsageError("%s takes a count of basis elements, not %r"
+                         % (MAX_DIM_ENV, setting))
+    cap = int(setting)
     if any(c.total_dim() > cap for c in held):
         raise UsageError("complex exceeds %s=%d basis elements"
                          % (MAX_DIM_ENV, cap))

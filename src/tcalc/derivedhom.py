@@ -248,9 +248,8 @@ def einf_dims(bk_result):
     w = bk_result["window"]
     F = tot.field
     D = builder.D
-    # the boundaries of Tot in each degree, reduced once for every p
-    bnd = {k: Echelon(tot.d(k + 1).transpose()).pivot_rows
-           for k in w.degrees()}
+    # the boundaries of Tot in each degree, eliminated once for every p
+    bnd = {k: Echelon(tot.d(k + 1).transpose()) for k in w.degrees()}
     # each column's coordinates: the projection of tot onto its pieces
     columns = [tot_projection(builder, tot, m, builder.strict_keys[m])
                for m in range(D + 1)]
@@ -263,12 +262,14 @@ def einf_dims(bk_result):
         sub, incl = chainops.subcomplex(
             tot, {k: [col.component(k) for col in columns[:p]]
                   for k in tot.labels}, lambda k, i: ("F", p, k, i))
-        # image rank of H_k(sub) -> H_k(tot): rank of (cycles of sub) in
-        # H_k(tot) = rank of [reps | boundaries(tot)] minus boundary rank
+        # image rank of H_k(sub) -> H_k(tot): the cycles of sub, pushed into
+        # tot by one product, that grow the span of the boundaries of tot
         for k in w.degrees():
-            zc = [incl.component(k).apply(z) for z in nullspace(sub.d(k))]
-            mm = SparseMatrix.from_sparse_rows(bnd[k] + zc, tot.dim(k), F)
-            im_rank[(p, k)] = Echelon(mm).rank - len(bnd[k])
+            span = bnd[k].span()
+            cycles = incl.component(k) * SparseMatrix.from_columns(
+                nullspace(sub.d(k)), sub.dim(k), F)
+            im_rank[(p, k)] = sum(span.add(z)
+                                  for z in cycles.nonzero_columns())
     for k in w.degrees():
         for s in range(D + 1):
             d = im_rank.get((s, k), 0) - im_rank.get((s + 1, k), 0)

@@ -1,15 +1,19 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Scalars are plain Python objects: ``int`` in ``range(p)`` over F_p, and over
-Q an ``int`` when the value is integral and a ``Fraction`` otherwise.  Most
-rational entries (signs, structure constants, resolution coefficients) are
-integers, and int arithmetic is several times faster than ``Fraction``
-arithmetic, which is pure Python.  The two forms are interchangeable to every
-reader: an int carries ``numerator``/``denominator``, compares and hashes
-equal to the matching ``Fraction`` and prints the same, so matrices, labels
-and output do not depend on which form a value is in.  Every operation here
-returns the canonical form.  No floating point exists anywhere in this
-package: a document scalar is a string or an integer, never a float.
+A field is its characteristic p: ``FieldSpec(0)`` is Q and ``FieldSpec(p)``
+is F_p.  Scalars are plain Python objects: ``int`` in ``range(p)`` over F_p,
+and over Q an ``int`` when the value is integral and a ``Fraction``
+otherwise.  Most rational entries (signs, structure constants, resolution
+coefficients) are integers, and int arithmetic is several times faster than
+``Fraction`` arithmetic, which is pure Python.  The two forms are
+interchangeable to every reader: an int carries ``numerator``/
+``denominator``, compares and hashes equal to the matching ``Fraction`` and
+prints the same, so matrices, labels and output do not depend on which form
+a value is in.  This module holds no arithmetic: a scalar is brought to its
+canonical form only by ``FieldSpec.coerce`` and ``sparse._canonical``, and
+every sum and product of scalars runs in `sparse`'s accumulate and
+eliminate kernel.  No floating point exists anywhere in this package: a
+document scalar is a string or an integer, never a float.
 """
 
 from __future__ import annotations
@@ -53,44 +57,25 @@ def _is_prime(p: int) -> bool:
 
 
 class FieldSpec:
-    """A coefficient field: kind 'rationals' (char 0) or 'prime-field' (char p)."""
+    """A coefficient field, which is its characteristic p: FieldSpec(0) is
+    Q and FieldSpec(p), p a prime below MAX_CHARACTERISTIC, is F_p."""
 
-    def __init__(self, kind: str, characteristic: int):
-        if kind == "rationals":
-            if characteristic != 0:
-                raise ValueError("rationals have characteristic 0")
-        elif kind == "prime-field":
-            p = characteristic
+    def __init__(self, p: int):
+        if p:
             if p >= MAX_CHARACTERISTIC:
                 raise UnsupportedField("characteristic %r is not below the "
                                        "limit %d" % (p, MAX_CHARACTERISTIC))
             if not _is_prime(p):
                 raise UnsupportedField("characteristic %r is not prime" % (p,))
-        else:
-            raise ValueError("unknown field kind %r" % (kind,))
-        self.kind = kind
-        self.characteristic = characteristic
+        self.p = p
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.kind, self.characteristic)
-                == (other.kind, other.characteristic))
+        return self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.characteristic))
-
-    # -- scalar arithmetic ------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.characteristic
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+        return hash((self.p,))
 
     def coerce(self, x):
         """Bring an int/Fraction/str into canonical scalar form.
@@ -103,7 +88,7 @@ class FieldSpec:
             digits = x[1:] if x.startswith(("+", "-")) else x
             x = int(x) if digits.isascii() and digits.isdigit() \
                 else rationals.parse(x)
-        p = self.characteristic
+        p = self.p
         if p:
             if isinstance(x, int):
                 return x % p
@@ -114,33 +99,6 @@ class FieldSpec:
         if x.__class__ is int:
             return x
         return rationals.parse(x)
-
-    def add(self, a, b):
-        p = self.characteristic
-        if p:
-            return (a + b) % p
-        s = a + b
-        return s if s.__class__ is int else rationals.canonical(s)
-
-    def sub(self, a, b):
-        p = self.characteristic
-        if p:
-            return (a - b) % p
-        s = a - b
-        return s if s.__class__ is int else rationals.canonical(s)
-
-    def mul(self, a, b):
-        p = self.characteristic
-        if p:
-            return (a * b) % p
-        s = a * b
-        return s if s.__class__ is int else rationals.canonical(s)
-
-    def neg(self, a):
-        return (-a) % self.characteristic if self.characteristic else -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     # -- names -------------------------------------------------------------
 
@@ -176,10 +134,13 @@ def field_from_name(name: str) -> FieldSpec:
             raise UnsupportedField("a characteristic of %d digits is not "
                                    "below the limit %d"
                                    % (n, MAX_CHARACTERISTIC))
-        return FieldSpec("prime-field", int(digits))
+        p = int(digits)
+        if not p:
+            raise UnsupportedField("characteristic 0 is not prime")
+        return FieldSpec(p)
     raise UnsupportedField("unrecognized field name %r" % (name,))
 
 
-QQ = FieldSpec("rationals", 0)
-F2 = FieldSpec("prime-field", 2)
-F3 = FieldSpec("prime-field", 3)
+QQ = FieldSpec(0)
+F2 = FieldSpec(2)
+F3 = FieldSpec(3)

@@ -147,7 +147,6 @@ def dual(c: ChainComplex) -> ChainComplex:
     dims = {-k: n for k, n in c.dims.items()}
     labels = {-k: tuple(("dual", lab) for lab in c.labels[k]) for k in c.dims}
     diff = {}
-    one = field.one()
     for k in c.support():
         # d_dual : dual_{-k} -> dual_{-k-1} is induced by d : C_{k+1} -> C_k
         dk1 = c.diff.get(k + 1)
@@ -155,8 +154,7 @@ def dual(c: ChainComplex) -> ChainComplex:
             continue
         n = -k
         # (df)(x) = -(-1)^{|f|} f(dx), |f| = n
-        sgn = field.neg(one) if n % 2 == 0 else one
-        diff[n] = dk1.transpose().scale(sgn)
+        diff[n] = dk1.transpose().scale(-1 if n % 2 == 0 else 1)
     return ChainComplex(field, dims, diff, labels)
 
 
@@ -190,7 +188,7 @@ def homology_coordinates(c: ChainComplex, k):
     for v in reps:
         span.add(v)
     for j in range(n):
-        probe = {j: F.one()}
+        probe = {j: 1}
         if span.add(probe):
             chosen.append(probe)
     P = SparseMatrix.from_columns(chosen, n, F)
@@ -624,7 +622,7 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
         if len(rows) != target.dim(k) or len(cols) != target.dim(k):
             return False
         for v in ent.values():
-            if v != 1 and F.neg(v) != 1:
+            if v != 1 and F.coerce(-v) != 1:
                 return False
     return True
 
@@ -1247,8 +1245,11 @@ class CosimplicialComplex:
         kernel of the codegeneracies vanishes."""
         for m in range(self.degenerate_above + 1, self.M + 1):
             for k in self.levels[m].dims:
-                stacked = SparseMatrix.vstack(
-                    [self.codegen(m, j).component(k) for j in range(m)])
+                mats = [self.codegen(m, j).component(k) for j in range(m)]
+                stacked = SparseMatrix.block(
+                    {(j, 0): g for j, g in enumerate(mats)},
+                    [g.rows for g in mats], [self.levels[m].dim(k)],
+                    self.field)
                 if nullspace(stacked):
                     return False
         return True
@@ -1271,11 +1272,9 @@ class CosimplicialComplex:
             comps = {}
             for j in sub.dims:
                 big = SparseMatrix(self.levels[m + 1].dim(j), sub.dim(j), F)
-                sgn = F.one()
                 for i in range(m + 2):
                     cf = self.coface(m, i).component(j)
-                    big = big + (cf * inc.component(j)).scale(sgn)
-                    sgn = F.neg(sgn)
+                    big = big + (cf * inc.component(j)).scale((-1) ** i)
                 comps[j] = big
             cofaces[(m, None, None)] = (0, factor_through(
                 ChainMap(sub, self.levels[m + 1], comps), normed[m + 1][1]))
@@ -1338,7 +1337,6 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
     (delta^{p+1} (x) 1) and (1 (x) delta^0)."""
     if x.field != y.field:
         raise ValueError("field mismatch")
-    F = x.field
     M = min(x.M, y.M) if max_level is None else max_level
     sums = []          # per level: list of (p, q, tensor complex)
     totals = []        # per level: direct sum complex
@@ -1364,7 +1362,7 @@ def box_product(x: CosimplicialComplex, y: CosimplicialComplex,
                 # indices p + 1 and p
                 g = block_map(tc, total, [tc], [c for _, _, c in parts],
                               {(0, p + 1): f1,
-                               (0, p): f2.scale(F.neg(F.one()))})
+                               (0, p): f2.scale(-1)})
                 for k in tc.dims:
                     spans.setdefault(k, []).extend(
                         g.component(k).nonzero_columns())
@@ -1866,13 +1864,14 @@ def tate_diagonal_unitlike(a1: ChainComplex, t_model, w: DegreeWindow):
     if not reps:
         return ChainMap.zero(a1, tgt)
     squares = SparseMatrix.from_columns(
-        [_square_into_tate(z, a1, tgt, F) for z in reps], tgt.dim(0), F)
+        [_square_into_tate(z, a1, tgt) for z in reps], tgt.dim(0), F)
     return ChainMap(a1, tgt, {0: squares * pi}).validate()
 
 
-def _square_into_tate(z, a1, tgt, F):
+def _square_into_tate(z, a1, tgt):
     """The cycle z (x) z written in the Tate model: strictly invariant over
-    F_2, placed in the degree-0 fixed-part slot of the cone."""
+    F_2, placed in the degree-0 fixed-part slot of the cone, as a column
+    whose sums `from_columns` reduces."""
     tidx = tgt.label_index(0)
     out = {}
     labs = a1.labels.get(0, ())
@@ -1881,11 +1880,7 @@ def _square_into_tate(z, a1, tgt, F):
             lab = ("sidx", (0, 0), (labs[i1], labs[i2]))
             row = tidx.get(("cone-tgt", ("hGf", 0, 0, lab)))
             if row is not None:
-                cur = F.add(out.get(row, F.zero()), F.mul(v1, v2))
-                if F.is_zero(cur):
-                    out.pop(row, None)
-                else:
-                    out[row] = cur
+                out[row] = out.get(row, 0) + v1 * v2
     return out
 
 

@@ -30,9 +30,12 @@ def _label_to_json(lab):
 def _label_from_json(doc):
     if isinstance(doc, dict) and "t" in doc:
         return tuple(_label_from_json(x) for x in doc["t"])
-    if isinstance(doc, (int, str)):
-        return doc
-    raise ValueError("bad label document %r" % (doc,))
+    # a bool is refused as parse_scalar refuses it: True == 1 in Python, so
+    # it would meet the label 1
+    if doc.__class__ is bool or not isinstance(doc, (int, str)):
+        raise TypeError("label %r is neither a string nor an integer"
+                        % (doc,))
+    return doc
 
 
 def matrix_to_json(m: SparseMatrix):

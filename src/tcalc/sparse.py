@@ -1,4 +1,11 @@
-"""Sparse exact matrices over a FieldSpec and the elimination kernel.
+"""Sparse exact matrices and the package's one scalar kernel.
+
+Every sum and product of scalars in the package runs here: a field
+(`fields.FieldSpec`) is only its characteristic p, and it holds no
+arithmetic.  A matrix is built from entries by ``from_entries`` (repeated
+indices summed, each scalar canonicalized once), stacked from blocks by
+``block``, and pushed through another by a product; a vector is a
+one-column matrix.
 
 Matrices map column vectors to column vectors: an (r x c) matrix is a map
 k^c -> k^r.  It is stored row by row in ``data``, ``{i: row}`` with no empty
@@ -14,7 +21,8 @@ rows, and only this module reads it; elsewhere a matrix is read through
 Sums, products and ``vanishes`` (is a signed sum of products zero?) all add
 c * A * B into one accumulator of rows, ``_accumulate``: a row of A adds up
 the stored rows of B that its entries pick (over F_2 it XORs them), and
-``_canonical`` turns the sums back into storage.
+``_canonical`` turns the sums back into storage; with ``FieldSpec.coerce``
+it is the only code that brings a scalar to canonical form.
 
 One lead-keyed kernel serves both ``Span`` and ``Echelon`` on every field,
 and reads the stored rows as they are: each incoming row is reduced against
@@ -156,25 +164,10 @@ class SparseMatrix:
             for j, v in enumerate(row)})
 
     @classmethod
-    def from_sparse_rows(cls, rows, cols, field):
-        """The matrix whose r-th row is the sparse vector rows[r] ({col: scalar})."""
-        return cls.from_entries(len(rows), cols, field, {
-            (r, j): v for r, vec in enumerate(rows) for j, v in vec.items()})
-
-    @classmethod
     def from_columns(cls, columns, rows, field):
         """The matrix whose j-th column is the sparse vector columns[j]."""
         return cls.from_entries(rows, len(columns), field, {
             (i, j): v for j, vec in enumerate(columns) for i, v in vec.items()})
-
-    @classmethod
-    def vstack(cls, mats):
-        """One or more matrices with equal column counts, stacked top to bottom."""
-        cols, field = mats[0].cols, mats[0].field
-        if any(m.cols != cols or m.field != field for m in mats):
-            raise ValueError("vstack needs equal column counts and fields")
-        return cls.block({(i, 0): m for i, m in enumerate(mats)},
-                         [m.rows for m in mats], [cols], field)
 
     # -- entry access ---------------------------------------------------------
 
@@ -253,7 +246,7 @@ class SparseMatrix:
         F = self.field
         c = F.coerce(c)
         acc = {}
-        if not F.is_zero(c):
+        if c:
             _accumulate(acc, c, self, None)
         return SparseMatrix(self.rows, self.cols, F, _canonical(F, acc))
 
@@ -279,18 +272,6 @@ class SparseMatrix:
                 for j, v in r.items():
                     data.setdefault(j, {})[i] = v
         return SparseMatrix(self.cols, self.rows, self.field, data)
-
-    def apply(self, vec: dict) -> dict:
-        """Apply to a sparse column vector {index: scalar}."""
-        F = self.field
-        if F.p == 2:
-            v = sum(1 << j for j in vec)
-            return {i: 1 for i, b in self.data.items()
-                    if (b & v).bit_count() & 1}
-        # the image column, canonicalized as the one row of an accumulator
-        return _canonical(F, {0: {
-            i: sum(a * vec[j] for j, a in r.items() if j in vec)
-            for i, r in self.data.items()}}).get(0, {})
 
     # -- block assembly ---------------------------------------------------------
 
@@ -406,22 +387,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def reduce_vector(self, vec: dict) -> dict:
-        """Reduce a column vector (as {col: scalar}) against the row space."""
-        F = self.field
-        v = dict(vec)
-        for col, row in zip(self.pivot_cols, self.pivot_rows):
-            c = v.get(col)
-            if c is None:
-                continue
-            for j, w in row.items():
-                cur = F.sub(v.get(j, F.zero()), F.mul(c, w))
-                if F.is_zero(cur):
-                    v.pop(j, None)
-                else:
-                    v[j] = cur
-        return v
-
     def free_cols(self):
         """The non-pivot columns, ascending."""
         pivset = set(self.pivot_cols)
@@ -430,7 +395,7 @@ class Echelon:
     def nullspace_basis(self):
         """Basis of the kernel (column vectors as dicts).  The t-th vector is
         1 on free_cols()[t] and 0 on the other free columns."""
-        F = self.field
+        p = self.field.p
         basis = {fj: {fj: 1} for fj in self.free_cols()}
         # one pass over the pivot rows: a reduced row is 0 at every other
         # pivot column, so each entry off its own pivot lies in a free column
@@ -438,7 +403,7 @@ class Echelon:
             for j, c in row.items():
                 vec = basis.get(j)
                 if vec is not None:
-                    vec[col] = F.neg(c)
+                    vec[col] = -c % p if p else -c
         return list(basis.values())
 
 

@@ -48,7 +48,6 @@ def _factorizations(beta, s):
 def top_delta_on_sums(sur_r: SurjectionSum, pre: SurjectionSum) -> ChainMap:
     """The tree-splitting map W(A, r) -> pre = W(W(A, s), r), summed over all
     factorizations beta = gamma o alpha with alpha : n ->> s."""
-    F = sur_r.field
     r, s = sur_r.r, pre.n
     # per beta and factorization, per tree T_{beta^{-1}(j)}: the blocks of
     # local leaf positions it splits along, sorted by their least position,
@@ -77,7 +76,7 @@ def top_delta_on_sums(sur_r: SurjectionSum, pre: SurjectionSum) -> ChainMap:
                 sign, uppers, lowers = split
                 inner_lab = ("surj", alpha, lowers + inner[-1:])
                 terms.append((("surj", gamma, uppers + (inner_lab,)),
-                              F.coerce(sign)))
+                              sign))
         return terms
     return linear_map(sur_r.total, pre.total, image, partial=True).validate()
 

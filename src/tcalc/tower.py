@@ -396,7 +396,6 @@ def corner_map(builder, n, stage, projections) -> ChainMap:
     keys = builder.corner_keys(n)
     diag = _piece(builder, 0, (n,))
     units, thetas = (builder.coface_blocks.get((0, i), {}) for i in (0, 1))
-    minus_one = builder.field.neg(builder.field.one())
     blocks = {}
     for t, key in enumerate(keys):
         r = key[0]
@@ -405,7 +404,7 @@ def corner_map(builder, n, stage, projections) -> ChainMap:
             blocks[(0, t)] = theta.compose(projections[r])
         unit = units.get(((n,), key))
         if unit is not None:
-            blocks[(1, t)] = unit.scale(minus_one)
+            blocks[(1, t)] = unit.scale(-1)
     parts = [builder.summands[1][key] for key in keys]
     return block_map(direct_sum([stage, diag]), _sum(builder.field, parts),
                      [stage, diag], parts, blocks)

@@ -37,9 +37,7 @@ def unit_sequence(field, truncation=1) -> SymmetricSequence:
 
 
 def sign_action(complex: ChainComplex, group: YoungGroup) -> EquivariantComplex:
-    F = complex.field
-    neg = F.neg(F.one())
-    act = {i: ChainMap.identity(complex).scale(neg)
+    act = {i: ChainMap.identity(complex).scale(-1)
            for i in group.generator_positions()}
     return EquivariantComplex(complex, group, act)
 
@@ -93,9 +91,10 @@ def equivariant_theta_space(c, r, n):
     a_r = c.sequence.term(r)
     value = c.komonad.component(r, n).value
     h, inv, incl = equivariant_hom_complex(a_r, value)
-    return [hom_element_to_map(h, a_r.complex, value.complex,
-                               incl.component(0).apply(z))
-            for z in nullspace(inv.d(0))]
+    cycles = incl.component(0) * SparseMatrix.from_columns(
+        nullspace(inv.d(0)), inv.dim(0), c.field)
+    return [hom_element_to_map(h, a_r.complex, value.complex, z)
+            for z in cycles.nonzero_columns()]
 
 
 def random_theta(c, r, n, rng, allow_zero=False):

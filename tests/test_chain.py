@@ -28,11 +28,13 @@ from tcalc.sparse import Echelon, Span, SparseMatrix, nullspace, solve_matrix
 
 def test_field_validation():
     with pytest.raises(ValueError):
-        FieldSpec("prime-field", 4)
-    with pytest.raises(ValueError):
-        FieldSpec("rationals", 5)
-    assert field_from_name("F7").characteristic == 7
-    assert field_from_name("Q") is QQ
+        FieldSpec(4)
+    for name in ("F0", "F00", "F1"):
+        with pytest.raises(ValueError):
+            field_from_name(name)
+    assert field_from_name("F7").p == 7
+    assert field_from_name("F7") == FieldSpec(7)
+    assert field_from_name("Q") is QQ and QQ == FieldSpec(0)
 
 
 def test_is_prime_is_exact():
@@ -48,9 +50,10 @@ def test_is_prime_is_exact():
 
 
 def test_field_arithmetic_exact():
-    assert QQ.coerce("2/3") + QQ.coerce("1/3") == QQ.one()
+    assert QQ.coerce("2/3") + QQ.coerce("1/3") == 1
     assert F3.coerce("1/2") == 2  # 2 inverts to 2 mod 3
-    assert F2.add(1, 1) == 0
+    one = SparseMatrix.identity(1, F2)
+    assert (one + one).is_zero()
 
 
 def test_rank_all_ones_f2():
@@ -96,8 +99,7 @@ def test_solve_and_nullspace():
     x = solve_matrix(m, SparseMatrix.from_columns(
         [{0: QQ.coerce(3), 1: QQ.coerce(6)}], 2, QQ))
     assert x is not None
-    got = m.apply(x.by_column()[0])
-    assert got == {0: QQ.coerce(3), 1: QQ.coerce(6)}
+    assert (m * x).by_column()[0] == {0: QQ.coerce(3), 1: QQ.coerce(6)}
     assert solve_matrix(m, SparseMatrix.from_columns(
         [{0: QQ.coerce(1)}], 2, QQ)) is None
     ns = nullspace(m)
@@ -114,12 +116,12 @@ def test_solve_matrix_roundtrip():
 def test_matrix_assembly_helpers():
     a = SparseMatrix.from_rows([[1, 0, 2], [0, 1, 0]], F3)
     b = SparseMatrix.from_rows([[0, 0, 1]], F3)
-    assert SparseMatrix.vstack([a, b]) == SparseMatrix.from_rows(
-        [[1, 0, 2], [0, 1, 0], [0, 0, 1]], F3)
+    assert SparseMatrix.block({(0, 0): a, (1, 0): b}, [2, 1], [3], F3) == \
+        SparseMatrix.from_rows([[1, 0, 2], [0, 1, 0], [0, 0, 1]], F3)
     with pytest.raises(ValueError):
-        SparseMatrix.vstack([a, SparseMatrix.identity(2, F3)])
+        SparseMatrix.block({(0, 0): a, (1, 0): SparseMatrix.identity(2, F3)},
+                           [2, 2], [3], F3)
     rows = [{0: 1, 2: 2}, {1: 1}]
-    assert SparseMatrix.from_sparse_rows(rows, 3, F3) == a
     assert SparseMatrix.from_columns(rows, 3, F3) == a.transpose()
     assert b.nonzero_columns() == [{0: 1}]
     assert a.nonzero_columns() == [{0: 1}, {1: 1}, {0: 2}]
@@ -139,10 +141,13 @@ def test_span_grows_exactly_when_the_rank_rises():
                 for b in basis:
                     c = F.coerce(rng.randint(-2, 2))
                     for j, x in b.items():
-                        vec[j] = F.add(vec.get(j, F.zero()), F.mul(c, x))
-                vec = {j: x for j, x in vec.items() if not F.is_zero(x)}
+                        vec[j] = vec.get(j, 0) + c * x
+                vec = {j: F.coerce(x) for j, x in vec.items()}
+                vec = {j: x for j, x in vec.items() if x}
                 rows.append(vec)
-                new = Echelon(SparseMatrix.from_sparse_rows(rows, n, F)).rank
+                new = Echelon(SparseMatrix.from_entries(len(rows), n, F, (
+                    ((r, j), x) for r, v in enumerate(rows)
+                    for j, x in v.items()))).rank
                 assert (vec in span) == (new == rk)
                 assert span.add(vec) == (new > rk)
                 assert vec in span
@@ -498,7 +503,7 @@ def test_tensor_map_koszul_sign():
     g = ChainMap.identity(s1)
     t = tensor_map(f, g)
     t.validate()
-    assert t.component(2)[0, 0] == QQ.one()
+    assert t.component(2)[0, 0] == 1
 
 
 def _binary_tensor_map(f, g):
@@ -602,8 +607,9 @@ def _labelled(F, labels, diff=None):
 
 
 def _reference_linear_map(src, tgt, images, degree, partial):
-    """linear_map entry by entry: {k: {(i, j): value}} with F.add and
-    F.coerce on each term and zeros dropped, or None on a strict miss."""
+    """linear_map entry by entry: {k: {(i, j): value}}, each sum taken
+    term by term and brought back by F.coerce, zeros dropped, or None on a
+    strict miss."""
     F = src.field
     out = {}
     for k in src.dims:
@@ -616,7 +622,7 @@ def _reference_linear_map(src, tgt, images, degree, partial):
                         continue
                     return None
                 i = tlabs.index(t)
-                cur[i, j] = F.add(cur.get((i, j), 0), F.coerce(c))
+                cur[i, j] = F.coerce(cur.get((i, j), 0) + F.coerce(c))
         out[k] = {ij: v for ij, v in cur.items() if v != 0}
     return out
 
@@ -768,8 +774,8 @@ def _check_subcomplex(c, constraints, sub, incl):
     incl.validate()
     sub.validate()
     for k, mats in constraints.items():
-        stacked = (SparseMatrix.vstack(mats) if mats
-                   else SparseMatrix(0, c.dim(k), F))
+        stacked = SparseMatrix.block({(i, 0): m for i, m in enumerate(mats)},
+                                     [m.rows for m in mats], [c.dim(k)], F)
         basis = incl.component(k)
         assert (stacked * basis).is_zero()
         assert basis.cols == stacked.cols - rank(stacked)
@@ -778,8 +784,8 @@ def _check_subcomplex(c, constraints, sub, incl):
     for k in sub.support():
         ent = {}
         for j, z in enumerate(incl.component(k).nonzero_columns()):
-            x = solve_matrix(incl.component(k - 1), SparseMatrix.from_columns(
-                [c.d(k).apply(z)], c.dim(k - 1), F))
+            x = solve_matrix(incl.component(k - 1), c.d(k) *
+                             SparseMatrix.from_columns([z], c.dim(k), F))
             assert x is not None
             for (i, _), v in x.items():
                 ent[i, j] = v
@@ -839,6 +845,76 @@ def test_quotient_by_the_image_of_a_subcomplex():
     # no relations: q is a relabelled copy of d
     q0, proj0 = quotient(d, {}, lambda k, j: (k, j))
     assert q0.dims == d.dims and proj0.is_iso()
+
+
+def _reference_projection(rels, n, p):
+    """(kept, {(t, j): value}) for the projection of k^n onto the coordinates
+    that are not pivots of the relations' reduced echelon form: a dense
+    Gauss-Jordan of the relations, then each e_j reduced against every
+    pivot row in turn, in Fraction or mod-p arithmetic written here."""
+    def norm(x):
+        return x % p if p else x
+
+    rows = [[norm(Fraction(v.get(j, 0))) if not p else v.get(j, 0) % p
+             for j in range(n)] for v in rels]
+    pivots = []
+    for col in range(n):
+        lead = next((r for r in rows if r[col]), None)
+        if lead is None:
+            continue
+        rows.remove(lead)
+        inv = pow(lead[col], -1, p) if p else 1 / lead[col]
+        lead = [norm(x * inv) for x in lead]
+        rows = [[norm(x - r[col] * y) for x, y in zip(r, lead)] for r in rows]
+        pivots = [(c, [norm(x - r[col] * y) for x, y in zip(r, lead)])
+                  for c, r in pivots] + [(col, lead)]
+    kept = [j for j in range(n) if j not in dict(pivots)]
+    out = {}
+    for j in range(n):
+        v = [int(i == j) for i in range(n)]
+        for col, row in pivots:
+            c = v[col]
+            v = [norm(x - c * y) for x, y in zip(v, row)]
+        out.update({(t, j): v[i] for t, i in enumerate(kept) if v[i]})
+    return kept, out
+
+
+@pytest.mark.parametrize("F", [F2, F3, QQ], ids=lambda F: F.name())
+def test_quotient_projection_matches_a_dense_reduction(F):
+    rng = random.Random(31 + F.p)
+    coeffs = [-2, -1, 1, 2] + ([] if F.p else [Fraction(1, 2),
+                                               Fraction(-2, 3)])
+    pivots = kept = 0
+    for _ in range(40):
+        dims = {0: rng.randint(1, 9), 1: rng.randint(1, 9)}
+        rels = {}
+        for k, n in dims.items():
+            vecs = []
+            for _ in range(rng.randint(0, n + 1)):
+                if len(vecs) >= 2 and rng.random() < 0.3:
+                    # a dependent relation: a combination of two earlier ones
+                    u, w = rng.sample(vecs, 2)
+                    a, b = rng.choice(coeffs), rng.choice(coeffs)
+                    vec = {j: F.coerce(a * u.get(j, 0) + b * w.get(j, 0))
+                           for j in {**u, **w}}
+                else:
+                    vec = {j: F.coerce(rng.choice(coeffs)) for j in range(n)
+                           if rng.random() < 0.5}
+                vecs.append({j: x for j, x in vec.items() if x})
+            rels[k] = vecs
+        # a zero differential, so every span of relations is a subcomplex
+        c = ChainComplex(F, dims)
+        q, proj = quotient(c, rels, lambda k, j: ("q", k, j))
+        proj.validate()
+        q.validate()
+        for k, n in dims.items():
+            want_kept, want = _reference_projection(rels[k], n, F.p)
+            assert q.labels.get(k, ()) == tuple(("q", k, j)
+                                                for j in want_kept)
+            assert dict(proj.component(k).items()) == want
+            pivots += n - len(want_kept)
+            kept += len(want_kept)
+    assert pivots >= 60 and kept >= 60, (pivots, kept)
 
 
 def test_partial_label_map_drops_missing_labels():

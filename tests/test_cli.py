@@ -351,6 +351,34 @@ def test_integer_json_scalar_is_accepted(tmp_path, capsys):
     assert json.loads(out)["dims"] == {"0": 0, "1": 0}
 
 
+@pytest.mark.parametrize("labels", [[True, "x"], [1, True], [0.5, "x"]],
+                         ids=["true-x", "1-true", "float"])
+def test_non_integer_json_label_is_usage_error(tmp_path, capsys, labels):
+    # True == 1 in Python, so a boolean label would be the label 1
+    doc = {"field": "F2", "dims": {"0": 2}, "labels": {"0": labels}}
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "b.json", doc))
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "usage"
+    assert "neither a string nor an integer" in error["detail"]
+    doc["labels"]["0"] = [1, "x"]
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "i.json", doc))
+    assert rc == 0 and json.loads(out)["dims"] == {"0": 2}
+
+
+@pytest.mark.parametrize("setting", ["abc", "1.5", "", "-1"])
+def test_malformed_max_dim_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            setting):
+    monkeypatch.setenv("TCALC_MAX_DIM", setting)
+    p = write(tmp_path, "c.json", serialize.chain_to_json(sphere(F2, 0)))
+    rc, out, err = run_cli(capsys, "homology", p)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "usage" and "TCALC_MAX_DIM" in error["detail"]
+    monkeypatch.setenv("TCALC_MAX_DIM", " 7 ")
+    assert run_cli(capsys, "homology", p)[0] == 0
+
+
 def test_classify_cli(tmp_path, capsys):
     doc = {"a1": serialize.chain_to_json(sphere(F2, 0)),
            "a2": serialize.equivariant_to_json(triv(F2, 2))}

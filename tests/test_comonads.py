@@ -22,7 +22,7 @@ from tcalc.laws import (
 )
 from tcalc.perms import YoungGroup
 from tcalc.sequences import SymmetricSequence
-from tcalc.sparse import SparseMatrix
+from tcalc.sparse import Echelon, SparseMatrix
 from tcalc.topcomonad import TopComonad, TopComponentModel
 
 S1, S2, S3 = YoungGroup.full(1), YoungGroup.full(2), YoungGroup.full(3)
@@ -219,20 +219,10 @@ def test_l3_model():
     # sign eigenspace of a transposition on H_1 has rank 1 over Q
     h1dim, reps = L.complex.homology(1)
     t = L.action_of((1, 0, 2)).component(1)
-    F = QQ
-    m = SparseMatrix(3 + 1, 2, F)
     # solve (t + 1) v = 0 on the cycle space spanned by reps
-    span = []
-    for z in reps:
-        img = t.apply(z)
-        vec = dict(img)
-        for i, v in z.items():
-            vec[i] = F.add(vec.get(i, F.zero()), v)
-        span.append(vec)
-    from tcalc.sparse import Echelon, SparseMatrix as SM
-    mat = SM.from_entries(len(span), 3, F, {
-        (r, c): v for r, vec in enumerate(span) for c, v in vec.items()})
-    assert 2 - Echelon(mat).rank == 1
+    plus_one = (t + SparseMatrix.identity(3, QQ)) * \
+        SparseMatrix.from_columns(reps, 3, QQ)
+    assert h1dim - Echelon(plus_one).rank == 1
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_tensor_power_koszul_sign():
     assert m[0, 0] == QQ.coerce(-1)
     # (S^2)^{(x)2} = S^4 with trivial swap
     t2 = tensor_power(sphere(QQ, 2), 2)
-    assert t2.action[0].component(4)[0, 0] == QQ.one()
+    assert t2.action[0].component(4)[0, 0] == 1
 
 
 def test_tensor_power_relations():

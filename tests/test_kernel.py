@@ -14,7 +14,7 @@ from fractions import Fraction
 from tcalc.fields import QQ, FieldSpec
 from tcalc.sparse import Echelon, SparseMatrix, nullspace
 
-F2, F3, F5, F7 = (FieldSpec("prime-field", p) for p in (2, 3, 5, 7))
+F2, F3, F5, F7 = (FieldSpec(p) for p in (2, 3, 5, 7))
 FIELDS = (QQ, F3, F5, F7, F2)
 MATRICES_PER_FIELD = 2500
 
@@ -154,12 +154,18 @@ def test_kernel_matches_dense_gauss_jordan():
 
 
 def test_rational_scalars_are_canonical():
+    def scalar(x):
+        return SparseMatrix.from_entries(1, 1, QQ, {(0, 0): x})
+
     half = QQ.coerce("1/2")
-    assert type(QQ.add(half, half)) is int and QQ.add(half, half) == 1
-    assert type(QQ.mul(QQ.coerce(4), half)) is int
-    assert type(QQ.sub(QQ.coerce("3/2"), half)) is int
+    # a sum, a product and a difference that are integral come out as ints
+    for m, want in ((scalar(half) + scalar(half), 1),
+                    (scalar(4) * scalar(half), 2),
+                    (scalar(QQ.coerce("3/2")) - scalar(half), 1),
+                    (SparseMatrix.from_entries(1, 1, QQ,
+                                               [((0, 0), half)] * 2), 1)):
+        assert type(m[0, 0]) is int and m[0, 0] == want
     assert type(QQ.coerce(Fraction(6, 3))) is int
-    assert QQ.zero() == 0 and type(QQ.zero()) is int and QQ.one() == 1
     assert QQ.format_scalar(QQ.coerce("4/2")) == "2"
     assert QQ.format_scalar(QQ.coerce("-2/6")) == "-1/3"
     assert hash(QQ.coerce("3")) == hash(Fraction(3))

@@ -105,7 +105,7 @@ def test_tate_compiles_only_the_code_of_its_layer(tmp_path, s2_doc):
     # in chainops, equivops and combinat, which tate never runs
     names = _modules_run(tmp_path, "tate", "--window", "-2:2", s2_doc)
     total = sum(_code_size(stem) for stem in names | {"__init__"})
-    assert total <= 58998, total
+    assert total <= 56569, total
 
 
 def test_k_top_compiles_only_the_code_of_its_layer(tmp_path):
@@ -119,7 +119,7 @@ def test_k_top_compiles_only_the_code_of_its_layer(tmp_path):
     assert names == EQUIVARIANT | {"combinat", "equivops", "chainops",
                                    "trees", "topcomonad"}
     total = sum(_code_size(stem) for stem in names | {"__init__"})
-    assert total <= 86955, total
+    assert total <= 84390, total
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=lambda F: F.name())

@@ -19,7 +19,7 @@ from tcalc.fields import QQ, FieldSpec
 from tcalc.laws import rank
 from tcalc.sparse import Echelon, SparseMatrix, nullspace, vanishes
 
-F2, F3 = FieldSpec("prime-field", 2), FieldSpec("prime-field", 3)
+F2, F3 = FieldSpec(2), FieldSpec(3)
 FIELDS = (F2, F3, QQ)
 DRAWS = 300
 
@@ -131,7 +131,8 @@ def test_matrix_operations_match_a_dense_reference(F):
         _assert_matches(SparseMatrix.block(
             {ij: _sparse(d, cs[ij[1]], F) for ij, d in dense_blocks.items()},
             rs, cs, F), big, F)
-        _assert_matches(SparseMatrix.vstack([A, B]), a + b, F)
+        _assert_matches(SparseMatrix.block({(0, 0): A, (1, 0): B}, [r, r],
+                                           [c], F), a + b, F)
         with pytest.raises(ValueError):
             SparseMatrix.block({(0, 0): A}, [r + 1], [c], F)
 

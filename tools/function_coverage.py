@@ -101,7 +101,6 @@ LISTED = {
                                    "values",
     "coalgebras.FinitePointedSet.__eq__": "sites are compared as values",
     "coalgebras.FinitePointedSet.__hash__": "sites are hashed as values",
-    "fields.FieldSpec.add": "tests and laws add scalars",
     "fields.FieldSpec.format_scalar": "tests and the serialize writers "
                                       "print scalars",
     "perms.YoungGroup.__hash__": "groups are hashed as values",
