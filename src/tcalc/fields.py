@@ -127,17 +127,16 @@ def field_from_name(name: str) -> FieldSpec:
     if name == "Q":
         return QQ
     digits = name[1:]
-    if name.startswith("F") and digits.isdecimal():
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
         # a longer numeral is above the limit; skip converting it
         n = len(digits.lstrip("0"))
         if n > len(str(MAX_CHARACTERISTIC)):
             raise UnsupportedField("a characteristic of %d digits is not "
                                    "below the limit %d"
                                    % (n, MAX_CHARACTERISTIC))
-        p = int(digits)
-        if not p:
+        if not n:
             raise UnsupportedField("characteristic 0 is not prime")
-        return FieldSpec(p)
+        return FieldSpec(int(digits))
     raise UnsupportedField("unrecognized field name %r" % (name,))
 
 

@@ -29,7 +29,9 @@ from tcalc.sparse import Echelon, Span, SparseMatrix, nullspace, solve_matrix
 def test_field_validation():
     with pytest.raises(ValueError):
         FieldSpec(4)
-    for name in ("F0", "F00", "F1"):
+    # F followed by ASCII digits only: int() would read "\u0663" (an
+    # Arabic-Indic three) as 3
+    for name in ("F0", "F00", "F1", "F\u0663"):
         with pytest.raises(ValueError):
             field_from_name(name)
     assert field_from_name("F7").p == 7

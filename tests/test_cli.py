@@ -366,7 +366,7 @@ def test_non_integer_json_label_is_usage_error(tmp_path, capsys, labels):
     assert rc == 0 and json.loads(out)["dims"] == {"0": 2}
 
 
-@pytest.mark.parametrize("setting", ["abc", "1.5", "", "-1"])
+@pytest.mark.parametrize("setting", ["abc", "1.5", "", "-1", "\u0663"])
 def test_malformed_max_dim_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                             setting):
     monkeypatch.setenv("TCALC_MAX_DIM", setting)
@@ -444,6 +444,7 @@ def test_huge_prime_field_is_accepted_quickly(tmp_path, capsys):
     "F1000000000078000000001521",      # (10^12 + 39)^2, composite
     "F618970019642690137449562111",    # 2^89 - 1, a prime above the limit
     "F" + "7" * 5000,                  # far above the limit
+    "F\u0663",                         # an Arabic-Indic three
 ])
 def test_unsupported_field_is_a_usage_error(tmp_path, capsys, field):
     p = write(tmp_path, "c.json", {"field": field, "dims": {"0": 1}})
