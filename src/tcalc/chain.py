@@ -209,11 +209,6 @@ class ChainComplex:
         reps = [z for z in cycles if span.add(z)]
         return len(reps), reps, bnd
 
-    def homology(self, k):
-        """(dim H_k, basis of representing cycles)."""
-        dim, reps, _ = self.homology_data(k)
-        return dim, reps
-
     def homology_dims(self, window: DegreeWindow | None = None):
         """{k: dim H_k != 0} over the window's degrees (default: the
         support), each differential eliminated at most once."""
@@ -444,9 +439,7 @@ def label_map(src: ChainComplex, tgt: ChainComplex, key=None, *,
 
     key defaults to the identity.  A label whose image is missing from tgt
     raises ValueError, or is sent to zero when partial."""
-    if key is None:
-        return linear_map(src, tgt, lambda k, lab: ((lab, 1),),
-                          partial=partial)
+    key = key or (lambda lab: lab)
     return linear_map(src, tgt, lambda k, lab: ((key(lab), 1),),
                       partial=partial)
 

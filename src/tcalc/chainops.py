@@ -128,12 +128,13 @@ def tensor(c: ChainComplex, dc: ChainComplex) -> ChainComplex:
     return tensor_many([c, dc])
 
 
-def tensor_map(*maps: ChainMap) -> ChainMap:
+def tensor_map(*maps: ChainMap, src=None, tgt=None) -> ChainMap:
     """f_1 (x) ... (x) f_n on `tensor_many`'s flat labels, with the Koszul
     sign (-1)^{|f_j| (p_1 + ... + p_{j-1})} on the part of the source whose
-    factors lie in degrees p_1, ..., p_n."""
-    src = tensor_many([f.source for f in maps])
-    tgt = tensor_many([f.target for f in maps])
+    factors lie in degrees p_1, ..., p_n.  src and tgt, when given, are the
+    tensor products of the sources and of the targets, already built."""
+    src = src or tensor_many([f.source for f in maps])
+    tgt = tgt or tensor_many([f.target for f in maps])
     cols = [{p: m.by_column() for p, m in f.components.items()}
             for f in maps]
 

@@ -218,12 +218,7 @@ def cmd_classify(args):
         rep = classify.classify_2exc_top(a["a1"], a["a2"], w)
     else:
         rep = classify.classify_3exc_sp(a["a1"], a["a2"], a["a3"], w)
-    payload = {"variant": args.variant}
-    payload.update({k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in rep.items()
-                    if k in ("dim", "dims", "classes", "square_vacuous",
-                             "window")})
-    return payload
+    return {"variant": args.variant, **rep}
 
 
 def cmd_mccarthy(args):

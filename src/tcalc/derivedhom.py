@@ -25,8 +25,8 @@ from .chain import ChainMap, DegreeWindow
 from .equivariant import EquivariantComplex
 from .sparse import Echelon, SparseMatrix, nullspace
 from .tower import (
-    _Levels, chain_model, cobar_pieces, fat_tot, summands_by_value,
-    tot_projection,
+    _Levels, chain_model, cobar_pieces, fat_tot, on_pieces,
+    summands_by_value, tot_projection,
 )
 
 
@@ -83,6 +83,7 @@ class _HomLevels(_Levels):
         """Hom(M, P)^{inv} -> Hom(M, Q)^{inv} induced by g : P -> Q, for g
         on the pieces P of sk and Q of tk (or twins of them)."""
         src, tgt = self.hom[m][sk], self.hom[m + 1][tk]
+        g = on_pieces(self.pieces, m, sk, tk, g)
         big = equivops.slotwise_map(src["full"], tgt["full"], g, slot=2)
         return chainops.factor_through(big.compose(src["incl"]),
                                        tgt["incl"]).validate()

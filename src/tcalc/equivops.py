@@ -18,11 +18,11 @@ from .sparse import SparseMatrix
 
 
 def zero_module(field, r) -> EquivariantComplex:
-    """The zero complex with the zero action of Sigma_r."""
+    """The zero complex with Sigma_r acting by one shared zero map."""
     z = ChainComplex(field, {})
     group = YoungGroup.full(r)
-    return EquivariantComplex(z, group, {gi: ChainMap.zero(z, z)
-                                         for gi in group.generator_positions()})
+    return EquivariantComplex(z, group, dict.fromkeys(
+        group.generator_positions(), ChainMap.zero(z, z)))
 
 
 def permutation_module(field, group: YoungGroup, labels, action_table,

@@ -1,26 +1,26 @@
 """Mathematics no subcommand runs, loaded only by the test suite: its
 oracles and certificates of the structures the other modules build.
 
-Chain homotopies, duals and the maps and homotopy classes read off the
-mapping complex; operads and right modules over them; the whole
-cosimplicial object (`CosimplicialComplex`), its conormalization and
-`assemble`, which builds it from a level builder; the commutative operad,
-plethysm and the dual tree operad (the derivatives of the identity); the
-leveled bar construction B(1, Com, 1), whose normalized complexes are
-`operads.bar_complex`; the decomposition maps of the tree cooperad T_*
-(`decomposition`, over a field: T(n) is `trees.term`) with their
-coassociativity, and the right-module laws over an operad; the strict
-right-module comonad K' and the norm comparison nu from the Top comonad;
-the coassociativity of the Top comonad (on homology) and of K' (exactly),
-and the counit; the box product of cosimplicial complexes with the
-collapse lemma; the representable modules over finite pointed sets and the
-divided-power factorization
-psi = nu o theta of a Top coalgebra; the n-truncation of a coalgebra as a
-coalgebra of its own (`truncate_coalgebra`), the reference the stages p_n
-are compared with; the splitting criterion, which compares p_n of free
-coefficients with the sum of its layers and, on Top sources, with the
-strict module derived hom through K'; and the paragraph-7 validators of
-space-valued 2-excisive data with explicit witnesses.
+Homology with representing cycles (`homology`), chain homotopies, duals and
+the maps and homotopy classes read off the mapping complex; operads and
+right modules over them; the whole cosimplicial object
+(`CosimplicialComplex`), its conormalization and `assemble`, which builds
+it from a level builder; the commutative operad, plethysm and the dual tree
+operad (the derivatives of the identity); the leveled bar construction B(1,
+Com, 1), whose normalized complexes are `operads.bar_complex`; the
+decomposition maps of the tree cooperad T_* (`decomposition`, over a field:
+T(n) is `trees.term`) with their coassociativity, and the right-module laws
+over an operad; the strict right-module comonad K' and the norm comparison
+nu from the Top comonad; the coassociativity of the Top comonad (on
+homology) and of K' (exactly), and the counit; the box product of
+cosimplicial complexes with the collapse lemma; the representable modules
+over finite pointed sets and the divided-power factorization psi = nu o
+theta of a Top coalgebra; the n-truncation of a coalgebra as a coalgebra of
+its own (`truncate_coalgebra`), the reference the stages p_n are compared
+with; the splitting criterion, which compares p_n of free coefficients with
+the sum of its layers and, on Top sources, with the strict module derived
+hom through K'; and the paragraph-7 validators of space-valued 2-excisive
+data with explicit witnesses.
 
 The law checks compose tensor products of maps (`chainops.tensor_map`, of
 any number of maps), reorder tensor factors with Koszul signs
@@ -62,7 +62,7 @@ from .equivops import (
 )
 from .fields import FieldSpec
 from .operads import DISCRETE, TOP, _refinements, bar_complex
-from .perms import YoungGroup, transposition
+from .perms import YoungGroup, inverse, transposition
 from .sequences import SymmetricSequence
 from .sparse import Echelon, SparseMatrix, nullspace, solve_matrix, vanishes
 from .topcobar import tuple_module
@@ -169,9 +169,14 @@ def chain_map_space(c: ChainComplex, d: ChainComplex):
     return [hom_element_to_map(h, c, d, z) for z in nullspace(h.d(0))]
 
 
+def homology(c: ChainComplex, k):
+    """(dim H_k, basis of representing cycles) of c."""
+    return c.homology_data(k)[:2]
+
+
 def count_maps_mod_homotopy(c: ChainComplex, d: ChainComplex) -> int:
     """dim of (chain maps c -> d)/(nullhomotopic maps) = dim H_0 Hom(c, d)."""
-    return hom_complex(c, d).homology(0)[0]
+    return homology(hom_complex(c, d), 0)[0]
 
 
 def homology_coordinates(c: ChainComplex, k):
@@ -260,16 +265,17 @@ def plethysm(a: SymmetricSequence, b: SymmetricSequence) -> SymmetricSequence:
             # A_r gets tau and block i its inner permutation; then the
             # b-factors move along tau, with Koszul signs
             blocks = {}
-            for j, (part, _, factors) in enumerate(summands):
+            for j, (part, c, factors) in enumerate(summands):
                 tau, inner_perms = _perm_of_blocks(s, part)
+                i = index[apply_perm_to_partition(s, part)]
                 moved = tensor_map(
                     a.term(len(part)).action_of(tau),
                     *[b.term(len(blk)).action_of(ip)
-                      for blk, ip in zip(part, inner_perms)])
+                      for blk, ip in zip(part, inner_perms)], src=c, tgt=c)
                 reorder = tensor_reorder_map(
-                    factors, (0,) + tuple(1 + t for t in tau))
-                blocks[j, index[apply_perm_to_partition(s, part)]] = \
-                    reorder.compose(moved)
+                    factors, (0,) + tuple(1 + t for t in tau), src=c,
+                    tgt=complexes[i])
+                blocks[j, i] = reorder.compose(moved)
             return block_map(total, total, complexes, complexes, blocks)
         out_terms[n] = EquivariantComplex(total, group, {
             gi: act(transposition(n, gi))
@@ -632,20 +638,18 @@ def _is_unit_iso(g: ChainMap, target: ChainComplex, F):
 # ---------------------------------------------------------------------------
 
 
-def tensor_reorder_map(factors, perm) -> ChainMap:
+def tensor_reorder_map(factors, perm, src=None, tgt=None) -> ChainMap:
     """Koszul reordering iso tensor(factors) -> tensor(factors[perm^-1]).
 
-    perm[i] = new position of factor i."""
-    src = tensor_many(factors)
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm):
-        inv[v] = i
-    tgt_factors = [factors[inv[j]] for j in range(len(perm))]
-    tgt = tensor_many(tgt_factors)
+    perm[i] = new position of factor i.  src and tgt, when given, are those
+    two tensor products, already built."""
+    inv = inverse(perm)
+    src = src or tensor_many(factors)
+    tgt = tgt or tensor_many([factors[i] for i in inv])
 
     def image(k, lab):
         degs = [c.locate(l)[0] for c, l in zip(factors, lab)]
-        return ((tuple(lab[inv[j]] for j in range(len(lab))),
+        return ((tuple(lab[i] for i in inv),
                  koszul_sign(perm, degs)),)
     return linear_map(src, tgt, image)
 
@@ -1757,7 +1761,7 @@ def module_hom_tower(c, site, n, win: DegreeWindow):
     psi, KP = psi_from_theta(cn)
     t = fat_tot(assemble(_ModuleHomLevels(
         module.sequence, cn.sequence, KP, cn.truncation, psi)))
-    return {k: t.homology(k)[0] for k in win.degrees()}
+    return {k: homology(t, k)[0] for k in win.degrees()}
 
 
 # ---------------------------------------------------------------------------
@@ -1777,14 +1781,14 @@ def splitting_check(c, site, n=None, w: DegreeWindow | None = None):
             report["free"] = False
     st = p_n(c, site, n)
     win = st["window"]
-    pn_h = {k: st["complex"].homology(k)[0] for k in win.degrees()}
+    pn_h = {k: homology(st["complex"], k)[0] for k in win.degrees()}
     layer_h = {k: 0 for k in win.degrees()}
     for j in range(1, n + 1):
         d_j = _layer(c, site, j)
         if d_j is None:
             continue
         for k in win.degrees():
-            layer_h[k] += d_j.homology(k)[0]
+            layer_h[k] += homology(d_j, k)[0]
     report["details"]["p_n"] = pn_h
     report["details"]["layers"] = layer_h
     report["layers_match"] = pn_h == layer_h

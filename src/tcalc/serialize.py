@@ -3,11 +3,11 @@
 Chain complexes follow the interchange schema
 {"field": "Q"|"F2"|"F<p>", "dims": {"<degree>": n},
  "diff": {"<degree>": [[r, c, "num/den"], ...]}, "labels": {...}};
-degrees are decimal strings (possibly negative) and scalars are strings to
-keep rational entries exact (JSON integers are accepted too; floats and
-booleans are rejected).  Equivariant complexes add {"group": [...],
-"action": {"s_<i>": {"<degree>": [[r, c, "v"], ...]}}}; symmetric sequences
-and coalgebras nest these documents."""
+degrees are decimal strings (possibly negative), n, r and c JSON integers
+>= 0, and scalars strings to keep rational entries exact (JSON integers
+are accepted too; floats and booleans never).  Equivariant complexes add
+{"group": [...], "action": {"s_<i>": {"<degree>": [[r, c, "v"], ...]}}};
+symmetric sequences and coalgebras nest these documents."""
 
 from __future__ import annotations
 
@@ -44,31 +44,38 @@ def matrix_to_json(m: SparseMatrix):
             for (i, j), v in sorted(m.items())]
 
 
+def _count(n):
+    """n, once it is an int >= 0 (a bool is not: true would read as 1)."""
+    if n.__class__ is not int or n < 0:
+        raise TypeError("%r is not a count" % (n,))
+    return n
+
+
 def matrix_from_json(doc, rows, cols, field) -> SparseMatrix:
-    """The matrix of [row, col, scalar] triples; an index outside the shape
-    or repeated raises IndexError."""
+    """The matrix of [row, col, scalar] triples, each index a count; an
+    index outside the shape or repeated raises IndexError."""
     acc = {}
     for r, c, v in doc:
-        if (r, c) in acc:
-            raise IndexError("entry %r repeats" % ((r, c),))
-        acc[r, c] = field.parse_scalar(v)
+        ij = _count(r), _count(c)
+        if ij in acc:
+            raise IndexError("entry %r repeats" % (ij,))
+        acc[ij] = field.parse_scalar(v)
     return SparseMatrix.from_entries(rows, cols, field, acc)
 
 
 def chain_to_json(c: ChainComplex):
-    out = {
+    return {
         "field": c.field.name(),
         "dims": {str(k): n for k, n in sorted(c.dims.items())},
         "diff": {str(k): matrix_to_json(m) for k, m in sorted(c.diff.items())},
         "labels": {str(k): [_label_to_json(lab) for lab in labs]
                    for k, labs in sorted(c.labels.items())},
     }
-    return out
 
 
 def chain_from_json(doc) -> ChainComplex:
     field = field_from_name(doc["field"])
-    dims = {int(k): n for k, n in doc["dims"].items()}
+    dims = {int(k): _count(n) for k, n in doc["dims"].items()}
     diff = {}
     for k, entries in doc.get("diff", {}).items():
         k = int(k)

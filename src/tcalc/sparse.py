@@ -10,8 +10,7 @@ one-column matrix.
 Matrices map column vectors to column vectors: an (r x c) matrix is a map
 k^c -> k^r.  It is stored row by row in ``data``, ``{i: row}`` with no empty
 rows, and only this module reads it; elsewhere a matrix is read through
-``items()`` (``((i, j), scalar)`` pairs), ``by_column()``, ``m[i, j]`` and
-``nnz()``.  A row is
+``items()`` (``((i, j), scalar)`` pairs) and ``by_column()``.  A row is
 
 * over F_2, an int bitset, bit j of row i set iff entry (i, j) is 1: sums
   XOR rows and blocks shift them;
@@ -180,11 +179,6 @@ class SparseMatrix:
         return (((i, j), v) for i, r in self.data.items()
                 for j, v in r.items())
 
-    def nnz(self) -> int:
-        if self.field.p == 2:
-            return sum(b.bit_count() for b in self.data.values())
-        return sum(map(len, self.data.values()))
-
     def by_column(self):
         """{column: {row: scalar}} over the nonzero columns, each column's
         entries in the order of items()."""
@@ -197,12 +191,6 @@ class SparseMatrix:
         """The nonzero columns, left to right, as {row: scalar} vectors."""
         cols = self.by_column()
         return [cols[j] for j in sorted(cols)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if self.field.p == 2:
-            return self.data.get(i, 0) >> j & 1
-        return self.data.get(i, {}).get(j, 0)
 
     def is_zero(self) -> bool:
         return not self.data
@@ -218,7 +206,7 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%dx%d over %s, %d nonzero)" % (
-            self.rows, self.cols, self.field.name(), self.nnz())
+            self.rows, self.cols, self.field.name(), len(list(self.items())))
 
     # -- algebra ---------------------------------------------------------------
 

@@ -21,7 +21,7 @@ from . import chainops, combinat, equivops
 from .chain import ChainComplex, ChainMap, linear_map
 from .comonads import coaugment_invariants
 from .equivariant import homotopy_fixed
-from .tower import _Levels, cobar_pieces, summands_by_value
+from .tower import _Levels, cobar_pieces, on_pieces, summands_by_value
 
 
 def _sp_fixed_into_tate(src: ChainComplex, piece, q, n) -> ChainMap:
@@ -85,5 +85,6 @@ class SpCobarBuilder(_Levels):
         th = self.c.theta_map(sk[-1], tk[-1])
         if th is None or sk[0] == 1:
             return th
+        th = on_pieces(self.pieces, m, sk, tk, th)
         return equivops.slotwise_map(self.summands[m][sk],
                                      self.summands[m + 1][tk], th).validate()

@@ -138,6 +138,15 @@ def summands_by_value(pieces, rule):
     return out
 
 
+def on_pieces(pieces, m, sk, tk, g) -> ChainMap:
+    """g, once it maps the piece of sk at level m to that of tk (or twins);
+    ValueError otherwise, where a slotwise map of g drops terms silently."""
+    if not (pieces[m][sk].complex.same_basis(g.source)
+            and pieces[m + 1][tk].complex.same_basis(g.target)):
+        raise ValueError("map misses the pieces %r -> %r" % (sk, tk))
+    return g
+
+
 def _strict(key) -> bool:
     return all(a < b for a, b in zip(key, key[1:]))
 

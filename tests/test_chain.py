@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import induced_from_trivial_subgroup, random_term, truncate
+from helpers import (
+    entry, induced_from_trivial_subgroup, random_term, truncate,
+)
 from tcalc.chain import (
     ChainComplex, ChainMap, DegreeWindow, block_map, cone, direct_sum,
     label_map, linear_map, sphere,
@@ -14,7 +16,7 @@ from tcalc.chainops import (
 )
 from tcalc.fields import F2, F3, QQ, FieldSpec, _is_prime, field_from_name
 from tcalc.laws import (
-    _associator, chain_map_space, count_maps_mod_homotopy, dual,
+    _associator, chain_map_space, count_maps_mod_homotopy, dual, homology,
     homotopy_between, is_quasi_iso, nullhomotopy, rank,
 )
 from tcalc.perms import YoungGroup
@@ -193,9 +195,9 @@ def test_chain_map_validate_skips_only_the_zero_map():
 def test_circle_homology():
     for F in (QQ, F2, F3):
         c = circle(F)
-        assert c.homology(0)[0] == 1
-        assert c.homology(1)[0] == 1
-        assert c.homology(2)[0] == 0
+        assert homology(c, 0)[0] == 1
+        assert homology(c, 1)[0] == 1
+        assert homology(c, 2)[0] == 0
 
 
 def test_cone_of_identity_acyclic():
@@ -207,8 +209,8 @@ def test_cone_of_identity_acyclic():
 def test_direct_sum_with_shift():
     c = sphere(QQ, 0)
     s = direct_sum([c, shift(c, 3)])
-    assert s.homology(0)[0] == 1
-    assert s.homology(3)[0] == 1
+    assert homology(s, 0)[0] == 1
+    assert homology(s, 3)[0] == 1
 
 
 def _random_part(rng, F):
@@ -276,7 +278,7 @@ def test_tensor_spheres_and_kunneth():
     c = circle(F2)
     t2 = tensor(c, c)
     assert t2.total_dim() == 16
-    assert [t2.homology(k)[0] for k in (0, 1, 2)] == [1, 2, 1]
+    assert [homology(t2, k)[0] for k in (0, 1, 2)] == [1, 2, 1]
 
 
 def test_kunneth_random():
@@ -286,11 +288,11 @@ def test_kunneth_random():
             c = random_complex(rng, F)
             d = random_complex(rng, F)
             t = tensor(c, d)
-            hc = {k: c.homology(k)[0] for k in range(-2, 6)}
-            hd = {k: d.homology(k)[0] for k in range(-2, 6)}
+            hc = {k: homology(c, k)[0] for k in range(-2, 6)}
+            hd = {k: homology(d, k)[0] for k in range(-2, 6)}
             for k in range(-2, 8):
                 conv = sum(hc.get(i, 0) * hd.get(k - i, 0) for i in range(-4, 8))
-                assert t.homology(k)[0] == conv
+                assert homology(t, k)[0] == conv
 
 
 def random_complex(rng, F, max_deg=2, max_dim=2):
@@ -343,7 +345,7 @@ def test_homology_dims_eliminates_each_differential_once(F, monkeypatch):
                         for _ in range(rng.randint(1, 3))])
         c.validate()
         w = DegreeWindow(-1, 6)
-        want = {k: c.homology(k)[0] for k in w.degrees()}
+        want = {k: homology(c, k)[0] for k in w.degrees()}
         monkeypatch.setattr(chain, "Echelon", Counted)
         built.clear()
         assert c.homology_dims(w) == {k: v for k, v in want.items() if v}
@@ -366,7 +368,7 @@ def test_hom_complex_shift_and_self():
 def test_h0_hom_counts_maps_mod_homotopy():
     c = circle(F2)
     h = hom_complex(c, c)
-    assert h.homology(0)[0] == 2
+    assert homology(h, 0)[0] == 2
     assert count_maps_mod_homotopy(c, c) == 2
 
 
@@ -375,17 +377,17 @@ def test_dual_involution_and_sphere():
     c = circle(F3)
     dd = dual(dual(c))
     for k in (-1, 0, 1, 2):
-        assert dd.homology(k)[0] == c.homology(k)[0]
-        assert dual(c).homology(-k)[0] == c.homology(k)[0]
+        assert homology(dd, k)[0] == homology(c, k)[0]
+        assert homology(dual(c), -k)[0] == homology(c, k)[0]
 
 
 def test_cone_of_zero_map():
     c, d = circle(QQ), sphere(QQ, 0)
     cn = cone(ChainMap.zero(c, d))
     # homology = H(D) + H(C)[1]
-    assert cn.homology(0)[0] == 1
-    assert cn.homology(1)[0] == 1
-    assert cn.homology(2)[0] == 1
+    assert homology(cn, 0)[0] == 1
+    assert homology(cn, 1)[0] == 1
+    assert homology(cn, 2)[0] == 1
 
 
 def test_a_sum_of_maps_of_different_degrees_is_refused():
@@ -486,7 +488,7 @@ def test_mapping_complex_agrees_with_kunneth():
             c, d = random_complex(rng, F), random_complex(rng, F)
             degs = sorted(set(c.dims) | set(d.dims))
             assert count_maps_mod_homotopy(c, d) == sum(
-                c.homology(k)[0] * d.homology(k)[0] for k in degs)
+                homology(c, k)[0] * homology(d, k)[0] for k in degs)
             maps = chain_map_space(c, d)
             f, g = ChainMap.zero(c, d), ChainMap.zero(c, d)
             for m in maps:
@@ -505,7 +507,7 @@ def test_tensor_map_koszul_sign():
     g = ChainMap.identity(s1)
     t = tensor_map(f, g)
     t.validate()
-    assert t.component(2)[0, 0] == 1
+    assert entry(t.component(2), 0, 0) == 1
 
 
 def _binary_tensor_map(f, g):

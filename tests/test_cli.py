@@ -9,7 +9,7 @@ import time
 import pytest
 
 from helpers import (
-    corrupt_square_map, random_theta, random_valid_coalgebra, triv,
+    corrupt_square_map, entry, random_theta, random_valid_coalgebra, triv,
 )
 from tcalc import serialize
 from tcalc.chain import (
@@ -499,7 +499,7 @@ def test_rational_matrix_round_trip(tmp_path, capsys):
     c2 = serialize.chain_from_json(doc)
     assert serialize.dumps(serialize.chain_to_json(c2)) == \
         serialize.dumps(doc)
-    assert c2.d(1)[0, 0] == QQ.coerce("2/3")
+    assert entry(c2.d(1), 0, 0) == QQ.coerce("2/3")
 
 
 @pytest.mark.parametrize("source, N, site", [("sp", 3, "S0"),
@@ -531,6 +531,39 @@ def test_pn_both_routes_build_one_cobar_builder(tmp_path, capsys,
     payload = json.loads(out)
     # reusing the builder changes nothing either route reports
     assert payload["routes"] == alone and payload["routes_agree"] is True
+
+
+@pytest.mark.parametrize("dim", [-1, True], ids=["negative", "true"])
+def test_a_dimension_that_is_not_a_count_is_a_usage_error(tmp_path, capsys,
+                                                           dim):
+    # -1 was printed as a homology dimension, and true read as 1
+    doc = {"field": "F2", "dims": {"0": dim}}
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "d.json", doc))
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": "malformed document: %r is not a count" % (dim,)}
+    doc["dims"]["0"] = 1
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "d.json", doc))
+    assert rc == 0 and json.loads(out)["dims"] == {"0": 1}
+
+
+@pytest.mark.parametrize("triple, bad", [([True, 0, "1"], True),
+                                         ([0, True, "1"], True),
+                                         ([0.0, 1, "1"], 0.0)],
+                         ids=["true-row", "true-col", "float-row"])
+def test_a_matrix_index_that_is_not_an_integer_is_a_usage_error(
+        tmp_path, capsys, triple, bad):
+    # in a 2x2 differential, [true, 0, "1"] was read as row 1
+    doc = {"field": "F2", "dims": {"0": 2, "1": 2}, "diff": {"1": [triple]}}
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "m.json", doc))
+    assert (rc, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == {
+        "error": "usage",
+        "detail": "malformed document: %r is not a count" % (bad,)}
+    doc["diff"]["1"] = [[1, 0, "1"]]
+    rc, out, err = run_cli(capsys, "homology", write(tmp_path, "m.json", doc))
+    assert rc == 0 and json.loads(out)["dims"] == {"0": 1, "1": 1}
 
 
 def test_k_top_cli(tmp_path, capsys):

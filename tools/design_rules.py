@@ -403,14 +403,14 @@ RULES = [
      banned({"coop", "build_delta"}, attributes=True),
      "read T(n) from trees.term and build every delta; pass neither:"),
     # Outside sparse.py a matrix is built by SparseMatrix.from_entries
-    # (or chain.linear_map on labels) and read through items(),
-    # by_column(), m[i, j] and nnz(): its storage attribute `data`
+    # (or chain.linear_map on labels) and read through items() and
+    # by_column(): its storage attribute `data`
     # ({row: bitset} over F_2, {row: {col: scalar}} otherwise) is neither
     # read nor written, nor passed to the constructor.
     ("One matrix-assembly path and one read path (sparse.py owns the "
      "storage)", only_in({"sparse"}, _matrix_storage),
-     "assemble with SparseMatrix.from_entries and read with items(), "
-     "by_column(), m[i, j] or nnz() instead:"),
+     "assemble with SparseMatrix.from_entries and read with items() or "
+     "by_column() instead:"),
     # A matrix means something only on the basis it indexes, and two
     # bases meet when they are one complex or label-equal
     # (chain.ChainComplex.same_basis), which compose, +, -, block_map

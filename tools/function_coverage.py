@@ -93,8 +93,6 @@ LISTED = {
     "perms.YoungGroup.__str__": "a document whose group has degree > 4, "
                                 "named in the refusal",
     # methods of public value types, and why the tests read them
-    "chain.ChainComplex.homology": "tests and laws read homology with its "
-                                   "representing cycles",
     "chain.DegreeWindow.__eq__": "windows are compared and hashed as "
                                  "values",
     "chain.DegreeWindow.__hash__": "windows are compared and hashed as "
@@ -104,8 +102,6 @@ LISTED = {
     "fields.FieldSpec.format_scalar": "tests and the serialize writers "
                                       "print scalars",
     "perms.YoungGroup.__hash__": "groups are hashed as values",
-    "sparse.SparseMatrix.nnz": "tests count a matrix's entries",
-    "sparse.SparseMatrix.__getitem__": "tests read single entries",
     "sparse.SparseMatrix.__add__": "tests and ChainMap.__add__ add "
                                    "matrices",
 }
