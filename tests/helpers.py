@@ -224,8 +224,6 @@ def corrupt_square_map(monkeypatch, which, mutate):
     return count
 
 
-# hand-coded resolution oracles ------------------------------------------------
-
 def entry(m: SparseMatrix, i, j):
     """The (i, j) entry of m, read off its nonzero entries (`items()`)."""
     return dict(m.items()).get((i, j), 0)
@@ -235,6 +233,8 @@ def nnz(m: SparseMatrix) -> int:
     """The number of nonzero entries of m."""
     return sum(1 for _ in m.items())
 
+
+# hand-coded resolution oracles ------------------------------------------------
 
 def bs2_oracle(k):
     """H_k(B Sigma_2; F_2) from the 2-periodic resolution."""

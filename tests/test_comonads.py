@@ -102,7 +102,7 @@ def test_k_r_zero_above_n():
                          ids=["top", "sp"])
 def test_a_zero_component_builds_one_map_whatever_r(monkeypatch, model):
     # K_r A_n = 0 for r > n: every generator of Sigma_r acts by one shared
-    # zero map, so the model built r - 1 of them before
+    # zero map, so what the model builds does not grow with r
     built = []
     init = ChainMap.__init__
 
